@@ -1,5 +1,5 @@
-//! Ablations of LDR's design choices (DESIGN.md §1, paper §8 "Generality
-//! of building blocks"):
+//! Ablations of LDR's design choices (paper §8 "Generality of building
+//! blocks"):
 //!
 //! * **growth step** — how many next-shortest paths to add per overloaded
 //!   aggregate per round (paper: "generating shortest paths for an

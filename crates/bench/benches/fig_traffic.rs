@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use lowlat_bench::bursty_series;
 use lowlat_traffic::multiplex::{MultiplexCheck, MultiplexConfig};
 use lowlat_traffic::predictor::prediction_ratios;
 use lowlat_traffic::trace::{synthesize, TraceGenConfig};
@@ -23,19 +24,7 @@ fn bench_prediction(c: &mut Criterion) {
 
 fn bench_multiplex_check(c: &mut Criterion) {
     // Ten bursty aggregates on one link, forcing both test B and test C.
-    let traces: Vec<Vec<f64>> = (0..10)
-        .map(|i| {
-            synthesize(&TraceGenConfig {
-                mean_mbps: 900.0,
-                cv: 0.5,
-                minutes: 1,
-                seed: 100 + i,
-                ..Default::default()
-            })
-            .samples(0)
-            .to_vec()
-        })
-        .collect();
+    let traces = bursty_series(10);
     let refs: Vec<&[f64]> = traces.iter().map(|t| t.as_slice()).collect();
     let check = MultiplexCheck::new(MultiplexConfig::default());
     c.bench_function("fig14_multiplex_check/10agg", |b| {

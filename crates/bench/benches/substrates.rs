@@ -1,14 +1,16 @@
 //! Micro-benchmarks of the substrates every experiment leans on:
 //! Dijkstra, Yen k-shortest paths, Dinic max-flow, the simplex LP solver,
-//! and the FFT convolution.
+//! the FFT convolution, and the Figure-14 appraisal kernels built on it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use lowlat_bench::gts;
+use lowlat_bench::{bursty_series, gts};
 use lowlat_linprog::{Problem, Relation};
 use lowlat_netgraph::{max_flow, shortest_path_tree, KspGenerator, NodeId};
 use lowlat_traffic::fft::convolve;
+use lowlat_traffic::pmf::convolve_group;
+use lowlat_traffic::{MultiplexCheck, MultiplexConfig};
 
 fn bench_dijkstra(c: &mut Criterion) {
     let topo = gts();
@@ -68,5 +70,36 @@ fn bench_fft(c: &mut Criterion) {
     c.bench_function("fft/convolve-1024", |b| b.iter(|| convolve(black_box(&a), black_box(&bb))));
 }
 
-criterion_group!(benches, bench_dijkstra, bench_yen, bench_dinic, bench_simplex, bench_fft);
+fn bench_appraisal(c: &mut Criterion) {
+    let series = bursty_series(128);
+    let refs: Vec<&[f64]> = series.iter().map(|s| s.as_slice()).collect();
+    for m in [2, 8, 32] {
+        c.bench_function(format!("pmf/convolve_group/{m}-members"), |b| {
+            b.iter(|| convolve_group(black_box(&refs[..m]), 1024))
+        });
+    }
+    let check = MultiplexCheck::new(MultiplexConfig::default());
+    for m in [8, 32, 128] {
+        // Capacity just above the busiest bin: the sum of peaks does not
+        // fit (no fast path) and nothing queues (test B passes), so every
+        // call runs through test C.
+        let busiest =
+            (0..600).map(|i| refs[..m].iter().map(|s| s[i]).sum::<f64>()).fold(0.0, f64::max);
+        let peaks: f64 = refs[..m].iter().map(|s| s.iter().cloned().fold(0.0, f64::max)).sum();
+        assert!(peaks > busiest * 1.001, "the cell must not take the fast path");
+        c.bench_function(format!("multiplex/check_link/{m}-members"), |b| {
+            b.iter(|| check.check_link(black_box(busiest * 1.001), &refs[..m]))
+        });
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_dijkstra,
+    bench_yen,
+    bench_dinic,
+    bench_simplex,
+    bench_fft,
+    bench_appraisal
+);
 criterion_main!(benches);

@@ -1,8 +1,9 @@
 //! Shared fixtures for the Criterion benches.
 //!
 //! Each bench target regenerates the computational kernel behind one paper
-//! figure (see DESIGN.md's experiment index); the fixtures here keep the
-//! workloads identical across targets.
+//! figure (each target's module docs name it; the README's bench section
+//! lists the targets); the fixtures here keep the workloads identical
+//! across targets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,6 +12,7 @@ use lowlat_core::scale::ScaleToLoad;
 use lowlat_tmgen::{GravityTmGen, TmGenConfig, TrafficMatrix};
 use lowlat_topology::zoo::named;
 use lowlat_topology::Topology;
+use lowlat_traffic::{synthesize, TraceGenConfig};
 
 /// The GTS-like grid — the paper's hard-to-route running example.
 pub fn gts() -> Topology {
@@ -20,6 +22,23 @@ pub fn gts() -> Topology {
 /// The Abilene backbone — the small sanity-check network.
 pub fn abilene() -> Topology {
     named::abilene()
+}
+
+/// `n` bursty one-minute series of 600 bins (mean 900 Mbps, cv 0.5), as
+/// a link sees its aggregates: the input of the Figure-14 appraisal cells.
+pub fn bursty_series(n: usize) -> Vec<Vec<f64>> {
+    (0..n as u64)
+        .map(|i| {
+            let cfg = TraceGenConfig {
+                mean_mbps: 900.0,
+                cv: 0.5,
+                minutes: 1,
+                seed: 100 + i,
+                ..Default::default()
+            };
+            synthesize(&cfg).samples(0).to_vec()
+        })
+        .collect()
 }
 
 /// A standard-operating-point matrix: locality 1, min-cut load 0.7.

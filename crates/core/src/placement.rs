@@ -183,6 +183,28 @@ impl Placement {
         out
     }
 
+    /// Every aggregate's [`Placement::link_fractions_of`] at once, turned
+    /// around: `per_link[l]` lists `(aggregate, fraction)` for the
+    /// aggregates crossing link `l`, in ascending aggregate order, each
+    /// fraction accumulated over the splits in split order — the same
+    /// floats, without a map per aggregate. Refills `per_link` in place
+    /// (one slot per link of the graph) so a loop can reuse it.
+    pub fn link_incidence_into(&self, per_link: &mut [Vec<(usize, f64)>]) {
+        per_link.iter_mut().for_each(Vec::clear);
+        for (a, placement) in self.per_aggregate.iter().enumerate() {
+            for (path, fraction) in &placement.splits {
+                if *fraction > 1e-12 {
+                    for &l in path.links() {
+                        match per_link[l.idx()].last_mut() {
+                            Some((last, x)) if *last == a => *x += fraction,
+                            _ => per_link[l.idx()].push((a, *fraction)),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// The churn of replacing `prev` with `self`, both placed for `tm`
     /// (same aggregates, same order): the install/uninstall/re-program
     /// operations a controller would push plus the volume that moved. See
@@ -281,6 +303,14 @@ mod tests {
         let fr = pl.link_fractions_of(0);
         assert!((fr[&direct.0] - 0.75).abs() < 1e-12);
         assert!((fr[&l12.0] - 0.25).abs() < 1e-12);
+        // The per-link view holds the same floats, turned around.
+        let mut per_link = vec![vec![(9, 9.0)]; g.link_count()];
+        pl.link_incidence_into(&mut per_link);
+        for (l, members) in per_link.iter().enumerate() {
+            let expect: Vec<(usize, f64)> =
+                fr.get(&(l as u32)).map(|&x| (0, x)).into_iter().collect();
+            assert_eq!(members, &expect, "link {l}");
+        }
         // Delay accounting.
         assert!(pl.aggregate(0).mean_delay_ms() > 0.0);
         assert!(pl.aggregate(0).max_delay_ms() >= pl.aggregate(0).mean_delay_ms());

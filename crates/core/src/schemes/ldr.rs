@@ -19,9 +19,11 @@
 //! Without traces (pure traffic-matrix input) LDR falls back to a static
 //! headroom fraction, which §4 suggests is ~10% for ISP backbones.
 
+use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::Topology;
-use lowlat_traffic::{AggregateTrace, MultiplexCheck, MultiplexConfig};
+use lowlat_traffic::pmf::Member;
+use lowlat_traffic::{AggregateTrace, MultiplexCheck, MultiplexConfig, Verdict};
 
 use crate::pathgrow::{GrowRequest, GrowthConfig, SolveContext};
 use crate::pathset::PathCache;
@@ -71,6 +73,18 @@ pub struct LdrOutcome {
     pub omax: f64,
     /// True when every link passed the multiplexing tests.
     pub multiplexing_ok: bool,
+}
+
+/// Counts one link appraisal into the telemetry registry, by where it ended.
+fn count_checked(verdict: Verdict, cap: f64, members: &[Member<'_>]) {
+    telemetry::counter_add("ldr.links_checked", 1);
+    let sum_of_peaks = || members.iter().map(|&(_, peak, x)| peak * x).sum::<f64>();
+    match verdict {
+        Verdict::FailTemporal { .. } => telemetry::counter_add("ldr.fail_temporal", 1),
+        Verdict::FailTail { .. } => telemetry::counter_add("ldr.fail_tail", 1),
+        Verdict::Pass if sum_of_peaks() <= cap => telemetry::counter_add("ldr.fast_path", 1),
+        Verdict::Pass => {}
+    }
 }
 
 /// The LDR scheme.
@@ -153,8 +167,15 @@ impl Ldr {
 
         // Step 1: Algorithm-1 prediction of each aggregate's mean rate.
         let mut ba: Vec<f64> = predict_volumes(traces);
-        let last_minute: Vec<&[f64]> =
-            traces.iter().map(|tr| tr.samples(tr.minutes() - 1)).collect();
+        // The last minute's samples and their peak, once per decision: a
+        // link sees them scaled by a fraction, which rescales the peak.
+        let last_minute: Vec<(&[f64], f64)> = traces
+            .iter()
+            .map(|tr| (tr.samples(tr.minutes() - 1), tr.peak(tr.minutes() - 1)))
+            .collect();
+        let mut per_link: Vec<Vec<(usize, f64)>> = vec![Vec::new(); graph.link_count()];
+        let mut members: Vec<Member<'_>> = Vec::new();
+        let mut failing_links: Vec<usize> = Vec::new();
 
         let mut iterations = 0;
         loop {
@@ -164,48 +185,45 @@ impl Ldr {
                 .config(&self.config.growth)
                 .solve_with(ctx)?;
 
-            // Step 2: appraise multiplexing per link.
-            let mut failing_links: Vec<usize> = Vec::new();
-            // Gather per-link (aggregate, fraction) incidence.
-            let mut per_link: Vec<Vec<(usize, f64)>> = vec![Vec::new(); graph.link_count()];
-            for a in 0..tm.aggregates().len() {
-                for (l, x) in out.placement.link_fractions_of(a) {
-                    per_link[l as usize].push((a, x));
-                }
-            }
-            let mut scaled_samples: Vec<Vec<f64>> = Vec::new();
+            // Step 2: appraise multiplexing per link, members in ascending
+            // aggregate order.
+            let appraise = telemetry::span("ldr.appraise", "ldr");
+            out.placement.link_incidence_into(&mut per_link);
+            failing_links.clear();
             for l in graph.link_ids() {
-                let members = &per_link[l.idx()];
-                if members.is_empty() {
+                let incidence = &per_link[l.idx()];
+                if incidence.is_empty() {
                     continue;
                 }
-                scaled_samples.clear();
-                for &(a, x) in members {
-                    scaled_samples.push(last_minute[a].iter().map(|s| s * x).collect());
+                members.clear();
+                members.extend(incidence.iter().map(|&(a, x)| {
+                    let (samples, peak) = last_minute[a];
+                    (samples, peak, x)
+                }));
+                let verdict = check.check_members(caps[l.idx()], &members);
+                if telemetry::enabled() {
+                    count_checked(verdict, caps[l.idx()], &members);
                 }
-                let refs: Vec<&[f64]> = scaled_samples.iter().map(|v| v.as_slice()).collect();
-                let verdict = check.check_link(caps[l.idx()], &refs);
                 if !verdict.passed() {
                     failing_links.push(l.idx());
                 }
             }
+            drop(appraise);
 
-            if failing_links.is_empty() {
+            let converged = failing_links.is_empty();
+            if converged || iterations >= self.config.max_iterations {
+                if telemetry::enabled() {
+                    // `multiplexing_ok`, made visible.
+                    let ending = if converged { "ldr.converged" } else { "ldr.exhausted" };
+                    telemetry::counter_add(ending, 1);
+                    telemetry::counter_add("ldr.iterations", iterations as u64);
+                }
                 return Ok(LdrOutcome {
                     placement: out.placement,
                     iterations,
                     ba,
                     omax: out.omax,
-                    multiplexing_ok: true,
-                });
-            }
-            if iterations >= self.config.max_iterations {
-                return Ok(LdrOutcome {
-                    placement: out.placement,
-                    iterations,
-                    ba,
-                    omax: out.omax,
-                    multiplexing_ok: false,
+                    multiplexing_ok: converged,
                 });
             }
             // Step 3: tweak — inflate Ba of aggregates on failing links

@@ -572,6 +572,9 @@ fn run_timeline(
     let total_minutes = config.warmup_minutes + config.minutes;
     // Ground-truth traffic: one evolving trace per aggregate, mean anchored
     // at its matrix volume (modulated by the configured diurnal cycle).
+    // A root span of its own: against millisecond decisions it is a visible
+    // share of a short run.
+    let synthesis = telemetry::span("timeline.synthesize", "timeline");
     let traces: Vec<AggregateTrace> = tm
         .aggregates()
         .iter()
@@ -588,6 +591,7 @@ fn run_timeline(
             })
         })
         .collect();
+    drop(synthesis);
 
     let graph = source.graph();
     // One source and one warm-start context for the whole run: the §5

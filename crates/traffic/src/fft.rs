@@ -3,7 +3,11 @@
 //! The paper convolves per-aggregate bandwidth distributions per link and
 //! notes the FFT route runs "in milliseconds" for tens of thousands of
 //! aggregates at 1024 quantization levels — small transforms, so a simple
-//! in-place Cooley-Tukey is the right amount of machinery.
+//! in-place Cooley-Tukey is the right amount of machinery. What makes it
+//! cheap in the controller is reuse: a `Plan` holds the twiddle factors
+//! of one transform size (read from a table, not re-derived by repeated
+//! multiplication, which is both faster and more accurate), and two real
+//! sequences ride through one complex transform (`packed_product`).
 
 /// A complex number; deliberately minimal.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -18,7 +22,7 @@ impl Complex {
     /// 0 + 0i.
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
 
-    fn mul(self, o: Complex) -> Complex {
+    pub(crate) fn mul(self, o: Complex) -> Complex {
         Complex { re: self.re * o.re - self.im * o.im, im: self.re * o.im + self.im * o.re }
     }
 
@@ -29,51 +33,91 @@ impl Complex {
     fn sub(self, o: Complex) -> Complex {
         Complex { re: self.re - o.re, im: self.im - o.im }
     }
+
+    fn conj(self) -> Complex {
+        Complex { re: self.re, im: -self.im }
+    }
 }
 
-/// In-place FFT (`inverse = false`) or unnormalized inverse FFT.
+/// The twiddle factors of one transform size, computed once.
+#[derive(Clone, Debug)]
+pub(crate) struct Plan {
+    /// `e^{-2πik/n}` for `k < n/2`.
+    twiddles: Vec<Complex>,
+}
+
+impl Plan {
+    /// Plans transforms of `n` points.
+    ///
+    /// # Panics
+    /// Panics unless `n` is a power of two.
+    pub fn new(n: usize) -> Self {
+        assert!(n.is_power_of_two(), "FFT length {n} not a power of two");
+        let step = -2.0 * std::f64::consts::PI / n as f64;
+        let twiddles = (0..n / 2)
+            .map(|k| {
+                let (im, re) = (step * k as f64).sin_cos();
+                Complex { re, im }
+            })
+            .collect();
+        Plan { twiddles }
+    }
+
+    /// In-place FFT (`inverse = false`) or unnormalized inverse FFT.
+    ///
+    /// # Panics
+    /// Panics unless `data.len()` is the planned size.
+    pub fn transform(&self, data: &mut [Complex], inverse: bool) {
+        let n = data.len();
+        assert!(n.is_power_of_two() && n / 2 == self.twiddles.len(), "{n} points, other plan");
+        // Bit-reversal permutation.
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        // Butterflies; stage `len` reads every `n/len`-th twiddle.
+        let mut len = 2;
+        while len <= n {
+            let (half, stride) = (len / 2, n / len);
+            for block in data.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for (k, (u, v)) in lo.iter_mut().zip(hi).enumerate() {
+                    let w = self.twiddles[k * stride];
+                    let t = v.mul(if inverse { w.conj() } else { w });
+                    (*u, *v) = (u.add(t), u.sub(t));
+                }
+            }
+            len <<= 1;
+        }
+    }
+}
+
+/// In-place FFT (`inverse = false`) or unnormalized inverse FFT, planning
+/// on the spot (inside the crate, a `Plan` transforms one size repeatedly).
 ///
 /// # Panics
 /// Panics unless `data.len()` is a power of two.
 pub fn fft_in_place(data: &mut [Complex], inverse: bool) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "FFT length {n} not a power of two");
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    // Butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex { re: ang.cos(), im: ang.sin() };
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex { re: 1.0, im: 0.0 };
-            for k in 0..len / 2 {
-                let u = data[i + k];
-                let v = data[i + k + len / 2].mul(w);
-                data[i + k] = u.add(v);
-                data[i + k + len / 2] = u.sub(v);
-                w = w.mul(wlen);
-            }
-            i += len;
-        }
-        len <<= 1;
-    }
+    Plan::new(data.len()).transform(data, inverse);
+}
+
+/// `A[k]·B[k]`, the product of the spectra of two *real* sequences `a` and
+/// `b`, read off the one transform `z` of the packed sequence `a + ib`.
+/// Realness gives `A[k] = (Z[k] + conj Z[n−k])/2` and
+/// `B[k] = (Z[k] − conj Z[n−k])/2i`, hence `A·B = (Z[k]² − conj Z[n−k]²)/4i`.
+/// `n` is a power of two, so the mirror index `(n − k) mod n` is a mask.
+pub(crate) fn packed_product(z: &[Complex], k: usize) -> Complex {
+    let (zk, zm) = (z[k], z[(z.len() - k) & (z.len() - 1)].conj());
+    let d = zk.mul(zk).sub(zm.mul(zm));
+    Complex { re: 0.25 * d.im, im: -0.25 * d.re }
 }
 
 /// Linear convolution of two non-negative real sequences via FFT.
@@ -84,16 +128,17 @@ pub fn convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
     }
     let out_len = a.len() + b.len() - 1;
     let n = out_len.next_power_of_two();
+    let plan = Plan::new(n);
     let mut fa: Vec<Complex> = a.iter().map(|&x| Complex { re: x, im: 0.0 }).collect();
     let mut fb: Vec<Complex> = b.iter().map(|&x| Complex { re: x, im: 0.0 }).collect();
     fa.resize(n, Complex::ZERO);
     fb.resize(n, Complex::ZERO);
-    fft_in_place(&mut fa, false);
-    fft_in_place(&mut fb, false);
+    plan.transform(&mut fa, false);
+    plan.transform(&mut fb, false);
     for (x, y) in fa.iter_mut().zip(&fb) {
         *x = x.mul(*y);
     }
-    fft_in_place(&mut fa, true);
+    plan.transform(&mut fa, true);
     let scale = 1.0 / n as f64;
     // Convolving probability masses can produce tiny negative round-off.
     fa[..out_len].iter().map(|c| (c.re * scale).max(0.0)).collect()

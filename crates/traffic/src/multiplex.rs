@@ -13,8 +13,22 @@
 //! * **Test C (uncorrelated tails)** — convolve the per-aggregate PMFs and
 //!   reject if P(sum > capacity) exceeds `max_queue_ms / window`; with the
 //!   paper's 10 ms over 60 s that threshold is 10/60000 ≈ 0.00016.
+//!
+//! # Members, not scaled copies
+//!
+//! A controller appraises the same aggregates on many links and over many
+//! iterations, each time at a different fraction `x`. The check therefore
+//! takes [`Member`]s — an aggregate's samples and peak *at unit fraction*
+//! plus `x` — and scales on the fly: test B sums `s[i]·x`, test C bins
+//! `(s·x)/w`, and the fast path needs only the cached peak, because for
+//! `x ≥ 0` rounding is monotone and so `max_i fl(s_i·x) == fl(max_i s_i · x)`
+//! bit for bit. Every verdict is thus identical to the one computed on
+//! materialized `s·x` copies, which is exactly what [`MultiplexCheck::check_link`]
+//! does: it wraps its series as members at `x = 1` and runs the same kernel.
 
-use crate::pmf::{convolve_group, DEFAULT_LEVELS};
+use std::cell::RefCell;
+
+use crate::pmf::{unit_members, GroupConvolver, Member, DEFAULT_LEVELS};
 
 /// Tuning for [`MultiplexCheck`].
 #[derive(Clone, Debug)]
@@ -59,17 +73,26 @@ impl Verdict {
     }
 }
 
-/// The link-level admission check.
-#[derive(Clone, Debug, Default)]
+/// The link-level admission check. Owns the test-C transform state, reused
+/// from link to link (hence not `Sync`: give each thread its own check).
+#[derive(Clone, Debug)]
 pub struct MultiplexCheck {
     config: MultiplexConfig,
+    convolver: RefCell<GroupConvolver>,
+}
+
+impl Default for MultiplexCheck {
+    fn default() -> Self {
+        MultiplexCheck::new(MultiplexConfig::default())
+    }
 }
 
 impl MultiplexCheck {
     /// Creates a check with the given configuration.
     pub fn new(config: MultiplexConfig) -> Self {
         assert!(config.max_queue_ms > 0.0 && config.bin_ms > 0.0 && config.levels > 1);
-        MultiplexCheck { config }
+        let convolver = RefCell::new(GroupConvolver::new(config.levels));
+        MultiplexCheck { config, convolver }
     }
 
     /// The configuration in use.
@@ -85,16 +108,34 @@ impl MultiplexCheck {
     /// # Panics
     /// Panics on ragged series or non-positive capacity.
     pub fn check_link(&self, capacity_mbps: f64, series: &[&[f64]]) -> Verdict {
+        self.check_members(capacity_mbps, &unit_members(series))
+    }
+
+    /// [`MultiplexCheck::check_link`] on the series `samples · x` of each
+    /// member `(samples, peak, x)`, without materializing them; `peak` must
+    /// be the maximum of `samples` (see the module docs).
+    ///
+    /// # Panics
+    /// Panics on ragged or empty series, a negative fraction, or
+    /// non-positive capacity.
+    pub fn check_members(&self, capacity_mbps: f64, members: &[Member<'_>]) -> Verdict {
         assert!(capacity_mbps > 0.0);
-        if series.is_empty() {
+        let Some(&(first, ..)) = members.first() else {
             return Verdict::Pass;
-        }
-        let len = series[0].len();
-        assert!(series.iter().all(|s| s.len() == len), "ragged sample series");
+        };
+        let len = first.len();
+        assert!(members.iter().all(|&(s, _, x)| s.len() == len && x >= 0.0), "ragged series");
         assert!(len > 0, "empty sample series");
+        // An understated peak would shrink test C's grid until the product
+        // aliases, silently. Debug builds only: this scan is the work a
+        // cached peak exists to skip.
+        debug_assert!(
+            members.iter().all(|&(s, peak, _)| peak == s.iter().cloned().fold(0.0, f64::max)),
+            "a member's peak is not the maximum of its samples"
+        );
 
         // Fast path: sum of peaks fits.
-        let sum_of_peaks: f64 = series.iter().map(|s| s.iter().cloned().fold(0.0, f64::max)).sum();
+        let sum_of_peaks: f64 = members.iter().map(|&(_, peak, x)| peak * x).sum();
         if sum_of_peaks <= capacity_mbps {
             return Verdict::Pass;
         }
@@ -104,7 +145,7 @@ impl MultiplexCheck {
         let mut backlog_mb = 0.0f64;
         let mut worst_queue_ms = 0.0f64;
         for i in 0..len {
-            let load: f64 = series.iter().map(|s| s[i]).sum();
+            let load: f64 = members.iter().map(|&(s, _, x)| s[i] * x).sum();
             backlog_mb = (backlog_mb + (load - capacity_mbps) * bin_s).max(0.0);
             worst_queue_ms = worst_queue_ms.max(backlog_mb / capacity_mbps * 1000.0);
         }
@@ -114,8 +155,7 @@ impl MultiplexCheck {
 
         // Test C: independent-tail probability via convolution.
         let threshold = self.config.max_queue_ms / (len as f64 * self.config.bin_ms);
-        let pmf = convolve_group(series, self.config.levels)
-            .expect("non-empty series with positive peaks");
+        let pmf = self.convolver.borrow_mut().convolve(members).expect("positive sum of peaks");
         let prob = pmf.prob_exceeds(capacity_mbps);
         if prob > threshold {
             return Verdict::FailTail { prob, threshold };
@@ -201,6 +241,14 @@ mod tests {
     #[test]
     fn empty_link_passes() {
         assert_eq!(check().check_link(10.0, &[]), Verdict::Pass);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not the maximum")]
+    fn a_wrong_peak_is_rejected() {
+        let s = vec![60.0; 600];
+        check().check_members(100.0, &[(&s, 60.0, 1.0), (&s, 30.0, 1.0)]);
     }
 
     #[test]

@@ -5,8 +5,23 @@
 //! get the distribution of their *sum* (they are assumed independent once
 //! temporal correlation has been tested separately). 1024 quantization
 //! levels "yields good performance" (§5); that is our default too.
+//!
+//! # One fixed-size spectral product per link
+//!
+//! [`convolve_group`] sizes the common grid so the *sum of the members'
+//! peaks* lands in bin `levels − 1`. Member `i` then occupies bins
+//! `0..=⌊peak_i / w⌋`, and `Σ ⌊peak_i / w⌋ ≤ ⌊Σ peak_i / w⌋ = levels − 1`
+//! (float rounding perturbs the right-hand side by ~`m·ε·levels`, far from
+//! the next integer), so the *linear* convolution of all members is
+//! supported on `[0, levels)`. A circular convolution of length
+//! `n = levels.next_power_of_two() ≥ levels` therefore wraps nothing
+//! around: every member is transformed at that one size, the spectra are
+//! multiplied, and a single inverse transform yields the group PMF —
+//! `⌈m/2⌉ + 1` transforms of `n` points (two real members share a complex
+//! transform) where a pairwise chain would pay `3(m − 1)` transforms of
+//! ever-growing size for output bins that hold no mass.
 
-use crate::fft::convolve;
+use crate::fft::{convolve, packed_product, Complex, Plan};
 
 /// Default quantization levels, per the paper.
 pub const DEFAULT_LEVELS: usize = 1024;
@@ -18,6 +33,12 @@ pub const DEFAULT_LEVELS: usize = 1024;
 pub struct Pmf {
     bin_width: f64,
     probs: Vec<f64>,
+}
+
+/// The grid: the bin a rate falls in, rates above the grid clamped into
+/// the last bin.
+fn bin_of(rate_mbps: f64, bin_width: f64, levels: usize) -> usize {
+    ((rate_mbps / bin_width) as usize).min(levels - 1)
 }
 
 impl Pmf {
@@ -32,8 +53,7 @@ impl Pmf {
         let mut probs = vec![0.0; levels];
         let w = 1.0 / samples.len() as f64;
         for &s in samples {
-            let bin = ((s / bin_width) as usize).min(levels - 1);
-            probs[bin] += w;
+            probs[bin_of(s, bin_width, levels)] += w;
         }
         Pmf { bin_width, probs }
     }
@@ -96,31 +116,94 @@ impl Pmf {
     }
 }
 
+/// One aggregate on a link: its samples at unit fraction, their peak, and
+/// the fraction `x ≥ 0` of the aggregate placed on the link. The link sees
+/// the series `samples · x`, which is never materialized.
+pub type Member<'a> = (&'a [f64], f64, f64);
+
+/// Members for series that are already scaled: own peak, fraction 1.
+pub(crate) fn unit_members<'a>(series: &[&'a [f64]]) -> Vec<Member<'a>> {
+    series.iter().map(|s| (*s, s.iter().cloned().fold(0.0, f64::max), 1.0)).collect()
+}
+
+/// The Figure-14 test C workhorse: the PMF of the sum of the aggregates
+/// sharing a link, by one spectral product at a fixed transform size (see
+/// the module docs). Owns the twiddles and buffers, so one convolver
+/// serves every link of a decision without allocating per member.
+#[derive(Clone, Debug)]
+pub(crate) struct GroupConvolver {
+    levels: usize,
+    plan: Plan,
+    /// Running product of the members' spectra.
+    spectrum: Vec<Complex>,
+    /// Two members' quantized PMFs, one in each of re/im.
+    pair: Vec<Complex>,
+}
+
+impl GroupConvolver {
+    /// A convolver producing `levels`-bin PMFs.
+    ///
+    /// # Panics
+    /// Panics unless `levels > 1`.
+    pub fn new(levels: usize) -> Self {
+        assert!(levels > 1);
+        let n = levels.next_power_of_two();
+        GroupConvolver {
+            levels,
+            plan: Plan::new(n),
+            spectrum: vec![Complex::ZERO; n],
+            pair: vec![Complex::ZERO; n],
+        }
+    }
+
+    /// Distribution of `Σ samples_i · x_i` over independent members, on a
+    /// grid sized so the sum of peaks fits; `None` when there are no
+    /// members or no traffic.
+    ///
+    /// # Panics
+    /// Panics on an empty sample set.
+    pub fn convolve(&mut self, members: &[Member<'_>]) -> Option<Pmf> {
+        let sum_of_peaks: f64 = members.iter().map(|&(_, peak, x)| peak * x).sum();
+        if sum_of_peaks <= 0.0 {
+            return None;
+        }
+        let levels = self.levels;
+        let bin_width = sum_of_peaks / (levels as f64 - 1.0);
+        self.spectrum.fill(Complex { re: 1.0, im: 0.0 });
+        for two in members.chunks(2) {
+            self.pair.fill(Complex::ZERO);
+            for (slot, &(samples, _, x)) in two.iter().enumerate() {
+                assert!(!samples.is_empty(), "empty sample set");
+                let w = 1.0 / samples.len() as f64;
+                for &s in samples {
+                    let c = &mut self.pair[bin_of(s * x, bin_width, levels)];
+                    *(if slot == 0 { &mut c.re } else { &mut c.im }) += w;
+                }
+            }
+            self.plan.transform(&mut self.pair, false);
+            for (k, acc) in self.spectrum.iter_mut().enumerate() {
+                // An odd member out rides alone: im = 0, its spectrum as is.
+                let member =
+                    if two.len() == 2 { packed_product(&self.pair, k) } else { self.pair[k] };
+                *acc = acc.mul(member);
+            }
+        }
+        self.plan.transform(&mut self.spectrum, true);
+        let scale = 1.0 / self.spectrum.len() as f64;
+        // Convolving probability masses can produce tiny negative round-off.
+        let probs = self.spectrum[..levels].iter().map(|c| (c.re * scale).max(0.0)).collect();
+        Some(Pmf { bin_width, probs })
+    }
+}
+
 /// Convolves the PMFs of many aggregates sharing a link, on a common grid
-/// sized so the sum of peaks fits: the Figure-14 test C workhorse.
+/// sized so the sum of peaks fits: test C for one link, one-off (a
+/// `MultiplexCheck` keeps a `GroupConvolver` across links).
 ///
 /// `sample_sets` holds per-aggregate 100 ms samples *already scaled* by the
 /// fraction of that aggregate placed on the link.
 pub fn convolve_group(sample_sets: &[&[f64]], levels: usize) -> Option<Pmf> {
-    if sample_sets.is_empty() {
-        return None;
-    }
-    let sum_of_peaks: f64 = sample_sets.iter().map(|s| s.iter().cloned().fold(0.0, f64::max)).sum();
-    if sum_of_peaks <= 0.0 {
-        return None;
-    }
-    // The summed support must fit inside the final grid; individual PMFs use
-    // the same bin width so convolution is exact on the grid.
-    let bin_width = sum_of_peaks / (levels as f64 - 1.0);
-    let mut acc: Option<Pmf> = None;
-    for s in sample_sets {
-        let pmf = Pmf::from_samples(s, bin_width, levels);
-        acc = Some(match acc {
-            None => pmf,
-            Some(a) => a.convolve_with(&pmf),
-        });
-    }
-    acc
+    GroupConvolver::new(levels).convolve(&unit_members(sample_sets))
 }
 
 #[cfg(test)]

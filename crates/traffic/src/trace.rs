@@ -15,6 +15,9 @@
 //! burst variance. The violation rates are controllable, so tests can probe
 //! both the passing and failing regimes of the multiplexing checks.
 
+use std::fmt;
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,11 +77,25 @@ impl Default for TraceGenConfig {
 }
 
 /// A traffic time series: consecutive minutes of 100 ms rate samples.
-#[derive(Clone, Debug)]
+/// The samples live in a shared buffer of which a trace sees a prefix, so
+/// [`AggregateTrace::truncated`] and `clone` are O(1) whatever the history.
+#[derive(Clone)]
 pub struct AggregateTrace {
     bins_per_minute: usize,
-    /// All samples, minute-major: `samples[m * bins_per_minute + i]`, Mbps.
-    samples_mbps: Vec<f64>,
+    /// Whole minutes visible through this trace.
+    minutes: usize,
+    /// All samples, minute-major: `samples[m * bins_per_minute + i]`, Mbps;
+    /// possibly longer than this trace's view.
+    samples_mbps: Arc<[f64]>,
+}
+
+impl fmt::Debug for AggregateTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AggregateTrace")
+            .field("bins_per_minute", &self.bins_per_minute)
+            .field("samples_mbps", &self.visible())
+            .finish()
+    }
 }
 
 impl AggregateTrace {
@@ -91,12 +108,18 @@ impl AggregateTrace {
         assert!(bins_per_minute > 0);
         assert_eq!(samples_mbps.len() % bins_per_minute, 0, "ragged trace");
         assert!(samples_mbps.iter().all(|s| s.is_finite() && *s >= 0.0));
-        AggregateTrace { bins_per_minute, samples_mbps }
+        let minutes = samples_mbps.len() / bins_per_minute;
+        AggregateTrace { bins_per_minute, minutes, samples_mbps: samples_mbps.into() }
+    }
+
+    /// The samples this trace sees.
+    fn visible(&self) -> &[f64] {
+        &self.samples_mbps[..self.minutes * self.bins_per_minute]
     }
 
     /// Number of whole minutes.
     pub fn minutes(&self) -> usize {
-        self.samples_mbps.len() / self.bins_per_minute
+        self.minutes
     }
 
     /// 100 ms bins per minute.
@@ -107,7 +130,7 @@ impl AggregateTrace {
     /// The 100 ms samples of minute `m`.
     pub fn samples(&self, m: usize) -> &[f64] {
         let start = m * self.bins_per_minute;
-        &self.samples_mbps[start..start + self.bins_per_minute]
+        &self.visible()[start..start + self.bins_per_minute]
     }
 
     /// Mean rate over minute `m` (Mbps).
@@ -136,16 +159,14 @@ impl AggregateTrace {
     }
 
     /// The first `minutes` of the trace — what a controller has *seen* at
-    /// decision time (used by the timeline simulator to avoid peeking).
+    /// decision time (used by the timeline simulator to avoid peeking). A
+    /// view of the same buffer, not a copy.
     ///
     /// # Panics
     /// Panics if `minutes` is 0 or exceeds the trace length.
     pub fn truncated(&self, minutes: usize) -> AggregateTrace {
         assert!(minutes >= 1 && minutes <= self.minutes(), "bad prefix {minutes}");
-        AggregateTrace {
-            bins_per_minute: self.bins_per_minute,
-            samples_mbps: self.samples_mbps[..minutes * self.bins_per_minute].to_vec(),
-        }
+        AggregateTrace { minutes, ..self.clone() }
     }
 }
 
@@ -336,6 +357,24 @@ mod tests {
             let mean = tr.minute_mean(0);
             assert!(mean > 300.0 && mean < 9000.0);
         }
+    }
+
+    #[test]
+    fn truncation_is_a_view_that_agrees_with_a_deep_copy() {
+        let tr =
+            synthesize(&TraceGenConfig { minutes: 6, bins_per_minute: 50, ..Default::default() });
+        let view = tr.truncated(4);
+        assert!(Arc::ptr_eq(&view.samples_mbps, &tr.samples_mbps), "no allocation");
+        let copy = AggregateTrace::from_samples(tr.samples_mbps[..4 * 50].to_vec(), 50);
+        assert_eq!(view.minutes(), 4);
+        assert_eq!(view.minute_means(), copy.minute_means());
+        for m in 0..4 {
+            assert_eq!(view.samples(m), copy.samples(m));
+        }
+        assert_eq!(format!("{view:?}"), format!("{copy:?}"));
+        // The hidden minutes stay hidden, also through a second truncation.
+        assert!(std::panic::catch_unwind(|| view.samples(4)).is_err());
+        assert!(std::panic::catch_unwind(|| view.truncated(5)).is_err());
     }
 
     #[test]

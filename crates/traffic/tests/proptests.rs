@@ -3,9 +3,107 @@
 use proptest::prelude::*;
 
 use lowlat_traffic::fft::convolve;
-use lowlat_traffic::pmf::{convolve_group, Pmf};
+use lowlat_traffic::multiplex::{MultiplexCheck, MultiplexConfig};
+use lowlat_traffic::pmf::{convolve_group, Member, Pmf};
 use lowlat_traffic::predictor::{prediction_ratios, Predictor};
 use lowlat_traffic::trace::{synthesize, TraceGenConfig};
+
+/// The pairwise chain `convolve_group` used to be: every member quantized
+/// onto the common grid, folded in one linear convolution at a time over
+/// an ever-growing support. Kept here as the reference implementation.
+fn reference_chain(sample_sets: &[&[f64]], levels: usize) -> Option<Pmf> {
+    let sum_of_peaks: f64 = sample_sets.iter().map(|s| s.iter().cloned().fold(0.0, f64::max)).sum();
+    if sum_of_peaks <= 0.0 {
+        return None;
+    }
+    let bin_width = sum_of_peaks / (levels as f64 - 1.0);
+    sample_sets
+        .iter()
+        .map(|s| Pmf::from_samples(s, bin_width, levels))
+        .reduce(|acc, pmf| acc.convolve_with(&pmf))
+}
+
+/// Unit series scaled by per-member factors spanning orders of magnitude
+/// (ragged peaks), an exact 0 (all-zero member) or an exact 1.
+fn scaled_members(max: usize) -> impl Strategy<Value = Vec<(f64, Vec<f64>)>> {
+    let scale = (0usize..4, 0.001f64..1.0).prop_map(|(kind, u)| match kind {
+        0 => 0.0,
+        1 => 1.0,
+        2 => u,
+        _ => 5000.0 * u,
+    });
+    proptest::collection::vec((scale, proptest::collection::vec(0.0f64..1.0, 30)), 1..=max)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The one-product kernel agrees with the pairwise chain bin for bin,
+    /// also at grid sizes that are not a power of two and with members
+    /// that carry no traffic. (The chain's transforms grow with the member
+    /// count, so the big grids get the short member lists.)
+    #[test]
+    fn convolve_group_matches_the_pairwise_chain(
+        (levels, cap) in prop_oneof![
+            Just((64usize, 40usize)), Just((100, 40)), Just((1000, 9)), Just((1024, 9)),
+        ],
+        members in scaled_members(40),
+    ) {
+        let sets: Vec<Vec<f64>> = members
+            .iter()
+            .take(cap)
+            .map(|(x, unit)| unit.iter().map(|s| s * x).collect())
+            .collect();
+        let refs: Vec<&[f64]> = sets.iter().map(|v| v.as_slice()).collect();
+        let (Some(fast), Some(slow)) = (convolve_group(&refs, levels), reference_chain(&refs, levels))
+        else {
+            prop_assert!(sets.iter().flatten().all(|&s| s == 0.0), "None only without traffic");
+            prop_assert!(convolve_group(&refs, levels).is_none());
+            prop_assert!(reference_chain(&refs, levels).is_none());
+            return Ok(());
+        };
+        prop_assert_eq!(fast.probs().len(), levels);
+        prop_assert_eq!(fast.bin_width().to_bits(), slow.bin_width().to_bits());
+        for (i, &p) in slow.probs().iter().enumerate() {
+            // Beyond `levels` the chain holds round-off only: no mass.
+            let q = fast.probs().get(i).copied().unwrap_or(0.0);
+            prop_assert!((p - q).abs() < 1e-12, "bin {i}: {q} vs {p}");
+        }
+        let mass: f64 = fast.probs().iter().sum();
+        prop_assert!((mass - 1.0).abs() < 1e-9, "mass {mass}");
+        let top = fast.bin_width() * levels as f64;
+        for i in 0..=20 {
+            let t = top * i as f64 / 20.0;
+            prop_assert!((fast.prob_exceeds(t) - slow.prob_exceeds(t)).abs() < 1e-12);
+        }
+    }
+
+    /// Appraising members at a fraction is appraising their scaled copies:
+    /// the same verdict down to the payload bits, whichever test decides.
+    #[test]
+    fn check_members_matches_check_link_on_scaled_copies(
+        members in scaled_members(12),
+        squeeze in 0.2f64..1.1,
+    ) {
+        let peaks: Vec<f64> =
+            members.iter().map(|(_, unit)| unit.iter().cloned().fold(0.0, f64::max)).collect();
+        let by_member: Vec<Member<'_>> = members
+            .iter()
+            .zip(&peaks)
+            .map(|((x, unit), &peak)| (unit.as_slice(), peak, *x))
+            .collect();
+        let copies: Vec<Vec<f64>> =
+            members.iter().map(|(x, unit)| unit.iter().map(|s| s * x).collect()).collect();
+        let refs: Vec<&[f64]> = copies.iter().map(|v| v.as_slice()).collect();
+        // From "everything fits" down to "the mean itself overloads".
+        let capacity = squeeze * peaks.iter().zip(&members).map(|(p, (x, _))| p * x).sum::<f64>();
+        prop_assume!(capacity > 0.0);
+        let check = MultiplexCheck::new(MultiplexConfig { levels: 1000, ..Default::default() });
+        let (a, b) = (check.check_members(capacity, &by_member), check.check_link(capacity, &refs));
+        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        prop_assert_eq!(a, b);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
