@@ -29,19 +29,31 @@
 //! (the Figure-6 effect), which the LP can only exploit if the alternative
 //! paths exist in the model.
 //!
-//! The growth step is classic column generation, and the pricing oracle is
-//! abstract: every solve takes a `&dyn` [`PathSource`], asks it only for
-//! the next-cheapest columns of the pairs that are actually
-//! overloaded/saturated, and remaps warm bases to the grown column
-//! numbering ([`lowlat_linprog::Basis::remap_columns`]). Pairs the source
-//! reports exhausted — or whose
-//! [`PathSource::shortest_delay_bound`] is infinite, meaning its best
-//! possible column cannot exist — are never priced again. Against the flat
-//! [`PathCache`] this is bit-identical to the historical behavior; against
-//! the [`PartitionedPathEngine`](crate::hier::PartitionedPathEngine) it
+//! The growth step is classic column generation, and it keeps its basis:
+//! within one solve every LP after the first restarts from the optimum of
+//! the LP before it. The grown LP contains the one just solved — every path,
+//! link and aggregate keeps its variable and its rows — so that optimum,
+//! with the new columns at zero, is a vertex of the grown LP too: a newly
+//! used link brings a capacity row and an `o_l <= omax` row that are slack
+//! there, an aggregate that goes from one path to several brings its
+//! `Σ = B_a` row with the old path's variable basic at `B_a`.
+//! [`lowlat_linprog::Basis::relabel`] carries the basis *and its inverse*
+//! across (the re-labelling maps come from the two LPs' layouts, which
+//! only the LP builder decides), the restart is primal feasible by
+//! construction, and a round typically needs a handful of pivots to price
+//! the new columns in — none at all when they do not help. Only the first
+//! LP of a chain is ever solved from scratch, and not even that when a
+//! previous call left its basis in the [`SolveContext`].
+//!
+//! The pricing oracle is abstract: every solve takes a `&dyn`
+//! [`PathSource`] and asks it only for the next-cheapest columns of the
+//! pairs that are actually overloaded/saturated. Pairs the source reports
+//! exhausted — or whose [`PathSource::shortest_delay_bound`] is infinite,
+//! meaning its best possible column cannot exist — are never priced again.
+//! The same loop runs against the flat [`PathCache`] and against the
+//! [`PartitionedPathEngine`](crate::hier::PartitionedPathEngine), which
 //! places Internet-scale topologies without a materialized path corpus.
-//! Use [`GrowRequest`] to pose a solve; the `solve_*` free functions are
-//! deprecated shims over it.
+//! Use [`GrowRequest`] to pose a solve.
 //!
 //! ## Effective capacities (brown-outs)
 //!
@@ -60,7 +72,7 @@
 
 use std::collections::HashMap;
 
-use lowlat_linprog::{Basis, LpError, Problem, Relation, Solution};
+use lowlat_linprog::{Basis, LpError, Problem, Relation};
 use lowlat_netgraph::{Graph, LinkId, Path};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
@@ -74,11 +86,16 @@ use crate::source::PathSource;
 /// long-running controller (the §5 deployment cycle re-solves nearly
 /// identical LPs every minute).
 ///
-/// The growth loop poses a *sequence* of LPs per call (one per round, each a
-/// different size as path sets grow), so the context keys stored bases by
-/// `(objective mode, rows, vars)`: when the next minute's solve retraces the
-/// same growth trajectory — the common case on an unchanged topology — every
-/// round restarts from the matching basis of the previous minute.
+/// Stored bases are keyed by `(objective mode, rows, vars)`, but an entry
+/// does not stay where a solve left it. The growth loop poses a *chain* of
+/// LPs per call, each extending the one before, and every round carries the
+/// basis it just wrote to the key of the LP it grew into
+/// ([`lowlat_linprog::Basis::relabel`]): the chain's first LP keeps a copy,
+/// after that the basis moves. When a call returns the context therefore
+/// holds, per mode, the two ends of the trajectory — not one basis per
+/// shape ever seen — and the next call starts its own chain warm from the
+/// first, and restarts from the last wherever one of its LPs has that shape
+/// (phase 2 of a call that needed no growth, say).
 /// [`lowlat_linprog::Problem::solve_warm`] degrades stale bases to cold
 /// solves on its own, so a context can never change *what* is computed, only
 /// how fast.
@@ -90,7 +107,7 @@ pub struct SolveContext {
 }
 
 /// A stored basis plus the solve count at its last use, for eviction.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct StoredBasis {
     basis: Basis,
     last_used: usize,
@@ -98,8 +115,8 @@ struct StoredBasis {
 
 /// Stored bases beyond this trigger eviction of stale entries — a
 /// long-lived controller whose growth trajectories drift would otherwise
-/// accumulate one (possibly multi-MB, inverse-carrying) basis per shape
-/// ever seen.
+/// accumulate one (possibly multi-MB, inverse-carrying) basis per
+/// trajectory end ever reached.
 const MAX_STORED_BASES: usize = 64;
 
 /// Eviction horizon: entries not used for this many solves are dropped
@@ -139,22 +156,26 @@ impl SolveContext {
         }
     }
 
-    /// Moves a stored basis to the re-labelled key of a grown problem —
-    /// see [`Basis::remap_columns`].
-    fn remap_entry(
-        &mut self,
-        tag: u8,
-        rows: usize,
-        old_vars: usize,
-        new_vars: usize,
-        map: &[usize],
-    ) {
-        if let Some(mut s) = self.bases.remove(&(tag, rows, old_vars)) {
-            if s.basis.remap_columns(old_vars, new_vars, map) {
-                s.last_used = self.solves;
-                self.bases.insert((tag, rows, new_vars), s);
-            }
+    /// Carries the basis stored for the LP laid out as `from` to the key of
+    /// `grown`, the LP (laid out as `to`) that the growth step turned it
+    /// into, re-labelled so it describes the same vertex there. The first
+    /// LP of a chain keeps a copy, so the next call's chain starts warm;
+    /// from then on the basis moves. Returns whether `grown`'s slot now
+    /// holds that vertex.
+    fn hand_over(&mut self, tag: u8, from: &LpLayout, to: &LpLayout, grown: &Problem) -> bool {
+        let key = (tag, from.rows, from.vars());
+        let carried =
+            if from.handed_over { self.bases.remove(&key) } else { self.bases.get(&key).cloned() };
+        let (Some(mut carried), Some((columns, rows, enter))) = (carried, from.maps_into(to))
+        else {
+            return false;
+        };
+        if !carried.basis.relabel(grown, &columns, &rows, &enter) {
+            return false;
         }
+        carried.last_used = self.solves;
+        self.bases.insert((tag, grown.num_rows(), grown.num_vars()), carried);
+        true
     }
 
     /// LP solves that actually restarted from a stored basis.
@@ -234,11 +255,11 @@ struct LpOutcome {
     /// `omax` or `U*` depending on mode.
     level: f64,
     pivots: usize,
-    /// Links at the critical level (overloaded / at max utilization /
-    /// saturated), for growth targeting.
+    /// Links at the critical level (overloaded), for growth targeting.
     critical_links: Vec<LinkId>,
-    /// Constraint rows of the solved LP (the warm-start context key).
-    rows: usize,
+    /// Where the solved LP's variables and rows sit — what the next LP of
+    /// the chain needs to take this one's basis over.
+    layout: LpLayout,
 }
 
 impl LpMode {
@@ -252,226 +273,352 @@ impl LpMode {
     }
 }
 
-/// Builds and solves one LP over the given path sets, warm-starting from
-/// (and refreshing) the context's basis for this mode and problem size.
+/// Where the variables and rows of one posed LP sit. [`LpData::solve`] is
+/// the only place that decides it; the basis hand-over between two LPs of a
+/// chain derives its column and row maps from their two layouts.
 ///
-/// `volumes[a]` is the (possibly inflated — LDR) demand of aggregate `a`;
-/// `caps[l]` is the effective per-link capacity (masked; see module docs);
-/// `cap_scale` scales every capacity (1 - headroom).
-#[allow(clippy::too_many_arguments)] // one call site; a params struct would just rename the args
-fn solve_lp(
-    graph: &Graph,
-    aggs: &[AggInfo],
-    path_sets: &[Vec<Path>],
-    volumes: &[f64],
-    caps: &[f64],
+/// Columns: a block of split variables per aggregate with more than one
+/// path (aggregate order), one `o_l` per used link (link-index order), the
+/// aux variable. Rows: a capacity row per used link, (overload modes) an
+/// `o_l <= omax` row per used link, a `Σ = B_a` row per multi-path
+/// aggregate; MinMax stage 2 appends its utilization caps.
+struct LpLayout {
+    /// Links that have a capacity row, ascending.
+    used_links: Vec<usize>,
+    /// Aggregate `a`'s split variables are `col_base[a]..col_base[a + 1]`
+    /// (none for a single-path aggregate).
+    col_base: Vec<usize>,
+    /// Whether the `o_l <= omax` rows exist.
+    o_rows: bool,
+    /// Constraint rows of the posed LP.
+    rows: usize,
+    /// Whether this LP's basis arrived from the LP before it in the chain.
+    handed_over: bool,
+}
+
+/// `(columns, rows, enter)` as [`Basis::relabel`] takes them.
+type BasisMaps = (Vec<usize>, Vec<usize>, Vec<Option<usize>>);
+
+impl LpLayout {
+    fn num_x(&self) -> usize {
+        self.col_base[self.col_base.len() - 1]
+    }
+
+    fn vars(&self) -> usize {
+        self.num_x() + self.used_links.len() + 1
+    }
+
+    /// The maps that carry a basis of this LP to `grown`, the LP one growth
+    /// step later: surviving paths, links and aggregates keep their
+    /// variables and rows under new numbers; a newly used link adds a
+    /// capacity row and an `o_l <= omax` row whose slacks enter the basis
+    /// (no old path crosses it, so both are slack at the old vertex); an
+    /// aggregate that went single→multi adds its `Σ = B_a` row, in which
+    /// its old path's variable enters — basic at `B_a`, exactly the load it
+    /// contributed as a fixed term before. `None` when `grown` does not
+    /// extend this layout.
+    fn maps_into(&self, grown: &LpLayout) -> Option<BasisMaps> {
+        if self.o_rows != grown.o_rows || self.col_base.len() != grown.col_base.len() {
+            return None;
+        }
+        let rank: Vec<usize> = self
+            .used_links
+            .iter()
+            .map(|l| grown.used_links.binary_search(l).ok())
+            .collect::<Option<_>>()?;
+        let (num_x, num_o) = (grown.num_x(), grown.used_links.len());
+        // Rows per used link (capacity, and `o_l <= omax` in overload modes);
+        // the `Σ = B_a` rows follow them.
+        let link_rows = if grown.o_rows { 2 } else { 1 };
+        let sum_base = link_rows * num_o;
+
+        let mut columns = Vec::with_capacity(self.vars());
+        let mut sum_rows = Vec::new();
+        let mut enter_sums = Vec::new();
+        let mut multi = 0;
+        for (old, new) in self.col_base.windows(2).zip(grown.col_base.windows(2)) {
+            let (old_len, new_len) = (old[1] - old[0], new[1] - new[0]);
+            if old_len > new_len {
+                return None;
+            }
+            columns.extend(new[0]..new[0] + old_len);
+            if new_len > 0 {
+                if old_len > 0 {
+                    sum_rows.push(sum_base + multi);
+                } else {
+                    enter_sums.push(Some(new[0]));
+                }
+                multi += 1;
+            }
+        }
+        columns.extend(rank.iter().map(|r| num_x + r));
+        columns.push(num_x + num_o);
+
+        let mut rows = rank.clone();
+        if grown.o_rows {
+            rows.extend(rank.iter().map(|r| num_o + r));
+        }
+        rows.extend(sum_rows);
+        let mut enter = vec![None; link_rows * (num_o - rank.len())];
+        enter.extend(enter_sums);
+        Some((columns, rows, enter))
+    }
+}
+
+/// What every LP of one solve shares.
+struct LpData<'a> {
+    aggs: &'a [AggInfo],
+    /// `volumes[a]` is the (possibly inflated — LDR) demand of aggregate `a`.
+    volumes: &'a [f64],
+    /// `caps[l]` is the effective per-link capacity (masked; see module docs).
+    caps: &'a [f64],
+    /// Scales every capacity (1 - headroom).
     cap_scale: f64,
     m1: f64,
-    mode: &LpMode,
-    ctx: &mut SolveContext,
-) -> Result<LpOutcome, LpError> {
-    let nl = graph.link_count();
-    // Fixed loads from single-path aggregates; variable index per (a, p).
-    let mut fixed_load = vec![0.0; nl];
-    let mut var_of: Vec<Vec<usize>> = Vec::with_capacity(aggs.len());
-    let mut num_x = 0usize;
-    for (a, paths) in path_sets.iter().enumerate() {
-        assert!(!paths.is_empty(), "aggregate {a} has no candidate path");
-        if paths.len() == 1 {
-            for &l in paths[0].links() {
-                fixed_load[l.idx()] += volumes[a];
-            }
-            var_of.push(Vec::new());
-        } else {
-            var_of.push((num_x..num_x + paths.len()).collect());
-            num_x += paths.len();
-        }
+    /// Scratch, one entry per graph link, all [`UNUSED`] between LPs: the
+    /// rank of each link among the posed LP's used links. Owned here so an
+    /// LP costs what its paths touch, not what the graph holds.
+    link_rank: Vec<u32>,
+}
+
+/// [`LpData::link_rank`] of a link no posed path crosses.
+const UNUSED: u32 = u32::MAX;
+
+impl<'a> LpData<'a> {
+    fn new(
+        aggs: &'a [AggInfo],
+        volumes: &'a [f64],
+        caps: &'a [f64],
+        cap_scale: f64,
+        m1: f64,
+    ) -> Self {
+        LpData { aggs, volumes, caps, cap_scale, m1, link_rank: vec![UNUSED; caps.len()] }
     }
-    // Per-link potential load decides which links need rows.
-    let mut link_used = vec![false; nl];
-    for (l, &f) in fixed_load.iter().enumerate() {
-        if f > 0.0 {
-            link_used[l] = true;
-        }
-    }
-    for paths in path_sets {
-        if paths.len() > 1 {
-            for p in paths {
-                for &l in p.links() {
-                    link_used[l.idx()] = true;
+
+    /// Builds and solves one LP over the given path sets, warm-starting
+    /// from (and refreshing) the context's basis for this mode and problem
+    /// size. `grown_from` is the layout of the LP this one grew out of, when
+    /// the caller just solved it in the same mode: its basis is handed over
+    /// first, so this LP restarts from that one's optimum.
+    fn solve(
+        &mut self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        grown_from: Option<&LpLayout>,
+        ctx: &mut SolveContext,
+    ) -> Result<LpOutcome, LpError> {
+        let LpData { aggs, volumes, caps, cap_scale, m1, link_rank: ref mut rank } = *self;
+        // Variable block per multi-path aggregate; a link needs rows when a
+        // variable path crosses it or a single-path aggregate loads it.
+        let mut used_links = Vec::new();
+        let mut col_base = Vec::with_capacity(path_sets.len() + 1);
+        col_base.push(0usize);
+        for (a, paths) in path_sets.iter().enumerate() {
+            assert!(!paths.is_empty(), "aggregate {a} has no candidate path");
+            let multi = paths.len() > 1;
+            col_base.push(col_base[a] + if multi { paths.len() } else { 0 });
+            if multi || volumes[a] > 0.0 {
+                for l in paths.iter().flat_map(|p| p.links()) {
+                    if std::mem::replace(&mut rank[l.idx()], 0) == UNUSED {
+                        used_links.push(l.idx());
+                    }
                 }
             }
         }
-    }
-    let used_links: Vec<usize> = (0..nl).filter(|&l| link_used[l]).collect();
-    let o_var_base = num_x;
-    let num_o = used_links.len();
-    // Aux variable: omax (MinOverload) or U (MinUtilization); MinLatency
-    // keeps an omax variable only to report the level.
-    let aux = o_var_base + num_o;
-    let total_vars = aux + 1;
+        used_links.sort_unstable();
+        for (oi, &l) in used_links.iter().enumerate() {
+            rank[l] = oi as u32;
+        }
+        let num_x = col_base[path_sets.len()];
+        let o_var_base = num_x;
+        let num_o = used_links.len();
+        // Aux variable: omax (MinOverload) or U (MinUtilization); MinLatency
+        // keeps an omax variable only to report the level.
+        let aux = o_var_base + num_o;
 
-    let mut p = Problem::minimize(total_vars);
+        // The deployment-cycle modes (MinOverload, MinLatency) pose their
+        // split variables as *absolute traffic* `z_ap = B_a x_ap`, not
+        // fractions: that keeps every constraint coefficient independent of
+        // the demands, so the minute-to-minute LPs differ only in right-hand
+        // sides and objective — exactly the change a warm restart absorbs
+        // with a few dual pivots and a carried basis inverse (a coefficient
+        // change would force an O(m³) refactorization instead).
+        // MinUtilization keeps the fraction form: its `B_a/C_l` coefficients
+        // are O(1)-conditioned, it is not on the per-minute hot path, and
+        // the two forms never share a basis (different mode tags).
+        let traffic_units = !matches!(mode, LpMode::MinUtilization);
 
-    // The deployment-cycle modes (MinOverload, MinLatency) pose their split
-    // variables as *absolute traffic* `z_ap = B_a x_ap`, not fractions:
-    // that keeps every constraint coefficient independent of the demands,
-    // so the minute-to-minute LPs differ only in right-hand sides and
-    // objective — exactly the change a warm restart absorbs with a few
-    // dual pivots and a carried basis inverse (a coefficient change would
-    // force an O(m³) refactorization instead). MinUtilization keeps the
-    // fraction form: its `B_a/C_l` coefficients are O(1)-conditioned, it
-    // is not on the per-minute hot path, and the two forms never share a
-    // basis (different mode tags).
-    let traffic_units = !matches!(mode, LpMode::MinUtilization);
-    //
-    // Capacity rows, scaled by 1/cap for conditioning:
-    //   Σ (z_ap / C_l) - o_l <= cap_scale - fixed_l / C_l      (overload modes)
-    //   Σ (B_a x_ap / C_l) - U <= -fixed_l / C_l               (MinUtilization)
-    for (oi, &l) in used_links.iter().enumerate() {
-        let cap = caps[l];
-        assert!(
-            cap > 0.0,
-            "used link {l} has zero effective capacity (path crosses a downed link)"
-        );
-        let mut coeffs: Vec<(usize, f64)> = Vec::new();
+        // One pass over every path's links: the fixed load single-path
+        // aggregates put on each used link, and the variables crossing it
+        // with their 1/cap-scaled coefficients.
+        let mut fixed_load = vec![0.0; num_o];
+        let mut crossing: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_o];
         for (a, paths) in path_sets.iter().enumerate() {
             if paths.len() > 1 {
+                let unit = if traffic_units { 1.0 } else { volumes[a] };
                 for (pi, path) in paths.iter().enumerate() {
-                    if path.links().iter().any(|&pl| pl.idx() == l) {
-                        let unit = if traffic_units { 1.0 } else { volumes[a] };
-                        coeffs.push((var_of[a][pi], unit / cap));
-                    }
-                }
-            }
-        }
-        match mode {
-            LpMode::MinUtilization => {
-                coeffs.push((aux, -1.0));
-                p.add_row(Relation::Le, -fixed_load[l] / cap, &coeffs);
-            }
-            _ => {
-                coeffs.push((o_var_base + oi, -1.0));
-                p.add_row(Relation::Le, cap_scale - fixed_load[l] / cap, &coeffs);
-            }
-        }
-    }
-    // o_l <= omax rows (overload modes only).
-    if !matches!(mode, LpMode::MinUtilization) {
-        for oi in 0..num_o {
-            p.add_row(Relation::Le, 0.0, &[(o_var_base + oi, 1.0), (aux, -1.0)]);
-        }
-    }
-    // Σ_p z_ap = B_a (traffic units) or Σ_p x_ap = 1 per multi-path
-    // aggregate.
-    for (a, vars) in var_of.iter().enumerate() {
-        if !vars.is_empty() {
-            let coeffs: Vec<(usize, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-            p.add_row(Relation::Eq, if traffic_units { volumes[a] } else { 1.0 }, &coeffs);
-        }
-    }
-
-    // Objective per mode.
-    match mode {
-        LpMode::MinOverload | LpMode::MinUtilization => {
-            p.set_objective(aux, 1.0);
-            if matches!(mode, LpMode::MinOverload) {
-                for oi in 0..num_o {
-                    p.set_objective(o_var_base + oi, 1e-6);
-                }
-            }
-        }
-        LpMode::MinLatency { omax_cap, util_cap } => {
-            // Delay term, normalized by Σ n_a S_a so the spread weight has a
-            // stable meaning across instances.
-            let norm: f64 = aggs.iter().map(|a| a.flows * a.sp_delay).sum::<f64>().max(1e-9);
-            for (a, paths) in path_sets.iter().enumerate() {
-                if paths.len() > 1 {
-                    for (pi, path) in paths.iter().enumerate() {
-                        let w = aggs[a].flows
-                            * path.delay_ms()
-                            * (1.0 + m1 / aggs[a].sp_delay.max(1e-9));
-                        // Per unit of traffic: z_ap carries B_a x_ap.
-                        p.set_objective(var_of[a][pi], w / (norm * volumes[a].max(1e-12)));
-                    }
-                }
-            }
-            for oi in 0..num_o {
-                p.set_objective(o_var_base + oi, 1e-6);
-                p.set_upper_bound(o_var_base + oi, *omax_cap);
-            }
-            p.set_upper_bound(aux, *omax_cap);
-            if util_cap.is_finite() {
-                // Utilization cap rows: Σ (B_a/C_l) x + fixed/C <= util_cap.
-                for &l in &used_links {
-                    let cap = caps[l];
-                    let mut coeffs: Vec<(usize, f64)> = Vec::new();
-                    for (a, paths) in path_sets.iter().enumerate() {
-                        if paths.len() > 1 {
-                            for (pi, path) in paths.iter().enumerate() {
-                                if path.links().iter().any(|&pl| pl.idx() == l) {
-                                    coeffs.push((var_of[a][pi], 1.0 / cap));
-                                }
-                            }
+                    let var = col_base[a] + pi;
+                    for &l in path.links() {
+                        // One coefficient per (path, link), however often
+                        // the path crosses it.
+                        let coeffs = &mut crossing[rank[l.idx()] as usize];
+                        if coeffs.last().is_none_or(|&(v, _)| v != var) {
+                            coeffs.push((var, unit / caps[l.idx()]));
                         }
                     }
-                    if !coeffs.is_empty() || fixed_load[l] > 0.0 {
-                        p.add_row(Relation::Le, util_cap - fixed_load[l] / cap, &coeffs);
+                }
+            } else if volumes[a] > 0.0 {
+                for &l in paths[0].links() {
+                    fixed_load[rank[l.idx()] as usize] += volumes[a];
+                }
+            }
+        }
+        for &l in &used_links {
+            rank[l] = UNUSED;
+        }
+
+        let mut p = Problem::minimize(aux + 1);
+        // Capacity rows, scaled by 1/cap for conditioning:
+        //   Σ (z_ap / C_l) - o_l <= cap_scale - fixed_l / C_l      (overload modes)
+        //   Σ (B_a x_ap / C_l) - U <= -fixed_l / C_l               (MinUtilization)
+        for (oi, &l) in used_links.iter().enumerate() {
+            let cap = caps[l];
+            assert!(
+                cap > 0.0,
+                "used link {l} has zero effective capacity (path crosses a downed link)"
+            );
+            let coeffs = &mut crossing[oi];
+            if traffic_units {
+                coeffs.push((o_var_base + oi, -1.0));
+                p.add_row(Relation::Le, cap_scale - fixed_load[oi] / cap, coeffs);
+            } else {
+                coeffs.push((aux, -1.0));
+                p.add_row(Relation::Le, -fixed_load[oi] / cap, coeffs);
+            }
+            coeffs.pop();
+        }
+        // o_l <= omax rows (overload modes only).
+        if traffic_units {
+            for oi in 0..num_o {
+                p.add_row(Relation::Le, 0.0, &[(o_var_base + oi, 1.0), (aux, -1.0)]);
+            }
+        }
+        // Σ_p z_ap = B_a (traffic units) or Σ_p x_ap = 1 per multi-path
+        // aggregate.
+        for (a, cols) in col_base.windows(2).enumerate() {
+            if cols[1] > cols[0] {
+                let coeffs: Vec<(usize, f64)> = (cols[0]..cols[1]).map(|v| (v, 1.0)).collect();
+                p.add_row(Relation::Eq, if traffic_units { volumes[a] } else { 1.0 }, &coeffs);
+            }
+        }
+
+        // Objective per mode.
+        match mode {
+            LpMode::MinOverload | LpMode::MinUtilization => {
+                p.set_objective(aux, 1.0);
+                if matches!(mode, LpMode::MinOverload) {
+                    for oi in 0..num_o {
+                        p.set_objective(o_var_base + oi, 1e-6);
+                    }
+                }
+            }
+            LpMode::MinLatency { omax_cap, util_cap } => {
+                // Delay term, normalized by Σ n_a S_a so the spread weight has a
+                // stable meaning across instances.
+                let norm: f64 = aggs.iter().map(|a| a.flows * a.sp_delay).sum::<f64>().max(1e-9);
+                for (a, paths) in path_sets.iter().enumerate() {
+                    if paths.len() > 1 {
+                        for (pi, path) in paths.iter().enumerate() {
+                            let w = aggs[a].flows
+                                * path.delay_ms()
+                                * (1.0 + m1 / aggs[a].sp_delay.max(1e-9));
+                            // Per unit of traffic: z_ap carries B_a x_ap.
+                            p.set_objective(col_base[a] + pi, w / (norm * volumes[a].max(1e-12)));
+                        }
+                    }
+                }
+                for oi in 0..num_o {
+                    p.set_objective(o_var_base + oi, 1e-6);
+                    p.set_upper_bound(o_var_base + oi, *omax_cap);
+                }
+                p.set_upper_bound(aux, *omax_cap);
+                if util_cap.is_finite() {
+                    // Utilization cap rows: Σ z / C_l + fixed / C_l <= util_cap.
+                    for (oi, &l) in used_links.iter().enumerate() {
+                        p.add_row(Relation::Le, util_cap - fixed_load[oi] / caps[l], &crossing[oi]);
                     }
                 }
             }
         }
-    }
 
-    // Phase 2 shares phase 1's rows and columns; restart it from phase 1's
-    // vertex when no previous phase-2 basis fits.
-    if matches!(mode, LpMode::MinLatency { .. }) {
-        ctx.seed_cross_mode(LpMode::MinOverload.tag(), mode.tag(), p.num_rows(), p.num_vars());
-    }
-    let basis = ctx.slot(mode.tag(), p.num_rows(), p.num_vars());
-    let sol = p.solve_warm(basis)?;
-    ctx.solves += 1;
-    if sol.warm_started() {
-        ctx.warm_hits += 1;
-    }
-    if telemetry::enabled() {
-        telemetry::counter_add("pathgrow.lp_solves", 1);
-        telemetry::counter_add(
-            if sol.warm_started() { "pathgrow.lp_warm_hits" } else { "pathgrow.lp_cold" },
-            1,
-        );
-        telemetry::observe("pathgrow.lp_pivots", sol.iterations() as f64);
-    }
-    static LP_DEBUG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    if *LP_DEBUG.get_or_init(|| std::env::var_os("LOWLAT_LP_DEBUG").is_some()) {
-        eprintln!(
-            "    lp tag {} rows {} vars {}: {} pivots warm={}",
-            mode.tag(),
-            p.num_rows(),
-            p.num_vars(),
-            sol.iterations(),
-            sol.warm_started()
-        );
-    }
-
-    // Extract fractions (z_ap / B_a in traffic units) and the critical
-    // link set.
-    let fractions: Vec<Vec<f64>> = path_sets
-        .iter()
-        .enumerate()
-        .map(|(a, paths)| {
-            if paths.len() == 1 {
-                vec![1.0]
-            } else {
-                let b = if traffic_units { volumes[a].max(1e-12) } else { 1.0 };
-                normalize_fractions(var_of[a].iter().map(|&v| sol.value(v) / b).collect())
+        let mut layout = LpLayout {
+            used_links,
+            col_base,
+            o_rows: traffic_units,
+            rows: p.num_rows(),
+            handed_over: false,
+        };
+        layout.handed_over =
+            grown_from.is_some_and(|from| ctx.hand_over(mode.tag(), from, &layout, &p));
+        // Phase 2 shares phase 1's rows and columns; restart it from phase
+        // 1's vertex when no previous phase-2 basis fits.
+        if matches!(mode, LpMode::MinLatency { .. }) {
+            ctx.seed_cross_mode(LpMode::MinOverload.tag(), mode.tag(), p.num_rows(), p.num_vars());
+        }
+        let basis = ctx.slot(mode.tag(), p.num_rows(), p.num_vars());
+        let sol = p.solve_warm(basis)?;
+        ctx.solves += 1;
+        if sol.warm_started() {
+            ctx.warm_hits += 1;
+        }
+        if telemetry::enabled() {
+            telemetry::counter_add("pathgrow.lp_solves", 1);
+            telemetry::counter_add(
+                if sol.warm_started() { "pathgrow.lp_warm_hits" } else { "pathgrow.lp_cold" },
+                1,
+            );
+            if layout.handed_over && sol.warm_started() {
+                telemetry::counter_add("pathgrow.lp_handed_over", 1);
             }
-        })
-        .collect();
+            telemetry::observe("pathgrow.lp_pivots", sol.iterations() as f64);
+            telemetry::observe("pathgrow.lp_rows", p.num_rows() as f64);
+        }
+        #[cfg(test)]
+        tests::audit_against_cold(
+            &p,
+            &sol,
+            (!matches!(mode, LpMode::MinLatency { .. })).then_some(aux),
+        );
 
-    let (level, critical_links) =
-        critical_links_of(graph, &sol, mode, &used_links, o_var_base, aux);
-    Ok(LpOutcome { fractions, level, pivots: sol.iterations(), critical_links, rows: p.num_rows() })
+        // Extract fractions (z_ap / B_a in traffic units) and the critical
+        // link set.
+        let fractions: Vec<Vec<f64>> = layout
+            .col_base
+            .windows(2)
+            .enumerate()
+            .map(|(a, cols)| {
+                if cols[1] == cols[0] {
+                    vec![1.0]
+                } else {
+                    let b = if traffic_units { volumes[a].max(1e-12) } else { 1.0 };
+                    normalize_fractions((cols[0]..cols[1]).map(|v| sol.value(v) / b).collect())
+                }
+            })
+            .collect();
+
+        // Growth targets of the overload modes: the links pinning `omax`.
+        // (MinMax stage 1 finds the links pinning `U` from the loads.)
+        let level = sol.value(aux);
+        let mut critical_links = Vec::new();
+        if traffic_units && level > 1e-7 {
+            for (oi, &l) in layout.used_links.iter().enumerate() {
+                if sol.value(o_var_base + oi) >= level - 1e-7 {
+                    critical_links.push(LinkId(l as u32));
+                }
+            }
+        }
+        Ok(LpOutcome { fractions, level, pivots: sol.iterations(), critical_links, layout })
+    }
 }
 
 /// LP round-off can leave fraction sums at 1 ± 1e-8; renormalize exactly.
@@ -489,39 +636,6 @@ fn normalize_fractions(mut xs: Vec<f64>) -> Vec<f64> {
         }
     }
     xs
-}
-
-fn critical_links_of(
-    graph: &Graph,
-    sol: &Solution,
-    mode: &LpMode,
-    used_links: &[usize],
-    o_var_base: usize,
-    aux: usize,
-) -> (f64, Vec<LinkId>) {
-    let _ = graph;
-    match mode {
-        LpMode::MinUtilization => {
-            let u = sol.value(aux);
-            // Stage-1 growth targets: links whose capacity row is tight,
-            // i.e. the ones pinning U. We approximate via the row slack by
-            // recomputing below in the caller (needs loads); here we return
-            // the level only.
-            (u, Vec::new())
-        }
-        _ => {
-            let omax = sol.value(aux);
-            let mut crit = Vec::new();
-            if omax > 1e-7 {
-                for (oi, &l) in used_links.iter().enumerate() {
-                    if sol.value(o_var_base + oi) >= omax - 1e-7 {
-                        crit.push(LinkId(l as u32));
-                    }
-                }
-            }
-            (omax, crit)
-        }
-    }
 }
 
 /// Builds per-aggregate constants from a traffic matrix. `weights`
@@ -657,64 +771,6 @@ fn grow_crossing(
     grew
 }
 
-/// After a growth step that only *appended* paths — no single→multi
-/// transitions, no newly used links — the grown LP keeps the exact rows of
-/// the one just solved, so its stored basis can be re-labelled to the new
-/// column numbering and the next solve restarts from the placement it just
-/// computed instead of running cold. Silently does nothing when the growth
-/// changed the row structure.
-fn remap_basis_after_growth(
-    ctx: &mut SolveContext,
-    tag: u8,
-    rows: usize,
-    graph: &Graph,
-    old_lens: &[usize],
-    path_sets: &[Vec<Path>],
-) {
-    // A single-path aggregate turning multi-path gains a Σz = B row.
-    if old_lens.iter().zip(path_sets).any(|(&o, s)| o == 1 && s.len() > 1) {
-        return;
-    }
-    // The old solve's used-link set (single-path fixed loads count too).
-    let mut used = vec![false; graph.link_count()];
-    for (a, s) in path_sets.iter().enumerate() {
-        for p in &s[..old_lens[a]] {
-            for &l in p.links() {
-                used[l.idx()] = true;
-            }
-        }
-    }
-    // New paths must not introduce new capacity rows.
-    for (a, s) in path_sets.iter().enumerate() {
-        if s[old_lens[a]..].iter().any(|p| p.links().iter().any(|&l| !used[l.idx()])) {
-            return;
-        }
-    }
-    let num_o = used.iter().filter(|&&u| u).count();
-    // Structural layout (mirrors solve_lp): per-aggregate z blocks in
-    // order, then one o per used link, then the aux variable.
-    let mut new_base = vec![0usize; path_sets.len()];
-    let mut num_x_new = 0usize;
-    for (a, s) in path_sets.iter().enumerate() {
-        if s.len() > 1 {
-            new_base[a] = num_x_new;
-            num_x_new += s.len();
-        }
-    }
-    let mut map = Vec::new();
-    for (a, &old_len) in old_lens.iter().enumerate() {
-        if old_len > 1 {
-            map.extend((0..old_len).map(|pi| new_base[a] + pi));
-        }
-    }
-    for oi in 0..=num_o {
-        map.push(num_x_new + oi); // o vars and, last, the aux variable
-    }
-    let old_structural = map.len();
-    let new_structural = num_x_new + num_o + 1;
-    ctx.remap_entry(tag, rows, old_structural, new_structural, &map);
-}
-
 /// What a [`GrowRequest`] optimizes.
 #[derive(Clone, Copy, Debug)]
 enum GrowObjective {
@@ -728,8 +784,7 @@ enum GrowObjective {
     MinMax { k_limit: Option<usize> },
 }
 
-/// Builder for one grow-and-solve run — the single entry point the old
-/// `solve_latency_optimal*` / `solve_minmax*` family collapsed into.
+/// Builder for one grow-and-solve run — the module's single entry point.
 ///
 /// ```ignore
 /// let out = GrowRequest::new(&cache, &tm)     // any &dyn PathSource
@@ -859,6 +914,7 @@ fn run_latency_optimal(
     let aggs = agg_infos(source, tm, class_weights);
     let caps = source.effective_capacities();
     let cap_scale = 1.0 - config.headroom;
+    let mut lp = LpData::new(&aggs, volumes, &caps, cap_scale, config.m1);
     let mut path_sets: Vec<Vec<Path>> =
         tm.aggregates().iter().map(|a| source.paths(a.src, a.dst, 1)).collect();
     let mut pricing = PricingState::new(path_sets.len());
@@ -867,20 +923,12 @@ fn run_latency_optimal(
     let mut rounds = 0usize;
     let mut omax;
     // Phase 1: drive overload to zero, growing across overloaded links.
+    // Every round's LP restarts from the optimum of the round before.
     let phase1 = telemetry::span("pathgrow.phase1", "pathgrow");
+    let mut grown_from: Option<LpLayout> = None;
     loop {
         rounds += 1;
-        let out = solve_lp(
-            graph,
-            &aggs,
-            &path_sets,
-            volumes,
-            &caps,
-            cap_scale,
-            config.m1,
-            &LpMode::MinOverload,
-            ctx,
-        )?;
+        let out = lp.solve(&path_sets, &LpMode::MinOverload, grown_from.as_ref(), ctx)?;
         pivots += out.pivots;
         omax = out.level;
         if omax <= 1e-7 || rounds >= config.max_rounds {
@@ -897,6 +945,7 @@ fn run_latency_optimal(
         ) {
             break; // all alternatives exhausted: congestion unavoidable
         }
+        grown_from = Some(out.layout);
     }
     drop(phase1);
 
@@ -904,8 +953,7 @@ fn run_latency_optimal(
     // slack covering LP tolerance so phase 1's solution stays feasible).
     let phase2 = telemetry::span("pathgrow.phase2", "pathgrow");
     let mode = LpMode::MinLatency { omax_cap: omax * (1.0 + 1e-6) + 1e-7, util_cap: f64::INFINITY };
-    let mut out =
-        solve_lp(graph, &aggs, &path_sets, volumes, &caps, cap_scale, config.m1, &mode, ctx)?;
+    let mut out = lp.solve(&path_sets, &mode, None, ctx)?;
     pivots += out.pivots;
     drop(phase2);
 
@@ -926,7 +974,6 @@ fn run_latency_optimal(
         if saturated.is_empty() {
             break;
         }
-        let old_lens: Vec<usize> = path_sets.iter().map(|s| s.len()).collect();
         if !grow_crossing(
             source,
             tm,
@@ -938,11 +985,8 @@ fn run_latency_optimal(
         ) {
             break;
         }
-        remap_basis_after_growth(ctx, mode.tag(), out.rows, graph, &old_lens, &path_sets);
-        let next =
-            solve_lp(graph, &aggs, &path_sets, volumes, &caps, cap_scale, config.m1, &mode, ctx)?;
-        pivots += next.pivots;
-        out = next;
+        out = lp.solve(&path_sets, &mode, Some(&out.layout), ctx)?;
+        pivots += out.pivots;
         rounds += 1;
     }
 
@@ -968,6 +1012,7 @@ fn run_minmax(
     let graph = source.graph();
     let aggs = agg_infos(source, tm, class_weights);
     let caps = source.effective_capacities();
+    let mut lp = LpData::new(&aggs, volumes, &caps, 1.0, config.m1);
     let seed_k = k_limit.unwrap_or(1);
     let mut path_sets: Vec<Vec<Path>> =
         tm.aggregates().iter().map(|a| source.paths(a.src, a.dst, seed_k)).collect();
@@ -979,19 +1024,10 @@ fn run_minmax(
     // U until U stops improving.
     let mut best_u = f64::INFINITY;
     let stage1 = telemetry::span("pathgrow.minmax_stage1", "pathgrow");
+    let mut grown_from: Option<LpLayout> = None;
     loop {
         rounds += 1;
-        let out = solve_lp(
-            graph,
-            &aggs,
-            &path_sets,
-            volumes,
-            &caps,
-            1.0,
-            config.m1,
-            &LpMode::MinUtilization,
-            ctx,
-        )?;
+        let out = lp.solve(&path_sets, &LpMode::MinUtilization, grown_from.as_ref(), ctx)?;
         pivots += out.pivots;
         let improved = out.level < best_u * (1.0 - 1e-4);
         best_u = best_u.min(out.level);
@@ -1017,6 +1053,7 @@ fn run_minmax(
         ) {
             break;
         }
+        grown_from = Some(out.layout);
     }
     drop(stage1);
 
@@ -1028,7 +1065,7 @@ fn run_minmax(
         omax_cap: (best_u - 1.0).max(0.0) * (1.0 + 1e-6) + 1e-7,
         util_cap: best_u * (1.0 + 1e-5) + 1e-7,
     };
-    let out = solve_lp(graph, &aggs, &path_sets, volumes, &caps, 1.0, config.m1, &mode, ctx)?;
+    let out = lp.solve(&path_sets, &mode, None, ctx)?;
     pivots += out.pivots;
     let omax = (best_u - 1.0).max(0.0);
     Ok(GrowOutcome {
@@ -1039,91 +1076,65 @@ fn run_minmax(
     })
 }
 
-/// The latency-optimal solve with all defaults.
-#[deprecated(note = "use GrowRequest::new(source, tm).volumes(..).config(..).solve()")]
-pub fn solve_latency_optimal(
-    source: &dyn PathSource,
-    tm: &TrafficMatrix,
-    volumes: &[f64],
-    config: &GrowthConfig,
-) -> Result<GrowOutcome, LpError> {
-    GrowRequest::new(source, tm).volumes(volumes).config(config).solve()
-}
-
-/// The latency-optimal solve with a warm-start context.
-#[deprecated(note = "use GrowRequest::new(source, tm).volumes(..).config(..).solve_with(ctx)")]
-pub fn solve_latency_optimal_ctx(
-    source: &dyn PathSource,
-    tm: &TrafficMatrix,
-    volumes: &[f64],
-    config: &GrowthConfig,
-    ctx: &mut SolveContext,
-) -> Result<GrowOutcome, LpError> {
-    GrowRequest::new(source, tm).volumes(volumes).config(config).solve_with(ctx)
-}
-
-/// The latency-optimal solve with per-aggregate class weights.
-#[deprecated(note = "use GrowRequest::new(source, tm).class_weights(..).solve()")]
-pub fn solve_latency_optimal_weighted(
-    source: &dyn PathSource,
-    tm: &TrafficMatrix,
-    volumes: &[f64],
-    class_weights: Option<&[f64]>,
-    config: &GrowthConfig,
-) -> Result<GrowOutcome, LpError> {
-    let mut req = GrowRequest::new(source, tm).volumes(volumes).config(config);
-    if let Some(w) = class_weights {
-        req = req.class_weights(w);
-    }
-    req.solve()
-}
-
-/// The full-generality latency-optimal solve.
-#[deprecated(note = "use GrowRequest::new(source, tm).class_weights(..).solve_with(ctx)")]
-pub fn solve_latency_optimal_weighted_ctx(
-    source: &dyn PathSource,
-    tm: &TrafficMatrix,
-    volumes: &[f64],
-    class_weights: Option<&[f64]>,
-    config: &GrowthConfig,
-    ctx: &mut SolveContext,
-) -> Result<GrowOutcome, LpError> {
-    let mut req = GrowRequest::new(source, tm).volumes(volumes).config(config);
-    if let Some(w) = class_weights {
-        req = req.class_weights(w);
-    }
-    req.solve_with(ctx)
-}
-
-/// MinMax with all defaults.
-#[deprecated(note = "use GrowRequest::new(source, tm).minmax(k_limit).solve()")]
-pub fn solve_minmax(
-    source: &dyn PathSource,
-    tm: &TrafficMatrix,
-    k_limit: Option<usize>,
-    config: &GrowthConfig,
-) -> Result<GrowOutcome, LpError> {
-    GrowRequest::new(source, tm).minmax(k_limit).config(config).solve()
-}
-
-/// MinMax with a warm-start context.
-#[deprecated(note = "use GrowRequest::new(source, tm).minmax(k_limit).solve_with(ctx)")]
-pub fn solve_minmax_ctx(
-    source: &dyn PathSource,
-    tm: &TrafficMatrix,
-    k_limit: Option<usize>,
-    config: &GrowthConfig,
-    ctx: &mut SolveContext,
-) -> Result<GrowOutcome, LpError> {
-    GrowRequest::new(source, tm).minmax(k_limit).config(config).solve_with(ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hier::{EngineConfig, PartitionedPathEngine};
+    use crate::scale::ScaleToLoad;
+    use lowlat_linprog::Solution;
     use lowlat_netgraph::NodeId;
-    use lowlat_tmgen::Aggregate;
-    use lowlat_topology::{GeoPoint, Topology, TopologyBuilder};
+    use lowlat_tmgen::{Aggregate, GravityTmGen, TmGenConfig};
+    use lowlat_topology::zoo::named;
+    use lowlat_topology::{generate, GeoPoint, SynthConfig, SynthModel, Topology, TopologyBuilder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    thread_local! {
+        /// `(LPs, pivots their cold solves took)` audited on this thread;
+        /// `None` = audit off.
+        static AUDITED: std::cell::Cell<Option<(usize, usize)>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// While a test has the audit on, every LP the growth loop solves —
+    /// warm, handed over or cold — is solved again from scratch and must
+    /// have reached the same optimum: same objective, and the same level
+    /// (`level_var`: `omax` / `U`) where the level is what is minimized. The
+    /// guard against a restart that stops at a vertex it should not have
+    /// (a warm phase 1 reporting `omax = 0` just past the fits boundary).
+    pub(super) fn audit_against_cold(p: &Problem, sol: &Solution, level_var: Option<usize>) {
+        let Some((count, cold_pivots)) = AUDITED.get() else { return };
+        let cold = p.solve().expect("the chained solve succeeded on this LP");
+        AUDITED.set(Some((count + 1, cold_pivots + cold.iterations())));
+        // The solver prices to a reduced-cost tolerance of 1e-9 per unit of
+        // a variable, and the split variables are in Mbps: two optima may
+        // differ by that much per unit of traffic they place differently.
+        let slop = 1e-7 + 2e-9 * cold.values().iter().sum::<f64>();
+        let (a, b) = (sol.objective(), cold.objective());
+        assert!(
+            (a - b).abs() <= slop,
+            "LP {count} ({} rows, warm {}): objective {a} vs cold {b}",
+            p.num_rows(),
+            sol.warm_started()
+        );
+        if let Some(v) = level_var {
+            assert!(
+                (sol.value(v) - cold.value(v)).abs() <= 1e-7,
+                "LP {count}: level {} vs cold {}",
+                sol.value(v),
+                cold.value(v)
+            );
+        }
+    }
+
+    /// Runs `f` with the cold audit on; returns its result, the number of
+    /// LPs audited and the pivots an all-cold run of them takes.
+    fn audited<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+        AUDITED.set(Some((0, 0)));
+        let out = f();
+        let (lps, cold_pivots) = AUDITED.replace(None).expect("audit was on");
+        (out, lps, cold_pivots)
+    }
 
     /// Two-path network: fast path 2 ms (cap 100), slow path 6 ms (cap 100).
     fn two_path() -> Topology {
@@ -1375,42 +1386,170 @@ mod tests {
         );
     }
 
+    /// Figure 12's delay term (un-normalized) of a fractional assignment.
+    fn delay_term(aggs: &[AggInfo], path_sets: &[Vec<Path>], fractions: &[Vec<f64>]) -> f64 {
+        let m1 = GrowthConfig::default().m1;
+        aggs.iter()
+            .zip(path_sets.iter().zip(fractions))
+            .map(|(agg, (paths, xs))| {
+                let mean: f64 = paths.iter().zip(xs).map(|(p, x)| x * p.delay_ms()).sum();
+                agg.flows * mean * (1.0 + m1 / agg.sp_delay.max(1e-9))
+            })
+            .sum()
+    }
+
+    /// One chained solve under the cold audit, then the check that it
+    /// stopped at an optimum *of the LP over the columns it ended with*: a
+    /// cold re-solve over exactly the path sets it returned reaches the
+    /// same overload and the same delay objective. Returns the outcome and
+    /// the pivots an all-cold run of the same LPs takes.
+    fn solve_audited(
+        source: &dyn PathSource,
+        tm: &TrafficMatrix,
+        volumes: &[f64],
+        ctx: &mut SolveContext,
+    ) -> (GrowOutcome, usize) {
+        let (out, lps, cold_pivots) =
+            audited(|| GrowRequest::new(source, tm).volumes(volumes).solve_with(ctx).unwrap());
+        assert!(lps >= 2, "phase 1 and phase 2 at least");
+        assert!(out.placement.validate(source.graph(), tm).is_ok());
+
+        let path_sets: Vec<Vec<Path>> = out
+            .placement
+            .per_aggregate()
+            .iter()
+            .map(|pl| pl.splits.iter().map(|(p, _)| p.clone()).collect())
+            .collect();
+        let chained: Vec<Vec<f64>> = out
+            .placement
+            .per_aggregate()
+            .iter()
+            .map(|pl| pl.splits.iter().map(|&(_, x)| x).collect())
+            .collect();
+        let aggs = agg_infos(source, tm, None);
+        let caps = source.effective_capacities();
+        let config = GrowthConfig::default();
+        let mut lp = LpData::new(&aggs, volumes, &caps, 1.0, config.m1);
+        let phase1 =
+            lp.solve(&path_sets, &LpMode::MinOverload, None, &mut SolveContext::new()).unwrap();
+        assert!(
+            (phase1.level - out.omax).abs() <= 1e-9,
+            "omax {} vs cold {} over the same columns",
+            out.omax,
+            phase1.level
+        );
+        let mode = LpMode::MinLatency {
+            omax_cap: out.omax * (1.0 + 1e-6) + 1e-7,
+            util_cap: f64::INFINITY,
+        };
+        let phase2 = lp.solve(&path_sets, &mode, None, &mut SolveContext::new()).unwrap();
+        let (got, want) = (
+            delay_term(&aggs, &path_sets, &chained),
+            delay_term(&aggs, &path_sets, &phase2.fractions),
+        );
+        // 1e-6 relative, or what the solver's pricing tolerance leaves open
+        // (see `audit_against_cold`) where that is more.
+        let norm: f64 = aggs.iter().map(|a| a.flows * a.sp_delay).sum();
+        let slop = (1e-6 * want).max(2e-9 * volumes.iter().sum::<f64>() * norm);
+        assert!((got - want).abs() <= slop, "delay objective {got} vs cold {want}");
+        (out, cold_pivots)
+    }
+
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_grow_request() {
-        // The legacy solve_* entry points are thin shims over GrowRequest:
-        // identical placements, identical overload.
-        let topo = two_path();
+    fn chained_solve_is_optimal_over_its_own_columns_on_abilene() {
+        let topo = named::abilene();
+        let tm = GravityTmGen::new(TmGenConfig::default())
+            .generate(&topo, 0)
+            .scaled_to_load(&topo, 0.35);
         let cache = PathCache::new(topo.graph());
-        let tm = tm_one(150.0);
-        let cfg = GrowthConfig::default();
-        let builder = GrowRequest::new(&cache, &tm).volumes(&[150.0]).config(&cfg).solve().unwrap();
-        let wrapper = solve_latency_optimal(&cache, &tm, &[150.0], &cfg).unwrap();
-        assert_eq!(
-            builder.placement.aggregate(0).mean_delay_ms(),
-            wrapper.placement.aggregate(0).mean_delay_ms()
-        );
-        assert_eq!(builder.omax, wrapper.omax);
+        let volumes: Vec<f64> = tm.aggregates().iter().map(|a| a.volume_mbps).collect();
+        solve_audited(&cache, &tm, &volumes, &mut SolveContext::new());
+    }
+
+    /// GTS-like at the benchmark load, demands inflated the way LDR's
+    /// Figure-14 loop inflates them: x1.1 on a third of the aggregates, a
+    /// different third each call, three calls through one context.
+    fn gts_like_inflated_calls(mut each: impl FnMut(&PathCache, &TrafficMatrix, &[f64])) {
+        let topo = named::gts_like();
+        let tm = GravityTmGen::new(TmGenConfig::default())
+            .generate(&topo, 0)
+            .scaled_to_load(&topo, 0.55);
+        let cache = PathCache::new(topo.graph());
+        for call in 0..3 {
+            let volumes: Vec<f64> = tm
+                .aggregates()
+                .iter()
+                .enumerate()
+                .map(|(a, agg)| agg.volume_mbps * if (a + call) % 3 == 0 { 1.1 } else { 1.0 })
+                .collect();
+            each(&cache, &tm, &volumes);
+        }
+    }
+
+    #[test]
+    fn chained_solves_are_optimal_over_their_own_columns_on_gts_like() {
         let mut ctx = SolveContext::new();
-        let wrapper_ctx = solve_latency_optimal_ctx(&cache, &tm, &[150.0], &cfg, &mut ctx).unwrap();
-        assert_eq!(builder.omax, wrapper_ctx.omax);
-        let weighted =
-            solve_latency_optimal_weighted(&cache, &tm, &[150.0], Some(&[2.0]), &cfg).unwrap();
-        let weighted_builder = GrowRequest::new(&cache, &tm)
-            .volumes(&[150.0])
-            .class_weights(&[2.0])
-            .config(&cfg)
-            .solve()
-            .unwrap();
-        assert_eq!(
-            weighted.placement.aggregate(0).mean_delay_ms(),
-            weighted_builder.placement.aggregate(0).mean_delay_ms()
+        gts_like_inflated_calls(|cache, tm, volumes| {
+            solve_audited(cache, tm, volumes, &mut ctx);
+        });
+    }
+
+    #[test]
+    fn growth_rounds_restart_from_the_round_before() {
+        // The work count the chain exists for: nearly every LP of a growth
+        // sequence restarts warm, for a fraction of the pivots the same LPs
+        // take cold. (Keyed by shape alone, without the hand-over, the share
+        // reads 0.48 here: every round whose shape is new runs cold.)
+        let mut ctx = SolveContext::new();
+        let (mut pivots, mut cold_pivots) = (0, 0);
+        gts_like_inflated_calls(|cache, tm, volumes| {
+            let (out, cold) = solve_audited(cache, tm, volumes, &mut ctx);
+            pivots += out.lp_pivots;
+            cold_pivots += cold;
+        });
+        let share = ctx.warm_hits() as f64 / ctx.solves() as f64;
+        assert!(share >= 0.85, "{} warm of {} solves", ctx.warm_hits(), ctx.solves());
+        assert!(3 * pivots <= cold_pivots, "{pivots} pivots chained vs {cold_pivots} all cold");
+    }
+
+    #[test]
+    fn chained_solve_is_optimal_over_its_own_columns_through_the_partitioned_engine() {
+        // A 8-pair batch at 2x shortest-path overload on a 1k-node
+        // Barabasi-Albert graph: every round adds links (rows) as well as
+        // paths, through the hierarchical pricing oracle.
+        let ingested = generate(
+            SynthModel::BarabasiAlbert,
+            &SynthConfig { nodes: 1000, seed: 42, ..Default::default() },
         );
-        let mm_builder = GrowRequest::new(&cache, &tm).minmax(Some(1)).solve().unwrap();
-        let mm_wrapper = solve_minmax(&cache, &tm, Some(1), &cfg).unwrap();
-        assert_eq!(
-            mm_builder.placement.aggregate(0).mean_delay_ms(),
-            mm_wrapper.placement.aggregate(0).mean_delay_ms()
-        );
+        let g = ingested.graph();
+        let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut seen = std::collections::BTreeSet::new();
+        let mut aggs = Vec::new();
+        while aggs.len() < 8 {
+            let (s, d) = (rng.gen_range(0..1000u32), rng.gen_range(0..1000u32));
+            if s != d && seen.insert((s, d)) {
+                aggs.push(Aggregate {
+                    src: NodeId(s),
+                    dst: NodeId(d),
+                    volume_mbps: rng.gen_range(100.0..300.0),
+                    flow_count: 10,
+                });
+            }
+        }
+        let tm = TrafficMatrix::new(aggs);
+        let mut loads = vec![0.0; g.link_count()];
+        for a in tm.aggregates() {
+            let sp = engine.shortest(a.src, a.dst).expect("Barabasi-Albert graphs are connected");
+            sp.links().iter().for_each(|l| loads[l.idx()] += a.volume_mbps);
+        }
+        let worst =
+            g.link_ids().map(|l| loads[l.idx()] / g.link(l).capacity_mbps).fold(0.0, f64::max);
+        let tm = tm.scaled(2.0 / worst);
+        let volumes: Vec<f64> = tm.aggregates().iter().map(|a| a.volume_mbps).collect();
+        let mut ctx = SolveContext::new();
+        let (out, _) = solve_audited(&engine, &tm, &volumes, &mut ctx);
+        assert!(out.rounds > 3, "the batch must need growth, got {} rounds", out.rounds);
+        assert!(ctx.warm_hits() + 1 >= ctx.solves(), "only the first LP of the chain runs cold");
     }
 }

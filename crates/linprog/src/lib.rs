@@ -23,6 +23,9 @@
 //!   previous optimal vertex skips phase 1 and most pivots. Stale bases
 //!   (wrong shape, singular, infeasible under the new data) fall back to a
 //!   cold solve automatically.
+//! * **column generation**: [`Basis::relabel`] carries an exported basis —
+//!   and its inverse — over to a problem grown by new columns and rows, so
+//!   a pricing round restarts from the optimum of the round before it.
 //!
 //! Not implemented (not needed by this workspace): general variable bounds
 //! (shift/negate at the call site), sparse LU factorization, dual simplex,

@@ -71,6 +71,11 @@ impl Problem {
         self.rows.len()
     }
 
+    /// Whether `row` gets a slack column in standard form (it is not `==`).
+    pub(crate) fn has_slack(&self, row: usize) -> bool {
+        self.rows[row].rel != Relation::Eq
+    }
+
     /// Sets the objective coefficient of variable `var` (adds to any previous
     /// value so composite objectives can be accumulated term by term).
     ///
@@ -162,10 +167,10 @@ impl Problem {
         let mut upper = vec![f64::INFINITY; n];
         upper[..n_structural].copy_from_slice(&self.upper);
 
+        let negated: Vec<bool> = self.rows.iter().map(|row| row.rhs < 0.0).collect();
         let mut slack_idx = n_structural;
         for (i, row) in self.rows.iter().enumerate() {
-            let negate = row.rhs < 0.0;
-            let sign = if negate { -1.0 } else { 1.0 };
+            let sign = if negated[i] { -1.0 } else { 1.0 };
             b[i] = sign * row.rhs;
             for &(var, coeff) in &row.coeffs {
                 cols[var].push((i, sign * coeff));
@@ -182,7 +187,7 @@ impl Problem {
                 }
             }
         }
-        StandardForm { num_structural: n_structural, cols, b, c, upper }
+        StandardForm { num_structural: n_structural, cols, b, c, upper, negated }
     }
 }
 

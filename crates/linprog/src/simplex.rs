@@ -17,6 +17,8 @@
 
 use lowlat_telemetry as telemetry;
 
+use crate::problem::Problem;
+
 /// Equality standard form `min c·x  s.t.  A x = b (b >= 0), 0 <= x <= u`
 /// with sparse columns. Produced by [`crate::Problem::to_standard_form`].
 pub(crate) struct StandardForm {
@@ -31,6 +33,8 @@ pub(crate) struct StandardForm {
     pub c: Vec<f64>,
     /// Upper bounds per column (`f64::INFINITY` when absent).
     pub upper: Vec<f64>,
+    /// Rows that were multiplied by -1 to make `b` non-negative.
+    pub negated: Vec<bool>,
 }
 
 /// Why the solver gave up.
@@ -95,17 +99,23 @@ pub struct Basis {
     /// `(rows, standard-form columns)` of the problem that produced this
     /// basis; reuse requires an exact match.
     shape: (usize, usize),
-    /// The basis inverse at export time (column-major m*m), carried so a
-    /// restart against an *unchanged* constraint matrix skips the O(m³)
-    /// refactorization — it is verified against the new matrix before use
-    /// and recomputed when the verification fails. Omitted for very large
-    /// bases (memory) — see [`BINV_CARRY_LIMIT`].
+    /// Row of each slack column, in column order — what lets
+    /// [`Basis::relabel`] renumber slacks when rows are spliced in.
+    slack_rows: Vec<usize>,
+    /// The basis inverse at export time (column-major m*m), in the row
+    /// signs of the problem *as posed* (the standard form's negation of
+    /// negative-rhs rows undone, so a right-hand side changing sign does
+    /// not invalidate it). Carried so a restart skips the O(m³)
+    /// refactorization: it is verified against the new matrix column by
+    /// column before use, columns that differ are replaced by one eta
+    /// update each, and it is recomputed when that fails. Omitted for very
+    /// large bases (memory) — see [`BINV_CARRY_LIMIT`].
     binv: Option<Vec<f64>>,
 }
 
 /// Largest row count whose basis inverse is carried inside [`Basis`]
-/// (8 MB of f64 at the limit); beyond it a warm restart refactorizes.
-const BINV_CARRY_LIMIT: usize = 1024;
+/// (32 MB of f64 at the limit); beyond it a warm restart refactorizes.
+const BINV_CARRY_LIMIT: usize = 2048;
 
 impl std::fmt::Debug for Basis {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -134,63 +144,128 @@ impl Basis {
         self.basic.clear();
         self.at_upper.clear();
         self.shape = (0, 0);
+        self.slack_rows.clear();
         self.binv = None;
     }
 
-    /// Re-labels the stored basis for a problem whose *structural* columns
-    /// were renumbered — the lazy-path-growth case, where new variables are
-    /// spliced in and every surviving column keeps its exact coefficients
-    /// and the row set is unchanged. `map[old] = new` for each old
-    /// structural column; slacks keep their positions after the structural
-    /// block. The carried inverse stays valid because neither the rows nor
-    /// any mapped column's coefficients changed.
+    /// Re-labels the stored basis for `grown`, a problem that *extends* the
+    /// one it was exported from — the column-generation case: every old
+    /// column and row survives with its coefficients (an old column may
+    /// gain entries in new rows), and new columns and rows are spliced in
+    /// anywhere. `columns[old] = new` for each old structural column,
+    /// `rows[old] = new` for each old row; slacks follow their rows. Every
+    /// row `grown` adds needs a basic column of its own: `enter` lists, in
+    /// increasing order of the new rows, the new structural column that
+    /// becomes basic in it, or `None` for the row's own slack. All other new
+    /// columns are nonbasic at zero, so the extended vertex is the old
+    /// optimum wherever the caller's entering columns reproduce it.
+    ///
+    /// The carried inverse is extended block-diagonally (old inverse
+    /// permuted, identity on the new rows); the restart completes it against
+    /// `grown`'s real coefficients — one eta update per basic column with
+    /// entries outside its block — and falls back to refactorization, then
+    /// to a cold solve, when that fails.
     ///
     /// Returns `false` (and clears the basis) when the stored basis does
-    /// not match `old_structural` or the map is inconsistent — the caller
-    /// simply loses the warm start, never correctness.
-    pub fn remap_columns(
+    /// not have the shape the maps describe or the maps are inconsistent —
+    /// the caller simply loses the warm start, never correctness.
+    pub fn relabel(
         &mut self,
-        old_structural: usize,
-        new_structural: usize,
-        map: &[usize],
+        grown: &Problem,
+        columns: &[usize],
+        rows: &[usize],
+        enter: &[Option<usize>],
     ) -> bool {
-        if !self.is_warm() || map.len() != old_structural || self.shape.1 < old_structural {
+        let relabelled = self.try_relabel(grown, columns, rows, enter).is_some();
+        if !relabelled {
             self.clear();
-            return false;
         }
-        let slacks = self.shape.1 - old_structural;
-        let remap = |col: usize| -> Option<usize> {
-            if col < old_structural {
-                let new = map[col];
-                (new < new_structural).then_some(new)
-            } else {
-                Some(new_structural + (col - old_structural))
+        relabelled
+    }
+
+    fn try_relabel(
+        &mut self,
+        grown: &Problem,
+        columns: &[usize],
+        rows: &[usize],
+        enter: &[Option<usize>],
+    ) -> Option<()> {
+        let (m, n) = self.shape;
+        let (new_m, new_structural) = (grown.num_rows(), grown.num_vars());
+        if !self.is_warm()
+            || columns.len() + self.slack_rows.len() != n
+            || rows.len() != m
+            || enter.len() + m != new_m
+            || rows.iter().any(|&r| r >= new_m)
+        {
+            return None;
+        }
+        let mut slack_of = vec![None; new_m];
+        let mut slack_rows = Vec::new();
+        for (r, slack) in slack_of.iter_mut().enumerate() {
+            if grown.has_slack(r) {
+                *slack = Some(new_structural + slack_rows.len());
+                slack_rows.push(r);
             }
+        }
+        let new_n = new_structural + slack_rows.len();
+
+        // Old standard-form column -> new; `claim` rejects a map that
+        // leaves its range or sends two columns to one.
+        let mut taken = vec![false; new_n];
+        let mut claim = |j: usize| (!std::mem::replace(taken.get_mut(j)?, true)).then_some(j);
+        let mut col_to = Vec::with_capacity(n);
+        for &j in columns {
+            col_to.push(claim(j).filter(|&j| j < new_structural)?);
+        }
+        for &r in &self.slack_rows {
+            col_to.push(claim(slack_of[rows[r]]?)?);
+        }
+
+        // Basis position follows the row: old rows keep their (mapped)
+        // basic column, each new row takes its entering column.
+        let mut basic = vec![usize::MAX; new_m];
+        for (&r, &j) in rows.iter().zip(&self.basic) {
+            if basic[r] != usize::MAX {
+                return None;
+            }
+            basic[r] = col_to[j];
+        }
+        let mut new_rows = Vec::with_capacity(enter.len());
+        let mut enter = enter.iter();
+        for (r, b) in basic.iter_mut().enumerate() {
+            if *b == usize::MAX {
+                *b = match *enter.next()? {
+                    Some(j) => claim(j).filter(|&j| j < new_structural)?,
+                    None => claim(slack_of[r]?)?,
+                };
+                new_rows.push(r);
+            }
+        }
+
+        self.binv = match self.binv.take() {
+            Some(old) if new_m <= BINV_CARRY_LIMIT => {
+                let mut ext = vec![0.0; new_m * new_m];
+                for (k, &rk) in rows.iter().enumerate() {
+                    let to = &mut ext[rk * new_m..(rk + 1) * new_m];
+                    for (&ri, &v) in rows.iter().zip(&old[k * m..(k + 1) * m]) {
+                        to[ri] = v;
+                    }
+                }
+                for &r in &new_rows {
+                    ext[r * new_m + r] = 1.0;
+                }
+                Some(ext)
+            }
+            _ => None,
         };
-        let mut basic = Vec::with_capacity(self.basic.len());
-        for &j in &self.basic {
-            match remap(j) {
-                Some(new) => basic.push(new),
-                None => {
-                    self.clear();
-                    return false;
-                }
-            }
-        }
-        let mut at_upper = Vec::with_capacity(self.at_upper.len());
-        for &j in &self.at_upper {
-            match remap(j) {
-                Some(new) => at_upper.push(new),
-                None => {
-                    self.clear();
-                    return false;
-                }
-            }
-        }
         self.basic = basic;
-        self.at_upper = at_upper;
-        self.shape.1 = new_structural + slacks;
-        true
+        for j in self.at_upper.iter_mut() {
+            *j = col_to[*j];
+        }
+        self.slack_rows = slack_rows;
+        self.shape = (new_m, new_n);
+        Some(())
     }
 }
 
@@ -529,8 +604,7 @@ impl<'a> Engine<'a> {
         leave_at_upper: bool,
     ) {
         let m = self.m;
-        let wr = self.scratch_w[r];
-        debug_assert!(wr.abs() > 1e-12, "pivot on ~zero element");
+        debug_assert!(self.scratch_w[r].abs() > 1e-12, "pivot on ~zero element");
 
         // Update basic values; forgive only round-off-sized negativity so
         // genuine drift still surfaces (and is repaired by refactorization).
@@ -543,9 +617,23 @@ impl<'a> Engine<'a> {
         // Entering variable's new value.
         self.xb[r] = if from_upper { self.upper(j) - theta } else { theta };
 
-        // Eta update of the column-major inverse: for every column k,
-        //   t = (B^-1)_{r,k};  (B^-1)_{i,k} -= w_i * t / w_r  (i != r);
-        //   (B^-1)_{r,k} = t / w_r.
+        self.eta_update(r);
+
+        let old = self.basis[r];
+        self.rest[old] = if leave_at_upper { Rest::Upper } else { Rest::Lower };
+        self.basis[r] = j;
+        self.rest[j] = Rest::Basic;
+        self.iterations += 1;
+    }
+
+    /// Eta update of the column-major inverse after the column whose
+    /// `B^-1 A_j` sits in `scratch_w` replaced basis position `r`: for every
+    /// column k,
+    ///   t = (B^-1)_{r,k};  (B^-1)_{i,k} -= w_i * t / w_r  (i != r);
+    ///   (B^-1)_{r,k} = t / w_r.
+    fn eta_update(&mut self, r: usize) {
+        let m = self.m;
+        let wr = self.scratch_w[r];
         for k in 0..m {
             let colk = &mut self.binv[k * m..k * m + m];
             let t = colk[r];
@@ -559,12 +647,6 @@ impl<'a> Engine<'a> {
             // The loop above set colk[r] = t - wr * (t/wr) = 0; restore.
             colk[r] = scale;
         }
-
-        let old = self.basis[r];
-        self.rest[old] = if leave_at_upper { Rest::Upper } else { Rest::Lower };
-        self.basis[r] = j;
-        self.rest[j] = Rest::Basic;
-        self.iterations += 1;
     }
 
     /// Rebuilds `binv` from scratch by Gauss-Jordan elimination of the basis
@@ -610,19 +692,35 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Checks that `binv` really inverts the current basis matrix: for each
-    /// basis position `i`, `B^-1 A_{basis[i]}` must be the unit vector
-    /// `e_i`. O(m² · column-nnz) — far below the O(m³) refactorization it
-    /// lets a warm restart skip when the constraint matrix is unchanged.
-    fn binv_is_current(&mut self) -> bool {
+    /// Makes `binv` the inverse of the current basis matrix, given that it
+    /// inverts *some* matrix: for each basis position `i`, `B^-1 A_{basis[i]}`
+    /// must be the unit vector `e_i`. A position where it is not holds a
+    /// different column in the matrix `binv` inverts (the basis was extended
+    /// by [`Basis::relabel`], or a coefficient changed); one eta update puts
+    /// the real column there and leaves every position already checked
+    /// intact. O(m² · column-nnz) plus O(m²) per replaced column — far below
+    /// the O(m³) refactorization it lets a warm restart skip. `false` when
+    /// so many columns differ that refactorizing is no dearer (and cleaner),
+    /// or a replacement would be singular: the caller refactorizes.
+    fn bring_binv_current(&mut self) -> bool {
         let m = self.m;
+        let mut replaceable = 8 + m / 4;
         for i in 0..m {
             self.compute_w(self.basis[i]);
-            for (k, &wk) in self.scratch_w.iter().enumerate() {
+            let is_unit = self.scratch_w.iter().enumerate().all(|(k, &wk)| {
                 let expect = if k == i { 1.0 } else { 0.0 };
-                if (wk - expect).abs() > 1e-6 {
+                (wk - expect).abs() <= 1e-6
+            });
+            if !is_unit {
+                // Pivot on nothing small against the rest of the column: a
+                // poorly conditioned update would spoil the positions
+                // already checked.
+                let largest = self.scratch_w.iter().fold(0.0, |a: f64, w| a.max(w.abs()));
+                if replaceable == 0 || self.scratch_w[i].abs() <= 1e-3 * largest {
                     return false;
                 }
+                replaceable -= 1;
+                self.eta_update(i);
             }
         }
         true
@@ -775,13 +873,14 @@ impl<'a> Engine<'a> {
     }
 
     /// Restores an engine from a previously exported basis. The carried
-    /// inverse is reused when it still inverts this problem's basis matrix
-    /// (the constraint matrix did not change — the deployment-cycle common
-    /// case); otherwise the inverse is rebuilt by refactorization. The
-    /// restored vertex may be primal-infeasible under the new data — the
-    /// caller repairs it with [`Engine::dual_repair`]. `None` means the
-    /// basis is unusable (wrong shape, corrupt, or singular) and the caller
-    /// should solve cold.
+    /// inverse is reused once [`Engine::bring_binv_current`] has checked it
+    /// against this problem's basis matrix and replaced the few columns that
+    /// differ (none when the constraint matrix did not change — the
+    /// deployment-cycle common case); otherwise it is rebuilt by
+    /// refactorization. The restored vertex may be primal-infeasible under
+    /// the new data — the caller repairs it with [`Engine::dual_repair`].
+    /// `None` means the basis is unusable (wrong shape, corrupt, or
+    /// singular) and the caller should solve cold.
     fn with_basis(sf: &'a StandardForm, opts: SolverOptions, warm: &Basis) -> Option<Self> {
         let m = sf.b.len();
         let n = sf.cols.len();
@@ -798,7 +897,7 @@ impl<'a> Engine<'a> {
         for &j in &warm.basic {
             // Out-of-range column, duplicate, or a column listed both basic
             // and at-upper: the basis is corrupt.
-            if j >= n || rest[j] == Rest::Basic || warm.at_upper.contains(&j) {
+            if j >= n || rest[j] != Rest::Lower {
                 return None;
             }
             rest[j] = Rest::Basic;
@@ -822,7 +921,8 @@ impl<'a> Engine<'a> {
         let carried = match &warm.binv {
             Some(binv) if binv.len() == m * m => {
                 eng.binv.copy_from_slice(binv);
-                eng.binv_is_current()
+                flip_negated_rows(&mut eng.binv, &sf.negated);
+                eng.bring_binv_current()
             }
             _ => false,
         };
@@ -849,16 +949,30 @@ impl<'a> Engine<'a> {
         out.at_upper.clear();
         out.at_upper.extend((0..self.art_start).filter(|&j| self.rest[j] == Rest::Upper));
         out.shape = (self.m, self.art_start);
+        out.slack_rows.clear();
+        out.slack_rows.extend(self.sf.cols[self.sf.num_structural..].iter().map(|col| col[0].0));
         if self.m <= BINV_CARRY_LIMIT {
-            match &mut out.binv {
+            let store = match &mut out.binv {
                 Some(store) if store.len() == self.binv.len() => {
                     store.copy_from_slice(&self.binv);
+                    store
                 }
-                store => *store = Some(self.binv.clone()),
-            }
+                store => store.insert(self.binv.clone()),
+            };
+            flip_negated_rows(store, &self.sf.negated);
         } else {
             out.binv = None;
         }
+    }
+}
+
+/// Converts a column-major basis inverse between the standard form's row
+/// signs and the posed problem's: negating row k of a matrix negates column
+/// k of its inverse.
+fn flip_negated_rows(binv: &mut [f64], negated: &[bool]) {
+    let m = negated.len();
+    for (k, _) in negated.iter().enumerate().filter(|(_, &neg)| neg) {
+        binv[k * m..(k + 1) * m].iter_mut().for_each(|v| *v = -*v);
     }
 }
 
@@ -1056,7 +1170,55 @@ fn solve_standard_form_cold(
 
 #[cfg(test)]
 mod tests {
-    use crate::{LpError, Problem, Relation};
+    use super::{flip_negated_rows, Engine, SolverOptions};
+    use crate::{Basis, LpError, Problem, Relation};
+
+    #[test]
+    fn extended_inverse_is_completed_without_refactorizing() {
+        // A pricing round in miniature. Old LP: min t s.t. -t <= -1 (a
+        // negated row), x - t <= 0, x <= 3. Grown LP: an equality row
+        // z = 2 whose column z also loads the old row 1, and a new `<=` row
+        // in which the *old* basic column t gains an entry — so the basis
+        // matrix is not block-triangular over the old one either way.
+        let mut old = Problem::minimize(2); // t, x
+        old.set_objective(0, 1.0);
+        old.set_objective(1, -0.1);
+        old.add_row(Relation::Le, -1.0, &[(0, -1.0)]);
+        old.add_row(Relation::Le, 0.0, &[(1, 1.0), (0, -1.0)]);
+        old.add_row(Relation::Le, 3.0, &[(1, 1.0)]);
+        let mut basis = Basis::new();
+        old.solve_warm(&mut basis).unwrap();
+
+        let mut grown = Problem::minimize(4); // t, x, y, z
+        grown.set_objective(0, 1.0);
+        grown.set_objective(1, -0.1);
+        grown.add_row(Relation::Le, -1.0, &[(0, -1.0)]);
+        grown.add_row(Relation::Le, 2.0, &[(1, 1.0), (0, -1.0), (3, 1.0)]);
+        grown.add_row(Relation::Le, 0.0, &[(2, 1.0), (0, -1.0)]);
+        grown.add_row(Relation::Le, 3.0, &[(1, 1.0)]);
+        grown.add_row(Relation::Eq, 2.0, &[(3, 1.0)]);
+        assert!(basis.relabel(&grown, &[0, 1], &[0, 1, 3], &[None, Some(3)]));
+
+        let sf = grown.to_standard_form();
+        let mut eng = Engine::with_basis(&sf, SolverOptions::default(), &basis).unwrap();
+        // Reload the carried (block-diagonal) inverse and complete it here,
+        // so the test cannot pass through the refactorization fallback.
+        eng.binv.copy_from_slice(basis.binv.as_ref().unwrap());
+        flip_negated_rows(&mut eng.binv, &sf.negated);
+        assert!(eng.bring_binv_current());
+        for i in 0..eng.m {
+            eng.compute_w(eng.basis[i]);
+            for (k, &wk) in eng.scratch_w.iter().enumerate() {
+                let expect = if k == i { 1.0 } else { 0.0 };
+                assert!((wk - expect).abs() < 1e-12, "B^-1 A_{i} [{k}] = {wk}");
+            }
+        }
+        // And the restart stands at the old optimum: t = 1, x = 1.
+        let warm = grown.solve_warm(&mut basis).unwrap();
+        assert!(warm.warm_started());
+        assert_eq!(warm.iterations(), 0);
+        assert!((warm.value(0) - 1.0).abs() < 1e-12 && (warm.value(1) - 1.0).abs() < 1e-12);
+    }
 
     #[test]
     fn textbook_2d_max() {

@@ -272,3 +272,219 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Basis::relabel — restarting a *grown* problem (column generation) from the
+// optimum of the problem it grew out of.
+// ---------------------------------------------------------------------
+
+/// min -x0 - 2 x1  s.t.  x0 + x1 <= 4,  x1 <= 3   => (1, 3), objective -7.
+fn small_lp() -> Problem {
+    let mut p = Problem::minimize(2);
+    p.set_objective(0, -1.0);
+    p.set_objective(1, -2.0);
+    p.add_row(Relation::Le, 4.0, &[(0, 1.0), (1, 1.0)]);
+    p.add_row(Relation::Le, 3.0, &[(1, 1.0)]);
+    p
+}
+
+/// `small_lp` grown the way a pricing round grows an LP: a new column `y`
+/// spliced in at index 1 (old x1 becomes column 2), a new `<=` row spliced in
+/// at index 0, and — like a promoted aggregate — a new column `z` that is
+/// fixed by a new equality row `z = 2` and loads the old first row, whose
+/// right-hand side rises by the same 2.
+fn grown_lp(y_cost: f64) -> Problem {
+    let mut p = Problem::minimize(4); // x0, y, x1, z
+    p.set_objective(0, -1.0);
+    p.set_objective(1, y_cost);
+    p.set_objective(2, -2.0);
+    p.add_row(Relation::Le, 10.0, &[(0, 1.0), (1, 1.0), (2, 2.0)]); // new, slack at (1,3)
+    p.add_row(Relation::Le, 6.0, &[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]);
+    p.add_row(Relation::Le, 3.0, &[(2, 1.0)]);
+    p.add_row(Relation::Eq, 2.0, &[(3, 1.0)]); // new, z enters
+    p
+}
+
+const GROWN_COLUMNS: [usize; 2] = [0, 2];
+const GROWN_ROWS: [usize; 2] = [1, 2];
+const GROWN_ENTER: [Option<usize>; 2] = [None, Some(3)];
+
+#[test]
+fn relabelled_basis_restarts_a_grown_problem_at_its_old_optimum() {
+    let mut basis = Basis::new();
+    small_lp().solve_warm(&mut basis).unwrap();
+    // `y` prices out: the extended vertex is already optimal.
+    let grown = grown_lp(5.0);
+    assert!(basis.relabel(&grown, &GROWN_COLUMNS, &GROWN_ROWS, &GROWN_ENTER));
+    let warm = grown.solve_warm(&mut basis).unwrap();
+    assert!(warm.warm_started());
+    assert_eq!(warm.iterations(), 0, "nothing to price in: no pivots");
+    assert!(close(warm.objective(), -7.0));
+    assert!((warm.value(0) - 1.0).abs() < 1e-9 && (warm.value(2) - 3.0).abs() < 1e-9);
+    assert!((warm.value(3) - 2.0).abs() < 1e-9, "the entering column sits at its row's rhs");
+    assert!(close(warm.objective(), grown.solve().unwrap().objective()));
+}
+
+#[test]
+fn relabelled_basis_prices_in_an_attractive_new_column() {
+    let mut basis = Basis::new();
+    small_lp().solve_warm(&mut basis).unwrap();
+    let grown = grown_lp(-3.0);
+    assert!(basis.relabel(&grown, &GROWN_COLUMNS, &GROWN_ROWS, &GROWN_ENTER));
+    let warm = grown.solve_warm(&mut basis).unwrap();
+    let cold = grown.solve().unwrap();
+    assert!(warm.warm_started());
+    assert!(warm.iterations() > 0 && warm.iterations() <= cold.iterations());
+    assert!(close(warm.objective(), cold.objective()));
+    // The refreshed handle is a plain basis of the grown problem again.
+    let again = grown.solve_warm(&mut basis).unwrap();
+    assert!(again.warm_started());
+    assert_eq!(again.iterations(), 0);
+}
+
+#[test]
+fn inconsistent_relabelling_clears_the_handle_and_solves_cold() {
+    let grown = grown_lp(5.0);
+    let cold = grown.solve().unwrap();
+    type Maps<'a> = (&'a [usize], &'a [usize], &'a [Option<usize>]);
+    let bad: [Maps; 8] = [
+        (&[0], &GROWN_ROWS, &GROWN_ENTER),               // too few columns
+        (&[0, 0], &GROWN_ROWS, &GROWN_ENTER),            // two columns to one
+        (&[0, 4], &GROWN_ROWS, &GROWN_ENTER),            // column out of range
+        (&GROWN_COLUMNS, &[1, 1], &GROWN_ENTER),         // two rows to one
+        (&GROWN_COLUMNS, &[1, 7], &GROWN_ENTER),         // row out of range
+        (&GROWN_COLUMNS, &GROWN_ROWS, &[None]),          // a new row without a basic column
+        (&GROWN_COLUMNS, &GROWN_ROWS, &[None, None]),    // slack of an equality row
+        (&GROWN_COLUMNS, &GROWN_ROWS, &[None, Some(2)]), // entering column is an old one
+    ];
+    for (columns, rows, enter) in bad {
+        let mut basis = Basis::new();
+        small_lp().solve_warm(&mut basis).unwrap();
+        assert!(!basis.relabel(&grown, columns, rows, enter), "{columns:?} {rows:?} {enter:?}");
+        assert!(!basis.is_warm(), "a rejected relabelling clears the handle");
+        let sol = grown.solve_warm(&mut basis).unwrap();
+        assert!(!sol.warm_started());
+        assert!(close(sol.objective(), cold.objective()));
+    }
+    // A cold handle has nothing to re-label.
+    assert!(!Basis::new().relabel(&grown, &GROWN_COLUMNS, &GROWN_ROWS, &GROWN_ENTER));
+    // A wrong but well-formed map (the old rows swapped) is a stale basis
+    // like any other: the restart verifies it and the answer stays exact.
+    let mut basis = Basis::new();
+    small_lp().solve_warm(&mut basis).unwrap();
+    basis.relabel(&grown, &GROWN_COLUMNS, &[2, 1], &GROWN_ENTER);
+    assert!(close(grown.solve_warm(&mut basis).unwrap().objective(), cold.objective()));
+}
+
+/// How a random feasible LP is grown: new columns (cost, coefficient in each
+/// row), new rows (coefficient on each column, `>=` or `<=`, slack at the old
+/// optimum), and how many of each are spliced in *before* the old ones.
+#[derive(Clone, Debug)]
+struct Growth {
+    cols: Vec<(i32, Vec<i32>)>,
+    rows: Vec<(Vec<i32>, bool, i32)>,
+    front_cols: usize,
+    front_rows: usize,
+}
+
+fn arb_growth() -> impl Strategy<Value = Growth> {
+    let cols =
+        proptest::collection::vec((-5i32..=5, proptest::collection::vec(-4i32..=4, 8)), 0..=3);
+    let rows = proptest::collection::vec(
+        (proptest::collection::vec(-4i32..=4, 7), any::<bool>(), 0i32..=5),
+        0..=3,
+    );
+    (cols, rows, 0usize..=3, 0usize..=3).prop_map(|(cols, rows, fc, fr)| Growth {
+        front_cols: fc.min(cols.len()),
+        front_rows: fr.min(rows.len()),
+        cols,
+        rows,
+    })
+}
+
+/// Builds the grown problem around `lp` (solved to `x`) and the maps that
+/// describe it. `price_out` makes every new column too expensive to enter.
+fn grow(
+    lp: &FeasibleLp,
+    x: &[f64],
+    g: &Growth,
+    price_out: bool,
+) -> (Problem, Vec<usize>, Vec<usize>, Vec<Option<usize>>) {
+    let (k, r) = (g.cols.len(), g.rows.len());
+    let old_m = lp.rows.len() + 1; // + the bounding box
+    let columns: Vec<usize> = (0..lp.n).map(|j| g.front_cols + j).collect();
+    let new_col = |i: usize| if i < g.front_cols { i } else { lp.n + i };
+    let rows: Vec<usize> = (0..old_m).map(|i| g.front_rows + i).collect();
+    let new_row = |i: usize| if i < g.front_rows { i } else { old_m + i };
+
+    let mut p = Problem::minimize(lp.n + k);
+    for (j, &cj) in lp.c.iter().enumerate() {
+        p.set_objective(columns[j], cj);
+    }
+    for (i, (cost, _)) in g.cols.iter().enumerate() {
+        p.set_objective(new_col(i), if price_out { 1e6 } else { *cost as f64 });
+    }
+    // Row bodies by grown row index, then added in order.
+    let mut body = vec![(Vec::<(usize, f64)>::new(), Relation::Le, 0.0); old_m + r];
+    for (i, (coeffs, rel, rhs)) in lp.rows.iter().enumerate() {
+        let mut row: Vec<(usize, f64)> =
+            coeffs.iter().enumerate().map(|(j, &v)| (columns[j], v)).collect();
+        row.extend(g.cols.iter().enumerate().map(|(c, (_, a))| (new_col(c), a[i] as f64)));
+        body[rows[i]] = (row, *rel, *rhs);
+    }
+    // The bounding box covers the new columns too, so the grown LP stays bounded.
+    body[rows[old_m - 1]] = ((0..lp.n + k).map(|j| (j, 1.0)).collect(), Relation::Le, 50.0);
+    for (i, (coeffs, is_ge, slack)) in g.rows.iter().enumerate() {
+        let at_x: f64 = (0..lp.n).map(|j| coeffs[j] as f64 * x[j]).sum();
+        let mut row: Vec<(usize, f64)> =
+            (0..lp.n).map(|j| (columns[j], coeffs[j] as f64)).collect();
+        row.extend((0..k).map(|c| (new_col(c), coeffs[lp.n + c] as f64)));
+        body[new_row(i)] = if *is_ge {
+            (row, Relation::Ge, at_x - *slack as f64)
+        } else {
+            (row, Relation::Le, at_x + *slack as f64)
+        };
+    }
+    for (row, rel, rhs) in &body {
+        p.add_row(*rel, *rhs, row);
+    }
+    (p, columns, rows, vec![None; r])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Column generation's invariant: a random feasible LP solved to
+    /// optimality, then grown by up to three columns and three inequality
+    /// rows the old optimum satisfies (spliced in before and after the old
+    /// ones), restarts from the re-labelled basis, reaches the optimum a
+    /// cold solve finds, and needs no pivot at all when the new columns
+    /// price out.
+    #[test]
+    fn relabelled_restart_agrees_with_cold_on_grown_problems(
+        (lp, _) in arb_feasible_pair(),
+        growth in arb_growth(),
+    ) {
+        let base = lp.to_problem();
+        let mut basis = Basis::new();
+        let first = base.solve_warm(&mut basis).expect("feasible by construction");
+        // A redundant equality keeps an artificial basic: nothing exported.
+        prop_assume!(basis.is_warm());
+        for price_out in [true, false] {
+            let (grown, columns, rows, enter) = grow(&lp, first.values(), &growth, price_out);
+            let mut handle = basis.clone();
+            prop_assert!(handle.relabel(&grown, &columns, &rows, &enter));
+            let warm = grown.solve_warm(&mut handle).expect("the old optimum is feasible");
+            let cold = grown.solve().expect("the old optimum is feasible");
+            prop_assert!(warm.warm_started());
+            prop_assert!(
+                (warm.objective() - cold.objective()).abs() <= 1e-7 * (1.0 + cold.objective().abs()),
+                "warm {} vs cold {}", warm.objective(), cold.objective()
+            );
+            if price_out {
+                prop_assert_eq!(warm.iterations(), 0);
+                prop_assert!(close(warm.objective(), first.objective()));
+            }
+        }
+    }
+}
