@@ -14,9 +14,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use lowlat_bench::{abilene, standard_tm};
+use lowlat_core::pathset::PathCache;
 use lowlat_netgraph::FailureMask;
 use lowlat_sim::timeline::{
-    simulate, simulate_with_events, Controller, TimelineConfig, TimelineEvent,
+    simulate, simulate_with_events_on, Controller, TimelineConfig, TimelineEvent,
 };
 
 fn controllers() -> Vec<Controller> {
@@ -36,6 +37,7 @@ fn bench_diurnal(c: &mut Criterion) {
         seed: 7,
         diurnal_amplitude: 0.3,
         diurnal_period: 20,
+        ..Default::default()
     };
     let mut group = c.benchmark_group("controller/abilene-20min-diurnal");
     group.sample_size(10);
@@ -61,6 +63,7 @@ fn bench_event_storm(c: &mut Criterion) {
         seed: 11,
         diurnal_amplitude: 0.3,
         diurnal_period: 12,
+        ..Default::default()
     };
     let mut burst = FailureMask::new();
     for &cable in topo.cables().iter().take(2) {
@@ -76,8 +79,8 @@ fn bench_event_storm(c: &mut Criterion) {
         let name = controller.name();
         group.bench_function(name, |b| {
             b.iter(|| {
-                simulate_with_events(black_box(&topo), &tm, &controller, &cfg, &events)
-                    .worst_queue_ms()
+                let cache = PathCache::new(black_box(&topo).graph());
+                simulate_with_events_on(&cache, &tm, &controller, &cfg, &events).worst_queue_ms()
             })
         });
     }

@@ -35,13 +35,11 @@
 //! `repair_ms` column and the trace's per-scenario span read the same
 //! measurement.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use lowlat_core::failure::{self, replace_under_failure, FailureScenario};
 use lowlat_core::pathset::PathCache;
 use lowlat_core::scale::ScaleToLoad;
 use lowlat_core::schemes::{registry, SolveContext};
-use lowlat_sim::runner::{flag_value, parse_flag, write_telemetry_sinks, Scale};
+use lowlat_sim::runner::{default_workers, par_map, write_telemetry_sinks, Args, Scale};
 use lowlat_sim::stats::Cdf;
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::{GravityTmGen, TmGenConfig};
@@ -120,110 +118,26 @@ struct Row {
 const FRONTIER_QUANTILES: [f64; 5] = [0.5, 0.9, 0.95, 0.99, 1.0];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut axes = vec!["single".to_string()];
-    let mut k = 2usize;
-    let mut count = 5usize;
-    let mut seed = 7u64;
-    let mut loads = vec![0.7f64];
-    let mut degrade = 0.5f64;
-    let mut corridor_km = 100.0f64;
-    let mut frontier = false;
-    let mut specs = vec!["LDR".to_string(), "LatOpt".to_string(), "SP".to_string()];
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scenarios" => {
-                axes = flag_value(&args, i, "--scenarios")
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| s.trim().to_string())
-                    .collect();
-                i += 1;
-            }
-            "--k" => {
-                k = parse_flag("--k", flag_value(&args, i, "--k"));
-                i += 1;
-            }
-            "--count" => {
-                count = parse_flag("--count", flag_value(&args, i, "--count"));
-                i += 1;
-            }
-            "--seed" => {
-                seed = parse_flag("--seed", flag_value(&args, i, "--seed"));
-                i += 1;
-            }
-            // `--load 0.7` is the single-point alias for `--loads`.
-            flag @ ("--load" | "--loads") => {
-                loads = flag_value(&args, i, flag)
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| parse_flag(flag, s.trim()))
-                    .collect();
-                if loads.is_empty() {
-                    eprintln!("error: {flag} expects at least one load");
-                    std::process::exit(2);
-                }
-                i += 1;
-            }
-            "--degrade" => {
-                degrade = parse_flag("--degrade", flag_value(&args, i, "--degrade"));
-                if !(0.0..1.0).contains(&degrade) || degrade == 0.0 {
-                    eprintln!("error: --degrade expects a factor in (0, 1), got {degrade}");
-                    std::process::exit(2);
-                }
-                i += 1;
-            }
-            "--corridor-km" => {
-                corridor_km = parse_flag("--corridor-km", flag_value(&args, i, "--corridor-km"));
-                i += 1;
-            }
-            "--frontier" => frontier = true,
-            "--schemes" => {
-                specs = flag_value(&args, i, "--schemes")
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| s.trim().to_string())
-                    .collect();
-                i += 1;
-            }
-            "--metrics-out" => {
-                metrics_out = Some(flag_value(&args, i, "--metrics-out").to_string());
-                i += 1;
-            }
-            "--trace-out" => {
-                trace_out = Some(flag_value(&args, i, "--trace-out").to_string());
-                i += 1;
-            }
-            _ => {} // --quick/--std/--full (or junk) handled by Scale::parse
-        }
-        i += 1;
-    }
-    // Scale::parse rejects unknown flags; strip the valueless --frontier
-    // and hand it the value flags so it skips their arguments.
-    let scale_args: Vec<String> = args.iter().filter(|a| *a != "--frontier").cloned().collect();
-    let scale = Scale::parse(
-        &scale_args,
-        &[
-            "--scenarios",
-            "--k",
-            "--count",
-            "--seed",
-            "--load",
-            "--loads",
-            "--degrade",
-            "--corridor-km",
-            "--schemes",
-            "--metrics-out",
-            "--trace-out",
-        ],
-    )
-    .unwrap_or_else(|message| {
-        eprintln!("error: {message}");
+    let mut args = Args::from_env();
+    let axes: Vec<String> = args.list("--scenarios").unwrap_or_else(|| vec!["single".to_string()]);
+    let k = args.value("--k").unwrap_or(2usize);
+    let count = args.value("--count").unwrap_or(5usize);
+    let seed = args.value("--seed").unwrap_or(7u64);
+    // `--load 0.7` is the single-point alias for `--loads`.
+    let loads: Vec<f64> = args.list("--loads").or(args.list("--load")).unwrap_or_else(|| vec![0.7]);
+    let degrade = args.value("--degrade").unwrap_or(0.5f64);
+    if !(degrade > 0.0 && degrade < 1.0) {
+        eprintln!("error: --degrade expects a factor in (0, 1), got {degrade}");
         std::process::exit(2);
-    });
+    }
+    let corridor_km = args.value("--corridor-km").unwrap_or(100.0f64);
+    let frontier = args.switch("--frontier");
+    let specs: Vec<String> = args
+        .list("--schemes")
+        .unwrap_or_else(|| ["LDR", "LatOpt", "SP"].map(String::from).to_vec());
+    let metrics_out: Option<String> = args.value("--metrics-out");
+    let trace_out: Option<String> = args.value("--trace-out");
+    let scale = args.finish();
     if metrics_out.is_some() || trace_out.is_some() {
         telemetry::set_enabled(true);
     }
@@ -268,85 +182,70 @@ fn main() {
 
     // (network, scheme, load) cells are independent and each iterates its
     // scenarios sequentially over ONE shared cache + LP context — the
-    // repair-not-rebuild, warm-not-cold recovery story. Work-steal cells
-    // off an atomic counter into pre-assigned slots (deterministic order).
+    // repair-not-rebuild, warm-not-cold recovery story. `par_map` keeps the
+    // cells in order whatever the worker count.
     let load_count = loads.len();
     let cells: Vec<(usize, usize, usize)> = (0..nets.len())
         .flat_map(|n| {
             (0..schemes.len()).flat_map(move |s| (0..load_count).map(move |li| (n, s, li)))
         })
         .collect();
-    let slots: std::sync::Mutex<Vec<Option<Vec<Row>>>> =
-        std::sync::Mutex::new((0..cells.len()).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(cells.len()) {
-            scope.spawn(|| loop {
-                let ci = next.fetch_add(1, Ordering::Relaxed);
-                if ci >= cells.len() {
-                    break;
-                }
-                let (n, s, li) = cells[ci];
-                let (net, tm, scheme) = (&nets[n], &tms[n][li], &schemes[s]);
-                let cache = PathCache::new(net.graph());
-                let mut ctx = SolveContext::new();
-                // Pre-failure baseline warms the cache and the LP bases.
-                scheme.place_with_context(&cache, tm, &mut ctx).unwrap_or_else(|e| {
-                    panic!("{} baseline on {}: {e}", scheme.name(), net.name())
-                });
-                let mut rows = Vec::with_capacity(scenario_sets[n].len());
-                for scenario in &scenario_sets[n] {
-                    let mask = scenario.mask(net);
-                    // Restore the intact view first: generators repaired for
-                    // the previous scenario go back to pure, so each row
-                    // measures repair against the warm pre-failure cache
-                    // (direct mask-to-mask transitions would re-mask a
-                    // monotonically growing pair set). Timed separately —
-                    // repair_ms covers the failure reaction itself.
-                    cache.clear_failure();
-                    let scenario_span = telemetry::timed_span("failure_sweep.scenario", "failure");
-                    let out = replace_under_failure(
-                        scheme.as_ref(),
-                        net,
-                        &cache,
-                        tm,
-                        &mask,
-                        &mut ctx,
-                        Some(&intact_delays[n]),
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!("{} under {} on {}: {e}", scheme.name(), scenario.name, net.name())
-                    });
-                    // One measurement feeds both the repair_ms column and
-                    // the trace's per-scenario span.
-                    let repair_ms = scenario_span.finish_ms();
-                    rows.push(Row {
-                        network: net.name().to_string(),
-                        pops: net.pop_count(),
-                        links: net.link_count(),
-                        scheme: scheme.name(),
-                        scenario: scenario.name.clone(),
-                        failed_elements: scenario.failed_elements(),
-                        kept_pairs: out.repair.kept_pairs,
-                        repaired_pairs: out.repair.repaired_pairs,
-                        paths_regrown: out.repair.paths_regrown,
-                        unroutable_fraction: out.impact.unroutable_fraction,
-                        latency_stretch: out.impact.latency_stretch,
-                        max_path_stretch: out.impact.max_path_stretch,
-                        max_overload: out.impact.max_overload,
-                        lp_solves: out.lp_solves,
-                        lp_warm_hits: out.lp_warm_hits,
-                        repair_ms,
-                        load: loads[li],
-                    });
-                }
-                slots.lock().expect("slots")[ci] = Some(rows);
+    let cell_rows: Vec<Vec<Row>> = par_map(&cells, default_workers(), |&(n, s, li)| {
+        let (net, tm, scheme) = (&nets[n], &tms[n][li], &schemes[s]);
+        let cache = PathCache::new(net.graph());
+        let mut ctx = SolveContext::new();
+        // Pre-failure baseline warms the cache and the LP bases.
+        scheme
+            .place_with_context(&cache, tm, &mut ctx)
+            .unwrap_or_else(|e| panic!("{} baseline on {}: {e}", scheme.name(), net.name()));
+        let mut rows = Vec::with_capacity(scenario_sets[n].len());
+        for scenario in &scenario_sets[n] {
+            let mask = scenario.mask(net);
+            // Restore the intact view first: generators repaired for the
+            // previous scenario go back to pure, so each row measures repair
+            // against the warm pre-failure cache (direct mask-to-mask
+            // transitions would re-mask a monotonically growing pair set).
+            // Timed separately — repair_ms covers the failure reaction
+            // itself.
+            cache.clear_failure();
+            let scenario_span = telemetry::timed_span("failure_sweep.scenario", "failure");
+            let out = replace_under_failure(
+                scheme.as_ref(),
+                net,
+                &cache,
+                tm,
+                &mask,
+                &mut ctx,
+                Some(&intact_delays[n]),
+            )
+            .unwrap_or_else(|e| {
+                panic!("{} under {} on {}: {e}", scheme.name(), scenario.name, net.name())
+            });
+            // One measurement feeds both the repair_ms column and the
+            // trace's per-scenario span.
+            let repair_ms = scenario_span.finish_ms();
+            rows.push(Row {
+                network: net.name().to_string(),
+                pops: net.pop_count(),
+                links: net.link_count(),
+                scheme: scheme.name(),
+                scenario: scenario.name.clone(),
+                failed_elements: scenario.failed_elements(),
+                kept_pairs: out.repair.kept_pairs,
+                repaired_pairs: out.repair.repaired_pairs,
+                paths_regrown: out.repair.paths_regrown,
+                unroutable_fraction: out.impact.unroutable_fraction,
+                latency_stretch: out.impact.latency_stretch,
+                max_path_stretch: out.impact.max_path_stretch,
+                max_overload: out.impact.max_overload,
+                lp_solves: out.lp_solves,
+                lp_warm_hits: out.lp_warm_hits,
+                repair_ms,
+                load: loads[li],
             });
         }
+        rows
     });
-    let cell_rows: Vec<Vec<Row>> =
-        slots.into_inner().expect("slots").into_iter().flatten().collect();
     if frontier {
         // Availability frontier: per (network, scheme, load) cell, the
         // scenario distribution collapsed to nearest-rank quantiles — one

@@ -9,37 +9,20 @@
 
 use lowlat_core::schemes::registry;
 use lowlat_sim::output::print_records_tsv;
-use lowlat_sim::runner::{flag_value, parse_flag, run_grid, RunGrid, Scale};
+use lowlat_sim::runner::{run_grid, Args, RunGrid};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut load = 0.7f64;
-    let mut locality = 1.0f64;
-    let mut schemes = registry::schemes(registry::DEFAULT_SPECS);
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--load" => {
-                load = parse_flag("--load", flag_value(&args, i, "--load"));
-                i += 1;
-            }
-            "--locality" => {
-                locality = parse_flag("--locality", flag_value(&args, i, "--locality"));
-                i += 1;
-            }
-            "--schemes" => {
-                schemes =
-                    registry::parse_csv(flag_value(&args, i, "--schemes")).unwrap_or_else(|e| {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    });
-                i += 1;
-            }
-            _ => {} // --quick/--std/--full (or junk) handled by Scale::parse
-        }
-        i += 1;
-    }
-    let scale = Scale::from_args_filtered(&["--load", "--locality", "--schemes"]);
+    let mut args = Args::from_env();
+    let load = args.value("--load").unwrap_or(0.7f64);
+    let locality = args.value("--locality").unwrap_or(1.0f64);
+    let schemes = match args.value::<String>("--schemes") {
+        Some(csv) => registry::parse_csv(&csv).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }),
+        None => registry::schemes(registry::DEFAULT_SPECS),
+    };
+    let scale = args.finish();
     let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
     let grid = RunGrid { load, locality, tms_per_network: scale.tms_per_network(), schemes };
     eprintln!(

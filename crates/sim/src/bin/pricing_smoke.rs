@@ -22,59 +22,26 @@ use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
 use lowlat_core::schemes::registry;
 use lowlat_netgraph::hierarchy::HierarchyConfig;
 use lowlat_netgraph::NodeId;
-use lowlat_sim::runner::{flag_value, parse_flag};
+use lowlat_sim::runner::Args;
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::{Aggregate, TrafficMatrix};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut nodes = 10_000usize;
-    let mut seed = 42u64;
-    let mut pairs = 48usize;
-    let mut overload = 3.0f64;
-    let mut schemes = "LatOpt,LDR".to_string();
-    let mut hier = HierarchyConfig::default();
-    let mut landmarks = 32usize;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => {
-                nodes = parse_flag("--nodes", flag_value(&args, i, "--nodes"));
-                i += 1;
-            }
-            "--seed" => {
-                seed = parse_flag("--seed", flag_value(&args, i, "--seed"));
-                i += 1;
-            }
-            "--pairs" => {
-                pairs = parse_flag("--pairs", flag_value(&args, i, "--pairs"));
-                i += 1;
-            }
-            "--overload" => {
-                overload = parse_flag("--overload", flag_value(&args, i, "--overload"));
-                i += 1;
-            }
-            "--schemes" => {
-                schemes = flag_value(&args, i, "--schemes").to_string();
-                i += 1;
-            }
-            "--leaf" => {
-                hier.max_leaf = parse_flag("--leaf", flag_value(&args, i, "--leaf"));
-                i += 1;
-            }
-            "--landmarks" => {
-                landmarks = parse_flag("--landmarks", flag_value(&args, i, "--landmarks"));
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown flag '{other}' (see the module docs for usage)");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let mut args = Args::from_env();
+    let nodes = args.value("--nodes").unwrap_or(10_000usize);
+    let seed = args.value("--seed").unwrap_or(42u64);
+    let pairs = args.value("--pairs").unwrap_or(48usize);
+    let overload = args.value("--overload").unwrap_or(3.0f64);
+    let schemes: Vec<String> =
+        args.list("--schemes").unwrap_or_else(|| ["LatOpt", "LDR"].map(String::from).to_vec());
+    let hier = HierarchyConfig {
+        max_leaf: args.value("--leaf").unwrap_or(HierarchyConfig::default().max_leaf),
+        ..Default::default()
+    };
+    let landmarks = args.value("--landmarks").unwrap_or(32usize);
+    // No scale axis here: the scale flags pass, everything else exits 2.
+    args.finish();
     telemetry::set_enabled(true);
 
     let ingested =
@@ -127,7 +94,7 @@ fn main() {
         "scheme\tplace_ms\tobjective_ms\tcolumns_grown\tpricing_skips\tcached_pairs\tcross\tfallback"
     );
     let mut failures = 0usize;
-    for spec in schemes.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+    for spec in &schemes {
         let scheme = match registry::build(spec) {
             Ok(s) => s,
             Err(e) => {

@@ -14,50 +14,20 @@
 
 use lowlat_core::schemes::registry;
 use lowlat_sim::output::{print_records_header, print_records_rows};
-use lowlat_sim::runner::{flag_value, parse_flag, run_scenarios, Scale};
-
-fn parse_f64_list(flag: &str, spec: &str) -> Vec<f64> {
-    let values: Vec<f64> = spec
-        .split(',')
-        .filter(|s| !s.trim().is_empty())
-        .map(|s| parse_flag(flag, s.trim()))
-        .collect();
-    if values.is_empty() {
-        eprintln!("error: {flag} expects at least one value");
-        std::process::exit(2);
-    }
-    values
-}
+use lowlat_sim::runner::{run_scenarios, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut loads = vec![0.7f64];
-    let mut localities = vec![1.0f64];
-    let mut schemes = registry::schemes(registry::DEFAULT_SPECS);
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--loads" => {
-                loads = parse_f64_list("--loads", flag_value(&args, i, "--loads"));
-                i += 1;
-            }
-            "--localities" => {
-                localities = parse_f64_list("--localities", flag_value(&args, i, "--localities"));
-                i += 1;
-            }
-            "--schemes" => {
-                schemes =
-                    registry::parse_csv(flag_value(&args, i, "--schemes")).unwrap_or_else(|e| {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    });
-                i += 1;
-            }
-            _ => {} // --quick/--std/--full (or junk) handled by Scale::parse
-        }
-        i += 1;
-    }
-    let scale = Scale::from_args_filtered(&["--loads", "--localities", "--schemes"]);
+    let mut args = Args::from_env();
+    let loads: Vec<f64> = args.list("--loads").unwrap_or_else(|| vec![0.7]);
+    let localities: Vec<f64> = args.list("--localities").unwrap_or_else(|| vec![1.0]);
+    let schemes = match args.value::<String>("--schemes") {
+        Some(csv) => registry::parse_csv(&csv).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }),
+        None => registry::schemes(registry::DEFAULT_SPECS),
+    };
+    let scale = args.finish();
     let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
     eprintln!(
         "scenario space: {} loads x {} localities over {} networks, {} matrices, {} schemes ({})",

@@ -29,10 +29,8 @@
 //! (load in Perfetto / `chrome://tracing`) when the sweep finishes. The
 //! TSV columns are unchanged either way.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use lowlat_core::scale::ScaleToLoad;
-use lowlat_sim::runner::{flag_value, parse_flag, write_telemetry_sinks, Scale};
+use lowlat_sim::runner::{default_workers, par_map, write_telemetry_sinks, Args, Scale};
 use lowlat_sim::timeline::{self, simulate, Controller, TimelineConfig};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::{GravityTmGen, TmGenConfig};
@@ -41,7 +39,7 @@ use lowlat_topology::Topology;
 
 /// Resolves `--networks` names against the named corpus plus the synthetic
 /// zoo (case-insensitive); exits with the available names on a miss.
-fn select_named(names: &str) -> Vec<Topology> {
+fn select_named(names: &[String]) -> Vec<Topology> {
     let pool: Vec<Topology> = [
         named::abilene(),
         named::gts_like(),
@@ -54,10 +52,8 @@ fn select_named(names: &str) -> Vec<Topology> {
     .chain(zoo::synthetic_zoo())
     .collect();
     names
-        .split(',')
-        .filter(|s| !s.trim().is_empty())
+        .iter()
         .map(|want| {
-            let want = want.trim();
             pool.iter().find(|t| t.name().eq_ignore_ascii_case(want)).cloned().unwrap_or_else(
                 || {
                     eprintln!(
@@ -72,80 +68,20 @@ fn select_named(names: &str) -> Vec<Topology> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut minutes: Option<usize> = None;
-    let mut warmup: Option<usize> = None;
-    let mut cv = timeline::DEFAULT_CV;
-    let mut seed = timeline::DEFAULT_SEED;
-    let mut diurnal = 0.0f64;
-    let mut period = 1440usize;
-    let mut networks: Option<String> = None;
-    let mut specs = vec!["LDR".to_string(), "SP".to_string(), "static:SP".to_string()];
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--minutes" => {
-                minutes = Some(parse_flag("--minutes", flag_value(&args, i, "--minutes")));
-                i += 1;
-            }
-            "--warmup" => {
-                warmup = Some(parse_flag("--warmup", flag_value(&args, i, "--warmup")));
-                i += 1;
-            }
-            "--cv" => {
-                cv = parse_flag("--cv", flag_value(&args, i, "--cv"));
-                i += 1;
-            }
-            "--seed" => {
-                seed = parse_flag("--seed", flag_value(&args, i, "--seed"));
-                i += 1;
-            }
-            "--diurnal" => {
-                diurnal = parse_flag("--diurnal", flag_value(&args, i, "--diurnal"));
-                i += 1;
-            }
-            "--period" => {
-                period = parse_flag("--period", flag_value(&args, i, "--period"));
-                i += 1;
-            }
-            "--networks" => {
-                networks = Some(flag_value(&args, i, "--networks").to_string());
-                i += 1;
-            }
-            "--schemes" => {
-                specs = flag_value(&args, i, "--schemes")
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| s.trim().to_string())
-                    .collect();
-                i += 1;
-            }
-            "--metrics-out" => {
-                metrics_out = Some(flag_value(&args, i, "--metrics-out").to_string());
-                i += 1;
-            }
-            "--trace-out" => {
-                trace_out = Some(flag_value(&args, i, "--trace-out").to_string());
-                i += 1;
-            }
-            _ => {} // --quick/--std/--full (or junk) handled by Scale::parse
-        }
-        i += 1;
-    }
-    let scale = Scale::from_args_filtered(&[
-        "--minutes",
-        "--warmup",
-        "--cv",
-        "--seed",
-        "--diurnal",
-        "--period",
-        "--networks",
-        "--schemes",
-        "--metrics-out",
-        "--trace-out",
-    ]);
+    let mut args = Args::from_env();
+    let minutes: Option<usize> = args.value("--minutes");
+    let warmup: Option<usize> = args.value("--warmup");
+    let cv = args.value("--cv").unwrap_or(timeline::DEFAULT_CV);
+    let seed = args.value("--seed").unwrap_or(timeline::DEFAULT_SEED);
+    let diurnal = args.value("--diurnal").unwrap_or(0.0f64);
+    let period = args.value("--period").unwrap_or(1440usize);
+    let networks: Option<Vec<String>> = args.list("--networks");
+    let specs: Vec<String> = args
+        .list("--schemes")
+        .unwrap_or_else(|| ["LDR", "SP", "static:SP"].map(String::from).to_vec());
+    let metrics_out: Option<String> = args.value("--metrics-out");
+    let trace_out: Option<String> = args.value("--trace-out");
+    let scale = args.finish();
     if metrics_out.is_some() || trace_out.is_some() {
         telemetry::set_enabled(true);
     }
@@ -174,6 +110,7 @@ fn main() {
         seed,
         diurnal_amplitude: diurnal,
         diurnal_period: period,
+        ..Default::default()
     };
 
     let nets = match &networks {
@@ -190,8 +127,6 @@ fn main() {
         config.warmup_minutes,
     );
 
-    // (network, controller) cells are independent: work-steal them off an
-    // atomic counter into pre-assigned slots (deterministic output order).
     struct Row {
         network: String,
         pops: usize,
@@ -212,37 +147,23 @@ fn main() {
         .collect();
     let cells: Vec<(usize, usize)> =
         (0..nets.len()).flat_map(|n| (0..controllers.len()).map(move |c| (n, c))).collect();
-    // Pre-assigned result slots keep the output order deterministic
-    // whatever the worker count (the engine's idiom).
-    let slots: std::sync::Mutex<Vec<Option<Row>>> =
-        std::sync::Mutex::new((0..cells.len()).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(cells.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let (n, c) = cells[i];
-                let out = simulate(&nets[n], &tms[n], &controllers[c], &config);
-                let row = Row {
-                    network: nets[n].name().to_string(),
-                    pops: nets[n].pop_count(),
-                    links: nets[n].link_count(),
-                    controller: controllers[c].name(),
-                    worst_queue_ms: out.worst_queue_ms(),
-                    queue_minutes: out.minutes_with_queue_above(1.0),
-                    mean_stretch: out.mean_stretch(),
-                    lp_solves: out.lp_solves,
-                    lp_warm_hits: out.lp_warm_hits,
-                    decision_ms_med: out.median_decision_ms(),
-                    paths_changed: out.total_paths_changed(),
-                    moved_volume_frac: out.mean_moved_volume_fraction(),
-                };
-                slots.lock().expect("slots")[i] = Some(row);
-            });
+    // (network, controller) cells are independent; `par_map` keeps the
+    // rows in cell order whatever the worker count.
+    let rows = par_map(&cells, default_workers(), |&(n, c)| {
+        let out = simulate(&nets[n], &tms[n], &controllers[c], &config);
+        Row {
+            network: nets[n].name().to_string(),
+            pops: nets[n].pop_count(),
+            links: nets[n].link_count(),
+            controller: controllers[c].name(),
+            worst_queue_ms: out.worst_queue_ms(),
+            queue_minutes: out.minutes_with_queue_above(1.0),
+            mean_stretch: out.mean_stretch(),
+            lp_solves: out.lp_solves,
+            lp_warm_hits: out.lp_warm_hits,
+            decision_ms_med: out.median_decision_ms(),
+            paths_changed: out.total_paths_changed(),
+            moved_volume_frac: out.mean_moved_volume_fraction(),
         }
     });
     println!(
@@ -250,7 +171,7 @@ fn main() {
          mean_stretch\tlp_solves\tlp_warm_hits\tdecision_ms_med\tpaths_changed\t\
          moved_volume_frac"
     );
-    for row in slots.into_inner().expect("slots").into_iter().flatten() {
+    for row in rows {
         println!(
             "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.3}\t{}\t{:.4}\t{}\t{}\t{:.3}\t{}\t{:.4}",
             row.network,

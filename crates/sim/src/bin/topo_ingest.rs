@@ -30,13 +30,11 @@
 //! times become trace spans, and the sinks are written at exit.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
 use lowlat_netgraph::hierarchy::HierarchyConfig;
 use lowlat_netgraph::{shortest_path_tree, NodeId};
-use lowlat_sim::runner::{flag_value, parse_flag, write_telemetry_sinks};
+use lowlat_sim::runner::{default_workers, par_map, write_telemetry_sinks, Args};
 use lowlat_telemetry as telemetry;
 use lowlat_topology::ingest::{self, EdgeListConfig, IngestedGraph};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
@@ -104,118 +102,38 @@ fn read_or_die(path: &str) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut edge_list: Option<String> = None;
-    let mut graphml: Option<String> = None;
-    let mut models: Vec<SynthModel> = Vec::new();
-    let mut nodes = 1000usize;
-    let mut tests = 100usize;
-    let mut seeds = vec![42u64];
-    let mut k = 3usize;
-    let mut hier = HierarchyConfig::default();
-    let mut landmarks = 32usize;
-    let mut emit: Option<String> = None;
-    let mut output: Option<String> = None;
-    let mut summary_output: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--edge-list" => {
-                edge_list = Some(flag_value(&args, i, "--edge-list").to_string());
-                i += 1;
-            }
-            "--graphml" => {
-                graphml = Some(flag_value(&args, i, "--graphml").to_string());
-                i += 1;
-            }
-            "--synthetic" => {
-                for spec in flag_value(&args, i, "--synthetic").split(',') {
-                    let spec = spec.trim();
-                    if spec.is_empty() {
-                        continue;
-                    }
-                    match SynthModel::parse(spec) {
-                        Some(m) => models.push(m),
-                        None => {
-                            eprintln!(
-                                "error: unknown synthetic model '{spec}' (ba, ws, grid, random)"
-                            );
-                            std::process::exit(2);
-                        }
-                    }
-                }
-                i += 1;
-            }
-            "--nodes" => {
-                nodes = parse_flag("--nodes", flag_value(&args, i, "--nodes"));
-                i += 1;
-            }
-            "--tests" => {
-                tests = parse_flag("--tests", flag_value(&args, i, "--tests"));
-                i += 1;
-            }
-            "--seeds" => {
-                seeds = flag_value(&args, i, "--seeds")
-                    .split(',')
-                    .filter(|s| !s.trim().is_empty())
-                    .map(|s| parse_flag("--seeds", s.trim()))
-                    .collect();
-                if seeds.is_empty() {
-                    eprintln!("error: --seeds expects at least one seed");
-                    std::process::exit(2);
-                }
-                i += 1;
-            }
-            "--k" => {
-                k = parse_flag::<usize>("--k", flag_value(&args, i, "--k")).max(1);
-                i += 1;
-            }
-            "--depth" => {
-                hier.max_depth = parse_flag("--depth", flag_value(&args, i, "--depth"));
-                i += 1;
-            }
-            "--leaf" => {
-                hier.max_leaf = parse_flag("--leaf", flag_value(&args, i, "--leaf"));
-                i += 1;
-            }
-            "--branching" => {
-                hier.branching = parse_flag("--branching", flag_value(&args, i, "--branching"));
-                i += 1;
-            }
-            "--landmarks" => {
-                landmarks = parse_flag("--landmarks", flag_value(&args, i, "--landmarks"));
-                i += 1;
-            }
-            "--emit-edge-list" => {
-                emit = Some(flag_value(&args, i, "--emit-edge-list").to_string());
-                i += 1;
-            }
-            "--output" => {
-                output = Some(flag_value(&args, i, "--output").to_string());
-                i += 1;
-            }
-            "--summary-output" => {
-                summary_output = Some(flag_value(&args, i, "--summary-output").to_string());
-                i += 1;
-            }
-            "--metrics-out" => {
-                metrics_out = Some(flag_value(&args, i, "--metrics-out").to_string());
-                i += 1;
-            }
-            "--trace-out" => {
-                trace_out = Some(flag_value(&args, i, "--trace-out").to_string());
-                i += 1;
-            }
-            other => {
-                eprintln!("error: unknown flag '{other}' (see the module docs for usage)");
+    let mut args = Args::from_env();
+    let edge_list: Option<String> = args.value("--edge-list");
+    let graphml: Option<String> = args.value("--graphml");
+    let mut models: Vec<SynthModel> = args
+        .list::<String>("--synthetic")
+        .unwrap_or_default()
+        .iter()
+        .map(|spec| {
+            SynthModel::parse(spec).unwrap_or_else(|| {
+                eprintln!("error: unknown synthetic model '{spec}' (ba, ws, grid, random)");
                 std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+            })
+        })
+        .collect();
+    let nodes = args.value("--nodes").unwrap_or(1000usize);
+    let tests = args.value("--tests").unwrap_or(100usize);
+    let seeds: Vec<u64> = args.list("--seeds").unwrap_or_else(|| vec![42]);
+    let k = args.value("--k").unwrap_or(3usize).max(1);
+    let defaults = HierarchyConfig::default();
+    let hier = HierarchyConfig {
+        max_depth: args.value("--depth").unwrap_or(defaults.max_depth),
+        max_leaf: args.value("--leaf").unwrap_or(defaults.max_leaf),
+        branching: args.value("--branching").unwrap_or(defaults.branching),
+    };
+    let landmarks = args.value("--landmarks").unwrap_or(32usize);
+    let emit: Option<String> = args.value("--emit-edge-list");
+    let output: Option<String> = args.value("--output");
+    let summary_output: Option<String> = args.value("--summary-output");
+    let metrics_out: Option<String> = args.value("--metrics-out");
+    let trace_out: Option<String> = args.value("--trace-out");
+    // No scale axis here: the scale flags pass, everything else exits 2.
+    args.finish();
     if metrics_out.is_some() || trace_out.is_some() {
         telemetry::set_enabled(true);
     }
@@ -291,89 +209,74 @@ fn main() {
         landmarks,
     );
 
-    // (source, seed) cells are independent; work-steal them into
-    // pre-assigned slots so output order never depends on worker count.
+    // (source, seed) cells are independent; `par_map` keeps them in order
+    // so the output never depends on the worker count.
     let cells: Vec<(usize, u64)> = sources
         .iter()
         .enumerate()
         .flat_map(|(si, _)| seeds.iter().map(move |&s| (si, s)))
         .collect();
-    let slots: Mutex<Vec<Option<CellResult>>> =
-        Mutex::new((0..cells.len()).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(cells.len()) {
-            scope.spawn(|| loop {
-                let ci = next.fetch_add(1, Ordering::Relaxed);
-                if ci >= cells.len() {
-                    break;
-                }
-                let (si, seed) = cells[ci];
-                let (label, source) = &sources[si];
-                // Synthetic graphs are per-seed draws; files are shared.
-                let own;
-                let graph_ref = match source {
-                    Source::File(gi) => &ingested[*gi],
-                    Source::Model(m) => {
-                        own = generate(*m, &SynthConfig { nodes, seed, ..Default::default() });
-                        &own
-                    }
-                };
-                let g = graph_ref.graph();
-                let build_span = telemetry::timed_span("ingest.build_engine", "ingest");
-                let engine = PartitionedPathEngine::build(g, &engine_cfg);
-                let build_ms = build_span.finish_ms();
+    let results: Vec<CellResult> = par_map(&cells, default_workers(), |&(si, seed)| {
+        let (label, source) = &sources[si];
+        // Synthetic graphs are per-seed draws; files are shared.
+        let own;
+        let graph_ref = match source {
+            Source::File(gi) => &ingested[*gi],
+            Source::Model(m) => {
+                own = generate(*m, &SynthConfig { nodes, seed, ..Default::default() });
+                &own
+            }
+        };
+        let g = graph_ref.graph();
+        let build_span = telemetry::timed_span("ingest.build_engine", "ingest");
+        let engine = PartitionedPathEngine::build(g, &engine_cfg);
+        let build_ms = build_span.finish_ms();
 
-                let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let n = g.node_count() as u32;
-                let mut ok = 0usize;
-                let mut hops = 0usize;
-                let mut stretch_sum = 0.0f64;
-                let batch_span = telemetry::timed_span("ingest.query_batch", "ingest");
-                for _ in 0..tests {
-                    let src = NodeId(rng.gen_range(0..n));
-                    let dst = loop {
-                        let d = NodeId(rng.gen_range(0..n));
-                        if d != src {
-                            break d;
-                        }
-                    };
-                    let paths = engine.paths(src, dst, k);
-                    if let Some(best) = paths.first() {
-                        ok += 1;
-                        hops += best.hop_count();
-                        let flat = shortest_path_tree(g, src, None, None).dist_ms(dst);
-                        stretch_sum += best.delay_ms() / flat;
-                    }
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let n = g.node_count() as u32;
+        let mut ok = 0usize;
+        let mut hops = 0usize;
+        let mut stretch_sum = 0.0f64;
+        let batch_span = telemetry::timed_span("ingest.query_batch", "ingest");
+        for _ in 0..tests {
+            let src = NodeId(rng.gen_range(0..n));
+            let dst = loop {
+                let d = NodeId(rng.gen_range(0..n));
+                if d != src {
+                    break d;
                 }
-                let batch_ms = batch_span.finish_ms();
-                let query_us_mean = if tests > 0 { batch_ms * 1e3 / tests as f64 } else { 0.0 };
-                let (cross, fallback) = {
-                    let (_, c, f) = engine.stats().snapshot();
-                    (c, f)
-                };
-                slots.lock().expect("slots")[ci] = Some(CellResult {
-                    label: label.clone(),
-                    seed,
-                    nodes: g.node_count(),
-                    cables: graph_ref.cable_count(),
-                    tests,
-                    success_rate: if tests > 0 { ok as f64 / tests as f64 } else { 0.0 },
-                    avg_hops: if ok > 0 { hops as f64 / ok as f64 } else { 0.0 },
-                    stretch: if ok > 0 { stretch_sum / ok as f64 } else { 0.0 },
-                    cross_fraction: if tests > 0 { cross as f64 / tests as f64 } else { 0.0 },
-                    fallback_fraction: if tests > 0 { fallback as f64 / tests as f64 } else { 0.0 },
-                    leaves: engine.leaf_ids().len(),
-                    landmarks: engine.landmark_count(),
-                    build_ms,
-                    query_us_mean,
-                });
-            });
+            };
+            let paths = engine.paths(src, dst, k);
+            if let Some(best) = paths.first() {
+                ok += 1;
+                hops += best.hop_count();
+                let flat = shortest_path_tree(g, src, None, None).dist_ms(dst);
+                stretch_sum += best.delay_ms() / flat;
+            }
+        }
+        let batch_ms = batch_span.finish_ms();
+        let query_us_mean = if tests > 0 { batch_ms * 1e3 / tests as f64 } else { 0.0 };
+        let (cross, fallback) = {
+            let (_, c, f) = engine.stats().snapshot();
+            (c, f)
+        };
+        CellResult {
+            label: label.clone(),
+            seed,
+            nodes: g.node_count(),
+            cables: graph_ref.cable_count(),
+            tests,
+            success_rate: if tests > 0 { ok as f64 / tests as f64 } else { 0.0 },
+            avg_hops: if ok > 0 { hops as f64 / ok as f64 } else { 0.0 },
+            stretch: if ok > 0 { stretch_sum / ok as f64 } else { 0.0 },
+            cross_fraction: if tests > 0 { cross as f64 / tests as f64 } else { 0.0 },
+            fallback_fraction: if tests > 0 { fallback as f64 / tests as f64 } else { 0.0 },
+            leaves: engine.leaf_ids().len(),
+            landmarks: engine.landmark_count(),
+            build_ms,
+            query_us_mean,
         }
     });
-    let results: Vec<CellResult> =
-        slots.into_inner().expect("slots").into_iter().flatten().collect();
 
     // Cross-seed summary in the Snippet-1 line format.
     let mut summary_lines: Vec<String> = Vec::new();

@@ -5,7 +5,8 @@
 //! idle. This engine flattens the grid into individual work items — first
 //! `(network, matrix)` generation/scaling items, then
 //! `(network, matrix, scheme)` placement items — that workers steal off a
-//! shared atomic counter. All of a network's items share one lock-striped
+//! shared atomic counter ([`par_map`], the one fan-out every sweep binary
+//! uses too). All of a network's items share one lock-striped
 //! [`PathCache`], so the k-shortest-path work the min-cut scaling solve does
 //! is reused by every scheme, and schemes running concurrently on the same
 //! graph do not contend (§5's "readily cached" observation).
@@ -15,8 +16,9 @@
 //! records themselves — are identical whatever the worker count.
 
 use std::fmt;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use lowlat_core::eval::PlacementEval;
@@ -41,57 +43,10 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses process arguments (`--quick`, `--std`, `--full`).
+    /// Parses process arguments (`--quick`, `--std`, `--full`); anything
+    /// else exits 2 (see [`Args::finish`]).
     pub fn from_args() -> Scale {
-        Scale::from_args_filtered(&[])
-    }
-
-    /// As [`Scale::from_args`], but treats each flag in `value_flags` (and
-    /// the argument following it) as belonging to the caller. Unknown
-    /// arguments terminate the process with exit code 2 — a typoed flag
-    /// must not silently run a multi-hour sweep at the wrong settings.
-    pub fn from_args_filtered(value_flags: &[&str]) -> Scale {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match Scale::parse(&args, value_flags) {
-            Ok(scale) => scale,
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses `--quick`/`--std`/`--full` out of `args`. Each flag in
-    /// `value_flags` is skipped together with the value following it;
-    /// anything else is an error.
-    pub fn parse(args: &[String], value_flags: &[&str]) -> Result<Scale, String> {
-        let mut scale = Scale::Std;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => scale = Scale::Quick,
-                "--std" => scale = Scale::Std,
-                "--full" => scale = Scale::Full,
-                other if value_flags.contains(&other) => {
-                    i += 1; // skip the flag's value
-                    if i >= args.len() {
-                        return Err(format!("flag {other} expects a value"));
-                    }
-                }
-                other => {
-                    return Err(format!(
-                        "unknown argument {other} (expected --quick/--std/--full{})",
-                        if value_flags.is_empty() {
-                            String::new()
-                        } else {
-                            format!(" or one of {}", value_flags.join("/"))
-                        }
-                    ));
-                }
-            }
-            i += 1;
-        }
-        Ok(scale)
+        Args::from_env().finish()
     }
 
     /// Subsets the corpus for this scale.
@@ -117,21 +72,116 @@ impl Scale {
     }
 }
 
-/// The value following flag `args[i]`, or exit 2 — shared by the sweep
-/// binaries' hand-rolled argument loops.
-pub fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
-    args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("error: flag {flag} expects a value");
+/// A binary's command line, consumed as the binary names its flags: every
+/// [`Args::value`] / [`Args::list`] / [`Args::switch`] call takes its flag
+/// out, and [`Args::finish`] reads the scale flags and rejects whatever is
+/// left. Each flag is therefore named once, where it is read, and a typoed
+/// one exits 2 instead of silently running a multi-hour sweep at the wrong
+/// settings. A flag given twice keeps its last value.
+pub struct Args {
+    rest: Vec<String>,
+    /// Every flag asked for so far — what the leftover message offers.
+    known: Vec<&'static str>,
+}
+
+/// Unwraps a parse result, or reports the message and exits 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|message| {
+        eprintln!("error: {message}");
         std::process::exit(2);
     })
 }
 
-/// Parses a flag's value, or exit 2 with the offending text.
-pub fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag} got unparsable value '{value}'");
-        std::process::exit(2);
-    })
+impl Args {
+    /// The process arguments.
+    pub fn from_env() -> Args {
+        Args::new(std::env::args().skip(1))
+    }
+
+    /// An explicit argument list (what the tests drive).
+    fn new(args: impl IntoIterator<Item = String>) -> Args {
+        Args { rest: args.into_iter().collect(), known: Vec::new() }
+    }
+
+    /// [`Args::value`] with its exit-2 paths as `Err`.
+    fn try_value<T: FromStr>(&mut self, flag: &'static str) -> Result<Option<T>, String> {
+        self.known.push(flag);
+        let mut found = None;
+        while let Some(i) = self.rest.iter().position(|a| a == flag) {
+            if i + 1 == self.rest.len() {
+                return Err(format!("flag {flag} expects a value"));
+            }
+            let value = self.rest.remove(i + 1);
+            self.rest.remove(i);
+            let parsed =
+                value.parse().map_err(|_| format!("{flag} got unparsable value '{value}'"))?;
+            found = Some(parsed);
+        }
+        Ok(found)
+    }
+
+    /// Takes `flag` and the argument after it — whatever that looks like —
+    /// out of the line and parses the latter; `None` when the flag is
+    /// absent, exit 2 when its value is missing or does not parse.
+    pub fn value<T: FromStr>(&mut self, flag: &'static str) -> Option<T> {
+        or_exit(self.try_value(flag))
+    }
+
+    /// A comma-separated value flag (`--schemes LDR, SP`): items trimmed,
+    /// empty ones dropped, each parsed. Exits 2 on an unparsable item or a
+    /// list with nothing in it.
+    pub fn list<T: FromStr>(&mut self, flag: &'static str) -> Option<Vec<T>> {
+        or_exit(self.try_list(flag))
+    }
+
+    fn try_list<T: FromStr>(&mut self, flag: &'static str) -> Result<Option<Vec<T>>, String> {
+        let Some(spec) = self.try_value::<String>(flag)? else { return Ok(None) };
+        let items = spec
+            .split(',')
+            .map(str::trim)
+            .filter(|item| !item.is_empty())
+            .map(|item| item.parse().map_err(|_| format!("{flag} got unparsable value '{item}'")))
+            .collect::<Result<Vec<T>, String>>()?;
+        if items.is_empty() {
+            return Err(format!("{flag} expects at least one value"));
+        }
+        Ok(Some(items))
+    }
+
+    /// Takes a valueless flag out of the line; true when it was there.
+    pub fn switch(&mut self, flag: &'static str) -> bool {
+        self.known.push(flag);
+        let before = self.rest.len();
+        self.rest.retain(|a| a != flag);
+        self.rest.len() < before
+    }
+
+    /// [`Args::finish`] with its exit-2 path as `Err`.
+    fn try_finish(self) -> Result<Scale, String> {
+        let mut scale = Scale::Std;
+        for arg in &self.rest {
+            scale = match arg.as_str() {
+                "--quick" => Scale::Quick,
+                "--std" => Scale::Std,
+                "--full" => Scale::Full,
+                other => {
+                    let mut expected = String::from("--quick/--std/--full");
+                    if !self.known.is_empty() {
+                        expected += &format!(" or one of {}", self.known.join("/"));
+                    }
+                    return Err(format!("unknown argument {other} (expected {expected})"));
+                }
+            };
+        }
+        Ok(scale)
+    }
+
+    /// Reads `--quick`/`--std`/`--full` (the last one wins, `--std` when
+    /// none is given) out of what is left; anything else exits 2 naming the
+    /// argument and the flags this binary asked for.
+    pub fn finish(self) -> Scale {
+        or_exit(self.try_finish())
+    }
 }
 
 /// Writes the telemetry sinks a sweep binary's `--metrics-out` /
@@ -245,6 +295,45 @@ pub fn default_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
+/// Maps `f` over `items` on up to `workers` threads (at least one, at most
+/// one per item): workers steal indices off one atomic counter and every
+/// result lands in its item's slot, so the output is in input order
+/// whatever the worker count or scheduling.
+///
+/// # Panics
+/// Re-raises a worker's panic.
+pub fn par_map<I: Sync, T: Send>(
+    items: &[I],
+    workers: usize,
+    f: impl Fn(&I) -> T + Sync,
+) -> Vec<T> {
+    // Relaxed: the counter publishes nothing but the index itself; results
+    // travel through the join.
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, items.len().max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break done };
+                        done.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots.into_iter().map(|slot| slot.expect("every index is claimed exactly once")).collect()
+}
+
 /// Computes LLPD for many networks in parallel. Returns values aligned with
 /// the input order.
 pub fn llpd_map(networks: &[Topology], config: &LlpdConfig) -> Vec<f64> {
@@ -257,21 +346,7 @@ pub fn llpd_map_with_workers(
     config: &LlpdConfig,
     workers: usize,
 ) -> Vec<f64> {
-    let results: Vec<Mutex<f64>> = networks.iter().map(|_| Mutex::new(0.0)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers.max(1).min(networks.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= networks.len() {
-                    break;
-                }
-                let llpd = LlpdAnalysis::compute(&networks[i], config).llpd();
-                *results[i].lock().expect("poisoned") = llpd;
-            });
-        }
-    });
-    results.into_iter().map(|m| m.into_inner().expect("poisoned")).collect()
+    par_map(networks, workers, |topology| LlpdAnalysis::compute(topology, config).llpd())
 }
 
 /// Runs the grid over the given networks with the default worker count.
@@ -314,7 +389,6 @@ pub fn run_grid_replay_with_workers(
     for (net, from) in networks.iter().zip(traffic_from) {
         assert_eq!(net.pop_count(), from.pop_count(), "replay needs matching PoP sets");
     }
-    let workers = workers.max(1);
     let llpds = llpd_map_with_workers(networks, &LlpdConfig::default(), workers);
 
     // One shared cache per network, serving the scaling solve and every
@@ -382,85 +456,48 @@ fn run_with_resources(
     let tms = grid.tms_per_network as usize;
 
     // Stage 1: steal (network, matrix) items — generate, min-cut-scale.
-    let matrix_slots: Vec<Mutex<Option<TrafficMatrix>>> =
-        (0..networks.len() * tms).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(matrix_slots.len()) {
-            s.spawn(|| {
-                let gen = GravityTmGen::new(TmGenConfig {
-                    locality: grid.locality,
-                    ..Default::default()
-                });
-                loop {
-                    let item = next.fetch_add(1, Ordering::Relaxed);
-                    if item >= matrix_slots.len() {
-                        break;
-                    }
-                    let (n, t) = (item / tms, item % tms);
-                    let raw = gen.generate(&traffic_from[n], t as u64);
-                    let scale_source = scale_sources[n].unwrap_or(sources[n]);
-                    // LP failure or an empty matrix: leave the slot empty,
-                    // keep the run alive.
-                    let Ok(u0) = min_cut_load_with_cache(scale_source, &raw) else {
-                        continue;
-                    };
-                    if u0 <= 0.0 {
-                        continue;
-                    }
-                    *matrix_slots[item].lock().expect("poisoned") =
-                        Some(raw.scaled(grid.load / u0));
-                }
-            });
-        }
+    let gen = GravityTmGen::new(TmGenConfig { locality: grid.locality, ..Default::default() });
+    let matrix_items: Vec<usize> = (0..networks.len() * tms).collect();
+    let matrices: Vec<Option<TrafficMatrix>> = par_map(&matrix_items, workers, |&item| {
+        let (n, t) = (item / tms, item % tms);
+        let raw = gen.generate(&traffic_from[n], t as u64);
+        let scale_source = scale_sources[n].unwrap_or(sources[n]);
+        // LP failure or an empty matrix: leave the slot empty, keep the run
+        // alive.
+        let u0 = min_cut_load_with_cache(scale_source, &raw).ok()?;
+        (u0 > 0.0).then(|| raw.scaled(grid.load / u0))
     });
-    let matrices: Vec<Option<TrafficMatrix>> =
-        matrix_slots.into_iter().map(|m| m.into_inner().expect("poisoned")).collect();
 
     // Stage 2: steal (network, matrix, scheme) items — place and evaluate.
     // Scheme index varies fastest, so slot order reproduces the classic
     // nested-loop record order.
-    let total = networks.len() * tms * grid.schemes.len();
-    let record_slots: Vec<Mutex<Option<RunRecord>>> =
-        (0..total).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(total) {
-            s.spawn(|| loop {
-                let item = next.fetch_add(1, Ordering::Relaxed);
-                if item >= total {
-                    break;
-                }
-                let scheme = &grid.schemes[item % grid.schemes.len()];
-                let flat_tm = item / grid.schemes.len();
-                let (n, t) = (flat_tm / tms, flat_tm % tms);
-                let Some(tm) = matrices[flat_tm].as_ref() else {
-                    continue;
-                };
-                let started = Instant::now();
-                let Ok(placement) = scheme.place(sources[n], tm) else {
-                    continue; // solver failure: skip the item, keep the run
-                };
-                let runtime_ms = started.elapsed().as_secs_f64() * 1000.0;
-                debug_assert!(placement.validate(networks[n].graph(), tm).is_ok());
-                let ev = PlacementEval::evaluate(&networks[n], tm, &placement);
-                *record_slots[item].lock().expect("poisoned") = Some(RunRecord {
-                    network: networks[n].name().to_string(),
-                    class: ZooClass::of(&networks[n]),
-                    llpd: llpds[n],
-                    tm_index: t as u64,
-                    scheme: scheme.name(),
-                    congested_fraction: ev.congested_pair_fraction(),
-                    latency_stretch: ev.latency_stretch(),
-                    max_flow_stretch: ev.max_flow_stretch(),
-                    max_utilization: ev.max_utilization(),
-                    fits: ev.fits(),
-                    runtime_ms,
-                });
-            });
-        }
+    let record_items: Vec<usize> = (0..matrices.len() * grid.schemes.len()).collect();
+    let records = par_map(&record_items, workers, |&item| {
+        let scheme = &grid.schemes[item % grid.schemes.len()];
+        let flat_tm = item / grid.schemes.len();
+        let (n, t) = (flat_tm / tms, flat_tm % tms);
+        let tm = matrices[flat_tm].as_ref()?;
+        let started = Instant::now();
+        // Solver failure: skip the item, keep the run.
+        let placement = scheme.place(sources[n], tm).ok()?;
+        let runtime_ms = started.elapsed().as_secs_f64() * 1000.0;
+        debug_assert!(placement.validate(networks[n].graph(), tm).is_ok());
+        let ev = PlacementEval::evaluate(&networks[n], tm, &placement);
+        Some(RunRecord {
+            network: networks[n].name().to_string(),
+            class: ZooClass::of(&networks[n]),
+            llpd: llpds[n],
+            tm_index: t as u64,
+            scheme: scheme.name(),
+            congested_fraction: ev.congested_pair_fraction(),
+            latency_stretch: ev.latency_stretch(),
+            max_flow_stretch: ev.max_flow_stretch(),
+            max_utilization: ev.max_utilization(),
+            fits: ev.fits(),
+            runtime_ms,
+        })
     });
-    record_slots.into_iter().filter_map(|m| m.into_inner().expect("poisoned")).collect()
+    records.into_iter().flatten().collect()
 }
 
 /// Groups records by network and reduces a metric to (llpd, median, p90)
@@ -531,34 +568,56 @@ mod tests {
         }
     }
 
+    fn args(line: &[&str]) -> Args {
+        Args::new(line.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn scale_parse_accepts_known_flags() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(Scale::parse(&args(&[]), &[]), Ok(Scale::Std));
-        assert_eq!(Scale::parse(&args(&["--quick"]), &[]), Ok(Scale::Quick));
-        assert_eq!(Scale::parse(&args(&["--std", "--full"]), &[]), Ok(Scale::Full));
+        assert_eq!(args(&[]).try_finish(), Ok(Scale::Std));
+        assert_eq!(args(&["--quick"]).try_finish(), Ok(Scale::Quick));
+        assert_eq!(args(&["--std", "--full"]).try_finish(), Ok(Scale::Full));
     }
 
     #[test]
     fn scale_parse_skips_value_flags_with_their_values() {
-        let args: Vec<String> = ["--load", "0.7", "--quick", "--schemes", "SP,B4"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(Scale::parse(&args, &["--load", "--schemes"]), Ok(Scale::Quick));
+        let mut line = args(&["--load", "0.7", "--quick", "--schemes", "SP, B4,", "--frontier"]);
+        assert_eq!(line.try_value("--load"), Ok(Some(0.7)));
+        assert_eq!(line.try_list("--schemes"), Ok(Some(vec!["SP".to_string(), "B4".to_string()])));
+        assert_eq!(line.try_value::<u64>("--seed"), Ok(None), "an absent flag is not an error");
+        assert!(line.switch("--frontier") && !line.switch("--frontier"));
+        assert_eq!(line.try_finish(), Ok(Scale::Quick));
         // The value after a value flag is consumed even when it looks like
-        // a scale flag.
-        let tricky: Vec<String> = ["--note", "--full"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(Scale::parse(&tricky, &["--note"]), Ok(Scale::Std));
+        // a scale flag, and a repeated flag keeps its last value.
+        let mut tricky = args(&["--note", "--full", "--note", "x"]);
+        assert_eq!(tricky.try_value("--note"), Ok(Some("x".to_string())));
+        assert_eq!(tricky.try_finish(), Ok(Scale::Std));
     }
 
     #[test]
     fn scale_parse_rejects_unknown_and_dangling() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(Scale::parse(&args(&["--fast"]), &[]).is_err());
-        assert!(Scale::parse(&args(&["extra"]), &["--load"]).is_err());
-        // A value flag at the end of the line is missing its value.
-        assert!(Scale::parse(&args(&["--load"]), &["--load"]).is_err());
+        assert!(args(&["--fast"]).try_finish().is_err());
+        let mut line = args(&["extra", "--load", "0.5"]);
+        assert_eq!(line.try_value("--load"), Ok(Some(0.5)));
+        let message = line.try_finish().unwrap_err();
+        assert!(message.contains("extra") && message.contains("--load"), "{message}");
+        // A value flag at the end of the line is missing its value; one
+        // followed by junk has an unparsable one; a list needs an item.
+        assert!(args(&["--load"]).try_value::<f64>("--load").is_err());
+        assert!(args(&["--load", "heavy"]).try_value::<f64>("--load").is_err());
+        assert!(args(&["--loads", " , "]).try_list::<f64>("--loads").is_err());
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_whatever_the_worker_count() {
+        let items: Vec<u64> = (0..97).collect();
+        let serial = par_map(&items, 1, |&i| i * i);
+        assert_eq!(serial, items.iter().map(|i| i * i).collect::<Vec<_>>());
+        for workers in [0, 2, 8, 200] {
+            assert_eq!(par_map(&items, workers, |&i| i * i), serial, "{workers} workers");
+        }
+        assert_eq!(par_map(&[] as &[u64], 4, |&i| i), Vec::<u64>::new());
+        assert_eq!(par_map(&[7u64, 9], 8, |&i| i + 1), vec![8, 10], "fewer items than workers");
     }
 
     #[test]

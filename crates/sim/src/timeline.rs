@@ -12,49 +12,53 @@
 //! scheme either *adaptively* (re-placed every minute from the measured
 //! history — LDR runs its full Figure-14 loop, everything else re-places
 //! Algorithm-1 predicted demands) or *statically* (placed once up front,
-//! the OSPF-style baseline). One shared [`PathSource`] and one warm-start
-//! [`SolveContext`] persist across the whole run, so successive minutes
-//! restart from each other's LP bases — the reason the cycle is fast
-//! enough to run every minute. The default entry points build a private
-//! flat [`PathCache`]; [`simulate_with_events_on`] runs the same cycle
-//! through any caller-provided source — the partitioned engine at
-//! Internet scale.
+//! the OSPF-style baseline).
 //!
-//! ## Failure events
+//! ## One state, four steps
 //!
-//! [`simulate_with_events`] interleaves topology changes with the TM
-//! minutes: each [`TimelineEvent`] puts a [`FailureMask`] in force from a
-//! given decision minute (an empty mask models repair/link-up). The shared
-//! cache is *repaired*, not rebuilt — only cached paths crossing failed
-//! elements regrow under the mask — and adaptive controllers re-place the
-//! surviving demand through the same warm [`SolveContext`], so recovery
-//! minutes restart from pre-failure bases. Static baselines keep their
-//! placement; whatever they had routed over failed elements is counted
-//! lost, which is exactly the availability argument for the adaptive
-//! cycle.
+//! There is one way to run a timeline: [`simulate_with_events_on`] builds
+//! the run's private `ControllerState`, steps it once per decision minute
+//! and collects the [`MinuteReport`]s ([`simulate`] is the same call over a
+//! private flat [`PathCache`] with no events). The state is everything that
+//! outlives a minute, and each step names what it touches:
 //!
-//! ## Load-induced cascades
+//! - `fire_events` reads the caller's [`TimelineEvent`]s and `pending_trip`;
+//!   writes `mask`, `partition`, `unroutable_fraction`, the source's failure
+//!   state and the repair counters.
+//! - `decide` reads `traces` up to the minute, `partition`, `installed`,
+//!   `queued_links` and `mask`; writes `placement`, `draining` and `ctx`.
+//! - `install` reads `placement` and `partition`; writes `installed` and
+//!   returns the minute's [`PlacementDelta`].
+//! - `replay` reads the minute's `traces`, `placement`, `draining` and
+//!   `mask`; writes `queued_links`, `pending_trip` and `cascade_trips`, and
+//!   returns the realized queueing.
 //!
-//! [`simulate_with_cascades`] adds the failure mode the scripted events
-//! cannot express: overload *causing* the next failure. After each minute's
-//! replay, if the worst surviving link's minute-mean load exceeds its
-//! effective capacity by more than [`CascadeConfig::trip_overload`], that
-//! cable trips at the next decision minute, up to
-//! [`CascadeConfig::max_trips`] trips per run. A trip is stored as a
-//! *delta* — the tripped cable — and applied to whatever mask is in force
-//! when it fires, so a scripted event landing at the same minute (a
-//! link-up, say) is never clobbered by a stale snapshot. Trips are counted
-//! in [`TimelineOutcome::cascade_trips`] and flow through the exact same
-//! repair/re-place machinery as scripted events, so a brown-out that
-//! concentrates traffic can be watched snowballing into an outage.
+//! One [`PathSource`] and one warm-start [`SolveContext`] persist across
+//! the whole run, so successive minutes restart from each other's LP bases
+//! — the reason the cycle is fast enough to run every minute — and a
+//! topology change *repairs* the source (only cached paths crossing failed
+//! elements regrow under the mask) instead of rebuilding it, so recovery
+//! minutes restart from pre-failure bases. `decision_ms` times the first
+//! three steps; replay models the network, not the controller.
 //!
-//! ## Event ordering
+//! ## Failure events and cascades
 //!
-//! All events due at one decision minute apply *in slice order* before
-//! that minute's placement decision: scripted events first, each replacing
-//! the mask in force (the last one wins), then any cascade trip emitted
-//! the previous minute, applied as a delta on top. The ordering is part of
-//! the contract and asserted by the test suite.
+//! Each [`TimelineEvent`] puts a complete [`FailureMask`] in force from a
+//! decision minute (an empty mask models repair/link-up). Adaptive
+//! controllers re-place the demand that survives; static baselines keep
+//! their placement, and whatever they had routed over failed elements is
+//! counted lost — exactly the availability argument for the adaptive cycle.
+//!
+//! [`TimelineConfig::cascade`] arms the failure mode scripted events cannot
+//! express: overload *causing* the next failure. After a minute's replay,
+//! if the worst surviving link's minute-mean load exceeds its effective
+//! capacity by more than [`CascadeConfig::trip_overload`], that cable trips
+//! at the next decision minute, up to [`CascadeConfig::max_trips`] trips
+//! per run. Trips are counted in [`TimelineOutcome::cascade_trips`] and
+//! flow through the same repair/re-place machinery as scripted events, so
+//! a brown-out that concentrates traffic can be watched snowballing into an
+//! outage. How a trip and a scripted event due the same minute combine is
+//! `fire_events`' contract, stated there.
 //!
 //! ## Bounded churn
 //!
@@ -68,15 +72,16 @@
 //! [`ChurnBudget::util_guard`], or a link it rides *actually queued* past
 //! [`ChurnBudget::queue_trigger_ms`] last minute (the reactive half of the
 //! loop: mean-load prediction cannot see bursts, realized queueing can);
-//! everything else keeps the previous minute's paths. Re-installs of live paths happen make-before-break:
-//! the aggregate drains linearly across the transition minute — each
-//! 100 ms bin carries a shrinking share on the retiring splits and a
-//! growing share on the new ones — so the old paths' capacity stays
-//! claimed until the drain completes and the old path is only retired
-//! once its replacement carries the traffic. (Paths already broken by a
-//! failure switch immediately: there is nothing left to break.) This is
-//! the §5 install story made honest. Per-minute churn ([`PlacementDelta`])
-//! and decision latency are reported in every [`MinuteReport`].
+//! everything else keeps the previous minute's paths. Re-installs of live
+//! paths happen make-before-break: the aggregate drains linearly across the
+//! transition minute — each 100 ms bin carries a shrinking share on the
+//! retiring splits and a growing share on the new ones — so the old paths'
+//! capacity stays claimed until the drain completes and the old path is
+//! only retired once its replacement carries the traffic. (Paths already
+//! broken by a failure switch immediately: there is nothing left to break.)
+//! This is the §5 install story made honest. Per-minute churn
+//! ([`PlacementDelta`]) and decision latency are reported in every
+//! [`MinuteReport`].
 
 use std::sync::Arc;
 
@@ -92,6 +97,8 @@ use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::Topology;
 use lowlat_traffic::{spread_seed, synthesize, AggregateTrace, TraceGenConfig};
+
+use crate::stats::median_of;
 
 /// Default decision minutes per run.
 pub const DEFAULT_MINUTES: usize = 10;
@@ -294,6 +301,9 @@ pub struct TimelineConfig {
     /// Diurnal period in minutes (warm-up included), ignored while the
     /// amplitude is 0.
     pub diurnal_period: usize,
+    /// The load-induced cascade model; `None` (the default) leaves it
+    /// unarmed, and only scripted events change the topology.
+    pub cascade: Option<CascadeConfig>,
 }
 
 impl Default for TimelineConfig {
@@ -305,6 +315,7 @@ impl Default for TimelineConfig {
             seed: DEFAULT_SEED,
             diurnal_amplitude: 0.0,
             diurnal_period: 1440,
+            cascade: None,
         }
     }
 }
@@ -321,7 +332,7 @@ pub struct TimelineEvent {
     pub mask: FailureMask,
 }
 
-/// The load-induced cascade model for [`simulate_with_cascades`]: when a
+/// The load-induced cascade model ([`TimelineConfig::cascade`]): when a
 /// surviving link's minute-mean load exceeds `(1 + trip_overload)` times
 /// its effective capacity, its cable trips at the next decision minute.
 /// One trip per minute (the worst-overloaded cable), at most `max_trips`
@@ -393,8 +404,8 @@ pub struct TimelineOutcome {
     /// controllers).
     pub kept_pairs: usize,
     /// Load-induced cable trips emitted by the cascade model (always 0
-    /// outside [`simulate_with_cascades`]). Each trip also counts as a
-    /// repair event once its failure takes effect.
+    /// while [`TimelineConfig::cascade`] is `None`). Each trip also counts
+    /// as a repair event once its failure takes effect.
     pub cascade_trips: usize,
 }
 
@@ -426,14 +437,13 @@ impl TimelineOutcome {
         self.minutes.iter().map(|m| m.paths_changed).sum()
     }
 
-    /// Median per-minute decision latency (ms).
+    /// Median per-minute decision latency (ms, nearest rank; 0 for an empty
+    /// run).
     pub fn median_decision_ms(&self) -> f64 {
-        let mut v: Vec<f64> = self.minutes.iter().map(|m| m.decision_ms).collect();
-        if v.is_empty() {
+        if self.minutes.is_empty() {
             return 0.0;
         }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        v[v.len() / 2]
+        median_of(&self.minutes.iter().map(|m| m.decision_ms).collect::<Vec<_>>())
     }
 
     /// Worst per-minute decision latency (ms).
@@ -448,53 +458,37 @@ impl TimelineOutcome {
     }
 }
 
-/// Runs the controller cycle: each minute the controller re-places traffic
-/// using only the history seen so far, then the *actual* next minute of
-/// traffic is replayed over the placement.
+/// Runs the controller cycle over a private flat [`PathCache`] with no
+/// topology events: each minute the controller re-places traffic using only
+/// the history seen so far, then the *actual* next minute of traffic is
+/// replayed over the placement.
 ///
 /// # Panics
-/// Panics if the matrix is empty, the config is degenerate, or the wrapped
-/// scheme fails to place (a solver failure, not congestion).
+/// As [`simulate_with_events_on`].
 pub fn simulate(
     topology: &Topology,
     tm: &TrafficMatrix,
     controller: &Controller,
     config: &TimelineConfig,
 ) -> TimelineOutcome {
-    simulate_with_events(topology, tm, controller, config, &[])
+    simulate_with_events_on(&PathCache::new(topology.graph()), tm, controller, config, &[])
 }
 
-/// As [`simulate`], with failure events interleaved into the minute loop.
-///
-/// Events fire before their minute's placement decision: the cache is
-/// repaired under the new mask, adaptive controllers re-place the demand
-/// that survives, static placements soldier on and leak whatever they had
-/// routed across the failed elements.
-///
-/// # Panics
-/// As [`simulate`]; additionally if an event's minute is out of range.
-pub fn simulate_with_events(
-    topology: &Topology,
-    tm: &TrafficMatrix,
-    controller: &Controller,
-    config: &TimelineConfig,
-    events: &[TimelineEvent],
-) -> TimelineOutcome {
-    let cache = PathCache::new(topology.graph());
-    run_timeline(&cache, tm, controller, config, events, None)
-}
-
-/// As [`simulate_with_events`], through a caller-provided [`PathSource`]
-/// instead of a private flat cache — the partitioned engine at Internet
-/// scale. The controller's repair/re-place cycle uses the source's failure
-/// plumbing (`apply_failure` + warm re-placement), so adaptive and
-/// bounded-churn control run unchanged on either backend.
+/// The controller cycle through a caller-provided [`PathSource`] — a flat
+/// [`PathCache`], or the partitioned engine at Internet scale — with
+/// failure events interleaved into the minute loop (see the module docs:
+/// one state, four steps per decision minute). The repair/re-place cycle
+/// uses the source's failure plumbing (`apply_failure` + warm
+/// re-placement), so adaptive and bounded-churn control run unchanged on
+/// either backend.
 ///
 /// The source must be quiescent (no concurrent queries) for the duration
 /// of the run: event minutes mutate its failure state in place.
 ///
 /// # Panics
-/// As [`simulate_with_events`].
+/// Panics if the matrix is empty, the config is degenerate, an event's
+/// minute is out of range, or the wrapped scheme fails to place (a solver
+/// failure, not congestion).
 pub fn simulate_with_events_on(
     source: &dyn PathSource,
     tm: &TrafficMatrix,
@@ -502,26 +496,9 @@ pub fn simulate_with_events_on(
     config: &TimelineConfig,
     events: &[TimelineEvent],
 ) -> TimelineOutcome {
-    run_timeline(source, tm, controller, config, events, None)
-}
-
-/// As [`simulate_with_events`], with the load-induced cascade model armed:
-/// a minute whose worst surviving link sustains mean load above
-/// `(1 + cascade.trip_overload)` times effective capacity trips that cable
-/// at the next decision minute (see [`CascadeConfig`]).
-///
-/// # Panics
-/// As [`simulate_with_events`].
-pub fn simulate_with_cascades(
-    topology: &Topology,
-    tm: &TrafficMatrix,
-    controller: &Controller,
-    config: &TimelineConfig,
-    events: &[TimelineEvent],
-    cascade: &CascadeConfig,
-) -> TimelineOutcome {
-    let cache = PathCache::new(topology.graph());
-    run_timeline(&cache, tm, controller, config, events, Some(cascade))
+    let mut state = ControllerState::new(source, tm, controller, config, events);
+    let minutes = (0..config.minutes).map(|minute| state.step(minute)).collect();
+    state.finish(minutes)
 }
 
 /// `numer / denom`, 0 when the denominator is not positive — keeps a
@@ -534,328 +511,372 @@ fn safe_fraction(numer: f64, denom: f64) -> f64 {
     }
 }
 
-/// An entry in the per-run event queue. Scripted events carry the complete
-/// mask the caller asked for; cascade trips carry only the tripped cable —
-/// a *delta* resolved against the mask in force when the trip fires, so a
-/// scripted change landing at the same minute is never clobbered by a
-/// snapshot taken at emit time.
-#[derive(Clone, Debug)]
-enum QueuedEvent {
-    Scripted(TimelineEvent),
-    Trip { at_minute: usize, cable: LinkId },
-}
-
-impl QueuedEvent {
-    fn at_minute(&self) -> usize {
-        match self {
-            QueuedEvent::Scripted(ev) => ev.at_minute,
-            QueuedEvent::Trip { at_minute, .. } => *at_minute,
+/// Per-link load (Mbps) when aggregate `j` sends its `predicted[j]` volume
+/// over the splits `splits_of(j)` picks for it.
+fn predicted_link_loads<'p>(
+    graph: &Graph,
+    predicted: &[f64],
+    splits_of: impl Fn(usize) -> &'p [(Path, f64)],
+) -> Vec<f64> {
+    let mut load = vec![0.0f64; graph.link_count()];
+    for (j, volume) in predicted.iter().enumerate() {
+        for (path, x) in splits_of(j) {
+            if *x > 1e-9 {
+                for &l in path.links() {
+                    load[l.idx()] += volume * x;
+                }
+            }
         }
     }
+    load
 }
 
-fn run_timeline(
-    source: &dyn PathSource,
-    tm: &TrafficMatrix,
-    controller: &Controller,
-    config: &TimelineConfig,
-    events: &[TimelineEvent],
-    cascade: Option<&CascadeConfig>,
-) -> TimelineOutcome {
-    assert!(!tm.is_empty());
-    assert!(config.minutes >= 1 && config.warmup_minutes >= 2);
-    assert!(
-        events.iter().all(|e| e.at_minute < config.minutes),
-        "event minute out of 0..{}",
-        config.minutes
-    );
-    let total_minutes = config.warmup_minutes + config.minutes;
-    // Ground-truth traffic: one evolving trace per aggregate, mean anchored
-    // at its matrix volume (modulated by the configured diurnal cycle).
-    // A root span of its own: against millisecond decisions it is a visible
-    // share of a short run.
-    let synthesis = telemetry::span("timeline.synthesize", "timeline");
-    let traces: Vec<AggregateTrace> = tm
-        .aggregates()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            synthesize(&TraceGenConfig {
-                mean_mbps: a.volume_mbps,
-                cv: config.cv,
-                minutes: total_minutes,
-                seed: spread_seed(config.seed, i as u64),
-                diurnal_amplitude: config.diurnal_amplitude,
-                diurnal_period_minutes: config.diurnal_period,
-                ..Default::default()
+/// Everything of a run that outlives a decision minute. [`Self::step`]
+/// advances it by one minute through the four steps the module docs
+/// tabulate; nothing else mutates it.
+struct ControllerState<'a> {
+    source: &'a dyn PathSource,
+    tm: &'a TrafficMatrix,
+    controller: &'a Controller,
+    config: &'a TimelineConfig,
+    events: &'a [TimelineEvent],
+    /// Ground-truth traffic: one evolving trace per aggregate of `tm`, mean
+    /// anchored at its matrix volume (modulated by the diurnal cycle).
+    traces: Vec<AggregateTrace>,
+    /// One warm-start context for the whole run: the §5 cycle's speed comes
+    /// from successive minutes reusing paths and LP bases.
+    ctx: SolveContext,
+    /// The failure mask in force.
+    mask: FailureMask,
+    /// The demand an adaptive controller can still route under `mask`;
+    /// `None` while everything is up, and always for a static controller,
+    /// whose placement stays aligned with the full matrix.
+    partition: Option<RoutablePartition>,
+    /// Volume fraction of demand not delivered under `mask`: disconnected
+    /// pairs for an adaptive controller, what a static placement keeps
+    /// sending into failed elements. Recomputed only when the mask changes.
+    unroutable_fraction: f64,
+    /// The placement in force, aligned with [`Self::minute_tm`]: a static
+    /// controller's, placed once; an adaptive one's, rewritten by every
+    /// `decide` (`None` while nothing is routable).
+    placement: Option<Placement>,
+    /// This minute's make-before-break transitions: (`minute_tm` index, the
+    /// full placement being drained). The aggregate's traffic ramps from
+    /// these splits onto the new ones across the minute's bins.
+    draining: Vec<(usize, AggregatePlacement)>,
+    /// The per-aggregate placement actually installed on switches, keyed by
+    /// ORIGINAL matrix index so entries survive re-partitions. Per-minute
+    /// churn is the delta against it; the bounded controller additionally
+    /// keeps entries live instead of re-installing.
+    installed: Vec<Option<AggregatePlacement>>,
+    /// Links whose replay queued above the bounded controller's reactive
+    /// trigger last minute — next minute's merge re-installs their riders.
+    queued_links: Vec<bool>,
+    /// The cable the cascade model tripped during last minute's replay. A
+    /// *delta*, resolved against the mask in force when it fires.
+    pending_trip: Option<LinkId>,
+    repair_events: usize,
+    repaired_pairs: usize,
+    kept_pairs: usize,
+    cascade_trips: usize,
+}
+
+impl<'a> ControllerState<'a> {
+    fn new(
+        source: &'a dyn PathSource,
+        tm: &'a TrafficMatrix,
+        controller: &'a Controller,
+        config: &'a TimelineConfig,
+        events: &'a [TimelineEvent],
+    ) -> Self {
+        assert!(!tm.is_empty());
+        assert!(config.minutes >= 1 && config.warmup_minutes >= 2);
+        assert!(
+            events.iter().all(|e| e.at_minute < config.minutes),
+            "event minute out of 0..{}",
+            config.minutes
+        );
+        // A root span of its own: against millisecond decisions synthesis
+        // is a visible share of a short run.
+        let synthesis = telemetry::span("timeline.synthesize", "timeline");
+        let traces = tm
+            .aggregates()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                synthesize(&TraceGenConfig {
+                    mean_mbps: a.volume_mbps,
+                    cv: config.cv,
+                    minutes: config.warmup_minutes + config.minutes,
+                    seed: spread_seed(config.seed, i as u64),
+                    diurnal_amplitude: config.diurnal_amplitude,
+                    diurnal_period_minutes: config.diurnal_period,
+                    ..Default::default()
+                })
             })
-        })
-        .collect();
-    drop(synthesis);
+            .collect();
+        drop(synthesis);
+        let placement = (!controller.adaptive)
+            .then(|| controller.scheme.place(source, tm).expect("static placement"));
+        ControllerState {
+            source,
+            tm,
+            controller,
+            config,
+            events,
+            traces,
+            ctx: SolveContext::new(),
+            mask: FailureMask::new(),
+            partition: None,
+            unroutable_fraction: 0.0,
+            placement,
+            draining: Vec::new(),
+            installed: vec![None; tm.aggregates().len()],
+            queued_links: vec![false; source.graph().link_count()],
+            pending_trip: None,
+            repair_events: 0,
+            repaired_pairs: 0,
+            kept_pairs: 0,
+            cascade_trips: 0,
+        }
+    }
 
-    let graph = source.graph();
-    // One source and one warm-start context for the whole run: the §5
-    // cycle's speed comes from successive minutes reusing paths and LP
-    // bases — and from repairing, not rebuilding, when the topology
-    // changes.
-    let mut ctx = SolveContext::new();
-
-    let static_placement: Option<Placement> = if controller.adaptive {
-        None
-    } else {
-        Some(controller.scheme.place(source, tm).expect("static placement"))
-    };
-    let total_volume = tm.total_volume_mbps();
-
-    let mut current_mask = FailureMask::new();
-    // The routable view under the current mask; `None` while everything is
-    // up (the common fast path: no partition, no per-minute mask checks).
-    let mut partition: Option<RoutablePartition> = None;
-    // Static placements leak a fixed volume fraction per mask; recomputed
-    // only when the mask changes.
-    let mut static_lost_fraction = 0.0f64;
-
-    let mut repair_events = 0usize;
-    let mut repaired_pairs = 0usize;
-    let mut kept_pairs = 0usize;
-    let mut cascade_trips = 0usize;
-    // Scripted events plus any cascade trips appended along the way; trips
-    // always land at a later minute than the one that emitted them, so
-    // per-minute index iteration stays sound. Within one minute the queue
-    // drains in slice order: scripted events in their given order (the
-    // last mask wins), then trips — which were appended after them.
-    let mut queue: Vec<QueuedEvent> = events.iter().cloned().map(QueuedEvent::Scripted).collect();
-
-    // The per-aggregate placement actually installed on switches, keyed by
-    // ORIGINAL matrix index so entries survive re-partitions. Per-minute
-    // churn is the delta against it; the bounded controller additionally
-    // keeps entries live instead of re-installing.
-    let mut installed: Vec<Option<AggregatePlacement>> = vec![None; tm.aggregates().len()];
-    // Links whose replay queued above the bounded controller's reactive
-    // trigger last minute — next minute's merge re-installs their riders.
-    let mut queued_links = vec![false; graph.link_count()];
-
-    let mut minutes = Vec::with_capacity(config.minutes);
-    for t in config.warmup_minutes..total_minutes {
-        let rel_t = t - config.warmup_minutes;
+    /// One decision minute (0-based, warm-up excluded): fire the minute's
+    /// events, decide, install — the window `decision_ms` times — then
+    /// replay the minute's actual traffic over the result.
+    fn step(&mut self, minute: usize) -> MinuteReport {
         // Per-minute root span; everything below nests under it. The
         // decision window keeps its own always-on timer because its
         // duration *is* the `decision_ms` column — one measurement feeds
         // both the TSV and the trace.
         let _minute = telemetry::span("timeline.minute", "timeline");
         let decision = telemetry::timed_span("timeline.decision", "timeline");
-        let measure = telemetry::span("timeline.measure", "timeline");
-        // Topology events due this decision minute fire first.
-        for i in 0..queue.len() {
-            if queue[i].at_minute() != rel_t {
-                continue;
-            }
-            let new_mask = match &queue[i] {
-                QueuedEvent::Scripted(ev) => ev.mask.clone(),
-                QueuedEvent::Trip { cable, .. } => {
-                    // Applied as a delta to whatever is in force *now* —
-                    // same-minute scripted events already fired above.
-                    let mut m = current_mask.clone();
-                    m.fail_cable(graph, *cable);
-                    m
-                }
-            };
-            repair_events += 1;
-            // A static controller never consults the cache after its
-            // initial placement, so there is nothing to repair — the mask
-            // alone drives its loss accounting and replay.
-            if controller.adaptive {
-                let stats = source.apply_failure(&new_mask);
-                repaired_pairs += stats.repaired_pairs;
-                kept_pairs += stats.kept_pairs;
-            }
-            current_mask = new_mask;
-            partition =
-                (!current_mask.is_empty()).then(|| partition_routable(graph, tm, &current_mask));
-            static_lost_fraction = match &static_placement {
-                Some(p) if !current_mask.is_empty() => {
-                    let mut lost = 0.0;
-                    for (agg, pl) in tm.aggregates().iter().zip(p.per_aggregate()) {
-                        for (path, x) in &pl.splits {
-                            if *x > 1e-9 && current_mask.hits_path(graph, path) {
-                                lost += agg.volume_mbps * x;
-                            }
-                        }
-                    }
-                    safe_fraction(lost, total_volume)
-                }
-                _ => 0.0,
-            };
-        }
-        drop(measure);
-
-        // The demand the controller can see/route this minute, and the
-        // original-matrix index of each of its aggregates.
-        let minute_tm: &TrafficMatrix = partition.as_ref().map_or(tm, |p| &p.tm);
-        let trace_of = |j: usize| partition.as_ref().map_or(j, |p| p.kept[j]);
-
-        // Make-before-break transitions this minute: (minute_tm index, the
-        // full placement being drained). The aggregate's traffic ramps
-        // from these splits onto the new ones across the minute's bins.
-        let mut overlap: Vec<(usize, AggregatePlacement)> = Vec::new();
-
-        // Decide on history [0, t).
-        let decide = telemetry::span("timeline.decide", "timeline");
-        let placement = match &static_placement {
-            Some(p) => Some(p.clone()),
-            None if minute_tm.is_empty() => None,
-            None => {
-                let history: Vec<AggregateTrace> = (0..minute_tm.aggregates().len())
-                    .map(|j| traces[trace_of(j)].truncated(t))
-                    .collect();
-                let candidate = controller
-                    .scheme
-                    .place_with_history(source, minute_tm, &history, &mut ctx)
-                    .expect("adaptive placement");
-                match &controller.churn {
-                    Some(budget) => {
-                        let orig_of: Vec<usize> =
-                            (0..minute_tm.aggregates().len()).map(trace_of).collect();
-                        let predicted = predict_volumes(&history);
-                        let (merged, retired) = merge_bounded(
-                            graph,
-                            &current_mask,
-                            &predicted,
-                            &candidate,
-                            &installed,
-                            &orig_of,
-                            &queued_links,
-                            budget,
-                        );
-                        overlap = retired;
-                        Some(merged)
-                    }
-                    None => Some(candidate),
-                }
-            }
-        };
-        drop(decide);
-
-        // Churn: what this minute's decision pushed to switches, measured
-        // against the installed state. The initial install (minute 0) is
-        // the cost of turning the network on, not churn — skipped.
-        let install = telemetry::span("timeline.install", "timeline");
-        let mut churn = PlacementDelta::default();
-        if controller.adaptive {
-            if let Some(pl) = &placement {
-                for (j, agg_pl) in pl.per_aggregate().iter().enumerate() {
-                    let orig = trace_of(j);
-                    let volume = minute_tm.aggregates()[j].volume_mbps;
-                    match (&installed[orig], rel_t) {
-                        (Some(prev), _) => {
-                            churn.accumulate(&PlacementDelta::of_aggregate(
-                                Some(prev),
-                                agg_pl,
-                                volume,
-                            ));
-                        }
-                        (None, 0) => {}
-                        (None, _) => {
-                            churn.accumulate(&PlacementDelta::of_aggregate(None, agg_pl, volume));
-                        }
-                    }
-                    installed[orig] = Some(agg_pl.clone());
-                }
-            }
-        }
-        drop(install);
+        self.fire_events(minute);
+        self.decide(minute);
+        let churn = self.install(minute);
         let decision_ms = decision.finish_ms();
-
-        // Replay minute t's actual samples over the placement. A static
-        // placement aligns with the *full* matrix (its traffic into failed
-        // elements is dropped and counted); an adaptive one with the
-        // routable view.
-        let unroutable_fraction = if static_placement.is_some() {
-            static_lost_fraction
-        } else {
-            partition.as_ref().map_or(0.0, |p| p.unroutable_fraction)
-        };
         let _replay = telemetry::span("timeline.replay", "timeline");
-        let bins = traces[0].bins_per_minute();
-        let mut per_link_load = vec![vec![0.0f64; bins]; graph.link_count()];
-        // Make-before-break drain: for aggregates in transition, bin b
-        // carries ramp[b] of the traffic on the new splits and the rest on
-        // the retiring ones — the old paths' capacity stays claimed until
-        // the drain completes, no bin is double-charged. Empty outside
-        // bounded mode, so other controllers replay bit-for-bit as before.
-        let mut transition: Vec<Option<&AggregatePlacement>> =
-            vec![None; placement.as_ref().map_or(0, |p| p.per_aggregate().len())];
-        for (j, old) in &overlap {
-            transition[*j] = Some(old);
+        let (worst_queue_ms, overloaded_links) = self.replay(minute);
+        let latency_stretch = self.placement.as_ref().map_or(1.0, |placement| {
+            PlacementEval::evaluate_on(self.source.graph(), self.minute_tm(), placement)
+                .latency_stretch()
+        });
+        MinuteReport {
+            worst_queue_ms,
+            overloaded_links,
+            latency_stretch,
+            unroutable_fraction: self.unroutable_fraction,
+            decision_ms,
+            paths_changed: churn.paths_changed(),
+            moved_volume_fraction: churn.moved_volume_fraction(),
         }
-        let ramp = |bin: usize| (bin + 1) as f64 / bins as f64;
-        if let Some(pl) = &placement {
-            for (j, agg_pl) in pl.per_aggregate().iter().enumerate() {
-                let trace =
-                    if static_placement.is_some() { &traces[j] } else { &traces[trace_of(j)] };
-                let samples = trace.samples(t);
-                for (path, x) in &agg_pl.splits {
-                    if *x <= 1e-9 {
-                        continue;
-                    }
-                    if !current_mask.is_empty() && current_mask.hits_path(graph, path) {
-                        // Lost traffic, accounted in static_lost_fraction.
-                        // Adaptive placements are built from the repaired
-                        // cache and must never route over failed elements.
-                        debug_assert!(
-                            static_placement.is_some(),
-                            "adaptive placement routed over a failed element"
-                        );
-                        continue;
-                    }
-                    for &l in path.links() {
-                        let row = &mut per_link_load[l.idx()];
-                        match transition[j] {
-                            None => {
-                                for (bin, &s) in samples.iter().enumerate() {
-                                    row[bin] += s * x;
-                                }
-                            }
-                            Some(_) => {
-                                for (bin, &s) in samples.iter().enumerate() {
-                                    row[bin] += s * x * ramp(bin);
-                                }
-                            }
-                        }
-                    }
-                }
-                let Some(old) = transition[j] else { continue };
-                for (path, x) in &old.splits {
-                    if *x <= 1e-9
-                        || (!current_mask.is_empty() && current_mask.hits_path(graph, path))
-                    {
-                        continue;
-                    }
-                    for &l in path.links() {
-                        let row = &mut per_link_load[l.idx()];
-                        for (bin, &s) in samples.iter().enumerate() {
-                            row[bin] += s * x * (1.0 - ramp(bin));
-                        }
+    }
+
+    /// The run's outcome: the per-minute reports plus the counters the state
+    /// accumulated.
+    fn finish(self, minutes: Vec<MinuteReport>) -> TimelineOutcome {
+        TimelineOutcome {
+            minutes,
+            lp_warm_hits: self.ctx.warm_hits(),
+            lp_solves: self.ctx.solves(),
+            repair_events: self.repair_events,
+            repaired_pairs: self.repaired_pairs,
+            kept_pairs: self.kept_pairs,
+            cascade_trips: self.cascade_trips,
+        }
+    }
+
+    /// The matrix the placement in force aligns with: the routable view
+    /// while a partition is in force, the full matrix otherwise.
+    fn minute_tm(&self) -> &TrafficMatrix {
+        self.partition.as_ref().map_or(self.tm, |p| &p.tm)
+    }
+
+    /// Original-matrix index (the key of `traces` and `installed`) of
+    /// aggregate `j` of [`Self::minute_tm`].
+    fn orig(&self, j: usize) -> usize {
+        self.partition.as_ref().map_or(j, |p| p.kept[j])
+    }
+
+    /// Applies the topology changes due at decision `minute`, before that
+    /// minute's placement decision.
+    ///
+    /// The ordering contract, asserted by the test suite: scripted events
+    /// fire first, in the caller's slice order, each *replacing* the mask in
+    /// force (so the last one wins); then the cable the cascade model
+    /// tripped during the previous minute's replay fails as a *delta* on
+    /// top of whatever mask that left — a scripted link-up landing on the
+    /// same minute is never clobbered by a snapshot taken when the trip was
+    /// emitted. At most one trip is pending: a replay emits at most one, and
+    /// it always fires the minute after.
+    fn fire_events(&mut self, minute: usize) {
+        let _measure = telemetry::span("timeline.measure", "timeline");
+        let events = self.events;
+        for event in events.iter().filter(|e| e.at_minute == minute) {
+            self.apply_mask(event.mask.clone());
+        }
+        if let Some(cable) = self.pending_trip.take() {
+            let mut mask = self.mask.clone();
+            mask.fail_cable(self.source.graph(), cable);
+            self.apply_mask(mask);
+        }
+    }
+
+    /// Puts `mask` in force: repairs the source (not rebuilds — only cached
+    /// paths crossing failed elements regrow) and recomputes what the
+    /// controller can still deliver.
+    fn apply_mask(&mut self, mask: FailureMask) {
+        let graph = self.source.graph();
+        self.repair_events += 1;
+        if self.controller.adaptive {
+            let stats = self.source.apply_failure(&mask);
+            self.repaired_pairs += stats.repaired_pairs;
+            self.kept_pairs += stats.kept_pairs;
+            self.partition = (!mask.is_empty()).then(|| partition_routable(graph, self.tm, &mask));
+            self.unroutable_fraction =
+                self.partition.as_ref().map_or(0.0, |p| p.unroutable_fraction);
+        } else {
+            // A static controller never consults the source after its
+            // initial placement, so there is nothing to repair: it soldiers
+            // on and leaks whatever it had routed across failed elements.
+            let placement = self.placement.as_ref().expect("static placement is placed in new");
+            let mut lost = 0.0;
+            for (agg, pl) in self.tm.aggregates().iter().zip(placement.per_aggregate()) {
+                for (path, x) in &pl.splits {
+                    if *x > 1e-9 && mask.hits_path(graph, path) {
+                        lost += agg.volume_mbps * x;
                     }
                 }
             }
+            self.unroutable_fraction = safe_fraction(lost, self.tm.total_volume_mbps());
         }
+        self.mask = mask;
+    }
+
+    /// An adaptive controller re-places the routable demand on the history
+    /// before this minute (under a [`ChurnBudget`], merged with what is
+    /// installed); a static one keeps the placement it has.
+    fn decide(&mut self, minute: usize) {
+        let _decide = telemetry::span("timeline.decide", "timeline");
+        let controller = self.controller;
+        if !controller.adaptive {
+            return;
+        }
+        self.draining.clear();
+        // `minute_tm()` spelled out: the borrow must leave `ctx` free.
+        let minute_tm = self.partition.as_ref().map_or(self.tm, |p| &p.tm);
+        if minute_tm.is_empty() {
+            self.placement = None;
+            return;
+        }
+        let t = self.config.warmup_minutes + minute;
+        let history: Vec<AggregateTrace> = (0..minute_tm.aggregates().len())
+            .map(|j| self.traces[self.orig(j)].truncated(t))
+            .collect();
+        let candidate = controller
+            .scheme
+            .place_with_history(self.source, minute_tm, &history, &mut self.ctx)
+            .expect("adaptive placement");
+        self.placement = Some(match &controller.churn {
+            Some(budget) => {
+                let (merged, retired) =
+                    self.merge_bounded(budget, &predict_volumes(&history), &candidate);
+                self.draining = retired;
+                merged
+            }
+            None => candidate,
+        });
+    }
+
+    /// Pushes the placement in force to the switches and returns the churn
+    /// that cost, measured against what was installed. The initial install
+    /// (minute 0) is the cost of turning the network on, not churn; static
+    /// controllers never churn.
+    fn install(&mut self, minute: usize) -> PlacementDelta {
+        let _install = telemetry::span("timeline.install", "timeline");
+        let mut churn = PlacementDelta::default();
+        if !self.controller.adaptive {
+            return churn;
+        }
+        let Some(placement) = &self.placement else { return churn };
+        for (j, new) in placement.per_aggregate().iter().enumerate() {
+            let volume = self.minute_tm().aggregates()[j].volume_mbps;
+            let orig = self.orig(j);
+            let slot = &mut self.installed[orig];
+            if slot.is_some() || minute > 0 {
+                churn.accumulate(&PlacementDelta::of_aggregate(slot.as_ref(), new, volume));
+            }
+            *slot = Some(new.clone());
+        }
+        churn
+    }
+
+    /// Replays the minute's actual 100 ms samples over the placement in
+    /// force, runs every surviving link's queue, and lets the cascade model
+    /// pick the cable to trip. Returns the worst realized queueing delay
+    /// (ms) and the number of links that ever exceeded capacity.
+    fn replay(&mut self, minute: usize) -> (f64, usize) {
+        let graph = self.source.graph();
+        let t = self.config.warmup_minutes + minute;
+        let bins = self.traces[0].bins_per_minute();
+        let mut per_link_load = vec![vec![0.0f64; bins]; graph.link_count()];
+        // Make-before-break drain: an aggregate in transition carries
+        // ramp_up[bin] of its traffic on the new splits and the rest on the
+        // retiring ones — the old paths' capacity stays claimed until the
+        // drain completes, no bin is double-charged. Everything else rides
+        // its splits at weight 1, and `(s * x) * 1.0` is exact, so runs
+        // without transitions replay bit-for-bit as if unweighted.
+        let steady = vec![1.0f64; bins];
+        let ramp_up: Vec<f64> = (0..bins).map(|bin| (bin + 1) as f64 / bins as f64).collect();
+        let ramp_down: Vec<f64> = ramp_up.iter().map(|up| 1.0 - up).collect();
+        let mut charge = |splits: &[(Path, f64)], samples: &[f64], weights: &[f64]| {
+            for (path, x) in splits {
+                if *x <= 1e-9 {
+                    continue;
+                }
+                if self.mask.hits_path(graph, path) {
+                    // Lost traffic, counted in `unroutable_fraction`. Only
+                    // a static placement can send any: adaptive ones are
+                    // built from the repaired source.
+                    debug_assert!(
+                        !self.controller.adaptive,
+                        "adaptive placement routed over a failed element"
+                    );
+                    continue;
+                }
+                for &l in path.links() {
+                    let row = &mut per_link_load[l.idx()];
+                    for ((load, &s), &w) in row.iter_mut().zip(samples).zip(weights) {
+                        *load += s * x * w;
+                    }
+                }
+            }
+        };
+        let mut draining = self.draining.iter().peekable();
+        for (j, new) in self.placement.iter().flat_map(|p| p.per_aggregate()).enumerate() {
+            let samples = self.traces[self.orig(j)].samples(t);
+            match draining.next_if(|(dj, _)| *dj == j) {
+                None => charge(&new.splits, samples, &steady),
+                Some((_, old)) => {
+                    charge(&new.splits, samples, &ramp_up);
+                    charge(&old.splits, samples, &ramp_down);
+                }
+            }
+        }
+
         let mut worst_queue_ms = 0.0f64;
         let mut overloaded_links = 0usize;
         // The cascade candidate: the worst cable sustaining minute-mean
         // load above the trip threshold (per-bin bursts queue, they don't
         // blow cables).
-        let mut trip: Option<lowlat_netgraph::LinkId> = None;
+        let cascade = self.config.cascade.as_ref();
+        let mut trip: Option<LinkId> = None;
         let mut trip_over = cascade.map_or(f64::INFINITY, |c| c.trip_overload);
         let queue_trigger_ms =
-            controller.churn.as_ref().map_or(f64::INFINITY, |b| b.queue_trigger_ms);
+            self.controller.churn.as_ref().map_or(f64::INFINITY, |b| b.queue_trigger_ms);
         for l in graph.link_ids() {
-            queued_links[l.idx()] = false;
-            let cap = if current_mask.is_empty() {
-                graph.link(l).capacity_mbps
-            } else {
-                current_mask.effective_capacity(graph, l)
-            };
+            self.queued_links[l.idx()] = false;
+            let cap = self.mask.effective_capacity(graph, l);
             if cap <= 0.0 {
                 continue; // downed link: carries nothing (filtered above)
             }
@@ -870,225 +891,175 @@ fn run_timeline(
                 sum += load;
             }
             worst_queue_ms = worst_queue_ms.max(link_queue_ms);
-            queued_links[l.idx()] = link_queue_ms > queue_trigger_ms;
-            if overloaded {
-                overloaded_links += 1;
-            }
+            self.queued_links[l.idx()] = link_queue_ms > queue_trigger_ms;
+            overloaded_links += usize::from(overloaded);
             let over = sum / bins as f64 / cap - 1.0;
             if over > trip_over {
                 trip = Some(l);
                 trip_over = over;
             }
         }
-        if let Some(l) = trip {
-            let max_trips = cascade.map_or(0, |c| c.max_trips);
-            if cascade_trips < max_trips && rel_t + 1 < config.minutes {
-                // The overloaded cable blows next minute. Stored as a
-                // delta — the mask it lands on is resolved at fire time,
-                // after any scripted event due the same minute.
-                queue.push(QueuedEvent::Trip { at_minute: rel_t + 1, cable: l });
-                cascade_trips += 1;
-            }
+        // The overloaded cable blows next minute — unless the run's trip
+        // allowance is spent or there is no next minute to fire it in.
+        let max_trips = cascade.map_or(0, |c| c.max_trips);
+        if trip.is_some() && self.cascade_trips < max_trips && minute + 1 < self.config.minutes {
+            self.pending_trip = trip;
+            self.cascade_trips += 1;
         }
-        let latency_stretch = match &placement {
-            Some(pl) if static_placement.is_some() => {
-                PlacementEval::evaluate_on(graph, tm, pl).latency_stretch()
-            }
-            Some(pl) => PlacementEval::evaluate_on(graph, minute_tm, pl).latency_stretch(),
-            None => 1.0,
-        };
-        minutes.push(MinuteReport {
-            worst_queue_ms,
-            overloaded_links,
-            latency_stretch,
-            unroutable_fraction,
-            decision_ms,
-            paths_changed: churn.paths_changed(),
-            moved_volume_fraction: churn.moved_volume_fraction(),
-        });
+        (worst_queue_ms, overloaded_links)
     }
-    TimelineOutcome {
-        minutes,
-        lp_warm_hits: ctx.warm_hits(),
-        lp_solves: ctx.solves(),
-        repair_events,
-        repaired_pairs,
-        kept_pairs,
-        cascade_trips,
-    }
-}
 
-/// Merges the minute's fresh `candidate` placement with the `installed`
-/// switch state under a [`ChurnBudget`].
-///
-/// Per aggregate `j` of the minute's matrix (whose original index is
-/// `orig_of[j]`), the candidate is taken when (a) nothing is installed yet,
-/// (b) the installed paths are broken by the mask, or (c) the candidate
-/// improves predicted mean delay by more than `budget.epsilon` relative —
-/// optional re-installs are ranked by predicted delay·volume gain and cut
-/// off at `budget.max_paths_per_minute` switch operations (forced ones
-/// spend first). A final pass force-takes kept aggregates while keeping
-/// them would push some link's *predicted* load past `budget.util_guard`
-/// times effective capacity.
-///
-/// Returns the merged placement (aligned with the minute's matrix) plus
-/// the make-before-break transitions: the full old placement of every
-/// aggregate re-installed while its installed paths were still alive,
-/// which the replay drains across the transition minute. Aggregates whose
-/// paths a failure already broke switch instantly — there is nothing left
-/// to break gently — and fresh installs have nothing to drain.
-#[allow(clippy::too_many_arguments)]
-fn merge_bounded(
-    graph: &Graph,
-    mask: &FailureMask,
-    predicted: &[f64],
-    candidate: &Placement,
-    installed: &[Option<AggregatePlacement>],
-    orig_of: &[usize],
-    queued_links: &[bool],
-    budget: &ChurnBudget,
-) -> (Placement, Vec<(usize, AggregatePlacement)>) {
-    let n = candidate.per_aggregate().len();
-    let change_cost = |j: usize| {
-        PlacementDelta::of_aggregate(installed[orig_of[j]].as_ref(), candidate.aggregate(j), 1.0)
-            .paths_changed()
-    };
-    let mut take = vec![false; n];
-    let mut broken_paths = vec![false; n];
-    let mut spent = 0usize;
-    let mut optional: Vec<(usize, f64)> = Vec::new();
-    for j in 0..n {
-        match &installed[orig_of[j]] {
-            // Nothing installed (fresh aggregate, or one coming back from
-            // an unroutable spell): must install.
-            None => {
-                take[j] = true;
-                spent += change_cost(j);
-            }
-            Some(prev) => {
-                let broken = !mask.is_empty()
-                    && prev.splits.iter().any(|(p, x)| *x > 1e-9 && mask.hits_path(graph, p));
-                if broken {
-                    take[j] = true;
-                    broken_paths[j] = true;
-                    spent += change_cost(j);
-                } else {
-                    let prev_d = prev.mean_delay_ms();
-                    let cand_d = candidate.aggregate(j).mean_delay_ms();
-                    if prev_d - cand_d > budget.epsilon * prev_d.max(1e-9) {
-                        optional.push((j, predicted[j] * (prev_d - cand_d)));
-                    }
-                }
-            }
-        }
-    }
-    // Spend whatever budget remains on the re-installs that buy the most
-    // predicted delay·volume, best first (ties broken by index for
-    // determinism).
-    optional.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-    });
-    for &(j, _) in &optional {
-        let cost = change_cost(j);
-        if spent + cost <= budget.max_paths_per_minute {
-            take[j] = true;
-            spent += cost;
-        }
-    }
-    // Capacity pressure: keeping stale splits must not (predictably)
-    // overload a link — and a link that *actually queued* past the
-    // reactive trigger last minute is repaired now, prediction or not.
-    // While a link is hot, flip the kept aggregate whose re-install
-    // relieves it most. Links the *fresh candidate* itself would run as
-    // hot are hopeless — no amount of re-installing cures them, so they
-    // never charge churn.
-    let mut cand_load = vec![0.0f64; graph.link_count()];
-    let fraction_on = |splits: &[(Path, f64)], link: LinkId| -> f64 {
-        splits.iter().filter(|(p, x)| *x > 1e-9 && p.links().contains(&link)).map(|(_, x)| *x).sum()
-    };
-    for j in 0..n {
-        for (path, x) in &candidate.aggregate(j).splits {
-            if *x > 1e-9 {
-                for &l in path.links() {
-                    cand_load[l.idx()] += predicted[j] * x;
-                }
-            }
-        }
-    }
-    loop {
-        let mut load = vec![0.0f64; graph.link_count()];
+    /// Merges the minute's fresh `candidate` placement with the `installed`
+    /// switch state under a [`ChurnBudget`].
+    ///
+    /// Per aggregate `j` of the minute's matrix, the candidate is taken when
+    /// (a) nothing is installed yet, (b) the installed paths are broken by
+    /// the mask, or (c) the candidate improves predicted mean delay by more
+    /// than `budget.epsilon` relative — optional re-installs are ranked by
+    /// predicted delay·volume gain and cut off at
+    /// `budget.max_paths_per_minute` switch operations (forced ones spend
+    /// first). A final pass force-takes kept aggregates while keeping them
+    /// would push some link's *predicted* load past `budget.util_guard`
+    /// times effective capacity.
+    ///
+    /// Returns the merged placement (aligned with the minute's matrix) plus
+    /// the make-before-break transitions, in aggregate order: the full old
+    /// placement of every aggregate re-installed while its installed paths
+    /// were still alive, which the replay drains across the transition
+    /// minute. Aggregates whose paths a failure already broke switch
+    /// instantly — there is nothing left to break gently — and fresh
+    /// installs have nothing to drain.
+    fn merge_bounded(
+        &self,
+        budget: &ChurnBudget,
+        predicted: &[f64],
+        candidate: &Placement,
+    ) -> (Placement, Vec<(usize, AggregatePlacement)>) {
+        let graph = self.source.graph();
+        let mask = &self.mask;
+        let n = candidate.per_aggregate().len();
+        let installed = |j: usize| self.installed[self.orig(j)].as_ref();
+        let kept = |j: usize| installed(j).expect("kept implies installed");
+        let change_cost = |j: usize| {
+            PlacementDelta::of_aggregate(installed(j), candidate.aggregate(j), 1.0).paths_changed()
+        };
+        let mut take = vec![false; n];
+        let mut broken_paths = vec![false; n];
+        let mut spent = 0usize;
+        let mut optional: Vec<(usize, f64)> = Vec::new();
         for j in 0..n {
-            let splits = if take[j] {
-                &candidate.aggregate(j).splits
-            } else {
-                &installed[orig_of[j]].as_ref().expect("kept implies installed").splits
-            };
-            for (path, x) in splits {
-                if *x > 1e-9 {
-                    for &l in path.links() {
-                        load[l.idx()] += predicted[j] * x;
+            match installed(j) {
+                // Nothing installed (fresh aggregate, or one coming back from
+                // an unroutable spell): must install.
+                None => {
+                    take[j] = true;
+                    spent += change_cost(j);
+                }
+                Some(prev) => {
+                    let broken =
+                        prev.splits.iter().any(|(p, x)| *x > 1e-9 && mask.hits_path(graph, p));
+                    if broken {
+                        take[j] = true;
+                        broken_paths[j] = true;
+                        spent += change_cost(j);
+                    } else {
+                        let prev_d = prev.mean_delay_ms();
+                        let cand_d = candidate.aggregate(j).mean_delay_ms();
+                        if prev_d - cand_d > budget.epsilon * prev_d.max(1e-9) {
+                            optional.push((j, predicted[j] * (prev_d - cand_d)));
+                        }
                     }
                 }
             }
         }
-        let worst = graph
-            .link_ids()
-            .filter_map(|l| {
-                let cap = if mask.is_empty() {
-                    graph.link(l).capacity_mbps
-                } else {
-                    mask.effective_capacity(graph, l)
-                };
-                if cap <= 0.0 {
-                    return None;
-                }
-                let guard = budget.util_guard * cap;
-                let predicted_hot = load[l.idx()] > guard && cand_load[l.idx()] <= guard;
-                let reactive_hot =
-                    queued_links[l.idx()] && load[l.idx()] > cand_load[l.idx()] + 1e-9;
-                (predicted_hot || reactive_hot).then(|| (l, load[l.idx()] / cap))
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        let Some((hot, _)) = worst else { break };
-        let flip = (0..n)
-            .filter(|&j| !take[j])
-            .filter_map(|j| {
-                let prev = installed[orig_of[j]].as_ref().expect("kept implies installed");
-                let relief = predicted[j]
-                    * (fraction_on(&prev.splits, hot)
-                        - fraction_on(&candidate.aggregate(j).splits, hot));
-                (relief > 0.0).then_some((j, relief))
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        // No kept aggregate can relieve the hot link (or the budget is
-        // exhausted): stop rather than churn without effect.
-        let Some((j, _)) = flip else { break };
-        if spent + change_cost(j) > budget.max_paths_per_minute {
-            break;
-        }
-        take[j] = true;
-        spent += change_cost(j);
-    }
-    let mut merged = Vec::with_capacity(n);
-    let mut transitions = Vec::new();
-    for j in 0..n {
-        if take[j] {
-            let new = candidate.aggregate(j);
-            if let Some(prev) = &installed[orig_of[j]] {
-                // A live re-install drains make-before-break; one that
-                // actually changes nothing has nothing to drain.
-                if !broken_paths[j]
-                    && PlacementDelta::of_aggregate(Some(prev), new, 1.0).paths_changed() > 0
-                {
-                    transitions.push((j, prev.clone()));
-                }
+        // Spend whatever budget remains on the re-installs that buy the most
+        // predicted delay·volume, best first (ties broken by index for
+        // determinism).
+        optional.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+        });
+        for &(j, _) in &optional {
+            let cost = change_cost(j);
+            if spent + cost <= budget.max_paths_per_minute {
+                take[j] = true;
+                spent += cost;
             }
-            merged.push(new.clone());
-        } else {
-            merged.push(installed[orig_of[j]].as_ref().expect("kept implies installed").clone());
         }
+        // Capacity pressure: keeping stale splits must not (predictably)
+        // overload a link — and a link that *actually queued* past the
+        // reactive trigger last minute is repaired now, prediction or not.
+        // While a link is hot, flip the kept aggregate whose re-install
+        // relieves it most. Links the *fresh candidate* itself would run as
+        // hot are hopeless — no amount of re-installing cures them, so they
+        // never charge churn.
+        let fraction_on = |splits: &[(Path, f64)], link: LinkId| -> f64 {
+            splits
+                .iter()
+                .filter(|(p, x)| *x > 1e-9 && p.links().contains(&link))
+                .map(|(_, x)| *x)
+                .sum()
+        };
+        let cand_load = predicted_link_loads(graph, predicted, |j| &candidate.aggregate(j).splits);
+        loop {
+            let load = predicted_link_loads(graph, predicted, |j| {
+                if take[j] {
+                    &candidate.aggregate(j).splits
+                } else {
+                    &kept(j).splits
+                }
+            });
+            let worst = graph
+                .link_ids()
+                .filter_map(|l| {
+                    let cap = mask.effective_capacity(graph, l);
+                    if cap <= 0.0 {
+                        return None;
+                    }
+                    let guard = budget.util_guard * cap;
+                    let predicted_hot = load[l.idx()] > guard && cand_load[l.idx()] <= guard;
+                    let reactive_hot =
+                        self.queued_links[l.idx()] && load[l.idx()] > cand_load[l.idx()] + 1e-9;
+                    (predicted_hot || reactive_hot).then(|| (l, load[l.idx()] / cap))
+                })
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+            let Some((hot, _)) = worst else { break };
+            let flip = (0..n)
+                .filter(|&j| !take[j])
+                .filter_map(|j| {
+                    let relief = predicted[j]
+                        * (fraction_on(&kept(j).splits, hot)
+                            - fraction_on(&candidate.aggregate(j).splits, hot));
+                    (relief > 0.0).then_some((j, relief))
+                })
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+            // No kept aggregate can relieve the hot link (or the budget is
+            // exhausted): stop rather than churn without effect.
+            let Some((j, _)) = flip else { break };
+            if spent + change_cost(j) > budget.max_paths_per_minute {
+                break;
+            }
+            take[j] = true;
+            spent += change_cost(j);
+        }
+        let mut merged = Vec::with_capacity(n);
+        let mut transitions = Vec::new();
+        for j in 0..n {
+            if take[j] {
+                let new = candidate.aggregate(j);
+                if let Some(prev) = installed(j) {
+                    // A live re-install drains make-before-break; one that
+                    // actually changes nothing has nothing to drain.
+                    if !broken_paths[j] && change_cost(j) > 0 {
+                        transitions.push((j, prev.clone()));
+                    }
+                }
+                merged.push(new.clone());
+            } else {
+                merged.push(kept(j).clone());
+            }
+        }
+        (Placement::new(merged), transitions)
     }
-    (Placement::new(merged), transitions)
 }
 
 #[cfg(test)]
@@ -1148,7 +1119,8 @@ mod tests {
         };
         let scenario = single_link_failures(&topo).into_iter().next().expect("a cable");
         let events = vec![TimelineEvent { at_minute: 1, mask: scenario.mask(&topo) }];
-        let flat = simulate_with_events(&topo, &tm, &Controller::ldr(), &cfg, &events);
+        let cache = PathCache::new(topo.graph());
+        let flat = simulate_with_events_on(&cache, &tm, &Controller::ldr(), &cfg, &events);
         let engine = PartitionedPathEngine::build(topo.graph(), &EngineConfig::default());
         let part = simulate_with_events_on(&engine, &tm, &Controller::ldr(), &cfg, &events);
         assert_eq!(flat.minutes.len(), part.minutes.len());
@@ -1311,7 +1283,8 @@ mod tests {
             ..Default::default()
         };
         let events = outage(&topo, 4);
-        let out = simulate_with_events(&topo, &tm, &Controller::ldr(), &cfg, &events);
+        let cache = PathCache::new(topo.graph());
+        let out = simulate_with_events_on(&cache, &tm, &Controller::ldr(), &cfg, &events);
         assert_eq!(out.minutes.len(), 5);
         assert_eq!(out.repair_events, 2, "down then up");
         assert!(out.repaired_pairs > 0, "the failed cable crossed cached paths");
@@ -1337,7 +1310,8 @@ mod tests {
         let mut leaked = false;
         for scenario in single_link_failures(&topo) {
             let events = vec![TimelineEvent { at_minute: 1, mask: scenario.mask(&topo) }];
-            let out = simulate_with_events(&topo, &tm, &Controller::static_sp(), &cfg, &events);
+            let cache = PathCache::new(topo.graph());
+            let out = simulate_with_events_on(&cache, &tm, &Controller::static_sp(), &cfg, &events);
             assert_eq!(out.minutes[0].unroutable_fraction, 0.0, "pre-failure minute clean");
             if out.max_unroutable_fraction() > 0.0 {
                 leaked = true;
@@ -1383,10 +1357,11 @@ mod tests {
             warmup_minutes: 2,
             cv: 0.05,
             seed: 21,
+            cascade: Some(CascadeConfig { trip_overload: 0.2, max_trips: 4 }),
             ..Default::default()
         };
-        let cascade = CascadeConfig { trip_overload: 0.2, max_trips: 4 };
-        let out = simulate_with_cascades(&topo, &tm, &Controller::ldr(), &cfg, &events, &cascade);
+        let cache = PathCache::new(topo.graph());
+        let out = simulate_with_events_on(&cache, &tm, &Controller::ldr(), &cfg, &events);
         // Minute 1: 600 Mbps rerouted onto 400 Mbps cables — 50% sustained
         // overload, far past the 20% trip threshold.
         assert!(out.minutes[1].overloaded_links > 0, "reroute must overload the narrow path");
@@ -1416,10 +1391,15 @@ mod tests {
             ..Default::default()
         };
         let events = outage(&topo, 3);
-        let plain = simulate_with_events(&topo, &tm, &Controller::ldr(), &cfg, &events);
-        let cascade = CascadeConfig { trip_overload: 10.0, max_trips: 8 };
+        let cache = PathCache::new(topo.graph());
+        let plain = simulate_with_events_on(&cache, &tm, &Controller::ldr(), &cfg, &events);
+        let armed = TimelineConfig {
+            cascade: Some(CascadeConfig { trip_overload: 10.0, max_trips: 8 }),
+            ..cfg
+        };
+        let cache = PathCache::new(topo.graph());
         let with_cascade =
-            simulate_with_cascades(&topo, &tm, &Controller::ldr(), &cfg, &events, &cascade);
+            simulate_with_events_on(&cache, &tm, &Controller::ldr(), &armed, &events);
         assert_eq!(with_cascade.cascade_trips, 0, "nothing sustains 10x overload");
         assert_eq!(plain.cascade_trips, 0, "plain runs never trip");
         assert_eq!(plain.repair_events, with_cascade.repair_events);
@@ -1482,7 +1462,8 @@ mod tests {
             TimelineEvent { at_minute: 1, mask: sever.clone() },
             TimelineEvent { at_minute: 1, mask: FailureMask::new() },
         ];
-        let out = simulate_with_events(&topo, &tm, &Controller::ldr(), &cfg, &sever_then_up);
+        let cache = PathCache::new(topo.graph());
+        let out = simulate_with_events_on(&cache, &tm, &Controller::ldr(), &cfg, &sever_then_up);
         assert_eq!(out.repair_events, 2, "both events fire");
         assert_eq!(out.max_unroutable_fraction(), 0.0, "the later link-up wins");
 
@@ -1490,7 +1471,8 @@ mod tests {
             TimelineEvent { at_minute: 1, mask: FailureMask::new() },
             TimelineEvent { at_minute: 1, mask: sever },
         ];
-        let out = simulate_with_events(&topo, &tm, &Controller::ldr(), &cfg, &up_then_sever);
+        let cache = PathCache::new(topo.graph());
+        let out = simulate_with_events_on(&cache, &tm, &Controller::ldr(), &cfg, &up_then_sever);
         assert_eq!(out.repair_events, 2);
         assert!(
             out.minutes[1].unroutable_fraction > 0.99,
@@ -1525,10 +1507,11 @@ mod tests {
             warmup_minutes: 2,
             cv: 0.05,
             seed: 21,
+            cascade: Some(CascadeConfig { trip_overload: 0.2, max_trips: 4 }),
             ..Default::default()
         };
-        let cascade = CascadeConfig { trip_overload: 0.2, max_trips: 4 };
-        let out = simulate_with_cascades(&topo, &tm, &Controller::ldr(), &cfg, &events, &cascade);
+        let cache = PathCache::new(topo.graph());
+        let out = simulate_with_events_on(&cache, &tm, &Controller::ldr(), &cfg, &events);
         assert!(out.minutes[1].overloaded_links > 0, "reroute overloads the narrow path");
         assert_eq!(out.cascade_trips, 1, "the narrow path trips exactly once");
         assert_eq!(out.repair_events, 3, "failure, link-up, then the trip");
@@ -1551,6 +1534,7 @@ mod tests {
             seed: 17,
             diurnal_amplitude: 0.3,
             diurnal_period: 12,
+            ..Default::default()
         };
         let full = simulate(&topo, &tm, &Controller::ldr(), &cfg);
         let bounded =
@@ -1607,7 +1591,8 @@ mod tests {
         };
         let events = outage(&topo, 4);
         let bounded = Controller::parse("bounded:LDR").expect("bounded:LDR");
-        let out = simulate_with_events(&topo, &tm, &bounded, &cfg, &events);
+        let cache = PathCache::new(topo.graph());
+        let out = simulate_with_events_on(&cache, &tm, &bounded, &cfg, &events);
         assert_eq!(out.repair_events, 2, "down then up");
         assert_eq!(out.max_unroutable_fraction(), 0.0, "Abilene survives any single failure");
         assert!(out.minutes[1].paths_changed > 0, "re-placing around the failure is paid churn");
@@ -1625,7 +1610,8 @@ mod tests {
         };
         let events = vec![TimelineEvent { at_minute: 2, mask: FailureMask::new() }];
         let result = std::panic::catch_unwind(|| {
-            simulate_with_events(&topo, &tm, &Controller::static_sp(), &cfg, &events)
+            let cache = PathCache::new(topo.graph());
+            simulate_with_events_on(&cache, &tm, &Controller::static_sp(), &cfg, &events)
         });
         assert!(result.is_err());
     }

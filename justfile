@@ -1,12 +1,16 @@
 # Workspace task runner. `just --list` shows everything.
 
-# Tier-1 verification: what CI runs and every PR must keep green.
+# Tier-1 verification: what CI runs and every PR must keep green. The last
+# two lines build and test the repo benchmark, a workspace of its own that
+# links against `sim`/`core` signatures by name (CI's `perfbench` job).
 verify:
     cargo fmt --check
     cargo build --release
     cargo clippy --all-targets -- -D warnings
     cargo test -q
     cargo bench --no-run
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Full benchmark sweep (criterion stand-in: wall-clock medians on stdout).
 bench:
