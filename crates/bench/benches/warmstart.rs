@@ -71,6 +71,50 @@ fn bench_simplex_chain(c: &mut Criterion) {
     group.finish();
 }
 
+/// A fixed `rows`-row capacity LP whose optimum has a structural variable
+/// basic in every row: maximize Σ x under
+/// `x_i + x_{i+1}/4 + x_{i+7}/4 <= cap_i`. `wobble` moves the capacities by
+/// under a percent — right-hand sides only, and not enough to change the
+/// optimal basis.
+fn capacity_rows(rows: usize, wobble: u64) -> Problem {
+    let mut p = Problem::minimize(rows);
+    for i in 0..rows {
+        p.set_objective(i, -1.0);
+        let cap = 10.0 + 0.02 * ((i as u64 * 5 + wobble * 3) % 7) as f64;
+        p.add_row(Relation::Le, cap, &[(i, 1.0), ((i + 1) % rows, 0.25), ((i + 7) % rows, 0.25)]);
+    }
+    p
+}
+
+/// The calibration cell for the restart itself: a warm re-solve that moves
+/// right-hand sides only and pivots zero times, so what is timed is the
+/// standard form, taking the basis over, the basic values, one pricing pass
+/// and handing the basis back — at the row counts of a GTS-like growth LP
+/// (240), of a 10k-node placement LP (510), and beyond.
+fn bench_restart_0pivot(c: &mut Criterion) {
+    let mut group = c.benchmark_group("warmstart/restart_0pivot");
+    group.sample_size(20);
+    for rows in [240usize, 510, 1000] {
+        let minutes = [capacity_rows(rows, 0), capacity_rows(rows, 1)];
+        let mut basis = Basis::new();
+        minutes[0].solve_warm(&mut basis).expect("feasible");
+        for p in &minutes {
+            let sol = p.solve_warm(&mut basis).expect("feasible");
+            assert!(sol.warm_started() && sol.iterations() == 0, "{rows} rows: not a pure restart");
+        }
+        group.bench_function(format!("{rows}-rows"), |b| {
+            b.iter(|| {
+                let mut acc = 0.0;
+                for p in &minutes {
+                    acc += black_box(p).solve_warm(&mut basis).expect("feasible").objective();
+                }
+                acc
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Per-minute demand vectors for the LDR chain: Algorithm-1 predictions
 /// over an evolving cv-0.3 trace — the deployment cycle's real workload.
 fn minute_volumes(tm: &lowlat_tmgen::TrafficMatrix) -> Vec<Vec<f64>> {
@@ -151,5 +195,5 @@ fn bench_ldr_minutes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simplex_chain, bench_ldr_minutes);
+criterion_group!(benches, bench_simplex_chain, bench_restart_0pivot, bench_ldr_minutes);
 criterion_main!(benches);

@@ -40,8 +40,11 @@
 //! [`lowlat_linprog::Basis::relabel`] carries the basis *and its inverse*
 //! across (the re-labelling maps come from the two LPs' layouts, which
 //! only the LP builder decides), the restart is primal feasible by
-//! construction, and a round typically needs a handful of pivots to price
-//! the new columns in — none at all when they do not help. Only the first
+//! construction and pays for the columns that changed — an eta update for
+//! each old path that crosses a newly used link and each promoted
+//! aggregate's `z_a0`, nothing for the rest of the inverse — and a round
+//! typically needs a handful of pivots to price the new columns in, none at
+//! all when they do not help. Only the first
 //! LP of a chain is ever solved from scratch, and not even that when a
 //! previous call left its basis in the [`SolveContext`].
 //!
@@ -191,6 +194,11 @@ impl SolveContext {
     /// Drops all stored bases (e.g. after a topology change).
     pub fn clear(&mut self) {
         self.bases.clear();
+    }
+
+    /// Heap bytes of every stored basis — the `pathgrow.basis_bytes` gauge.
+    fn basis_bytes(&self) -> usize {
+        self.bases.values().map(|s| s.basis.heap_bytes()).sum()
     }
 }
 
@@ -582,6 +590,7 @@ impl<'a> LpData<'a> {
             }
             telemetry::observe("pathgrow.lp_pivots", sol.iterations() as f64);
             telemetry::observe("pathgrow.lp_rows", p.num_rows() as f64);
+            telemetry::gauge_set("pathgrow.basis_bytes", ctx.basis_bytes() as f64);
         }
         #[cfg(test)]
         tests::audit_against_cold(
@@ -1314,6 +1323,33 @@ mod tests {
             ctx.solves() - solves_minute0
         );
         let _ = first;
+    }
+
+    #[test]
+    fn promotion_on_terabit_links_restarts_at_the_true_vertex() {
+        // 2 Tb/s links: the promoted aggregate's `z_a0` column is its
+        // `Σ = B_a` entry plus two capacity-row coefficients of 1/C = 5e-7 —
+        // below any absolute tolerance that could tell it from the unit
+        // column `relabel` put in that row, yet 3e6 Mbps of it is 1.5 link
+        // capacities. Round 1 overloads the shortest path, round 2 promotes
+        // the aggregate onto both; every LP must agree with its cold solve.
+        let topo = two_path_scaled([2e4; 4]);
+        let cache = PathCache::new(topo.graph());
+        let tm = tm_one(3e6);
+        let mut ctx = SolveContext::new();
+        let (out, lps, _) =
+            audited(|| GrowRequest::new(&cache, &tm).volumes(&[3e6]).solve_with(&mut ctx).unwrap());
+        assert!(lps >= 3 && out.rounds >= 2, "needs a growth round: {lps} LPs");
+        assert!(ctx.warm_hits() >= 1, "the promoted round restarts warm");
+        assert!(out.omax <= 1e-9, "3e6 fits across both paths, omax {}", out.omax);
+        let cold = GrowRequest::new(&cache, &tm).volumes(&[3e6]).solve().unwrap();
+        assert!((out.omax - cold.omax).abs() <= 1e-9);
+        let (warm_ms, cold_ms) = (
+            out.placement.aggregate(0).mean_delay_ms(),
+            cold.placement.aggregate(0).mean_delay_ms(),
+        );
+        assert!((warm_ms - cold_ms).abs() <= 1e-9, "mean delay {warm_ms} vs cold {cold_ms}");
+        assert!((warm_ms - (2.0 * 2.0 + 6.0) / 3.0).abs() <= 1e-6);
     }
 
     /// `two_path` with each cable's capacity pre-scaled by its factor — the

@@ -6,13 +6,16 @@
 //! The paper solves path-based multi-commodity-flow LPs (Figure 12) whose
 //! row counts stay small because the path set is grown lazily (Figure 13) —
 //! typically a few hundred to a few thousand rows. A dense basis inverse is
-//! the right tool at that scale: simple, predictable, and fast enough that
-//! "the bottleneck is not the linear optimizer, but the k shortest paths
-//! algorithm" (paper §5), which our Figure-15 reproduction confirms.
+//! the right tool at that scale: simple and predictable. (The paper's §5
+//! has "the bottleneck is not the linear optimizer, but the k shortest paths
+//! algorithm"; in this reproduction the LP chain is still the larger share
+//! of a GTS-like LDR decision — the repo benchmark's layer table says by
+//! how much.)
 //!
 //! ## Scope
 //!
-//! * minimize `c·x` subject to `Ax {<=,==,>=} b`, `x >= 0`
+//! * minimize `c·x` subject to `Ax {<=,==,>=} b`, `0 <= x <= u` — upper
+//!   bounds are native (a bound-flip ratio test), not rows
 //! * detects infeasibility and unboundedness
 //! * Dantzig pricing with an automatic switch to Bland's rule when
 //!   degeneracy stalls progress (guaranteeing termination)
@@ -20,7 +23,12 @@
 //! * **warm starts**: [`Problem::solve_warm`] re-optimizes from the
 //!   [`Basis`] a previous solve exported — the §5 minute-by-minute
 //!   deployment cycle poses nearly identical LPs, and restarting from the
-//!   previous optimal vertex skips phase 1 and most pivots. Stale bases
+//!   previous optimal vertex skips phase 1 and most pivots. The handle
+//!   carries the basis inverse *and the columns it inverts*, so the restart
+//!   costs what changed: basic columns are compared exactly, in O(nonzeros),
+//!   and only the ones that differ are re-multiplied and replaced by an eta
+//!   update — a re-solve with new right-hand sides or costs re-multiplies
+//!   nothing and reads the inverse once, for the basic values. Stale bases
 //!   (wrong shape, singular, infeasible under the new data) fall back to a
 //!   cold solve automatically.
 //! * **column generation**: [`Basis::relabel`] carries an exported basis —
@@ -28,8 +36,10 @@
 //!   a pricing round restarts from the optimum of the round before it.
 //!
 //! Not implemented (not needed by this workspace): general variable bounds
-//! (shift/negate at the call site), sparse LU factorization, dual simplex,
-//! presolve. Callers with upper-bounded variables add explicit rows.
+//! (shift/negate at the call site), sparse LU factorization (the inverse is
+//! dense, and past 2048 rows it is not carried between solves), a full dual
+//! simplex (a warm restart repairs primal infeasibility with a bounded
+//! number of dual pivots, then runs the primal method), presolve.
 //!
 //! ```
 //! use lowlat_linprog::{Problem, Relation};

@@ -2,7 +2,7 @@
 
 use crate::simplex::{
     solve_standard_form, solve_standard_form_warm, Basis, LpError, Solution, SolverOptions,
-    StandardForm,
+    SparseCols, StandardForm,
 };
 
 /// Relation of a constraint row.
@@ -96,16 +96,22 @@ impl Problem {
     /// Panics on out-of-range variables or non-finite values.
     pub fn add_row(&mut self, rel: Relation, rhs: f64, coeffs: &[(usize, f64)]) -> RowId {
         assert!(rhs.is_finite(), "non-finite rhs");
-        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(coeffs.len());
-        let mut sorted = coeffs.to_vec();
-        sorted.sort_by_key(|&(v, _)| v);
-        for &(var, c) in &sorted {
+        for &(var, c) in coeffs {
             assert!(var < self.num_vars, "row var {var} out of range");
             assert!(c.is_finite(), "non-finite row coefficient");
-            match merged.last_mut() {
-                Some((last_var, last_c)) if *last_var == var => *last_c += c,
-                _ => merged.push((var, c)),
-            }
+        }
+        let mut merged = coeffs.to_vec();
+        // Strictly increasing variables (every row the growth loop poses)
+        // have nothing to sort or merge.
+        if !coeffs.windows(2).all(|w| w[0].0 < w[1].0) {
+            merged.sort_by_key(|&(v, _)| v);
+            merged.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
         }
         merged.retain(|&(_, c)| c != 0.0);
         let id = RowId(self.rows.len());
@@ -160,12 +166,27 @@ impl Problem {
         let n_slack = self.rows.iter().filter(|r| r.rel != Relation::Eq).count();
         let n = n_structural + n_slack;
 
-        let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         let mut b = vec![0.0; m];
         let mut c = vec![0.0; n];
         c[..n_structural].copy_from_slice(&self.objective);
         let mut upper = vec![f64::INFINITY; n];
         upper[..n_structural].copy_from_slice(&self.upper);
+
+        // Column starts by counting, then one pass over the rows in order
+        // drops every entry at its column's cursor — rows come out strictly
+        // increasing within a column.
+        let mut col_ptr = vec![0usize; n + 1];
+        for row in &self.rows {
+            for &(var, _) in &row.coeffs {
+                col_ptr[var + 1] += 1;
+            }
+        }
+        col_ptr[n_structural + 1..].iter_mut().for_each(|count| *count = 1);
+        for j in 0..n {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut cursor = col_ptr[..n].to_vec();
+        let mut entries = vec![(0usize, 0.0); col_ptr[n]];
 
         let negated: Vec<bool> = self.rows.iter().map(|row| row.rhs < 0.0).collect();
         let mut slack_idx = n_structural;
@@ -173,20 +194,18 @@ impl Problem {
             let sign = if negated[i] { -1.0 } else { 1.0 };
             b[i] = sign * row.rhs;
             for &(var, coeff) in &row.coeffs {
-                cols[var].push((i, sign * coeff));
+                entries[cursor[var]] = (i, sign * coeff);
+                cursor[var] += 1;
             }
-            match row.rel {
-                Relation::Eq => {}
-                Relation::Le => {
-                    cols[slack_idx].push((i, sign));
-                    slack_idx += 1;
-                }
-                Relation::Ge => {
-                    cols[slack_idx].push((i, -sign));
-                    slack_idx += 1;
-                }
-            }
+            let slack = match row.rel {
+                Relation::Eq => continue,
+                Relation::Le => sign,
+                Relation::Ge => -sign,
+            };
+            entries[col_ptr[slack_idx]] = (i, slack);
+            slack_idx += 1;
         }
+        let cols = SparseCols { ptr: col_ptr, entries };
         StandardForm { num_structural: n_structural, cols, b, c, upper, negated }
     }
 }
@@ -200,8 +219,8 @@ mod tests {
         let mut p = Problem::minimize(2);
         p.add_row(Relation::Le, 5.0, &[(0, 1.0), (0, 2.0), (1, 1.0), (1, -1.0)]);
         let sf = p.to_standard_form();
-        assert_eq!(sf.cols[0], vec![(0, 3.0)]);
-        assert!(sf.cols[1].is_empty(), "cancelled coefficient dropped");
+        assert_eq!(sf.col(0), [(0, 3.0)]);
+        assert!(sf.col(1).is_empty(), "cancelled coefficient dropped");
     }
 
     #[test]
@@ -211,8 +230,8 @@ mod tests {
         p.add_row(Relation::Le, -2.0, &[(0, -1.0)]);
         let sf = p.to_standard_form();
         assert_eq!(sf.b, vec![2.0]);
-        assert_eq!(sf.cols[0], vec![(0, 1.0)]); // negated
-        assert_eq!(sf.cols[1], vec![(0, -1.0)]); // slack flipped too
+        assert_eq!(sf.col(0), [(0, 1.0)]); // negated
+        assert_eq!(sf.col(1), [(0, -1.0)]); // slack flipped too
     }
 
     #[test]

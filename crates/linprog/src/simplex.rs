@@ -19,22 +19,70 @@ use lowlat_telemetry as telemetry;
 
 use crate::problem::Problem;
 
+/// Sparse columns stored flat: column `j` is
+/// `entries[ptr[j]..ptr[j + 1]]`, `(row, coeff)` pairs with rows strictly
+/// increasing and no zeros, so two columns are the same column exactly when
+/// their slices are equal.
+#[derive(Clone, Default)]
+pub(crate) struct SparseCols {
+    /// Column starts; one more entry than there are columns (empty = none).
+    pub ptr: Vec<usize>,
+    /// Every column's nonzeros back to back.
+    pub entries: Vec<(usize, f64)>,
+}
+
+impl SparseCols {
+    pub fn len(&self) -> usize {
+        self.ptr.len().saturating_sub(1)
+    }
+
+    pub fn col(&self, j: usize) -> &[(usize, f64)] {
+        &self.entries[self.ptr[j]..self.ptr[j + 1]]
+    }
+
+    /// Appends a column (rows strictly increasing, coefficients nonzero).
+    fn push_col(&mut self, col: impl Iterator<Item = (usize, f64)>) {
+        if self.ptr.is_empty() {
+            self.ptr.push(0);
+        }
+        self.entries.extend(col);
+        self.ptr.push(self.entries.len());
+    }
+}
+
 /// Equality standard form `min c·x  s.t.  A x = b (b >= 0), 0 <= x <= u`
 /// with sparse columns. Produced by [`crate::Problem::to_standard_form`].
 pub(crate) struct StandardForm {
     /// Number of structural (caller-visible) variables; the rest are slacks.
     pub num_structural: usize,
-    /// Sparse columns: `cols[j]` lists `(row, coeff)` with rows strictly
-    /// increasing.
-    pub cols: Vec<Vec<(usize, f64)>>,
+    /// The columns of `A`, structural then slack.
+    pub cols: SparseCols,
     /// Right-hand side, all entries non-negative.
     pub b: Vec<f64>,
-    /// Objective (length `cols.len()`, slacks carry 0).
+    /// Objective (one per column, slacks carry 0).
     pub c: Vec<f64>,
     /// Upper bounds per column (`f64::INFINITY` when absent).
     pub upper: Vec<f64>,
     /// Rows that were multiplied by -1 to make `b` non-negative.
     pub negated: Vec<bool>,
+}
+
+impl StandardForm {
+    /// Columns, structural and slack.
+    pub fn num_cols(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// The nonzeros of column `j`.
+    pub fn col(&self, j: usize) -> &[(usize, f64)] {
+        self.cols.col(j)
+    }
+
+    /// Column `j` in the row signs of the problem *as posed* (negated rows
+    /// negated back; multiplying by ±1 is exact).
+    fn posed_col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.col(j).iter().map(|&(r, v)| (r, if self.negated[r] { -v } else { v }))
+    }
 }
 
 /// Why the solver gave up.
@@ -70,7 +118,9 @@ pub struct SolverOptions {
     pub max_iterations: usize,
     /// Base tolerance for reduced costs and pivot magnitudes.
     pub tol: f64,
-    /// Refactorize the basis inverse every this many pivots.
+    /// Refactorize the basis inverse every this many pivots of one solve;
+    /// a warm restart audits a carried inverse numerically once it has
+    /// taken this many eta updates across solves.
     pub refactor_every: usize,
 }
 
@@ -89,6 +139,18 @@ impl Default for SolverOptions {
 /// problem, or that turns out singular or infeasible under the new data,
 /// silently degrades to a cold solve — staleness can cost time, never
 /// correctness.
+///
+/// Besides the labels (which column is basic in which row, which rest at
+/// their upper bound) the handle carries the basis *inverse* together with
+/// the sparse columns of the matrix that inverse inverts. A restart
+/// compares each basic column of the new problem with the stored one —
+/// exactly, in O(nonzeros) — and spends an eta update only on the positions
+/// that differ, so a re-solve whose constraint matrix did not change (new
+/// right-hand sides, new objective: the deployment cycle's common case)
+/// re-multiplies nothing and reads the inverse once, for the basic values.
+/// While a solve runs the inverse lives in the solver, not here: a solve
+/// that fails ([`LpError`]) leaves the labels behind without it, and the
+/// next restart from them refactorizes.
 #[derive(Clone, Default)]
 pub struct Basis {
     /// Basic column per row, in standard-form column space (structural
@@ -102,15 +164,26 @@ pub struct Basis {
     /// Row of each slack column, in column order — what lets
     /// [`Basis::relabel`] renumber slacks when rows are spliced in.
     slack_rows: Vec<usize>,
-    /// The basis inverse at export time (column-major m*m), in the row
-    /// signs of the problem *as posed* (the standard form's negation of
-    /// negative-rhs rows undone, so a right-hand side changing sign does
-    /// not invalidate it). Carried so a restart skips the O(m³)
-    /// refactorization: it is verified against the new matrix column by
-    /// column before use, columns that differ are replaced by one eta
-    /// update each, and it is recomputed when that fails. Omitted for very
-    /// large bases (memory) — see [`BINV_CARRY_LIMIT`].
-    binv: Option<Vec<f64>>,
+    carried: Carried,
+}
+
+/// The inverse a [`Basis`] carries so a restart skips the O(m³)
+/// refactorization, with what a restart needs to trust it. Everything is
+/// in the row signs of the problem *as posed* (the standard form's negation
+/// of negative-rhs rows undone), so a right-hand side changing sign does
+/// not invalidate it.
+#[derive(Clone, Default)]
+struct Carried {
+    /// Column-major m*m inverse; empty when none is carried (very large
+    /// bases — see [`BINV_CARRY_LIMIT`] — or a solve that did not finish).
+    binv: Vec<f64>,
+    /// The matrix `binv` inverts, one column per basis position. At export
+    /// these are the basic columns themselves; [`Basis::relabel`] maps them
+    /// along with the inverse and puts unit columns in the new rows.
+    cols: SparseCols,
+    /// Eta updates `binv` has taken since it was last factorized or
+    /// numerically audited.
+    age: usize,
 }
 
 /// Largest row count whose basis inverse is carried inside [`Basis`]
@@ -123,7 +196,7 @@ impl std::fmt::Debug for Basis {
             .field("shape", &self.shape)
             .field("basic", &self.basic)
             .field("at_upper", &self.at_upper)
-            .field("carries_binv", &self.binv.is_some())
+            .field("carries_binv", &!self.carried.binv.is_empty())
             .finish()
     }
 }
@@ -141,11 +214,19 @@ impl Basis {
 
     /// Forgets the stored basis; the next `solve_warm` will run cold.
     pub fn clear(&mut self) {
-        self.basic.clear();
-        self.at_upper.clear();
-        self.shape = (0, 0);
-        self.slack_rows.clear();
-        self.binv = None;
+        *self = Basis::default();
+    }
+
+    /// Heap bytes this handle holds — all but a sliver of it the carried
+    /// m*m inverse.
+    pub fn heap_bytes(&self) -> usize {
+        let words = self.basic.len()
+            + self.at_upper.len()
+            + self.slack_rows.len()
+            + self.carried.binv.len()
+            + self.carried.cols.ptr.len()
+            + 2 * self.carried.cols.entries.len();
+        words * std::mem::size_of::<usize>()
     }
 
     /// Re-labels the stored basis for `grown`, a problem that *extends* the
@@ -161,10 +242,14 @@ impl Basis {
     /// optimum wherever the caller's entering columns reproduce it.
     ///
     /// The carried inverse is extended block-diagonally (old inverse
-    /// permuted, identity on the new rows); the restart completes it against
-    /// `grown`'s real coefficients — one eta update per basic column with
-    /// entries outside its block — and falls back to refactorization, then
-    /// to a cold solve, when that fails.
+    /// permuted, identity on the new rows) and the columns stored with it
+    /// follow: old ones through `rows`, a unit column per new row. The
+    /// restart completes it against `grown`'s real coefficients — one eta
+    /// update per basic column that is not the stored one (an old column
+    /// with entries in new rows, an entering column that is not a bare
+    /// `+1`) — and falls back to refactorization, then to a cold solve,
+    /// when that fails. Nothing of the inverse is touched when `rows` is the
+    /// identity (columns were added, no rows).
     ///
     /// Returns `false` (and clears the basis) when the stored basis does
     /// not have the shape the maps describe or the maps are inconsistent —
@@ -231,7 +316,6 @@ impl Basis {
             }
             basic[r] = col_to[j];
         }
-        let mut new_rows = Vec::with_capacity(enter.len());
         let mut enter = enter.iter();
         for (r, b) in basic.iter_mut().enumerate() {
             if *b == usize::MAX {
@@ -239,26 +323,17 @@ impl Basis {
                     Some(j) => claim(j).filter(|&j| j < new_structural)?,
                     None => claim(slack_of[r]?)?,
                 };
-                new_rows.push(r);
             }
         }
 
-        self.binv = match self.binv.take() {
-            Some(old) if new_m <= BINV_CARRY_LIMIT => {
-                let mut ext = vec![0.0; new_m * new_m];
-                for (k, &rk) in rows.iter().enumerate() {
-                    let to = &mut ext[rk * new_m..(rk + 1) * new_m];
-                    for (&ri, &v) in rows.iter().zip(&old[k * m..(k + 1) * m]) {
-                        to[ri] = v;
-                    }
+        if new_m > m || rows.iter().enumerate().any(|(k, &r)| k != r) {
+            self.carried = match std::mem::take(&mut self.carried) {
+                old if old.binv.len() == m * m && new_m <= BINV_CARRY_LIMIT => {
+                    old.extended(rows, new_m)
                 }
-                for &r in &new_rows {
-                    ext[r * new_m + r] = 1.0;
-                }
-                Some(ext)
-            }
-            _ => None,
-        };
+                _ => Carried::default(),
+            };
+        }
         self.basic = basic;
         for j in self.at_upper.iter_mut() {
             *j = col_to[*j];
@@ -266,6 +341,42 @@ impl Basis {
         self.slack_rows = slack_rows;
         self.shape = (new_m, new_n);
         Some(())
+    }
+}
+
+impl Carried {
+    /// This inverse and its matrix after [`Basis::relabel`] to `new_m` rows:
+    /// old row and basis position `k` become `rows[k]` (distinct, below
+    /// `new_m`), and every other row is new and gets the unit column in both.
+    fn extended(self, rows: &[usize], new_m: usize) -> Carried {
+        let m = rows.len();
+        let mut old_position = vec![usize::MAX; new_m];
+        for (k, &r) in rows.iter().enumerate() {
+            old_position[r] = k;
+        }
+        let mut binv = vec![0.0; new_m * new_m];
+        for (k, &rk) in rows.iter().enumerate() {
+            let to = &mut binv[rk * new_m..(rk + 1) * new_m];
+            for (&ri, &v) in rows.iter().zip(&self.binv[k * m..(k + 1) * m]) {
+                to[ri] = v;
+            }
+        }
+        let monotone = rows.windows(2).all(|w| w[0] < w[1]);
+        let mut cols = SparseCols::default();
+        cols.entries.reserve(self.cols.entries.len() + new_m - m);
+        for (r, &k) in old_position.iter().enumerate() {
+            if k == usize::MAX {
+                binv[r * new_m + r] = 1.0;
+                cols.push_col(std::iter::once((r, 1.0)));
+            } else {
+                let start = cols.entries.len();
+                cols.push_col(self.cols.col(k).iter().map(|&(row, v)| (rows[row], v)));
+                if !monotone {
+                    cols.entries[start..].sort_unstable_by_key(|&(row, _)| row);
+                }
+            }
+        }
+        Carried { binv, cols, age: self.age }
     }
 }
 
@@ -321,7 +432,7 @@ struct Engine<'a> {
     m: usize,
     /// Total columns including artificials.
     total_n: usize,
-    /// First artificial column index (== sf.cols.len()).
+    /// First artificial column index (== sf.num_cols()).
     art_start: usize,
     /// For artificial j (>= art_start), its row is `art_row[j - art_start]`.
     art_row: Vec<usize>,
@@ -334,10 +445,16 @@ struct Engine<'a> {
     xb: Vec<f64>,
     opts: SolverOptions,
     iterations: usize,
+    /// Eta updates `binv` has taken since it was last factorized (or, for a
+    /// carried inverse, audited) — [`Carried::age`] while a solve runs.
+    age: usize,
     /// Consecutive degenerate pivots; triggers Bland's rule.
     stall: usize,
     scratch_y: Vec<f64>,
     scratch_w: Vec<f64>,
+    /// Scratch of [`Engine::compute_y`]: `(position, cost)` of the basic
+    /// variables with a nonzero cost.
+    costed: Vec<(usize, f64)>,
 }
 
 /// Outcome of the ratio test.
@@ -353,12 +470,12 @@ enum Block {
 impl<'a> Engine<'a> {
     fn new(sf: &'a StandardForm, opts: SolverOptions) -> Self {
         let m = sf.b.len();
-        let n = sf.cols.len();
+        let n = sf.num_cols();
 
         // Pick initial basic columns: slacks that are a bare +1 in their row.
         let mut row_basic: Vec<Option<usize>> = vec![None; m];
         for j in sf.num_structural..n {
-            if let [(r, v)] = sf.cols[j][..] {
+            if let [(r, v)] = *sf.col(j) {
                 if (v - 1.0).abs() < 1e-12 && row_basic[r].is_none() {
                     row_basic[r] = Some(j);
                 }
@@ -400,9 +517,11 @@ impl<'a> Engine<'a> {
             xb: sf.b.clone(),
             opts,
             iterations: 0,
+            age: 0,
             stall: 0,
             scratch_y: vec![0.0; m],
             scratch_w: vec![0.0; m],
+            costed: Vec::new(),
         }
     }
 
@@ -424,7 +543,7 @@ impl<'a> Engine<'a> {
         let mut w = std::mem::take(&mut self.scratch_w);
         w.iter_mut().for_each(|x| *x = 0.0);
         if j < self.art_start {
-            for &(r, v) in &self.sf.cols[j] {
+            for &(r, v) in self.sf.col(j) {
                 let colr = &self.binv[r * m..r * m + m];
                 for (wi, bi) in w.iter_mut().zip(colr) {
                     *wi += v * bi;
@@ -437,37 +556,47 @@ impl<'a> Engine<'a> {
         self.scratch_w = w;
     }
 
-    /// `y = c_B' B^-1` into `scratch_y` for the given phase costs.
-    fn compute_y(&mut self, cost: &dyn Fn(usize) -> f64) {
+    /// `y = c_B' B^-1` into `scratch_y` for the given phase costs (one per
+    /// column, artificials included). Only basic variables with a nonzero
+    /// cost have a term — phase 1 of the growth LPs costs `omax` and the
+    /// `o_l` alone — and the terms that remain are summed in basis order, so
+    /// `y` is what the sum over all of `c_B` gives.
+    fn compute_y(&mut self, cost: &[f64]) {
         let m = self.m;
-        let mut y = std::mem::take(&mut self.scratch_y);
-        let cb: Vec<f64> = self.basis.iter().map(|&j| cost(j)).collect();
-        for (k, yk) in y.iter_mut().enumerate() {
+        self.costed.clear();
+        self.costed.extend(
+            self.basis
+                .iter()
+                .enumerate()
+                .filter(|&(_, &j)| cost[j] != 0.0)
+                .map(|(i, &j)| (i, cost[j])),
+        );
+        for (k, yk) in self.scratch_y.iter_mut().enumerate() {
             let colk = &self.binv[k * m..k * m + m];
-            *yk = cb.iter().zip(colk).map(|(a, b)| a * b).sum();
+            *yk = self.costed.iter().map(|&(i, c)| c * colk[i]).sum();
         }
-        self.scratch_y = y;
     }
 
     /// Reduced cost of column `j` given `scratch_y`.
-    fn reduced_cost(&self, j: usize, cost: &dyn Fn(usize) -> f64) -> f64 {
+    fn reduced_cost(&self, j: usize, cost: &[f64]) -> f64 {
         let mut dot = 0.0;
         if j < self.art_start {
-            for &(r, v) in &self.sf.cols[j] {
+            for &(r, v) in self.sf.col(j) {
                 dot += v * self.scratch_y[r];
             }
         } else {
             dot = self.scratch_y[self.art_row[j - self.art_start]];
         }
-        cost(j) - dot
+        cost[j] - dot
     }
 
-    /// One phase of the simplex: minimize `cost` from the current basis.
-    /// `barred(j)` columns may never enter. Returns Ok(()) at optimality.
+    /// One phase of the simplex: minimize `cost` (one entry per column,
+    /// artificials included) from the current basis. Only columns below
+    /// `enterable` may enter. Returns Ok(()) at optimality.
     fn run_phase(
         &mut self,
-        cost: &dyn Fn(usize) -> f64,
-        barred: &dyn Fn(usize) -> bool,
+        cost: &[f64],
+        enterable: usize,
         max_iter: usize,
     ) -> Result<(), LpError> {
         let tol = self.opts.tol;
@@ -482,8 +611,8 @@ impl<'a> Engine<'a> {
             // attractive when its reduced cost is positive.
             let bland = self.stall > self.m + 64;
             let mut entering: Option<(usize, f64)> = None;
-            for j in 0..self.total_n {
-                if self.rest[j] == Rest::Basic || barred(j) {
+            for j in 0..enterable {
+                if self.rest[j] == Rest::Basic {
                     continue;
                 }
                 let d = self.reduced_cost(j, cost);
@@ -587,7 +716,6 @@ impl<'a> Engine<'a> {
                 block = Block::Leaves { row: i, at_upper };
             }
         }
-        let _ = j;
         (theta, block)
     }
 
@@ -632,6 +760,7 @@ impl<'a> Engine<'a> {
     ///   t = (B^-1)_{r,k};  (B^-1)_{i,k} -= w_i * t / w_r  (i != r);
     ///   (B^-1)_{r,k} = t / w_r.
     fn eta_update(&mut self, r: usize) {
+        self.age += 1;
         let m = self.m;
         let wr = self.scratch_w[r];
         for k in 0..m {
@@ -657,7 +786,7 @@ impl<'a> Engine<'a> {
         let mut bmat = vec![0.0; m * m];
         for (k, &j) in self.basis.iter().enumerate() {
             if j < self.art_start {
-                for &(r, v) in &self.sf.cols[j] {
+                for &(r, v) in self.sf.col(j) {
                     bmat[k * m + r] = v;
                 }
             } else {
@@ -666,11 +795,14 @@ impl<'a> Engine<'a> {
         }
         let inv = invert_column_major(&bmat, m).ok_or(LpError::Numerical)?;
         self.binv = inv;
+        self.age = 0;
         self.recompute_xb();
         Ok(())
     }
 
-    /// Recomputes `xb = B^-1 (b - N x_N)` from the current inverse.
+    /// Recomputes `xb = B^-1 (b - N x_N)` from the current inverse: one
+    /// column of it (contiguous) per nonzero of the effective right-hand
+    /// side, each entry's terms added in row order.
     fn recompute_xb(&mut self) {
         let m = self.m;
         // Effective rhs: b minus contributions of nonbasics at upper bound.
@@ -678,52 +810,97 @@ impl<'a> Engine<'a> {
         for j in 0..self.art_start {
             if self.rest[j] == Rest::Upper {
                 let u = self.sf.upper[j];
-                for &(r, v) in &self.sf.cols[j] {
+                for &(r, v) in self.sf.col(j) {
                     rhs[r] -= v * u;
                 }
             }
         }
-        for i in 0..m {
-            let mut acc = 0.0;
-            for k in 0..m {
-                acc += self.binv[k * m + i] * rhs[k];
+        self.xb.fill(0.0);
+        for (k, &rk) in rhs.iter().enumerate().filter(|&(_, &rk)| rk != 0.0) {
+            for (x, bik) in self.xb.iter_mut().zip(&self.binv[k * m..k * m + m]) {
+                *x += bik * rk;
             }
-            self.xb[i] = if acc < 0.0 && acc > -1e-7 { 0.0 } else { acc };
+        }
+        for x in self.xb.iter_mut().filter(|x| **x < 0.0 && **x > -1e-7) {
+            *x = 0.0;
         }
     }
 
+    /// The numerical test that `binv` holds basis position `i`:
+    /// `scratch_w = B^-1 A_{basis[i]}` is the unit vector `e_i`.
+    fn w_is_unit(&self, i: usize) -> bool {
+        self.scratch_w.iter().enumerate().all(|(k, &wk)| {
+            let expect = if k == i { 1.0 } else { 0.0 };
+            (wk - expect).abs() <= 1e-6
+        })
+    }
+
     /// Makes `binv` the inverse of the current basis matrix, given that it
-    /// inverts *some* matrix: for each basis position `i`, `B^-1 A_{basis[i]}`
-    /// must be the unit vector `e_i`. A position where it is not holds a
-    /// different column in the matrix `binv` inverts (the basis was extended
-    /// by [`Basis::relabel`], or a coefficient changed); one eta update puts
-    /// the real column there and leaves every position already checked
-    /// intact. O(m² · column-nnz) plus O(m²) per replaced column — far below
-    /// the O(m³) refactorization it lets a warm restart skip. `false` when
-    /// so many columns differ that refactorizing is no dearer (and cleaner),
-    /// or a replacement would be singular: the caller refactorizes.
-    fn bring_binv_current(&mut self) -> bool {
+    /// inverts the matrix with columns `inverts` (one per basis position,
+    /// posed row signs — [`Carried::cols`]). A position whose basic column
+    /// *is* the stored column needs nothing, and telling so is an exact
+    /// O(nonzeros) comparison; one that is not (the basis was extended by
+    /// [`Basis::relabel`], or a coefficient changed) takes `w = B^-1 A_j`
+    /// and one eta update, which puts the real column there and leaves every
+    /// other position intact — O(m · column-nnz) + O(m²) per differing
+    /// column, nothing at all when the constraint matrix did not change, and
+    /// far below the O(m³) refactorization it lets a warm restart skip.
+    ///
+    /// The comparison trusts that `binv` still inverts `inverts` to working
+    /// accuracy. What checks that is the numerical test [`Engine::w_is_unit`]
+    /// on *every* position, replacing what fails it: run once the inverse
+    /// has taken `refactor_every` eta updates since it was last factorized
+    /// or so audited, and — asserting it agrees with the comparison — on
+    /// every restart of a debug build.
+    ///
+    /// `false` when so many columns differ that refactorizing is no dearer
+    /// (and cleaner), or a replacement would be singular: the caller
+    /// refactorizes.
+    fn bring_binv_current(&mut self, inverts: &SparseCols) -> bool {
         let m = self.m;
-        let mut replaceable = 8 + m / 4;
-        for i in 0..m {
-            self.compute_w(self.basis[i]);
-            let is_unit = self.scratch_w.iter().enumerate().all(|(k, &wk)| {
-                let expect = if k == i { 1.0 } else { 0.0 };
-                (wk - expect).abs() <= 1e-6
-            });
-            if !is_unit {
-                // Pivot on nothing small against the rest of the column: a
-                // poorly conditioned update would spoil the positions
-                // already checked.
-                let largest = self.scratch_w.iter().fold(0.0, |a: f64, w| a.max(w.abs()));
-                if replaceable == 0 || self.scratch_w[i].abs() <= 1e-3 * largest {
-                    return false;
-                }
-                replaceable -= 1;
-                self.eta_update(i);
-            }
+        let audit = self.age >= self.opts.refactor_every;
+        if audit {
+            self.age = 0;
         }
-        true
+        let mut replaceable = 8 + m / 4;
+        let mut replaced = 0u64;
+        let complete = 'positions: {
+            for i in 0..m {
+                let differs = !self.sf.posed_col(self.basis[i]).eq(inverts.col(i).iter().copied());
+                if !(differs || audit || cfg!(debug_assertions)) {
+                    continue;
+                }
+                self.compute_w(self.basis[i]);
+                let stale = differs || !self.w_is_unit(i);
+                debug_assert!(
+                    differs || audit || !stale,
+                    "position {i} holds its stored column but B^-1 A_j is not e_{i}"
+                );
+                if stale {
+                    // Pivot on nothing small against the rest of the column:
+                    // a poorly conditioned update would spoil the positions
+                    // already settled.
+                    let largest = self.scratch_w.iter().fold(0.0, |a: f64, w| a.max(w.abs()));
+                    if replaceable == 0 || self.scratch_w[i].abs() <= 1e-3 * largest {
+                        break 'positions false;
+                    }
+                    replaceable -= 1;
+                    replaced += 1;
+                    self.eta_update(i);
+                }
+            }
+            true
+        };
+        if telemetry::enabled() {
+            telemetry::counter_add("lp.restart_columns_replaced", replaced);
+            telemetry::counter_add("lp.restart_full_audits", u64::from(audit));
+        }
+        #[cfg(test)]
+        tests::RESTART_WORK.with(|work| {
+            let (columns, audits) = work.get();
+            work.set((columns + replaced, audits + u64::from(audit)));
+        });
+        complete
     }
 
     /// Dual-simplex-style repair: drives bound-violating basic variables to
@@ -734,7 +911,7 @@ impl<'a> Engine<'a> {
     /// handful of dual pivots repairs it where a cold solve would redo
     /// phase 1 from scratch. Returns `false` when it gives up (caller
     /// falls back to a cold solve); correctness never depends on success.
-    fn dual_repair(&mut self, cost: &dyn Fn(usize) -> f64, max_pivots: usize) -> bool {
+    fn dual_repair(&mut self, cost: &[f64], max_pivots: usize) -> bool {
         let m = self.m;
         let scale = 1.0 + self.sf.b.iter().map(|v| v.abs()).fold(0.0, f64::max);
         let feas_tol = 1e-7 * scale;
@@ -774,7 +951,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let alpha = if j < self.art_start {
-                    self.sf.cols[j].iter().map(|&(row, v)| v * self.binv[row * m + r]).sum::<f64>()
+                    self.sf.col(j).iter().map(|&(row, v)| v * self.binv[row * m + r]).sum::<f64>()
                 } else {
                     self.binv[self.art_row[j - self.art_start] * m + r]
                 };
@@ -831,7 +1008,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let mut w_rj = 0.0;
-                for &(rr, v) in &self.sf.cols[j] {
+                for &(rr, v) in self.sf.col(j) {
                     w_rj += v * self.binv[rr * m + r];
                 }
                 if w_rj.abs() > 1e-7 {
@@ -873,17 +1050,19 @@ impl<'a> Engine<'a> {
     }
 
     /// Restores an engine from a previously exported basis. The carried
-    /// inverse is reused once [`Engine::bring_binv_current`] has checked it
-    /// against this problem's basis matrix and replaced the few columns that
-    /// differ (none when the constraint matrix did not change — the
-    /// deployment-cycle common case); otherwise it is rebuilt by
-    /// refactorization. The restored vertex may be primal-infeasible under
-    /// the new data — the caller repairs it with [`Engine::dual_repair`].
-    /// `None` means the basis is unusable (wrong shape, corrupt, or
-    /// singular) and the caller should solve cold.
-    fn with_basis(sf: &'a StandardForm, opts: SolverOptions, warm: &Basis) -> Option<Self> {
+    /// inverse *moves* out of the handle (and back in at
+    /// [`Engine::export_basis`]; until then the handle keeps its labels
+    /// only) and is reused once [`Engine::bring_binv_current`] has replaced
+    /// the columns that differ from the ones it was carried with (none when
+    /// the constraint matrix did not change — the deployment-cycle common
+    /// case); otherwise it is rebuilt by refactorization. The restored
+    /// vertex may be primal-infeasible under the new data — the caller
+    /// repairs it with [`Engine::dual_repair`]. `None` means the basis is
+    /// unusable (wrong shape, corrupt, or singular) and the caller should
+    /// solve cold.
+    fn with_basis(sf: &'a StandardForm, opts: SolverOptions, warm: &mut Basis) -> Option<Self> {
         let m = sf.b.len();
-        let n = sf.cols.len();
+        let n = sf.num_cols();
         if warm.shape != (m, n) || warm.basic.len() != m || m == 0 {
             return None;
         }
@@ -902,29 +1081,28 @@ impl<'a> Engine<'a> {
             }
             rest[j] = Rest::Basic;
         }
+        let Carried { binv, cols: inverts, age } = std::mem::take(&mut warm.carried);
         let mut eng = Engine {
             sf,
             m,
             total_n: n,
             art_start: n,
             art_row: Vec::new(),
-            binv: vec![0.0; m * m],
+            binv,
             basis: warm.basic.clone(),
             rest,
             xb: vec![0.0; m],
             opts,
             iterations: 0,
+            age,
             stall: 0,
             scratch_y: vec![0.0; m],
             scratch_w: vec![0.0; m],
+            costed: Vec::new(),
         };
-        let carried = match &warm.binv {
-            Some(binv) if binv.len() == m * m => {
-                eng.binv.copy_from_slice(binv);
-                flip_negated_rows(&mut eng.binv, &sf.negated);
-                eng.bring_binv_current()
-            }
-            _ => false,
+        let carried = eng.binv.len() == m * m && inverts.len() == m && {
+            flip_negated_rows(&mut eng.binv, &sf.negated);
+            eng.bring_binv_current(&inverts)
         };
         if carried {
             eng.recompute_xb();
@@ -935,34 +1113,33 @@ impl<'a> Engine<'a> {
         Some(eng)
     }
 
-    /// Writes the current basis (and its inverse) into `out` for reuse by a
-    /// later solve. A basis still holding an artificial (a degenerate,
-    /// linearly dependent row) is not representable for restart; `out` is
-    /// cleared instead.
-    fn export_basis(&self, out: &mut Basis) {
+    /// Moves the current basis and its inverse into `out` for reuse by a
+    /// later solve, with the basic columns the inverse inverts. A basis
+    /// still holding an artificial (a degenerate, linearly dependent row)
+    /// is not representable for restart; `out` is cleared instead.
+    fn export_basis(&mut self, out: &mut Basis) {
         if self.basis.iter().any(|&j| j >= self.art_start) {
             out.clear();
             return;
         }
-        out.basic.clear();
-        out.basic.extend_from_slice(&self.basis);
+        let sf = self.sf;
+        out.basic.clone_from(&self.basis);
         out.at_upper.clear();
         out.at_upper.extend((0..self.art_start).filter(|&j| self.rest[j] == Rest::Upper));
         out.shape = (self.m, self.art_start);
         out.slack_rows.clear();
-        out.slack_rows.extend(self.sf.cols[self.sf.num_structural..].iter().map(|col| col[0].0));
-        if self.m <= BINV_CARRY_LIMIT {
-            let store = match &mut out.binv {
-                Some(store) if store.len() == self.binv.len() => {
-                    store.copy_from_slice(&self.binv);
-                    store
-                }
-                store => store.insert(self.binv.clone()),
-            };
-            flip_negated_rows(store, &self.sf.negated);
+        out.slack_rows.extend((sf.num_structural..self.art_start).map(|j| sf.col(j)[0].0));
+        out.carried = if self.m <= BINV_CARRY_LIMIT {
+            let mut binv = std::mem::take(&mut self.binv);
+            flip_negated_rows(&mut binv, &sf.negated);
+            let mut cols = SparseCols::default();
+            for &j in &self.basis {
+                cols.push_col(sf.posed_col(j));
+            }
+            Carried { binv, cols, age: self.age }
         } else {
-            out.binv = None;
-        }
+            Carried::default()
+        };
     }
 }
 
@@ -1056,20 +1233,18 @@ pub(crate) fn solve_standard_form_warm(
     if attempted_warm {
         if let Some(mut eng) = Engine::with_basis(sf, opts.clone(), basis) {
             let m = sf.b.len();
-            let n = sf.cols.len();
+            let n = sf.num_cols();
             let max_iter =
                 if opts.max_iterations == 0 { 20_000 + 100 * (m + n) } else { opts.max_iterations };
-            let c = &sf.c;
-            let cost = move |j: usize| if j < c.len() { c[j] } else { 0.0 };
             // The restored vertex is usually slightly infeasible under the
             // new data; a few dual pivots repair it. Budget is generous —
             // repair beyond it means the problems diverged too far for a
             // restart to pay off anyway.
-            if eng.dual_repair(&cost, 64 + m / 2) {
-                match eng.run_phase(&cost, &|_| false, max_iter) {
+            if eng.dual_repair(&sf.c, 64 + m / 2) {
+                match eng.run_phase(&sf.c, n, max_iter) {
                     Ok(()) => {
-                        eng.export_basis(basis);
                         let mut sol = eng.extract();
+                        eng.export_basis(basis);
                         sol.warm_started = true;
                         if telemetry::enabled() {
                             telemetry::counter_add("lp.solves", 1);
@@ -1110,7 +1285,7 @@ fn solve_standard_form_cold(
         telemetry::counter_add("lp.cold_solves", 1);
     }
     let m = sf.b.len();
-    let n = sf.cols.len();
+    let n = sf.num_cols();
 
     // Trivial case: no constraints. Negative-cost variables run to their
     // upper bound (or to infinity).
@@ -1136,10 +1311,15 @@ fn solve_standard_form_cold(
         if opts.max_iterations == 0 { 20_000 + 100 * (m + n) } else { opts.max_iterations };
     let mut eng = Engine::new(sf, opts.clone());
 
+    // Costs are one per column: in phase 2 an artificial left basic at zero
+    // in a dependent row costs nothing.
+    let mut phase2_cost = sf.c.clone();
+    phase2_cost.resize(eng.total_n, 0.0);
     if eng.has_artificials() {
         let art_start = eng.art_start;
-        let phase1_cost = move |j: usize| if j >= art_start { 1.0 } else { 0.0 };
-        match eng.run_phase(&phase1_cost, &|_| false, max_iter) {
+        let mut phase1_cost = vec![0.0; eng.total_n];
+        phase1_cost[art_start..].fill(1.0);
+        match eng.run_phase(&phase1_cost, eng.total_n, max_iter) {
             Ok(()) => {}
             Err(LpError::Unbounded) => {
                 // Phase-1 objective is bounded below by 0; this is numerics.
@@ -1156,10 +1336,8 @@ fn solve_standard_form_cold(
         eng.drive_out_artificials();
     }
 
-    let art_start = eng.art_start;
-    let c = &sf.c;
-    let phase2_cost = move |j: usize| if j < c.len() { c[j] } else { 0.0 };
-    eng.run_phase(&phase2_cost, &|j| j >= art_start, max_iter)?;
+    // Artificials may never re-enter.
+    eng.run_phase(&phase2_cost, eng.art_start, max_iter)?;
     if let Some(basis) = export {
         eng.export_basis(basis);
     }
@@ -1169,9 +1347,26 @@ fn solve_standard_form_cold(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::{flip_negated_rows, Engine, SolverOptions};
+pub(super) mod tests {
+    use proptest::prelude::*;
+
+    use super::{flip_negated_rows, Engine, SolverOptions, StandardForm};
     use crate::{Basis, LpError, Problem, Relation};
+
+    thread_local! {
+        /// `(columns replaced, full audits)` by the warm restarts of this
+        /// thread — what [`Engine::bring_binv_current`] did, since the last
+        /// [`restart_work`] began.
+        pub(super) static RESTART_WORK: std::cell::Cell<(u64, u64)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
+
+    /// Runs `f`; returns its result and the restart work it caused.
+    fn restart_work<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+        RESTART_WORK.set((0, 0));
+        let out = f();
+        (out, RESTART_WORK.get())
+    }
 
     #[test]
     fn extended_inverse_is_completed_without_refactorizing() {
@@ -1200,12 +1395,16 @@ mod tests {
         assert!(basis.relabel(&grown, &[0, 1], &[0, 1, 3], &[None, Some(3)]));
 
         let sf = grown.to_standard_form();
-        let mut eng = Engine::with_basis(&sf, SolverOptions::default(), &basis).unwrap();
-        // Reload the carried (block-diagonal) inverse and complete it here,
-        // so the test cannot pass through the refactorization fallback.
-        eng.binv.copy_from_slice(basis.binv.as_ref().unwrap());
-        flip_negated_rows(&mut eng.binv, &sf.negated);
-        assert!(eng.bring_binv_current());
+        let carried_age = basis.carried.age;
+        let (eng, (replaced, _)) = restart_work(|| {
+            Engine::with_basis(&sf, SolverOptions::default(), &mut basis.clone()).unwrap()
+        });
+        // t gained an entry in a new row and z is no bare +1: two columns
+        // completed by eta updates — a refactorization would have reset the
+        // age instead.
+        assert_eq!(replaced, 2);
+        assert_eq!(eng.age, carried_age + 2);
+        let mut eng = eng;
         for i in 0..eng.m {
             eng.compute_w(eng.basis[i]);
             for (k, &wk) in eng.scratch_w.iter().enumerate() {
@@ -1218,6 +1417,315 @@ mod tests {
         assert!(warm.warm_started());
         assert_eq!(warm.iterations(), 0);
         assert!((warm.value(0) - 1.0).abs() < 1e-12 && (warm.value(1) - 1.0).abs() < 1e-12);
+    }
+
+    /// `bring_binv_current` on the inverse `handle` carries, loaded but not
+    /// yet completed: the positions the numerical test fails beforehand,
+    /// whether the completion succeeded, and the `(columns, audits)` it
+    /// took. `None` when the labels do not give an engine at all.
+    fn complete_carried(
+        sf: &StandardForm,
+        opts: &SolverOptions,
+        handle: &Basis,
+    ) -> Option<(usize, bool, (u64, u64))> {
+        let mut eng = Engine::with_basis(sf, opts.clone(), &mut handle.clone())?;
+        eng.binv.clone_from(&handle.carried.binv);
+        flip_negated_rows(&mut eng.binv, &sf.negated);
+        eng.age = handle.carried.age;
+        let stale = (0..eng.m)
+            .filter(|&i| {
+                eng.compute_w(eng.basis[i]);
+                !eng.w_is_unit(i)
+            })
+            .count();
+        let (complete, work) = restart_work(|| eng.bring_binv_current(&handle.carried.cols));
+        Some((stale, complete, work))
+    }
+
+    /// A random LP over small integers: `<=` / `>=` rows a witness point
+    /// satisfies, plus a bounding box, as dense rows.
+    #[derive(Clone, Debug)]
+    struct DenseLp {
+        c: Vec<f64>,
+        rows: Vec<(Vec<f64>, Relation, f64)>,
+    }
+
+    impl DenseLp {
+        fn problem(&self) -> Problem {
+            let mut p = Problem::minimize(self.c.len());
+            for (j, &cj) in self.c.iter().enumerate() {
+                p.set_objective(j, cj);
+            }
+            for (a, rel, rhs) in &self.rows {
+                let sparse: Vec<(usize, f64)> =
+                    a.iter().copied().enumerate().filter(|&(_, v)| v != 0.0).collect();
+                p.add_row(*rel, *rhs, &sparse);
+            }
+            p
+        }
+    }
+
+    /// What changes between the LP a basis was exported from and the LP
+    /// restarted from it.
+    #[derive(Clone, Debug)]
+    enum Change {
+        /// New right-hand sides (another witness, other slacks).
+        Rhs(Vec<i32>, Vec<i32>),
+        Objective(Vec<i32>),
+        /// `delta` on one coefficient of a basic / nonbasic structural column.
+        Coefficient {
+            basic: bool,
+            pick: usize,
+            row: usize,
+            delta: i32,
+        },
+        /// Growth: new `(cost, coefficient per old row)` columns and
+        /// `(coefficient per column, >=?, slack at the old optimum)` rows,
+        /// the first `front` of each spliced in before the old ones.
+        Growth {
+            cols: Vec<(i32, Vec<i32>)>,
+            rows: Vec<(Vec<i32>, bool, i32)>,
+            front: (usize, usize),
+        },
+    }
+
+    fn arb_change() -> impl Strategy<Value = Change> {
+        let ints =
+            |range: std::ops::RangeInclusive<i32>, len| proptest::collection::vec(range, len);
+        (
+            0usize..5,
+            (ints(0..=3, 4), ints(0..=5, 5), ints(-5..=5, 4)),
+            (0usize..4, 0usize..5, 1i32..=3, any::<bool>()),
+            (
+                proptest::collection::vec((-5i32..=5, ints(-4..=4, 5)), 0..=3),
+                proptest::collection::vec((ints(-4..=4, 7), any::<bool>(), 0i32..=5), 0..=3),
+                (0usize..=3, 0usize..=3),
+            ),
+        )
+            .prop_map(
+                |(kind, (witness, slacks, c), (pick, row, size, down), (cols, rows, front))| {
+                    match kind {
+                        0 => Change::Rhs(witness, slacks),
+                        1 => Change::Objective(c),
+                        2 | 3 => {
+                            let delta = if down { -size } else { size };
+                            Change::Coefficient { basic: kind == 2, pick, row, delta }
+                        }
+                        _ => Change::Growth { cols, rows, front },
+                    }
+                },
+            )
+    }
+
+    fn arb_lp() -> impl Strategy<Value = DenseLp> {
+        (2usize..=4, 1usize..=4).prop_flat_map(|(n, m)| {
+            let ints =
+                |range: std::ops::RangeInclusive<i32>, len| proptest::collection::vec(range, len);
+            let rows = proptest::collection::vec((ints(-4..=4, n), any::<bool>(), 0i32..=5), m);
+            (rows, ints(0..=3, n), ints(-5..=5, n)).prop_map(move |(rows, witness, c)| {
+                let mut lp = DenseLp { c: c.iter().map(|&v| v as f64).collect(), rows: Vec::new() };
+                for (a, ge, slack) in rows {
+                    let a: Vec<f64> = a.iter().map(|&v| v as f64).collect();
+                    lp.rows.push(row_through(a, &witness, ge, slack));
+                }
+                lp.rows.push((vec![1.0; n], Relation::Le, 50.0));
+                lp
+            })
+        })
+    }
+
+    /// The row `a·x <= a·at + slack` (or `>= a·at - slack`).
+    fn row_through<T: Copy + Into<f64>>(
+        a: Vec<f64>,
+        at: &[T],
+        ge: bool,
+        slack: i32,
+    ) -> (Vec<f64>, Relation, f64) {
+        let dot: f64 = a.iter().zip(at).map(|(&ai, &xi)| ai * xi.into()).sum();
+        if ge {
+            (a, Relation::Ge, dot - slack as f64)
+        } else {
+            (a, Relation::Le, dot + slack as f64)
+        }
+    }
+
+    /// Applies `change` to `lp` (solved to `x`, basis in `handle`): the LP to
+    /// restart, with `handle` re-labelled for it where it grew. `None` when
+    /// the change has nothing to pick from.
+    fn changed(lp: &DenseLp, x: &[f64], handle: &mut Basis, change: &Change) -> Option<DenseLp> {
+        let (n, m) = (lp.c.len(), lp.rows.len());
+        let mut next = lp.clone();
+        match change {
+            Change::Rhs(witness, slacks) => {
+                for ((a, rel, rhs), &slack) in next.rows[..m - 1].iter_mut().zip(slacks) {
+                    *rhs = row_through(a.clone(), &witness[..n], *rel == Relation::Ge, slack).2;
+                }
+            }
+            Change::Objective(c) => {
+                next.c = c[..n].iter().map(|&v| v as f64).collect();
+            }
+            Change::Coefficient { basic, pick, row, delta } => {
+                let candidates: Vec<usize> =
+                    (0..n).filter(|j| handle.basic.contains(j) == *basic).collect();
+                let j = *candidates.get(pick % candidates.len().max(1))?;
+                next.rows[row % m].0[j] += *delta as f64;
+            }
+            Change::Growth { cols, rows, front } => {
+                let (front_cols, front_rows) = (front.0.min(cols.len()), front.1.min(rows.len()));
+                let k = cols.len();
+                let widen = |old: &[f64], new: &dyn Fn(usize) -> f64| -> Vec<f64> {
+                    let new = (0..k).map(new);
+                    let mut wide: Vec<f64> = new.clone().take(front_cols).collect();
+                    wide.extend_from_slice(old);
+                    wide.extend(new.skip(front_cols));
+                    wide
+                };
+                next.c = widen(&lp.c, &|c| cols[c].0 as f64);
+                let at: Vec<f64> = widen(x, &|_| 0.0);
+                let mut old_rows: Vec<_> = lp.rows[..m - 1]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (a, rel, rhs))| (widen(a, &|c| cols[c].1[i] as f64), *rel, *rhs))
+                    .collect();
+                // The box covers the new columns too: the grown LP stays bounded.
+                old_rows.push((vec![1.0; n + k], Relation::Le, 50.0));
+                let new_rows = rows.iter().map(|(a, ge, slack)| {
+                    let a = widen(&a[..n].iter().map(|&v| v as f64).collect::<Vec<_>>(), &|c| {
+                        a[4 + c] as f64
+                    });
+                    row_through(a, &at, *ge, *slack)
+                });
+                let mut new_rows: Vec<_> = new_rows.collect();
+                next.rows = new_rows.drain(..front_rows).collect();
+                next.rows.extend(old_rows);
+                next.rows.extend(new_rows);
+                let columns: Vec<usize> = (0..n).map(|j| front_cols + j).collect();
+                let row_map: Vec<usize> = (0..m).map(|i| front_rows + i).collect();
+                let grown = next.problem();
+                assert!(handle.relabel(&grown, &columns, &row_map, &vec![None; rows.len()]));
+            }
+        }
+        Some(next)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The restart's contract over every kind of change it meets: the
+        /// exact column comparison replaces the positions the numerical
+        /// test would have (integer data: the two can be told apart),
+        /// touches nothing when only right-hand sides or costs moved, and
+        /// the restarted solve reaches the cold optimum.
+        #[test]
+        fn restart_pays_for_the_columns_that_changed(lp in arb_lp(), change in arb_change()) {
+            let opts = SolverOptions::default();
+            let mut handle = Basis::new();
+            let first = lp.problem().solve_warm(&mut handle).expect("feasible at the witness");
+            prop_assert!(handle.is_warm(), "no equality rows: nothing keeps an artificial basic");
+            let Some(next) = changed(&lp, first.values(), &mut handle, &change) else {
+                return Ok(());
+            };
+            let next = next.problem();
+            let sf = next.to_standard_form();
+            let matrix_kept = matches!(change, Change::Rhs(..) | Change::Objective(..));
+            match complete_carried(&sf, &opts, &handle) {
+                Some((stale, complete, (replaced, audits))) => {
+                    prop_assert_eq!(audits, 0);
+                    if complete {
+                        prop_assert_eq!(replaced, stale as u64, "cheap vs numerical verdict");
+                    }
+                    if matrix_kept {
+                        prop_assert!(complete && replaced == 0, "{replaced} columns re-multiplied");
+                    }
+                }
+                None => prop_assert!(!matrix_kept, "an unchanged matrix keeps its basis"),
+            }
+            match (next.solve_warm(&mut handle), next.solve()) {
+                (Ok(warm), Ok(cold)) => {
+                    let (a, b) = (warm.objective(), cold.objective());
+                    prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs())), "warm {a} vs cold {b}");
+                    prop_assert!(warm.warm_started() || !matrix_kept);
+                }
+                (warm, cold) => prop_assert_eq!(warm.map(|s| s.objective()).ok(), cold.map(|s| s.objective()).ok()),
+            }
+        }
+    }
+
+    #[test]
+    fn carried_inverse_is_audited_once_it_is_old_enough() {
+        // min ∓(x0 - x1) over x0 + x1 <= 4: every re-solve pivots once, so
+        // the carried inverse ages by one eta update per solve and never
+        // sees a refactorization of its own (1 pivot < refactor_every).
+        let opts = SolverOptions { refactor_every: 8, ..Default::default() };
+        let lp = |minute: usize| {
+            let sign = if minute.is_multiple_of(2) { 1.0 } else { -1.0 };
+            let mut p = Problem::minimize(2);
+            p.set_objective(0, -sign);
+            p.set_objective(1, sign);
+            p.add_row(Relation::Le, 4.0, &[(0, 1.0), (1, 1.0)]);
+            p
+        };
+        let mut handle = Basis::new();
+        lp(0).solve_warm_with(&opts, &mut handle).unwrap();
+        assert_eq!(handle.carried.age, 1);
+        let (_, (replaced, audits)) = restart_work(|| {
+            for minute in 1..=opts.refactor_every + 1 {
+                let sol = lp(minute).solve_warm_with(&opts, &mut handle).unwrap();
+                assert!(sol.warm_started() && sol.iterations() == 1);
+                assert!((sol.objective() + 4.0).abs() < 1e-12);
+            }
+        });
+        assert_eq!((replaced, audits), (0, 1), "one audit, and it found the inverse sound");
+        assert_eq!(handle.carried.age, 2, "the audit restarted the count");
+    }
+
+    #[test]
+    fn pricing_vector_and_basic_values_match_their_dense_forms() {
+        // 40 capacity-like rows (the last with nothing to give) over 30 bounded
+        // variables, costs that leave some basics free of charge and some
+        // nonbasics at their upper bound.
+        let (m, n) = (40usize, 30usize);
+        let mut p = Problem::minimize(n);
+        for j in 0..n {
+            p.set_objective(j, if j % 3 == 0 { 0.0 } else { -(((j * 7) % 5) as f64) - 0.5 });
+            p.set_upper_bound(j, 1.0 + (j % 4) as f64);
+        }
+        for i in 0..m {
+            let coeffs: Vec<(usize, f64)> = (0..n)
+                .filter(|j| (i * 5 + j * 3) % 7 < 2)
+                .map(|j| (j, 1.0 + ((i + 2 * j) % 3) as f64 / 4.0))
+                .collect();
+            let rhs = if i == m - 1 { 0.0 } else { 4.0 + 2.0 * (i % 5) as f64 };
+            p.add_row(Relation::Le, rhs, &coeffs);
+        }
+        let mut handle = Basis::new();
+        p.solve_warm(&mut handle).unwrap();
+        let sf = p.to_standard_form();
+        let mut eng = Engine::with_basis(&sf, SolverOptions::default(), &mut handle).unwrap();
+        assert!(
+            eng.basis.iter().any(|&j| sf.c[j] == 0.0) && eng.basis.iter().any(|&j| sf.c[j] != 0.0)
+        );
+        assert!(eng.rest.contains(&super::Rest::Upper));
+
+        eng.compute_y(&sf.c);
+        for k in 0..m {
+            let dense: f64 = (0..m).map(|i| sf.c[eng.basis[i]] * eng.binv[k * m + i]).sum();
+            assert_eq!(eng.scratch_y[k], dense, "y[{k}]");
+        }
+        let mut rhs = sf.b.clone();
+        for j in (0..sf.num_cols()).filter(|&j| eng.rest[j] == super::Rest::Upper) {
+            sf.col(j).iter().for_each(|&(r, v)| rhs[r] -= v * sf.upper[j]);
+        }
+        assert!(rhs.contains(&0.0), "the skipped terms are exercised");
+        eng.recompute_xb();
+        for i in 0..m {
+            let mut acc = 0.0;
+            for k in 0..m {
+                acc += eng.binv[k * m + i] * rhs[k];
+            }
+            let dense = if acc < 0.0 && acc > -1e-7 { 0.0 } else { acc };
+            assert_eq!(eng.xb[i], dense, "xb[{i}]");
+        }
     }
 
     #[test]

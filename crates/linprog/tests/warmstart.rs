@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use lowlat_linprog::{Basis, Problem, Relation};
+use lowlat_linprog::{Basis, LpError, Problem, Relation};
 
 /// Relative-ish tolerance: the issue's 1e-9, scaled by objective magnitude.
 fn close(a: f64, b: f64) -> bool {
@@ -137,6 +137,47 @@ fn singular_degenerate_basis_falls_back_to_cold() {
     let warm = p2.solve_warm(&mut basis).unwrap();
     assert!(!warm.warm_started(), "singular basis must degrade to cold");
     assert!(close(warm.objective(), -3.0));
+    // The warm attempt took the handle's inverse with it; the cold solve that
+    // stood in left a whole basis of p2 in its place.
+    let again = p2.solve_warm(&mut basis).unwrap();
+    assert!(again.warm_started() && again.iterations() == 0);
+    assert!(close(again.objective(), -3.0));
+}
+
+#[test]
+fn a_handle_survives_the_solves_that_fail() {
+    // The inverse moves out of the handle for the length of a solve; a solve
+    // that does not end at an optimum must still leave something the next
+    // solve can use. min -x0 - x1 over x0 <= a, x1 <= b, x0 + x1 >= need.
+    let lp = |a: f64, b: f64, need: f64, bounded: bool| {
+        let mut p = Problem::minimize(2);
+        p.set_objective(0, -1.0);
+        p.set_objective(1, -1.0);
+        p.add_row(Relation::Le, a, &[(0, 1.0)]);
+        // Without its coefficient the row binds nothing: x1 runs away.
+        p.add_row(Relation::Le, b, &[(1, if bounded { 1.0 } else { 0.0 })]);
+        p.add_row(Relation::Ge, need, &[(0, 1.0), (1, 1.0)]);
+        p
+    };
+    let feasible = lp(3.0, 4.0, 1.0, true);
+    let cold = feasible.solve().unwrap();
+    for (broken, error) in [
+        (lp(3.0, 4.0, 9.0, true), LpError::Infeasible),
+        (lp(3.0, 4.0, 1.0, false), LpError::Unbounded),
+    ] {
+        let mut basis = Basis::new();
+        feasible.solve_warm(&mut basis).unwrap();
+        assert_eq!(broken.solve_warm(&mut basis).unwrap_err(), error);
+        let after = feasible.solve_warm(&mut basis).unwrap();
+        assert!(close(after.objective(), cold.objective()), "after {error:?}");
+        // ... and that solve left a complete handle behind again.
+        let again = feasible.solve_warm(&mut basis).unwrap();
+        assert!(again.warm_started() && again.iterations() == 0, "after {error:?}");
+        // A fresh handle the failing solve ran cold on is no different.
+        let mut fresh = Basis::new();
+        assert_eq!(broken.solve_warm(&mut fresh).unwrap_err(), error);
+        assert!(close(feasible.solve_warm(&mut fresh).unwrap().objective(), cold.objective()));
+    }
 }
 
 #[test]
