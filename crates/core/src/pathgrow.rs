@@ -24,10 +24,52 @@
 //! Start every aggregate with only its shortest path; solve; wherever
 //! `O_l = Omax > 1`, extend the path lists of the aggregates crossing those
 //! links with their next-shortest paths; repeat until nothing is
-//! overloaded. A final refinement pass grows path sets across *saturated*
-//! (not just overloaded) links so the delay objective can rebalance them
-//! (the Figure-6 effect), which the LP can only exploit if the alternative
-//! paths exist in the model.
+//! overloaded — or nothing more can help. A final refinement pass grows
+//! path sets across *saturated* (not just overloaded) links so the delay
+//! objective can rebalance them (the Figure-6 effect), which the LP can only
+//! exploit if the alternative paths exist in the model.
+//!
+//! **The stopping rule.** "Nothing more can help" is decided, not waited
+//! for. After a phase-1 LP that did not lower `omax` (once per `omax`
+//! level), the duals of its `o_l <= omax` rows are taken as link weights
+//! `v_l >= 0`, normalized to sum 1, and the maximum-concurrent-flow bound is
+//! evaluated over *every* path of the live graph, priced or not:
+//!
+//! ```text
+//! omax  >=  Σ_a B_a · dist_v(a)  −  cap_scale
+//! ```
+//!
+//! with `dist_v(a)` the shortest `src → dst` distance under link lengths
+//! `v_l / C_l` (effective capacities; a downed link has capacity 0 and is
+//! not walked). It holds for *any* `v`, because every placement has
+//! `load_l / C_l − cap_scale <= omax` on every link and the `v`-weighted sum
+//! of the loads is at least `Σ_a B_a dist_v(a)` — weak duality, so a wrong
+//! or degenerate dual can only fail to certify, never stop a chain that
+//! could still improve. When the bound is within `1e-5` of the LP's `omax`
+//! growth stops ([`GrowthEnd::ProvedFinal`]): no column that exists lowers
+//! the overload by more than a thousandth of a percent of a link, and phase
+//! 2 and refinement proceed as after any other exit. Why `1e-5`: phase 1
+//! minimizes `omax + 1e-6·Σ o_l`, and the spread term shifts `1e-6` of dual
+//! weight per pinned link off the `o_l <= omax` rows, which leaves the bound
+//! 0–2.5e-6 short of `omax` when three links pin it (1e-12 with two). Why a
+//! budget: the search is one label-setting pass per distinct source among
+//! the aggregates whose cheapest held column has positive length, and it
+//! gives up, inconclusive, after visiting more than `aggregates × LP-used
+//! links` links — fewer than the entries of the basis inverse that LP's
+//! warm restart read, `(2 × used links + split aggregates)²`, so a test
+//! never costs what a round costs (with a floor of 1024 visits, ten
+//! microseconds, so a one-aggregate request can search a small graph at
+//! all). On a backbone that covers every source's whole search (26 × 86
+//! links on GTS-like; a test costs tens of microseconds); on a 10k-node
+//! graph of which the LP touches 1% of the links, and which holds detours
+//! the partitioned engine never prices (so the bound cannot be tight), the
+//! test gives up after a few hundred microseconds instead of flooding the
+//! graph. [`GrowthConfig::max_rounds`] stays as the backstop for those
+//! cases. Without the rule a demand that cannot fit ran to `max_rounds`:
+//! 41 rounds of zero-pivot LPs over columns that never price in, for every
+//! Figure-14 tweak iteration that inflates `B_a` past what the network
+//! carries. MinMax's stage 1 needs none of this — it stops when `U` stops
+//! improving.
 //!
 //! The growth step is classic column generation, and it keeps its basis:
 //! within one solve every LP after the first restarts from the optimum of
@@ -76,7 +118,7 @@
 use std::collections::HashMap;
 
 use lowlat_linprog::{Basis, LpError, Problem, Relation};
-use lowlat_netgraph::{Graph, LinkId, Path};
+use lowlat_netgraph::{Graph, LinkId, NodeId, Path};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 
@@ -211,7 +253,11 @@ pub struct GrowthConfig {
     pub m1: f64,
     /// Paths added to an overloaded aggregate per round.
     pub growth_step: usize,
-    /// Maximum growth rounds before conceding congestion is unavoidable.
+    /// Growth rounds after which phase 1 gives up on an overload it has
+    /// neither removed nor proven final. A backstop: demand that cannot fit
+    /// normally ends [`GrowthEnd::ProvedFinal`] within a round or two of
+    /// reaching its final overload, and only a search the bound's visit
+    /// budget cuts short (module docs) runs this far.
     pub max_rounds: usize,
     /// Refinement rounds growing across saturated links for delay
     /// rebalancing (0 disables).
@@ -236,6 +282,26 @@ pub struct GrowOutcome {
     pub lp_pivots: usize,
     /// Growth rounds executed.
     pub rounds: usize,
+    /// Why the overload-minimizing growth stopped.
+    pub ended: GrowthEnd,
+}
+
+/// Why the growth loop stopped adding columns against overload (phase 1 of
+/// the latency-optimal solve; stage 1 of MinMax reports [`GrowthEnd::Fits`]
+/// or [`GrowthEnd::Exhausted`] by whether utilization ended at or below 1).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GrowthEnd {
+    /// Nothing is overloaded.
+    Fits,
+    /// Overload remains and is proven final: the concurrent-flow bound read
+    /// off the LP's duals (module docs, "The loop") shows no path of the
+    /// live graph, priced or not, can lower it.
+    ProvedFinal,
+    /// Overload remains and the source has no further column for any
+    /// aggregate crossing an overloaded link.
+    Exhausted,
+    /// Overload remains, unproven, after [`GrowthConfig::max_rounds`].
+    RoundLimit,
 }
 
 /// Internal: per-aggregate constants for the LP.
@@ -265,6 +331,10 @@ struct LpOutcome {
     pivots: usize,
     /// Links at the critical level (overloaded), for growth targeting.
     critical_links: Vec<LinkId>,
+    /// `MinOverload` only: the links whose `o_l <= omax` row is priced at
+    /// the optimum, with the price (minus the row's dual, so positive) —
+    /// the link weights of the stopping test, [`LpData::proves_final`].
+    overload_prices: Vec<(LinkId, f64)>,
     /// Where the solved LP's variables and rows sit — what the next LP of
     /// the chain needs to take this one's basis over.
     layout: LpLayout,
@@ -387,10 +457,54 @@ struct LpData<'a> {
     /// rank of each link among the posed LP's used links. Owned here so an
     /// LP costs what its paths touch, not what the graph holds.
     link_rank: Vec<u32>,
+    /// Scratch of [`LpData::proves_final`], sized on its first use.
+    bound: BoundScratch,
 }
 
 /// [`LpData::link_rank`] of a link no posed path crosses.
 const UNUSED: u32 = u32::MAX;
+
+/// How close the concurrent-flow bound must come to the LP's `omax` to end
+/// phase 1 (module docs, "The loop"): phase 1 minimizes
+/// `omax + 1e-6·Σ o_l`, and the spread term leaves the bound up to 2.5e-6
+/// short of `omax` when three links pin it.
+const BOUND_TOL: f64 = 1e-5;
+
+/// Links one evaluation of the stopping test may visit whatever the LP's
+/// size: a complete search of a few hundred links, ten microseconds, so that
+/// a one-aggregate request is not cut short by the product below.
+const BOUND_MIN_VISITS: usize = 1024;
+
+/// What one evaluation of the stopping test found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum BoundVerdict {
+    /// No path of the live graph lowers `omax` by more than [`BOUND_TOL`].
+    Final,
+    /// Some path is shorter under the link prices than the columns the LP
+    /// holds: growth may still pay.
+    Open,
+    /// The search outran its visit budget (or the LP priced no link).
+    GaveUp,
+}
+
+/// Per-call scratch of the stopping test; everything is back at its resting
+/// value between evaluations, so an evaluation costs what it visits.
+#[derive(Default)]
+struct BoundScratch {
+    /// `v_l / C_l` per graph link; 0 everywhere at rest.
+    link_price: Vec<f64>,
+    /// Label per graph node; infinite everywhere at rest.
+    dist: Vec<f64>,
+    /// Nodes labelled by the current search.
+    labelled: Vec<NodeId>,
+    /// Labelled nodes of the current distance level not yet expanded.
+    level: Vec<NodeId>,
+    /// `(label, node)` reached over a priced link, not yet labelled.
+    beyond: Vec<(f64, NodeId)>,
+    /// `(src, dst, volume, price-length of the cheapest held column)` of the
+    /// aggregates that pay anything under the link prices.
+    paying: Vec<(NodeId, NodeId, f64, f64)>,
+}
 
 impl<'a> LpData<'a> {
     fn new(
@@ -400,7 +514,162 @@ impl<'a> LpData<'a> {
         cap_scale: f64,
         m1: f64,
     ) -> Self {
-        LpData { aggs, volumes, caps, cap_scale, m1, link_rank: vec![UNUSED; caps.len()] }
+        LpData {
+            aggs,
+            volumes,
+            caps,
+            cap_scale,
+            m1,
+            link_rank: vec![UNUSED; caps.len()],
+            bound: BoundScratch::default(),
+        }
+    }
+
+    /// The column-generation stopping test of phase 1 (module docs, "The
+    /// stopping rule"): does the LP just solved (`out`, over `path_sets`)
+    /// already hold the least overload the *graph* allows, whatever columns
+    /// are still unpriced? It does when [`LpData::flow_bound`], under that
+    /// LP's link prices, comes within [`BOUND_TOL`] of its `omax`; the search
+    /// may visit `aggregates × LP-used links` links, at least
+    /// [`BOUND_MIN_VISITS`].
+    fn proves_final(
+        &mut self,
+        graph: &Graph,
+        tm: &TrafficMatrix,
+        path_sets: &[Vec<Path>],
+        out: &LpOutcome,
+    ) -> BoundVerdict {
+        let target = out.level - BOUND_TOL;
+        let budget = (path_sets.len() * out.layout.used_links.len()).max(BOUND_MIN_VISITS);
+        match self.flow_bound(graph, tm, path_sets, &out.overload_prices, target, budget) {
+            Ok(bound) if bound >= target => BoundVerdict::Final,
+            Ok(_) => BoundVerdict::Open,
+            Err(verdict) => verdict,
+        }
+    }
+
+    /// The concurrent-flow bound `Σ_a B_a dist_v(a) - cap_scale` of the
+    /// module docs ("The stopping rule"): a lower bound on the `omax` of
+    /// *any* placement of the demands over *any* paths of the live graph,
+    /// for link weights `prices` (positive, any scale; normalized here to
+    /// `v_l` summing to 1) — whatever they are, so wrong ones only make it
+    /// smaller.
+    ///
+    /// Only the aggregates whose cheapest held column has positive length
+    /// need a distance, and all but a handful of links have length 0: one
+    /// label-setting search per distinct source labels nodes level by level,
+    /// crossing free links from a stack and keeping the few priced crossings
+    /// aside until the level is done. `Err(Open)` as soon as the running
+    /// value — the bound over the held columns, lowered source by source —
+    /// falls below `abandon_below`; `Err(GaveUp)` after visiting more than
+    /// `budget` links, or when nothing is priced.
+    fn flow_bound(
+        &mut self,
+        graph: &Graph,
+        tm: &TrafficMatrix,
+        path_sets: &[Vec<Path>],
+        prices: &[(LinkId, f64)],
+        abandon_below: f64,
+        budget: usize,
+    ) -> Result<f64, BoundVerdict> {
+        let total: f64 = prices.iter().map(|&(_, v)| v).sum();
+        if total <= 0.0 {
+            return Err(BoundVerdict::GaveUp);
+        }
+        let LpData { volumes, caps, cap_scale, bound: ref mut scratch, .. } = *self;
+        let BoundScratch { link_price, dist, labelled, level, beyond, paying } = scratch;
+        if link_price.is_empty() {
+            link_price.resize(graph.link_count(), 0.0);
+            dist.resize(graph.node_count(), f64::INFINITY);
+        }
+        for &(l, v) in prices {
+            link_price[l.idx()] = v / total / caps[l.idx()];
+        }
+
+        let mut lower = -cap_scale;
+        paying.clear();
+        for ((agg, paths), &volume) in tm.aggregates().iter().zip(path_sets).zip(volumes) {
+            let held = paths
+                .iter()
+                .map(|p| p.links().iter().map(|l| link_price[l.idx()]).sum::<f64>())
+                .fold(f64::INFINITY, f64::min);
+            if volume > 0.0 && held > 0.0 {
+                lower += volume * held;
+                paying.push((agg.src, agg.dst, volume, held));
+            }
+        }
+        paying.sort_by_key(|&(src, dst, ..)| (src, dst));
+
+        let mut visited = 0usize;
+        let mut stopped = None;
+        for group in paying.chunk_by(|a, b| a.0 == b.0) {
+            if lower < abandon_below {
+                stopped = Some(BoundVerdict::Open);
+                break;
+            }
+            // `level` holds the labelled nodes at the current distance still
+            // to expand, `beyond` what their priced links reach.
+            let src = group[0].0;
+            dist[src.idx()] = 0.0;
+            labelled.push(src);
+            level.push(src);
+            'search: loop {
+                while let Some(node) = level.pop() {
+                    let here = dist[node.idx()];
+                    for &l in graph.out_links(node) {
+                        let to = graph.link(l).dst;
+                        if caps[l.idx()] <= 0.0 || dist[to.idx()].is_finite() {
+                            continue;
+                        }
+                        if link_price[l.idx()] > 0.0 {
+                            beyond.push((here + link_price[l.idx()], to));
+                        } else {
+                            dist[to.idx()] = here;
+                            labelled.push(to);
+                            level.push(to);
+                        }
+                    }
+                    visited += graph.out_links(node).len();
+                    if visited > budget {
+                        stopped = Some(BoundVerdict::GaveUp);
+                        break 'search;
+                    }
+                }
+                if group.iter().all(|&(_, dst, ..)| dist[dst.idx()].is_finite()) {
+                    break;
+                }
+                // The nearest node beyond a priced link opens the next level.
+                beyond.retain(|&(_, to)| dist[to.idx()].is_infinite());
+                let Some(&(next, to)) = beyond.iter().min_by(|a, b| a.0.total_cmp(&b.0)) else {
+                    break;
+                };
+                dist[to.idx()] = next;
+                labelled.push(to);
+                level.push(to);
+            }
+            if stopped.is_none() {
+                for &(_, dst, volume, held) in group {
+                    // A held column is a live path, so its length bounds the
+                    // label (`min`: the two are summed in different orders).
+                    lower -= volume * (held - dist[dst.idx()].min(held));
+                }
+            }
+            for node in labelled.drain(..) {
+                dist[node.idx()] = f64::INFINITY;
+            }
+            level.clear();
+            beyond.clear();
+            if stopped.is_some() {
+                break;
+            }
+        }
+        for &(l, _) in prices {
+            link_price[l.idx()] = 0.0;
+        }
+        match stopped {
+            Some(verdict) => Err(verdict),
+            None => Ok(lower),
+        }
     }
 
     /// Builds and solves one LP over the given path sets, warm-starting
@@ -415,7 +684,7 @@ impl<'a> LpData<'a> {
         grown_from: Option<&LpLayout>,
         ctx: &mut SolveContext,
     ) -> Result<LpOutcome, LpError> {
-        let LpData { aggs, volumes, caps, cap_scale, m1, link_rank: ref mut rank } = *self;
+        let LpData { aggs, volumes, caps, cap_scale, m1, link_rank: ref mut rank, .. } = *self;
         // Variable block per multi-path aggregate; a link needs rows when a
         // variable path crosses it or a single-path aggregate loads it.
         let mut used_links = Vec::new();
@@ -626,7 +895,25 @@ impl<'a> LpData<'a> {
                 }
             }
         }
-        Ok(LpOutcome { fractions, level, pivots: sol.iterations(), critical_links, layout })
+        // The priced `o_l <= omax` rows (they follow the capacity rows); a
+        // `<=` row's dual is non-positive, and anything inside the solver's
+        // pricing tolerance of 0 is not a price.
+        let mut overload_prices = Vec::new();
+        if matches!(mode, LpMode::MinOverload) && level > 1e-7 {
+            for (&l, &dual) in layout.used_links.iter().zip(&sol.duals()[num_o..2 * num_o]) {
+                if -dual > 1e-9 {
+                    overload_prices.push((LinkId(l as u32), -dual));
+                }
+            }
+        }
+        Ok(LpOutcome {
+            fractions,
+            level,
+            pivots: sol.iterations(),
+            critical_links,
+            overload_prices,
+            layout,
+        })
     }
 }
 
@@ -883,6 +1170,7 @@ impl<'a> GrowRequest<'a> {
                 omax: 0.0,
                 lp_pivots: 0,
                 rounds: 0,
+                ended: GrowthEnd::Fits,
             });
         }
         match self.objective {
@@ -935,13 +1223,36 @@ fn run_latency_optimal(
     // Every round's LP restarts from the optimum of the round before.
     let phase1 = telemetry::span("pathgrow.phase1", "pathgrow");
     let mut grown_from: Option<LpLayout> = None;
-    loop {
+    // The overload of the round before, and the overload at which the
+    // stopping test last ran: it runs after an LP that did not lower `omax`,
+    // once per level.
+    let (mut before, mut tested_at) = (f64::INFINITY, f64::INFINITY);
+    let ended = loop {
         rounds += 1;
         let out = lp.solve(&path_sets, &LpMode::MinOverload, grown_from.as_ref(), ctx)?;
         pivots += out.pivots;
         omax = out.level;
-        if omax <= 1e-7 || rounds >= config.max_rounds {
-            break;
+        if omax <= 1e-7 {
+            break GrowthEnd::Fits;
+        }
+        if omax > before - BOUND_TOL && omax < tested_at - BOUND_TOL && bound_armed() {
+            tested_at = omax;
+            let verdict = lp.proves_final(graph, tm, &path_sets, &out);
+            if telemetry::enabled() {
+                telemetry::counter_add("pathgrow.bound_checks", 1);
+                if verdict == BoundVerdict::GaveUp {
+                    telemetry::counter_add("pathgrow.bound_gave_up", 1);
+                }
+            }
+            #[cfg(test)]
+            tests::note_verdict(verdict);
+            if verdict == BoundVerdict::Final {
+                break GrowthEnd::ProvedFinal;
+            }
+        }
+        before = omax;
+        if rounds >= config.max_rounds {
+            break GrowthEnd::RoundLimit;
         }
         if !grow_crossing(
             source,
@@ -952,9 +1263,17 @@ fn run_latency_optimal(
             config.growth_step,
             &mut pricing,
         ) {
-            break; // all alternatives exhausted: congestion unavoidable
+            break GrowthEnd::Exhausted; // no alternative left to price
         }
         grown_from = Some(out.layout);
+    };
+    if telemetry::enabled() {
+        // Both present in every traced run, so a reader can tell 0 from absent.
+        telemetry::counter_add("pathgrow.proved_final", u64::from(ended == GrowthEnd::ProvedFinal));
+        telemetry::counter_add(
+            "pathgrow.round_limit_hits",
+            u64::from(ended == GrowthEnd::RoundLimit),
+        );
     }
     drop(phase1);
 
@@ -1004,7 +1323,17 @@ fn run_latency_optimal(
         omax,
         lp_pivots: pivots,
         rounds,
+        ended,
     })
+}
+
+/// Whether phase 1 runs its stopping test: always, outside the tests that
+/// switch it off to compare against the loop without it.
+fn bound_armed() -> bool {
+    #[cfg(test)]
+    return !tests::BOUND_OFF.get();
+    #[cfg(not(test))]
+    true
 }
 
 /// MinMax: minimize the maximum link utilization, tie-broken by the delay
@@ -1082,6 +1411,7 @@ fn run_minmax(
         omax,
         lp_pivots: pivots,
         rounds,
+        ended: if omax > 0.0 { GrowthEnd::Exhausted } else { GrowthEnd::Fits },
     })
 }
 
@@ -1091,7 +1421,7 @@ mod tests {
     use crate::hier::{EngineConfig, PartitionedPathEngine};
     use crate::scale::ScaleToLoad;
     use lowlat_linprog::Solution;
-    use lowlat_netgraph::NodeId;
+    use lowlat_netgraph::FailureMask;
     use lowlat_tmgen::{Aggregate, GravityTmGen, TmGenConfig};
     use lowlat_topology::zoo::named;
     use lowlat_topology::{generate, GeoPoint, SynthConfig, SynthModel, Topology, TopologyBuilder};
@@ -1105,13 +1435,51 @@ mod tests {
             const { std::cell::Cell::new(None) };
     }
 
+    thread_local! {
+        /// Switches phase 1's stopping test off on this thread.
+        pub(super) static BOUND_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        /// Verdicts of the stopping test on this thread, in order.
+        static VERDICTS: std::cell::RefCell<Vec<BoundVerdict>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn note_verdict(verdict: BoundVerdict) {
+        VERDICTS.with_borrow_mut(|seen| seen.push(verdict));
+    }
+
+    /// Runs `f`; returns its result and the stopping test's verdicts in it.
+    fn verdicts<T>(f: impl FnOnce() -> T) -> (T, Vec<BoundVerdict>) {
+        VERDICTS.take();
+        let out = f();
+        (out, VERDICTS.take())
+    }
+
+    /// Runs `f` as the loop ran before it had a stopping test.
+    fn without_bound<T>(f: impl FnOnce() -> T) -> T {
+        BOUND_OFF.set(true);
+        let out = f();
+        BOUND_OFF.set(false);
+        out
+    }
+
     /// While a test has the audit on, every LP the growth loop solves —
     /// warm, handed over or cold — is solved again from scratch and must
     /// have reached the same optimum: same objective, and the same level
     /// (`level_var`: `omax` / `U`) where the level is what is minimized. The
     /// guard against a restart that stops at a vertex it should not have
     /// (a warm phase 1 reporting `omax = 0` just past the fits boundary).
+    ///
+    /// Audit on or off, every LP a test of this module solves has its duals
+    /// checked against the problem as posed ([`lowlat_linprog::certify`]):
+    /// the stopping test reads them.
     pub(super) fn audit_against_cold(p: &Problem, sol: &Solution, level_var: Option<usize>) {
+        if let Err(violation) = lowlat_linprog::certify(p, sol.values(), sol.duals()) {
+            panic!(
+                "LP ({} rows, warm {}) fails its certificate: {violation}",
+                p.num_rows(),
+                sol.warm_started()
+            );
+        }
         let Some((count, cold_pivots)) = AUDITED.get() else { return };
         let cold = p.solve().expect("the chained solve succeeded on this LP");
         AUDITED.set(Some((count + 1, cold_pivots + cold.iterations())));
@@ -1160,12 +1528,7 @@ mod tests {
     }
 
     fn tm_one(volume: f64) -> TrafficMatrix {
-        TrafficMatrix::new(vec![Aggregate {
-            src: NodeId(0),
-            dst: NodeId(3),
-            volume_mbps: volume,
-            flow_count: 10,
-        }])
+        one_aggregate(0, 3, volume)
     }
 
     #[test]
@@ -1548,22 +1911,16 @@ mod tests {
         assert!(3 * pivots <= cold_pivots, "{pivots} pivots chained vs {cold_pivots} all cold");
     }
 
-    #[test]
-    fn chained_solve_is_optimal_over_its_own_columns_through_the_partitioned_engine() {
-        // A 8-pair batch at 2x shortest-path overload on a 1k-node
-        // Barabasi-Albert graph: every round adds links (rows) as well as
-        // paths, through the hierarchical pricing oracle.
-        let ingested = generate(
-            SynthModel::BarabasiAlbert,
-            &SynthConfig { nodes: 1000, seed: 42, ..Default::default() },
-        );
-        let g = ingested.graph();
-        let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
+    /// An 8-pair batch at `overload`x shortest-path overload on a
+    /// Barabasi-Albert graph of `nodes` nodes: every round adds links (rows)
+    /// as well as paths.
+    fn overloaded_batch(g: &Graph, source: &dyn PathSource, overload: f64) -> TrafficMatrix {
+        let nodes = g.node_count() as u32;
         let mut rng = StdRng::seed_from_u64(2);
         let mut seen = std::collections::BTreeSet::new();
         let mut aggs = Vec::new();
         while aggs.len() < 8 {
-            let (s, d) = (rng.gen_range(0..1000u32), rng.gen_range(0..1000u32));
+            let (s, d) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
             if s != d && seen.insert((s, d)) {
                 aggs.push(Aggregate {
                     src: NodeId(s),
@@ -1576,16 +1933,333 @@ mod tests {
         let tm = TrafficMatrix::new(aggs);
         let mut loads = vec![0.0; g.link_count()];
         for a in tm.aggregates() {
-            let sp = engine.shortest(a.src, a.dst).expect("Barabasi-Albert graphs are connected");
+            let sp = source.shortest(a.src, a.dst).expect("Barabasi-Albert graphs are connected");
             sp.links().iter().for_each(|l| loads[l.idx()] += a.volume_mbps);
         }
         let worst =
             g.link_ids().map(|l| loads[l.idx()] / g.link(l).capacity_mbps).fold(0.0, f64::max);
-        let tm = tm.scaled(2.0 / worst);
+        tm.scaled(overload / worst)
+    }
+
+    #[test]
+    fn chained_solve_is_optimal_over_its_own_columns_through_the_partitioned_engine() {
+        // Through the hierarchical pricing oracle, on 1k nodes.
+        let ingested = generate(
+            SynthModel::BarabasiAlbert,
+            &SynthConfig { nodes: 1000, seed: 42, ..Default::default() },
+        );
+        let g = ingested.graph();
+        let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
+        let tm = overloaded_batch(g, &engine, 2.0);
         let volumes: Vec<f64> = tm.aggregates().iter().map(|a| a.volume_mbps).collect();
         let mut ctx = SolveContext::new();
         let (out, _) = solve_audited(&engine, &tm, &volumes, &mut ctx);
         assert!(out.rounds > 3, "the batch must need growth, got {} rounds", out.rounds);
         assert!(ctx.warm_hits() + 1 >= ctx.solves(), "only the first LP of the chain runs cold");
+    }
+
+    #[test]
+    fn the_bound_gives_up_on_a_graph_the_lp_barely_touches() {
+        // 2k nodes, an unavoidable overload: the engine never prices most of
+        // the detours the graph holds, so the bound cannot be tight, and the
+        // search is cut short by its budget instead of flooding the graph —
+        // leaving every number of the outcome where it was.
+        let ingested = generate(
+            SynthModel::BarabasiAlbert,
+            &SynthConfig { nodes: 2000, seed: 42, ..Default::default() },
+        );
+        let g = ingested.graph();
+        let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
+        let tm = overloaded_batch(g, &engine, 6.0);
+        let solve = || GrowRequest::new(&engine, &tm).solve().unwrap();
+        let (out, seen) = verdicts(solve);
+        assert!(out.omax > 1e-7 && !seen.is_empty(), "omax {}, tested {seen:?}", out.omax);
+        assert!(seen.iter().all(|&v| v == BoundVerdict::GaveUp), "{seen:?}");
+        let blind = without_bound(solve);
+        let fingerprint = |o: &GrowOutcome| {
+            let splits: Vec<(Vec<LinkId>, u64)> = o
+                .placement
+                .per_aggregate()
+                .iter()
+                .flat_map(|pl| pl.splits.iter().map(|(p, x)| (p.links().to_vec(), x.to_bits())))
+                .collect();
+            (o.rounds, o.lp_pivots, o.omax.to_bits(), o.ended, splits)
+        };
+        assert_eq!(fingerprint(&out), fingerprint(&blind));
+    }
+
+    // ---- The stopping test of phase 1 ("The loop", module docs) ----
+
+    /// A cut cable of 100 Mbps from `S`, then a mesh of five fully connected
+    /// relays (1 Gbps, 1 ms) to `Z`: 325 loopless paths, every one across
+    /// the cut.
+    fn mesh_behind_a_cut() -> Topology {
+        let mut b = TopologyBuilder::new("cut-mesh");
+        let s = b.add_pop("S", GeoPoint::new(40.0, -100.0));
+        let gate = b.add_pop("G", GeoPoint::new(40.0, -99.0));
+        let relays: Vec<_> =
+            (0..5).map(|i| b.add_pop(format!("R{i}"), GeoPoint::new(41.0, -98.0))).collect();
+        let z = b.add_pop("Z", GeoPoint::new(40.0, -94.0));
+        b.connect_with_delay(s, gate, 1.0, 100.0);
+        for (i, &r) in relays.iter().enumerate() {
+            b.connect_with_delay(gate, r, 1.0, 1000.0);
+            b.connect_with_delay(r, z, 1.0, 1000.0);
+            for &other in &relays[i + 1..] {
+                b.connect_with_delay(r, other, 1.0, 1000.0);
+            }
+        }
+        b.build()
+    }
+
+    fn one_aggregate(src: u32, dst: u32, volume: f64) -> TrafficMatrix {
+        TrafficMatrix::new(vec![Aggregate {
+            src: NodeId(src),
+            dst: NodeId(dst),
+            volume_mbps: volume,
+            flow_count: 10,
+        }])
+    }
+
+    #[test]
+    fn an_unavoidable_overload_is_proven_on_the_first_round_that_fails_to_lower_it() {
+        let topo = mesh_behind_a_cut();
+        let cache = PathCache::new(topo.graph());
+        let tm = one_aggregate(0, 6, 250.0);
+        let (out, seen) = verdicts(|| GrowRequest::new(&cache, &tm).solve().unwrap());
+        assert_eq!(out.ended, GrowthEnd::ProvedFinal);
+        assert_eq!(seen, [BoundVerdict::Final], "one test, on round 2");
+        assert!((out.omax - 1.5).abs() < 1e-9, "250 over a 100 Mbps cut: {}", out.omax);
+        // Round 1, the round that did not help, and the refinement rounds.
+        let refine = GrowthConfig::default().refine_rounds;
+        assert_eq!(out.rounds, 2 + refine);
+
+        // Without the test the loop enumerates the mesh until the backstop.
+        let blind = without_bound(|| GrowRequest::new(&cache, &tm).solve().unwrap());
+        assert_eq!(blind.ended, GrowthEnd::RoundLimit);
+        assert_eq!(blind.rounds, GrowthConfig::default().max_rounds + refine);
+        assert!((blind.omax - out.omax).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_bound_waits_for_a_relief_column_deep_in_the_ranking() {
+        // S -> A (100 Mbps) fans out over three fast relays to T: 15 paths
+        // of at most 5 ms. The only relief, S -> B -> T (100 Mbps, 20 ms), is
+        // the 16th shortest; a slow fourth relay supplies columns after it.
+        let mut b = TopologyBuilder::new("late-relief");
+        let s = b.add_pop("S", GeoPoint::new(40.0, -100.0));
+        let a = b.add_pop("A", GeoPoint::new(40.0, -99.0));
+        let relays: Vec<_> =
+            (0..4).map(|i| b.add_pop(format!("R{i}"), GeoPoint::new(41.0, -98.0))).collect();
+        let t = b.add_pop("T", GeoPoint::new(40.0, -94.0));
+        let relief = b.add_pop("B", GeoPoint::new(38.0, -97.0));
+        b.connect_with_delay(s, a, 1.0, 100.0);
+        for (i, &r) in relays.iter().enumerate() {
+            let delay = if i == 3 { 30.0 } else { 1.0 };
+            b.connect_with_delay(a, r, delay, 1000.0);
+            b.connect_with_delay(r, t, delay, 1000.0);
+            for &other in &relays[i + 1..] {
+                let between = if other == relays[3] { 30.0 } else { 1.0 };
+                b.connect_with_delay(r, other, between, 1000.0);
+            }
+        }
+        b.connect_with_delay(s, relief, 10.0, 100.0);
+        b.connect_with_delay(relief, t, 10.0, 100.0);
+        let topo = b.build();
+        let cache = PathCache::new(topo.graph());
+        let (src, dst) = (NodeId(0), NodeId(6));
+        let step = GrowthConfig::default().growth_step;
+        let ranked = cache.paths(src, dst, 17);
+        let k = 1 + ranked.iter().position(|p| p.hop_count() == 2).expect("the relief path");
+        assert!(k == 16 && k > 2 * step && ranked.len() == 17);
+
+        let tm = one_aggregate(0, 6, 250.0);
+        let (out, seen) = verdicts(|| GrowRequest::new(&cache, &tm).solve().unwrap());
+        // Tested when round 2 leaves omax at 1.5 (the relief path is free
+        // under the prices: open), not again on that plateau, and once more
+        // on the round after the relief column took omax to 0.25.
+        assert_eq!(seen, [BoundVerdict::Open, BoundVerdict::Final]);
+        assert_eq!(out.ended, GrowthEnd::ProvedFinal);
+        assert!((out.omax - 0.25).abs() < 1e-9, "250 over two 100 Mbps cuts: {}", out.omax);
+        let blind = without_bound(|| GrowRequest::new(&cache, &tm).solve().unwrap());
+        assert!((blind.omax - out.omax).abs() < 1e-9);
+        assert!(out.rounds < blind.rounds, "{} vs {} rounds", out.rounds, blind.rounds);
+    }
+
+    #[test]
+    fn the_bound_walks_the_masked_graph_at_effective_capacities() {
+        // Direct S - T (100 Mbps) and a detour over D (100 Mbps); the LP
+        // holds the direct path only, 150 Mbps on it.
+        let mut b = TopologyBuilder::new("detour");
+        let s = b.add_pop("S", GeoPoint::new(40.0, -100.0));
+        let d = b.add_pop("D", GeoPoint::new(42.0, -97.0));
+        let t = b.add_pop("T", GeoPoint::new(40.0, -94.0));
+        b.connect_with_delay(s, t, 1.0, 100.0);
+        b.connect_with_delay(s, d, 5.0, 100.0);
+        b.connect_with_delay(d, t, 5.0, 100.0);
+        let topo = b.build();
+        let g = topo.graph();
+        let cache = PathCache::new(g);
+        let tm = one_aggregate(0, 2, 150.0);
+        let aggs = agg_infos(&cache, &tm, None);
+        let direct = g.find_link(NodeId(0), NodeId(2)).unwrap();
+        let detour = g.find_link(NodeId(0), NodeId(1)).unwrap();
+        let held = vec![vec![Path::new(g, vec![direct])]];
+        let verdict_and_bound = |mask: &FailureMask| {
+            cache.apply_failure(mask);
+            let caps = cache.effective_capacities();
+            let mut lp = LpData::new(&aggs, &[150.0], &caps, 1.0, 1e-3);
+            let out =
+                lp.solve(&held, &LpMode::MinOverload, None, &mut SolveContext::new()).unwrap();
+            assert_eq!(out.overload_prices.len(), 1);
+            let verdict = lp.proves_final(g, &tm, &held, &out);
+            let bound = lp
+                .flow_bound(g, &tm, &held, &out.overload_prices, f64::NEG_INFINITY, usize::MAX)
+                .unwrap();
+            (verdict, out.level, bound)
+        };
+
+        // Detour up: it is free under the prices, so nothing is proven.
+        let (verdict, omax, bound) = verdict_and_bound(&FailureMask::new());
+        assert_eq!((verdict, omax, bound), (BoundVerdict::Open, 0.5, -1.0));
+        // Detour down: not walked, and 150 over 100 is final.
+        let mut mask = FailureMask::new();
+        mask.fail_cable(g, detour);
+        let (verdict, omax, bound) = verdict_and_bound(&mask);
+        assert_eq!(verdict, BoundVerdict::Final);
+        assert!(omax == 0.5 && (bound - 0.5).abs() < 1e-12, "{omax} vs {bound}");
+        // A brown-out of the direct cable enters as v_l / (factor · C_l).
+        mask.degrade_cable(g, direct, 0.5);
+        let (verdict, omax, bound) = verdict_and_bound(&mask);
+        assert_eq!(verdict, BoundVerdict::Final);
+        assert!((omax - 2.0).abs() < 1e-12 && (bound - 2.0).abs() < 1e-12, "{omax} vs {bound}");
+    }
+
+    /// Chords of a 7-node chain, in the order the soundness test's bit mask
+    /// selects them.
+    fn chords(n: usize) -> Vec<(usize, usize)> {
+        (0..n).flat_map(|i| (i + 2..n).map(move |j| (i, j))).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Soundness: whatever the link weights — an LP's duals or noise —
+        /// the bound is the concurrent-flow expression over *all* loopless
+        /// paths and never exceeds the overload of the LP that holds every
+        /// one of them as a column. So no weights can stop a chain that
+        /// could still improve.
+        #[test]
+        fn no_link_weights_push_the_bound_past_the_all_paths_optimum(
+            n in 3usize..=7,
+            chord_mask in 0u32..(1 << 15),
+            capacities in proptest::collection::vec(1u32..=4, 21),
+            demands in proptest::collection::vec((0usize..7, 0usize..6, 1u32..=8), 1..=3),
+            weights in proptest::collection::vec(0u32..=6, 42),
+            held_k in 1usize..=3,
+            headroom in 0u32..=1,
+        ) {
+            use proptest::prelude::prop_assert;
+            let mut b = lowlat_netgraph::GraphBuilder::new(n);
+            let mut cables = (0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>();
+            cables.extend(chords(n).into_iter().enumerate().filter(|(c, _)| chord_mask >> c & 1 == 1).map(|(_, e)| e));
+            for (c, &(i, j)) in cables.iter().enumerate() {
+                b.add_duplex(NodeId(i as u32), NodeId(j as u32), 1.0 + c as f64, 50.0 * capacities[c] as f64);
+            }
+            let g = b.build();
+            let mut pairs = std::collections::BTreeMap::new();
+            for &(s, off, vol) in &demands {
+                let (s, d) = (s % n, (s % n + 1 + off % (n - 1)) % n);
+                pairs.insert((s, d), 50.0 * vol as f64);
+            }
+            let tm = TrafficMatrix::new(pairs.iter().map(|(&(s, d), &v)| Aggregate {
+                src: NodeId(s as u32), dst: NodeId(d as u32), volume_mbps: v, flow_count: 10,
+            }).collect());
+            let volumes: Vec<f64> = pairs.values().copied().collect();
+            // Weights on about a third of the links, zero on the rest.
+            let prices: Vec<(LinkId, f64)> = g.link_ids()
+                .filter(|l| weights[l.idx()] > 4)
+                .map(|l| (l, (1 + l.idx() % 3) as f64))
+                .collect();
+            if prices.is_empty() {
+                return Ok(());
+            }
+
+            let cache = PathCache::new(&g);
+            let every_path: Vec<Vec<Path>> =
+                tm.aggregates().iter().map(|a| cache.paths(a.src, a.dst, 100_000)).collect();
+            let held: Vec<Vec<Path>> =
+                every_path.iter().map(|ps| ps[..held_k.min(ps.len())].to_vec()).collect();
+            let aggs = agg_infos(&cache, &tm, None);
+            let caps = cache.effective_capacities();
+            let cap_scale = 1.0 - 0.1 * headroom as f64;
+            let mut lp = LpData::new(&aggs, &volumes, &caps, cap_scale, 1e-3);
+            let optimum = lp
+                .solve(&every_path, &LpMode::MinOverload, None, &mut SolveContext::new())
+                .unwrap()
+                .level;
+            let bound = lp
+                .flow_bound(&g, &tm, &held, &prices, f64::NEG_INFINITY, usize::MAX)
+                .expect("no floor, no budget: the search completes");
+
+            let total: f64 = prices.iter().map(|&(_, v)| v).sum();
+            let length = |p: &Path| -> f64 {
+                p.links().iter().map(|l| {
+                    prices.iter().find(|(pl, _)| pl == l).map_or(0.0, |&(_, v)| v / total / caps[l.idx()])
+                }).sum()
+            };
+            let by_enumeration: f64 = every_path.iter().zip(&volumes)
+                .map(|(ps, b)| b * ps.iter().map(length).fold(f64::INFINITY, f64::min))
+                .sum::<f64>() - cap_scale;
+            prop_assert!((bound - by_enumeration).abs() <= 1e-9, "search {bound} vs enumeration {by_enumeration}");
+            prop_assert!(bound <= optimum + 1e-9, "bound {bound} above the optimum {optimum}");
+        }
+    }
+
+    /// One cold call per volume scale on `topo` at `load`, the stopping test
+    /// on (under the cold audit) and off: every call that ends overloaded is
+    /// proven final within 8 rounds at `load × scale - 1` — `scaled_to_load`
+    /// defines load by MinMax utilization, an answer the bound did not
+    /// compute — with the pivots and the overload of the loop that runs to
+    /// its backstop. Returns how many calls ended overloaded.
+    fn overloads_are_proven(topo: &Topology, load: f64, scales: &[f64]) -> usize {
+        let tm =
+            GravityTmGen::new(TmGenConfig::default()).generate(topo, 0).scaled_to_load(topo, load);
+        let cache = PathCache::new(topo.graph());
+        let mut overloaded = 0;
+        for &scale in scales {
+            let volumes: Vec<f64> = tm.aggregates().iter().map(|a| a.volume_mbps * scale).collect();
+            let (out, _, _) =
+                audited(|| GrowRequest::new(&cache, &tm).volumes(&volumes).solve().unwrap());
+            assert_ne!(out.ended, GrowthEnd::RoundLimit);
+            if out.omax <= 1e-7 {
+                assert!(load * scale < 1.0 + 1e-4 && out.ended == GrowthEnd::Fits);
+                continue;
+            }
+            overloaded += 1;
+            let blind =
+                without_bound(|| GrowRequest::new(&cache, &tm).volumes(&volumes).solve().unwrap());
+            let at = format!("{} load {load} x {scale}", topo.name());
+            assert_eq!(out.ended, GrowthEnd::ProvedFinal, "{at}");
+            assert!(out.rounds <= 8 && out.rounds < blind.rounds, "{at}: {} rounds", out.rounds);
+            assert!((out.omax - (load * scale - 1.0)).abs() < 1e-4, "{at}: omax {}", out.omax);
+            assert!((out.omax - blind.omax).abs() < 1e-5, "{at}: {} vs {}", out.omax, blind.omax);
+            assert_eq!(out.lp_pivots, blind.lp_pivots, "{at}");
+        }
+        overloaded
+    }
+
+    #[test]
+    fn every_overload_on_gts_like_is_proven_final_within_eight_rounds() {
+        let topo = named::gts_like();
+        let proven: usize = [0.55, 0.7, 0.9]
+            .iter()
+            .map(|&load| overloads_are_proven(&topo, load, &[1.6, 2.0, 2.5]))
+            .sum();
+        assert_eq!(proven, 8, "all but 0.55 x 1.6");
+    }
+
+    #[test]
+    fn every_overload_on_abilene_is_proven_final_within_eight_rounds() {
+        assert_eq!(overloads_are_proven(&named::abilene(), 0.7, &[1.6, 2.0]), 2);
     }
 }

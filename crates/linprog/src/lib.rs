@@ -31,6 +31,11 @@
 //!   nothing and reads the inverse once, for the basic values. Stale bases
 //!   (wrong shape, singular, infeasible under the new data) fall back to a
 //!   cold solve automatically.
+//! * **duals and a certificate**: [`Solution::duals`] returns the dual value
+//!   of every posed row, and [`certify`] checks a primal/dual pair against
+//!   the problem as posed — feasibility, dual feasibility, complementary
+//!   slackness, duality gap — in O(nonzeros), sharing no code with the
+//!   pivoting engine.
 //! * **column generation**: [`Basis::relabel`] carries an exported basis —
 //!   and its inverse — over to a problem grown by new columns and rows, so
 //!   a pricing round restarts from the optimum of the round before it.
@@ -59,8 +64,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod certify;
 mod problem;
 mod simplex;
 
+pub use certify::{certify, Violation};
 pub use problem::{Problem, Relation, RowId};
 pub use simplex::{Basis, LpError, Solution, SolverOptions};

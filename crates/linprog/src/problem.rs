@@ -76,6 +76,23 @@ impl Problem {
         self.rows[row].rel != Relation::Eq
     }
 
+    /// The rows as posed: `(merged nonzero coefficients, relation, rhs)`.
+    pub(crate) fn posed_rows(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (&[(usize, f64)], Relation, f64)> {
+        self.rows.iter().map(|row| (row.coeffs.as_slice(), row.rel, row.rhs))
+    }
+
+    /// Objective coefficient per variable.
+    pub(crate) fn costs(&self) -> &[f64] {
+        &self.objective
+    }
+
+    /// Upper bound per variable (`f64::INFINITY` when absent).
+    pub(crate) fn upper_bounds(&self) -> &[f64] {
+        &self.upper
+    }
+
     /// Sets the objective coefficient of variable `var` (adds to any previous
     /// value so composite objectives can be accumulated term by term).
     ///

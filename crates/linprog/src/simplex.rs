@@ -384,6 +384,7 @@ impl Carried {
 #[derive(Clone, Debug)]
 pub struct Solution {
     x: Vec<f64>,
+    duals: Vec<f64>,
     objective: f64,
     iterations: usize,
     warm_started: bool,
@@ -398,6 +399,20 @@ impl Solution {
     /// All structural variable values.
     pub fn values(&self) -> &[f64] {
         &self.x
+    }
+
+    /// The dual value of every posed row, in the order the rows were added:
+    /// `∂objective/∂rhs` at the optimum, in the row's own sign as posed (a
+    /// negative right-hand side does not flip it). A `<=` row of this
+    /// minimisation therefore reads `<= 0` (relaxing it can only lower the
+    /// objective), a `>=` row `>= 0`, an `==` row either, and a row that is
+    /// slack at the optimum reads 0. Variables resting at a finite upper
+    /// bound carry their price in their reduced cost `c_j - Σ_i y_i a_ij`
+    /// (negative there), not in a row. Empty for the zero-row problem.
+    /// [`crate::certify`] checks a `(values, duals)` pair against the
+    /// problem without trusting the solver.
+    pub fn duals(&self) -> &[f64] {
+        &self.duals
     }
 
     /// Objective at the optimum.
@@ -1046,7 +1061,16 @@ impl<'a> Engine<'a> {
             }
         }
         let objective = x.iter().zip(&self.sf.c).map(|(xi, ci)| xi * ci).sum();
-        Solution { x, objective, iterations: self.iterations, warm_started: false }
+        // `scratch_y` is the pricing vector of the round that found nothing
+        // to enter, i.e. `c_B B^-1` at the optimal basis, in the standard
+        // form's row signs.
+        let duals = self
+            .scratch_y
+            .iter()
+            .zip(&self.sf.negated)
+            .map(|(&y, &negated)| if negated { -y } else { y })
+            .collect();
+        Solution { x, duals, objective, iterations: self.iterations, warm_started: false }
     }
 
     /// Restores an engine from a previously exported basis. The carried
@@ -1304,7 +1328,13 @@ fn solve_standard_form_cold(
             }
         }
         let objective = x.iter().zip(&sf.c).map(|(a, b)| a * b).sum();
-        return Ok(Solution { x, objective, iterations: 0, warm_started: false });
+        return Ok(Solution {
+            x,
+            duals: Vec::new(),
+            objective,
+            iterations: 0,
+            warm_started: false,
+        });
     }
 
     let max_iter =
