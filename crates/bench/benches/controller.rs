@@ -8,7 +8,9 @@
 //! repair, re-partition and re-placement all happen inside one decision
 //! minute. Medians here are end-to-end run wall-clock; regressions mean
 //! the per-minute decision work (repair + partition + place + merge) got
-//! slower, which is the §5 viability claim itself.
+//! slower, which is the §5 viability claim itself. No workload of the repo
+//! benchmark runs `bounded:LDR` or fires events, so this is the only
+//! timing of `merge_bounded`, make-before-break and in-minute repair.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -14,7 +14,9 @@
 //!   (the LP rows scale with the 30k links), so the group runs a minimal
 //!   sample count and a smaller pair batch.
 //!
-//! BENCH_7.json records the measured medians per host.
+//! The repo benchmark's `scale-place` workload times the partitioned
+//! backend only (`core.hier.build_s` and the `core.source.*` rows beside
+//! it); this target is the one timing of its flat twin on the same solve.
 //!
 //! [`PathSource`]: lowlat_core::PathSource
 //! [`PathCache`]: lowlat_core::pathset::PathCache

@@ -1,6 +1,9 @@
 //! Micro-benchmarks of the substrates every experiment leans on:
 //! Dijkstra, Yen k-shortest paths, Dinic max-flow, the simplex LP solver,
 //! the FFT convolution, and the Figure-14 appraisal kernels built on it.
+//! The repo benchmark's calibration cells (`netgraph.sssp_gts_us`,
+//! `linprog.transport_12x15_us`, `traffic.fft.convolve_1024_us`) time
+//! three of these inside a traced run; this target runs each on its own.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

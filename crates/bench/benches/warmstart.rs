@@ -4,9 +4,12 @@
 //! raw simplex level, then through the full LDR solve path
 //! (the latency-optimal `GrowRequest` with the static-headroom dial).
 //!
-//! The `warm` variants are the tentpole's acceptance metric: they must
-//! beat their `cold` twins on successive timeline minutes (target ≥2x for
-//! the LDR chain).
+//! A differential cell the repo benchmark has no twin for: its workloads
+//! always run warm, so only here is a `cold` solve timed beside its `warm`
+//! twin. `ldr_minutes/cold` is cold *between* minutes only: the growth
+//! rounds of one call restart from each other, so every LP but a call's
+//! first is warm in both variants. `restart_0pivot` is the calibration
+//! cell for the restart itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

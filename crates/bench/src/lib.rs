@@ -1,9 +1,11 @@
-//! Shared fixtures for the Criterion benches.
+//! Shared fixtures for the Criterion micro-benches.
 //!
-//! Each bench target regenerates the computational kernel behind one paper
-//! figure (each target's module docs name it; the README's bench section
-//! lists the targets); the fixtures here keep the workloads identical
-//! across targets.
+//! Performance claims are judged by the repo benchmark (`perfbench/`,
+//! `BENCHMARK.json`); the four targets here are a calibration or
+//! differential cell of it, or the only timing of their path (each
+//! target's module docs say which; the README's "Measuring performance"
+//! section lists them). The fixtures keep the workloads identical across
+//! targets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,9 +46,4 @@ pub fn bursty_series(n: usize) -> Vec<Vec<f64>> {
 /// A standard-operating-point matrix: locality 1, min-cut load 0.7.
 pub fn standard_tm(topo: &Topology, index: u64) -> TrafficMatrix {
     GravityTmGen::new(TmGenConfig::default()).generate(topo, index).scaled_to_load(topo, 0.7)
-}
-
-/// A lighter matrix for the headroom sweep (min-cut load 0.6, Figure 8).
-pub fn light_tm(topo: &Topology, index: u64) -> TrafficMatrix {
-    GravityTmGen::new(TmGenConfig::default()).generate(topo, index).scaled_to_load(topo, 0.6)
 }

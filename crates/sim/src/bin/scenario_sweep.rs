@@ -2,7 +2,7 @@
 //! (load × locality × scheme) cross product over the corpus, one TSV row
 //! per (scenario, network, matrix, scheme).
 //!
-//! Where the figure binaries reproduce the paper's fixed operating points,
+//! Where the `figures` binary reproduces the paper's fixed operating points,
 //! this is the exploration surface: survivability-style load escalation,
 //! locality sensitivity, scheme shoot-outs at arbitrary headrooms — all
 //! without touching code, on the full work-stealing engine.
@@ -46,9 +46,9 @@ fn main() {
     // once and reused across every scenario point.
     let per_scenario = run_scenarios(&nets, &scenarios, scale.tms_per_network(), &schemes);
     let stdout = std::io::stdout();
-    print_records_header(true, stdout.lock()).expect("stdout");
+    print_records_header(stdout.lock()).expect("stdout");
     for (&(load, locality), records) in scenarios.iter().zip(&per_scenario) {
         eprintln!("  load {load} locality {locality}: {} records", records.len());
-        print_records_rows(records, Some((load, locality)), stdout.lock()).expect("stdout");
+        print_records_rows(records, (load, locality), stdout.lock()).expect("stdout");
     }
 }

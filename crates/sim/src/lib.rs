@@ -1,16 +1,16 @@
 //! # lowlat-sim
 //!
-//! Experiment harness reproducing every data figure of the paper. Each
-//! `fig*` binary in `src/bin/` regenerates one figure's series and prints
-//! them as TSV (plus a quick ASCII rendition); [`runner`] executes
-//! (network × traffic-matrix × scheme) grids in parallel with crossbeam;
-//! [`stats`] provides the CDF/percentile machinery the figures plot.
+//! Experiment harness reproducing every data figure of the paper. The
+//! `figures` binary in `src/bin/` regenerates the figures named in
+//! [`figures::ALL`] and prints their series as TSV (plus a quick ASCII
+//! rendition); [`runner`] executes (network × traffic-matrix × scheme)
+//! grids in parallel on scoped threads; [`stats`] provides the
+//! CDF/percentile machinery the figures plot.
 //!
 //! Scale control: every binary accepts `--quick` (CI-sized), `--std`
 //! (default) and `--full` (the paper's full corpus sweep), because the full
 //! grid is hours of CPU. The *shape* of every result — who congests, who
-//! stretches, where crossovers sit — is stable across scales; EXPERIMENTS.md
-//! records the `--std` outputs next to the paper's claims.
+//! stretches, where crossovers sit — is stable across scales.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

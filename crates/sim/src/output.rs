@@ -1,4 +1,4 @@
-//! TSV series output and quick ASCII plots for the figure binaries.
+//! TSV series output and quick ASCII plots for the `figures` binary.
 //!
 //! Figures are emitted as tab-separated series (easy to pipe into any
 //! plotting tool) plus a terminal-friendly ASCII sketch so a reader can see
@@ -53,44 +53,31 @@ pub fn print_tsv(header: &str, series: &[Series], mut out: impl Write) -> std::i
     Ok(())
 }
 
-/// Prints raw [`RunRecord`]s as TSV, one row per (network, matrix, scheme).
-/// `scenario` prepends (load, locality) columns so rows from different
-/// sweep points stay distinguishable in one stream (the `scenario_sweep`
-/// format); `None` omits them (the `grid_sweep` format).
-pub fn print_records_tsv(
-    records: &[crate::runner::RunRecord],
-    scenario: Option<(f64, f64)>,
-    mut out: impl Write,
-) -> std::io::Result<()> {
-    print_records_header(scenario.is_some(), &mut out)?;
-    print_records_rows(records, scenario, out)
-}
-
-/// The column header line of [`print_records_tsv`], on its own — sweep
-/// binaries emit it once, then one [`print_records_rows`] block per
-/// scenario.
-pub fn print_records_header(with_scenario: bool, mut out: impl Write) -> std::io::Result<()> {
-    let prefix = if with_scenario { "load\tlocality\t" } else { "" };
+/// The column header line of the `scenario_sweep` TSV: one row per (load,
+/// locality, network, matrix, scheme). Emitted once, then one
+/// [`print_records_rows`] block per scenario.
+pub fn print_records_header(mut out: impl Write) -> std::io::Result<()> {
     writeln!(
         out,
-        "{prefix}network\tclass\tllpd\ttm\tscheme\tcongested_fraction\tlatency_stretch\t\
-         max_stretch\tmax_util\tfits\truntime_ms"
+        "load\tlocality\tnetwork\tclass\tllpd\ttm\tscheme\tcongested_fraction\t\
+         latency_stretch\tmax_stretch\tmax_util\tfits\truntime_ms"
     )
 }
 
-/// The data rows of [`print_records_tsv`], without the header.
+/// One scenario's raw [`RunRecord`]s as data rows, each led by the
+/// scenario's (load, locality) so rows from different sweep points stay
+/// distinguishable in one stream.
+///
+/// [`RunRecord`]: crate::runner::RunRecord
 pub fn print_records_rows(
     records: &[crate::runner::RunRecord],
-    scenario: Option<(f64, f64)>,
+    (load, locality): (f64, f64),
     mut out: impl Write,
 ) -> std::io::Result<()> {
     for r in records {
-        if let Some((load, locality)) = scenario {
-            write!(out, "{load}\t{locality}\t")?;
-        }
         writeln!(
             out,
-            "{}\t{:?}\t{:.4}\t{}\t{}\t{:.6}\t{:.6}\t{:.4}\t{:.4}\t{}\t{:.2}",
+            "{load}\t{locality}\t{}\t{:?}\t{:.4}\t{}\t{}\t{:.6}\t{:.6}\t{:.4}\t{:.4}\t{}\t{:.2}",
             r.network,
             r.class,
             r.llpd,

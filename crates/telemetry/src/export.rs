@@ -1,7 +1,7 @@
 //! Export sinks: the metrics snapshot as JSON or TSV, and the span trace
 //! in chrome `trace_event` format (loadable in `chrome://tracing` and
 //! Perfetto). Hand-rolled serialization, matching the workspace's
-//! no-serde idiom (`topo_ingest`, `bench_report`).
+//! no-serde idiom (`topo_ingest`).
 
 use crate::registry::MetricsSnapshot;
 

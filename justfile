@@ -12,20 +12,26 @@ verify:
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# Full benchmark sweep (criterion stand-in: wall-clock medians on stdout).
+# The four micro-bench targets (criterion stand-in: wall-clock medians on
+# stdout) — one kernel at a time; performance claims go through `just perf`.
 bench:
     cargo bench
 
-# Quick benches -> fresh BENCH_N.json, gated >25% against the latest
-# committed baseline (engine/* skipped: worker-count-bound). The default
-# `out=auto` writes the next free number — commit it to refresh the
-# baseline after an intentional performance change.
-bench-report out="auto":
-    cargo bench -p lowlat_bench --bench substrates --bench fig_schemes \
-        --bench warmstart --bench timeline --bench failure --bench controller \
-        --bench hierarchy --bench pricing \
-        | cargo run --release -p lowlat_bench --bin bench_report -- \
-            --baseline auto --out {{out}} --max-regress 0.25 --skip engine/
+# The repo benchmark: BENCHMARK.json's command once per workload it lists
+# (default run length, end-to-end metrics), each result kept as
+# <dir>/<workload>.txt. Hold a parent's and a change's directory (same host)
+# to BENCHMARK.json's bounds one workload at a time with
+#   cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+#       --bin perf -- compare <parent-dir>/<workload>.txt <change-dir>/<workload>.txt
+# (exit 1 on a regression); `python3 perfbench/aa.py` gives medians and
+# spreads over ten seeds, which is what a claimed gain needs.
+perf dir="sweeps/perf":
+    mkdir -p {{dir}}
+    for workload in $(python3 -c "import json; print(*[w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']])"); do \
+        cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+            --bin perf -- run --workload $workload \
+            --out {{dir}}/$workload.txt || exit 1; \
+    done
 
 # Internet-scale ingestion experiment: load an edge list (or generate the
 # four synthetic models when file="") and run the hierarchical engine's
@@ -53,7 +59,7 @@ timeline minutes="10" cv="0.3" seed="99" schemes="LDR,SP,static:SP" scale="--std
 # Telemetry-instrumented timeline run: a diurnal Abilene deployment cycle
 # with both sinks on. Drag sweeps/trace.json into https://ui.perfetto.dev
 # (or chrome://tracing) to see the per-minute measure/decide/install
-# breakdown; diff metrics snapshots with `perf_report`.
+# breakdown.
 trace minutes="10" seed="99":
     mkdir -p sweeps
     cargo run --release -p lowlat_sim --bin timeline_sweep -- --quick \
@@ -96,11 +102,8 @@ sweep loads="0.6,0.7,0.9" localities="1.0" schemes="SP,ECMP,B4,MinMax,MinMaxK10,
 # stderr). Pass scale="--quick" for a CI-sized run, "--full" for the paper's.
 figures scale="--std":
     mkdir -p figures
-    for fig in fig01_apa_cdf fig03_sp_congestion fig04_active_schemes \
-               fig07_util_cdf fig08_headroom fig09_prediction \
-               fig10_sigma_scatter fig15_runtime fig16_max_stretch \
-               fig17_load_sweep fig18_locality_sweep fig19_google \
-               fig20_growth; do \
-        cargo run --release -p lowlat_sim --bin $fig -- {{scale}} \
+    figs=$(cargo run --release -q -p lowlat_sim --bin figures -- --list) || exit 1; \
+    for fig in $figs; do \
+        cargo run --release -p lowlat_sim --bin figures -- --fig $fig {{scale}} \
             > figures/$fig.tsv || exit 1; \
     done
