@@ -28,7 +28,7 @@ use std::hint::black_box;
 use lowlat_core::pathgrow::GrowRequest;
 use lowlat_core::pathset::PathCache;
 use lowlat_core::schemes::registry;
-use lowlat_core::{EngineConfig, PartitionedPathEngine};
+use lowlat_core::{EngineConfig, PartitionedPathEngine, PathSource};
 use lowlat_netgraph::{Graph, NodeId};
 use lowlat_tmgen::{Aggregate, TrafficMatrix};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};

@@ -22,6 +22,8 @@
 //!   disconnected demand, re-place through the scheme's warm
 //!   [`SolveContext`], and report both the repair and the LP telemetry.
 
+use std::borrow::Cow;
+
 use lowlat_netgraph::{all_pairs_delays, FailureMask, Graph, LinkId, NodeId};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
@@ -359,25 +361,10 @@ impl FailureImpact {
     /// against every finite overload.
     pub const INFINITE_OVERLOAD: f64 = f64::INFINITY;
 
-    /// Evaluates `placement` (over `partition.tm`) under `mask`.
-    pub fn evaluate(
-        topology: &Topology,
-        partition: &RoutablePartition,
-        mask: &FailureMask,
-        placement: &Placement,
-    ) -> FailureImpact {
-        Self::evaluate_with_delays(
-            topology,
-            partition,
-            mask,
-            placement,
-            &all_pairs_delays(topology.graph()),
-        )
-    }
-
-    /// As [`FailureImpact::evaluate`], with the *intact* topology's
-    /// all-pairs delays precomputed — sweeps evaluating many scenarios of
-    /// one network compute them once instead of per row.
+    /// Evaluates `placement` (over `partition.tm`) under `mask`. `sp` are
+    /// the *intact* topology's all-pairs delays
+    /// ([`all_pairs_delays`]) — sweeps evaluating many scenarios of one
+    /// network compute them once instead of per row.
     pub fn evaluate_with_delays(
         topology: &Topology,
         partition: &RoutablePartition,
@@ -469,10 +456,9 @@ pub fn replace_under_failure(
         let _replace = telemetry::span("failure.replace.solve", "failure");
         scheme.place_with_context(source, &partition.tm, ctx)?
     };
-    let impact = match intact_delays {
-        Some(sp) => FailureImpact::evaluate_with_delays(topology, &partition, mask, &placement, sp),
-        None => FailureImpact::evaluate(topology, &partition, mask, &placement),
-    };
+    let sp: Cow<'_, [Vec<f64>]> =
+        intact_delays.map_or_else(|| all_pairs_delays(topology.graph()).into(), Cow::Borrowed);
+    let impact = FailureImpact::evaluate_with_delays(topology, &partition, mask, &placement, &sp);
     Ok(RecoveryOutcome {
         repair,
         partition,
@@ -623,7 +609,8 @@ mod tests {
             kept: (0..tm.aggregates().len()).collect(),
             unroutable_fraction: 0.0,
         };
-        let impact = FailureImpact::evaluate(&topo, &partition, &mask, &placement);
+        let sp = all_pairs_delays(g);
+        let impact = FailureImpact::evaluate_with_delays(&topo, &partition, &mask, &placement, &sp);
         assert!(impact.max_overload.is_infinite());
         assert!(impact.max_utilization.is_infinite());
     }
@@ -654,7 +641,8 @@ mod tests {
         let g = topo.graph();
         mask.fail_cable(g, g.find_link(a, m).unwrap());
         mask.fail_cable(g, g.find_link(m, c).unwrap());
-        let impact = FailureImpact::evaluate(&topo, &partition, &mask, &placement);
+        let sp = all_pairs_delays(g);
+        let impact = FailureImpact::evaluate_with_delays(&topo, &partition, &mask, &placement, &sp);
         assert_eq!(impact.max_utilization, FailureImpact::INFINITE_OVERLOAD);
         assert_eq!(impact.max_overload, FailureImpact::INFINITE_OVERLOAD);
         assert!(!impact.max_overload.is_nan() && !impact.max_utilization.is_nan());

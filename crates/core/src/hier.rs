@@ -48,6 +48,7 @@ use lowlat_netgraph::{
 use lowlat_telemetry as telemetry;
 
 use crate::pathset::{PathCache, RepairStats};
+use crate::source::PathSource;
 
 /// Knobs for [`PartitionedPathEngine::build`].
 #[derive(Clone, Copy, Debug)]
@@ -266,11 +267,6 @@ impl<'g> PartitionedPathEngine<'g> {
         &self.hierarchy
     }
 
-    /// The graph this engine routes over.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
     /// Number of landmark nodes actually installed (under the active mask —
     /// downed landmarks are uninstalled until the mask clears).
     pub fn landmark_count(&self) -> usize {
@@ -287,16 +283,9 @@ impl<'g> PartitionedPathEngine<'g> {
         &self.leaf_ids
     }
 
-    /// Total (src,dst) pairs materialized across all leaf caches — the
-    /// "never the full path set" gauge: for cross-leaf traffic this stays
-    /// zero no matter how many queries run.
-    pub fn cached_pairs(&self) -> usize {
-        self.caches.iter().map(|c| c.cached_pairs()).sum()
-    }
-
     /// The landmark stitching upper bound for `(src, dst)`: the smallest
     /// `d(s,ℓ) + d(ℓ,d)` over installed landmarks, or `INFINITY` when no
-    /// landmark connects the pair. The best path [`Self::paths`] returns
+    /// landmark connects the pair. The best path [`PathSource::paths`] returns
     /// for a cross-leaf pair never exceeds this (de-looping only shortens).
     pub fn landmark_bound_ms(&self, src: NodeId, dst: NodeId) -> f64 {
         self.landmarks
@@ -306,69 +295,19 @@ impl<'g> PartitionedPathEngine<'g> {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Upper bound (ms) on the best column the engine can price for
-    /// `(src, dst)`: the leaf-scoped shortest delay for same-leaf pairs,
-    /// min-combined with the landmark bound (which also covers overflow
-    /// leaves whose members connect only through other leaves). `INFINITY`
-    /// means pricing cannot produce anything beyond the exact-Dijkstra
-    /// reachability fallback — the column-generation loop skips such pairs.
-    pub fn shortest_delay_bound(&self, src: NodeId, dst: NodeId) -> f64 {
-        let mut bound = self.landmark_bound_ms(src, dst);
-        if self.hierarchy.same_leaf(src, dst) {
-            let leaf = self.hierarchy.leaf_of(src);
-            if let Some(p) = self.caches[self.cache_of_leaf[leaf]].shortest(src, dst) {
-                bound = bound.min(p.delay_ms());
-            }
-        }
-        bound
-    }
-
-    /// The failure mask currently in force, if any.
-    pub fn failure_mask(&self) -> Option<Arc<FailureMask>> {
-        self.mask.read().clone()
-    }
-
-    /// Per-link effective capacities (Mbps) under the active failure mask —
-    /// the same capacity-provider view the flat cache exposes.
-    pub fn effective_capacities(&self) -> Vec<f64> {
-        match self.failure_mask() {
-            Some(mask) => mask.effective_capacities(self.graph),
-            None => self.graph.link_ids().map(|l| self.graph.link(l).capacity_mbps).collect(),
-        }
-    }
-
-    /// Puts the failure mask in force: every leaf cache repairs exactly like
-    /// the flat cache (kept/repaired pair accounting sums across leaves),
-    /// landmark trees are rebuilt under the mask (downed landmark nodes are
-    /// uninstalled), and the reachability fallback runs masked. An empty
-    /// mask is equivalent to [`Self::clear_failure`]. Concurrent queries
-    /// must be quiescent, as for [`PathCache::apply_failure`].
-    pub fn apply_failure(&self, mask: &FailureMask) -> RepairStats {
-        let _span = telemetry::span("hier.repair", "cache");
-        let active: Option<Arc<FailureMask>> = (!mask.is_empty()).then(|| Arc::new(mask.clone()));
-        *self.mask.write() = active.clone();
-        let mut stats = RepairStats::default();
-        for cache in &self.caches {
-            let s = cache.apply_failure(mask);
-            stats.kept_pairs += s.kept_pairs;
-            stats.repaired_pairs += s.repaired_pairs;
-            stats.paths_regrown += s.paths_regrown;
-            stats.paths_lost += s.paths_lost;
-        }
-        *self.landmarks.write() =
-            build_landmarks(self.graph, &self.landmark_nodes, active.as_deref());
-        stats
-    }
-
-    /// Restores the intact topology view: leaf caches rebuild pure, landmark
-    /// trees rebuild unmasked.
-    pub fn clear_failure(&self) -> RepairStats {
-        self.apply_failure(&FailureMask::new())
-    }
-
     /// True when the pair shares a leaf (answered exactly by warm Yen).
     pub fn same_leaf(&self, src: NodeId, dst: NodeId) -> bool {
         self.hierarchy.same_leaf(src, dst)
+    }
+}
+
+/// The partitioned backend of the pricing-oracle API: columns are priced by
+/// leaf-scoped Yen plus landmark stitching, the pricing bound is the
+/// landmark bound, and per-pair state is materialized only for intra-leaf
+/// pairs actually priced in — never for the cross-leaf corpus.
+impl PathSource for PartitionedPathEngine<'_> {
+    fn graph(&self) -> &Graph {
+        self.graph
     }
 
     /// Up to `k` loopless paths from `src` to `dst`, best-first.
@@ -379,13 +318,13 @@ impl<'g> PartitionedPathEngine<'g> {
     /// hub outside its leaf) and for correctness on overflow leaves, whose
     /// members can connect only via other leaves. Cross-leaf pairs are
     /// landmark-stitched only. Either way the best returned delay is
-    /// within [`Self::landmark_bound_ms`], and when no candidate exists at
-    /// all one exact Dijkstra answers — so a reachable pair never comes
-    /// back empty.
+    /// within [`PartitionedPathEngine::landmark_bound_ms`], and when no
+    /// candidate exists at all one exact Dijkstra answers — so a reachable
+    /// pair never comes back empty.
     ///
     /// # Panics
     /// Panics when `src == dst` (mirrors the flat cache/Yen contract).
-    pub fn paths(&self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+    fn paths(&self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
         assert!(src != dst, "paths between a node and itself");
         let cross_leaf = !self.hierarchy.same_leaf(src, dst);
         let mut candidates: Vec<Path> = if !cross_leaf {
@@ -470,51 +409,52 @@ impl<'g> PartitionedPathEngine<'g> {
         candidates
     }
 
-    /// The single best path (None when disconnected).
-    pub fn shortest(&self, src: NodeId, dst: NodeId) -> Option<Path> {
-        self.paths(src, dst, 1).into_iter().next()
-    }
-}
-
-/// The partitioned backend of the pricing-oracle API: columns are priced by
-/// leaf-scoped Yen plus landmark stitching, the pricing bound is the
-/// landmark bound, and per-pair state is materialized only for intra-leaf
-/// pairs actually priced in — never for the cross-leaf corpus.
-impl crate::source::PathSource for PartitionedPathEngine<'_> {
-    fn graph(&self) -> &Graph {
-        PartitionedPathEngine::graph(self)
-    }
-
-    fn paths(&self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        PartitionedPathEngine::paths(self, src, dst, k)
-    }
-
-    fn shortest(&self, src: NodeId, dst: NodeId) -> Option<Path> {
-        PartitionedPathEngine::shortest(self, src, dst)
-    }
-
+    /// The leaf-scoped shortest delay for same-leaf pairs, min-combined
+    /// with the landmark bound (which also covers overflow leaves whose
+    /// members connect only through other leaves). `INFINITY` means pricing
+    /// cannot produce anything beyond the exact-Dijkstra reachability
+    /// fallback — the column-generation loop skips such pairs.
     fn shortest_delay_bound(&self, src: NodeId, dst: NodeId) -> f64 {
-        PartitionedPathEngine::shortest_delay_bound(self, src, dst)
-    }
-
-    fn effective_capacities(&self) -> Vec<f64> {
-        PartitionedPathEngine::effective_capacities(self)
+        let mut bound = self.landmark_bound_ms(src, dst);
+        if self.hierarchy.same_leaf(src, dst) {
+            let leaf = self.hierarchy.leaf_of(src);
+            if let Some(p) = self.caches[self.cache_of_leaf[leaf]].shortest(src, dst) {
+                bound = bound.min(p.delay_ms());
+            }
+        }
+        bound
     }
 
     fn failure_mask(&self) -> Option<Arc<FailureMask>> {
-        PartitionedPathEngine::failure_mask(self)
+        self.mask.read().clone()
     }
 
+    /// Puts the failure mask in force: every leaf cache repairs exactly like
+    /// the flat cache (kept/repaired pair accounting sums across leaves),
+    /// landmark trees are rebuilt under the mask (downed landmark nodes are
+    /// uninstalled), and the reachability fallback runs masked. Concurrent
+    /// queries must be quiescent, as for the flat cache.
     fn apply_failure(&self, mask: &FailureMask) -> RepairStats {
-        PartitionedPathEngine::apply_failure(self, mask)
+        let _span = telemetry::span("hier.repair", "cache");
+        let active: Option<Arc<FailureMask>> = (!mask.is_empty()).then(|| Arc::new(mask.clone()));
+        *self.mask.write() = active.clone();
+        let mut stats = RepairStats::default();
+        for cache in &self.caches {
+            let s = cache.apply_failure(mask);
+            stats.kept_pairs += s.kept_pairs;
+            stats.repaired_pairs += s.repaired_pairs;
+            stats.paths_regrown += s.paths_regrown;
+            stats.paths_lost += s.paths_lost;
+        }
+        *self.landmarks.write() =
+            build_landmarks(self.graph, &self.landmark_nodes, active.as_deref());
+        stats
     }
 
-    fn clear_failure(&self) -> RepairStats {
-        PartitionedPathEngine::clear_failure(self)
-    }
-
+    /// Total pairs materialized across all leaf caches: for cross-leaf
+    /// traffic this stays zero no matter how many queries run.
     fn cached_pairs(&self) -> usize {
-        PartitionedPathEngine::cached_pairs(self)
+        self.caches.iter().map(|c| c.cached_pairs()).sum()
     }
 }
 

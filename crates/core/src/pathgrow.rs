@@ -103,8 +103,8 @@
 //! ## Effective capacities (brown-outs)
 //!
 //! Every capacity row, utilization cap, and tight-link filter poses the
-//! *effective* capacity under the cache's active
-//! [`lowlat_netgraph::FailureMask`] ([`PathCache::effective_capacities`]),
+//! *effective* capacity under the source's active
+//! [`lowlat_netgraph::FailureMask`] ([`PathSource::effective_capacities`]),
 //! not the raw `capacity_mbps`. A degraded-but-up link — a brown-out — thus
 //! constrains the LP at `factor * capacity`, so every scheme built on this
 //! module (LatOpt, LDR, MinMax) re-places against the capacity that actually
@@ -848,16 +848,12 @@ impl<'a> LpData<'a> {
         if sol.warm_started() {
             ctx.warm_hits += 1;
         }
+        // Solves, warm hits, cold solves and pivots are `lp.*`'s to report
+        // (`simplex.rs`); only what the simplex cannot see is recorded here.
         if telemetry::enabled() {
-            telemetry::counter_add("pathgrow.lp_solves", 1);
-            telemetry::counter_add(
-                if sol.warm_started() { "pathgrow.lp_warm_hits" } else { "pathgrow.lp_cold" },
-                1,
-            );
             if layout.handed_over && sol.warm_started() {
                 telemetry::counter_add("pathgrow.lp_handed_over", 1);
             }
-            telemetry::observe("pathgrow.lp_pivots", sol.iterations() as f64);
             telemetry::observe("pathgrow.lp_rows", p.num_rows() as f64);
             telemetry::gauge_set("pathgrow.basis_bytes", ctx.basis_bytes() as f64);
         }

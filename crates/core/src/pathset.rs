@@ -23,7 +23,8 @@
 //! failure — runs masked, so a failed topology behaves like a view of the
 //! intact graph. [`PathCache::clear_failure`] reverses the process. On real
 //! backbones a single link failure touches a small fraction of pairs, which
-//! is why repair beats a full rebuild (the `failure` bench measures it).
+//! is why repair beats a full rebuild (the `failure-replace` workload's
+//! `core.pathset.repair_ms_p50` / `kept_share` measure it).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,6 +33,8 @@ use parking_lot::{Mutex, RwLock};
 
 use lowlat_netgraph::{BitSet, FailureMask, Graph, KspGenerator, NodeId, Path};
 use lowlat_telemetry as telemetry;
+
+use crate::source::PathSource;
 
 /// Number of independent lock shards. A power of two well above the worker
 /// counts we run with; per-shard memory is one empty `HashMap`, so
@@ -49,7 +52,8 @@ struct CachedGen<'g> {
 type Shard<'g> = Mutex<HashMap<(NodeId, NodeId), CachedGen<'g>>>;
 
 /// What [`PathCache::apply_failure`] did — the cache-repair telemetry the
-/// failure sweep and the `failure` bench report.
+/// failure sweep and the `failure-replace` workload
+/// (`core.pathset.repair_ms_p50` / `kept_share`) report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Cached pairs whose materialized paths all avoid the failed elements:
@@ -137,28 +141,6 @@ impl<'g> PathCache<'g> {
         }
     }
 
-    /// The graph this cache serves.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// The failure mask currently in force, if any.
-    pub fn failure_mask(&self) -> Option<Arc<FailureMask>> {
-        self.mask.read().clone()
-    }
-
-    /// Per-link effective capacities (Mbps) under the active failure mask,
-    /// indexed by `LinkId` — raw capacities when no mask is in force. This
-    /// is the capacity-provider view the LP schemes pose constraints
-    /// against, so brown-outs (degradation-only masks) are visible to every
-    /// capacity row even though they change no paths.
-    pub fn effective_capacities(&self) -> Vec<f64> {
-        match self.failure_mask() {
-            Some(mask) => mask.effective_capacities(self.graph),
-            None => self.graph.link_ids().map(|l| self.graph.link(l).capacity_mbps).collect(),
-        }
-    }
-
     /// The shard holding `(src, dst)`. Fibonacci-style mixing spreads the
     /// small consecutive node ids real topologies use across all shards.
     fn shard(&self, src: NodeId, dst: NodeId) -> &Shard<'g> {
@@ -213,6 +195,20 @@ impl<'g> PathCache<'g> {
         }
     }
 
+    /// Number of paths currently materialized for the pair (0 when the pair
+    /// was never requested).
+    pub fn cached_count(&self, src: NodeId, dst: NodeId) -> usize {
+        self.shard(src, dst).lock().get(&(src, dst)).map_or(0, |cg| cg.gen.produced().len())
+    }
+}
+
+/// The flat backend of the pricing-oracle API: fully materialized incremental
+/// Yen generators, one per requested pair.
+impl PathSource for PathCache<'_> {
+    fn graph(&self) -> &Graph {
+        self.graph
+    }
+
     /// Returns the `k` shortest loopless paths from `src` to `dst` (fewer if
     /// the masked graph has fewer — possibly zero under a disconnecting
     /// failure), cloned out of the cache.
@@ -222,7 +218,7 @@ impl<'g> PathCache<'g> {
     /// before — the generator produces paths in a deterministic order and
     /// this returns its prefix. The experiment engine's
     /// worker-count-independent output rests on this.
-    pub fn paths(&self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+    fn paths(&self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
         let mask = self.mask.read().clone();
         let shard = self.shard(src, dst);
         // With telemetry on, probe the shard lock first so contended
@@ -262,21 +258,27 @@ impl<'g> PathCache<'g> {
         produced[..produced.len().min(k)].to_vec()
     }
 
-    /// The single shortest path (None when disconnected under the mask).
-    pub fn shortest(&self, src: NodeId, dst: NodeId) -> Option<Path> {
-        self.paths(src, dst, 1).into_iter().next()
+    /// Exact for the flat cache: the shortest-path delay (all further columns
+    /// are at least this expensive), `INFINITY` when disconnected.
+    fn shortest_delay_bound(&self, src: NodeId, dst: NodeId) -> f64 {
+        self.shortest(src, dst).map_or(f64::INFINITY, |p| p.delay_ms())
+    }
+
+    fn failure_mask(&self) -> Option<Arc<FailureMask>> {
+        self.mask.read().clone()
     }
 
     /// Puts the failure mask in force and repairs the cache: pairs whose
     /// materialized paths avoid every failed element keep their generators
     /// (and Yen state); crossing pairs are rebuilt under the mask and
-    /// regrown to the path count they had. An empty mask is equivalent to
-    /// [`PathCache::clear_failure`].
+    /// regrown to the path count they had. An empty mask
+    /// ([`clear_failure`](PathSource::clear_failure)) rebuilds masked
+    /// generators pure; untouched pure ones survive.
     ///
-    /// Concurrent [`PathCache::paths`] lookups from *other* threads must be
-    /// quiescent while the mask changes — the experiment drivers apply
-    /// failures between placement phases, never during one.
-    pub fn apply_failure(&self, mask: &FailureMask) -> RepairStats {
+    /// Concurrent [`paths`](PathSource::paths) lookups from *other* threads
+    /// must be quiescent while the mask changes — the experiment drivers
+    /// apply failures between placement phases, never during one.
+    fn apply_failure(&self, mask: &FailureMask) -> RepairStats {
         let _span = telemetry::span("cache.repair", "cache");
         let active: Option<Arc<FailureMask>> = (!mask.is_empty()).then(|| Arc::new(mask.clone()));
         *self.mask.write() = active.clone();
@@ -305,65 +307,8 @@ impl<'g> PathCache<'g> {
         stats
     }
 
-    /// Restores the intact topology: masked generators are rebuilt pure and
-    /// regrown; untouched pure generators survive.
-    pub fn clear_failure(&self) -> RepairStats {
-        self.apply_failure(&FailureMask::new())
-    }
-
-    /// Number of paths currently materialized for the pair (0 when the pair
-    /// was never requested).
-    pub fn cached_count(&self, src: NodeId, dst: NodeId) -> usize {
-        self.shard(src, dst).lock().get(&(src, dst)).map_or(0, |cg| cg.gen.produced().len())
-    }
-
-    /// Number of (src, dst) pairs with at least one materialized generator —
-    /// a cheap cache-occupancy gauge for benchmarks and tests.
-    pub fn cached_pairs(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-}
-
-/// The flat backend of the pricing-oracle API: every method delegates to the
-/// inherent ones above, so placements through `&dyn PathSource` are
-/// bit-identical to placements against the concrete cache.
-impl crate::source::PathSource for PathCache<'_> {
-    fn graph(&self) -> &Graph {
-        PathCache::graph(self)
-    }
-
-    fn paths(&self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        PathCache::paths(self, src, dst, k)
-    }
-
-    fn shortest(&self, src: NodeId, dst: NodeId) -> Option<Path> {
-        PathCache::shortest(self, src, dst)
-    }
-
-    /// Exact for the flat cache: the shortest-path delay (all further columns
-    /// are at least this expensive), `INFINITY` when disconnected.
-    fn shortest_delay_bound(&self, src: NodeId, dst: NodeId) -> f64 {
-        PathCache::shortest(self, src, dst).map_or(f64::INFINITY, |p| p.delay_ms())
-    }
-
-    fn effective_capacities(&self) -> Vec<f64> {
-        PathCache::effective_capacities(self)
-    }
-
-    fn failure_mask(&self) -> Option<Arc<FailureMask>> {
-        PathCache::failure_mask(self)
-    }
-
-    fn apply_failure(&self, mask: &FailureMask) -> RepairStats {
-        PathCache::apply_failure(self, mask)
-    }
-
-    fn clear_failure(&self) -> RepairStats {
-        PathCache::clear_failure(self)
-    }
-
     fn cached_pairs(&self) -> usize {
-        PathCache::cached_pairs(self)
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 }
 

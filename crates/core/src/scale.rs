@@ -14,18 +14,9 @@ use crate::pathset::PathCache;
 use crate::schemes::SchemeError;
 use crate::source::PathSource;
 
-/// Maximum-utilization level of `tm` on `topology` under (pure) MinMax
-/// routing — the paper's "min-cut load" of a traffic matrix.
-pub fn min_cut_load(topology: &Topology, tm: &TrafficMatrix) -> Result<f64, SchemeError> {
-    let cache = PathCache::new(topology.graph());
-    min_cut_load_with_cache(&cache, tm)
-}
-
-/// As [`min_cut_load`], reusing any [`PathSource`].
-pub fn min_cut_load_with_cache(
-    source: &dyn PathSource,
-    tm: &TrafficMatrix,
-) -> Result<f64, SchemeError> {
+/// Maximum-utilization level of `tm` on the graph `source` serves under
+/// (pure) MinMax routing — the paper's "min-cut load" of a traffic matrix.
+pub fn min_cut_load(source: &dyn PathSource, tm: &TrafficMatrix) -> Result<f64, SchemeError> {
     let out = GrowRequest::new(source, tm).minmax(None).solve()?;
     // MinMax reports omax = max(U-1, 0); recover U from the placement.
     let graph = source.graph();
@@ -49,7 +40,8 @@ pub trait ScaleToLoad {
 impl ScaleToLoad for TrafficMatrix {
     fn scaled_to_load(&self, topology: &Topology, target: f64) -> TrafficMatrix {
         assert!(target > 0.0 && target <= 1.0, "target load {target}");
-        let u = min_cut_load(topology, self).expect("MinMax LP failed during scaling");
+        let u = min_cut_load(&PathCache::new(topology.graph()), self)
+            .expect("MinMax LP failed during scaling");
         assert!(u > 0.0, "matrix has no load");
         self.scaled(target / u)
     }
@@ -66,7 +58,7 @@ mod tests {
         let topo = named::abilene();
         let gen = GravityTmGen::new(TmGenConfig::default());
         let tm = gen.generate(&topo, 0).scaled_to_load(&topo, 0.7);
-        let u = min_cut_load(&topo, &tm).unwrap();
+        let u = min_cut_load(&PathCache::new(topo.graph()), &tm).unwrap();
         assert!((u - 0.7).abs() < 0.02, "min-cut load {u}");
     }
 
@@ -75,8 +67,9 @@ mod tests {
         let topo = named::abilene();
         let gen = GravityTmGen::new(TmGenConfig::default());
         let tm = gen.generate(&topo, 1);
-        let u1 = min_cut_load(&topo, &tm).unwrap();
-        let u2 = min_cut_load(&topo, &tm.scaled(2.0)).unwrap();
+        let cache = PathCache::new(topo.graph());
+        let u1 = min_cut_load(&cache, &tm).unwrap();
+        let u2 = min_cut_load(&cache, &tm.scaled(2.0)).unwrap();
         assert!((u2 - 2.0 * u1).abs() < 0.02 * u2.max(1.0), "{u1} vs {u2}");
     }
 }

@@ -19,7 +19,7 @@ use lowlat_netgraph::Path;
 use lowlat_tmgen::TrafficMatrix;
 
 use crate::placement::{AggregatePlacement, Placement};
-use crate::schemes::{RoutingScheme, SchemeError};
+use crate::schemes::{RoutingScheme, SchemeError, SolveContext};
 use crate::source::PathSource;
 
 /// Tunables for [`B4Routing`].
@@ -53,65 +53,6 @@ impl B4Routing {
         assert!((0.0..1.0).contains(&config.headroom));
         assert!(config.max_paths >= 1);
         B4Routing { config }
-    }
-
-    /// Placement through the shared path cache (the trait entry point).
-    fn place_cached(
-        &self,
-        source: &dyn PathSource,
-        tm: &TrafficMatrix,
-    ) -> Result<Placement, SchemeError> {
-        let graph = source.graph();
-        let n = tm.aggregates().len();
-
-        // Pass 1 fills *effective* (mask-aware) capacities scaled down by
-        // the headroom reserve: a browned-out link offers only its degraded
-        // capacity to the greedy fill.
-        let caps = source.effective_capacities();
-        let mut residual: Vec<f64> =
-            caps.iter().map(|&c| c * (1.0 - self.config.headroom)).collect();
-        let mut allocations: Vec<Vec<(Path, f64)>> = vec![Vec::new(); n];
-        let mut remaining: Vec<f64> = tm.aggregates().iter().map(|a| a.volume_mbps).collect();
-        let stuck = self.fill(source, tm, &mut residual, &mut allocations, &mut remaining);
-
-        // Pass 2 (§6): stragglers may eat into the reserve.
-        let stuck = if self.config.headroom > 0.0 && !stuck.is_empty() {
-            let loads = current_loads(graph.link_count(), &allocations);
-            let mut full_residual: Vec<f64> =
-                graph.link_ids().map(|l| (caps[l.idx()] - loads[l.idx()]).max(0.0)).collect();
-            self.fill(source, tm, &mut full_residual, &mut allocations, &mut remaining)
-        } else {
-            stuck
-        };
-
-        // Whatever still remains is dumped on the shortest path — B4 sends
-        // the traffic anyway and the link saturates (the paper's congested
-        // pairs).
-        for a in stuck {
-            if remaining[a] > 1e-9 {
-                let sp = source
-                    .shortest(tm.aggregates()[a].src, tm.aggregates()[a].dst)
-                    .expect("connected");
-                push_allocation(&mut allocations[a], sp, remaining[a]);
-                remaining[a] = 0.0;
-            }
-        }
-
-        let per_aggregate = tm
-            .aggregates()
-            .iter()
-            .zip(allocations)
-            .map(|(_agg, allocs)| {
-                debug_assert!(!allocs.is_empty());
-                let total: f64 = allocs.iter().map(|(_, v)| v).sum();
-                AggregatePlacement {
-                    splits: allocs.into_iter().map(|(p, v)| (p, v / total.max(1e-12))).collect(),
-                }
-            })
-            .collect();
-        let placement = Placement::new(per_aggregate);
-        debug_assert!(placement.validate(graph, tm).is_ok());
-        Ok(placement)
     }
 
     /// Event-driven progressive fill. Returns the aggregates that ran out of
@@ -295,8 +236,63 @@ impl RoutingScheme for B4Routing {
         }
     }
 
-    fn place(&self, source: &dyn PathSource, tm: &TrafficMatrix) -> Result<Placement, SchemeError> {
-        self.place_cached(source, tm)
+    fn place_with_context(
+        &self,
+        source: &dyn PathSource,
+        tm: &TrafficMatrix,
+        _ctx: &mut SolveContext,
+    ) -> Result<Placement, SchemeError> {
+        let graph = source.graph();
+        let n = tm.aggregates().len();
+
+        // Pass 1 fills *effective* (mask-aware) capacities scaled down by
+        // the headroom reserve: a browned-out link offers only its degraded
+        // capacity to the greedy fill.
+        let caps = source.effective_capacities();
+        let mut residual: Vec<f64> =
+            caps.iter().map(|&c| c * (1.0 - self.config.headroom)).collect();
+        let mut allocations: Vec<Vec<(Path, f64)>> = vec![Vec::new(); n];
+        let mut remaining: Vec<f64> = tm.aggregates().iter().map(|a| a.volume_mbps).collect();
+        let stuck = self.fill(source, tm, &mut residual, &mut allocations, &mut remaining);
+
+        // Pass 2 (§6): stragglers may eat into the reserve.
+        let stuck = if self.config.headroom > 0.0 && !stuck.is_empty() {
+            let loads = current_loads(graph.link_count(), &allocations);
+            let mut full_residual: Vec<f64> =
+                graph.link_ids().map(|l| (caps[l.idx()] - loads[l.idx()]).max(0.0)).collect();
+            self.fill(source, tm, &mut full_residual, &mut allocations, &mut remaining)
+        } else {
+            stuck
+        };
+
+        // Whatever still remains is dumped on the shortest path — B4 sends
+        // the traffic anyway and the link saturates (the paper's congested
+        // pairs).
+        for a in stuck {
+            if remaining[a] > 1e-9 {
+                let sp = source
+                    .shortest(tm.aggregates()[a].src, tm.aggregates()[a].dst)
+                    .expect("connected");
+                push_allocation(&mut allocations[a], sp, remaining[a]);
+                remaining[a] = 0.0;
+            }
+        }
+
+        let per_aggregate = tm
+            .aggregates()
+            .iter()
+            .zip(allocations)
+            .map(|(_agg, allocs)| {
+                debug_assert!(!allocs.is_empty());
+                let total: f64 = allocs.iter().map(|(_, v)| v).sum();
+                AggregatePlacement {
+                    splits: allocs.into_iter().map(|(p, v)| (p, v / total.max(1e-12))).collect(),
+                }
+            })
+            .collect();
+        let placement = Placement::new(per_aggregate);
+        debug_assert!(placement.validate(graph, tm).is_ok());
+        Ok(placement)
     }
 }
 
@@ -304,6 +300,7 @@ impl RoutingScheme for B4Routing {
 mod tests {
     use super::*;
     use crate::eval::PlacementEval;
+    use crate::pathset::PathCache;
     use lowlat_netgraph::NodeId;
     use lowlat_tmgen::Aggregate;
     use lowlat_topology::{GeoPoint, Topology, TopologyBuilder};
@@ -334,7 +331,7 @@ mod tests {
     #[test]
     fn light_load_stays_on_shortest() {
         let topo = two_path();
-        let pl = B4Routing::default().place_on(&topo, &one(80.0)).unwrap();
+        let pl = B4Routing::default().place(&PathCache::new(topo.graph()), &one(80.0)).unwrap();
         let ev = PlacementEval::evaluate(&topo, &one(80.0), &pl);
         assert!((ev.latency_stretch() - 1.0).abs() < 1e-9);
         assert!(ev.fits());
@@ -344,7 +341,7 @@ mod tests {
     fn overflow_spills_to_next_shortest() {
         let topo = two_path();
         let tm = one(150.0);
-        let pl = B4Routing::default().place_on(&topo, &tm).unwrap();
+        let pl = B4Routing::default().place(&PathCache::new(topo.graph()), &tm).unwrap();
         let ev = PlacementEval::evaluate(&topo, &tm, &pl);
         assert!(ev.fits(), "150 fits across 100+100");
         // 100 on fast, 50 on slow.
@@ -357,7 +354,7 @@ mod tests {
     fn genuine_overload_congests_shortest_path() {
         let topo = two_path();
         let tm = one(250.0);
-        let pl = B4Routing::default().place_on(&topo, &tm).unwrap();
+        let pl = B4Routing::default().place(&PathCache::new(topo.graph()), &tm).unwrap();
         let ev = PlacementEval::evaluate(&topo, &tm, &pl);
         assert!(!ev.fits());
         assert_eq!(ev.congested_pair_fraction(), 1.0);
@@ -385,13 +382,14 @@ mod tests {
         b.connect_with_delay(g, w, 1.2, 1000.0);
         b.connect_with_delay(e, w, 5.0, 1000.0);
         let topo = b.build();
+        let cache = PathCache::new(topo.graph());
         // Blue: V->E fills link 1. Red: V->W fills link 2. Green: V->G.
         let tm = TrafficMatrix::new(vec![
             Aggregate { src: v, dst: e, volume_mbps: 95.0, flow_count: 19 },
             Aggregate { src: v, dst: w, volume_mbps: 95.0, flow_count: 19 },
             Aggregate { src: v, dst: g, volume_mbps: 20.0, flow_count: 4 },
         ]);
-        let b4 = B4Routing::default().place_on(&topo, &tm).unwrap();
+        let b4 = B4Routing::default().place(&cache, &tm).unwrap();
         let ev_b4 = PlacementEval::evaluate(&topo, &tm, &b4);
         assert!(!ev_b4.fits(), "B4 must congest: both of V's links are full");
         // The optimal scheme fits it (there is 190+20 = 210 < 200?! no:
@@ -402,12 +400,9 @@ mod tests {
             Aggregate { src: v, dst: w, volume_mbps: 85.0, flow_count: 17 },
             Aggregate { src: v, dst: g, volume_mbps: 18.0, flow_count: 4 },
         ]);
-        let b4 = B4Routing::default().place_on(&topo, &tm2).unwrap();
+        let b4 = B4Routing::default().place(&cache, &tm2).unwrap();
         let ev_b4 = PlacementEval::evaluate(&topo, &tm2, &b4);
-        let opt =
-            crate::pathgrow::GrowRequest::new(&crate::pathset::PathCache::new(topo.graph()), &tm2)
-                .solve()
-                .unwrap();
+        let opt = crate::pathgrow::GrowRequest::new(&cache, &tm2).solve().unwrap();
         let ev_opt = PlacementEval::evaluate(&topo, &tm2, &opt.placement);
         assert!(ev_opt.fits(), "optimal fits (198 <= 200 with rebalancing)");
         assert!(
@@ -422,8 +417,9 @@ mod tests {
         // 190 with 10% headroom: pass 1 caps at 90+90 = 180, leaving 10
         // stuck; pass 2 places the remainder into the reserve.
         let tm = one(190.0);
-        let with =
-            B4Routing::new(B4Config { headroom: 0.1, max_paths: 24 }).place_on(&topo, &tm).unwrap();
+        let with = B4Routing::new(B4Config { headroom: 0.1, max_paths: 24 })
+            .place(&PathCache::new(topo.graph()), &tm)
+            .unwrap();
         let ev = PlacementEval::evaluate(&topo, &tm, &with);
         assert!(ev.fits(), "second pass uses the reserve, no congestion");
     }

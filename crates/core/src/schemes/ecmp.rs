@@ -15,7 +15,7 @@ use lowlat_netgraph::{shortest_path_tree, FailureMask, Graph, LinkId, NodeId, Pa
 use lowlat_tmgen::TrafficMatrix;
 
 use crate::placement::{AggregatePlacement, Placement};
-use crate::schemes::{RoutingScheme, SchemeError};
+use crate::schemes::{RoutingScheme, SchemeError, SolveContext};
 use crate::source::PathSource;
 
 /// Relative tolerance for "equal cost".
@@ -134,7 +134,12 @@ impl RoutingScheme for EcmpRouting {
         "ECMP".into()
     }
 
-    fn place(&self, source: &dyn PathSource, tm: &TrafficMatrix) -> Result<Placement, SchemeError> {
+    fn place_with_context(
+        &self,
+        source: &dyn PathSource,
+        tm: &TrafficMatrix,
+        _ctx: &mut SolveContext,
+    ) -> Result<Placement, SchemeError> {
         let graph = source.graph();
         let mask = source.failure_mask();
         let per_aggregate = tm
@@ -154,6 +159,7 @@ impl RoutingScheme for EcmpRouting {
 mod tests {
     use super::*;
     use crate::eval::PlacementEval;
+    use crate::pathset::PathCache;
     use crate::schemes::sp::ShortestPathRouting;
     use lowlat_tmgen::Aggregate;
     use lowlat_topology::{GeoPoint, Topology, TopologyBuilder};
@@ -185,7 +191,7 @@ mod tests {
     #[test]
     fn splits_ties_evenly() {
         let topo = tied();
-        let pl = EcmpRouting.place_on(&topo, &tm(100.0)).unwrap();
+        let pl = EcmpRouting.place(&PathCache::new(topo.graph()), &tm(100.0)).unwrap();
         let splits = &pl.aggregate(0).splits;
         assert_eq!(splits.len(), 2, "two tied paths, direct 5 ms not used");
         for (p, x) in splits {
@@ -199,9 +205,10 @@ mod tests {
     #[test]
     fn ecmp_fits_what_single_path_sp_congests() {
         let topo = tied();
+        let cache = PathCache::new(topo.graph());
         let t = tm(150.0);
-        let sp = ShortestPathRouting.place_on(&topo, &t).unwrap();
-        let ecmp = EcmpRouting.place_on(&topo, &t).unwrap();
+        let sp = ShortestPathRouting.place(&cache, &t).unwrap();
+        let ecmp = EcmpRouting.place(&cache, &t).unwrap();
         assert!(!PlacementEval::evaluate(&topo, &t, &sp).fits(), "150 on one 100 path");
         assert!(PlacementEval::evaluate(&topo, &t, &ecmp).fits(), "75+75 across the tie");
     }
@@ -210,14 +217,15 @@ mod tests {
     fn no_ties_means_identical_to_sp() {
         // Geographic delays: ties are measure-zero, ECMP == SP.
         let topo = lowlat_topology::zoo::named::abilene();
+        let cache = PathCache::new(topo.graph());
         let t = TrafficMatrix::new(vec![Aggregate {
             src: NodeId(0),
             dst: NodeId(10),
             volume_mbps: 100.0,
             flow_count: 20,
         }]);
-        let sp = ShortestPathRouting.place_on(&topo, &t).unwrap();
-        let ecmp = EcmpRouting.place_on(&topo, &t).unwrap();
+        let sp = ShortestPathRouting.place(&cache, &t).unwrap();
+        let ecmp = EcmpRouting.place(&cache, &t).unwrap();
         assert_eq!(ecmp.aggregate(0).splits.len(), 1);
         assert_eq!(ecmp.aggregate(0).splits[0].0.links(), sp.aggregate(0).splits[0].0.links());
     }
@@ -232,7 +240,7 @@ mod tests {
             .map(|(s, d)| Aggregate { src: s, dst: d, volume_mbps: 10.0, flow_count: 2 })
             .collect();
         let t = TrafficMatrix::new(aggs);
-        let pl = EcmpRouting.place_on(&topo, &t).unwrap();
+        let pl = EcmpRouting.place(&PathCache::new(topo.graph()), &t).unwrap();
         assert!(pl.validate(topo.graph(), &t).is_ok());
     }
 }

@@ -3,7 +3,7 @@
 
 use lowlat_tmgen::TrafficMatrix;
 
-use crate::pathgrow::{GrowOutcome, GrowRequest, GrowthConfig, SolveContext};
+use crate::pathgrow::{GrowRequest, GrowthConfig, SolveContext};
 use crate::placement::Placement;
 use crate::schemes::{RoutingScheme, SchemeError};
 use crate::source::PathSource;
@@ -34,26 +34,6 @@ impl LatencyOptimal {
             config: LatOptConfig { growth: GrowthConfig { headroom, ..Default::default() } },
         }
     }
-
-    /// Full outcome (placement + overload + LP stats) with source reuse.
-    pub fn solve_with_cache(
-        &self,
-        source: &dyn PathSource,
-        tm: &TrafficMatrix,
-    ) -> Result<GrowOutcome, SchemeError> {
-        self.solve_with_cache_ctx(source, tm, &mut SolveContext::new())
-    }
-
-    /// As [`LatencyOptimal::solve_with_cache`], warm-starting the LPs from
-    /// `ctx` (kept across successive calls by timeline controllers).
-    pub fn solve_with_cache_ctx(
-        &self,
-        source: &dyn PathSource,
-        tm: &TrafficMatrix,
-        ctx: &mut SolveContext,
-    ) -> Result<GrowOutcome, SchemeError> {
-        Ok(GrowRequest::new(source, tm).config(&self.config.growth).solve_with(ctx)?)
-    }
 }
 
 impl RoutingScheme for LatencyOptimal {
@@ -66,17 +46,13 @@ impl RoutingScheme for LatencyOptimal {
         }
     }
 
-    fn place(&self, source: &dyn PathSource, tm: &TrafficMatrix) -> Result<Placement, SchemeError> {
-        Ok(self.solve_with_cache(source, tm)?.placement)
-    }
-
     fn place_with_context(
         &self,
         source: &dyn PathSource,
         tm: &TrafficMatrix,
         ctx: &mut SolveContext,
     ) -> Result<Placement, SchemeError> {
-        Ok(self.solve_with_cache_ctx(source, tm, ctx)?.placement)
+        Ok(GrowRequest::new(source, tm).config(&self.config.growth).solve_with(ctx)?.placement)
     }
 }
 
@@ -84,6 +60,7 @@ impl RoutingScheme for LatencyOptimal {
 mod tests {
     use super::*;
     use crate::eval::PlacementEval;
+    use crate::pathset::PathCache;
     use crate::schemes::sp::ShortestPathRouting;
     use lowlat_tmgen::{GravityTmGen, TmGenConfig};
     use lowlat_topology::zoo::named;
@@ -91,11 +68,12 @@ mod tests {
     #[test]
     fn never_worse_than_sp_on_congestion() {
         let topo = named::abilene();
+        let cache = PathCache::new(topo.graph());
         let gen =
             GravityTmGen::new(TmGenConfig { total_volume_mbps: 60_000.0, ..Default::default() });
         let tm = gen.generate(&topo, 0);
-        let sp = ShortestPathRouting.place_on(&topo, &tm).unwrap();
-        let opt = LatencyOptimal::default().place_on(&topo, &tm).unwrap();
+        let sp = ShortestPathRouting.place(&cache, &tm).unwrap();
+        let opt = LatencyOptimal::default().place(&cache, &tm).unwrap();
         let ev_sp = PlacementEval::evaluate(&topo, &tm, &sp);
         let ev_opt = PlacementEval::evaluate(&topo, &tm, &opt);
         assert!(ev_opt.max_utilization() <= ev_sp.max_utilization() + 1e-6);
@@ -110,7 +88,8 @@ mod tests {
         let tm = gen.generate(&topo, 1);
         let mut last_stretch = 0.0;
         for h in [0.0, 0.23, 0.4] {
-            let pl = LatencyOptimal::with_headroom(h).place_on(&topo, &tm).unwrap();
+            let pl =
+                LatencyOptimal::with_headroom(h).place(&PathCache::new(topo.graph()), &tm).unwrap();
             let ev = PlacementEval::evaluate(&topo, &tm, &pl);
             assert!(
                 ev.latency_stretch() >= last_stretch - 1e-6,

@@ -21,14 +21,12 @@
 
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
-use lowlat_topology::Topology;
 use lowlat_traffic::pmf::Member;
 use lowlat_traffic::{AggregateTrace, MultiplexCheck, MultiplexConfig, Verdict};
 
 use crate::pathgrow::{GrowRequest, GrowthConfig, SolveContext};
-use crate::pathset::PathCache;
 use crate::placement::Placement;
-use crate::schemes::{predict_volumes, RoutingScheme, SchemeError};
+use crate::schemes::{lacks_complete_minute, predict_volumes, RoutingScheme, SchemeError};
 use crate::source::PathSource;
 
 /// Configuration for [`Ldr`].
@@ -110,38 +108,6 @@ impl Ldr {
         &self.config
     }
 
-    /// Trace-free placement through the shared path cache: latency-optimal
-    /// under the static headroom (the trait entry point).
-    fn place_cached(
-        &self,
-        source: &dyn PathSource,
-        tm: &TrafficMatrix,
-        ctx: &mut SolveContext,
-    ) -> Result<Placement, SchemeError> {
-        let cfg =
-            GrowthConfig { headroom: self.config.static_headroom, ..self.config.growth.clone() };
-        Ok(GrowRequest::new(source, tm).config(&cfg).solve_with(ctx)?.placement)
-    }
-
-    /// The full Figure-14 loop through a fresh private cache — one-shot
-    /// convenience over [`Ldr::place_with_traces_ctx`].
-    ///
-    /// # Panics
-    /// Panics if `traces` is not aligned with the matrix.
-    pub fn place_with_traces(
-        &self,
-        topology: &Topology,
-        tm: &TrafficMatrix,
-        traces: &[AggregateTrace],
-    ) -> Result<LdrOutcome, SchemeError> {
-        self.place_with_traces_ctx(
-            &PathCache::new(topology.graph()),
-            tm,
-            traces,
-            &mut SolveContext::new(),
-        )
-    }
-
     /// The full Figure-14 loop. `traces[i]` is the measured history of
     /// aggregate `i` (aligned with `tm.aggregates()`); the last minute's
     /// 100 ms samples feed the multiplexing tests and the minute means feed
@@ -150,7 +116,9 @@ impl Ldr {
     /// across successive minutes of the deployment cycle.
     ///
     /// # Panics
-    /// Panics if `traces` is not aligned with the matrix.
+    /// Panics if `traces` is not aligned with the matrix, or if a trace has
+    /// no complete minute ([`RoutingScheme::place_with_history`] is the
+    /// entry point that falls back to the trace-free placement instead).
     pub fn place_with_traces_ctx(
         &self,
         source: &dyn PathSource,
@@ -165,7 +133,8 @@ impl Ldr {
         // browned-out link must pass the B/C tests at its degraded capacity.
         let caps = source.effective_capacities();
 
-        // Step 1: Algorithm-1 prediction of each aggregate's mean rate.
+        // Step 1: Algorithm-1 prediction of each aggregate's mean rate
+        // (which rejects a trace with no complete minute, by aggregate).
         let mut ba: Vec<f64> = predict_volumes(traces);
         // The last minute's samples and their peak, once per decision: a
         // link sees them scaled by a fraction, which rescales the peak.
@@ -257,17 +226,16 @@ impl RoutingScheme for Ldr {
         }
     }
 
-    fn place(&self, source: &dyn PathSource, tm: &TrafficMatrix) -> Result<Placement, SchemeError> {
-        self.place_cached(source, tm, &mut SolveContext::new())
-    }
-
+    /// Trace-free placement: latency-optimal under the static headroom.
     fn place_with_context(
         &self,
         source: &dyn PathSource,
         tm: &TrafficMatrix,
         ctx: &mut SolveContext,
     ) -> Result<Placement, SchemeError> {
-        self.place_cached(source, tm, ctx)
+        let cfg =
+            GrowthConfig { headroom: self.config.static_headroom, ..self.config.growth.clone() };
+        Ok(GrowRequest::new(source, tm).config(&cfg).solve_with(ctx)?.placement)
     }
 
     /// LDR's history entry point is the genuine article: prediction plus
@@ -280,7 +248,7 @@ impl RoutingScheme for Ldr {
         history: &[AggregateTrace],
         ctx: &mut SolveContext,
     ) -> Result<Placement, SchemeError> {
-        if history.is_empty() || history.iter().any(|tr| tr.minutes() == 0) {
+        if lacks_complete_minute(history) {
             return self.place_with_context(source, tm, ctx);
         }
         Ok(self.place_with_traces_ctx(source, tm, history, ctx)?.placement)
@@ -291,9 +259,10 @@ impl RoutingScheme for Ldr {
 mod tests {
     use super::*;
     use crate::eval::PlacementEval;
+    use crate::pathset::PathCache;
     use lowlat_netgraph::NodeId;
     use lowlat_tmgen::Aggregate;
-    use lowlat_topology::{GeoPoint, TopologyBuilder};
+    use lowlat_topology::{GeoPoint, Topology, TopologyBuilder};
     use lowlat_traffic::{synthesize, TraceGenConfig};
 
     fn two_path() -> Topology {
@@ -321,7 +290,7 @@ mod tests {
         let topo = two_path();
         let tm = tm_pair(950.0, 100.0);
         // 950 with 10% headroom (effective 900) must split across paths.
-        let pl = Ldr::default().place_on(&topo, &tm).unwrap();
+        let pl = Ldr::default().place(&PathCache::new(topo.graph()), &tm).unwrap();
         let ev = PlacementEval::evaluate(&topo, &tm, &pl);
         assert!(ev.fits());
         assert!(
@@ -348,7 +317,10 @@ mod tests {
                 })
             })
             .collect();
-        let out = Ldr::default().place_with_traces(&topo, &tm, &traces).unwrap();
+        let cache = PathCache::new(topo.graph());
+        let out = Ldr::default()
+            .place_with_traces_ctx(&cache, &tm, &traces, &mut SolveContext::new())
+            .unwrap();
         assert!(out.multiplexing_ok);
         assert_eq!(out.iterations, 1);
         // Predictions hedge 10% above means.
@@ -379,10 +351,51 @@ mod tests {
             Aggregate { src: NodeId(0), dst: NodeId(3), volume_mbps: 450.0, flow_count: 10 },
             Aggregate { src: NodeId(0), dst: NodeId(2), volume_mbps: 440.0, flow_count: 10 },
         ]);
-        let out = Ldr::default().place_with_traces(&topo, &tm_same, &traces).unwrap();
+        let cache = PathCache::new(topo.graph());
+        let out = Ldr::default()
+            .place_with_traces_ctx(&cache, &tm_same, &traces, &mut SolveContext::new())
+            .unwrap();
         let _ = tm;
         assert!(out.iterations > 1, "bursty aggregates must trigger the tweak loop");
         let inflated = out.ba.iter().zip([450.0, 440.0]).any(|(b, m)| *b > m * 1.2);
         assert!(inflated, "some Ba must have been scaled up: {:?}", out.ba);
+    }
+
+    /// One trace of ten minutes, one of zero: legal input, nothing to
+    /// predict from.
+    fn traces_with_a_zero_minute_one() -> Vec<AggregateTrace> {
+        let full =
+            synthesize(&TraceGenConfig { mean_mbps: 400.0, minutes: 10, ..Default::default() });
+        vec![full, AggregateTrace::from_samples(vec![], 600)]
+    }
+
+    #[test]
+    fn zero_minute_trace_falls_back_to_the_trace_free_placement() {
+        let topo = two_path();
+        let tm = tm_pair(950.0, 100.0);
+        let cache = PathCache::new(topo.graph());
+        let history = traces_with_a_zero_minute_one();
+        let schemes: [&dyn RoutingScheme; 2] =
+            [&Ldr::default(), &crate::schemes::sp::ShortestPathRouting];
+        for scheme in schemes {
+            let measured =
+                scheme.place_with_history(&cache, &tm, &history, &mut SolveContext::new()).unwrap();
+            let trace_free = scheme.place(&cache, &tm).unwrap();
+            for (m, t) in measured.per_aggregate().iter().zip(trace_free.per_aggregate()) {
+                assert_eq!(m.splits, t.splits, "{}", scheme.name());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "aggregate 1: trace has no complete minute")]
+    fn zero_minute_trace_is_named_by_the_figure_14_loop() {
+        let topo = two_path();
+        let _ = Ldr::default().place_with_traces_ctx(
+            &PathCache::new(topo.graph()),
+            &tm_pair(400.0, 300.0),
+            &traces_with_a_zero_minute_one(),
+            &mut SolveContext::new(),
+        );
     }
 }

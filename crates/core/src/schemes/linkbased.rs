@@ -18,7 +18,7 @@ use lowlat_netgraph::{FailureMask, Graph, LinkId, NodeId, Path};
 use lowlat_tmgen::TrafficMatrix;
 
 use crate::placement::{AggregatePlacement, Placement};
-use crate::schemes::{RoutingScheme, SchemeError};
+use crate::schemes::{RoutingScheme, SchemeError, SolveContext};
 use crate::source::PathSource;
 
 /// How commodities are formed in the MCF model.
@@ -271,7 +271,12 @@ impl RoutingScheme for LinkBasedOptimal {
         "LinkBased".into()
     }
 
-    fn place(&self, source: &dyn PathSource, tm: &TrafficMatrix) -> Result<Placement, SchemeError> {
+    fn place_with_context(
+        &self,
+        source: &dyn PathSource,
+        tm: &TrafficMatrix,
+        _ctx: &mut SolveContext,
+    ) -> Result<Placement, SchemeError> {
         // The link-based MCF works on raw link flows; it only borrows the
         // source's graph (and failure overlay), never its path sets.
         self.solve(source.graph(), tm, source.failure_mask().as_deref())
@@ -282,6 +287,7 @@ impl RoutingScheme for LinkBasedOptimal {
 mod tests {
     use super::*;
     use crate::eval::PlacementEval;
+    use crate::pathset::PathCache;
     use crate::schemes::latopt::LatencyOptimal;
     use lowlat_tmgen::Aggregate;
     use lowlat_topology::{zoo::named, GeoPoint, Topology, TopologyBuilder};
@@ -302,14 +308,15 @@ mod tests {
     #[test]
     fn matches_path_based_optimum() {
         let topo = two_path();
+        let cache = PathCache::new(topo.graph());
         let tm = TrafficMatrix::new(vec![Aggregate {
             src: NodeId(0),
             dst: NodeId(3),
             volume_mbps: 150.0,
             flow_count: 30,
         }]);
-        let lb = LinkBasedOptimal::default().place_on(&topo, &tm).unwrap();
-        let pb = LatencyOptimal::default().place_on(&topo, &tm).unwrap();
+        let lb = LinkBasedOptimal::default().place(&cache, &tm).unwrap();
+        let pb = LatencyOptimal::default().place(&cache, &tm).unwrap();
         let ev_lb = PlacementEval::evaluate(&topo, &tm, &lb);
         let ev_pb = PlacementEval::evaluate(&topo, &tm, &pb);
         assert!(lb.validate(topo.graph(), &tm).is_ok());
@@ -331,7 +338,7 @@ mod tests {
             flow_count: 100,
         }]);
         assert_eq!(
-            LinkBasedOptimal::default().place_on(&topo, &tm).unwrap_err(),
+            LinkBasedOptimal::default().place(&PathCache::new(topo.graph()), &tm).unwrap_err(),
             SchemeError::Infeasible
         );
     }
@@ -341,12 +348,13 @@ mod tests {
         // The paper's literal formulation and the aggregated one must find
         // the same optimum when flow counts are proportional to volumes.
         let topo = two_path();
+        let cache = PathCache::new(topo.graph());
         let tm = TrafficMatrix::new(vec![
             Aggregate { src: NodeId(0), dst: NodeId(3), volume_mbps: 150.0, flow_count: 30 },
             Aggregate { src: NodeId(1), dst: NodeId(3), volume_mbps: 40.0, flow_count: 8 },
         ]);
-        let agg_form = LinkBasedOptimal::per_aggregate(0.0).place_on(&topo, &tm).unwrap();
-        let dst_form = LinkBasedOptimal::default().place_on(&topo, &tm).unwrap();
+        let agg_form = LinkBasedOptimal::per_aggregate(0.0).place(&cache, &tm).unwrap();
+        let dst_form = LinkBasedOptimal::default().place(&cache, &tm).unwrap();
         let (e1, e2) = (
             PlacementEval::evaluate(&topo, &tm, &agg_form),
             PlacementEval::evaluate(&topo, &tm, &dst_form),
@@ -366,12 +374,13 @@ mod tests {
         // per-aggregate form keeps the exact Figure-12 objective; check it
         // against the path-based LP, which also weights by flows.
         let topo = two_path();
+        let cache = PathCache::new(topo.graph());
         let tm = TrafficMatrix::new(vec![
             Aggregate { src: NodeId(0), dst: NodeId(3), volume_mbps: 80.0, flow_count: 100 },
             Aggregate { src: NodeId(0), dst: NodeId(2), volume_mbps: 80.0, flow_count: 1 },
         ]);
-        let lb = LinkBasedOptimal::per_aggregate(0.0).place_on(&topo, &tm).unwrap();
-        let pb = LatencyOptimal::default().place_on(&topo, &tm).unwrap();
+        let lb = LinkBasedOptimal::per_aggregate(0.0).place(&cache, &tm).unwrap();
+        let pb = LatencyOptimal::default().place(&cache, &tm).unwrap();
         let (e1, e2) =
             (PlacementEval::evaluate(&topo, &tm, &lb), PlacementEval::evaluate(&topo, &tm, &pb));
         assert!(
@@ -385,13 +394,14 @@ mod tests {
     #[test]
     fn abilene_small_matrix_agrees_with_path_based() {
         let topo = named::abilene();
+        let cache = PathCache::new(topo.graph());
         let gen = lowlat_tmgen::GravityTmGen::new(lowlat_tmgen::TmGenConfig {
             total_volume_mbps: 50_000.0,
             ..Default::default()
         });
         let tm = gen.generate(&topo, 0);
-        let lb = LinkBasedOptimal::default().place_on(&topo, &tm).unwrap();
-        let pb = LatencyOptimal::default().place_on(&topo, &tm).unwrap();
+        let lb = LinkBasedOptimal::default().place(&cache, &tm).unwrap();
+        let pb = LatencyOptimal::default().place(&cache, &tm).unwrap();
         let ev_lb = PlacementEval::evaluate(&topo, &tm, &lb);
         let ev_pb = PlacementEval::evaluate(&topo, &tm, &pb);
         assert!(

@@ -3,7 +3,7 @@
 
 use lowlat_tmgen::TrafficMatrix;
 
-use crate::pathgrow::{GrowOutcome, GrowRequest, GrowthConfig, SolveContext};
+use crate::pathgrow::{GrowRequest, GrowthConfig, SolveContext};
 use crate::placement::Placement;
 use crate::schemes::{RoutingScheme, SchemeError};
 use crate::source::PathSource;
@@ -44,29 +44,6 @@ impl MinMaxRouting {
     pub fn new(config: MinMaxConfig) -> Self {
         MinMaxRouting { config }
     }
-
-    /// Full outcome with source reuse.
-    pub fn solve_with_cache(
-        &self,
-        source: &dyn PathSource,
-        tm: &TrafficMatrix,
-    ) -> Result<GrowOutcome, SchemeError> {
-        self.solve_with_cache_ctx(source, tm, &mut SolveContext::new())
-    }
-
-    /// As [`MinMaxRouting::solve_with_cache`], warm-starting the LPs from
-    /// `ctx` (kept across successive calls by timeline controllers).
-    pub fn solve_with_cache_ctx(
-        &self,
-        source: &dyn PathSource,
-        tm: &TrafficMatrix,
-        ctx: &mut SolveContext,
-    ) -> Result<GrowOutcome, SchemeError> {
-        Ok(GrowRequest::new(source, tm)
-            .minmax(self.config.k_limit)
-            .config(&self.config.growth)
-            .solve_with(ctx)?)
-    }
 }
 
 impl RoutingScheme for MinMaxRouting {
@@ -77,17 +54,17 @@ impl RoutingScheme for MinMaxRouting {
         }
     }
 
-    fn place(&self, source: &dyn PathSource, tm: &TrafficMatrix) -> Result<Placement, SchemeError> {
-        Ok(self.solve_with_cache(source, tm)?.placement)
-    }
-
     fn place_with_context(
         &self,
         source: &dyn PathSource,
         tm: &TrafficMatrix,
         ctx: &mut SolveContext,
     ) -> Result<Placement, SchemeError> {
-        Ok(self.solve_with_cache_ctx(source, tm, ctx)?.placement)
+        Ok(GrowRequest::new(source, tm)
+            .minmax(self.config.k_limit)
+            .config(&self.config.growth)
+            .solve_with(ctx)?
+            .placement)
     }
 }
 
@@ -95,6 +72,7 @@ impl RoutingScheme for MinMaxRouting {
 mod tests {
     use super::*;
     use crate::eval::PlacementEval;
+    use crate::pathset::PathCache;
     use crate::schemes::latopt::LatencyOptimal;
     use lowlat_tmgen::{GravityTmGen, TmGenConfig};
     use lowlat_topology::zoo::named;
@@ -105,7 +83,7 @@ mod tests {
         let gen =
             GravityTmGen::new(TmGenConfig { total_volume_mbps: 30_000.0, ..Default::default() });
         let tm = gen.generate(&topo, 0);
-        let pl = MinMaxRouting::unrestricted().place_on(&topo, &tm).unwrap();
+        let pl = MinMaxRouting::unrestricted().place(&PathCache::new(topo.graph()), &tm).unwrap();
         let ev = PlacementEval::evaluate(&topo, &tm, &pl);
         // Figure 4c: MinMax shows no congestion (when the traffic fits).
         assert!(ev.fits(), "max util {}", ev.max_utilization());
@@ -114,11 +92,12 @@ mod tests {
     #[test]
     fn minmax_trades_latency_for_headroom() {
         let topo = named::gts_like();
+        let cache = PathCache::new(topo.graph());
         let gen =
             GravityTmGen::new(TmGenConfig { total_volume_mbps: 30_000.0, ..Default::default() });
         let tm = gen.generate(&topo, 0);
-        let mm = MinMaxRouting::unrestricted().place_on(&topo, &tm).unwrap();
-        let opt = LatencyOptimal::default().place_on(&topo, &tm).unwrap();
+        let mm = MinMaxRouting::unrestricted().place(&cache, &tm).unwrap();
+        let opt = LatencyOptimal::default().place(&cache, &tm).unwrap();
         let ev_mm = PlacementEval::evaluate(&topo, &tm, &mm);
         let ev_opt = PlacementEval::evaluate(&topo, &tm, &opt);
         // MinMax leaves more headroom...
@@ -133,7 +112,7 @@ mod tests {
         let gen =
             GravityTmGen::new(TmGenConfig { total_volume_mbps: 40_000.0, ..Default::default() });
         let tm = gen.generate(&topo, 2);
-        let pl = MinMaxRouting::with_k(2).place_on(&topo, &tm).unwrap();
+        let pl = MinMaxRouting::with_k(2).place(&PathCache::new(topo.graph()), &tm).unwrap();
         for agg in pl.per_aggregate() {
             assert!(agg.splits.len() <= 2);
         }

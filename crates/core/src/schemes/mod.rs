@@ -28,10 +28,8 @@ pub mod sp;
 
 use lowlat_linprog::LpError;
 use lowlat_tmgen::{Aggregate, TrafficMatrix};
-use lowlat_topology::Topology;
 use lowlat_traffic::{AggregateTrace, Predictor};
 
-use crate::pathset::PathCache;
 use crate::placement::Placement;
 use crate::source::PathSource;
 
@@ -41,11 +39,16 @@ pub use crate::pathgrow::SolveContext;
 /// the matrix aggregates). The conservative estimator feeds both LDR's
 /// Figure-14 loop and the default history-driven re-placement of every
 /// other scheme in the timeline controller.
+///
+/// # Panics
+/// Panics on a trace with no complete minute: nothing to predict from.
 pub fn predict_volumes(history: &[AggregateTrace]) -> Vec<f64> {
     history
         .iter()
-        .map(|tr| {
+        .enumerate()
+        .map(|(i, tr)| {
             let means = tr.minute_means();
+            assert!(!means.is_empty(), "aggregate {i}: trace has no complete minute");
             let mut p = Predictor::new(means[0]);
             for &m in &means[1..] {
                 p.observe(m);
@@ -53,6 +56,12 @@ pub fn predict_volumes(history: &[AggregateTrace]) -> Vec<f64> {
             p.prediction()
         })
         .collect()
+}
+
+/// No traces, or one too short to predict from: `place_with_history` then
+/// falls back to the trace-free placement.
+fn lacks_complete_minute(history: &[AggregateTrace]) -> bool {
+    history.is_empty() || history.iter().any(|tr| tr.minutes() == 0)
 }
 
 /// The matrix with each aggregate's volume replaced by its prediction.
@@ -101,12 +110,18 @@ impl From<LpError> for SchemeError {
 ///
 /// The trait is object-safe and source-first: the experiment engine hands
 /// every scheme the *shared* per-network [`PathSource`] — the flat
-/// [`PathCache`] for PoP backbones, the
+/// [`PathCache`](crate::pathset::PathCache) for PoP backbones, the
 /// [`PartitionedPathEngine`](crate::hier::PartitionedPathEngine) at
 /// Internet scale — so k-shortest-path work done by one scheme (or by the
 /// min-cut scaling solve) is reused by every other scheme and matrix on
 /// that network: the §5 "readily cached" observation turned into the API.
 /// Schemes are requested by name string through [`registry`].
+///
+/// | door | LP state | demand |
+/// |---|---|---|
+/// | [`place`](RoutingScheme::place) | cold: a fresh [`SolveContext`] | the matrix |
+/// | [`place_with_context`](RoutingScheme::place_with_context) | warm: the caller's context | the matrix |
+/// | [`place_with_history`](RoutingScheme::place_with_history) | warm | measured: predicted from traces |
 pub trait RoutingScheme: Send + Sync {
     /// Display name matching the paper's legends, parameterization
     /// included ("SP", "B4-h10", "MinMaxK10", "LatOpt", "LDR",
@@ -114,11 +129,9 @@ pub trait RoutingScheme: Send + Sync {
     fn name(&self) -> String;
 
     /// Computes a placement for `tm` on the graph `source` serves, growing
-    /// (and reusing) the source's path sets as needed.
-    fn place(&self, source: &dyn PathSource, tm: &TrafficMatrix) -> Result<Placement, SchemeError>;
-
-    /// As [`RoutingScheme::place`], warm-starting any LPs from `ctx` — the
-    /// §5 deployment-cycle hot path. Long-running controllers keep one
+    /// (and reusing) the source's path sets as needed and warm-starting any
+    /// LPs from `ctx` — the §5 deployment-cycle hot path, and the one
+    /// method a scheme implements. Long-running controllers keep one
     /// [`SolveContext`] per scheme so successive minutes restart from each
     /// other's bases; schemes without an LP core ignore the context.
     fn place_with_context(
@@ -126,15 +139,19 @@ pub trait RoutingScheme: Send + Sync {
         source: &dyn PathSource,
         tm: &TrafficMatrix,
         ctx: &mut SolveContext,
-    ) -> Result<Placement, SchemeError> {
-        let _ = ctx;
-        self.place(source, tm)
+    ) -> Result<Placement, SchemeError>;
+
+    /// As [`RoutingScheme::place_with_context`], cold: every LP starts from
+    /// a fresh [`SolveContext`] that is dropped with the call.
+    fn place(&self, source: &dyn PathSource, tm: &TrafficMatrix) -> Result<Placement, SchemeError> {
+        self.place_with_context(source, tm, &mut SolveContext::new())
     }
 
     /// Places using the measured history: the timeline controller's
     /// per-minute entry point. The default predicts each aggregate's
     /// next-minute demand (Algorithm 1) and re-places the predicted matrix;
-    /// LDR overrides this with its full trace-driven Figure-14 loop.
+    /// LDR overrides this with its full trace-driven Figure-14 loop. With
+    /// no history, or a trace without a complete minute, it places `tm`.
     ///
     /// `history[i]` is the measured trace of `tm.aggregates()[i]` so far.
     ///
@@ -147,16 +164,9 @@ pub trait RoutingScheme: Send + Sync {
         history: &[AggregateTrace],
         ctx: &mut SolveContext,
     ) -> Result<Placement, SchemeError> {
-        if history.is_empty() || history.iter().any(|tr| tr.minutes() == 0) {
+        if lacks_complete_minute(history) {
             return self.place_with_context(source, tm, ctx);
         }
         self.place_with_context(source, &predicted_matrix(tm, history), ctx)
-    }
-
-    /// Convenience for one-shot use: places on `topology` through a fresh,
-    /// private flat cache. Experiment loops should build one [`PathSource`]
-    /// per network and call [`RoutingScheme::place`] instead.
-    fn place_on(&self, topology: &Topology, tm: &TrafficMatrix) -> Result<Placement, SchemeError> {
-        self.place(&PathCache::new(topology.graph()), tm)
     }
 }

@@ -13,7 +13,7 @@ use lowlat_netgraph::Path;
 use lowlat_tmgen::TrafficMatrix;
 
 use crate::placement::{AggregatePlacement, Placement};
-use crate::schemes::{RoutingScheme, SchemeError};
+use crate::schemes::{RoutingScheme, SchemeError, SolveContext};
 use crate::source::PathSource;
 
 /// In which order auto-bandwidth signals the LSPs.
@@ -61,12 +61,18 @@ impl MplsAutoBandwidth {
         assert!(config.max_paths >= 1);
         MplsAutoBandwidth { config }
     }
+}
 
-    /// Placement through the shared path cache (the trait entry point).
-    fn place_cached(
+impl RoutingScheme for MplsAutoBandwidth {
+    fn name(&self) -> String {
+        "MPLS-TE".into()
+    }
+
+    fn place_with_context(
         &self,
         source: &dyn PathSource,
         tm: &TrafficMatrix,
+        _ctx: &mut SolveContext,
     ) -> Result<Placement, SchemeError> {
         // Reservations admit against *effective* (mask-aware) capacities: a
         // browned-out link only offers its degraded capacity to new LSPs.
@@ -126,20 +132,11 @@ impl MplsAutoBandwidth {
     }
 }
 
-impl RoutingScheme for MplsAutoBandwidth {
-    fn name(&self) -> String {
-        "MPLS-TE".into()
-    }
-
-    fn place(&self, source: &dyn PathSource, tm: &TrafficMatrix) -> Result<Placement, SchemeError> {
-        self.place_cached(source, tm)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::PlacementEval;
+    use crate::pathset::PathCache;
     use lowlat_netgraph::NodeId;
     use lowlat_tmgen::Aggregate;
     use lowlat_topology::{GeoPoint, Topology, TopologyBuilder};
@@ -170,7 +167,7 @@ mod tests {
     fn single_lsp_rides_shortest() {
         let topo = two_path();
         let tm = TrafficMatrix::new(vec![agg(0, 3, 80.0)]);
-        let pl = MplsAutoBandwidth::default().place_on(&topo, &tm).unwrap();
+        let pl = MplsAutoBandwidth::default().place(&PathCache::new(topo.graph()), &tm).unwrap();
         assert_eq!(pl.aggregate(0).splits.len(), 1);
         assert!((pl.aggregate(0).mean_delay_ms() - 2.0).abs() < 1e-9);
     }
@@ -181,7 +178,7 @@ mod tests {
         // the slow path entirely.
         let topo = two_path();
         let tm = TrafficMatrix::new(vec![agg(0, 3, 60.0), agg(3, 0, 1.0), agg(0, 2, 60.0)]);
-        let pl = MplsAutoBandwidth::default().place_on(&topo, &tm).unwrap();
+        let pl = MplsAutoBandwidth::default().place(&PathCache::new(topo.graph()), &tm).unwrap();
         let ev = PlacementEval::evaluate(&topo, &tm, &pl);
         assert!(ev.fits(), "both fit, one detours");
         // One of the two 60s pays the detour in full.
@@ -194,18 +191,19 @@ mod tests {
         // Largest-first fits; smallest-first wastes the fast path on the
         // small LSP... both still fit here, but the *latency* differs.
         let topo = two_path();
+        let cache = PathCache::new(topo.graph());
         let tm = TrafficMatrix::new(vec![agg(0, 3, 90.0), agg(0, 2, 30.0)]);
         let largest = MplsAutoBandwidth::new(MplsConfig {
             order: SignalOrder::LargestFirst,
             ..Default::default()
         })
-        .place_on(&topo, &tm)
+        .place(&cache, &tm)
         .unwrap();
         let smallest = MplsAutoBandwidth::new(MplsConfig {
             order: SignalOrder::SmallestFirst,
             ..Default::default()
         })
-        .place_on(&topo, &tm)
+        .place(&cache, &tm)
         .unwrap();
         let ev_l = PlacementEval::evaluate(&topo, &tm, &largest);
         let ev_s = PlacementEval::evaluate(&topo, &tm, &smallest);
@@ -219,7 +217,7 @@ mod tests {
     fn congests_when_nothing_fits() {
         let topo = two_path();
         let tm = TrafficMatrix::new(vec![agg(0, 3, 150.0), agg(0, 1, 60.0), agg(0, 2, 60.0)]);
-        let pl = MplsAutoBandwidth::default().place_on(&topo, &tm).unwrap();
+        let pl = MplsAutoBandwidth::default().place(&PathCache::new(topo.graph()), &tm).unwrap();
         let ev = PlacementEval::evaluate(&topo, &tm, &pl);
         // 150 cannot fit any single path of capacity 100: congestion.
         assert!(!ev.fits());
@@ -230,9 +228,10 @@ mod tests {
     fn greedier_than_b4() {
         // B4 splits the 150 across both paths and fits; MPLS-TE cannot.
         let topo = two_path();
+        let cache = PathCache::new(topo.graph());
         let tm = TrafficMatrix::new(vec![agg(0, 3, 150.0)]);
-        let mpls = MplsAutoBandwidth::default().place_on(&topo, &tm).unwrap();
-        let b4 = crate::schemes::b4::B4Routing::default().place_on(&topo, &tm).unwrap();
+        let mpls = MplsAutoBandwidth::default().place(&cache, &tm).unwrap();
+        let b4 = crate::schemes::b4::B4Routing::default().place(&cache, &tm).unwrap();
         let ev_mpls = PlacementEval::evaluate(&topo, &tm, &mpls);
         let ev_b4 = PlacementEval::evaluate(&topo, &tm, &b4);
         assert!(!ev_mpls.fits());

@@ -4,7 +4,7 @@
 use lowlat_tmgen::TrafficMatrix;
 
 use crate::placement::{AggregatePlacement, Placement};
-use crate::schemes::{RoutingScheme, SchemeError};
+use crate::schemes::{RoutingScheme, SchemeError, SolveContext};
 use crate::source::PathSource;
 
 /// Every aggregate rides its single lowest-delay path, demand-oblivious.
@@ -16,7 +16,12 @@ impl RoutingScheme for ShortestPathRouting {
         "SP".into()
     }
 
-    fn place(&self, source: &dyn PathSource, tm: &TrafficMatrix) -> Result<Placement, SchemeError> {
+    fn place_with_context(
+        &self,
+        source: &dyn PathSource,
+        tm: &TrafficMatrix,
+        _ctx: &mut SolveContext,
+    ) -> Result<Placement, SchemeError> {
         let per_aggregate = tm
             .aggregates()
             .iter()
@@ -35,6 +40,7 @@ impl RoutingScheme for ShortestPathRouting {
 mod tests {
     use super::*;
     use crate::eval::PlacementEval;
+    use crate::pathset::PathCache;
     use lowlat_netgraph::NodeId;
     use lowlat_tmgen::Aggregate;
     use lowlat_topology::zoo::named;
@@ -48,7 +54,7 @@ mod tests {
             volume_mbps: 100.0,
             flow_count: 20,
         }]);
-        let pl = ShortestPathRouting.place_on(&topo, &tm).unwrap();
+        let pl = ShortestPathRouting.place(&PathCache::new(topo.graph()), &tm).unwrap();
         assert!(pl.validate(topo.graph(), &tm).is_ok());
         let ev = PlacementEval::evaluate(&topo, &tm, &pl);
         assert!((ev.latency_stretch() - 1.0).abs() < 1e-9);
@@ -68,7 +74,7 @@ mod tests {
             })
             .collect();
         let tm = TrafficMatrix::new(aggs);
-        let pl = ShortestPathRouting.place_on(&topo, &tm).unwrap();
+        let pl = ShortestPathRouting.place(&PathCache::new(topo.graph()), &tm).unwrap();
         let ev = PlacementEval::evaluate(&topo, &tm, &pl);
         // 90 Gb/s into a node with ~2 x 10G links: heavy congestion.
         assert!(ev.congested_pair_fraction() > 0.5);

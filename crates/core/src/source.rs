@@ -74,8 +74,17 @@ pub trait PathSource: Sync {
     fn shortest_delay_bound(&self, src: NodeId, dst: NodeId) -> f64;
 
     /// Per-link effective capacities (Mbps) under the active failure mask,
-    /// indexed by `LinkId` — raw capacities when no mask is in force.
-    fn effective_capacities(&self) -> Vec<f64>;
+    /// indexed by `LinkId` — raw capacities when no mask is in force. This
+    /// is the capacity-provider view the LP schemes pose constraints
+    /// against, so brown-outs (degradation-only masks) are visible to every
+    /// capacity row even though they change no paths.
+    fn effective_capacities(&self) -> Vec<f64> {
+        let graph = self.graph();
+        match self.failure_mask() {
+            Some(mask) => mask.effective_capacities(graph),
+            None => graph.link_ids().map(|l| graph.link(l).capacity_mbps).collect(),
+        }
+    }
 
     /// The failure mask currently in force, if any.
     fn failure_mask(&self) -> Option<Arc<FailureMask>>;
@@ -84,8 +93,11 @@ pub trait PathSource: Sync {
     /// equivalent to [`PathSource::clear_failure`].
     fn apply_failure(&self, mask: &FailureMask) -> RepairStats;
 
-    /// Restores the intact topology view.
-    fn clear_failure(&self) -> RepairStats;
+    /// Restores the intact topology view: state built under the mask is
+    /// rebuilt pure, untouched state survives.
+    fn clear_failure(&self) -> RepairStats {
+        self.apply_failure(&FailureMask::new())
+    }
 
     /// Number of (src, dst) pairs with materialized per-pair state — the
     /// "never the full corpus" gauge the scale smoke asserts stays bounded

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use lowlat_core::{EngineConfig, PartitionedPathEngine};
+use lowlat_core::{EngineConfig, PartitionedPathEngine, PathSource};
 use lowlat_netgraph::{shortest_path, Graph, GraphBuilder, HierarchyConfig, KspGenerator, NodeId};
 
 /// A hierarchy small enough that 10-node graphs still split into several

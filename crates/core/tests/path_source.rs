@@ -22,7 +22,7 @@ use lowlat_core::placement::Placement;
 use lowlat_core::scale::ScaleToLoad;
 use lowlat_core::schemes::registry;
 use lowlat_core::PathSource;
-use lowlat_netgraph::{Graph, HierarchyConfig, NodeId};
+use lowlat_netgraph::{FailureMask, Graph, HierarchyConfig, NodeId};
 use lowlat_tmgen::{Aggregate, GravityTmGen, TmGenConfig, TrafficMatrix};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
 use lowlat_topology::zoo::named;
@@ -97,6 +97,46 @@ fn backends_are_interchangeable_through_the_trait_object() {
         let bound = (&engine as &dyn PathSource).shortest_delay_bound(s, d);
         assert!(exact.is_finite());
         assert!(bound >= exact - 1e-9, "bound {bound} below exact {exact}");
+    }
+}
+
+#[test]
+fn provided_methods_are_their_definitions_on_both_backends() {
+    // `effective_capacities` and `clear_failure` are written once, on the
+    // trait: held to the mask's own capacity view and to
+    // `apply_failure(&FailureMask::new())` on a twin source.
+    let topo = named::abilene();
+    let graph = topo.graph();
+    let cable = topo.cables()[0];
+    let (a, b) = (graph.link(cable).src, graph.link(cable).dst);
+    let (mut brownout, mut down) = (FailureMask::new(), FailureMask::new());
+    brownout.degrade_cable(graph, cable, 0.5);
+    down.fail_cable(graph, cable);
+    let raw: Vec<f64> = graph.link_ids().map(|l| graph.link(l).capacity_mbps).collect();
+    let flat = || -> Box<dyn PathSource + '_> { Box::new(PathCache::new(graph)) };
+    let engine = || -> Box<dyn PathSource + '_> {
+        Box::new(PartitionedPathEngine::build(graph, &EngineConfig::default()))
+    };
+    for mask in [None, Some(&brownout), Some(&down)] {
+        for (source, twin) in [(flat(), flat()), (engine(), engine())] {
+            for s in [&source, &twin] {
+                // Per-pair state crossing the cable, so a repair has work.
+                assert_eq!(s.paths(a, b, 3).len(), 3);
+                if let Some(m) = mask {
+                    s.apply_failure(m);
+                }
+            }
+            let want = mask.map_or_else(|| raw.clone(), |m| m.effective_capacities(graph));
+            assert_eq!(source.effective_capacities(), want);
+            let cleared = source.clear_failure();
+            assert_eq!(cleared, twin.apply_failure(&FailureMask::new()));
+            assert_eq!(
+                cleared.repaired_pairs,
+                usize::from(mask.is_some_and(|m| m.affects_routing()))
+            );
+            assert!(source.failure_mask().is_none() && twin.failure_mask().is_none());
+            assert_eq!(source.effective_capacities(), raw);
+        }
     }
 }
 

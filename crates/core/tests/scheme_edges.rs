@@ -38,7 +38,7 @@ fn exact_capacity_load_fits() {
     // Load == capacity exactly: within CONGESTION_TOL, must count as fit.
     let topo = line3();
     let tm = tm1(100.0);
-    let pl = ShortestPathRouting.place_on(&topo, &tm).unwrap();
+    let pl = ShortestPathRouting.place(&PathCache::new(topo.graph()), &tm).unwrap();
     let ev = PlacementEval::evaluate(&topo, &tm, &pl);
     assert!(ev.fits(), "exact fill is not congestion");
     assert!((ev.max_utilization() - 1.0).abs() < 1e-12);
@@ -57,8 +57,9 @@ fn single_path_network_all_schemes_agree() {
         Box::new(LatencyOptimal::default()),
         Box::new(Ldr::default()),
     ];
+    let cache = PathCache::new(topo.graph());
     for s in schemes {
-        let pl = s.place_on(&topo, &tm).unwrap();
+        let pl = s.place(&cache, &tm).unwrap();
         let ev = PlacementEval::evaluate(&topo, &tm, &pl);
         assert!((ev.latency_stretch() - 1.0).abs() < 1e-9, "{}", s.name());
         assert_eq!(pl.aggregate(0).splits.iter().filter(|(_, x)| *x > 1e-9).count(), 1);
@@ -69,13 +70,14 @@ fn single_path_network_all_schemes_agree() {
 fn empty_matrix_handled_by_lp_schemes() {
     let topo = line3();
     let tm = TrafficMatrix::new(vec![]);
+    let cache = PathCache::new(topo.graph());
     for s in [
         Box::new(LatencyOptimal::default()) as Box<dyn RoutingScheme>,
         Box::new(MinMaxRouting::unrestricted()),
         Box::new(Ldr::default()),
         Box::new(ShortestPathRouting) as Box<dyn RoutingScheme>,
     ] {
-        let pl = s.place_on(&topo, &tm).unwrap();
+        let pl = s.place(&cache, &tm).unwrap();
         assert!(pl.per_aggregate().is_empty(), "{}", s.name());
     }
 }
@@ -99,7 +101,7 @@ fn b4_with_max_paths_one_is_sp_with_overflow() {
         flow_count: 1,
     }]);
     let pl = B4Routing::new(B4Config { max_paths: 1, ..Default::default() })
-        .place_on(&topo, &tm)
+        .place(&PathCache::new(topo.graph()), &tm)
         .unwrap();
     let ev = PlacementEval::evaluate(&topo, &tm, &pl);
     // With one path allowed, the 150 lands on the 100-capacity short path.
@@ -116,7 +118,7 @@ fn reverse_direction_independence() {
         Aggregate { src: NodeId(0), dst: NodeId(2), volume_mbps: 150.0, flow_count: 1 },
         Aggregate { src: NodeId(2), dst: NodeId(0), volume_mbps: 10.0, flow_count: 1 },
     ]);
-    let pl = ShortestPathRouting.place_on(&topo, &tm).unwrap();
+    let pl = ShortestPathRouting.place(&PathCache::new(topo.graph()), &tm).unwrap();
     let ev = PlacementEval::evaluate(&topo, &tm, &pl);
     assert!((ev.congested_pair_fraction() - 0.5).abs() < 1e-9, "only the forward pair");
 }
@@ -136,10 +138,11 @@ fn path_cache_shared_across_schemes() {
 #[test]
 fn zero_headroom_ldr_equals_latopt() {
     let topo = line3();
+    let cache = PathCache::new(topo.graph());
     let tm = tm1(60.0);
     let cfg = lowlat_core::schemes::ldr::LdrConfig { static_headroom: 0.0, ..Default::default() };
-    let ldr = Ldr::new(cfg).place_on(&topo, &tm).unwrap();
-    let lo = LatencyOptimal::default().place_on(&topo, &tm).unwrap();
+    let ldr = Ldr::new(cfg).place(&cache, &tm).unwrap();
+    let lo = LatencyOptimal::default().place(&cache, &tm).unwrap();
     let (e1, e2) =
         (PlacementEval::evaluate(&topo, &tm, &ldr), PlacementEval::evaluate(&topo, &tm, &lo));
     assert!((e1.latency_stretch() - e2.latency_stretch()).abs() < 1e-9);

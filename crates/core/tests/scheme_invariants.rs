@@ -7,8 +7,9 @@
 use lowlat_core::eval::PlacementEval;
 use lowlat_core::failure::{partition_routable, single_link_failures};
 use lowlat_core::pathset::PathCache;
-use lowlat_core::scale::min_cut_load_with_cache;
+use lowlat_core::scale::min_cut_load;
 use lowlat_core::schemes::{registry, SchemeError, SolveContext};
+use lowlat_core::PathSource;
 use lowlat_netgraph::FailureMask;
 use lowlat_tmgen::{GravityTmGen, TmGenConfig, TrafficMatrix};
 use lowlat_topology::zoo::named;
@@ -37,7 +38,7 @@ fn named_corpus() -> Vec<Topology> {
 /// A gravity matrix scaled to 0.7 min-cut load, sharing `cache`.
 fn standard_tm(topo: &Topology, cache: &PathCache<'_>) -> TrafficMatrix {
     let raw = GravityTmGen::new(TmGenConfig::default()).generate(topo, 0);
-    let u0 = min_cut_load_with_cache(cache, &raw).expect("min-cut LP");
+    let u0 = min_cut_load(cache, &raw).expect("min-cut LP");
     assert!(u0 > 0.0, "{}: empty matrix", topo.name());
     raw.scaled(0.7 / u0)
 }
@@ -235,7 +236,7 @@ fn registry_schemes_reuse_the_shared_cache() {
     for &spec in registry::ALL_SPECS {
         let scheme = registry::build(spec).expect("registry spec");
         let warm = scheme.place(&shared, &tm).expect("warm placement");
-        let cold = scheme.place_on(&topo, &tm).expect("cold placement");
+        let cold = scheme.place(&PathCache::new(topo.graph()), &tm).expect("cold placement");
         let ev_warm = PlacementEval::evaluate(&topo, &tm, &warm);
         let ev_cold = PlacementEval::evaluate(&topo, &tm, &cold);
         assert!(
@@ -243,5 +244,29 @@ fn registry_schemes_reuse_the_shared_cache() {
                 && (ev_warm.max_utilization() - ev_cold.max_utilization()).abs() < 1e-9,
             "{spec}: warm/cold divergence"
         );
+    }
+}
+
+#[test]
+fn the_provided_doors_are_the_required_one() {
+    // `place` is `place_with_context` on a fresh context, and so is
+    // `place_with_history` without history: split for split, every family.
+    let topo = named::abilene();
+    let cache = PathCache::new(topo.graph());
+    let tm = standard_tm(&topo, &cache);
+    for &spec in registry::ALL_SPECS {
+        let scheme = registry::build(spec).expect("registry spec");
+        let required =
+            scheme.place_with_context(&cache, &tm, &mut SolveContext::new()).expect("warm door");
+        let cold = scheme.place(&cache, &tm).expect("cold door");
+        let measured = scheme
+            .place_with_history(&cache, &tm, &[], &mut SolveContext::new())
+            .expect("measured door");
+        for provided in [&cold, &measured] {
+            assert_eq!(provided.per_aggregate().len(), required.per_aggregate().len(), "{spec}");
+            for (a, b) in provided.per_aggregate().iter().zip(required.per_aggregate()) {
+                assert_eq!(a.splits, b.splits, "{spec}");
+            }
+        }
     }
 }

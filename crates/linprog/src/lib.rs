@@ -70,4 +70,4 @@ mod simplex;
 
 pub use certify::{certify, Violation};
 pub use problem::{Problem, Relation, RowId};
-pub use simplex::{Basis, LpError, Solution, SolverOptions};
+pub use simplex::{Basis, LpError, Solution};

@@ -1,7 +1,7 @@
 //! Problem construction API.
 
 use crate::simplex::{
-    solve_standard_form, solve_standard_form_warm, Basis, LpError, Solution, SolverOptions,
+    solve_standard_form_cold, solve_standard_form_warm, Basis, LpError, Solution, SolverOptions,
     SparseCols, StandardForm,
 };
 
@@ -136,16 +136,11 @@ impl Problem {
         id
     }
 
-    /// Solves with default [`SolverOptions`].
+    /// Solves cold, by the two-phase method.
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with(&SolverOptions::default())
-    }
-
-    /// Solves with explicit options.
-    pub fn solve_with(&self, opts: &SolverOptions) -> Result<Solution, LpError> {
         let _span = lowlat_telemetry::span("lp.solve", "lp");
         let sf = self.to_standard_form();
-        solve_standard_form(&sf, opts)
+        solve_standard_form_cold(&sf, &SolverOptions::default(), None)
     }
 
     /// Solves warm: re-optimizes from the basis a previous solve left in
@@ -160,18 +155,9 @@ impl Problem {
     /// the cold two-phase method. Warm and cold solves always agree on the
     /// objective; see [`Solution::warm_started`] for which path ran.
     pub fn solve_warm(&self, basis: &mut Basis) -> Result<Solution, LpError> {
-        self.solve_warm_with(&SolverOptions::default(), basis)
-    }
-
-    /// [`Problem::solve_warm`] with explicit options.
-    pub fn solve_warm_with(
-        &self,
-        opts: &SolverOptions,
-        basis: &mut Basis,
-    ) -> Result<Solution, LpError> {
         let _span = lowlat_telemetry::span("lp.solve", "lp");
         let sf = self.to_standard_form();
-        solve_standard_form_warm(&sf, opts, basis)
+        solve_standard_form_warm(&sf, &SolverOptions::default(), basis)
     }
 
     /// Converts to equality standard form: appends one slack (`<=`, coeff

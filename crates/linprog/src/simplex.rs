@@ -92,7 +92,7 @@ pub enum LpError {
     Infeasible,
     /// The objective can decrease without bound.
     Unbounded,
-    /// Iteration limit hit (see [`SolverOptions::max_iterations`]).
+    /// The pivot cap (`20_000 + 100 * (rows + cols)`) was hit.
     IterationLimit,
     /// The basis became numerically singular even after refactorization.
     Numerical,
@@ -111,17 +111,17 @@ impl std::fmt::Display for LpError {
 
 impl std::error::Error for LpError {}
 
-/// Solver tuning knobs. The defaults are used everywhere in this workspace.
+/// Solver tuning. Every solve outside this crate's tests runs the defaults.
 #[derive(Clone, Debug)]
-pub struct SolverOptions {
+pub(crate) struct SolverOptions {
     /// Hard pivot cap; `0` selects `20_000 + 100 * (rows + cols)`.
-    pub max_iterations: usize,
+    pub(crate) max_iterations: usize,
     /// Base tolerance for reduced costs and pivot magnitudes.
-    pub tol: f64,
+    pub(crate) tol: f64,
     /// Refactorize the basis inverse every this many pivots of one solve;
     /// a warm restart audits a carried inverse numerically once it has
     /// taken this many eta updates across solves.
-    pub refactor_every: usize,
+    pub(crate) refactor_every: usize,
 }
 
 impl Default for SolverOptions {
@@ -1236,15 +1236,7 @@ fn invert_column_major(a: &[f64], m: usize) -> Option<Vec<f64>> {
     Some(out)
 }
 
-/// Entry point used by [`crate::Problem::solve_with`].
-pub(crate) fn solve_standard_form(
-    sf: &StandardForm,
-    opts: &SolverOptions,
-) -> Result<Solution, LpError> {
-    solve_standard_form_cold(sf, opts, None)
-}
-
-/// Warm entry point used by [`crate::Problem::solve_warm_with`]: restart
+/// Warm entry point used by [`crate::Problem::solve_warm`]: restart
 /// phase 2 from `basis` when it still fits the problem, fall back to the
 /// two-phase cold solve otherwise, and leave the new optimal basis in
 /// `basis` either way.
@@ -1298,8 +1290,9 @@ pub(crate) fn solve_standard_form_warm(
     solve_standard_form_cold(sf, opts, Some(basis))
 }
 
-/// The two-phase cold solve; exports the final basis when asked.
-fn solve_standard_form_cold(
+/// The two-phase cold solve behind [`crate::Problem::solve`] (and the warm
+/// entry point's fallback); exports the final basis when asked.
+pub(crate) fn solve_standard_form_cold(
     sf: &StandardForm,
     opts: &SolverOptions,
     export: Option<&mut Basis>,
@@ -1380,7 +1373,10 @@ fn solve_standard_form_cold(
 pub(super) mod tests {
     use proptest::prelude::*;
 
-    use super::{flip_negated_rows, Engine, SolverOptions, StandardForm};
+    use super::{
+        flip_negated_rows, solve_standard_form_cold, solve_standard_form_warm, Engine,
+        SolverOptions, StandardForm,
+    };
     use crate::{Basis, LpError, Problem, Relation};
 
     thread_local! {
@@ -1696,11 +1692,12 @@ pub(super) mod tests {
             p
         };
         let mut handle = Basis::new();
-        lp(0).solve_warm_with(&opts, &mut handle).unwrap();
+        solve_standard_form_warm(&lp(0).to_standard_form(), &opts, &mut handle).unwrap();
         assert_eq!(handle.carried.age, 1);
         let (_, (replaced, audits)) = restart_work(|| {
             for minute in 1..=opts.refactor_every + 1 {
-                let sol = lp(minute).solve_warm_with(&opts, &mut handle).unwrap();
+                let sf = lp(minute).to_standard_form();
+                let sol = solve_standard_form_warm(&sf, &opts, &mut handle).unwrap();
                 assert!(sol.warm_started() && sol.iterations() == 1);
                 assert!((sol.objective() + 4.0).abs() < 1e-12);
             }
@@ -1872,6 +1869,27 @@ pub(super) mod tests {
         p.set_objective(0, -1.0);
         p.add_row(Relation::Ge, 0.0, &[(0, 1.0)]);
         assert_eq!(p.solve().unwrap_err(), LpError::Unbounded);
+    }
+
+    #[test]
+    fn iteration_limit_is_reported() {
+        // A feasible LP with a 1-pivot budget must fail with IterationLimit,
+        // not hang or return garbage.
+        let mut p = Problem::minimize(6);
+        for j in 0..6 {
+            p.set_objective(j, -1.0);
+        }
+        for r in 0..6 {
+            let coeffs: Vec<(usize, f64)> =
+                (0..6).map(|j| (j, if j == r { 2.0 } else { 1.0 })).collect();
+            p.add_row(Relation::Le, 10.0, &coeffs);
+        }
+        let opts = SolverOptions { max_iterations: 1, ..Default::default() };
+        let sf = p.to_standard_form();
+        assert_eq!(
+            solve_standard_form_cold(&sf, &opts, None).unwrap_err(),
+            LpError::IterationLimit
+        );
     }
 
     #[test]

@@ -39,6 +39,7 @@ use lowlat_core::failure::{self, replace_under_failure, FailureScenario};
 use lowlat_core::pathset::PathCache;
 use lowlat_core::scale::ScaleToLoad;
 use lowlat_core::schemes::{registry, SolveContext};
+use lowlat_core::PathSource;
 use lowlat_sim::runner::{default_workers, par_map, write_telemetry_sinks, Args, Scale};
 use lowlat_sim::stats::Cdf;
 use lowlat_telemetry as telemetry;

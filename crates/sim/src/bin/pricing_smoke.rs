@@ -20,6 +20,7 @@
 
 use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
 use lowlat_core::schemes::registry;
+use lowlat_core::PathSource;
 use lowlat_netgraph::hierarchy::HierarchyConfig;
 use lowlat_netgraph::NodeId;
 use lowlat_sim::runner::Args;

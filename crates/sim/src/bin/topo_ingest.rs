@@ -32,6 +32,7 @@
 use std::io::Write as _;
 
 use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
+use lowlat_core::PathSource;
 use lowlat_netgraph::hierarchy::HierarchyConfig;
 use lowlat_netgraph::{shortest_path_tree, NodeId};
 use lowlat_sim::runner::{default_workers, par_map, write_telemetry_sinks, Args};

@@ -9,7 +9,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use lowlat_core::llpd::LlpdConfig;
-use lowlat_sim::runner::llpd_map;
+use lowlat_sim::runner::{default_workers, llpd_map};
 use lowlat_topology::to_text;
 use lowlat_topology::zoo::{synthetic_zoo, ZooClass};
 
@@ -18,7 +18,7 @@ fn main() -> std::io::Result<()> {
     fs::create_dir_all(&dir)?;
     let zoo = synthetic_zoo();
     eprintln!("computing LLPD for {} networks...", zoo.len());
-    let llpds = llpd_map(&zoo, &LlpdConfig::default());
+    let llpds = llpd_map(&zoo, &LlpdConfig::default(), default_workers());
 
     let mut manifest = String::from("name\tclass\tpops\tcables\tdiameter_ms\tllpd\n");
     for (topo, llpd) in zoo.iter().zip(&llpds) {

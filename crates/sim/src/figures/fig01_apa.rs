@@ -4,14 +4,14 @@ use lowlat_core::llpd::{LlpdAnalysis, LlpdConfig};
 use lowlat_topology::zoo::synthetic_zoo;
 
 use crate::output::Series;
-use crate::runner::Scale;
+use crate::runner::{default_workers, llpd_map, Scale};
 use crate::stats::Cdf;
 
 /// One CDF series per network. Curves toward the lower right indicate
 /// usable low-latency path diversity; horizontal lines are cliques.
 pub fn run(scale: Scale) -> Vec<Series> {
     let nets = scale.select_networks(synthetic_zoo());
-    let llpds = crate::runner::llpd_map(&nets, &LlpdConfig::default());
+    let llpds = llpd_map(&nets, &LlpdConfig::default(), default_workers());
     // APA values per network (recomputed; llpd_map only returns the scalar).
     nets.iter()
         .zip(&llpds)

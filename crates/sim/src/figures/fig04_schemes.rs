@@ -2,7 +2,7 @@
 //! schemes — latency-optimal, B4, MinMax, MinMax K=10.
 
 use crate::output::Series;
-use crate::runner::{by_llpd, run_grid, RunGrid, Scale};
+use crate::runner::{by_llpd, default_workers, run_grid, RunGrid, Scale};
 
 /// Per scheme, four series: congestion median/p90 and stretch median/p90,
 /// all over LLPD.
@@ -14,7 +14,7 @@ pub fn run(scale: Scale) -> Vec<Series> {
         scale.tms_per_network(),
         &["LatOpt", "B4", "MinMax", "MinMaxK10"],
     );
-    let records = run_grid(&nets, &grid);
+    let records = run_grid(&nets, &grid, default_workers());
     let mut series = Vec::new();
     for scheme in ["LatOpt", "B4", "MinMax", "MinMaxK10"] {
         let cong = by_llpd(&records, scheme, |r| r.congested_fraction);

@@ -2,7 +2,8 @@
 //! matrix) under latency-optimal and MinMax placement.
 
 use lowlat_core::eval::PlacementEval;
-use lowlat_core::scale::ScaleToLoad;
+use lowlat_core::pathset::PathCache;
+use lowlat_core::scale::min_cut_load;
 use lowlat_core::schemes::latopt::LatencyOptimal;
 use lowlat_core::schemes::minmax::MinMaxRouting;
 use lowlat_core::schemes::RoutingScheme;
@@ -17,12 +18,14 @@ use crate::stats::Cdf;
 /// latency-optimal routing.
 pub fn run(_scale: Scale) -> Vec<Series> {
     let topo = lowlat_topology::zoo::named::gts_like();
-    let tm =
-        GravityTmGen::new(TmGenConfig::default()).generate(&topo, 0).scaled_to_load(&topo, 0.7);
+    // One cache for the network: the scaling solve warms both placements.
+    let cache = PathCache::new(topo.graph());
+    let raw = GravityTmGen::new(TmGenConfig::default()).generate(&topo, 0);
+    let tm = raw.scaled(0.7 / min_cut_load(&cache, &raw).expect("min-cut LP"));
     let mut out = Vec::new();
     for (name, placement) in [
-        ("Latency-optimal", LatencyOptimal::default().place_on(&topo, &tm).expect("latopt")),
-        ("MinMax", MinMaxRouting::unrestricted().place_on(&topo, &tm).expect("minmax")),
+        ("Latency-optimal", LatencyOptimal::default().place(&cache, &tm).expect("latopt")),
+        ("MinMax", MinMaxRouting::unrestricted().place(&cache, &tm).expect("minmax")),
     ] {
         let ev = PlacementEval::evaluate(&topo, &tm, &placement);
         let cdf = Cdf::new(ev.utilizations().to_vec());

@@ -2,7 +2,7 @@
 //! (0%, 11%, 23%, 40%), at the lighter 0.6 min-cut load.
 
 use crate::output::Series;
-use crate::runner::{by_llpd, run_grid, RunGrid, Scale};
+use crate::runner::{by_llpd, default_workers, run_grid, RunGrid, Scale};
 
 /// Headroom values the paper sweeps.
 pub const HEADROOMS: [f64; 4] = [0.0, 0.11, 0.23, 0.40];
@@ -14,7 +14,7 @@ pub fn run(scale: Scale) -> Vec<Series> {
         HEADROOMS.iter().map(|&h| format!("LatOpt-h{:02}", (h * 100.0).round() as u32)).collect();
     let spec_refs: Vec<&str> = specs.iter().map(String::as_str).collect();
     let grid = RunGrid::with_schemes(0.6, 1.0, scale.tms_per_network(), &spec_refs);
-    let records = run_grid(&nets, &grid);
+    let records = run_grid(&nets, &grid, default_workers());
     grid.schemes
         .iter()
         .zip(&HEADROOMS)

@@ -5,7 +5,7 @@
 use std::time::Instant;
 
 use lowlat_core::pathset::PathCache;
-use lowlat_core::scale::min_cut_load_with_cache;
+use lowlat_core::scale::min_cut_load;
 use lowlat_core::schemes::ldr::Ldr;
 use lowlat_core::schemes::linkbased::LinkBasedOptimal;
 use lowlat_core::schemes::RoutingScheme;
@@ -40,7 +40,7 @@ pub fn run(scale: Scale) -> Vec<Series> {
     for (topo, _) in &nets {
         let cache = PathCache::new(topo.graph());
         let raw = gen.generate(topo, 0);
-        let Ok(u0) = min_cut_load_with_cache(&cache, &raw) else { continue };
+        let Ok(u0) = min_cut_load(&cache, &raw) else { continue };
         let tm = raw.scaled(0.7 / u0.max(1e-9));
 
         // Cold: fresh cache, first run.
@@ -61,7 +61,8 @@ pub fn run(scale: Scale) -> Vec<Series> {
         };
         if topo.pop_count() <= cap {
             let t0 = Instant::now();
-            let _ = LinkBasedOptimal::default().place_on(topo, &tm);
+            // The link-based LP borrows the source's graph, never its paths.
+            let _ = LinkBasedOptimal::default().place(&cache, &tm);
             link_based.push(t0.elapsed().as_secs_f64() * 1000.0);
         }
     }

@@ -4,7 +4,7 @@
 //! B4's and MinMaxK10's failures.
 
 use crate::output::Series;
-use crate::runner::{run_grid, RunGrid, Scale};
+use crate::runner::{default_workers, run_grid, RunGrid, Scale};
 
 /// Which panel of the figure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,7 +30,7 @@ pub fn run(scale: Scale, panel: Panel) -> Vec<Series> {
         &["B4", "LDR-h00", "MinMaxK10", "MinMax"]
     };
     let grid = RunGrid::with_schemes(0.7, 1.0, scale.tms_per_network(), specs);
-    let records = run_grid(&nets, &grid);
+    let records = run_grid(&nets, &grid, default_workers());
     grid.schemes
         .iter()
         .map(|scheme| {

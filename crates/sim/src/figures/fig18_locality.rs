@@ -4,7 +4,7 @@
 use lowlat_core::schemes::registry;
 
 use crate::output::Series;
-use crate::runner::{run_grid, RunGrid, Scale};
+use crate::runner::{default_workers, run_grid, RunGrid, Scale};
 use crate::stats::median_of;
 
 /// Locality values the paper sweeps.
@@ -24,7 +24,7 @@ pub fn run(scale: Scale) -> Vec<Series> {
             tms_per_network: scale.tms_per_network(),
             schemes: schemes.clone(),
         };
-        let records = run_grid(&nets, &grid);
+        let records = run_grid(&nets, &grid, default_workers());
         for (name, points) in per_scheme.iter_mut() {
             let vals: Vec<f64> = records
                 .iter()

@@ -3,15 +3,15 @@
 //! unroutable with shortest paths alone.
 
 use crate::output::Series;
-use crate::runner::{by_llpd, run_grid, RunGrid, Scale};
+use crate::runner::{by_llpd, default_workers, llpd_map, run_grid, RunGrid, Scale};
 
 /// Figure-3 series plus a one-point "Google" series.
 pub fn run(scale: Scale) -> Vec<Series> {
     let mut series = super::fig03_sp::run(scale);
     let google = lowlat_topology::zoo::named::google_like();
-    let llpd = crate::runner::llpd_map(std::slice::from_ref(&google), &Default::default())[0];
+    let llpd = llpd_map(std::slice::from_ref(&google), &Default::default(), default_workers())[0];
     let grid = RunGrid::with_schemes(0.7, 1.0, scale.tms_per_network(), &["SP"]);
-    let records = run_grid(&[google], &grid);
+    let records = run_grid(&[google], &grid, default_workers());
     let rows = by_llpd(&records, "SP", |r| r.congested_fraction);
     let _ = llpd;
     series.push(Series::new("Google", rows.iter().map(|&(l, m, _)| (l, m)).collect()));

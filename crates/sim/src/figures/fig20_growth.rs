@@ -7,7 +7,7 @@ use lowlat_core::schemes::registry;
 use lowlat_topology::Topology;
 
 use crate::output::Series;
-use crate::runner::{run_grid, run_grid_replay, RunGrid, Scale};
+use crate::runner::{default_workers, run_grid, run_grid_replay, RunGrid, Scale};
 use crate::stats::{median_of, quantile_of};
 
 /// Picks hard-to-route networks: high median latency stretch under the
@@ -15,7 +15,7 @@ use crate::stats::{median_of, quantile_of};
 fn hard_networks(scale: Scale, count: usize) -> Vec<Topology> {
     let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
     let grid = RunGrid::with_schemes(0.7, 1.0, 1, &["LatOpt"]);
-    let records = run_grid(&nets, &grid);
+    let records = run_grid(&nets, &grid, default_workers());
     let mut scored: Vec<(f64, &str)> = records
         .iter()
         .filter(|r| r.class != lowlat_topology::zoo::ZooClass::Clique)
@@ -45,11 +45,11 @@ pub fn run(scale: Scale) -> Vec<Series> {
         tms_per_network: scale.tms_per_network(),
         schemes: schemes.clone(),
     };
-    let before = run_grid(&originals, &grid);
+    let before = run_grid(&originals, &grid, default_workers());
     // Replay the *same* matrices on the grown topologies: growth raises the
     // min-cut, so re-scaling on the grown network would inflate the load and
     // bury the latency benefit the figure is about.
-    let after = run_grid_replay(&grown, &originals, &grid);
+    let after = run_grid_replay(&grown, &originals, &grid, default_workers());
 
     let mut out = Vec::new();
     for scheme in &grid.schemes {

@@ -19,7 +19,7 @@ pub mod fig19_google;
 pub mod fig20_growth;
 
 use crate::output::{ascii_plot, print_tsv, Series};
-use crate::runner::Scale;
+use crate::runner::{default_workers, llpd_map, Scale};
 
 /// A figure the `figures` binary can emit: the name `--fig` takes (and
 /// `just figures` writes `figures/<name>.tsv` under) and the function that
@@ -123,7 +123,7 @@ pub fn networks_with_llpd(
     filter: impl Fn(f64) -> bool,
 ) -> Vec<(lowlat_topology::Topology, f64)> {
     let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
-    let llpds = crate::runner::llpd_map(&nets, &lowlat_core::llpd::LlpdConfig::default());
+    let llpds = llpd_map(&nets, &lowlat_core::llpd::LlpdConfig::default(), default_workers());
     nets.into_iter().zip(llpds).filter(|(_, l)| filter(*l)).collect()
 }
 

@@ -24,7 +24,7 @@ use std::time::Instant;
 use lowlat_core::eval::PlacementEval;
 use lowlat_core::llpd::{LlpdAnalysis, LlpdConfig};
 use lowlat_core::pathset::PathCache;
-use lowlat_core::scale::min_cut_load_with_cache;
+use lowlat_core::scale::min_cut_load;
 use lowlat_core::schemes::{registry, RoutingScheme};
 use lowlat_core::PathSource;
 use lowlat_tmgen::{GravityTmGen, TmGenConfig, TrafficMatrix};
@@ -334,34 +334,17 @@ pub fn par_map<I: Sync, T: Send>(
     slots.into_iter().map(|slot| slot.expect("every index is claimed exactly once")).collect()
 }
 
-/// Computes LLPD for many networks in parallel. Returns values aligned with
-/// the input order.
-pub fn llpd_map(networks: &[Topology], config: &LlpdConfig) -> Vec<f64> {
-    llpd_map_with_workers(networks, config, default_workers())
-}
-
-/// As [`llpd_map`] with an explicit worker count.
-pub fn llpd_map_with_workers(
-    networks: &[Topology],
-    config: &LlpdConfig,
-    workers: usize,
-) -> Vec<f64> {
+/// Computes LLPD for many networks on up to `workers` threads. Returns
+/// values aligned with the input order.
+pub fn llpd_map(networks: &[Topology], config: &LlpdConfig, workers: usize) -> Vec<f64> {
     par_map(networks, workers, |topology| LlpdAnalysis::compute(topology, config).llpd())
 }
 
-/// Runs the grid over the given networks with the default worker count.
-pub fn run_grid(networks: &[Topology], grid: &RunGrid) -> Vec<RunRecord> {
-    run_grid_with_workers(networks, grid, default_workers())
-}
-
-/// As [`run_grid`] with an explicit worker count (the determinism suite
-/// pins 1 vs many).
-pub fn run_grid_with_workers(
-    networks: &[Topology],
-    grid: &RunGrid,
-    workers: usize,
-) -> Vec<RunRecord> {
-    run_grid_replay_with_workers(networks, networks, grid, workers)
+/// Runs the grid over the given networks on up to `workers` threads; the
+/// records do not depend on the count (the determinism suite pins 1 vs
+/// many).
+pub fn run_grid(networks: &[Topology], grid: &RunGrid, workers: usize) -> Vec<RunRecord> {
+    run_grid_replay(networks, networks, grid, workers)
 }
 
 /// As [`run_grid`], but generates and scales each network's traffic on the
@@ -374,22 +357,13 @@ pub fn run_grid_replay(
     networks: &[Topology],
     traffic_from: &[Topology],
     grid: &RunGrid,
-) -> Vec<RunRecord> {
-    run_grid_replay_with_workers(networks, traffic_from, grid, default_workers())
-}
-
-/// The full engine: [`run_grid_replay`] with an explicit worker count.
-pub fn run_grid_replay_with_workers(
-    networks: &[Topology],
-    traffic_from: &[Topology],
-    grid: &RunGrid,
     workers: usize,
 ) -> Vec<RunRecord> {
     assert_eq!(networks.len(), traffic_from.len());
     for (net, from) in networks.iter().zip(traffic_from) {
         assert_eq!(net.pop_count(), from.pop_count(), "replay needs matching PoP sets");
     }
-    let llpds = llpd_map_with_workers(networks, &LlpdConfig::default(), workers);
+    let llpds = llpd_map(networks, &LlpdConfig::default(), workers);
 
     // One shared cache per network, serving the scaling solve and every
     // (matrix, scheme) placement on that network. In replay mode the donor
@@ -428,7 +402,7 @@ pub fn run_scenarios(
     schemes: &[Arc<dyn RoutingScheme>],
 ) -> Vec<Vec<RunRecord>> {
     let workers = default_workers();
-    let llpds = llpd_map_with_workers(networks, &LlpdConfig::default(), workers);
+    let llpds = llpd_map(networks, &LlpdConfig::default(), workers);
     let caches: Vec<PathCache<'_>> = networks.iter().map(|t| PathCache::new(t.graph())).collect();
     let sources: Vec<&dyn PathSource> = caches.iter().map(|c| c as &dyn PathSource).collect();
     let scale_sources: Vec<Option<&dyn PathSource>> = networks.iter().map(|_| None).collect();
@@ -464,7 +438,7 @@ fn run_with_resources(
         let scale_source = scale_sources[n].unwrap_or(sources[n]);
         // LP failure or an empty matrix: leave the slot empty, keep the run
         // alive.
-        let u0 = min_cut_load_with_cache(scale_source, &raw).ok()?;
+        let u0 = min_cut_load(scale_source, &raw).ok()?;
         (u0 > 0.0).then(|| raw.scaled(grid.load / u0))
     });
 
@@ -536,7 +510,7 @@ mod tests {
             1,
             &["SP", "B4", "MinMax", "MinMaxK10", "LatOpt", "LDR"],
         );
-        let records = run_grid(&[topo], &grid);
+        let records = run_grid(&[topo], &grid, default_workers());
         assert_eq!(records.len(), 6, "one record per scheme");
         for r in &records {
             assert!(r.latency_stretch >= 1.0 - 1e-6, "{}: stretch {}", r.scheme, r.latency_stretch);
@@ -558,7 +532,7 @@ mod tests {
     fn record_order_is_network_matrix_scheme() {
         let nets = [named::abilene(), named::nsfnet()];
         let grid = RunGrid::with_schemes(0.7, 1.0, 2, &["SP", "ECMP"]);
-        let records = run_grid(&nets, &grid);
+        let records = run_grid(&nets, &grid, default_workers());
         assert_eq!(records.len(), 2 * 2 * 2);
         for (i, r) in records.iter().enumerate() {
             let want_net = if i < 4 { "Abilene" } else { "NSFNET" };

@@ -1148,6 +1148,7 @@ mod tests {
             ..Default::default()
         };
         let off = simulate(&topo, &tm, &Controller::ldr(), &cfg);
+        let before = telemetry::snapshot();
         telemetry::set_enabled(true);
         let on = simulate(&topo, &tm, &Controller::ldr(), &cfg);
         telemetry::set_enabled(false);
@@ -1169,7 +1170,14 @@ mod tests {
         );
         // The instrumented run actually recorded something.
         assert!(snap.counter("telemetry.spans") > 0, "spans recorded while enabled");
-        assert!(snap.counter("lp.solves") > 0, "LP counters recorded while enabled");
+        // ... and `lp.*`, the one account of the LPs, saw every solve the
+        // controller's context counted (a process-global registry: tests
+        // running beside this one can only add).
+        let (solved, warm) = (on.lp_solves as u64, on.lp_warm_hits as u64);
+        let delta = |name: &str| snap.counter(name) - before.counter(name);
+        assert!(delta("lp.solves") >= solved && delta("lp.warm_hits") >= warm);
+        assert!(delta("lp.cold_solves") >= solved - warm);
+        assert!(snap.histograms["lp.pivots"].count >= solved);
     }
 
     #[test]

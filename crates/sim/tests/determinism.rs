@@ -4,7 +4,7 @@
 //! This guards the executor against ordering and seed drift; CI also runs
 //! the whole suite under `RUST_TEST_THREADS=1` for the same reason.
 
-use lowlat_sim::runner::{run_grid_replay_with_workers, run_grid_with_workers, RunGrid, Scale};
+use lowlat_sim::runner::{run_grid, run_grid_replay, RunGrid, Scale};
 
 fn quick_networks() -> Vec<lowlat_topology::Topology> {
     Scale::Quick.select_networks(lowlat_topology::zoo::synthetic_zoo())
@@ -24,8 +24,8 @@ fn run_grid_is_worker_count_invariant_at_quick_scale() {
         Scale::Quick.tms_per_network(),
         &["SP", "ECMP", "B4", "MinMaxK6"],
     );
-    let serial = run_grid_with_workers(&nets, &grid, 1);
-    let parallel = run_grid_with_workers(&nets, &grid, 8);
+    let serial = run_grid(&nets, &grid, 1);
+    let parallel = run_grid(&nets, &grid, 8);
     let a: Vec<String> = serial.iter().map(|r| r.deterministic_repr()).collect();
     let b: Vec<String> = parallel.iter().map(|r| r.deterministic_repr()).collect();
     assert!(!a.is_empty(), "quick grid produced no records");
@@ -40,8 +40,8 @@ fn replay_engine_is_worker_count_invariant() {
     let nets: Vec<_> = quick_networks().into_iter().take(4).collect();
     let donors = nets.clone();
     let grid = RunGrid::with_schemes(0.7, 1.0, 1, &["SP", "LDR"]);
-    let serial = run_grid_replay_with_workers(&nets, &donors, &grid, 1);
-    let parallel = run_grid_replay_with_workers(&nets, &donors, &grid, 8);
+    let serial = run_grid_replay(&nets, &donors, &grid, 1);
+    let parallel = run_grid_replay(&nets, &donors, &grid, 8);
     let a: Vec<String> = serial.iter().map(|r| r.deterministic_repr()).collect();
     let b: Vec<String> = parallel.iter().map(|r| r.deterministic_repr()).collect();
     assert!(!a.is_empty());

@@ -8,6 +8,7 @@ use lowlat::prelude::*;
 
 fn main() {
     let topo = named::gts_like();
+    let cache = PathCache::new(topo.graph());
     let gen = GravityTmGen::new(TmGenConfig::default());
 
     println!("B4 vs optimum on {} across 5 traffic matrices, load 0.7:\n", topo.name());
@@ -18,8 +19,8 @@ fn main() {
     let mut b4_congested_any = false;
     for i in 0..5 {
         let tm = gen.generate(&topo, i).scaled_to_load(&topo, 0.7);
-        let b4 = B4Routing::default().place_on(&topo, &tm).unwrap();
-        let opt = LatencyOptimal::default().place_on(&topo, &tm).unwrap();
+        let b4 = B4Routing::default().place(&cache, &tm).unwrap();
+        let opt = LatencyOptimal::default().place(&cache, &tm).unwrap();
         let ev_b4 = PlacementEval::evaluate(&topo, &tm, &b4);
         let ev_opt = PlacementEval::evaluate(&topo, &tm, &opt);
         b4_congested_any |= ev_b4.congested_pair_fraction() > 0.0;
@@ -37,7 +38,7 @@ fn main() {
     for i in 0..5 {
         let tm = gen.generate(&topo, i).scaled_to_load(&topo, 0.7);
         let b4h = B4Routing::new(B4Config { headroom: 0.1, ..Default::default() })
-            .place_on(&topo, &tm)
+            .place(&cache, &tm)
             .unwrap();
         let ev = PlacementEval::evaluate(&topo, &tm, &b4h);
         println!(

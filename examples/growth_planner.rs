@@ -19,8 +19,11 @@ fn main() {
         );
     }
 
-    // Does routing benefit? Before/after latency stretch per scheme.
+    // Does routing benefit? Before/after latency stretch per scheme: one
+    // matrix and one path cache per topology, shared by every scheme.
     let gen = GravityTmGen::new(TmGenConfig::default());
+    let networks = [&topo, &plan.topology]
+        .map(|t| (t, gen.generate(t, 0).scaled_to_load(t, 0.7), PathCache::new(t.graph())));
     println!("\n{:<10} {:>10} {:>10}", "scheme", "before", "after");
     for (name, scheme) in [
         ("LDR", Box::new(Ldr::default()) as Box<dyn RoutingScheme>),
@@ -28,12 +31,11 @@ fn main() {
         ("MinMax", Box::new(MinMaxRouting::unrestricted())),
         ("MinMaxK10", Box::new(MinMaxRouting::with_k(10))),
     ] {
-        let stretch = |t: &Topology| -> f64 {
-            let tm = gen.generate(t, 0).scaled_to_load(t, 0.7);
-            let placement = scheme.place_on(t, &tm).expect("scheme failed");
-            PlacementEval::evaluate(t, &tm, &placement).latency_stretch()
-        };
-        println!("{:<10} {:>10.4} {:>10.4}", name, stretch(&topo), stretch(&plan.topology));
+        let [before, after] = networks.each_ref().map(|(t, tm, cache)| {
+            let placement = scheme.place(cache, tm).expect("scheme failed");
+            PlacementEval::evaluate(t, tm, &placement).latency_stretch()
+        });
+        println!("{name:<10} {before:>10.4} {after:>10.4}");
     }
     println!("\nOnly schemes that exploit path diversity convert added links into");
     println!("lower stretch; MinMax can even get worse (it load-balances wider).");

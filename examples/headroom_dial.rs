@@ -7,6 +7,7 @@ use lowlat::prelude::*;
 
 fn main() {
     let topo = named::gts_like();
+    let cache = PathCache::new(topo.graph());
     let tm = GravityTmGen::new(TmGenConfig::default())
         .generate(&topo, 0)
         // Figure 8 uses the lighter operating point: min-cut load 0.6.
@@ -16,7 +17,7 @@ fn main() {
     println!("{:>9} {:>10} {:>12} {:>10}", "headroom", "stretch", "max-stretch", "max-util");
     for h in [0.0, 0.05, 0.11, 0.17, 0.23, 0.30, 0.40] {
         let placement =
-            LatencyOptimal::with_headroom(h).place_on(&topo, &tm).expect("latency-optimal failed");
+            LatencyOptimal::with_headroom(h).place(&cache, &tm).expect("latency-optimal failed");
         let ev = PlacementEval::evaluate(&topo, &tm, &placement);
         println!(
             "{:>8.0}% {:>10.4} {:>12.3} {:>10.3}",
@@ -28,7 +29,7 @@ fn main() {
     }
 
     // The other end of the dial: MinMax reserves as much as possible.
-    let mm = MinMaxRouting::unrestricted().place_on(&topo, &tm).expect("minmax failed");
+    let mm = MinMaxRouting::unrestricted().place(&cache, &tm).expect("minmax failed");
     let ev = PlacementEval::evaluate(&topo, &tm, &mm);
     println!(
         "{:>9} {:>10.4} {:>12.3} {:>10.3}",

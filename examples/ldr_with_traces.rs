@@ -11,6 +11,8 @@ fn main() {
     let topo = named::abilene();
     let tm =
         GravityTmGen::new(TmGenConfig::default()).generate(&topo, 0).scaled_to_load(&topo, 0.7);
+    // One path cache for the network; each run keeps its own LP context.
+    let cache = PathCache::new(topo.graph());
 
     for (label, cv) in [("smooth traffic (cv 0.1)", 0.1), ("bursty traffic (cv 0.8)", 0.8)] {
         // One measured trace per aggregate, means matching the matrix.
@@ -29,7 +31,9 @@ fn main() {
             })
             .collect();
 
-        let out = Ldr::default().place_with_traces(&topo, &tm, &traces).expect("LDR failed");
+        let out = Ldr::default()
+            .place_with_traces_ctx(&cache, &tm, &traces, &mut SolveContext::new())
+            .expect("LDR failed");
         let ev = PlacementEval::evaluate(&topo, &tm, &out.placement);
         let inflated =
             out.ba.iter().zip(tm.aggregates()).filter(|(b, a)| **b > a.volume_mbps * 1.15).count();

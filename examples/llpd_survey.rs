@@ -6,11 +6,12 @@
 use std::collections::BTreeMap;
 
 use lowlat::prelude::*;
+use lowlat::sim::runner::{default_workers, llpd_map};
 
 fn main() {
     let zoo = synthetic_zoo();
     println!("computing LLPD for {} networks...", zoo.len());
-    let llpds = lowlat::sim::runner::llpd_map(&zoo, &LlpdConfig::default());
+    let llpds = llpd_map(&zoo, &LlpdConfig::default(), default_workers());
 
     let mut by_class: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     for (topo, llpd) in zoo.iter().zip(&llpds) {

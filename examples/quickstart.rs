@@ -32,7 +32,9 @@ fn main() {
         tm.total_volume_mbps() / 1000.0
     );
 
-    // 3. Route it five ways.
+    // 3. Route it five ways through one shared path cache: k-shortest-path
+    //    work done for one scheme is reused by the next (§5).
+    let cache = PathCache::new(topo.graph());
     println!(
         "{:<10} {:>10} {:>10} {:>12} {:>9}",
         "scheme", "congested", "stretch", "max-stretch", "max-util"
@@ -45,7 +47,7 @@ fn main() {
         ("LDR", Box::new(Ldr::default())),
     ];
     for (name, scheme) in schemes {
-        let placement = scheme.place_on(&topo, &tm).expect("scheme failed");
+        let placement = scheme.place(&cache, &tm).expect("scheme failed");
         let ev = PlacementEval::evaluate(&topo, &tm, &placement);
         println!(
             "{:<10} {:>9.1}% {:>10.4} {:>12.3} {:>9.3}",

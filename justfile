@@ -5,6 +5,8 @@
 # links against `sim`/`core` signatures by name (CI's `perfbench` job).
 verify:
     cargo fmt --check
+    ! grep -rnE '\b(place_on|place_with_traces|place_cached|solve_with_cache(_ctx)?|solve_warm_with|min_cut_load_with_cache|[a-z_]+_with_workers)\b' crates src tests examples
+    ! grep -rn 'SolverOptions' crates src tests examples --include='*.rs' | grep -v '^crates/linprog/src/'
     cargo build --release
     cargo clippy --all-targets -- -D warnings
     cargo test -q

@@ -25,12 +25,14 @@
 //! let llpd = LlpdAnalysis::compute(&topo, &LlpdConfig::default()).llpd();
 //! assert!(llpd > 0.4, "grids have high low-latency path diversity");
 //!
-//! // Generate a moderate-load traffic matrix and route it two ways.
+//! // Generate a moderate-load traffic matrix and route it two ways through
+//! // the network's one path cache.
 //! let tm = GravityTmGen::new(TmGenConfig::default())
 //!     .generate(&topo, 1)
 //!     .scaled_to_load(&topo, 0.7);
-//! let sp = ShortestPathRouting.place_on(&topo, &tm).unwrap();
-//! let ldr = Ldr::default().place_on(&topo, &tm).unwrap();
+//! let cache = PathCache::new(topo.graph());
+//! let sp = ShortestPathRouting.place(&cache, &tm).unwrap();
+//! let ldr = Ldr::default().place(&cache, &tm).unwrap();
 //! let ev_sp = PlacementEval::evaluate(&topo, &tm, &sp);
 //! let ev_ldr = PlacementEval::evaluate(&topo, &tm, &ldr);
 //! assert!(ev_ldr.congested_pair_fraction() <= ev_sp.congested_pair_fraction());
@@ -64,6 +66,7 @@ pub mod prelude {
     pub use lowlat_core::eval::PlacementEval;
     pub use lowlat_core::growth::{grow_by_llpd, GrowthPlanConfig};
     pub use lowlat_core::llpd::{LlpdAnalysis, LlpdConfig};
+    pub use lowlat_core::pathset::PathCache;
     pub use lowlat_core::scale::ScaleToLoad;
     pub use lowlat_core::schemes::b4::{B4Config, B4Routing};
     pub use lowlat_core::schemes::ecmp::EcmpRouting;
@@ -73,7 +76,8 @@ pub mod prelude {
     pub use lowlat_core::schemes::minmax::{MinMaxConfig, MinMaxRouting};
     pub use lowlat_core::schemes::mpls::{MplsAutoBandwidth, MplsConfig, SignalOrder};
     pub use lowlat_core::schemes::sp::ShortestPathRouting;
-    pub use lowlat_core::schemes::RoutingScheme;
+    pub use lowlat_core::schemes::{RoutingScheme, SolveContext};
+    pub use lowlat_core::source::PathSource;
     pub use lowlat_tmgen::{Aggregate, GravityTmGen, TmGenConfig, TrafficMatrix};
     pub use lowlat_topology::format::{from_text, to_text};
     pub use lowlat_topology::zoo::{self, named, synthetic_zoo, ZooClass};

@@ -11,19 +11,16 @@ fn standard_tm(topo: &Topology, index: u64) -> TrafficMatrix {
 #[test]
 fn minmax_and_latopt_fit_what_sp_congests() {
     let topo = named::gts_like();
+    let cache = PathCache::new(topo.graph());
     let tm = standard_tm(&topo, 0);
-    let sp =
-        PlacementEval::evaluate(&topo, &tm, &ShortestPathRouting.place_on(&topo, &tm).unwrap());
+    let sp = PlacementEval::evaluate(&topo, &tm, &ShortestPathRouting.place(&cache, &tm).unwrap());
     let mm = PlacementEval::evaluate(
         &topo,
         &tm,
-        &MinMaxRouting::unrestricted().place_on(&topo, &tm).unwrap(),
+        &MinMaxRouting::unrestricted().place(&cache, &tm).unwrap(),
     );
-    let lo = PlacementEval::evaluate(
-        &topo,
-        &tm,
-        &LatencyOptimal::default().place_on(&topo, &tm).unwrap(),
-    );
+    let lo =
+        PlacementEval::evaluate(&topo, &tm, &LatencyOptimal::default().place(&cache, &tm).unwrap());
     // At 0.7 min-cut load the traffic fits by construction; load-aware
     // schemes must fit it, and SP must be the congestion-prone one.
     assert!(mm.fits());
@@ -36,19 +33,19 @@ fn scheme_latency_ordering_matches_paper() {
     // LatOpt <= LDR <= MinMax in latency stretch; all of them <= tolerance
     // above 1.0 when uncongested (stretch is relative to shortest paths).
     let topo = named::gts_like();
+    let cache = PathCache::new(topo.graph());
     for i in 0..2 {
         let tm = standard_tm(&topo, i);
         let lo = PlacementEval::evaluate(
             &topo,
             &tm,
-            &LatencyOptimal::default().place_on(&topo, &tm).unwrap(),
+            &LatencyOptimal::default().place(&cache, &tm).unwrap(),
         );
-        let ldr =
-            PlacementEval::evaluate(&topo, &tm, &Ldr::default().place_on(&topo, &tm).unwrap());
+        let ldr = PlacementEval::evaluate(&topo, &tm, &Ldr::default().place(&cache, &tm).unwrap());
         let mm = PlacementEval::evaluate(
             &topo,
             &tm,
-            &MinMaxRouting::unrestricted().place_on(&topo, &tm).unwrap(),
+            &MinMaxRouting::unrestricted().place(&cache, &tm).unwrap(),
         );
         assert!(lo.latency_stretch() >= 1.0 - 1e-6);
         assert!(
@@ -78,9 +75,10 @@ fn all_schemes_produce_valid_placements_on_all_named_networks() {
             Box::new(LatencyOptimal::default()),
             Box::new(Ldr::default()),
         ];
+        let cache = PathCache::new(topo.graph());
         for scheme in schemes {
             let placement = scheme
-                .place_on(&topo, &tm)
+                .place(&cache, &tm)
                 .unwrap_or_else(|e| panic!("{} failed on {}: {e}", scheme.name(), topo.name()));
             placement
                 .validate(topo.graph(), &tm)
@@ -94,17 +92,18 @@ fn headroom_dial_interpolates_to_minmax() {
     // §4: latency-optimal with headroom equal to MinMax's spare capacity
     // converges to the MinMax placement quality.
     let topo = named::abilene();
+    let cache = PathCache::new(topo.graph());
     let tm = standard_tm(&topo, 1);
     let mm = PlacementEval::evaluate(
         &topo,
         &tm,
-        &MinMaxRouting::unrestricted().place_on(&topo, &tm).unwrap(),
+        &MinMaxRouting::unrestricted().place(&cache, &tm).unwrap(),
     );
     let spare = 1.0 - mm.max_utilization();
     let dialed = PlacementEval::evaluate(
         &topo,
         &tm,
-        &LatencyOptimal::with_headroom(spare - 1e-6).place_on(&topo, &tm).unwrap(),
+        &LatencyOptimal::with_headroom(spare - 1e-6).place(&cache, &tm).unwrap(),
     );
     assert!(
         (dialed.latency_stretch() - mm.latency_stretch()).abs() < 0.05,
@@ -118,10 +117,10 @@ fn headroom_dial_interpolates_to_minmax() {
 fn google_like_unroutable_by_sp_but_fine_for_ldr() {
     // Figure 19's point.
     let topo = named::google_like();
+    let cache = PathCache::new(topo.graph());
     let tm = standard_tm(&topo, 0);
-    let sp =
-        PlacementEval::evaluate(&topo, &tm, &ShortestPathRouting.place_on(&topo, &tm).unwrap());
-    let ldr = PlacementEval::evaluate(&topo, &tm, &Ldr::default().place_on(&topo, &tm).unwrap());
+    let sp = PlacementEval::evaluate(&topo, &tm, &ShortestPathRouting.place(&cache, &tm).unwrap());
+    let ldr = PlacementEval::evaluate(&topo, &tm, &Ldr::default().place(&cache, &tm).unwrap());
     assert!(sp.congested_pair_fraction() > 0.0, "SP must congest the B4-like WAN");
     assert!(ldr.fits(), "LDR handles it");
 }

@@ -82,8 +82,9 @@ proptest! {
             Box::new(LatencyOptimal::default()),
             Box::new(Ldr::default()),
         ];
+        let cache = PathCache::new(topo.graph());
         for scheme in schemes {
-            let placement = scheme.place_on(&topo, &tm);
+            let placement = scheme.place(&cache, &tm);
             let placement = match placement {
                 Ok(p) => p,
                 Err(e) => return Err(TestCaseError::fail(format!("{}: {e}", scheme.name()))),
@@ -112,7 +113,8 @@ proptest! {
     ) {
         let demands: Vec<_> = demands.into_iter().filter(|&(s, d, _)| s < topo.pop_count() && d < topo.pop_count()).collect();
         let Some(tm) = build_tm(&demands) else { return Ok(()); };
-        let opt = LatencyOptimal::default().place_on(&topo, &tm).expect("latopt");
+        let cache = PathCache::new(topo.graph());
+        let opt = LatencyOptimal::default().place(&cache, &tm).expect("latopt");
         let ev_opt = PlacementEval::evaluate(&topo, &tm, &opt);
         if !ev_opt.fits() {
             return Ok(()); // congestion unavoidable: bound doesn't apply
@@ -121,7 +123,7 @@ proptest! {
             Box::new(MinMaxRouting::with_k(6)) as Box<dyn RoutingScheme>,
             Box::new(B4Routing::default()),
         ] {
-            let other = scheme.place_on(&topo, &tm).expect("scheme");
+            let other = scheme.place(&cache, &tm).expect("scheme");
             let ev = PlacementEval::evaluate(&topo, &tm, &other);
             if ev.fits() {
                 prop_assert!(
