@@ -55,17 +55,17 @@
 //! budget: the search is one label-setting pass per distinct source among
 //! the aggregates whose cheapest held column has positive length, and it
 //! gives up, inconclusive, after visiting more than `aggregates × LP-used
-//! links` links — fewer than the entries of the basis inverse that LP's
-//! warm restart read, `(2 × used links + split aggregates)²`, so a test
-//! never costs what a round costs (with a floor of 1024 visits, ten
-//! microseconds, so a one-aggregate request can search a small graph at
-//! all). On a backbone that covers every source's whole search (26 × 86
-//! links on GTS-like; a test costs tens of microseconds); on a 10k-node
-//! graph of which the LP touches 1% of the links, and which holds detours
-//! the partitioned engine never prices (so the bound cannot be tight), the
-//! test gives up after a few hundred microseconds instead of flooding the
-//! graph. [`GrowthConfig::max_rounds`] stays as the backstop for those
-//! cases. Without the rule a demand that cannot fit ran to `max_rounds`:
+//! links` links — a budget the LP it follows sets (a visit per aggregate
+//! and used link, the extent of that LP's capacity block), not the graph,
+//! so a test stays in proportion to the round it ends (with a floor of
+//! 1024 visits, ten microseconds, so a one-aggregate request can search a
+//! small graph at all). On a backbone that covers every source's whole
+//! search (26 × 86 links on GTS-like; a test costs tens of microseconds);
+//! on a 10k-node graph of which the LP touches 1% of the links, and which
+//! holds detours the partitioned engine never prices (so the bound cannot
+//! be tight), the test gives up after a few hundred microseconds instead of
+//! flooding the graph. [`GrowthConfig::max_rounds`] stays as the backstop
+//! for those cases. Without the rule a demand that cannot fit ran to `max_rounds`:
 //! 41 rounds of zero-pivot LPs over columns that never price in, for every
 //! Figure-14 tweak iteration that inflates `B_a` past what the network
 //! carries. MinMax's stage 1 needs none of this — it stops when `U` stops
@@ -81,7 +81,9 @@
 //! `Σ = B_a` row with the old path's variable basic at `B_a`.
 //! [`lowlat_linprog::Basis::relabel`] carries the basis *and its inverse*
 //! across (the re-labelling maps come from the two LPs' layouts, which
-//! only the LP builder decides), the restart is primal feasible by
+//! only the LP builder decides; the inverse is held by its nonzeros — most
+//! rows are slack and contribute a unit column — so renumbering it costs
+//! those, not the square of the row count), the restart is primal feasible by
 //! construction and pays for the columns that changed — an eta update for
 //! each old path that crosses a newly used link and each promoted
 //! aggregate's `z_a0`, nothing for the rest of the inverse — and a round
@@ -160,8 +162,8 @@ struct StoredBasis {
 
 /// Stored bases beyond this trigger eviction of stale entries — a
 /// long-lived controller whose growth trajectories drift would otherwise
-/// accumulate one (possibly multi-MB, inverse-carrying) basis per
-/// trajectory end ever reached.
+/// accumulate one basis (labels plus the nonzeros of its inverse: tens to
+/// hundreds of kB) per trajectory end ever reached.
 const MAX_STORED_BASES: usize = 64;
 
 /// Eviction horizon: entries not used for this many solves are dropped
@@ -1952,6 +1954,10 @@ mod tests {
         let (out, _) = solve_audited(&engine, &tm, &volumes, &mut ctx);
         assert!(out.rounds > 3, "the batch must need growth, got {} rounds", out.rounds);
         assert!(ctx.warm_hits() + 1 >= ctx.solves(), "only the first LP of the chain runs cold");
+        // The stored bases carry their inverses by nonzeros: a dense inverse
+        // alone would be 8·rows² bytes a basis.
+        let dense: usize = ctx.bases.keys().map(|&(_, rows, _)| 8 * rows * rows).sum();
+        assert!(dense > 0 && 4 * ctx.basis_bytes() < dense, "{} of {dense}", ctx.basis_bytes());
     }
 
     #[test]

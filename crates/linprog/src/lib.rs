@@ -1,12 +1,18 @@
 //! # lowlat-linprog
 //!
 //! A self-contained linear-program solver: two-phase **revised simplex** with
-//! sparse constraint columns and a dense, column-major basis inverse.
+//! sparse constraint columns and an explicit basis inverse stored as sparse
+//! columns.
 //!
 //! The paper solves path-based multi-commodity-flow LPs (Figure 12) whose
 //! row counts stay small because the path set is grown lazily (Figure 13) —
-//! typically a few hundred to a few thousand rows. A dense basis inverse is
-//! the right tool at that scale: simple and predictable. (The paper's §5
+//! typically a few hundred to a few thousand rows, most of them capacity
+//! rows that are slack at the optimum. A slack row contributes a unit
+//! column to the basis inverse, so the explicit inverse of such an LP is
+//! around 1% nonzero; it is kept by its nonzeros, and a pivot, a restart
+//! and a [`Basis::relabel`] cost those rather than the square of the row
+//! count. An LP whose inverse really is dense pays up to about twice per
+//! entry for the indices. (The paper's §5
 //! has "the bottleneck is not the linear optimizer, but the k shortest paths
 //! algorithm"; in this reproduction the LP chain is still the larger share
 //! of a GTS-like LDR decision — the repo benchmark's layer table says by
@@ -41,10 +47,12 @@
 //!   a pricing round restarts from the optimum of the round before it.
 //!
 //! Not implemented (not needed by this workspace): general variable bounds
-//! (shift/negate at the call site), sparse LU factorization (the inverse is
-//! dense, and past 2048 rows it is not carried between solves), a full dual
-//! simplex (a warm restart repairs primal infeasibility with a bounded
-//! number of dual pivots, then runs the primal method), presolve.
+//! (shift/negate at the call site), sparse LU factorization or an eta file
+//! (the inverse is explicit — every entry of `B⁻¹` that is not zero is
+//! stored and updated — refactorization is a dense Gauss–Jordan elimination,
+//! and a [`Basis`] carries the inverse between solves up to 32 MB of it), a
+//! full dual simplex (a warm restart repairs primal infeasibility with a
+//! bounded number of dual pivots, then runs the primal method), presolve.
 //!
 //! ```
 //! use lowlat_linprog::{Problem, Relation};

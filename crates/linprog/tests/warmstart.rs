@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use lowlat_linprog::{Basis, LpError, Problem, Relation};
+use lowlat_linprog::{certify, Basis, LpError, Problem, Relation};
 
 /// Relative-ish tolerance: the issue's 1e-9, scaled by objective magnitude.
 fn close(a: f64, b: f64) -> bool {
@@ -528,4 +528,33 @@ proptest! {
             }
         }
     }
+}
+
+/// Demand `volume` split over two parallel 5 Gbps links, minimizing the
+/// overload both may run: `z_1 + z_2 = volume` in Mbps, the capacity rows
+/// scaled to 1 (`z_l / C_l - omax <= 1`) — the growth LP's two row scales.
+fn two_parallel_links(volume: f64) -> Problem {
+    let mut p = Problem::minimize(3); // z_1, z_2, omax
+    p.set_objective(2, 1.0);
+    p.add_row(Relation::Eq, volume, &[(0, 1.0), (1, 1.0)]);
+    p.add_row(Relation::Le, 1.0, &[(0, 1.0 / 5000.0), (2, -1.0)]);
+    p.add_row(Relation::Le, 1.0, &[(1, 1.0 / 5000.0), (2, -1.0)]);
+    p
+}
+
+#[test]
+#[ignore = "ROADMAP 1a: dual_repair's feasibility tolerance is scaled by the largest rhs"]
+fn warm_restart_at_the_just_fits_boundary_reports_the_overload() {
+    // The demand just fits; a minute later it is 1.5 Mbps over, which only
+    // an overload of 1.5e-4 carries. The restored vertex has one capacity
+    // row 3e-4 over, `dual_repair` measures that against 1e-7 · (1 + 10^4)
+    // — the scale of the volume row — and rounds it away.
+    let mut basis = Basis::new();
+    let fits = two_parallel_links(9_999.0).solve_warm(&mut basis).unwrap();
+    assert!(fits.objective().abs() < 1e-12);
+    let over = two_parallel_links(10_001.5);
+    let warm = over.solve_warm(&mut basis).unwrap();
+    assert!(warm.warm_started());
+    assert_eq!(certify(&over, warm.values(), warm.duals()), Ok(()));
+    assert!(warm.value(2) > 1e-4, "omax {}", warm.value(2));
 }
