@@ -557,6 +557,7 @@ mod tests {
         let cache = PathCache::new(topo.graph());
         let mut ctx = SolveContext::new();
         let scheme = registry::build("LDR").unwrap();
+        let kept_before = crate::pathgrow::tests::kept_rounds();
         // Pre-failure placement warms the cache and the LP bases.
         let baseline =
             scheme.place_with_context(&cache, &tm, &mut ctx).expect("baseline placement");
@@ -586,6 +587,9 @@ mod tests {
         }
         assert!(out.impact.latency_stretch >= 1.0 - 1e-6);
         assert!(out.impact.max_path_stretch >= 1.0 - 1e-6);
+        // Some growth rounds kept their outcome instead of posing an LP, each
+        // audited by `pathgrow::tests::audit_kept_round`.
+        assert!(crate::pathgrow::tests::kept_rounds() > kept_before);
         cache.clear_failure();
     }
 

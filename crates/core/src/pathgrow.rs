@@ -66,7 +66,8 @@
 //! be tight), the test gives up after a few hundred microseconds instead of
 //! flooding the graph. [`GrowthConfig::max_rounds`] stays as the backstop
 //! for those cases. Without the rule a demand that cannot fit ran to `max_rounds`:
-//! 41 rounds of zero-pivot LPs over columns that never price in, for every
+//! 41 rounds over columns that never price in (zero-pivot LPs then; since
+//! the pricing step below, rounds that pose no LP at all), for every
 //! Figure-14 tweak iteration that inflates `B_a` past what the network
 //! carries. MinMax's stage 1 needs none of this — it stops when `U` stops
 //! improving.
@@ -87,10 +88,59 @@
 //! construction and pays for the columns that changed — an eta update for
 //! each old path that crosses a newly used link and each promoted
 //! aggregate's `z_a0`, nothing for the rest of the inverse — and a round
-//! typically needs a handful of pivots to price the new columns in, none at
-//! all when they do not help. Only the first
-//! LP of a chain is ever solved from scratch, and not even that when a
-//! previous call left its basis in the [`SolveContext`].
+//! typically needs a handful of pivots to price the new columns in. Only
+//! the first LP of a chain is ever solved from scratch, and not even that
+//! when a previous call left its basis in the [`SolveContext`].
+//!
+//! **The pricing step.** Column generation prices a column before it
+//! re-solves, and so does every round after a growth step
+//! (`LpData::next_round`, phase 1 and the refinement rounds alike). The
+//! held optimum has duals `y`; a new path `p` of aggregate `a` would enter
+//! its basis only if its reduced cost
+//!
+//! ```text
+//! d_p  =  c_p  −  Σ_{l ∈ p} y_l / C_l  −  y_a
+//! ```
+//!
+//! is negative beyond the solver's tolerance ([`Solution::prices_in`]):
+//! `c_p` is 0 in phase 1 and the Figure-12 delay weight
+//! `n_a d_p (1 + M1/S_a) / (norm · B_a)` in phase 2, `y_l <= 0` the dual of
+//! link `l`'s capacity row — 0 for a link that has no row yet: the two rows
+//! it would bring are slack at the held vertex — and `y_a` the dual of the
+//! aggregate's `Σ = B_a` row. An aggregate the LP held as a single path has
+//! no such row; promoting it makes its old path's variable basic there, so
+//! the row's dual is the one that leaves that variable's reduced cost zero,
+//! `y_a = c_a0 − Σ_{l ∈ p_0} y_l / C_l`. Extending the basis this way leaves
+//! every old dual where it was, so the old columns stay priced out. When no
+//! new column prices in, the held vertex with the new paths at zero *is* an
+//! optimum of the grown LP — the one a restart would be handed and return
+//! without a pivot — and the round keeps it: same level, critical links,
+//! overload prices and basis, fractions zero-padded to the grown sets, no LP
+//! assembled, handed over, restarted or exported. The round still counts,
+//! the stopping test still runs on it, and the next LP that is posed takes
+//! its basis from the last LP *solved* (the layouts' maps span several
+//! growth steps: old sets are prefixes of new ones); when phase 1 ends on a
+//! kept round, phase 2 takes that basis over to the final column set
+//! itself. On a 10k-node placement 15 of 23 rounds keep their outcome, on a
+//! GTS-like decision 10 of 75.
+//!
+//! Why `−tol` and not 0: the solver enters a column only below `−1e-9`, and
+//! phase 1's `1e-6·Σ o_l` spread term puts `1e-6 / C_l` — `1e-10` on a
+//! 10 Gb/s link — of dual on every link whose `o_l` is positive, so a new
+//! path that avoids a few of the pinned links its aggregate's held paths
+//! cross reads `−1e-10 … −1.0e-9`: negative, inside the tolerance, never
+//! entered. Pricing against 0 would pose exactly the LPs this step exists
+//! to skip. A column that sits *on* `−1.0e-9` (ten pinned links fewer;
+//! about 1.4 LPs of a 10k-node placement) is posed, not guessed: the solver
+//! sums in another order and decides for itself. In unit tests every kept
+//! round is audited by something that did not decide it — the skipped LP is
+//! posed anyway on a copy of the basis and must take no pivot and return
+//! the kept vertex, and [`lowlat_linprog::certify`] must accept the kept
+//! values and duals on the grown problem.
+//!
+//! MinMax's stage 1 is left out on purpose: it breaks at the first LP that
+//! does not improve `U`, so it has at most one such LP a call, and its
+//! fraction-unit coefficients would be a third pricing formula for that one.
 //!
 //! The pricing oracle is abstract: every solve takes a `&dyn`
 //! [`PathSource`] and asks it only for the next-cheapest columns of the
@@ -119,7 +169,7 @@
 
 use std::collections::HashMap;
 
-use lowlat_linprog::{Basis, LpError, Problem, Relation};
+use lowlat_linprog::{Basis, LpError, Problem, Relation, Solution};
 use lowlat_netgraph::{Graph, LinkId, NodeId, Path};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
@@ -204,12 +254,14 @@ impl SolveContext {
     }
 
     /// Carries the basis stored for the LP laid out as `from` to the key of
-    /// `grown`, the LP (laid out as `to`) that the growth step turned it
-    /// into, re-labelled so it describes the same vertex there. The first
-    /// LP of a chain keeps a copy, so the next call's chain starts warm;
-    /// from then on the basis moves. Returns whether `grown`'s slot now
-    /// holds that vertex.
-    fn hand_over(&mut self, tag: u8, from: &LpLayout, to: &LpLayout, grown: &Problem) -> bool {
+    /// `grown`, the LP (laid out as `to`) that growth turned it into — in
+    /// `from`'s mode, whatever `grown` optimizes: the two modes of a
+    /// latency-optimal call share rows and columns — re-labelled so it
+    /// describes the same vertex there. The first LP of a chain keeps a
+    /// copy, so the next call's chain starts warm; from then on the basis
+    /// moves. Returns whether that slot now holds that vertex.
+    fn hand_over(&mut self, from: &LpLayout, to: &LpLayout, grown: &Problem) -> bool {
+        let tag = from.tag;
         let key = (tag, from.rows, from.vars());
         let carried =
             if from.handed_over { self.bases.remove(&key) } else { self.bases.get(&key).cloned() };
@@ -340,6 +392,15 @@ struct LpOutcome {
     /// Where the solved LP's variables and rows sit — what the next LP of
     /// the chain needs to take this one's basis over.
     layout: LpLayout,
+    /// The solved LP's optimum; its duals price the columns growth adds
+    /// ([`LpData::next_round`]).
+    sol: Solution,
+    /// Links with rows in the LP this outcome is the optimum of: the solved
+    /// LP's, and those the columns of the rounds kept since would add.
+    links: usize,
+    /// Whether growth rounds since the LP was solved kept this outcome: the
+    /// path sets then hold columns the layout does not.
+    kept: bool,
 }
 
 impl LpMode {
@@ -372,7 +433,10 @@ struct LpLayout {
     o_rows: bool,
     /// Constraint rows of the posed LP.
     rows: usize,
-    /// Whether this LP's basis arrived from the LP before it in the chain.
+    /// [`LpMode::tag`] of the posed LP: the context key its basis is under.
+    tag: u8,
+    /// Whether this LP's basis arrived from the LP before it in its mode's
+    /// chain.
     handed_over: bool,
 }
 
@@ -455,16 +519,25 @@ struct LpData<'a> {
     /// Scales every capacity (1 - headroom).
     cap_scale: f64,
     m1: f64,
+    /// `Σ n_a S_a`: normalizes the delay term, so the spread weight has a
+    /// stable meaning across instances.
+    delay_norm: f64,
     /// Scratch, one entry per graph link, all [`UNUSED`] between LPs: the
     /// rank of each link among the posed LP's used links. Owned here so an
     /// LP costs what its paths touch, not what the graph holds.
     link_rank: Vec<u32>,
     /// Scratch of [`LpData::proves_final`], sized on its first use.
     bound: BoundScratch,
+    /// Rounds of this solve that kept their outcome ([`LpData::next_round`]).
+    lps_skipped: u64,
 }
 
 /// [`LpData::link_rank`] of a link no posed path crosses.
 const UNUSED: u32 = u32::MAX;
+
+/// [`LpData::link_rank`], while growth is priced, of a link that has no row
+/// in the held LP and that a new column crosses.
+const FRESH: u32 = u32::MAX - 1;
 
 /// How close the concurrent-flow bound must come to the LP's `omax` to end
 /// phase 1 (module docs, "The loop"): phase 1 minimizes
@@ -522,9 +595,20 @@ impl<'a> LpData<'a> {
             caps,
             cap_scale,
             m1,
+            delay_norm: aggs.iter().map(|a| a.flows * a.sp_delay).sum::<f64>().max(1e-9),
             link_rank: vec![UNUSED; caps.len()],
             bound: BoundScratch::default(),
+            lps_skipped: 0,
         }
+    }
+
+    /// Figure 12's delay weight of one unit of aggregate `a`'s traffic on
+    /// `path`, `n_a d_p (1 + M1/S_a) / (norm · B_a)`: the `MinLatency`
+    /// objective coefficient of the path's variable `z_ap = B_a x_ap`.
+    fn delay_cost(&self, a: usize, path: &Path) -> f64 {
+        let agg = &self.aggs[a];
+        let w = agg.flows * path.delay_ms() * (1.0 + self.m1 / agg.sp_delay.max(1e-9));
+        w / (self.delay_norm * self.volumes[a].max(1e-12))
     }
 
     /// The column-generation stopping test of phase 1 (module docs, "The
@@ -542,7 +626,7 @@ impl<'a> LpData<'a> {
         out: &LpOutcome,
     ) -> BoundVerdict {
         let target = out.level - BOUND_TOL;
-        let budget = (path_sets.len() * out.layout.used_links.len()).max(BOUND_MIN_VISITS);
+        let budget = (path_sets.len() * out.links).max(BOUND_MIN_VISITS);
         match self.flow_bound(graph, tm, path_sets, &out.overload_prices, target, budget) {
             Ok(bound) if bound >= target => BoundVerdict::Final,
             Ok(_) => BoundVerdict::Open,
@@ -674,19 +758,10 @@ impl<'a> LpData<'a> {
         }
     }
 
-    /// Builds and solves one LP over the given path sets, warm-starting
-    /// from (and refreshing) the context's basis for this mode and problem
-    /// size. `grown_from` is the layout of the LP this one grew out of, when
-    /// the caller just solved it in the same mode: its basis is handed over
-    /// first, so this LP restarts from that one's optimum.
-    fn solve(
-        &mut self,
-        path_sets: &[Vec<Path>],
-        mode: &LpMode,
-        grown_from: Option<&LpLayout>,
-        ctx: &mut SolveContext,
-    ) -> Result<LpOutcome, LpError> {
-        let LpData { aggs, volumes, caps, cap_scale, m1, link_rank: ref mut rank, .. } = *self;
+    /// The LP of `mode` over the given path sets, and where its variables
+    /// and rows sit.
+    fn pose(&mut self, path_sets: &[Vec<Path>], mode: &LpMode) -> (Problem, LpLayout) {
+        let LpData { volumes, caps, cap_scale, link_rank: ref mut rank, .. } = *self;
         // Variable block per multi-path aggregate; a link needs rows when a
         // variable path crosses it or a single-path aggregate loads it.
         let mut used_links = Vec::new();
@@ -802,17 +877,10 @@ impl<'a> LpData<'a> {
                 }
             }
             LpMode::MinLatency { omax_cap, util_cap } => {
-                // Delay term, normalized by Σ n_a S_a so the spread weight has a
-                // stable meaning across instances.
-                let norm: f64 = aggs.iter().map(|a| a.flows * a.sp_delay).sum::<f64>().max(1e-9);
                 for (a, paths) in path_sets.iter().enumerate() {
                     if paths.len() > 1 {
                         for (pi, path) in paths.iter().enumerate() {
-                            let w = aggs[a].flows
-                                * path.delay_ms()
-                                * (1.0 + m1 / aggs[a].sp_delay.max(1e-9));
-                            // Per unit of traffic: z_ap carries B_a x_ap.
-                            p.set_objective(col_base[a] + pi, w / (norm * volumes[a].max(1e-12)));
+                            p.set_objective(col_base[a] + pi, self.delay_cost(a, path));
                         }
                     }
                 }
@@ -830,15 +898,40 @@ impl<'a> LpData<'a> {
             }
         }
 
-        let mut layout = LpLayout {
+        let layout = LpLayout {
             used_links,
             col_base,
             o_rows: traffic_units,
             rows: p.num_rows(),
+            tag: mode.tag(),
             handed_over: false,
         };
-        layout.handed_over =
-            grown_from.is_some_and(|from| ctx.hand_over(mode.tag(), from, &layout, &p));
+        (p, layout)
+    }
+
+    /// Builds and solves one LP over the given path sets, warm-starting
+    /// from (and refreshing) the context's basis for this mode and problem
+    /// size. `grown_from` is the layout of the LP this one grew out of, when
+    /// the caller holds that one's optimum: its basis is handed over first,
+    /// so this LP restarts from there.
+    fn solve(
+        &mut self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        grown_from: Option<&LpLayout>,
+        ctx: &mut SolveContext,
+    ) -> Result<LpOutcome, LpError> {
+        let (p, mut layout) = self.pose(path_sets, mode);
+        let volumes = self.volumes;
+        let traffic_units = layout.o_rows;
+        let (o_var_base, num_o) = (layout.num_x(), layout.used_links.len());
+        let aux = o_var_base + num_o;
+        // The basis travels under the mode of the LP it came from: phase 2
+        // takes over the vertex of a phase 1 that ended on a kept round
+        // (`next_round`) this way, and starts its own chain with it.
+        if let Some(from) = grown_from {
+            layout.handed_over = ctx.hand_over(from, &layout, &p) && from.tag == layout.tag;
+        }
         // Phase 2 shares phase 1's rows and columns; restart it from phase
         // 1's vertex when no previous phase-2 basis fits.
         if matches!(mode, LpMode::MinLatency { .. }) {
@@ -910,8 +1003,127 @@ impl<'a> LpData<'a> {
             pivots: sol.iterations(),
             critical_links,
             overload_prices,
+            links: num_o,
+            kept: false,
             layout,
+            sol,
         })
+    }
+
+    /// The LP of the round after a growth step, priced before it is posed
+    /// (module docs, "The pricing step"). `held` is the optimum of the last LP solved
+    /// in `mode`, `path_sets` what [`grow_crossing`] has made of its column
+    /// sets since. When no path beyond that LP's columns prices into its
+    /// basis, `held` with the new paths at zero is an optimum of the grown LP
+    /// — the vertex a restart would be handed and return without a pivot —
+    /// and the round keeps it; otherwise the grown LP is posed, restarting
+    /// from the basis `held` left. The only place that decides not to pose
+    /// an LP.
+    fn next_round(
+        &mut self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        mut held: LpOutcome,
+        ctx: &mut SolveContext,
+    ) -> Result<LpOutcome, LpError> {
+        let Some(links) = self.links_when_priced_out(path_sets, mode, &held) else {
+            return self.solve(path_sets, mode, Some(&held.layout), ctx);
+        };
+        #[cfg(test)]
+        tests::audit_kept_round(self, path_sets, mode, &held, links, ctx);
+        self.lps_skipped += 1;
+        held.pivots = 0;
+        held.kept = true;
+        held.links = links;
+        for (xs, paths) in held.fractions.iter_mut().zip(path_sets) {
+            xs.resize(paths.len(), 0.0);
+        }
+        Ok(held)
+    }
+
+    /// Prices every path `path_sets` holds beyond the columns of the LP
+    /// `held` solved, against that LP's duals: `None` as soon as one would
+    /// enter its basis ([`Solution::prices_in`]), else the number of links
+    /// the grown LP would have rows for.
+    ///
+    /// A path's column has `1/C_l` in the capacity row of each of its links
+    /// — a link that has no row yet would bring two that are slack at the
+    /// held vertex, dual 0 — and 1 in its aggregate's `Σ = B_a` row. An
+    /// aggregate the LP held as a single path has no such row; promoting it
+    /// makes its old path's variable basic there, so the row's dual is the
+    /// one that leaves that variable's reduced cost zero,
+    /// `c_a0 − Σ_l y_l / C_l` over the old path's links.
+    fn links_when_priced_out(
+        &mut self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        held: &LpOutcome,
+    ) -> Option<usize> {
+        #[cfg(test)]
+        if tests::PRICING_OFF.get() {
+            return None;
+        }
+        let layout = &held.layout;
+        debug_assert!(layout.o_rows, "MinUtilization's coefficients are in other units");
+        let latency = matches!(mode, LpMode::MinLatency { .. });
+        let mut rank = std::mem::take(&mut self.link_rank);
+        for (oi, &l) in layout.used_links.iter().enumerate() {
+            rank[l] = oi as u32;
+        }
+        // `(capacity row, 1/C_l)` of the path's links that have a row; a
+        // link without one is marked and counted once.
+        let mut fresh = Vec::new();
+        let mut link_coeffs = |path: &Path, coeffs: &mut Vec<(usize, f64)>| {
+            coeffs.clear();
+            for l in path.links().iter().map(|l| l.idx()) {
+                match rank[l] {
+                    FRESH => {}
+                    UNUSED => {
+                        rank[l] = FRESH;
+                        fresh.push(l);
+                    }
+                    oi => coeffs.push((oi as usize, 1.0 / self.caps[l])),
+                }
+            }
+        };
+        let cost = |a: usize, path: &Path| if latency { self.delay_cost(a, path) } else { 0.0 };
+
+        let duals = held.sol.duals();
+        let mut coeffs = Vec::new();
+        // The `Σ = B_a` rows follow the capacity and `o_l <= omax` rows.
+        let mut sum_row = 2 * layout.used_links.len();
+        let mut enters = false;
+        for (a, (paths, cols)) in path_sets.iter().zip(layout.col_base.windows(2)).enumerate() {
+            let multi = cols[1] > cols[0];
+            let first_new = (cols[1] - cols[0]).max(1);
+            if paths.len() > first_new {
+                // The promoted aggregate's dual is folded into the cost.
+                let promoted_dual = if multi {
+                    0.0
+                } else {
+                    link_coeffs(&paths[0], &mut coeffs);
+                    let priced: f64 = coeffs.iter().map(|&(row, c)| duals[row] * c).sum();
+                    cost(a, &paths[0]) - priced
+                };
+                enters = paths[first_new..].iter().any(|path| {
+                    link_coeffs(path, &mut coeffs);
+                    if multi {
+                        coeffs.push((sum_row, 1.0));
+                    }
+                    held.sol.prices_in(cost(a, path) - promoted_dual, &coeffs)
+                });
+                if enters {
+                    break;
+                }
+            }
+            sum_row += usize::from(multi);
+        }
+
+        for &l in layout.used_links.iter().chain(&fresh) {
+            rank[l] = UNUSED;
+        }
+        self.link_rank = rank;
+        (!enters).then_some(layout.used_links.len() + fresh.len())
     }
 }
 
@@ -932,15 +1144,17 @@ fn normalize_fractions(mut xs: Vec<f64>) -> Vec<f64> {
     xs
 }
 
-/// Builds per-aggregate constants from a traffic matrix. `weights`
-/// multiplies flow counts (the §8 traffic-classes hook: latency-sensitive
-/// aggregates weigh more in the delay objective).
-fn agg_infos(source: &dyn PathSource, tm: &TrafficMatrix, weights: Option<&[f64]>) -> Vec<AggInfo> {
+/// Builds per-aggregate constants from a traffic matrix and the path sets
+/// the source seeded for it: a set's first path is the pair's shortest.
+/// `weights` multiplies flow counts (the §8 traffic-classes hook:
+/// latency-sensitive aggregates weigh more in the delay objective).
+fn agg_infos(tm: &TrafficMatrix, path_sets: &[Vec<Path>], weights: Option<&[f64]>) -> Vec<AggInfo> {
     tm.aggregates()
         .iter()
+        .zip(path_sets)
         .enumerate()
-        .map(|(i, a)| {
-            let sp = source.shortest(a.src, a.dst).expect("connected topology").delay_ms();
+        .map(|(i, (a, paths))| {
+            let sp = paths.first().expect("connected topology").delay_ms();
             let w = weights.map_or(1.0, |ws| ws[i]);
             assert!(w.is_finite() && w > 0.0, "bad class weight {w}");
             AggInfo { flows: a.flow_count as f64 * w, sp_delay: sp }
@@ -1206,28 +1420,28 @@ fn run_latency_optimal(
 ) -> Result<GrowOutcome, LpError> {
     assert!((0.0..1.0).contains(&config.headroom));
     let graph = source.graph();
-    let aggs = agg_infos(source, tm, class_weights);
+    let mut path_sets: Vec<Vec<Path>> =
+        tm.aggregates().iter().map(|a| source.paths(a.src, a.dst, 1)).collect();
+    let aggs = agg_infos(tm, &path_sets, class_weights);
     let caps = source.effective_capacities();
     let cap_scale = 1.0 - config.headroom;
     let mut lp = LpData::new(&aggs, volumes, &caps, cap_scale, config.m1);
-    let mut path_sets: Vec<Vec<Path>> =
-        tm.aggregates().iter().map(|a| source.paths(a.src, a.dst, 1)).collect();
     let mut pricing = PricingState::new(path_sets.len());
 
     let mut pivots = 0usize;
     let mut rounds = 0usize;
     let mut omax;
     // Phase 1: drive overload to zero, growing across overloaded links.
-    // Every round's LP restarts from the optimum of the round before.
+    // Every round's LP restarts from the optimum of the round before — or
+    // is not posed, when its new columns cannot change that optimum.
     let phase1 = telemetry::span("pathgrow.phase1", "pathgrow");
-    let mut grown_from: Option<LpLayout> = None;
+    let mut out = lp.solve(&path_sets, &LpMode::MinOverload, None, ctx)?;
     // The overload of the round before, and the overload at which the
-    // stopping test last ran: it runs after an LP that did not lower `omax`,
-    // once per level.
+    // stopping test last ran: it runs after a round that did not lower
+    // `omax`, once per level.
     let (mut before, mut tested_at) = (f64::INFINITY, f64::INFINITY);
     let ended = loop {
         rounds += 1;
-        let out = lp.solve(&path_sets, &LpMode::MinOverload, grown_from.as_ref(), ctx)?;
         pivots += out.pivots;
         omax = out.level;
         if omax <= 1e-7 {
@@ -1263,7 +1477,7 @@ fn run_latency_optimal(
         ) {
             break GrowthEnd::Exhausted; // no alternative left to price
         }
-        grown_from = Some(out.layout);
+        out = lp.next_round(&path_sets, &LpMode::MinOverload, out, ctx)?;
     };
     if telemetry::enabled() {
         // Both present in every traced run, so a reader can tell 0 from absent.
@@ -1276,10 +1490,12 @@ fn run_latency_optimal(
     drop(phase1);
 
     // Phase 2: minimize delay subject to the achieved overload level (with
-    // slack covering LP tolerance so phase 1's solution stays feasible).
+    // slack covering LP tolerance so phase 1's solution stays feasible). It
+    // restarts from phase 1's vertex: the basis of an LP of its shape, or,
+    // when phase 1 ended on a kept round, the last one solved, handed over.
     let phase2 = telemetry::span("pathgrow.phase2", "pathgrow");
     let mode = LpMode::MinLatency { omax_cap: omax * (1.0 + 1e-6) + 1e-7, util_cap: f64::INFINITY };
-    let mut out = lp.solve(&path_sets, &mode, None, ctx)?;
+    let mut out = lp.solve(&path_sets, &mode, out.kept.then_some(&out.layout), ctx)?;
     pivots += out.pivots;
     drop(phase2);
 
@@ -1290,12 +1506,15 @@ fn run_latency_optimal(
     // looks comfortable.
     for _ in 0..config.refine_rounds {
         let _refine = telemetry::span("pathgrow.refine_round", "pathgrow");
+        // A link no held path crosses carries nothing: the LP's links are
+        // the candidates, not the graph's.
         let loads = loads_of(graph, &path_sets, &out.fractions, volumes);
-        let saturated: Vec<LinkId> = graph
-            .link_ids()
-            .filter(|&l| {
-                caps[l.idx()] > 0.0 && loads[l.idx()] >= caps[l.idx()] * cap_scale * (1.0 - 1e-6)
-            })
+        let saturated: Vec<LinkId> = out
+            .layout
+            .used_links
+            .iter()
+            .filter(|&&l| caps[l] > 0.0 && loads[l] >= caps[l] * cap_scale * (1.0 - 1e-6))
+            .map(|&l| LinkId(l as u32))
             .collect();
         if saturated.is_empty() {
             break;
@@ -1311,9 +1530,12 @@ fn run_latency_optimal(
         ) {
             break;
         }
-        out = lp.solve(&path_sets, &mode, Some(&out.layout), ctx)?;
+        out = lp.next_round(&path_sets, &mode, out, ctx)?;
         pivots += out.pivots;
         rounds += 1;
+    }
+    if telemetry::enabled() {
+        telemetry::counter_add("pathgrow.lps_skipped", lp.lps_skipped);
     }
 
     Ok(GrowOutcome {
@@ -1346,12 +1568,12 @@ fn run_minmax(
     ctx: &mut SolveContext,
 ) -> Result<GrowOutcome, LpError> {
     let graph = source.graph();
-    let aggs = agg_infos(source, tm, class_weights);
-    let caps = source.effective_capacities();
-    let mut lp = LpData::new(&aggs, volumes, &caps, 1.0, config.m1);
     let seed_k = k_limit.unwrap_or(1);
     let mut path_sets: Vec<Vec<Path>> =
         tm.aggregates().iter().map(|a| source.paths(a.src, a.dst, seed_k)).collect();
+    let aggs = agg_infos(tm, &path_sets, class_weights);
+    let caps = source.effective_capacities();
+    let mut lp = LpData::new(&aggs, volumes, &caps, 1.0, config.m1);
     let mut pricing = PricingState::new(path_sets.len());
 
     let mut pivots = 0usize;
@@ -1414,7 +1636,7 @@ fn run_minmax(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::hier::{EngineConfig, PartitionedPathEngine};
     use crate::scale::ScaleToLoad;
@@ -1439,6 +1661,106 @@ mod tests {
         /// Verdicts of the stopping test on this thread, in order.
         static VERDICTS: std::cell::RefCell<Vec<BoundVerdict>> =
             const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    thread_local! {
+        /// Switches the pricing step off on this thread: every round poses
+        /// its LP, as the loop did before it priced.
+        pub(super) static PRICING_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        /// Rounds that kept their outcome on this thread.
+        static KEPT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Rounds that kept their outcome on this thread so far, each audited
+    /// by [`audit_kept_round`].
+    pub(crate) fn kept_rounds() -> usize {
+        KEPT.get()
+    }
+
+    /// Runs `f` as the loop ran before it priced a column.
+    fn without_pricing<T>(f: impl FnOnce() -> T) -> T {
+        PRICING_OFF.set(true);
+        let out = f();
+        PRICING_OFF.set(false);
+        out
+    }
+
+    /// Every kept round is checked by something that did not decide it. The
+    /// LP the round skips is posed anyway — on a scratch context holding a
+    /// copy of the basis, so the run under test goes on as if it had not
+    /// been — and must restart warm, take no pivot and return the kept level
+    /// and fractions. And the kept vertex with the kept duals — 0 on the rows
+    /// of newly used links, the derived dual on a promoted aggregate's
+    /// `Σ = B_a` row, worked out here from the grown LP's own layout — must
+    /// pass [`lowlat_linprog::certify`] on the grown problem: the proof,
+    /// independent of the solver, that it is optimal over the grown columns.
+    pub(super) fn audit_kept_round(
+        lp: &mut LpData,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        held: &LpOutcome,
+        links: usize,
+        ctx: &SolveContext,
+    ) {
+        KEPT.set(KEPT.get() + 1);
+        let from = &held.layout;
+        let key = (from.tag, from.rows, from.vars());
+        let mut scratch = SolveContext::new();
+        let basis = ctx.bases.get(&key).expect("the held LP left its basis");
+        scratch.bases.insert(key, basis.clone());
+        let posed = lp.solve(path_sets, mode, Some(from), &mut scratch).expect("the skipped LP");
+        let rows = posed.layout.rows;
+        assert!(posed.sol.warm_started(), "the skipped LP ({rows} rows) restarts warm");
+        assert_eq!(posed.pivots, 0, "the skipped LP ({rows} rows) was not a no-op");
+        assert!((posed.level - held.level).abs() <= 1e-12, "{} vs {}", posed.level, held.level);
+        assert_eq!(posed.links, links, "links with rows in the grown LP");
+        for (a, (kept, got)) in held.fractions.iter().zip(&posed.fractions).enumerate() {
+            for (pi, &x) in got.iter().enumerate() {
+                match kept.get(pi) {
+                    Some(&k) => assert!((x - k).abs() <= 1e-12, "aggregate {a}: {x} vs {k}"),
+                    None => assert_eq!(x, 0.0, "aggregate {a}, new path {pi}"),
+                }
+            }
+        }
+
+        let (p, grown) = lp.pose(path_sets, mode);
+        let (columns, rows, _) = from.maps_into(&grown).expect("growth extends the held LP");
+        let mut x = vec![0.0; p.num_vars()];
+        for (old, &new) in columns.iter().enumerate() {
+            x[new] = held.sol.value(old);
+        }
+        let mut y = vec![0.0; p.num_rows()];
+        for (old, &new) in rows.iter().enumerate() {
+            y[new] = held.sol.duals()[old];
+        }
+        let mut sum_row = 2 * grown.used_links.len();
+        for (a, (old, new)) in from.col_base.windows(2).zip(grown.col_base.windows(2)).enumerate() {
+            if new[1] > new[0] {
+                if old[1] == old[0] {
+                    // Promoted: its old path carries all of `B_a`, at reduced
+                    // cost zero.
+                    let path = &path_sets[a][0];
+                    x[new[0]] = lp.volumes[a];
+                    let cost = match mode {
+                        LpMode::MinLatency { .. } => lp.delay_cost(a, path),
+                        _ => 0.0,
+                    };
+                    let priced: f64 = path
+                        .links()
+                        .iter()
+                        .map(|l| {
+                            let oi = grown.used_links.binary_search(&l.idx()).expect("has a row");
+                            y[oi] / lp.caps[l.idx()]
+                        })
+                        .sum();
+                    y[sum_row] = cost - priced;
+                }
+                sum_row += 1;
+            }
+        }
+        if let Err(violation) = lowlat_linprog::certify(&p, &x, &y) {
+            panic!("kept vertex fails its certificate on the grown LP: {violation}");
+        }
     }
 
     pub(super) fn note_verdict(verdict: BoundVerdict) {
@@ -1823,7 +2145,7 @@ mod tests {
             .iter()
             .map(|pl| pl.splits.iter().map(|&(_, x)| x).collect())
             .collect();
-        let aggs = agg_infos(source, tm, None);
+        let aggs = agg_infos(tm, &path_sets, None);
         let caps = source.effective_capacities();
         let config = GrowthConfig::default();
         let mut lp = LpData::new(&aggs, volumes, &caps, 1.0, config.m1);
@@ -1990,6 +2312,62 @@ mod tests {
         assert_eq!(fingerprint(&out), fingerprint(&blind));
     }
 
+    // ---- Pricing before posing ("The loop", module docs) ----
+
+    /// One cold call with the pricing step on and one with it off: the step
+    /// only removes LPs — one per kept round — and leaves every number of
+    /// the outcome where it was.
+    fn pricing_only_removes_lps(source: &dyn PathSource, tm: &TrafficMatrix, volumes: &[f64]) {
+        let run = || {
+            let mut ctx = SolveContext::new();
+            let out = GrowRequest::new(source, tm).volumes(volumes).solve_with(&mut ctx).unwrap();
+            (out, ctx.solves())
+        };
+        let kept_before = kept_rounds();
+        let (on, on_solves) = run();
+        let kept = kept_rounds() - kept_before;
+        let (off, off_solves) = without_pricing(run);
+        assert_eq!(kept_rounds() - kept_before, kept, "nothing is kept with the step off");
+        assert!(kept >= 1, "no round kept its outcome");
+        assert_eq!(on_solves + kept, off_solves);
+        assert_eq!((on.rounds, on.lp_pivots, on.ended), (off.rounds, off.lp_pivots, off.ended));
+        assert!((on.omax - off.omax).abs() <= 1e-12, "omax {} vs {}", on.omax, off.omax);
+        for (a, (x, y)) in
+            on.placement.per_aggregate().iter().zip(off.placement.per_aggregate()).enumerate()
+        {
+            assert_eq!(x.splits.len(), y.splits.len(), "aggregate {a}");
+            for ((p, fx), (q, fy)) in x.splits.iter().zip(&y.splits) {
+                assert_eq!(p.links(), q.links(), "aggregate {a}");
+                assert!((fx - fy).abs() <= 1e-12, "aggregate {a}: {fx} vs {fy}");
+            }
+        }
+    }
+
+    #[test]
+    fn pricing_only_removes_lps_through_the_partitioned_engine() {
+        let ingested = generate(
+            SynthModel::BarabasiAlbert,
+            &SynthConfig { nodes: 1000, seed: 42, ..Default::default() },
+        );
+        let g = ingested.graph();
+        let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
+        let tm = overloaded_batch(g, &engine, 2.0);
+        let volumes: Vec<f64> = tm.aggregates().iter().map(|a| a.volume_mbps).collect();
+        pricing_only_removes_lps(&engine, &tm, &volumes);
+    }
+
+    #[test]
+    fn pricing_only_removes_lps_when_gts_like_cannot_carry_the_demand() {
+        // Twice the benchmark's demand: phase 1 ends on an overload proven
+        // final, a round after the columns stopped helping.
+        let topo = named::gts_like();
+        let tm = GravityTmGen::new(TmGenConfig::default())
+            .generate(&topo, 0)
+            .scaled_to_load(&topo, 0.55);
+        let volumes: Vec<f64> = tm.aggregates().iter().map(|a| 2.0 * a.volume_mbps).collect();
+        pricing_only_removes_lps(&PathCache::new(topo.graph()), &tm, &volumes);
+    }
+
     // ---- The stopping test of phase 1 ("The loop", module docs) ----
 
     /// A cut cable of 100 Mbps from `S`, then a mesh of five fully connected
@@ -2102,10 +2480,10 @@ mod tests {
         let g = topo.graph();
         let cache = PathCache::new(g);
         let tm = one_aggregate(0, 2, 150.0);
-        let aggs = agg_infos(&cache, &tm, None);
         let direct = g.find_link(NodeId(0), NodeId(2)).unwrap();
         let detour = g.find_link(NodeId(0), NodeId(1)).unwrap();
         let held = vec![vec![Path::new(g, vec![direct])]];
+        let aggs = agg_infos(&tm, &held, None);
         let verdict_and_bound = |mask: &FailureMask| {
             cache.apply_failure(mask);
             let caps = cache.effective_capacities();
@@ -2191,7 +2569,7 @@ mod tests {
                 tm.aggregates().iter().map(|a| cache.paths(a.src, a.dst, 100_000)).collect();
             let held: Vec<Vec<Path>> =
                 every_path.iter().map(|ps| ps[..held_k.min(ps.len())].to_vec()).collect();
-            let aggs = agg_infos(&cache, &tm, None);
+            let aggs = agg_infos(&tm, &every_path, None);
             let caps = cache.effective_capacities();
             let cap_scale = 1.0 - 0.1 * headroom as f64;
             let mut lp = LpData::new(&aggs, &volumes, &caps, cap_scale, 1e-3);

@@ -361,6 +361,25 @@ mod tests {
         assert!(inflated, "some Ba must have been scaled up: {:?}", out.ba);
     }
 
+    #[test]
+    fn growth_rounds_that_keep_their_outcome_are_audited_on_gts_like() {
+        // LDR's LPs are `pathgrow`'s: on the benchmark's network and load a
+        // placement has rounds whose new columns cannot enter the basis, and
+        // in unit tests every one of them is audited where it is decided
+        // (`pathgrow::tests::audit_kept_round`: the LP it skipped, posed
+        // anyway, takes no pivot, and the kept vertex carries a certificate).
+        use crate::scale::ScaleToLoad;
+        use lowlat_tmgen::{GravityTmGen, TmGenConfig};
+        let topo = lowlat_topology::zoo::named::gts_like();
+        let tm = GravityTmGen::new(TmGenConfig::default())
+            .generate(&topo, 0)
+            .scaled_to_load(&topo, 0.55);
+        let kept_before = crate::pathgrow::tests::kept_rounds();
+        let pl = Ldr::default().place(&PathCache::new(topo.graph()), &tm).unwrap();
+        assert!(pl.validate(topo.graph(), &tm).is_ok());
+        assert!(crate::pathgrow::tests::kept_rounds() > kept_before, "no round kept its outcome");
+    }
+
     /// One trace of ten minutes, one of zero: legal input, nothing to
     /// predict from.
     fn traces_with_a_zero_minute_one() -> Vec<AggregateTrace> {

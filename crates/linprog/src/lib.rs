@@ -44,7 +44,10 @@
 //!   pivoting engine.
 //! * **column generation**: [`Basis::relabel`] carries an exported basis —
 //!   and its inverse — over to a problem grown by new columns and rows, so
-//!   a pricing round restarts from the optimum of the round before it.
+//!   a pricing round restarts from the optimum of the round before it; and
+//!   [`Solution::prices_in`] says, from that optimum's duals, whether a new
+//!   column would enter the basis at all — a round none of whose columns
+//!   would need not be posed.
 //!
 //! Not implemented (not needed by this workspace): general variable bounds
 //! (shift/negate at the call site), sparse LU factorization or an eta file

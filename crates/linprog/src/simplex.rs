@@ -476,6 +476,20 @@ impl Solution {
         &self.duals
     }
 
+    /// Whether a column the solved problem did not hold — objective
+    /// coefficient `cost`, entries `coeffs` as `(posed row, coefficient)`,
+    /// nonbasic at zero — would be priced into the basis at this optimum:
+    /// its reduced cost `cost - Σ_i y_i a_i` is below minus the solver's
+    /// pricing tolerance. `false` proves that adding the column leaves the
+    /// optimum where it is, which is what lets a column-generation loop
+    /// skip the re-solve. The caller sums in another order than the solver
+    /// does, so a reduced cost within `1e-12` of the tolerance answers
+    /// `true`: pose the problem and let the solver decide.
+    pub fn prices_in(&self, cost: f64, coeffs: &[(usize, f64)]) -> bool {
+        let priced: f64 = coeffs.iter().map(|&(row, a)| self.duals[row] * a).sum();
+        cost - priced <= -SolverOptions::default().tol + 1e-12
+    }
+
     /// Objective at the optimum.
     pub fn objective(&self) -> f64 {
         self.objective

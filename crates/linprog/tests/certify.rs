@@ -5,10 +5,14 @@
 //! upper bounds. `certify` reads only the problem as posed, so a dual with
 //! the wrong sign on a flipped row, or one taken from a mis-labelled basis,
 //! fails here without a second solve to compare against.
+//!
+//! [`Solution::prices_in`] answers from those duals whether one more column
+//! would enter the basis; it is held to `certify`'s verdict on the problem
+//! extended by that column.
 
 use proptest::prelude::*;
 
-use lowlat_linprog::{certify, Basis, Problem, Relation};
+use lowlat_linprog::{certify, Basis, Problem, Relation, Solution, Violation};
 
 /// A random LP over small integers, feasible by construction: every row
 /// passes within `slack` of a witness point, every upper bound lies at or
@@ -159,5 +163,69 @@ proptest! {
             prop_assert!(basis.relabel(&grown, &columns, &row_map, &enter));
         }
         certified(&grown, &mut basis)?;
+    }
+}
+
+/// min -x - 2y  s.t.  x + y <= 4,  y <= 3: optimum (1, 3), both rows priced
+/// at -1, so a column `(a0, a1)` of cost `c` has reduced cost `c + a0 + a1`.
+fn textbook() -> Solution {
+    let mut p = Problem::minimize(2);
+    p.set_objective(0, -1.0);
+    p.set_objective(1, -2.0);
+    p.add_row(Relation::Le, 4.0, &[(0, 1.0), (1, 1.0)]);
+    p.add_row(Relation::Le, 3.0, &[(1, 1.0)]);
+    let sol = p.solve().unwrap();
+    assert_eq!((sol.values(), sol.duals()), (&[1.0, 3.0][..], &[-1.0, -1.0][..]));
+    sol
+}
+
+#[test]
+fn prices_in_reads_the_reduced_cost_against_the_solvers_tolerance() {
+    let sol = textbook();
+    let both = [(0, 1.0), (1, 1.0)];
+    assert!(sol.prices_in(-3.0, &both), "reduced cost -1 enters");
+    assert!(!sol.prices_in(-1.0, &both), "reduced cost +1 does not");
+    assert!(!sol.prices_in(-2.0, &both), "nor does 0");
+    // A column in no row is priced at its cost.
+    assert!(sol.prices_in(-1.0, &[]) && !sol.prices_in(0.0, &[]) && !sol.prices_in(1.0, &[]));
+    // On the tolerance (1e-9) the answer is "pose it": the solver sums in
+    // another order and may land on either side.
+    assert!(sol.prices_in(-1e-9, &[]), "exactly -tol");
+    assert!(sol.prices_in(-1.0 - 1e-9, &[(0, 1.0)]), "-tol up to the rounding of -1 - 1e-9");
+    assert!(sol.prices_in(-1e-9 + 5e-13, &[]) && sol.prices_in(-1e-9 - 5e-13, &[]));
+    assert!(!sol.prices_in(-0.99e-9, &[]), "inside the tolerance");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The optimum with one more column at zero keeps its certificate exactly
+    /// when `prices_in` says the column would not enter: over small integers
+    /// a reduced cost is zero to round-off or far from every tolerance.
+    #[test]
+    fn prices_in_agrees_with_the_certificate_of_the_extended_problem(
+        lp in arb_lp(),
+        cost in -5i32..=5,
+        col in ints(-4..=4, 4),
+        front in any::<bool>(),
+    ) {
+        let sol = lp.problem().solve().expect("feasible at the witness, bounded by the box");
+        let (n, m) = (lp.c.len(), lp.rows.len());
+        let (grown, _) = lp.grown(&[(cost, col.clone())], &[], front);
+        let x = spliced(front, sol.values(), vec![0.0]);
+        let verdict = certify(&grown.problem(), &x, sol.duals());
+        // The new column's entries: its coefficient per row, 1 in the box row.
+        let mut coeffs: Vec<(usize, f64)> =
+            (0..m).filter(|&i| col[i] != 0).map(|i| (i, col[i] as f64)).collect();
+        coeffs.push((m, 1.0));
+        if sol.prices_in(cost as f64, &coeffs) {
+            let var = if front { 0 } else { n };
+            prop_assert!(
+                matches!(verdict, Err(Violation::ReducedCost { var: v, .. }) if v == var),
+                "{:?}", verdict
+            );
+        } else {
+            prop_assert!(verdict.is_ok(), "{:?}", verdict);
+        }
     }
 }

@@ -14,6 +14,17 @@
 //! at `max_rounds`, and `bounded:LDR`'s `repaired_pairs` / `kept_pairs` went
 //! 0x11c/0x4c -> 0x118/0x50: four pairs no longer hold grown Yen state when
 //! a mask lands, so there is nothing of theirs to repair.
+//!
+//! Re-recorded again when the loop began to price a column before posing an
+//! LP ("The loop", the pricing step): `lp_solves` / `lp_warm_hits` fell
+//! (`bounded:LDR` 0x13d/0x13a -> 0xcf/0xcc, `LDR` 0x14d/0x14a -> 0xda/0xd7 —
+//! the rounds whose new columns cannot enter the basis no longer pose one),
+//! and eleven `f64` words moved by 1–14 units in the last place (five under
+//! `bounded:LDR`, six under `LDR`: `worst_queue_ms`, `latency_stretch`,
+//! `moved_volume_fraction`): a kept round returns the values of the last LP
+//! solved, where the zero-pivot restart it replaces recomputed `B⁻¹b` and
+//! landed round-off away. Every integer word — `overloaded_links`,
+//! `paths_changed`, the repair counters, trips — is unchanged.
 
 use lowlat_core::failure::single_link_failures;
 use lowlat_core::pathset::PathCache;
@@ -54,22 +65,22 @@ fn fingerprint(out: &TimelineOutcome) -> Vec<u64> {
 #[rustfmt::skip]
 const GOLDEN: [(&str, &[u64]); 3] = [
     ("bounded:LDR", &[
-        0x13d, 0x13a, 0x5, 0x118, 0x50, 0x3,
+        0xcf, 0xcc, 0x5, 0x118, 0x50, 0x3,
         0x4059f6c3972b46f7, 0xd, 0x3ff24c33f5a78286, 0x0, 0x0, 0x0,
         0x4076e89b682b1926, 0x7, 0x3ff1ad8e89a9b57d, 0x0, 0x18, 0x3fcbfed125c4141c,
         0x4034f5359a37ef8a, 0x2, 0x3ff13fff1f448de0, 0x3fd553e47a889d66, 0x6, 0x3fb56c9dfe64082c,
-        0x40a67ec917223a30, 0xe, 0x3ff2d355bc6eba77, 0x0, 0x12, 0x3fcbe7a86b46ca38,
+        0x40a67ec917223a33, 0xe, 0x3ff2d355bc6eba77, 0x0, 0x12, 0x3fcbe7a86b46ca37,
         0x40e256122ab0c2dd, 0xc, 0x3ff279b8f0942341, 0x0, 0x12, 0x3fd4250b8748a4ad,
-        0x40a8b7e57f1004db, 0x7, 0x3ff1898d50671bea, 0x3fd553e47a889d66, 0x12, 0x3fc1333698bb7037,
+        0x40a8b7e57f1004d9, 0x7, 0x3ff1898d50671bec, 0x3fd553e47a889d66, 0x12, 0x3fc1333698bb7040,
     ]),
     ("LDR", &[
-        0x14d, 0x14a, 0x4, 0xf2, 0x2e, 0x2,
+        0xda, 0xd7, 0x4, 0xf2, 0x2e, 0x2,
         0x4059f6c3972b46f7, 0xd, 0x3ff24c33f5a78286, 0x0, 0x0, 0x0,
         0x4076e89b682b1926, 0x7, 0x3ff179b4fac811d7, 0x0, 0x2a, 0x3fd0e072fb3c4318,
-        0x0, 0x0, 0x3ff18910d3a837f4, 0x3fd553e47a889d66, 0x12, 0x3fc41beb03011f20,
+        0x0, 0x0, 0x3ff18910d3a837f5, 0x3fd553e47a889d66, 0x12, 0x3fc41beb03011f22,
         0x404d1e01b5847ea6, 0x11, 0x3ff2c5c8519a4298, 0x0, 0x18, 0x3fce628dcb6cc907,
-        0x407268890ac57e86, 0x11, 0x3ff27b84b8462f55, 0x0, 0x16, 0x3fafa32d7b62d694,
-        0x40de95680a78706d, 0xc, 0x3ff3ef1dd813fab0, 0x0, 0x24, 0x3fd422b3598b42c9,
+        0x407268890ac57e84, 0x11, 0x3ff27b84b8462f56, 0x0, 0x16, 0x3fafa32d7b62d686,
+        0x40de95680a78706d, 0xc, 0x3ff3ef1dd813fab0, 0x0, 0x24, 0x3fd422b3598b42ca,
     ]),
     ("static:SP", &[
         0x0, 0x0, 0x5, 0x0, 0x0, 0x3,
