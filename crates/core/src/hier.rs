@@ -17,7 +17,9 @@
 //!   each; a query concatenates `s → ℓ` and `ℓ → d`, de-loops the splice,
 //!   and ranks candidates across landmarks. Cost per query is `O(landmarks
 //!   × path length)` — no Yen over the full graph, and the full cross-pair
-//!   path set is never materialized.
+//!   path set is never materialized. That list — at most one candidate a
+//!   landmark — is the pair's complete ranking, and
+//!   [`PathSource::grow`] hands all of it over at once.
 //!
 //! Landmark stitching is approximate (stretch ≥ 1 versus flat Yen) but
 //! *bounded*: the best stitched delay never exceeds `min_ℓ (d(s,ℓ) +
@@ -26,16 +28,37 @@
 //! overflow clusters), a single targeted Dijkstra answers exactly — so
 //! reachability always matches the flat engine.
 //!
+//! ## The landmark table
+//!
+//! The trees are not kept as trees. A stitch through landmark `ℓ` reads,
+//! for each of the handful of nodes on the walk, *that node's* entry of
+//! `ℓ`'s tree — and the query does so for every landmark in turn. With one
+//! `O(V)` array per tree that is a cache miss per node per landmark (≈5
+//! nodes × 64 arrays of 80–160 kB on a 10k-node Barabási–Albert graph);
+//! the same values sit in a few lines when they are stored **node-major**.
+//! So each tree is built by the ordinary Dijkstra, copied into its column
+//! of one table and dropped — four arrays indexed `[node][landmark]`:
+//! `dist_to` and `dist_from` (`f64`: `d(v, ℓ)` and `d(ℓ, v)`, what the
+//! landmark bound and the reachability test read: two rows a query),
+//! `next_to` and `parent_from` (`u32` link ids: the first link of `v → ℓ`
+//! and the last link of `ℓ → v`, what a walk follows). 24 bytes per node
+//! and landmark — 7.7 MB at 10k nodes × 32, against 10.2 MB for the 64
+//! trees with their `Option<LinkId>` parents. A stitch writes its walk
+//! straight into one link buffer the query reuses, cuts the splice loop out
+//! of it in place, and a [`Path`] is allocated only for a walk no earlier
+//! landmark already produced. The per-landmark trees survive in this
+//! module's tests, which hold the table to them cell for cell and the
+//! ranking path for path.
+//!
 //! The engine implements [`PathSource`](crate::source::PathSource), so the
 //! whole LP/scheme stack places through it: `pathgrow`'s column-generation
 //! loop prices candidate columns with [`PartitionedPathEngine::paths`] and
 //! prunes hopeless pairs with the landmark bound — placement at Internet
 //! scale without ever materializing the flat path corpus. Failure masks
 //! apply here too ([`PartitionedPathEngine::apply_failure`]): leaf caches
-//! repair exactly like the flat cache, and landmark trees are rebuilt under
-//! the mask, so recovery re-placement runs on priced-on-demand columns.
+//! repair exactly like the flat cache, and the landmark table is refilled
+//! under the mask, so recovery re-placement runs on priced-on-demand columns.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -43,7 +66,7 @@ use parking_lot::RwLock;
 
 use lowlat_netgraph::{
     reverse_shortest_path_tree, shortest_path, shortest_path_tree, FailureMask, Graph, Hierarchy,
-    HierarchyConfig, NodeId, Path, ReverseShortestPathTree, ShortestPathTree,
+    HierarchyConfig, LinkId, NodeId, Path,
 };
 use lowlat_telemetry as telemetry;
 
@@ -56,8 +79,8 @@ pub struct EngineConfig {
     /// Hierarchy shape.
     pub hierarchy: HierarchyConfig,
     /// Global landmark budget, distributed over depth-1 groups by size
-    /// (every group gets at least one). Memory is two `O(V)` trees per
-    /// landmark, so the budget — not the node count — caps tree storage.
+    /// (every group gets at least one). Memory is 24 bytes per node and
+    /// landmark (module docs, "The landmark table"), so the budget caps it.
     pub landmarks: usize,
 }
 
@@ -95,15 +118,6 @@ impl QueryStats {
     }
 }
 
-/// One landmark: a node plus its forward (from) and reverse (to) trees.
-struct Landmark {
-    node: NodeId,
-    /// Shortest paths landmark → everywhere.
-    fwd: ShortestPathTree,
-    /// Shortest paths everywhere → landmark.
-    rev: ReverseShortestPathTree,
-}
-
 /// The hierarchical engine. See the module docs for the routing split.
 pub struct PartitionedPathEngine<'g> {
     graph: &'g Graph,
@@ -114,103 +128,157 @@ pub struct PartitionedPathEngine<'g> {
     /// Arena-id → dense cache index.
     cache_of_leaf: Vec<usize>,
     /// The deterministic landmark node choice — kept so failure transitions
-    /// can rebuild the trees under a mask without re-deriving the pick.
+    /// can refill the table under a mask without re-deriving the pick.
     landmark_nodes: Vec<NodeId>,
-    /// Landmark trees under the active mask. A read-write lock for the same
-    /// reason as the cache's mask: per-query reads never contend, writes
-    /// happen only at (documented-quiescent) failure transitions.
-    landmarks: RwLock<Vec<Landmark>>,
+    /// The landmark trees under the active mask, as one node-major table.
+    /// A read-write lock for the same reason as the cache's mask: per-query
+    /// reads never contend, writes happen only at (documented-quiescent)
+    /// failure transitions.
+    landmarks: RwLock<LandmarkTable>,
     /// The failure mask in force; `None` means the intact topology.
     mask: RwLock<Option<Arc<FailureMask>>>,
     stats: QueryStats,
 }
 
-/// FNV-1a over node ids for the splice position map. The splice runs once
-/// per landmark per cross-leaf query on walks of tens of hops, where the
-/// std `HashMap`'s default SipHash costs more than the rest of the splice
-/// combined.
-struct FnvHasher(u64);
+/// `next_to` / `parent_from` of a cell that has no link: the landmark's own
+/// row, and a node the landmark does not reach (or is not reached from).
+const NO_LINK: u32 = u32::MAX;
 
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
+/// The shortest-path trees of every installed landmark under the active
+/// mask, stored the way a stitch reads them: node-major, one row of
+/// `nodes.len()` cells per graph node in each of four arrays, cell `j` of
+/// row `v` at `v * nodes.len() + j` (module docs, "The landmark table").
+#[derive(Default)]
+struct LandmarkTable {
+    /// The installed landmarks; column `j` of every row belongs to `nodes[j]`.
+    nodes: Vec<NodeId>,
+    /// Shortest delay `v → nodes[j]` (`INFINITY` when unreachable).
+    dist_to: Vec<f64>,
+    /// Shortest delay `nodes[j] → v`.
+    dist_from: Vec<f64>,
+    /// First link of the shortest `v → nodes[j]` path.
+    next_to: Vec<u32>,
+    /// Last link of the shortest `nodes[j] → v` path.
+    parent_from: Vec<u32>,
 }
 
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FnvHasher>>;
-
-/// Removes splice loops from a concatenated link walk in one pass: the walk
-/// is replayed with a node → position map, and whenever a link returns to a
-/// node already on the walk, everything after that node's position is
-/// dropped (cutting the cycle). Amortized O(len) — each link is pushed and
-/// drained at most once.
-fn splice_loopless(graph: &Graph, first: &[Path], second: &[Path]) -> Option<Path> {
-    // Node at position 0 is the walk's start; the node at position i > 0 is
-    // the dst of walk[i-1]. Both containers are pre-sized to the full
-    // concatenation so a splice never rehashes or reallocates mid-walk.
-    let hops = first.iter().chain(second).map(|p| p.links().len()).sum::<usize>();
-    let mut walk: Vec<lowlat_netgraph::LinkId> = Vec::with_capacity(hops);
-    let mut pos: FnvMap<NodeId, usize> =
-        FnvMap::with_capacity_and_hasher(hops + 1, Default::default());
-    let mut started = false;
-    for p in first.iter().chain(second) {
-        for &l in p.links() {
-            if !started {
-                pos.insert(graph.link(l).src, 0);
-                started = true;
+impl LandmarkTable {
+    /// Installs `picks` under `mask`, in place. Picks the mask downs are
+    /// skipped — their trees would be empty — so a failed landmark degrades
+    /// coverage instead of poisoning it. Each tree lives only until it is
+    /// copied into its column: the table is all the engine keeps.
+    fn fill(&mut self, graph: &Graph, picks: &[NodeId], mask: Option<&FailureMask>) {
+        let routing = mask.filter(|m| m.affects_routing());
+        let link_mask = routing.and_then(FailureMask::link_mask);
+        let node_mask = routing.and_then(FailureMask::node_mask);
+        self.nodes.clear();
+        self.nodes
+            .extend(picks.iter().filter(|&&node| !routing.is_some_and(|m| m.node_down(node))));
+        let width = self.nodes.len();
+        let cells = graph.node_count() * width;
+        self.dist_to.resize(cells, f64::INFINITY);
+        self.dist_from.resize(cells, f64::INFINITY);
+        self.next_to.resize(cells, NO_LINK);
+        self.parent_from.resize(cells, NO_LINK);
+        let cell_of = |l: Option<LinkId>| l.map_or(NO_LINK, |l| l.0);
+        for (j, &node) in self.nodes.iter().enumerate() {
+            let fwd = shortest_path_tree(graph, node, link_mask, node_mask);
+            for v in graph.nodes() {
+                let cell = v.idx() * width + j;
+                self.dist_from[cell] = fwd.dist_ms(v);
+                self.parent_from[cell] = cell_of(fwd.parent_link(v));
             }
-            let dst = graph.link(l).dst;
+            drop(fwd);
+            let rev = reverse_shortest_path_tree(graph, node, link_mask, node_mask);
+            for v in graph.nodes() {
+                let cell = v.idx() * width + j;
+                self.dist_to[cell] = rev.dist_ms(v);
+                self.next_to[cell] = cell_of(rev.next_link(v));
+            }
+        }
+        telemetry::gauge_set("hier.landmarks", width as f64);
+        telemetry::gauge_set("hier.landmark_table_bytes", self.bytes() as f64);
+    }
+
+    /// Bytes of the four arrays: 24 per node and installed landmark.
+    fn bytes(&self) -> usize {
+        8 * (self.dist_to.len() + self.dist_from.len())
+            + 4 * (self.next_to.len() + self.parent_from.len())
+    }
+
+    /// Row `v` of one of the four arrays.
+    fn row<'a, T>(&self, cells: &'a [T], v: NodeId) -> &'a [T] {
+        let width = self.nodes.len();
+        &cells[v.idx() * width..(v.idx() + 1) * width]
+    }
+
+    /// `min_ℓ d(src, ℓ) + d(ℓ, dst)`: two rows, cell by cell.
+    fn bound_ms(&self, src: NodeId, dst: NodeId) -> f64 {
+        let (to, from) = (self.row(&self.dist_to, src), self.row(&self.dist_from, dst));
+        to.iter().zip(from).map(|(a, b)| a + b).fold(f64::INFINITY, f64::min)
+    }
+
+    /// Stitches `src → nodes[j] → dst` into `walk`, de-looped, or leaves it
+    /// empty when the landmark does not connect the pair. `first` is scratch
+    /// for the nodes of the first half.
+    ///
+    /// The walk is written once: `next_to` cells from `src` up to the
+    /// landmark, then `parent_from` cells from `dst` back to it, reversed in
+    /// place. Both halves are tree paths and loopless, so a loop can only
+    /// close where the second half steps on a node of what is left of the
+    /// first: everything between the two visits goes, and the first half
+    /// now ends there. One cut is taken out of the buffer at the end.
+    fn stitch(
+        &self,
+        graph: &Graph,
+        j: usize,
+        src: NodeId,
+        dst: NodeId,
+        walk: &mut Vec<LinkId>,
+        first: &mut Vec<(NodeId, usize)>,
+    ) {
+        walk.clear();
+        first.clear();
+        let width = self.nodes.len();
+        if !self.dist_to[src.idx() * width + j].is_finite()
+            || !self.dist_from[dst.idx() * width + j].is_finite()
+        {
+            return;
+        }
+        let landmark = self.nodes[j];
+        let mut at = src;
+        while at != landmark {
+            // Link `i` of the first half starts at `first[i].0`.
+            first.push((at, walk.len()));
+            let l = LinkId(self.next_to[at.idx() * width + j]);
             walk.push(l);
-            if let Some(&back) = pos.get(&dst) {
-                // Returning to a node already on the walk: cut the cycle.
-                // `dst` itself keeps its entry (its stored position is
-                // exactly `back`); every node strictly after it goes.
-                for cut in walk.drain(back..) {
-                    let d = graph.link(cut).dst;
-                    if pos.get(&d).is_some_and(|&q| q > back) {
-                        pos.remove(&d);
-                    }
+            at = graph.link(l).dst;
+        }
+        let second = walk.len();
+        at = dst;
+        while at != landmark {
+            let l = LinkId(self.parent_from[at.idx() * width + j]);
+            walk.push(l);
+            at = graph.link(l).src;
+        }
+        walk[second..].reverse();
+        // Looked up by node, so a walk of a hundred hops (a grid, a ring
+        // lattice) costs its length times a logarithm, not its square.
+        first.sort_unstable();
+        // Stepping on the start of first-half link `back` keeps links
+        // `..back` of that half and what follows of the second.
+        let (mut keep, mut resume) = (second, second);
+        for i in second..walk.len() {
+            let to = graph.link(walk[i]).dst;
+            if let Ok(hit) = first.binary_search_by_key(&to, |&(node, _)| node) {
+                let back = first[hit].1;
+                if back < keep {
+                    (keep, resume) = (back, i + 1);
                 }
-            } else {
-                pos.insert(dst, walk.len());
             }
         }
+        walk.drain(keep..resume);
     }
-    if walk.is_empty() {
-        None
-    } else {
-        Some(Path::new(graph, walk))
-    }
-}
-
-/// Builds the forward/reverse tree pair of every landmark node under
-/// `mask`. Landmark nodes the mask downs are skipped — their trees would be
-/// empty — so a failed landmark degrades coverage instead of poisoning it.
-fn build_landmarks(graph: &Graph, nodes: &[NodeId], mask: Option<&FailureMask>) -> Vec<Landmark> {
-    let routing = mask.filter(|m| m.affects_routing());
-    let link_mask = routing.and_then(FailureMask::link_mask);
-    let node_mask = routing.and_then(FailureMask::node_mask);
-    nodes
-        .iter()
-        .filter(|&&node| !routing.is_some_and(|m| m.node_down(node)))
-        .map(|&node| Landmark {
-            node,
-            fwd: shortest_path_tree(graph, node, link_mask, node_mask),
-            rev: reverse_shortest_path_tree(graph, node, link_mask, node_mask),
-        })
-        .collect()
 }
 
 impl<'g> PartitionedPathEngine<'g> {
@@ -247,7 +315,8 @@ impl<'g> PartitionedPathEngine<'g> {
                 }
             }
         }
-        let landmarks = build_landmarks(graph, &landmark_nodes, None);
+        let mut landmarks = LandmarkTable::default();
+        landmarks.fill(graph, &landmark_nodes, None);
 
         PartitionedPathEngine {
             graph,
@@ -270,7 +339,7 @@ impl<'g> PartitionedPathEngine<'g> {
     /// Number of landmark nodes actually installed (under the active mask —
     /// downed landmarks are uninstalled until the mask clears).
     pub fn landmark_count(&self) -> usize {
-        self.landmarks.read().len()
+        self.landmarks.read().nodes.len()
     }
 
     /// Cumulative query-mix counters.
@@ -288,16 +357,85 @@ impl<'g> PartitionedPathEngine<'g> {
     /// landmark connects the pair. The best path [`PathSource::paths`] returns
     /// for a cross-leaf pair never exceeds this (de-looping only shortens).
     pub fn landmark_bound_ms(&self, src: NodeId, dst: NodeId) -> f64 {
-        self.landmarks
-            .read()
-            .iter()
-            .map(|l| l.rev.dist_ms(src) + l.fwd.dist_ms(dst))
-            .fold(f64::INFINITY, f64::min)
+        self.landmarks.read().bound_ms(src, dst)
     }
 
     /// True when the pair shares a leaf (answered exactly by warm Yen).
     pub fn same_leaf(&self, src: NodeId, dst: NodeId) -> bool {
         self.hierarchy.same_leaf(src, dst)
+    }
+
+    /// Every candidate the engine holds for the pair when its leaf's Yen
+    /// generator is run to `k` — best-first, duplicate-free — and whether
+    /// the pair is cross-leaf, in which case the list does not depend on `k`
+    /// and is complete. The one place behind [`PathSource::paths`] and
+    /// [`PathSource::grow`], which differ only in where they cut it.
+    fn ranked(&self, src: NodeId, dst: NodeId, k: usize) -> (Vec<Path>, bool) {
+        assert!(src != dst, "paths between a node and itself");
+        let cross_leaf = !self.hierarchy.same_leaf(src, dst);
+        let mut candidates: Vec<Path> = if !cross_leaf {
+            self.stats.intra.fetch_add(1, Ordering::Relaxed);
+            telemetry::counter_add("hier.intra", 1);
+            let leaf = self.hierarchy.leaf_of(src);
+            self.caches[self.cache_of_leaf[leaf]].paths(src, dst, k)
+        } else {
+            self.stats.cross.fetch_add(1, Ordering::Relaxed);
+            telemetry::counter_add("hier.cross", 1);
+            Vec::new()
+        };
+        let table = self.landmarks.read();
+        // One link buffer for all the stitches; a `Path` is built only for
+        // a walk no earlier candidate already is.
+        let (mut walk, mut first) = (Vec::new(), Vec::new());
+        for j in 0..table.nodes.len() {
+            table.stitch(self.graph, j, src, dst, &mut walk, &mut first);
+            if !walk.is_empty() && candidates.iter().all(|p| p.links() != walk) {
+                candidates.push(Path::new(self.graph, walk.clone()));
+            }
+        }
+
+        if candidates.is_empty() {
+            // Exact fallback: one targeted Dijkstra (masked, so reachability
+            // matches the flat engine under the same failure). Keeps pairs
+            // answerable even when every landmark sits on the wrong side of
+            // a cut.
+            self.stats.fallback.fetch_add(1, Ordering::Relaxed);
+            telemetry::counter_add("hier.fallback", 1);
+            let mask = self.mask.read().clone();
+            let routing = mask.as_deref().filter(|m| m.affects_routing());
+            let p = shortest_path(
+                self.graph,
+                src,
+                dst,
+                routing.and_then(FailureMask::link_mask),
+                routing.and_then(FailureMask::node_mask),
+            );
+            if let Some(p) = p {
+                candidates.push(p);
+            }
+        }
+
+        // Rank by (delay, hop count); the link order makes it total.
+        candidates.sort_by(|a, b| {
+            a.delay_ms()
+                .partial_cmp(&b.delay_ms())
+                .expect("finite delays")
+                .then_with(|| a.hop_count().cmp(&b.hop_count()))
+                .then_with(|| a.links().cmp(b.links()))
+        });
+        // Bound tightness: how close the best stitched delay comes to the
+        // landmark upper bound (1.0 = on the bound, lower = de-looping or a
+        // better candidate beat it). Cross-leaf only — intra answers are
+        // exact Yen and say nothing about stitching quality.
+        if cross_leaf && telemetry::enabled() {
+            if let Some(best) = candidates.first() {
+                let bound = table.bound_ms(src, dst);
+                if bound.is_finite() && bound > 0.0 {
+                    telemetry::observe("hier.bound_tightness", best.delay_ms() / bound);
+                }
+            }
+        }
+        (candidates, cross_leaf)
     }
 }
 
@@ -325,86 +463,21 @@ impl PathSource for PartitionedPathEngine<'_> {
     /// # Panics
     /// Panics when `src == dst` (mirrors the flat cache/Yen contract).
     fn paths(&self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        assert!(src != dst, "paths between a node and itself");
-        let cross_leaf = !self.hierarchy.same_leaf(src, dst);
-        let mut candidates: Vec<Path> = if !cross_leaf {
-            self.stats.intra.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("hier.intra", 1);
-            let leaf = self.hierarchy.leaf_of(src);
-            self.caches[self.cache_of_leaf[leaf]].paths(src, dst, k)
-        } else {
-            self.stats.cross.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("hier.cross", 1);
-            Vec::new()
-        };
-        let landmarks = self.landmarks.read();
-        for l in landmarks.iter() {
-            if !l.rev.reachable(src) || !l.fwd.reachable(dst) {
-                continue;
-            }
-            let spliced = if l.node == src {
-                l.fwd.path_to(self.graph, dst)
-            } else if l.node == dst {
-                l.rev.path_from(self.graph, src)
-            } else {
-                let to_l = l.rev.path_from(self.graph, src);
-                let from_l = l.fwd.path_to(self.graph, dst);
-                match (to_l, from_l) {
-                    (Some(a), Some(b)) => {
-                        splice_loopless(self.graph, std::slice::from_ref(&a), &[b])
-                    }
-                    _ => None,
-                }
-            };
-            if let Some(p) = spliced {
-                debug_assert_eq!(p.src(), src);
-                debug_assert_eq!(p.dst(), dst);
-                candidates.push(p);
-            }
-        }
-
-        if candidates.is_empty() {
-            // Exact fallback: one targeted Dijkstra (masked, so reachability
-            // matches the flat engine under the same failure). Keeps pairs
-            // answerable even when every landmark sits on the wrong side of
-            // a cut.
-            self.stats.fallback.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("hier.fallback", 1);
-            let mask = self.mask.read().clone();
-            let routing = mask.as_deref().filter(|m| m.affects_routing());
-            let p = shortest_path(
-                self.graph,
-                src,
-                dst,
-                routing.and_then(FailureMask::link_mask),
-                routing.and_then(FailureMask::node_mask),
-            );
-            if let Some(p) = p {
-                candidates.push(p);
-            }
-        }
-
-        // Rank by (delay, hop count), drop duplicate link sequences.
-        candidates.sort_by(|a, b| {
-            a.delay_ms()
-                .partial_cmp(&b.delay_ms())
-                .expect("finite delays")
-                .then_with(|| a.hop_count().cmp(&b.hop_count()))
-                .then_with(|| a.links().cmp(b.links()))
-        });
-        candidates.dedup_by(|a, b| a.links() == b.links());
+        let (mut candidates, _) = self.ranked(src, dst, k);
         candidates.truncate(k);
-        // Bound tightness: how close the best stitched delay comes to the
-        // landmark upper bound (1.0 = on the bound, lower = de-looping or a
-        // better candidate beat it). Cross-leaf only — intra answers are
-        // exact Yen and say nothing about stitching quality.
-        if cross_leaf && telemetry::enabled() {
-            if let Some(best) = candidates.first() {
-                let bound = self.landmark_bound_ms(src, dst);
-                if bound.is_finite() && bound > 0.0 {
-                    telemetry::observe("hier.bound_tightness", best.delay_ms() / bound);
-                }
-            }
+        candidates
+    }
+
+    /// A cross-leaf pair is answered with its complete ranking, however
+    /// long — one stitch per landmark produced all of it, and there is
+    /// nothing else to enumerate — so the caller never has to ask for the
+    /// pair again ([`PathSource::grow`], the third answer). An intra-leaf
+    /// pair is answered to `want`: its leaf's Yen generator was only run
+    /// that far, and the merged list is exact only that far.
+    fn grow(&self, src: NodeId, dst: NodeId, want: usize) -> Vec<Path> {
+        let (mut candidates, cross_leaf) = self.ranked(src, dst, want);
+        if !cross_leaf {
+            candidates.truncate(want);
         }
         candidates
     }
@@ -431,8 +504,8 @@ impl PathSource for PartitionedPathEngine<'_> {
 
     /// Puts the failure mask in force: every leaf cache repairs exactly like
     /// the flat cache (kept/repaired pair accounting sums across leaves),
-    /// landmark trees are rebuilt under the mask (downed landmark nodes are
-    /// uninstalled), and the reachability fallback runs masked. Concurrent
+    /// the landmark table is refilled under the mask (downed landmark nodes
+    /// are uninstalled), and the reachability fallback runs masked. Concurrent
     /// queries must be quiescent, as for the flat cache.
     fn apply_failure(&self, mask: &FailureMask) -> RepairStats {
         let _span = telemetry::span("hier.repair", "cache");
@@ -446,8 +519,7 @@ impl PathSource for PartitionedPathEngine<'_> {
             stats.paths_regrown += s.paths_regrown;
             stats.paths_lost += s.paths_lost;
         }
-        *self.landmarks.write() =
-            build_landmarks(self.graph, &self.landmark_nodes, active.as_deref());
+        self.landmarks.write().fill(self.graph, &self.landmark_nodes, active.as_deref());
         stats
     }
 
@@ -461,7 +533,215 @@ impl PathSource for PartitionedPathEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lowlat_netgraph::GraphBuilder;
+    use lowlat_netgraph::{GraphBuilder, ReverseShortestPathTree, ShortestPathTree};
+    use std::collections::HashMap;
+
+    // ---- The trees the table replaced, kept as its reference ----
+
+    /// One landmark as the engine held it before the table: a node plus its
+    /// forward (from) and reverse (to) trees.
+    struct Landmark {
+        node: NodeId,
+        fwd: ShortestPathTree,
+        rev: ReverseShortestPathTree,
+    }
+
+    /// The tree pair of every landmark node `mask` leaves up.
+    fn build_landmarks(
+        graph: &Graph,
+        nodes: &[NodeId],
+        mask: Option<&FailureMask>,
+    ) -> Vec<Landmark> {
+        let routing = mask.filter(|m| m.affects_routing());
+        let link_mask = routing.and_then(FailureMask::link_mask);
+        let node_mask = routing.and_then(FailureMask::node_mask);
+        nodes
+            .iter()
+            .filter(|&&node| !routing.is_some_and(|m| m.node_down(node)))
+            .map(|&node| Landmark {
+                node,
+                fwd: shortest_path_tree(graph, node, link_mask, node_mask),
+                rev: reverse_shortest_path_tree(graph, node, link_mask, node_mask),
+            })
+            .collect()
+    }
+
+    /// Removes splice loops from a concatenated link walk in one pass: the
+    /// walk is replayed with a node → position map, and whenever a link
+    /// returns to a node already on the walk, everything after that node's
+    /// position is dropped (cutting the cycle). Knows nothing about where
+    /// the two halves come from.
+    fn splice_loopless(graph: &Graph, first: &[Path], second: &[Path]) -> Option<Path> {
+        // Node at position 0 is the walk's start; the node at position i > 0
+        // is the dst of walk[i-1].
+        let mut walk: Vec<LinkId> = Vec::new();
+        let mut pos: HashMap<NodeId, usize> = HashMap::new();
+        let mut started = false;
+        for p in first.iter().chain(second) {
+            for &l in p.links() {
+                if !started {
+                    pos.insert(graph.link(l).src, 0);
+                    started = true;
+                }
+                let dst = graph.link(l).dst;
+                walk.push(l);
+                if let Some(&back) = pos.get(&dst) {
+                    // Returning to a node already on the walk: cut the cycle.
+                    // `dst` itself keeps its entry (its stored position is
+                    // exactly `back`); every node strictly after it goes.
+                    for cut in walk.drain(back..) {
+                        let d = graph.link(cut).dst;
+                        if pos.get(&d).is_some_and(|&q| q > back) {
+                            pos.remove(&d);
+                        }
+                    }
+                } else {
+                    pos.insert(dst, walk.len());
+                }
+            }
+        }
+        if walk.is_empty() {
+            None
+        } else {
+            Some(Path::new(graph, walk))
+        }
+    }
+
+    /// The per-landmark stitch as it read the trees: two path walks and a
+    /// splice.
+    fn stitch_through_trees(graph: &Graph, l: &Landmark, src: NodeId, dst: NodeId) -> Option<Path> {
+        if !l.rev.reachable(src) || !l.fwd.reachable(dst) {
+            None
+        } else if l.node == src {
+            l.fwd.path_to(graph, dst)
+        } else if l.node == dst {
+            l.rev.path_from(graph, src)
+        } else {
+            let to_l = l.rev.path_from(graph, src)?;
+            let from_l = l.fwd.path_to(graph, dst)?;
+            splice_loopless(graph, &[to_l], &[from_l])
+        }
+    }
+
+    /// [`PartitionedPathEngine::ranked`] as it was computed from the trees.
+    fn ranked_through_trees(
+        eng: &PartitionedPathEngine,
+        landmarks: &[Landmark],
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+    ) -> Vec<Path> {
+        let g = eng.graph;
+        let mut candidates = if eng.same_leaf(src, dst) {
+            eng.caches[eng.cache_of_leaf[eng.hierarchy.leaf_of(src)]].paths(src, dst, k)
+        } else {
+            Vec::new()
+        };
+        candidates.extend(landmarks.iter().filter_map(|l| stitch_through_trees(g, l, src, dst)));
+        if candidates.is_empty() {
+            let mask = eng.failure_mask();
+            let routing = mask.as_deref().filter(|m| m.affects_routing());
+            let (links, nodes) = (
+                routing.and_then(FailureMask::link_mask),
+                routing.and_then(FailureMask::node_mask),
+            );
+            candidates.extend(shortest_path(g, src, dst, links, nodes));
+        }
+        candidates.sort_by(|a, b| {
+            a.delay_ms()
+                .total_cmp(&b.delay_ms())
+                .then_with(|| a.hop_count().cmp(&b.hop_count()))
+                .then_with(|| a.links().cmp(b.links()))
+        });
+        candidates.dedup_by(|a, b| a.links() == b.links());
+        candidates
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The table against the trees it replaced, on arbitrary graphs
+        /// (connected or not), engine shapes and failure masks: every cell,
+        /// the landmark bound, and the ranking of every pair, path for path.
+        #[test]
+        fn the_table_answers_as_the_trees_did(
+            n in 4usize..=12,
+            ring in proptest::prelude::any::<bool>(),
+            extras in proptest::collection::vec((0usize..12, 0usize..12, 1u32..1000), 1..14),
+            one_way in proptest::collection::vec((0usize..12, 0usize..12, 1u32..1000), 0..10),
+            (max_leaf, landmarks) in (3usize..=6, 1usize..=5),
+            (failure, victim) in (0usize..4, 0usize..64),
+            k in 1usize..=4,
+        ) {
+            use proptest::prelude::{prop_assert, prop_assert_eq};
+            let mut b = GraphBuilder::new(n);
+            if ring {
+                for i in 0..n {
+                    b.add_duplex(NodeId(i as u32), NodeId(((i + 1) % n) as u32), 1.0 + i as f64, 100.0);
+                }
+            }
+            for &(x, y, d) in &extras {
+                if x % n != y % n {
+                    b.add_duplex(NodeId((x % n) as u32), NodeId((y % n) as u32), d as f64 / 10.0, 100.0);
+                }
+            }
+            // One-way links make delays asymmetric: only then can the second
+            // half of a stitch step on the part of the first a cut removed.
+            for &(x, y, d) in &one_way {
+                if x % n != y % n {
+                    b.add_link(NodeId((x % n) as u32), NodeId((y % n) as u32), d as f64 / 10.0, 100.0);
+                }
+            }
+            let g = b.build();
+            let eng = PartitionedPathEngine::build(
+                &g,
+                &EngineConfig {
+                    hierarchy: HierarchyConfig { max_depth: 2, max_leaf, branching: 2 },
+                    landmarks,
+                },
+            );
+            // None, a downed cable, a downed landmark node, a brown-out.
+            let mut mask = FailureMask::new();
+            let cable = LinkId((victim % g.link_count().max(1)) as u32);
+            match failure {
+                1 if g.link_count() > 0 => { mask.fail_cable(&g, cable); }
+                2 => { mask.fail_node(eng.landmark_nodes[victim % eng.landmark_nodes.len()]); }
+                3 if g.link_count() > 0 => { mask.degrade_cable(&g, cable, 0.5); }
+                _ => {}
+            }
+            eng.apply_failure(&mask);
+            let trees = build_landmarks(&g, &eng.landmark_nodes, eng.failure_mask().as_deref());
+            prop_assert_eq!(eng.landmark_count(), trees.len());
+            prop_assert_eq!(eng.landmark_count() < eng.landmark_nodes.len(), failure == 2);
+
+            let table = eng.landmarks.read();
+            prop_assert_eq!(table.bytes(), 24 * n * trees.len());
+            for (j, l) in trees.iter().enumerate() {
+                prop_assert_eq!(table.nodes[j], l.node);
+                for v in g.nodes() {
+                    let cell = v.idx() * trees.len() + j;
+                    prop_assert_eq!(table.dist_to[cell].to_bits(), l.rev.dist_ms(v).to_bits());
+                    prop_assert_eq!(table.dist_from[cell].to_bits(), l.fwd.dist_ms(v).to_bits());
+                    prop_assert_eq!(table.next_to[cell], l.rev.next_link(v).map_or(NO_LINK, |l| l.0));
+                    prop_assert_eq!(table.parent_from[cell], l.fwd.parent_link(v).map_or(NO_LINK, |l| l.0));
+                }
+            }
+            drop(table);
+            for s in g.nodes() {
+                for d in g.nodes().filter(|&d| d != s) {
+                    let bound = trees
+                        .iter()
+                        .map(|l| l.rev.dist_ms(s) + l.fwd.dist_ms(d))
+                        .fold(f64::INFINITY, f64::min);
+                    prop_assert_eq!(eng.landmark_bound_ms(s, d).to_bits(), bound.to_bits());
+                    let want = ranked_through_trees(&eng, &trees, s, d, k);
+                    let (got, cross_leaf) = eng.ranked(s, d, k);
+                    prop_assert!(cross_leaf != eng.same_leaf(s, d));
+                    prop_assert_eq!(&got, &want, "{:?} -> {:?}", s, d);
+                }
+            }
+        }
+    }
 
     /// Two 8-node rings joined by a single bridge — forces cross-leaf
     /// stitching through the cut.
@@ -548,13 +828,16 @@ mod tests {
         // process-global (other tests may add concurrently while enabled),
         // so the deltas are asserted as lower bounds.
         let g = two_rings();
-        let eng = small_engine(&g);
         let before = telemetry::snapshot();
         telemetry::set_enabled(true);
+        let eng = small_engine(&g);
         let _ = eng.paths(NodeId(1), NodeId(3), 2); // intra-leaf
         let _ = eng.paths(NodeId(3), NodeId(12), 2); // cross-leaf
         telemetry::set_enabled(false);
         let after = telemetry::snapshot();
+        // A traced build reports what the landmark table holds.
+        assert!(after.gauges["hier.landmarks"] >= 1.0);
+        assert!(after.gauges["hier.landmark_table_bytes"] >= 24.0 * 16.0);
         let (intra, cross, _) = eng.stats().snapshot();
         assert_eq!((intra, cross), (1, 1));
         assert!(after.counter("hier.intra") - before.counter("hier.intra") >= 1);

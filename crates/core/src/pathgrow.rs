@@ -152,6 +152,27 @@
 //! places Internet-scale topologies without a materialized path corpus.
 //! Use [`GrowRequest`] to pose a solve.
 //!
+//! **One ask per pair.** [`PathSource::grow`] may answer with more than it
+//! was asked for, and that means one thing: this is the pair's complete
+//! ranking. The engine does so for every cross-leaf pair — a stitch per
+//! landmark produces the whole list (at most one candidate a landmark)
+//! whether two columns are wanted or twenty. The solve keeps what it did not
+//! ask for as the pair's *surplus* and, from then on, serves that pair's
+//! `growth_step` columns a round from it: no `grow`, and no delay-bound
+//! query either, which a held ranking makes moot. When the surplus runs dry
+//! the pair is exhausted. Seeding asks through the same door
+//! (`grow(src, dst, 1)`), so a 16-pair placement at 10k nodes stitches 16
+//! times where it used to stitch 70 (and asked for 16 delay bounds). The
+//! columns, their order and so every LP are those of the loop that asked
+//! again each round — the trait requires each answer to be a prefix of the
+//! next — which the unit tests hold to the bit by running both. The surplus
+//! lives exactly as long as the solve and belongs to it, not to the engine:
+//! an engine-side memo of rankings would be per-pair state that grows with
+//! the pairs ever queried and needs an invalidation rule at every failure
+//! transition — the thing [`PathSource::cached_pairs`] exists to rule out
+//! for cross-leaf traffic — while a solve's mask is fixed and its pairs are
+//! its matrix. The flat cache never answers long, so nothing is held there.
+//!
 //! ## Effective capacities (brown-outs)
 //!
 //! Every capacity row, utilization cap, and tight-link filter poses the
@@ -172,7 +193,7 @@ use std::collections::HashMap;
 use lowlat_linprog::{Basis, LpError, Problem, Relation, Solution};
 use lowlat_netgraph::{Graph, LinkId, NodeId, Path};
 use lowlat_telemetry as telemetry;
-use lowlat_tmgen::TrafficMatrix;
+use lowlat_tmgen::{Aggregate, TrafficMatrix};
 
 #[allow(unused_imports)] // doc links
 use crate::pathset::PathCache;
@@ -758,6 +779,45 @@ impl<'a> LpData<'a> {
         }
     }
 
+    /// Growth targets by load: those of `links` (ascending, a posed LP's
+    /// used links — every link a path with traffic crosses is among them)
+    /// that the fractional path sets load to `level` times their effective
+    /// capacity. The saturated links of a refinement round (`level` the
+    /// capacity scale) and the links pinning `U` in MinMax's stage 1 (`level`
+    /// that `U`). Sized by the LP, not by the graph.
+    fn links_loaded_to(
+        &mut self,
+        level: f64,
+        links: &[usize],
+        path_sets: &[Vec<Path>],
+        fractions: &[Vec<f64>],
+    ) -> Vec<LinkId> {
+        let LpData { volumes, caps, link_rank: ref mut rank, .. } = *self;
+        for (oi, &l) in links.iter().enumerate() {
+            rank[l] = oi as u32;
+        }
+        let mut loads = vec![0.0; links.len()];
+        for ((paths, xs), &volume) in path_sets.iter().zip(fractions).zip(volumes) {
+            for (path, &x) in paths.iter().zip(xs) {
+                let v = volume * x;
+                if v > 0.0 {
+                    for &l in path.links() {
+                        loads[rank[l.idx()] as usize] += v;
+                    }
+                }
+            }
+        }
+        for &l in links {
+            rank[l] = UNUSED;
+        }
+        links
+            .iter()
+            .zip(loads)
+            .filter(|&(&l, load)| caps[l] > 0.0 && load >= caps[l] * level * (1.0 - 1e-6))
+            .map(|(&l, _)| LinkId(l as u32))
+            .collect()
+    }
+
     /// The LP of `mode` over the given path sets, and where its variables
     /// and rows sit.
     fn pose(&mut self, path_sets: &[Vec<Path>], mode: &LpMode) -> (Problem, LpLayout) {
@@ -1174,53 +1234,89 @@ fn to_placement(path_sets: &[Vec<Path>], fractions: &[Vec<f64>]) -> Placement {
     )
 }
 
-/// Link loads implied by fractional path sets (for growth targeting).
-fn loads_of(
-    graph: &Graph,
-    path_sets: &[Vec<Path>],
-    fractions: &[Vec<f64>],
-    volumes: &[f64],
-) -> Vec<f64> {
-    let mut loads = vec![0.0; graph.link_count()];
-    for (a, paths) in path_sets.iter().enumerate() {
-        for (pi, path) in paths.iter().enumerate() {
-            let v = volumes[a] * fractions[a][pi];
-            if v > 0.0 {
-                for &l in path.links() {
-                    loads[l.idx()] += v;
-                }
-            }
-        }
-    }
-    loads
-}
-
-/// Per-pair pricing state that persists across growth rounds of one solve.
-///
-/// `exhausted[a]`: once the source returns fewer columns than asked — or
-/// its [`PathSource::shortest_delay_bound`] is infinite, meaning no further
-/// column can exist at all — the pair is never priced again this solve.
-///
-/// `bounds[a]` memoizes the pair's delay bound (NaN = not yet asked): the
-/// failure mask is fixed for the duration of a solve, so the bound is
-/// solve-constant and each pair pays the source query at most once instead
-/// of once per round.
+/// Per-pair pricing state of one solve: made when the solve seeds its path
+/// sets, read and written only by [`grow_crossing`], dropped with the solve.
 struct PricingState {
+    /// Once the source returns fewer columns than asked, its
+    /// [`PathSource::shortest_delay_bound`] is infinite — no further column
+    /// can exist at all — or the pair's surplus has run dry, the pair is
+    /// never priced again this solve.
     exhausted: Vec<bool>,
+    /// The pair's delay bound (NaN = not yet asked): the failure mask is
+    /// fixed for the duration of a solve, so the bound is solve-constant and
+    /// each pair pays the source query at most once instead of once per
+    /// round — and not at all while it holds a surplus.
     bounds: Vec<f64>,
+    /// What [`PathSource::grow`] answered beyond what it was asked for,
+    /// best-first: the rest of the pair's *complete* ranking (module docs,
+    /// "The pricing oracle is abstract"). Non-empty means every column the
+    /// source will ever price for the pair is either in its path set or
+    /// here, and growth takes from here instead of asking.
+    surplus: Vec<Vec<Path>>,
+    /// Link-indexed scratch of [`grow_crossing`], all false between calls.
+    target_mask: Vec<bool>,
+    /// `grow` calls made (`pathgrow.source_asks`), seeding included.
+    asks: u64,
+    /// Columns served from a surplus (`pathgrow.columns_from_surplus`).
+    from_surplus: u64,
 }
 
 impl PricingState {
-    fn new(pairs: usize) -> Self {
-        PricingState { exhausted: vec![false; pairs], bounds: vec![f64::NAN; pairs] }
+    /// Seeds every aggregate's path set with its `k` best columns — through
+    /// [`PathSource::grow`], so a source that answers with a complete
+    /// ranking is never asked about that pair again.
+    fn seed(source: &dyn PathSource, tm: &TrafficMatrix, k: usize) -> (Vec<Vec<Path>>, Self) {
+        let pairs = tm.aggregates().len();
+        let mut state = PricingState {
+            exhausted: vec![false; pairs],
+            bounds: vec![f64::NAN; pairs],
+            surplus: vec![Vec::new(); pairs],
+            target_mask: vec![false; source.graph().link_count()],
+            asks: 0,
+            from_surplus: 0,
+        };
+        let path_sets = tm
+            .aggregates()
+            .iter()
+            .enumerate()
+            .map(|(a, agg)| state.ask(source, a, agg, k))
+            .collect();
+        (path_sets, state)
+    }
+
+    /// The one call of [`PathSource::grow`]: the pair's `want` best columns,
+    /// whatever the source answered beyond them kept as the pair's surplus.
+    fn ask(
+        &mut self,
+        source: &dyn PathSource,
+        a: usize,
+        agg: &Aggregate,
+        want: usize,
+    ) -> Vec<Path> {
+        self.asks += 1;
+        let mut got = source.grow(agg.src, agg.dst, want);
+        if got.len() > want {
+            let rest = got.split_off(want);
+            if surplus_kept() {
+                self.surplus[a] = rest;
+            }
+        }
+        got
+    }
+
+    /// Writes the solve's pricing counters — both in every traced growth
+    /// call, so a reader can tell 0 from absent.
+    fn report(&self) {
+        telemetry::counter_add("pathgrow.source_asks", self.asks);
+        telemetry::counter_add("pathgrow.columns_from_surplus", self.from_surplus);
     }
 }
 
 /// The column-generation pricing step: grows the path sets of every
-/// aggregate whose current placement crosses one of `targets`, asking the
-/// source only for those pairs' next-cheapest columns. Returns true if any
-/// set actually grew. `state` carries the exhausted/bound memos between
-/// rounds (see [`PricingState`]).
+/// aggregate whose current placement crosses one of `targets` by its `step`
+/// next-cheapest columns — from the surplus the pair holds, else by asking
+/// the source. Returns true if any set actually grew. The only caller of
+/// [`PathSource::grow`] after seeding, and the only reader of a surplus.
 fn grow_crossing(
     source: &dyn PathSource,
     tm: &TrafficMatrix,
@@ -1230,9 +1326,8 @@ fn grow_crossing(
     step: usize,
     state: &mut PricingState,
 ) -> bool {
-    let mut target_mask = vec![false; source.graph().link_count()];
     for &l in targets {
-        target_mask[l.idx()] = true;
+        state.target_mask[l.idx()] = true;
     }
     let mut grew = false;
     let mut columns_grown = 0usize;
@@ -1243,9 +1338,21 @@ fn grow_crossing(
         }
         let crosses = path_sets[a].iter().enumerate().any(|(pi, p)| {
             fractions[a].get(pi).copied().unwrap_or(0.0) > 1e-9
-                && p.links().iter().any(|&l| target_mask[l.idx()])
+                && p.links().iter().any(|&l| state.target_mask[l.idx()])
         });
         if !crosses {
+            continue;
+        }
+        let held = &mut state.surplus[a];
+        if !held.is_empty() {
+            // A complete ranking: the next columns are here, and so is the
+            // proof that the source can price the pair (its delay bound).
+            let take = step.min(held.len());
+            path_sets[a].extend(held.drain(..take));
+            state.exhausted[a] = held.is_empty();
+            state.from_surplus += take as u64;
+            columns_grown += take;
+            grew = true;
             continue;
         }
         if state.bounds[a].is_nan() {
@@ -1260,7 +1367,7 @@ fn grow_crossing(
             continue;
         }
         let want = path_sets[a].len() + step;
-        let got = source.grow(agg.src, agg.dst, want);
+        let got = state.ask(source, a, agg, want);
         if got.len() < want {
             state.exhausted[a] = true;
         }
@@ -1269,6 +1376,9 @@ fn grow_crossing(
             path_sets[a] = got;
             grew = true;
         }
+    }
+    for &l in targets {
+        state.target_mask[l.idx()] = false;
     }
     if columns_grown > 0 {
         telemetry::counter_add("pathgrow.columns_grown", columns_grown as u64);
@@ -1420,13 +1530,11 @@ fn run_latency_optimal(
 ) -> Result<GrowOutcome, LpError> {
     assert!((0.0..1.0).contains(&config.headroom));
     let graph = source.graph();
-    let mut path_sets: Vec<Vec<Path>> =
-        tm.aggregates().iter().map(|a| source.paths(a.src, a.dst, 1)).collect();
+    let (mut path_sets, mut pricing) = PricingState::seed(source, tm, 1);
     let aggs = agg_infos(tm, &path_sets, class_weights);
     let caps = source.effective_capacities();
     let cap_scale = 1.0 - config.headroom;
     let mut lp = LpData::new(&aggs, volumes, &caps, cap_scale, config.m1);
-    let mut pricing = PricingState::new(path_sets.len());
 
     let mut pivots = 0usize;
     let mut rounds = 0usize;
@@ -1508,14 +1616,8 @@ fn run_latency_optimal(
         let _refine = telemetry::span("pathgrow.refine_round", "pathgrow");
         // A link no held path crosses carries nothing: the LP's links are
         // the candidates, not the graph's.
-        let loads = loads_of(graph, &path_sets, &out.fractions, volumes);
-        let saturated: Vec<LinkId> = out
-            .layout
-            .used_links
-            .iter()
-            .filter(|&&l| caps[l] > 0.0 && loads[l] >= caps[l] * cap_scale * (1.0 - 1e-6))
-            .map(|&l| LinkId(l as u32))
-            .collect();
+        let saturated =
+            lp.links_loaded_to(cap_scale, &out.layout.used_links, &path_sets, &out.fractions);
         if saturated.is_empty() {
             break;
         }
@@ -1537,6 +1639,7 @@ fn run_latency_optimal(
     if telemetry::enabled() {
         telemetry::counter_add("pathgrow.lps_skipped", lp.lps_skipped);
     }
+    pricing.report();
 
     Ok(GrowOutcome {
         placement: to_placement(&path_sets, &out.fractions),
@@ -1545,6 +1648,16 @@ fn run_latency_optimal(
         rounds,
         ended,
     })
+}
+
+/// Whether a solve keeps what its source answers beyond `want`: always,
+/// outside the tests that drop it to compare against the loop that asked
+/// again every round.
+fn surplus_kept() -> bool {
+    #[cfg(test)]
+    return !tests::SURPLUS_OFF.get();
+    #[cfg(not(test))]
+    true
 }
 
 /// Whether phase 1 runs its stopping test: always, outside the tests that
@@ -1567,14 +1680,10 @@ fn run_minmax(
     config: &GrowthConfig,
     ctx: &mut SolveContext,
 ) -> Result<GrowOutcome, LpError> {
-    let graph = source.graph();
-    let seed_k = k_limit.unwrap_or(1);
-    let mut path_sets: Vec<Vec<Path>> =
-        tm.aggregates().iter().map(|a| source.paths(a.src, a.dst, seed_k)).collect();
+    let (mut path_sets, mut pricing) = PricingState::seed(source, tm, k_limit.unwrap_or(1));
     let aggs = agg_infos(tm, &path_sets, class_weights);
     let caps = source.effective_capacities();
     let mut lp = LpData::new(&aggs, volumes, &caps, 1.0, config.m1);
-    let mut pricing = PricingState::new(path_sets.len());
 
     let mut pivots = 0usize;
     let mut rounds = 0usize;
@@ -1592,14 +1701,11 @@ fn run_minmax(
         if k_limit.is_some() || rounds >= config.max_rounds || (rounds > 1 && !improved) {
             break;
         }
-        // The links pinning U, judged against effective (masked) capacity.
-        let loads = loads_of(graph, &path_sets, &out.fractions, volumes);
-        let pinning: Vec<LinkId> = graph
-            .link_ids()
-            .filter(|&l| {
-                caps[l.idx()] > 0.0 && loads[l.idx()] >= caps[l.idx()] * out.level * (1.0 - 1e-6)
-            })
-            .collect();
+        // The links pinning U, judged against effective (masked) capacity:
+        // among the LP's links, as a link no held path crosses carries
+        // nothing.
+        let pinning =
+            lp.links_loaded_to(out.level, &out.layout.used_links, &path_sets, &out.fractions);
         if !grow_crossing(
             source,
             tm,
@@ -1625,6 +1731,7 @@ fn run_minmax(
     };
     let out = lp.solve(&path_sets, &mode, None, ctx)?;
     pivots += out.pivots;
+    pricing.report();
     let omax = (best_u - 1.0).max(0.0);
     Ok(GrowOutcome {
         placement: to_placement(&path_sets, &out.fractions),
@@ -1669,6 +1776,10 @@ pub(crate) mod tests {
         pub(super) static PRICING_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
         /// Rounds that kept their outcome on this thread.
         static KEPT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Makes a solve on this thread drop every surplus: it holds `want`
+        /// columns of an answer and asks again next round, as the loop did
+        /// before a source could answer long.
+        pub(super) static SURPLUS_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
     }
 
     /// Rounds that kept their outcome on this thread so far, each audited
@@ -2300,16 +2411,130 @@ pub(crate) mod tests {
         assert!(out.omax > 1e-7 && !seen.is_empty(), "omax {}, tested {seen:?}", out.omax);
         assert!(seen.iter().all(|&v| v == BoundVerdict::GaveUp), "{seen:?}");
         let blind = without_bound(solve);
-        let fingerprint = |o: &GrowOutcome| {
-            let splits: Vec<(Vec<LinkId>, u64)> = o
-                .placement
-                .per_aggregate()
-                .iter()
-                .flat_map(|pl| pl.splits.iter().map(|(p, x)| (p.links().to_vec(), x.to_bits())))
-                .collect();
-            (o.rounds, o.lp_pivots, o.omax.to_bits(), o.ended, splits)
-        };
         assert_eq!(fingerprint(&out), fingerprint(&blind));
+    }
+
+    /// Every number of an outcome, to the bit.
+    fn fingerprint(o: &GrowOutcome) -> impl PartialEq + std::fmt::Debug {
+        let splits: Vec<Vec<(Vec<LinkId>, u64)>> = o
+            .placement
+            .per_aggregate()
+            .iter()
+            .map(|pl| pl.splits.iter().map(|(p, x)| (p.links().to_vec(), x.to_bits())).collect())
+            .collect();
+        (o.rounds, o.lp_pivots, o.omax.to_bits(), o.ended, splits)
+    }
+
+    // ---- One ask per pair ("The pricing oracle is abstract", module docs) ----
+
+    /// Forwards to the wrapped source and counts the calls that price:
+    /// `grow`, `paths` and `shortest_delay_bound`.
+    struct CountingSource<'a> {
+        inner: &'a dyn PathSource,
+        pricing_calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingSource<'_> {
+        fn count(&self) {
+            self.pricing_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl PathSource for CountingSource<'_> {
+        fn graph(&self) -> &Graph {
+            self.inner.graph()
+        }
+        fn paths(&self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+            self.count();
+            self.inner.paths(src, dst, k)
+        }
+        fn grow(&self, src: NodeId, dst: NodeId, want: usize) -> Vec<Path> {
+            self.count();
+            self.inner.grow(src, dst, want)
+        }
+        fn shortest_delay_bound(&self, src: NodeId, dst: NodeId) -> f64 {
+            self.count();
+            self.inner.shortest_delay_bound(src, dst)
+        }
+        fn failure_mask(&self) -> Option<std::sync::Arc<FailureMask>> {
+            self.inner.failure_mask()
+        }
+        fn apply_failure(&self, mask: &FailureMask) -> crate::pathset::RepairStats {
+            self.inner.apply_failure(mask)
+        }
+        fn cached_pairs(&self) -> usize {
+            self.inner.cached_pairs()
+        }
+    }
+
+    /// One cold call keeping every surplus and one dropping them (asking
+    /// again every round, as the loop did before a source could answer
+    /// long): the same outcome to the bit through the same LPs. Returns the
+    /// pricing calls each made.
+    fn surplus_only_removes_asks(
+        source: &dyn PathSource,
+        tm: &TrafficMatrix,
+        volumes: &[f64],
+    ) -> (usize, usize) {
+        let run = || {
+            let counting = CountingSource { inner: source, pricing_calls: Default::default() };
+            let mut ctx = SolveContext::new();
+            let out =
+                GrowRequest::new(&counting, tm).volumes(volumes).solve_with(&mut ctx).unwrap();
+            (out, ctx.solves(), counting.pricing_calls.into_inner())
+        };
+        let (on, on_solves, on_calls) = run();
+        SURPLUS_OFF.set(true);
+        let (off, off_solves, off_calls) = run();
+        SURPLUS_OFF.set(false);
+        assert!(on.rounds > 3, "the case must need growth, got {} rounds", on.rounds);
+        assert_eq!(fingerprint(&on), fingerprint(&off));
+        assert_eq!(on_solves, off_solves);
+        (on_calls, off_calls)
+    }
+
+    #[test]
+    fn a_surplus_only_removes_asks_through_the_partitioned_engine() {
+        let ingested = generate(
+            SynthModel::BarabasiAlbert,
+            &SynthConfig { nodes: 1000, seed: 42, ..Default::default() },
+        );
+        let g = ingested.graph();
+        let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
+        let tm = overloaded_batch(g, &engine, 2.0);
+        let volumes: Vec<f64> = tm.aggregates().iter().map(|a| a.volume_mbps).collect();
+        let cross = tm.aggregates().iter().filter(|a| !engine.same_leaf(a.src, a.dst)).count();
+        assert!(cross > 0, "the batch must hold cross-leaf pairs");
+        let (on, off) = surplus_only_removes_asks(&engine, &tm, &volumes);
+        assert!(on < off, "{on} pricing calls with the surplus kept, {off} without");
+        assert_eq!(engine.cached_pairs(), tm.aggregates().len() - cross);
+
+        // Both counters are written by a traced call (the registry is
+        // process-wide, so other tests may add to them meanwhile: lower
+        // bounds).
+        let before = telemetry::snapshot();
+        telemetry::set_enabled(true);
+        GrowRequest::new(&engine, &tm).volumes(&volumes).solve().unwrap();
+        telemetry::set_enabled(false);
+        let after = telemetry::snapshot();
+        let added = |name: &str| after.counter(name) - before.counter(name);
+        assert!(added("pathgrow.source_asks") >= tm.aggregates().len() as u64);
+        assert!(added("pathgrow.columns_from_surplus") >= 1);
+        assert!(added("pathgrow.columns_grown") >= added("pathgrow.columns_from_surplus"));
+    }
+
+    #[test]
+    fn the_flat_cache_never_answers_long_so_no_surplus_is_held() {
+        // Twice the benchmark's demand on GTS-like: growth to an overload
+        // proven final. The flat cache answers `want` or fewer, so keeping
+        // or dropping the surplus is the same run, call for call.
+        let topo = named::gts_like();
+        let tm = GravityTmGen::new(TmGenConfig::default())
+            .generate(&topo, 0)
+            .scaled_to_load(&topo, 0.55);
+        let volumes: Vec<f64> = tm.aggregates().iter().map(|a| 2.0 * a.volume_mbps).collect();
+        let (on, off) = surplus_only_removes_asks(&PathCache::new(topo.graph()), &tm, &volumes);
+        assert_eq!(on, off);
     }
 
     // ---- Pricing before posing ("The loop", module docs) ----

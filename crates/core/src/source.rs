@@ -37,9 +37,17 @@ use crate::pathset::RepairStats;
 ///   history of other queries. Fewer than `k` (possibly zero under a
 ///   disconnecting failure) means the source cannot produce more.
 /// * [`grow`](PathSource::grow) is the column-generation entry point: ask
-///   for `want` candidates, use the suffix beyond what you already had. A
-///   result shorter than `want` means the pair is exhausted — re-asking
-///   will not produce more.
+///   for `want` candidates, use the suffix beyond what you already had.
+///   The length of the answer says what to do next. *Shorter than `want`*:
+///   the pair is exhausted — re-asking will not produce more. *Exactly
+///   `want`*: ask again when you need more. *Longer than `want`*: this is
+///   the pair's **complete ranking**, best-first — the caller holds every
+///   column the source will ever price for the pair under the active mask
+///   and need not ask about it again. Only a source that has the complete
+///   ranking in hand anyway may answer long (the partitioned engine, for a
+///   cross-leaf pair: one stitch per landmark is all there is); a source
+///   that enumerates lazily (the flat cache, the engine's leaf caches)
+///   never does. Every answer starts with `paths(src, dst, want)`.
 /// * [`shortest_delay_bound`](PathSource::shortest_delay_bound) bounds the
 ///   delay of the best column the source can price for the pair;
 ///   `INFINITY` means it cannot price any beyond a bare reachability
@@ -59,10 +67,11 @@ pub trait PathSource: Sync {
         self.paths(src, dst, 1).into_iter().next()
     }
 
-    /// Prices the next columns of a pair: returns up to `want` candidates
-    /// (a superset-prefix of every earlier call). The default simply
-    /// delegates to [`PathSource::paths`]; sources with a cheaper
-    /// incremental route may override.
+    /// Prices the next columns of a pair: the `want` best candidates (a
+    /// superset-prefix of every earlier call) — or fewer, when the pair is
+    /// exhausted, or *all* of them, when the source holds the pair's
+    /// complete ranking (see the trait's contract). The default delegates to
+    /// [`PathSource::paths`] and so never answers long.
     fn grow(&self, src: NodeId, dst: NodeId, want: usize) -> Vec<Path> {
         self.paths(src, dst, want)
     }

@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 
+use lowlat_core::pathset::PathCache;
 use lowlat_core::{EngineConfig, PartitionedPathEngine, PathSource};
 use lowlat_netgraph::{shortest_path, Graph, GraphBuilder, HierarchyConfig, KspGenerator, NodeId};
 
@@ -171,5 +172,45 @@ proptest! {
             }
         }
         prop_assert_eq!(eng.cached_pairs(), 0);
+    }
+
+    #[test]
+    fn grow_answers_one_of_three_ways_on_both_backends(
+        g in arb_connected(12, 10),
+        want in 1usize..=5,
+    ) {
+        // The `PathSource::grow` contract: the first `want` of an answer are
+        // `paths(.., want)`; an answer longer than `want` is the pair's
+        // complete ranking, so asking for more returns it again; and only a
+        // source that holds a complete ranking — the engine, for a
+        // cross-leaf pair, from its landmark table and not from per-pair
+        // state — answers long.
+        let flat = PathCache::new(&g);
+        let eng = PartitionedPathEngine::build(&g, &small_config());
+        for s in g.nodes() {
+            for d in g.nodes().filter(|&d| d != s) {
+                let cross_leaf = !eng.same_leaf(s, d);
+                for (source, may_answer_long) in
+                    [(&flat as &dyn PathSource, false), (&eng as &dyn PathSource, cross_leaf)]
+                {
+                    let pairs_before = source.cached_pairs();
+                    let got = source.grow(s, d, want);
+                    if may_answer_long {
+                        prop_assert_eq!(source.cached_pairs(), pairs_before);
+                    } else {
+                        prop_assert!(got.len() <= want, "{:?}->{:?}: {} for {want}", s, d, got.len());
+                    }
+                    prop_assert_eq!(&got[..want.min(got.len())], &source.paths(s, d, want)[..]);
+                    let more = source.grow(s, d, want + 1);
+                    if got.len() > want {
+                        prop_assert_eq!(&got, &source.paths(s, d, usize::MAX));
+                        prop_assert_eq!(&more, &got);
+                    } else {
+                        prop_assert_eq!(&more[..got.len()], &got[..], "a prefix of the next answer");
+                        prop_assert!(got.len() == want || more.len() == got.len(), "exhausted stays exhausted");
+                    }
+                }
+            }
+        }
     }
 }

@@ -66,6 +66,13 @@ impl ShortestPathTree {
         self.dist_ms[v.idx()].is_finite()
     }
 
+    /// The last link of the shortest path to `v` (`None` for the source
+    /// and for unreachable nodes).
+    #[inline]
+    pub fn parent_link(&self, v: NodeId) -> Option<LinkId> {
+        self.parent[v.idx()]
+    }
+
     /// Reconstructs the shortest path to `t`, or `None` if unreachable or
     /// `t == source`.
     pub fn path_to(&self, graph: &Graph, t: NodeId) -> Option<Path> {
@@ -183,6 +190,13 @@ impl ReverseShortestPathTree {
     /// True if the sink is reachable from `v`.
     pub fn reachable(&self, v: NodeId) -> bool {
         self.dist_ms[v.idx()].is_finite()
+    }
+
+    /// The first link of the shortest path from `v` to the sink (`None` for
+    /// the sink and for nodes it is unreachable from).
+    #[inline]
+    pub fn next_link(&self, v: NodeId) -> Option<LinkId> {
+        self.next[v.idx()]
     }
 
     /// Reconstructs the shortest path from `s` to the sink, or `None` if the
