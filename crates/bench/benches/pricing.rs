@@ -36,7 +36,7 @@ use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
 const OVERLOAD: f64 = 3.0;
 
 fn ba(nodes: usize) -> lowlat_topology::ingest::IngestedGraph {
-    generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes, seed: 42, ..Default::default() })
+    generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes, seed: 42 })
 }
 
 /// The seeded aggregate batch every scale bench shares, scaled so pure

@@ -151,7 +151,7 @@ fn bench_ldr_minutes(c: &mut Criterion) {
     let volumes = minute_volumes(&tm);
     // LDR's trace-free solve path: latency-optimal under the 10% static
     // headroom dial.
-    let cfg = GrowthConfig { headroom: 0.1, ..Default::default() };
+    let cfg = GrowthConfig { headroom: 0.1 };
     let mut group = c.benchmark_group("warmstart/ldr_minutes");
     group.sample_size(10);
     group.bench_function("cold", |b| {

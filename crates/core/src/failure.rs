@@ -154,22 +154,6 @@ pub fn random_k_link_failures(
         .collect()
 }
 
-/// SRLG scenarios from explicit risk groups: each `(name, cables)` group
-/// fails together (fiber conduits, shared ducts, amplifier sites).
-pub fn srlg_failures(
-    groups: impl IntoIterator<Item = (String, Vec<LinkId>)>,
-) -> Vec<FailureScenario> {
-    groups
-        .into_iter()
-        .map(|(name, cables)| FailureScenario {
-            name: format!("srlg:{name}"),
-            cables,
-            nodes: Vec::new(),
-            degradations: Vec::new(),
-        })
-        .collect()
-}
-
 /// A default SRLG corpus: for every PoP, the "conduit" group of all cables
 /// incident to it — the canonical shared-duct risk. (The PoP itself stays
 /// up: unlike a node failure, traffic *from* the PoP is cut off but the

@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod classes;
 pub mod eval;
 pub mod failure;
 pub mod growth;

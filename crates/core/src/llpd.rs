@@ -17,24 +17,26 @@
 use lowlat_netgraph::{min_cut_of_links, BitSet, KspGenerator, LinkId, Path};
 use lowlat_topology::Topology;
 
-/// Tunables for the APA/LLPD computation (paper defaults).
+/// The one dial of the APA/LLPD computation.
 #[derive(Clone, Debug)]
 pub struct LlpdConfig {
     /// Maximum acceptable stretch `da/ds` (paper: 1.4, i.e. "40%").
     pub stretch_limit: f64,
-    /// APA level a pair must reach to count toward LLPD (paper: 0.7).
-    pub apa_threshold: f64,
-    /// Cap on the number of alternate paths pooled per probed link. The
-    /// paper's rule terminates naturally at the stretch limit; this guards
-    /// pathological cases.
-    pub max_alternates: usize,
 }
 
 impl Default for LlpdConfig {
     fn default() -> Self {
-        LlpdConfig { stretch_limit: 1.4, apa_threshold: 0.7, max_alternates: 24 }
+        LlpdConfig { stretch_limit: 1.4 }
     }
 }
+
+/// APA level a pair must reach to count toward LLPD (paper: 0.7).
+const APA_THRESHOLD: f64 = 0.7;
+
+/// Cap on the number of alternate paths pooled per probed link. The paper's
+/// rule terminates naturally at the stretch limit; this guards pathological
+/// cases.
+const MAX_ALTERNATES: usize = 24;
 
 /// APA for every PoP pair plus the scalar LLPD.
 #[derive(Clone, Debug)]
@@ -50,13 +52,12 @@ impl LlpdAnalysis {
     /// O(n²·diameter) shortest-path computations — fine for backbone sizes.
     pub fn compute(topology: &Topology, config: &LlpdConfig) -> Self {
         assert!(config.stretch_limit >= 1.0);
-        assert!((0.0..=1.0).contains(&config.apa_threshold));
         let pairs = topology.unordered_pairs();
         let mut apa_per_pair = Vec::with_capacity(pairs.len());
         for (s, d) in pairs {
             apa_per_pair.push(apa_of_pair(topology, s, d, config));
         }
-        let good = apa_per_pair.iter().filter(|&&a| a >= config.apa_threshold).count();
+        let good = apa_per_pair.iter().filter(|&&a| a >= APA_THRESHOLD).count();
         let llpd =
             if apa_per_pair.is_empty() { 0.0 } else { good as f64 / apa_per_pair.len() as f64 };
         LlpdAnalysis { apa_per_pair, llpd, config: config.clone() }
@@ -119,7 +120,7 @@ fn link_routable_around(
         KspGenerator::with_avoided_links(graph, shortest.src(), shortest.dst(), Some(avoid));
     let limit = ds * config.stretch_limit;
     let mut pooled_links: Vec<LinkId> = Vec::new();
-    for _ in 0..config.max_alternates {
+    for _ in 0..MAX_ALTERNATES {
         let Some(alt) = gen.next_path() else {
             return false; // no more alternates at all
         };

@@ -64,8 +64,8 @@
 //! on a 10k-node graph of which the LP touches 1% of the links, and which
 //! holds detours the partitioned engine never prices (so the bound cannot
 //! be tight), the test gives up after a few hundred microseconds instead of
-//! flooding the graph. [`GrowthConfig::max_rounds`] stays as the backstop
-//! for those cases. Without the rule a demand that cannot fit ran to `max_rounds`:
+//! flooding the graph. `MAX_ROUNDS` stays as the backstop
+//! for those cases. Without the rule a demand that cannot fit ran to `MAX_ROUNDS`:
 //! 41 rounds over columns that never price in (zero-pivot LPs then; since
 //! the pricing step below, rounds that pose no LP at all), for every
 //! Figure-14 tweak iteration that inflates `B_a` past what the network
@@ -158,7 +158,7 @@
 //! landmark produces the whole list (at most one candidate a landmark)
 //! whether two columns are wanted or twenty. The solve keeps what it did not
 //! ask for as the pair's *surplus* and, from then on, serves that pair's
-//! `growth_step` columns a round from it: no `grow`, and no delay-bound
+//! `GROWTH_STEP` columns a round from it: no `grow`, and no delay-bound
 //! query either, which a held ranking makes moot. When the surplus runs dry
 //! the pair is exhausted. Seeding asks through the same door
 //! (`grow(src, dst, 1)`), so a 16-pair placement at 10k nodes stitches 16
@@ -308,42 +308,34 @@ impl SolveContext {
         self.solves
     }
 
-    /// Drops all stored bases (e.g. after a topology change).
-    pub fn clear(&mut self) {
-        self.bases.clear();
-    }
-
     /// Heap bytes of every stored basis — the `pathgrow.basis_bytes` gauge.
     fn basis_bytes(&self) -> usize {
         self.bases.values().map(|s| s.basis.heap_bytes()).sum()
     }
 }
 
-/// Tunables for the LP + growth loop.
-#[derive(Clone, Debug)]
+/// The one dial of the LP + growth loop; the rest are the constants below.
+#[derive(Clone, Debug, Default)]
 pub struct GrowthConfig {
     /// Fraction of every link's capacity reserved as headroom (§4's dial).
     pub headroom: f64,
-    /// The paper's M1: weight of the `d_p/S_a` tie-break term.
-    pub m1: f64,
-    /// Paths added to an overloaded aggregate per round.
-    pub growth_step: usize,
-    /// Growth rounds after which phase 1 gives up on an overload it has
-    /// neither removed nor proven final. A backstop: demand that cannot fit
-    /// normally ends [`GrowthEnd::ProvedFinal`] within a round or two of
-    /// reaching its final overload, and only a search the bound's visit
-    /// budget cuts short (module docs) runs this far.
-    pub max_rounds: usize,
-    /// Refinement rounds growing across saturated links for delay
-    /// rebalancing (0 disables).
-    pub refine_rounds: usize,
 }
 
-impl Default for GrowthConfig {
-    fn default() -> Self {
-        GrowthConfig { headroom: 0.0, m1: 1e-3, growth_step: 2, max_rounds: 48, refine_rounds: 2 }
-    }
-}
+/// The paper's M1: weight of the `d_p/S_a` tie-break term.
+const M1: f64 = 1e-3;
+
+/// Paths added to an overloaded aggregate per round.
+const GROWTH_STEP: usize = 2;
+
+/// Growth rounds after which phase 1 gives up on an overload it has neither
+/// removed nor proven final. A backstop: demand that cannot fit normally
+/// ends [`GrowthEnd::ProvedFinal`] within a round or two of reaching its
+/// final overload, and only a search the bound's visit budget cuts short
+/// (module docs) runs this far.
+const MAX_ROUNDS: usize = 48;
+
+/// Refinement rounds growing across saturated links for delay rebalancing.
+const REFINE_ROUNDS: usize = 2;
 
 /// Result of the grow-and-solve loop.
 #[derive(Clone, Debug)]
@@ -375,7 +367,7 @@ pub enum GrowthEnd {
     /// Overload remains and the source has no further column for any
     /// aggregate crossing an overloaded link.
     Exhausted,
-    /// Overload remains, unproven, after [`GrowthConfig::max_rounds`].
+    /// Overload remains, unproven, after `MAX_ROUNDS`.
     RoundLimit,
 }
 
@@ -539,7 +531,6 @@ struct LpData<'a> {
     caps: &'a [f64],
     /// Scales every capacity (1 - headroom).
     cap_scale: f64,
-    m1: f64,
     /// `Σ n_a S_a`: normalizes the delay term, so the spread weight has a
     /// stable meaning across instances.
     delay_norm: f64,
@@ -603,19 +594,12 @@ struct BoundScratch {
 }
 
 impl<'a> LpData<'a> {
-    fn new(
-        aggs: &'a [AggInfo],
-        volumes: &'a [f64],
-        caps: &'a [f64],
-        cap_scale: f64,
-        m1: f64,
-    ) -> Self {
+    fn new(aggs: &'a [AggInfo], volumes: &'a [f64], caps: &'a [f64], cap_scale: f64) -> Self {
         LpData {
             aggs,
             volumes,
             caps,
             cap_scale,
-            m1,
             delay_norm: aggs.iter().map(|a| a.flows * a.sp_delay).sum::<f64>().max(1e-9),
             link_rank: vec![UNUSED; caps.len()],
             bound: BoundScratch::default(),
@@ -628,7 +612,7 @@ impl<'a> LpData<'a> {
     /// objective coefficient of the path's variable `z_ap = B_a x_ap`.
     fn delay_cost(&self, a: usize, path: &Path) -> f64 {
         let agg = &self.aggs[a];
-        let w = agg.flows * path.delay_ms() * (1.0 + self.m1 / agg.sp_delay.max(1e-9));
+        let w = agg.flows * path.delay_ms() * (1.0 + M1 / agg.sp_delay.max(1e-9));
         w / (self.delay_norm * self.volumes[a].max(1e-12))
     }
 
@@ -1206,18 +1190,13 @@ fn normalize_fractions(mut xs: Vec<f64>) -> Vec<f64> {
 
 /// Builds per-aggregate constants from a traffic matrix and the path sets
 /// the source seeded for it: a set's first path is the pair's shortest.
-/// `weights` multiplies flow counts (the §8 traffic-classes hook:
-/// latency-sensitive aggregates weigh more in the delay objective).
-fn agg_infos(tm: &TrafficMatrix, path_sets: &[Vec<Path>], weights: Option<&[f64]>) -> Vec<AggInfo> {
+fn agg_infos(tm: &TrafficMatrix, path_sets: &[Vec<Path>]) -> Vec<AggInfo> {
     tm.aggregates()
         .iter()
         .zip(path_sets)
-        .enumerate()
-        .map(|(i, (a, paths))| {
+        .map(|(a, paths)| {
             let sp = paths.first().expect("connected topology").delay_ms();
-            let w = weights.map_or(1.0, |ws| ws[i]);
-            assert!(w.is_finite() && w > 0.0, "bad class weight {w}");
-            AggInfo { flows: a.flow_count as f64 * w, sp_delay: sp }
+            AggInfo { flows: a.flow_count as f64, sp_delay: sp }
         })
         .collect()
 }
@@ -1407,19 +1386,17 @@ enum GrowObjective {
 /// ```ignore
 /// let out = GrowRequest::new(&cache, &tm)     // any &dyn PathSource
 ///     .volumes(&inflated)                      // optional (LDR headroom)
-///     .class_weights(&weights)                 // optional (§8 classes)
 ///     .config(&growth_config)                  // optional
 ///     .solve_with(&mut ctx)?;                  // or .solve() for cold
 /// ```
 ///
 /// Defaults: latency-optimal objective, volumes from the traffic matrix,
-/// unit class weights, [`GrowthConfig::default`], a fresh (cold)
+/// [`GrowthConfig::default`] (no headroom), a fresh (cold)
 /// [`SolveContext`]. `.minmax(k_limit)` switches the objective.
 pub struct GrowRequest<'a> {
     source: &'a dyn PathSource,
     tm: &'a TrafficMatrix,
     volumes: Option<&'a [f64]>,
-    class_weights: Option<&'a [f64]>,
     config: GrowthConfig,
     objective: GrowObjective,
 }
@@ -1431,7 +1408,6 @@ impl<'a> GrowRequest<'a> {
             source,
             tm,
             volumes: None,
-            class_weights: None,
             config: GrowthConfig::default(),
             objective: GrowObjective::LatencyOptimal,
         }
@@ -1444,16 +1420,7 @@ impl<'a> GrowRequest<'a> {
         self
     }
 
-    /// Per-aggregate objective weights — the §8 differentiated-traffic-
-    /// classes extension. A weight of `w` makes an aggregate's delay count
-    /// `w` times as much, so the LP prefers giving it the low-latency paths
-    /// when someone must detour.
-    pub fn class_weights(mut self, weights: &'a [f64]) -> Self {
-        self.class_weights = Some(weights);
-        self
-    }
-
-    /// Growth-loop tunables (headroom, growth step, round caps).
+    /// The headroom dial.
     pub fn config(mut self, config: &GrowthConfig) -> Self {
         self.config = config.clone();
         self
@@ -1483,9 +1450,6 @@ impl<'a> GrowRequest<'a> {
             }
         };
         assert_eq!(volumes.len(), self.tm.aggregates().len());
-        if let Some(w) = self.class_weights {
-            assert_eq!(w.len(), self.tm.aggregates().len());
-        }
         if self.tm.is_empty() {
             return Ok(GrowOutcome {
                 placement: Placement::new(Vec::new()),
@@ -1496,23 +1460,12 @@ impl<'a> GrowRequest<'a> {
             });
         }
         match self.objective {
-            GrowObjective::LatencyOptimal => run_latency_optimal(
-                self.source,
-                self.tm,
-                volumes,
-                self.class_weights,
-                &self.config,
-                ctx,
-            ),
-            GrowObjective::MinMax { k_limit } => run_minmax(
-                self.source,
-                self.tm,
-                volumes,
-                self.class_weights,
-                k_limit,
-                &self.config,
-                ctx,
-            ),
+            GrowObjective::LatencyOptimal => {
+                run_latency_optimal(self.source, self.tm, volumes, self.config.headroom, ctx)
+            }
+            GrowObjective::MinMax { k_limit } => {
+                run_minmax(self.source, self.tm, volumes, k_limit, ctx)
+            }
         }
     }
 }
@@ -1524,17 +1477,16 @@ fn run_latency_optimal(
     source: &dyn PathSource,
     tm: &TrafficMatrix,
     volumes: &[f64],
-    class_weights: Option<&[f64]>,
-    config: &GrowthConfig,
+    headroom: f64,
     ctx: &mut SolveContext,
 ) -> Result<GrowOutcome, LpError> {
-    assert!((0.0..1.0).contains(&config.headroom));
+    assert!((0.0..1.0).contains(&headroom));
     let graph = source.graph();
     let (mut path_sets, mut pricing) = PricingState::seed(source, tm, 1);
-    let aggs = agg_infos(tm, &path_sets, class_weights);
+    let aggs = agg_infos(tm, &path_sets);
     let caps = source.effective_capacities();
-    let cap_scale = 1.0 - config.headroom;
-    let mut lp = LpData::new(&aggs, volumes, &caps, cap_scale, config.m1);
+    let cap_scale = 1.0 - headroom;
+    let mut lp = LpData::new(&aggs, volumes, &caps, cap_scale);
 
     let mut pivots = 0usize;
     let mut rounds = 0usize;
@@ -1571,7 +1523,7 @@ fn run_latency_optimal(
             }
         }
         before = omax;
-        if rounds >= config.max_rounds {
+        if rounds >= MAX_ROUNDS {
             break GrowthEnd::RoundLimit;
         }
         if !grow_crossing(
@@ -1580,7 +1532,7 @@ fn run_latency_optimal(
             &mut path_sets,
             &out.fractions,
             &out.critical_links,
-            config.growth_step,
+            GROWTH_STEP,
             &mut pricing,
         ) {
             break GrowthEnd::Exhausted; // no alternative left to price
@@ -1612,7 +1564,7 @@ fn run_latency_optimal(
     // is judged against effective capacity, so a browned-out link at its
     // degraded limit is a growth target even when its raw-capacity slack
     // looks comfortable.
-    for _ in 0..config.refine_rounds {
+    for _ in 0..REFINE_ROUNDS {
         let _refine = telemetry::span("pathgrow.refine_round", "pathgrow");
         // A link no held path crosses carries nothing: the LP's links are
         // the candidates, not the graph's.
@@ -1627,7 +1579,7 @@ fn run_latency_optimal(
             &mut path_sets,
             &out.fractions,
             &saturated,
-            config.growth_step,
+            GROWTH_STEP,
             &mut pricing,
         ) {
             break;
@@ -1675,15 +1627,13 @@ fn run_minmax(
     source: &dyn PathSource,
     tm: &TrafficMatrix,
     volumes: &[f64],
-    class_weights: Option<&[f64]>,
     k_limit: Option<usize>,
-    config: &GrowthConfig,
     ctx: &mut SolveContext,
 ) -> Result<GrowOutcome, LpError> {
     let (mut path_sets, mut pricing) = PricingState::seed(source, tm, k_limit.unwrap_or(1));
-    let aggs = agg_infos(tm, &path_sets, class_weights);
+    let aggs = agg_infos(tm, &path_sets);
     let caps = source.effective_capacities();
-    let mut lp = LpData::new(&aggs, volumes, &caps, 1.0, config.m1);
+    let mut lp = LpData::new(&aggs, volumes, &caps, 1.0);
 
     let mut pivots = 0usize;
     let mut rounds = 0usize;
@@ -1698,7 +1648,7 @@ fn run_minmax(
         pivots += out.pivots;
         let improved = out.level < best_u * (1.0 - 1e-4);
         best_u = best_u.min(out.level);
-        if k_limit.is_some() || rounds >= config.max_rounds || (rounds > 1 && !improved) {
+        if k_limit.is_some() || rounds >= MAX_ROUNDS || (rounds > 1 && !improved) {
             break;
         }
         // The links pinning U, judged against effective (masked) capacity:
@@ -1712,7 +1662,7 @@ fn run_minmax(
             &mut path_sets,
             &out.fractions,
             &pinning,
-            config.growth_step,
+            GROWTH_STEP,
             &mut pricing,
         ) {
             break;
@@ -2005,7 +1955,7 @@ pub(crate) mod tests {
         let topo = two_path();
         let cache = PathCache::new(topo.graph());
         let tm = tm_one(150.0);
-        let cfg = GrowthConfig { headroom: 0.4, ..Default::default() };
+        let cfg = GrowthConfig { headroom: 0.4 };
         // Effective capacity 60 per link: 150 > 120 -> overload.
         let out = GrowRequest::new(&cache, &tm).volumes(&[150.0]).config(&cfg).solve().unwrap();
         assert!(out.omax > 0.1);
@@ -2083,24 +2033,15 @@ pub(crate) mod tests {
         let cache = PathCache::new(topo.graph());
         let tm = tm_one(150.0);
         let mut ctx = SolveContext::new();
-        let cfg = GrowthConfig::default();
         // Minute 0 seeds the context (phase 2 may already restart from
         // phase 1's basis within the call).
-        let first = GrowRequest::new(&cache, &tm)
-            .volumes(&[150.0])
-            .config(&cfg)
-            .solve_with(&mut ctx)
-            .unwrap();
+        let first = GrowRequest::new(&cache, &tm).volumes(&[150.0]).solve_with(&mut ctx).unwrap();
         let solves_minute0 = ctx.solves();
         let hits_minute0 = ctx.warm_hits();
         // Minutes 1..: slightly drifted demand, same growth trajectory.
         for (minute, vol) in [152.0, 149.0, 155.0].into_iter().enumerate() {
-            let warm = GrowRequest::new(&cache, &tm)
-                .volumes(&[vol])
-                .config(&cfg)
-                .solve_with(&mut ctx)
-                .unwrap();
-            let cold = GrowRequest::new(&cache, &tm).volumes(&[vol]).config(&cfg).solve().unwrap();
+            let warm = GrowRequest::new(&cache, &tm).volumes(&[vol]).solve_with(&mut ctx).unwrap();
+            let cold = GrowRequest::new(&cache, &tm).volumes(&[vol]).solve().unwrap();
             assert!(
                 (warm.placement.aggregate(0).mean_delay_ms()
                     - cold.placement.aggregate(0).mean_delay_ms())
@@ -2184,12 +2125,11 @@ pub(crate) mod tests {
             let stats = cache.apply_failure(&mask);
             prop_assert!(stats.repaired_pairs == 0, "degradation-only repair is free");
             let tm = tm_one(volume);
-            let cfg = GrowthConfig::default();
-            let masked = GrowRequest::new(&cache, &tm).volumes(&[volume]).config(&cfg).solve().unwrap();
+            let masked = GrowRequest::new(&cache, &tm).volumes(&[volume]).solve().unwrap();
 
             let rebuilt = two_path_scaled(factors);
             let oracle_cache = PathCache::new(rebuilt.graph());
-            let oracle = GrowRequest::new(&oracle_cache, &tm).volumes(&[volume]).config(&cfg).solve().unwrap();
+            let oracle = GrowRequest::new(&oracle_cache, &tm).volumes(&[volume]).solve().unwrap();
 
             prop_assert!(
                 (masked.omax - oracle.omax).abs() < 1e-6,
@@ -2218,12 +2158,11 @@ pub(crate) mod tests {
 
     /// Figure 12's delay term (un-normalized) of a fractional assignment.
     fn delay_term(aggs: &[AggInfo], path_sets: &[Vec<Path>], fractions: &[Vec<f64>]) -> f64 {
-        let m1 = GrowthConfig::default().m1;
         aggs.iter()
             .zip(path_sets.iter().zip(fractions))
             .map(|(agg, (paths, xs))| {
                 let mean: f64 = paths.iter().zip(xs).map(|(p, x)| x * p.delay_ms()).sum();
-                agg.flows * mean * (1.0 + m1 / agg.sp_delay.max(1e-9))
+                agg.flows * mean * (1.0 + M1 / agg.sp_delay.max(1e-9))
             })
             .sum()
     }
@@ -2256,10 +2195,9 @@ pub(crate) mod tests {
             .iter()
             .map(|pl| pl.splits.iter().map(|&(_, x)| x).collect())
             .collect();
-        let aggs = agg_infos(tm, &path_sets, None);
+        let aggs = agg_infos(tm, &path_sets);
         let caps = source.effective_capacities();
-        let config = GrowthConfig::default();
-        let mut lp = LpData::new(&aggs, volumes, &caps, 1.0, config.m1);
+        let mut lp = LpData::new(&aggs, volumes, &caps, 1.0);
         let phase1 =
             lp.solve(&path_sets, &LpMode::MinOverload, None, &mut SolveContext::new()).unwrap();
         assert!(
@@ -2375,10 +2313,7 @@ pub(crate) mod tests {
     #[test]
     fn chained_solve_is_optimal_over_its_own_columns_through_the_partitioned_engine() {
         // Through the hierarchical pricing oracle, on 1k nodes.
-        let ingested = generate(
-            SynthModel::BarabasiAlbert,
-            &SynthConfig { nodes: 1000, seed: 42, ..Default::default() },
-        );
+        let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 1000, seed: 42 });
         let g = ingested.graph();
         let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
         let tm = overloaded_batch(g, &engine, 2.0);
@@ -2399,10 +2334,7 @@ pub(crate) mod tests {
         // the detours the graph holds, so the bound cannot be tight, and the
         // search is cut short by its budget instead of flooding the graph —
         // leaving every number of the outcome where it was.
-        let ingested = generate(
-            SynthModel::BarabasiAlbert,
-            &SynthConfig { nodes: 2000, seed: 42, ..Default::default() },
-        );
+        let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 2000, seed: 42 });
         let g = ingested.graph();
         let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
         let tm = overloaded_batch(g, &engine, 6.0);
@@ -2495,10 +2427,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_surplus_only_removes_asks_through_the_partitioned_engine() {
-        let ingested = generate(
-            SynthModel::BarabasiAlbert,
-            &SynthConfig { nodes: 1000, seed: 42, ..Default::default() },
-        );
+        let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 1000, seed: 42 });
         let g = ingested.graph();
         let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
         let tm = overloaded_batch(g, &engine, 2.0);
@@ -2570,10 +2499,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pricing_only_removes_lps_through_the_partitioned_engine() {
-        let ingested = generate(
-            SynthModel::BarabasiAlbert,
-            &SynthConfig { nodes: 1000, seed: 42, ..Default::default() },
-        );
+        let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 1000, seed: 42 });
         let g = ingested.graph();
         let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
         let tm = overloaded_batch(g, &engine, 2.0);
@@ -2635,13 +2561,12 @@ pub(crate) mod tests {
         assert_eq!(seen, [BoundVerdict::Final], "one test, on round 2");
         assert!((out.omax - 1.5).abs() < 1e-9, "250 over a 100 Mbps cut: {}", out.omax);
         // Round 1, the round that did not help, and the refinement rounds.
-        let refine = GrowthConfig::default().refine_rounds;
-        assert_eq!(out.rounds, 2 + refine);
+        assert_eq!(out.rounds, 2 + REFINE_ROUNDS);
 
         // Without the test the loop enumerates the mesh until the backstop.
         let blind = without_bound(|| GrowRequest::new(&cache, &tm).solve().unwrap());
         assert_eq!(blind.ended, GrowthEnd::RoundLimit);
-        assert_eq!(blind.rounds, GrowthConfig::default().max_rounds + refine);
+        assert_eq!(blind.rounds, MAX_ROUNDS + REFINE_ROUNDS);
         assert!((blind.omax - out.omax).abs() < 1e-9);
     }
 
@@ -2672,10 +2597,9 @@ pub(crate) mod tests {
         let topo = b.build();
         let cache = PathCache::new(topo.graph());
         let (src, dst) = (NodeId(0), NodeId(6));
-        let step = GrowthConfig::default().growth_step;
         let ranked = cache.paths(src, dst, 17);
         let k = 1 + ranked.iter().position(|p| p.hop_count() == 2).expect("the relief path");
-        assert!(k == 16 && k > 2 * step && ranked.len() == 17);
+        assert!(k == 16 && k > 2 * GROWTH_STEP && ranked.len() == 17);
 
         let tm = one_aggregate(0, 6, 250.0);
         let (out, seen) = verdicts(|| GrowRequest::new(&cache, &tm).solve().unwrap());
@@ -2708,11 +2632,11 @@ pub(crate) mod tests {
         let direct = g.find_link(NodeId(0), NodeId(2)).unwrap();
         let detour = g.find_link(NodeId(0), NodeId(1)).unwrap();
         let held = vec![vec![Path::new(g, vec![direct])]];
-        let aggs = agg_infos(&tm, &held, None);
+        let aggs = agg_infos(&tm, &held);
         let verdict_and_bound = |mask: &FailureMask| {
             cache.apply_failure(mask);
             let caps = cache.effective_capacities();
-            let mut lp = LpData::new(&aggs, &[150.0], &caps, 1.0, 1e-3);
+            let mut lp = LpData::new(&aggs, &[150.0], &caps, 1.0);
             let out =
                 lp.solve(&held, &LpMode::MinOverload, None, &mut SolveContext::new()).unwrap();
             assert_eq!(out.overload_prices.len(), 1);
@@ -2794,10 +2718,10 @@ pub(crate) mod tests {
                 tm.aggregates().iter().map(|a| cache.paths(a.src, a.dst, 100_000)).collect();
             let held: Vec<Vec<Path>> =
                 every_path.iter().map(|ps| ps[..held_k.min(ps.len())].to_vec()).collect();
-            let aggs = agg_infos(&tm, &every_path, None);
+            let aggs = agg_infos(&tm, &every_path);
             let caps = cache.effective_capacities();
             let cap_scale = 1.0 - 0.1 * headroom as f64;
-            let mut lp = LpData::new(&aggs, &volumes, &caps, cap_scale, 1e-3);
+            let mut lp = LpData::new(&aggs, &volumes, &caps, cap_scale);
             let optimum = lp
                 .solve(&every_path, &LpMode::MinOverload, None, &mut SolveContext::new())
                 .unwrap()

@@ -18,11 +18,13 @@ use crate::source::PathSource;
 /// (pure) MinMax routing — the paper's "min-cut load" of a traffic matrix.
 pub fn min_cut_load(source: &dyn PathSource, tm: &TrafficMatrix) -> Result<f64, SchemeError> {
     let out = GrowRequest::new(source, tm).minmax(None).solve()?;
-    // MinMax reports omax = max(U-1, 0); recover U from the placement.
-    let graph = source.graph();
-    let loads = out.placement.link_loads(graph, tm);
+    // MinMax reports omax = max(U-1, 0); recover U from the placement,
+    // against the capacities the LP posed: the effective ones (a downed
+    // link carries nothing and has none).
+    let loads = out.placement.link_loads(source.graph(), tm);
+    let caps = source.effective_capacities();
     let u =
-        graph.link_ids().map(|l| loads[l.idx()] / graph.link(l).capacity_mbps).fold(0.0, f64::max);
+        loads.iter().zip(&caps).filter(|(_, &c)| c > 0.0).map(|(l, c)| l / c).fold(0.0, f64::max);
     Ok(u)
 }
 
@@ -50,6 +52,7 @@ impl ScaleToLoad for TrafficMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowlat_netgraph::FailureMask;
     use lowlat_tmgen::{GravityTmGen, TmGenConfig};
     use lowlat_topology::zoo::named;
 
@@ -71,5 +74,23 @@ mod tests {
         let u1 = min_cut_load(&cache, &tm).unwrap();
         let u2 = min_cut_load(&cache, &tm.scaled(2.0)).unwrap();
         assert!((u2 - 2.0 * u1).abs() < 0.02 * u2.max(1.0), "{u1} vs {u2}");
+    }
+
+    #[test]
+    fn a_browned_out_source_is_judged_against_what_it_has_left() {
+        // Every cable at half capacity: the same matrix loads the network
+        // twice as hard (to the 1e-5 slack MinMax's stage 2 allows on U).
+        // Judged against raw capacity it read 1x.
+        let topo = named::abilene();
+        let tm = GravityTmGen::new(TmGenConfig::default()).generate(&topo, 0);
+        let cache = PathCache::new(topo.graph());
+        let intact = min_cut_load(&cache, &tm).unwrap();
+        let mut mask = FailureMask::new();
+        for cable in topo.cables() {
+            mask.degrade_cable(topo.graph(), cable, 0.5);
+        }
+        cache.apply_failure(&mask);
+        let dimmed = min_cut_load(&cache, &tm).unwrap();
+        assert!((dimmed - 2.0 * intact).abs() < 1e-4 * intact, "{intact} intact, {dimmed} dimmed");
     }
 }

@@ -8,37 +8,23 @@ use crate::placement::Placement;
 use crate::schemes::{RoutingScheme, SchemeError};
 use crate::source::PathSource;
 
-/// Configuration for [`LatencyOptimal`].
-#[derive(Clone, Debug, Default)]
-pub struct LatOptConfig {
-    /// LP/growth machinery knobs, including the headroom fraction.
-    pub growth: GrowthConfig,
-}
-
 /// Latency-optimal routing (the paper's "Optimal latency" curves).
 #[derive(Clone, Debug, Default)]
 pub struct LatencyOptimal {
-    config: LatOptConfig,
+    /// Fraction of every link's capacity reserved as headroom (§4's dial).
+    headroom: f64,
 }
 
 impl LatencyOptimal {
-    /// Creates the scheme.
-    pub fn new(config: LatOptConfig) -> Self {
-        LatencyOptimal { config }
-    }
-
-    /// Creates the scheme with a given headroom fraction (§4's dial),
-    /// everything else default.
+    /// Creates the scheme with a given headroom fraction (§4's dial).
     pub fn with_headroom(headroom: f64) -> Self {
-        LatencyOptimal {
-            config: LatOptConfig { growth: GrowthConfig { headroom, ..Default::default() } },
-        }
+        LatencyOptimal { headroom }
     }
 }
 
 impl RoutingScheme for LatencyOptimal {
     fn name(&self) -> String {
-        let h = self.config.growth.headroom;
+        let h = self.headroom;
         if h == 0.0 {
             "LatOpt".into()
         } else {
@@ -52,7 +38,8 @@ impl RoutingScheme for LatencyOptimal {
         tm: &TrafficMatrix,
         ctx: &mut SolveContext,
     ) -> Result<Placement, SchemeError> {
-        Ok(GrowRequest::new(source, tm).config(&self.config.growth).solve_with(ctx)?.placement)
+        let config = GrowthConfig { headroom: self.headroom };
+        Ok(GrowRequest::new(source, tm).config(&config).solve_with(ctx)?.placement)
     }
 }
 

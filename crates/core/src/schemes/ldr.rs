@@ -32,7 +32,7 @@ use crate::source::PathSource;
 /// Configuration for [`Ldr`].
 #[derive(Clone, Debug)]
 pub struct LdrConfig {
-    /// LP/growth knobs. `growth.headroom` stays 0 when traces drive
+    /// The trace-driven loop's LP headroom. Stays 0 when traces drive
     /// per-aggregate headroom; see `static_headroom`.
     pub growth: GrowthConfig,
     /// Headroom used when no traces are available (the paper's §4 analysis
@@ -233,8 +233,7 @@ impl RoutingScheme for Ldr {
         tm: &TrafficMatrix,
         ctx: &mut SolveContext,
     ) -> Result<Placement, SchemeError> {
-        let cfg =
-            GrowthConfig { headroom: self.config.static_headroom, ..self.config.growth.clone() };
+        let cfg = GrowthConfig { headroom: self.config.static_headroom };
         Ok(GrowRequest::new(source, tm).config(&cfg).solve_with(ctx)?.placement)
     }
 

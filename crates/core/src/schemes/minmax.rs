@@ -3,26 +3,18 @@
 
 use lowlat_tmgen::TrafficMatrix;
 
-use crate::pathgrow::{GrowRequest, GrowthConfig, SolveContext};
+use crate::pathgrow::{GrowRequest, SolveContext};
 use crate::placement::Placement;
 use crate::schemes::{RoutingScheme, SchemeError};
 use crate::source::PathSource;
 
-/// Configuration for [`MinMaxRouting`].
-#[derive(Clone, Debug, Default)]
-pub struct MinMaxConfig {
-    /// Cap each aggregate's path set at the k lowest-delay paths, as TeXCP
-    /// suggests with k = 10 (Figure 4d). `None` is pure MinMax (Figure 4c).
-    pub k_limit: Option<usize>,
-    /// LP machinery knobs (headroom is ignored: MinMax *is* the maximal
-    /// headroom extreme of the §4 dial).
-    pub growth: GrowthConfig,
-}
-
-/// MinMax utilization with latency tie-break.
+/// MinMax utilization with latency tie-break. There is no headroom dial:
+/// MinMax *is* the maximal-headroom extreme of §4's.
 #[derive(Clone, Debug, Default)]
 pub struct MinMaxRouting {
-    config: MinMaxConfig,
+    /// Cap each aggregate's path set at the k lowest-delay paths, as TeXCP
+    /// suggests with k = 10 (Figure 4d). `None` is pure MinMax (Figure 4c).
+    k_limit: Option<usize>,
 }
 
 impl MinMaxRouting {
@@ -37,18 +29,13 @@ impl MinMaxRouting {
     /// Panics when `k == 0`.
     pub fn with_k(k: usize) -> Self {
         assert!(k >= 1);
-        MinMaxRouting { config: MinMaxConfig { k_limit: Some(k), ..Default::default() } }
-    }
-
-    /// Creates the scheme with explicit configuration.
-    pub fn new(config: MinMaxConfig) -> Self {
-        MinMaxRouting { config }
+        MinMaxRouting { k_limit: Some(k) }
     }
 }
 
 impl RoutingScheme for MinMaxRouting {
     fn name(&self) -> String {
-        match self.config.k_limit {
+        match self.k_limit {
             Some(k) => format!("MinMaxK{k}"),
             None => "MinMax".into(),
         }
@@ -60,11 +47,7 @@ impl RoutingScheme for MinMaxRouting {
         tm: &TrafficMatrix,
         ctx: &mut SolveContext,
     ) -> Result<Placement, SchemeError> {
-        Ok(GrowRequest::new(source, tm)
-            .minmax(self.config.k_limit)
-            .config(&self.config.growth)
-            .solve_with(ctx)?
-            .placement)
+        Ok(GrowRequest::new(source, tm).minmax(self.k_limit).solve_with(ctx)?.placement)
     }
 }
 

@@ -33,17 +33,16 @@ pub enum SignalOrder {
 pub struct MplsConfig {
     /// LSP signalling order.
     pub order: SignalOrder,
-    /// Reserved capacity fraction (as for B4, §6).
-    pub headroom: f64,
-    /// Paths tried per LSP before giving up.
-    pub max_paths: usize,
 }
 
 impl Default for MplsConfig {
     fn default() -> Self {
-        MplsConfig { order: SignalOrder::LargestFirst, headroom: 0.0, max_paths: 24 }
+        MplsConfig { order: SignalOrder::LargestFirst }
     }
 }
+
+/// Paths tried per LSP before giving up.
+const MAX_PATHS: usize = 24;
 
 /// Sequential shortest-non-congested-path placement.
 #[derive(Clone, Debug, Default)]
@@ -53,12 +52,7 @@ pub struct MplsAutoBandwidth {
 
 impl MplsAutoBandwidth {
     /// Creates the scheme.
-    ///
-    /// # Panics
-    /// Panics on headroom outside `[0, 1)` or zero `max_paths`.
     pub fn new(config: MplsConfig) -> Self {
-        assert!((0.0..1.0).contains(&config.headroom));
-        assert!(config.max_paths >= 1);
         MplsAutoBandwidth { config }
     }
 }
@@ -76,11 +70,7 @@ impl RoutingScheme for MplsAutoBandwidth {
     ) -> Result<Placement, SchemeError> {
         // Reservations admit against *effective* (mask-aware) capacities: a
         // browned-out link only offers its degraded capacity to new LSPs.
-        let mut residual: Vec<f64> = source
-            .effective_capacities()
-            .into_iter()
-            .map(|c| c * (1.0 - self.config.headroom))
-            .collect();
+        let mut residual = source.effective_capacities();
 
         // Signalling order.
         let mut order: Vec<usize> = (0..tm.aggregates().len()).collect();
@@ -108,7 +98,7 @@ impl RoutingScheme for MplsAutoBandwidth {
             let volume = agg.volume_mbps;
             // Shortest path whose every link holds the whole reservation.
             let mut chosen: Option<Path> = None;
-            for k in 1..=self.config.max_paths {
+            for k in 1..=MAX_PATHS {
                 let paths = source.paths(agg.src, agg.dst, k);
                 if paths.len() < k {
                     break;
@@ -193,18 +183,12 @@ mod tests {
         let topo = two_path();
         let cache = PathCache::new(topo.graph());
         let tm = TrafficMatrix::new(vec![agg(0, 3, 90.0), agg(0, 2, 30.0)]);
-        let largest = MplsAutoBandwidth::new(MplsConfig {
-            order: SignalOrder::LargestFirst,
-            ..Default::default()
-        })
-        .place(&cache, &tm)
-        .unwrap();
-        let smallest = MplsAutoBandwidth::new(MplsConfig {
-            order: SignalOrder::SmallestFirst,
-            ..Default::default()
-        })
-        .place(&cache, &tm)
-        .unwrap();
+        let largest = MplsAutoBandwidth::new(MplsConfig { order: SignalOrder::LargestFirst })
+            .place(&cache, &tm)
+            .unwrap();
+        let smallest = MplsAutoBandwidth::new(MplsConfig { order: SignalOrder::SmallestFirst })
+            .place(&cache, &tm)
+            .unwrap();
         let ev_l = PlacementEval::evaluate(&topo, &tm, &largest);
         let ev_s = PlacementEval::evaluate(&topo, &tm, &smallest);
         // agg(0,3) shortest = A-M-Z (needs 90); agg(0,2) shortest = A-N

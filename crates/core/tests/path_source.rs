@@ -195,10 +195,7 @@ fn lp_schemes_place_through_a_multi_leaf_engine_without_flat_state() {
     // A genuinely partitioned graph: ~600 BA nodes under the default leaf
     // size split into several leaves, so the matrix below is dominated by
     // cross-leaf pairs that must be priced by landmark stitching alone.
-    let ingested = generate(
-        SynthModel::BarabasiAlbert,
-        &SynthConfig { nodes: 600, seed: 42, ..Default::default() },
-    );
+    let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 600, seed: 42 });
     let graph = ingested.graph();
     let engine = PartitionedPathEngine::build(
         graph,

@@ -108,12 +108,6 @@ impl FailureMask {
         self
     }
 
-    /// Brings a node back up.
-    pub fn restore_node(&mut self, n: NodeId) -> &mut Self {
-        self.nodes.remove(n.idx());
-        self
-    }
-
     /// True when the directed link is down (the link itself, or either
     /// endpoint node).
     pub fn link_down(&self, graph: &Graph, l: LinkId) -> bool {
@@ -164,16 +158,6 @@ impl FailureMask {
     /// The downed-node set (see [`FailureMask::link_mask`]).
     pub fn node_mask(&self) -> Option<&BitSet> {
         (!self.nodes.is_empty()).then_some(&self.nodes)
-    }
-
-    /// Iterates over individually-failed directed links.
-    pub fn links_down(&self) -> impl Iterator<Item = LinkId> + '_ {
-        self.links.iter().map(|i| LinkId(i as u32))
-    }
-
-    /// Iterates over failed nodes.
-    pub fn nodes_down(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().map(|i| NodeId(i as u32))
     }
 
     /// True when the path crosses any failed element (downed link, downed

@@ -49,20 +49,12 @@ impl Default for HierarchyConfig {
 pub struct Cluster {
     /// Index of this cluster in the arena.
     pub id: usize,
-    /// Parent cluster index (`None` for the root).
-    pub parent: Option<usize>,
     /// Child cluster indices (empty for leaves).
     pub children: Vec<usize>,
     /// Depth in the tree (root = 0).
     pub depth: usize,
     /// Member nodes, sorted ascending. Children partition this set exactly.
     pub members: Vec<NodeId>,
-    /// The seed node the cluster's ball was grown from (delay "center").
-    pub seed: NodeId,
-    /// Max delay (ms) from a carve seed to any member settled from it,
-    /// measured inside the unassigned scope the carve ran over. 0.0 for
-    /// singletons.
-    pub radius_ms: f64,
     /// True when the ball spans more than one connected component of the
     /// parent scope (a component exhausted mid-carve and filling continued
     /// from the next unassigned member).
@@ -76,37 +68,12 @@ impl Cluster {
     }
 }
 
-/// Aggregate shape of one tree depth, for logs and the `topo_ingest`
-/// summary (the Snippet-2 "per-depth metrics" idiom).
-#[derive(Clone, Copy, Debug)]
-pub struct DepthMetrics {
-    /// Depth these metrics describe (1 = the root's children).
-    pub depth: usize,
-    /// Number of clusters at this depth.
-    pub clusters: usize,
-    /// Smallest cluster size.
-    pub min_size: usize,
-    /// Largest cluster size.
-    pub max_size: usize,
-    /// Mean cluster size.
-    pub mean_size: f64,
-    /// Mean cluster radius (ms).
-    pub mean_radius_ms: f64,
-    /// Largest cluster radius (ms).
-    pub max_radius_ms: f64,
-    /// Nodes at this depth with at least one link leaving their cluster.
-    pub boundary_nodes: usize,
-}
-
 /// A depth-limited clustering of a graph. See the module docs.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     clusters: Vec<Cluster>,
     /// `leaf_of[v]` = arena index of the leaf containing node v.
     leaf_of: Vec<usize>,
-    /// `group_of[v]` = arena index of the depth-1 ancestor of node v (the
-    /// node's *group*; equals the leaf index when the root is a leaf).
-    group_of: Vec<usize>,
 }
 
 /// Min-heap entry for the multi-source split Dijkstra.
@@ -132,46 +99,6 @@ impl PartialOrd for SplitEntry {
     }
 }
 
-/// Multi-source Dijkstra restricted to `scope` (a membership BitSet over
-/// node indices). Returns `(dist, owner)` where `owner[v]` is the index of
-/// the closest seed (ties to the lower seed index via ordered relaxation).
-fn assign_to_seeds(
-    graph: &Graph,
-    scope: &BitSet,
-    seeds: &[NodeId],
-    dist: &mut [f64],
-    owner: &mut [usize],
-) {
-    for i in scope.iter() {
-        dist[i] = f64::INFINITY;
-        owner[i] = usize::MAX;
-    }
-    let mut heap = BinaryHeap::new();
-    for (si, &s) in seeds.iter().enumerate() {
-        dist[s.idx()] = 0.0;
-        owner[s.idx()] = si;
-        heap.push(SplitEntry { dist: 0.0, node: s });
-    }
-    while let Some(SplitEntry { dist: d, node: u }) = heap.pop() {
-        if d > dist[u.idx()] + 1e-15 {
-            continue;
-        }
-        for &l in graph.out_links(u) {
-            let link = graph.link(l);
-            let v = link.dst.idx();
-            if !scope.contains(v) {
-                continue;
-            }
-            let nd = d + link.delay_ms;
-            if nd < dist[v] - 1e-15 {
-                dist[v] = nd;
-                owner[v] = owner[u.idx()];
-                heap.push(SplitEntry { dist: nd, node: link.dst });
-            }
-        }
-    }
-}
-
 impl Hierarchy {
     /// Builds the tree. Deterministic in `(graph, config)`.
     ///
@@ -185,12 +112,9 @@ impl Hierarchy {
 
         let mut clusters = vec![Cluster {
             id: 0,
-            parent: None,
             children: Vec::new(),
             depth: 0,
             members: graph.nodes().collect(),
-            seed: NodeId(0),
-            radius_ms: f64::INFINITY,
             overflow: false,
         }];
 
@@ -248,7 +172,7 @@ impl Hierarchy {
                 dist[m.idx()] = f64::INFINITY;
                 owner[m.idx()] = usize::MAX;
             }
-            let mut balls: Vec<(NodeId, Vec<NodeId>, f64, bool)> = Vec::new();
+            let mut balls: Vec<(Vec<NodeId>, bool)> = Vec::new();
             let mut cursor = 0usize;
             loop {
                 while cursor < members.len() && owner[members[cursor].idx()] != usize::MAX {
@@ -259,9 +183,7 @@ impl Hierarchy {
                 }
                 let bi = balls.len();
                 let mut seed = members[cursor];
-                let first_seed = seed;
                 let mut ball: Vec<NodeId> = Vec::with_capacity(target);
-                let mut radius = 0.0f64;
                 let mut components = 1usize;
                 // Fresh tentative distances for the still-unassigned scope
                 // (previous balls leave stale frontier values behind).
@@ -294,7 +216,6 @@ impl Hierarchy {
                     }
                     owner[u.idx()] = bi;
                     ball.push(u);
-                    radius = radius.max(d);
                     for &l in graph.out_links(u) {
                         let link = graph.link(l);
                         let v = link.dst.idx();
@@ -309,20 +230,17 @@ impl Hierarchy {
                     }
                 }
                 ball.sort();
-                balls.push((first_seed, ball, radius, components > 1));
+                balls.push((ball, components > 1));
             }
 
             let mut children: Vec<usize> = Vec::new();
-            for (seed, ball, radius, overflow) in balls {
+            for (ball, overflow) in balls {
                 let id = clusters.len();
                 clusters.push(Cluster {
                     id,
-                    parent: Some(cid),
                     children: Vec::new(),
                     depth: depth + 1,
                     members: ball,
-                    seed,
-                    radius_ms: radius,
                     overflow,
                 });
                 children.push(id);
@@ -341,42 +259,15 @@ impl Hierarchy {
             clusters[cid].children = children;
         }
 
-        // Root radius: measured from its seed over the whole graph when it
-        // stayed a leaf; otherwise it is never queried, normalise to the max
-        // child radius for reporting.
-        if clusters[0].is_leaf() {
-            scope.clear();
-            for v in 0..n {
-                scope.insert(v);
-            }
-            assign_to_seeds(graph, &scope, &[clusters[0].seed], &mut dist, &mut owner);
-            let mut r = 0.0f64;
-            for (v, &d) in dist.iter().enumerate().take(n) {
-                if d.is_finite() && owner[v] != usize::MAX {
-                    r = r.max(d);
-                }
-            }
-            clusters[0].radius_ms = r;
-        } else {
-            clusters[0].radius_ms =
-                clusters[0].children.iter().map(|&c| clusters[c].radius_ms).fold(0.0, f64::max);
-        }
-
         let mut leaf_of = vec![0usize; n];
-        let mut group_of = vec![0usize; n];
         for c in &clusters {
             if c.is_leaf() {
                 for &m in &c.members {
                     leaf_of[m.idx()] = c.id;
                 }
             }
-            if c.depth == 1 {
-                for &m in &c.members {
-                    group_of[m.idx()] = c.id;
-                }
-            }
         }
-        Hierarchy { clusters, leaf_of, group_of }
+        Hierarchy { clusters, leaf_of }
     }
 
     /// All clusters, arena-ordered (root first).
@@ -392,12 +283,6 @@ impl Hierarchy {
     /// Arena index of the leaf containing `v`.
     pub fn leaf_of(&self, v: NodeId) -> usize {
         self.leaf_of[v.idx()]
-    }
-
-    /// Arena index of the depth-1 group containing `v` (the root when the
-    /// tree has no depth-1 clusters).
-    pub fn group_of(&self, v: NodeId) -> usize {
-        self.group_of[v.idx()]
     }
 
     /// Leaf cluster ids, ascending.
@@ -416,77 +301,9 @@ impl Hierarchy {
         }
     }
 
-    /// Tree depth (max cluster depth).
-    pub fn depth(&self) -> usize {
-        self.clusters.iter().map(|c| c.depth).max().unwrap_or(0)
-    }
-
     /// True when `u` and `v` share a leaf.
     pub fn same_leaf(&self, u: NodeId, v: NodeId) -> bool {
         self.leaf_of[u.idx()] == self.leaf_of[v.idx()]
-    }
-
-    /// Per-depth aggregate metrics (depth 1 and below; the root row is
-    /// omitted because it is always a single all-member cluster).
-    pub fn depth_metrics(&self, graph: &Graph) -> Vec<DepthMetrics> {
-        let max_depth = self.depth();
-        let mut out = Vec::new();
-        // `cluster_at_depth[v]` for the depth currently being measured.
-        let mut cluster_at = vec![usize::MAX; graph.node_count()];
-        for depth in 1..=max_depth {
-            // A node's cluster at `depth` is its deepest ancestor cluster
-            // with depth <= `depth` — for leaves shallower than `depth` the
-            // leaf itself.
-            for c in &self.clusters {
-                if (c.depth == depth) || (c.depth < depth && c.is_leaf()) {
-                    for &m in &c.members {
-                        cluster_at[m.idx()] = c.id;
-                    }
-                }
-            }
-            let ids: Vec<usize> = self
-                .clusters
-                .iter()
-                .filter(|c| c.depth == depth || (c.depth < depth && c.is_leaf()))
-                .map(|c| c.id)
-                .collect();
-            if ids.is_empty() {
-                continue;
-            }
-            let sizes: Vec<usize> = ids.iter().map(|&i| self.clusters[i].members.len()).collect();
-            let radii: Vec<f64> = ids.iter().map(|&i| self.clusters[i].radius_ms).collect();
-            let mut boundary = 0usize;
-            for v in graph.nodes() {
-                let home = cluster_at[v.idx()];
-                if graph.out_links(v).iter().any(|&l| cluster_at[graph.link(l).dst.idx()] != home) {
-                    boundary += 1;
-                }
-            }
-            out.push(DepthMetrics {
-                depth,
-                clusters: ids.len(),
-                min_size: *sizes.iter().min().expect("non-empty"),
-                max_size: *sizes.iter().max().expect("non-empty"),
-                mean_size: sizes.iter().sum::<usize>() as f64 / sizes.len() as f64,
-                mean_radius_ms: radii.iter().sum::<f64>() / radii.len() as f64,
-                max_radius_ms: radii.iter().fold(0.0, |a, &b| a.max(b)),
-                boundary_nodes: boundary,
-            });
-        }
-        out
-    }
-
-    /// Boundary nodes of leaf `id`: members with a link to a node outside
-    /// the leaf. These are the stitch points the path engine routes through.
-    pub fn leaf_boundary(&self, graph: &Graph, id: usize) -> Vec<NodeId> {
-        let c = &self.clusters[id];
-        c.members
-            .iter()
-            .copied()
-            .filter(|&v| {
-                graph.out_links(v).iter().any(|&l| self.leaf_of[graph.link(l).dst.idx()] != id)
-            })
-            .collect()
     }
 }
 
@@ -547,16 +364,17 @@ mod tests {
         let g = line(5);
         let h = Hierarchy::build(&g, &HierarchyConfig::default());
         assert_eq!(h.leaves(), vec![0]);
-        assert_eq!(h.depth(), 0);
+        assert_eq!(h.clusters().len(), 1);
         assert_eq!(h.groups(), vec![0]);
-        assert!(h.cluster(0).radius_ms > 0.0);
+        assert_eq!(h.cluster(0).members, g.nodes().collect::<Vec<_>>());
+        assert!(!h.cluster(0).overflow);
     }
 
     #[test]
     fn depth_limit_is_respected() {
         let g = line(200);
         let h = Hierarchy::build(&g, &HierarchyConfig { max_depth: 2, max_leaf: 4, branching: 2 });
-        assert!(h.depth() <= 2);
+        assert!(h.clusters().len() > 1, "a 200-node line splits");
         for c in h.clusters() {
             assert!(c.depth <= 2);
         }
@@ -594,35 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_metrics_cover_all_nodes() {
-        let g = line(100);
-        let h = Hierarchy::build(&g, &HierarchyConfig { max_depth: 2, max_leaf: 10, branching: 3 });
-        let metrics = h.depth_metrics(&g);
-        assert!(!metrics.is_empty());
-        for m in &metrics {
-            let total = (m.mean_size * m.clusters as f64).round() as usize;
-            assert_eq!(total, 100, "depth {} must cover every node", m.depth);
-            assert!(m.min_size <= m.max_size);
-            assert!(m.boundary_nodes > 0, "a split line has boundaries");
-            assert!(m.max_radius_ms >= m.mean_radius_ms);
-        }
-    }
-
-    #[test]
-    fn leaf_boundary_nodes_have_external_links() {
-        let g = barbell();
-        let h = Hierarchy::build(&g, &HierarchyConfig { max_depth: 2, max_leaf: 6, branching: 2 });
-        for &leaf in &h.leaves() {
-            for v in h.leaf_boundary(&g, leaf) {
-                assert!(g.out_links(v).iter().any(|&l| h.leaf_of(g.link(l).dst) != leaf));
-            }
-        }
-        // The barbell's bridge endpoints are the only boundary nodes.
-        let b0 = h.leaf_boundary(&g, h.leaf_of(NodeId(0)));
-        assert_eq!(b0, vec![NodeId(0)]);
-    }
-
-    #[test]
     fn deterministic_build() {
         let g = line(120);
         let cfg = HierarchyConfig { max_depth: 3, max_leaf: 7, branching: 3 };
@@ -631,7 +420,7 @@ mod tests {
         assert_eq!(a.clusters().len(), b.clusters().len());
         for (ca, cb) in a.clusters().iter().zip(b.clusters()) {
             assert_eq!(ca.members, cb.members);
-            assert_eq!(ca.seed, cb.seed);
+            assert_eq!(ca.overflow, cb.overflow);
         }
     }
 }

@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod bitset;
-pub mod bridges;
 pub mod dijkstra;
 pub mod failure;
 pub mod graph;
@@ -35,14 +34,13 @@ pub mod path;
 pub mod yen;
 
 pub use bitset::BitSet;
-pub use bridges::bridges;
 pub use dijkstra::{
     all_pairs_delays, reverse_shortest_path_tree, shortest_path, shortest_path_tree,
     ReverseShortestPathTree, ShortestPathTree,
 };
 pub use failure::{max_flow_masked, FailureMask};
 pub use graph::{Graph, GraphBuilder, Link, LinkId, NodeId};
-pub use hierarchy::{Cluster, DepthMetrics, Hierarchy, HierarchyConfig};
+pub use hierarchy::{Cluster, Hierarchy, HierarchyConfig};
 pub use maxflow::{max_flow, min_cut_of_links};
 pub use path::Path;
 pub use yen::KspGenerator;

@@ -45,8 +45,7 @@ fn main() {
     args.finish();
     telemetry::set_enabled(true);
 
-    let ingested =
-        generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes, seed, ..Default::default() });
+    let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes, seed });
     let graph = ingested.graph();
     let build_span = telemetry::timed_span("pricing.build_engine", "pricing");
     let engine = PartitionedPathEngine::build(graph, &EngineConfig { hierarchy: hier, landmarks });

@@ -23,7 +23,7 @@
 //! fallback guarantee); `avg_hops` = mean hop count of the best path;
 //! `stretch` = mean (best returned delay / true shortest delay). The JSON
 //! also carries the query mix (cross-leaf and exact-fallback fractions),
-//! hierarchy depth metrics, and build/query wall times.
+//! the leaf count, and build/query wall times.
 //!
 //! `--metrics-out` / `--trace-out` enable the telemetry layer: the engines'
 //! query-mix counters land in the registry (`hier.*`), build/query wall
@@ -37,7 +37,7 @@ use lowlat_netgraph::hierarchy::HierarchyConfig;
 use lowlat_netgraph::{shortest_path_tree, NodeId};
 use lowlat_sim::runner::{default_workers, par_map, write_telemetry_sinks, Args};
 use lowlat_telemetry as telemetry;
-use lowlat_topology::ingest::{self, EdgeListConfig, IngestedGraph};
+use lowlat_topology::ingest::{self, IngestedGraph};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -145,7 +145,7 @@ fn main() {
     let mut sources: Vec<(String, Source)> = Vec::new();
     if let Some(path) = &edge_list {
         let text = read_or_die(path);
-        match ingest::from_edge_list("RealWorld", &text, &EdgeListConfig::default()) {
+        match ingest::from_edge_list("RealWorld", &text) {
             Ok(g) => {
                 sources.push(("RealWorld".to_string(), Source::File(ingested.len())));
                 ingested.push(g);
@@ -158,7 +158,7 @@ fn main() {
     }
     if let Some(path) = &graphml {
         let text = read_or_die(path);
-        match ingest::from_graphml("RealWorld", &text, &EdgeListConfig::default()) {
+        match ingest::from_graphml("RealWorld", &text) {
             Ok(g) => {
                 let label =
                     if edge_list.is_some() { "RealWorldGraphml" } else { "RealWorld" }.to_string();
@@ -183,10 +183,9 @@ fn main() {
     if let Some(path) = &emit {
         let g = match &sources[0].1 {
             Source::File(gi) => ingest::to_edge_list(&ingested[*gi]),
-            Source::Model(m) => ingest::to_edge_list(&generate(
-                *m,
-                &SynthConfig { nodes, seed: seeds[0], ..Default::default() },
-            )),
+            Source::Model(m) => {
+                ingest::to_edge_list(&generate(*m, &SynthConfig { nodes, seed: seeds[0] }))
+            }
         };
         std::fs::write(path, g).unwrap_or_else(|e| {
             eprintln!("error: cannot write {path}: {e}");
@@ -224,7 +223,7 @@ fn main() {
         let graph_ref = match source {
             Source::File(gi) => &ingested[*gi],
             Source::Model(m) => {
-                own = generate(*m, &SynthConfig { nodes, seed, ..Default::default() });
+                own = generate(*m, &SynthConfig { nodes, seed });
                 &own
             }
         };

@@ -43,12 +43,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses process arguments (`--quick`, `--std`, `--full`); anything
-    /// else exits 2 (see [`Args::finish`]).
-    pub fn from_args() -> Scale {
-        Args::from_env().finish()
-    }
-
     /// Subsets the corpus for this scale.
     pub fn select_networks(&self, zoo: Vec<Topology>) -> Vec<Topology> {
         match self {

@@ -62,15 +62,16 @@
 //!
 //! ## Bounded churn
 //!
-//! [`Controller::adaptive_bounded`] (sweep spec `bounded:LDR`) runs the
+//! A `bounded:`-prefixed controller (sweep spec `bounded:LDR`) runs the
 //! same per-minute cycle but treats path churn — installs, uninstalls and
-//! split re-programs pushed to switches — as a cost. Each minute the
-//! scheme's fresh solution is a *candidate*: an aggregate is re-installed
-//! only when its candidate improves predicted mean delay by more than
-//! [`ChurnBudget::epsilon`], its installed paths are broken by the mask,
-//! keeping it would push a link's predicted load past
-//! [`ChurnBudget::util_guard`], or a link it rides *actually queued* past
-//! [`ChurnBudget::queue_trigger_ms`] last minute (the reactive half of the
+//! split re-programs pushed to switches — as a cost. There is no rate
+//! limit; a re-install must pay for itself. Each minute the scheme's fresh
+//! solution is a *candidate*, and an aggregate takes it when nothing is
+//! installed for it, when its installed paths are broken by the mask, when
+//! the candidate improves predicted mean delay by more than `EPSILON` (20%),
+//! when keeping it would push a link's predicted load past `UTIL_GUARD`
+//! (1.0) times effective capacity, or when a link it rides *actually queued*
+//! past `QUEUE_TRIGGER_MS` (50 ms) last minute (the reactive half of the
 //! loop: mean-load prediction cannot see bursts, realized queueing can);
 //! everything else keeps the previous minute's paths. Re-installs of live
 //! paths happen make-before-break: the aggregate drains linearly across the
@@ -109,42 +110,22 @@ pub const DEFAULT_CV: f64 = 0.3;
 /// Default RNG seed for trace synthesis.
 pub const DEFAULT_SEED: u64 = 99;
 
-/// How much per-minute path churn [`Controller::adaptive_bounded`] may
-/// spend, and when keeping a stale placement stops being acceptable.
-#[derive(Clone, Debug)]
-pub struct ChurnBudget {
-    /// Minimum *relative* predicted mean-delay improvement before an
-    /// aggregate's candidate placement is worth re-installing. Below this
-    /// the previous minute's paths are kept as-is.
-    pub epsilon: f64,
-    /// Hard cap on switch operations (installs + uninstalls + re-programs)
-    /// per decision minute. Forced re-installs (broken paths, fresh
-    /// aggregates) are spent first; optional improvements fill the rest,
-    /// best predicted delay-volume gain first.
-    pub max_paths_per_minute: usize,
-    /// Utilization multiple of effective capacity above which a kept
-    /// placement is force-re-installed: keeping stale paths must not
-    /// (predictably) overload a link. 1.0 = re-install at predicted
-    /// saturation.
-    pub util_guard: f64,
-    /// Realized-queueing trigger (ms): a link whose replay queued above
-    /// this last minute forces re-install of the kept aggregates riding
-    /// it (when the fresh candidate actually relieves the link). This is
-    /// the reactive half of the loop — mean-load prediction cannot see
-    /// bursts, realized queueing can.
-    pub queue_trigger_ms: f64,
-}
+/// Bounded churn: minimum *relative* predicted mean-delay improvement
+/// before an aggregate's candidate placement is worth re-installing. Below
+/// this the previous minute's paths are kept as-is.
+const EPSILON: f64 = 0.2;
 
-impl Default for ChurnBudget {
-    fn default() -> Self {
-        ChurnBudget {
-            epsilon: 0.2,
-            max_paths_per_minute: usize::MAX,
-            util_guard: 1.0,
-            queue_trigger_ms: 50.0,
-        }
-    }
-}
+/// Bounded churn: utilization multiple of effective capacity above which a
+/// kept placement is force-re-installed: keeping stale paths must not
+/// (predictably) overload a link. 1.0 = re-install at predicted saturation.
+const UTIL_GUARD: f64 = 1.0;
+
+/// Bounded churn: realized-queueing trigger (ms). A link whose replay queued
+/// above this last minute forces re-install of the kept aggregates riding it
+/// (when the fresh candidate actually relieves the link). This is the
+/// reactive half of the loop — mean-load prediction cannot see bursts,
+/// realized queueing can.
+const QUEUE_TRIGGER_MS: f64 = 50.0;
 
 /// Why a controller spec failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -178,14 +159,23 @@ impl From<UnknownScheme> for ControllerParseError {
 }
 
 /// Which controller drives path computation each minute: any registry
-/// scheme, run adaptively (re-placed every minute on the history so far),
-/// adaptively under a [`ChurnBudget`], or statically (placed once — the
-/// paper's OSPF baseline, generalized).
+/// scheme, run in one of three modes.
 #[derive(Clone)]
 pub struct Controller {
     scheme: Arc<dyn RoutingScheme>,
-    adaptive: bool,
-    churn: Option<ChurnBudget>,
+    mode: Mode,
+}
+
+/// How a [`Controller`] runs its scheme.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mode {
+    /// Placed once — the paper's OSPF baseline, generalized (`static:`).
+    Static,
+    /// Re-placed every minute on the history so far.
+    Adaptive,
+    /// Re-placed every minute, re-installed only where it pays (`bounded:`;
+    /// module docs, *Bounded churn*).
+    Bounded,
 }
 
 impl Controller {
@@ -193,27 +183,19 @@ impl Controller {
     /// minute on the measured history. LDR uses its full trace-driven
     /// Figure-14 loop; other schemes re-place Algorithm-1 predictions.
     pub fn adaptive(spec: &str) -> Result<Controller, UnknownScheme> {
-        Ok(Controller { scheme: registry::build(spec)?, adaptive: true, churn: None })
-    }
-
-    /// An adaptive controller that only re-installs aggregates whose fresh
-    /// solution pays for its churn (see [`ChurnBudget`] and the
-    /// module-level *Bounded churn* notes). Re-installs are
-    /// make-before-break: retiring paths hold capacity for one overlap
-    /// minute.
-    pub fn adaptive_bounded(spec: &str, budget: ChurnBudget) -> Result<Controller, UnknownScheme> {
-        Ok(Controller { scheme: registry::build(spec)?, adaptive: true, churn: Some(budget) })
+        Ok(Controller { scheme: registry::build(spec)?, mode: Mode::Adaptive })
     }
 
     /// A static controller: the named scheme placed once on the base
     /// matrix, then left alone for the whole run.
     pub fn static_baseline(spec: &str) -> Result<Controller, UnknownScheme> {
-        Ok(Controller { scheme: registry::build(spec)?, adaptive: false, churn: None })
+        Ok(Controller { scheme: registry::build(spec)?, mode: Mode::Static })
     }
 
     /// Parses a sweep spec: a registry name, optionally prefixed with
     /// `static:` for the placed-once variant or `bounded:` for the
-    /// default-budget churn-bounded variant (`"LDR"`, `"static: SP"`,
+    /// churn-bounded variant, which only re-installs aggregates whose fresh
+    /// solution pays for its churn (`"LDR"`, `"static: SP"`,
     /// `"bounded:LDR"`). Whitespace around the name and after the prefix is
     /// ignored; a prefix with nothing after it is rejected with
     /// [`ControllerParseError::EmptySpec`] rather than a confusing
@@ -232,7 +214,7 @@ impl Controller {
             if rest.is_empty() {
                 return Err(ControllerParseError::EmptySpec { prefix: "bounded:" });
             }
-            return Ok(Controller::adaptive_bounded(rest, ChurnBudget::default())?);
+            return Ok(Controller { scheme: registry::build(rest)?, mode: Mode::Bounded });
         }
         Ok(Controller::adaptive(spec)?)
     }
@@ -257,23 +239,16 @@ impl Controller {
     /// placed-once controllers and `bounded:`-prefixed for churn-bounded
     /// ones. Round-trips through [`Controller::parse`].
     pub fn name(&self) -> String {
-        if !self.adaptive {
-            format!("static:{}", self.scheme.name())
-        } else if self.churn.is_some() {
-            format!("bounded:{}", self.scheme.name())
-        } else {
-            self.scheme.name()
+        match self.mode {
+            Mode::Static => format!("static:{}", self.scheme.name()),
+            Mode::Adaptive => self.scheme.name(),
+            Mode::Bounded => format!("bounded:{}", self.scheme.name()),
         }
     }
 
-    /// True when the controller re-places every minute.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// The churn budget, for churn-bounded controllers.
-    pub fn churn_budget(&self) -> Option<&ChurnBudget> {
-        self.churn.as_ref()
+    /// True when the scheme is placed once and never consulted again.
+    fn is_static(&self) -> bool {
+        self.mode == Mode::Static
     }
 }
 
@@ -446,11 +421,6 @@ impl TimelineOutcome {
         median_of(&self.minutes.iter().map(|m| m.decision_ms).collect::<Vec<_>>())
     }
 
-    /// Worst per-minute decision latency (ms).
-    pub fn max_decision_ms(&self) -> f64 {
-        self.minutes.iter().map(|m| m.decision_ms).fold(0.0, f64::max)
-    }
-
     /// Mean per-minute moved-volume fraction.
     pub fn mean_moved_volume_fraction(&self) -> f64 {
         self.minutes.iter().map(|m| m.moved_volume_fraction).sum::<f64>()
@@ -616,7 +586,8 @@ impl<'a> ControllerState<'a> {
             })
             .collect();
         drop(synthesis);
-        let placement = (!controller.adaptive)
+        let placement = controller
+            .is_static()
             .then(|| controller.scheme.place(source, tm).expect("static placement"));
         ControllerState {
             source,
@@ -728,7 +699,7 @@ impl<'a> ControllerState<'a> {
     fn apply_mask(&mut self, mask: FailureMask) {
         let graph = self.source.graph();
         self.repair_events += 1;
-        if self.controller.adaptive {
+        if !self.controller.is_static() {
             let stats = self.source.apply_failure(&mask);
             self.repaired_pairs += stats.repaired_pairs;
             self.kept_pairs += stats.kept_pairs;
@@ -754,12 +725,12 @@ impl<'a> ControllerState<'a> {
     }
 
     /// An adaptive controller re-places the routable demand on the history
-    /// before this minute (under a [`ChurnBudget`], merged with what is
+    /// before this minute (a bounded one merges the result with what is
     /// installed); a static one keeps the placement it has.
     fn decide(&mut self, minute: usize) {
         let _decide = telemetry::span("timeline.decide", "timeline");
         let controller = self.controller;
-        if !controller.adaptive {
+        if controller.is_static() {
             return;
         }
         self.draining.clear();
@@ -777,14 +748,12 @@ impl<'a> ControllerState<'a> {
             .scheme
             .place_with_history(self.source, minute_tm, &history, &mut self.ctx)
             .expect("adaptive placement");
-        self.placement = Some(match &controller.churn {
-            Some(budget) => {
-                let (merged, retired) =
-                    self.merge_bounded(budget, &predict_volumes(&history), &candidate);
-                self.draining = retired;
-                merged
-            }
-            None => candidate,
+        self.placement = Some(if controller.mode == Mode::Bounded {
+            let (merged, retired) = self.merge_bounded(&predict_volumes(&history), &candidate);
+            self.draining = retired;
+            merged
+        } else {
+            candidate
         });
     }
 
@@ -795,7 +764,7 @@ impl<'a> ControllerState<'a> {
     fn install(&mut self, minute: usize) -> PlacementDelta {
         let _install = telemetry::span("timeline.install", "timeline");
         let mut churn = PlacementDelta::default();
-        if !self.controller.adaptive {
+        if self.controller.is_static() {
             return churn;
         }
         let Some(placement) = &self.placement else { return churn };
@@ -839,7 +808,7 @@ impl<'a> ControllerState<'a> {
                     // a static placement can send any: adaptive ones are
                     // built from the repaired source.
                     debug_assert!(
-                        !self.controller.adaptive,
+                        self.controller.is_static(),
                         "adaptive placement routed over a failed element"
                     );
                     continue;
@@ -873,7 +842,7 @@ impl<'a> ControllerState<'a> {
         let mut trip: Option<LinkId> = None;
         let mut trip_over = cascade.map_or(f64::INFINITY, |c| c.trip_overload);
         let queue_trigger_ms =
-            self.controller.churn.as_ref().map_or(f64::INFINITY, |b| b.queue_trigger_ms);
+            if self.controller.mode == Mode::Bounded { QUEUE_TRIGGER_MS } else { f64::INFINITY };
         for l in graph.link_ids() {
             self.queued_links[l.idx()] = false;
             let cap = self.mask.effective_capacity(graph, l);
@@ -910,17 +879,15 @@ impl<'a> ControllerState<'a> {
     }
 
     /// Merges the minute's fresh `candidate` placement with the `installed`
-    /// switch state under a [`ChurnBudget`].
+    /// switch state (module docs, *Bounded churn*).
     ///
     /// Per aggregate `j` of the minute's matrix, the candidate is taken when
     /// (a) nothing is installed yet, (b) the installed paths are broken by
     /// the mask, or (c) the candidate improves predicted mean delay by more
-    /// than `budget.epsilon` relative — optional re-installs are ranked by
-    /// predicted delay·volume gain and cut off at
-    /// `budget.max_paths_per_minute` switch operations (forced ones spend
-    /// first). A final pass force-takes kept aggregates while keeping them
-    /// would push some link's *predicted* load past `budget.util_guard`
-    /// times effective capacity.
+    /// than `EPSILON` relative. A final pass force-takes kept aggregates
+    /// while keeping them would push some link's *predicted* load past
+    /// `UTIL_GUARD` times effective capacity, or while a link they ride
+    /// queued past `QUEUE_TRIGGER_MS` last minute.
     ///
     /// Returns the merged placement (aligned with the minute's matrix) plus
     /// the make-before-break transitions, in aggregate order: the full old
@@ -931,7 +898,6 @@ impl<'a> ControllerState<'a> {
     /// installs have nothing to drain.
     fn merge_bounded(
         &self,
-        budget: &ChurnBudget,
         predicted: &[f64],
         candidate: &Placement,
     ) -> (Placement, Vec<(usize, AggregatePlacement)>) {
@@ -940,49 +906,20 @@ impl<'a> ControllerState<'a> {
         let n = candidate.per_aggregate().len();
         let installed = |j: usize| self.installed[self.orig(j)].as_ref();
         let kept = |j: usize| installed(j).expect("kept implies installed");
-        let change_cost = |j: usize| {
-            PlacementDelta::of_aggregate(installed(j), candidate.aggregate(j), 1.0).paths_changed()
-        };
         let mut take = vec![false; n];
         let mut broken_paths = vec![false; n];
-        let mut spent = 0usize;
-        let mut optional: Vec<(usize, f64)> = Vec::new();
         for j in 0..n {
             match installed(j) {
                 // Nothing installed (fresh aggregate, or one coming back from
                 // an unroutable spell): must install.
-                None => {
-                    take[j] = true;
-                    spent += change_cost(j);
-                }
+                None => take[j] = true,
                 Some(prev) => {
-                    let broken =
+                    broken_paths[j] =
                         prev.splits.iter().any(|(p, x)| *x > 1e-9 && mask.hits_path(graph, p));
-                    if broken {
-                        take[j] = true;
-                        broken_paths[j] = true;
-                        spent += change_cost(j);
-                    } else {
-                        let prev_d = prev.mean_delay_ms();
-                        let cand_d = candidate.aggregate(j).mean_delay_ms();
-                        if prev_d - cand_d > budget.epsilon * prev_d.max(1e-9) {
-                            optional.push((j, predicted[j] * (prev_d - cand_d)));
-                        }
-                    }
+                    let prev_d = prev.mean_delay_ms();
+                    let cand_d = candidate.aggregate(j).mean_delay_ms();
+                    take[j] = broken_paths[j] || prev_d - cand_d > EPSILON * prev_d.max(1e-9);
                 }
-            }
-        }
-        // Spend whatever budget remains on the re-installs that buy the most
-        // predicted delay·volume, best first (ties broken by index for
-        // determinism).
-        optional.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        for &(j, _) in &optional {
-            let cost = change_cost(j);
-            if spent + cost <= budget.max_paths_per_minute {
-                take[j] = true;
-                spent += cost;
             }
         }
         // Capacity pressure: keeping stale splits must not (predictably)
@@ -1015,7 +952,7 @@ impl<'a> ControllerState<'a> {
                     if cap <= 0.0 {
                         return None;
                     }
-                    let guard = budget.util_guard * cap;
+                    let guard = UTIL_GUARD * cap;
                     let predicted_hot = load[l.idx()] > guard && cand_load[l.idx()] <= guard;
                     let reactive_hot =
                         self.queued_links[l.idx()] && load[l.idx()] > cand_load[l.idx()] + 1e-9;
@@ -1032,14 +969,10 @@ impl<'a> ControllerState<'a> {
                     (relief > 0.0).then_some((j, relief))
                 })
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            // No kept aggregate can relieve the hot link (or the budget is
-            // exhausted): stop rather than churn without effect.
+            // No kept aggregate can relieve the hot link: stop rather than
+            // churn without effect.
             let Some((j, _)) = flip else { break };
-            if spent + change_cost(j) > budget.max_paths_per_minute {
-                break;
-            }
             take[j] = true;
-            spent += change_cost(j);
         }
         let mut merged = Vec::with_capacity(n);
         let mut transitions = Vec::new();
@@ -1049,7 +982,9 @@ impl<'a> ControllerState<'a> {
                 if let Some(prev) = installed(j) {
                     // A live re-install drains make-before-break; one that
                     // actually changes nothing has nothing to drain.
-                    if !broken_paths[j] && change_cost(j) > 0 {
+                    let changes =
+                        || PlacementDelta::of_aggregate(Some(prev), new, 1.0).paths_changed() > 0;
+                    if !broken_paths[j] && changes() {
                         transitions.push((j, prev.clone()));
                     }
                 }
@@ -1432,9 +1367,10 @@ mod tests {
         assert_eq!(Controller::parse("static: SP").expect("trimmed").name(), "static:SP");
         assert_eq!(Controller::parse("  static:B4 ").expect("trimmed").name(), "static:B4");
         assert_eq!(Controller::parse("bounded: LDR").expect("trimmed").name(), "bounded:LDR");
-        let bounded = Controller::parse("bounded:LDR").expect("bounded");
-        assert!(bounded.is_adaptive());
-        assert!(bounded.churn_budget().is_some());
+        // The name carries the mode, so parsing it back gives the same one.
+        for spec in ["static:SP", "LDR", "bounded:LDR"] {
+            assert_eq!(Controller::parse(spec).expect("registry spec").name(), spec);
+        }
         assert_eq!(
             Controller::parse("static:").unwrap_err(),
             ControllerParseError::EmptySpec { prefix: "static:" }

@@ -119,11 +119,6 @@ fn push(name: &'static str) {
 }
 
 impl Span {
-    /// Milliseconds since the span opened (0 for a gate-skipped [`span`]).
-    pub fn elapsed_ms(&self) -> f64 {
-        self.start.map_or(0.0, |s| s.elapsed().as_secs_f64() * 1e3)
-    }
-
     /// Closes the span now and returns its duration in milliseconds — the
     /// single measurement both the trace and the caller's column read.
     pub fn finish_ms(mut self) -> f64 {

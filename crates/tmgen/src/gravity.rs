@@ -12,9 +12,6 @@ use crate::zipf::zipf_masses;
 /// Configuration for [`GravityTmGen`].
 #[derive(Clone, Debug)]
 pub struct TmGenConfig {
-    /// Zipf exponent for PoP masses. 1.0 reproduces the classic heavy-tailed
-    /// aggregate-size distribution the paper cites.
-    pub zipf_alpha: f64,
     /// The paper's locality parameter ℓ: short-distance aggregates may grow
     /// by up to ℓ× their gravity demand. The paper's default is 1.0.
     pub locality: f64,
@@ -31,15 +28,13 @@ pub struct TmGenConfig {
 
 impl Default for TmGenConfig {
     fn default() -> Self {
-        TmGenConfig {
-            zipf_alpha: 1.0,
-            locality: 1.0,
-            total_volume_mbps: 100_000.0,
-            mbps_per_flow: 5.0,
-            seed: 42,
-        }
+        TmGenConfig { locality: 1.0, total_volume_mbps: 100_000.0, mbps_per_flow: 5.0, seed: 42 }
     }
 }
+
+/// Zipf exponent for PoP masses. 1.0 reproduces the classic heavy-tailed
+/// aggregate-size distribution the paper cites.
+const ZIPF_ALPHA: f64 = 1.0;
 
 /// Gravity-model generator with Zipf masses and the locality LP.
 #[derive(Clone, Debug)]
@@ -51,10 +46,8 @@ impl GravityTmGen {
     /// Creates a generator.
     ///
     /// # Panics
-    /// Panics on non-positive volume/flow parameters or negative
-    /// alpha/locality.
+    /// Panics on non-positive volume/flow parameters or negative locality.
     pub fn new(config: TmGenConfig) -> Self {
-        assert!(config.zipf_alpha >= 0.0);
         assert!(config.locality >= 0.0);
         assert!(config.total_volume_mbps > 0.0);
         assert!(config.mbps_per_flow > 0.0);
@@ -73,7 +66,7 @@ impl GravityTmGen {
         let mut rng = StdRng::seed_from_u64(
             self.config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(index),
         );
-        let masses = zipf_masses(n, self.config.zipf_alpha, &mut rng);
+        let masses = zipf_masses(n, ZIPF_ALPHA, &mut rng);
 
         // Gravity: volume(s,d) ∝ mass_s * mass_d, diagonal excluded, then
         // normalized to the nominal total.
@@ -105,11 +98,6 @@ impl GravityTmGen {
             }
         }
         TrafficMatrix::new(aggregates)
-    }
-
-    /// Generates a batch of `count` matrices (indices `0..count`).
-    pub fn generate_batch(&self, topology: &Topology, count: u64) -> Vec<TrafficMatrix> {
-        (0..count).map(|i| self.generate(topology, i)).collect()
     }
 }
 

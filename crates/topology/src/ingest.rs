@@ -26,20 +26,11 @@ use std::fmt;
 
 use lowlat_netgraph::{Graph, GraphBuilder, LinkId, NodeId};
 
-/// Defaults applied to edge-list lines that omit capacity and/or delay.
-#[derive(Clone, Copy, Debug)]
-pub struct EdgeListConfig {
-    /// Capacity (Mbps) for lines without a third field.
-    pub default_capacity_mbps: f64,
-    /// Delay (ms) for lines without a fourth field.
-    pub default_delay_ms: f64,
-}
+/// Capacity (Mbps) of an edge whose line or element names none.
+const DEFAULT_CAPACITY_MBPS: f64 = 1_000.0;
 
-impl Default for EdgeListConfig {
-    fn default() -> Self {
-        EdgeListConfig { default_capacity_mbps: 1_000.0, default_delay_ms: 1.0 }
-    }
-}
+/// Delay (ms) of an edge whose line or element names none.
+const DEFAULT_DELAY_MS: f64 = 1.0;
 
 /// A parsed (or generated) graph with interned node names.
 ///
@@ -176,11 +167,7 @@ impl std::error::Error for IngestError {}
 /// CAIDA-style listing repeats) are ignored after the first occurrence.
 /// Malformed lines — wrong field count, non-positive capacity, negative
 /// delay, self-loops — are rejected with their line number.
-pub fn from_edge_list(
-    name: impl Into<String>,
-    text: &str,
-    config: &EdgeListConfig,
-) -> Result<IngestedGraph, IngestError> {
+pub fn from_edge_list(name: impl Into<String>, text: &str) -> Result<IngestedGraph, IngestError> {
     let mut names: Vec<String> = Vec::new();
     let mut ids: HashMap<String, u32> = HashMap::new();
     let mut edges: Vec<(u32, u32, f64, f64)> = Vec::new();
@@ -233,7 +220,7 @@ pub fn from_edge_list(
                 }
                 v
             }
-            None => config.default_capacity_mbps,
+            None => DEFAULT_CAPACITY_MBPS,
         };
         let delay = match fields.get(3) {
             Some(s) => {
@@ -246,7 +233,7 @@ pub fn from_edge_list(
                 }
                 v.max(0.05)
             }
-            None => config.default_delay_ms,
+            None => DEFAULT_DELAY_MS,
         };
         let a = intern(fields[0]);
         let z = intern(fields[1]);
@@ -410,11 +397,7 @@ fn scan_elements(text: &str) -> Result<Vec<XmlElement<'_>>, IngestError> {
 /// declarations (key names matched case-insensitively against
 /// capacity/bandwidth/linkspeed and delay/latency). Errors carry the line
 /// number of the offending element.
-pub fn from_graphml(
-    name: impl Into<String>,
-    text: &str,
-    config: &EdgeListConfig,
-) -> Result<IngestedGraph, IngestError> {
+pub fn from_graphml(name: impl Into<String>, text: &str) -> Result<IngestedGraph, IngestError> {
     let elements = scan_elements(text)?;
     // <key id="d3" attr.name="capacity"> declarations: id -> semantic.
     #[derive(Clone, Copy, PartialEq)]
@@ -494,8 +477,8 @@ pub fn from_graphml(
                         kind: IngestErrorKind::SelfLoop(src.to_string()),
                     });
                 }
-                let mut cap = config.default_capacity_mbps;
-                let mut delay = config.default_delay_ms;
+                let mut cap = DEFAULT_CAPACITY_MBPS;
+                let mut delay = DEFAULT_DELAY_MS;
                 let num = |s: &str| -> Result<f64, IngestError> {
                     s.parse::<f64>().ok().filter(|v| v.is_finite()).ok_or(IngestError {
                         line: e.line,
@@ -560,7 +543,7 @@ mod tests {
 
     #[test]
     fn interning_is_first_seen_order() {
-        let g = from_edge_list("t", "b a\nc a\n", &EdgeListConfig::default()).unwrap();
+        let g = from_edge_list("t", "b a\nc a\n").unwrap();
         assert_eq!(g.node_name(NodeId(0)), "b");
         assert_eq!(g.node_name(NodeId(1)), "a");
         assert_eq!(g.node_name(NodeId(2)), "c");
@@ -572,7 +555,7 @@ mod tests {
 
     #[test]
     fn pipe_and_whitespace_separators_mix() {
-        let g = from_edge_list("t", "a|b|500|2.5\nb c 700\n", &EdgeListConfig::default()).unwrap();
+        let g = from_edge_list("t", "a|b|500|2.5\nb c 700\n").unwrap();
         assert_eq!(g.cable_count(), 2);
         let l = g.graph().find_link(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(g.graph().link(l).capacity_mbps, 500.0);
@@ -584,7 +567,7 @@ mod tests {
 
     #[test]
     fn duplicate_and_reverse_edges_deduped() {
-        let g = from_edge_list("t", "a b\nb a\na b 99\n", &EdgeListConfig::default()).unwrap();
+        let g = from_edge_list("t", "a b\nb a\na b 99\n").unwrap();
         assert_eq!(g.cable_count(), 1);
         // First occurrence wins.
         let l = g.graph().find_link(NodeId(0), NodeId(1)).unwrap();
@@ -594,7 +577,7 @@ mod tests {
     #[test]
     fn comments_and_blanks_ignored() {
         let text = "# CAIDA-style header\n\na b # trailing\n";
-        let g = from_edge_list("t", text, &EdgeListConfig::default()).unwrap();
+        let g = from_edge_list("t", text).unwrap();
         assert_eq!(g.cable_count(), 1);
     }
 
@@ -611,7 +594,7 @@ mod tests {
             ("x x\n", 1),            // self-loop on line 1
         ];
         for (text, line) in cases {
-            let e = from_edge_list("t", text, &EdgeListConfig::default()).unwrap_err();
+            let e = from_edge_list("t", text).unwrap_err();
             assert_eq!(e.line, line, "wrong line for {text:?}: {e}");
             assert!(format!("{e}").contains(&format!("line {line}")));
         }
@@ -619,15 +602,15 @@ mod tests {
 
     #[test]
     fn empty_input_is_no_edges() {
-        let e = from_edge_list("t", "# nothing\n", &EdgeListConfig::default()).unwrap_err();
+        let e = from_edge_list("t", "# nothing\n").unwrap_err();
         assert_eq!(e.kind, IngestErrorKind::NoEdges);
     }
 
     #[test]
     fn round_trips_through_edge_list() {
         let text = "a b 500 2.5\nb c 700 1\nc a 900 3.25\nd a 100 0.5\n";
-        let g = from_edge_list("t", text, &EdgeListConfig::default()).unwrap();
-        let again = from_edge_list("t", &to_edge_list(&g), &EdgeListConfig::default()).unwrap();
+        let g = from_edge_list("t", text).unwrap();
+        let again = from_edge_list("t", &to_edge_list(&g)).unwrap();
         assert_eq!(again.node_count(), g.node_count());
         assert_eq!(again.cable_count(), g.cable_count());
         for l in g.graph().link_ids() {
@@ -641,7 +624,7 @@ mod tests {
 
     #[test]
     fn reverse_link_pairs_up() {
-        let g = from_edge_list("t", "a b\nb c\n", &EdgeListConfig::default()).unwrap();
+        let g = from_edge_list("t", "a b\nb c\n").unwrap();
         for l in g.graph().link_ids() {
             let r = g.reverse_link(l);
             assert_eq!(g.graph().link(l).src, g.graph().link(r).dst);
@@ -651,7 +634,7 @@ mod tests {
 
     #[test]
     fn disconnected_graphs_are_accepted() {
-        let g = from_edge_list("t", "a b\nc d\n", &EdgeListConfig::default()).unwrap();
+        let g = from_edge_list("t", "a b\nc d\n").unwrap();
         assert_eq!(g.node_count(), 4);
         assert!(!g.graph().is_strongly_connected());
     }
@@ -675,7 +658,7 @@ mod tests {
 
     #[test]
     fn graphml_basics() {
-        let g = from_graphml("t", GRAPHML, &EdgeListConfig::default()).unwrap();
+        let g = from_graphml("t", GRAPHML).unwrap();
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.cable_count(), 2);
         let vp = g
@@ -694,15 +677,15 @@ mod tests {
     #[test]
     fn graphml_errors_carry_line_numbers() {
         let missing_id = "<graphml>\n<node/>\n</graphml>\n";
-        let e = from_graphml("t", missing_id, &EdgeListConfig::default()).unwrap_err();
+        let e = from_graphml("t", missing_id).unwrap_err();
         assert_eq!(e.line, 2);
         let unknown =
             "<graphml>\n<node id=\"a\"/>\n<edge source=\"a\" target=\"zz\"/>\n</graphml>\n";
-        let e = from_graphml("t", unknown, &EdgeListConfig::default()).unwrap_err();
+        let e = from_graphml("t", unknown).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(format!("{e}").contains("zz"));
         let unterminated = "<graphml>\n<node id=\"a\"\n";
-        let e = from_graphml("t", unterminated, &EdgeListConfig::default()).unwrap_err();
+        let e = from_graphml("t", unterminated).unwrap_err();
         assert_eq!(e.line, 2);
     }
 
@@ -710,7 +693,7 @@ mod tests {
     fn graphml_edge_attributes_inline() {
         let doc = "<graphml>\n<node id=\"a\"/>\n<node id=\"b\"/>\n\
                    <edge source=\"a\" target=\"b\" capacity=\"123\" delay=\"4.5\"/>\n</graphml>\n";
-        let g = from_graphml("t", doc, &EdgeListConfig::default()).unwrap();
+        let g = from_graphml("t", doc).unwrap();
         let l = g.graph().find_link(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(g.graph().link(l).capacity_mbps, 123.0);
         assert_eq!(g.graph().link(l).delay_ms, 4.5);

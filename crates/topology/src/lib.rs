@@ -31,6 +31,6 @@ pub mod zoo;
 
 pub use format::{from_text, to_text, ParseError};
 pub use geo::{corridor_distance_km, GeoPoint};
-pub use ingest::{EdgeListConfig, IngestError, IngestErrorKind, IngestedGraph};
+pub use ingest::{IngestError, IngestErrorKind, IngestedGraph};
 pub use model::{PopId, Topology, TopologyBuilder};
 pub use synth::{generate, SynthConfig, SynthModel};

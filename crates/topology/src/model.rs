@@ -149,11 +149,6 @@ impl Topology {
     pub fn cables(&self) -> Vec<LinkId> {
         self.graph.link_ids().filter(|&l| l.idx() <= self.reverse[l.idx()].idx()).collect()
     }
-
-    /// Sum of capacity over directed links (Mbps).
-    pub fn total_capacity_mbps(&self) -> f64 {
-        self.graph.link_ids().map(|l| self.graph.link(l).capacity_mbps).sum()
-    }
 }
 
 /// Builder for [`Topology`].

@@ -72,42 +72,39 @@ impl SynthModel {
     ];
 }
 
-/// Generator parameters. Model-specific knobs are ignored by the other
-/// models.
+/// Generator parameters: the size and the seed. The models' shapes are the
+/// constants below.
 #[derive(Clone, Copy, Debug)]
 pub struct SynthConfig {
     /// Number of nodes.
     pub nodes: usize,
     /// Seed; every draw derives from it deterministically.
     pub seed: u64,
-    /// Barabási–Albert: edges attached per new node.
-    pub ba_attach: usize,
-    /// Watts–Strogatz: ring-lattice neighbours per node (even, >= 2).
-    pub ws_neighbors: usize,
-    /// Watts–Strogatz: chord rewiring probability.
-    pub ws_rewire: f64,
-    /// Random: target mean degree (`p = degree / (n - 1)`).
-    pub random_mean_degree: f64,
-    /// Uniform link capacity (Mbps).
-    pub capacity_mbps: f64,
-    /// Side of the placement square (km); delays follow from distance.
-    pub area_km: f64,
 }
 
 impl Default for SynthConfig {
     fn default() -> Self {
-        SynthConfig {
-            nodes: 1000,
-            seed: 42,
-            ba_attach: 3,
-            ws_neighbors: 4,
-            ws_rewire: 0.1,
-            random_mean_degree: 6.0,
-            capacity_mbps: 10_000.0,
-            area_km: 4_000.0,
-        }
+        SynthConfig { nodes: 1000, seed: 42 }
     }
 }
+
+/// Barabási–Albert: edges attached per new node.
+const BA_ATTACH: usize = 3;
+
+/// Watts–Strogatz: ring-lattice neighbours per node (even, >= 2).
+const WS_NEIGHBORS: usize = 4;
+
+/// Watts–Strogatz: chord rewiring probability.
+const WS_REWIRE: f64 = 0.1;
+
+/// Random: target mean degree (`p = degree / (n - 1)`).
+const RANDOM_MEAN_DEGREE: f64 = 6.0;
+
+/// Uniform link capacity (Mbps).
+const CAPACITY_MBPS: f64 = 10_000.0;
+
+/// Side of the placement square (km); delays follow from distance.
+const AREA_KM: f64 = 4_000.0;
 
 /// Delay (ms) between two planar positions: distance at 200 km/ms, floored
 /// like geographic topologies.
@@ -119,8 +116,7 @@ fn delay_between(a: (f64, f64), b: (f64, f64)) -> f64 {
 /// Generates one synthetic graph. Deterministic in `(model, config)`.
 ///
 /// # Panics
-/// Panics on degenerate configurations (fewer than 4 nodes, zero attach
-/// degree, odd `ws_neighbors`, …) — these are driver bugs, not data.
+/// Panics on fewer than 4 nodes — a driver bug, not data.
 pub fn generate(model: SynthModel, config: &SynthConfig) -> IngestedGraph {
     let n = config.nodes;
     assert!(n >= 4, "synthetic models need at least 4 nodes, got {n}");
@@ -132,11 +128,11 @@ pub fn generate(model: SynthModel, config: &SynthConfig) -> IngestedGraph {
     let positions: Vec<(f64, f64)> = match model {
         SynthModel::Grid => {
             let cols = (n as f64).sqrt().ceil() as usize;
-            let spacing = config.area_km / cols as f64;
+            let spacing = AREA_KM / cols as f64;
             (0..n).map(|i| ((i % cols) as f64 * spacing, (i / cols) as f64 * spacing)).collect()
         }
         SynthModel::WattsStrogatz => {
-            let r = config.area_km / 2.0;
+            let r = AREA_KM / 2.0;
             (0..n)
                 .map(|i| {
                     let theta = i as f64 / n as f64 * std::f64::consts::TAU;
@@ -144,9 +140,7 @@ pub fn generate(model: SynthModel, config: &SynthConfig) -> IngestedGraph {
                 })
                 .collect()
         }
-        _ => (0..n)
-            .map(|_| (rng.gen_range(0.0..config.area_km), rng.gen_range(0.0..config.area_km)))
-            .collect(),
+        _ => (0..n).map(|_| (rng.gen_range(0.0..AREA_KM), rng.gen_range(0.0..AREA_KM))).collect(),
     };
 
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -167,8 +161,7 @@ pub fn generate(model: SynthModel, config: &SynthConfig) -> IngestedGraph {
 
     match model {
         SynthModel::BarabasiAlbert => {
-            let m = config.ba_attach;
-            assert!(m >= 1, "ba_attach must be >= 1");
+            let m = BA_ATTACH;
             let m0 = (m + 1).min(n);
             // Seed clique, then preferential attachment: sample an endpoint
             // of a uniformly random existing edge (endpoint frequency is
@@ -200,8 +193,7 @@ pub fn generate(model: SynthModel, config: &SynthConfig) -> IngestedGraph {
             }
         }
         SynthModel::WattsStrogatz => {
-            let k = config.ws_neighbors;
-            assert!(k >= 2 && k.is_multiple_of(2), "ws_neighbors must be even and >= 2, got {k}");
+            let k = WS_NEIGHBORS;
             for i in 0..n as u32 {
                 for j in 1..=(k / 2) as u32 {
                     let t = (i + j) % n as u32;
@@ -210,7 +202,7 @@ pub fn generate(model: SynthModel, config: &SynthConfig) -> IngestedGraph {
                     }
                     // The j == 1 ring is the connectivity backbone: never
                     // rewired. Longer chords rewire with probability beta.
-                    if j > 1 && rng.gen_bool(config.ws_rewire) {
+                    if j > 1 && rng.gen_bool(WS_REWIRE) {
                         let mut placed = false;
                         for _ in 0..32 {
                             let r = rng.gen_range(0..n as u32);
@@ -240,7 +232,7 @@ pub fn generate(model: SynthModel, config: &SynthConfig) -> IngestedGraph {
             }
         }
         SynthModel::Random => {
-            let p = (config.random_mean_degree / (n as f64 - 1.0)).clamp(1e-12, 1.0);
+            let p = (RANDOM_MEAN_DEGREE / (n as f64 - 1.0)).clamp(1e-12, 1.0);
             // Geometric skip sampling over the n*(n-1)/2 pair indices:
             // O(edges), which is what makes 100k-node draws instant.
             let total: u64 = (n as u64) * (n as u64 - 1) / 2;
@@ -286,12 +278,7 @@ pub fn generate(model: SynthModel, config: &SynthConfig) -> IngestedGraph {
     let attributed: Vec<(u32, u32, f64, f64)> = edges
         .iter()
         .map(|&(a, b)| {
-            (
-                a,
-                b,
-                config.capacity_mbps,
-                delay_between(positions[a as usize], positions[b as usize]),
-            )
+            (a, b, CAPACITY_MBPS, delay_between(positions[a as usize], positions[b as usize]))
         })
         .collect();
     IngestedGraph::new(name, node_names, &attributed)
@@ -302,7 +289,7 @@ mod tests {
     use super::*;
 
     fn cfg(nodes: usize, seed: u64) -> SynthConfig {
-        SynthConfig { nodes, seed, ..Default::default() }
+        SynthConfig { nodes, seed }
     }
 
     #[test]

@@ -26,18 +26,9 @@ use rand::{Rng, SeedableRng};
 pub struct TraceGenConfig {
     /// Long-run mean rate (Mbps). CAIDA's links run 1000-3000.
     pub mean_mbps: f64,
-    /// Maximum relative drift of the minute mean per minute (Google's WAN
-    /// paper reports < 10%; default 0.05).
-    pub minute_drift: f64,
     /// Coefficient of variation of the 100 ms samples around the minute
     /// mean (burstiness). Default 0.25.
     pub cv: f64,
-    /// AR(1) coefficient of the burst noise inside a minute, creating the
-    /// short-range dependence real traffic shows. Default 0.5.
-    pub ar1: f64,
-    /// Relative drift of the burst σ per minute; small, so σ(t) ≈ σ(t+1)
-    /// as in Figure 10. Default 0.05.
-    pub sigma_drift: f64,
     /// Number of minutes to generate. The paper uses one-hour traces.
     pub minutes: usize,
     /// 100 ms bins per minute (600 for real time).
@@ -46,35 +37,40 @@ pub struct TraceGenConfig {
     pub seed: u64,
     /// Relative amplitude of the diurnal swing multiplying every minute's
     /// samples: minute `m` is scaled by
-    /// `1 + amplitude * sin(2π m / period + phase)`. 0 (the default)
+    /// `1 + amplitude * sin(2π m / period)`. 0 (the default)
     /// disables the cycle and reproduces the stationary generator
     /// bit-for-bit. Must stay in `[0, 1)` so rates remain positive.
     pub diurnal_amplitude: f64,
     /// Diurnal period in minutes (1440 = one day). Ignored when the
     /// amplitude is 0.
     pub diurnal_period_minutes: usize,
-    /// Phase offset of the diurnal cycle in radians (shifts where in the
-    /// day the trace starts). Ignored when the amplitude is 0.
-    pub diurnal_phase: f64,
 }
 
 impl Default for TraceGenConfig {
     fn default() -> Self {
         TraceGenConfig {
             mean_mbps: 2000.0,
-            minute_drift: 0.05,
             cv: 0.25,
-            ar1: 0.5,
-            sigma_drift: 0.05,
             minutes: 60,
             bins_per_minute: 600,
             seed: 1,
             diurnal_amplitude: 0.0,
             diurnal_period_minutes: 1440,
-            diurnal_phase: 0.0,
         }
     }
 }
+
+/// Maximum relative drift of the minute mean per minute (Google's WAN paper
+/// reports < 10%).
+const MINUTE_DRIFT: f64 = 0.05;
+
+/// AR(1) coefficient of the burst noise inside a minute, creating the
+/// short-range dependence real traffic shows.
+const AR1: f64 = 0.5;
+
+/// Relative drift of the burst σ per minute; small, so σ(t) ≈ σ(t+1) as in
+/// Figure 10.
+const SIGMA_DRIFT: f64 = 0.05;
 
 /// A traffic time series: consecutive minutes of 100 ms rate samples.
 /// The samples live in a shared buffer of which a trace sees a prefix, so
@@ -180,7 +176,6 @@ fn std_normal(rng: &mut StdRng) -> f64 {
 /// Generates a synthetic trace per [`TraceGenConfig`] (deterministic).
 pub fn synthesize(config: &TraceGenConfig) -> AggregateTrace {
     assert!(config.mean_mbps > 0.0 && config.cv >= 0.0);
-    assert!((0.0..1.0).contains(&config.ar1.abs()) || config.ar1.abs() < 1.0);
     assert!(
         (0.0..1.0).contains(&config.diurnal_amplitude),
         "diurnal amplitude {} out of [0,1)",
@@ -198,7 +193,7 @@ pub fn synthesize(config: &TraceGenConfig) -> AggregateTrace {
     // AR(1) state carries across minute boundaries: bursts don't reset on
     // the minute, only our bookkeeping does.
     let mut z = 0.0f64;
-    let innov = (1.0 - config.ar1 * config.ar1).sqrt();
+    let innov = (1.0 - AR1 * AR1).sqrt();
     for minute in 0..config.minutes {
         // The long-horizon load shape: a deterministic multiplicative swing
         // on top of the stationary walk, so hundreds-of-minutes runs see
@@ -207,23 +202,22 @@ pub fn synthesize(config: &TraceGenConfig) -> AggregateTrace {
         let diurnal = if config.diurnal_amplitude > 0.0 {
             1.0 + config.diurnal_amplitude
                 * (2.0 * std::f64::consts::PI * minute as f64
-                    / config.diurnal_period_minutes as f64
-                    + config.diurnal_phase)
+                    / config.diurnal_period_minutes as f64)
                     .sin()
         } else {
             1.0
         };
         // Mean-reverting random walk for the minute mean.
-        let drift = rng.gen_range(-config.minute_drift..=config.minute_drift);
+        let drift = rng.gen_range(-MINUTE_DRIFT..=MINUTE_DRIFT);
         let reversion = 0.05 * (config.mean_mbps - minute_mean) / config.mean_mbps;
         minute_mean = (minute_mean * (1.0 + drift + reversion))
             .clamp(0.2 * config.mean_mbps, 3.0 * config.mean_mbps);
         // σ drifts slowly (Figure 10's x≈y clustering).
-        let sdrift = rng.gen_range(-config.sigma_drift..=config.sigma_drift);
+        let sdrift = rng.gen_range(-SIGMA_DRIFT..=SIGMA_DRIFT);
         sigma_rel = (sigma_rel * (1.0 + sdrift)).clamp(0.25 * config.cv, 4.0 * config.cv);
 
         for _ in 0..config.bins_per_minute {
-            z = config.ar1 * z + innov * std_normal(&mut rng);
+            z = AR1 * z + innov * std_normal(&mut rng);
             // Lognormal-style positive noise with unit mean.
             let s = sigma_rel;
             let factor = (s * z - s * s / 2.0).exp();

@@ -62,7 +62,6 @@ pub use lowlat_traffic as traffic;
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use lowlat_core::classes::{place_with_classes, ClassConfig, TrafficClass};
     pub use lowlat_core::eval::PlacementEval;
     pub use lowlat_core::growth::{grow_by_llpd, GrowthPlanConfig};
     pub use lowlat_core::llpd::{LlpdAnalysis, LlpdConfig};
@@ -70,10 +69,10 @@ pub mod prelude {
     pub use lowlat_core::scale::ScaleToLoad;
     pub use lowlat_core::schemes::b4::{B4Config, B4Routing};
     pub use lowlat_core::schemes::ecmp::EcmpRouting;
-    pub use lowlat_core::schemes::latopt::{LatOptConfig, LatencyOptimal};
+    pub use lowlat_core::schemes::latopt::LatencyOptimal;
     pub use lowlat_core::schemes::ldr::{Ldr, LdrConfig};
     pub use lowlat_core::schemes::linkbased::LinkBasedOptimal;
-    pub use lowlat_core::schemes::minmax::{MinMaxConfig, MinMaxRouting};
+    pub use lowlat_core::schemes::minmax::MinMaxRouting;
     pub use lowlat_core::schemes::mpls::{MplsAutoBandwidth, MplsConfig, SignalOrder};
     pub use lowlat_core::schemes::sp::ShortestPathRouting;
     pub use lowlat_core::schemes::{RoutingScheme, SolveContext};
