@@ -22,7 +22,9 @@
 //! networks (the named corpus — Abilene, GtsCe-like, … — plus the
 //! synthetic zoo). One TSV row per (network, controller). New columns are
 //! appended after the original twelve so existing column indices stay
-//! valid.
+//! valid. A value `TimelineConfig::validate` rejects (`--minutes 0`,
+//! `--warmup 1`, a negative or NaN `--cv`, `--diurnal` outside `[0, 1)`,
+//! `--period` below 2 with a diurnal swing) exits 2 naming the flag.
 //!
 //! `--metrics-out` / `--trace-out` enable the telemetry layer and write a
 //! metrics snapshot (JSON, or TSV with a `.tsv` path) and a chrome-trace
@@ -31,7 +33,7 @@
 
 use lowlat_core::scale::ScaleToLoad;
 use lowlat_sim::runner::{default_workers, par_map, write_telemetry_sinks, Args, Scale};
-use lowlat_sim::timeline::{self, simulate, Controller, TimelineConfig};
+use lowlat_sim::timeline::{self, simulate, Controller, TimelineConfig, TimelineConfigError};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::{GravityTmGen, TmGenConfig};
 use lowlat_topology::zoo::{self, named};
@@ -112,6 +114,17 @@ fn main() {
         diurnal_period: period,
         ..Default::default()
     };
+    if let Err(e) = config.validate() {
+        let flag = match e {
+            TimelineConfigError::Minutes(_) => "--minutes",
+            TimelineConfigError::WarmupMinutes(_) => "--warmup",
+            TimelineConfigError::Cv(_) => "--cv",
+            TimelineConfigError::DiurnalAmplitude(_) => "--diurnal",
+            TimelineConfigError::DiurnalPeriod(_) => "--period",
+        };
+        eprintln!("error: {flag}: {e}");
+        std::process::exit(2);
+    }
 
     let nets = match &networks {
         Some(names) => select_named(names),

@@ -19,7 +19,7 @@ pub fn run(scale: Scale) -> Vec<Series> {
     };
     let mut ratios = Vec::new();
     for trace in caida_like_traces(links, per_link, 2013) {
-        ratios.extend(prediction_ratios(&trace.minute_means()));
+        ratios.extend(prediction_ratios(trace.minute_means()));
     }
     let cdf = Cdf::new(ratios);
     let (lo, hi) = cdf.range();

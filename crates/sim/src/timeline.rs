@@ -99,6 +99,7 @@ use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::Topology;
 use lowlat_traffic::{spread_seed, synthesize, AggregateTrace, TraceGenConfig};
 
+use crate::runner::{default_workers, par_map};
 use crate::stats::median_of;
 
 /// Default decision minutes per run.
@@ -295,6 +296,69 @@ impl Default for TimelineConfig {
     }
 }
 
+impl TimelineConfig {
+    /// Checks every field a run reads against the range it needs, and
+    /// returns the first one outside it. [`simulate_with_events_on`] calls
+    /// this before it synthesizes anything and panics with the error's
+    /// message; a binary can call it first and exit with its own.
+    pub fn validate(&self) -> Result<(), TimelineConfigError> {
+        if self.minutes < 1 {
+            return Err(TimelineConfigError::Minutes(self.minutes));
+        }
+        if self.warmup_minutes < 2 {
+            return Err(TimelineConfigError::WarmupMinutes(self.warmup_minutes));
+        }
+        if !(self.cv.is_finite() && self.cv >= 0.0) {
+            return Err(TimelineConfigError::Cv(self.cv));
+        }
+        if !(0.0..1.0).contains(&self.diurnal_amplitude) {
+            return Err(TimelineConfigError::DiurnalAmplitude(self.diurnal_amplitude));
+        }
+        if self.diurnal_amplitude > 0.0 && self.diurnal_period < 2 {
+            return Err(TimelineConfigError::DiurnalPeriod(self.diurnal_period));
+        }
+        Ok(())
+    }
+}
+
+/// The [`TimelineConfig`] field [`TimelineConfig::validate`] rejected, with
+/// the value it held.
+#[derive(Clone, Debug, PartialEq)]
+pub enum TimelineConfigError {
+    /// `minutes` is 0: there is no decision minute to simulate.
+    Minutes(usize),
+    /// `warmup_minutes` is below 2: too little history before the first
+    /// decision.
+    WarmupMinutes(usize),
+    /// `cv` is negative or not finite.
+    Cv(f64),
+    /// `diurnal_amplitude` is outside `[0, 1)`, where rates stay positive.
+    DiurnalAmplitude(f64),
+    /// `diurnal_period` is below 2 minutes while the amplitude is not 0.
+    DiurnalPeriod(usize),
+}
+
+impl std::fmt::Display for TimelineConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TimelineConfigError::Minutes(v) => write!(f, "minutes = {v}, expected at least 1"),
+            TimelineConfigError::WarmupMinutes(v) => {
+                write!(f, "warmup_minutes = {v}, expected at least 2")
+            }
+            TimelineConfigError::Cv(v) => write!(f, "cv = {v}, expected a finite value >= 0"),
+            TimelineConfigError::DiurnalAmplitude(v) => {
+                write!(f, "diurnal_amplitude = {v}, expected a value in [0, 1)")
+            }
+            TimelineConfigError::DiurnalPeriod(v) => write!(
+                f,
+                "diurnal_period = {v}, expected at least 2 minutes while the amplitude is not 0"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TimelineConfigError {}
+
 /// A topology change taking effect at a decision minute: the failure mask
 /// in force from that minute on. An empty mask restores the intact
 /// topology (link-up), so an outage window is two events.
@@ -456,9 +520,9 @@ pub fn simulate(
 /// of the run: event minutes mutate its failure state in place.
 ///
 /// # Panics
-/// Panics if the matrix is empty, the config is degenerate, an event's
-/// minute is out of range, or the wrapped scheme fails to place (a solver
-/// failure, not congestion).
+/// Panics if the matrix is empty, the config fails
+/// [`TimelineConfig::validate`], an event's minute is out of range, or the
+/// wrapped scheme fails to place (a solver failure, not congestion).
 pub fn simulate_with_events_on(
     source: &dyn PathSource,
     tm: &TrafficMatrix,
@@ -499,6 +563,30 @@ fn predicted_link_loads<'p>(
         }
     }
     load
+}
+
+/// The run's ground truth: one trace per aggregate of `tm`, mean anchored at
+/// its matrix volume, synthesized on up to `workers` threads. Aggregate `i`
+/// draws from its own stream (`spread_seed(seed, i)`), so the traces are
+/// the same bits whatever the worker count.
+fn synthesize_traces(
+    tm: &TrafficMatrix,
+    config: &TimelineConfig,
+    workers: usize,
+) -> Vec<AggregateTrace> {
+    let aggregates: Vec<(u64, f64)> =
+        tm.aggregates().iter().enumerate().map(|(i, a)| (i as u64, a.volume_mbps)).collect();
+    par_map(&aggregates, workers, |&(i, mean_mbps)| {
+        synthesize(&TraceGenConfig {
+            mean_mbps,
+            cv: config.cv,
+            minutes: config.warmup_minutes + config.minutes,
+            seed: spread_seed(config.seed, i),
+            diurnal_amplitude: config.diurnal_amplitude,
+            diurnal_period_minutes: config.diurnal_period,
+            ..Default::default()
+        })
+    })
 }
 
 /// Everything of a run that outlives a decision minute. [`Self::step`]
@@ -559,32 +647,31 @@ impl<'a> ControllerState<'a> {
         config: &'a TimelineConfig,
         events: &'a [TimelineEvent],
     ) -> Self {
+        // Checked here, on the caller's thread: a bad field panics with its
+        // name before any synthesis worker starts.
+        if let Err(e) = config.validate() {
+            panic!("invalid timeline config: {e}");
+        }
         assert!(!tm.is_empty());
-        assert!(config.minutes >= 1 && config.warmup_minutes >= 2);
         assert!(
             events.iter().all(|e| e.at_minute < config.minutes),
             "event minute out of 0..{}",
             config.minutes
         );
         // A root span of its own: against millisecond decisions synthesis
-        // is a visible share of a short run.
+        // is a visible share of a short run. On one core it was ~40% of a
+        // `ctrl-ldr-abilene` pass in the repo benchmark (2.10 s beside
+        // 2.90 s of decisions in a 6 s run on a 2-CPU x86 host). The
+        // aggregates' streams are independent, so they are synthesized on
+        // every core, and the traced benchmark's
+        // `sim.timeline.other_ms_per_min` (synthesis + replay + harness, per
+        // decision minute, seed 99, same host) went 3.5 → 2.5 ms beside a
+        // 3.5 ms decision on Abilene and 18.6 → 11.6 ms beside 24 ms on
+        // GTS-like.
         let synthesis = telemetry::span("timeline.synthesize", "timeline");
-        let traces = tm
-            .aggregates()
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                synthesize(&TraceGenConfig {
-                    mean_mbps: a.volume_mbps,
-                    cv: config.cv,
-                    minutes: config.warmup_minutes + config.minutes,
-                    seed: spread_seed(config.seed, i as u64),
-                    diurnal_amplitude: config.diurnal_amplitude,
-                    diurnal_period_minutes: config.diurnal_period,
-                    ..Default::default()
-                })
-            })
-            .collect();
+        let traces = synthesize_traces(tm, config, default_workers());
+        let samples = traces.iter().map(|tr| tr.minutes() * tr.bins_per_minute()).sum::<usize>();
+        telemetry::counter_add("timeline.samples_synthesized", samples as u64);
         drop(synthesis);
         let placement = controller
             .is_static()
@@ -1540,6 +1627,88 @@ mod tests {
         assert_eq!(out.repair_events, 2, "down then up");
         assert_eq!(out.max_unroutable_fraction(), 0.0, "Abilene survives any single failure");
         assert!(out.minutes[1].paths_changed > 0, "re-placing around the failure is paid churn");
+    }
+
+    #[test]
+    fn synthesis_is_the_same_bits_at_any_worker_count() {
+        // GTS-like's 650 aggregates with the diurnal branch on: every worker
+        // count yields `synthesize` of each aggregate, in aggregate order.
+        let topo = named::gts_like();
+        let tm = GravityTmGen::new(TmGenConfig::default()).generate(&topo, 0);
+        let cfg = TimelineConfig {
+            minutes: 1,
+            warmup_minutes: 2,
+            diurnal_amplitude: 0.3,
+            diurnal_period: 4,
+            ..Default::default()
+        };
+        let bits = |tr: &AggregateTrace| -> Vec<u64> {
+            let summaries = (0..tr.minutes()).flat_map(|m| [tr.minute_mean(m), tr.peak(m)]);
+            (0..tr.minutes())
+                .flat_map(|m| tr.samples(m).iter().copied())
+                .chain(summaries)
+                .map(f64::to_bits)
+                .collect()
+        };
+        let serial: Vec<Vec<u64>> = tm
+            .aggregates()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                bits(&synthesize(&TraceGenConfig {
+                    mean_mbps: a.volume_mbps,
+                    cv: cfg.cv,
+                    minutes: 3,
+                    seed: spread_seed(cfg.seed, i as u64),
+                    diurnal_amplitude: 0.3,
+                    diurnal_period_minutes: 4,
+                    ..Default::default()
+                }))
+            })
+            .collect();
+        for workers in [1, 2, tm.aggregates().len() + 3] {
+            let traces = synthesize_traces(&tm, &cfg, workers);
+            assert_eq!(traces.iter().map(bits).collect::<Vec<_>>(), serial, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn validate_names_the_field_outside_its_range() {
+        let ok = TimelineConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let cases = [
+            (TimelineConfig { minutes: 0, ..ok.clone() }, TimelineConfigError::Minutes(0)),
+            (
+                TimelineConfig { warmup_minutes: 1, ..ok.clone() },
+                TimelineConfigError::WarmupMinutes(1),
+            ),
+            (TimelineConfig { cv: -0.1, ..ok.clone() }, TimelineConfigError::Cv(-0.1)),
+            (
+                TimelineConfig { diurnal_amplitude: 1.5, ..ok.clone() },
+                TimelineConfigError::DiurnalAmplitude(1.5),
+            ),
+            (
+                TimelineConfig { diurnal_amplitude: 0.3, diurnal_period: 1, ..ok.clone() },
+                TimelineConfigError::DiurnalPeriod(1),
+            ),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(cfg.validate(), Err(want));
+        }
+        let nan = TimelineConfig { cv: f64::NAN, ..ok.clone() }.validate().unwrap_err();
+        assert!(nan.to_string().starts_with("cv = NaN"), "{nan}");
+        // A period nothing reads is not an error.
+        assert_eq!(TimelineConfig { diurnal_period: 0, ..ok }.validate(), Ok(()));
+    }
+
+    #[test]
+    fn an_invalid_config_panics_with_its_field_on_the_calling_thread() {
+        let (topo, tm) = setup();
+        let cfg = TimelineConfig { diurnal_amplitude: 1.5, ..Default::default() };
+        let panic = std::panic::catch_unwind(|| simulate(&topo, &tm, &Controller::ldr(), &cfg))
+            .expect_err("amplitude 1.5 is rejected");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("diurnal_amplitude = 1.5"), "{message}");
     }
 
     #[test]

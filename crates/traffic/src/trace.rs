@@ -14,6 +14,12 @@
 //! AR(1) temporal correlation inside each minute, and a slowly drifting
 //! burst variance. The violation rates are controllable, so tests can probe
 //! both the passing and failing regimes of the multiplexing checks.
+//!
+//! An [`AggregateTrace`] summarizes each minute once, when it is built: the
+//! mean and the peak of its samples. A controller reads them every decision
+//! (Algorithm 1 runs over all the minute means of the history, LDR's
+//! appraisal needs the last minute's peak), so a decision costs O(minutes)
+//! per aggregate for them instead of O(minutes × bins).
 
 use std::fmt;
 use std::sync::Arc;
@@ -72,9 +78,13 @@ const AR1: f64 = 0.5;
 /// Figure 10.
 const SIGMA_DRIFT: f64 = 0.05;
 
-/// A traffic time series: consecutive minutes of 100 ms rate samples.
-/// The samples live in a shared buffer of which a trace sees a prefix, so
-/// [`AggregateTrace::truncated`] and `clone` are O(1) whatever the history.
+/// A traffic time series: consecutive minutes of 100 ms rate samples, and
+/// each minute's mean and peak, computed once from them.
+/// The samples and the summaries live in shared buffers of which a trace
+/// sees a prefix, so [`AggregateTrace::truncated`] and `clone` are O(1)
+/// whatever the history, and [`AggregateTrace::minute_mean`],
+/// [`AggregateTrace::minute_means`] and [`AggregateTrace::peak`] read a
+/// stored value instead of scanning the minute's samples.
 #[derive(Clone)]
 pub struct AggregateTrace {
     bins_per_minute: usize,
@@ -83,6 +93,10 @@ pub struct AggregateTrace {
     /// All samples, minute-major: `samples[m * bins_per_minute + i]`, Mbps;
     /// possibly longer than this trace's view.
     samples_mbps: Arc<[f64]>,
+    /// Mean of every minute of `samples_mbps` (Mbps).
+    means: Arc<[f64]>,
+    /// Peak of every minute of `samples_mbps` (Mbps).
+    peaks: Arc<[f64]>,
 }
 
 impl fmt::Debug for AggregateTrace {
@@ -95,7 +109,7 @@ impl fmt::Debug for AggregateTrace {
 }
 
 impl AggregateTrace {
-    /// Wraps raw samples.
+    /// Wraps raw samples and summarizes each minute (mean and peak).
     ///
     /// # Panics
     /// Panics if the sample count is not a whole number of minutes or any
@@ -105,7 +119,19 @@ impl AggregateTrace {
         assert_eq!(samples_mbps.len() % bins_per_minute, 0, "ragged trace");
         assert!(samples_mbps.iter().all(|s| s.is_finite() && *s >= 0.0));
         let minutes = samples_mbps.len() / bins_per_minute;
-        AggregateTrace { bins_per_minute, minutes, samples_mbps: samples_mbps.into() }
+        let (means, peaks): (Vec<f64>, Vec<f64>) = samples_mbps
+            .chunks_exact(bins_per_minute)
+            .map(|s| {
+                (s.iter().sum::<f64>() / s.len() as f64, s.iter().cloned().fold(0.0, f64::max))
+            })
+            .unzip();
+        AggregateTrace {
+            bins_per_minute,
+            minutes,
+            samples_mbps: samples_mbps.into(),
+            means: means.into(),
+            peaks: peaks.into(),
+        }
     }
 
     /// The samples this trace sees.
@@ -131,18 +157,17 @@ impl AggregateTrace {
 
     /// Mean rate over minute `m` (Mbps).
     pub fn minute_mean(&self, m: usize) -> f64 {
-        let s = self.samples(m);
-        s.iter().sum::<f64>() / s.len() as f64
+        self.minute_means()[m]
     }
 
-    /// All per-minute means.
-    pub fn minute_means(&self) -> Vec<f64> {
-        (0..self.minutes()).map(|m| self.minute_mean(m)).collect()
+    /// All per-minute means of the minutes this trace sees.
+    pub fn minute_means(&self) -> &[f64] {
+        &self.means[..self.minutes]
     }
 
     /// Peak 100 ms rate within minute `m`.
     pub fn peak(&self, m: usize) -> f64 {
-        self.samples(m).iter().cloned().fold(0.0, f64::max)
+        self.peaks[..self.minutes][m]
     }
 
     /// Standard deviation of the 100 ms rates within minute `m` — the σ of
@@ -156,7 +181,7 @@ impl AggregateTrace {
 
     /// The first `minutes` of the trace — what a controller has *seen* at
     /// decision time (used by the timeline simulator to avoid peeking). A
-    /// view of the same buffer, not a copy.
+    /// view of the same samples and summaries, not a copy.
     ///
     /// # Panics
     /// Panics if `minutes` is 0 or exceeds the trace length.
@@ -359,6 +384,8 @@ mod tests {
             synthesize(&TraceGenConfig { minutes: 6, bins_per_minute: 50, ..Default::default() });
         let view = tr.truncated(4);
         assert!(Arc::ptr_eq(&view.samples_mbps, &tr.samples_mbps), "no allocation");
+        assert!(Arc::ptr_eq(&view.means, &tr.means), "the summaries are shared too");
+        assert!(Arc::ptr_eq(&view.peaks, &tr.peaks));
         let copy = AggregateTrace::from_samples(tr.samples_mbps[..4 * 50].to_vec(), 50);
         assert_eq!(view.minutes(), 4);
         assert_eq!(view.minute_means(), copy.minute_means());
@@ -368,6 +395,8 @@ mod tests {
         assert_eq!(format!("{view:?}"), format!("{copy:?}"));
         // The hidden minutes stay hidden, also through a second truncation.
         assert!(std::panic::catch_unwind(|| view.samples(4)).is_err());
+        assert!(std::panic::catch_unwind(|| view.minute_mean(4)).is_err());
+        assert!(std::panic::catch_unwind(|| view.peak(4)).is_err());
         assert!(std::panic::catch_unwind(|| view.truncated(5)).is_err());
     }
 

@@ -6,7 +6,7 @@ use lowlat_traffic::fft::convolve;
 use lowlat_traffic::multiplex::{MultiplexCheck, MultiplexConfig};
 use lowlat_traffic::pmf::{convolve_group, Member, Pmf};
 use lowlat_traffic::predictor::{prediction_ratios, Predictor};
-use lowlat_traffic::trace::{synthesize, TraceGenConfig};
+use lowlat_traffic::trace::{synthesize, AggregateTrace, TraceGenConfig};
 
 /// The pairwise chain `convolve_group` used to be: every member quantized
 /// onto the common grid, folded in one linear convolution at a time over
@@ -190,6 +190,35 @@ proptest! {
         let m1 = Pmf::from_samples(&s1, grid, 256).mean();
         let m2 = Pmf::from_samples(&s2, grid, 256).mean();
         prop_assert!((pmf.mean() - (m1 + m2)).abs() < 1e-6 * (1.0 + m1 + m2));
+    }
+
+    /// The per-minute summaries a trace stores are the scans of its samples
+    /// to the bit, through every prefix view.
+    #[test]
+    fn summaries_are_the_scans_at_every_prefix(
+        (bins, samples) in (1usize..9, 1usize..7).prop_flat_map(|(bins, minutes)| {
+            // Exact zeros, ordinary rates and subnormal-scale ones.
+            let sample = (0usize..3, 0.0f64..1e4).prop_map(|(kind, x)| match kind {
+                0 => 0.0,
+                1 => x,
+                _ => x * 1e-310,
+            });
+            (Just(bins), proptest::collection::vec(sample, bins * minutes))
+        }),
+    ) {
+        let tr = AggregateTrace::from_samples(samples, bins);
+        for k in 1..=tr.minutes() {
+            let view = tr.truncated(k);
+            prop_assert_eq!(view.minute_means().len(), k);
+            for m in 0..k {
+                let s = view.samples(m);
+                let mean = s.iter().sum::<f64>() / s.len() as f64;
+                let peak = s.iter().cloned().fold(0.0, f64::max);
+                prop_assert_eq!(view.minute_mean(m).to_bits(), mean.to_bits());
+                prop_assert_eq!(view.minute_means()[m].to_bits(), mean.to_bits());
+                prop_assert_eq!(view.peak(m).to_bits(), peak.to_bits());
+            }
+        }
     }
 
     /// Synthetic traces are shaped as configured and non-negative.
