@@ -81,7 +81,6 @@ fn bench_appraisal(c: &mut Criterion) {
             b.iter(|| convolve_group(black_box(&refs[..m]), 1024))
         });
     }
-    let check = MultiplexCheck::new(MultiplexConfig::default());
     for m in [8, 32, 128] {
         // Capacity just above the busiest bin: the sum of peaks does not
         // fit (no fast path) and nothing queues (test B passes), so every
@@ -90,8 +89,15 @@ fn bench_appraisal(c: &mut Criterion) {
             (0..600).map(|i| refs[..m].iter().map(|s| s[i]).sum::<f64>()).fold(0.0, f64::max);
         let peaks: f64 = refs[..m].iter().map(|s| s.iter().cloned().fold(0.0, f64::max)).sum();
         assert!(peaks > busiest * 1.001, "the cell must not take the fast path");
+        // A fresh check per call, as a decision's first look at a link: a
+        // kept check would answer every call after the first from its tail
+        // memo. The cell therefore also pays the check's set-up, a
+        // 1024-point FFT plan (twiddles) and its buffers.
         c.bench_function(format!("multiplex/check_link/{m}-members"), |b| {
-            b.iter(|| check.check_link(black_box(busiest * 1.001), &refs[..m]))
+            b.iter(|| {
+                MultiplexCheck::new(MultiplexConfig::default())
+                    .check_link(black_box(busiest * 1.001), &refs[..m])
+            })
         });
     }
 }

@@ -85,6 +85,14 @@ fn count_checked(verdict: Verdict, cap: f64, members: &[Member<'_>]) {
     }
 }
 
+/// Counts how a decision's check answered test C into the telemetry
+/// registry: every link that reached it was convolved or read back, so the
+/// two sum to `links_checked − fast_path − fail_temporal`.
+fn count_tails(check: &MultiplexCheck) {
+    telemetry::counter_add("ldr.tail_convolved", check.tails_convolved());
+    telemetry::counter_add("ldr.tail_reused", check.tails_reused());
+}
+
 /// The LDR scheme.
 #[derive(Clone, Debug, Default)]
 pub struct Ldr {
@@ -152,7 +160,8 @@ impl Ldr {
             let out = GrowRequest::new(source, tm)
                 .volumes(&ba)
                 .config(&self.config.growth)
-                .solve_with(ctx)?;
+                .solve_with(ctx)
+                .inspect_err(|_| count_tails(&check))?;
 
             // Step 2: appraise multiplexing per link, members in ascending
             // aggregate order.
@@ -186,6 +195,7 @@ impl Ldr {
                     let ending = if converged { "ldr.converged" } else { "ldr.exhausted" };
                     telemetry::counter_add(ending, 1);
                     telemetry::counter_add("ldr.iterations", iterations as u64);
+                    count_tails(&check);
                 }
                 return Ok(LdrOutcome {
                     placement: out.placement,

@@ -25,6 +25,39 @@
 //! bit for bit. Every verdict is thus identical to the one computed on
 //! materialized `s·x` copies, which is exactly what [`MultiplexCheck::check_link`]
 //! does: it wraps its series as members at `x = 1` and runs the same kernel.
+//!
+//! # Members judged once a decision
+//!
+//! A Figure-14 loop re-appraises every link in every tweak iteration, and
+//! most links come back unchanged: on the benchmark's Abilene cell 25.6 of
+//! the 39.4 links a decision that reach test C repeat a group appraised
+//! earlier in the same decision (GTS-like at load 0.55: 3.4 of 42.2).
+//! A check therefore remembers each test-C answer, `P(sum > capacity)`,
+//! for as long as it lives (one decision, in `Ldr` and in the harness that
+//! shadows it).
+//!
+//! * **Key.** The capacity's bits, the grid's bin width's bits and every
+//!   member's `(peak bits, x bits, len)`, in order: cheap to build, and it
+//!   already tells apart nearly every pair of different groups.
+//! * **Exactness.** The tail is a function of the quantized group (every
+//!   member's bin indices, in sample order), the member lengths (each
+//!   sample weighs `1/len`), the bin width and the capacity — nothing
+//!   else enters the transforms or `prob_exceeds`. An entry stores the
+//!   bins it was computed from, and answers only when the group at hand
+//!   quantizes to exactly those bins under the same key. A hit is thus the
+//!   value a convolution would compute, to the bit, and a group that shares
+//!   a key but not its bins is convolved (and takes the key over). Every
+//!   call still quantizes; a miss then accumulates the PMF from those same
+//!   bins in the same order, so the convolution path is the one
+//!   [`crate::pmf::convolve_group`] runs.
+//! * **Bound.** The memo holds at most `pmf::MEMO_BINS` = 2²⁰ bins (4 MiB
+//!   of `u32`) and is cleared when the next entry would not fit; a group
+//!   larger than that is stored alone. [`MultiplexCheck::tails_convolved`]
+//!   and [`MultiplexCheck::tails_reused`] count the two outcomes.
+//!
+//! Reuse sits in the kernel, not in the loop, so every caller that keeps
+//! one check per decision — `Ldr`, the benchmark's shadow of it on public
+//! `check_link`, `ldr_differential`'s reference — skips the same work.
 
 use std::cell::RefCell;
 
@@ -73,8 +106,9 @@ impl Verdict {
     }
 }
 
-/// The link-level admission check. Owns the test-C transform state, reused
-/// from link to link (hence not `Sync`: give each thread its own check).
+/// The link-level admission check. Owns the test-C transform state and the
+/// tails computed so far, reused from link to link (hence not `Sync`: give
+/// each thread its own check; see the module docs for the reuse).
 #[derive(Clone, Debug)]
 pub struct MultiplexCheck {
     config: MultiplexConfig,
@@ -100,13 +134,24 @@ impl MultiplexCheck {
         &self.config
     }
 
+    /// Links whose test-C tail this check has computed by convolution.
+    pub fn tails_convolved(&self) -> u64 {
+        self.convolver.borrow().tail_counts().0
+    }
+
+    /// Links whose test-C tail this check has read back from an earlier
+    /// appraisal of the same group (module docs).
+    pub fn tails_reused(&self) -> u64 {
+        self.convolver.borrow().tail_counts().1
+    }
+
     /// Tests whether the given aggregates fit on a link of
     /// `capacity_mbps`. `series` holds one slice of 100 ms samples (Mbps)
     /// per aggregate, already scaled by the fraction placed on this link;
     /// all slices must have equal length.
     ///
     /// # Panics
-    /// Panics on ragged series or non-positive capacity.
+    /// Panics on ragged series or a capacity that is not positive.
     pub fn check_link(&self, capacity_mbps: f64, series: &[&[f64]]) -> Verdict {
         self.check_members(capacity_mbps, &unit_members(series))
     }
@@ -116,15 +161,20 @@ impl MultiplexCheck {
     /// be the maximum of `samples` (see the module docs).
     ///
     /// # Panics
-    /// Panics on ragged or empty series, a negative fraction, or
-    /// non-positive capacity.
+    /// Panics on ragged or empty series, a negative or NaN fraction, or a
+    /// capacity that is not positive (NaN included); the message names the
+    /// member or the capacity, with its value.
     pub fn check_members(&self, capacity_mbps: f64, members: &[Member<'_>]) -> Verdict {
-        assert!(capacity_mbps > 0.0);
+        assert!(capacity_mbps > 0.0, "link capacity {capacity_mbps} Mbps is not positive");
         let Some(&(first, ..)) = members.first() else {
             return Verdict::Pass;
         };
         let len = first.len();
-        assert!(members.iter().all(|&(s, _, x)| s.len() == len && x >= 0.0), "ragged series");
+        for (i, &(s, _, x)) in members.iter().enumerate() {
+            let n = s.len();
+            assert!(n == len, "ragged series: member {i} has {n} samples, member 0 {len}");
+            assert!(x >= 0.0, "member {i}: fraction {x} is negative or NaN");
+        }
         assert!(len > 0, "empty sample series");
         // An understated peak would shrink test C's grid until the product
         // aliases, silently. Debug builds only: this scan is the work a
@@ -153,10 +203,14 @@ impl MultiplexCheck {
             return Verdict::FailTemporal { max_queue_ms: worst_queue_ms };
         }
 
-        // Test C: independent-tail probability via convolution.
+        // Test C: independent-tail probability via convolution, or the
+        // same group's tail from earlier in this check's life.
         let threshold = self.config.max_queue_ms / (len as f64 * self.config.bin_ms);
-        let pmf = self.convolver.borrow_mut().convolve(members).expect("positive sum of peaks");
-        let prob = pmf.prob_exceeds(capacity_mbps);
+        let prob = self
+            .convolver
+            .borrow_mut()
+            .tail(members, capacity_mbps)
+            .expect("positive sum of peaks");
         if prob > threshold {
             return Verdict::FailTail { prob, threshold };
         }
@@ -241,6 +295,40 @@ mod tests {
     #[test]
     fn empty_link_passes() {
         assert_eq!(check().check_link(10.0, &[]), Verdict::Pass);
+    }
+
+    #[test]
+    #[should_panic(expected = "link capacity NaN Mbps is not positive")]
+    fn a_nan_capacity_is_named() {
+        let s = vec![60.0; 600];
+        check().check_members(f64::NAN, &[(&s, 60.0, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "link capacity -5 Mbps is not positive")]
+    fn a_negative_capacity_is_named() {
+        check().check_link(-5.0, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "member 1: fraction -0.5 is negative or NaN")]
+    fn a_negative_fraction_is_named_by_its_member() {
+        let s = vec![60.0; 600];
+        check().check_members(100.0, &[(&s, 60.0, 1.0), (&s, 60.0, -0.5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "member 2: fraction NaN is negative or NaN")]
+    fn a_nan_fraction_is_named_by_its_member() {
+        let s = vec![60.0; 600];
+        check().check_members(100.0, &[(&s, 60.0, 1.0), (&s, 60.0, 0.5), (&s, 60.0, f64::NAN)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged series: member 1 has 599 samples, member 0 600")]
+    fn ragged_series_are_named_by_member() {
+        let (s, t) = (vec![60.0; 600], vec![60.0; 599]);
+        check().check_link(100.0, &[&s, &t]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use lowlat_traffic::fft::convolve;
-use lowlat_traffic::multiplex::{MultiplexCheck, MultiplexConfig};
+use lowlat_traffic::multiplex::{MultiplexCheck, MultiplexConfig, Verdict};
 use lowlat_traffic::pmf::{convolve_group, Member, Pmf};
 use lowlat_traffic::predictor::{prediction_ratios, Predictor};
 use lowlat_traffic::trace::{synthesize, AggregateTrace, TraceGenConfig};
@@ -102,6 +102,59 @@ proptest! {
         let (a, b) = (check.check_members(capacity, &by_member), check.check_link(capacity, &refs));
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
         prop_assert_eq!(a, b);
+    }
+
+    /// A check answers test C from its memo on a repeat, and both answers
+    /// are the tail of a fresh convolution of the scaled copies, to the bit.
+    #[test]
+    fn a_repeated_appraisal_is_the_convolved_tail(
+        members in scaled_members(12),
+        squeeze in 0.2f64..1.1,
+    ) {
+        let peaks: Vec<f64> =
+            members.iter().map(|(_, unit)| unit.iter().cloned().fold(0.0, f64::max)).collect();
+        let by_member: Vec<Member<'_>> = members
+            .iter()
+            .zip(&peaks)
+            .map(|((x, unit), &peak)| (unit.as_slice(), peak, *x))
+            .collect();
+        let sum_of_peaks: f64 = peaks.iter().zip(&members).map(|(p, (x, _))| p * x).sum();
+        let capacity = squeeze * sum_of_peaks;
+        prop_assume!(capacity > 0.0);
+        let check = MultiplexCheck::default();
+        let (first, again) =
+            (check.check_members(capacity, &by_member), check.check_members(capacity, &by_member));
+
+        let copies: Vec<Vec<f64>> =
+            members.iter().map(|(x, unit)| unit.iter().map(|s| s * x).collect()).collect();
+        let refs: Vec<&[f64]> = copies.iter().map(|v| v.as_slice()).collect();
+        let tail = convolve_group(&refs, check.config().levels)
+            .expect("positive sum of peaks")
+            .prob_exceeds(capacity);
+        let config = check.config();
+        let threshold = config.max_queue_ms / (refs[0].len() as f64 * config.bin_ms);
+        let reached_c = sum_of_peaks > capacity && !matches!(first, Verdict::FailTemporal { .. });
+        let expected = if !reached_c {
+            // Decided before test C: nothing to compare, nothing memoized.
+            first
+        } else if tail > threshold {
+            Verdict::FailTail { prob: tail, threshold }
+        } else {
+            Verdict::Pass
+        };
+        prop_assert_eq!(bits(first), bits(expected));
+        prop_assert_eq!(bits(again), bits(expected));
+        let asked = u64::from(reached_c);
+        prop_assert_eq!((check.tails_convolved(), check.tails_reused()), (asked, asked));
+    }
+}
+
+/// A verdict by the bits of its payload.
+fn bits(verdict: Verdict) -> (u8, u64, u64) {
+    match verdict {
+        Verdict::Pass => (0, 0, 0),
+        Verdict::FailTemporal { max_queue_ms } => (1, max_queue_ms.to_bits(), 0),
+        Verdict::FailTail { prob, threshold } => (2, prob.to_bits(), threshold.to_bits()),
     }
 }
 
