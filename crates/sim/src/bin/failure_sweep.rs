@@ -122,10 +122,18 @@ fn main() {
     let mut args = Args::from_env();
     let axes: Vec<String> = args.list("--scenarios").unwrap_or_else(|| vec!["single".to_string()]);
     let k = args.value("--k").unwrap_or(2usize);
+    if k == 0 {
+        eprintln!("error: --k expects at least 1 cable per random scenario");
+        std::process::exit(2);
+    }
     let count = args.value("--count").unwrap_or(5usize);
     let seed = args.value("--seed").unwrap_or(7u64);
     // `--load 0.7` is the single-point alias for `--loads`.
     let loads: Vec<f64> = args.list("--loads").or(args.list("--load")).unwrap_or_else(|| vec![0.7]);
+    if let Some(load) = loads.iter().find(|&&load| !(load > 0.0 && load <= 1.0)) {
+        eprintln!("error: --loads expects loads in (0, 1] of the min-cut load, got {load}");
+        std::process::exit(2);
+    }
     let degrade = args.value("--degrade").unwrap_or(0.5f64);
     if !(degrade > 0.0 && degrade < 1.0) {
         eprintln!("error: --degrade expects a factor in (0, 1), got {degrade}");

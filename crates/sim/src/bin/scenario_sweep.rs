@@ -19,7 +19,15 @@ use lowlat_sim::runner::{run_scenarios, Args};
 fn main() {
     let mut args = Args::from_env();
     let loads: Vec<f64> = args.list("--loads").unwrap_or_else(|| vec![0.7]);
+    if let Some(load) = loads.iter().find(|&&load| !(load.is_finite() && load > 0.0)) {
+        eprintln!("error: --loads expects finite positive loads, got {load}");
+        std::process::exit(2);
+    }
     let localities: Vec<f64> = args.list("--localities").unwrap_or_else(|| vec![1.0]);
+    if let Some(locality) = localities.iter().find(|&&l| !(l.is_finite() && l >= 0.0)) {
+        eprintln!("error: --localities expects finite non-negative localities, got {locality}");
+        std::process::exit(2);
+    }
     let schemes = match args.value::<String>("--schemes") {
         Some(csv) => registry::parse_csv(&csv).unwrap_or_else(|e| {
             eprintln!("error: {e}");

@@ -179,45 +179,32 @@ enum Mode {
     Bounded,
 }
 
+/// The mode prefixes [`Controller::parse`] knows; a spec with none of them
+/// is adaptive.
+const MODE_PREFIXES: [(&str, Mode); 2] = [("static:", Mode::Static), ("bounded:", Mode::Bounded)];
+
 impl Controller {
-    /// An adaptive controller: re-runs the named registry scheme every
-    /// minute on the measured history. LDR uses its full trace-driven
-    /// Figure-14 loop; other schemes re-place Algorithm-1 predictions.
-    pub fn adaptive(spec: &str) -> Result<Controller, UnknownScheme> {
-        Ok(Controller { scheme: registry::build(spec)?, mode: Mode::Adaptive })
-    }
-
-    /// A static controller: the named scheme placed once on the base
-    /// matrix, then left alone for the whole run.
-    pub fn static_baseline(spec: &str) -> Result<Controller, UnknownScheme> {
-        Ok(Controller { scheme: registry::build(spec)?, mode: Mode::Static })
-    }
-
-    /// Parses a sweep spec: a registry name, optionally prefixed with
-    /// `static:` for the placed-once variant or `bounded:` for the
-    /// churn-bounded variant, which only re-installs aggregates whose fresh
-    /// solution pays for its churn (`"LDR"`, `"static: SP"`,
-    /// `"bounded:LDR"`). Whitespace around the name and after the prefix is
-    /// ignored; a prefix with nothing after it is rejected with
-    /// [`ControllerParseError::EmptySpec`] rather than a confusing
-    /// unknown-scheme error for `""`.
+    /// Parses a sweep spec: a registry name, run adaptively (re-placed
+    /// every minute on the measured history; LDR uses its full trace-driven
+    /// Figure-14 loop, other schemes re-place Algorithm-1 predictions),
+    /// optionally prefixed with `static:` for the variant placed once on
+    /// the base matrix or `bounded:` for the churn-bounded variant, which
+    /// only re-installs aggregates whose fresh solution pays for its churn
+    /// (`"LDR"`, `"static: SP"`, `"bounded:LDR"`). Whitespace around the
+    /// name and after the prefix is ignored; a prefix with nothing after it
+    /// is rejected with [`ControllerParseError::EmptySpec`] rather than a
+    /// confusing unknown-scheme error for `""`.
     pub fn parse(spec: &str) -> Result<Controller, ControllerParseError> {
         let spec = spec.trim();
-        if let Some(rest) = spec.strip_prefix("static:") {
-            let rest = rest.trim();
-            if rest.is_empty() {
-                return Err(ControllerParseError::EmptySpec { prefix: "static:" });
-            }
-            return Ok(Controller::static_baseline(rest)?);
-        }
-        if let Some(rest) = spec.strip_prefix("bounded:") {
-            let rest = rest.trim();
-            if rest.is_empty() {
-                return Err(ControllerParseError::EmptySpec { prefix: "bounded:" });
-            }
-            return Ok(Controller { scheme: registry::build(rest)?, mode: Mode::Bounded });
-        }
-        Ok(Controller::adaptive(spec)?)
+        let (name, mode) = match MODE_PREFIXES
+            .iter()
+            .find_map(|&(prefix, mode)| Some((prefix, spec.strip_prefix(prefix)?.trim(), mode)))
+        {
+            Some((prefix, "", _)) => return Err(ControllerParseError::EmptySpec { prefix }),
+            Some((_, name, mode)) => (name, mode),
+            None => (spec, Mode::Adaptive),
+        };
+        Ok(Controller { scheme: registry::build(name)?, mode })
     }
 
     /// The paper's full LDR deployment cycle.
@@ -225,7 +212,7 @@ impl Controller {
     /// # Panics
     /// Never — `LDR` is a registry spec.
     pub fn ldr() -> Controller {
-        Controller::adaptive("LDR").expect("LDR is a registry spec")
+        Controller::parse("LDR").expect("LDR is a registry spec")
     }
 
     /// Static shortest paths computed once (the OSPF baseline).
@@ -233,7 +220,7 @@ impl Controller {
     /// # Panics
     /// Never — `SP` is a registry spec.
     pub fn static_sp() -> Controller {
-        Controller::static_baseline("SP").expect("SP is a registry spec")
+        Controller::parse("static:SP").expect("SP is a registry spec")
     }
 
     /// Display name: the scheme's registry name, `static:`-prefixed for

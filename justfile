@@ -5,40 +5,20 @@
 # links against `sim`/`core` signatures by name (CI's `perfbench` job).
 verify:
     cargo fmt --check
-    ! grep -rnE '\b(place_on|place_with_traces|place_cached|solve_with_cache(_ctx)?|solve_warm_with|min_cut_load_with_cache|[a-z_]+_with_workers|ChurnBudget|adaptive_bounded|LatOptConfig|MinMaxConfig|EdgeListConfig|ClassConfig|place_with_classes|class_weights|depth_metrics|DepthMetrics|leaf_boundary|max_paths_per_minute|generate_batch|srlg_failures)\b' crates src tests examples
-    ! grep -rn 'SolverOptions' crates src tests examples --include='*.rs' | grep -v '^crates/linprog/src/'
     cargo build --release
     cargo clippy --all-targets -- -D warnings
     cargo test -q
+    taskset -c 0 cargo test -q -p lowlat_sim --test sweep_golden
     cargo bench --no-run
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# "Byte-identical" in one command: the sweeps a behaviour-preserving PR is
-# held to, wall-clock columns cut, one sha256 line per output. Run it on a
-# parent checkout and on the change (same flags, any host) and `diff` the
-# two listings; CHANGES.md records the hashes. `fig15_runtime` is left out
-# (its values are wall-clock).
-fingerprint dir="sweeps/fingerprint":
-    #!/usr/bin/env bash
-    set -euo pipefail
-    mkdir -p {{dir}}
-    cargo build --release --quiet -p lowlat_sim
-    bin=target/release
-    $bin/timeline_sweep --quick --minutes 2 --schemes LDR,static:SP 2>/dev/null \
-        | cut --complement -f13 > {{dir}}/timeline.tsv
-    $bin/timeline_sweep --quick --networks Abilene --minutes 60 --diurnal 0.3 --period 30 \
-        --schemes LDR,bounded:LDR 2>/dev/null | cut --complement -f13 > {{dir}}/bounded.tsv
-    $bin/failure_sweep --quick --scenarios single --schemes LDR 2>/dev/null \
-        | cut --complement -f16 > {{dir}}/failures.tsv
-    $bin/scenario_sweep --quick --loads 0.6,0.8 --localities 1.0 \
-        --schemes SP,ECMP,B4,MinMaxK6,MPLS 2>/dev/null | cut --complement -f13 > {{dir}}/scenarios.tsv
-    for fig in $($bin/figures --list | grep -v fig15_runtime); do
-        $bin/figures --fig $fig --quick 2>/dev/null > {{dir}}/$fig.tsv
-    done
-    $bin/pricing_smoke --nodes 10000 --pairs 48 2>/dev/null \
-        | cut --complement -f2 > {{dir}}/pricing.tsv
-    cd {{dir}} && sha256sum *.tsv
+# Re-record the sweep goldens after a change that moves them on purpose:
+# the test writes every cell's output, the copy makes it the golden, and
+# `git diff` names each number that moved.
+regolden:
+    -cargo test -q -p lowlat_sim --test sweep_golden
+    cp target/tmp/sweep_golden/*.tsv crates/sim/tests/golden/
 
 # The four micro-bench targets (criterion stand-in: wall-clock medians on
 # stdout) — one kernel at a time; performance claims go through `just perf`.
