@@ -37,7 +37,14 @@
 //! nodes × 64 arrays of 80–160 kB on a 10k-node Barabási–Albert graph);
 //! the same values sit in a few lines when they are stored **node-major**.
 //! So each tree is built by the ordinary Dijkstra, copied into its column
-//! of one table and dropped — four arrays indexed `[node][landmark]`:
+//! of one table and dropped. The trees are built on every core
+//! ([`default_workers`](crate::default_workers); one under `taskset -c 0`),
+//! one landmark's pair per worker at a time; the calling thread copies each
+//! pair into its column before the next landmarks start, so at most one
+//! pair per worker is alive (holding all 32 pairs at once would be ~11 MB
+//! at 10k nodes) and the table is the same bits at any worker count. The
+//! same fill runs at build and at every failure transition. The table is
+//! four arrays indexed `[node][landmark]`:
 //! `dist_to` and `dist_from` (`f64`: `d(v, ℓ)` and `d(ℓ, v)`, what the
 //! landmark bound and the reachability test read: two rows a query),
 //! `next_to` and `parent_from` (`u32` link ids: the first link of `v → ℓ`
@@ -70,6 +77,7 @@ use lowlat_netgraph::{
 };
 use lowlat_telemetry as telemetry;
 
+use crate::par::{default_workers, par_map};
 use crate::pathset::{PathCache, RepairStats};
 use crate::source::PathSource;
 
@@ -163,11 +171,26 @@ struct LandmarkTable {
 }
 
 impl LandmarkTable {
-    /// Installs `picks` under `mask`, in place. Picks the mask downs are
-    /// skipped — their trees would be empty — so a failed landmark degrades
-    /// coverage instead of poisoning it. Each tree lives only until it is
-    /// copied into its column: the table is all the engine keeps.
+    /// Installs `picks` under `mask`, in place, on every core. Picks the mask
+    /// downs are skipped — their trees would be empty — so a failed landmark
+    /// degrades coverage instead of poisoning it.
     fn fill(&mut self, graph: &Graph, picks: &[NodeId], mask: Option<&FailureMask>) {
+        self.fill_on(graph, picks, mask, default_workers());
+    }
+
+    /// [`Self::fill`] on up to `workers` threads, `workers` landmarks at a
+    /// time: each computes one landmark's tree pair, and the calling thread
+    /// copies every pair into its column and drops it before the next
+    /// landmarks start, so at most one pair per worker is alive and the
+    /// table is all the engine keeps. The trees do not depend on the thread
+    /// that builds them, so neither does the table.
+    fn fill_on(
+        &mut self,
+        graph: &Graph,
+        picks: &[NodeId],
+        mask: Option<&FailureMask>,
+        workers: usize,
+    ) {
         let routing = mask.filter(|m| m.affects_routing());
         let link_mask = routing.and_then(FailureMask::link_mask);
         let node_mask = routing.and_then(FailureMask::node_mask);
@@ -181,19 +204,24 @@ impl LandmarkTable {
         self.next_to.resize(cells, NO_LINK);
         self.parent_from.resize(cells, NO_LINK);
         let cell_of = |l: Option<LinkId>| l.map_or(NO_LINK, |l| l.0);
-        for (j, &node) in self.nodes.iter().enumerate() {
-            let fwd = shortest_path_tree(graph, node, link_mask, node_mask);
+        let workers = workers.max(1);
+        for (batch, nodes) in self.nodes.chunks(workers).enumerate() {
+            let pairs = par_map(nodes, workers, |&node| {
+                (
+                    shortest_path_tree(graph, node, link_mask, node_mask),
+                    reverse_shortest_path_tree(graph, node, link_mask, node_mask),
+                )
+            });
+            // Node by node, the batch's adjacent columns together: one pass
+            // over the table's rows a batch, not one a landmark.
             for v in graph.nodes() {
-                let cell = v.idx() * width + j;
-                self.dist_from[cell] = fwd.dist_ms(v);
-                self.parent_from[cell] = cell_of(fwd.parent_link(v));
-            }
-            drop(fwd);
-            let rev = reverse_shortest_path_tree(graph, node, link_mask, node_mask);
-            for v in graph.nodes() {
-                let cell = v.idx() * width + j;
-                self.dist_to[cell] = rev.dist_ms(v);
-                self.next_to[cell] = cell_of(rev.next_link(v));
+                let row = v.idx() * width + batch * workers;
+                for (i, (fwd, rev)) in pairs.iter().enumerate() {
+                    self.dist_from[row + i] = fwd.dist_ms(v);
+                    self.parent_from[row + i] = cell_of(fwd.parent_link(v));
+                    self.dist_to[row + i] = rev.dist_ms(v);
+                    self.next_to[row + i] = cell_of(rev.next_link(v));
+                }
             }
         }
         telemetry::gauge_set("hier.landmarks", width as f64);
@@ -657,6 +685,73 @@ mod tests {
         candidates
     }
 
+    /// A small arbitrary graph: an optional ring, random duplex chords and
+    /// random one-way links (connected or not).
+    fn arbitrary_graph(
+        n: usize,
+        ring: bool,
+        extras: &[(usize, usize, u32)],
+        one_way: &[(usize, usize, u32)],
+    ) -> Graph {
+        let mut b = GraphBuilder::new(n);
+        if ring {
+            for i in 0..n {
+                b.add_duplex(NodeId(i as u32), NodeId(((i + 1) % n) as u32), 1.0 + i as f64, 100.0);
+            }
+        }
+        for &(x, y, d) in extras {
+            if x % n != y % n {
+                b.add_duplex(
+                    NodeId((x % n) as u32),
+                    NodeId((y % n) as u32),
+                    d as f64 / 10.0,
+                    100.0,
+                );
+            }
+        }
+        // One-way links make delays asymmetric: only then can the second
+        // half of a stitch step on the part of the first a cut removed.
+        for &(x, y, d) in one_way {
+            if x % n != y % n {
+                b.add_link(NodeId((x % n) as u32), NodeId((y % n) as u32), d as f64 / 10.0, 100.0);
+            }
+        }
+        b.build()
+    }
+
+    /// An engine over `g` with the given leaf size and landmark budget, with
+    /// failure case `failure` in force: 0 none, 1 a downed cable, 2 a downed
+    /// landmark node, 3 a brown-out (`victim` picks the element).
+    fn failed_engine(
+        g: &Graph,
+        (max_leaf, landmarks): (usize, usize),
+        (failure, victim): (usize, usize),
+    ) -> PartitionedPathEngine<'_> {
+        let eng = PartitionedPathEngine::build(
+            g,
+            &EngineConfig {
+                hierarchy: HierarchyConfig { max_depth: 2, max_leaf, branching: 2 },
+                landmarks,
+            },
+        );
+        let mut mask = FailureMask::new();
+        let cable = LinkId((victim % g.link_count().max(1)) as u32);
+        match failure {
+            1 if g.link_count() > 0 => {
+                mask.fail_cable(g, cable);
+            }
+            2 => {
+                mask.fail_node(eng.landmark_nodes[victim % eng.landmark_nodes.len()]);
+            }
+            3 if g.link_count() > 0 => {
+                mask.degrade_cable(g, cable, 0.5);
+            }
+            _ => {}
+        }
+        eng.apply_failure(&mask);
+        eng
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
@@ -669,47 +764,15 @@ mod tests {
             ring in proptest::prelude::any::<bool>(),
             extras in proptest::collection::vec((0usize..12, 0usize..12, 1u32..1000), 1..14),
             one_way in proptest::collection::vec((0usize..12, 0usize..12, 1u32..1000), 0..10),
-            (max_leaf, landmarks) in (3usize..=6, 1usize..=5),
+            shape in (3usize..=6, 1usize..=5),
             (failure, victim) in (0usize..4, 0usize..64),
             k in 1usize..=4,
         ) {
             use proptest::prelude::{prop_assert, prop_assert_eq};
-            let mut b = GraphBuilder::new(n);
-            if ring {
-                for i in 0..n {
-                    b.add_duplex(NodeId(i as u32), NodeId(((i + 1) % n) as u32), 1.0 + i as f64, 100.0);
-                }
-            }
-            for &(x, y, d) in &extras {
-                if x % n != y % n {
-                    b.add_duplex(NodeId((x % n) as u32), NodeId((y % n) as u32), d as f64 / 10.0, 100.0);
-                }
-            }
-            // One-way links make delays asymmetric: only then can the second
-            // half of a stitch step on the part of the first a cut removed.
-            for &(x, y, d) in &one_way {
-                if x % n != y % n {
-                    b.add_link(NodeId((x % n) as u32), NodeId((y % n) as u32), d as f64 / 10.0, 100.0);
-                }
-            }
-            let g = b.build();
-            let eng = PartitionedPathEngine::build(
-                &g,
-                &EngineConfig {
-                    hierarchy: HierarchyConfig { max_depth: 2, max_leaf, branching: 2 },
-                    landmarks,
-                },
-            );
-            // None, a downed cable, a downed landmark node, a brown-out.
-            let mut mask = FailureMask::new();
-            let cable = LinkId((victim % g.link_count().max(1)) as u32);
-            match failure {
-                1 if g.link_count() > 0 => { mask.fail_cable(&g, cable); }
-                2 => { mask.fail_node(eng.landmark_nodes[victim % eng.landmark_nodes.len()]); }
-                3 if g.link_count() > 0 => { mask.degrade_cable(&g, cable, 0.5); }
-                _ => {}
-            }
-            eng.apply_failure(&mask);
+            // Its small engines overwrite the gauges a traced test reads.
+            let _quiet = crate::telemetry_lock();
+            let g = arbitrary_graph(n, ring, &extras, &one_way);
+            let eng = failed_engine(&g, shape, (failure, victim));
             let trees = build_landmarks(&g, &eng.landmark_nodes, eng.failure_mask().as_deref());
             prop_assert_eq!(eng.landmark_count(), trees.len());
             prop_assert_eq!(eng.landmark_count() < eng.landmark_nodes.len(), failure == 2);
@@ -739,6 +802,37 @@ mod tests {
                     prop_assert!(cross_leaf != eng.same_leaf(s, d));
                     prop_assert_eq!(&got, &want, "{:?} -> {:?}", s, d);
                 }
+            }
+        }
+
+        /// On the same cases, the table filled on one worker, on two, and on
+        /// more workers than there are landmarks is the engine's table: the
+        /// same landmarks and every cell of the four arrays by its bits.
+        #[test]
+        fn the_table_is_the_same_bits_at_any_worker_count(
+            n in 4usize..=12,
+            ring in proptest::prelude::any::<bool>(),
+            extras in proptest::collection::vec((0usize..12, 0usize..12, 1u32..1000), 1..14),
+            one_way in proptest::collection::vec((0usize..12, 0usize..12, 1u32..1000), 0..10),
+            shape in (3usize..=6, 1usize..=5),
+            (failure, victim) in (0usize..4, 0usize..64),
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            // Its small engines overwrite the gauges a traced test reads.
+            let _quiet = crate::telemetry_lock();
+            let g = arbitrary_graph(n, ring, &extras, &one_way);
+            let eng = failed_engine(&g, shape, (failure, victim));
+            let mask = eng.failure_mask();
+            let held = eng.landmarks.read();
+            let bits = |cells: &[f64]| cells.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            for workers in [1, 2, eng.landmark_nodes.len() + 3] {
+                let mut table = LandmarkTable::default();
+                table.fill_on(&g, &eng.landmark_nodes, mask.as_deref(), workers);
+                prop_assert_eq!(&table.nodes, &held.nodes, "{} workers", workers);
+                prop_assert_eq!(bits(&table.dist_to), bits(&held.dist_to), "{} workers", workers);
+                prop_assert_eq!(bits(&table.dist_from), bits(&held.dist_from), "{} workers", workers);
+                prop_assert_eq!(&table.next_to, &held.next_to, "{} workers", workers);
+                prop_assert_eq!(&table.parent_from, &held.parent_from, "{} workers", workers);
             }
         }
     }
@@ -828,6 +922,7 @@ mod tests {
         // process-global (other tests may add concurrently while enabled),
         // so the deltas are asserted as lower bounds.
         let g = two_rings();
+        let _traced = crate::telemetry_lock();
         let before = telemetry::snapshot();
         telemetry::set_enabled(true);
         let eng = small_engine(&g);
@@ -850,6 +945,8 @@ mod tests {
 
     #[test]
     fn disconnected_pairs_return_empty() {
+        // Its small engine overwrites the gauges a traced test reads.
+        let _quiet = crate::telemetry_lock();
         let mut b = GraphBuilder::new(6);
         b.add_duplex(NodeId(0), NodeId(1), 1.0, 10.0);
         b.add_duplex(NodeId(1), NodeId(2), 1.0, 10.0);

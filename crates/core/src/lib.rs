@@ -35,6 +35,7 @@ pub mod failure;
 pub mod growth;
 pub mod hier;
 pub mod llpd;
+pub mod par;
 pub mod pathgrow;
 pub mod pathset;
 pub mod placement;
@@ -46,8 +47,28 @@ pub use eval::PlacementEval;
 pub use failure::{FailureImpact, FailureScenario, RecoveryOutcome};
 pub use hier::{EngineConfig, PartitionedPathEngine, QueryStats};
 pub use llpd::{LlpdAnalysis, LlpdConfig};
+pub use par::{default_workers, par_map};
 pub use pathgrow::GrowRequest;
 pub use placement::Placement;
 pub use scale::ScaleToLoad;
 pub use schemes::RoutingScheme;
 pub use source::PathSource;
+
+/// Serializes the unit tests that switch the process-wide telemetry on
+/// around a traced call and read the registry back with the tests whose
+/// work would write what they read. Tracing is on for every thread while
+/// one test traces: another test's `set_enabled(false)` turns it off under
+/// the call, another engine's fill overwrites the `hier.*` gauges, and a
+/// partitioned-engine solve that ends inside the window reports its whole
+/// `pathgrow.columns_from_surplus` against only part of its
+/// `pathgrow.columns_grown`.
+#[cfg(test)]
+static TELEMETRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Holds [`TELEMETRY`] until the guard drops.
+#[cfg(test)]
+pub(crate) fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
+    // A test that panicked holding it leaves nothing to repair: it guards
+    // no data.
+    TELEMETRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -2312,6 +2312,8 @@ pub(crate) mod tests {
 
     #[test]
     fn chained_solve_is_optimal_over_its_own_columns_through_the_partitioned_engine() {
+        // Its solves end with counters a traced test compares.
+        let _quiet = crate::telemetry_lock();
         // Through the hierarchical pricing oracle, on 1k nodes.
         let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 1000, seed: 42 });
         let g = ingested.graph();
@@ -2330,6 +2332,8 @@ pub(crate) mod tests {
 
     #[test]
     fn the_bound_gives_up_on_a_graph_the_lp_barely_touches() {
+        // Its solves end with counters a traced test compares.
+        let _quiet = crate::telemetry_lock();
         // 2k nodes, an unavoidable overload: the engine never prices most of
         // the detours the graph holds, so the bound cannot be tight, and the
         // search is cut short by its budget instead of flooding the graph —
@@ -2441,6 +2445,7 @@ pub(crate) mod tests {
         // Both counters are written by a traced call (the registry is
         // process-wide, so other tests may add to them meanwhile: lower
         // bounds).
+        let _traced = crate::telemetry_lock();
         let before = telemetry::snapshot();
         telemetry::set_enabled(true);
         GrowRequest::new(&engine, &tm).volumes(&volumes).solve().unwrap();
@@ -2499,6 +2504,8 @@ pub(crate) mod tests {
 
     #[test]
     fn pricing_only_removes_lps_through_the_partitioned_engine() {
+        // Its solves end with counters a traced test compares.
+        let _quiet = crate::telemetry_lock();
         let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 1000, seed: 42 });
         let g = ingested.graph();
         let engine = PartitionedPathEngine::build(g, &EngineConfig::default());

@@ -452,6 +452,7 @@ mod tests {
         let cache = PathCache::new(&g);
         cache.paths(NodeId(0), NodeId(2), 2);
         cache.paths(NodeId(3), NodeId(2), 1);
+        let _traced = crate::telemetry_lock();
         let before = telemetry::snapshot();
         telemetry::set_enabled(true);
         let stats = cache.apply_failure(&mask_01(&g));

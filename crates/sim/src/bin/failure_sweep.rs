@@ -40,7 +40,8 @@ use lowlat_core::pathset::PathCache;
 use lowlat_core::scale::ScaleToLoad;
 use lowlat_core::schemes::{registry, SolveContext};
 use lowlat_core::PathSource;
-use lowlat_sim::runner::{default_workers, par_map, write_telemetry_sinks, Args, Scale};
+use lowlat_core::{default_workers, par_map};
+use lowlat_sim::runner::{write_telemetry_sinks, Args, Scale};
 use lowlat_sim::stats::Cdf;
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::{GravityTmGen, TmGenConfig};

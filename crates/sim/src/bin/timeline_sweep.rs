@@ -32,7 +32,8 @@
 //! TSV columns are unchanged either way.
 
 use lowlat_core::scale::ScaleToLoad;
-use lowlat_sim::runner::{default_workers, par_map, write_telemetry_sinks, Args, Scale};
+use lowlat_core::{default_workers, par_map};
+use lowlat_sim::runner::{write_telemetry_sinks, Args, Scale};
 use lowlat_sim::timeline::{self, simulate, Controller, TimelineConfig, TimelineConfigError};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::{GravityTmGen, TmGenConfig};

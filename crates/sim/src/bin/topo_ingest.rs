@@ -32,10 +32,10 @@
 use std::io::Write as _;
 
 use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
-use lowlat_core::PathSource;
+use lowlat_core::{default_workers, par_map, PathSource};
 use lowlat_netgraph::hierarchy::HierarchyConfig;
 use lowlat_netgraph::{shortest_path_tree, NodeId};
-use lowlat_sim::runner::{default_workers, par_map, write_telemetry_sinks, Args};
+use lowlat_sim::runner::{write_telemetry_sinks, Args};
 use lowlat_telemetry as telemetry;
 use lowlat_topology::ingest::{self, IngestedGraph};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
@@ -234,27 +234,36 @@ fn main() {
 
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let n = g.node_count() as u32;
-        let mut ok = 0usize;
-        let mut hops = 0usize;
-        let mut stretch_sum = 0.0f64;
+        let queries: Vec<(NodeId, NodeId)> = (0..tests)
+            .map(|_| {
+                let src = NodeId(rng.gen_range(0..n));
+                let dst = loop {
+                    let d = NodeId(rng.gen_range(0..n));
+                    if d != src {
+                        break d;
+                    }
+                };
+                (src, dst)
+            })
+            .collect();
+        // The span times the engine's queries and nothing else: the flat
+        // reference the stretch divides by is computed after it closes.
         let batch_span = telemetry::timed_span("ingest.query_batch", "ingest");
-        for _ in 0..tests {
-            let src = NodeId(rng.gen_range(0..n));
-            let dst = loop {
-                let d = NodeId(rng.gen_range(0..n));
-                if d != src {
-                    break d;
-                }
-            };
-            let paths = engine.paths(src, dst, k);
-            if let Some(best) = paths.first() {
+        let best: Vec<Option<(usize, f64)>> = queries
+            .iter()
+            .map(|&(src, dst)| {
+                engine.paths(src, dst, k).first().map(|p| (p.hop_count(), p.delay_ms()))
+            })
+            .collect();
+        let batch_ms = batch_span.finish_ms();
+        let (mut ok, mut hops, mut stretch_sum) = (0usize, 0usize, 0.0f64);
+        for (&(src, dst), best) in queries.iter().zip(&best) {
+            if let Some((best_hops, best_ms)) = *best {
                 ok += 1;
-                hops += best.hop_count();
-                let flat = shortest_path_tree(g, src, None, None).dist_ms(dst);
-                stretch_sum += best.delay_ms() / flat;
+                hops += best_hops;
+                stretch_sum += best_ms / shortest_path_tree(g, src, None, None).dist_ms(dst);
             }
         }
-        let batch_ms = batch_span.finish_ms();
         let query_us_mean = if tests > 0 { batch_ms * 1e3 / tests as f64 } else { 0.0 };
         let (cross, fallback) = {
             let (_, c, f) = engine.stats().snapshot();

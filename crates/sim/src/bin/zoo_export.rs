@@ -8,8 +8,9 @@
 use std::fs;
 use std::path::PathBuf;
 
+use lowlat_core::default_workers;
 use lowlat_core::llpd::LlpdConfig;
-use lowlat_sim::runner::{default_workers, llpd_map};
+use lowlat_sim::runner::llpd_map;
 use lowlat_topology::to_text;
 use lowlat_topology::zoo::{synthetic_zoo, ZooClass};
 

@@ -1,10 +1,11 @@
 //! Figure 1: CDF of per-pair APA for every network (stretch limit 1.4).
 
+use lowlat_core::default_workers;
 use lowlat_core::llpd::{LlpdAnalysis, LlpdConfig};
 use lowlat_topology::zoo::synthetic_zoo;
 
 use crate::output::Series;
-use crate::runner::{default_workers, llpd_map, Scale};
+use crate::runner::{llpd_map, Scale};
 use crate::stats::Cdf;
 
 /// One CDF series per network. Curves toward the lower right indicate

@@ -1,8 +1,10 @@
 //! Figure 3: fraction of congested pairs vs LLPD under shortest-path
 //! routing (median and 90th percentile across matrices).
 
+use lowlat_core::default_workers;
+
 use crate::output::Series;
-use crate::runner::{by_llpd, default_workers, run_grid, RunGrid, Scale};
+use crate::runner::{by_llpd, run_grid, RunGrid, Scale};
 
 /// Two series over (llpd, congested-pair fraction): median and p90.
 pub fn run(scale: Scale) -> Vec<Series> {

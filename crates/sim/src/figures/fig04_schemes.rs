@@ -1,8 +1,10 @@
 //! Figure 4 (a-d): congestion and latency stretch vs LLPD for the active
 //! schemes — latency-optimal, B4, MinMax, MinMax K=10.
 
+use lowlat_core::default_workers;
+
 use crate::output::Series;
-use crate::runner::{by_llpd, default_workers, run_grid, RunGrid, Scale};
+use crate::runner::{by_llpd, run_grid, RunGrid, Scale};
 
 /// Per scheme, four series: congestion median/p90 and stretch median/p90,
 /// all over LLPD.

@@ -1,8 +1,10 @@
 //! Figure 8: median change in total delay vs LLPD as headroom rises
 //! (0%, 11%, 23%, 40%), at the lighter 0.6 min-cut load.
 
+use lowlat_core::default_workers;
+
 use crate::output::Series;
-use crate::runner::{by_llpd, default_workers, run_grid, RunGrid, Scale};
+use crate::runner::{by_llpd, run_grid, RunGrid, Scale};
 
 /// Headroom values the paper sweeps.
 pub const HEADROOMS: [f64; 4] = [0.0, 0.11, 0.23, 0.40];

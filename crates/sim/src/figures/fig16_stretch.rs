@@ -3,8 +3,10 @@
 //! traffic the CDF saturates below 1.0 — exactly how the paper renders
 //! B4's and MinMaxK10's failures.
 
+use lowlat_core::default_workers;
+
 use crate::output::Series;
-use crate::runner::{default_workers, run_grid, RunGrid, Scale};
+use crate::runner::{run_grid, RunGrid, Scale};
 
 /// Which panel of the figure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

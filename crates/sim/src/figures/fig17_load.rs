@@ -1,10 +1,11 @@
 //! Figure 17: effect of load on the median max flow stretch (networks with
 //! LLPD > 0.5).
 
+use lowlat_core::default_workers;
 use lowlat_core::schemes::registry;
 
 use crate::output::Series;
-use crate::runner::{default_workers, run_grid, RunGrid, Scale};
+use crate::runner::{run_grid, RunGrid, Scale};
 use crate::stats::median_of;
 
 /// Load levels (percent of min-cut utilization) the paper sweeps.

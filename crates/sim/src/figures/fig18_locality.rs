@@ -1,10 +1,11 @@
 //! Figure 18: effect of traffic locality on the median max flow stretch
 //! (networks with LLPD > 0.5, load 0.7).
 
+use lowlat_core::default_workers;
 use lowlat_core::schemes::registry;
 
 use crate::output::Series;
-use crate::runner::{default_workers, run_grid, RunGrid, Scale};
+use crate::runner::{run_grid, RunGrid, Scale};
 use crate::stats::median_of;
 
 /// Locality values the paper sweeps.

@@ -2,8 +2,10 @@
 //! Google-like global WAN added — the highest-LLPD network in the corpus,
 //! unroutable with shortest paths alone.
 
+use lowlat_core::default_workers;
+
 use crate::output::Series;
-use crate::runner::{by_llpd, default_workers, llpd_map, run_grid, RunGrid, Scale};
+use crate::runner::{by_llpd, llpd_map, run_grid, RunGrid, Scale};
 
 /// Figure-3 series plus a one-point "Google" series.
 pub fn run(scale: Scale) -> Vec<Series> {

@@ -2,12 +2,13 @@
 //! addition — only a routing scheme that exploits path diversity (LDR)
 //! fully converts new links into lower stretch.
 
+use lowlat_core::default_workers;
 use lowlat_core::growth::{grow_by_llpd, GrowthPlanConfig};
 use lowlat_core::schemes::registry;
 use lowlat_topology::Topology;
 
 use crate::output::Series;
-use crate::runner::{default_workers, run_grid, run_grid_replay, RunGrid, Scale};
+use crate::runner::{run_grid, run_grid_replay, RunGrid, Scale};
 use crate::stats::{median_of, quantile_of};
 
 /// Picks hard-to-route networks: high median latency stretch under the

@@ -18,8 +18,10 @@ pub mod fig18_locality;
 pub mod fig19_google;
 pub mod fig20_growth;
 
+use lowlat_core::default_workers;
+
 use crate::output::{ascii_plot, print_tsv, Series};
-use crate::runner::{default_workers, llpd_map, Scale};
+use crate::runner::{llpd_map, Scale};
 
 /// A figure the `figures` binary can emit: the name `--fig` takes (and
 /// `just figures` writes `figures/<name>.tsv` under) and the function that

@@ -5,8 +5,8 @@
 //! idle. This engine flattens the grid into individual work items — first
 //! `(network, matrix)` generation/scaling items, then
 //! `(network, matrix, scheme)` placement items — that workers steal off a
-//! shared atomic counter ([`par_map`], the one fan-out every sweep binary
-//! uses too). All of a network's items share one lock-striped
+//! shared atomic counter ([`lowlat_core::par_map`], the one fan-out in the
+//! workspace). All of a network's items share one lock-striped
 //! [`PathCache`], so the k-shortest-path work the min-cut scaling solve does
 //! is reused by every scheme, and schemes running concurrently on the same
 //! graph do not contend (§5's "readily cached" observation).
@@ -17,7 +17,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -26,7 +25,7 @@ use lowlat_core::llpd::{LlpdAnalysis, LlpdConfig};
 use lowlat_core::pathset::PathCache;
 use lowlat_core::scale::min_cut_load;
 use lowlat_core::schemes::{registry, RoutingScheme};
-use lowlat_core::PathSource;
+use lowlat_core::{default_workers, par_map, PathSource};
 use lowlat_tmgen::{GravityTmGen, TmGenConfig, TrafficMatrix};
 use lowlat_topology::zoo::ZooClass;
 use lowlat_topology::Topology;
@@ -284,50 +283,6 @@ impl RunRecord {
     }
 }
 
-/// Worker count used when the caller does not pin one.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-}
-
-/// Maps `f` over `items` on up to `workers` threads (at least one, at most
-/// one per item): workers steal indices off one atomic counter and every
-/// result lands in its item's slot, so the output is in input order
-/// whatever the worker count or scheduling.
-///
-/// # Panics
-/// Re-raises a worker's panic.
-pub fn par_map<I: Sync, T: Send>(
-    items: &[I],
-    workers: usize,
-    f: impl Fn(&I) -> T + Sync,
-) -> Vec<T> {
-    // Relaxed: the counter publishes nothing but the index itself; results
-    // travel through the join.
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.clamp(1, items.len().max(1)))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break done };
-                        done.push((i, f(item)));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            let done = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            for (i, result) in done {
-                slots[i] = Some(result);
-            }
-        }
-    });
-    slots.into_iter().map(|slot| slot.expect("every index is claimed exactly once")).collect()
-}
-
 /// Computes LLPD for many networks on up to `workers` threads. Returns
 /// values aligned with the input order.
 pub fn llpd_map(networks: &[Topology], config: &LlpdConfig, workers: usize) -> Vec<f64> {
@@ -574,18 +529,6 @@ mod tests {
         assert!(args(&["--load"]).try_value::<f64>("--load").is_err());
         assert!(args(&["--load", "heavy"]).try_value::<f64>("--load").is_err());
         assert!(args(&["--loads", " , "]).try_list::<f64>("--loads").is_err());
-    }
-
-    #[test]
-    fn par_map_keeps_input_order_whatever_the_worker_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let serial = par_map(&items, 1, |&i| i * i);
-        assert_eq!(serial, items.iter().map(|i| i * i).collect::<Vec<_>>());
-        for workers in [0, 2, 8, 200] {
-            assert_eq!(par_map(&items, workers, |&i| i * i), serial, "{workers} workers");
-        }
-        assert_eq!(par_map(&[] as &[u64], 4, |&i| i), Vec::<u64>::new());
-        assert_eq!(par_map(&[7u64, 9], 8, |&i| i + 1), vec![8, 10], "fewer items than workers");
     }
 
     #[test]

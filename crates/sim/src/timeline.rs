@@ -99,8 +99,8 @@ use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::Topology;
 use lowlat_traffic::{spread_seed, synthesize, AggregateTrace, TraceGenConfig};
 
-use crate::runner::{default_workers, par_map};
 use crate::stats::median_of;
+use lowlat_core::{default_workers, par_map};
 
 /// Default decision minutes per run.
 pub const DEFAULT_MINUTES: usize = 10;

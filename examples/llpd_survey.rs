@@ -5,8 +5,9 @@
 
 use std::collections::BTreeMap;
 
+use lowlat::core::default_workers;
 use lowlat::prelude::*;
-use lowlat::sim::runner::{default_workers, llpd_map};
+use lowlat::sim::runner::llpd_map;
 
 fn main() {
     let zoo = synthetic_zoo();
