@@ -572,7 +572,7 @@ mod tests {
         assert!(out.impact.latency_stretch >= 1.0 - 1e-6);
         assert!(out.impact.max_path_stretch >= 1.0 - 1e-6);
         // Some growth rounds kept their outcome instead of posing an LP, each
-        // audited by `pathgrow::tests::audit_kept_round`.
+        // audited by `pathgrow::lp::tests::audit_kept_round`.
         assert!(crate::pathgrow::tests::kept_rounds() > kept_before);
         cache.clear_failure();
     }

@@ -375,7 +375,7 @@ mod tests {
         // LDR's LPs are `pathgrow`'s: on the benchmark's network and load a
         // placement has rounds whose new columns cannot enter the basis, and
         // in unit tests every one of them is audited where it is decided
-        // (`pathgrow::tests::audit_kept_round`: the LP it skipped, posed
+        // (`pathgrow::lp::tests::audit_kept_round`: the LP it skipped, posed
         // anyway, takes no pivot, and the kept vertex carries a certificate).
         use crate::scale::ScaleToLoad;
         use lowlat_tmgen::{GravityTmGen, TmGenConfig};
