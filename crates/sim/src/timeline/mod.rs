@@ -8,38 +8,18 @@
 //! queueing materialized, so the headroom claims can be checked end to end
 //! (and fault-injected with arbitrarily bursty traces).
 //!
-//! Any [`registry`] scheme can drive the loop: a [`Controller`] wraps a
+//! Any [`registry`](lowlat_core::schemes::registry) scheme can drive the loop: a [`Controller`] wraps a
 //! scheme either *adaptively* (re-placed every minute from the measured
 //! history — LDR runs its full Figure-14 loop, everything else re-places
 //! Algorithm-1 predicted demands) or *statically* (placed once up front,
 //! the OSPF-style baseline).
 //!
-//! ## One state, four steps
+//! One decision a file:
 //!
-//! There is one way to run a timeline: [`simulate_with_events_on`] builds
-//! the run's private `ControllerState`, steps it once per decision minute
-//! and collects the [`MinuteReport`]s ([`simulate`] is the same call over a
-//! private flat [`PathCache`] with no events). The state is everything that
-//! outlives a minute, and each step names what it touches:
-//!
-//! - `fire_events` reads the caller's [`TimelineEvent`]s and `pending_trip`;
-//!   writes `mask`, `partition`, `unroutable_fraction`, the source's failure
-//!   state and the repair counters.
-//! - `decide` reads `traces` up to the minute, `partition`, `installed`,
-//!   `queued_links` and `mask`; writes `placement`, `draining` and `ctx`.
-//! - `install` reads `placement` and `partition`; writes `installed` and
-//!   returns the minute's [`PlacementDelta`].
-//! - `replay` reads the minute's `traces`, `placement`, `draining` and
-//!   `mask`; writes `queued_links`, `pending_trip` and `cascade_trips`, and
-//!   returns the realized queueing.
-//!
-//! One [`PathSource`] and one warm-start [`SolveContext`] persist across
-//! the whole run, so successive minutes restart from each other's LP bases
-//! — the reason the cycle is fast enough to run every minute — and a
-//! topology change *repairs* the source (only cached paths crossing failed
-//! elements regrow under the mask) instead of rebuilding it, so recovery
-//! minutes restart from pre-failure bases. `decision_ms` times the first
-//! three steps; replay models the network, not the controller.
+//! - `controller`: which scheme drives the loop and in which mode
+//!   ([`Controller`], parsed from a sweep spec);
+//! - `state`: the run's state and the four steps that advance it a minute;
+//! - `bounded`: the churn policy of a `bounded:` controller.
 //!
 //! ## Failure events and cascades
 //!
@@ -58,49 +38,21 @@
 //! flow through the same repair/re-place machinery as scripted events, so
 //! a brown-out that concentrates traffic can be watched snowballing into an
 //! outage. How a trip and a scripted event due the same minute combine is
-//! `fire_events`' contract, stated there.
-//!
-//! ## Bounded churn
-//!
-//! A `bounded:`-prefixed controller (sweep spec `bounded:LDR`) runs the
-//! same per-minute cycle but treats path churn — installs, uninstalls and
-//! split re-programs pushed to switches — as a cost. There is no rate
-//! limit; a re-install must pay for itself. Each minute the scheme's fresh
-//! solution is a *candidate*, and an aggregate takes it when nothing is
-//! installed for it, when its installed paths are broken by the mask, when
-//! the candidate improves predicted mean delay by more than `EPSILON` (20%),
-//! when keeping it would push a link's predicted load past `UTIL_GUARD`
-//! (1.0) times effective capacity, or when a link it rides *actually queued*
-//! past `QUEUE_TRIGGER_MS` (50 ms) last minute (the reactive half of the
-//! loop: mean-load prediction cannot see bursts, realized queueing can);
-//! everything else keeps the previous minute's paths. Re-installs of live
-//! paths happen make-before-break: the aggregate drains linearly across the
-//! transition minute — each 100 ms bin carries a shrinking share on the
-//! retiring splits and a growing share on the new ones — so the old paths'
-//! capacity stays claimed until the drain completes and the old path is
-//! only retired once its replacement carries the traffic. (Paths already
-//! broken by a failure switch immediately: there is nothing left to break.)
-//! This is the §5 install story made honest. Per-minute churn
-//! ([`PlacementDelta`]) and decision latency are reported in every
-//! [`MinuteReport`].
+//! `fire_events`' contract, stated there (`state`).
 
-use std::sync::Arc;
+mod bounded;
+mod controller;
+mod state;
 
-use lowlat_core::eval::PlacementEval;
-use lowlat_core::failure::{partition_routable, RoutablePartition};
 use lowlat_core::pathset::PathCache;
-use lowlat_core::placement::{AggregatePlacement, PlacementDelta};
-use lowlat_core::schemes::registry::{self, UnknownScheme};
-use lowlat_core::schemes::{predict_volumes, RoutingScheme, SolveContext};
-use lowlat_core::{PathSource, Placement};
-use lowlat_netgraph::{FailureMask, Graph, LinkId, Path};
-use lowlat_telemetry as telemetry;
+use lowlat_core::PathSource;
+use lowlat_netgraph::FailureMask;
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::Topology;
-use lowlat_traffic::{spread_seed, synthesize, AggregateTrace, TraceGenConfig};
 
 use crate::stats::median_of;
-use lowlat_core::{default_workers, par_map};
+pub use controller::{Controller, ControllerParseError};
+use state::ControllerState;
 
 /// Default decision minutes per run.
 pub const DEFAULT_MINUTES: usize = 10;
@@ -110,141 +62,6 @@ pub const DEFAULT_WARMUP_MINUTES: usize = 5;
 pub const DEFAULT_CV: f64 = 0.3;
 /// Default RNG seed for trace synthesis.
 pub const DEFAULT_SEED: u64 = 99;
-
-/// Bounded churn: minimum *relative* predicted mean-delay improvement
-/// before an aggregate's candidate placement is worth re-installing. Below
-/// this the previous minute's paths are kept as-is.
-const EPSILON: f64 = 0.2;
-
-/// Bounded churn: utilization multiple of effective capacity above which a
-/// kept placement is force-re-installed: keeping stale paths must not
-/// (predictably) overload a link. 1.0 = re-install at predicted saturation.
-const UTIL_GUARD: f64 = 1.0;
-
-/// Bounded churn: realized-queueing trigger (ms). A link whose replay queued
-/// above this last minute forces re-install of the kept aggregates riding it
-/// (when the fresh candidate actually relieves the link). This is the
-/// reactive half of the loop — mean-load prediction cannot see bursts,
-/// realized queueing can.
-const QUEUE_TRIGGER_MS: f64 = 50.0;
-
-/// Why a controller spec failed to parse.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ControllerParseError {
-    /// A mode prefix (`static:`, `bounded:`) with nothing after it.
-    EmptySpec {
-        /// The offending prefix.
-        prefix: &'static str,
-    },
-    /// The scheme name is not in the registry.
-    Unknown(UnknownScheme),
-}
-
-impl std::fmt::Display for ControllerParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ControllerParseError::EmptySpec { prefix } => {
-                write!(f, "controller spec `{prefix}` needs a scheme name after the prefix")
-            }
-            ControllerParseError::Unknown(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for ControllerParseError {}
-
-impl From<UnknownScheme> for ControllerParseError {
-    fn from(e: UnknownScheme) -> Self {
-        ControllerParseError::Unknown(e)
-    }
-}
-
-/// Which controller drives path computation each minute: any registry
-/// scheme, run in one of three modes.
-#[derive(Clone)]
-pub struct Controller {
-    scheme: Arc<dyn RoutingScheme>,
-    mode: Mode,
-}
-
-/// How a [`Controller`] runs its scheme.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mode {
-    /// Placed once — the paper's OSPF baseline, generalized (`static:`).
-    Static,
-    /// Re-placed every minute on the history so far.
-    Adaptive,
-    /// Re-placed every minute, re-installed only where it pays (`bounded:`;
-    /// module docs, *Bounded churn*).
-    Bounded,
-}
-
-/// The mode prefixes [`Controller::parse`] knows; a spec with none of them
-/// is adaptive.
-const MODE_PREFIXES: [(&str, Mode); 2] = [("static:", Mode::Static), ("bounded:", Mode::Bounded)];
-
-impl Controller {
-    /// Parses a sweep spec: a registry name, run adaptively (re-placed
-    /// every minute on the measured history; LDR uses its full trace-driven
-    /// Figure-14 loop, other schemes re-place Algorithm-1 predictions),
-    /// optionally prefixed with `static:` for the variant placed once on
-    /// the base matrix or `bounded:` for the churn-bounded variant, which
-    /// only re-installs aggregates whose fresh solution pays for its churn
-    /// (`"LDR"`, `"static: SP"`, `"bounded:LDR"`). Whitespace around the
-    /// name and after the prefix is ignored; a prefix with nothing after it
-    /// is rejected with [`ControllerParseError::EmptySpec`] rather than a
-    /// confusing unknown-scheme error for `""`.
-    pub fn parse(spec: &str) -> Result<Controller, ControllerParseError> {
-        let spec = spec.trim();
-        let (name, mode) = match MODE_PREFIXES
-            .iter()
-            .find_map(|&(prefix, mode)| Some((prefix, spec.strip_prefix(prefix)?.trim(), mode)))
-        {
-            Some((prefix, "", _)) => return Err(ControllerParseError::EmptySpec { prefix }),
-            Some((_, name, mode)) => (name, mode),
-            None => (spec, Mode::Adaptive),
-        };
-        Ok(Controller { scheme: registry::build(name)?, mode })
-    }
-
-    /// The paper's full LDR deployment cycle.
-    ///
-    /// # Panics
-    /// Never — `LDR` is a registry spec.
-    pub fn ldr() -> Controller {
-        Controller::parse("LDR").expect("LDR is a registry spec")
-    }
-
-    /// Static shortest paths computed once (the OSPF baseline).
-    ///
-    /// # Panics
-    /// Never — `SP` is a registry spec.
-    pub fn static_sp() -> Controller {
-        Controller::parse("static:SP").expect("SP is a registry spec")
-    }
-
-    /// Display name: the scheme's registry name, `static:`-prefixed for
-    /// placed-once controllers and `bounded:`-prefixed for churn-bounded
-    /// ones. Round-trips through [`Controller::parse`].
-    pub fn name(&self) -> String {
-        match self.mode {
-            Mode::Static => format!("static:{}", self.scheme.name()),
-            Mode::Adaptive => self.scheme.name(),
-            Mode::Bounded => format!("bounded:{}", self.scheme.name()),
-        }
-    }
-
-    /// True when the scheme is placed once and never consulted again.
-    fn is_static(&self) -> bool {
-        self.mode == Mode::Static
-    }
-}
-
-impl std::fmt::Debug for Controller {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Controller").field("name", &self.name()).finish()
-    }
-}
 
 /// Timeline parameters.
 #[derive(Clone, Debug)]
@@ -522,563 +339,18 @@ pub fn simulate_with_events_on(
     state.finish(minutes)
 }
 
-/// `numer / denom`, 0 when the denominator is not positive — keeps a
-/// zero-volume denominator from poisoning fractions (and the TSV) with NaN.
-fn safe_fraction(numer: f64, denom: f64) -> f64 {
-    if denom > 0.0 {
-        numer / denom
-    } else {
-        0.0
-    }
-}
-
-/// Per-link load (Mbps) when aggregate `j` sends its `predicted[j]` volume
-/// over the splits `splits_of(j)` picks for it.
-fn predicted_link_loads<'p>(
-    graph: &Graph,
-    predicted: &[f64],
-    splits_of: impl Fn(usize) -> &'p [(Path, f64)],
-) -> Vec<f64> {
-    let mut load = vec![0.0f64; graph.link_count()];
-    for (j, volume) in predicted.iter().enumerate() {
-        for (path, x) in splits_of(j) {
-            if *x > 1e-9 {
-                for &l in path.links() {
-                    load[l.idx()] += volume * x;
-                }
-            }
-        }
-    }
-    load
-}
-
-/// The run's ground truth: one trace per aggregate of `tm`, mean anchored at
-/// its matrix volume, synthesized on up to `workers` threads. Aggregate `i`
-/// draws from its own stream (`spread_seed(seed, i)`), so the traces are
-/// the same bits whatever the worker count.
-fn synthesize_traces(
-    tm: &TrafficMatrix,
-    config: &TimelineConfig,
-    workers: usize,
-) -> Vec<AggregateTrace> {
-    let aggregates: Vec<(u64, f64)> =
-        tm.aggregates().iter().enumerate().map(|(i, a)| (i as u64, a.volume_mbps)).collect();
-    par_map(&aggregates, workers, |&(i, mean_mbps)| {
-        synthesize(&TraceGenConfig {
-            mean_mbps,
-            cv: config.cv,
-            minutes: config.warmup_minutes + config.minutes,
-            seed: spread_seed(config.seed, i),
-            diurnal_amplitude: config.diurnal_amplitude,
-            diurnal_period_minutes: config.diurnal_period,
-            ..Default::default()
-        })
-    })
-}
-
-/// Everything of a run that outlives a decision minute. [`Self::step`]
-/// advances it by one minute through the four steps the module docs
-/// tabulate; nothing else mutates it.
-struct ControllerState<'a> {
-    source: &'a dyn PathSource,
-    tm: &'a TrafficMatrix,
-    controller: &'a Controller,
-    config: &'a TimelineConfig,
-    events: &'a [TimelineEvent],
-    /// Ground-truth traffic: one evolving trace per aggregate of `tm`, mean
-    /// anchored at its matrix volume (modulated by the diurnal cycle).
-    traces: Vec<AggregateTrace>,
-    /// One warm-start context for the whole run: the §5 cycle's speed comes
-    /// from successive minutes reusing paths and LP bases.
-    ctx: SolveContext,
-    /// The failure mask in force.
-    mask: FailureMask,
-    /// The demand an adaptive controller can still route under `mask`;
-    /// `None` while everything is up, and always for a static controller,
-    /// whose placement stays aligned with the full matrix.
-    partition: Option<RoutablePartition>,
-    /// Volume fraction of demand not delivered under `mask`: disconnected
-    /// pairs for an adaptive controller, what a static placement keeps
-    /// sending into failed elements. Recomputed only when the mask changes.
-    unroutable_fraction: f64,
-    /// The placement in force, aligned with [`Self::minute_tm`]: a static
-    /// controller's, placed once; an adaptive one's, rewritten by every
-    /// `decide` (`None` while nothing is routable).
-    placement: Option<Placement>,
-    /// This minute's make-before-break transitions: (`minute_tm` index, the
-    /// full placement being drained). The aggregate's traffic ramps from
-    /// these splits onto the new ones across the minute's bins.
-    draining: Vec<(usize, AggregatePlacement)>,
-    /// The per-aggregate placement actually installed on switches, keyed by
-    /// ORIGINAL matrix index so entries survive re-partitions. Per-minute
-    /// churn is the delta against it; the bounded controller additionally
-    /// keeps entries live instead of re-installing.
-    installed: Vec<Option<AggregatePlacement>>,
-    /// Links whose replay queued above the bounded controller's reactive
-    /// trigger last minute — next minute's merge re-installs their riders.
-    queued_links: Vec<bool>,
-    /// The cable the cascade model tripped during last minute's replay. A
-    /// *delta*, resolved against the mask in force when it fires.
-    pending_trip: Option<LinkId>,
-    repair_events: usize,
-    repaired_pairs: usize,
-    kept_pairs: usize,
-    cascade_trips: usize,
-}
-
-impl<'a> ControllerState<'a> {
-    fn new(
-        source: &'a dyn PathSource,
-        tm: &'a TrafficMatrix,
-        controller: &'a Controller,
-        config: &'a TimelineConfig,
-        events: &'a [TimelineEvent],
-    ) -> Self {
-        // Checked here, on the caller's thread: a bad field panics with its
-        // name before any synthesis worker starts.
-        if let Err(e) = config.validate() {
-            panic!("invalid timeline config: {e}");
-        }
-        assert!(!tm.is_empty());
-        assert!(
-            events.iter().all(|e| e.at_minute < config.minutes),
-            "event minute out of 0..{}",
-            config.minutes
-        );
-        // A root span of its own: against millisecond decisions synthesis
-        // is a visible share of a short run. On one core it was ~40% of a
-        // `ctrl-ldr-abilene` pass in the repo benchmark (2.10 s beside
-        // 2.90 s of decisions in a 6 s run on a 2-CPU x86 host). The
-        // aggregates' streams are independent, so they are synthesized on
-        // every core, and the traced benchmark's
-        // `sim.timeline.other_ms_per_min` (synthesis + replay + harness, per
-        // decision minute, seed 99, same host) went 3.5 → 2.5 ms beside a
-        // 3.5 ms decision on Abilene and 18.6 → 11.6 ms beside 24 ms on
-        // GTS-like.
-        let synthesis = telemetry::span("timeline.synthesize", "timeline");
-        let traces = synthesize_traces(tm, config, default_workers());
-        let samples = traces.iter().map(|tr| tr.minutes() * tr.bins_per_minute()).sum::<usize>();
-        telemetry::counter_add("timeline.samples_synthesized", samples as u64);
-        drop(synthesis);
-        let placement = controller
-            .is_static()
-            .then(|| controller.scheme.place(source, tm).expect("static placement"));
-        ControllerState {
-            source,
-            tm,
-            controller,
-            config,
-            events,
-            traces,
-            ctx: SolveContext::new(),
-            mask: FailureMask::new(),
-            partition: None,
-            unroutable_fraction: 0.0,
-            placement,
-            draining: Vec::new(),
-            installed: vec![None; tm.aggregates().len()],
-            queued_links: vec![false; source.graph().link_count()],
-            pending_trip: None,
-            repair_events: 0,
-            repaired_pairs: 0,
-            kept_pairs: 0,
-            cascade_trips: 0,
-        }
-    }
-
-    /// One decision minute (0-based, warm-up excluded): fire the minute's
-    /// events, decide, install — the window `decision_ms` times — then
-    /// replay the minute's actual traffic over the result.
-    fn step(&mut self, minute: usize) -> MinuteReport {
-        // Per-minute root span; everything below nests under it. The
-        // decision window keeps its own always-on timer because its
-        // duration *is* the `decision_ms` column — one measurement feeds
-        // both the TSV and the trace.
-        let _minute = telemetry::span("timeline.minute", "timeline");
-        let decision = telemetry::timed_span("timeline.decision", "timeline");
-        self.fire_events(minute);
-        self.decide(minute);
-        let churn = self.install(minute);
-        let decision_ms = decision.finish_ms();
-        let _replay = telemetry::span("timeline.replay", "timeline");
-        let (worst_queue_ms, overloaded_links) = self.replay(minute);
-        let latency_stretch = self.placement.as_ref().map_or(1.0, |placement| {
-            PlacementEval::evaluate_on(self.source.graph(), self.minute_tm(), placement)
-                .latency_stretch()
-        });
-        MinuteReport {
-            worst_queue_ms,
-            overloaded_links,
-            latency_stretch,
-            unroutable_fraction: self.unroutable_fraction,
-            decision_ms,
-            paths_changed: churn.paths_changed(),
-            moved_volume_fraction: churn.moved_volume_fraction(),
-        }
-    }
-
-    /// The run's outcome: the per-minute reports plus the counters the state
-    /// accumulated.
-    fn finish(self, minutes: Vec<MinuteReport>) -> TimelineOutcome {
-        TimelineOutcome {
-            minutes,
-            lp_warm_hits: self.ctx.warm_hits(),
-            lp_solves: self.ctx.solves(),
-            repair_events: self.repair_events,
-            repaired_pairs: self.repaired_pairs,
-            kept_pairs: self.kept_pairs,
-            cascade_trips: self.cascade_trips,
-        }
-    }
-
-    /// The matrix the placement in force aligns with: the routable view
-    /// while a partition is in force, the full matrix otherwise.
-    fn minute_tm(&self) -> &TrafficMatrix {
-        self.partition.as_ref().map_or(self.tm, |p| &p.tm)
-    }
-
-    /// Original-matrix index (the key of `traces` and `installed`) of
-    /// aggregate `j` of [`Self::minute_tm`].
-    fn orig(&self, j: usize) -> usize {
-        self.partition.as_ref().map_or(j, |p| p.kept[j])
-    }
-
-    /// Applies the topology changes due at decision `minute`, before that
-    /// minute's placement decision.
-    ///
-    /// The ordering contract, asserted by the test suite: scripted events
-    /// fire first, in the caller's slice order, each *replacing* the mask in
-    /// force (so the last one wins); then the cable the cascade model
-    /// tripped during the previous minute's replay fails as a *delta* on
-    /// top of whatever mask that left — a scripted link-up landing on the
-    /// same minute is never clobbered by a snapshot taken when the trip was
-    /// emitted. At most one trip is pending: a replay emits at most one, and
-    /// it always fires the minute after.
-    fn fire_events(&mut self, minute: usize) {
-        let _measure = telemetry::span("timeline.measure", "timeline");
-        let events = self.events;
-        for event in events.iter().filter(|e| e.at_minute == minute) {
-            self.apply_mask(event.mask.clone());
-        }
-        if let Some(cable) = self.pending_trip.take() {
-            let mut mask = self.mask.clone();
-            mask.fail_cable(self.source.graph(), cable);
-            self.apply_mask(mask);
-        }
-    }
-
-    /// Puts `mask` in force: repairs the source (not rebuilds — only cached
-    /// paths crossing failed elements regrow) and recomputes what the
-    /// controller can still deliver.
-    fn apply_mask(&mut self, mask: FailureMask) {
-        let graph = self.source.graph();
-        self.repair_events += 1;
-        if !self.controller.is_static() {
-            let stats = self.source.apply_failure(&mask);
-            self.repaired_pairs += stats.repaired_pairs;
-            self.kept_pairs += stats.kept_pairs;
-            self.partition = (!mask.is_empty()).then(|| partition_routable(graph, self.tm, &mask));
-            self.unroutable_fraction =
-                self.partition.as_ref().map_or(0.0, |p| p.unroutable_fraction);
-        } else {
-            // A static controller never consults the source after its
-            // initial placement, so there is nothing to repair: it soldiers
-            // on and leaks whatever it had routed across failed elements.
-            let placement = self.placement.as_ref().expect("static placement is placed in new");
-            let mut lost = 0.0;
-            for (agg, pl) in self.tm.aggregates().iter().zip(placement.per_aggregate()) {
-                for (path, x) in &pl.splits {
-                    if *x > 1e-9 && mask.hits_path(graph, path) {
-                        lost += agg.volume_mbps * x;
-                    }
-                }
-            }
-            self.unroutable_fraction = safe_fraction(lost, self.tm.total_volume_mbps());
-        }
-        self.mask = mask;
-    }
-
-    /// An adaptive controller re-places the routable demand on the history
-    /// before this minute (a bounded one merges the result with what is
-    /// installed); a static one keeps the placement it has.
-    fn decide(&mut self, minute: usize) {
-        let _decide = telemetry::span("timeline.decide", "timeline");
-        let controller = self.controller;
-        if controller.is_static() {
-            return;
-        }
-        self.draining.clear();
-        // `minute_tm()` spelled out: the borrow must leave `ctx` free.
-        let minute_tm = self.partition.as_ref().map_or(self.tm, |p| &p.tm);
-        if minute_tm.is_empty() {
-            self.placement = None;
-            return;
-        }
-        let t = self.config.warmup_minutes + minute;
-        let history: Vec<AggregateTrace> = (0..minute_tm.aggregates().len())
-            .map(|j| self.traces[self.orig(j)].truncated(t))
-            .collect();
-        let candidate = controller
-            .scheme
-            .place_with_history(self.source, minute_tm, &history, &mut self.ctx)
-            .expect("adaptive placement");
-        self.placement = Some(if controller.mode == Mode::Bounded {
-            let (merged, retired) = self.merge_bounded(&predict_volumes(&history), &candidate);
-            self.draining = retired;
-            merged
-        } else {
-            candidate
-        });
-    }
-
-    /// Pushes the placement in force to the switches and returns the churn
-    /// that cost, measured against what was installed. The initial install
-    /// (minute 0) is the cost of turning the network on, not churn; static
-    /// controllers never churn.
-    fn install(&mut self, minute: usize) -> PlacementDelta {
-        let _install = telemetry::span("timeline.install", "timeline");
-        let mut churn = PlacementDelta::default();
-        if self.controller.is_static() {
-            return churn;
-        }
-        let Some(placement) = &self.placement else { return churn };
-        for (j, new) in placement.per_aggregate().iter().enumerate() {
-            let volume = self.minute_tm().aggregates()[j].volume_mbps;
-            let orig = self.orig(j);
-            let slot = &mut self.installed[orig];
-            if slot.is_some() || minute > 0 {
-                churn.accumulate(&PlacementDelta::of_aggregate(slot.as_ref(), new, volume));
-            }
-            *slot = Some(new.clone());
-        }
-        churn
-    }
-
-    /// Replays the minute's actual 100 ms samples over the placement in
-    /// force, runs every surviving link's queue, and lets the cascade model
-    /// pick the cable to trip. Returns the worst realized queueing delay
-    /// (ms) and the number of links that ever exceeded capacity.
-    fn replay(&mut self, minute: usize) -> (f64, usize) {
-        let graph = self.source.graph();
-        let t = self.config.warmup_minutes + minute;
-        let bins = self.traces[0].bins_per_minute();
-        let mut per_link_load = vec![vec![0.0f64; bins]; graph.link_count()];
-        // Make-before-break drain: an aggregate in transition carries
-        // ramp_up[bin] of its traffic on the new splits and the rest on the
-        // retiring ones — the old paths' capacity stays claimed until the
-        // drain completes, no bin is double-charged. Everything else rides
-        // its splits at weight 1, and `(s * x) * 1.0` is exact, so runs
-        // without transitions replay bit-for-bit as if unweighted.
-        let steady = vec![1.0f64; bins];
-        let ramp_up: Vec<f64> = (0..bins).map(|bin| (bin + 1) as f64 / bins as f64).collect();
-        let ramp_down: Vec<f64> = ramp_up.iter().map(|up| 1.0 - up).collect();
-        let mut charge = |splits: &[(Path, f64)], samples: &[f64], weights: &[f64]| {
-            for (path, x) in splits {
-                if *x <= 1e-9 {
-                    continue;
-                }
-                if self.mask.hits_path(graph, path) {
-                    // Lost traffic, counted in `unroutable_fraction`. Only
-                    // a static placement can send any: adaptive ones are
-                    // built from the repaired source.
-                    debug_assert!(
-                        self.controller.is_static(),
-                        "adaptive placement routed over a failed element"
-                    );
-                    continue;
-                }
-                for &l in path.links() {
-                    let row = &mut per_link_load[l.idx()];
-                    for ((load, &s), &w) in row.iter_mut().zip(samples).zip(weights) {
-                        *load += s * x * w;
-                    }
-                }
-            }
-        };
-        let mut draining = self.draining.iter().peekable();
-        for (j, new) in self.placement.iter().flat_map(|p| p.per_aggregate()).enumerate() {
-            let samples = self.traces[self.orig(j)].samples(t);
-            match draining.next_if(|(dj, _)| *dj == j) {
-                None => charge(&new.splits, samples, &steady),
-                Some((_, old)) => {
-                    charge(&new.splits, samples, &ramp_up);
-                    charge(&old.splits, samples, &ramp_down);
-                }
-            }
-        }
-
-        let mut worst_queue_ms = 0.0f64;
-        let mut overloaded_links = 0usize;
-        // The cascade candidate: the worst cable sustaining minute-mean
-        // load above the trip threshold (per-bin bursts queue, they don't
-        // blow cables).
-        let cascade = self.config.cascade.as_ref();
-        let mut trip: Option<LinkId> = None;
-        let mut trip_over = cascade.map_or(f64::INFINITY, |c| c.trip_overload);
-        let queue_trigger_ms =
-            if self.controller.mode == Mode::Bounded { QUEUE_TRIGGER_MS } else { f64::INFINITY };
-        for l in graph.link_ids() {
-            self.queued_links[l.idx()] = false;
-            let cap = self.mask.effective_capacity(graph, l);
-            if cap <= 0.0 {
-                continue; // downed link: carries nothing (filtered above)
-            }
-            let mut backlog_mb = 0.0f64;
-            let mut link_queue_ms = 0.0f64;
-            let mut overloaded = false;
-            let mut sum = 0.0f64;
-            for &load in &per_link_load[l.idx()] {
-                backlog_mb = (backlog_mb + (load - cap) * 0.1).max(0.0);
-                link_queue_ms = link_queue_ms.max(backlog_mb / cap * 1000.0);
-                overloaded |= load > cap;
-                sum += load;
-            }
-            worst_queue_ms = worst_queue_ms.max(link_queue_ms);
-            self.queued_links[l.idx()] = link_queue_ms > queue_trigger_ms;
-            overloaded_links += usize::from(overloaded);
-            let over = sum / bins as f64 / cap - 1.0;
-            if over > trip_over {
-                trip = Some(l);
-                trip_over = over;
-            }
-        }
-        // The overloaded cable blows next minute — unless the run's trip
-        // allowance is spent or there is no next minute to fire it in.
-        let max_trips = cascade.map_or(0, |c| c.max_trips);
-        if trip.is_some() && self.cascade_trips < max_trips && minute + 1 < self.config.minutes {
-            self.pending_trip = trip;
-            self.cascade_trips += 1;
-        }
-        (worst_queue_ms, overloaded_links)
-    }
-
-    /// Merges the minute's fresh `candidate` placement with the `installed`
-    /// switch state (module docs, *Bounded churn*).
-    ///
-    /// Per aggregate `j` of the minute's matrix, the candidate is taken when
-    /// (a) nothing is installed yet, (b) the installed paths are broken by
-    /// the mask, or (c) the candidate improves predicted mean delay by more
-    /// than `EPSILON` relative. A final pass force-takes kept aggregates
-    /// while keeping them would push some link's *predicted* load past
-    /// `UTIL_GUARD` times effective capacity, or while a link they ride
-    /// queued past `QUEUE_TRIGGER_MS` last minute.
-    ///
-    /// Returns the merged placement (aligned with the minute's matrix) plus
-    /// the make-before-break transitions, in aggregate order: the full old
-    /// placement of every aggregate re-installed while its installed paths
-    /// were still alive, which the replay drains across the transition
-    /// minute. Aggregates whose paths a failure already broke switch
-    /// instantly — there is nothing left to break gently — and fresh
-    /// installs have nothing to drain.
-    fn merge_bounded(
-        &self,
-        predicted: &[f64],
-        candidate: &Placement,
-    ) -> (Placement, Vec<(usize, AggregatePlacement)>) {
-        let graph = self.source.graph();
-        let mask = &self.mask;
-        let n = candidate.per_aggregate().len();
-        let installed = |j: usize| self.installed[self.orig(j)].as_ref();
-        let kept = |j: usize| installed(j).expect("kept implies installed");
-        let mut take = vec![false; n];
-        let mut broken_paths = vec![false; n];
-        for j in 0..n {
-            match installed(j) {
-                // Nothing installed (fresh aggregate, or one coming back from
-                // an unroutable spell): must install.
-                None => take[j] = true,
-                Some(prev) => {
-                    broken_paths[j] =
-                        prev.splits.iter().any(|(p, x)| *x > 1e-9 && mask.hits_path(graph, p));
-                    let prev_d = prev.mean_delay_ms();
-                    let cand_d = candidate.aggregate(j).mean_delay_ms();
-                    take[j] = broken_paths[j] || prev_d - cand_d > EPSILON * prev_d.max(1e-9);
-                }
-            }
-        }
-        // Capacity pressure: keeping stale splits must not (predictably)
-        // overload a link — and a link that *actually queued* past the
-        // reactive trigger last minute is repaired now, prediction or not.
-        // While a link is hot, flip the kept aggregate whose re-install
-        // relieves it most. Links the *fresh candidate* itself would run as
-        // hot are hopeless — no amount of re-installing cures them, so they
-        // never charge churn.
-        let fraction_on = |splits: &[(Path, f64)], link: LinkId| -> f64 {
-            splits
-                .iter()
-                .filter(|(p, x)| *x > 1e-9 && p.links().contains(&link))
-                .map(|(_, x)| *x)
-                .sum()
-        };
-        let cand_load = predicted_link_loads(graph, predicted, |j| &candidate.aggregate(j).splits);
-        loop {
-            let load = predicted_link_loads(graph, predicted, |j| {
-                if take[j] {
-                    &candidate.aggregate(j).splits
-                } else {
-                    &kept(j).splits
-                }
-            });
-            let worst = graph
-                .link_ids()
-                .filter_map(|l| {
-                    let cap = mask.effective_capacity(graph, l);
-                    if cap <= 0.0 {
-                        return None;
-                    }
-                    let guard = UTIL_GUARD * cap;
-                    let predicted_hot = load[l.idx()] > guard && cand_load[l.idx()] <= guard;
-                    let reactive_hot =
-                        self.queued_links[l.idx()] && load[l.idx()] > cand_load[l.idx()] + 1e-9;
-                    (predicted_hot || reactive_hot).then(|| (l, load[l.idx()] / cap))
-                })
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            let Some((hot, _)) = worst else { break };
-            let flip = (0..n)
-                .filter(|&j| !take[j])
-                .filter_map(|j| {
-                    let relief = predicted[j]
-                        * (fraction_on(&kept(j).splits, hot)
-                            - fraction_on(&candidate.aggregate(j).splits, hot));
-                    (relief > 0.0).then_some((j, relief))
-                })
-                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-            // No kept aggregate can relieve the hot link: stop rather than
-            // churn without effect.
-            let Some((j, _)) = flip else { break };
-            take[j] = true;
-        }
-        let mut merged = Vec::with_capacity(n);
-        let mut transitions = Vec::new();
-        for j in 0..n {
-            if take[j] {
-                let new = candidate.aggregate(j);
-                if let Some(prev) = installed(j) {
-                    // A live re-install drains make-before-break; one that
-                    // actually changes nothing has nothing to drain.
-                    let changes =
-                        || PlacementDelta::of_aggregate(Some(prev), new, 1.0).paths_changed() > 0;
-                    if !broken_paths[j] && changes() {
-                        transitions.push((j, prev.clone()));
-                    }
-                }
-                merged.push(new.clone());
-            } else {
-                merged.push(kept(j).clone());
-            }
-        }
-        (Placement::new(merged), transitions)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lowlat_core::failure::single_link_failures;
     use lowlat_core::scale::ScaleToLoad;
+    use lowlat_telemetry as telemetry;
     use lowlat_tmgen::{Aggregate, GravityTmGen, TmGenConfig};
     use lowlat_topology::zoo::named;
     use lowlat_topology::{GeoPoint, PopId, TopologyBuilder};
+    use lowlat_traffic::{spread_seed, synthesize, AggregateTrace, TraceGenConfig};
+
+    use super::state::{safe_fraction, synthesize_traces};
 
     fn setup() -> (Topology, TrafficMatrix) {
         let topo = named::abilene();
