@@ -30,7 +30,7 @@ use crate::problem::Problem;
 /// right-hand sides, new objective: the deployment cycle's common case)
 /// re-multiplies nothing and reads the inverse once, for the basic values.
 /// While a solve runs the inverse lives in the solver, not here: a solve
-/// that fails ([`LpError`]) leaves the labels behind without it, and the
+/// that fails ([`LpError`](crate::LpError)) leaves the labels behind without it, and the
 /// next restart from them refactorizes.
 #[derive(Clone, Default)]
 pub struct Basis {

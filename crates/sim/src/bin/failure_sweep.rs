@@ -141,6 +141,10 @@ fn main() {
         std::process::exit(2);
     }
     let corridor_km = args.value("--corridor-km").unwrap_or(100.0f64);
+    if !(corridor_km >= 0.0 && corridor_km.is_finite()) {
+        eprintln!("error: --corridor-km expects a finite distance >= 0, got {corridor_km}");
+        std::process::exit(2);
+    }
     let frontier = args.switch("--frontier");
     let specs: Vec<String> = args
         .list("--schemes")

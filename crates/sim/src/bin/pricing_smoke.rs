@@ -31,6 +31,10 @@ use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
 fn main() {
     let mut args = Args::from_env();
     let nodes = args.value("--nodes").unwrap_or(10_000usize);
+    if nodes < 4 {
+        eprintln!("error: --nodes expects at least 4 (the synthetic models' minimum), got {nodes}");
+        std::process::exit(2);
+    }
     let seed = args.value("--seed").unwrap_or(42u64);
     let pairs = args.value("--pairs").unwrap_or(48usize);
     let overload = args.value("--overload").unwrap_or(3.0f64);

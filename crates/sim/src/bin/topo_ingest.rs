@@ -118,6 +118,10 @@ fn main() {
         })
         .collect();
     let nodes = args.value("--nodes").unwrap_or(1000usize);
+    if nodes < 4 {
+        eprintln!("error: --nodes expects at least 4 (the synthetic models' minimum), got {nodes}");
+        std::process::exit(2);
+    }
     let tests = args.value("--tests").unwrap_or(100usize);
     let seeds: Vec<u64> = args.list("--seeds").unwrap_or_else(|| vec![42]);
     let k = args.value("--k").unwrap_or(3usize).max(1);

@@ -1,4 +1,4 @@
-//! End-to-end tests of the sweep binaries' input contract: a parameter
+//! End-to-end tests of the sweep and smoke binaries' input contract: a parameter
 //! outside its range exits 2 naming the flag, before any work is done and
 //! without a TSV, and a good cell runs.
 
@@ -13,6 +13,8 @@ const TIMELINE: Cell = (
 );
 const FAILURE: Cell = (env!("CARGO_BIN_EXE_failure_sweep"), &["--quick", "--schemes", "SP"]);
 const SCENARIO: Cell = (env!("CARGO_BIN_EXE_scenario_sweep"), &["--quick", "--schemes", "SP"]);
+const INGEST: Cell = (env!("CARGO_BIN_EXE_topo_ingest"), &["--synthetic", "grid", "--tests", "1"]);
+const PRICING: Cell = (env!("CARGO_BIN_EXE_pricing_smoke"), &["--pairs", "1"]);
 
 fn run((bin, cell): Cell, extra: &[&str]) -> Output {
     Command::new(bin).args(cell).args(extra).output().unwrap()
@@ -34,11 +36,15 @@ fn out_of_range_parameters_exit_2_naming_the_flag() {
         (FAILURE, &["--load", "1.2"], "--load"),
         (FAILURE, &["--scenarios", "random", "--k", "0"], "--k"),
         (FAILURE, &["--degrade", "1"], "--degrade"),
+        (FAILURE, &["--scenarios", "geo", "--corridor-km", "-5"], "--corridor-km"),
+        (FAILURE, &["--scenarios", "geo", "--corridor-km", "nan"], "--corridor-km"),
         (SCENARIO, &["--loads", "0"], "--loads"),
         (SCENARIO, &["--loads", "-1"], "--loads"),
         (SCENARIO, &["--loads", "nan"], "--loads"),
         (SCENARIO, &["--localities", "-1"], "--localities"),
         (SCENARIO, &["--localities", "inf"], "--localities"),
+        (INGEST, &["--nodes", "3"], "--nodes"),
+        (PRICING, &["--nodes", "3"], "--nodes"),
     ] {
         let out = run(cell, extra);
         let stderr = String::from_utf8_lossy(&out.stderr);

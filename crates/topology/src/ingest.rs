@@ -19,7 +19,9 @@
 //! Node interning is deterministic: ids are assigned in first-seen order,
 //! so the same file always produces the same [`NodeId`] mapping, and
 //! [`to_edge_list`] round-trips through [`from_edge_list`] bit-for-bit at
-//! the graph level.
+//! the graph level: every link between the same names, with the same
+//! capacity and delay to the bit (both are written in Rust's shortest
+//! round-trip form).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -267,7 +269,7 @@ pub fn to_edge_list(g: &IngestedGraph) -> String {
         }
         let link = graph.link(l);
         out.push_str(&format!(
-            "{} {} {} {:.6}\n",
+            "{} {} {} {}\n",
             g.node_name(link.src),
             g.node_name(link.dst),
             link.capacity_mbps,
@@ -606,19 +608,59 @@ mod tests {
         assert_eq!(e.kind, IngestErrorKind::NoEdges);
     }
 
+    /// The graph `zoo_export` writes for `topo`: its PoP names, one edge
+    /// per cable.
+    fn of_topology(topo: &crate::Topology) -> IngestedGraph {
+        let names = (0..topo.pop_count()).map(|p| topo.pop_name(NodeId(p as u32)).to_string());
+        let edges: Vec<(u32, u32, f64, f64)> = topo
+            .cables()
+            .iter()
+            .map(|&l| {
+                let link = topo.graph().link(l);
+                (link.src.0, link.dst.0, link.capacity_mbps, link.delay_ms)
+            })
+            .collect();
+        IngestedGraph::new(topo.name(), names.collect(), &edges)
+    }
+
+    /// `g` written and read back: link for link between the same names,
+    /// with the same capacity and delay to the bit.
+    fn assert_round_trips(g: &IngestedGraph) {
+        let again = from_edge_list(g.name(), &to_edge_list(g)).unwrap();
+        assert_eq!(again.cable_count(), g.cable_count(), "{}", g.name());
+        for l in g.graph().link_ids() {
+            let (a, b) = (g.graph().link(l), again.graph().link(l));
+            let at = format!("{} link {}", g.name(), l.idx());
+            assert_eq!(g.node_name(a.src), again.node_name(b.src), "{at}");
+            assert_eq!(g.node_name(a.dst), again.node_name(b.dst), "{at}");
+            assert_eq!(a.capacity_mbps.to_bits(), b.capacity_mbps.to_bits(), "{at}");
+            assert_eq!(a.delay_ms.to_bits(), b.delay_ms.to_bits(), "{at}: {}", a.delay_ms);
+        }
+    }
+
     #[test]
     fn round_trips_through_edge_list() {
         let text = "a b 500 2.5\nb c 700 1\nc a 900 3.25\nd a 100 0.5\n";
-        let g = from_edge_list("t", text).unwrap();
-        let again = from_edge_list("t", &to_edge_list(&g)).unwrap();
-        assert_eq!(again.node_count(), g.node_count());
-        assert_eq!(again.cable_count(), g.cable_count());
-        for l in g.graph().link_ids() {
-            let (a, b) = (g.graph().link(l), again.graph().link(l));
-            assert_eq!(g.node_name(a.src), again.node_name(b.src));
-            assert_eq!(g.node_name(a.dst), again.node_name(b.dst));
-            assert!((a.delay_ms - b.delay_ms).abs() < 1e-9);
-            assert_eq!(a.capacity_mbps, b.capacity_mbps);
+        assert_round_trips(&from_edge_list("t", text).unwrap());
+        for model in crate::SynthModel::ALL {
+            for seed in [1, 2] {
+                assert_round_trips(&crate::generate(
+                    model,
+                    &crate::SynthConfig { nodes: 300, seed },
+                ));
+            }
+        }
+        use crate::zoo::named;
+        let named = [
+            named::abilene(),
+            named::gts_like(),
+            named::cogent_like(),
+            named::google_like(),
+            named::geant_like(),
+            named::nsfnet(),
+        ];
+        for topo in named.iter().chain(&crate::zoo::synthetic_zoo()) {
+            assert_round_trips(&of_topology(topo));
         }
     }
 

@@ -22,14 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod format;
 pub mod geo;
 pub mod ingest;
 pub mod model;
 pub mod synth;
 pub mod zoo;
 
-pub use format::{from_text, to_text, ParseError};
 pub use geo::{corridor_distance_km, GeoPoint};
 pub use ingest::{IngestError, IngestErrorKind, IngestedGraph};
 pub use model::{PopId, Topology, TopologyBuilder};

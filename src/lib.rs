@@ -78,7 +78,6 @@ pub mod prelude {
     pub use lowlat_core::schemes::{RoutingScheme, SolveContext};
     pub use lowlat_core::source::PathSource;
     pub use lowlat_tmgen::{Aggregate, GravityTmGen, TmGenConfig, TrafficMatrix};
-    pub use lowlat_topology::format::{from_text, to_text};
     pub use lowlat_topology::zoo::{self, named, synthetic_zoo, ZooClass};
     pub use lowlat_topology::{GeoPoint, PopId, Topology, TopologyBuilder};
     pub use lowlat_traffic::{synthesize, AggregateTrace, Predictor, TraceGenConfig};

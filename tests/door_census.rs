@@ -3,7 +3,8 @@
 //! solver options fails the suite if its name comes back, and so does a
 //! config struct, knob or orphan that went because nothing set or called
 //! it. Scans every `.rs` file under `crates`, `src`, `tests` and `examples`
-//! but this one.
+//! but this one. And no source file under `crates/*/src` grows past 900
+//! lines before its test module (ROADMAP item 7).
 
 use std::path::{Path, PathBuf};
 
@@ -31,6 +32,10 @@ const GONE: &[&str] = &[
     "max_paths_per_minute",
     "generate_batch",
     "srlg_failures",
+    "from_text",
+    "to_text",
+    "ParseError",
+    "ParseErrorKind",
 ];
 
 /// The solver's options are `lowlat_linprog`'s own business.
@@ -82,4 +87,44 @@ fn no_deleted_door_comes_back() {
         }
     }
     assert!(hits.is_empty(), "deleted doors are back:\n{}", hits.join("\n"));
+}
+
+/// Most lines a source file under `crates/*/src` may hold before its test
+/// module: past it, a file holds more than one decision.
+const MAX_LINES_BEFORE_TESTS: usize = 900;
+
+/// Lines before the first `#[cfg(test)]` followed by a `mod` line; the
+/// whole file when there is none.
+fn lines_before_tests(text: &str) -> usize {
+    let lines: Vec<&str> = text.lines().collect();
+    let is_test_mod = |w: &[&str]| {
+        w[0].trim() == "#[cfg(test)]" && w[1].split_whitespace().any(|token| token == "mod")
+    };
+    lines.windows(2).position(is_test_mod).unwrap_or(lines.len())
+}
+
+#[test]
+fn no_source_file_is_over_900_lines_before_its_tests() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    files.sort();
+    let over: Vec<String> = files
+        .iter()
+        .filter_map(|path| {
+            let lines = lines_before_tests(&std::fs::read_to_string(path).unwrap());
+            let rel = path.strip_prefix(root).unwrap().display();
+            (lines > MAX_LINES_BEFORE_TESTS).then(|| format!("{rel}: {lines}"))
+        })
+        .collect();
+    assert!(
+        over.is_empty(),
+        "over {MAX_LINES_BEFORE_TESTS} lines before the test module:\n{}",
+        over.join("\n")
+    );
 }
