@@ -156,12 +156,12 @@ pub(super) struct Engine<'a> {
     /// Current basic solution values (aligned with `basis`).
     pub(super) xb: Vec<f64>,
     pub(super) opts: SolverOptions,
-    pub(super) iterations: usize,
+    iterations: usize,
     /// Eta updates `binv` has taken since it was last factorized (or, for a
     /// carried inverse, audited) — [`Carried::age`] while a solve runs.
     pub(super) age: usize,
     /// Consecutive degenerate pivots; triggers Bland's rule.
-    pub(super) stall: usize,
+    stall: usize,
     pub(super) scratch_y: Vec<f64>,
     pub(super) scratch_w: Vec<f64>,
     /// Scratch of [`Engine::compute_y`]: the cost of the basic variable in
