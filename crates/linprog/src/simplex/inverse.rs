@@ -46,9 +46,13 @@ impl SparseInverse {
     }
 }
 
+// The kernels run inside the engine's pivot loops in `engine.rs`; `#[inline]`
+// keeps them inlined there across the module boundary, as they were when both
+// shared a file (without it a GTS-like decision ran 1–3% slower).
 impl Engine<'_> {
     /// `w = B^-1 A_j` into `scratch_w`: the inverse's columns that `A_j`
     /// names, scaled and scattered in the order `A_j` lists them.
+    #[inline]
     pub(super) fn compute_w(&mut self, j: usize) {
         let w = &mut self.scratch_w;
         w.fill(0.0);
@@ -71,6 +75,7 @@ impl Engine<'_> {
     /// `o_l` alone — and of those only the ones the inverse's column stores
     /// an entry for; the terms that remain are summed in basis order, so `y`
     /// is what the sum over all of `c_B` gives.
+    #[inline]
     pub(super) fn compute_y(&mut self, cost: &[f64]) {
         self.cost_at.clear();
         self.cost_at.extend(self.basis.iter().map(|&j| cost[j]));
@@ -82,6 +87,7 @@ impl Engine<'_> {
     }
 
     /// Row `r` of the inverse into `scratch_row`, dense.
+    #[inline]
     pub(super) fn gather_row(&mut self, r: usize) {
         for (k, at) in self.scratch_row.iter_mut().enumerate() {
             *at = self.binv.get(r, k);
@@ -94,6 +100,7 @@ impl Engine<'_> {
     ///   (B^-1)_{i,k} -= w_i * t / w_r  (i != r);  (B^-1)_{r,k} = t / w_r,
     /// which rewrites the union of the column's entries and `w`'s nonzeros;
     /// a column without that entry is not touched.
+    #[inline]
     pub(super) fn eta_update(&mut self, r: usize) {
         self.age += 1;
         let w = &self.scratch_w;
