@@ -49,8 +49,6 @@ use lowlat_netgraph::Path;
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 
-#[allow(unused_imports)] // doc links
-use crate::pathset::PathCache;
 use crate::placement::{AggregatePlacement, Placement};
 use crate::source::PathSource;
 
@@ -437,6 +435,7 @@ fn run_minmax(
 pub(crate) mod tests {
     use super::*;
     use crate::hier::{EngineConfig, PartitionedPathEngine};
+    use crate::pathset::PathCache;
     use crate::scale::ScaleToLoad;
     use lowlat_netgraph::FailureMask;
     use lowlat_netgraph::{Graph, LinkId, NodeId};

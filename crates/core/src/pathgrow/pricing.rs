@@ -6,7 +6,7 @@
 //! pairs that are actually overloaded/saturated. Pairs the source reports
 //! exhausted — or whose [`PathSource::shortest_delay_bound`] is infinite,
 //! meaning its best possible column cannot exist — are never priced again.
-//! The same loop runs against the flat [`PathCache`] and against the
+//! The same loop runs against the flat [`PathCache`](crate::pathset::PathCache) and against the
 //! [`PartitionedPathEngine`](crate::hier::PartitionedPathEngine), which
 //! places Internet-scale topologies without a materialized path corpus.
 //!
