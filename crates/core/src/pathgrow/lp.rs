@@ -67,6 +67,18 @@
 //! MinMax's stage 1 is left out on purpose: it breaks at the first LP that
 //! does not improve `U`, so it has at most one such LP a call, and its
 //! fraction-unit coefficients would be a third pricing formula for that one.
+//!
+//! ## What a round allocates
+//!
+//! A round allocates per LP, not per row, path or aggregate. `pose` builds
+//! the capacity rows as compressed per-link lists in scratch the solve
+//! keeps ([`LpData`]'s `pose`): it counts the variables crossing each used
+//! link, places the rows by a prefix sum with one slot at each row's end
+//! for its `o_l` or `U` column, and fills them in path order, one entry per
+//! (path, link): each row reaches [`Problem::add_row`] with its variables
+//! strictly increasing, and is appended to the problem's own arena. The
+//! solved LP's fractions are one flat array ([`Fractions`]); a kept round
+//! pads it to the grown path sets in one rebuild.
 
 use lowlat_linprog::{LpError, Problem, Relation, Solution};
 use lowlat_netgraph::{LinkId, Path};
@@ -98,7 +110,7 @@ pub(super) enum LpMode {
 }
 
 pub(super) struct LpOutcome {
-    pub(super) fractions: Vec<Vec<f64>>,
+    pub(super) fractions: Fractions,
     /// `omax` or `U*` depending on mode.
     pub(super) level: f64,
     pub(super) pivots: usize,
@@ -120,6 +132,52 @@ pub(super) struct LpOutcome {
     /// Whether growth rounds since the LP was solved kept this outcome: the
     /// path sets then hold columns the layout does not.
     pub(super) kept: bool,
+}
+
+/// Every aggregate's split over its path set, back to back in one array:
+/// `fractions[a]` is aggregate `a`'s, one fraction per path.
+pub(super) struct Fractions {
+    values: Vec<f64>,
+    /// Aggregate `a`'s split is `values[bounds[a]..bounds[a + 1]]`.
+    bounds: Vec<usize>,
+}
+
+impl Fractions {
+    fn with_capacity(aggregates: usize, values: usize) -> Self {
+        let mut bounds = Vec::with_capacity(aggregates + 1);
+        bounds.push(0);
+        Fractions { values: Vec::with_capacity(values), bounds }
+    }
+
+    /// Ends the split of the next aggregate where the values now end.
+    fn close(&mut self) {
+        self.bounds.push(self.values.len());
+    }
+
+    /// The splits in aggregate order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = &[f64]> {
+        self.bounds.windows(2).map(|w| &self.values[w[0]..w[1]])
+    }
+
+    /// These splits with every set's new paths at zero.
+    fn padded_to(&self, path_sets: &[Vec<Path>]) -> Fractions {
+        let total = path_sets.iter().map(Vec::len).sum();
+        let mut padded = Fractions::with_capacity(path_sets.len(), total);
+        for (xs, paths) in self.iter().zip(path_sets) {
+            padded.values.extend_from_slice(xs);
+            padded.values.resize(padded.values.len() + paths.len() - xs.len(), 0.0);
+            padded.close();
+        }
+        padded
+    }
+}
+
+impl std::ops::Index<usize> for Fractions {
+    type Output = [f64];
+
+    fn index(&self, a: usize) -> &[f64] {
+        &self.values[self.bounds[a]..self.bounds[a + 1]]
+    }
 }
 
 impl LpMode {
@@ -244,10 +302,26 @@ pub(super) struct LpData<'a> {
     /// rank of each link among the posed LP's used links. Owned here so an
     /// LP costs what its paths touch, not what the graph holds.
     link_rank: Vec<u32>,
+    /// Scratch of [`LpData::pose`], reused by every LP of the solve.
+    pose: PoseScratch,
     /// Scratch of [`LpData::proves_final`], sized on its first use.
     pub(super) bound: BoundScratch,
     /// Rounds of this solve that kept their outcome ([`LpData::next_round`]).
     pub(super) lps_skipped: u64,
+}
+
+/// What [`LpData::pose`] builds its rows in: the capacity rows as
+/// compressed per-link lists, the fixed loads and one `Σ = B_a` row.
+#[derive(Default)]
+struct PoseScratch {
+    /// Used link `oi`'s coefficients are `entries[starts[oi]..fill[oi]]`,
+    /// with one slot left at `fill[oi]` for its `o_l` or `U` column.
+    starts: Vec<usize>,
+    fill: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+    /// Load the single-path aggregates put on each used link.
+    fixed_load: Vec<f64>,
+    sum_row: Vec<(usize, f64)>,
 }
 
 /// [`LpData::link_rank`] of a link no posed path crosses.
@@ -271,6 +345,7 @@ impl<'a> LpData<'a> {
             cap_scale,
             delay_norm: aggs.iter().map(|a| a.flows * a.sp_delay).sum::<f64>().max(1e-9),
             link_rank: vec![UNUSED; caps.len()],
+            pose: PoseScratch::default(),
             bound: BoundScratch::default(),
             lps_skipped: 0,
         }
@@ -296,14 +371,14 @@ impl<'a> LpData<'a> {
         level: f64,
         links: &[usize],
         path_sets: &[Vec<Path>],
-        fractions: &[Vec<f64>],
+        fractions: &Fractions,
     ) -> Vec<LinkId> {
         let LpData { volumes, caps, link_rank: ref mut rank, .. } = *self;
         for (oi, &l) in links.iter().enumerate() {
             rank[l] = oi as u32;
         }
         let mut loads = vec![0.0; links.len()];
-        for ((paths, xs), &volume) in path_sets.iter().zip(fractions).zip(volumes) {
+        for ((paths, xs), &volume) in path_sets.iter().zip(fractions.iter()).zip(volumes) {
             for (path, &x) in paths.iter().zip(xs) {
                 let v = volume * x;
                 if v > 0.0 {
@@ -368,11 +443,36 @@ impl<'a> LpData<'a> {
         // the two forms never share a basis (different mode tags).
         let traffic_units = !matches!(mode, LpMode::MinUtilization);
 
-        // One pass over every path's links: the fixed load single-path
-        // aggregates put on each used link, and the variables crossing it
-        // with their 1/cap-scaled coefficients.
-        let mut fixed_load = vec![0.0; num_o];
-        let mut crossing: Vec<Vec<(usize, f64)>> = vec![Vec::new(); num_o];
+        // The capacity rows as compressed per-link lists: one pass over every
+        // path's links counts the variables crossing each used link (and sums
+        // the fixed load single-path aggregates put on it), a prefix sum
+        // places each row with one slot at its end for the `o_l` or `U`
+        // column, and a second pass fills the rows with the 1/cap-scaled
+        // coefficients, in path order.
+        let mut scratch = std::mem::take(&mut self.pose);
+        let PoseScratch { starts, fill, entries, fixed_load, sum_row } = &mut scratch;
+        fixed_load.clear();
+        fixed_load.resize(num_o, 0.0);
+        starts.clear();
+        starts.resize(num_o + 1, 0);
+        for (a, paths) in path_sets.iter().enumerate() {
+            if paths.len() > 1 {
+                for l in paths.iter().flat_map(|p| p.links()) {
+                    starts[rank[l.idx()] as usize + 1] += 1;
+                }
+            } else if volumes[a] > 0.0 {
+                for &l in paths[0].links() {
+                    fixed_load[rank[l.idx()] as usize] += volumes[a];
+                }
+            }
+        }
+        for oi in 0..num_o {
+            starts[oi + 1] += starts[oi] + 1;
+        }
+        entries.clear();
+        entries.resize(starts[num_o], (0, 0.0));
+        fill.clear();
+        fill.extend_from_slice(&starts[..num_o]);
         for (a, paths) in path_sets.iter().enumerate() {
             if paths.len() > 1 {
                 let unit = if traffic_units { 1.0 } else { volumes[a] };
@@ -381,15 +481,12 @@ impl<'a> LpData<'a> {
                     for &l in path.links() {
                         // One coefficient per (path, link), however often
                         // the path crosses it.
-                        let coeffs = &mut crossing[rank[l.idx()] as usize];
-                        if coeffs.last().is_none_or(|&(v, _)| v != var) {
-                            coeffs.push((var, unit / caps[l.idx()]));
+                        let oi = rank[l.idx()] as usize;
+                        if fill[oi] == starts[oi] || entries[fill[oi] - 1].0 != var {
+                            entries[fill[oi]] = (var, unit / caps[l.idx()]);
+                            fill[oi] += 1;
                         }
                     }
-                }
-            } else if volumes[a] > 0.0 {
-                for &l in paths[0].links() {
-                    fixed_load[rank[l.idx()] as usize] += volumes[a];
                 }
             }
         }
@@ -407,15 +504,13 @@ impl<'a> LpData<'a> {
                 cap > 0.0,
                 "used link {l} has zero effective capacity (path crosses a downed link)"
             );
-            let coeffs = &mut crossing[oi];
-            if traffic_units {
-                coeffs.push((o_var_base + oi, -1.0));
-                p.add_row(Relation::Le, cap_scale - fixed_load[oi] / cap, coeffs);
+            let (column, rhs) = if traffic_units {
+                (o_var_base + oi, cap_scale - fixed_load[oi] / cap)
             } else {
-                coeffs.push((aux, -1.0));
-                p.add_row(Relation::Le, -fixed_load[oi] / cap, coeffs);
-            }
-            coeffs.pop();
+                (aux, -fixed_load[oi] / cap)
+            };
+            entries[fill[oi]] = (column, -1.0);
+            p.add_row(Relation::Le, rhs, &entries[starts[oi]..=fill[oi]]);
         }
         // o_l <= omax rows (overload modes only).
         if traffic_units {
@@ -427,8 +522,9 @@ impl<'a> LpData<'a> {
         // aggregate.
         for (a, cols) in col_base.windows(2).enumerate() {
             if cols[1] > cols[0] {
-                let coeffs: Vec<(usize, f64)> = (cols[0]..cols[1]).map(|v| (v, 1.0)).collect();
-                p.add_row(Relation::Eq, if traffic_units { volumes[a] } else { 1.0 }, &coeffs);
+                sum_row.clear();
+                sum_row.extend((cols[0]..cols[1]).map(|v| (v, 1.0)));
+                p.add_row(Relation::Eq, if traffic_units { volumes[a] } else { 1.0 }, sum_row);
             }
         }
 
@@ -458,11 +554,13 @@ impl<'a> LpData<'a> {
                 if util_cap.is_finite() {
                     // Utilization cap rows: Σ z / C_l + fixed / C_l <= util_cap.
                     for (oi, &l) in used_links.iter().enumerate() {
-                        p.add_row(Relation::Le, util_cap - fixed_load[oi] / caps[l], &crossing[oi]);
+                        let row = &entries[starts[oi]..fill[oi]];
+                        p.add_row(Relation::Le, util_cap - fixed_load[oi] / caps[l], row);
                     }
                 }
             }
         }
+        self.pose = scratch;
 
         let layout = LpLayout {
             used_links,
@@ -527,19 +625,18 @@ impl<'a> LpData<'a> {
 
         // Extract fractions (z_ap / B_a in traffic units) and the critical
         // link set.
-        let fractions: Vec<Vec<f64>> = layout
-            .col_base
-            .windows(2)
-            .enumerate()
-            .map(|(a, cols)| {
-                if cols[1] == cols[0] {
-                    vec![1.0]
-                } else {
-                    let b = if traffic_units { volumes[a].max(1e-12) } else { 1.0 };
-                    normalize_fractions((cols[0]..cols[1]).map(|v| sol.value(v) / b).collect())
-                }
-            })
-            .collect();
+        let mut fractions = Fractions::with_capacity(path_sets.len(), path_sets.len() + o_var_base);
+        for (a, cols) in layout.col_base.windows(2).enumerate() {
+            if cols[1] == cols[0] {
+                fractions.values.push(1.0);
+            } else {
+                let b = if traffic_units { volumes[a].max(1e-12) } else { 1.0 };
+                let start = fractions.values.len();
+                fractions.values.extend((cols[0]..cols[1]).map(|v| sol.value(v) / b));
+                normalize_fractions(&mut fractions.values[start..]);
+            }
+            fractions.close();
+        }
 
         // Growth targets of the overload modes: the links pinning `omax`.
         // (MinMax stage 1 finds the links pinning `U` from the loads.)
@@ -601,9 +698,7 @@ impl<'a> LpData<'a> {
         held.pivots = 0;
         held.kept = true;
         held.links = links;
-        for (xs, paths) in held.fractions.iter_mut().zip(path_sets) {
-            xs.resize(paths.len(), 0.0);
-        }
+        held.fractions = held.fractions.padded_to(path_sets);
         Ok(held)
     }
 
@@ -694,20 +789,23 @@ impl<'a> LpData<'a> {
 }
 
 /// LP round-off can leave fraction sums at 1 ± 1e-8; renormalize exactly.
-fn normalize_fractions(mut xs: Vec<f64>) -> Vec<f64> {
+/// An aggregate the LP gives no traffic at all — one of zero demand — is
+/// placed on its first (shortest) path, as a single-path aggregate is.
+fn normalize_fractions(xs: &mut [f64]) {
     for x in xs.iter_mut() {
         if *x < 0.0 {
             *x = 0.0;
         }
     }
     let total: f64 = xs.iter().sum();
-    debug_assert!((total - 1.0).abs() < 1e-4, "fraction sum {total}");
     if total > 0.0 {
+        debug_assert!((total - 1.0).abs() < 1e-4, "fraction sum {total}");
         for x in xs.iter_mut() {
             *x /= total;
         }
+    } else {
+        xs[0] = 1.0;
     }
-    xs
 }
 
 /// Builds per-aggregate constants from a traffic matrix and the path sets
@@ -785,7 +883,7 @@ pub(super) mod tests {
         assert_eq!(posed.pivots, 0, "the skipped LP ({rows} rows) was not a no-op");
         assert!((posed.level - held.level).abs() <= 1e-12, "{} vs {}", posed.level, held.level);
         assert_eq!(posed.links, links, "links with rows in the grown LP");
-        for (a, (kept, got)) in held.fractions.iter().zip(&posed.fractions).enumerate() {
+        for (a, (kept, got)) in held.fractions.iter().zip(posed.fractions.iter()).enumerate() {
             for (pi, &x) in got.iter().enumerate() {
                 match kept.get(pi) {
                     Some(&k) => assert!((x - k).abs() <= 1e-12, "aggregate {a}: {x} vs {k}"),

@@ -54,7 +54,7 @@ use crate::source::PathSource;
 
 use bound::{bound_armed, BoundVerdict, BOUND_TOL};
 pub use context::SolveContext;
-use lp::{agg_infos, LpData, LpLayout, LpMode};
+use lp::{agg_infos, Fractions, LpData, LpLayout, LpMode};
 use pricing::{grow_crossing, PricingState};
 
 /// The one dial of the LP + growth loop; the rest are the constants below.
@@ -114,11 +114,11 @@ pub enum GrowthEnd {
     RoundLimit,
 }
 
-fn to_placement(path_sets: &[Vec<Path>], fractions: &[Vec<f64>]) -> Placement {
+fn to_placement(path_sets: &[Vec<Path>], fractions: &Fractions) -> Placement {
     Placement::new(
         path_sets
             .iter()
-            .zip(fractions)
+            .zip(fractions.iter())
             .map(|(paths, xs)| AggregatePlacement {
                 splits: paths.iter().cloned().zip(xs.iter().cloned()).collect(),
             })
@@ -508,6 +508,28 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn an_idle_aggregate_grown_across_a_target_stays_on_its_shortest_path() {
+        // A -> Z at 150 overloads A-M-Z; M -> Z, whose volume is 0 this call,
+        // crosses the overloaded M-Z link, is grown, and the LP gives every
+        // one of its paths zero traffic.
+        let topo = two_path();
+        let cache = PathCache::new(topo.graph());
+        let tm = TrafficMatrix::new(vec![
+            Aggregate { src: NodeId(0), dst: NodeId(3), volume_mbps: 150.0, flow_count: 10 },
+            Aggregate { src: NodeId(1), dst: NodeId(3), volume_mbps: 1.0, flow_count: 10 },
+        ]);
+        let out = GrowRequest::new(&cache, &tm).volumes(&[150.0, 0.0]).solve().unwrap();
+        assert!(out.omax <= 1e-7, "150 fits across both paths");
+        assert_eq!(out.placement.validate(topo.graph(), &tm), Ok(()));
+        let idle = &out.placement.aggregate(1).splits;
+        assert!(idle.len() > 1, "the idle aggregate was grown");
+        assert_eq!(idle[0].0, cache.shortest(NodeId(1), NodeId(3)).unwrap());
+        let fractions: Vec<f64> = idle.iter().map(|&(_, x)| x).collect();
+        assert_eq!(fractions[0], 1.0, "{fractions:?}");
+        assert!(fractions[1..].iter().all(|&x| x == 0.0), "{fractions:?}");
+    }
+
+    #[test]
     fn headroom_shrinks_effective_capacity() {
         let topo = two_path();
         let cache = PathCache::new(topo.graph());
@@ -714,7 +736,11 @@ pub(crate) mod tests {
     }
 
     /// Figure 12's delay term (un-normalized) of a fractional assignment.
-    fn delay_term(aggs: &[AggInfo], path_sets: &[Vec<Path>], fractions: &[Vec<f64>]) -> f64 {
+    fn delay_term<'x>(
+        aggs: &[AggInfo],
+        path_sets: &[Vec<Path>],
+        fractions: impl Iterator<Item = &'x [f64]>,
+    ) -> f64 {
         aggs.iter()
             .zip(path_sets.iter().zip(fractions))
             .map(|(agg, (paths, xs))| {
@@ -769,8 +795,8 @@ pub(crate) mod tests {
         };
         let phase2 = lp.solve(&path_sets, &mode, None, &mut SolveContext::new()).unwrap();
         let (got, want) = (
-            delay_term(&aggs, &path_sets, &chained),
-            delay_term(&aggs, &path_sets, &phase2.fractions),
+            delay_term(&aggs, &path_sets, chained.iter().map(Vec::as_slice)),
+            delay_term(&aggs, &path_sets, phase2.fractions.iter()),
         );
         // 1e-6 relative, or what the solver's pricing tolerance leaves open
         // (see `audit_against_cold`) where that is more.

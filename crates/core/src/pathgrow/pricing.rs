@@ -35,6 +35,7 @@ use lowlat_netgraph::{LinkId, Path};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::{Aggregate, TrafficMatrix};
 
+use super::lp::Fractions;
 use crate::source::PathSource;
 
 /// Per-pair pricing state of one solve: made when the solve seeds its path
@@ -128,7 +129,7 @@ pub(super) fn grow_crossing(
     source: &dyn PathSource,
     tm: &TrafficMatrix,
     path_sets: &mut [Vec<Path>],
-    fractions: &[Vec<f64>],
+    fractions: &Fractions,
     targets: &[LinkId],
     step: usize,
     state: &mut PricingState,

@@ -1,5 +1,7 @@
 //! Paths as sequences of directed links.
 
+use std::sync::Arc;
+
 use crate::graph::{Graph, LinkId, NodeId};
 
 /// A loopless directed path through a [`Graph`].
@@ -7,9 +9,13 @@ use crate::graph::{Graph, LinkId, NodeId};
 /// Invariants (checked by [`Path::new`] in debug builds and by
 /// [`Path::validate`] on demand): links are contiguous (`dst` of link *i*
 /// equals `src` of link *i+1*) and no node repeats.
+///
+/// A path never changes once built, so its clones share one link list: a
+/// path copied from a cache into a path set, and from there into a
+/// placement, costs a reference count, not a copy of its links.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Path {
-    links: Vec<LinkId>,
+    links: Arc<[LinkId]>,
     /// Total propagation delay in ms, cached at construction.
     delay_ms: f64,
     src: NodeId,
@@ -27,7 +33,7 @@ impl Path {
         let src = graph.link(links[0]).src;
         let dst = graph.link(*links.last().expect("non-empty")).dst;
         let delay_ms = graph.path_delay(&links);
-        let p = Path { links, delay_ms, src, dst };
+        let p = Path { links: links.into(), delay_ms, src, dst };
         debug_assert!(p.validate(graph).is_ok(), "invalid path: {:?}", p.validate(graph));
         p
     }
@@ -66,7 +72,7 @@ impl Path {
     pub fn nodes(&self, graph: &Graph) -> Vec<NodeId> {
         let mut v = Vec::with_capacity(self.links.len() + 1);
         v.push(self.src);
-        for &l in &self.links {
+        for &l in self.links.iter() {
             v.push(graph.link(l).dst);
         }
         v
@@ -87,7 +93,7 @@ impl Path {
     pub fn validate(&self, graph: &Graph) -> Result<(), String> {
         let mut seen = vec![self.src];
         let mut at = self.src;
-        for &l in &self.links {
+        for &l in self.links.iter() {
             let link = graph.link(l);
             if link.src != at {
                 return Err(format!("link {l:?} starts at {:?}, expected {at:?}", link.src));
@@ -141,7 +147,8 @@ mod tests {
         let g = line4();
         let l01 = g.find_link(NodeId(0), NodeId(1)).unwrap();
         let l23 = g.find_link(NodeId(2), NodeId(3)).unwrap();
-        let p = Path { links: vec![l01, l23], delay_ms: 4.0, src: NodeId(0), dst: NodeId(3) };
+        let p =
+            Path { links: vec![l01, l23].into(), delay_ms: 4.0, src: NodeId(0), dst: NodeId(3) };
         assert!(p.validate(&g).is_err());
     }
 
@@ -150,7 +157,8 @@ mod tests {
         let g = line4();
         let l01 = g.find_link(NodeId(0), NodeId(1)).unwrap();
         let l10 = g.find_link(NodeId(1), NodeId(0)).unwrap();
-        let p = Path { links: vec![l01, l10], delay_ms: 2.0, src: NodeId(0), dst: NodeId(0) };
+        let p =
+            Path { links: vec![l01, l10].into(), delay_ms: 2.0, src: NodeId(0), dst: NodeId(0) };
         assert!(p.validate(&g).is_err());
     }
 }
