@@ -18,7 +18,7 @@
 //!   (degraded) capacities ([`FailureImpact`]);
 //! * **the recovery drill** — [`replace_under_failure`] runs the §5
 //!   reaction end to end: repair the shared
-//!   [`PathSource`](crate::source::PathSource) under the mask, drop
+//!   [`PathSource`] under the mask, drop
 //!   disconnected demand, re-place through the scheme's warm
 //!   [`SolveContext`], and report both the repair and the LP telemetry.
 

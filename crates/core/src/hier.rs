@@ -1,12 +1,12 @@
 //! Hierarchical partitioned path engine for Internet-scale graphs.
 //!
-//! The flat [`PathCache`](crate::pathset::PathCache) materializes one Yen
+//! The flat [`PathCache`] materializes one Yen
 //! generator per requested pair over the whole graph — perfect for the
 //! paper's PoP backbones (tens of nodes), hopeless at CAIDA scale (78k
 //! nodes): a single cross-graph Yen spur re-runs Dijkstra over everything,
 //! and caching all-pairs state is quadratic. [`PartitionedPathEngine`]
 //! splits the work along a delay-weighted
-//! [`Hierarchy`](lowlat_netgraph::hierarchy::Hierarchy):
+//! [`Hierarchy`]:
 //!
 //! * **Intra-leaf** queries go to a per-leaf *scoped* `PathCache` — the
 //!   existing warm machinery, restricted so enumeration never leaves the
@@ -38,7 +38,7 @@
 //! the same values sit in a few lines when they are stored **node-major**.
 //! So each tree is built by the ordinary Dijkstra, copied into its column
 //! of one table and dropped. The trees are built on every core
-//! ([`default_workers`](crate::default_workers); one under `taskset -c 0`),
+//! ([`default_workers`]; one under `taskset -c 0`),
 //! one landmark's pair per worker at a time; the calling thread copies each
 //! pair into its column before the next landmarks start, so at most one
 //! pair per worker is alive (holding all 32 pairs at once would be ~11 MB
@@ -57,7 +57,7 @@
 //! module's tests, which hold the table to them cell for cell and the
 //! ranking path for path.
 //!
-//! The engine implements [`PathSource`](crate::source::PathSource), so the
+//! The engine implements [`PathSource`], so the
 //! whole LP/scheme stack places through it: `pathgrow`'s column-generation
 //! loop prices candidate columns with [`PartitionedPathEngine::paths`] and
 //! prunes hopeless pairs with the landmark bound — placement at Internet

@@ -50,9 +50,10 @@
 //! itself. On a 10k-node placement 15 of 23 rounds keep their outcome, on a
 //! GTS-like decision 10 of 75.
 //!
-//! Why `−tol` and not 0: the solver enters a column only below `−1e-9`, and
-//! phase 1's `1e-6·Σ o_l` spread term puts `1e-6 / C_l` — `1e-10` on a
-//! 10 Gb/s link — of dual on every link whose `o_l` is positive, so a new
+//! Why `−tol` and not 0: the solver enters a column only below minus
+//! [`PRICING_TOL`] (`1e-9`), and phase 1's `1e-6·Σ o_l` spread term
+//! ([`SPREAD_WEIGHT`]) puts `1e-6 / C_l` — `1e-10` on a 10 Gb/s link — of
+//! dual on every link whose `o_l` is positive, so a new
 //! path that avoids a few of the pinned links its aggregate's held paths
 //! cross reads `−1e-10 … −1.0e-9`: negative, inside the tolerance, never
 //! entered. Pricing against 0 would pose exactly the LPs this step exists
@@ -80,20 +81,44 @@
 //! solved LP's fractions are one flat array ([`Fractions`]); a kept round
 //! pads it to the grown path sets in one rebuild.
 
-use lowlat_linprog::{LpError, Problem, Relation, Solution};
+use lowlat_linprog::{LpError, Problem, Relation, Solution, PRICING_TOL};
 use lowlat_netgraph::{LinkId, Path};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 
 use super::bound::BoundScratch;
 use super::context::SolveContext;
-use super::M1;
+use super::{FITS, M1};
 
 /// Internal: per-aggregate constants for the LP.
 pub(super) struct AggInfo {
     pub(super) flows: f64,
     pub(super) sp_delay: f64,
 }
+
+/// Floor on the delays Figure 12's weight divides by — a shortest path's
+/// delay `S_a` and the normalizer `Σ_a n_a S_a` — so a zero-delay pair
+/// (co-located PoPs) weighs finitely. Absolute, in ms (flow·ms for the
+/// normalizer).
+const DELAY_FLOOR: f64 = 1e-9;
+
+/// Floor on the volume `B_a` a variable in traffic units is divided by, in
+/// the delay weight and in the fractions read back, so an aggregate of zero
+/// demand divides by a positive number. Absolute, in Mbps.
+const VOLUME_FLOOR: f64 = 1e-12;
+
+/// Weight of each link's overload `o_l` in the overload modes' objective,
+/// the spread term beside `omax` (and beside the delay in phase 2).
+/// Absolute, in objective units per unit of overload.
+const SPREAD_WEIGHT: f64 = 1e-6;
+
+/// A link is loaded to a level when its load is within this of
+/// `level × C_l` (`LpData::links_loaded_to`). Relative to `level × C_l`.
+const TIGHT_REL: f64 = 1e-6;
+
+/// Debug check of a solved aggregate's fractions before they are
+/// renormalized: their sum is within this of 1. Absolute.
+const FRACTION_SUM_SLACK: f64 = 1e-4;
 
 /// What the LP optimizes.
 // The shared Min prefix is the point: all three are minimization modes.
@@ -343,7 +368,7 @@ impl<'a> LpData<'a> {
             volumes,
             caps,
             cap_scale,
-            delay_norm: aggs.iter().map(|a| a.flows * a.sp_delay).sum::<f64>().max(1e-9),
+            delay_norm: aggs.iter().map(|a| a.flows * a.sp_delay).sum::<f64>().max(DELAY_FLOOR),
             link_rank: vec![UNUSED; caps.len()],
             pose: PoseScratch::default(),
             bound: BoundScratch::default(),
@@ -356,8 +381,8 @@ impl<'a> LpData<'a> {
     /// objective coefficient of the path's variable `z_ap = B_a x_ap`.
     fn delay_cost(&self, a: usize, path: &Path) -> f64 {
         let agg = &self.aggs[a];
-        let w = agg.flows * path.delay_ms() * (1.0 + M1 / agg.sp_delay.max(1e-9));
-        w / (self.delay_norm * self.volumes[a].max(1e-12))
+        let w = agg.flows * path.delay_ms() * (1.0 + M1 / agg.sp_delay.max(DELAY_FLOOR));
+        w / (self.delay_norm * self.volumes[a].max(VOLUME_FLOOR))
     }
 
     /// Growth targets by load: those of `links` (ascending, a posed LP's
@@ -394,7 +419,7 @@ impl<'a> LpData<'a> {
         links
             .iter()
             .zip(loads)
-            .filter(|&(&l, load)| caps[l] > 0.0 && load >= caps[l] * level * (1.0 - 1e-6))
+            .filter(|&(&l, load)| caps[l] > 0.0 && load >= caps[l] * level * (1.0 - TIGHT_REL))
             .map(|(&l, _)| LinkId(l as u32))
             .collect()
     }
@@ -534,7 +559,7 @@ impl<'a> LpData<'a> {
                 p.set_objective(aux, 1.0);
                 if matches!(mode, LpMode::MinOverload) {
                     for oi in 0..num_o {
-                        p.set_objective(o_var_base + oi, 1e-6);
+                        p.set_objective(o_var_base + oi, SPREAD_WEIGHT);
                     }
                 }
             }
@@ -547,7 +572,7 @@ impl<'a> LpData<'a> {
                     }
                 }
                 for oi in 0..num_o {
-                    p.set_objective(o_var_base + oi, 1e-6);
+                    p.set_objective(o_var_base + oi, SPREAD_WEIGHT);
                     p.set_upper_bound(o_var_base + oi, *omax_cap);
                 }
                 p.set_upper_bound(aux, *omax_cap);
@@ -630,7 +655,7 @@ impl<'a> LpData<'a> {
             if cols[1] == cols[0] {
                 fractions.values.push(1.0);
             } else {
-                let b = if traffic_units { volumes[a].max(1e-12) } else { 1.0 };
+                let b = if traffic_units { volumes[a].max(VOLUME_FLOOR) } else { 1.0 };
                 let start = fractions.values.len();
                 fractions.values.extend((cols[0]..cols[1]).map(|v| sol.value(v) / b));
                 normalize_fractions(&mut fractions.values[start..]);
@@ -642,9 +667,9 @@ impl<'a> LpData<'a> {
         // (MinMax stage 1 finds the links pinning `U` from the loads.)
         let level = sol.value(aux);
         let mut critical_links = Vec::new();
-        if traffic_units && level > 1e-7 {
+        if traffic_units && level > FITS {
             for (oi, &l) in layout.used_links.iter().enumerate() {
-                if sol.value(o_var_base + oi) >= level - 1e-7 {
+                if sol.value(o_var_base + oi) >= level - FITS {
                     critical_links.push(LinkId(l as u32));
                 }
             }
@@ -653,9 +678,9 @@ impl<'a> LpData<'a> {
         // `<=` row's dual is non-positive, and anything inside the solver's
         // pricing tolerance of 0 is not a price.
         let mut overload_prices = Vec::new();
-        if matches!(mode, LpMode::MinOverload) && level > 1e-7 {
+        if matches!(mode, LpMode::MinOverload) && level > FITS {
             for (&l, &dual) in layout.used_links.iter().zip(&sol.duals()[num_o..2 * num_o]) {
-                if -dual > 1e-9 {
+                if -dual > PRICING_TOL {
                     overload_prices.push((LinkId(l as u32), -dual));
                 }
             }
@@ -799,7 +824,7 @@ fn normalize_fractions(xs: &mut [f64]) {
     }
     let total: f64 = xs.iter().sum();
     if total > 0.0 {
-        debug_assert!((total - 1.0).abs() < 1e-4, "fraction sum {total}");
+        debug_assert!((total - 1.0).abs() < FRACTION_SUM_SLACK, "fraction sum {total}");
         for x in xs.iter_mut() {
             *x /= total;
         }

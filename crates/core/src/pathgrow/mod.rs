@@ -80,6 +80,33 @@ const MAX_ROUNDS: usize = 48;
 /// Refinement rounds growing across saturated links for delay rebalancing.
 const REFINE_ROUNDS: usize = 2;
 
+/// The overload at or below which demand fits: phase 1 ends
+/// [`GrowthEnd::Fits`] at an `omax` this small, and so does MinMax at a
+/// `U* − 1` this small; an overload mode's LP names critical links only
+/// above it, and they are the links within it of `omax`. Absolute, in units
+/// of link capacity (`O_l = load_l / C_l − cap_scale`): the LP's
+/// round-off, not an overload.
+const FITS: f64 = 1e-7;
+
+/// How far phase 2 and MinMax's stage 2 may let the overload rise above the
+/// level the first stage reached ([`cap_above`]). Relative to that level.
+const OVERLOAD_CAP_REL: f64 = 1e-6;
+
+/// How far MinMax's stage 2 may let utilization rise above stage 1's `U*`
+/// ([`cap_above`]). Relative to `U*`.
+const UTIL_CAP_REL: f64 = 1e-5;
+
+/// MinMax's stage 1 grows path sets while each round lowers `U` by more
+/// than this. Relative to the best `U` so far.
+const MINMAX_IMPROVEMENT: f64 = 1e-4;
+
+/// The cap a later stage puts on a `level` an earlier stage reached: `rel`
+/// of it above, plus [`FITS`], so the earlier stage's solution stays
+/// feasible under the LP's tolerance even at a level of zero.
+fn cap_above(level: f64, rel: f64) -> f64 {
+    level * (1.0 + rel) + FITS
+}
+
 /// Result of the grow-and-solve loop.
 #[derive(Clone, Debug)]
 pub struct GrowOutcome {
@@ -98,7 +125,8 @@ pub struct GrowOutcome {
 
 /// Why the growth loop stopped adding columns against overload (phase 1 of
 /// the latency-optimal solve; stage 1 of MinMax reports [`GrowthEnd::Fits`]
-/// or [`GrowthEnd::Exhausted`] by whether utilization ended at or below 1).
+/// or [`GrowthEnd::Exhausted`] by whether utilization ended within the
+/// same fits threshold of 1 as phase 1's overload of 0).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GrowthEnd {
     /// Nothing is overloaded.
@@ -262,7 +290,7 @@ fn run_latency_optimal(
         rounds += 1;
         pivots += out.pivots;
         omax = out.level;
-        if omax <= 1e-7 {
+        if omax <= FITS {
             break GrowthEnd::Fits;
         }
         if omax > before - BOUND_TOL && omax < tested_at - BOUND_TOL && bound_armed() {
@@ -312,7 +340,8 @@ fn run_latency_optimal(
     // restarts from phase 1's vertex: the basis of an LP of its shape, or,
     // when phase 1 ended on a kept round, the last one solved, handed over.
     let phase2 = telemetry::span("pathgrow.phase2", "pathgrow");
-    let mode = LpMode::MinLatency { omax_cap: omax * (1.0 + 1e-6) + 1e-7, util_cap: f64::INFINITY };
+    let mode =
+        LpMode::MinLatency { omax_cap: cap_above(omax, OVERLOAD_CAP_REL), util_cap: f64::INFINITY };
     let mut out = lp.solve(&path_sets, &mode, out.kept.then_some(&out.layout), ctx)?;
     pivots += out.pivots;
     drop(phase2);
@@ -385,7 +414,7 @@ fn run_minmax(
         rounds += 1;
         let out = lp.solve(&path_sets, &LpMode::MinUtilization, grown_from.as_ref(), ctx)?;
         pivots += out.pivots;
-        let improved = out.level < best_u * (1.0 - 1e-4);
+        let improved = out.level < best_u * (1.0 - MINMAX_IMPROVEMENT);
         best_u = best_u.min(out.level);
         if k_limit.is_some() || rounds >= MAX_ROUNDS || (rounds > 1 && !improved) {
             break;
@@ -415,8 +444,8 @@ fn run_minmax(
     // must be allowed to absorb the excess.
     let _stage2 = telemetry::span("pathgrow.minmax_stage2", "pathgrow");
     let mode = LpMode::MinLatency {
-        omax_cap: (best_u - 1.0).max(0.0) * (1.0 + 1e-6) + 1e-7,
-        util_cap: best_u * (1.0 + 1e-5) + 1e-7,
+        omax_cap: cap_above((best_u - 1.0).max(0.0), OVERLOAD_CAP_REL),
+        util_cap: cap_above(best_u, UTIL_CAP_REL),
     };
     let out = lp.solve(&path_sets, &mode, None, ctx)?;
     pivots += out.pivots;
@@ -427,7 +456,7 @@ fn run_minmax(
         omax,
         lp_pivots: pivots,
         rounds,
-        ended: if omax > 0.0 { GrowthEnd::Exhausted } else { GrowthEnd::Fits },
+        ended: if omax <= FITS { GrowthEnd::Fits } else { GrowthEnd::Exhausted },
     })
 }
 
@@ -505,6 +534,22 @@ pub(crate) mod tests {
         assert!(out.omax > 0.2, "250 over 200 total: omax ~ 0.25, got {}", out.omax);
         // Placement still produced and structurally valid.
         assert!(out.placement.validate(topo.graph(), &tm).is_ok());
+    }
+
+    #[test]
+    fn minmax_and_the_latency_optimal_loop_agree_on_what_fits() {
+        // A hair over the two paths' 200 Mbps: an overload inside the LP's
+        // round-off, which both objectives must call a fit.
+        let topo = two_path();
+        let cache = PathCache::new(topo.graph());
+        let volume = 200.0 * (1.0 + 5e-8);
+        let tm = tm_one(volume);
+        let latopt = GrowRequest::new(&cache, &tm).solve().unwrap();
+        let minmax = GrowRequest::new(&cache, &tm).minmax(None).solve().unwrap();
+        assert!(latopt.omax > 0.0 && latopt.omax <= FITS, "omax {}", latopt.omax);
+        assert!((minmax.omax - latopt.omax).abs() < 1e-12, "{} vs {}", minmax.omax, latopt.omax);
+        assert_eq!(latopt.ended, GrowthEnd::Fits);
+        assert_eq!(minmax.ended, GrowthEnd::Fits);
     }
 
     #[test]

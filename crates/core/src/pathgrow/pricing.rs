@@ -120,6 +120,11 @@ impl PricingState {
     }
 }
 
+/// A held path carries traffic, and so makes its aggregate cross what the
+/// path crosses, when its fraction exceeds this. Absolute, in fractions of
+/// the aggregate's volume.
+const CARRIES_TRAFFIC: f64 = 1e-9;
+
 /// The column-generation pricing step: grows the path sets of every
 /// aggregate whose current placement crosses one of `targets` by its `step`
 /// next-cheapest columns — from the surplus the pair holds, else by asking
@@ -145,7 +150,7 @@ pub(super) fn grow_crossing(
             continue;
         }
         let crosses = path_sets[a].iter().enumerate().any(|(pi, p)| {
-            fractions[a].get(pi).copied().unwrap_or(0.0) > 1e-9
+            fractions[a].get(pi).copied().unwrap_or(0.0) > CARRIES_TRAFFIC
                 && p.links().iter().any(|&l| state.target_mask[l.idx()])
         });
         if !crosses {

@@ -8,9 +8,10 @@
 //! is what makes the warm LDR runs in Figure 15 fast and lets the experiment
 //! engine hand one cache per network to every worker thread.
 //!
-//! The interior is lock-striped: pairs hash onto [`SHARD_COUNT`] independent
-//! mutexes, so concurrent placements of different aggregates on the same
-//! graph contend only when they land on the same shard, not on every lookup.
+//! The interior is lock-striped: pairs hash onto `SHARD_COUNT` (64)
+//! independent mutexes, so concurrent placements of different aggregates on
+//! the same graph contend only when they land on the same shard, not on
+//! every lookup.
 //!
 //! ## Failure-aware repair
 //!
@@ -91,7 +92,7 @@ impl RepairStats {
 }
 
 /// Thread-safe cache of k-shortest paths per ordered pair, lock-striped
-/// across [`SHARD_COUNT`] shards, with failure-aware repair.
+/// across `SHARD_COUNT` (64) shards, with failure-aware repair.
 pub struct PathCache<'g> {
     graph: &'g Graph,
     shards: Vec<Shard<'g>>,

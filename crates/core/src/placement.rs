@@ -226,7 +226,7 @@ impl Placement {
     }
 
     /// Checks structural invariants against the matrix it was computed for:
-    /// alignment, endpoints, loopless valid paths, fractions in [0,1]
+    /// alignment, endpoints, loopless valid paths, fractions in `[0, 1]`
     /// summing to 1. Returns the first violation.
     pub fn validate(&self, graph: &Graph, tm: &TrafficMatrix) -> Result<(), String> {
         if self.per_aggregate.len() != tm.aggregates().len() {

@@ -81,4 +81,4 @@ mod simplex;
 
 pub use certify::{certify, Violation};
 pub use problem::{Problem, Relation, RowId};
-pub use simplex::{Basis, LpError, Solution};
+pub use simplex::{Basis, LpError, Solution, PRICING_TOL};

@@ -7,6 +7,7 @@ use lowlat_telemetry as telemetry;
 use super::engine::{Engine, Rest, SolverOptions};
 use super::inverse::{flip_negated_rows, SparseInverse};
 use super::standard_form::{SparseCols, StandardForm};
+use super::tol::{REPLACE_GUARD_REL, UNIT_CHECK_TOL};
 use crate::problem::Problem;
 
 /// A reusable simplex basis — the warm-start handle.
@@ -280,7 +281,7 @@ impl<'a> Engine<'a> {
     pub(super) fn w_is_unit(&self, i: usize) -> bool {
         self.scratch_w.iter().enumerate().all(|(k, &wk)| {
             let expect = if k == i { 1.0 } else { 0.0 };
-            (wk - expect).abs() <= 1e-6
+            (wk - expect).abs() <= UNIT_CHECK_TOL
         })
     }
 
@@ -331,7 +332,7 @@ impl<'a> Engine<'a> {
                     // a poorly conditioned update would spoil the positions
                     // already settled.
                     let largest = self.scratch_w.iter().fold(0.0, |a: f64, w| a.max(w.abs()));
-                    if replaceable == 0 || self.scratch_w[i].abs() <= 1e-3 * largest {
+                    if replaceable == 0 || self.scratch_w[i].abs() <= REPLACE_GUARD_REL * largest {
                         break 'positions false;
                     }
                     replaceable -= 1;

@@ -8,6 +8,39 @@
 //! This keeps row counts small for problems like the paper's locality
 //! redistribution LP, where every aggregate has a cap but only the per-node
 //! marginals are genuine rows.
+//!
+//! ## Tolerances
+//!
+//! Every tolerance the engine reads is a constant of the `tol` module,
+//! named once; none is an option. "Absolute" means in the units of the
+//! quantity tested, whatever the scale of its row or column.
+//!
+//! | name | value | absolute, or relative to | guards |
+//! |---|---|---|---|
+//! | [`PRICING_TOL`] | 1e-9 | absolute, objective units | a column enters when its reduced cost is below `-PRICING_TOL`; [`Solution::prices_in`] |
+//! | [`PRICES_IN_SLACK`] | 1e-12 | absolute | `prices_in` answers "would enter" this close to `-PRICING_TOL` |
+//! | [`PIVOT_TOL`] | 1e-9 | absolute, on `w = B⁻¹A_j` | ratio test: which rows can block |
+//! | [`RATIO_TIE`] | 1e-10 | absolute, step length | ratio test: ties between blocking rows |
+//! | [`UNIT_SLACK_TOL`] | 1e-12 | absolute, coefficient | initial basis: a slack is a unit column |
+//! | [`DEGENERATE_STEP`] | 1e-12 | absolute, step length | stall count that switches to Bland's rule |
+//! | [`ZERO_PIVOT`] | 1e-12 | absolute, on `w` | no pivot on a zero element (pivot, driving out artificials) |
+//! | [`DUAL_RATIO_TIE`] | 1e-12 | absolute, damage ratio | dual repair: ties between entering columns |
+//! | [`SINGULAR_PIVOT`] | 1e-12 | absolute, on the basis matrix | refactorization: singular basis |
+//! | [`ROUND_OFF`] | 1e-7 | absolute, basic value | round-off clamp of basic values ([`snap_round_off`]) |
+//! | [`REPAIR_FEAS_REL`] | 1e-7 | [`rhs_scale`] (one for all rows) | dual repair: which basic values are infeasible |
+//! | [`REPAIR_PIVOT`] | 1e-7 | absolute, on `B⁻¹N` | dual repair: which columns may repair a row |
+//! | [`PHASE1_FEAS_REL`] | 1e-7 | [`rhs_scale`] (one for all rows) | phase-1 hand-over: infeasible problem |
+//! | [`DRIVE_OUT_PIVOT`] | 1e-7 | absolute, on `B⁻¹A` | driving artificials out after phase 1 |
+//! | [`UNIT_CHECK_TOL`] | 1e-6 | absolute, on `w` | audit of a carried inverse ([`Engine::w_is_unit`]) |
+//! | [`REPLACE_GUARD_REL`] | 1e-3 | the largest entry of the same `w` | warm restart: replace a stale position, or refactorize |
+//!
+//! The two relative to [`rhs_scale`], `1 + max|b|`, judge every row against
+//! the largest right-hand side of the problem, not its own.
+//!
+//! [`ROUND_OFF`]: super::tol::ROUND_OFF
+//! [`SINGULAR_PIVOT`]: super::tol::SINGULAR_PIVOT
+//! [`UNIT_CHECK_TOL`]: super::tol::UNIT_CHECK_TOL
+//! [`REPLACE_GUARD_REL`]: super::tol::REPLACE_GUARD_REL
 
 use lowlat_telemetry as telemetry;
 
@@ -16,6 +49,11 @@ use super::basis::tests::RESTART_WORK;
 use super::basis::Basis;
 use super::inverse::{invert_column_major, SparseInverse};
 use super::standard_form::StandardForm;
+use super::tol::{
+    rhs_scale, snap_round_off, DEGENERATE_STEP, DRIVE_OUT_PIVOT, DUAL_RATIO_TIE, PHASE1_FEAS_REL,
+    PIVOT_TOL, PRICES_IN_SLACK, PRICING_TOL, RATIO_TIE, REPAIR_FEAS_REL, REPAIR_PIVOT,
+    UNIT_SLACK_TOL, ZERO_PIVOT,
+};
 
 /// Why the solver gave up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,13 +81,12 @@ impl std::fmt::Display for LpError {
 
 impl std::error::Error for LpError {}
 
-/// Solver tuning. Every solve outside this crate's tests runs the defaults.
+/// Solver tuning. Every solve outside this crate's tests runs the defaults;
+/// the tolerances are constants (module docs, "Tolerances").
 #[derive(Clone, Debug)]
 pub(crate) struct SolverOptions {
     /// Hard pivot cap; `0` selects `20_000 + 100 * (rows + cols)`.
     pub(crate) max_iterations: usize,
-    /// Base tolerance for reduced costs and pivot magnitudes.
-    pub(crate) tol: f64,
     /// Refactorize the basis inverse every this many pivots of one solve;
     /// a warm restart audits a carried inverse numerically once it has
     /// taken this many eta updates across solves.
@@ -58,7 +95,18 @@ pub(crate) struct SolverOptions {
 
 impl Default for SolverOptions {
     fn default() -> Self {
-        SolverOptions { max_iterations: 0, tol: 1e-9, refactor_every: 2048 }
+        SolverOptions { max_iterations: 0, refactor_every: 2048 }
+    }
+}
+
+impl SolverOptions {
+    /// The pivot cap of a solve over `m` rows and `n` columns.
+    fn pivot_cap(&self, m: usize, n: usize) -> usize {
+        if self.max_iterations == 0 {
+            20_000 + 100 * (m + n)
+        } else {
+            self.max_iterations
+        }
     }
 }
 
@@ -108,7 +156,7 @@ impl Solution {
     /// `true`: pose the problem and let the solver decide.
     pub fn prices_in(&self, cost: f64, coeffs: &[(usize, f64)]) -> bool {
         let priced: f64 = coeffs.iter().map(|&(row, a)| self.duals[row] * a).sum();
-        cost - priced <= -SolverOptions::default().tol + 1e-12
+        cost - priced <= -PRICING_TOL + PRICES_IN_SLACK
     }
 
     /// Objective at the optimum.
@@ -195,7 +243,7 @@ impl<'a> Engine<'a> {
         let mut row_basic: Vec<Option<usize>> = vec![None; m];
         for j in sf.num_structural..n {
             if let [(r, v)] = *sf.col(j) {
-                if (v - 1.0).abs() < 1e-12 && row_basic[r].is_none() {
+                if (v - 1.0).abs() < UNIT_SLACK_TOL && row_basic[r].is_none() {
                     row_basic[r] = Some(j);
                 }
             }
@@ -296,7 +344,6 @@ impl<'a> Engine<'a> {
         enterable: usize,
         max_iter: usize,
     ) -> Result<(), LpError> {
-        let tol = self.opts.tol;
         loop {
             if self.iterations >= max_iter {
                 return Err(LpError::IterationLimit);
@@ -318,7 +365,7 @@ impl<'a> Engine<'a> {
                     Rest::Upper => d,
                     Rest::Basic => unreachable!(),
                 };
-                if score > tol {
+                if score > PRICING_TOL {
                     if bland {
                         entering = Some((j, score));
                         break;
@@ -348,15 +395,14 @@ impl<'a> Engine<'a> {
                     let span = self.upper(j);
                     debug_assert!(span.is_finite());
                     for i in 0..self.m {
-                        let v = self.xb[i] - span * sign * self.scratch_w[i];
-                        self.xb[i] = if v < 0.0 && v > -1e-7 { 0.0 } else { v };
+                        self.xb[i] = snap_round_off(self.xb[i] - span * sign * self.scratch_w[i]);
                     }
                     self.rest[j] = if from_upper { Rest::Lower } else { Rest::Upper };
                     self.iterations += 1;
-                    self.stall = if span <= 1e-12 { self.stall + 1 } else { 0 };
+                    self.stall = if span <= DEGENERATE_STEP { self.stall + 1 } else { 0 };
                 }
                 Block::Leaves { row, at_upper } => {
-                    self.stall = if theta <= 1e-12 { self.stall + 1 } else { 0 };
+                    self.stall = if theta <= DEGENERATE_STEP { self.stall + 1 } else { 0 };
                     self.pivot(j, row, theta, sign, from_upper, at_upper);
                 }
             }
@@ -371,16 +417,15 @@ impl<'a> Engine<'a> {
     /// (`scratch_w` holds `B^-1 A_j`). Returns the step length `t >= 0` and
     /// what blocked it.
     pub(super) fn ratio_test(&self, j: usize, sign: f64, bland: bool) -> (f64, Block) {
-        let piv_tol = 1e-9;
         let mut theta = self.upper(j); // bound-flip distance
         let mut block = if theta.is_finite() { Block::BoundFlip } else { Block::None };
         let mut best_w = 0.0;
         for i in 0..self.m {
             let wi = sign * self.scratch_w[i];
             // Basic value moves as xb_i - t * wi.
-            let (limit, at_upper) = if wi > piv_tol {
+            let (limit, at_upper) = if wi > PIVOT_TOL {
                 ((self.xb[i].max(0.0)) / wi, false)
-            } else if wi < -piv_tol {
+            } else if wi < -PIVOT_TOL {
                 let ub = self.upper(self.basis[i]);
                 if !ub.is_finite() {
                     continue;
@@ -389,9 +434,9 @@ impl<'a> Engine<'a> {
             } else {
                 continue;
             };
-            let better = if limit < theta - 1e-10 {
+            let better = if limit < theta - RATIO_TIE {
                 true
-            } else if limit <= theta + 1e-10 {
+            } else if limit <= theta + RATIO_TIE {
                 match block {
                     Block::Leaves { row, .. } => {
                         if bland {
@@ -429,14 +474,13 @@ impl<'a> Engine<'a> {
         leave_at_upper: bool,
     ) {
         let m = self.m;
-        debug_assert!(self.scratch_w[r].abs() > 1e-12, "pivot on ~zero element");
+        debug_assert!(self.scratch_w[r].abs() > ZERO_PIVOT, "pivot on ~zero element");
 
         // Update basic values; forgive only round-off-sized negativity so
         // genuine drift still surfaces (and is repaired by refactorization).
         for i in 0..m {
             if i != r {
-                let v = self.xb[i] - theta * sign * self.scratch_w[i];
-                self.xb[i] = if v < 0.0 && v > -1e-7 { 0.0 } else { v };
+                self.xb[i] = snap_round_off(self.xb[i] - theta * sign * self.scratch_w[i]);
             }
         }
         // Entering variable's new value.
@@ -502,8 +546,8 @@ impl<'a> Engine<'a> {
                 self.xb[i] += bik * rk;
             }
         }
-        for x in self.xb.iter_mut().filter(|x| **x < 0.0 && **x > -1e-7) {
-            *x = 0.0;
+        for x in self.xb.iter_mut() {
+            *x = snap_round_off(*x);
         }
     }
 
@@ -517,8 +561,7 @@ impl<'a> Engine<'a> {
     /// falls back to a cold solve); correctness never depends on success.
     fn dual_repair(&mut self, cost: &[f64], max_pivots: usize) -> bool {
         let m = self.m;
-        let scale = 1.0 + self.sf.b.iter().map(|v| v.abs()).fold(0.0, f64::max);
-        let feas_tol = 1e-7 * scale;
+        let feas_tol = REPAIR_FEAS_REL * rhs_scale(&self.sf.b);
         for _ in 0..max_pivots {
             // Most violated basic variable.
             let mut r = usize::MAX;
@@ -563,7 +606,7 @@ impl<'a> Engine<'a> {
                 let sign = if self.rest[j] == Rest::Upper { -1.0 } else { 1.0 };
                 // Moving j off its bound changes xb[r] by -t * dir.
                 let dir = sign * alpha;
-                let eligible = if to_upper { dir > 1e-7 } else { dir < -1e-7 };
+                let eligible = if to_upper { dir > REPAIR_PIVOT } else { dir < -REPAIR_PIVOT };
                 if !eligible {
                     continue;
                 }
@@ -572,7 +615,8 @@ impl<'a> Engine<'a> {
                 let ratio = d_eff.abs() / dir.abs();
                 let better = match best {
                     Some((_, br, ba)) => {
-                        ratio < br - 1e-12 || (ratio <= br + 1e-12 && dir.abs() > ba)
+                        ratio < br - DUAL_RATIO_TIE
+                            || (ratio <= br + DUAL_RATIO_TIE && dir.abs() > ba)
                     }
                     None => true,
                 };
@@ -617,7 +661,7 @@ impl<'a> Engine<'a> {
                 for &(rr, v) in self.sf.col(j) {
                     w_rj += v * self.scratch_row[rr];
                 }
-                if w_rj.abs() > 1e-7 {
+                if w_rj.abs() > DRIVE_OUT_PIVOT {
                     match best {
                         Some((_, bv)) if w_rj.abs() <= bv => {}
                         _ => best = Some((j, w_rj.abs())),
@@ -627,7 +671,7 @@ impl<'a> Engine<'a> {
             if let Some((j, _)) = best {
                 let from_upper = self.rest[j] == Rest::Upper;
                 self.compute_w(j);
-                if self.scratch_w[r].abs() <= 1e-12 {
+                if self.scratch_w[r].abs() <= ZERO_PIVOT {
                     continue;
                 }
                 // Degenerate pivot: the artificial sits at ~0, so theta ~ 0
@@ -679,8 +723,7 @@ pub(crate) fn solve_standard_form_warm(
         if let Some(mut eng) = Engine::with_basis(sf, opts.clone(), basis) {
             let m = sf.b.len();
             let n = sf.num_cols();
-            let max_iter =
-                if opts.max_iterations == 0 { 20_000 + 100 * (m + n) } else { opts.max_iterations };
+            let max_iter = opts.pivot_cap(m, n);
             // The restored vertex is usually slightly infeasible under the
             // new data; a few dual pivots repair it. Budget is generous —
             // repair beyond it means the problems diverged too far for a
@@ -741,7 +784,7 @@ pub(crate) fn solve_standard_form_cold(
         }
         let mut x = vec![0.0; sf.num_structural];
         for j in 0..sf.num_structural {
-            if sf.c[j] < -opts.tol {
+            if sf.c[j] < -PRICING_TOL {
                 if sf.upper[j].is_finite() {
                     x[j] = sf.upper[j];
                 } else {
@@ -759,8 +802,7 @@ pub(crate) fn solve_standard_form_cold(
         });
     }
 
-    let max_iter =
-        if opts.max_iterations == 0 { 20_000 + 100 * (m + n) } else { opts.max_iterations };
+    let max_iter = opts.pivot_cap(m, n);
     let mut eng = Engine::new(sf, opts.clone());
 
     // Costs are one per column: in phase 2 an artificial left basic at zero
@@ -781,8 +823,7 @@ pub(crate) fn solve_standard_form_cold(
         }
         let art_sum: f64 =
             eng.basis.iter().zip(&eng.xb).filter(|(&j, _)| j >= art_start).map(|(_, &v)| v).sum();
-        let scale = 1.0 + sf.b.iter().map(|v| v.abs()).fold(0.0, f64::max);
-        if art_sum > 1e-7 * scale {
+        if art_sum > PHASE1_FEAS_REL * rhs_scale(&sf.b) {
             return Err(LpError::Infeasible);
         }
         eng.drive_out_artificials();

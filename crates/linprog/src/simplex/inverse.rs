@@ -9,6 +9,7 @@
 //! dense m×m scratch.
 
 use super::engine::Engine;
+use super::tol::SINGULAR_PIVOT;
 
 /// An explicit basis inverse held by its nonzeros: one column per row of
 /// the problem, each its own `(position, value)` list sorted by position
@@ -175,7 +176,7 @@ pub(super) fn invert_column_major(a: &[f64], m: usize) -> Option<Vec<f64>> {
                 piv = i;
             }
         }
-        if best < 1e-12 {
+        if best < SINGULAR_PIVOT {
             return None;
         }
         if piv != col {
@@ -214,6 +215,7 @@ pub(super) fn invert_column_major(a: &[f64], m: usize) -> Option<Vec<f64>> {
 pub(super) mod tests {
     use super::super::engine::{Engine, Rest};
     use super::super::standard_form::SparseCols;
+    use super::super::tol::{snap_round_off, REPLACE_GUARD_REL};
     use super::{invert_column_major, SparseInverse};
 
     /// The dense column-major inverse this engine used to hold — element
@@ -324,8 +326,8 @@ pub(super) mod tests {
                     *x += bik * rk;
                 }
             }
-            for x in xb.iter_mut().filter(|x| **x < 0.0 && **x > -1e-7) {
-                *x = 0.0;
+            for x in xb.iter_mut() {
+                *x = snap_round_off(*x);
             }
             xb
         }
@@ -364,7 +366,7 @@ pub(super) mod tests {
                 }
                 let w = self.compute_w(eng, j);
                 let largest = w.iter().fold(0.0, |a: f64, w| a.max(w.abs()));
-                if replaceable == 0 || w[i].abs() <= 1e-3 * largest {
+                if replaceable == 0 || w[i].abs() <= REPLACE_GUARD_REL * largest {
                     return false;
                 }
                 replaceable -= 1;

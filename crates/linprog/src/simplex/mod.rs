@@ -10,17 +10,21 @@
 //! - `basis`: what a warm restart carries between solves ([`Basis`]) and
 //!   how the engine takes it up and hands it back;
 //! - `engine`: the pivoting itself — both phases, the ratio test, the dual
-//!   repair of a warm restart — and the cold and warm entry points.
+//!   repair of a warm restart — and the cold and warm entry points;
+//! - `tol`: the numerical policy — every tolerance the engine reads, named
+//!   once (`engine`'s module docs tabulate them).
 
 mod basis;
 mod engine;
 mod inverse;
 mod standard_form;
+mod tol;
 
 pub use basis::Basis;
 pub(crate) use engine::{solve_standard_form_cold, solve_standard_form_warm, SolverOptions};
 pub use engine::{LpError, Solution};
 pub(crate) use standard_form::{SparseCols, StandardForm};
+pub use tol::PRICING_TOL;
 
 #[cfg(test)]
 mod tests {
@@ -33,6 +37,7 @@ mod tests {
     use super::inverse::flip_negated_rows;
     use super::inverse::tests::DenseInverse;
     use super::standard_form::StandardForm;
+    use super::tol::snap_round_off;
     use crate::{Basis, LpError, Problem, Relation};
 
     /// Runs `f`; returns its result and the restart work it caused.
@@ -777,7 +782,7 @@ mod tests {
             for k in 0..m {
                 acc += binv[k * m + i] * rhs[k];
             }
-            let dense = if acc < 0.0 && acc > -1e-7 { 0.0 } else { acc };
+            let dense = snap_round_off(acc);
             assert_eq!(eng.xb[i], dense, "xb[{i}]");
         }
     }

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use lowlat_linprog::{certify, Basis, Problem, Relation, Solution, Violation};
+use lowlat_linprog::{certify, Basis, Problem, Relation, Solution, Violation, PRICING_TOL};
 
 /// A random LP over small integers, feasible by construction: every row
 /// passes within `slack` of a witness point, every upper bound lies at or
@@ -188,12 +188,12 @@ fn prices_in_reads_the_reduced_cost_against_the_solvers_tolerance() {
     assert!(!sol.prices_in(-2.0, &both), "nor does 0");
     // A column in no row is priced at its cost.
     assert!(sol.prices_in(-1.0, &[]) && !sol.prices_in(0.0, &[]) && !sol.prices_in(1.0, &[]));
-    // On the tolerance (1e-9) the answer is "pose it": the solver sums in
-    // another order and may land on either side.
-    assert!(sol.prices_in(-1e-9, &[]), "exactly -tol");
-    assert!(sol.prices_in(-1.0 - 1e-9, &[(0, 1.0)]), "-tol up to the rounding of -1 - 1e-9");
-    assert!(sol.prices_in(-1e-9 + 5e-13, &[]) && sol.prices_in(-1e-9 - 5e-13, &[]));
-    assert!(!sol.prices_in(-0.99e-9, &[]), "inside the tolerance");
+    // On the solver's pricing tolerance the answer is "pose it": the solver
+    // sums in another order and may land on either side.
+    assert!(sol.prices_in(-PRICING_TOL, &[]), "exactly -tol");
+    assert!(sol.prices_in(-1.0 - PRICING_TOL, &[(0, 1.0)]), "-tol up to the rounding of -1 - tol");
+    assert!(sol.prices_in(-PRICING_TOL + 5e-13, &[]) && sol.prices_in(-PRICING_TOL - 5e-13, &[]));
+    assert!(!sol.prices_in(-0.99 * PRICING_TOL, &[]), "inside the tolerance");
 }
 
 proptest! {

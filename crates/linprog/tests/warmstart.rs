@@ -543,7 +543,7 @@ fn two_parallel_links(volume: f64) -> Problem {
 }
 
 #[test]
-#[ignore = "ROADMAP 1a: dual_repair's feasibility tolerance is scaled by the largest rhs"]
+#[ignore = "ROADMAP 1a: dual_repair's feasibility tolerance, REPAIR_FEAS_REL × rhs_scale, is scaled by the largest rhs"]
 fn warm_restart_at_the_just_fits_boundary_reports_the_overload() {
     // The demand just fits; a minute later it is 1.5 Mbps over, which only
     // an overload of 1.5e-4 carries. The restored vertex has one capacity

@@ -1,4 +1,4 @@
-//! Yen's loopless k-shortest-paths algorithm (the paper's reference [49]),
+//! Yen's loopless k-shortest-paths algorithm (the paper's reference \[49\]),
 //! exposed as an **incremental generator**.
 //!
 //! The paper's Figure 13 grows each aggregate's path list lazily — "generate

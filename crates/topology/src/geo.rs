@@ -74,8 +74,8 @@ impl GeoPoint {
 const CORRIDOR_SAMPLES: usize = 17;
 
 /// Minimum distance (km) between the great-circle corridors `a0—a1` and
-/// `b0—b1`, approximated by sampling each segment at [`CORRIDOR_SAMPLES`]
-/// points. Good to a few km at continental scale — plenty for deciding
+/// `b0—b1`, approximated by sampling each segment at `CORRIDOR_SAMPLES`
+/// (17) points. Good to a few km at continental scale — plenty for deciding
 /// whether two fibre runs plausibly share a conduit corridor.
 pub fn corridor_distance_km(a0: &GeoPoint, a1: &GeoPoint, b0: &GeoPoint, b1: &GeoPoint) -> f64 {
     let sample = |p: &GeoPoint, q: &GeoPoint, i: usize| {

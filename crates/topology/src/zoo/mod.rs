@@ -106,7 +106,7 @@ fn capacity_for(dist_km: f64, rng: &mut StdRng) -> f64 {
     choices[rng.gen_range(0..choices.len())]
 }
 
-/// Random tree over `n` PoPs. `chain_bias` in [0,1]: 0 attaches uniformly
+/// Random tree over `n` PoPs. `chain_bias` in `[0, 1]`: 0 attaches uniformly
 /// (bushy trees), 1 always extends the most recent node (a chain).
 pub fn tree(n: usize, chain_bias: f64, region: Region, seed: u64) -> Topology {
     assert!(n >= 3);

@@ -7,6 +7,7 @@ verify:
     cargo fmt --check
     cargo build --release
     cargo clippy --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude rand --exclude parking_lot --exclude proptest --exclude criterion
     cargo test -q
     taskset -c 0 cargo test -q -p lowlat_sim --test sweep_golden
     cargo bench --no-run

@@ -4,7 +4,8 @@
 //! config struct, knob or orphan that went because nothing set or called
 //! it. Scans every `.rs` file under `crates`, `src`, `tests` and `examples`
 //! but this one. And no source file under `crates/*/src` grows past 900
-//! lines before its test module (ROADMAP item 7).
+//! lines before its test module (ROADMAP item 7), and the LP chain names
+//! every tolerance it reads.
 
 use std::path::{Path, PathBuf};
 
@@ -127,4 +128,86 @@ fn no_source_file_is_over_900_lines_before_its_tests() {
         "over {MAX_LINES_BEFORE_TESTS} lines before the test module:\n{}",
         over.join("\n")
     );
+}
+
+/// The LP chain: the simplex engine and the growth loop around it. Their
+/// non-test code names every tolerance it reads as a documented `const`.
+const NAMED_TOLERANCES: &[&str] = &["crates/linprog/src/simplex", "crates/core/src/pathgrow"];
+
+/// The float literals with a negative exponent (`1e-7`, `2.5e-9`) in one
+/// line of code, its `//` comment left out.
+fn negative_exponent_literals(line: &str) -> Vec<&str> {
+    let code = line.split_once("//").map_or(line, |(code, _)| code);
+    let bytes = code.as_bytes();
+    let mut found = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let starts = bytes[i].is_ascii_digit()
+            && (i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || b"_.".contains(&bytes[i - 1])));
+        if !starts {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && (bytes[i].is_ascii_digit() || b"_.".contains(&bytes[i])) {
+            i += 1;
+        }
+        let exponent = bytes.get(i..i + 3).is_some_and(|e| {
+            (e[0] == b'e' || e[0] == b'E') && e[1] == b'-' && e[2].is_ascii_digit()
+        });
+        if exponent {
+            i += 2;
+            while i < bytes.len() && bytes[i].is_ascii_digit() {
+                i += 1;
+            }
+            found.push(&code[start..i]);
+        }
+    }
+    found
+}
+
+/// Whether `line` declares a `const` item (`const`, `pub const`,
+/// `pub(super) const`, …).
+fn is_const_item(line: &str) -> bool {
+    line.split_whitespace().find(|token| !token.starts_with("pub")) == Some("const")
+}
+
+#[test]
+fn every_tolerance_of_the_lp_chain_is_a_named_const() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in NAMED_TOLERANCES {
+        rust_files(&root.join(dir), &mut files);
+    }
+    files.sort();
+    let mut bare = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).unwrap();
+        let rel = path.strip_prefix(root).unwrap().display();
+        let code = text.lines().take(lines_before_tests(&text));
+        for (n, line) in (1..).zip(code).filter(|(_, line)| !is_const_item(line)) {
+            for literal in negative_exponent_literals(line) {
+                bare.push(format!("{rel}:{n}: {literal}"));
+            }
+        }
+    }
+    assert!(
+        bare.is_empty(),
+        "{} bare tolerances; name each as a documented const in the module that decides it:\n{}",
+        bare.len(),
+        bare.join("\n")
+    );
+}
+
+#[test]
+fn the_census_reads_literals_and_const_items() {
+    assert_eq!(
+        negative_exponent_literals("x <= 1e-7 && y > -2.5E-12 // not 3e-4"),
+        ["1e-7", "2.5E-12"]
+    );
+    assert_eq!(negative_exponent_literals("1e-9"), ["1e-9"]);
+    assert!(negative_exponent_literals("x1e-7 + 1e7 + 0x1e - 7 + 1.5").is_empty());
+    assert!(is_const_item("    pub(super) const FITS: f64 = 1e-7;"));
+    assert!(is_const_item("const M1: f64 = 1e-3;"));
+    assert!(!is_const_item("    let tol = 1e-7; // const"));
 }
