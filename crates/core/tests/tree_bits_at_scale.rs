@@ -1,0 +1,87 @@
+//! Every tree and every answer at the scale the engine is built for, to the
+//! bit.
+//!
+//! The sweep goldens cover small networks and print 3–6 decimals; the
+//! 10k-node pricing cell checks counts. This test folds into one `u64` the
+//! distance bits and parent links of 16 forward and 16 reverse
+//! shortest-path trees of a 10k-node Barabási–Albert graph, and the links
+//! and delay bits of the partitioned engine's `grow(src, dst, 4)` answers
+//! for 200 seeded pairs, half of them inside one leaf (landmark stitching
+//! and per-leaf Yen). A change to the shortest-path kernel, the adjacency or the
+//! engine that moves one bit of one of them fails here; the constant is
+//! never re-recorded by a change that claims the same bits.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
+use lowlat_core::PathSource;
+use lowlat_netgraph::{reverse_shortest_path_tree, shortest_path_tree, LinkId, NodeId};
+use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
+
+/// The digest, recorded before the packed-arc kernel replaced the
+/// id/far-endpoint rows.
+const DIGEST: u64 = 0x961b_16d3_28b4_b588;
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn word(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn link(&mut self, l: Option<LinkId>) {
+        self.word(l.map_or(u64::MAX, |l| u64::from(l.0)));
+    }
+}
+
+#[test]
+fn ten_thousand_node_trees_and_answers_keep_their_bits() {
+    let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 10_000, seed: 42 });
+    let g = ingested.graph();
+    let n = g.node_count() as u32;
+    let mut h = Digest(0xcbf2_9ce4_8422_2325);
+
+    for i in 0..16u32 {
+        let root = NodeId(i * (n / 16) + 7);
+        let fwd = shortest_path_tree(g, root, None, None);
+        let rev = reverse_shortest_path_tree(g, root, None, None);
+        for v in g.nodes() {
+            h.word(fwd.dist_ms(v).to_bits());
+            h.link(fwd.parent_link(v));
+            h.word(rev.dist_ms(v).to_bits());
+            h.link(rev.next_link(v));
+        }
+    }
+
+    let engine = PartitionedPathEngine::build(g, &EngineConfig::default());
+    let mut rng = StdRng::seed_from_u64(42);
+    let hierarchy = engine.hierarchy();
+    let mut pairs = 0;
+    while pairs < 200 {
+        let src = NodeId(rng.gen_range(0..n));
+        // Every other pair shares a leaf, so Yen's spur searches answer it.
+        let dst = if pairs % 2 == 0 {
+            NodeId(rng.gen_range(0..n))
+        } else {
+            let leaf = &hierarchy.cluster(hierarchy.leaf_of(src)).members;
+            leaf[rng.gen_range(0..leaf.len())]
+        };
+        if src == dst {
+            continue;
+        }
+        pairs += 1;
+        let paths = engine.grow(src, dst, 4);
+        h.word(paths.len() as u64);
+        for p in &paths {
+            h.word(p.delay_ms().to_bits());
+            h.word(p.links().len() as u64);
+            for &l in p.links() {
+                h.link(Some(l));
+            }
+        }
+    }
+
+    assert_eq!(h.0, DIGEST, "digest {:#018x}", h.0);
+}
