@@ -183,7 +183,7 @@ impl LpData<'_> {
             'search: loop {
                 while let Some(node) = level.pop() {
                     let here = dist[node.idx()];
-                    for &l in graph.out_links(node) {
+                    for l in graph.out_links(node) {
                         let to = graph.link(l).dst;
                         if caps[l.idx()] <= 0.0 || dist[to.idx()].is_finite() {
                             continue;

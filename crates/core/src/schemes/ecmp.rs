@@ -62,7 +62,7 @@ impl EcmpRouting {
         let mut reach = vec![false; graph.node_count()];
         reach[dst.idx()] = true;
         while let Some(v) = stack.pop() {
-            for &l in graph.in_links(v) {
+            for l in graph.in_links(v) {
                 if mask.is_some_and(|m| m.link_down(graph, l)) {
                     continue;
                 }

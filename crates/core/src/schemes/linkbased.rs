@@ -108,10 +108,10 @@ impl LinkBasedOptimal {
                     continue;
                 }
                 let mut coeffs: Vec<(usize, f64)> = Vec::new();
-                for &l in graph.out_links(v) {
+                for l in graph.out_links(v) {
                     coeffs.push((var(a, l.idx()), 1.0));
                 }
-                for &l in graph.in_links(v) {
+                for l in graph.in_links(v) {
                     coeffs.push((var(a, l.idx()), -1.0));
                 }
                 let supply = if v == agg.src { agg.volume_mbps } else { 0.0 };
@@ -171,10 +171,10 @@ impl LinkBasedOptimal {
                     continue;
                 }
                 let mut coeffs: Vec<(usize, f64)> = Vec::new();
-                for &l in graph.out_links(v) {
+                for l in graph.out_links(v) {
                     coeffs.push((var(t, l.idx()), 1.0));
                 }
-                for &l in graph.in_links(v) {
+                for l in graph.in_links(v) {
                     coeffs.push((var(t, l.idx()), -1.0));
                 }
                 let supply = tm.volume_between(v, dst);

@@ -6,22 +6,26 @@
 //! physical cable as a pair of directed links; the [`crate::graph::Graph`]
 //! itself is purely directed and the topology layer tracks reverse pairing.
 //!
-//! ## Compressed rows
+//! ## Compressed rows of packed arcs
 //!
 //! The adjacency is stored as compressed rows, one set per direction: an
-//! offset array (`start[u]..start[u + 1]` is node `u`'s row), one flat
-//! array of link ids, and beside each id the link's far endpoint as a
-//! `u32` (the `dst` of an out-link, the `src` of an in-link). A
-//! shortest-path tree walks a row as two contiguous slices — no pointer
-//! chase per row, no `links` lookup to learn where a link goes — and reads
-//! only the delay out of [`Link`]. Delays stay in `links`: copied inline
-//! they were measured ~10% faster a tree but ~1 MiB more peak memory on a
-//! 10k-node graph. Out-rows are ordered by (dst, delay, id), in-rows by
-//! link id, and [`Graph::out_links`] / [`Graph::in_links`] return those
-//! rows as `&[LinkId]`.
+//! offset array (`start[u]..start[u + 1]` is node `u`'s row) over one flat
+//! array of 16-byte arcs, each the link's id, its far endpoint (the `dst`
+//! of an out-link, the `src` of an in-link) and its delay, copied exactly
+//! from the [`Link`], which stays the source of truth. A shortest-path tree
+//! walks a row as one contiguous slice and relaxes each arc without a
+//! lookup into `links` (24 bytes a link, read at a random index for one
+//! `f64`). The copy costs 16 bytes an arc per direction against the 8 of
+//! the id and endpoint arrays it replaced. On the 10k-node Barabási–Albert
+//! graph of the `scale-place` benchmark (2-CPU x86 host) that traded a
+//! tree's 1.81–1.89 ms for 1.50–1.65 (fastest of 15 batches of 32 trees,
+//! three runs a side), `setup_s` 0.228 → 0.196 s (medians of ten 20 s
+//! pairs, each side first in five; −14%, all ten won) and `peak_rss_mb`
+//! 22.5 → 23.6 MiB. Out-rows are ordered by (dst, delay, id), in-rows by
+//! link id, and [`Graph::out_links`] / [`Graph::in_links`] iterate those
+//! rows' link ids.
 
 use std::fmt;
-use std::ops::Range;
 
 /// Index of a node (PoP) in a [`Graph`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -72,26 +76,36 @@ pub struct Link {
     pub capacity_mbps: f64,
 }
 
+/// One link as a row holds it: the link's id, its far endpoint and its
+/// delay, copied from the [`Link`] (module docs).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Arc {
+    /// The endpoint of the link that is not the row's node.
+    pub(crate) far: u32,
+    /// The link's id.
+    pub(crate) link: u32,
+    /// The link's `delay_ms`, to the bit.
+    pub(crate) delay_ms: f64,
+}
+
 /// One direction's adjacency as compressed rows (module docs): row `u` is
-/// `ids[start[u]..start[u + 1]]`, and `far[i]` is the endpoint of `ids[i]`
-/// that is not `u`.
+/// `arcs[start[u]..start[u + 1]]`.
 #[derive(Clone, Debug)]
 pub(crate) struct Rows {
     start: Vec<usize>,
-    ids: Vec<LinkId>,
-    far: Vec<u32>,
+    arcs: Vec<Arc>,
 }
 
 impl Rows {
-    /// Rows over `node_count` nodes holding every link in the row of its
-    /// `near` endpoint, each row in link-id order and then put in order by
-    /// `order`, with the `far` endpoint beside each entry.
+    /// Rows over `node_count` nodes holding an arc for every link in the
+    /// row of its `near` endpoint, each row in link-id order and then put
+    /// in order by `order`.
     fn new(
         node_count: usize,
         links: &[Link],
         near: impl Fn(&Link) -> NodeId,
         far: impl Fn(&Link) -> NodeId,
-        order: impl Fn(&mut [LinkId]),
+        order: impl Fn(&mut [Arc]),
     ) -> Rows {
         let mut start = vec![0; node_count + 1];
         for l in links {
@@ -100,35 +114,29 @@ impl Rows {
         for u in 0..node_count {
             start[u + 1] += start[u];
         }
-        let mut ids = vec![LinkId(0); links.len()];
+        let mut arcs = vec![Arc { far: 0, link: 0, delay_ms: 0.0 }; links.len()];
         let mut fill = start.clone();
         for (i, l) in links.iter().enumerate() {
             let at = &mut fill[near(l).idx()];
-            ids[*at] = LinkId(i as u32);
+            arcs[*at] = Arc { far: far(l).0, link: i as u32, delay_ms: l.delay_ms };
             *at += 1;
         }
         for u in 0..node_count {
-            order(&mut ids[start[u]..start[u + 1]]);
+            order(&mut arcs[start[u]..start[u + 1]]);
         }
-        let far = ids.iter().map(|l| far(&links[l.idx()]).0).collect();
-        Rows { start, ids, far }
+        Rows { start, arcs }
     }
 
-    fn span(&self, u: NodeId) -> Range<usize> {
-        self.start[u.idx()]..self.start[u.idx() + 1]
+    /// Row `u`'s arcs.
+    #[inline]
+    pub(crate) fn row(&self, u: NodeId) -> &[Arc] {
+        &self.arcs[self.start[u.idx()]..self.start[u.idx() + 1]]
     }
 
     /// Row `u`'s link ids.
     #[inline]
-    pub(crate) fn ids(&self, u: NodeId) -> &[LinkId] {
-        &self.ids[self.span(u)]
-    }
-
-    /// Row `u`'s link ids and, index for index, their far endpoints.
-    #[inline]
-    pub(crate) fn row(&self, u: NodeId) -> (&[LinkId], &[u32]) {
-        let span = self.span(u);
-        (&self.ids[span.clone()], &self.far[span])
+    fn ids(&self, u: NodeId) -> impl ExactSizeIterator<Item = LinkId> + '_ {
+        self.row(u).iter().map(|a| LinkId(a.link))
     }
 }
 
@@ -173,13 +181,13 @@ impl Graph {
 
     /// Outgoing links of `n`, by (dst, delay, id).
     #[inline]
-    pub fn out_links(&self, n: NodeId) -> &[LinkId] {
+    pub fn out_links(&self, n: NodeId) -> impl ExactSizeIterator<Item = LinkId> + '_ {
         self.out.ids(n)
     }
 
     /// Incoming links of `n`, by id.
     #[inline]
-    pub fn in_links(&self, n: NodeId) -> &[LinkId] {
+    pub fn in_links(&self, n: NodeId) -> impl ExactSizeIterator<Item = LinkId> + '_ {
         self.inc.ids(n)
     }
 
@@ -195,16 +203,11 @@ impl Graph {
     }
 
     /// Finds the directed link from `src` to `dst` with the smallest delay,
-    /// if any (multigraphs may have parallel links).
+    /// if any (multigraphs may have parallel links), and of those the one
+    /// with the smallest id: the out-row is ordered by (dst, delay, id), so
+    /// that is the row's first arc to `dst`.
     pub fn find_link(&self, src: NodeId, dst: NodeId) -> Option<LinkId> {
-        self.out_links(src).iter().copied().filter(|&l| self.links[l.idx()].dst == dst).min_by(
-            |&a, &b| {
-                self.links[a.idx()]
-                    .delay_ms
-                    .partial_cmp(&self.links[b.idx()].delay_ms)
-                    .expect("delays are finite")
-            },
-        )
+        self.out.row(src).iter().find(|a| a.far == dst.0).map(|a| LinkId(a.link))
     }
 
     /// The reverse link (same endpoints, opposite direction) with the
@@ -238,11 +241,11 @@ impl Graph {
             seen[0] = true;
             let mut cnt = 1;
             while let Some(u) = stack.pop() {
-                for &v in self.rows(forward).row(u).1 {
-                    if !seen[v as usize] {
-                        seen[v as usize] = true;
+                for a in self.rows(forward).row(u) {
+                    if !seen[a.far as usize] {
+                        seen[a.far as usize] = true;
                         cnt += 1;
-                        stack.push(NodeId(v));
+                        stack.push(NodeId(a.far));
                     }
                 }
             }
@@ -308,8 +311,19 @@ impl GraphBuilder {
     }
 
     /// Finalizes into an immutable [`Graph`].
+    ///
+    /// # Panics
+    /// Panics when the delays of all links, summed in id order, are not
+    /// finite (each is, but `1e308 + 1e308` is not): a distance is a sum
+    /// of some of them, and the shortest-path kernel relaxes only finite
+    /// distances (`dijkstra` module docs). Ingestion reports such input as
+    /// an error before it builds. Panics too on `u32::MAX` links or more,
+    /// since a tree marks "no link" with that id.
     pub fn build(self) -> Graph {
         let links = self.links;
+        let total_ms: f64 = links.iter().map(|l| l.delay_ms).sum();
+        assert!(total_ms.is_finite(), "link delays sum to {total_ms} ms");
+        assert!(links.len() < u32::MAX as usize, "{} links", links.len());
         // Deterministic adjacency order: by (dst node, delay, id).
         let out = Rows::new(
             self.node_count,
@@ -317,10 +331,9 @@ impl GraphBuilder {
             |l| l.src,
             |l| l.dst,
             |row| {
-                row.sort_by(|&a, &b| {
-                    let (la, lb) = (&links[a.idx()], &links[b.idx()]);
-                    (la.dst, la.delay_ms, a)
-                        .partial_cmp(&(lb.dst, lb.delay_ms, b))
+                row.sort_by(|a, b| {
+                    (a.far, a.delay_ms, a.link)
+                        .partial_cmp(&(b.far, b.delay_ms, b.link))
                         .expect("finite delays")
                 })
             },
@@ -397,6 +410,14 @@ mod tests {
     fn self_loop_rejected() {
         let mut b = GraphBuilder::new(2);
         b.add_link(NodeId(0), NodeId(0), 1.0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "link delays sum to inf ms")]
+    fn delays_summing_past_f64_rejected() {
+        let mut b = GraphBuilder::new(3);
+        b.add_duplex(NodeId(0), NodeId(1), 1e308, 1.0);
+        b.build();
     }
 
     #[test]

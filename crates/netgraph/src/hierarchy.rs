@@ -216,7 +216,7 @@ impl Hierarchy {
                     }
                     owner[u.idx()] = bi;
                     ball.push(u);
-                    for &l in graph.out_links(u) {
+                    for l in graph.out_links(u) {
                         let link = graph.link(l);
                         let v = link.dst.idx();
                         if !scope.contains(v) || owner[v] != usize::MAX {

@@ -99,7 +99,7 @@ fn all_loopless_paths(g: &Graph, s: NodeId, t: NodeId) -> Vec<f64> {
             out.push(delay);
             return;
         }
-        for &l in g.out_links(at) {
+        for l in g.out_links(at) {
             let link = g.link(l);
             if !visited[link.dst.idx()] {
                 visited[link.dst.idx()] = true;
@@ -216,8 +216,8 @@ proptest! {
     fn max_flow_at_most_cut_of_source_and_sink(g in arb_graph(10, 15)) {
         let (s, t) = (NodeId(0), NodeId(1));
         let f = max_flow(&g, s, t);
-        let out_cap: f64 = g.out_links(s).iter().map(|&l| g.link(l).capacity_mbps).sum();
-        let in_cap: f64 = g.in_links(t).iter().map(|&l| g.link(l).capacity_mbps).sum();
+        let out_cap: f64 = g.out_links(s).map(|l| g.link(l).capacity_mbps).sum();
+        let in_cap: f64 = g.in_links(t).map(|l| g.link(l).capacity_mbps).sum();
         prop_assert!(f <= out_cap + 1e-6);
         prop_assert!(f <= in_cap + 1e-6);
         prop_assert!(f > 0.0, "ring guarantees connectivity");

@@ -133,6 +133,11 @@ pub enum IngestErrorKind {
     BadElement(String),
     /// A GraphML edge references an undeclared node.
     UnknownNode(String),
+    /// The links' delays, summed up to this edge, leave `f64`'s finite
+    /// range (each delay is finite, but `1e308 + 1e308` is not), so a
+    /// shortest-path distance could too; `GraphBuilder::build` rejects such
+    /// a graph.
+    DelaySum,
 }
 
 impl fmt::Display for IngestError {
@@ -147,11 +152,25 @@ impl fmt::Display for IngestError {
             IngestErrorKind::NoEdges => write!(f, "input contains no edges"),
             IngestErrorKind::BadElement(what) => write!(f, "malformed element: {what}"),
             IngestErrorKind::UnknownNode(n) => write!(f, "edge references undeclared node '{n}'"),
+            IngestErrorKind::DelaySum => write!(f, "link delays sum past the largest finite f64"),
         }
     }
 }
 
 impl std::error::Error for IngestError {}
+
+/// Adds an edge's delay to `total_ms` once a direction, as
+/// [`IngestedGraph::new`] adds its two links, and fails on `line` when the
+/// sum stops being finite (`IngestErrorKind::DelaySum`).
+fn add_delay(total_ms: &mut f64, delay_ms: f64, line: usize) -> Result<(), IngestError> {
+    *total_ms += delay_ms;
+    *total_ms += delay_ms;
+    if total_ms.is_finite() {
+        Ok(())
+    } else {
+        Err(IngestError { line, kind: IngestErrorKind::DelaySum })
+    }
+}
 
 /// Parses a whitespace- and/or `|`-separated edge list.
 ///
@@ -168,12 +187,14 @@ impl std::error::Error for IngestError {}
 /// order. Duplicate undirected edges (including the reverse orientation a
 /// CAIDA-style listing repeats) are ignored after the first occurrence.
 /// Malformed lines — wrong field count, non-positive capacity, negative
-/// delay, self-loops — are rejected with their line number.
+/// delay, self-loops — are rejected with their line number, and so is the
+/// line whose delay takes the links' delay sum past `f64`'s finite range.
 pub fn from_edge_list(name: impl Into<String>, text: &str) -> Result<IngestedGraph, IngestError> {
     let mut names: Vec<String> = Vec::new();
     let mut ids: HashMap<String, u32> = HashMap::new();
     let mut edges: Vec<(u32, u32, f64, f64)> = Vec::new();
     let mut seen: std::collections::HashSet<(u32, u32)> = Default::default();
+    let mut total_ms = 0.0;
 
     let mut intern = |token: &str| -> u32 {
         if let Some(&id) = ids.get(token) {
@@ -240,6 +261,7 @@ pub fn from_edge_list(name: impl Into<String>, text: &str) -> Result<IngestedGra
         let a = intern(fields[0]);
         let z = intern(fields[1]);
         if seen.insert((a.min(z), a.max(z))) {
+            add_delay(&mut total_ms, delay, line_no)?;
             edges.push((a, z, cap, delay));
         }
     }
@@ -428,17 +450,18 @@ pub fn from_graphml(name: impl Into<String>, text: &str) -> Result<IngestedGraph
 
     let mut names: Vec<String> = Vec::new();
     let mut ids: HashMap<String, u32> = HashMap::new();
-    let mut edges: Vec<(u32, u32, f64, f64)> = Vec::new();
+    // Each edge with the line of its element.
+    let mut edges: Vec<(u32, u32, f64, f64, usize)> = Vec::new();
     let mut seen: std::collections::HashSet<(u32, u32)> = Default::default();
     // The edge whose <data> children are currently being collected.
     let mut pending: Option<(u32, u32, f64, f64, usize)> = None;
 
     let flush = |pending: &mut Option<(u32, u32, f64, f64, usize)>,
-                 edges: &mut Vec<(u32, u32, f64, f64)>,
+                 edges: &mut Vec<(u32, u32, f64, f64, usize)>,
                  seen: &mut std::collections::HashSet<(u32, u32)>| {
-        if let Some((a, z, cap, delay, _)) = pending.take() {
+        if let Some(edge @ (a, z, ..)) = pending.take() {
             if seen.insert((a.min(z), a.max(z))) {
-                edges.push((a, z, cap, delay));
+                edges.push(edge);
             }
         }
     };
@@ -518,25 +541,29 @@ pub fn from_graphml(name: impl Into<String>, text: &str) -> Result<IngestedGraph
     }
     flush(&mut pending, &mut edges, &mut seen);
 
-    // Validate the collected attributes once (so errors above keep their
-    // precise element lines, and defaults are never re-checked).
-    for &(a, _, cap, delay) in &edges {
+    // Validate the collected attributes once, each at its edge's element
+    // line (a `<data>` child may set them after the tag), defaults never
+    // re-checked.
+    let mut total_ms = 0.0;
+    let mut checked = Vec::with_capacity(edges.len());
+    for (a, z, cap, delay, line) in edges {
         if cap <= 0.0 || delay < 0.0 {
             return Err(IngestError {
-                line: 0,
+                line,
                 kind: IngestErrorKind::BadNumber(format!(
                     "capacity {cap} / delay {delay} on edge at node '{}'",
                     names[a as usize]
                 )),
             });
         }
+        let delay = delay.max(0.05);
+        add_delay(&mut total_ms, delay, line)?;
+        checked.push((a, z, cap, delay));
     }
-    if edges.is_empty() {
+    if checked.is_empty() {
         return Err(IngestError { line: 0, kind: IngestErrorKind::NoEdges });
     }
-    let edges: Vec<(u32, u32, f64, f64)> =
-        edges.into_iter().map(|(a, z, c, d)| (a, z, c, d.max(0.05))).collect();
-    Ok(IngestedGraph::new(name, names, &edges))
+    Ok(IngestedGraph::new(name, names, &checked))
 }
 
 #[cfg(test)]
@@ -600,6 +627,30 @@ mod tests {
             assert_eq!(e.line, line, "wrong line for {text:?}: {e}");
             assert!(format!("{e}").contains(&format!("line {line}")));
         }
+    }
+
+    /// Each delay is finite, but the two links of each edge sum to infinity:
+    /// the graph would be strongly connected, and a tree from `a` would
+    /// report `c` unreachable.
+    #[test]
+    fn delays_that_sum_past_f64_are_an_error_on_their_line() {
+        let e = from_edge_list("t", "a b 1 1e308\nb c 1 1e308\n").unwrap_err();
+        assert_eq!(e, IngestError { line: 1, kind: IngestErrorKind::DelaySum });
+        assert!(format!("{e}").contains("line 1"));
+        let e = from_edge_list("t", "a b 1 8e307\nb c 1 8e307\n").unwrap_err();
+        assert_eq!(e, IngestError { line: 2, kind: IngestErrorKind::DelaySum });
+        let g = from_edge_list("t", "a b 1 4e307\nb c 1 4e307\n").unwrap();
+        let tree = lowlat_netgraph::shortest_path_tree(g.graph(), NodeId(0), None, None);
+        assert_eq!(tree.dist_ms(NodeId(2)), 8e307);
+    }
+
+    #[test]
+    fn graphml_delays_that_sum_past_f64_are_an_error_on_their_element() {
+        let doc = "<graphml>\n<node id=\"a\"/>\n<node id=\"b\"/>\n<node id=\"c\"/>\n\
+                   <edge source=\"a\" target=\"b\" delay=\"8e307\"/>\n\
+                   <edge source=\"b\" target=\"c\" delay=\"8e307\"/>\n</graphml>\n";
+        let e = from_graphml("t", doc).unwrap_err();
+        assert_eq!(e, IngestError { line: 6, kind: IngestErrorKind::DelaySum });
     }
 
     #[test]

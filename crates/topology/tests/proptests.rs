@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use lowlat_topology::ingest::{from_edge_list, from_graphml};
 use lowlat_topology::zoo::{self, synthetic_zoo};
 use lowlat_topology::{GeoPoint, TopologyBuilder};
 
@@ -135,4 +136,103 @@ fn builder_panics_are_contained() {
     b.connect(p0, p1, 100.0);
     let t = b.build();
     assert_eq!(t.pop_count(), 2);
+}
+
+/// Pieces an ingestion input is drawn from: separators, comments and line
+/// ends; numbers that are fine, hostile (`nan`, `inf`, `-0`, negative,
+/// subnormal, past `f64`) or sum past `f64` (`8e307`); node names,
+/// including one repeated (self-loops); whole edge lines and GraphML
+/// elements, their tags, attributes, quotes and comments and broken halves
+/// of them; and multi-byte characters.
+const PIECES: [&str; 57] = [
+    "a",
+    "b",
+    "c",
+    "é",
+    "€",
+    "😀",
+    " ",
+    "\t",
+    "|",
+    "#",
+    "\n",
+    "\r\n",
+    "0",
+    "1",
+    "-0",
+    "-1",
+    "1.5",
+    "1e308",
+    "8e307",
+    "1e-320",
+    "nan",
+    "inf",
+    "-inf",
+    "1e999",
+    "a b 1 8e307\n",
+    "b|c|1|8e307\n",
+    "c a 5 1e308\n",
+    "a a\n",
+    "<",
+    ">",
+    "/>",
+    "=",
+    "\"",
+    "'",
+    "<!--",
+    "-->",
+    "<?xml version=\"1.0\"?>",
+    "<graphml>",
+    "</graphml>",
+    "<node id=\"a\"/>",
+    "<node id='b'/>",
+    "<node id=\"c\"/>",
+    "<node/>",
+    "<edge source=\"a\" target=\"b\"",
+    "<edge source=\"a\" target=\"b\" delay=\"8e307\"/>",
+    "<edge source=\"b\" target=\"c\" delay=\"8e307\"/>",
+    "<edge source=\"a\" target=\"a\"/>",
+    " delay=\"8e307\"",
+    " capacity=\"0\"",
+    "<key id=\"d0\" attr.name=\"delay\"/>",
+    "<data key=\"d0\">",
+    "8e307</data>",
+    "</data>",
+    "</edge>",
+    "<data key=\"latency\">",
+    "<edge source='c' target='a'>",
+    "<edge source='b' target='a'>",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Neither ingestion door panics: on any text drawn from `PIECES` and
+    /// arbitrary characters, `from_edge_list` and `from_graphml` each
+    /// return a graph or an `IngestError`. Half the GraphML inputs open by
+    /// declaring nodes `a`, `b` and `c`, so that their edges get as far as
+    /// the graph.
+    #[test]
+    fn ingestion_returns_a_graph_or_an_error_never_panics(
+        draws in proptest::collection::vec((0usize..2, any::<u32>()), 0..48),
+        declared in any::<bool>(),
+    ) {
+        let text: String = draws
+            .iter()
+            .map(|&(kind, x)| match kind {
+                0 => PIECES[x as usize % PIECES.len()].to_string(),
+                _ => char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}').to_string(),
+            })
+            .collect();
+        let prelude = if declared {
+            "<graphml><node id=\"a\"/><node id=\"b\"/><node id=\"c\"/>\n"
+        } else {
+            ""
+        };
+        let xml = format!("{prelude}{text}");
+        let outcome = std::panic::catch_unwind(|| from_edge_list("t", &text).map(|g| g.cable_count()));
+        prop_assert!(outcome.is_ok(), "from_edge_list panicked on {:?}", text);
+        let outcome = std::panic::catch_unwind(|| from_graphml("t", &xml).map(|g| g.cable_count()));
+        prop_assert!(outcome.is_ok(), "from_graphml panicked on {:?}", xml);
+    }
 }

@@ -10,6 +10,7 @@ verify:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude rand --exclude parking_lot --exclude proptest --exclude criterion
     cargo test -q
     taskset -c 0 cargo test -q -p lowlat_sim --test sweep_golden
+    taskset -c 0 cargo test -q -p lowlat_core --test tree_bits_at_scale
     cargo bench --no-run
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
