@@ -24,7 +24,7 @@
 
 use std::borrow::Cow;
 
-use lowlat_netgraph::{all_pairs_delays, FailureMask, Graph, LinkId, NodeId};
+use lowlat_netgraph::{all_pairs_delays, FailureMask, Graph, LinkId, NodeId, RangeError};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::{PopId, Topology};
@@ -119,21 +119,37 @@ pub fn node_failures(topology: &Topology) -> Vec<FailureScenario> {
         .collect()
 }
 
-/// `count` random scenarios of `k` simultaneous distinct cable failures,
-/// deterministic in `seed` — the correlated-failure axis.
-///
-/// # Panics
-/// Panics when `k` is 0 or exceeds the cable count.
+/// Checks `k` for [`random_k_link_failures`].
+pub fn validate_k(k: usize) -> Result<(), RangeError> {
+    RangeError::check(k >= 1, "k", k, "at least 1 cable")
+}
+
+/// Checks a brown-out factor for [`brownout_failures`] (a factor of 0 is a
+/// failure: [`single_link_failures`]).
+pub fn validate_factor(factor: f64) -> Result<(), RangeError> {
+    RangeError::check(factor > 0.0 && factor < 1.0, "factor", factor, "a value in (0, 1)")
+}
+
+/// Checks a corridor width for [`geo_corridor_srlgs`].
+pub fn validate_corridor_km(corridor_km: f64) -> Result<(), RangeError> {
+    let in_range = corridor_km >= 0.0 && corridor_km.is_finite();
+    RangeError::check(in_range, "corridor_km", corridor_km, "a finite distance >= 0")
+}
+
+/// `count` random scenarios of `k` simultaneous distinct cable failures
+/// (every cable when `k` is more than there are), deterministic in `seed`
+/// — the correlated-failure axis. `Err` when [`validate_k`] rejects `k`.
 pub fn random_k_link_failures(
     topology: &Topology,
     k: usize,
     count: usize,
     seed: u64,
-) -> Vec<FailureScenario> {
+) -> Result<Vec<FailureScenario>, RangeError> {
+    validate_k(k)?;
     let cables = topology.cables();
-    assert!(k >= 1 && k <= cables.len(), "k {} out of 1..={}", k, cables.len());
+    let k = k.min(cables.len());
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
+    Ok((0..count)
         .map(|i| {
             // Floyd's distinct-sampling algorithm: exactly k draws, no
             // rejection loop, uniform over k-subsets — well-behaved even
@@ -151,7 +167,7 @@ pub fn random_k_link_failures(
                 degradations: Vec::new(),
             }
         })
-        .collect()
+        .collect())
 }
 
 /// A default SRLG corpus: for every PoP, the "conduit" group of all cables
@@ -185,12 +201,13 @@ pub fn pop_conduit_srlgs(topology: &Topology) -> Vec<FailureScenario> {
 /// physical cable, each dimming both directions to `factor * capacity`.
 /// Nothing goes down, so path caches keep every pair — the scenarios
 /// exercise exactly the effective-capacity path through the LP stack.
-///
-/// # Panics
-/// Panics unless `0 < factor < 1` (use [`single_link_failures`] for 0).
-pub fn brownout_failures(topology: &Topology, factor: f64) -> Vec<FailureScenario> {
-    assert!(factor > 0.0 && factor < 1.0, "brown-out factor {factor} out of (0,1)");
-    topology
+/// `Err` when [`validate_factor`] rejects `factor`.
+pub fn brownout_failures(
+    topology: &Topology,
+    factor: f64,
+) -> Result<Vec<FailureScenario>, RangeError> {
+    validate_factor(factor)?;
+    Ok(topology
         .cables()
         .into_iter()
         .map(|c| FailureScenario {
@@ -199,7 +216,7 @@ pub fn brownout_failures(topology: &Topology, factor: f64) -> Vec<FailureScenari
             nodes: Vec::new(),
             degradations: vec![(c, factor)],
         })
-        .collect()
+        .collect())
 }
 
 /// Geographic SRLGs from PoP coordinates: for each cable, the group of
@@ -208,8 +225,13 @@ pub fn brownout_failures(topology: &Topology, factor: f64) -> Vec<FailureScenari
 /// outages (backhoes, floods) take out together. Cables sharing an endpoint
 /// are excluded (the [`pop_conduit_srlgs`] corpus already covers shared
 /// exits); groups with no non-adjacent neighbour are dropped, and duplicate
-/// groups are emitted once.
-pub fn geo_corridor_srlgs(topology: &Topology, corridor_km: f64) -> Vec<FailureScenario> {
+/// groups are emitted once. `Err` when [`validate_corridor_km`] rejects
+/// `corridor_km`.
+pub fn geo_corridor_srlgs(
+    topology: &Topology,
+    corridor_km: f64,
+) -> Result<Vec<FailureScenario>, RangeError> {
+    validate_corridor_km(corridor_km)?;
     let graph = topology.graph();
     let cables = topology.cables();
     let segments: Vec<(lowlat_topology::GeoPoint, lowlat_topology::GeoPoint)> = cables
@@ -260,7 +282,7 @@ pub fn geo_corridor_srlgs(topology: &Topology, corridor_km: f64) -> Vec<FailureS
             degradations: Vec::new(),
         });
     }
-    out
+    Ok(out)
 }
 
 /// The demand that survives a failure, and how much did not.
@@ -475,11 +497,11 @@ mod tests {
         assert!(singles.iter().all(|s| s.cables.len() == 1 && s.name.starts_with("link:")));
         let nodes = node_failures(&topo);
         assert_eq!(nodes.len(), topo.pop_count());
-        let rand2 = random_k_link_failures(&topo, 2, 5, 42);
+        let rand2 = random_k_link_failures(&topo, 2, 5, 42).unwrap();
         assert_eq!(rand2.len(), 5);
         assert!(rand2.iter().all(|s| s.cables.len() == 2 && s.cables[0] != s.cables[1]));
         // Deterministic in the seed.
-        let again = random_k_link_failures(&topo, 2, 5, 42);
+        let again = random_k_link_failures(&topo, 2, 5, 42).unwrap();
         for (a, b) in rand2.iter().zip(&again) {
             assert_eq!(a.cables, b.cables);
         }
@@ -640,7 +662,7 @@ mod tests {
     #[test]
     fn brownout_scenarios_degrade_without_downing() {
         let topo = named::abilene();
-        let scenarios = brownout_failures(&topo, 0.5);
+        let scenarios = brownout_failures(&topo, 0.5).unwrap();
         assert_eq!(scenarios.len(), topo.cables().len());
         let g = topo.graph();
         for s in &scenarios {
@@ -661,6 +683,21 @@ mod tests {
     }
 
     #[test]
+    fn generator_parameters_outside_their_range_are_errors() {
+        let topo = named::abilene();
+        assert_eq!(random_k_link_failures(&topo, 0, 5, 7).unwrap_err().param, "k");
+        let all = random_k_link_failures(&topo, 1000, 2, 7).unwrap();
+        assert!(all.iter().all(|s| s.cables.len() == topo.cables().len()), "k caps at every cable");
+        for factor in [0.0, 1.0, -0.5, f64::NAN] {
+            assert_eq!(brownout_failures(&topo, factor).unwrap_err().param, "factor", "{factor}");
+        }
+        for km in [-1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(geo_corridor_srlgs(&topo, km).unwrap_err().param, "corridor_km", "{km}");
+        }
+        assert!(geo_corridor_srlgs(&topo, 0.0).is_ok());
+    }
+
+    #[test]
     fn geo_corridor_srlgs_group_nearby_non_adjacent_cables() {
         // A tall, narrow rectangular ring. The two vertical edges run ~39 km
         // apart (0.5° of longitude at lat 44–45); the two horizontal edges
@@ -677,7 +714,7 @@ mod tests {
         b.connect(a1, b1, 100.0); // left
         b.connect(a2, b2, 100.0); // right
         let topo = b.build();
-        let srlgs = geo_corridor_srlgs(&topo, 60.0);
+        let srlgs = geo_corridor_srlgs(&topo, 60.0).unwrap();
         assert_eq!(srlgs.len(), 1, "exactly the left/right corridor pair: {srlgs:?}");
         let s = &srlgs[0];
         assert!(s.name.starts_with("srlg:geo-"));
@@ -691,7 +728,7 @@ mod tests {
         want.sort_unstable_by_key(|l| l.0);
         assert_eq!(got, want, "the two parallel runs share fate; the far edges do not");
         // A generous corridor still never groups adjacent cables.
-        for s in geo_corridor_srlgs(&topo, 10_000.0) {
+        for s in geo_corridor_srlgs(&topo, 10_000.0).unwrap() {
             for (x, &cx) in s.cables.iter().enumerate() {
                 for &cy in &s.cables[x + 1..] {
                     let (lx, ly) = (g.link(cx), g.link(cy));

@@ -6,6 +6,7 @@
 //! sits at 1/1.3 ≈ 0.77. Because utilization is linear in volume, one
 //! MinMax solve gives the scale factor: `target / U*(tm)`.
 
+use lowlat_netgraph::RangeError;
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::Topology;
 
@@ -34,14 +35,22 @@ pub trait ScaleToLoad {
     /// Returns a scaled copy with MinMax-optimal max utilization ≈ `target`.
     ///
     /// # Panics
-    /// Panics if `target` is not in (0, 1] or the LP fails (the synthetic
-    /// corpus never triggers the latter).
+    /// Panics if [`validate_target`] rejects `target` or the LP fails (the
+    /// synthetic corpus never triggers the latter).
     fn scaled_to_load(&self, topology: &Topology, target: f64) -> TrafficMatrix;
+}
+
+/// Checks a target load for [`ScaleToLoad::scaled_to_load`], which panics
+/// with the error's message; a caller holding outside input calls this
+/// first.
+pub fn validate_target(target: f64) -> Result<(), RangeError> {
+    let in_range = target > 0.0 && target <= 1.0;
+    RangeError::check(in_range, "load", target, "a value in (0, 1] of the min-cut load")
 }
 
 impl ScaleToLoad for TrafficMatrix {
     fn scaled_to_load(&self, topology: &Topology, target: f64) -> TrafficMatrix {
-        assert!(target > 0.0 && target <= 1.0, "target load {target}");
+        validate_target(target).unwrap_or_else(|e| panic!("{e}"));
         let u = min_cut_load(&PathCache::new(topology.graph()), self)
             .expect("MinMax LP failed during scaling");
         assert!(u > 0.0, "matrix has no load");

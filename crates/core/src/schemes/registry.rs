@@ -114,23 +114,13 @@ pub fn build(spec: &str) -> Result<Arc<dyn RoutingScheme>, UnknownScheme> {
     Err(UnknownScheme { spec: spec.to_string() })
 }
 
-/// Builds every spec in the list, failing on the first unknown one.
-pub fn build_list(specs: &[&str]) -> Result<Vec<Arc<dyn RoutingScheme>>, UnknownScheme> {
-    specs.iter().map(|s| build(s)).collect()
-}
-
-/// Builds a comma-separated spec list (`"SP,B4-h10,MinMaxK5"`).
-pub fn parse_csv(list: &str) -> Result<Vec<Arc<dyn RoutingScheme>>, UnknownScheme> {
-    list.split(',').filter(|s| !s.trim().is_empty()).map(build).collect()
-}
-
 /// Builds a known-good spec list, panicking on typos — for the static
 /// scheme sets inside figure modules.
 ///
 /// # Panics
 /// Panics when a spec is unknown.
 pub fn schemes(specs: &[&str]) -> Vec<Arc<dyn RoutingScheme>> {
-    build_list(specs).unwrap_or_else(|e| panic!("{e}"))
+    specs.iter().map(|s| build(s).unwrap_or_else(|e| panic!("{e}"))).collect()
 }
 
 #[cfg(test)]
@@ -164,12 +154,12 @@ mod tests {
         for bad in ["", "sp", "B5", "MinMaxK0", "MinMaxK-3", "B4-h120", "LatOpt-hx", "LDR+h10"] {
             assert!(build(bad).is_err(), "spec '{bad}' should be rejected");
         }
-        assert!(parse_csv("SP,nope").is_err());
-        assert_eq!(parse_csv("SP, B4 ,MinMax").unwrap().len(), 3);
     }
 
     #[test]
     fn default_specs_are_known() {
-        assert_eq!(build_list(DEFAULT_SPECS).unwrap().len(), DEFAULT_SPECS.len());
+        for spec in DEFAULT_SPECS {
+            assert!(build(spec).is_ok(), "{spec}");
+        }
     }
 }

@@ -24,6 +24,7 @@ use std::collections::BinaryHeap;
 
 use crate::bitset::BitSet;
 use crate::graph::{Graph, NodeId};
+use crate::RangeError;
 
 /// Knobs for [`Hierarchy::build`].
 #[derive(Clone, Copy, Debug)]
@@ -40,6 +41,14 @@ pub struct HierarchyConfig {
 impl Default for HierarchyConfig {
     fn default() -> Self {
         HierarchyConfig { max_depth: 3, max_leaf: 128, branching: 8 }
+    }
+}
+
+impl HierarchyConfig {
+    /// Checks the fields [`Hierarchy::build`] reads, which panics with the
+    /// error's message; a caller holding outside input calls this first.
+    pub fn validate(&self) -> Result<(), RangeError> {
+        RangeError::check(self.branching >= 2, "branching", self.branching, "at least 2")
     }
 }
 
@@ -103,11 +112,12 @@ impl Hierarchy {
     /// Builds the tree. Deterministic in `(graph, config)`.
     ///
     /// # Panics
-    /// Panics if the graph is empty or `config.branching < 2`.
+    /// Panics if the graph is empty or [`HierarchyConfig::validate`]
+    /// rejects `config`.
     pub fn build(graph: &Graph, config: &HierarchyConfig) -> Hierarchy {
         let n = graph.node_count();
         assert!(n > 0, "cannot partition an empty graph");
-        assert!(config.branching >= 2, "branching must be >= 2");
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let max_leaf = config.max_leaf.max(1);
 
         let mut clusters = vec![Cluster {

@@ -31,6 +31,7 @@ pub mod graph;
 pub mod hierarchy;
 pub mod maxflow;
 pub mod path;
+mod range;
 pub mod yen;
 
 pub use bitset::BitSet;
@@ -43,4 +44,5 @@ pub use graph::{Graph, GraphBuilder, Link, LinkId, NodeId};
 pub use hierarchy::{Cluster, Hierarchy, HierarchyConfig};
 pub use maxflow::{max_flow, min_cut_of_links};
 pub use path::Path;
+pub use range::RangeError;
 pub use yen::KspGenerator;

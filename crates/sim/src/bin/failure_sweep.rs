@@ -37,11 +37,11 @@
 
 use lowlat_core::failure::{self, replace_under_failure, FailureScenario};
 use lowlat_core::pathset::PathCache;
-use lowlat_core::scale::ScaleToLoad;
-use lowlat_core::schemes::{registry, SolveContext};
+use lowlat_core::scale::{self, ScaleToLoad};
+use lowlat_core::schemes::SolveContext;
 use lowlat_core::PathSource;
 use lowlat_core::{default_workers, par_map};
-use lowlat_sim::runner::{write_telemetry_sinks, Args, Scale};
+use lowlat_sim::runner::{self, build_schemes, Args, CliError, Scale, TelemetrySinks};
 use lowlat_sim::stats::Cdf;
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::{GravityTmGen, TmGenConfig};
@@ -63,38 +63,8 @@ fn named_corpus(scale: Scale) -> Vec<Topology> {
     }
 }
 
-struct ScenarioParams {
-    k: usize,
-    count: usize,
-    seed: u64,
-    degrade: f64,
-    corridor_km: f64,
-}
-
-fn scenarios_for(topo: &Topology, axes: &[String], p: &ScenarioParams) -> Vec<FailureScenario> {
-    let mut out = Vec::new();
-    for axis in axes {
-        match axis.as_str() {
-            "single" => out.extend(failure::single_link_failures(topo)),
-            "node" => out.extend(failure::node_failures(topo)),
-            "srlg" => out.extend(failure::pop_conduit_srlgs(topo)),
-            "geo" => out.extend(failure::geo_corridor_srlgs(topo, p.corridor_km)),
-            "random" => {
-                let k = p.k.min(topo.cables().len());
-                out.extend(failure::random_k_link_failures(topo, k, p.count, p.seed));
-            }
-            "brownout" => out.extend(failure::brownout_failures(topo, p.degrade)),
-            other => {
-                eprintln!(
-                    "error: unknown scenario axis '{other}' \
-                     (single, node, srlg, geo, random, brownout)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    out
-}
+/// `sweep` validates every scenario parameter before a generator runs.
+const CHECKED: &str = "scenario parameters are validated before generating";
 
 struct Row {
     network: String,
@@ -120,51 +90,57 @@ struct Row {
 const FRONTIER_QUANTILES: [f64; 5] = [0.5, 0.9, 0.95, 0.99, 1.0];
 
 fn main() {
+    runner::run(sweep)
+}
+
+fn sweep() -> Result<(), CliError> {
     let mut args = Args::from_env();
-    let axes: Vec<String> = args.list("--scenarios").unwrap_or_else(|| vec!["single".to_string()]);
-    let k = args.value("--k").unwrap_or(2usize);
-    if k == 0 {
-        eprintln!("error: --k expects at least 1 cable per random scenario");
-        std::process::exit(2);
-    }
-    let count = args.value("--count").unwrap_or(5usize);
-    let seed = args.value("--seed").unwrap_or(7u64);
+    let axes: Vec<String> = args.list("--scenarios")?.unwrap_or_else(|| vec!["single".to_string()]);
+    let k = args.value("--k")?.unwrap_or(2usize);
+    let count = args.value("--count")?.unwrap_or(5usize);
+    let seed = args.value("--seed")?.unwrap_or(7u64);
     // `--load 0.7` is the single-point alias for `--loads`.
-    let loads: Vec<f64> = args.list("--loads").or(args.list("--load")).unwrap_or_else(|| vec![0.7]);
-    if let Some(load) = loads.iter().find(|&&load| !(load > 0.0 && load <= 1.0)) {
-        eprintln!("error: --loads expects loads in (0, 1] of the min-cut load, got {load}");
-        std::process::exit(2);
-    }
-    let degrade = args.value("--degrade").unwrap_or(0.5f64);
-    if !(degrade > 0.0 && degrade < 1.0) {
-        eprintln!("error: --degrade expects a factor in (0, 1), got {degrade}");
-        std::process::exit(2);
-    }
-    let corridor_km = args.value("--corridor-km").unwrap_or(100.0f64);
-    if !(corridor_km >= 0.0 && corridor_km.is_finite()) {
-        eprintln!("error: --corridor-km expects a finite distance >= 0, got {corridor_km}");
-        std::process::exit(2);
-    }
+    let loads: Vec<f64> =
+        args.list("--loads")?.or(args.list("--load")?).unwrap_or_else(|| vec![0.7]);
+    let degrade = args.value("--degrade")?.unwrap_or(0.5f64);
+    let corridor_km = args.value("--corridor-km")?.unwrap_or(100.0f64);
     let frontier = args.switch("--frontier");
     let specs: Vec<String> = args
-        .list("--schemes")
+        .list("--schemes")?
         .unwrap_or_else(|| ["LDR", "LatOpt", "SP"].map(String::from).to_vec());
-    let metrics_out: Option<String> = args.value("--metrics-out");
-    let trace_out: Option<String> = args.value("--trace-out");
-    let scale = args.finish();
-    if metrics_out.is_some() || trace_out.is_some() {
-        telemetry::set_enabled(true);
+    let sinks = TelemetrySinks::from_args(&mut args)?;
+    let scale = args.finish()?;
+    // Each value goes through the check its door makes, before any work and
+    // also when its axis is not swept.
+    for &load in &loads {
+        scale::validate_target(load).map_err(CliError::at("--loads"))?;
     }
-    let schemes: Vec<_> = specs
-        .iter()
-        .map(|s| {
-            registry::build(s).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            })
-        })
-        .collect();
+    failure::validate_k(k).map_err(CliError::at("--k"))?;
+    failure::validate_factor(degrade).map_err(CliError::at("--degrade"))?;
+    failure::validate_corridor_km(corridor_km).map_err(CliError::at("--corridor-km"))?;
+    let schemes = build_schemes(&specs)?;
     let nets = named_corpus(scale);
+    let scenarios_for = |topo: &Topology| -> Result<Vec<FailureScenario>, CliError> {
+        let mut out = Vec::new();
+        for axis in &axes {
+            match axis.as_str() {
+                "single" => out.extend(failure::single_link_failures(topo)),
+                "node" => out.extend(failure::node_failures(topo)),
+                "srlg" => out.extend(failure::pop_conduit_srlgs(topo)),
+                "geo" => out.extend(failure::geo_corridor_srlgs(topo, corridor_km).expect(CHECKED)),
+                "random" => out
+                    .extend(failure::random_k_link_failures(topo, k, count, seed).expect(CHECKED)),
+                "brownout" => out.extend(failure::brownout_failures(topo, degrade).expect(CHECKED)),
+                other => {
+                    let axes = "single, node, srlg, geo, random, brownout";
+                    let message = format!("unknown scenario axis '{other}' ({axes})");
+                    return Err(CliError::new("--scenarios", message));
+                }
+            }
+        }
+        Ok(out)
+    };
+    let scenario_sets = nets.iter().map(scenarios_for).collect::<Result<Vec<_>, _>>()?;
     // One matrix per (network, load): the same gravity structure swept
     // across operating points.
     let tms: Vec<Vec<_>> = nets
@@ -174,9 +150,6 @@ fn main() {
             loads.iter().map(|&load| raw.scaled_to_load(t, load)).collect()
         })
         .collect();
-    let params = ScenarioParams { k, count, seed, degrade, corridor_km };
-    let scenario_sets: Vec<Vec<FailureScenario>> =
-        nets.iter().map(|t| scenarios_for(t, &axes, &params)).collect();
     // Intact all-pairs delays, once per network — every scenario row of a
     // network judges stretch against the same baseline.
     let intact_delays: Vec<Vec<Vec<f64>>> =
@@ -290,8 +263,7 @@ fn main() {
                 );
             }
         }
-        write_telemetry_sinks(metrics_out.as_deref(), trace_out.as_deref());
-        return;
+        return sinks.write();
     }
     println!(
         "network\tpops\tlinks\tscheme\tscenario\tfailed_elements\tkept_pairs\trepaired_pairs\t\
@@ -322,5 +294,5 @@ fn main() {
             );
         }
     }
-    write_telemetry_sinks(metrics_out.as_deref(), trace_out.as_deref());
+    sinks.write()
 }

@@ -9,27 +9,29 @@
 //! nothing.
 
 use lowlat_sim::figures::{try_select, ALL};
-use lowlat_sim::runner::Args;
+use lowlat_sim::runner::{self, Args, CliError};
 
 fn main() {
+    runner::run(figures)
+}
+
+fn figures() -> Result<(), CliError> {
     let mut args = Args::from_env();
-    let requested: Option<Vec<String>> = args.list("--fig");
+    let requested: Option<Vec<String>> = args.list("--fig")?;
     let list = args.switch("--list");
-    let scale = args.finish();
+    let scale = args.finish()?;
     if list {
         for (name, _) in ALL {
             println!("{name}");
         }
-        return;
+        return Ok(());
     }
     let selected = match requested {
-        Some(names) => try_select(&names).unwrap_or_else(|message| {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }),
+        Some(names) => try_select(&names).map_err(CliError::at("--fig"))?,
         None => ALL.to_vec(),
     };
     for (_, run) in selected {
         run(scale);
     }
+    Ok(())
 }

@@ -18,35 +18,46 @@
 //! no columns, or the engine materializes more per-pair state than the
 //! matrix it served.
 
+use std::process::ExitCode;
+
 use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
 use lowlat_core::schemes::registry;
 use lowlat_core::PathSource;
 use lowlat_netgraph::hierarchy::HierarchyConfig;
-use lowlat_netgraph::NodeId;
-use lowlat_sim::runner::Args;
+use lowlat_netgraph::{NodeId, RangeError};
+use lowlat_sim::runner::{self, build_schemes, Args, CliError};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::{Aggregate, TrafficMatrix};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
 
-fn main() {
+fn main() -> ExitCode {
+    runner::run(smoke)
+}
+
+/// Exit status 1 when a scheme fails the smoke check.
+fn smoke() -> Result<ExitCode, CliError> {
     let mut args = Args::from_env();
-    let nodes = args.value("--nodes").unwrap_or(10_000usize);
-    if nodes < 4 {
-        eprintln!("error: --nodes expects at least 4 (the synthetic models' minimum), got {nodes}");
-        std::process::exit(2);
-    }
-    let seed = args.value("--seed").unwrap_or(42u64);
-    let pairs = args.value("--pairs").unwrap_or(48usize);
-    let overload = args.value("--overload").unwrap_or(3.0f64);
-    let schemes: Vec<String> =
-        args.list("--schemes").unwrap_or_else(|| ["LatOpt", "LDR"].map(String::from).to_vec());
+    let nodes = args.value("--nodes")?.unwrap_or(10_000usize);
+    let seed = args.value("--seed")?.unwrap_or(42u64);
+    SynthConfig { nodes, seed }.validate().map_err(CliError::at("--nodes"))?;
+    // `--pairs` and `--overload` shape this binary's own matrix: no library
+    // door owns their ranges.
+    let pairs = args.value("--pairs")?.unwrap_or(48usize);
+    RangeError::check(pairs >= 1, "pairs", pairs, "at least 1").map_err(CliError::at("--pairs"))?;
+    let overload = args.value("--overload")?.unwrap_or(3.0f64);
+    let in_range = overload.is_finite() && overload > 0.0;
+    RangeError::check(in_range, "overload", overload, "a finite factor > 0")
+        .map_err(CliError::at("--overload"))?;
+    let specs: Vec<String> =
+        args.list("--schemes")?.unwrap_or_else(|| ["LatOpt", "LDR"].map(String::from).to_vec());
+    let schemes = build_schemes(&specs)?;
     let hier = HierarchyConfig {
-        max_leaf: args.value("--leaf").unwrap_or(HierarchyConfig::default().max_leaf),
+        max_leaf: args.value("--leaf")?.unwrap_or(HierarchyConfig::default().max_leaf),
         ..Default::default()
     };
-    let landmarks = args.value("--landmarks").unwrap_or(32usize);
-    // No scale axis here: the scale flags pass, everything else exits 2.
-    args.finish();
+    let landmarks = args.value("--landmarks")?.unwrap_or(32usize);
+    // No scale axis here: the scale flags pass, everything else is an error.
+    args.finish()?;
     telemetry::set_enabled(true);
 
     let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes, seed });
@@ -90,7 +101,7 @@ fn main() {
     let loads = baseline.link_loads(graph, &tm);
     let u =
         graph.link_ids().map(|l| loads[l.idx()] / graph.link(l).capacity_mbps).fold(0.0, f64::max);
-    assert!(u > 0.0, "matrix places no load");
+    assert!(u > 0.0, "a pair places load");
     let tm = tm.scaled(overload / u);
     eprintln!("demand scaled by {:.3} (SP max-utilization {u:.3} -> {overload})", overload / u);
 
@@ -98,14 +109,7 @@ fn main() {
         "scheme\tplace_ms\tobjective_ms\tcolumns_grown\tpricing_skips\tcached_pairs\tcross\tfallback"
     );
     let mut failures = 0usize;
-    for spec in &schemes {
-        let scheme = match registry::build(spec) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        };
+    for (spec, scheme) in specs.iter().zip(&schemes) {
         let before = telemetry::snapshot();
         let span = telemetry::timed_span("pricing.place", "pricing");
         let placement = match scheme.place(&engine, &tm) {
@@ -157,7 +161,5 @@ fn main() {
             failures += 1;
         }
     }
-    if failures > 0 {
-        std::process::exit(1);
-    }
+    Ok(if failures > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }

@@ -13,29 +13,34 @@
 //!     [--schemes SP,ECMP,B4-h10,MinMaxK10,LatOpt-h23,LDR]`
 
 use lowlat_core::schemes::registry;
+use lowlat_netgraph::RangeError;
 use lowlat_sim::output::{print_records_header, print_records_rows};
-use lowlat_sim::runner::{run_scenarios, Args};
+use lowlat_sim::runner::{self, build_schemes, run_scenarios, Args, CliError};
+use lowlat_tmgen::TmGenConfig;
 
 fn main() {
+    runner::run(sweep)
+}
+
+fn sweep() -> Result<(), CliError> {
     let mut args = Args::from_env();
-    let loads: Vec<f64> = args.list("--loads").unwrap_or_else(|| vec![0.7]);
-    if let Some(load) = loads.iter().find(|&&load| !(load.is_finite() && load > 0.0)) {
-        eprintln!("error: --loads expects finite positive loads, got {load}");
-        std::process::exit(2);
+    // A load here may exceed the min-cut load (an overload sweep), so
+    // the range is this binary's: any positive scale factor.
+    let loads: Vec<f64> = args.list("--loads")?.unwrap_or_else(|| vec![0.7]);
+    for &load in &loads {
+        RangeError::check(load.is_finite() && load > 0.0, "load", load, "a finite value > 0")
+            .map_err(CliError::at("--loads"))?;
     }
-    let localities: Vec<f64> = args.list("--localities").unwrap_or_else(|| vec![1.0]);
-    if let Some(locality) = localities.iter().find(|&&l| !(l.is_finite() && l >= 0.0)) {
-        eprintln!("error: --localities expects finite non-negative localities, got {locality}");
-        std::process::exit(2);
+    let localities: Vec<f64> = args.list("--localities")?.unwrap_or_else(|| vec![1.0]);
+    for &locality in &localities {
+        let config = TmGenConfig { locality, ..Default::default() };
+        config.validate().map_err(CliError::at("--localities"))?;
     }
-    let schemes = match args.value::<String>("--schemes") {
-        Some(csv) => registry::parse_csv(&csv).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-        None => registry::schemes(registry::DEFAULT_SPECS),
-    };
-    let scale = args.finish();
+    let specs: Vec<String> = args
+        .list("--schemes")?
+        .unwrap_or_else(|| registry::DEFAULT_SPECS.iter().map(|s| s.to_string()).collect());
+    let schemes = build_schemes(&specs)?;
+    let scale = args.finish()?;
     let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
     eprintln!(
         "scenario space: {} loads x {} localities over {} networks, {} matrices, {} schemes ({})",
@@ -59,4 +64,5 @@ fn main() {
         eprintln!("  load {load} locality {locality}: {} records", records.len());
         print_records_rows(records, (load, locality), stdout.lock()).expect("stdout");
     }
+    Ok(())
 }

@@ -33,16 +33,15 @@
 
 use lowlat_core::scale::ScaleToLoad;
 use lowlat_core::{default_workers, par_map};
-use lowlat_sim::runner::{write_telemetry_sinks, Args, Scale};
-use lowlat_sim::timeline::{self, simulate, Controller, TimelineConfig, TimelineConfigError};
-use lowlat_telemetry as telemetry;
+use lowlat_sim::runner::{self, Args, CliError, Scale, TelemetrySinks};
+use lowlat_sim::timeline::{self, simulate, Controller, TimelineConfig};
 use lowlat_tmgen::{GravityTmGen, TmGenConfig};
 use lowlat_topology::zoo::{self, named};
 use lowlat_topology::Topology;
 
 /// Resolves `--networks` names against the named corpus plus the synthetic
-/// zoo (case-insensitive); exits with the available names on a miss.
-fn select_named(names: &[String]) -> Vec<Topology> {
+/// zoo (case-insensitive); a miss is an error listing the available names.
+fn select_named(names: &[String]) -> Result<Vec<Topology>, CliError> {
     let pool: Vec<Topology> = [
         named::abilene(),
         named::gts_like(),
@@ -57,46 +56,40 @@ fn select_named(names: &[String]) -> Vec<Topology> {
     names
         .iter()
         .map(|want| {
-            pool.iter().find(|t| t.name().eq_ignore_ascii_case(want)).cloned().unwrap_or_else(
-                || {
-                    eprintln!(
-                        "error: unknown network `{want}`; known: {}",
-                        pool.iter().map(|t| t.name().to_string()).collect::<Vec<_>>().join(", ")
-                    );
-                    std::process::exit(2);
-                },
-            )
+            pool.iter().find(|t| t.name().eq_ignore_ascii_case(want)).cloned().ok_or_else(|| {
+                let known: Vec<&str> = pool.iter().map(|t| t.name()).collect();
+                CliError::new(
+                    "--networks",
+                    format!("unknown network `{want}`; known: {}", known.join(", ")),
+                )
+            })
         })
         .collect()
 }
 
 fn main() {
+    runner::run(sweep)
+}
+
+fn sweep() -> Result<(), CliError> {
     let mut args = Args::from_env();
-    let minutes: Option<usize> = args.value("--minutes");
-    let warmup: Option<usize> = args.value("--warmup");
-    let cv = args.value("--cv").unwrap_or(timeline::DEFAULT_CV);
-    let seed = args.value("--seed").unwrap_or(timeline::DEFAULT_SEED);
-    let diurnal = args.value("--diurnal").unwrap_or(0.0f64);
-    let period = args.value("--period").unwrap_or(1440usize);
-    let networks: Option<Vec<String>> = args.list("--networks");
+    let minutes: Option<usize> = args.value("--minutes")?;
+    let warmup: Option<usize> = args.value("--warmup")?;
+    let cv = args.value("--cv")?.unwrap_or(timeline::DEFAULT_CV);
+    let seed = args.value("--seed")?.unwrap_or(timeline::DEFAULT_SEED);
+    let diurnal = args.value("--diurnal")?.unwrap_or(0.0f64);
+    let period = args.value("--period")?.unwrap_or(1440usize);
+    let networks: Option<Vec<String>> = args.list("--networks")?;
     let specs: Vec<String> = args
-        .list("--schemes")
+        .list("--schemes")?
         .unwrap_or_else(|| ["LDR", "SP", "static:SP"].map(String::from).to_vec());
-    let metrics_out: Option<String> = args.value("--metrics-out");
-    let trace_out: Option<String> = args.value("--trace-out");
-    let scale = args.finish();
-    if metrics_out.is_some() || trace_out.is_some() {
-        telemetry::set_enabled(true);
-    }
-    let controllers: Vec<Controller> = specs
+    let sinks = TelemetrySinks::from_args(&mut args)?;
+    let scale = args.finish()?;
+    let controllers = specs
         .iter()
-        .map(|s| {
-            Controller::parse(s).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            })
-        })
-        .collect();
+        .map(|s| Controller::parse(s))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(CliError::at("--schemes"))?;
     // Scale-dependent defaults: the timeline multiplies whole-corpus cost by
     // its minute count, so --quick trims both axes.
     let config = TimelineConfig {
@@ -115,20 +108,19 @@ fn main() {
         diurnal_period: period,
         ..Default::default()
     };
-    if let Err(e) = config.validate() {
-        let flag = match e {
-            TimelineConfigError::Minutes(_) => "--minutes",
-            TimelineConfigError::WarmupMinutes(_) => "--warmup",
-            TimelineConfigError::Cv(_) => "--cv",
-            TimelineConfigError::DiurnalAmplitude(_) => "--diurnal",
-            TimelineConfigError::DiurnalPeriod(_) => "--period",
+    config.validate().map_err(|e| {
+        let flag = match e.param {
+            "minutes" => "--minutes",
+            "warmup_minutes" => "--warmup",
+            "cv" => "--cv",
+            "diurnal_amplitude" => "--diurnal",
+            _ => "--period",
         };
-        eprintln!("error: {flag}: {e}");
-        std::process::exit(2);
-    }
+        CliError::new(flag, e)
+    })?;
 
     let nets = match &networks {
-        Some(names) => select_named(names),
+        Some(names) => select_named(names)?,
         None => scale.select_networks(lowlat_topology::zoo::synthetic_zoo()),
     };
     eprintln!(
@@ -205,5 +197,5 @@ fn main() {
             row.moved_volume_frac,
         );
     }
-    write_telemetry_sinks(metrics_out.as_deref(), trace_out.as_deref());
+    sinks.write()
 }

@@ -29,13 +29,11 @@
 //! query-mix counters land in the registry (`hier.*`), build/query wall
 //! times become trace spans, and the sinks are written at exit.
 
-use std::io::Write as _;
-
 use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
 use lowlat_core::{default_workers, par_map, PathSource};
 use lowlat_netgraph::hierarchy::HierarchyConfig;
 use lowlat_netgraph::{shortest_path_tree, NodeId};
-use lowlat_sim::runner::{write_telemetry_sinks, Args};
+use lowlat_sim::runner::{self, io_error, Args, CliError, TelemetrySinks};
 use lowlat_telemetry as telemetry;
 use lowlat_topology::ingest::{self, IngestedGraph};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
@@ -95,85 +93,57 @@ fn jstr(s: &str) -> String {
     out
 }
 
-fn read_or_die(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    })
+fn main() {
+    runner::run(experiment)
 }
 
-fn main() {
+fn experiment() -> Result<(), CliError> {
     let mut args = Args::from_env();
-    let edge_list: Option<String> = args.value("--edge-list");
-    let graphml: Option<String> = args.value("--graphml");
-    let mut models: Vec<SynthModel> = args
-        .list::<String>("--synthetic")
-        .unwrap_or_default()
-        .iter()
-        .map(|spec| {
-            SynthModel::parse(spec).unwrap_or_else(|| {
-                eprintln!("error: unknown synthetic model '{spec}' (ba, ws, grid, random)");
-                std::process::exit(2);
-            })
-        })
-        .collect();
-    let nodes = args.value("--nodes").unwrap_or(1000usize);
-    if nodes < 4 {
-        eprintln!("error: --nodes expects at least 4 (the synthetic models' minimum), got {nodes}");
-        std::process::exit(2);
+    let edge_list: Option<String> = args.value("--edge-list")?;
+    let graphml: Option<String> = args.value("--graphml")?;
+    let mut models = Vec::new();
+    for spec in args.list::<String>("--synthetic")?.unwrap_or_default() {
+        let unknown = format!("unknown model '{spec}' (ba, ws, grid, random)");
+        models.push(SynthModel::parse(&spec).ok_or_else(|| CliError::new("--synthetic", unknown))?);
     }
-    let tests = args.value("--tests").unwrap_or(100usize);
-    let seeds: Vec<u64> = args.list("--seeds").unwrap_or_else(|| vec![42]);
-    let k = args.value("--k").unwrap_or(3usize).max(1);
+    let nodes = args.value("--nodes")?.unwrap_or(1000usize);
+    SynthConfig { nodes, ..Default::default() }.validate().map_err(CliError::at("--nodes"))?;
+    let tests = args.value("--tests")?.unwrap_or(100usize);
+    let seeds: Vec<u64> = args.list("--seeds")?.unwrap_or_else(|| vec![42]);
+    let k = args.value("--k")?.unwrap_or(3usize).max(1);
     let defaults = HierarchyConfig::default();
     let hier = HierarchyConfig {
-        max_depth: args.value("--depth").unwrap_or(defaults.max_depth),
-        max_leaf: args.value("--leaf").unwrap_or(defaults.max_leaf),
-        branching: args.value("--branching").unwrap_or(defaults.branching),
+        max_depth: args.value("--depth")?.unwrap_or(defaults.max_depth),
+        max_leaf: args.value("--leaf")?.unwrap_or(defaults.max_leaf),
+        branching: args.value("--branching")?.unwrap_or(defaults.branching),
     };
-    let landmarks = args.value("--landmarks").unwrap_or(32usize);
-    let emit: Option<String> = args.value("--emit-edge-list");
-    let output: Option<String> = args.value("--output");
-    let summary_output: Option<String> = args.value("--summary-output");
-    let metrics_out: Option<String> = args.value("--metrics-out");
-    let trace_out: Option<String> = args.value("--trace-out");
-    // No scale axis here: the scale flags pass, everything else exits 2.
-    args.finish();
-    if metrics_out.is_some() || trace_out.is_some() {
-        telemetry::set_enabled(true);
-    }
+    hier.validate().map_err(CliError::at("--branching"))?;
+    let landmarks = args.value("--landmarks")?.unwrap_or(32usize);
+    let emit: Option<String> = args.value("--emit-edge-list")?;
+    let output: Option<String> = args.value("--output")?;
+    let summary_output: Option<String> = args.value("--summary-output")?;
+    let sinks = TelemetrySinks::from_args(&mut args)?;
+    // No scale axis here: the scale flags pass, everything else is an error.
+    args.finish()?;
 
     // Ingest real files up front (shared across seeds); malformed input is
-    // an exit-2 with the offending line number.
+    // an error naming the offending line.
     let mut ingested: Vec<IngestedGraph> = Vec::new();
     let mut sources: Vec<(String, Source)> = Vec::new();
     if let Some(path) = &edge_list {
-        let text = read_or_die(path);
-        match ingest::from_edge_list("RealWorld", &text) {
-            Ok(g) => {
-                sources.push(("RealWorld".to_string(), Source::File(ingested.len())));
-                ingested.push(g);
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let text = std::fs::read_to_string(path).map_err(io_error("--edge-list", path))?;
+        let g = ingest::from_edge_list("RealWorld", &text)
+            .map_err(|e| CliError::new("--edge-list", format!("{path}: {e}")))?;
+        sources.push(("RealWorld".to_string(), Source::File(ingested.len())));
+        ingested.push(g);
     }
     if let Some(path) = &graphml {
-        let text = read_or_die(path);
-        match ingest::from_graphml("RealWorld", &text) {
-            Ok(g) => {
-                let label =
-                    if edge_list.is_some() { "RealWorldGraphml" } else { "RealWorld" }.to_string();
-                sources.push((label, Source::File(ingested.len())));
-                ingested.push(g);
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let text = std::fs::read_to_string(path).map_err(io_error("--graphml", path))?;
+        let g = ingest::from_graphml("RealWorld", &text)
+            .map_err(|e| CliError::new("--graphml", format!("{path}: {e}")))?;
+        let label = if edge_list.is_some() { "RealWorldGraphml" } else { "RealWorld" };
+        sources.push((label.to_string(), Source::File(ingested.len())));
+        ingested.push(g);
     }
     if sources.is_empty() && models.is_empty() {
         models = SynthModel::ALL.to_vec();
@@ -191,10 +161,7 @@ fn main() {
                 ingest::to_edge_list(&generate(*m, &SynthConfig { nodes, seed: seeds[0] }))
             }
         };
-        std::fs::write(path, g).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
+        std::fs::write(path, g).map_err(io_error("--emit-edge-list", path))?;
         eprintln!("wrote edge list for {} to {path}", sources[0].0);
     }
 
@@ -321,13 +288,8 @@ fn main() {
         eprintln!("{line}");
     }
     if let Some(path) = &summary_output {
-        let mut f = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        for line in &summary_lines {
-            writeln!(f, "{line}").expect("write summary");
-        }
+        let text: String = summary_lines.iter().map(|line| format!("{line}\n")).collect();
+        std::fs::write(path, text).map_err(io_error("--summary-output", path))?;
     }
 
     let result_json: Vec<String> = results
@@ -373,13 +335,10 @@ fn main() {
     );
     match &output {
         Some(path) => {
-            std::fs::write(path, &json).unwrap_or_else(|e| {
-                eprintln!("error: cannot write {path}: {e}");
-                std::process::exit(2);
-            });
+            std::fs::write(path, &json).map_err(io_error("--output", path))?;
             eprintln!("wrote {path}");
         }
         None => println!("{json}"),
     }
-    write_telemetry_sinks(metrics_out.as_deref(), trace_out.as_deref());
+    sinks.write()
 }

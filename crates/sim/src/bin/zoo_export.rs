@@ -4,16 +4,16 @@
 //! per-network statistics, so the corpus can be inspected or consumed by
 //! other tools.
 //!
-//! Usage: `cargo run --release --bin zoo_export -- [output-dir]`
-//! (default `./zoo-export`)
+//! Usage: `cargo run --release --bin zoo_export -- [--out DIR]`
+//! (default `zoo-export`)
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 use lowlat_core::default_workers;
 use lowlat_core::llpd::LlpdConfig;
 use lowlat_netgraph::NodeId;
-use lowlat_sim::runner::llpd_map;
+use lowlat_sim::runner::{self, io_error, llpd_map, Args, CliError};
 use lowlat_topology::ingest::to_edge_list;
 use lowlat_topology::zoo::{synthetic_zoo, ZooClass};
 use lowlat_topology::{IngestedGraph, Topology};
@@ -32,9 +32,17 @@ fn ingested(topo: &Topology) -> IngestedGraph {
     IngestedGraph::new(topo.name(), names.collect(), &edges)
 }
 
-fn main() -> std::io::Result<()> {
-    let dir: PathBuf = std::env::args().nth(1).unwrap_or_else(|| "zoo-export".into()).into();
-    fs::create_dir_all(&dir)?;
+fn main() {
+    runner::run(export)
+}
+
+fn export() -> Result<(), CliError> {
+    let mut args = Args::from_env();
+    let out: String = args.value("--out")?.unwrap_or_else(|| "zoo-export".into());
+    // No scale axis here: the scale flags pass, everything else is an error.
+    args.finish()?;
+    let dir = Path::new(&out);
+    fs::create_dir_all(dir).map_err(io_error("--out", &out))?;
     let zoo = synthetic_zoo();
     eprintln!("computing LLPD for {} networks...", zoo.len());
     let llpds = llpd_map(&zoo, &LlpdConfig::default(), default_workers());
@@ -42,7 +50,7 @@ fn main() -> std::io::Result<()> {
     let mut manifest = String::from("name\tclass\tpops\tcables\tdiameter_ms\tllpd\n");
     for (topo, llpd) in zoo.iter().zip(&llpds) {
         let file = dir.join(format!("{}.edges", topo.name()));
-        fs::write(&file, to_edge_list(&ingested(topo)))?;
+        fs::write(&file, to_edge_list(&ingested(topo))).map_err(io_error("--out", &out))?;
         manifest.push_str(&format!(
             "{}\t{:?}\t{}\t{}\t{:.2}\t{:.4}\n",
             topo.name(),
@@ -53,7 +61,7 @@ fn main() -> std::io::Result<()> {
             llpd
         ));
     }
-    fs::write(dir.join("MANIFEST.tsv"), &manifest)?;
+    fs::write(dir.join("MANIFEST.tsv"), &manifest).map_err(io_error("--out", &out))?;
     println!("wrote {} networks + MANIFEST.tsv to {}", zoo.len(), dir.display());
     Ok(())
 }

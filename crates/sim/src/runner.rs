@@ -69,20 +69,52 @@ impl Scale {
 /// [`Args::value`] / [`Args::list`] / [`Args::switch`] call takes its flag
 /// out, and [`Args::finish`] reads the scale flags and rejects whatever is
 /// left. Each flag is therefore named once, where it is read, and a typoed
-/// one exits 2 instead of silently running a multi-hour sweep at the wrong
-/// settings. A flag given twice keeps its last value.
+/// one is an error instead of a multi-hour sweep at the wrong settings. A
+/// flag given twice keeps its last value.
 pub struct Args {
     rest: Vec<String>,
     /// Every flag asked for so far — what the leftover message offers.
     known: Vec<&'static str>,
 }
 
-/// Unwraps a parse result, or reports the message and exits 2.
-fn or_exit<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|message| {
-        eprintln!("error: {message}");
-        std::process::exit(2);
+/// A rejected input: the flag (or argument) at fault and what is wrong
+/// with it. [`run`] prints it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct CliError {
+    flag: String,
+    message: String,
+}
+
+impl CliError {
+    /// An error about `flag`.
+    pub fn new(flag: &str, message: impl fmt::Display) -> CliError {
+        CliError { flag: flag.to_string(), message: message.to_string() }
+    }
+
+    /// [`CliError::new`] for `map_err`: `door(x).map_err(CliError::at("--x"))?`.
+    pub fn at<E: fmt::Display>(flag: &str) -> impl FnOnce(E) -> CliError + '_ {
+        move |e| CliError::new(flag, e)
+    }
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.flag, self.message)
+    }
+}
+
+/// Runs a binary's body and returns what it returns. A body that rejects
+/// its input ends here: `error: <flag>: <message>` on stderr and exit
+/// status 2 — the one way out of every binary for a bad input.
+pub fn run<T>(body: impl FnOnce() -> Result<T, CliError>) -> T {
+    body().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
     })
+}
+
+fn parse<T: FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
+    value.parse().map_err(|_| CliError::new(flag, format!("unparsable value '{value}'")))
 }
 
 impl Args {
@@ -96,47 +128,36 @@ impl Args {
         Args { rest: args.into_iter().collect(), known: Vec::new() }
     }
 
-    /// [`Args::value`] with its exit-2 paths as `Err`.
-    fn try_value<T: FromStr>(&mut self, flag: &'static str) -> Result<Option<T>, String> {
+    /// Takes `flag` and the argument after it — whatever that looks like —
+    /// out of the line and parses the latter; `None` when the flag is
+    /// absent, an error when its value is missing or does not parse.
+    pub fn value<T: FromStr>(&mut self, flag: &'static str) -> Result<Option<T>, CliError> {
         self.known.push(flag);
         let mut found = None;
         while let Some(i) = self.rest.iter().position(|a| a == flag) {
             if i + 1 == self.rest.len() {
-                return Err(format!("flag {flag} expects a value"));
+                return Err(CliError::new(flag, "expects a value"));
             }
             let value = self.rest.remove(i + 1);
             self.rest.remove(i);
-            let parsed =
-                value.parse().map_err(|_| format!("{flag} got unparsable value '{value}'"))?;
-            found = Some(parsed);
+            found = Some(parse(flag, &value)?);
         }
         Ok(found)
     }
 
-    /// Takes `flag` and the argument after it — whatever that looks like —
-    /// out of the line and parses the latter; `None` when the flag is
-    /// absent, exit 2 when its value is missing or does not parse.
-    pub fn value<T: FromStr>(&mut self, flag: &'static str) -> Option<T> {
-        or_exit(self.try_value(flag))
-    }
-
     /// A comma-separated value flag (`--schemes LDR, SP`): items trimmed,
-    /// empty ones dropped, each parsed. Exits 2 on an unparsable item or a
+    /// empty ones dropped, each parsed. An error on an unparsable item or a
     /// list with nothing in it.
-    pub fn list<T: FromStr>(&mut self, flag: &'static str) -> Option<Vec<T>> {
-        or_exit(self.try_list(flag))
-    }
-
-    fn try_list<T: FromStr>(&mut self, flag: &'static str) -> Result<Option<Vec<T>>, String> {
-        let Some(spec) = self.try_value::<String>(flag)? else { return Ok(None) };
+    pub fn list<T: FromStr>(&mut self, flag: &'static str) -> Result<Option<Vec<T>>, CliError> {
+        let Some(spec) = self.value::<String>(flag)? else { return Ok(None) };
         let items = spec
             .split(',')
             .map(str::trim)
             .filter(|item| !item.is_empty())
-            .map(|item| item.parse().map_err(|_| format!("{flag} got unparsable value '{item}'")))
-            .collect::<Result<Vec<T>, String>>()?;
+            .map(|item| parse(flag, item))
+            .collect::<Result<Vec<T>, CliError>>()?;
         if items.is_empty() {
-            return Err(format!("{flag} expects at least one value"));
+            return Err(CliError::new(flag, "expects at least one value"));
         }
         Ok(Some(items))
     }
@@ -149,8 +170,10 @@ impl Args {
         self.rest.len() < before
     }
 
-    /// [`Args::finish`] with its exit-2 path as `Err`.
-    fn try_finish(self) -> Result<Scale, String> {
+    /// Reads `--quick`/`--std`/`--full` (the last one wins, `--std` when
+    /// none is given) out of what is left; anything else is an error naming
+    /// the argument and the flags this binary asked for.
+    pub fn finish(self) -> Result<Scale, CliError> {
         let mut scale = Scale::Std;
         for arg in &self.rest {
             scale = match arg.as_str() {
@@ -162,40 +185,65 @@ impl Args {
                     if !self.known.is_empty() {
                         expected += &format!(" or one of {}", self.known.join("/"));
                     }
-                    return Err(format!("unknown argument {other} (expected {expected})"));
+                    return Err(CliError::new(
+                        other,
+                        format!("unknown argument (expected {expected})"),
+                    ));
                 }
             };
         }
         Ok(scale)
     }
+}
 
-    /// Reads `--quick`/`--std`/`--full` (the last one wins, `--std` when
-    /// none is given) out of what is left; anything else exits 2 naming the
-    /// argument and the flags this binary asked for.
-    pub fn finish(self) -> Scale {
-        or_exit(self.try_finish())
+/// The telemetry sinks a sweep binary's `--metrics-out` / `--trace-out`
+/// flags ask for. Reading the flags creates the files and switches
+/// telemetry on, so an unwritable path is rejected before the sweep runs.
+/// The sweep's own output is the same with or without them.
+pub struct TelemetrySinks {
+    metrics: Option<String>,
+    trace: Option<String>,
+}
+
+impl TelemetrySinks {
+    /// Reads the two flags out of `args`.
+    pub fn from_args(args: &mut Args) -> Result<TelemetrySinks, CliError> {
+        let sinks = TelemetrySinks {
+            metrics: args.value("--metrics-out")?,
+            trace: args.value("--trace-out")?,
+        };
+        for (flag, path) in [("--metrics-out", &sinks.metrics), ("--trace-out", &sinks.trace)] {
+            if let Some(path) = path {
+                std::fs::File::create(path).map_err(io_error(flag, path))?;
+                lowlat_telemetry::set_enabled(true);
+            }
+        }
+        Ok(sinks)
+    }
+
+    /// Writes the metrics snapshot and the chrome-trace asked for.
+    pub fn write(&self) -> Result<(), CliError> {
+        if let Some(path) = &self.metrics {
+            lowlat_telemetry::write_metrics(path).map_err(io_error("--metrics-out", path))?;
+            eprintln!("wrote metrics to {path}");
+        }
+        if let Some(path) = &self.trace {
+            lowlat_telemetry::write_trace(path).map_err(io_error("--trace-out", path))?;
+            eprintln!("wrote chrome-trace to {path}");
+        }
+        Ok(())
     }
 }
 
-/// Writes the telemetry sinks a sweep binary's `--metrics-out` /
-/// `--trace-out` flags asked for (or exit 2 on an unwritable path). No-op
-/// when neither flag was given — the sweep's own output is unchanged either
-/// way. Shared by the sweep binaries so every sink is written the same way.
-pub fn write_telemetry_sinks(metrics_out: Option<&str>, trace_out: Option<&str>) {
-    if let Some(path) = metrics_out {
-        lowlat_telemetry::write_metrics(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote metrics to {path}");
-    }
-    if let Some(path) = trace_out {
-        lowlat_telemetry::write_trace(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("wrote chrome-trace to {path}");
-    }
+/// Builds each `--schemes` spec through the registry.
+pub fn build_schemes(specs: &[String]) -> Result<Vec<Arc<dyn RoutingScheme>>, CliError> {
+    specs.iter().map(|s| registry::build(s).map_err(CliError::at("--schemes"))).collect()
+}
+
+/// [`CliError::new`] for an I/O error on the file `flag` names:
+/// `fs::write(path, text).map_err(io_error("--output", path))?`.
+pub fn io_error<'a>(flag: &'a str, path: &'a str) -> impl FnOnce(std::io::Error) -> CliError + 'a {
+    move |e| CliError::new(flag, format!("'{path}': {e}"))
 }
 
 /// Grid parameters shared by most figures. Schemes are trait objects built
@@ -497,38 +545,43 @@ mod tests {
 
     #[test]
     fn scale_parse_accepts_known_flags() {
-        assert_eq!(args(&[]).try_finish(), Ok(Scale::Std));
-        assert_eq!(args(&["--quick"]).try_finish(), Ok(Scale::Quick));
-        assert_eq!(args(&["--std", "--full"]).try_finish(), Ok(Scale::Full));
+        assert_eq!(args(&[]).finish(), Ok(Scale::Std));
+        assert_eq!(args(&["--quick"]).finish(), Ok(Scale::Quick));
+        assert_eq!(args(&["--std", "--full"]).finish(), Ok(Scale::Full));
     }
 
     #[test]
     fn scale_parse_skips_value_flags_with_their_values() {
         let mut line = args(&["--load", "0.7", "--quick", "--schemes", "SP, B4,", "--frontier"]);
-        assert_eq!(line.try_value("--load"), Ok(Some(0.7)));
-        assert_eq!(line.try_list("--schemes"), Ok(Some(vec!["SP".to_string(), "B4".to_string()])));
-        assert_eq!(line.try_value::<u64>("--seed"), Ok(None), "an absent flag is not an error");
+        assert_eq!(line.value("--load"), Ok(Some(0.7)));
+        assert_eq!(line.list("--schemes"), Ok(Some(vec!["SP".to_string(), "B4".to_string()])));
+        assert_eq!(line.value::<u64>("--seed"), Ok(None), "an absent flag is not an error");
         assert!(line.switch("--frontier") && !line.switch("--frontier"));
-        assert_eq!(line.try_finish(), Ok(Scale::Quick));
+        assert_eq!(line.finish(), Ok(Scale::Quick));
         // The value after a value flag is consumed even when it looks like
         // a scale flag, and a repeated flag keeps its last value.
         let mut tricky = args(&["--note", "--full", "--note", "x"]);
-        assert_eq!(tricky.try_value("--note"), Ok(Some("x".to_string())));
-        assert_eq!(tricky.try_finish(), Ok(Scale::Std));
+        assert_eq!(tricky.value("--note"), Ok(Some("x".to_string())));
+        assert_eq!(tricky.finish(), Ok(Scale::Std));
     }
 
     #[test]
     fn scale_parse_rejects_unknown_and_dangling() {
-        assert!(args(&["--fast"]).try_finish().is_err());
+        let message = args(&["--fast"]).finish().unwrap_err().to_string();
+        assert!(message.starts_with("--fast: unknown argument"), "{message}");
         let mut line = args(&["extra", "--load", "0.5"]);
-        assert_eq!(line.try_value("--load"), Ok(Some(0.5)));
-        let message = line.try_finish().unwrap_err();
-        assert!(message.contains("extra") && message.contains("--load"), "{message}");
+        assert_eq!(line.value("--load"), Ok(Some(0.5)));
+        let message = line.finish().unwrap_err().to_string();
+        assert!(message.starts_with("extra: ") && message.contains("--load"), "{message}");
         // A value flag at the end of the line is missing its value; one
         // followed by junk has an unparsable one; a list needs an item.
-        assert!(args(&["--load"]).try_value::<f64>("--load").is_err());
-        assert!(args(&["--load", "heavy"]).try_value::<f64>("--load").is_err());
-        assert!(args(&["--loads", " , "]).try_list::<f64>("--loads").is_err());
+        // Each error names the flag first.
+        for line in [&["--load"][..], &["--load", "heavy"]] {
+            let message = args(line).value::<f64>("--load").unwrap_err().to_string();
+            assert!(message.starts_with("--load: "), "{message}");
+        }
+        let message = args(&["--loads", " , "]).list::<f64>("--loads").unwrap_err().to_string();
+        assert_eq!(message, "--loads: expects at least one value");
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod state;
 
 use lowlat_core::pathset::PathCache;
 use lowlat_core::PathSource;
-use lowlat_netgraph::FailureMask;
+use lowlat_netgraph::{FailureMask, RangeError};
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::Topology;
 
@@ -105,63 +105,23 @@ impl TimelineConfig {
     /// returns the first one outside it. [`simulate_with_events_on`] calls
     /// this before it synthesizes anything and panics with the error's
     /// message; a binary can call it first and exit with its own.
-    pub fn validate(&self) -> Result<(), TimelineConfigError> {
-        if self.minutes < 1 {
-            return Err(TimelineConfigError::Minutes(self.minutes));
-        }
-        if self.warmup_minutes < 2 {
-            return Err(TimelineConfigError::WarmupMinutes(self.warmup_minutes));
-        }
-        if !(self.cv.is_finite() && self.cv >= 0.0) {
-            return Err(TimelineConfigError::Cv(self.cv));
-        }
-        if !(0.0..1.0).contains(&self.diurnal_amplitude) {
-            return Err(TimelineConfigError::DiurnalAmplitude(self.diurnal_amplitude));
-        }
-        if self.diurnal_amplitude > 0.0 && self.diurnal_period < 2 {
-            return Err(TimelineConfigError::DiurnalPeriod(self.diurnal_period));
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), RangeError> {
+        RangeError::check(self.minutes >= 1, "minutes", self.minutes, "at least 1")?;
+        let warmup = self.warmup_minutes;
+        RangeError::check(warmup >= 2, "warmup_minutes", warmup, "at least 2")?;
+        let cv_in_range = self.cv.is_finite() && self.cv >= 0.0;
+        RangeError::check(cv_in_range, "cv", self.cv, "a finite value >= 0")?;
+        let amplitude = self.diurnal_amplitude;
+        let in_range = (0.0..1.0).contains(&amplitude);
+        RangeError::check(in_range, "diurnal_amplitude", amplitude, "a value in [0, 1)")?;
+        RangeError::check(
+            amplitude == 0.0 || self.diurnal_period >= 2,
+            "diurnal_period",
+            self.diurnal_period,
+            "at least 2 minutes while the amplitude is not 0",
+        )
     }
 }
-
-/// The [`TimelineConfig`] field [`TimelineConfig::validate`] rejected, with
-/// the value it held.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TimelineConfigError {
-    /// `minutes` is 0: there is no decision minute to simulate.
-    Minutes(usize),
-    /// `warmup_minutes` is below 2: too little history before the first
-    /// decision.
-    WarmupMinutes(usize),
-    /// `cv` is negative or not finite.
-    Cv(f64),
-    /// `diurnal_amplitude` is outside `[0, 1)`, where rates stay positive.
-    DiurnalAmplitude(f64),
-    /// `diurnal_period` is below 2 minutes while the amplitude is not 0.
-    DiurnalPeriod(usize),
-}
-
-impl std::fmt::Display for TimelineConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TimelineConfigError::Minutes(v) => write!(f, "minutes = {v}, expected at least 1"),
-            TimelineConfigError::WarmupMinutes(v) => {
-                write!(f, "warmup_minutes = {v}, expected at least 2")
-            }
-            TimelineConfigError::Cv(v) => write!(f, "cv = {v}, expected a finite value >= 0"),
-            TimelineConfigError::DiurnalAmplitude(v) => {
-                write!(f, "diurnal_amplitude = {v}, expected a value in [0, 1)")
-            }
-            TimelineConfigError::DiurnalPeriod(v) => write!(
-                f,
-                "diurnal_period = {v}, expected at least 2 minutes while the amplitude is not 0"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TimelineConfigError {}
 
 /// A topology change taking effect at a decision minute: the failure mask
 /// in force from that minute on. An empty mask restores the intact
@@ -936,23 +896,23 @@ mod tests {
         let ok = TimelineConfig::default();
         assert_eq!(ok.validate(), Ok(()));
         let cases = [
-            (TimelineConfig { minutes: 0, ..ok.clone() }, TimelineConfigError::Minutes(0)),
+            (TimelineConfig { minutes: 0, ..ok.clone() }, "minutes = 0, expected at least 1"),
             (
                 TimelineConfig { warmup_minutes: 1, ..ok.clone() },
-                TimelineConfigError::WarmupMinutes(1),
+                "warmup_minutes = 1, expected at least 2",
             ),
-            (TimelineConfig { cv: -0.1, ..ok.clone() }, TimelineConfigError::Cv(-0.1)),
+            (TimelineConfig { cv: -0.1, ..ok.clone() }, "cv = -0.1, expected a finite value >= 0"),
             (
                 TimelineConfig { diurnal_amplitude: 1.5, ..ok.clone() },
-                TimelineConfigError::DiurnalAmplitude(1.5),
+                "diurnal_amplitude = 1.5, expected a value in [0, 1)",
             ),
             (
                 TimelineConfig { diurnal_amplitude: 0.3, diurnal_period: 1, ..ok.clone() },
-                TimelineConfigError::DiurnalPeriod(1),
+                "diurnal_period = 1, expected at least 2 minutes while the amplitude is not 0",
             ),
         ];
         for (cfg, want) in cases {
-            assert_eq!(cfg.validate(), Err(want));
+            assert_eq!(cfg.validate().unwrap_err().to_string(), want);
         }
         let nan = TimelineConfig { cv: f64::NAN, ..ok.clone() }.validate().unwrap_err();
         assert!(nan.to_string().starts_with("cv = NaN"), "{nan}");

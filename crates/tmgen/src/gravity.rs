@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use lowlat_netgraph::RangeError;
 use lowlat_topology::Topology;
 
 use crate::locality::apply_locality;
@@ -32,6 +33,15 @@ impl Default for TmGenConfig {
     }
 }
 
+impl TmGenConfig {
+    /// Checks `locality`, the field callers take from outside input, for
+    /// [`GravityTmGen::new`], which panics with the error's message.
+    pub fn validate(&self) -> Result<(), RangeError> {
+        let l = self.locality;
+        RangeError::check(l >= 0.0 && l.is_finite(), "locality", l, "a finite value >= 0")
+    }
+}
+
 /// Zipf exponent for PoP masses. 1.0 reproduces the classic heavy-tailed
 /// aggregate-size distribution the paper cites.
 const ZIPF_ALPHA: f64 = 1.0;
@@ -46,9 +56,10 @@ impl GravityTmGen {
     /// Creates a generator.
     ///
     /// # Panics
-    /// Panics on non-positive volume/flow parameters or negative locality.
+    /// Panics on non-positive volume/flow parameters or when
+    /// [`TmGenConfig::validate`] rejects the locality.
     pub fn new(config: TmGenConfig) -> Self {
-        assert!(config.locality >= 0.0);
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         assert!(config.total_volume_mbps > 0.0);
         assert!(config.mbps_per_flow > 0.0);
         GravityTmGen { config }

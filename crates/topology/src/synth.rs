@@ -15,6 +15,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use lowlat_netgraph::RangeError;
+
 use crate::ingest::IngestedGraph;
 
 /// The synthetic models of the Snippet-1 corpus.
@@ -88,6 +90,14 @@ impl Default for SynthConfig {
     }
 }
 
+impl SynthConfig {
+    /// Checks the fields [`generate`] reads, which panics with the error's
+    /// message; a caller holding outside input calls this first.
+    pub fn validate(&self) -> Result<(), RangeError> {
+        RangeError::check(self.nodes >= 4, "nodes", self.nodes, "at least 4")
+    }
+}
+
 /// Barabási–Albert: edges attached per new node.
 const BA_ATTACH: usize = 3;
 
@@ -116,10 +126,10 @@ fn delay_between(a: (f64, f64), b: (f64, f64)) -> f64 {
 /// Generates one synthetic graph. Deterministic in `(model, config)`.
 ///
 /// # Panics
-/// Panics on fewer than 4 nodes — a driver bug, not data.
+/// Panics when [`SynthConfig::validate`] rejects `config`.
 pub fn generate(model: SynthModel, config: &SynthConfig) -> IngestedGraph {
+    config.validate().unwrap_or_else(|e| panic!("{e}"));
     let n = config.nodes;
-    assert!(n >= 4, "synthetic models need at least 4 nodes, got {n}");
     let mut rng = StdRng::seed_from_u64(config.seed ^ (model.label().len() as u64) << 32);
     let name = format!("{}-n{}-s{}", model.label(), n, config.seed);
     let node_names: Vec<String> = (0..n).map(|i| format!("n{i}")).collect();

@@ -4,8 +4,9 @@
 //! config struct, knob or orphan that went because nothing set or called
 //! it. Scans every `.rs` file under `crates`, `src`, `tests` and `examples`
 //! but this one. And no source file under `crates/*/src` grows past 900
-//! lines before its test module (ROADMAP item 7), and the LP chain names
-//! every tolerance it reads.
+//! lines before its test module (ROADMAP item 7), the LP chain names
+//! every tolerance it reads, and the binaries have one way out for a bad
+//! input.
 
 use std::path::{Path, PathBuf};
 
@@ -37,6 +38,10 @@ const GONE: &[&str] = &[
     "to_text",
     "ParseError",
     "ParseErrorKind",
+    "or_exit",
+    "read_or_die",
+    "parse_csv",
+    "build_list",
 ];
 
 /// The solver's options are `lowlat_linprog`'s own business.
@@ -88,6 +93,30 @@ fn no_deleted_door_comes_back() {
         }
     }
     assert!(hits.is_empty(), "deleted doors are back:\n{}", hits.join("\n"));
+}
+
+/// The one place under `crates/sim/src` that ends the process: the
+/// printer every binary hands a bad input to.
+const THE_PRINTER: &str = "crates/sim/src/runner.rs";
+
+#[test]
+fn only_the_runners_printer_exits() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/sim/src"), &mut files);
+    files.sort();
+    let mut exits = Vec::new();
+    for path in files {
+        let rel = path.strip_prefix(root).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (n, line) in (1..).zip(text.lines()) {
+            if line.contains("process::exit") {
+                exits.push(format!("{}:{n}: {}", rel.display(), line.trim()));
+            }
+        }
+    }
+    assert_eq!(exits.len(), 1, "one process::exit, in the runner's printer:\n{}", exits.join("\n"));
+    assert!(exits[0].starts_with(THE_PRINTER), "{}", exits[0]);
 }
 
 /// Most lines a source file under `crates/*/src` may hold before its test
