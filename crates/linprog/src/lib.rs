@@ -24,7 +24,10 @@
 //!   bounds are native (a bound-flip ratio test), not rows
 //! * detects infeasibility and unboundedness
 //! * Dantzig pricing with an automatic switch to Bland's rule when
-//!   degeneracy stalls progress (guaranteeing termination)
+//!   degeneracy stalls progress (guaranteeing termination); the duals and
+//!   reduced costs are kept across pivots, and a pivot reprices only the
+//!   columns crossing a row whose dual it moved — the same values, to the
+//!   bit, that pricing every column again would give
 //! * periodic refactorization of the basis inverse for numerical hygiene
 //! * **warm starts**: [`Problem::solve_warm`] re-optimizes from the
 //!   [`Basis`] a previous solve exported — the §5 minute-by-minute

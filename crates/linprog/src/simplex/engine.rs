@@ -9,6 +9,38 @@
 //! redistribution LP, where every aggregate has a cap but only the per-node
 //! marginals are genuine rows.
 //!
+//! ## Pricing
+//!
+//! The duals `y = c_B B⁻¹` and the reduced costs `d_j = c_j − y·A_j` are
+//! kept across pivots (the `pricing` module), not rebuilt each one. What
+//! is recomputed, and why each value read is what the full formula gives
+//! on the same inputs, to the bit:
+//!
+//! - **On phase entry and after a refactorization:** everything — `y` by
+//!   `compute_y`, and `d_j` for every nonbasic column that may enter.
+//! - **`y_k` after a pivot in position `r`:** only for the columns of `B⁻¹`
+//!   the eta update rewrote (those holding row `r`), by `compute_y`'s own
+//!   per-column sum, once `c_B`'s entry `r` is the entering column's cost.
+//!   Any other column of `B⁻¹` keeps its entries and every cost it is
+//!   multiplied by, so its sum has the same terms in the same order.
+//! - **`d_j` after a pivot:** for every nonbasic column crossing a row
+//!   whose `y` changed bits, and for the column that left (its `d` was not
+//!   kept while it was basic), by the one reduced-cost formula. Every other
+//!   column's formula reads the same `y` entries as when it was last
+//!   computed.
+//! - **Bound flips** change neither `B⁻¹` nor `c_B`: nothing.
+//!
+//! Dantzig's and Bland's rules scan the kept `d`, so the entering column
+//! and every pivot are the ones full pricing chose. The dual repair keeps
+//! `y` the same way and computes `d_j` only for the columns that may
+//! repair its row. A row index of the standard form (built at a solve's
+//! first pivot) finds the columns crossing a row; the same index prunes
+//! the repair's and the drive-out's scans of one row of `B⁻¹ A` to the
+//! columns crossing a nonzero of that row of `B⁻¹` — any other column's
+//! entry there is ±0 and never eligible. `lp.priced_columns` counts the
+//! reduced costs computed, full passes included; test builds audit every
+//! kept value against a recomputation from scratch after every pivot.
+//!
 //! ## Tolerances
 //!
 //! Every tolerance the engine reads is a constant of the `tol` module,
@@ -48,6 +80,7 @@ use lowlat_telemetry as telemetry;
 use super::basis::tests::RESTART_WORK;
 use super::basis::Basis;
 use super::inverse::{invert_column_major, SparseInverse};
+use super::pricing::Pricing;
 use super::standard_form::StandardForm;
 use super::tol::{
     rhs_scale, snap_round_off, DEGENERATE_STEP, DRIVE_OUT_PIVOT, DUAL_RATIO_TIE, PHASE1_FEAS_REL,
@@ -222,6 +255,9 @@ pub(super) struct Engine<'a> {
     /// swapped with the column, whose buffer serves the next merge).
     pub(super) w_support: Vec<usize>,
     pub(super) merged: Vec<(usize, f64)>,
+    /// The reduced costs and row index pricing keeps between pivots
+    /// (module docs, "Pricing").
+    pub(super) pricing: Pricing,
 }
 
 /// Outcome of the ratio test.
@@ -307,6 +343,7 @@ impl<'a> Engine<'a> {
             scratch_row: vec![0.0; m],
             w_support: Vec::new(),
             merged: Vec::new(),
+            pricing: Pricing::default(),
         }
     }
 
@@ -322,19 +359,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Reduced cost of column `j` given `scratch_y`.
-    fn reduced_cost(&self, j: usize, cost: &[f64]) -> f64 {
-        let mut dot = 0.0;
-        if j < self.art_start {
-            for &(r, v) in self.sf.col(j) {
-                dot += v * self.scratch_y[r];
-            }
-        } else {
-            dot = self.scratch_y[self.art_row[j - self.art_start]];
-        }
-        cost[j] - dot
-    }
-
     /// One phase of the simplex: minimize `cost` (one entry per column,
     /// artificials included) from the current basis. Only columns below
     /// `enterable` may enter. Returns Ok(()) at optimality.
@@ -344,39 +368,17 @@ impl<'a> Engine<'a> {
         enterable: usize,
         max_iter: usize,
     ) -> Result<(), LpError> {
+        self.price_all(cost, enterable);
         loop {
             if self.iterations >= max_iter {
                 return Err(LpError::IterationLimit);
             }
-            self.compute_y(cost);
+            #[cfg(test)]
+            self.audit_prices(cost, true);
 
-            // Pricing: Dantzig normally, Bland's rule while stalled. A
-            // variable at its upper bound enters by *decreasing*, so it is
-            // attractive when its reduced cost is positive.
+            // Pricing: Dantzig normally, Bland's rule while stalled.
             let bland = self.stall > self.m + 64;
-            let mut entering: Option<(usize, f64)> = None;
-            for j in 0..enterable {
-                if self.rest[j] == Rest::Basic {
-                    continue;
-                }
-                let d = self.reduced_cost(j, cost);
-                let score = match self.rest[j] {
-                    Rest::Lower => -d,
-                    Rest::Upper => d,
-                    Rest::Basic => unreachable!(),
-                };
-                if score > PRICING_TOL {
-                    if bland {
-                        entering = Some((j, score));
-                        break;
-                    }
-                    match entering {
-                        Some((_, best)) if score <= best => {}
-                        _ => entering = Some((j, score)),
-                    }
-                }
-            }
-            let Some((j, _)) = entering else {
+            let Some(j) = self.entering(bland) else {
                 return Ok(()); // optimal for this phase
             };
 
@@ -403,12 +405,15 @@ impl<'a> Engine<'a> {
                 }
                 Block::Leaves { row, at_upper } => {
                     self.stall = if theta <= DEGENERATE_STEP { self.stall + 1 } else { 0 };
+                    let leaving = self.basis[row];
                     self.pivot(j, row, theta, sign, from_upper, at_upper);
+                    self.reprice(cost, row, leaving);
                 }
             }
 
             if self.iterations.is_multiple_of(self.opts.refactor_every) {
                 self.refactorize()?;
+                self.price_all(cost, enterable);
             }
         }
     }
@@ -562,6 +567,7 @@ impl<'a> Engine<'a> {
     fn dual_repair(&mut self, cost: &[f64], max_pivots: usize) -> bool {
         let m = self.m;
         let feas_tol = REPAIR_FEAS_REL * rhs_scale(&self.sf.b);
+        let mut priced = false;
         for _ in 0..max_pivots {
             // Most violated basic variable.
             let mut r = usize::MAX;
@@ -588,16 +594,22 @@ impl<'a> Engine<'a> {
                 }
                 return true;
             }
-            self.compute_y(cost);
+            // `y` is priced once and kept across the repair's pivots; `d` is
+            // computed only for the few columns eligible to repair the row.
+            if !priced {
+                self.compute_y(cost);
+                priced = true;
+            }
+            #[cfg(test)]
+            self.audit_prices(cost, false);
             self.gather_row(r);
             // Entering candidate: the eligible column with the smallest
             // |reduced cost| per unit of repair (classic dual ratio test,
             // used as a least-damage heuristic since c may have drifted).
             let mut best: Option<(usize, f64, f64)> = None;
-            for j in 0..self.total_n {
-                if self.rest[j] == Rest::Basic {
-                    continue;
-                }
+            let candidates = self.crossing_row(self.total_n);
+            let mut reduced_costs = 0;
+            for &j in &candidates {
                 let alpha = if j < self.art_start {
                     self.sf.col(j).iter().map(|&(row, v)| v * self.scratch_row[row]).sum::<f64>()
                 } else {
@@ -611,6 +623,7 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let d = self.reduced_cost(j, cost);
+                reduced_costs += 1;
                 let d_eff = if self.rest[j] == Rest::Upper { -d } else { d };
                 let ratio = d_eff.abs() / dir.abs();
                 let better = match best {
@@ -624,6 +637,7 @@ impl<'a> Engine<'a> {
                     best = Some((j, ratio, dir.abs()));
                 }
             }
+            self.done_with(candidates, reduced_costs);
             let Some((j, _, _)) = best else {
                 return false; // nothing can repair this row
             };
@@ -637,6 +651,7 @@ impl<'a> Engine<'a> {
                 return false;
             }
             self.pivot(j, r, theta, sign, from_upper, to_upper);
+            self.update_y(cost, r);
         }
         false
     }
@@ -653,10 +668,8 @@ impl<'a> Engine<'a> {
             }
             self.gather_row(r);
             let mut best: Option<(usize, f64)> = None;
-            for j in 0..self.art_start {
-                if self.rest[j] == Rest::Basic {
-                    continue;
-                }
+            let candidates = self.crossing_row(self.art_start);
+            for &j in &candidates {
                 let mut w_rj = 0.0;
                 for &(rr, v) in self.sf.col(j) {
                     w_rj += v * self.scratch_row[rr];
@@ -668,6 +681,7 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
+            self.done_with(candidates, 0);
             if let Some((j, _)) = best {
                 let from_upper = self.rest[j] == Rest::Upper;
                 self.compute_w(j);
@@ -706,6 +720,12 @@ impl<'a> Engine<'a> {
             .map(|(&y, &negated)| if negated { -y } else { y })
             .collect();
         Solution { x, duals, objective, iterations: self.iterations, warm_started: false }
+    }
+}
+
+impl Drop for Engine<'_> {
+    fn drop(&mut self) {
+        self.report_pricing();
     }
 }
 

@@ -80,10 +80,8 @@ impl Engine<'_> {
     pub(super) fn compute_y(&mut self, cost: &[f64]) {
         self.cost_at.clear();
         self.cost_at.extend(self.basis.iter().map(|&j| cost[j]));
-        let cost_at = &self.cost_at;
         for (yk, colk) in self.scratch_y.iter_mut().zip(&self.binv.cols) {
-            let costed = colk.iter().filter(|&&(i, _)| cost_at[i] != 0.0);
-            *yk = costed.map(|&(i, bik)| cost_at[i] * bik).sum();
+            *yk = price_of(colk, &self.cost_at);
         }
     }
 
@@ -100,7 +98,8 @@ impl Engine<'_> {
     /// entry t = (B^-1)_{r,k},
     ///   (B^-1)_{i,k} -= w_i * t / w_r  (i != r);  (B^-1)_{r,k} = t / w_r,
     /// which rewrites the union of the column's entries and `w`'s nonzeros;
-    /// a column without that entry is not touched.
+    /// a column without that entry is not touched. The columns rewritten
+    /// are listed in `pricing.rewritten`.
     #[inline]
     pub(super) fn eta_update(&mut self, r: usize) {
         self.age += 1;
@@ -110,10 +109,13 @@ impl Engine<'_> {
         self.w_support.extend((0..self.m).filter(|&i| w[i] != 0.0));
         let support = &self.w_support;
         let merged = &mut self.merged;
-        for col in &mut self.binv.cols {
+        let rewritten = &mut self.pricing.rewritten;
+        rewritten.clear();
+        for (k, col) in self.binv.cols.iter_mut().enumerate() {
             let Ok(at) = col.binary_search_by_key(&r, |&(i, _)| i) else {
                 continue;
             };
+            rewritten.push(k);
             let scale = col[at].1 / wr;
             // Written by index into a buffer sized for the whole union: an
             // entry that comes out zero is overwritten by the next one.
@@ -141,6 +143,15 @@ impl Engine<'_> {
             std::mem::swap(col, merged);
         }
     }
+}
+
+/// Entry `k` of `y = c_B' B^-1` from column `k` of the inverse and the cost
+/// of the basic variable in each position: the terms with a nonzero cost,
+/// in position order.
+#[inline]
+pub(super) fn price_of(colk: &[(usize, f64)], cost_at: &[f64]) -> f64 {
+    let costed = colk.iter().filter(|&&(i, _)| cost_at[i] != 0.0);
+    costed.map(|&(i, bik)| cost_at[i] * bik).sum()
 }
 
 /// Converts a basis inverse between the standard form's row signs and the

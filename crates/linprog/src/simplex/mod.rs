@@ -11,12 +11,16 @@
 //!   how the engine takes it up and hands it back;
 //! - `engine`: the pivoting itself — both phases, the ratio test, the dual
 //!   repair of a warm restart — and the cold and warm entry points;
+//! - `pricing`: the duals and reduced costs the entering choice reads,
+//!   kept across pivots — a pivot reprices only the columns it changed —
+//!   and the row index that finds them;
 //! - `tol`: the numerical policy — every tolerance the engine reads, named
 //!   once (`engine`'s module docs tabulate them).
 
 mod basis;
 mod engine;
 mod inverse;
+mod pricing;
 mod standard_form;
 mod tol;
 
@@ -36,6 +40,7 @@ mod tests {
     };
     use super::inverse::flip_negated_rows;
     use super::inverse::tests::DenseInverse;
+    use super::pricing::tests::PRICE_AUDITS;
     use super::standard_form::StandardForm;
     use super::tol::snap_round_off;
     use crate::{Basis, LpError, Problem, Relation};
@@ -115,6 +120,7 @@ mod tests {
         let (lp, mut col_keys, mut row_keys) = growth_lp(&links, &paths);
         let mut handle = Basis::new();
         lp.solve_warm(&mut handle).expect("feasible: overload is allowed");
+        let audits = PRICE_AUDITS.get();
         for step in 1..=3usize {
             links.extend((300..400).map(|k| 4 * k + step));
             links.sort_unstable();
@@ -142,6 +148,7 @@ mod tests {
             (col_keys, row_keys) = (grown_cols, grown_rows);
         }
         assert!(row_keys.len() > 2048);
+        assert!(PRICE_AUDITS.get() > audits, "the restarts' kept prices were audited");
     }
 
     #[test]
@@ -705,6 +712,74 @@ mod tests {
         fn sparse_inverse_is_the_dense_one_to_the_bit(lp in arb_bounded_lp(), steps in arb_steps()) {
             drive(&lp, None, &steps)?;
         }
+    }
+
+    proptest! {
+        /// The kept prices are the full ones, to the bit, after every
+        /// pivot — `run_phase` and `dual_repair` audit them against a
+        /// recomputation from scratch — also when a refactorization every
+        /// other pivot rewrites the inverse mid-phase. The rows and costs
+        /// are scaled by sevenths and thirds so that the refactorized
+        /// inverse does not come out with the updated one's bits.
+        #[test]
+        fn kept_prices_are_the_full_ones_across_refactorizations(lp in arb_bounded_lp()) {
+            let mut scaled = lp.clone();
+            for (i, (a, _, rhs)) in scaled.rows.iter_mut().enumerate() {
+                let s = (i + 3) as f64 / 7.0;
+                a.iter_mut().for_each(|v| *v *= s);
+                *rhs *= s;
+            }
+            scaled.c.iter_mut().for_each(|c| *c /= 3.0);
+            let problem = scaled.problem();
+            let opts = SolverOptions { refactor_every: 2, ..Default::default() };
+            let audits = PRICE_AUDITS.get();
+            let often = solve_standard_form_cold(&problem.to_standard_form(), &opts, None);
+            match (often, problem.solve()) {
+                (Ok(often), Ok(once)) => {
+                    let (a, b) = (often.objective(), once.objective());
+                    prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs().max(b.abs())), "{a} vs {b}");
+                    prop_assert!(PRICE_AUDITS.get() > audits);
+                }
+                (often, once) => prop_assert_eq!(often.err(), once.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn the_leaving_column_is_repriced_when_no_dual_it_crosses_changes_bits() {
+        // Costs over six decades, rows scaled by sevenths and thirds. In
+        // exact arithmetic a pivot moves `y` on some row the leaving column
+        // crosses, so repricing the rows whose `y` changed would reprice
+        // it too; in one pivot here that move is below an ulp of the large
+        // duals, every `y` it crosses keeps its bits, and only the leaving
+        // column's own reprice makes its kept reduced cost the full one
+        // (`run_phase`'s audit fails without it).
+        let lp = DenseLp {
+            c: vec![1e14, 1e10, 6666666666.666667, 166666666.66666666],
+            upper: vec![1.0, 6.0, 4.0, 4.0],
+            rows: vec![
+                (
+                    vec![2.2857142857142856, 0.0, 4.0, 3.4285714285714284],
+                    Relation::Le,
+                    9.142857142857142,
+                ),
+                (vec![-7.0, 9.333333333333334, 0.0, 0.0], Relation::Ge, 3.0),
+                (vec![0.0, 8.0, 5.333333333333333, -8.0], Relation::Ge, 8.0),
+                (
+                    vec![
+                        1.7142857142857142,
+                        1.1428571428571428,
+                        2.2857142857142856,
+                        1.7142857142857142,
+                    ],
+                    Relation::Le,
+                    42.857142857142854,
+                ),
+            ],
+        };
+        let audits = PRICE_AUDITS.get();
+        let sol = lp.problem().solve().expect("feasible: x = (0, 1, 1.5, 0)");
+        assert!(sol.iterations() > 1 && PRICE_AUDITS.get() > audits);
     }
 
     #[test]
