@@ -1,5 +1,6 @@
 //! Traffic matrices: one aggregate per ordered PoP pair.
 
+use lowlat_netgraph::RangeError;
 use lowlat_topology::PopId;
 
 /// A directed traffic aggregate: the demand from one PoP to another.
@@ -22,20 +23,53 @@ pub struct TrafficMatrix {
     aggregates: Vec<Aggregate>,
 }
 
+/// `value` of aggregate `a`, as a [`RangeError`] prints it.
+fn at(a: &Aggregate, value: impl std::fmt::Display) -> String {
+    format!("{value} (aggregate {:?}->{:?})", a.src, a.dst)
+}
+
 impl TrafficMatrix {
+    /// Checks aggregates for [`TrafficMatrix::new`], which panics with the
+    /// error's message: every volume finite and `>= 0` (a zero volume is
+    /// dropped, a NaN, negative or infinite one is an error), no
+    /// aggregate from a PoP to itself, no (src, dst) pair twice. The error
+    /// names the first aggregate that fails.
+    pub fn validate(aggregates: &[Aggregate]) -> Result<(), RangeError> {
+        let mut seen = std::collections::HashSet::new();
+        for a in aggregates {
+            let v = a.volume_mbps;
+            RangeError::check(
+                v.is_finite() && v >= 0.0,
+                "volume_mbps",
+                at(a, v),
+                "a finite value >= 0",
+            )?;
+            RangeError::check(
+                a.src != a.dst,
+                "dst",
+                at(a, format!("{:?}", a.dst)),
+                "a PoP other than src",
+            )?;
+            let first = seen.insert((a.src, a.dst));
+            RangeError::check(
+                first,
+                "aggregate",
+                at(a, "repeated"),
+                "one entry per (src, dst) pair",
+            )?;
+        }
+        Ok(())
+    }
+
     /// Builds a matrix from aggregates, dropping zero-volume entries.
     ///
     /// # Panics
-    /// Panics if any aggregate has `src == dst`, a negative/non-finite
-    /// volume, or if a (src, dst) pair repeats.
+    /// Panics with [`TrafficMatrix::validate`]'s error: an aggregate with
+    /// `src == dst`, a NaN, negative or infinite volume, or a (src, dst)
+    /// pair that repeats.
     pub fn new(mut aggregates: Vec<Aggregate>) -> Self {
+        Self::validate(&aggregates).unwrap_or_else(|e| panic!("{e}"));
         aggregates.retain(|a| a.volume_mbps > 0.0);
-        let mut seen = std::collections::HashSet::new();
-        for a in &aggregates {
-            assert!(a.src != a.dst, "self-aggregate {:?}", a.src);
-            assert!(a.volume_mbps.is_finite() && a.volume_mbps > 0.0);
-            assert!(seen.insert((a.src, a.dst)), "duplicate aggregate {:?}->{:?}", a.src, a.dst);
-        }
         aggregates.sort_by_key(|a| (a.src, a.dst));
         TrafficMatrix { aggregates }
     }
@@ -68,12 +102,31 @@ impl TrafficMatrix {
         self.aggregates.iter().map(|a| a.volume_mbps).sum()
     }
 
+    /// Checks a factor for [`TrafficMatrix::scaled`], which panics with the
+    /// error's message: finite and `> 0`, and every volume it scales still
+    /// finite and `> 0` (the error names the first aggregate that
+    /// overflows or underflows).
+    pub fn validate_factor(&self, factor: f64) -> Result<(), RangeError> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        RangeError::check(positive(factor), "factor", factor, "a finite value > 0")?;
+        for a in &self.aggregates {
+            let v = a.volume_mbps * factor;
+            RangeError::check(
+                positive(v),
+                "factor",
+                at(a, factor),
+                "one that keeps every volume finite and > 0",
+            )?;
+        }
+        Ok(())
+    }
+
     /// A copy with every volume (and flow count) multiplied by `factor`.
     ///
     /// # Panics
-    /// Panics on a non-positive or non-finite factor.
+    /// Panics with [`TrafficMatrix::validate_factor`]'s error.
     pub fn scaled(&self, factor: f64) -> TrafficMatrix {
-        assert!(factor.is_finite() && factor > 0.0, "bad scale factor {factor}");
+        self.validate_factor(factor).unwrap_or_else(|e| panic!("{e}"));
         TrafficMatrix {
             aggregates: self
                 .aggregates
@@ -148,5 +201,36 @@ mod tests {
     #[should_panic]
     fn duplicate_pair_rejected() {
         TrafficMatrix::new(vec![agg(0, 1, 1.0), agg(0, 1, 2.0)]);
+    }
+
+    #[test]
+    fn a_bad_volume_is_an_error_naming_its_aggregate_not_a_dropped_demand() {
+        for (v, value) in [(f64::NAN, "NaN"), (-2.0, "-2"), (f64::INFINITY, "inf")] {
+            let aggs = vec![agg(0, 1, 10.0), agg(2, 0, v)];
+            let e = TrafficMatrix::validate(&aggs).unwrap_err();
+            let want =
+                format!("volume_mbps = {value} (aggregate n2->n0), expected a finite value >= 0");
+            assert_eq!(e.to_string(), want);
+            let panicked = std::panic::catch_unwind(|| TrafficMatrix::new(aggs)).unwrap_err();
+            assert_eq!(panicked.downcast_ref::<String>(), Some(&want));
+        }
+        let e = TrafficMatrix::validate(&[agg(1, 1, 3.0)]).unwrap_err();
+        assert_eq!(e.to_string(), "dst = n1 (aggregate n1->n1), expected a PoP other than src");
+        assert_eq!(TrafficMatrix::validate(&[agg(0, 1, 0.0), agg(1, 0, 4.0)]), Ok(()));
+    }
+
+    #[test]
+    fn a_factor_is_checked_against_every_volume_it_scales() {
+        let tm = TrafficMatrix::new(vec![agg(0, 1, 10.0), agg(1, 2, 1e300)]);
+        assert_eq!(tm.validate_factor(2.0), Ok(()));
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let e = tm.validate_factor(bad).unwrap_err();
+            assert_eq!((e.param, e.expected), ("factor", "a finite value > 0"));
+        }
+        let e = tm.validate_factor(1e10).unwrap_err();
+        let want = "factor = 10000000000 (aggregate n1->n2), expected one that keeps every volume finite and > 0";
+        assert_eq!(e.to_string(), want);
+        let panicked = std::panic::catch_unwind(|| tm.scaled(1e10)).unwrap_err();
+        assert_eq!(panicked.downcast_ref::<String>().map(String::as_str), Some(want));
     }
 }
