@@ -24,17 +24,6 @@ const LINK_BASED_POP_CAP: usize = 15;
 /// suite stays CI-sized (the cheap combinatorial schemes run everywhere).
 const FAILURE_LP_POP_CAP: usize = 15;
 
-fn named_corpus() -> Vec<Topology> {
-    vec![
-        named::abilene(),
-        named::nsfnet(),
-        named::geant_like(),
-        named::gts_like(),
-        named::cogent_like(),
-        named::google_like(),
-    ]
-}
-
 /// A gravity matrix scaled to 0.7 min-cut load, sharing `cache`.
 fn standard_tm(topo: &Topology, cache: &PathCache<'_>) -> TrafficMatrix {
     let raw = GravityTmGen::new(TmGenConfig::default()).generate(topo, 0);
@@ -45,7 +34,7 @@ fn standard_tm(topo: &Topology, cache: &PathCache<'_>) -> TrafficMatrix {
 
 #[test]
 fn every_registry_scheme_satisfies_the_placement_invariants() {
-    for topo in named_corpus() {
+    for topo in named::all() {
         let cache = PathCache::new(topo.graph());
         let tm = standard_tm(&topo, &cache);
         for &spec in registry::ALL_SPECS {
@@ -99,7 +88,7 @@ fn registry_schemes_survive_every_single_cable_failure() {
     // the *same* repaired cache and warm LP context (the recovery path the
     // failure sweep drives). Disconnected pairs are dropped, not fatal.
     let lp_specs = ["MinMax", "MinMaxK10", "LatOpt", "LDR", "LinkBased"];
-    for topo in named_corpus() {
+    for topo in named::all() {
         let graph = topo.graph();
         let cache = PathCache::new(graph);
         let tm = standard_tm(&topo, &cache);
@@ -168,7 +157,7 @@ fn registry_schemes_respect_effective_capacities_under_brownouts() {
     // The schemes whose feasibility the linearity argument guarantees (LDR
     // fits too: 0.35 effective load under its 10% static headroom).
     let must_fit = ["MinMax", "LatOpt", "LDR"];
-    for topo in named_corpus() {
+    for topo in named::all() {
         let graph = topo.graph();
         let cache = PathCache::new(graph);
         let tm = standard_tm(&topo, &cache).scaled(factor);

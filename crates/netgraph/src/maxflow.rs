@@ -3,9 +3,10 @@
 //! §2 of the paper declares a set of alternate paths a *viable alternate*
 //! when "their min-cut is sufficient" — i.e. the max-flow through the union
 //! of those paths' links reaches the bottleneck capacity of the shortest
-//! path. [`min_cut_of_links`] computes exactly that. The paper also scales
-//! traffic matrices relative to the network min-cut (§3), which reuses the
-//! same machinery at the whole-graph level via [`max_flow`].
+//! path. [`min_cut_of_links`] computes exactly that, and is what LLPD's
+//! APA viability test runs on. [`max_flow`] is the same solver on the
+//! whole graph. The min-cut load that scales the traffic matrices (§3) is
+//! not a max-flow: it is `lowlat_core::scale::min_cut_load`, a MinMax LP.
 
 use crate::graph::{Graph, LinkId, NodeId};
 

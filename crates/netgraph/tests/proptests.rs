@@ -200,9 +200,10 @@ proptest! {
 
     #[test]
     fn max_flow_equals_min_cut(g in arb_graph(8, 10)) {
-        // Strong duality for Dinic — the oracle behind the min-cut load
-        // scaling every figure uses. The cut side is independent brute
-        // force, so agreement pins both directions of the LP-free bound.
+        // Strong duality for Dinic — the solver behind LLPD's APA
+        // viability test (`min_cut_of_links`). The cut side is independent
+        // brute force, so agreement pins both directions of the LP-free
+        // bound.
         let (s, t) = (NodeId(0), NodeId((g.node_count() - 1) as u32));
         let flow = max_flow(&g, s, t);
         let cut = brute_force_min_cut(&g, s, t);

@@ -23,7 +23,7 @@
 //! simultaneous cable failures, deterministic in `--seed`), `brownout`
 //! (each cable degraded to `--degrade` of capacity — nothing down, so the
 //! LP must fit against *effective* capacities). One TSV row per (network,
-//! scheme, load, scenario); `--load X` is shorthand for `--loads X`.
+//! scheme, load, scenario).
 //!
 //! `--frontier` switches to availability-frontier output: per (network,
 //! scheme, load) cell, nearest-rank quantiles across the scenario set of
@@ -52,14 +52,7 @@ use lowlat_topology::Topology;
 fn named_corpus(scale: Scale) -> Vec<Topology> {
     match scale {
         Scale::Quick => vec![named::abilene(), named::gts_like()],
-        _ => vec![
-            named::abilene(),
-            named::nsfnet(),
-            named::geant_like(),
-            named::gts_like(),
-            named::cogent_like(),
-            named::google_like(),
-        ],
+        _ => named::all(),
     }
 }
 
@@ -99,9 +92,7 @@ fn sweep() -> Result<(), CliError> {
     let k = args.value("--k")?.unwrap_or(2usize);
     let count = args.value("--count")?.unwrap_or(5usize);
     let seed = args.value("--seed")?.unwrap_or(7u64);
-    // `--load 0.7` is the single-point alias for `--loads`.
-    let loads: Vec<f64> =
-        args.list("--loads")?.or(args.list("--load")?).unwrap_or_else(|| vec![0.7]);
+    let loads: Vec<f64> = args.list("--loads")?.unwrap_or_else(|| vec![0.7]);
     let degrade = args.value("--degrade")?.unwrap_or(0.5f64);
     let corridor_km = args.value("--corridor-km")?.unwrap_or(100.0f64);
     let frontier = args.switch("--frontier");

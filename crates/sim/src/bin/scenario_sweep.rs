@@ -12,10 +12,11 @@
 //!     [--loads 0.6,0.7,0.9] [--localities 0.0,1.0,2.0]
 //!     [--schemes SP,ECMP,B4-h10,MinMaxK10,LatOpt-h23,LDR]`
 
+use lowlat_core::default_workers;
 use lowlat_core::schemes::registry;
 use lowlat_netgraph::RangeError;
 use lowlat_sim::output::{print_records_header, print_records_rows};
-use lowlat_sim::runner::{self, build_schemes, run_scenarios, Args, CliError};
+use lowlat_sim::runner::{self, build_schemes, run_grid, Args, CliError, RunGrid};
 use lowlat_tmgen::TmGenConfig;
 
 fn main() {
@@ -41,7 +42,7 @@ fn sweep() -> Result<(), CliError> {
         .unwrap_or_else(|| registry::DEFAULT_SPECS.iter().map(|s| s.to_string()).collect());
     let schemes = build_schemes(&specs)?;
     let scale = args.finish()?;
-    let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
+    let nets = scale.networks();
     eprintln!(
         "scenario space: {} loads x {} localities over {} networks, {} matrices, {} schemes ({})",
         loads.len(),
@@ -55,12 +56,13 @@ fn sweep() -> Result<(), CliError> {
         .iter()
         .flat_map(|&load| localities.iter().map(move |&locality| (load, locality)))
         .collect();
+    let grid = RunGrid { scenarios, tms_per_network: scale.tms_per_network(), schemes };
     // One engine call: LLPD and the per-network path caches are computed
     // once and reused across every scenario point.
-    let per_scenario = run_scenarios(&nets, &scenarios, scale.tms_per_network(), &schemes);
+    let per_scenario = run_grid(&nets, None, &grid, default_workers());
     let stdout = std::io::stdout();
     print_records_header(stdout.lock()).expect("stdout");
-    for (&(load, locality), records) in scenarios.iter().zip(&per_scenario) {
+    for (&(load, locality), records) in grid.scenarios.iter().zip(&per_scenario) {
         eprintln!("  load {load} locality {locality}: {} records", records.len());
         print_records_rows(records, (load, locality), stdout.lock()).expect("stdout");
     }

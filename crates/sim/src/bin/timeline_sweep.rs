@@ -42,17 +42,7 @@ use lowlat_topology::Topology;
 /// Resolves `--networks` names against the named corpus plus the synthetic
 /// zoo (case-insensitive); a miss is an error listing the available names.
 fn select_named(names: &[String]) -> Result<Vec<Topology>, CliError> {
-    let pool: Vec<Topology> = [
-        named::abilene(),
-        named::gts_like(),
-        named::cogent_like(),
-        named::google_like(),
-        named::geant_like(),
-        named::nsfnet(),
-    ]
-    .into_iter()
-    .chain(zoo::synthetic_zoo())
-    .collect();
+    let pool: Vec<Topology> = named::all().into_iter().chain(zoo::synthetic_zoo()).collect();
     names
         .iter()
         .map(|want| {
@@ -121,7 +111,7 @@ fn sweep() -> Result<(), CliError> {
 
     let nets = match &networks {
         Some(names) => select_named(names)?,
-        None => scale.select_networks(lowlat_topology::zoo::synthetic_zoo()),
+        None => scale.networks(),
     };
     eprintln!(
         "timeline space: {} networks x {} controllers ({}), {} minutes (+{} warm-up), cv {cv}, \

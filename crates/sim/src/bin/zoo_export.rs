@@ -11,7 +11,6 @@ use std::fs;
 use std::path::Path;
 
 use lowlat_core::default_workers;
-use lowlat_core::llpd::LlpdConfig;
 use lowlat_netgraph::NodeId;
 use lowlat_sim::runner::{self, io_error, llpd_map, Args, CliError};
 use lowlat_topology::ingest::to_edge_list;
@@ -45,7 +44,7 @@ fn export() -> Result<(), CliError> {
     fs::create_dir_all(dir).map_err(io_error("--out", &out))?;
     let zoo = synthetic_zoo();
     eprintln!("computing LLPD for {} networks...", zoo.len());
-    let llpds = llpd_map(&zoo, &LlpdConfig::default(), default_workers());
+    let llpds = llpd_map(&zoo, default_workers());
 
     let mut manifest = String::from("name\tclass\tpops\tcables\tdiameter_ms\tllpd\n");
     for (topo, llpd) in zoo.iter().zip(&llpds) {

@@ -1,25 +1,23 @@
 //! Figure 1: CDF of per-pair APA for every network (stretch limit 1.4).
 
-use lowlat_core::default_workers;
 use lowlat_core::llpd::{LlpdAnalysis, LlpdConfig};
-use lowlat_topology::zoo::synthetic_zoo;
+use lowlat_core::{default_workers, par_map};
 
 use crate::output::Series;
-use crate::runner::{llpd_map, Scale};
+use crate::runner::Scale;
 use crate::stats::Cdf;
 
 /// One CDF series per network. Curves toward the lower right indicate
 /// usable low-latency path diversity; horizontal lines are cliques.
 pub fn run(scale: Scale) -> Vec<Series> {
-    let nets = scale.select_networks(synthetic_zoo());
-    let llpds = llpd_map(&nets, &LlpdConfig::default(), default_workers());
-    // APA values per network (recomputed; llpd_map only returns the scalar).
+    let nets = scale.networks();
+    let analyses =
+        par_map(&nets, default_workers(), |t| LlpdAnalysis::compute(t, &LlpdConfig::default()));
     nets.iter()
-        .zip(&llpds)
-        .map(|(t, llpd)| {
-            let analysis = LlpdAnalysis::compute(t, &LlpdConfig::default());
+        .zip(&analyses)
+        .map(|(t, analysis)| {
             let cdf = Cdf::new(analysis.apa_values().to_vec());
-            Series::new(format!("{}(llpd={llpd:.2})", t.name()), cdf_as_xy(&cdf))
+            Series::new(format!("{}(llpd={:.2})", t.name(), analysis.llpd()), cdf_as_xy(&cdf))
         })
         .collect()
 }

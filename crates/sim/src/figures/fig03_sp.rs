@@ -8,9 +8,9 @@ use crate::runner::{by_llpd, run_grid, RunGrid, Scale};
 
 /// Two series over (llpd, congested-pair fraction): median and p90.
 pub fn run(scale: Scale) -> Vec<Series> {
-    let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
-    let grid = RunGrid::with_schemes(0.7, 1.0, scale.tms_per_network(), &["SP"]);
-    let records = run_grid(&nets, &grid, default_workers());
+    let nets = scale.networks();
+    let grid = RunGrid::with_schemes(&[(0.7, 1.0)], scale.tms_per_network(), &["SP"]);
+    let records = run_grid(&nets, None, &grid, default_workers()).concat();
     let rows = by_llpd(&records, "SP", |r| r.congested_fraction);
     vec![
         Series::new("median", rows.iter().map(|&(l, m, _)| (l, m)).collect()),

@@ -9,14 +9,13 @@ use crate::runner::{by_llpd, run_grid, RunGrid, Scale};
 /// Per scheme, four series: congestion median/p90 and stretch median/p90,
 /// all over LLPD.
 pub fn run(scale: Scale) -> Vec<Series> {
-    let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
+    let nets = scale.networks();
     let grid = RunGrid::with_schemes(
-        0.7,
-        1.0,
+        &[(0.7, 1.0)],
         scale.tms_per_network(),
         &["LatOpt", "B4", "MinMax", "MinMaxK10"],
     );
-    let records = run_grid(&nets, &grid, default_workers());
+    let records = run_grid(&nets, None, &grid, default_workers()).concat();
     let mut series = Vec::new();
     for scheme in ["LatOpt", "B4", "MinMax", "MinMaxK10"] {
         let cong = by_llpd(&records, scheme, |r| r.congested_fraction);

@@ -11,12 +11,12 @@ pub const HEADROOMS: [f64; 4] = [0.0, 0.11, 0.23, 0.40];
 
 /// One series per headroom: (llpd, median latency stretch).
 pub fn run(scale: Scale) -> Vec<Series> {
-    let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
+    let nets = scale.networks();
     let specs: Vec<String> =
         HEADROOMS.iter().map(|&h| format!("LatOpt-h{:02}", (h * 100.0).round() as u32)).collect();
     let spec_refs: Vec<&str> = specs.iter().map(String::as_str).collect();
-    let grid = RunGrid::with_schemes(0.6, 1.0, scale.tms_per_network(), &spec_refs);
-    let records = run_grid(&nets, &grid, default_workers());
+    let grid = RunGrid::with_schemes(&[(0.6, 1.0)], scale.tms_per_network(), &spec_refs);
+    let records = run_grid(&nets, None, &grid, default_workers()).concat();
     grid.schemes
         .iter()
         .zip(&HEADROOMS)

@@ -31,8 +31,8 @@ pub fn run(scale: Scale, panel: Panel) -> Vec<Series> {
     } else {
         &["B4", "LDR-h00", "MinMaxK10", "MinMax"]
     };
-    let grid = RunGrid::with_schemes(0.7, 1.0, scale.tms_per_network(), specs);
-    let records = run_grid(&nets, &grid, default_workers());
+    let grid = RunGrid::with_schemes(&[(0.7, 1.0)], scale.tms_per_network(), specs);
+    let records = run_grid(&nets, None, &grid, default_workers()).concat();
     grid.schemes
         .iter()
         .map(|scheme| {

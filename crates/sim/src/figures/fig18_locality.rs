@@ -1,43 +1,19 @@
 //! Figure 18: effect of traffic locality on the median max flow stretch
 //! (networks with LLPD > 0.5, load 0.7).
 
-use lowlat_core::default_workers;
-use lowlat_core::schemes::registry;
-
 use crate::output::Series;
-use crate::runner::{run_grid, RunGrid, Scale};
-use crate::stats::median_of;
+use crate::runner::Scale;
 
 /// Locality values the paper sweeps.
 pub const LOCALITIES: [f64; 5] = [0.0, 0.5, 1.0, 1.5, 2.0];
 
 /// One series per scheme: (locality, median max stretch).
 pub fn run(scale: Scale) -> Vec<Series> {
-    let nets: Vec<_> =
-        super::networks_with_llpd(scale, |l| l > 0.5).into_iter().map(|(t, _)| t).collect();
-    let schemes = registry::schemes(&["B4", "LDR", "MinMax", "MinMaxK10"]);
-    let mut per_scheme: Vec<(String, Vec<(f64, f64)>)> =
-        schemes.iter().map(|s| (s.name(), Vec::new())).collect();
-    for &locality in &LOCALITIES {
-        let grid = RunGrid {
-            load: 0.7,
-            locality,
-            tms_per_network: scale.tms_per_network(),
-            schemes: schemes.clone(),
-        };
-        let records = run_grid(&nets, &grid, default_workers());
-        for (name, points) in per_scheme.iter_mut() {
-            let vals: Vec<f64> = records
-                .iter()
-                .filter(|r| &r.scheme == name)
-                .map(|r| if r.fits { r.max_flow_stretch } else { 50.0 })
-                .collect();
-            if !vals.is_empty() {
-                points.push((locality, median_of(&vals)));
-            }
-        }
-    }
-    per_scheme.into_iter().map(|(n, p)| Series::new(n, p)).collect()
+    super::median_max_stretch_sweep(
+        scale,
+        &LOCALITIES.map(|locality| (0.7, locality)),
+        |(_, locality)| locality,
+    )
 }
 
 #[cfg(test)]

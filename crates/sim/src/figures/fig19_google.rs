@@ -13,8 +13,8 @@ use crate::runner::{by_llpd, run_grid, RunGrid, Scale};
 pub fn run(scale: Scale) -> Vec<Series> {
     let mut series = super::fig03_sp::run(scale);
     let google = lowlat_topology::zoo::named::google_like();
-    let grid = RunGrid::with_schemes(0.7, 1.0, scale.tms_per_network(), &["SP"]);
-    let records = run_grid(&[google], &grid, default_workers());
+    let grid = RunGrid::with_schemes(&[(0.7, 1.0)], scale.tms_per_network(), &["SP"]);
+    let records = run_grid(&[google], None, &grid, default_workers()).concat();
     let rows = by_llpd(&records, "SP", |r| r.congested_fraction);
     series.push(Series::new("Google", rows.iter().map(|&(l, m, _)| (l, m)).collect()));
     series

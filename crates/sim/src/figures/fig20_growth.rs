@@ -8,19 +8,18 @@
 
 use lowlat_core::default_workers;
 use lowlat_core::growth::{grow_by_llpd, GrowthPlanConfig};
-use lowlat_core::schemes::registry;
 use lowlat_topology::Topology;
 
 use crate::output::Series;
-use crate::runner::{run_grid, run_grid_replay, RunGrid, Scale};
+use crate::runner::{run_grid, RunGrid, Scale};
 use crate::stats::{median_of, quantile_of};
 
 /// Picks hard-to-route networks: high median latency stretch under the
 /// latency-optimal scheme, cliques excluded (they cannot grow).
 fn hard_networks(scale: Scale, count: usize) -> Vec<Topology> {
-    let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
-    let grid = RunGrid::with_schemes(0.7, 1.0, 1, &["LatOpt"]);
-    let records = run_grid(&nets, &grid, default_workers());
+    let nets = scale.networks();
+    let grid = RunGrid::with_schemes(&[(0.7, 1.0)], 1, &["LatOpt"]);
+    let records = run_grid(&nets, None, &grid, default_workers()).concat();
     let mut scored: Vec<(f64, &str)> = records
         .iter()
         .filter(|r| r.class != lowlat_topology::zoo::ZooClass::Clique)
@@ -43,18 +42,16 @@ pub fn run(scale: Scale) -> Vec<Series> {
     let grown: Vec<Topology> =
         originals.iter().map(|t| grow_by_llpd(t, &GrowthPlanConfig::default()).topology).collect();
 
-    let schemes = registry::schemes(&["LDR", "MinMax", "MinMaxK10", "B4"]);
-    let grid = RunGrid {
-        load: 0.7,
-        locality: 1.0,
-        tms_per_network: scale.tms_per_network(),
-        schemes: schemes.clone(),
-    };
-    let before = run_grid(&originals, &grid, default_workers());
+    let grid = RunGrid::with_schemes(
+        &[(0.7, 1.0)],
+        scale.tms_per_network(),
+        &["LDR", "MinMax", "MinMaxK10", "B4"],
+    );
+    let before = run_grid(&originals, None, &grid, default_workers()).concat();
     // Replay the *same* matrices on the grown topologies: growth raises the
     // min-cut, so re-scaling on the grown network would inflate the load and
     // bury the latency benefit the figure is about.
-    let after = run_grid_replay(&grown, &originals, &grid, default_workers());
+    let after = run_grid(&grown, Some(&originals), &grid, default_workers()).concat();
 
     let mut out = Vec::new();
     for scheme in &grid.schemes {

@@ -21,7 +21,8 @@ pub mod fig20_growth;
 use lowlat_core::default_workers;
 
 use crate::output::{ascii_plot, print_tsv, Series};
-use crate::runner::{llpd_map, Scale};
+use crate::runner::{llpd_map, run_grid, RunGrid, Scale};
+use crate::stats::median_of;
 
 /// A figure the `figures` binary can emit: the name `--fig` takes (and
 /// `just figures` writes `figures/<name>.tsv` under) and the function that
@@ -124,9 +125,47 @@ pub fn networks_with_llpd(
     scale: Scale,
     filter: impl Fn(f64) -> bool,
 ) -> Vec<(lowlat_topology::Topology, f64)> {
-    let nets = scale.select_networks(lowlat_topology::zoo::synthetic_zoo());
-    let llpds = llpd_map(&nets, &lowlat_core::llpd::LlpdConfig::default(), default_workers());
+    let nets = scale.networks();
+    let llpds = llpd_map(&nets, default_workers());
     nets.into_iter().zip(llpds).filter(|(_, l)| filter(*l)).collect()
+}
+
+/// Figures 17 and 18: one grid over `scenarios` on the networks whose LLPD
+/// exceeds 0.5, and one series per scheme with a point per scenario at `x`
+/// of it — the median max flow stretch across matrices. Runs that fail to
+/// fit contribute a large sentinel stretch (they are the reason B4's curve
+/// shoots up on a log axis).
+fn median_max_stretch_sweep(
+    scale: Scale,
+    scenarios: &[(f64, f64)],
+    x: impl Fn((f64, f64)) -> f64,
+) -> Vec<Series> {
+    let nets: Vec<_> = networks_with_llpd(scale, |l| l > 0.5).into_iter().map(|(t, _)| t).collect();
+    let grid = RunGrid::with_schemes(
+        scenarios,
+        scale.tms_per_network(),
+        &["B4", "LDR", "MinMax", "MinMaxK10"],
+    );
+    let per_scenario = run_grid(&nets, None, &grid, default_workers());
+    grid.schemes
+        .iter()
+        .map(|scheme| {
+            let name = scheme.name();
+            let points = scenarios
+                .iter()
+                .zip(&per_scenario)
+                .filter_map(|(&scenario, records)| {
+                    let vals: Vec<f64> = records
+                        .iter()
+                        .filter(|r| r.scheme == name)
+                        .map(|r| if r.fits { r.max_flow_stretch } else { 50.0 })
+                        .collect();
+                    (!vals.is_empty()).then(|| (x(scenario), median_of(&vals)))
+                })
+                .collect();
+            Series::new(name, points)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,15 +1,17 @@
-//! Work-stealing (network × traffic-matrix × scheme) experiment engine.
+//! Work-stealing (scenario × network × traffic-matrix × scheme) experiment
+//! engine, behind one door: [`run_grid`].
 //!
 //! The seed engine parallelized across *networks* only, so a Std/Full sweep
 //! spent its tail waiting on the few large topologies while most cores sat
 //! idle. This engine flattens the grid into individual work items — first
-//! `(network, matrix)` generation/scaling items, then
-//! `(network, matrix, scheme)` placement items — that workers steal off a
-//! shared atomic counter ([`lowlat_core::par_map`], the one fan-out in the
-//! workspace). All of a network's items share one lock-striped
-//! [`PathCache`], so the k-shortest-path work the min-cut scaling solve does
-//! is reused by every scheme, and schemes running concurrently on the same
-//! graph do not contend (§5's "readily cached" observation).
+//! `(scenario, network, matrix)` generation/scaling items, then
+//! `(scenario, network, matrix, scheme)` placement items — that workers
+//! steal off a shared atomic counter ([`lowlat_core::par_map`], the one
+//! fan-out in the workspace). All of a network's items, in every scenario,
+//! share one lock-striped [`PathCache`], so the k-shortest-path work the
+//! min-cut scaling solve does is reused by every scheme, and schemes running
+//! concurrently on the same graph do not contend (§5's "readily cached"
+//! observation).
 //!
 //! Output is deterministic: every work item writes into its own pre-assigned
 //! slot, so the returned [`RunRecord`] order — and, `runtime_ms` aside, the
@@ -22,12 +24,12 @@ use std::time::Instant;
 
 use lowlat_core::eval::PlacementEval;
 use lowlat_core::llpd::{LlpdAnalysis, LlpdConfig};
+use lowlat_core::par_map;
 use lowlat_core::pathset::PathCache;
 use lowlat_core::scale::min_cut_load;
 use lowlat_core::schemes::{registry, RoutingScheme};
-use lowlat_core::{default_workers, par_map, PathSource};
 use lowlat_tmgen::{GravityTmGen, TmGenConfig, TrafficMatrix};
-use lowlat_topology::zoo::ZooClass;
+use lowlat_topology::zoo::{synthetic_zoo, ZooClass};
 use lowlat_topology::Topology;
 
 /// Experiment size, selected by `--quick` / `--std` / `--full`.
@@ -42,8 +44,9 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Subsets the corpus for this scale.
-    pub fn select_networks(&self, zoo: Vec<Topology>) -> Vec<Topology> {
+    /// The synthetic corpus ([`synthetic_zoo`]) subset for this scale.
+    pub fn networks(&self) -> Vec<Topology> {
+        let zoo = synthetic_zoo();
         match self {
             Scale::Quick => zoo
                 .into_iter()
@@ -251,10 +254,10 @@ pub fn io_error<'a>(flag: &'a str, path: &'a str) -> impl FnOnce(std::io::Error)
 /// ([`RunGrid::with_schemes`]).
 #[derive(Clone)]
 pub struct RunGrid {
-    /// Target min-cut load after scaling (0.7 in Figures 3/4/16, 0.6 in 8).
-    pub load: f64,
-    /// Gravity locality parameter (1.0 unless stated otherwise).
-    pub locality: f64,
+    /// `(load, locality)` points, each run over the whole grid: the target
+    /// min-cut load after scaling (0.7 in Figures 3/4/16, 0.6 in 8) and the
+    /// gravity locality parameter (1.0 unless stated otherwise).
+    pub scenarios: Vec<(f64, f64)>,
     /// Matrices per network.
     pub tms_per_network: u64,
     /// Schemes to evaluate.
@@ -266,16 +269,19 @@ impl RunGrid {
     ///
     /// # Panics
     /// Panics on an unknown scheme spec.
-    pub fn with_schemes(load: f64, locality: f64, tms_per_network: u64, specs: &[&str]) -> RunGrid {
-        RunGrid { load, locality, tms_per_network, schemes: registry::schemes(specs) }
+    pub fn with_schemes(scenarios: &[(f64, f64)], tms_per_network: u64, specs: &[&str]) -> RunGrid {
+        RunGrid {
+            scenarios: scenarios.to_vec(),
+            tms_per_network,
+            schemes: registry::schemes(specs),
+        }
     }
 }
 
 impl fmt::Debug for RunGrid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunGrid")
-            .field("load", &self.load)
-            .field("locality", &self.locality)
+            .field("scenarios", &self.scenarios)
             .field("tms_per_network", &self.tms_per_network)
             .field("schemes", &self.schemes.iter().map(|s| s.name()).collect::<Vec<_>>())
             .finish()
@@ -333,124 +339,82 @@ impl RunRecord {
 
 /// Computes LLPD for many networks on up to `workers` threads. Returns
 /// values aligned with the input order.
-pub fn llpd_map(networks: &[Topology], config: &LlpdConfig, workers: usize) -> Vec<f64> {
-    par_map(networks, workers, |topology| LlpdAnalysis::compute(topology, config).llpd())
+pub fn llpd_map(networks: &[Topology], workers: usize) -> Vec<f64> {
+    par_map(networks, workers, |topology| {
+        LlpdAnalysis::compute(topology, &LlpdConfig::default()).llpd()
+    })
 }
 
-/// Runs the grid over the given networks on up to `workers` threads; the
-/// records do not depend on the count (the determinism suite pins 1 vs
-/// many).
-pub fn run_grid(networks: &[Topology], grid: &RunGrid, workers: usize) -> Vec<RunRecord> {
-    run_grid_replay(networks, networks, grid, workers)
-}
-
-/// As [`run_grid`], but generates and scales each network's traffic on the
-/// matching `traffic_from` topology instead of the network itself. This is
-/// the Figure-20 replay: growing a topology raises its min-cut, so scaling
-/// on the *grown* network would quietly increase the offered load; the
-/// before/after comparison is only meaningful when the very same matrices
-/// are re-routed over the new links.
-pub fn run_grid_replay(
+/// Runs every scenario of `grid` over `networks` on up to `workers`
+/// threads and returns one record list per scenario, in grid order; the
+/// records do not depend on the worker count (the determinism suite pins
+/// 1 vs many).
+///
+/// LLPD and one shared [`PathCache`] per network — the graph-only work —
+/// are computed once and serve every scenario: the scaling solve and every
+/// (matrix, scheme) placement on that network. A cache answers from the
+/// graph, the mask and `k` alone, and every item places cold, so sharing
+/// it changes no record.
+///
+/// With `traffic_from`, each network's matrices are generated and scaled
+/// on the matching donor topology, each with a cache of its own, instead
+/// of on the network itself. This is the Figure-20 replay: growing a
+/// topology raises its min-cut, so scaling on the *grown* network would
+/// quietly increase the offered load; the before/after comparison is only
+/// meaningful when the very same matrices are re-routed over the new links.
+///
+/// # Panics
+/// Panics when `traffic_from` does not pair each network with a donor of
+/// the same PoP count.
+pub fn run_grid(
     networks: &[Topology],
-    traffic_from: &[Topology],
+    traffic_from: Option<&[Topology]>,
     grid: &RunGrid,
     workers: usize,
-) -> Vec<RunRecord> {
-    assert_eq!(networks.len(), traffic_from.len());
-    for (net, from) in networks.iter().zip(traffic_from) {
+) -> Vec<Vec<RunRecord>> {
+    let donors = traffic_from.unwrap_or(networks);
+    assert_eq!(networks.len(), donors.len());
+    for (net, from) in networks.iter().zip(donors) {
         assert_eq!(net.pop_count(), from.pop_count(), "replay needs matching PoP sets");
     }
-    let llpds = llpd_map(networks, &LlpdConfig::default(), workers);
-
-    // One shared cache per network, serving the scaling solve and every
-    // (matrix, scheme) placement on that network. In replay mode the donor
-    // topology's graph differs from the routed one, so scaling gets its own
-    // cache; otherwise both roles share a single cache and the Yen work of
-    // the min-cut solve warms the schemes'.
+    let llpds = llpd_map(networks, workers);
     let caches: Vec<PathCache<'_>> = networks.iter().map(|t| PathCache::new(t.graph())).collect();
-    let scale_caches: Vec<Option<PathCache<'_>>> = networks
-        .iter()
-        .zip(traffic_from)
-        .map(
-            |(net, from)| {
-                if std::ptr::eq(net, from) {
-                    None
-                } else {
-                    Some(PathCache::new(from.graph()))
-                }
-            },
-        )
-        .collect();
-    let sources: Vec<&dyn PathSource> = caches.iter().map(|c| c as &dyn PathSource).collect();
-    let scale_sources: Vec<Option<&dyn PathSource>> =
-        scale_caches.iter().map(|o| o.as_ref().map(|c| c as &dyn PathSource)).collect();
+    let donor_caches: Option<Vec<PathCache<'_>>> =
+        traffic_from.map(|from| from.iter().map(|t| PathCache::new(t.graph())).collect());
+    let scale_caches = donor_caches.as_deref().unwrap_or(&caches);
 
-    run_with_resources(networks, traffic_from, grid, workers, &llpds, &sources, &scale_sources)
-}
-
-/// Sweeps many (load, locality) scenario points over one corpus. LLPD and
-/// the per-network path caches — the graph-only work — are computed once
-/// and shared across every point; only traffic generation, scaling and
-/// placement rerun per scenario. This is the `scenario_sweep` backend.
-pub fn run_scenarios(
-    networks: &[Topology],
-    scenarios: &[(f64, f64)],
-    tms_per_network: u64,
-    schemes: &[Arc<dyn RoutingScheme>],
-) -> Vec<Vec<RunRecord>> {
-    let workers = default_workers();
-    let llpds = llpd_map(networks, &LlpdConfig::default(), workers);
-    let caches: Vec<PathCache<'_>> = networks.iter().map(|t| PathCache::new(t.graph())).collect();
-    let sources: Vec<&dyn PathSource> = caches.iter().map(|c| c as &dyn PathSource).collect();
-    let scale_sources: Vec<Option<&dyn PathSource>> = networks.iter().map(|_| None).collect();
-    scenarios
-        .iter()
-        .map(|&(load, locality)| {
-            let grid = RunGrid { load, locality, tms_per_network, schemes: schemes.to_vec() };
-            run_with_resources(networks, networks, &grid, workers, &llpds, &sources, &scale_sources)
-        })
-        .collect()
-}
-
-/// One scenario's two-stage work-stealing pass over precomputed per-network
-/// resources — the common core of the one-shot entry points and
-/// [`run_scenarios`].
-fn run_with_resources(
-    networks: &[Topology],
-    traffic_from: &[Topology],
-    grid: &RunGrid,
-    workers: usize,
-    llpds: &[f64],
-    sources: &[&dyn PathSource],
-    scale_sources: &[Option<&dyn PathSource>],
-) -> Vec<RunRecord> {
     let tms = grid.tms_per_network as usize;
+    let per_scenario = networks.len() * tms;
 
-    // Stage 1: steal (network, matrix) items — generate, min-cut-scale.
-    let gen = GravityTmGen::new(TmGenConfig { locality: grid.locality, ..Default::default() });
-    let matrix_items: Vec<usize> = (0..networks.len() * tms).collect();
+    // Stage 1: steal (scenario, network, matrix) items — generate,
+    // min-cut-scale.
+    let gens: Vec<GravityTmGen> = grid
+        .scenarios
+        .iter()
+        .map(|&(_, locality)| GravityTmGen::new(TmGenConfig { locality, ..Default::default() }))
+        .collect();
+    let matrix_items: Vec<usize> = (0..grid.scenarios.len() * per_scenario).collect();
     let matrices: Vec<Option<TrafficMatrix>> = par_map(&matrix_items, workers, |&item| {
-        let (n, t) = (item / tms, item % tms);
-        let raw = gen.generate(&traffic_from[n], t as u64);
-        let scale_source = scale_sources[n].unwrap_or(sources[n]);
+        let (s, n, t) = (item / per_scenario, item % per_scenario / tms, item % tms);
+        let raw = gens[s].generate(&donors[n], t as u64);
         // LP failure or an empty matrix: leave the slot empty, keep the run
         // alive.
-        let u0 = min_cut_load(scale_source, &raw).ok()?;
-        (u0 > 0.0).then(|| raw.scaled(grid.load / u0))
+        let u0 = min_cut_load(&scale_caches[n], &raw).ok()?;
+        (u0 > 0.0).then(|| raw.scaled(grid.scenarios[s].0 / u0))
     });
 
-    // Stage 2: steal (network, matrix, scheme) items — place and evaluate.
-    // Scheme index varies fastest, so slot order reproduces the classic
-    // nested-loop record order.
+    // Stage 2: steal (scenario, network, matrix, scheme) items — place and
+    // evaluate. Scheme index varies fastest, so slot order reproduces the
+    // classic nested-loop record order.
     let record_items: Vec<usize> = (0..matrices.len() * grid.schemes.len()).collect();
     let records = par_map(&record_items, workers, |&item| {
         let scheme = &grid.schemes[item % grid.schemes.len()];
         let flat_tm = item / grid.schemes.len();
-        let (n, t) = (flat_tm / tms, flat_tm % tms);
+        let (n, t) = (flat_tm % per_scenario / tms, flat_tm % tms);
         let tm = matrices[flat_tm].as_ref()?;
         let started = Instant::now();
         // Solver failure: skip the item, keep the run.
-        let placement = scheme.place(sources[n], tm).ok()?;
+        let placement = scheme.place(&caches[n], tm).ok()?;
         let runtime_ms = started.elapsed().as_secs_f64() * 1000.0;
         debug_assert!(placement.validate(networks[n].graph(), tm).is_ok());
         let ev = PlacementEval::evaluate(&networks[n], tm, &placement);
@@ -468,7 +432,12 @@ fn run_with_resources(
             runtime_ms,
         })
     });
-    records.into_iter().flatten().collect()
+    let mut records = records.into_iter();
+    let per_scenario_records = per_scenario * grid.schemes.len();
+    grid.scenarios
+        .iter()
+        .map(|_| records.by_ref().take(per_scenario_records).flatten().collect())
+        .collect()
 }
 
 /// Groups records by network and reduces a metric to (llpd, median, p90)
@@ -496,18 +465,18 @@ pub fn by_llpd(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lowlat_core::default_workers;
     use lowlat_topology::zoo::named;
 
     #[test]
     fn grid_runs_all_schemes_on_abilene() {
         let topo = named::abilene();
         let grid = RunGrid::with_schemes(
-            0.7,
-            1.0,
+            &[(0.7, 1.0)],
             1,
             &["SP", "B4", "MinMax", "MinMaxK10", "LatOpt", "LDR"],
         );
-        let records = run_grid(&[topo], &grid, default_workers());
+        let records = run_grid(&[topo], None, &grid, default_workers()).concat();
         assert_eq!(records.len(), 6, "one record per scheme");
         for r in &records {
             assert!(r.latency_stretch >= 1.0 - 1e-6, "{}: stretch {}", r.scheme, r.latency_stretch);
@@ -528,8 +497,8 @@ mod tests {
     #[test]
     fn record_order_is_network_matrix_scheme() {
         let nets = [named::abilene(), named::nsfnet()];
-        let grid = RunGrid::with_schemes(0.7, 1.0, 2, &["SP", "ECMP"]);
-        let records = run_grid(&nets, &grid, default_workers());
+        let grid = RunGrid::with_schemes(&[(0.7, 1.0)], 2, &["SP", "ECMP"]);
+        let records = run_grid(&nets, None, &grid, default_workers()).concat();
         assert_eq!(records.len(), 2 * 2 * 2);
         for (i, r) in records.iter().enumerate() {
             let want_net = if i < 4 { "Abilene" } else { "NSFNET" };

@@ -63,7 +63,7 @@ fn out_of_range_parameters_exit_2_naming_the_flag() {
         (FAILURE, &["--loads", "-1"], "--loads"),
         (FAILURE, &["--loads", "nan"], "--loads"),
         (FAILURE, &["--loads", "0.5,1.2"], "--loads"),
-        (FAILURE, &["--load", "1.2"], "--load"),
+        (FAILURE, &["--load", "0.7"], "--load: unknown argument"),
         (FAILURE, &["--scenarios", "random", "--k", "0"], "--k"),
         (FAILURE, &["--degrade", "1"], "--degrade"),
         (FAILURE, &["--scenarios", "geo", "--corridor-km", "-5"], "--corridor-km"),

@@ -701,16 +701,7 @@ mod tests {
                 ));
             }
         }
-        use crate::zoo::named;
-        let named = [
-            named::abilene(),
-            named::gts_like(),
-            named::cogent_like(),
-            named::google_like(),
-            named::geant_like(),
-            named::nsfnet(),
-        ];
-        for topo in named.iter().chain(&crate::zoo::synthetic_zoo()) {
+        for topo in crate::zoo::named::all().iter().chain(&crate::zoo::synthetic_zoo()) {
             assert_round_trips(&of_topology(topo));
         }
     }

@@ -102,22 +102,6 @@ impl Topology {
             .fold(0.0, f64::max)
     }
 
-    /// A copy of the graph with every capacity multiplied by
-    /// `1.0 - headroom` — the paper's "headroom dial" (§4): reserving
-    /// headroom is exactly routing over a capacity-scaled topology.
-    ///
-    /// # Panics
-    /// Panics unless `0.0 <= headroom < 1.0`.
-    pub fn graph_with_headroom(&self, headroom: f64) -> Graph {
-        assert!((0.0..1.0).contains(&headroom), "headroom {headroom} out of [0,1)");
-        let mut b = GraphBuilder::new(self.graph.node_count());
-        for l in self.graph.link_ids() {
-            let link = self.graph.link(l);
-            b.add_link(link.src, link.dst, link.delay_ms, link.capacity_mbps * (1.0 - headroom));
-        }
-        b.build()
-    }
-
     /// Returns a new topology with one additional duplex link between `a`
     /// and `b` (delay from geography, given capacity). Used by the §8
     /// topology-growth experiment (Figure 20).
@@ -292,16 +276,6 @@ mod tests {
         // Vienna-Budapest ~215 km => ~1.08 ms.
         let d = t.graph().link(l).delay_ms;
         assert!((d - 1.08).abs() < 0.1, "got {d}");
-    }
-
-    #[test]
-    fn headroom_scales_capacity_not_delay() {
-        let t = tri();
-        let g = t.graph_with_headroom(0.25);
-        for l in g.link_ids() {
-            assert!((g.link(l).capacity_mbps - 7500.0).abs() < 1e-9);
-            assert_eq!(g.link(l).delay_ms, t.graph().link(l).delay_ms);
-        }
     }
 
     #[test]

@@ -18,6 +18,13 @@
 use crate::geo::GeoPoint;
 use crate::model::{PopId, Topology, TopologyBuilder};
 
+/// The six named backbones: Abilene, NSFNET, GÉANT-like, GTS-like,
+/// Cogent-like and Google-like, in the order the failure sweep reports
+/// them.
+pub fn all() -> Vec<Topology> {
+    vec![abilene(), nsfnet(), geant_like(), gts_like(), cogent_like(), google_like()]
+}
+
 fn pop(b: &mut TopologyBuilder, name: &str, lat: f64, lon: f64) -> PopId {
     b.add_pop(name, GeoPoint::new(lat, lon))
 }

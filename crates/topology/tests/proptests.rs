@@ -46,20 +46,6 @@ fn corpus_invariants() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// graph_with_headroom scales capacity only, never delay or shape.
-    #[test]
-    fn headroom_graph_scales_capacity(h in 0.0f64..0.95) {
-        let t = lowlat_topology::zoo::named::abilene();
-        let g = t.graph_with_headroom(h);
-        prop_assert_eq!(g.node_count(), t.graph().node_count());
-        prop_assert_eq!(g.link_count(), t.graph().link_count());
-        for l in g.link_ids() {
-            let (a, b) = (g.link(l), t.graph().link(l));
-            prop_assert!((a.capacity_mbps - b.capacity_mbps * (1.0 - h)).abs() < 1e-9);
-            prop_assert_eq!(a.delay_ms, b.delay_ms);
-        }
-    }
-
     /// Random geometric builders always produce valid, connected graphs.
     #[test]
     fn mesh_generator_connected(n in 4usize..30, seed in any::<u64>()) {

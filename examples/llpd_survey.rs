@@ -12,7 +12,7 @@ use lowlat::sim::runner::llpd_map;
 fn main() {
     let zoo = synthetic_zoo();
     println!("computing LLPD for {} networks...", zoo.len());
-    let llpds = llpd_map(&zoo, &LlpdConfig::default(), default_workers());
+    let llpds = llpd_map(&zoo, default_workers());
 
     let mut by_class: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     for (topo, llpd) in zoo.iter().zip(&llpds) {

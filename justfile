@@ -83,10 +83,10 @@ trace minutes="10" seed="99":
 # Survivability sweep over the named corpus: failure scenarios (single =
 # exhaustive single-cable, node, srlg, random) x schemes, each cell running
 # cache repair + warm re-placement. Results land in sweeps/ as TSV.
-failures scenarios="single" schemes="LDR,LatOpt,SP" load="0.7" scale="--std":
+failures scenarios="single" schemes="LDR,LatOpt,SP" loads="0.7" scale="--std":
     mkdir -p sweeps
     cargo run --release -p lowlat_sim --bin failure_sweep -- {{scale}} \
-        --scenarios {{scenarios}} --schemes {{schemes}} --load {{load}} \
+        --scenarios {{scenarios}} --schemes {{schemes}} --loads {{loads}} \
         > sweeps/failure_sweep.tsv
     @echo "wrote sweeps/failure_sweep.tsv"
 

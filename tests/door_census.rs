@@ -42,6 +42,11 @@ const GONE: &[&str] = &[
     "read_or_die",
     "parse_csv",
     "build_list",
+    "run_grid_replay",
+    "run_scenarios",
+    "run_with_resources",
+    "select_networks",
+    "graph_with_headroom",
 ];
 
 /// The solver's options are `lowlat_linprog`'s own business.
