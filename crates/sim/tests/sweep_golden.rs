@@ -48,6 +48,7 @@ const SWEEPS: &[(&str, &str, &str)] = &[
         FAILURE,
         "--quick --scenarios single,brownout --schemes LDR --loads 0.5,0.7 --degrade 0.5",
     ),
+    ("frontier", FAILURE, "--quick --scenarios single --schemes LDR --frontier"),
     (
         "scenarios",
         SCENARIO,
