@@ -124,6 +124,12 @@ pub fn validate_k(k: usize) -> Result<(), RangeError> {
     RangeError::check(k >= 1, "k", k, "at least 1 cable")
 }
 
+/// Checks `count` for [`random_k_link_failures`]: a draw of no scenarios
+/// sweeps nothing.
+pub fn validate_count(count: usize) -> Result<(), RangeError> {
+    RangeError::check(count >= 1, "count", count, "at least 1 scenario")
+}
+
 /// Checks a brown-out factor for [`brownout_failures`] (a factor of 0 is a
 /// failure: [`single_link_failures`]).
 pub fn validate_factor(factor: f64) -> Result<(), RangeError> {
@@ -138,7 +144,8 @@ pub fn validate_corridor_km(corridor_km: f64) -> Result<(), RangeError> {
 
 /// `count` random scenarios of `k` simultaneous distinct cable failures
 /// (every cable when `k` is more than there are), deterministic in `seed`
-/// — the correlated-failure axis. `Err` when [`validate_k`] rejects `k`.
+/// — the correlated-failure axis. `Err` when [`validate_k`] rejects `k`
+/// or [`validate_count`] rejects `count`.
 pub fn random_k_link_failures(
     topology: &Topology,
     k: usize,
@@ -146,6 +153,7 @@ pub fn random_k_link_failures(
     seed: u64,
 ) -> Result<Vec<FailureScenario>, RangeError> {
     validate_k(k)?;
+    validate_count(count)?;
     let cables = topology.cables();
     let k = k.min(cables.len());
     let mut rng = StdRng::seed_from_u64(seed);
@@ -686,6 +694,7 @@ mod tests {
     fn generator_parameters_outside_their_range_are_errors() {
         let topo = named::abilene();
         assert_eq!(random_k_link_failures(&topo, 0, 5, 7).unwrap_err().param, "k");
+        assert_eq!(random_k_link_failures(&topo, 2, 0, 7).unwrap_err().param, "count");
         let all = random_k_link_failures(&topo, 1000, 2, 7).unwrap();
         assert!(all.iter().all(|s| s.cables.len() == topo.cables().len()), "k caps at every cable");
         for factor in [0.0, 1.0, -0.5, f64::NAN] {

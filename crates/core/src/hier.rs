@@ -73,7 +73,7 @@ use parking_lot::RwLock;
 
 use lowlat_netgraph::{
     reverse_shortest_path_tree, shortest_path, shortest_path_tree, FailureMask, Graph, Hierarchy,
-    HierarchyConfig, LinkId, NodeId, Path,
+    HierarchyConfig, LinkId, NodeId, Path, RangeError,
 };
 use lowlat_telemetry as telemetry;
 
@@ -95,6 +95,17 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig { hierarchy: HierarchyConfig::default(), landmarks: 32 }
+    }
+}
+
+impl EngineConfig {
+    /// Checks the fields [`PartitionedPathEngine::build`] reads, which
+    /// panics with the error's message: at least one landmark, and the
+    /// hierarchy's own [`HierarchyConfig::validate`]. A caller holding
+    /// outside input calls this first.
+    pub fn validate(&self) -> Result<(), RangeError> {
+        RangeError::check(self.landmarks >= 1, "landmarks", self.landmarks, "at least 1")?;
+        self.hierarchy.validate()
     }
 }
 
@@ -312,7 +323,12 @@ impl LandmarkTable {
 impl<'g> PartitionedPathEngine<'g> {
     /// Builds hierarchy, per-leaf caches and landmark trees. Deterministic
     /// in `(graph, config)`.
+    ///
+    /// # Panics
+    ///
+    /// If [`EngineConfig::validate`] rejects `config`.
     pub fn build(graph: &'g Graph, config: &EngineConfig) -> Self {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let hierarchy = Hierarchy::build(graph, &config.hierarchy);
         let leaf_ids = hierarchy.leaves();
         let mut cache_of_leaf = vec![usize::MAX; hierarchy.clusters().len()];
@@ -328,7 +344,7 @@ impl<'g> PartitionedPathEngine<'g> {
         // delay space the farthest-point split already organized.
         let groups = hierarchy.groups();
         let n = graph.node_count() as f64;
-        let budget = config.landmarks.max(1);
+        let budget = config.landmarks;
         let mut landmark_nodes: Vec<NodeId> = Vec::new();
         for &gid in &groups {
             let members = &hierarchy.cluster(gid).members;

@@ -35,12 +35,13 @@
 //! `repair_ms` column and the trace's per-scenario span read the same
 //! measurement.
 
-use lowlat_core::failure::{self, replace_under_failure, FailureScenario};
+use lowlat_core::failure::{self, replace_under_failure, FailureImpact, FailureScenario};
 use lowlat_core::pathset::PathCache;
 use lowlat_core::scale::{self, ScaleToLoad};
 use lowlat_core::schemes::SolveContext;
 use lowlat_core::PathSource;
 use lowlat_core::{default_workers, par_map};
+use lowlat_sim::output::{print_rows, Row};
 use lowlat_sim::runner::{self, build_schemes, Args, CliError, Scale, TelemetrySinks};
 use lowlat_sim::stats::Cdf;
 use lowlat_telemetry as telemetry;
@@ -58,26 +59,6 @@ fn named_corpus(scale: Scale) -> Vec<Topology> {
 
 /// `sweep` validates every scenario parameter before a generator runs.
 const CHECKED: &str = "scenario parameters are validated before generating";
-
-struct Row {
-    network: String,
-    pops: usize,
-    links: usize,
-    scheme: String,
-    scenario: String,
-    failed_elements: usize,
-    kept_pairs: usize,
-    repaired_pairs: usize,
-    paths_regrown: usize,
-    unroutable_fraction: f64,
-    latency_stretch: f64,
-    max_path_stretch: f64,
-    max_overload: f64,
-    lp_solves: usize,
-    lp_warm_hits: usize,
-    repair_ms: f64,
-    load: f64,
-}
 
 /// Nearest-rank quantiles reported per frontier cell.
 const FRONTIER_QUANTILES: [f64; 5] = [0.5, 0.9, 0.95, 0.99, 1.0];
@@ -107,6 +88,7 @@ fn sweep() -> Result<(), CliError> {
         scale::validate_target(load).map_err(CliError::at("--loads"))?;
     }
     failure::validate_k(k).map_err(CliError::at("--k"))?;
+    failure::validate_count(count).map_err(CliError::at("--count"))?;
     failure::validate_factor(degrade).map_err(CliError::at("--degrade"))?;
     failure::validate_corridor_km(corridor_km).map_err(CliError::at("--corridor-km"))?;
     let schemes = build_schemes(&specs)?;
@@ -132,6 +114,10 @@ fn sweep() -> Result<(), CliError> {
         Ok(out)
     };
     let scenario_sets = nets.iter().map(scenarios_for).collect::<Result<Vec<_>, _>>()?;
+    if scenario_sets.iter().all(Vec::is_empty) {
+        let message = format!("no network has a {} scenario", axes.join(" or "));
+        return Err(CliError::new("--scenarios", message));
+    }
     // One matrix per (network, load): the same gravity structure swept
     // across operating points.
     let tms: Vec<Vec<_>> = nets
@@ -168,7 +154,15 @@ fn sweep() -> Result<(), CliError> {
             (0..schemes.len()).flat_map(move |s| (0..load_count).map(move |li| (n, s, li)))
         })
         .collect();
-    let cell_rows: Vec<Vec<Row>> = par_map(&cells, default_workers(), |&(n, s, li)| {
+    // The columns every row of a (network, scheme) cell leads with.
+    let lead = |n: usize, s: usize| {
+        Row::new()
+            .text("network", nets[n].name())
+            .num("pops", nets[n].pop_count())
+            .num("links", nets[n].link_count())
+            .text("scheme", schemes[s].name())
+    };
+    let cell_rows = par_map(&cells, default_workers(), |&(n, s, li)| {
         let (net, tm, scheme) = (&nets[n], &tms[n][li], &schemes[s]);
         let cache = PathCache::new(net.graph());
         let mut ctx = SolveContext::new();
@@ -202,88 +196,57 @@ fn sweep() -> Result<(), CliError> {
             // One measurement feeds both the repair_ms column and the
             // trace's per-scenario span.
             let repair_ms = scenario_span.finish_ms();
-            rows.push(Row {
-                network: net.name().to_string(),
-                pops: net.pop_count(),
-                links: net.link_count(),
-                scheme: scheme.name(),
-                scenario: scenario.name.clone(),
-                failed_elements: scenario.failed_elements(),
-                kept_pairs: out.repair.kept_pairs,
-                repaired_pairs: out.repair.repaired_pairs,
-                paths_regrown: out.repair.paths_regrown,
-                unroutable_fraction: out.impact.unroutable_fraction,
-                latency_stretch: out.impact.latency_stretch,
-                max_path_stretch: out.impact.max_path_stretch,
-                max_overload: out.impact.max_overload,
-                lp_solves: out.lp_solves,
-                lp_warm_hits: out.lp_warm_hits,
-                repair_ms,
-                load: loads[li],
-            });
+            let impact = &out.impact;
+            let row = lead(n, s)
+                .text("scenario", &scenario.name)
+                .num("failed_elements", scenario.failed_elements())
+                .num("kept_pairs", out.repair.kept_pairs)
+                .num("repaired_pairs", out.repair.repaired_pairs)
+                .num("paths_regrown", out.repair.paths_regrown)
+                .fixed("unroutable_frac", impact.unroutable_fraction, 4)
+                .fixed("latency_stretch", impact.latency_stretch, 4)
+                .fixed("max_path_stretch", impact.max_path_stretch, 4)
+                .fixed("max_overload", impact.max_overload, 4)
+                .num("lp_solves", out.lp_solves)
+                .num("lp_warm_hits", out.lp_warm_hits)
+                .fixed("repair_ms", repair_ms, 2)
+                .num("load", loads[li]);
+            rows.push((row, out.impact));
         }
         rows
     });
-    if frontier {
+    let table: Vec<Row> = if frontier {
         // Availability frontier: per (network, scheme, load) cell, the
         // scenario distribution collapsed to nearest-rank quantiles — one
         // row per quantile, so plotting `quantile` against any metric
         // column draws the availability CDF directly.
-        println!(
-            "network\tpops\tlinks\tscheme\tscenarios\tquantile\tunroutable_frac\t\
-             max_path_stretch\tmax_overload\tload"
-        );
-        for rows in cell_rows {
-            let Some(first) = rows.first() else { continue };
-            let unroutable = Cdf::new(rows.iter().map(|r| r.unroutable_fraction).collect());
-            let stretch = Cdf::new(rows.iter().map(|r| r.max_path_stretch).collect());
-            let overload = Cdf::new(rows.iter().map(|r| r.max_overload).collect());
+        let mut table = Vec::new();
+        for (&(n, s, li), rows) in cells.iter().zip(&cell_rows) {
+            if rows.is_empty() {
+                continue;
+            }
+            let cdf = |of: fn(&FailureImpact) -> f64| {
+                Cdf::new(rows.iter().map(|(_, impact)| of(impact)).collect())
+            };
+            let unroutable = cdf(|i| i.unroutable_fraction);
+            let stretch = cdf(|i| i.max_path_stretch);
+            let overload = cdf(|i| i.max_overload);
             for q in FRONTIER_QUANTILES {
-                println!(
-                    "{}\t{}\t{}\t{}\t{}\t{:.2}\t{:.4}\t{:.4}\t{:.4}\t{}",
-                    first.network,
-                    first.pops,
-                    first.links,
-                    first.scheme,
-                    rows.len(),
-                    q,
-                    unroutable.quantile(q),
-                    stretch.quantile(q),
-                    overload.quantile(q),
-                    first.load,
+                table.push(
+                    lead(n, s)
+                        .num("scenarios", rows.len())
+                        .fixed("quantile", q, 2)
+                        .fixed("unroutable_frac", unroutable.quantile(q), 4)
+                        .fixed("max_path_stretch", stretch.quantile(q), 4)
+                        .fixed("max_overload", overload.quantile(q), 4)
+                        .num("load", loads[li]),
                 );
             }
         }
-        return sinks.write();
-    }
-    println!(
-        "network\tpops\tlinks\tscheme\tscenario\tfailed_elements\tkept_pairs\trepaired_pairs\t\
-         paths_regrown\tunroutable_frac\tlatency_stretch\tmax_path_stretch\tmax_overload\t\
-         lp_solves\tlp_warm_hits\trepair_ms\tload"
-    );
-    for rows in cell_rows {
-        for r in rows {
-            println!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.4}\t{:.4}\t{:.4}\t{:.4}\t{}\t{}\t{:.2}\t{}",
-                r.network,
-                r.pops,
-                r.links,
-                r.scheme,
-                r.scenario,
-                r.failed_elements,
-                r.kept_pairs,
-                r.repaired_pairs,
-                r.paths_regrown,
-                r.unroutable_fraction,
-                r.latency_stretch,
-                r.max_path_stretch,
-                r.max_overload,
-                r.lp_solves,
-                r.lp_warm_hits,
-                r.repair_ms,
-                r.load,
-            );
-        }
-    }
+        table
+    } else {
+        cell_rows.into_iter().flatten().map(|(row, _)| row).collect()
+    };
+    print_rows(&table, std::io::stdout().lock()).expect("stdout");
     sinks.write()
 }

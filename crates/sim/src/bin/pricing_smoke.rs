@@ -25,6 +25,7 @@ use lowlat_core::schemes::registry;
 use lowlat_core::PathSource;
 use lowlat_netgraph::hierarchy::HierarchyConfig;
 use lowlat_netgraph::{NodeId, RangeError};
+use lowlat_sim::output::{print_rows, Row};
 use lowlat_sim::runner::{self, build_schemes, Args, CliError};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::{Aggregate, TrafficMatrix};
@@ -56,6 +57,10 @@ fn smoke() -> Result<ExitCode, CliError> {
         ..Default::default()
     };
     let landmarks = args.value("--landmarks")?.unwrap_or(32usize);
+    // `--leaf` is the hierarchy's only field read here, and its check
+    // passes every value: an error is about the landmarks.
+    let engine_cfg = EngineConfig { hierarchy: hier, landmarks };
+    engine_cfg.validate().map_err(CliError::at("--landmarks"))?;
     // No scale axis here: the scale flags pass, everything else is an error.
     args.finish()?;
     telemetry::set_enabled(true);
@@ -63,7 +68,7 @@ fn smoke() -> Result<ExitCode, CliError> {
     let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes, seed });
     let graph = ingested.graph();
     let build_span = telemetry::timed_span("pricing.build_engine", "pricing");
-    let engine = PartitionedPathEngine::build(graph, &EngineConfig { hierarchy: hier, landmarks });
+    let engine = PartitionedPathEngine::build(graph, &engine_cfg);
     let build_ms = build_span.finish_ms();
     eprintln!(
         "engine: {} nodes, {} cables, {} leaves, {} landmarks, built in {:.0} ms",
@@ -105,9 +110,7 @@ fn smoke() -> Result<ExitCode, CliError> {
     let tm = tm.scaled(overload / u);
     eprintln!("demand scaled by {:.3} (SP max-utilization {u:.3} -> {overload})", overload / u);
 
-    println!(
-        "scheme\tplace_ms\tobjective_ms\tcolumns_grown\tpricing_skips\tcached_pairs\tcross\tfallback"
-    );
+    let mut rows = Vec::new();
     let mut failures = 0usize;
     for (spec, scheme) in specs.iter().zip(&schemes) {
         let before = telemetry::snapshot();
@@ -139,9 +142,16 @@ fn smoke() -> Result<ExitCode, CliError> {
             .map(|(a, agg)| agg.volume_mbps * placement.aggregate(a).mean_delay_ms())
             .sum::<f64>()
             / tm.aggregates().iter().map(|a| a.volume_mbps).sum::<f64>();
-        println!(
-            "{spec}\t{place_ms:.1}\t{objective:.3}\t{grown}\t{skips}\t{}\t{cross}\t{fallback}",
-            engine.cached_pairs(),
+        rows.push(
+            Row::new()
+                .text("scheme", spec)
+                .fixed("place_ms", place_ms, 1)
+                .fixed("objective_ms", objective, 3)
+                .num("columns_grown", grown)
+                .num("pricing_skips", skips)
+                .num("cached_pairs", engine.cached_pairs())
+                .num("cross", cross)
+                .num("fallback", fallback),
         );
         // The tentpole assertions: columns were actually priced in, and the
         // engine never materialized per-pair state beyond the matrix.
@@ -161,5 +171,6 @@ fn smoke() -> Result<ExitCode, CliError> {
             failures += 1;
         }
     }
+    print_rows(&rows, std::io::stdout().lock()).expect("stdout");
     Ok(if failures > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS })
 }

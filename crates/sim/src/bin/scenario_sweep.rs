@@ -15,8 +15,8 @@
 use lowlat_core::default_workers;
 use lowlat_core::schemes::registry;
 use lowlat_netgraph::RangeError;
-use lowlat_sim::output::{print_records_header, print_records_rows};
-use lowlat_sim::runner::{self, build_schemes, run_grid, Args, CliError, RunGrid};
+use lowlat_sim::output::{print_rows, Row};
+use lowlat_sim::runner::{self, build_schemes, run_grid, Args, CliError, RunGrid, RunRecord};
 use lowlat_tmgen::TmGenConfig;
 
 fn main() {
@@ -60,11 +60,30 @@ fn sweep() -> Result<(), CliError> {
     // One engine call: LLPD and the per-network path caches are computed
     // once and reused across every scenario point.
     let per_scenario = run_grid(&nets, None, &grid, default_workers());
-    let stdout = std::io::stdout();
-    print_records_header(stdout.lock()).expect("stdout");
+    let mut rows = Vec::new();
     for (&(load, locality), records) in grid.scenarios.iter().zip(&per_scenario) {
         eprintln!("  load {load} locality {locality}: {} records", records.len());
-        print_records_rows(records, (load, locality), stdout.lock()).expect("stdout");
+        rows.extend(records.iter().map(|r| record_row(r, (load, locality))));
     }
+    print_rows(&rows, std::io::stdout().lock()).expect("stdout");
     Ok(())
+}
+
+/// One record's row, led by its scenario's (load, locality) so rows from
+/// different sweep points stay distinguishable in one table.
+fn record_row(r: &RunRecord, (load, locality): (f64, f64)) -> Row {
+    Row::new()
+        .num("load", load)
+        .num("locality", locality)
+        .text("network", &r.network)
+        .text("class", format!("{:?}", r.class))
+        .fixed("llpd", r.llpd, 4)
+        .num("tm", r.tm_index)
+        .text("scheme", &r.scheme)
+        .fixed("congested_fraction", r.congested_fraction, 6)
+        .fixed("latency_stretch", r.latency_stretch, 6)
+        .fixed("max_stretch", r.max_flow_stretch, 4)
+        .fixed("max_util", r.max_utilization, 4)
+        .num("fits", r.fits)
+        .fixed("runtime_ms", r.runtime_ms, 2)
 }

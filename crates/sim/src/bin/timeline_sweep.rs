@@ -33,6 +33,7 @@
 
 use lowlat_core::scale::ScaleToLoad;
 use lowlat_core::{default_workers, par_map};
+use lowlat_sim::output::{print_rows, Row};
 use lowlat_sim::runner::{self, Args, CliError, Scale, TelemetrySinks};
 use lowlat_sim::timeline::{self, simulate, Controller, TimelineConfig};
 use lowlat_tmgen::{GravityTmGen, TmGenConfig};
@@ -123,20 +124,6 @@ fn sweep() -> Result<(), CliError> {
         config.warmup_minutes,
     );
 
-    struct Row {
-        network: String,
-        pops: usize,
-        links: usize,
-        controller: String,
-        worst_queue_ms: f64,
-        queue_minutes: usize,
-        mean_stretch: f64,
-        lp_solves: usize,
-        lp_warm_hits: usize,
-        decision_ms_med: f64,
-        paths_changed: usize,
-        moved_volume_frac: f64,
-    }
     let tms: Vec<_> = nets
         .iter()
         .map(|t| GravityTmGen::new(TmGenConfig::default()).generate(t, 0).scaled_to_load(t, 0.7))
@@ -147,45 +134,23 @@ fn sweep() -> Result<(), CliError> {
     // rows in cell order whatever the worker count.
     let rows = par_map(&cells, default_workers(), |&(n, c)| {
         let out = simulate(&nets[n], &tms[n], &controllers[c], &config);
-        Row {
-            network: nets[n].name().to_string(),
-            pops: nets[n].pop_count(),
-            links: nets[n].link_count(),
-            controller: controllers[c].name(),
-            worst_queue_ms: out.worst_queue_ms(),
-            queue_minutes: out.minutes_with_queue_above(1.0),
-            mean_stretch: out.mean_stretch(),
-            lp_solves: out.lp_solves,
-            lp_warm_hits: out.lp_warm_hits,
-            decision_ms_med: out.median_decision_ms(),
-            paths_changed: out.total_paths_changed(),
-            moved_volume_frac: out.mean_moved_volume_fraction(),
-        }
+        Row::new()
+            .text("network", nets[n].name())
+            .num("pops", nets[n].pop_count())
+            .num("links", nets[n].link_count())
+            .text("controller", controllers[c].name())
+            .num("minutes", config.minutes)
+            .num("cv", cv)
+            .num("seed", seed)
+            .fixed("worst_queue_ms", out.worst_queue_ms(), 3)
+            .num("queue_minutes", out.minutes_with_queue_above(1.0))
+            .fixed("mean_stretch", out.mean_stretch(), 4)
+            .num("lp_solves", out.lp_solves)
+            .num("lp_warm_hits", out.lp_warm_hits)
+            .fixed("decision_ms_med", out.median_decision_ms(), 3)
+            .num("paths_changed", out.total_paths_changed())
+            .fixed("moved_volume_frac", out.mean_moved_volume_fraction(), 4)
     });
-    println!(
-        "network\tpops\tlinks\tcontroller\tminutes\tcv\tseed\tworst_queue_ms\tqueue_minutes\t\
-         mean_stretch\tlp_solves\tlp_warm_hits\tdecision_ms_med\tpaths_changed\t\
-         moved_volume_frac"
-    );
-    for row in rows {
-        println!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.3}\t{}\t{:.4}\t{}\t{}\t{:.3}\t{}\t{:.4}",
-            row.network,
-            row.pops,
-            row.links,
-            row.controller,
-            config.minutes,
-            cv,
-            seed,
-            row.worst_queue_ms,
-            row.queue_minutes,
-            row.mean_stretch,
-            row.lp_solves,
-            row.lp_warm_hits,
-            row.decision_ms_med,
-            row.paths_changed,
-            row.moved_volume_frac,
-        );
-    }
+    print_rows(&rows, std::io::stdout().lock()).expect("stdout");
     sinks.write()
 }

@@ -32,31 +32,14 @@
 use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
 use lowlat_core::{default_workers, par_map, PathSource};
 use lowlat_netgraph::hierarchy::HierarchyConfig;
-use lowlat_netgraph::{shortest_path_tree, NodeId};
+use lowlat_netgraph::{shortest_path_tree, NodeId, RangeError};
+use lowlat_sim::output::{fixed, Row};
 use lowlat_sim::runner::{self, io_error, Args, CliError, TelemetrySinks};
 use lowlat_telemetry as telemetry;
 use lowlat_topology::ingest::{self, IngestedGraph};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// One (topology, seed) cell's outcome.
-struct CellResult {
-    label: String,
-    seed: u64,
-    nodes: usize,
-    cables: usize,
-    tests: usize,
-    success_rate: f64,
-    avg_hops: f64,
-    stretch: f64,
-    cross_fraction: f64,
-    fallback_fraction: f64,
-    leaves: usize,
-    landmarks: usize,
-    build_ms: f64,
-    query_us_mean: f64,
-}
 
 /// Where a cell's graph comes from.
 enum Source {
@@ -76,23 +59,6 @@ fn mean_and_ci(xs: &[f64]) -> (f64, f64) {
     (mean, 1.96 * (var / n).sqrt())
 }
 
-/// Minimal JSON string escape (labels and paths only).
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn main() {
     runner::run(experiment)
 }
@@ -110,15 +76,20 @@ fn experiment() -> Result<(), CliError> {
     SynthConfig { nodes, ..Default::default() }.validate().map_err(CliError::at("--nodes"))?;
     let tests = args.value("--tests")?.unwrap_or(100usize);
     let seeds: Vec<u64> = args.list("--seeds")?.unwrap_or_else(|| vec![42]);
-    let k = args.value("--k")?.unwrap_or(3usize).max(1);
+    let k = args.value("--k")?.unwrap_or(3usize);
+    RangeError::check(k >= 1, "k", k, "at least 1").map_err(CliError::at("--k"))?;
     let defaults = HierarchyConfig::default();
     let hier = HierarchyConfig {
         max_depth: args.value("--depth")?.unwrap_or(defaults.max_depth),
         max_leaf: args.value("--leaf")?.unwrap_or(defaults.max_leaf),
         branching: args.value("--branching")?.unwrap_or(defaults.branching),
     };
-    hier.validate().map_err(CliError::at("--branching"))?;
     let landmarks = args.value("--landmarks")?.unwrap_or(32usize);
+    let engine_cfg = EngineConfig { hierarchy: hier, landmarks };
+    engine_cfg.validate().map_err(|e| {
+        let flag = if e.param == "landmarks" { "--landmarks" } else { "--branching" };
+        CliError::new(flag, e)
+    })?;
     let emit: Option<String> = args.value("--emit-edge-list")?;
     let output: Option<String> = args.value("--output")?;
     let summary_output: Option<String> = args.value("--summary-output")?;
@@ -165,7 +136,6 @@ fn experiment() -> Result<(), CliError> {
         eprintln!("wrote edge list for {} to {path}", sources[0].0);
     }
 
-    let engine_cfg = EngineConfig { hierarchy: hier, landmarks };
     eprintln!(
         "ingest space: {} topologies ({}) x {} seeds, {} tests each, k={}, \
          hierarchy depth<={} leaf<={} branching={} landmarks={}",
@@ -187,7 +157,9 @@ fn experiment() -> Result<(), CliError> {
         .enumerate()
         .flat_map(|(si, _)| seeds.iter().map(move |&s| (si, s)))
         .collect();
-    let results: Vec<CellResult> = par_map(&cells, default_workers(), |&(si, seed)| {
+    // Each cell's JSON row, and the success rate, hop count and stretch
+    // the summary averages over seeds.
+    let results: Vec<(Row, [f64; 3])> = par_map(&cells, default_workers(), |&(si, seed)| {
         let (label, source) = &sources[si];
         // Synthetic graphs are per-seed draws; files are shared.
         let own;
@@ -235,54 +207,49 @@ fn experiment() -> Result<(), CliError> {
                 stretch_sum += best_ms / shortest_path_tree(g, src, None, None).dist_ms(dst);
             }
         }
-        let query_us_mean = if tests > 0 { batch_ms * 1e3 / tests as f64 } else { 0.0 };
-        let (cross, fallback) = {
-            let (_, c, f) = engine.stats().snapshot();
-            (c, f)
-        };
-        CellResult {
-            label: label.clone(),
-            seed,
-            nodes: g.node_count(),
-            cables: graph_ref.cable_count(),
-            tests,
-            success_rate: if tests > 0 { ok as f64 / tests as f64 } else { 0.0 },
-            avg_hops: if ok > 0 { hops as f64 / ok as f64 } else { 0.0 },
-            stretch: if ok > 0 { stretch_sum / ok as f64 } else { 0.0 },
-            cross_fraction: if tests > 0 { cross as f64 / tests as f64 } else { 0.0 },
-            fallback_fraction: if tests > 0 { fallback as f64 / tests as f64 } else { 0.0 },
-            leaves: engine.leaf_ids().len(),
-            landmarks: engine.landmark_count(),
-            build_ms,
-            query_us_mean,
-        }
+        let per_test = |x: f64| if tests > 0 { x / tests as f64 } else { 0.0 };
+        let per_routed = |x: f64| if ok > 0 { x / ok as f64 } else { 0.0 };
+        let quality = [per_test(ok as f64), per_routed(hops as f64), per_routed(stretch_sum)];
+        let (_, cross, fallback) = engine.stats().snapshot();
+        let row = Row::new()
+            .text("label", label)
+            .num("seed", seed)
+            .num("nodes", g.node_count())
+            .num("cables", graph_ref.cable_count())
+            .num("tests", tests)
+            .fixed("success_rate", quality[0], 6)
+            .fixed("avg_hops", quality[1], 6)
+            .fixed("stretch", quality[2], 6)
+            .fixed("cross_fraction", per_test(cross as f64), 6)
+            .fixed("fallback_fraction", per_test(fallback as f64), 6)
+            .num("leaves", engine.leaf_ids().len())
+            .num("landmarks", engine.landmark_count())
+            .fixed("build_ms", build_ms, 3)
+            .fixed("query_us_mean", per_test(batch_ms * 1e3), 3);
+        (row, quality)
     });
 
     // Cross-seed summary in the Snippet-1 line format.
     let mut summary_lines: Vec<String> = Vec::new();
-    let mut summary_json: Vec<String> = Vec::new();
-    for (label, _) in &sources {
-        let rows: Vec<&CellResult> =
-            results.iter().filter(|r| &r.label == label && r.tests > 0).collect();
-        if rows.is_empty() {
-            continue;
+    let mut summary_rows: Vec<Row> = Vec::new();
+    // A run with no tests has nothing to summarize.
+    for (label, _) in sources.iter().filter(|_| tests > 0) {
+        let of_label: Vec<&[f64; 3]> = cells
+            .iter()
+            .zip(&results)
+            .filter(|((si, _), _)| &sources[*si].0 == label)
+            .map(|(_, (_, quality))| quality)
+            .collect();
+        let mut line = Vec::new();
+        let mut row =
+            Row::new().text("label", label).num("seeds", of_label.len()).num("tests", tests);
+        for (i, name) in ["success_rate", "avg_hops", "stretch"].into_iter().enumerate() {
+            let (mean, ci) = mean_and_ci(&of_label.iter().map(|q| q[i]).collect::<Vec<_>>());
+            line.push(format!("{name}={} +/- {}", fixed(mean, 4), fixed(ci, 4)));
+            row = row.fixed(name, mean, 6).fixed(format!("{name}_ci"), ci, 6);
         }
-        let (sr, sr_ci) = mean_and_ci(&rows.iter().map(|r| r.success_rate).collect::<Vec<_>>());
-        let (ah, ah_ci) = mean_and_ci(&rows.iter().map(|r| r.avg_hops).collect::<Vec<_>>());
-        let (st, st_ci) = mean_and_ci(&rows.iter().map(|r| r.stretch).collect::<Vec<_>>());
-        summary_lines.push(format!(
-            "{label}: success_rate={sr:.4} +/- {sr_ci:.4}, avg_hops={ah:.4} +/- {ah_ci:.4}, \
-             stretch={st:.4} +/- {st_ci:.4}"
-        ));
-        summary_json.push(format!(
-            "{{\"label\": {}, \"seeds\": {}, \"tests\": {}, \
-             \"success_rate\": {sr:.6}, \"success_rate_ci\": {sr_ci:.6}, \
-             \"avg_hops\": {ah:.6}, \"avg_hops_ci\": {ah_ci:.6}, \
-             \"stretch\": {st:.6}, \"stretch_ci\": {st_ci:.6}}}",
-            jstr(label),
-            rows.len(),
-            rows[0].tests,
-        ));
+        summary_lines.push(format!("{label}: {}", line.join(", ")));
+        summary_rows.push(row);
     }
     for line in &summary_lines {
         eprintln!("{line}");
@@ -292,46 +259,23 @@ fn experiment() -> Result<(), CliError> {
         std::fs::write(path, text).map_err(io_error("--summary-output", path))?;
     }
 
-    let result_json: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"label\": {}, \"seed\": {}, \"nodes\": {}, \"cables\": {}, \
-                 \"tests\": {}, \"success_rate\": {:.6}, \"avg_hops\": {:.6}, \
-                 \"stretch\": {:.6}, \"cross_fraction\": {:.6}, \
-                 \"fallback_fraction\": {:.6}, \"leaves\": {}, \"landmarks\": {}, \
-                 \"build_ms\": {:.3}, \"query_us_mean\": {:.3}}}",
-                jstr(&r.label),
-                r.seed,
-                r.nodes,
-                r.cables,
-                r.tests,
-                r.success_rate,
-                r.avg_hops,
-                r.stretch,
-                r.cross_fraction,
-                r.fallback_fraction,
-                r.leaves,
-                r.landmarks,
-                r.build_ms,
-                r.query_us_mean,
-            )
-        })
-        .collect();
+    let seed_list = seeds.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
+    let config = Row::new()
+        .num("tests", tests)
+        .num("k", k)
+        .num("seeds", format!("[{seed_list}]"))
+        .num("nodes", nodes)
+        .num("max_depth", hier.max_depth)
+        .num("max_leaf", hier.max_leaf)
+        .num("branching", hier.branching)
+        .num("landmarks", landmarks);
+    let results: Vec<String> = results.iter().map(|(row, _)| row.json()).collect();
+    let summary: Vec<String> = summary_rows.iter().map(Row::json).collect();
     let json = format!(
-        "{{\n  \"config\": {{\"tests\": {}, \"k\": {}, \"seeds\": [{}], \"nodes\": {}, \
-         \"max_depth\": {}, \"max_leaf\": {}, \"branching\": {}, \"landmarks\": {}}},\n  \
-         \"results\": [\n    {}\n  ],\n  \"summary\": [\n    {}\n  ]\n}}",
-        tests,
-        k,
-        seeds.iter().map(u64::to_string).collect::<Vec<_>>().join(", "),
-        nodes,
-        hier.max_depth,
-        hier.max_leaf,
-        hier.branching,
-        landmarks,
-        result_json.join(",\n    "),
-        summary_json.join(",\n    "),
+        "{{\n  \"config\": {},\n  \"results\": [\n    {}\n  ],\n  \"summary\": [\n    {}\n  ]\n}}",
+        config.json(),
+        results.join(",\n    "),
+        summary.join(",\n    "),
     );
     match &output {
         Some(path) => {

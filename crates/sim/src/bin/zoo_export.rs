@@ -12,6 +12,7 @@ use std::path::Path;
 
 use lowlat_core::default_workers;
 use lowlat_netgraph::NodeId;
+use lowlat_sim::output::{print_rows, Row};
 use lowlat_sim::runner::{self, io_error, llpd_map, Args, CliError};
 use lowlat_topology::ingest::to_edge_list;
 use lowlat_topology::zoo::{synthetic_zoo, ZooClass};
@@ -46,21 +47,23 @@ fn export() -> Result<(), CliError> {
     eprintln!("computing LLPD for {} networks...", zoo.len());
     let llpds = llpd_map(&zoo, default_workers());
 
-    let mut manifest = String::from("name\tclass\tpops\tcables\tdiameter_ms\tllpd\n");
+    let mut rows = Vec::new();
     for (topo, llpd) in zoo.iter().zip(&llpds) {
         let file = dir.join(format!("{}.edges", topo.name()));
         fs::write(&file, to_edge_list(&ingested(topo))).map_err(io_error("--out", &out))?;
-        manifest.push_str(&format!(
-            "{}\t{:?}\t{}\t{}\t{:.2}\t{:.4}\n",
-            topo.name(),
-            ZooClass::of(topo),
-            topo.pop_count(),
-            topo.cables().len(),
-            topo.diameter_ms(),
-            llpd
-        ));
+        rows.push(
+            Row::new()
+                .text("name", topo.name())
+                .text("class", format!("{:?}", ZooClass::of(topo)))
+                .num("pops", topo.pop_count())
+                .num("cables", topo.cables().len())
+                .fixed("diameter_ms", topo.diameter_ms(), 2)
+                .fixed("llpd", *llpd, 4),
+        );
     }
-    fs::write(dir.join("MANIFEST.tsv"), &manifest).map_err(io_error("--out", &out))?;
+    let mut manifest = Vec::new();
+    print_rows(&rows, &mut manifest).expect("writing to memory");
+    fs::write(dir.join("MANIFEST.tsv"), manifest).map_err(io_error("--out", &out))?;
     println!("wrote {} networks + MANIFEST.tsv to {}", zoo.len(), dir.display());
     Ok(())
 }

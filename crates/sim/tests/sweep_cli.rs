@@ -68,6 +68,9 @@ fn out_of_range_parameters_exit_2_naming_the_flag() {
         (FAILURE, &["--degrade", "1"], "--degrade"),
         (FAILURE, &["--scenarios", "geo", "--corridor-km", "-5"], "--corridor-km"),
         (FAILURE, &["--scenarios", "geo", "--corridor-km", "nan"], "--corridor-km"),
+        (FAILURE, &["--scenarios", "random", "--count", "0"], "--count"),
+        (FAILURE, &["--count", "0"], "--count"),
+        (FAILURE, &["--scenarios", "geo", "--corridor-km", "0"], "--scenarios"),
         (SCENARIO, &["--loads", "0"], "--loads"),
         (SCENARIO, &["--loads", "-1"], "--loads"),
         (SCENARIO, &["--loads", "nan"], "--loads"),
@@ -75,9 +78,12 @@ fn out_of_range_parameters_exit_2_naming_the_flag() {
         (SCENARIO, &["--localities", "inf"], "--localities"),
         (INGEST, &["--nodes", "3"], "--nodes"),
         (INGEST, &["--branching", "1"], "--branching"),
+        (INGEST, &["--k", "0"], "--k"),
+        (INGEST, &["--landmarks", "0"], "--landmarks"),
         (PRICING, &["--nodes", "3"], "--nodes"),
         (PRICING, &["--pairs", "0"], "--pairs"),
         (PRICING, &["--overload", "0"], "--overload"),
+        (PRICING, &["--landmarks", "0"], "--landmarks"),
         (SCENARIO, &["--schemes", " , "], "--schemes"),
         (ZOO, &["--help"], "--help"),
     ] {

@@ -19,7 +19,8 @@
 //!
 //! The same runs back the named assertions after the golden test: what the
 //! numbers must say about warm starts, bounded churn, failure recovery,
-//! brown-outs and pricing, whatever values they are recorded at.
+//! brown-outs and pricing, whatever values they are recorded at, and that
+//! the telemetry sinks leave the `timeline` cell's TSV as it is.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -253,6 +254,27 @@ fn adaptive_decisions_are_timed() {
                 assert!(num(&row, "decision_ms_med") > 0.0, "{name}: untimed decisions: {row:?}");
             }
         }
+    }
+}
+
+#[test]
+fn telemetry_does_not_change_the_tsv() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("sweep_golden_telemetry");
+    std::fs::create_dir_all(&dir).unwrap();
+    let sinks =
+        [("--metrics-out", dir.join("metrics.json")), ("--trace-out", dir.join("trace.json"))];
+    let cell = cells().iter().find(|c| c.name == "timeline").unwrap();
+    let mut args = cell.args.clone();
+    for (flag, path) in &sinks {
+        let _ = std::fs::remove_file(path);
+        args.extend([flag.to_string(), path.display().to_string()]);
+    }
+    let traced = without_wall_clock(&execute(cell.bin, &args));
+    let plain = &run("timeline").cut;
+    assert!(traced == *plain, "telemetry moved the TSV: {:?}", first_difference(plain, &traced));
+    for (flag, path) in &sinks {
+        let written = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+        assert!(written > 0, "{flag} wrote nothing to {}", path.display());
     }
 }
 

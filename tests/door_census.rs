@@ -47,6 +47,8 @@ const GONE: &[&str] = &[
     "run_with_resources",
     "select_networks",
     "graph_with_headroom",
+    "print_records_header",
+    "print_records_rows",
 ];
 
 /// The solver's options are `lowlat_linprog`'s own business.
@@ -122,6 +124,86 @@ fn only_the_runners_printer_exits() {
     }
     assert_eq!(exits.len(), 1, "one process::exit, in the runner's printer:\n{}", exits.join("\n"));
     assert!(exits[0].starts_with(THE_PRINTER), "{}", exits[0]);
+}
+
+/// The one file under `crates/sim/src` that lays out a table: every other
+/// one names its columns on a `Row` and leaves the tabs to it.
+const THE_TABLE_WRITER: &str = "crates/sim/src/output.rs";
+
+/// The 1-based lines of `text` where a string literal holds a `\t` escape.
+/// A string continued across lines counts on each line it has one; `//`
+/// comments and char literals (`'\t'`, `'"'`) are skipped.
+fn lines_with_tab_in_a_string(text: &str) -> Vec<usize> {
+    let chars: Vec<char> = text.chars().collect();
+    let (mut lines, mut line, mut in_string, mut i) = (Vec::new(), 1, false, 0);
+    while i < chars.len() {
+        let next = chars.get(i + 1).copied();
+        match chars[i] {
+            '\n' => line += 1,
+            '\\' if in_string => {
+                if next == Some('t') && lines.last() != Some(&line) {
+                    lines.push(line);
+                }
+                line += usize::from(next == Some('\n'));
+                i += 1;
+            }
+            '"' => in_string = !in_string,
+            '/' if !in_string && next == Some('/') => {
+                while i + 1 < chars.len() && chars[i + 1] != '\n' {
+                    i += 1;
+                }
+            }
+            '\'' if !in_string => {
+                // A char literal: `'x'` or `'\x'`; a lifetime has no closing quote.
+                let escaped = next == Some('\\');
+                let close = i + if escaped { 3 } else { 2 };
+                if chars.get(close) == Some(&'\'') {
+                    i = close;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    lines
+}
+
+#[test]
+fn only_the_table_writer_lays_out_tabs() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/sim/src"), &mut files);
+    files.sort();
+    let mut tabs = Vec::new();
+    for path in files {
+        let rel = path.strip_prefix(root).unwrap();
+        if rel == Path::new(THE_TABLE_WRITER) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        for n in lines_with_tab_in_a_string(&text) {
+            tabs.push(format!("{}:{n}: {}", rel.display(), lines[n - 1].trim()));
+        }
+    }
+    assert!(
+        tabs.is_empty(),
+        "{} lines lay out a table by hand; build an `output::Row` and print it with \
+         `output::print_rows`:\n{}",
+        tabs.len(),
+        tabs.join("\n")
+    );
+}
+
+#[test]
+fn the_census_finds_tabs_in_strings_only() {
+    let text = "let a = \"x\\ty\";\n\
+                let b = '\\t'; // \"\\t\"\n\
+                let c = \"a\\\n\
+                \\tb\";\n\
+                let d: &'static str = \"\\\\t\";\n\
+                let e = '\"'; let f = \"\\t\";\n";
+    assert_eq!(lines_with_tab_in_a_string(text), [1, 4, 6]);
 }
 
 /// Most lines a source file under `crates/*/src` may hold before its test
