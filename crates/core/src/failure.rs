@@ -24,7 +24,7 @@
 
 use std::borrow::Cow;
 
-use lowlat_netgraph::{all_pairs_delays, FailureMask, Graph, LinkId, NodeId, RangeError};
+use lowlat_netgraph::{all_pairs_delays, BitSet, FailureMask, Graph, LinkId, NodeId, RangeError};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::{PopId, Topology};
@@ -304,8 +304,36 @@ pub struct RoutablePartition {
     pub unroutable_fraction: f64,
 }
 
+/// Marks in `reached` the nodes `src` reaches over links `mask` leaves up
+/// (neither failed nor touching a failed node): the nodes a masked
+/// shortest-path tree from `src` reaches, without their distances. `stack`
+/// is scratch.
+fn reach(
+    graph: &Graph,
+    mask: &FailureMask,
+    src: NodeId,
+    reached: &mut BitSet,
+    stack: &mut Vec<NodeId>,
+) {
+    reached.clear();
+    reached.insert(src.idx());
+    stack.clear();
+    stack.push(src);
+    while let Some(u) = stack.pop() {
+        for l in graph.out_links(u) {
+            let v = graph.link(l).dst;
+            if !reached.contains(v.idx()) && !mask.link_down(graph, l) {
+                reached.insert(v.idx());
+                stack.push(v);
+            }
+        }
+    }
+}
+
 /// Splits `tm` into the aggregates that still have a path under `mask` and
-/// the unroutable remainder. One masked Dijkstra per distinct source.
+/// the unroutable remainder. One masked reachability search per distinct
+/// source, on two buffers allocated once: what it allocates does not grow
+/// with the aggregate count.
 pub fn partition_routable(
     graph: &Graph,
     tm: &TrafficMatrix,
@@ -315,22 +343,17 @@ pub fn partition_routable(
     let mut kept_aggs = Vec::with_capacity(tm.aggregates().len());
     let mut dropped_volume = 0.0;
     let mut total_volume = 0.0;
-    let mut tree_src = None;
-    let mut tree = None;
+    let mut reached = BitSet::new(graph.node_count());
+    let mut stack = Vec::with_capacity(graph.node_count());
+    let mut reached_from = None;
     for (i, a) in tm.aggregates().iter().enumerate() {
         total_volume += a.volume_mbps;
-        if tree_src != Some(a.src) {
-            tree_src = Some(a.src);
-            tree = Some(lowlat_netgraph::shortest_path_tree(
-                graph,
-                a.src,
-                mask.link_mask(),
-                mask.node_mask(),
-            ));
+        if reached_from != Some(a.src) {
+            reached_from = Some(a.src);
+            reach(graph, mask, a.src, &mut reached, &mut stack);
         }
-        let reachable = !mask.node_down(a.src)
-            && !mask.node_down(a.dst)
-            && tree.as_ref().expect("tree built above").reachable(a.dst);
+        let reachable =
+            !mask.node_down(a.src) && !mask.node_down(a.dst) && reached.contains(a.dst.idx());
         if reachable {
             kept.push(i);
             kept_aggs.push(*a);
@@ -537,6 +560,30 @@ mod tests {
             let part = partition_routable(topo.graph(), &tm, &s.mask(&topo));
             assert_eq!(part.unroutable_fraction, 0.0, "{}", s.name);
             assert_eq!(part.kept.len(), tm.aggregates().len());
+        }
+    }
+
+    #[test]
+    fn a_reach_is_what_the_masked_tree_reaches() {
+        // Every cable, every node and twenty 3-cable failures of GTS-like:
+        // from every PoP left up, the nodes `reach` marks are the nodes the
+        // masked shortest-path tree reaches.
+        let topo = named::gts_like();
+        let g = topo.graph();
+        let mut scenarios = single_link_failures(&topo);
+        scenarios.extend(node_failures(&topo));
+        scenarios.extend(random_k_link_failures(&topo, 3, 20, 7).unwrap());
+        let (mut reached, mut stack) = (BitSet::new(0), Vec::new());
+        for scenario in &scenarios {
+            let mask = scenario.mask(&topo);
+            for src in g.nodes().filter(|&v| !mask.node_down(v)) {
+                reach(g, &mask, src, &mut reached, &mut stack);
+                let tree =
+                    lowlat_netgraph::shortest_path_tree(g, src, mask.link_mask(), mask.node_mask());
+                for v in g.nodes() {
+                    assert_eq!(reached.contains(v.idx()), tree.reachable(v), "{}", scenario.name);
+                }
+            }
         }
     }
 

@@ -19,6 +19,7 @@
 //! Without traces (pure traffic-matrix input) LDR falls back to a static
 //! headroom fraction, which §4 suggests is ~10% for ISP backbones.
 
+use lowlat_netgraph::RangeError;
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_traffic::pmf::Member;
@@ -55,6 +56,23 @@ impl Default for LdrConfig {
             ba_inflation: 1.1,
             max_iterations: 8,
         }
+    }
+}
+
+impl LdrConfig {
+    /// Checks the fields [`Ldr::new`] takes, which panics with the error's
+    /// message: `static_headroom` in [0, 1), a finite `ba_inflation` > 1
+    /// and `max_iterations` at least 1. A caller holding outside input
+    /// calls this first.
+    pub fn validate(&self) -> Result<(), RangeError> {
+        let headroom = self.static_headroom;
+        let in_range = (0.0..1.0).contains(&headroom);
+        RangeError::check(in_range, "static_headroom", headroom, "a value in [0, 1)")?;
+        let inflation = self.ba_inflation;
+        let in_range = inflation.is_finite() && inflation > 1.0;
+        RangeError::check(in_range, "ba_inflation", inflation, "a finite value > 1")?;
+        let iterations = self.max_iterations;
+        RangeError::check(iterations >= 1, "max_iterations", iterations, "at least 1")
     }
 }
 
@@ -103,11 +121,9 @@ impl Ldr {
     /// Creates LDR.
     ///
     /// # Panics
-    /// Panics on nonsensical parameters.
+    /// Panics with [`LdrConfig::validate`]'s error.
     pub fn new(config: LdrConfig) -> Self {
-        assert!((0.0..1.0).contains(&config.static_headroom));
-        assert!(config.ba_inflation > 1.0);
-        assert!(config.max_iterations >= 1);
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         Ldr { config }
     }
 
@@ -285,6 +301,39 @@ mod tests {
         b.connect_with_delay(a, n, 3.0, 1000.0);
         b.connect_with_delay(n, z, 3.0, 1000.0);
         b.build()
+    }
+
+    /// `LdrConfig::validate`'s error for the default config with one field
+    /// changed, and the panic `Ldr::new` raises with it.
+    fn rejected(config: LdrConfig) -> String {
+        let e = config.validate().unwrap_err().to_string();
+        let panicked = std::panic::catch_unwind(|| Ldr::new(config)).unwrap_err();
+        assert_eq!(panicked.downcast_ref::<String>(), Some(&e));
+        e
+    }
+
+    #[test]
+    fn a_headroom_outside_0_to_1_is_an_error_naming_it() {
+        for (h, value) in [(1.0, "1"), (-0.1, "-0.1"), (f64::NAN, "NaN")] {
+            let e = rejected(LdrConfig { static_headroom: h, ..Default::default() });
+            assert_eq!(e, format!("static_headroom = {value}, expected a value in [0, 1)"));
+        }
+        assert_eq!(LdrConfig { static_headroom: 0.0, ..Default::default() }.validate(), Ok(()));
+    }
+
+    #[test]
+    fn an_inflation_not_above_1_or_not_finite_is_an_error_naming_it() {
+        for (f, value) in [(1.0, "1"), (f64::INFINITY, "inf"), (f64::NAN, "NaN")] {
+            let e = rejected(LdrConfig { ba_inflation: f, ..Default::default() });
+            assert_eq!(e, format!("ba_inflation = {value}, expected a finite value > 1"));
+        }
+    }
+
+    #[test]
+    fn zero_iterations_is_an_error_naming_them() {
+        let e = rejected(LdrConfig { max_iterations: 0, ..Default::default() });
+        assert_eq!(e, "max_iterations = 0, expected at least 1");
+        assert_eq!(LdrConfig::default().validate(), Ok(()));
     }
 
     fn tm_pair(v1: f64, v2: f64) -> TrafficMatrix {

@@ -1,35 +1,41 @@
-//! Heap allocations per posed LP of a warm growth call.
+//! Heap allocations per posed LP of a warm growth call, per matrix a
+//! failure recovery builds, and per point query.
 //!
 //! A growth round poses and solves one Figure-12 LP, and its rows, its
 //! fractions and its path sets are built in a handful of arrays an LP, not
 //! one `Vec` per row, per aggregate or per path copied. A counting global
 //! allocator holds the GTS-like chain the benchmark's LDR decision runs to
 //! that: a second call on a warm cache and context, counted on this thread
-//! only, so nothing another test thread does is charged to it.
+//! only, so nothing another test thread does is charged to it. The same
+//! allocator holds a recovery's routable partition to a count that does
+//! not grow with the aggregates (no error text is built for a check that
+//! passes), and a point query on a warm thread to its one path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
+use lowlat_core::failure::{partition_routable, single_link_failures};
 use lowlat_core::pathgrow::{GrowRequest, SolveContext};
 use lowlat_core::pathset::PathCache;
 use lowlat_core::scale::ScaleToLoad;
-use lowlat_tmgen::{GravityTmGen, TmGenConfig};
+use lowlat_netgraph::{shortest_path, Graph, NodeId};
+use lowlat_tmgen::{GravityTmGen, TmGenConfig, TrafficMatrix};
+use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
 use lowlat_topology::zoo::named;
 
 /// Counts every allocation and reallocation made while this thread's
-/// [`COUNTING`] flag is up.
+/// [`COUNTING`] flag is up, in this thread's [`ALLOCATIONS`]: the tests
+/// run on parallel threads.
 struct Counting;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count() {
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.set(ALLOCATIONS.get() + 1);
     }
 }
 
@@ -57,10 +63,21 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// What `f` returns and the allocations it made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    ALLOCATIONS.set(0);
+    COUNTING.set(true);
+    let out = f();
+    COUNTING.set(false);
+    (out, ALLOCATIONS.get())
+}
+
 /// Allocations a posed LP may cost, the simplex's own included. A debug
-/// build measures 987 an LP (4 934 over 5 LPs; 874 in a release build), and
-/// 2 036 when every row, every aggregate's fractions and every path copy
-/// allocated on its own: the bound sits 22% above the first.
+/// build measured 987 an LP when the bound was set (4 934 over 5 LPs; 874
+/// in a release build), and 2 036 when every row, every aggregate's
+/// fractions and every path copy allocated on its own: the bound sits 22%
+/// above the first. Since Yen's spur searches stopped allocating per spur
+/// node it measures 500 (2 498 over 5 LPs, debug and release alike).
 const MAX_ALLOCATIONS_PER_LP: f64 = 1200.0;
 
 #[test]
@@ -82,11 +99,8 @@ fn a_warm_growth_call_allocates_per_lp_not_per_row_path_or_aggregate() {
         .collect();
     let solves = ctx.solves();
 
-    ALLOCATIONS.store(0, Ordering::Relaxed);
-    COUNTING.set(true);
-    let out = GrowRequest::new(&cache, &tm).volumes(&volumes).solve_with(&mut ctx);
-    COUNTING.set(false);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
+    let (out, allocations) =
+        counted(|| GrowRequest::new(&cache, &tm).volumes(&volumes).solve_with(&mut ctx));
 
     let out = out.unwrap();
     let lps = ctx.solves() - solves;
@@ -97,4 +111,54 @@ fn a_warm_growth_call_allocates_per_lp_not_per_row_path_or_aggregate() {
         "{allocations} allocations over {lps} posed LPs: {per_lp:.1} an LP, \
          bound {MAX_ALLOCATIONS_PER_LP}"
     );
+}
+
+/// The allocations of building a matrix from `aggregates` and of
+/// partitioning it under a cable failure.
+fn matrix_and_partition_allocations(
+    graph: &Graph,
+    aggregates: &[lowlat_tmgen::Aggregate],
+    mask: &lowlat_netgraph::FailureMask,
+) -> (usize, usize) {
+    let owned = aggregates.to_vec();
+    let (tm, built) = counted(|| TrafficMatrix::new(owned));
+    let (part, partitioned) = counted(|| partition_routable(graph, &tm, mask));
+    assert_eq!(part.kept.len(), aggregates.len(), "a single cable strands no GTS-like PoP");
+    (built, partitioned)
+}
+
+#[test]
+fn a_matrix_and_its_routable_partition_allocate_the_same_for_338_aggregates_as_for_10() {
+    let topo = named::gts_like();
+    let tm =
+        GravityTmGen::new(TmGenConfig::default()).generate(&topo, 0).scaled_to_load(&topo, 0.7);
+    let all = tm.aggregates();
+    assert_eq!(all.len(), 338);
+    // Every 34th aggregate: ten of them, from ten sources.
+    let few: Vec<_> = all.iter().step_by(34).copied().collect();
+    assert_eq!(few.len(), 10);
+    let mask = single_link_failures(&topo)[0].mask(&topo);
+    let many = matrix_and_partition_allocations(topo.graph(), all, &mask);
+    let ten = matrix_and_partition_allocations(topo.graph(), &few, &mask);
+    assert_eq!(many, ten, "(TrafficMatrix::new, partition_routable) allocations, 338 vs 10");
+}
+
+#[test]
+fn a_point_query_on_a_warm_thread_allocates_its_path_and_nothing_else() {
+    let ba = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 10_000, seed: 42 });
+    let gts = named::gts_like();
+    for g in [ba.graph(), gts.graph()] {
+        let n = g.node_count() as u32;
+        let queries: Vec<(NodeId, NodeId)> =
+            (0..8u32).map(|i| (NodeId(i * 7 % n), NodeId((i * 7919 + n / 2) % n))).collect();
+        // The first round sizes this thread's workspace to the graph.
+        for &(s, t) in &queries {
+            assert!(shortest_path(g, s, t, None, None).is_some());
+        }
+        for &(s, t) in &queries {
+            let (path, allocations) = counted(|| shortest_path(g, s, t, None, None));
+            assert!(path.is_some());
+            assert_eq!(allocations, 1, "{s:?} to {t:?} on {} nodes", g.node_count());
+        }
+    }
 }

@@ -10,14 +10,22 @@
 //! and per-leaf Yen). A change to the shortest-path kernel, the adjacency or the
 //! engine that moves one bit of one of them fails here; the constant is
 //! never re-recorded by a change that claims the same bits.
+//!
+//! Point queries run on a workspace each thread keeps from one query to
+//! the next. A second test alternates them between the 10k-node graph and
+//! GTS-like, under masks and without, and holds every answer to the full
+//! tree's path, which a search on a fresh workspace builds.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
 use lowlat_core::PathSource;
-use lowlat_netgraph::{reverse_shortest_path_tree, shortest_path_tree, LinkId, NodeId};
+use lowlat_netgraph::{
+    reverse_shortest_path_tree, shortest_path, shortest_path_tree, BitSet, LinkId, NodeId, Path,
+};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
+use lowlat_topology::zoo::named;
 
 /// The digest, recorded before the packed-arc kernel replaced the
 /// id/far-endpoint rows.
@@ -84,4 +92,32 @@ fn ten_thousand_node_trees_and_answers_keep_their_bits() {
     }
 
     assert_eq!(h.0, DIGEST, "digest {:#018x}", h.0);
+}
+
+#[test]
+fn a_point_query_carries_nothing_over_from_the_query_before() {
+    let ba = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 10_000, seed: 42 });
+    let gts = named::gts_like();
+    let graphs = [ba.graph(), gts.graph()];
+    let mut rng = StdRng::seed_from_u64(7);
+    let answer = |p: Option<Path>| p.map(|p| (p.links().to_vec(), p.delay_ms().to_bits()));
+    for q in 0..48 {
+        let g = graphs[q % 2];
+        let n = g.node_count() as u32;
+        let (s, t) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+        // Every other query on each graph runs with a tenth of its links
+        // and a twentieth of its nodes down.
+        let (mut links, mut nodes) = (BitSet::new(g.link_count()), BitSet::new(g.node_count()));
+        if q % 4 >= 2 {
+            for l in g.link_ids().filter(|_| rng.gen_range(0..10) == 0) {
+                links.insert(l.idx());
+            }
+            for v in g.nodes().filter(|&v| v != s && v != t && rng.gen_range(0..20) == 0) {
+                nodes.insert(v.idx());
+            }
+        }
+        let fresh = shortest_path_tree(g, s, Some(&links), Some(&nodes)).path_to(g, t);
+        let found = shortest_path(g, s, t, Some(&links), Some(&nodes));
+        assert_eq!(answer(found), answer(fresh), "query {q}: {s:?} to {t:?}");
+    }
 }

@@ -57,6 +57,15 @@ impl BitSet {
         idx < self.len && self.words[idx / 64] & (1u64 << (idx % 64)) != 0
     }
 
+    /// Makes this set a copy of `other`, reusing its words: the derived
+    /// `clone_from` allocates a fresh array, and Yen's spur loop copies its
+    /// base masks once per spur node.
+    pub(crate) fn copy_from(&mut self, other: &BitSet) {
+        self.words.clear();
+        self.words.extend_from_slice(&other.words);
+        self.len = other.len;
+    }
+
     /// Removes all elements.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
@@ -173,6 +182,24 @@ mod tests {
         assert!(!s.contains(1000));
         s.remove(1000); // no-op, not a panic
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn a_copy_holds_the_same_members_in_the_words_it_had() {
+        let mut from = BitSet::new(130);
+        for i in [0usize, 64, 129] {
+            from.insert(i);
+        }
+        let mut to = BitSet::new(500);
+        to.insert(300);
+        let words = to.words.as_ptr();
+        to.copy_from(&from);
+        assert_eq!(to, from);
+        assert_eq!(to.capacity(), 130);
+        assert_eq!(to.iter().collect::<Vec<_>>(), [0, 64, 129]);
+        assert_eq!(to.words.as_ptr(), words, "the copy reallocated");
+        to.copy_from(&BitSet::default());
+        assert!(to.is_empty() && !to.contains(129));
     }
 
     #[test]

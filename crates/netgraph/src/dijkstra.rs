@@ -43,7 +43,31 @@
 //! engine's exact fallback all ask this way. The proptest
 //! `a_point_query_is_the_full_trees_path` holds it to `path_to` for every
 //! (s, t) on the reference proptest's tie-heavy masked multigraphs.
+//!
+//! ## One workspace a thread
+//!
+//! The kernel reads and writes four arrays: each node's distance, its via
+//! link, whether it is settled, and the heap. They live in a private
+//! workspace, and every search resets all four (infinite distances, no via
+//! links, nothing settled, an empty heap) before it pushes its root. So a
+//! search never reads what the workspace held before: its answer is the
+//! one a fresh workspace gives, whatever graph, masks or target the search
+//! before it had. The tree functions run on a workspace of their own and
+//! move its distance and via arrays into the tree they return. Point
+//! queries run on one workspace per thread, kept from query to query: once
+//! it has grown to the graph, [`shortest_path`] allocates only the path it
+//! returns (one link list, shared by the [`Path`] and its clones), and a
+//! Yen spur search appends its links to the caller's buffer and allocates
+//! nothing. Before, each point query allocated three node-sized arrays
+//! and a growing heap, and a failure recovery on GTS-like makes about 860
+//! of them: a query there went 0.42–0.73 → 0.29–0.32 µs (2-CPU x86 host,
+//! fastest of 15 batches of 2 000, three runs a side).
+//! `crates/core/tests/allocations.rs` counts a warm query's
+//! allocations (one, on GTS-like and on a 10k-node graph), and
+//! `tree_bits_at_scale` alternates queries between those two graphs and
+//! holds each to the full tree's path.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -63,32 +87,57 @@ fn key(dist: f64, node: u32) -> u128 {
 /// link id below it.
 const NO_LINK: u32 = u32::MAX;
 
-/// Dijkstra from `root` over the out-rows (`forward`) or the in-rows,
-/// skipping links in `link_mask` and nodes in `node_mask`: each node's
-/// distance and the id of the link it was reached by (its parent link
-/// forward, its next link in reverse), [`NO_LINK`] for none. With `stop`
-/// it returns as soon as that node is popped (module docs, "Point queries
-/// stop at their target").
-fn tree(
-    graph: &Graph,
-    forward: bool,
-    root: NodeId,
-    stop: Option<NodeId>,
-    link_mask: Option<&BitSet>,
-    node_mask: Option<&BitSet>,
-) -> (Vec<f64>, Vec<u32>) {
-    let n = graph.node_count();
-    let rows = graph.rows(forward);
-    let mut dist = vec![f64::INFINITY; n];
-    let mut via = vec![NO_LINK; n];
-    let mut done = vec![false; n];
-    let stop = stop.map_or(u32::MAX, |t| t.0);
-    let masked_node = |v: usize| node_mask.is_some_and(|m| m.contains(v));
-    let masked_link = |l: u32| link_mask.is_some_and(|m| m.contains(l as usize));
+/// The arrays one search reads and writes: each node's distance, the id of
+/// the link it was reached by (its parent link forward, its next link in
+/// reverse, [`NO_LINK`] for none), whether it is settled, and the heap.
+/// [`Workspace::search`] resets all four before it starts (module docs,
+/// "One workspace a thread").
+#[derive(Default)]
+struct Workspace {
+    dist: Vec<f64>,
+    via: Vec<u32>,
+    done: Vec<bool>,
+    heap: BinaryHeap<Reverse<u128>>,
+}
 
-    if !masked_node(root.idx()) {
+thread_local! {
+    /// The workspace this thread's point queries run on, and the buffer
+    /// [`shortest_path`] reads its path into.
+    static POINT: RefCell<(Workspace, Vec<LinkId>)> = RefCell::default();
+}
+
+impl Workspace {
+    /// Dijkstra from `root` over the out-rows (`forward`) or the in-rows,
+    /// skipping links in `link_mask` and nodes in `node_mask`. With `stop`
+    /// it returns as soon as that node is popped (module docs, "Point
+    /// queries stop at their target").
+    fn search(
+        &mut self,
+        graph: &Graph,
+        forward: bool,
+        root: NodeId,
+        stop: Option<NodeId>,
+        link_mask: Option<&BitSet>,
+        node_mask: Option<&BitSet>,
+    ) {
+        let n = graph.node_count();
+        let rows = graph.rows(forward);
+        let Workspace { dist, via, done, heap } = self;
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        via.clear();
+        via.resize(n, NO_LINK);
+        done.clear();
+        done.resize(n, false);
+        heap.clear();
+        let stop = stop.map_or(u32::MAX, |t| t.0);
+        let masked_node = |v: usize| node_mask.is_some_and(|m| m.contains(v));
+        let masked_link = |l: u32| link_mask.is_some_and(|m| m.contains(l as usize));
+
+        if masked_node(root.idx()) {
+            return;
+        }
         dist[root.idx()] = 0.0;
-        let mut heap = BinaryHeap::new();
         heap.push(Reverse(key(0.0, root.0)));
         while let Some(Reverse(popped)) = heap.pop() {
             let u = popped as u32;
@@ -118,7 +167,66 @@ fn tree(
             }
         }
     }
-    (dist, via)
+
+    /// A search from `s` that stops at `t`, and the links of the path it
+    /// found appended to `out` in order: what `path_to(t)` of the full tree
+    /// holds. False, with `out` untouched, when `t` is `s` or unreachable.
+    fn point(
+        &mut self,
+        graph: &Graph,
+        s: NodeId,
+        t: NodeId,
+        link_mask: Option<&BitSet>,
+        node_mask: Option<&BitSet>,
+        out: &mut Vec<LinkId>,
+    ) -> bool {
+        if t == s {
+            return false;
+        }
+        self.search(graph, true, s, Some(t), link_mask, node_mask);
+        if !self.dist[t.idx()].is_finite() {
+            return false;
+        }
+        let start = out.len();
+        let mut at = t;
+        while at != s {
+            let l = LinkId(self.via[at.idx()]);
+            out.push(l);
+            at = graph.link(l).src;
+        }
+        out[start..].reverse();
+        true
+    }
+}
+
+/// Appends the links of [`shortest_path`]`(graph, s, t, ..)` to `out`, in
+/// order, and returns true; returns false, with `out` untouched, where that
+/// is `None`. Runs on this thread's workspace and allocates only when `out`
+/// grows: Yen's spur searches build their candidates in one buffer this
+/// way.
+pub(crate) fn append_shortest_path(
+    graph: &Graph,
+    s: NodeId,
+    t: NodeId,
+    link_mask: Option<&BitSet>,
+    node_mask: Option<&BitSet>,
+    out: &mut Vec<LinkId>,
+) -> bool {
+    POINT.with_borrow_mut(|(ws, _)| ws.point(graph, s, t, link_mask, node_mask, out))
+}
+
+/// A tree from `root` on a workspace of its own, whose distance and via
+/// arrays the tree keeps.
+fn tree(
+    graph: &Graph,
+    forward: bool,
+    root: NodeId,
+    link_mask: Option<&BitSet>,
+    node_mask: Option<&BitSet>,
+) -> (Vec<f64>, Vec<u32>) {
+    let mut ws = Workspace::default();
+    ws.search(graph, forward, root, None, link_mask, node_mask);
+    (ws.dist, ws.via)
 }
 
 /// The link a tree holds for a node, [`NO_LINK`] as `None`.
@@ -191,13 +299,14 @@ pub fn shortest_path_tree(
     link_mask: Option<&BitSet>,
     node_mask: Option<&BitSet>,
 ) -> ShortestPathTree {
-    let (dist_ms, parent) = tree(graph, true, source, None, link_mask, node_mask);
+    let (dist_ms, parent) = tree(graph, true, source, link_mask, node_mask);
     ShortestPathTree { source, dist_ms, parent }
 }
 
 /// The shortest path from `s` to `t` under optional masks: the path
 /// [`shortest_path_tree`]`(graph, s, ..).path_to(graph, t)` returns, found
-/// by a search that stops once `t` is settled (module docs).
+/// by a search that stops once `t` is settled, on this thread's workspace
+/// (module docs). Allocates only the path it returns.
 pub fn shortest_path(
     graph: &Graph,
     s: NodeId,
@@ -205,8 +314,11 @@ pub fn shortest_path(
     link_mask: Option<&BitSet>,
     node_mask: Option<&BitSet>,
 ) -> Option<Path> {
-    let (dist_ms, parent) = tree(graph, true, s, Some(t), link_mask, node_mask);
-    ShortestPathTree { source: s, dist_ms, parent }.path_to(graph, t)
+    POINT.with_borrow_mut(|(ws, links)| {
+        links.clear();
+        ws.point(graph, s, t, link_mask, node_mask, links)
+            .then(|| Path::from_shared(graph, links[..].into()))
+    })
 }
 
 /// All-pairs shortest delays (ms) via repeated Dijkstra; `INFINITY` where
@@ -282,12 +394,12 @@ pub fn reverse_shortest_path_tree(
     link_mask: Option<&BitSet>,
     node_mask: Option<&BitSet>,
 ) -> ReverseShortestPathTree {
-    let (dist_ms, next) = tree(graph, false, sink, None, link_mask, node_mask);
+    let (dist_ms, next) = tree(graph, false, sink, link_mask, node_mask);
     ReverseShortestPathTree { sink, dist_ms, next }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
     use std::cmp::Ordering;
@@ -398,8 +510,9 @@ mod tests {
     /// A case's multigraph on `n` nodes — its duplex and one-way `(x, y,
     /// delay index)` draws taken mod `n`, a draw with equal ends dropped —
     /// and its masks: about a quarter of the links and an eighth of the
-    /// nodes, picked by the bits of `links_down` and `nodes_down`.
-    fn drawn(
+    /// nodes, picked by the bits of `links_down` and `nodes_down`. Yen's
+    /// reference proptest draws its graphs here too.
+    pub(crate) fn drawn(
         n: usize,
         duplex: &[(usize, usize, usize)],
         one_way: &[(usize, usize, usize)],

@@ -48,6 +48,7 @@ impl HierarchyConfig {
     /// Checks the fields [`Hierarchy::build`] reads, which panics with the
     /// error's message; a caller holding outside input calls this first.
     pub fn validate(&self) -> Result<(), RangeError> {
+        RangeError::check(self.max_leaf >= 1, "max_leaf", self.max_leaf, "at least 1")?;
         RangeError::check(self.branching >= 2, "branching", self.branching, "at least 2")
     }
 }
@@ -118,7 +119,7 @@ impl Hierarchy {
         let n = graph.node_count();
         assert!(n > 0, "cannot partition an empty graph");
         config.validate().unwrap_or_else(|e| panic!("{e}"));
-        let max_leaf = config.max_leaf.max(1);
+        let max_leaf = config.max_leaf;
 
         let mut clusters = vec![Cluster {
             id: 0,
@@ -432,5 +433,16 @@ mod tests {
             assert_eq!(ca.members, cb.members);
             assert_eq!(ca.overflow, cb.overflow);
         }
+    }
+
+    #[test]
+    fn a_leaf_bound_of_zero_is_an_error_not_a_bound_of_one() {
+        let cfg = HierarchyConfig { max_leaf: 0, ..Default::default() };
+        let e = cfg.validate().unwrap_err();
+        assert_eq!(e.to_string(), "max_leaf = 0, expected at least 1");
+        let g = line(20);
+        let panicked = std::panic::catch_unwind(|| Hierarchy::build(&g, &cfg)).unwrap_err();
+        assert_eq!(panicked.downcast_ref::<String>().map(String::as_str), Some(&*e.to_string()));
+        assert_eq!(HierarchyConfig { max_leaf: 1, ..cfg }.validate(), Ok(()));
     }
 }

@@ -29,13 +29,25 @@ impl Path {
     /// Panics if `links` is empty. Debug builds also validate contiguity and
     /// looplessness.
     pub fn new(graph: &Graph, links: Vec<LinkId>) -> Self {
+        Self::from_shared(graph, links.into())
+    }
+
+    /// [`Path::new`] over a link list already shared: a point query builds
+    /// it from its buffer in one allocation, and Yen's accepted candidate
+    /// hands over the list its `seen` set holds.
+    pub(crate) fn from_shared(graph: &Graph, links: Arc<[LinkId]>) -> Self {
         assert!(!links.is_empty(), "a Path must have at least one link");
         let src = graph.link(links[0]).src;
         let dst = graph.link(*links.last().expect("non-empty")).dst;
         let delay_ms = graph.path_delay(&links);
-        let p = Path { links: links.into(), delay_ms, src, dst };
+        let p = Path { links, delay_ms, src, dst };
         debug_assert!(p.validate(graph).is_ok(), "invalid path: {:?}", p.validate(graph));
         p
+    }
+
+    /// The link list this path shares with its clones.
+    pub(crate) fn shared_links(&self) -> &Arc<[LinkId]> {
+        &self.links
     }
 
     /// The links of the path, in order.
@@ -89,20 +101,20 @@ impl Path {
     }
 
     /// Checks contiguity and looplessness; returns a description of the first
-    /// violation.
+    /// violation. Allocates only the description: debug builds run it on
+    /// every path built, and a point query allocates only its path.
     pub fn validate(&self, graph: &Graph) -> Result<(), String> {
-        let mut seen = vec![self.src];
         let mut at = self.src;
-        for &l in self.links.iter() {
+        for (i, &l) in self.links.iter().enumerate() {
             let link = graph.link(l);
             if link.src != at {
                 return Err(format!("link {l:?} starts at {:?}, expected {at:?}", link.src));
             }
             at = link.dst;
-            if seen.contains(&at) {
+            let before = &self.links[..i];
+            if at == self.src || before.iter().any(|&b| graph.link(b).dst == at) {
                 return Err(format!("node {at:?} repeats"));
             }
-            seen.push(at);
         }
         let cached = graph.path_delay(&self.links);
         if (cached - self.delay_ms).abs() > 1e-9 {

@@ -57,10 +57,13 @@ fn smoke() -> Result<ExitCode, CliError> {
         ..Default::default()
     };
     let landmarks = args.value("--landmarks")?.unwrap_or(32usize);
-    // `--leaf` is the hierarchy's only field read here, and its check
-    // passes every value: an error is about the landmarks.
+    // `--leaf` is the hierarchy's only field read here: an error names it
+    // or the landmarks.
     let engine_cfg = EngineConfig { hierarchy: hier, landmarks };
-    engine_cfg.validate().map_err(CliError::at("--landmarks"))?;
+    engine_cfg.validate().map_err(|e| {
+        let flag = if e.param == "max_leaf" { "--leaf" } else { "--landmarks" };
+        CliError::new(flag, e)
+    })?;
     // No scale axis here: the scale flags pass, everything else is an error.
     args.finish()?;
     telemetry::set_enabled(true);

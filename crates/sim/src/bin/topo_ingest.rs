@@ -87,7 +87,11 @@ fn experiment() -> Result<(), CliError> {
     let landmarks = args.value("--landmarks")?.unwrap_or(32usize);
     let engine_cfg = EngineConfig { hierarchy: hier, landmarks };
     engine_cfg.validate().map_err(|e| {
-        let flag = if e.param == "landmarks" { "--landmarks" } else { "--branching" };
+        let flag = match e.param {
+            "landmarks" => "--landmarks",
+            "max_leaf" => "--leaf",
+            _ => "--branching",
+        };
         CliError::new(flag, e)
     })?;
     let emit: Option<String> = args.value("--emit-edge-list")?;

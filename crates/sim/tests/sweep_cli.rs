@@ -80,10 +80,12 @@ fn out_of_range_parameters_exit_2_naming_the_flag() {
         (INGEST, &["--branching", "1"], "--branching"),
         (INGEST, &["--k", "0"], "--k"),
         (INGEST, &["--landmarks", "0"], "--landmarks"),
+        (INGEST, &["--leaf", "0"], "--leaf"),
         (PRICING, &["--nodes", "3"], "--nodes"),
         (PRICING, &["--pairs", "0"], "--pairs"),
         (PRICING, &["--overload", "0"], "--overload"),
         (PRICING, &["--landmarks", "0"], "--landmarks"),
+        (PRICING, &["--leaf", "0"], "--leaf"),
         (SCENARIO, &["--schemes", " , "], "--schemes"),
         (ZOO, &["--help"], "--help"),
     ] {

@@ -1,5 +1,8 @@
 //! Traffic matrices: one aggregate per ordered PoP pair.
 
+use std::collections::HashSet;
+use std::fmt;
+
 use lowlat_netgraph::RangeError;
 use lowlat_topology::PopId;
 
@@ -23,9 +26,16 @@ pub struct TrafficMatrix {
     aggregates: Vec<Aggregate>,
 }
 
-/// `value` of aggregate `a`, as a [`RangeError`] prints it.
-fn at(a: &Aggregate, value: impl std::fmt::Display) -> String {
-    format!("{value} (aggregate {:?}->{:?})", a.src, a.dst)
+/// `value` of an aggregate, as a [`RangeError`] prints it. It is formatted
+/// only when a check fails: `RangeError::check` builds its text then, and
+/// a matrix that passes formats nothing.
+struct At<'a, V>(&'a Aggregate, V);
+
+impl<V: fmt::Display> fmt::Display for At<'_, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let At(a, value) = self;
+        write!(f, "{value} (aggregate {:?}->{:?})", a.src, a.dst)
+    }
 }
 
 impl TrafficMatrix {
@@ -35,26 +45,26 @@ impl TrafficMatrix {
     /// aggregate from a PoP to itself, no (src, dst) pair twice. The error
     /// names the first aggregate that fails.
     pub fn validate(aggregates: &[Aggregate]) -> Result<(), RangeError> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::with_capacity(aggregates.len());
         for a in aggregates {
             let v = a.volume_mbps;
             RangeError::check(
                 v.is_finite() && v >= 0.0,
                 "volume_mbps",
-                at(a, v),
+                At(a, v),
                 "a finite value >= 0",
             )?;
             RangeError::check(
                 a.src != a.dst,
                 "dst",
-                at(a, format!("{:?}", a.dst)),
+                At(a, format_args!("{:?}", a.dst)),
                 "a PoP other than src",
             )?;
             let first = seen.insert((a.src, a.dst));
             RangeError::check(
                 first,
                 "aggregate",
-                at(a, "repeated"),
+                At(a, "repeated"),
                 "one entry per (src, dst) pair",
             )?;
         }
@@ -70,7 +80,9 @@ impl TrafficMatrix {
     pub fn new(mut aggregates: Vec<Aggregate>) -> Self {
         Self::validate(&aggregates).unwrap_or_else(|e| panic!("{e}"));
         aggregates.retain(|a| a.volume_mbps > 0.0);
-        aggregates.sort_by_key(|a| (a.src, a.dst));
+        // No two keys are equal (`validate`), so the unstable sort, which
+        // needs no buffer, orders them as the stable one would.
+        aggregates.sort_unstable_by_key(|a| (a.src, a.dst));
         TrafficMatrix { aggregates }
     }
 
@@ -114,7 +126,7 @@ impl TrafficMatrix {
             RangeError::check(
                 positive(v),
                 "factor",
-                at(a, factor),
+                At(a, factor),
                 "one that keeps every volume finite and > 0",
             )?;
         }

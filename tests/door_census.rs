@@ -5,8 +5,8 @@
 //! it. Scans every `.rs` file under `crates`, `src`, `tests` and `examples`
 //! but this one. And no source file under `crates/*/src` grows past 900
 //! lines before its test module (ROADMAP item 7), the LP chain names
-//! every tolerance it reads, and the binaries have one way out for a bad
-//! input.
+//! every tolerance it reads, the binaries have one way out for a bad
+//! input, and no `RangeError::check` formats its value before it fails.
 
 use std::path::{Path, PathBuf};
 
@@ -326,4 +326,85 @@ fn the_census_reads_literals_and_const_items() {
     assert!(is_const_item("    pub(super) const FITS: f64 = 1e-7;"));
     assert!(is_const_item("const M1: f64 = 1e-3;"));
     assert!(!is_const_item("    let tol = 1e-7; // const"));
+}
+
+/// What a `RangeError::check` argument must not do: build text. `check`
+/// formats its value only when the check fails; an argument that formats
+/// itself pays for an error message on every check that passes.
+const EAGER_TEXT: &[&str] = &["format!(", ".to_string()"];
+
+/// Each `RangeError::check(` call in `text`: the 1-based line it starts on
+/// and its argument list, up to the parenthesis that closes it across any
+/// number of lines. Parentheses inside string and char literals do not
+/// count.
+fn check_arguments(text: &str) -> Vec<(usize, &str)> {
+    const CALL: &str = "RangeError::check(";
+    let bytes = text.as_bytes();
+    let mut calls = Vec::new();
+    let mut from = 0;
+    while let Some(at) = text[from..].find(CALL).map(|i| from + i) {
+        let start = at + CALL.len();
+        let (mut depth, mut in_string, mut i) = (1, false, start);
+        while i < bytes.len() && depth > 0 {
+            match bytes[i] {
+                b'\\' if in_string => i += 1,
+                b'"' => in_string = !in_string,
+                b'\'' if !in_string && bytes.get(i + 2) == Some(&b'\'') => i += 2,
+                b'(' if !in_string => depth += 1,
+                b')' if !in_string => depth -= 1,
+                _ => {}
+            }
+            i += 1;
+        }
+        let line = 1 + text[..at].matches('\n').count();
+        calls.push((line, &text[start..i.saturating_sub(1)]));
+        from = i;
+    }
+    calls
+}
+
+#[test]
+fn no_range_check_builds_its_text_before_it_fails() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    files.sort();
+    let mut eager = Vec::new();
+    for path in files {
+        let rel = path.strip_prefix(root).unwrap();
+        if rel == Path::new(file!()) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (n, args) in check_arguments(&text) {
+            if EAGER_TEXT.iter().any(|build| args.contains(build)) {
+                let args = args.split_whitespace().collect::<Vec<_>>().join(" ");
+                eager.push(format!("{}:{n}: RangeError::check({args})", rel.display()));
+            }
+        }
+    }
+    assert!(
+        eager.is_empty(),
+        "{} range checks format their value before they know it is wrong; pass a value \
+         that implements `Display` (or `format_args!`) and let `check` format it on failure:\n{}",
+        eager.len(),
+        eager.join("\n")
+    );
+}
+
+#[test]
+fn the_census_reads_whole_check_calls() {
+    let text = "RangeError::check(ok, \"k\", k, \"at least 1\")?;\n\
+                RangeError::check(\n    ok,\n    \"dst\",\n    at(a, format!(\"{:?}\", a.dst)),\n    \
+                \"a PoP other than (src)\",\n)?;\n\
+                let c = ')'; RangeError::check(f(g(x)), \"v\", v.to_string(), \")(\")?;\n";
+    let calls = check_arguments(text);
+    assert_eq!(calls.iter().map(|&(n, _)| n).collect::<Vec<_>>(), [1, 2, 8]);
+    assert_eq!(calls[0].1, "ok, \"k\", k, \"at least 1\"");
+    assert!(calls[1].1.contains("format!(") && calls[1].1.ends_with("(src)\",\n"));
+    assert_eq!(calls[2].1, "f(g(x)), \"v\", v.to_string(), \")(\"");
+    let eager = |args: &str| EAGER_TEXT.iter().any(|build| args.contains(build));
+    assert_eq!(calls.iter().map(|&(_, args)| eager(args)).collect::<Vec<_>>(), [false, true, true]);
 }
