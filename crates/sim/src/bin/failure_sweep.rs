@@ -203,13 +203,13 @@ fn sweep() -> Result<(), CliError> {
                 .num("kept_pairs", out.repair.kept_pairs)
                 .num("repaired_pairs", out.repair.repaired_pairs)
                 .num("paths_regrown", out.repair.paths_regrown)
-                .fixed("unroutable_frac", impact.unroutable_fraction, 4)
-                .fixed("latency_stretch", impact.latency_stretch, 4)
-                .fixed("max_path_stretch", impact.max_path_stretch, 4)
-                .fixed("max_overload", impact.max_overload, 4)
+                .num("unroutable_frac", impact.unroutable_fraction)
+                .num("latency_stretch", impact.latency_stretch)
+                .num("max_path_stretch", impact.max_path_stretch)
+                .num("max_overload", impact.max_overload)
                 .num("lp_solves", out.lp_solves)
                 .num("lp_warm_hits", out.lp_warm_hits)
-                .fixed("repair_ms", repair_ms, 2)
+                .num("repair_ms", repair_ms)
                 .num("load", loads[li]);
             rows.push((row, out.impact));
         }
@@ -235,10 +235,10 @@ fn sweep() -> Result<(), CliError> {
                 table.push(
                     lead(n, s)
                         .num("scenarios", rows.len())
-                        .fixed("quantile", q, 2)
-                        .fixed("unroutable_frac", unroutable.quantile(q), 4)
-                        .fixed("max_path_stretch", stretch.quantile(q), 4)
-                        .fixed("max_overload", overload.quantile(q), 4)
+                        .num("quantile", q)
+                        .num("unroutable_frac", unroutable.quantile(q))
+                        .num("max_path_stretch", stretch.quantile(q))
+                        .num("max_overload", overload.quantile(q))
                         .num("load", loads[li]),
                 );
             }

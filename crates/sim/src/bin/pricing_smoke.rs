@@ -148,8 +148,8 @@ fn smoke() -> Result<ExitCode, CliError> {
         rows.push(
             Row::new()
                 .text("scheme", spec)
-                .fixed("place_ms", place_ms, 1)
-                .fixed("objective_ms", objective, 3)
+                .num("place_ms", place_ms)
+                .num("objective_ms", objective)
                 .num("columns_grown", grown)
                 .num("pricing_skips", skips)
                 .num("cached_pairs", engine.cached_pairs())

@@ -77,13 +77,13 @@ fn record_row(r: &RunRecord, (load, locality): (f64, f64)) -> Row {
         .num("locality", locality)
         .text("network", &r.network)
         .text("class", format!("{:?}", r.class))
-        .fixed("llpd", r.llpd, 4)
+        .num("llpd", r.llpd)
         .num("tm", r.tm_index)
         .text("scheme", &r.scheme)
-        .fixed("congested_fraction", r.congested_fraction, 6)
-        .fixed("latency_stretch", r.latency_stretch, 6)
-        .fixed("max_stretch", r.max_flow_stretch, 4)
-        .fixed("max_util", r.max_utilization, 4)
+        .num("congested_fraction", r.congested_fraction)
+        .num("latency_stretch", r.latency_stretch)
+        .num("max_stretch", r.max_flow_stretch)
+        .num("max_util", r.max_utilization)
         .num("fits", r.fits)
-        .fixed("runtime_ms", r.runtime_ms, 2)
+        .num("runtime_ms", r.runtime_ms)
 }

@@ -142,14 +142,14 @@ fn sweep() -> Result<(), CliError> {
             .num("minutes", config.minutes)
             .num("cv", cv)
             .num("seed", seed)
-            .fixed("worst_queue_ms", out.worst_queue_ms(), 3)
+            .num("worst_queue_ms", out.worst_queue_ms())
             .num("queue_minutes", out.minutes_with_queue_above(1.0))
-            .fixed("mean_stretch", out.mean_stretch(), 4)
+            .num("mean_stretch", out.mean_stretch())
             .num("lp_solves", out.lp_solves)
             .num("lp_warm_hits", out.lp_warm_hits)
-            .fixed("decision_ms_med", out.median_decision_ms(), 3)
+            .num("decision_ms_med", out.median_decision_ms())
             .num("paths_changed", out.total_paths_changed())
-            .fixed("moved_volume_frac", out.mean_moved_volume_fraction(), 4)
+            .num("moved_volume_frac", out.mean_moved_volume_fraction())
     });
     print_rows(&rows, std::io::stdout().lock()).expect("stdout");
     sinks.write()

@@ -33,7 +33,7 @@ use lowlat_core::hier::{EngineConfig, PartitionedPathEngine};
 use lowlat_core::{default_workers, par_map, PathSource};
 use lowlat_netgraph::hierarchy::HierarchyConfig;
 use lowlat_netgraph::{shortest_path_tree, NodeId, RangeError};
-use lowlat_sim::output::{fixed, Row};
+use lowlat_sim::output::Row;
 use lowlat_sim::runner::{self, io_error, Args, CliError, TelemetrySinks};
 use lowlat_telemetry as telemetry;
 use lowlat_topology::ingest::{self, IngestedGraph};
@@ -221,15 +221,15 @@ fn experiment() -> Result<(), CliError> {
             .num("nodes", g.node_count())
             .num("cables", graph_ref.cable_count())
             .num("tests", tests)
-            .fixed("success_rate", quality[0], 6)
-            .fixed("avg_hops", quality[1], 6)
-            .fixed("stretch", quality[2], 6)
-            .fixed("cross_fraction", per_test(cross as f64), 6)
-            .fixed("fallback_fraction", per_test(fallback as f64), 6)
+            .num("success_rate", quality[0])
+            .num("avg_hops", quality[1])
+            .num("stretch", quality[2])
+            .num("cross_fraction", per_test(cross as f64))
+            .num("fallback_fraction", per_test(fallback as f64))
             .num("leaves", engine.leaf_ids().len())
             .num("landmarks", engine.landmark_count())
-            .fixed("build_ms", build_ms, 3)
-            .fixed("query_us_mean", per_test(batch_ms * 1e3), 3);
+            .num("build_ms", build_ms)
+            .num("query_us_mean", per_test(batch_ms * 1e3));
         (row, quality)
     });
 
@@ -249,8 +249,8 @@ fn experiment() -> Result<(), CliError> {
             Row::new().text("label", label).num("seeds", of_label.len()).num("tests", tests);
         for (i, name) in ["success_rate", "avg_hops", "stretch"].into_iter().enumerate() {
             let (mean, ci) = mean_and_ci(&of_label.iter().map(|q| q[i]).collect::<Vec<_>>());
-            line.push(format!("{name}={} +/- {}", fixed(mean, 4), fixed(ci, 4)));
-            row = row.fixed(name, mean, 6).fixed(format!("{name}_ci"), ci, 6);
+            line.push(format!("{name}={mean} +/- {ci}"));
+            row = row.num(name, mean).num(format!("{name}_ci"), ci);
         }
         summary_lines.push(format!("{label}: {}", line.join(", ")));
         summary_rows.push(row);

@@ -57,8 +57,8 @@ fn export() -> Result<(), CliError> {
                 .text("class", format!("{:?}", ZooClass::of(topo)))
                 .num("pops", topo.pop_count())
                 .num("cables", topo.cables().len())
-                .fixed("diameter_ms", topo.diameter_ms(), 2)
-                .fixed("llpd", *llpd, 4),
+                .num("diameter_ms", topo.diameter_ms())
+                .num("llpd", *llpd),
         );
     }
     let mut manifest = Vec::new();

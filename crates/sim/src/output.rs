@@ -5,8 +5,14 @@
 //! columns. [`print_rows`] writes them as TSV under a header made of the
 //! first row's names, and [`Row::json`] writes one row as a one-line JSON
 //! object, so a column is named, valued and formatted once, where the row
-//! is built. Every float a table or figure rounds goes through [`fixed`];
-//! one given to [`Row::num`] prints in full (`{}`).
+//! is built.
+//!
+//! A float prints in full, everywhere: a [`Row::num`] cell, a JSON value
+//! and a [`print_tsv`] point are `{}`, Rust's shortest text that parses
+//! back to the same bits, so a column has a name and a value and no
+//! precision to choose. Text that is not a data value keeps its rounding:
+//! the axis legend of [`ascii_plot`], a series label such as
+//! `llpd=0.42` (a column *name*), a binary's progress lines on stderr.
 //!
 //! Figures are emitted as tab-separated series (easy to pipe into any
 //! plotting tool) plus a terminal-friendly ASCII sketch so a reader can see
@@ -15,12 +21,6 @@
 
 use std::fmt::Display;
 use std::io::Write;
-
-/// `v` with `decimals` digits after the point: the one place a printed
-/// float is rounded.
-pub fn fixed(v: f64, decimals: usize) -> String {
-    format!("{v:.decimals$}")
-}
 
 /// One row of a table: its columns in order, each a name and the text
 /// printed for it.
@@ -52,12 +52,6 @@ impl Row {
     /// array of numbers displayed as one is bare too).
     pub fn num(self, name: impl Into<String>, v: impl Display) -> Self {
         self.push(name.into(), v.to_string(), false)
-    }
-
-    /// Appends a float column with `decimals` digits after the point
-    /// ([`fixed`]).
-    pub fn fixed(self, name: impl Into<String>, v: f64, decimals: usize) -> Self {
-        self.push(name.into(), fixed(v, decimals), false)
     }
 
     fn push(mut self, name: String, value: String, quoted: bool) -> Self {
@@ -151,18 +145,17 @@ pub fn print_tsv(header: &str, series: &[Series], mut out: impl Write) -> std::i
         let names: Vec<&str> = series.iter().map(|s| s.name.as_str()).collect();
         writeln!(out, "x\t{}", names.join("\t"))?;
         for i in 0..series[0].points.len() {
-            let mut row = fixed(series[0].points[i].0, 6);
+            write!(out, "{}", series[0].points[i].0)?;
             for s in series {
-                row.push('\t');
-                row.push_str(&fixed(s.points[i].1, 6));
+                write!(out, "\t{}", s.points[i].1)?;
             }
-            writeln!(out, "{row}")?;
+            writeln!(out)?;
         }
     } else {
         writeln!(out, "series\tx\ty")?;
         for s in series {
             for (x, y) in &s.points {
-                writeln!(out, "{}\t{}\t{}", s.name, fixed(*x, 6), fixed(*y, 6))?;
+                writeln!(out, "{}\t{x}\t{y}", s.name)?;
             }
         }
     }
@@ -225,10 +218,10 @@ mod tests {
     #[test]
     fn the_header_is_the_first_rows_names() {
         let rows: Vec<Row> =
-            [1.0, 2.5].map(|v| Row::new().text("net", "A").num("n", 3).fixed("v", v, 2)).to_vec();
+            [1.0, 2.5].map(|v| Row::new().text("net", "A").num("n", 3).num("v", v)).to_vec();
         let mut buf = Vec::new();
         print_rows(&rows, &mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), "net\tn\tv\nA\t3\t1.00\nA\t3\t2.50\n");
+        assert_eq!(String::from_utf8(buf).unwrap(), "net\tn\tv\nA\t3\t1\nA\t3\t2.5\n");
         let mut empty = Vec::new();
         print_rows(&[], &mut empty).unwrap();
         assert!(empty.is_empty(), "a table with no rows prints nothing");
@@ -243,8 +236,8 @@ mod tests {
 
     #[test]
     fn json_quotes_text_and_escapes_quotes_backslashes_and_control_characters() {
-        let row = Row::new().text("label", "a\"b\\c\nd\u{1}").num("seed", 42).fixed("x", 0.5, 3);
-        assert_eq!(row.json(), r#"{"label": "a\"b\\c\nd\u0001", "seed": 42, "x": 0.500}"#);
+        let row = Row::new().text("label", "a\"b\\c\nd\u{1}").num("seed", 42).num("x", 0.5);
+        assert_eq!(row.json(), r#"{"label": "a\"b\\c\nd\u0001", "seed": 42, "x": 0.5}"#);
         assert_eq!(Row::new().json(), "{}");
     }
 
@@ -258,7 +251,7 @@ mod tests {
         print_tsv("test", &s, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("x\ta\tb"));
-        assert!(text.contains("0.000000\t1.000000\t3.000000"));
+        assert!(text.contains("0\t1\t3"));
     }
 
     #[test]
@@ -271,7 +264,60 @@ mod tests {
         print_tsv("test", &s, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("series\tx\ty"));
-        assert!(text.contains("b\t0.500000\t3.000000"));
+        assert!(text.contains("b\t0.5\t3"));
+    }
+
+    /// Every cell of `text` after its first `skip` lines, split on tabs
+    /// and newlines.
+    fn cells(text: &str, skip: usize) -> Vec<&str> {
+        text.lines().skip(skip).flat_map(|line| line.split('\t')).collect()
+    }
+
+    #[test]
+    fn every_float_prints_back_to_its_bits() {
+        let mut values = vec![-0.0, 0.0, f64::from_bits(1), f64::MAX, f64::MIN, 0.1 + 0.2, 1e-300];
+        // Random finite bit patterns from a seeded splitmix64 stream.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        while values.len() < 2000 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let v = f64::from_bits(z ^ (z >> 31));
+            if v.is_finite() {
+                values.push(v);
+            }
+        }
+        let rows: Vec<Row> = values.iter().map(|&v| Row::new().num("v", v)).collect();
+        let mut table = Vec::new();
+        print_rows(&rows, &mut table).unwrap();
+        let table = String::from_utf8(table).unwrap();
+        let points: Vec<(f64, f64)> = values.iter().map(|&v| (v, -v)).collect();
+        let mut aligned = Vec::new();
+        let (a, b) = (Series::new("a", points.clone()), Series::new("b", points.clone()));
+        print_tsv("t", &[a, b], &mut aligned).unwrap();
+        let aligned = String::from_utf8(aligned).unwrap();
+        let mut single = Vec::new();
+        print_tsv("t", &[Series::new("a", points)], &mut single).unwrap();
+        let single = String::from_utf8(single).unwrap();
+        let json: Vec<String> = rows.iter().map(Row::json).collect();
+
+        let expect = |printed: Vec<&str>, want: Vec<f64>, how: &str| {
+            assert_eq!(printed.len(), want.len(), "{how}");
+            for (text, v) in printed.into_iter().zip(want) {
+                let back: f64 = text.parse().unwrap_or_else(|_| panic!("{how}: {text:?}"));
+                assert_eq!(back.to_bits(), v.to_bits(), "{how}: {v:e} printed as {text}");
+            }
+        };
+        expect(cells(&table, 1), values.clone(), "Row::num");
+        expect(cells(&aligned, 2), values.iter().flat_map(|&v| [v, -v, -v]).collect(), "aligned");
+        let single_cells: Vec<&str> = cells(&single, 2).into_iter().filter(|c| *c != "a").collect();
+        expect(single_cells, values.iter().flat_map(|&v| [v, -v]).collect(), "per series");
+        let json_values: Vec<&str> = json
+            .iter()
+            .map(|j| j.strip_prefix("{\"v\": ").unwrap().strip_suffix('}').unwrap())
+            .collect();
+        expect(json_values, values, "Row::json");
     }
 
     #[test]

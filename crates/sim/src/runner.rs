@@ -317,12 +317,13 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Canonical text form of every deterministic field — what the
-    /// determinism suite compares byte-for-byte across worker counts
-    /// (`runtime_ms` is wall time and necessarily excluded).
+    /// Canonical text form of every deterministic field, each float in
+    /// full (`{}` parses back to its bits) — what the determinism suite
+    /// compares byte-for-byte across worker counts (`runtime_ms` is wall
+    /// time and necessarily excluded).
     pub fn deterministic_repr(&self) -> String {
         format!(
-            "{}|{:?}|{:.12e}|{}|{}|{:.12e}|{:.12e}|{:.12e}|{:.12e}|{}",
+            "{}|{:?}|{}|{}|{}|{}|{}|{}|{}|{}",
             self.network,
             self.class,
             self.llpd,

@@ -13,9 +13,11 @@
 //! failure message spells out the command), and the diff names each number
 //! that moved.
 //!
-//! The goldens see what the TSVs print, 3–6 decimals: a change below the
-//! printed precision moves none of them. The controller's bits are
-//! `timeline_golden.rs`'s to hold.
+//! The goldens see bits: every float a sweep prints is its shortest
+//! round-trip form (`sim::output`), so a one-ulp change to a printed value
+//! moves its cell, and a moved line is reported column by column. They pin
+//! the platform libm's bits, as `timeline_golden.rs` does; that test also
+//! holds the eventful, cascading controller run no sweep cell covers.
 //!
 //! The same runs back the named assertions after the golden test: what the
 //! numbers must say about warm starts, bounded churn, failure recovery,
@@ -170,6 +172,23 @@ fn first_difference<'a>(golden: &'a str, run: &'a str) -> (usize, &'a str, &'a s
     }
 }
 
+/// Each column where the lines `want` and `got` differ, as
+/// `name: golden → now` under `header`'s names; none when the three split
+/// into different numbers of columns (the two lines say it then).
+fn moved_cells(header: &str, want: &str, got: &str) -> Vec<String> {
+    let [names, want, got] =
+        [header, want, got].map(|line| line.trim_end_matches('\n').split('\t').collect::<Vec<_>>());
+    if names.len() != want.len() || want.len() != got.len() {
+        return Vec::new();
+    }
+    names
+        .iter()
+        .zip(want.iter().zip(&got))
+        .filter(|(_, (w, g))| w != g)
+        .map(|(name, (w, g))| format!("{name}: {w} → {g}"))
+        .collect()
+}
+
 #[test]
 fn every_cell_prints_its_golden() {
     let mut problems = Vec::new();
@@ -180,9 +199,14 @@ fn every_cell_prints_its_golden() {
         match std::fs::read_to_string(&golden) {
             Ok(want) if want == produced.cut => {}
             Ok(want) => {
+                let header = want.lines().find(|line| !line.starts_with('#')).unwrap_or_default();
                 let (line, want, got) = first_difference(&want, &produced.cut);
+                let cells: String = moved_cells(header, want, got)
+                    .iter()
+                    .map(|cell| format!("\n    {cell}"))
+                    .collect();
                 problems.push(format!(
-                    "{} moved at line {line}:\n  golden {want:?}\n  now    {got:?}\n  \
+                    "{} moved at line {line}:\n  golden {want:?}\n  now    {got:?}{cells}\n  \
                      re-record: {copy}",
                     golden.display()
                 ));

@@ -1,14 +1,17 @@
 # Workspace task runner. `just --list` shows everything.
 
-# Tier-1 verification: what CI runs and every PR must keep green. The last
-# two lines build and test the repo benchmark, a workspace of its own that
-# links against `sim`/`core` signatures by name (CI's `perfbench` job).
+# Tier-1 verification: CI's tests and gates, which every PR must keep green.
+# The last two lines build and test the repo benchmark, a workspace of its
+# own that links against `sim`/`core` signatures by name (CI's `perfbench`
+# job). CI alone runs the telemetry smoke, the scale-smoke job and the
+# perfbench counts table.
 verify:
     cargo fmt --check
     cargo build --release
     cargo clippy --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude rand --exclude parking_lot --exclude proptest --exclude criterion
     cargo test -q
+    RUST_TEST_THREADS=1 cargo test -q
     taskset -c 0 cargo test -q -p lowlat_sim --test sweep_golden
     taskset -c 0 cargo test -q -p lowlat_core --test tree_bits_at_scale
     cargo test --release -q -p lowlat_linprog --test solve_bits

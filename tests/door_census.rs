@@ -51,6 +51,10 @@ const GONE: &[&str] = &[
     "print_records_rows",
 ];
 
+/// Deleted doors named by an English word, matched in code only: in a `//`
+/// comment the word is prose.
+const GONE_IN_CODE: &[&str] = &["fixed"];
+
 /// The solver's options are `lowlat_linprog`'s own business.
 const PRIVATE_TO_LINPROG: &str = "SolverOptions";
 
@@ -92,6 +96,11 @@ fn no_deleted_door_comes_back() {
         for (n, line) in (1..).zip(text.lines()) {
             let idents = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
             for ident in idents.filter(|ident| is_gone(ident)) {
+                hits.push(format!("{}:{n}: {ident}", rel.display()));
+            }
+            let code = line.split("//").next().unwrap_or_default();
+            let code_idents = code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+            for ident in code_idents.filter(|ident| GONE_IN_CODE.contains(ident)) {
                 hits.push(format!("{}:{n}: {ident}", rel.display()));
             }
             if !linprog && line.contains(PRIVATE_TO_LINPROG) {
