@@ -52,6 +52,7 @@ const SWEEPS: &[(&str, &str, &str)] = &[
         "--quick --scenarios single,brownout --schemes LDR --loads 0.5,0.7 --degrade 0.5",
     ),
     ("frontier", FAILURE, "--quick --scenarios single --schemes LDR --frontier"),
+    ("node_failures", FAILURE, "--quick --scenarios node,srlg --schemes LDR,SP"),
     (
         "scenarios",
         SCENARIO,
