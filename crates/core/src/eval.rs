@@ -1,9 +1,22 @@
-//! Placement evaluation: the quantities the paper's figures plot.
+//! Placement evaluation: the quantities the paper's figures plot, read in
+//! one place.
+//!
+//! [`PlacementEval::under`] is the one reading of a placement. Stretch is
+//! judged against the *intact* network's shortest delays (so a detour a
+//! failure forces shows as stretch), and load against the *effective*
+//! capacities a [`FailureMask`] leaves (a downed link has none, a
+//! browned-out one a fraction). The sweeps and figures call it through
+//! [`PlacementEval::evaluate`], with the topology's own delay table
+//! ([`Topology::intact_delays`]) and nothing failed; the failure axis reads
+//! it through [`FailureImpact`], and the timeline once a minute with the
+//! mask in force. A path counts as used when its split is live
+//! ([`LIVE_SPLIT`](crate::placement::LIVE_SPLIT)).
 
-use lowlat_netgraph::{all_pairs_delays, Graph};
+use lowlat_netgraph::{FailureMask, Graph};
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::Topology;
 
+use crate::failure::FailureImpact;
 use crate::placement::Placement;
 
 /// Relative tolerance above which a link counts as congested.
@@ -21,67 +34,76 @@ pub struct PlacementEval {
 }
 
 impl PlacementEval {
-    /// Evaluates `placement` for `tm` on `topology`.
+    /// Evaluates `placement` for `tm` on the intact `topology`:
+    /// [`PlacementEval::under`] with the topology's own shortest delays
+    /// and nothing failed.
+    pub fn evaluate(topology: &Topology, tm: &TrafficMatrix, placement: &Placement) -> Self {
+        let intact = FailureMask::new();
+        Self::under(topology.graph(), topology.intact_delays(), &intact, tm, placement)
+    }
+
+    /// Evaluates `placement` for `tm` on `graph` under `mask`, against
+    /// `intact_delays`, the intact network's all-pairs shortest delays
+    /// ([`Topology::intact_delays`]).
     ///
     /// * **congested pair fraction** — aggregates whose traffic crosses at
     ///   least one link loaded beyond capacity (Figures 3, 4 top halves).
     /// * **latency stretch** — `Σ_f d_f / Σ_f d_f,sp` over all flows, where
     ///   an aggregate's flows see its volume-weighted mean path delay
-    ///   (Figures 4 bottom halves, 8).
+    ///   (Figures 4 bottom halves, 8); 1 for a matrix with no flows.
     /// * **max flow stretch** — worst used-path delay over shortest-path
     ///   delay, over all aggregates (Figures 16, 17, 18).
-    /// * **utilizations** — per-link load/capacity (Figure 7).
+    /// * **utilizations** — per-link load over effective capacity under
+    ///   `mask` (Figure 7). An idle link reads 0; a loaded link with no
+    ///   capacity left reads [`FailureImpact::INFINITE_OVERLOAD`], never
+    ///   NaN.
     /// * **fits** — true when no link is loaded beyond capacity.
-    pub fn evaluate(topology: &Topology, tm: &TrafficMatrix, placement: &Placement) -> Self {
-        Self::evaluate_on(topology.graph(), tm, placement)
-    }
-
-    /// As [`PlacementEval::evaluate`], directly against a graph — the form
-    /// the source-generic timeline uses, where only a
-    /// [`PathSource`](crate::source::PathSource)'s graph view exists.
-    pub fn evaluate_on(graph: &Graph, tm: &TrafficMatrix, placement: &Placement) -> Self {
+    pub fn under(
+        graph: &Graph,
+        intact_delays: &[Vec<f64>],
+        mask: &FailureMask,
+        tm: &TrafficMatrix,
+        placement: &Placement,
+    ) -> Self {
         debug_assert!(placement.validate(graph, tm).is_ok());
         let loads = placement.link_loads(graph, tm);
         let mut congested_link = vec![false; graph.link_count()];
         let mut utilizations = vec![0.0; graph.link_count()];
         for l in graph.link_ids() {
-            let cap = graph.link(l).capacity_mbps;
-            utilizations[l.idx()] = loads[l.idx()] / cap;
-            congested_link[l.idx()] = loads[l.idx()] > cap * (1.0 + CONGESTION_TOL);
+            let load = loads[l.idx()];
+            // Idle links stay at 0 before any division: a downed one (no
+            // capacity) matters only when something is placed on it.
+            if load <= 0.0 {
+                continue;
+            }
+            let cap = mask.effective_capacity(graph, l);
+            utilizations[l.idx()] =
+                if cap > 0.0 { load / cap } else { FailureImpact::INFINITE_OVERLOAD };
+            congested_link[l.idx()] = load > cap * (1.0 + CONGESTION_TOL);
         }
         let fits = !congested_link.iter().any(|&c| c);
 
-        let sp_delays = all_pairs_delays(graph);
         let mut congested_pairs = 0;
         let mut weighted_delay = 0.0;
-        let mut weighted_sp_delay = 0.0;
+        let mut weighted_sp = 0.0;
         let mut max_flow_stretch: f64 = 1.0;
         for (agg, pl) in tm.aggregates().iter().zip(placement.per_aggregate()) {
-            let sp = sp_delays[agg.src.idx()][agg.dst.idx()];
+            let sp = intact_delays[agg.src.idx()][agg.dst.idx()];
             debug_assert!(sp.is_finite() && sp > 0.0);
-            let mut crosses_congestion = false;
-            let mut worst = 0.0f64;
-            for (path, x) in &pl.splits {
-                if *x <= 1e-9 {
-                    continue;
-                }
-                worst = worst.max(path.delay_ms());
-                if path.links().iter().any(|&l| congested_link[l.idx()]) {
-                    crosses_congestion = true;
-                }
-            }
-            if crosses_congestion {
-                congested_pairs += 1;
-            }
+            let crosses_congestion = pl
+                .live_splits()
+                .any(|(path, _)| path.links().iter().any(|&l| congested_link[l.idx()]));
+            congested_pairs += usize::from(crosses_congestion);
             let n = agg.flow_count as f64;
             weighted_delay += n * pl.mean_delay_ms();
-            weighted_sp_delay += n * sp;
-            max_flow_stretch = max_flow_stretch.max(worst / sp);
+            weighted_sp += n * sp;
+            max_flow_stretch = max_flow_stretch.max(pl.max_delay_ms() / sp);
         }
+        let latency_stretch = if weighted_sp > 0.0 { weighted_delay / weighted_sp } else { 1.0 };
         PlacementEval {
             congested_pairs,
             total_pairs: tm.aggregates().len(),
-            latency_stretch: weighted_delay / weighted_sp_delay,
+            latency_stretch,
             max_flow_stretch,
             utilizations,
             fits,
@@ -182,6 +204,45 @@ mod tests {
         assert_eq!(ev.congested_pair_fraction(), 1.0);
         assert!(!ev.fits());
         assert!(ev.max_utilization() > 1.4);
+    }
+
+    #[test]
+    fn an_empty_matrix_has_stretch_one_and_nothing_congested() {
+        let (topo, _) = setup(50.0);
+        let ev =
+            PlacementEval::evaluate(&topo, &TrafficMatrix::new(vec![]), &Placement::new(vec![]));
+        assert_eq!(ev.latency_stretch(), 1.0);
+        assert_eq!(ev.max_flow_stretch(), 1.0);
+        assert_eq!(ev.congested_pair_fraction(), 0.0);
+        assert!(ev.fits());
+        assert_eq!(ev.max_utilization(), 0.0);
+    }
+
+    #[test]
+    fn a_downed_link_reads_infinite_when_loaded_and_zero_when_idle() {
+        let (topo, tm) = setup(50.0);
+        let pl = place_on_shortest(&topo, &tm);
+        let g = topo.graph();
+        let (l01, direct) = (
+            g.find_link(NodeId(0), NodeId(1)).unwrap(),
+            g.find_link(NodeId(0), NodeId(2)).unwrap(),
+        );
+        let mut mask = FailureMask::new();
+        mask.fail_cable(g, l01);
+        mask.fail_cable(g, direct);
+        let ev = PlacementEval::under(g, topo.intact_delays(), &mask, &tm, &pl);
+        assert_eq!(ev.utilizations()[l01.idx()], f64::INFINITY, "loaded and down");
+        assert_eq!(ev.max_utilization(), FailureImpact::INFINITE_OVERLOAD);
+        assert!(!ev.fits());
+        assert_eq!(ev.congested_pair_fraction(), 1.0);
+        for idle in [direct, topo.reverse_link(l01), topo.reverse_link(direct)] {
+            assert_eq!(ev.utilizations()[idle.idx()], 0.0, "idle and down: 0, not NaN");
+        }
+        // Stretch is judged against the intact delays, whatever the mask.
+        assert_eq!(
+            ev.latency_stretch(),
+            PlacementEval::evaluate(&topo, &tm, &pl).latency_stretch()
+        );
     }
 
     #[test]

@@ -15,22 +15,22 @@
 //!   measure, not an error to crash on;
 //! * **post-failure metrics** — unroutable demand fraction, path stretch
 //!   *relative to the intact topology*, and overload against effective
-//!   (degraded) capacities ([`FailureImpact`]);
+//!   (degraded) capacities ([`FailureImpact`], a read of the one placement
+//!   evaluator, [`PlacementEval::under`], under the mask);
 //! * **the recovery drill** — [`replace_under_failure`] runs the §5
 //!   reaction end to end: repair the shared
 //!   [`PathSource`] under the mask, drop
 //!   disconnected demand, re-place through the scheme's warm
 //!   [`SolveContext`], and report both the repair and the LP telemetry.
 
-use std::borrow::Cow;
-
-use lowlat_netgraph::{all_pairs_delays, BitSet, FailureMask, Graph, LinkId, NodeId, RangeError};
+use lowlat_netgraph::{BitSet, FailureMask, Graph, LinkId, NodeId, RangeError};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::{PopId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::eval::PlacementEval;
 use crate::pathset::RepairStats;
 use crate::placement::Placement;
 use crate::schemes::{RoutingScheme, SchemeError, SolveContext};
@@ -398,10 +398,9 @@ impl FailureImpact {
     /// against every finite overload.
     pub const INFINITE_OVERLOAD: f64 = f64::INFINITY;
 
-    /// Evaluates `placement` (over `partition.tm`) under `mask`. `sp` are
-    /// the *intact* topology's all-pairs delays
-    /// ([`all_pairs_delays`]) — sweeps evaluating many scenarios of one
-    /// network compute them once instead of per row.
+    /// Evaluates `placement` (over `partition.tm`) under `mask`, reading
+    /// [`PlacementEval::under`]. `sp` are the *intact* topology's all-pairs
+    /// delays ([`Topology::intact_delays`]).
     pub fn evaluate_with_delays(
         topology: &Topology,
         partition: &RoutablePartition,
@@ -409,35 +408,12 @@ impl FailureImpact {
         placement: &Placement,
         sp: &[Vec<f64>],
     ) -> FailureImpact {
-        let graph = topology.graph();
-        let loads = placement.link_loads(graph, &partition.tm);
-        let mut max_utilization = 0.0f64;
-        for l in graph.link_ids() {
-            // Skipping zero-load links first keeps the arithmetic NaN-free:
-            // a downed link (cap 0) only matters when something is placed
-            // on it, and then the documented sentinel applies.
-            if loads[l.idx()] <= 0.0 {
-                continue;
-            }
-            let cap = mask.effective_capacity(graph, l);
-            let util = if cap > 0.0 { loads[l.idx()] / cap } else { Self::INFINITE_OVERLOAD };
-            max_utilization = max_utilization.max(util);
-        }
-        let mut weighted_delay = 0.0;
-        let mut weighted_sp = 0.0;
-        let mut max_path_stretch = 1.0f64;
-        for (agg, pl) in partition.tm.aggregates().iter().zip(placement.per_aggregate()) {
-            let base = sp[agg.src.idx()][agg.dst.idx()];
-            debug_assert!(base.is_finite() && base > 0.0);
-            let n = agg.flow_count as f64;
-            weighted_delay += n * pl.mean_delay_ms();
-            weighted_sp += n * base;
-            max_path_stretch = max_path_stretch.max(pl.max_delay_ms() / base);
-        }
+        let eval = PlacementEval::under(topology.graph(), sp, mask, &partition.tm, placement);
+        let max_utilization = eval.max_utilization();
         FailureImpact {
             unroutable_fraction: partition.unroutable_fraction,
-            latency_stretch: if weighted_sp > 0.0 { weighted_delay / weighted_sp } else { 1.0 },
-            max_path_stretch,
+            latency_stretch: eval.latency_stretch(),
+            max_path_stretch: eval.max_flow_stretch(),
             max_overload: (max_utilization - 1.0).max(0.0),
             max_utilization,
         }
@@ -466,9 +442,9 @@ pub struct RecoveryOutcome {
 /// unroutable demand, re-place the survivors through `ctx` (so LP schemes
 /// warm-start from the pre-failure bases), and measure the outcome.
 ///
-/// `intact_delays` are the intact topology's all-pairs delays when the
-/// caller already has them (sweeps evaluate many scenarios per network);
-/// `None` computes them here.
+/// `intact_delays` are the intact network's all-pairs delays the stretch
+/// is judged against; `None` reads the topology's own table
+/// ([`Topology::intact_delays`]).
 ///
 /// The source is left with the mask applied; callers iterating scenarios
 /// re-apply the next mask (repairing incrementally) or
@@ -493,9 +469,8 @@ pub fn replace_under_failure(
         let _replace = telemetry::span("failure.replace.solve", "failure");
         scheme.place_with_context(source, &partition.tm, ctx)?
     };
-    let sp: Cow<'_, [Vec<f64>]> =
-        intact_delays.map_or_else(|| all_pairs_delays(topology.graph()).into(), Cow::Borrowed);
-    let impact = FailureImpact::evaluate_with_delays(topology, &partition, mask, &placement, &sp);
+    let sp = intact_delays.unwrap_or_else(|| topology.intact_delays());
+    let impact = FailureImpact::evaluate_with_delays(topology, &partition, mask, &placement, sp);
     Ok(RecoveryOutcome {
         repair,
         partition,
@@ -674,8 +649,8 @@ mod tests {
             kept: (0..tm.aggregates().len()).collect(),
             unroutable_fraction: 0.0,
         };
-        let sp = all_pairs_delays(g);
-        let impact = FailureImpact::evaluate_with_delays(&topo, &partition, &mask, &placement, &sp);
+        let sp = topo.intact_delays();
+        let impact = FailureImpact::evaluate_with_delays(&topo, &partition, &mask, &placement, sp);
         assert!(impact.max_overload.is_infinite());
         assert!(impact.max_utilization.is_infinite());
     }
@@ -706,8 +681,8 @@ mod tests {
         let g = topo.graph();
         mask.fail_cable(g, g.find_link(a, m).unwrap());
         mask.fail_cable(g, g.find_link(m, c).unwrap());
-        let sp = all_pairs_delays(g);
-        let impact = FailureImpact::evaluate_with_delays(&topo, &partition, &mask, &placement, &sp);
+        let sp = topo.intact_delays();
+        let impact = FailureImpact::evaluate_with_delays(&topo, &partition, &mask, &placement, sp);
         assert_eq!(impact.max_utilization, FailureImpact::INFINITE_OVERLOAD);
         assert_eq!(impact.max_overload, FailureImpact::INFINITE_OVERLOAD);
         assert!(!impact.max_overload.is_nan() && !impact.max_utilization.is_nan());

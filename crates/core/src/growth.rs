@@ -8,7 +8,6 @@
 //! geographic direct line, so we evaluate the top `candidate_limit` by
 //! detour ratio.
 
-use lowlat_netgraph::all_pairs_delays;
 use lowlat_topology::{PopId, Topology};
 
 use crate::llpd::{LlpdAnalysis, LlpdConfig};
@@ -70,7 +69,7 @@ pub fn grow_by_llpd(topology: &Topology, config: &GrowthPlanConfig) -> GrowthPla
 /// Evaluates the most promising absent cables and returns the best by LLPD.
 fn best_addition(topology: &Topology, config: &GrowthPlanConfig) -> Option<((PopId, PopId), f64)> {
     let graph = topology.graph();
-    let delays = all_pairs_delays(graph);
+    let delays = topology.intact_delays();
     // Score absent pairs by detour ratio: current shortest delay over the
     // would-be direct cable delay.
     let mut candidates: Vec<(f64, (PopId, PopId))> = Vec::new();

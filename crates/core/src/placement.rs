@@ -3,6 +3,13 @@
 use lowlat_netgraph::{Graph, Path};
 use lowlat_tmgen::TrafficMatrix;
 
+/// A split carries traffic — the path is installed, counts toward a worst
+/// delay, charges a link — when its weight is above this; at or below it
+/// the weight is LP round-off and the path is not live. The one rule for
+/// "live" wherever a placement is read: evaluation, churn, the bounded
+/// controller's merge, the replay and LDR's tweak.
+pub const LIVE_SPLIT: f64 = 1e-9;
+
 /// How one aggregate's traffic is split over paths.
 #[derive(Clone, Debug)]
 pub struct AggregatePlacement {
@@ -18,18 +25,33 @@ impl AggregatePlacement {
 
     /// Worst-case (maximum) delay over paths actually used.
     pub fn max_delay_ms(&self) -> f64 {
-        self.splits.iter().filter(|(_, x)| *x > 1e-9).map(|(p, _)| p.delay_ms()).fold(0.0, f64::max)
+        self.live_splits().map(|(p, _)| p.delay_ms()).fold(0.0, f64::max)
+    }
+
+    /// The splits that carry traffic (weight above [`LIVE_SPLIT`]), in
+    /// split order.
+    pub fn live_splits(&self) -> impl Iterator<Item = &(Path, f64)> {
+        self.splits.iter().filter(|(_, x)| *x > LIVE_SPLIT)
     }
 }
 
-/// Split weights below this are treated as "path not installed" throughout
-/// the churn accounting (matching the `> 1e-9` convention the evaluators
-/// use for "path actually carries traffic").
-const INSTALL_EPS: f64 = 1e-9;
 /// Weight shifts below this do not count as a re-program: LP round-off
 /// between equivalent vertices is noise, not churn (the placement
-/// validator itself only holds split sums to 1e-6).
+/// validator itself only holds split sums to [`SUM_SLACK`]).
 const REWEIGHT_EPS: f64 = 1e-6;
+
+/// [`Placement::validate`] accepts a split fraction up to this far outside
+/// `[0, 1]`: LP round-off at a bound.
+const RANGE_SLACK: f64 = 1e-9;
+
+/// [`Placement::validate`] accepts an aggregate's fractions summing to 1
+/// within this.
+const SUM_SLACK: f64 = 1e-6;
+
+/// A link's incidence ([`Placement::link_fractions_of`],
+/// [`Placement::link_incidence_into`]) leaves out splits of this weight or
+/// less: the multiplexing appraisal scales no trace by a zero.
+const INCIDENCE_CUT: f64 = 1e-12;
 
 /// What changed between two placements of the same aggregate set — the
 /// churn a controller would push to the switches when replacing one with
@@ -89,17 +111,10 @@ impl PlacementDelta {
         volume_mbps: f64,
     ) -> PlacementDelta {
         let mut delta = PlacementDelta { total_volume_mbps: volume_mbps, ..Default::default() };
-        let empty: &[(Path, f64)] = &[];
-        let prev_splits = prev.map_or(empty, |p| p.splits.as_slice());
+        let prev_live = || prev.into_iter().flat_map(AggregatePlacement::live_splits);
         let mut moved_fraction = 0.0f64;
-        for (path, x_new) in &new.splits {
-            if *x_new <= INSTALL_EPS {
-                continue;
-            }
-            let x_old = prev_splits
-                .iter()
-                .find(|(p, x)| *x > INSTALL_EPS && p.links() == path.links())
-                .map(|(_, x)| *x);
+        for (path, x_new) in new.live_splits() {
+            let x_old = prev_live().find(|(p, _)| p.links() == path.links()).map(|(_, x)| *x);
             match x_old {
                 None => {
                     delta.paths_added += 1;
@@ -113,12 +128,8 @@ impl PlacementDelta {
                 }
             }
         }
-        for (path, x_old) in prev_splits {
-            if *x_old <= INSTALL_EPS {
-                continue;
-            }
-            let survives =
-                new.splits.iter().any(|(p, x)| *x > INSTALL_EPS && p.links() == path.links());
+        for (path, _) in prev_live() {
+            let survives = new.live_splits().any(|(p, _)| p.links() == path.links());
             if !survives {
                 delta.paths_removed += 1;
             }
@@ -174,7 +185,7 @@ impl Placement {
     pub fn link_fractions_of(&self, i: usize) -> std::collections::HashMap<u32, f64> {
         let mut out = std::collections::HashMap::new();
         for (path, fraction) in &self.per_aggregate[i].splits {
-            if *fraction > 1e-12 {
+            if *fraction > INCIDENCE_CUT {
                 for &l in path.links() {
                     *out.entry(l.0).or_insert(0.0) += fraction;
                 }
@@ -193,7 +204,7 @@ impl Placement {
         per_link.iter_mut().for_each(Vec::clear);
         for (a, placement) in self.per_aggregate.iter().enumerate() {
             for (path, fraction) in &placement.splits {
-                if *fraction > 1e-12 {
+                if *fraction > INCIDENCE_CUT {
                     for &l in path.links() {
                         match per_link[l.idx()].last_mut() {
                             Some((last, x)) if *last == a => *x += fraction,
@@ -227,7 +238,9 @@ impl Placement {
 
     /// Checks structural invariants against the matrix it was computed for:
     /// alignment, endpoints, loopless valid paths, fractions in `[0, 1]`
-    /// summing to 1. Returns the first violation.
+    /// summing to 1. Returns the first violation. A NaN fraction is out of
+    /// range, so every fraction that passes is on one side of
+    /// [`LIVE_SPLIT`] or the other.
     pub fn validate(&self, graph: &Graph, tm: &TrafficMatrix) -> Result<(), String> {
         if self.per_aggregate.len() != tm.aggregates().len() {
             return Err(format!(
@@ -242,7 +255,7 @@ impl Placement {
             }
             let mut total = 0.0;
             for (path, x) in &pl.splits {
-                if !(-1e-9..=1.0 + 1e-9).contains(x) {
+                if !(-RANGE_SLACK..=1.0 + RANGE_SLACK).contains(x) {
                     return Err(format!("aggregate {i} fraction {x} out of range"));
                 }
                 total += x;
@@ -251,7 +264,7 @@ impl Placement {
                 }
                 path.validate(graph).map_err(|e| format!("aggregate {i}: {e}"))?;
             }
-            if (total - 1.0).abs() > 1e-6 {
+            if (total - 1.0).abs() > SUM_SLACK {
                 return Err(format!("aggregate {i} fractions sum to {total}"));
             }
         }
@@ -377,6 +390,36 @@ mod tests {
             splits: vec![(Path::new(g, vec![direct]), 0.5)],
         }]);
         assert!(pl.validate(g, &tm).is_err());
+    }
+
+    #[test]
+    fn a_split_is_live_above_live_split_only() {
+        let (topo, tm) = setup();
+        let g = topo.graph();
+        let direct = Path::new(g, vec![g.find_link(NodeId(0), NodeId(2)).unwrap()]);
+        let via = Path::new(
+            g,
+            vec![
+                g.find_link(NodeId(0), NodeId(1)).unwrap(),
+                g.find_link(NodeId(1), NodeId(2)).unwrap(),
+            ],
+        );
+        let above = f64::from_bits(LIVE_SPLIT.to_bits() + 1);
+        let at =
+            AggregatePlacement { splits: vec![(direct.clone(), 1.0), (via.clone(), LIVE_SPLIT)] };
+        assert_eq!(at.live_splits().count(), 1, "a split at exactly LIVE_SPLIT is not live");
+        assert_eq!(at.max_delay_ms(), direct.delay_ms());
+        let up = AggregatePlacement { splits: vec![(direct.clone(), 1.0), (via.clone(), above)] };
+        assert_eq!(up.live_splits().count(), 2, "one ulp above LIVE_SPLIT is live");
+        assert_eq!(up.max_delay_ms(), direct.delay_ms().max(via.delay_ms()));
+        // Churn reads the same rule: the ulp installs a path, the cut does not.
+        assert_eq!(PlacementDelta::of_aggregate(None, &at, 60.0).paths_added, 1);
+        assert_eq!(PlacementDelta::of_aggregate(None, &up, 60.0).paths_added, 2);
+        // And a NaN weight, on neither side, never passes validation.
+        let nan = Placement::new(vec![AggregatePlacement {
+            splits: vec![(direct, 1.0), (via, f64::NAN)],
+        }]);
+        assert!(nan.validate(g, &tm).unwrap_err().contains("out of range"));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use lowlat_traffic::pmf::Member;
 use lowlat_traffic::{AggregateTrace, MultiplexCheck, MultiplexConfig, Verdict};
 
 use crate::pathgrow::{GrowRequest, GrowthConfig, SolveContext};
-use crate::placement::Placement;
+use crate::placement::{Placement, LIVE_SPLIT};
 use crate::schemes::{lacks_complete_minute, predict_volumes, RoutingScheme, SchemeError};
 use crate::source::PathSource;
 
@@ -61,8 +61,9 @@ impl Default for LdrConfig {
 
 impl LdrConfig {
     /// Checks the fields [`Ldr::new`] takes, which panics with the error's
-    /// message: `static_headroom` in [0, 1), a finite `ba_inflation` > 1
-    /// and `max_iterations` at least 1. A caller holding outside input
+    /// message: `static_headroom` in [0, 1), a finite `ba_inflation` > 1,
+    /// `max_iterations` at least 1 and a `multiplex` config
+    /// [`MultiplexConfig::validate`] takes. A caller holding outside input
     /// calls this first.
     pub fn validate(&self) -> Result<(), RangeError> {
         let headroom = self.static_headroom;
@@ -72,7 +73,8 @@ impl LdrConfig {
         let in_range = inflation.is_finite() && inflation > 1.0;
         RangeError::check(in_range, "ba_inflation", inflation, "a finite value > 1")?;
         let iterations = self.max_iterations;
-        RangeError::check(iterations >= 1, "max_iterations", iterations, "at least 1")
+        RangeError::check(iterations >= 1, "max_iterations", iterations, "at least 1")?;
+        self.multiplex.validate()
     }
 }
 
@@ -226,7 +228,7 @@ impl Ldr {
             let mut inflate = vec![false; ba.len()];
             for &l in &failing_links {
                 for &(a, x) in &per_link[l] {
-                    if x > 1e-9 {
+                    if x > LIVE_SPLIT {
                         inflate[a] = true;
                     }
                 }
@@ -327,6 +329,13 @@ mod tests {
             let e = rejected(LdrConfig { ba_inflation: f, ..Default::default() });
             assert_eq!(e, format!("ba_inflation = {value}, expected a finite value > 1"));
         }
+    }
+
+    #[test]
+    fn a_bad_multiplex_config_is_an_error_naming_its_field() {
+        let multiplex = MultiplexConfig { max_queue_ms: f64::INFINITY, ..Default::default() };
+        let e = rejected(LdrConfig { multiplex, ..Default::default() });
+        assert_eq!(e, "max_queue_ms = inf, expected a finite value > 0");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Every tree and every answer at the scale the engine is built for, to the
 //! bit.
 //!
-//! The sweep goldens cover small networks and print 3–6 decimals; the
+//! The sweep goldens cover small networks and see bits; the
 //! 10k-node pricing cell checks counts. This test folds into one `u64` the
 //! distance bits and parent links of 16 forward and 16 reverse
 //! shortest-path trees of a 10k-node Barabási–Albert graph, and the links

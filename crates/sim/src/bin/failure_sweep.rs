@@ -127,10 +127,6 @@ fn sweep() -> Result<(), CliError> {
             loads.iter().map(|&load| raw.scaled_to_load(t, load)).collect()
         })
         .collect();
-    // Intact all-pairs delays, once per network — every scenario row of a
-    // network judges stretch against the same baseline.
-    let intact_delays: Vec<Vec<Vec<f64>>> =
-        nets.iter().map(|t| lowlat_netgraph::all_pairs_delays(t.graph())).collect();
     eprintln!(
         "failure space: {} networks x {} schemes ({}) x {} loads ({:?}), \
          {} scenarios total ({}){}",
@@ -181,18 +177,11 @@ fn sweep() -> Result<(), CliError> {
             // itself.
             cache.clear_failure();
             let scenario_span = telemetry::timed_span("failure_sweep.scenario", "failure");
-            let out = replace_under_failure(
-                scheme.as_ref(),
-                net,
-                &cache,
-                tm,
-                &mask,
-                &mut ctx,
-                Some(&intact_delays[n]),
-            )
-            .unwrap_or_else(|e| {
-                panic!("{} under {} on {}: {e}", scheme.name(), scenario.name, net.name())
-            });
+            let out =
+                replace_under_failure(scheme.as_ref(), net, &cache, tm, &mask, &mut ctx, None)
+                    .unwrap_or_else(|e| {
+                        panic!("{} under {} on {}: {e}", scheme.name(), scenario.name, net.name())
+                    });
             // One measurement feeds both the repair_ms column and the
             // trace's per-scenario span.
             let repair_ms = scenario_span.finish_ms();

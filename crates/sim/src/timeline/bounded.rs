@@ -20,13 +20,15 @@
 //! capacity stays claimed until the drain completes and the old path is
 //! only retired once its replacement carries the traffic. (Paths already
 //! broken by a failure switch immediately: there is nothing left to break.)
-//! This is the §5 install story made honest. Per-minute churn
-//! ([`PlacementDelta`]) and decision latency are reported in every
+//! This is the §5 install story made honest. Only live splits
+//! ([`LIVE_SPLIT`](lowlat_core::placement::LIVE_SPLIT)) count: a path at or
+//! below the cut is neither broken, nor loaded, nor installed. Per-minute
+//! churn ([`PlacementDelta`]) and decision latency are reported in every
 //! [`MinuteReport`](super::MinuteReport).
 
 use lowlat_core::placement::{AggregatePlacement, PlacementDelta};
 use lowlat_core::Placement;
-use lowlat_netgraph::{Graph, LinkId, Path};
+use lowlat_netgraph::{Graph, LinkId};
 
 use super::state::ControllerState;
 
@@ -47,20 +49,28 @@ const UTIL_GUARD: f64 = 1.0;
 /// realized queueing can.
 pub(super) const QUEUE_TRIGGER_MS: f64 = 50.0;
 
+/// Bounded churn: the least previous mean delay (ms) the `EPSILON` test
+/// scales by, so a zero-delay placement cannot make every candidate an
+/// improvement.
+const DELAY_FLOOR_MS: f64 = 1e-9;
+
+/// Bounded churn: how far (Mbps) a link that queued must run above what the
+/// fresh candidate would put on it before its kept riders are re-installed;
+/// a smaller gap is round-off, and flipping would relieve nothing.
+const LOAD_MARGIN_MBPS: f64 = 1e-9;
+
 /// Per-link load (Mbps) when aggregate `j` sends its `predicted[j]` volume
-/// over the splits `splits_of(j)` picks for it.
+/// over the live splits of the placement `placement_of(j)` picks for it.
 fn predicted_link_loads<'p>(
     graph: &Graph,
     predicted: &[f64],
-    splits_of: impl Fn(usize) -> &'p [(Path, f64)],
+    placement_of: impl Fn(usize) -> &'p AggregatePlacement,
 ) -> Vec<f64> {
     let mut load = vec![0.0f64; graph.link_count()];
     for (j, volume) in predicted.iter().enumerate() {
-        for (path, x) in splits_of(j) {
-            if *x > 1e-9 {
-                for &l in path.links() {
-                    load[l.idx()] += volume * x;
-                }
+        for (path, x) in placement_of(j).live_splits() {
+            for &l in path.links() {
+                load[l.idx()] += volume * x;
             }
         }
     }
@@ -104,11 +114,11 @@ impl ControllerState<'_> {
                 // an unroutable spell): must install.
                 None => take[j] = true,
                 Some(prev) => {
-                    broken_paths[j] =
-                        prev.splits.iter().any(|(p, x)| *x > 1e-9 && mask.hits_path(graph, p));
+                    broken_paths[j] = prev.live_splits().any(|(p, _)| mask.hits_path(graph, p));
                     let prev_d = prev.mean_delay_ms();
                     let cand_d = candidate.aggregate(j).mean_delay_ms();
-                    take[j] = broken_paths[j] || prev_d - cand_d > EPSILON * prev_d.max(1e-9);
+                    take[j] =
+                        broken_paths[j] || prev_d - cand_d > EPSILON * prev_d.max(DELAY_FLOOR_MS);
                 }
             }
         }
@@ -119,20 +129,20 @@ impl ControllerState<'_> {
         // relieves it most. Links the *fresh candidate* itself would run as
         // hot are hopeless — no amount of re-installing cures them, so they
         // never charge churn.
-        let fraction_on = |splits: &[(Path, f64)], link: LinkId| -> f64 {
-            splits
-                .iter()
-                .filter(|(p, x)| *x > 1e-9 && p.links().contains(&link))
+        let fraction_on = |placement: &AggregatePlacement, link: LinkId| -> f64 {
+            placement
+                .live_splits()
+                .filter(|(p, _)| p.links().contains(&link))
                 .map(|(_, x)| *x)
                 .sum()
         };
-        let cand_load = predicted_link_loads(graph, predicted, |j| &candidate.aggregate(j).splits);
+        let cand_load = predicted_link_loads(graph, predicted, |j| candidate.aggregate(j));
         loop {
             let load = predicted_link_loads(graph, predicted, |j| {
                 if take[j] {
-                    &candidate.aggregate(j).splits
+                    candidate.aggregate(j)
                 } else {
-                    &kept(j).splits
+                    kept(j)
                 }
             });
             let worst = graph
@@ -144,8 +154,8 @@ impl ControllerState<'_> {
                     }
                     let guard = UTIL_GUARD * cap;
                     let predicted_hot = load[l.idx()] > guard && cand_load[l.idx()] <= guard;
-                    let reactive_hot =
-                        self.queued_links[l.idx()] && load[l.idx()] > cand_load[l.idx()] + 1e-9;
+                    let reactive_hot = self.queued_links[l.idx()]
+                        && load[l.idx()] > cand_load[l.idx()] + LOAD_MARGIN_MBPS;
                     (predicted_hot || reactive_hot).then(|| (l, load[l.idx()] / cap))
                 })
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -154,8 +164,7 @@ impl ControllerState<'_> {
                 .filter(|&j| !take[j])
                 .filter_map(|j| {
                     let relief = predicted[j]
-                        * (fraction_on(&kept(j).splits, hot)
-                            - fraction_on(&candidate.aggregate(j).splits, hot));
+                        * (fraction_on(kept(j), hot) - fraction_on(candidate.aggregate(j), hot));
                     (relief > 0.0).then_some((j, relief))
                 })
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));

@@ -32,7 +32,7 @@ use lowlat_core::failure::{partition_routable, RoutablePartition};
 use lowlat_core::placement::{AggregatePlacement, PlacementDelta};
 use lowlat_core::schemes::{predict_volumes, SolveContext};
 use lowlat_core::{default_workers, par_map, PathSource, Placement};
-use lowlat_netgraph::{FailureMask, LinkId, Path};
+use lowlat_netgraph::{all_pairs_delays, FailureMask, LinkId};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_traffic::{spread_seed, synthesize, AggregateTrace, TraceGenConfig};
@@ -90,6 +90,9 @@ pub(super) struct ControllerState<'a> {
     /// One warm-start context for the whole run: the §5 cycle's speed comes
     /// from successive minutes reusing paths and LP bases.
     ctx: SolveContext,
+    /// The intact network's all-pairs shortest delays, computed once a
+    /// run: the baseline of every minute's `latency_stretch`.
+    intact_delays: Vec<Vec<f64>>,
     /// The failure mask in force.
     pub(super) mask: FailureMask,
     /// The demand an adaptive controller can still route under `mask`;
@@ -170,6 +173,7 @@ impl<'a> ControllerState<'a> {
             events,
             traces,
             ctx: SolveContext::new(),
+            intact_delays: all_pairs_delays(source.graph()),
             mask: FailureMask::new(),
             partition: None,
             unroutable_fraction: 0.0,
@@ -202,7 +206,8 @@ impl<'a> ControllerState<'a> {
         let _replay = telemetry::span("timeline.replay", "timeline");
         let (worst_queue_ms, overloaded_links) = self.replay(minute);
         let latency_stretch = self.placement.as_ref().map_or(1.0, |placement| {
-            PlacementEval::evaluate_on(self.source.graph(), self.minute_tm(), placement)
+            let (graph, tm) = (self.source.graph(), self.minute_tm());
+            PlacementEval::under(graph, &self.intact_delays, &self.mask, tm, placement)
                 .latency_stretch()
         });
         MinuteReport {
@@ -286,8 +291,8 @@ impl<'a> ControllerState<'a> {
             let placement = self.placement.as_ref().expect("static placement is placed in new");
             let mut lost = 0.0;
             for (agg, pl) in self.tm.aggregates().iter().zip(placement.per_aggregate()) {
-                for (path, x) in &pl.splits {
-                    if *x > 1e-9 && mask.hits_path(graph, path) {
+                for (path, x) in pl.live_splits() {
+                    if mask.hits_path(graph, path) {
                         lost += agg.volume_mbps * x;
                     }
                 }
@@ -371,11 +376,8 @@ impl<'a> ControllerState<'a> {
         let steady = vec![1.0f64; bins];
         let ramp_up: Vec<f64> = (0..bins).map(|bin| (bin + 1) as f64 / bins as f64).collect();
         let ramp_down: Vec<f64> = ramp_up.iter().map(|up| 1.0 - up).collect();
-        let mut charge = |splits: &[(Path, f64)], samples: &[f64], weights: &[f64]| {
-            for (path, x) in splits {
-                if *x <= 1e-9 {
-                    continue;
-                }
+        let mut charge = |placement: &AggregatePlacement, samples: &[f64], weights: &[f64]| {
+            for (path, x) in placement.live_splits() {
                 if self.mask.hits_path(graph, path) {
                     // Lost traffic, counted in `unroutable_fraction`. Only
                     // a static placement can send any: adaptive ones are
@@ -398,10 +400,10 @@ impl<'a> ControllerState<'a> {
         for (j, new) in self.placement.iter().flat_map(|p| p.per_aggregate()).enumerate() {
             let samples = self.traces[self.orig(j)].samples(t);
             match draining.next_if(|(dj, _)| *dj == j) {
-                None => charge(&new.splits, samples, &steady),
+                None => charge(new, samples, &steady),
                 Some((_, old)) => {
-                    charge(&new.splits, samples, &ramp_up);
-                    charge(&old.splits, samples, &ramp_down);
+                    charge(new, samples, &ramp_up);
+                    charge(old, samples, &ramp_down);
                 }
             }
         }

@@ -14,7 +14,6 @@
 //! models. With `ℓ = 0` the caps pin `v' = v` (the pristine gravity model).
 
 use lowlat_linprog::{Problem, Relation};
-use lowlat_netgraph::all_pairs_delays;
 use lowlat_topology::Topology;
 
 /// Applies the locality LP to per-pair volumes.
@@ -33,7 +32,7 @@ pub fn apply_locality(topology: &Topology, volumes: &[Vec<f64>], locality: f64) 
         return volumes.to_vec();
     }
 
-    let delays = all_pairs_delays(topology.graph());
+    let delays = topology.intact_delays();
     // Variable layout: one per ordered pair (s != d), in row-major order.
     let mut var_of = vec![vec![usize::MAX; n]; n];
     let mut pairs = Vec::new();

@@ -1,7 +1,9 @@
 //! The [`Topology`] type: named PoPs + duplex links + the underlying
 //! directed graph.
 
-use lowlat_netgraph::{Graph, GraphBuilder, LinkId, NodeId};
+use std::sync::OnceLock;
+
+use lowlat_netgraph::{all_pairs_delays, Graph, GraphBuilder, LinkId, NodeId};
 
 use crate::geo::GeoPoint;
 
@@ -22,6 +24,8 @@ pub struct Topology {
     graph: Graph,
     /// `reverse[l]` = the opposite direction of directed link `l`.
     reverse: Vec<LinkId>,
+    /// [`Topology::intact_delays`], computed on first use.
+    intact_delays: OnceLock<Vec<Vec<f64>>>,
 }
 
 impl Topology {
@@ -92,10 +96,17 @@ impl Topology {
         v
     }
 
+    /// All-pairs shortest delays (ms) of the intact network, row = source:
+    /// the baseline every stretch is judged against. Computed once, on
+    /// first use, and kept for the topology's life.
+    pub fn intact_delays(&self) -> &[Vec<f64>] {
+        self.intact_delays.get_or_init(|| all_pairs_delays(&self.graph))
+    }
+
     /// Network diameter: maximum over PoP pairs of the shortest-path delay
     /// (ms). The paper filters its corpus to diameters above 10 ms.
     pub fn diameter_ms(&self) -> f64 {
-        lowlat_netgraph::all_pairs_delays(&self.graph)
+        self.intact_delays()
             .iter()
             .flat_map(|row| row.iter().copied())
             .filter(|d| d.is_finite())
@@ -228,6 +239,7 @@ impl TopologyBuilder {
             locations: self.locations,
             graph,
             reverse,
+            intact_delays: OnceLock::new(),
         }
     }
 }
@@ -306,6 +318,28 @@ mod tests {
     fn diameter_positive() {
         let t = tri();
         assert!(t.diameter_ms() > 1.0);
+    }
+
+    #[test]
+    fn intact_delays_are_the_all_pairs_table_of_their_own_graph() {
+        let mut b = TopologyBuilder::new("line");
+        let x = b.add_pop("X", GeoPoint::new(40.0, -100.0));
+        let y = b.add_pop("Y", GeoPoint::new(41.0, -95.0));
+        let z = b.add_pop("Z", GeoPoint::new(42.0, -90.0));
+        b.connect(x, y, 1000.0);
+        b.connect(y, z, 1000.0);
+        let t = b.build();
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter().map(|row| row.iter().map(|d| d.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(t.intact_delays()), bits(&all_pairs_delays(t.graph())));
+        // Read once, the table is kept: a clone carries it, and a grown
+        // topology computes its own.
+        assert_eq!(bits(t.clone().intact_delays()), bits(t.intact_delays()));
+        let grown = t.with_added_cable(x, z, 1000.0);
+        assert_eq!(bits(grown.intact_delays()), bits(&all_pairs_delays(grown.graph())));
+        let (before, after) = (t.intact_delays()[0][2], grown.intact_delays()[0][2]);
+        assert!(after < before, "X-Z direct {after} ms is not shorter than via Y {before} ms");
     }
 
     #[test]

@@ -60,6 +60,9 @@
 //! `check_link`, `ldr_differential`'s reference — skips the same work.
 
 use std::cell::RefCell;
+use std::fmt;
+
+use lowlat_netgraph::RangeError;
 
 use crate::pmf::{unit_members, GroupConvolver, Member, DEFAULT_LEVELS};
 
@@ -77,6 +80,31 @@ pub struct MultiplexConfig {
 impl Default for MultiplexConfig {
     fn default() -> Self {
         MultiplexConfig { max_queue_ms: 10.0, bin_ms: 100.0, levels: DEFAULT_LEVELS }
+    }
+}
+
+impl MultiplexConfig {
+    /// Checks the fields [`MultiplexCheck::new`] takes, which panics with
+    /// the error's message: `max_queue_ms` and `bin_ms` finite and `> 0`,
+    /// `levels` at least 2. A caller holding outside input calls this
+    /// first.
+    pub fn validate(&self) -> Result<(), RangeError> {
+        let q = self.max_queue_ms;
+        RangeError::check(q.is_finite() && q > 0.0, "max_queue_ms", q, "a finite value > 0")?;
+        let bin = self.bin_ms;
+        RangeError::check(bin.is_finite() && bin > 0.0, "bin_ms", bin, "a finite value > 0")?;
+        RangeError::check(self.levels >= 2, "levels", self.levels, "at least 2")
+    }
+}
+
+/// `value` of member `i`, as a [`RangeError`] prints it. It is formatted
+/// only when a check fails, so an appraisal that passes formats nothing.
+struct OfMember<V>(usize, V);
+
+impl<V: fmt::Display> fmt::Display for OfMember<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let OfMember(i, value) = self;
+        write!(f, "{value} (member {i})")
     }
 }
 
@@ -123,8 +151,11 @@ impl Default for MultiplexCheck {
 
 impl MultiplexCheck {
     /// Creates a check with the given configuration.
+    ///
+    /// # Panics
+    /// Panics with [`MultiplexConfig::validate`]'s error.
     pub fn new(config: MultiplexConfig) -> Self {
-        assert!(config.max_queue_ms > 0.0 && config.bin_ms > 0.0 && config.levels > 1);
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let convolver = RefCell::new(GroupConvolver::new(config.levels));
         MultiplexCheck { config, convolver }
     }
@@ -145,13 +176,31 @@ impl MultiplexCheck {
         self.convolver.borrow().tail_counts().1
     }
 
+    /// Checks the arguments of [`MultiplexCheck::check_members`], which
+    /// panics with the error's message: `capacity_mbps > 0` (NaN is not),
+    /// and members whose series have one length, not 0, and whose
+    /// fractions are `>= 0` (NaN is not). The error names the first member
+    /// that fails, with its value.
+    pub fn validate_members(capacity_mbps: f64, members: &[Member<'_>]) -> Result<(), RangeError> {
+        RangeError::check(capacity_mbps > 0.0, "capacity_mbps", capacity_mbps, "a value > 0")?;
+        let len = members.first().map_or(0, |&(s, ..)| s.len());
+        for (i, &(s, _, x)) in members.iter().enumerate() {
+            let n = s.len();
+            RangeError::check(n == len, "samples", OfMember(i, n), "as many as member 0")?;
+            RangeError::check(x >= 0.0, "fraction", OfMember(i, x), "a value >= 0")?;
+        }
+        let in_range = members.is_empty() || len > 0;
+        RangeError::check(in_range, "samples", OfMember(0, len), "at least 1")
+    }
+
     /// Tests whether the given aggregates fit on a link of
     /// `capacity_mbps`. `series` holds one slice of 100 ms samples (Mbps)
     /// per aggregate, already scaled by the fraction placed on this link;
     /// all slices must have equal length.
     ///
     /// # Panics
-    /// Panics on ragged series or a capacity that is not positive.
+    /// Panics on ragged series or a capacity that is not positive, with
+    /// [`MultiplexCheck::validate_members`]' error.
     pub fn check_link(&self, capacity_mbps: f64, series: &[&[f64]]) -> Verdict {
         self.check_members(capacity_mbps, &unit_members(series))
     }
@@ -162,20 +211,13 @@ impl MultiplexCheck {
     ///
     /// # Panics
     /// Panics on ragged or empty series, a negative or NaN fraction, or a
-    /// capacity that is not positive (NaN included); the message names the
-    /// member or the capacity, with its value.
+    /// capacity that is not positive (NaN included), with
+    /// [`MultiplexCheck::validate_members`]' error: it names the member or
+    /// the capacity, with its value.
     pub fn check_members(&self, capacity_mbps: f64, members: &[Member<'_>]) -> Verdict {
-        assert!(capacity_mbps > 0.0, "link capacity {capacity_mbps} Mbps is not positive");
-        let Some(&(first, ..)) = members.first() else {
-            return Verdict::Pass;
-        };
-        let len = first.len();
-        for (i, &(s, _, x)) in members.iter().enumerate() {
-            let n = s.len();
-            assert!(n == len, "ragged series: member {i} has {n} samples, member 0 {len}");
-            assert!(x >= 0.0, "member {i}: fraction {x} is negative or NaN");
-        }
-        assert!(len > 0, "empty sample series");
+        Self::validate_members(capacity_mbps, members).unwrap_or_else(|e| panic!("{e}"));
+        // No members: the fast path below passes them.
+        let len = members.first().map_or(0, |&(s, ..)| s.len());
         // An understated peak would shrink test C's grid until the product
         // aliases, silently. Debug builds only: this scan is the work a
         // cached peak exists to skip.
@@ -298,37 +340,108 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "link capacity NaN Mbps is not positive")]
+    #[should_panic(expected = "capacity_mbps = NaN, expected a value > 0")]
     fn a_nan_capacity_is_named() {
         let s = vec![60.0; 600];
         check().check_members(f64::NAN, &[(&s, 60.0, 1.0)]);
     }
 
     #[test]
-    #[should_panic(expected = "link capacity -5 Mbps is not positive")]
+    #[should_panic(expected = "capacity_mbps = -5, expected a value > 0")]
     fn a_negative_capacity_is_named() {
         check().check_link(-5.0, &[]);
     }
 
     #[test]
-    #[should_panic(expected = "member 1: fraction -0.5 is negative or NaN")]
+    #[should_panic(expected = "fraction = -0.5 (member 1), expected a value >= 0")]
     fn a_negative_fraction_is_named_by_its_member() {
         let s = vec![60.0; 600];
         check().check_members(100.0, &[(&s, 60.0, 1.0), (&s, 60.0, -0.5)]);
     }
 
     #[test]
-    #[should_panic(expected = "member 2: fraction NaN is negative or NaN")]
+    #[should_panic(expected = "fraction = NaN (member 2), expected a value >= 0")]
     fn a_nan_fraction_is_named_by_its_member() {
         let s = vec![60.0; 600];
         check().check_members(100.0, &[(&s, 60.0, 1.0), (&s, 60.0, 0.5), (&s, 60.0, f64::NAN)]);
     }
 
     #[test]
-    #[should_panic(expected = "ragged series: member 1 has 599 samples, member 0 600")]
+    #[should_panic(expected = "samples = 599 (member 1), expected as many as member 0")]
     fn ragged_series_are_named_by_member() {
         let (s, t) = (vec![60.0; 600], vec![60.0; 599]);
         check().check_link(100.0, &[&s, &t]);
+    }
+
+    /// `validate_members`' error text for `capacity` and `members`.
+    fn member_error(capacity: f64, members: &[Member<'_>]) -> String {
+        MultiplexCheck::validate_members(capacity, members).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn a_capacity_not_above_zero_is_an_error_naming_it() {
+        for (capacity, value) in [(0.0, "0"), (-5.0, "-5"), (f64::NAN, "NaN")] {
+            let e = member_error(capacity, &[]);
+            assert_eq!(e, format!("capacity_mbps = {value}, expected a value > 0"));
+        }
+        assert_eq!(MultiplexCheck::validate_members(f64::INFINITY, &[]), Ok(()));
+    }
+
+    #[test]
+    fn a_ragged_member_is_an_error_naming_it_and_its_length() {
+        let (s, t) = (vec![60.0; 600], vec![60.0; 599]);
+        let e = member_error(100.0, &[(&s, 60.0, 1.0), (&s, 60.0, 1.0), (&t, 60.0, 1.0)]);
+        assert_eq!(e, "samples = 599 (member 2), expected as many as member 0");
+    }
+
+    #[test]
+    fn a_negative_or_nan_fraction_is_an_error_naming_its_member() {
+        let s = vec![60.0; 600];
+        for (x, value) in [(-0.5, "-0.5"), (f64::NAN, "NaN")] {
+            let e = member_error(100.0, &[(&s, 60.0, 0.5), (&s, 60.0, x)]);
+            assert_eq!(e, format!("fraction = {value} (member 1), expected a value >= 0"));
+        }
+        let fine = [(&s[..], 60.0, 0.0), (&s[..], 60.0, 1.0)];
+        assert_eq!(MultiplexCheck::validate_members(100.0, &fine), Ok(()));
+    }
+
+    #[test]
+    fn empty_series_are_an_error() {
+        let e = member_error(100.0, &[(&[], 0.0, 1.0), (&[], 0.0, 1.0)]);
+        assert_eq!(e, "samples = 0 (member 0), expected at least 1");
+    }
+
+    /// `MultiplexConfig::validate`'s error for the default config with one
+    /// field changed, and the panic `MultiplexCheck::new` raises with it.
+    fn rejected(config: MultiplexConfig) -> String {
+        let e = config.validate().unwrap_err().to_string();
+        let panicked = std::panic::catch_unwind(|| MultiplexCheck::new(config)).unwrap_err();
+        assert_eq!(panicked.downcast_ref::<String>(), Some(&e));
+        e
+    }
+
+    #[test]
+    fn a_queue_allowance_not_finite_and_positive_is_an_error_naming_it() {
+        for (q, value) in [(0.0, "0"), (-1.0, "-1"), (f64::INFINITY, "inf"), (f64::NAN, "NaN")] {
+            let e = rejected(MultiplexConfig { max_queue_ms: q, ..Default::default() });
+            assert_eq!(e, format!("max_queue_ms = {value}, expected a finite value > 0"));
+        }
+    }
+
+    #[test]
+    fn a_bin_width_not_finite_and_positive_is_an_error_naming_it() {
+        for (bin, value) in [(0.0, "0"), (f64::INFINITY, "inf"), (f64::NAN, "NaN")] {
+            let e = rejected(MultiplexConfig { bin_ms: bin, ..Default::default() });
+            assert_eq!(e, format!("bin_ms = {value}, expected a finite value > 0"));
+        }
+    }
+
+    #[test]
+    fn fewer_than_two_levels_is_an_error_naming_them() {
+        let e = rejected(MultiplexConfig { levels: 1, ..Default::default() });
+        assert_eq!(e, "levels = 1, expected at least 2");
+        assert_eq!(MultiplexConfig { levels: 2, ..Default::default() }.validate(), Ok(()));
+        assert_eq!(MultiplexConfig::default().validate(), Ok(()));
     }
 
     #[test]

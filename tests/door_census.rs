@@ -4,9 +4,11 @@
 //! config struct, knob or orphan that went because nothing set or called
 //! it. Scans every `.rs` file under `crates`, `src`, `tests` and `examples`
 //! but this one. And no source file under `crates/*/src` grows past 900
-//! lines before its test module (ROADMAP item 7), the LP chain names
-//! every tolerance it reads, the binaries have one way out for a bad
-//! input, and no `RangeError::check` formats its value before it fails.
+//! lines before its test module (ROADMAP item 7), the LP chain and the
+//! placement readers name every tolerance they read, the binaries have
+//! one way out for a bad input, no `RangeError::check` formats its value
+//! before it fails, and only a topology (or the timeline, which holds a
+//! path source) computes a network's all-pairs shortest delays.
 
 use std::path::{Path, PathBuf};
 
@@ -49,6 +51,8 @@ const GONE: &[&str] = &[
     "graph_with_headroom",
     "print_records_header",
     "print_records_rows",
+    "evaluate_on",
+    "INSTALL_EPS",
 ];
 
 /// Deleted doors named by an English word, matched in code only: in a `//`
@@ -255,9 +259,17 @@ fn no_source_file_is_over_900_lines_before_its_tests() {
     );
 }
 
-/// The LP chain: the simplex engine and the growth loop around it. Their
-/// non-test code names every tolerance it reads as a documented `const`.
-const NAMED_TOLERANCES: &[&str] = &["crates/linprog/src/simplex", "crates/core/src/pathgrow"];
+/// The LP chain (the simplex engine and the growth loop around it) and the
+/// code that reads a placement (the placement itself, its evaluator and
+/// the timeline). Their non-test code names every tolerance it reads as a
+/// documented `const`. Each entry is a directory or one file.
+const NAMED_TOLERANCES: &[&str] = &[
+    "crates/linprog/src/simplex",
+    "crates/core/src/pathgrow",
+    "crates/core/src/placement.rs",
+    "crates/core/src/eval.rs",
+    "crates/sim/src/timeline",
+];
 
 /// The float literals with a negative exponent (`1e-7`, `2.5e-9`) in one
 /// line of code, its `//` comment left out.
@@ -301,8 +313,13 @@ fn is_const_item(line: &str) -> bool {
 fn every_tolerance_of_the_lp_chain_is_a_named_const() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    for dir in NAMED_TOLERANCES {
-        rust_files(&root.join(dir), &mut files);
+    for entry in NAMED_TOLERANCES.iter().map(|entry| root.join(entry)) {
+        if entry.is_dir() {
+            rust_files(&entry, &mut files);
+        } else {
+            assert!(entry.is_file(), "{} is gone", entry.display());
+            files.push(entry);
+        }
     }
     files.sort();
     let mut bare = Vec::new();
@@ -335,6 +352,43 @@ fn the_census_reads_literals_and_const_items() {
     assert!(is_const_item("    pub(super) const FITS: f64 = 1e-7;"));
     assert!(is_const_item("const M1: f64 = 1e-3;"));
     assert!(!is_const_item("    let tol = 1e-7; // const"));
+}
+
+/// The files under `crates` whose non-test code may run all-pairs Dijkstra:
+/// the crate that defines it, the topology, which keeps its table for its
+/// life, and the timeline, which holds a path source and no topology and
+/// computes its table once a run.
+const ALL_PAIRS_CALLERS: &[&str] =
+    &["crates/netgraph/", "crates/topology/src/model.rs", "crates/sim/src/timeline/state.rs"];
+
+#[test]
+fn only_a_topology_computes_its_shortest_delays() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    files.sort();
+    let mut calls = Vec::new();
+    for path in files {
+        let rel = path.strip_prefix(root).unwrap();
+        let shown = rel.display().to_string();
+        let a_test_target = rel.components().any(|c| c.as_os_str() == "tests");
+        if a_test_target || ALL_PAIRS_CALLERS.iter().any(|allowed| shown.starts_with(allowed)) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (n, line) in (1..).zip(text.lines().take(lines_before_tests(&text))) {
+            let code = line.split("//").next().unwrap_or_default();
+            if code.contains("all_pairs_delays(") {
+                calls.push(format!("{shown}:{n}: {}", line.trim()));
+            }
+        }
+    }
+    assert!(
+        calls.is_empty(),
+        "{} all-pairs runs outside a topology; read `Topology::intact_delays` instead:\n{}",
+        calls.len(),
+        calls.join("\n")
+    );
 }
 
 /// What a `RangeError::check` argument must not do: build text. `check`
