@@ -4,8 +4,8 @@
 //! row, and decides from the problem's own rows — no basis, no inverse, no
 //! standard form; nothing here is shared with the pivoting engine — whether
 //! the pair proves the point optimal. A stale or mis-relabelled basis, a
-//! wrong sign on a flipped row or a pricing vector read at the wrong moment
-//! all fail here, without a second solve to compare against.
+//! dual of the wrong sign or a pricing vector read at the wrong moment all
+//! fail here, without a second solve to compare against.
 //!
 //! With `d_j = c_j - Σ_i y_i a_ij` the reduced cost of variable `j`, the
 //! conditions are the textbook ones for `min c·x, Ax {<=,==,>=} b,

@@ -187,8 +187,8 @@ impl Problem {
     }
 
     /// Converts to equality standard form: appends one slack (`<=`, coeff
-    /// +1) or surplus (`>=`, coeff -1) column per inequality row, then
-    /// negates rows as needed so every right-hand side is non-negative.
+    /// +1) or surplus (`>=`, coeff -1) column per inequality row. Every row
+    /// keeps its sign as posed, a negative right-hand side included.
     pub(crate) fn to_standard_form(&self) -> StandardForm {
         let m = self.rows.len();
         let n_structural = self.num_vars;
@@ -215,25 +215,23 @@ impl Problem {
         let mut cursor = col_ptr[..n].to_vec();
         let mut entries = vec![(0usize, 0.0); col_ptr[n]];
 
-        let negated: Vec<bool> = self.rows.iter().map(|row| row.rhs < 0.0).collect();
         let mut slack_idx = n_structural;
         for (i, (coeffs, rel, rhs)) in self.posed_rows().enumerate() {
-            let sign = if negated[i] { -1.0 } else { 1.0 };
-            b[i] = sign * rhs;
+            b[i] = rhs;
             for &(var, coeff) in coeffs {
-                entries[cursor[var]] = (i, sign * coeff);
+                entries[cursor[var]] = (i, coeff);
                 cursor[var] += 1;
             }
             let slack = match rel {
                 Relation::Eq => continue,
-                Relation::Le => sign,
-                Relation::Ge => -sign,
+                Relation::Le => 1.0,
+                Relation::Ge => -1.0,
             };
             entries[col_ptr[slack_idx]] = (i, slack);
             slack_idx += 1;
         }
         let cols = SparseCols { ptr: col_ptr, entries };
-        StandardForm { num_structural: n_structural, cols, b, c, upper, negated }
+        StandardForm { num_structural: n_structural, cols, b, c, upper }
     }
 }
 
@@ -251,14 +249,14 @@ mod tests {
     }
 
     #[test]
-    fn negative_rhs_normalized() {
+    fn negative_rhs_posed_as_written() {
         let mut p = Problem::minimize(1);
         // x >= 2 written as  -x <= -2
         p.add_row(Relation::Le, -2.0, &[(0, -1.0)]);
         let sf = p.to_standard_form();
-        assert_eq!(sf.b, vec![2.0]);
-        assert_eq!(sf.col(0), [(0, 1.0)]); // negated
-        assert_eq!(sf.col(1), [(0, -1.0)]); // slack flipped too
+        assert_eq!(sf.b, vec![-2.0]);
+        assert_eq!(sf.col(0), [(0, -1.0)]);
+        assert_eq!(sf.col(1), [(0, 1.0)]); // the `<=` row's slack
     }
 
     #[test]
@@ -334,25 +332,23 @@ mod tests {
             let mut cursor = col_ptr[..n].to_vec();
             let mut entries = vec![(0usize, 0.0); col_ptr[n]];
 
-            let negated: Vec<bool> = self.rows.iter().map(|row| row.rhs < 0.0).collect();
             let mut slack_idx = n_structural;
             for (i, row) in self.rows.iter().enumerate() {
-                let sign = if negated[i] { -1.0 } else { 1.0 };
-                b[i] = sign * row.rhs;
+                b[i] = row.rhs;
                 for &(var, coeff) in &row.coeffs {
-                    entries[cursor[var]] = (i, sign * coeff);
+                    entries[cursor[var]] = (i, coeff);
                     cursor[var] += 1;
                 }
                 let slack = match row.rel {
                     Relation::Eq => continue,
-                    Relation::Le => sign,
-                    Relation::Ge => -sign,
+                    Relation::Le => 1.0,
+                    Relation::Ge => -1.0,
                 };
                 entries[col_ptr[slack_idx]] = (i, slack);
                 slack_idx += 1;
             }
             let cols = SparseCols { ptr: col_ptr, entries };
-            StandardForm { num_structural: n_structural, cols, b, c, upper, negated }
+            StandardForm { num_structural: n_structural, cols, b, c, upper }
         }
     }
 
@@ -361,15 +357,7 @@ mod tests {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let entries: Vec<(usize, u64)> =
             sf.cols.entries.iter().map(|&(r, v)| (r, v.to_bits())).collect();
-        (
-            sf.num_structural,
-            sf.cols.ptr.clone(),
-            entries,
-            bits(&sf.b),
-            bits(&sf.c),
-            bits(&sf.upper),
-            sf.negated.clone(),
-        )
+        (sf.num_structural, sf.cols.ptr.clone(), entries, bits(&sf.b), bits(&sf.c), bits(&sf.upper))
     }
 
     proptest::proptest! {

@@ -5,7 +5,7 @@
 use lowlat_telemetry as telemetry;
 
 use super::engine::{Engine, Rest, SolverOptions};
-use super::inverse::{flip_negated_rows, SparseInverse};
+use super::inverse::SparseInverse;
 use super::standard_form::{SparseCols, StandardForm};
 use super::tol::{REPLACE_GUARD_REL, UNIT_CHECK_TOL};
 use crate::problem::Problem;
@@ -50,10 +50,9 @@ pub struct Basis {
 }
 
 /// The inverse a [`Basis`] carries so a restart skips the O(m³)
-/// refactorization, with what a restart needs to trust it. Everything is
-/// in the row signs of the problem *as posed* (the standard form's negation
-/// of negative-rhs rows undone), so a right-hand side changing sign does
-/// not invalidate it.
+/// refactorization, with what a restart needs to trust it. The standard
+/// form poses every row in its own sign, whatever the sign of its
+/// right-hand side, so a right-hand side changing sign does not touch it.
 #[derive(Clone, Default)]
 pub(super) struct Carried {
     /// The inverse, one sparse column per row of the problem; empty when
@@ -286,10 +285,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Makes `binv` the inverse of the current basis matrix, given that it
-    /// inverts the matrix with columns `inverts` (one per basis position,
-    /// posed row signs — [`Carried::cols`]). A position whose basic column
-    /// *is* the stored column needs nothing, and telling so is an exact
-    /// O(nonzeros) comparison; one that is not (the basis was extended by
+    /// inverts the matrix with columns `inverts` (one per basis position —
+    /// [`Carried::cols`]). A position whose basic column *is* the stored
+    /// column needs nothing, and telling so is an exact slice comparison,
+    /// O(nonzeros); one that is not (the basis was extended by
     /// [`Basis::relabel`], or a coefficient changed) takes `w = B^-1 A_j`
     /// and one eta update, which puts the real column there and leaves every
     /// other position intact — O(m) + O(nonzeros of the inverse) per
@@ -317,7 +316,7 @@ impl<'a> Engine<'a> {
         let mut replaced = 0u64;
         let complete = 'positions: {
             for i in 0..m {
-                let differs = !self.sf.posed_col(self.basis[i]).eq(inverts.col(i).iter().copied());
+                let differs = self.sf.col(self.basis[i]) != inverts.col(i);
                 if !(differs || audit || cfg!(debug_assertions)) {
                     continue;
                 }
@@ -392,10 +391,7 @@ impl<'a> Engine<'a> {
         }
         let Carried { inverse, cols: inverts, age } = std::mem::take(&mut warm.carried);
         let mut eng = Engine::over(sf, opts, inverse, warm.basic.clone(), rest, age);
-        let carried = eng.binv.len() == m && inverts.len() == m && {
-            flip_negated_rows(&mut eng.binv, &sf.negated);
-            eng.bring_binv_current(&inverts)
-        };
+        let carried = eng.binv.len() == m && inverts.len() == m && eng.bring_binv_current(&inverts);
         if carried {
             eng.recompute_xb();
         } else {
@@ -421,8 +417,7 @@ impl<'a> Engine<'a> {
         out.shape = (self.m, self.art_start);
         out.slack_rows.clear();
         out.slack_rows.extend((sf.num_structural..self.art_start).map(|j| sf.col(j)[0].0));
-        let mut inverse = std::mem::take(&mut self.binv);
-        flip_negated_rows(&mut inverse, &sf.negated);
+        let inverse = std::mem::take(&mut self.binv);
         if telemetry::enabled() {
             let nnz = inverse.nnz() as f64;
             telemetry::observe("lp.inverse_nnz", nnz);
@@ -430,7 +425,7 @@ impl<'a> Engine<'a> {
         }
         let mut cols = SparseCols::default();
         for &j in &self.basis {
-            cols.push_col(sf.posed_col(j));
+            cols.push_col(sf.col(j).iter().copied());
         }
         out.carried = Carried { inverse, cols, age: self.age }.within_budget();
     }

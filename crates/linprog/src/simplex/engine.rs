@@ -41,6 +41,20 @@
 //! reduced costs computed, full passes included; test builds audit every
 //! kept value against a recomputation from scratch after every pivot.
 //!
+//! ## Artificials
+//!
+//! The standard form keeps every row in its sign as posed, so a right-hand
+//! side may be negative. A row starts on its slack when the slack (`+1` for
+//! `<=`, `−1` for `>=`) has the sign of the row's right-hand side, zero
+//! counting as positive; any other row — an `==` row, or an inequality whose
+//! slack would start negative — starts on an artificial: a column of its
+//! own with the one entry `sign(b_r)` in row `r`, numbered from `art_start`
+//! on in row order. So the first basis and its inverse are `diag(±1)` and
+//! every basic value starts at `|b_r|`. An artificial is otherwise an
+//! ordinary column, read through [`Engine::col`] like any other; `art_start`
+//! only bounds what may enter, costs phase 1, gives an artificial its
+//! infinite upper bound and keeps a basis holding one from being exported.
+//!
 //! ## Tolerances
 //!
 //! Every tolerance the engine reads is a constant of the `tol` module,
@@ -53,7 +67,6 @@
 //! | [`PRICES_IN_SLACK`] | 1e-12 | absolute | `prices_in` answers "would enter" this close to `-PRICING_TOL` |
 //! | [`PIVOT_TOL`] | 1e-9 | absolute, on `w = B⁻¹A_j` | ratio test: which rows can block |
 //! | [`RATIO_TIE`] | 1e-10 | absolute, step length | ratio test: ties between blocking rows |
-//! | [`UNIT_SLACK_TOL`] | 1e-12 | absolute, coefficient | initial basis: a slack is a unit column |
 //! | [`DEGENERATE_STEP`] | 1e-12 | absolute, step length | stall count that switches to Bland's rule |
 //! | [`ZERO_PIVOT`] | 1e-12 | absolute, on `w` | no pivot on a zero element (pivot, driving out artificials) |
 //! | [`DUAL_RATIO_TIE`] | 1e-12 | absolute, damage ratio | dual repair: ties between entering columns |
@@ -84,8 +97,7 @@ use super::pricing::Pricing;
 use super::standard_form::StandardForm;
 use super::tol::{
     rhs_scale, snap_round_off, DEGENERATE_STEP, DRIVE_OUT_PIVOT, DUAL_RATIO_TIE, PHASE1_FEAS_REL,
-    PIVOT_TOL, PRICES_IN_SLACK, PRICING_TOL, RATIO_TIE, REPAIR_FEAS_REL, REPAIR_PIVOT,
-    UNIT_SLACK_TOL, ZERO_PIVOT,
+    PIVOT_TOL, PRICES_IN_SLACK, PRICING_TOL, RATIO_TIE, REPAIR_FEAS_REL, REPAIR_PIVOT, ZERO_PIVOT,
 };
 
 /// Why the solver gave up.
@@ -226,8 +238,9 @@ pub(super) struct Engine<'a> {
     pub(super) total_n: usize,
     /// First artificial column index (== sf.num_cols()).
     pub(super) art_start: usize,
-    /// For artificial j (>= art_start), its row is `art_row[j - art_start]`.
-    pub(super) art_row: Vec<usize>,
+    /// The artificials' columns, one entry each: artificial `j >= art_start`
+    /// is `art[j - art_start]` (module docs, "Artificials").
+    pub(super) art: Vec<(usize, f64)>,
     /// The basis inverse: element (i,k) is entry `i` of column `k`, exact
     /// zeros not stored.
     pub(super) binv: SparseInverse,
@@ -275,39 +288,37 @@ impl<'a> Engine<'a> {
         let m = sf.b.len();
         let n = sf.num_cols();
 
-        // Pick initial basic columns: slacks that are a bare +1 in their row.
-        let mut row_basic: Vec<Option<usize>> = vec![None; m];
-        for j in sf.num_structural..n {
-            if let [(r, v)] = *sf.col(j) {
-                if (v - 1.0).abs() < UNIT_SLACK_TOL && row_basic[r].is_none() {
-                    row_basic[r] = Some(j);
-                }
-            }
-        }
-        let mut art_row = Vec::new();
+        // A row starts on its slack when the slack has the sign of the
+        // row's right-hand side (zero counts as positive), on an artificial
+        // of that sign otherwise.
+        let sign: Vec<f64> = sf.b.iter().map(|&b| if b < 0.0 { -1.0 } else { 1.0 }).collect();
         let mut basis = vec![usize::MAX; m];
         let mut rest = vec![Rest::Lower; n];
-        for (r, rb) in row_basic.iter().enumerate() {
-            match rb {
-                Some(j) => {
-                    basis[r] = *j;
-                    rest[*j] = Rest::Basic;
-                }
-                None => {
-                    basis[r] = n + art_row.len();
-                    art_row.push(r);
+        for j in sf.num_structural..n {
+            if let [(r, v)] = *sf.col(j) {
+                if v == sign[r] {
+                    basis[r] = j;
+                    rest[j] = Rest::Basic;
                 }
             }
         }
-        let total_n = n + art_row.len();
+        let mut art = Vec::new();
+        for (r, b) in basis.iter_mut().enumerate().filter(|(_, b)| **b == usize::MAX) {
+            *b = n + art.len();
+            art.push((r, sign[r]));
+        }
+        let total_n = n + art.len();
         rest.resize(total_n, Rest::Basic);
 
-        // All initial basis columns are unit vectors => B = I, and every
-        // nonbasic starts at its lower bound => xb = b.
-        let mut eng = Engine::over(sf, opts, SparseInverse::identity(m), basis, rest, 0);
+        // Every initial basic column is `sign[r]` in its row r => B = B⁻¹ =
+        // diag(sign), and every nonbasic starts at its lower bound =>
+        // xb = sign·b = |b|.
+        let binv =
+            SparseInverse { cols: sign.iter().enumerate().map(|(r, &s)| vec![(r, s)]).collect() };
+        let mut eng = Engine::over(sf, opts, binv, basis, rest, 0);
         eng.total_n = total_n;
-        eng.art_row = art_row;
-        eng.xb.clone_from(&sf.b);
+        eng.art = art;
+        eng.xb = sign.iter().zip(&sf.b).map(|(s, b)| s * b).collect();
         eng
     }
 
@@ -328,7 +339,7 @@ impl<'a> Engine<'a> {
             m,
             total_n: n,
             art_start: n,
-            art_row: Vec::new(),
+            art: Vec::new(),
             binv,
             basis,
             rest,
@@ -349,6 +360,17 @@ impl<'a> Engine<'a> {
 
     fn has_artificials(&self) -> bool {
         self.total_n > self.art_start
+    }
+
+    /// The nonzeros of column `j`, artificials included: the one place
+    /// that says where a column's entries live.
+    #[inline]
+    pub(super) fn col(&self, j: usize) -> &[(usize, f64)] {
+        if j < self.art_start {
+            self.sf.col(j)
+        } else {
+            std::slice::from_ref(&self.art[j - self.art_start])
+        }
     }
 
     fn upper(&self, j: usize) -> f64 {
@@ -513,12 +535,8 @@ impl<'a> Engine<'a> {
         let m = self.m;
         let mut bmat = vec![0.0; m * m];
         for (k, &j) in self.basis.iter().enumerate() {
-            if j < self.art_start {
-                for &(r, v) in self.sf.col(j) {
-                    bmat[k * m + r] = v;
-                }
-            } else {
-                bmat[k * m + self.art_row[j - self.art_start]] = 1.0;
+            for &(r, v) in self.col(j) {
+                bmat[k * m + r] = v;
             }
         }
         let inv = invert_column_major(&bmat, m).ok_or(LpError::Numerical)?;
@@ -610,11 +628,8 @@ impl<'a> Engine<'a> {
             let candidates = self.crossing_row(self.total_n);
             let mut reduced_costs = 0;
             for &j in &candidates {
-                let alpha = if j < self.art_start {
-                    self.sf.col(j).iter().map(|&(row, v)| v * self.scratch_row[row]).sum::<f64>()
-                } else {
-                    self.scratch_row[self.art_row[j - self.art_start]]
-                };
+                let alpha: f64 =
+                    self.col(j).iter().map(|&(row, v)| v * self.scratch_row[row]).sum();
                 let sign = if self.rest[j] == Rest::Upper { -1.0 } else { 1.0 };
                 // Moving j off its bound changes xb[r] by -t * dir.
                 let dir = sign * alpha;
@@ -711,14 +726,8 @@ impl<'a> Engine<'a> {
         }
         let objective = x.iter().zip(&self.sf.c).map(|(xi, ci)| xi * ci).sum();
         // `scratch_y` is the pricing vector of the round that found nothing
-        // to enter, i.e. `c_B B^-1` at the optimal basis, in the standard
-        // form's row signs.
-        let duals = self
-            .scratch_y
-            .iter()
-            .zip(&self.sf.negated)
-            .map(|(&y, &negated)| if negated { -y } else { y })
-            .collect();
+        // to enter, i.e. `c_B B^-1` at the optimal basis.
+        let duals = self.scratch_y.clone();
         Solution { x, duals, objective, iterations: self.iterations, warm_started: false }
     }
 }

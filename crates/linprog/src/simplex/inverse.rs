@@ -21,11 +21,6 @@ pub(super) struct SparseInverse {
 }
 
 impl SparseInverse {
-    /// The `m` unit columns.
-    pub(super) fn identity(m: usize) -> Self {
-        SparseInverse { cols: (0..m).map(|k| vec![(k, 1.0)]).collect() }
-    }
-
     /// Columns, i.e. rows of the problem inverted; 0 = no inverse held.
     pub(super) fn len(&self) -> usize {
         self.cols.len()
@@ -55,19 +50,14 @@ impl Engine<'_> {
     /// names, scaled and scattered in the order `A_j` lists them.
     #[inline]
     pub(super) fn compute_w(&mut self, j: usize) {
-        let w = &mut self.scratch_w;
+        let mut w = std::mem::take(&mut self.scratch_w);
         w.fill(0.0);
-        if j < self.art_start {
-            for &(r, v) in self.sf.col(j) {
-                for &(i, bi) in &self.binv.cols[r] {
-                    w[i] += v * bi;
-                }
-            }
-        } else {
-            for &(i, bi) in &self.binv.cols[self.art_row[j - self.art_start]] {
-                w[i] = bi;
+        for &(r, v) in self.col(j) {
+            for &(i, bi) in &self.binv.cols[r] {
+                w[i] += v * bi;
             }
         }
+        self.scratch_w = w;
     }
 
     /// `y = c_B' B^-1` into `scratch_y` for the given phase costs (one per
@@ -154,15 +144,6 @@ pub(super) fn price_of(colk: &[(usize, f64)], cost_at: &[f64]) -> f64 {
     costed.map(|&(i, bik)| cost_at[i] * bik).sum()
 }
 
-/// Converts a basis inverse between the standard form's row signs and the
-/// posed problem's: negating row k of a matrix negates column k of its
-/// inverse.
-pub(super) fn flip_negated_rows(binv: &mut SparseInverse, negated: &[bool]) {
-    for (col, _) in binv.cols.iter_mut().zip(negated).filter(|(_, &neg)| neg) {
-        col.iter_mut().for_each(|(_, v)| *v = -*v);
-    }
-}
-
 /// Inverts an m*m column-major matrix by Gauss-Jordan with partial pivoting.
 /// Returns `None` if (numerically) singular.
 pub(super) fn invert_column_major(a: &[f64], m: usize) -> Option<Vec<f64>> {
@@ -239,10 +220,6 @@ pub(super) mod tests {
     }
 
     impl DenseInverse {
-        pub(crate) fn identity(m: usize) -> Self {
-            DenseInverse::of(&SparseInverse::identity(m))
-        }
-
         /// `sparse` scattered.
         pub(crate) fn of(sparse: &SparseInverse) -> Self {
             let m = sparse.len();
@@ -258,16 +235,11 @@ pub(super) mod tests {
         pub(crate) fn compute_w(&self, eng: &Engine, j: usize) -> Vec<f64> {
             let m = self.m;
             let mut w = vec![0.0; m];
-            if j < eng.art_start {
-                for &(r, v) in eng.sf.col(j) {
-                    let colr = &self.binv[r * m..r * m + m];
-                    for (wi, bi) in w.iter_mut().zip(colr) {
-                        *wi += v * bi;
-                    }
+            for &(r, v) in eng.col(j) {
+                let colr = &self.binv[r * m..r * m + m];
+                for (wi, bi) in w.iter_mut().zip(colr) {
+                    *wi += v * bi;
                 }
-            } else {
-                let r = eng.art_row[j - eng.art_start];
-                w.copy_from_slice(&self.binv[r * m..r * m + m]);
             }
             w
         }
@@ -309,12 +281,8 @@ pub(super) mod tests {
             let m = self.m;
             let mut bmat = vec![0.0; m * m];
             for (k, &j) in eng.basis.iter().enumerate() {
-                if j < eng.art_start {
-                    for &(r, v) in eng.sf.col(j) {
-                        bmat[k * m + r] = v;
-                    }
-                } else {
-                    bmat[k * m + eng.art_row[j - eng.art_start]] = 1.0;
+                for &(r, v) in eng.col(j) {
+                    bmat[k * m + r] = v;
                 }
             }
             self.binv = invert_column_major(&bmat, m).expect("the engine inverted it");
@@ -343,13 +311,6 @@ pub(super) mod tests {
             xb
         }
 
-        pub(crate) fn flip_negated_rows(&mut self, negated: &[bool]) {
-            let m = self.m;
-            for (k, _) in negated.iter().enumerate().filter(|(_, &neg)| neg) {
-                self.binv[k * m..(k + 1) * m].iter_mut().for_each(|v| *v = -*v);
-            }
-        }
-
         pub(crate) fn extended(&self, rows: &[usize], new_m: usize) -> DenseInverse {
             let m = self.m;
             let mut binv = vec![0.0; new_m * new_m];
@@ -372,7 +333,7 @@ pub(super) mod tests {
             let mut replaceable = 8 + self.m / 4;
             for i in 0..self.m {
                 let j = eng.basis[i];
-                if eng.sf.posed_col(j).eq(inverts.col(i).iter().copied()) {
+                if eng.sf.col(j) == inverts.col(i) {
                     continue;
                 }
                 let w = self.compute_w(eng, j);

@@ -38,7 +38,6 @@ mod tests {
     use super::engine::{
         solve_standard_form_cold, solve_standard_form_warm, Block, Engine, Rest, SolverOptions,
     };
-    use super::inverse::flip_negated_rows;
     use super::inverse::tests::DenseInverse;
     use super::pricing::tests::PRICE_AUDITS;
     use super::standard_form::StandardForm;
@@ -154,7 +153,7 @@ mod tests {
     #[test]
     fn extended_inverse_is_completed_without_refactorizing() {
         // A pricing round in miniature. Old LP: min t s.t. -t <= -1 (a
-        // negated row), x - t <= 0, x <= 3. Grown LP: an equality row
+        // negative rhs), x - t <= 0, x <= 3. Grown LP: an equality row
         // z = 2 whose column z also loads the old row 1, and a new `<=` row
         // in which the *old* basic column t gains an entry — so the basis
         // matrix is not block-triangular over the old one either way.
@@ -202,6 +201,64 @@ mod tests {
         assert!((warm.value(0) - 1.0).abs() < 1e-12 && (warm.value(1) - 1.0).abs() < 1e-12);
     }
 
+    #[test]
+    fn a_row_starts_on_its_slack_when_the_slack_has_the_sign_of_its_rhs() {
+        // `x rel rhs` for every relation at rhs 3, -3 and 0: the slack
+        // (+1 for `<=`, -1 for `>=`) starts basic when it has the sign of
+        // the rhs, zero counting as positive; any other row, and every `==`
+        // row, starts on an artificial. Either way its basic value is |rhs|.
+        let rows = [
+            (Relation::Le, 3.0, false),
+            (Relation::Le, -3.0, true),
+            (Relation::Le, 0.0, false),
+            (Relation::Ge, 3.0, true),
+            (Relation::Ge, -3.0, false),
+            (Relation::Ge, 0.0, true),
+            (Relation::Eq, 3.0, true),
+            (Relation::Eq, -3.0, true),
+            (Relation::Eq, 0.0, true),
+        ];
+        let mut p = Problem::minimize(1);
+        for &(rel, rhs, _) in &rows {
+            p.add_row(rel, rhs, &[(0, 1.0)]);
+        }
+        let sf = p.to_standard_form();
+        let eng = Engine::new(&sf, SolverOptions::default());
+        for (r, &(rel, rhs, artificial)) in rows.iter().enumerate() {
+            let what = format!("row {r}: x {rel:?} {rhs}");
+            assert_eq!(eng.basis[r] >= eng.art_start, artificial, "{what}");
+            assert_eq!(eng.xb[r], rhs.abs(), "{what}");
+        }
+    }
+
+    #[test]
+    fn a_right_hand_side_that_changes_sign_keeps_the_carried_inverse() {
+        // min -x - 2y  s.t.  x + y <= 4,  x - y <= b,  y - x <= 2: the
+        // optimum x = 1, y = 3 holds for b = ±1, with the second row's
+        // slack basic at b + 2. A rhs changing sign changes no column, so
+        // every restart stands at the optimum it carries.
+        let lp = |b: f64| {
+            let mut p = Problem::minimize(2);
+            p.set_objective(0, -1.0);
+            p.set_objective(1, -2.0);
+            p.add_row(Relation::Le, 4.0, &[(0, 1.0), (1, 1.0)]);
+            p.add_row(Relation::Le, b, &[(0, 1.0), (1, -1.0)]);
+            p.add_row(Relation::Le, 2.0, &[(0, -1.0), (1, 1.0)]);
+            p
+        };
+        let mut handle = Basis::new();
+        lp(1.0).solve_warm(&mut handle).unwrap();
+        for b in [1.0, -1.0, 1.0, -1.0] {
+            let p = lp(b);
+            let (sol, (replaced, _, refactorizations)) =
+                restart_work(|| p.solve_warm(&mut handle).unwrap());
+            assert!(sol.warm_started(), "b = {b}");
+            assert_eq!((sol.iterations(), replaced, refactorizations), (0, 0, 0), "b = {b}");
+            assert_eq!(sol.values(), [1.0, 3.0], "b = {b}");
+            crate::certify(&p, sol.values(), sol.duals()).unwrap();
+        }
+    }
+
     /// `bring_binv_current` on the inverse `handle` carries, loaded but not
     /// yet completed: the positions the numerical test fails beforehand,
     /// whether the completion succeeded, and the `(columns, audits)` it
@@ -213,7 +270,6 @@ mod tests {
     ) -> Option<(usize, bool, (u64, u64))> {
         let mut eng = Engine::with_basis(sf, opts.clone(), &mut handle.clone())?;
         eng.binv.clone_from(&handle.carried.inverse);
-        flip_negated_rows(&mut eng.binv, &sf.negated);
         eng.age = handle.carried.age;
         let stale = (0..eng.m)
             .filter(|&i| {
@@ -622,11 +678,15 @@ mod tests {
         let sf = lp.problem().to_standard_form();
         let opts = SolverOptions::default();
         let (mut eng, mut dense) = match warm {
-            None => (Engine::new(&sf, opts), DenseInverse::identity(sf.b.len())),
+            None => {
+                let eng = Engine::new(&sf, opts);
+                let mut dense = DenseInverse { m: eng.m, binv: Vec::new() };
+                dense.refactorize(&eng);
+                (eng, dense)
+            }
             Some((mut handle, mut dense)) => {
                 let inverts = handle.carried.cols.clone();
                 let eng = Engine::with_basis(&sf, opts, &mut handle).expect("labels fit");
-                dense.flip_negated_rows(&sf.negated);
                 if !dense.complete(&eng, &inverts) {
                     dense.refactorize(&eng);
                 }
@@ -664,7 +724,6 @@ mod tests {
                     if !handle.is_warm() {
                         continue; // an artificial is still basic: nothing to restart from
                     }
-                    dense.flip_negated_rows(&sf.negated);
                     agree(
                         "exported",
                         &DenseInverse::of(&handle.carried.inverse).binv,

@@ -34,24 +34,21 @@ struct RowIndex {
 
 impl RowIndex {
     fn build(eng: &Engine) -> RowIndex {
-        let (m, sf) = (eng.m, eng.sf);
+        let m = eng.m;
         let mut start = vec![0; m + 1];
-        let rows = sf.cols.entries.iter().map(|&(r, _)| r);
-        rows.chain(eng.art_row.iter().copied()).for_each(|r| start[r + 1] += 1);
+        for j in 0..eng.total_n {
+            eng.col(j).iter().for_each(|&(r, _)| start[r + 1] += 1);
+        }
         for r in 0..m {
             start[r + 1] += start[r];
         }
         let mut fill = start.clone();
         let mut cols = vec![0; start[m]];
-        let mut put = |r: usize, j: usize| {
-            cols[fill[r]] = j as u32;
-            fill[r] += 1;
-        };
-        for (j, ends) in sf.cols.ptr.windows(2).enumerate() {
-            sf.cols.entries[ends[0]..ends[1]].iter().for_each(|&(r, _)| put(r, j));
-        }
-        for (a, &r) in eng.art_row.iter().enumerate() {
-            put(r, eng.art_start + a);
+        for j in 0..eng.total_n {
+            for &(r, _) in eng.col(j) {
+                cols[fill[r]] = j as u32;
+                fill[r] += 1;
+            }
         }
         RowIndex { start, cols }
     }
@@ -101,12 +98,8 @@ impl Engine<'_> {
     #[inline]
     pub(super) fn reduced_cost(&self, j: usize, cost: &[f64]) -> f64 {
         let mut dot = 0.0;
-        if j < self.art_start {
-            for &(r, v) in self.sf.col(j) {
-                dot += v * self.scratch_y[r];
-            }
-        } else {
-            dot = self.scratch_y[self.art_row[j - self.art_start]];
+        for &(r, v) in self.col(j) {
+            dot += v * self.scratch_y[r];
         }
         cost[j] - dot
     }

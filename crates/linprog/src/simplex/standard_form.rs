@@ -37,21 +37,20 @@ impl SparseCols {
     }
 }
 
-/// Equality standard form `min c·x  s.t.  A x = b (b >= 0), 0 <= x <= u`
-/// with sparse columns. Produced by [`crate::Problem::to_standard_form`].
+/// Equality standard form `min c·x  s.t.  A x = b,  0 <= x <= u` with
+/// sparse columns, every row in its sign as posed (`b` may be negative).
+/// Produced by [`crate::Problem::to_standard_form`].
 pub(crate) struct StandardForm {
     /// Number of structural (caller-visible) variables; the rest are slacks.
     pub num_structural: usize,
     /// The columns of `A`, structural then slack.
     pub cols: SparseCols,
-    /// Right-hand side, all entries non-negative.
+    /// Right-hand side, as posed.
     pub b: Vec<f64>,
     /// Objective (one per column, slacks carry 0).
     pub c: Vec<f64>,
     /// Upper bounds per column (`f64::INFINITY` when absent).
     pub upper: Vec<f64>,
-    /// Rows that were multiplied by -1 to make `b` non-negative.
-    pub negated: Vec<bool>,
 }
 
 impl StandardForm {
@@ -63,11 +62,5 @@ impl StandardForm {
     /// The nonzeros of column `j`.
     pub fn col(&self, j: usize) -> &[(usize, f64)] {
         self.cols.col(j)
-    }
-
-    /// Column `j` in the row signs of the problem *as posed* (negated rows
-    /// negated back; multiplying by ±1 is exact).
-    pub(super) fn posed_col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.col(j).iter().map(|&(r, v)| (r, if self.negated[r] { -v } else { v }))
     }
 }

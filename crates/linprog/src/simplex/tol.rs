@@ -30,11 +30,6 @@ pub(super) const PIVOT_TOL: f64 = 1e-9;
 /// variable.
 pub(super) const RATIO_TIE: f64 = 1e-10;
 
-/// Initial basis: a slack column whose single entry is within this of `+1`
-/// is a unit column and starts basic in its row; a row without one gets
-/// an artificial. Absolute, on a posed coefficient.
-pub(super) const UNIT_SLACK_TOL: f64 = 1e-12;
-
 /// Stall detection: a pivot whose step, or a bound flip whose span, is no
 /// longer than this is degenerate; more than `m + 64` of them in a row
 /// switch pricing to Bland's rule. Absolute, in units of the entering

@@ -1,10 +1,11 @@
 //! Every way the solver reaches an optimum — cold, warm from a basis of the
 //! same shape, warm from a basis re-labelled onto a grown problem — returns
 //! duals that [`certify`] accepts, over random LPs mixing `<=` / `>=` / `==`
-//! rows, negative right-hand sides (rows the standard form flips) and finite
-//! upper bounds. `certify` reads only the problem as posed, so a dual with
-//! the wrong sign on a flipped row, or one taken from a mis-labelled basis,
-//! fails here without a second solve to compare against.
+//! rows, negative right-hand sides (rows whose first basis holds an
+//! artificial, or a slack of sign −1) and finite upper bounds. `certify`
+//! reads only the problem as posed, so a dual of the wrong sign, or one
+//! taken from a mis-labelled basis, fails here without a second solve to
+//! compare against.
 //!
 //! [`Solution::prices_in`] answers from those duals whether one more column
 //! would enter the basis; it is held to `certify`'s verdict on the problem
@@ -147,8 +148,8 @@ proptest! {
         let mut basis = Basis::new();
         certified(&lp.problem(), &mut basis)?;
 
-        // Warm, same shape: new costs and new right-hand sides (which may
-        // change sign, so rows flip in and out of the negated set).
+        // Warm, same shape: new costs and new right-hand sides, which may
+        // change sign under the carried basis.
         let mut drifted = lp.clone();
         drifted.c = c[..lp.c.len()].to_vec();
         for ((_, _, slack), new) in drifted.rows.iter_mut().zip(&slacks) {

@@ -13,8 +13,13 @@
 
 use lowlat_linprog::{Basis, LpError, Problem, Relation, Solution};
 
-/// The digest, recorded before the simplex kept its prices across pivots.
-const DIGEST: u64 = 0x3453_0286_fb75_0748;
+/// The digest, recorded before the simplex kept its prices across pivots and
+/// re-recorded once the standard form stopped negating rows with a negative
+/// right-hand side. That moved only the sign of some zero duals (169 of the
+/// 8 534 words folded); FNV-1a's multiply never carries a difference out of
+/// bit 63, so sign-bit changes cancel in pairs and only their odd count
+/// shows, as bit 63.
+const DIGEST: u64 = 0xb453_0286_fb75_0748;
 
 /// FNV-1a over 64-bit words.
 struct Digest(u64);

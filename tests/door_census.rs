@@ -53,11 +53,15 @@ const GONE: &[&str] = &[
     "print_records_rows",
     "evaluate_on",
     "INSTALL_EPS",
+    "flip_negated_rows",
+    "posed_col",
+    "UNIT_SLACK_TOL",
+    "art_row",
 ];
 
 /// Deleted doors named by an English word, matched in code only: in a `//`
 /// comment the word is prose.
-const GONE_IN_CODE: &[&str] = &["fixed"];
+const GONE_IN_CODE: &[&str] = &["fixed", "negated"];
 
 /// The solver's options are `lowlat_linprog`'s own business.
 const PRIVATE_TO_LINPROG: &str = "SolverOptions";
