@@ -119,7 +119,12 @@ impl TimelineConfig {
             "diurnal_period",
             self.diurnal_period,
             "at least 2 minutes while the amplitude is not 0",
-        )
+        )?;
+        // `None` disarms the cascade; a threshold no load exceeds must not,
+        // and one at or below -1 trips cables that carry (next to) nothing.
+        let trip = self.cascade.as_ref().map_or(0.0, |c| c.trip_overload);
+        let trip_in_range = trip.is_finite() && trip > -1.0;
+        RangeError::check(trip_in_range, "trip_overload", trip, "a finite value > -1")
     }
 }
 
@@ -144,7 +149,8 @@ pub struct TimelineEvent {
 pub struct CascadeConfig {
     /// Overload fraction (load / effective capacity − 1) above which the
     /// worst link's cable trips. 0.2 means sustained load 20% over
-    /// effective capacity blows the cable.
+    /// effective capacity blows the cable, −0.1 that load over 90% of it
+    /// does. Finite and above −1 ([`TimelineConfig::validate`]).
     pub trip_overload: f64,
     /// Upper bound on cascade trips per run — the breaker on the breaker,
     /// so a hopeless overload cannot fail every cable in the network.
@@ -895,6 +901,10 @@ mod tests {
     fn validate_names_the_field_outside_its_range() {
         let ok = TimelineConfig::default();
         assert_eq!(ok.validate(), Ok(()));
+        let trip = |trip_overload| TimelineConfig {
+            cascade: Some(CascadeConfig { trip_overload, ..CascadeConfig::default() }),
+            ..ok.clone()
+        };
         let cases = [
             (TimelineConfig { minutes: 0, ..ok.clone() }, "minutes = 0, expected at least 1"),
             (
@@ -910,12 +920,17 @@ mod tests {
                 TimelineConfig { diurnal_amplitude: 0.3, diurnal_period: 1, ..ok.clone() },
                 "diurnal_period = 1, expected at least 2 minutes while the amplitude is not 0",
             ),
+            (trip(f64::NAN), "trip_overload = NaN, expected a finite value > -1"),
+            (trip(f64::INFINITY), "trip_overload = inf, expected a finite value > -1"),
+            (trip(-1.0), "trip_overload = -1, expected a finite value > -1"),
         ];
         for (cfg, want) in cases {
             assert_eq!(cfg.validate().unwrap_err().to_string(), want);
         }
         let nan = TimelineConfig { cv: f64::NAN, ..ok.clone() }.validate().unwrap_err();
         assert!(nan.to_string().starts_with("cv = NaN"), "{nan}");
+        // A cable may trip below capacity: at over 90% of it.
+        assert_eq!(trip(-0.1).validate(), Ok(()));
         // A period nothing reads is not an error.
         assert_eq!(TimelineConfig { diurnal_period: 0, ..ok }.validate(), Ok(()));
     }
