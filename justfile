@@ -10,8 +10,8 @@ verify:
     cargo build --release
     cargo clippy --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude rand --exclude parking_lot --exclude proptest --exclude criterion
-    cargo test -q
-    RUST_TEST_THREADS=1 cargo test -q
+    cargo test -q --no-fail-fast
+    RUST_TEST_THREADS=1 cargo test -q --no-fail-fast
     taskset -c 0 cargo test -q -p lowlat_sim --test sweep_golden
     taskset -c 0 cargo test -q -p lowlat_core --test tree_bits_at_scale
     cargo test --release -q -p lowlat_linprog --test solve_bits
