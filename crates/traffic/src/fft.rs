@@ -4,10 +4,34 @@
 //! notes the FFT route runs "in milliseconds" for tens of thousands of
 //! aggregates at 1024 quantization levels — small transforms, so a simple
 //! in-place Cooley-Tukey is the right amount of machinery. What makes it
-//! cheap in the controller is reuse: a `Plan` holds the twiddle factors
-//! of one transform size (read from a table, not re-derived by repeated
-//! multiplication, which is both faster and more accurate), and two real
-//! sequences ride through one complex transform (`packed_product`).
+//! cheap in the controller is reuse: a `Plan` holds what every transform
+//! of one size would re-derive, and two real sequences ride through one
+//! complex transform (`packed_product`).
+//!
+//! # The plan
+//!
+//! * **Twiddles by stage.** One `n`-point table `e^{-2πik/n}`, `k < n/2`,
+//!   is computed once (read from `sin_cos`, not re-derived by repeated
+//!   multiplication, which is both faster and more accurate). Stage `len`
+//!   reads every `n/len`-th entry of it, so the plan stores those entries
+//!   back to back in stage order, `n − 1` in all, and a stage reads its
+//!   factors contiguously. The inverse conjugates each factor as it reads
+//!   it, in a copy of the loop compiled for the inverse (negation is
+//!   exact), so no butterfly asks which direction it runs.
+//! * **The bit reversal as swaps.** The permutation is the list of
+//!   `(i, j)` swaps, `i < j`, that the incremental reversed counter would
+//!   perform, kept in that order.
+//! * **Stages 1 and 2 fused.** Both run one 4-point block at a time: the
+//!   block's two stage-1 butterflies, then its two stage-2 ones. Blocks
+//!   share no element, so this is each block's four butterflies in the
+//!   order the two stages would run them.
+//!
+//! Same butterflies, same bits: every butterfly is still `t = v·w;
+//! (u, v) = (u + t, u − t)` on the same operands with the same `w`,
+//! stage after stage, so every output has the bits of the textbook loop
+//! that derived the permutation and gathered `twiddles[k·n/len]` per
+//! butterfly (kept as the tests' reference). A factor of `1 + 0i` is
+//! still multiplied in: it can turn a `−0` into `+0`.
 
 /// A complex number; deliberately minimal.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,11 +63,18 @@ impl Complex {
     }
 }
 
-/// The twiddle factors of one transform size, computed once.
+/// What every transform of one size would otherwise re-derive: its
+/// twiddles in the order the stages read them, and its bit-reversal swaps.
 #[derive(Clone, Debug)]
 pub(crate) struct Plan {
-    /// `e^{-2πik/n}` for `k < n/2`.
+    /// Stage `len = 2, 4, …, n` holds `e^{-2πik/len}` for `k < len/2`,
+    /// back to back from offset `len/2 − 1`: `n − 1` entries. Each is the
+    /// `k·n/len`-th entry of one `n`-point table, so a stage reads the
+    /// factor a strided read of that table would.
     twiddles: Vec<Complex>,
+    /// The bit-reversal permutation as the swaps `(i, j)`, `i < j`, that
+    /// perform it in order.
+    swaps: Vec<(usize, usize)>,
 }
 
 impl Plan {
@@ -54,23 +85,20 @@ impl Plan {
     pub fn new(n: usize) -> Self {
         assert!(n.is_power_of_two(), "FFT length {n} not a power of two");
         let step = -2.0 * std::f64::consts::PI / n as f64;
-        let twiddles = (0..n / 2)
+        let base: Vec<Complex> = (0..n / 2)
             .map(|k| {
                 let (im, re) = (step * k as f64).sin_cos();
                 Complex { re, im }
             })
             .collect();
-        Plan { twiddles }
-    }
-
-    /// In-place FFT (`inverse = false`) or unnormalized inverse FFT.
-    ///
-    /// # Panics
-    /// Panics unless `data.len()` is the planned size.
-    pub fn transform(&self, data: &mut [Complex], inverse: bool) {
-        let n = data.len();
-        assert!(n.is_power_of_two() && n / 2 == self.twiddles.len(), "{n} points, other plan");
-        // Bit-reversal permutation.
+        let mut twiddles = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            twiddles.extend(base.iter().step_by(n / len));
+            len <<= 1;
+        }
+        // Each swap moves two of the `n` points.
+        let mut swaps = Vec::with_capacity(n / 2);
         let mut j = 0usize;
         for i in 1..n {
             let mut bit = n >> 1;
@@ -80,24 +108,66 @@ impl Plan {
             }
             j |= bit;
             if i < j {
-                data.swap(i, j);
+                swaps.push((i, j));
             }
         }
-        // Butterflies; stage `len` reads every `n/len`-th twiddle.
+        Plan { twiddles, swaps }
+    }
+
+    /// In-place FFT (`inverse = false`) or unnormalized inverse FFT.
+    ///
+    /// # Panics
+    /// Panics unless `data.len()` is the planned size.
+    pub fn transform(&self, data: &mut [Complex], inverse: bool) {
+        let n = data.len();
+        assert!(n == self.twiddles.len() + 1, "{n} points, other plan");
+        for &(i, j) in &self.swaps {
+            data.swap(i, j);
+        }
+        if inverse {
+            self.butterflies::<true>(data);
+        } else {
+            self.butterflies::<false>(data);
+        }
+    }
+
+    /// Every stage's butterflies over bit-reversed `data`, each twiddle
+    /// conjugated for the inverse; stages 1 and 2 fused (module docs).
+    fn butterflies<const INVERSE: bool>(&self, data: &mut [Complex]) {
+        let turn = |w: Complex| if INVERSE { w.conj() } else { w };
+        let n = data.len();
         let mut len = 2;
+        if n >= 4 {
+            // Stage 1's one twiddle, then stage 2's two.
+            let [w1, w2, w3] = [0, 1, 2].map(|k| turn(self.twiddles[k]));
+            for block in data.chunks_exact_mut(4) {
+                let [a, b, c, d] = block else { unreachable!("4-point blocks") };
+                butterfly(a, b, w1);
+                butterfly(c, d, w1);
+                butterfly(a, c, w2);
+                butterfly(b, d, w3);
+            }
+            len = 8;
+        }
         while len <= n {
-            let (half, stride) = (len / 2, n / len);
+            let half = len / 2;
+            let stage = &self.twiddles[half - 1..len - 1];
             for block in data.chunks_exact_mut(len) {
                 let (lo, hi) = block.split_at_mut(half);
-                for (k, (u, v)) in lo.iter_mut().zip(hi).enumerate() {
-                    let w = self.twiddles[k * stride];
-                    let t = v.mul(if inverse { w.conj() } else { w });
-                    (*u, *v) = (u.add(t), u.sub(t));
+                for ((u, v), &w) in lo.iter_mut().zip(hi).zip(stage) {
+                    butterfly(u, v, turn(w));
                 }
             }
             len <<= 1;
         }
     }
+}
+
+/// One radix-2 butterfly: `t = v·w; (u, v) = (u + t, u − t)`.
+#[inline(always)]
+fn butterfly(u: &mut Complex, v: &mut Complex, w: Complex) {
+    let t = v.mul(w);
+    (*u, *v) = (u.add(t), u.sub(t));
 }
 
 /// In-place FFT (`inverse = false`) or unnormalized inverse FFT, planning
@@ -215,6 +285,82 @@ mod tests {
             }
             assert!((acc.re - data[k].re).abs() < 1e-9);
             assert!((acc.im - data[k].im).abs() < 1e-9);
+        }
+    }
+
+    /// The transform as it was before the plan: the bit reversal derived
+    /// on the spot, stage `len` reading every `n/len`-th twiddle of the
+    /// `n`-point table, the inverse conjugating in every butterfly.
+    fn textbook(data: &mut [Complex], inverse: bool) {
+        let n = data.len();
+        let step = -2.0 * std::f64::consts::PI / n as f64;
+        let twiddles: Vec<Complex> = (0..n / 2)
+            .map(|k| {
+                let (im, re) = (step * k as f64).sin_cos();
+                Complex { re, im }
+            })
+            .collect();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let (half, stride) = (len / 2, n / len);
+            for block in data.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for (k, (u, v)) in lo.iter_mut().zip(hi).enumerate() {
+                    let w = twiddles[k * stride];
+                    let t = v.mul(if inverse { w.conj() } else { w });
+                    (*u, *v) = (u.add(t), u.sub(t));
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    #[test]
+    fn the_planned_transform_is_the_textbook_one_to_the_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(42);
+        // Dense draws mix signed zeros, negatives and magnitudes far apart.
+        // Sparse and all-zero ones keep a zero's sign alive through the
+        // stages, where a product by `w = 1 + 0i` can turn −0 into +0.
+        let mut value = |nonzero: f64| {
+            if !rng.gen_bool(nonzero) {
+                return if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+            }
+            match rng.gen_range(0..3) {
+                0 => rng.gen_range(-1.0..1.0),
+                1 => rng.gen_range(0.0..1.0) * 1e-300,
+                _ => rng.gen_range(-1.0..1.0) * 1e6,
+            }
+        };
+        for log in 0..=12 {
+            let n = 1usize << log;
+            let plan = Plan::new(n);
+            for (nonzero, inverse) in [0.6, 0.05, 0.0].map(|p| [(p, false), (p, true)]).concat() {
+                let input: Vec<Complex> =
+                    (0..n).map(|_| Complex { re: value(nonzero), im: value(nonzero) }).collect();
+                let (mut planned, mut expected) = (input.clone(), input);
+                plan.transform(&mut planned, inverse);
+                textbook(&mut expected, inverse);
+                let bits = |c: &Complex| (c.re.to_bits(), c.im.to_bits());
+                for (k, (p, e)) in planned.iter().zip(&expected).enumerate() {
+                    let case = format!("n = {n}, {nonzero} nonzero, inverse = {inverse}, bin {k}");
+                    assert_eq!(bits(p), bits(e), "{case}");
+                }
+            }
         }
     }
 

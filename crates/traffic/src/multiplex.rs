@@ -26,6 +26,15 @@
 //! materialized `s·x` copies, which is exactly what [`MultiplexCheck::check_link`]
 //! does: it wraps its series as members at `x = 1` and runs the same kernel.
 //!
+//! Test B sums member-major: the link's load is a vector the check keeps,
+//! one entry per sample, starting at `−0.0` (where a float `sum` starts),
+//! and each member in turn adds its `s[i]·x` to every entry. For every
+//! sample that is the same additions in the same member order as summing
+//! across the members sample by sample, so each load, and the backlog
+//! recurrence that then reads them in order, has the same bits; the
+//! member's pass is a contiguous loop the compiler vectorises, where the
+//! per-sample sum gathered one value from each member.
+//!
 //! # Members judged once a decision
 //!
 //! A Figure-14 loop re-appraises every link in every tweak iteration, and
@@ -86,14 +95,17 @@ impl Default for MultiplexConfig {
 impl MultiplexConfig {
     /// Checks the fields [`MultiplexCheck::new`] takes, which panics with
     /// the error's message: `max_queue_ms` and `bin_ms` finite and `> 0`,
-    /// `levels` at least 2. A caller holding outside input calls this
-    /// first.
+    /// `levels` from 2 to 2³² (test C stores bin indices as `u32`). A
+    /// caller holding outside input calls this first.
     pub fn validate(&self) -> Result<(), RangeError> {
         let q = self.max_queue_ms;
         RangeError::check(q.is_finite() && q > 0.0, "max_queue_ms", q, "a finite value > 0")?;
         let bin = self.bin_ms;
         RangeError::check(bin.is_finite() && bin > 0.0, "bin_ms", bin, "a finite value > 0")?;
-        RangeError::check(self.levels >= 2, "levels", self.levels, "at least 2")
+        let levels = self.levels;
+        RangeError::check(levels >= 2, "levels", levels, "at least 2")?;
+        let in_u32 = u32::try_from(levels - 1).is_ok();
+        RangeError::check(in_u32, "levels", levels, "at most 4294967296")
     }
 }
 
@@ -141,6 +153,8 @@ impl Verdict {
 pub struct MultiplexCheck {
     config: MultiplexConfig,
     convolver: RefCell<GroupConvolver>,
+    /// Test B's working buffer: the link's load, one entry per sample.
+    load: RefCell<Vec<f64>>,
 }
 
 impl Default for MultiplexCheck {
@@ -157,7 +171,7 @@ impl MultiplexCheck {
     pub fn new(config: MultiplexConfig) -> Self {
         config.validate().unwrap_or_else(|e| panic!("{e}"));
         let convolver = RefCell::new(GroupConvolver::new(config.levels));
-        MultiplexCheck { config, convolver }
+        MultiplexCheck { config, convolver, load: RefCell::default() }
     }
 
     /// The configuration in use.
@@ -232,12 +246,21 @@ impl MultiplexCheck {
             return Verdict::Pass;
         }
 
-        // Test B: temporal correlation via carried-over queue.
+        // Test B: temporal correlation via carried-over queue, on the
+        // link's load summed member after member (module docs).
+        let mut loads = self.load.borrow_mut();
+        loads.clear();
+        // `-0.0` is where `Iterator::sum` starts a float sum.
+        loads.resize(len, -0.0);
+        for &(samples, _, x) in members {
+            for (load, &s) in loads.iter_mut().zip(samples) {
+                *load += s * x;
+            }
+        }
         let bin_s = self.config.bin_ms / 1000.0;
         let mut backlog_mb = 0.0f64;
         let mut worst_queue_ms = 0.0f64;
-        for i in 0..len {
-            let load: f64 = members.iter().map(|&(s, _, x)| s[i] * x).sum();
+        for &load in loads.iter() {
             backlog_mb = (backlog_mb + (load - capacity_mbps) * bin_s).max(0.0);
             worst_queue_ms = worst_queue_ms.max(backlog_mb / capacity_mbps * 1000.0);
         }
@@ -442,6 +465,17 @@ mod tests {
         assert_eq!(e, "levels = 1, expected at least 2");
         assert_eq!(MultiplexConfig { levels: 2, ..Default::default() }.validate(), Ok(()));
         assert_eq!(MultiplexConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn more_levels_than_u32_bins_is_an_error_naming_them() {
+        // `validate` fails before the convolver would allocate a bin.
+        let e = rejected(MultiplexConfig { levels: (1 << 32) + 1, ..Default::default() });
+        assert_eq!(e, "levels = 4294967297, expected at most 4294967296");
+        let e = rejected(MultiplexConfig { levels: usize::MAX, ..Default::default() });
+        assert_eq!(e, format!("levels = {}, expected at most 4294967296", usize::MAX));
+        assert_eq!(MultiplexConfig { levels: 1 << 32, ..Default::default() }.validate(), Ok(()));
     }
 
     #[test]

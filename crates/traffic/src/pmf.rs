@@ -44,9 +44,21 @@ pub struct Pmf {
 }
 
 /// The grid: the bin a rate falls in, rates above the grid clamped into
-/// the last bin.
+/// the last bin. The cast saturates, so NaN and negative quotients land in
+/// bin 0. [`Pmf::from_samples`] takes any `levels` and keeps this `usize`
+/// clamp; [`GroupConvolver`], whose grids fit `u32`, uses [`bin_of_u32`].
 fn bin_of(rate_mbps: f64, bin_width: f64, levels: usize) -> usize {
     ((rate_mbps / bin_width) as usize).min(levels - 1)
+}
+
+/// [`bin_of`] for a grid whose last bin `top = levels − 1` fits in `u32`:
+/// the same index for every rate, NaN and infinities included. Both casts
+/// saturate, NaN and negatives to 0, and a quotient at or above 2³² casts
+/// to `u32::MAX ≥ top` here and to at least 2³² there, so either clamp
+/// picks `top`. The `u32` cast is the cheaper one: x86-64 has no unsigned
+/// 64-bit conversion, while a `u32` is a clamp and a signed one.
+fn bin_of_u32(rate_mbps: f64, bin_width: f64, top: u32) -> u32 {
+    ((rate_mbps / bin_width) as u32).min(top)
 }
 
 impl Pmf {
@@ -279,13 +291,14 @@ impl GroupConvolver {
         if sum_of_peaks <= 0.0 {
             return None;
         }
-        let levels = self.levels;
-        let bin_width = sum_of_peaks / (levels as f64 - 1.0);
+        let bin_width = sum_of_peaks / (self.levels as f64 - 1.0);
+        // `new` keeps the last bin within `u32`, where `bin_of_u32` is
+        // `bin_of` to the index.
+        let top = (self.levels - 1) as u32;
         self.bins.clear();
         for &(samples, _, x) in members {
             assert!(!samples.is_empty(), "empty sample set");
-            // `bin_of` is below `levels`, which `new` keeps within `u32`.
-            self.bins.extend(samples.iter().map(|&s| bin_of(s * x, bin_width, levels) as u32));
+            self.bins.extend(samples.iter().map(|&s| bin_of_u32(s * x, bin_width, top)));
         }
         Some(bin_width)
     }
@@ -347,6 +360,31 @@ mod tests {
         assert!((pmf.probs()[0] - 0.25).abs() < 1e-12);
         // Lower-edge convention: bins 0..=3 each with mass 1/4.
         assert!((pmf.mean() - 1.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_u32_clamp_is_the_usize_clamp() {
+        let rates = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            -1.0,
+            f64::MIN_POSITIVE / 2.0,
+            1023.9999,
+            4294967296.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        let grids = [1024usize, 2, 1 << 16];
+        #[cfg(target_pointer_width = "64")]
+        let grids = [grids[0], grids[1], grids[2], 1 << 32];
+        for levels in grids {
+            let top = u32::try_from(levels - 1).unwrap();
+            for rate in rates {
+                let (narrow, wide) = (bin_of_u32(rate, 1.0, top), bin_of(rate, 1.0, levels));
+                assert_eq!(narrow as usize, wide, "rate {rate:e}, {levels} levels");
+            }
+        }
     }
 
     #[test]

@@ -104,6 +104,44 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
+    /// Test B decides as the per-sample loop it was written as: each
+    /// sample's load summed across the members in order, then the carried
+    /// queue. Whatever the verdict, its payload has the same bits, and a
+    /// `FailTemporal`'s `max_queue_ms` is the loop's worst queue.
+    #[test]
+    fn test_b_is_the_per_sample_loop_to_the_bit(
+        members in scaled_members(12),
+        squeeze in 0.2f64..1.1,
+        allowance in 0.5f64..200.0,
+    ) {
+        let peaks: Vec<f64> =
+            members.iter().map(|(_, unit)| unit.iter().cloned().fold(0.0, f64::max)).collect();
+        let by_member: Vec<Member<'_>> = members
+            .iter()
+            .zip(&peaks)
+            .map(|((x, unit), &peak)| (unit.as_slice(), peak, *x))
+            .collect();
+        let sum_of_peaks: f64 = peaks.iter().zip(&members).map(|(p, (x, _))| p * x).sum();
+        let capacity = squeeze * sum_of_peaks;
+        prop_assume!(capacity > 0.0);
+        let config = MultiplexConfig { max_queue_ms: allowance, ..Default::default() };
+        let check = MultiplexCheck::new(config.clone());
+        let verdict = check.check_members(capacity, &by_member);
+
+        let bin_s = config.bin_ms / 1000.0;
+        let (mut backlog_mb, mut worst_queue_ms) = (0.0f64, 0.0f64);
+        for i in 0..by_member[0].0.len() {
+            let load: f64 = by_member.iter().map(|&(s, _, x)| s[i] * x).sum();
+            backlog_mb = (backlog_mb + (load - capacity) * bin_s).max(0.0);
+            worst_queue_ms = worst_queue_ms.max(backlog_mb / capacity * 1000.0);
+        }
+        if sum_of_peaks > capacity && worst_queue_ms > config.max_queue_ms {
+            prop_assert_eq!(bits(verdict), bits(Verdict::FailTemporal { max_queue_ms: worst_queue_ms }));
+        } else {
+            prop_assert!(!matches!(verdict, Verdict::FailTemporal { .. }), "{verdict:?}");
+        }
+    }
+
     /// A check answers test C from its memo on a repeat, and both answers
     /// are the tail of a fresh convolution of the scaled copies, to the bit.
     #[test]

@@ -15,6 +15,7 @@ verify:
     taskset -c 0 cargo test -q -p lowlat_sim --test sweep_golden
     taskset -c 0 cargo test -q -p lowlat_core --test tree_bits_at_scale
     cargo test --release -q -p lowlat_linprog --test solve_bits
+    cargo test --release -q -p lowlat_traffic
     cargo bench --no-run
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
