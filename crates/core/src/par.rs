@@ -1,8 +1,10 @@
 //! The workspace's one parallel helper: an order-keeping map over a slice
 //! on a fixed number of scoped threads. The landmark table of
 //! [`crate::hier`] builds its trees with it, and so do the experiment
-//! engine, the sweep binaries and the timeline's trace synthesis in
-//! `lowlat_sim`.
+//! engine and the sweep binaries in `lowlat_sim`. The timeline's trace
+//! synthesis claims aggregates off an atomic counter the same way, but on
+//! threads of its own: its calling thread decides a minute while helpers
+//! synthesize the next, which a map that blocks its caller cannot do.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

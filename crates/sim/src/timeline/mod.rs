@@ -45,10 +45,11 @@ mod controller;
 mod state;
 
 use lowlat_core::pathset::PathCache;
-use lowlat_core::PathSource;
+use lowlat_core::{default_workers, PathSource};
 use lowlat_netgraph::{FailureMask, RangeError};
 use lowlat_tmgen::TrafficMatrix;
 use lowlat_topology::Topology;
+use lowlat_traffic::TraceGenConfig;
 
 use crate::stats::median_of;
 pub use controller::{Controller, ControllerParseError};
@@ -120,6 +121,15 @@ impl TimelineConfig {
             self.diurnal_period,
             "at least 2 minutes while the amplitude is not 0",
         )?;
+        // The trace generator's door holds the rest of what it reads (`cv`'s
+        // upper bound).
+        TraceGenConfig {
+            cv: self.cv,
+            diurnal_amplitude: amplitude,
+            diurnal_period_minutes: self.diurnal_period,
+            ..Default::default()
+        }
+        .validate()?;
         // `None` disarms the cascade; a threshold no load exceeds must not,
         // and one at or below -1 trips cables that carry (next to) nothing.
         let trip = self.cascade.as_ref().map_or(0.0, |c| c.trip_overload);
@@ -300,7 +310,7 @@ pub fn simulate_with_events_on(
     config: &TimelineConfig,
     events: &[TimelineEvent],
 ) -> TimelineOutcome {
-    let mut state = ControllerState::new(source, tm, controller, config, events);
+    let mut state = ControllerState::new(source, tm, controller, config, events, default_workers());
     let minutes = (0..config.minutes).map(|minute| state.step(minute)).collect();
     state.finish(minutes)
 }
@@ -316,7 +326,7 @@ mod tests {
     use lowlat_topology::{GeoPoint, PopId, TopologyBuilder};
     use lowlat_traffic::{spread_seed, synthesize, AggregateTrace, TraceGenConfig};
 
-    use super::state::{safe_fraction, synthesize_traces};
+    use super::state::{safe_fraction, ControllerState};
 
     fn setup() -> (Topology, TrafficMatrix) {
         let topo = named::abilene();
@@ -856,12 +866,14 @@ mod tests {
 
     #[test]
     fn synthesis_is_the_same_bits_at_any_worker_count() {
-        // GTS-like's 650 aggregates with the diurnal branch on: every worker
-        // count yields `synthesize` of each aggregate, in aggregate order.
-        let topo = named::gts_like();
-        let tm = GravityTmGen::new(TmGenConfig::default()).generate(&topo, 0);
+        // A diurnal Abilene run: with no helper (the calling thread writes
+        // each minute after the decision window), one, and more than there
+        // are CPUs, every trace is `synthesize` of its aggregate and the
+        // outcome is the same bits, for a controller that decides and one
+        // that does not.
+        let (topo, tm) = setup();
         let cfg = TimelineConfig {
-            minutes: 1,
+            minutes: 3,
             warmup_minutes: 2,
             diurnal_amplitude: 0.3,
             diurnal_period: 4,
@@ -883,7 +895,7 @@ mod tests {
                 bits(&synthesize(&TraceGenConfig {
                     mean_mbps: a.volume_mbps,
                     cv: cfg.cv,
-                    minutes: 3,
+                    minutes: 5,
                     seed: spread_seed(cfg.seed, i as u64),
                     diurnal_amplitude: 0.3,
                     diurnal_period_minutes: 4,
@@ -891,9 +903,31 @@ mod tests {
                 }))
             })
             .collect();
-        for workers in [1, 2, tm.aggregates().len() + 3] {
-            let traces = synthesize_traces(&tm, &cfg, workers);
-            assert_eq!(traces.iter().map(bits).collect::<Vec<_>>(), serial, "{workers} workers");
+        let outcome_bits = |out: &TimelineOutcome| -> Vec<u64> {
+            let counters = [out.lp_solves, out.lp_warm_hits, out.repair_events, out.cascade_trips];
+            let minutes = out.minutes.iter().flat_map(|m| {
+                [
+                    m.worst_queue_ms.to_bits(),
+                    m.overloaded_links as u64,
+                    m.latency_stretch.to_bits(),
+                    m.unroutable_fraction.to_bits(),
+                    m.paths_changed as u64,
+                    m.moved_volume_fraction.to_bits(),
+                ]
+            });
+            counters.iter().map(|&c| c as u64).chain(minutes).collect()
+        };
+        for controller in [Controller::ldr(), Controller::static_sp()] {
+            let mut outcomes = Vec::new();
+            for workers in [1, 2, 8] {
+                let cache = PathCache::new(topo.graph());
+                let mut state = ControllerState::new(&cache, &tm, &controller, &cfg, &[], workers);
+                let reports = (0..cfg.minutes).map(|minute| state.step(minute)).collect();
+                let traces: Vec<Vec<u64>> = state.traces.iter().map(bits).collect();
+                assert!(traces == serial, "{workers} workers");
+                outcomes.push(outcome_bits(&state.finish(reports)));
+            }
+            assert!(outcomes.iter().all(|o| *o == outcomes[0]), "{controller:?}");
         }
     }
 
@@ -929,6 +963,9 @@ mod tests {
         }
         let nan = TimelineConfig { cv: f64::NAN, ..ok.clone() }.validate().unwrap_err();
         assert!(nan.to_string().starts_with("cv = NaN"), "{nan}");
+        // Past the generator's bound, the generator's door names the field.
+        let huge = TimelineConfig { cv: 1e301, ..ok.clone() }.validate().unwrap_err();
+        assert_eq!((huge.param, huge.expected), ("cv", "a finite value in [0, 1e300]"));
         // A cable may trip below capacity: at over 90% of it.
         assert_eq!(trip(-0.1).validate(), Ok(()));
         // A period nothing reads is not an error.

@@ -26,16 +26,40 @@
 //! elements regrow under the mask) instead of rebuilding it, so recovery
 //! minutes restart from pre-failure bases. `decision_ms` times the first
 //! three steps; replay models the network, not the controller.
+//!
+//! ## Who synthesizes which minute when
+//!
+//! The ground truth is streamed, not made up front. `ControllerState::new`
+//! starts one `TraceGenerator` per aggregate, allocates the storage of every
+//! minute of the run on the calling thread, and synthesizes only the
+//! warm-up minutes, on every worker (`lowlat_core::default_workers()`: the
+//! calling thread and `workers − 1` helpers). `step(t)` then overlaps minute
+//! `warmup + t` with the decision that precedes it: the helpers start on it
+//! as the decision window opens, the calling thread runs `fire_events`,
+//! `decide` and `install` — which read the history *before* that minute —
+//! and then joins the aggregates still unclaimed and waits for the helpers,
+//! and the minute is appended to every trace before `replay` reads it. So
+//! `decision_ms` times the controller alone, whatever the worker count (one
+//! worker writes the minute after the window); a static controller, whose
+//! window is empty, writes the minute on every worker as the warm-up does.
+//! Each aggregate draws from its own stream, so no bit depends on which
+//! thread wrote which minute. In a trace, `timeline.synthesize` spans mark
+//! each thread's share of a minute and `timeline.await_synthesis` the
+//! calling thread's time after the window: when it holds no
+//! `timeline.synthesize` child and is short, the decision hid the minute.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use lowlat_core::eval::PlacementEval;
 use lowlat_core::failure::{partition_routable, RoutablePartition};
 use lowlat_core::placement::{AggregatePlacement, PlacementDelta};
 use lowlat_core::schemes::{predict_volumes, SolveContext};
-use lowlat_core::{default_workers, par_map, PathSource, Placement};
+use lowlat_core::{PathSource, Placement};
 use lowlat_netgraph::{all_pairs_delays, FailureMask, LinkId};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
-use lowlat_traffic::{spread_seed, synthesize, AggregateTrace, TraceGenConfig};
+use lowlat_traffic::{spread_seed, AggregateTrace, TraceGenConfig, TraceGenerator, TraceMinute};
 
 use super::bounded::QUEUE_TRIGGER_MS;
 use super::controller::{Controller, Mode};
@@ -51,27 +75,56 @@ pub(super) fn safe_fraction(numer: f64, denom: f64) -> f64 {
     }
 }
 
-/// The run's ground truth: one trace per aggregate of `tm`, mean anchored at
-/// its matrix volume, synthesized on up to `workers` threads. Aggregate `i`
-/// draws from its own stream (`spread_seed(seed, i)`), so the traces are
-/// the same bits whatever the worker count.
-pub(super) fn synthesize_traces(
-    tm: &TrafficMatrix,
-    config: &TimelineConfig,
-    workers: usize,
-) -> Vec<AggregateTrace> {
-    let aggregates: Vec<(u64, f64)> =
-        tm.aggregates().iter().enumerate().map(|(i, a)| (i as u64, a.volume_mbps)).collect();
-    par_map(&aggregates, workers, |&(i, mean_mbps)| {
-        synthesize(&TraceGenConfig {
-            mean_mbps,
-            cv: config.cv,
-            minutes: config.warmup_minutes + config.minutes,
-            seed: spread_seed(config.seed, i),
-            diurnal_amplitude: config.diurnal_amplitude,
-            diurnal_period_minutes: config.diurnal_period,
-            ..Default::default()
-        })
+/// One aggregate's ground truth in the making: the generator that writes
+/// its minutes and the minutes it wrote that its trace has yet to append.
+struct Stream {
+    generator: TraceGenerator,
+    /// Room for the warm-up's minutes, reserved on the run's thread.
+    ready: Vec<TraceMinute>,
+}
+
+/// Writes the next `minutes` minutes of aggregates claimed off `next`, one
+/// aggregate at a time, until none is left: the body of every thread that
+/// synthesizes. Each aggregate draws from its own stream, so which thread
+/// writes it does not change a bit. The span opens with the first claim.
+fn synthesize(streams: &[Mutex<Stream>], next: &AtomicUsize, minutes: usize) {
+    // Relaxed: the counter publishes nothing but the index itself; the
+    // minutes travel through the stream's lock and the threads' join.
+    let claim = || streams.get(next.fetch_add(1, Ordering::Relaxed));
+    let Some(first) = claim() else { return };
+    let _synthesize = telemetry::span("timeline.synthesize", "timeline");
+    for stream in std::iter::once(first).chain(std::iter::from_fn(claim)) {
+        let stream = &mut *stream.lock().expect("a synthesizing thread panicked");
+        let minutes = stream.generator.by_ref().take(minutes);
+        stream.ready.extend(minutes);
+    }
+}
+
+/// Writes the next `minutes` minutes of every stream on `helpers` threads
+/// and the calling thread, which runs `window` first and then joins in
+/// under a `timeline.await_synthesis` span: the span is the time the
+/// synthesis kept the caller waiting after `window`. Returns what `window`
+/// returned once every minute is written.
+///
+/// # Panics
+/// Re-raises a panic of `window` or of a helper.
+fn synthesize_beside<R>(
+    streams: &[Mutex<Stream>],
+    helpers: usize,
+    minutes: usize,
+    window: impl FnOnce() -> R,
+) -> R {
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (0..helpers).map(|_| scope.spawn(|| synthesize(streams, &next, minutes))).collect();
+        let out = window();
+        let _await = telemetry::span("timeline.await_synthesis", "timeline");
+        synthesize(streams, &next, minutes);
+        for handle in handles {
+            handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+        out
     })
 }
 
@@ -84,9 +137,15 @@ pub(super) struct ControllerState<'a> {
     controller: &'a Controller,
     config: &'a TimelineConfig,
     events: &'a [TimelineEvent],
+    /// Threads that synthesize traffic, the calling one included.
+    workers: usize,
     /// Ground-truth traffic: one evolving trace per aggregate of `tm`, mean
-    /// anchored at its matrix volume (modulated by the diurnal cycle).
-    traces: Vec<AggregateTrace>,
+    /// anchored at its matrix volume (modulated by the diurnal cycle). It
+    /// holds the minutes up to the one being decided; `step` appends that
+    /// minute before its replay.
+    pub(super) traces: Vec<AggregateTrace>,
+    /// What writes `traces`' next minutes, one stream per aggregate.
+    streams: Vec<Mutex<Stream>>,
     /// One warm-start context for the whole run: the §5 cycle's speed comes
     /// from successive minutes reusing paths and LP bases.
     ctx: SolveContext,
@@ -129,15 +188,18 @@ pub(super) struct ControllerState<'a> {
 }
 
 impl<'a> ControllerState<'a> {
+    /// Validates the run, starts every aggregate's trace and synthesizes
+    /// the warm-up minutes on `workers` threads.
     pub(super) fn new(
         source: &'a dyn PathSource,
         tm: &'a TrafficMatrix,
         controller: &'a Controller,
         config: &'a TimelineConfig,
         events: &'a [TimelineEvent],
+        workers: usize,
     ) -> Self {
         // Checked here, on the caller's thread: a bad field panics with its
-        // name before any synthesis worker starts.
+        // name before any synthesis thread starts.
         if let Err(e) = config.validate() {
             panic!("invalid timeline config: {e}");
         }
@@ -147,31 +209,48 @@ impl<'a> ControllerState<'a> {
             "event minute out of 0..{}",
             config.minutes
         );
-        // A root span of its own: against millisecond decisions synthesis
-        // is a visible share of a short run. On one core it was ~40% of a
-        // `ctrl-ldr-abilene` pass in the repo benchmark (2.10 s beside
-        // 2.90 s of decisions in a 6 s run on a 2-CPU x86 host). The
-        // aggregates' streams are independent, so they are synthesized on
-        // every core, and the traced benchmark's
-        // `sim.timeline.other_ms_per_min` (synthesis + replay + harness, per
-        // decision minute, seed 99, same host) went 3.5 → 2.5 ms beside a
-        // 3.5 ms decision on Abilene and 18.6 → 11.6 ms beside 24 ms on
-        // GTS-like.
+        // A root span of its own: against millisecond decisions the warm-up
+        // is a visible share of a short run. Every minute of the run gets its
+        // storage here, on the calling thread, whichever thread writes it:
+        // buffers a helper allocated and this thread freed would spread the
+        // run over the allocator's per-thread arenas, and peak RSS would
+        // climb with the pass count. Aggregate `i` draws from its own stream
+        // (`spread_seed(seed, i)`), so the traces are the same bits whatever
+        // the worker count.
         let synthesis = telemetry::span("timeline.synthesize", "timeline");
-        let traces = synthesize_traces(tm, config, default_workers());
-        let samples = traces.iter().map(|tr| tr.minutes() * tr.bins_per_minute()).sum::<usize>();
-        telemetry::counter_add("timeline.samples_synthesized", samples as u64);
+        let (streams, traces): (Vec<_>, Vec<_>) = tm
+            .aggregates()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let (generator, trace) = TraceGenerator::start(&TraceGenConfig {
+                    mean_mbps: a.volume_mbps,
+                    cv: config.cv,
+                    minutes: config.warmup_minutes + config.minutes,
+                    seed: spread_seed(config.seed, i as u64),
+                    diurnal_amplitude: config.diurnal_amplitude,
+                    diurnal_period_minutes: config.diurnal_period,
+                    ..Default::default()
+                });
+                let ready = Vec::with_capacity(config.warmup_minutes);
+                (Mutex::new(Stream { generator, ready }), trace)
+            })
+            .unzip();
+        let workers = workers.clamp(1, streams.len());
+        synthesize_beside(&streams, workers - 1, config.warmup_minutes, || ());
         drop(synthesis);
         let placement = controller
             .is_static()
             .then(|| controller.scheme.place(source, tm).expect("static placement"));
-        ControllerState {
+        let mut state = ControllerState {
             source,
             tm,
             controller,
             config,
             events,
+            workers,
             traces,
+            streams,
             ctx: SolveContext::new(),
             intact_delays: all_pairs_delays(source.graph()),
             mask: FailureMask::new(),
@@ -186,23 +265,35 @@ impl<'a> ControllerState<'a> {
             repaired_pairs: 0,
             kept_pairs: 0,
             cascade_trips: 0,
-        }
+        };
+        state.append_ready();
+        state
     }
 
     /// One decision minute (0-based, warm-up excluded): fire the minute's
     /// events, decide, install — the window `decision_ms` times — then
-    /// replay the minute's actual traffic over the result.
+    /// replay the minute's actual traffic over the result. The minute's
+    /// traffic is synthesized on helper threads while the window runs.
     pub(super) fn step(&mut self, minute: usize) -> MinuteReport {
         // Per-minute root span; everything below nests under it. The
         // decision window keeps its own always-on timer because its
         // duration *is* the `decision_ms` column — one measurement feeds
         // both the TSV and the trace.
         let _minute = telemetry::span("timeline.minute", "timeline");
-        let decision = telemetry::timed_span("timeline.decision", "timeline");
-        self.fire_events(minute);
-        self.decide(minute);
-        let churn = self.install(minute);
-        let decision_ms = decision.finish_ms();
+        // The window reads the history before the minute and the replay
+        // reads the minute, so the minute's synthesis and the window touch
+        // disjoint state and overlap; the helpers start before the timer so
+        // that `decision_ms` times the controller alone.
+        let streams = std::mem::take(&mut self.streams);
+        let (decision_ms, churn) = synthesize_beside(&streams, self.workers - 1, 1, || {
+            let decision = telemetry::timed_span("timeline.decision", "timeline");
+            self.fire_events(minute);
+            self.decide(minute);
+            let churn = self.install(minute);
+            (decision.finish_ms(), churn)
+        });
+        self.streams = streams;
+        self.append_ready();
         let _replay = telemetry::span("timeline.replay", "timeline");
         let (worst_queue_ms, overloaded_links) = self.replay(minute);
         let latency_stretch = self.placement.as_ref().map_or(1.0, |placement| {
@@ -219,6 +310,20 @@ impl<'a> ControllerState<'a> {
             paths_changed: churn.paths_changed(),
             moved_volume_fraction: churn.moved_volume_fraction(),
         }
+    }
+
+    /// Appends every minute the streams wrote to its aggregate's trace and
+    /// counts the samples.
+    fn append_ready(&mut self) {
+        let mut samples = 0;
+        for (trace, stream) in self.traces.iter_mut().zip(&mut self.streams) {
+            let stream = stream.get_mut().expect("a synthesizing thread panicked");
+            for minute in stream.ready.drain(..) {
+                trace.push_minute(minute);
+                samples += trace.bins_per_minute();
+            }
+        }
+        telemetry::counter_add("timeline.samples_synthesized", samples as u64);
     }
 
     /// The run's outcome: the per-minute reports plus the counters the state

@@ -29,4 +29,6 @@ pub mod trace;
 pub use multiplex::{MultiplexCheck, MultiplexConfig, Verdict};
 pub use pmf::Pmf;
 pub use predictor::Predictor;
-pub use trace::{spread_seed, synthesize, AggregateTrace, TraceGenConfig};
+pub use trace::{
+    spread_seed, synthesize, AggregateTrace, TraceGenConfig, TraceGenerator, TraceMinute,
+};

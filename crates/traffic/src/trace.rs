@@ -20,10 +20,23 @@
 //! (Algorithm 1 runs over all the minute means of the history, LDR's
 //! appraisal needs the last minute's peak), so a decision costs O(minutes)
 //! per aggregate for them instead of O(minutes × bins).
+//!
+//! ## Streaming
+//!
+//! The generator is resumable: a [`TraceGenerator`] carries one trace's RNG,
+//! walk, σ and AR(1) state from minute to minute and yields one
+//! [`TraceMinute`] per call, and [`AggregateTrace::push_minute`] appends it.
+//! [`synthesize`] is that loop run to the end, so a trace grown a minute at
+//! a time is the same bits as one synthesized whole. [`TraceGenerator::start`]
+//! allocates the storage of every minute the run will write on the calling
+//! thread, so a minute can be generated on another thread (the timeline
+//! synthesizes minute `t` while its controller decides minute `t`) and
+//! handed back without that thread allocating.
 
 use std::fmt;
 use std::sync::Arc;
 
+use lowlat_netgraph::RangeError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,6 +63,44 @@ pub struct TraceGenConfig {
     /// Diurnal period in minutes (1440 = one day). Ignored when the
     /// amplitude is 0.
     pub diurnal_period_minutes: usize,
+}
+
+/// Largest `mean_mbps` [`TraceGenConfig::validate`] accepts (an exabit per
+/// second). A sample is at most the mean × 3 (the walk's clamp) × 2 (the
+/// diurnal swing) × `exp(z²/2)` (the burst factor's largest value; the
+/// AR(1) state stays under 15 in magnitude), about 1e48 × the mean, so every
+/// sample of an accepted mean is finite.
+const MAX_MEAN_MBPS: f64 = 1e12;
+
+/// Largest `cv` [`TraceGenConfig::validate`] accepts. The burst σ reaches
+/// 4 × `cv` and multiplies the AR(1) state (under 15 in magnitude): from
+/// about 3e306 that product overflows and a sample turns NaN. Any `cv`
+/// beyond a few already makes most samples exactly 0.
+const MAX_CV: f64 = 1e300;
+
+impl TraceGenConfig {
+    /// Checks every field the generator reads against the range it needs,
+    /// and returns the first one outside it. [`synthesize`] and
+    /// [`TraceGenerator::start`] call this and panic with the error's
+    /// message; `minutes` and `seed` take any value.
+    pub fn validate(&self) -> Result<(), RangeError> {
+        let mean = self.mean_mbps;
+        let mean_in_range = mean.is_finite() && mean > 0.0 && mean <= MAX_MEAN_MBPS;
+        RangeError::check(mean_in_range, "mean_mbps", mean, "a finite value in (0, 1e12]")?;
+        let cv_in_range = self.cv.is_finite() && self.cv >= 0.0 && self.cv <= MAX_CV;
+        RangeError::check(cv_in_range, "cv", self.cv, "a finite value in [0, 1e300]")?;
+        let bins = self.bins_per_minute;
+        RangeError::check(bins >= 1, "bins_per_minute", bins, "at least 1")?;
+        let amplitude = self.diurnal_amplitude;
+        let in_range = (0.0..1.0).contains(&amplitude);
+        RangeError::check(in_range, "diurnal_amplitude", amplitude, "a value in [0, 1)")?;
+        RangeError::check(
+            amplitude == 0.0 || self.diurnal_period_minutes >= 2,
+            "diurnal_period_minutes",
+            self.diurnal_period_minutes,
+            "at least 2 minutes while the amplitude is not 0",
+        )
+    }
 }
 
 impl Default for TraceGenConfig {
@@ -80,35 +131,80 @@ const SIGMA_DRIFT: f64 = 0.05;
 
 /// A traffic time series: consecutive minutes of 100 ms rate samples, and
 /// each minute's mean and peak, computed once from them.
-/// The samples and the summaries live in shared buffers of which a trace
-/// sees a prefix, so [`AggregateTrace::truncated`] and `clone` are O(1)
-/// whatever the history, and [`AggregateTrace::minute_mean`],
-/// [`AggregateTrace::minute_means`] and [`AggregateTrace::peak`] read a
-/// stored value instead of scanning the minute's samples.
+/// The minutes live in a shared store of which a trace sees a prefix, so
+/// [`AggregateTrace::truncated`] and `clone` are O(1) whatever the history,
+/// and [`AggregateTrace::minute_mean`], [`AggregateTrace::minute_means`] and
+/// [`AggregateTrace::peak`] read a stored value instead of scanning the
+/// minute's samples. [`AggregateTrace::push_minute`] grows a trace in place
+/// while no other trace shares its store.
 #[derive(Clone)]
 pub struct AggregateTrace {
     bins_per_minute: usize,
     /// Whole minutes visible through this trace.
     minutes: usize,
-    /// All samples, minute-major: `samples[m * bins_per_minute + i]`, Mbps;
-    /// possibly longer than this trace's view.
-    samples_mbps: Arc<[f64]>,
-    /// Mean of every minute of `samples_mbps` (Mbps).
-    means: Arc<[f64]>,
-    /// Peak of every minute of `samples_mbps` (Mbps).
-    peaks: Arc<[f64]>,
+    /// Every minute written, possibly more than this trace sees.
+    store: Arc<Store>,
+}
+
+/// The minutes of a trace and their summaries, minute-major.
+#[derive(Clone, Debug, PartialEq)]
+struct Store {
+    /// Minute `m`'s 100 ms samples (Mbps), `bins_per_minute` of them.
+    samples: Vec<Vec<f64>>,
+    /// Mean of every minute of `samples` (Mbps).
+    means: Vec<f64>,
+    /// Peak of every minute of `samples` (Mbps).
+    peaks: Vec<f64>,
+}
+
+impl Store {
+    fn with_capacity(minutes: usize) -> Self {
+        Store {
+            samples: Vec::with_capacity(minutes),
+            means: Vec::with_capacity(minutes),
+            peaks: Vec::with_capacity(minutes),
+        }
+    }
+}
+
+/// One minute of a trace, ready to append with
+/// [`AggregateTrace::push_minute`]: its samples and their mean and peak,
+/// summarized where the minute was made.
+#[derive(Debug)]
+pub struct TraceMinute {
+    samples: Vec<f64>,
+    mean: f64,
+    peak: f64,
+}
+
+impl TraceMinute {
+    /// Summarizes one minute's samples (at least one).
+    fn summarize(samples: Vec<f64>) -> Self {
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let peak = samples.iter().cloned().fold(0.0, f64::max);
+        TraceMinute { samples, mean, peak }
+    }
 }
 
 impl fmt::Debug for AggregateTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AggregateTrace")
             .field("bins_per_minute", &self.bins_per_minute)
-            .field("samples_mbps", &self.visible())
+            .field("samples_mbps", &self.store.samples[..self.minutes].concat())
             .finish()
     }
 }
 
 impl AggregateTrace {
+    /// A trace of no minutes with room for `minutes` of them.
+    fn empty(bins_per_minute: usize, minutes: usize) -> Self {
+        AggregateTrace {
+            bins_per_minute,
+            minutes: 0,
+            store: Arc::new(Store::with_capacity(minutes)),
+        }
+    }
+
     /// Wraps raw samples and summarizes each minute (mean and peak).
     ///
     /// # Panics
@@ -119,24 +215,30 @@ impl AggregateTrace {
         assert_eq!(samples_mbps.len() % bins_per_minute, 0, "ragged trace");
         assert!(samples_mbps.iter().all(|s| s.is_finite() && *s >= 0.0));
         let minutes = samples_mbps.len() / bins_per_minute;
-        let (means, peaks): (Vec<f64>, Vec<f64>) = samples_mbps
-            .chunks_exact(bins_per_minute)
-            .map(|s| {
-                (s.iter().sum::<f64>() / s.len() as f64, s.iter().cloned().fold(0.0, f64::max))
-            })
-            .unzip();
-        AggregateTrace {
-            bins_per_minute,
-            minutes,
-            samples_mbps: samples_mbps.into(),
-            means: means.into(),
-            peaks: peaks.into(),
+        let mut trace = AggregateTrace::empty(bins_per_minute, minutes);
+        for minute in samples_mbps.chunks_exact(bins_per_minute) {
+            trace.push_minute(TraceMinute::summarize(minute.to_vec()));
         }
+        trace
     }
 
-    /// The samples this trace sees.
-    fn visible(&self) -> &[f64] {
-        &self.samples_mbps[..self.minutes * self.bins_per_minute]
+    /// Appends `minute` after the minutes this trace sees. In place while
+    /// no other trace shares the store (a [`Self::truncated`] view or a
+    /// clone still alive); otherwise the store is copied first, and the
+    /// other traces keep what they saw.
+    ///
+    /// # Panics
+    /// Panics if the minute does not hold [`Self::bins_per_minute`] samples.
+    pub fn push_minute(&mut self, minute: TraceMinute) {
+        assert_eq!(minute.samples.len(), self.bins_per_minute, "minute of another bin count");
+        let store = Arc::make_mut(&mut self.store);
+        store.samples.truncate(self.minutes);
+        store.means.truncate(self.minutes);
+        store.peaks.truncate(self.minutes);
+        store.samples.push(minute.samples);
+        store.means.push(minute.mean);
+        store.peaks.push(minute.peak);
+        self.minutes += 1;
     }
 
     /// Number of whole minutes.
@@ -151,8 +253,7 @@ impl AggregateTrace {
 
     /// The 100 ms samples of minute `m`.
     pub fn samples(&self, m: usize) -> &[f64] {
-        let start = m * self.bins_per_minute;
-        &self.visible()[start..start + self.bins_per_minute]
+        &self.store.samples[..self.minutes][m]
     }
 
     /// Mean rate over minute `m` (Mbps).
@@ -162,12 +263,12 @@ impl AggregateTrace {
 
     /// All per-minute means of the minutes this trace sees.
     pub fn minute_means(&self) -> &[f64] {
-        &self.means[..self.minutes]
+        &self.store.means[..self.minutes]
     }
 
     /// Peak 100 ms rate within minute `m`.
     pub fn peak(&self, m: usize) -> f64 {
-        self.peaks[..self.minutes][m]
+        self.store.peaks[..self.minutes][m]
     }
 
     /// Standard deviation of the 100 ms rates within minute `m` — the σ of
@@ -198,58 +299,111 @@ fn std_normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Generates a synthetic trace per [`TraceGenConfig`] (deterministic).
-pub fn synthesize(config: &TraceGenConfig) -> AggregateTrace {
-    assert!(config.mean_mbps > 0.0 && config.cv >= 0.0);
-    assert!(
-        (0.0..1.0).contains(&config.diurnal_amplitude),
-        "diurnal amplitude {} out of [0,1)",
-        config.diurnal_amplitude
-    );
-    assert!(
-        config.diurnal_amplitude == 0.0 || config.diurnal_period_minutes >= 2,
-        "diurnal period must span at least 2 minutes"
-    );
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x7472_6163);
-    let mut samples = Vec::with_capacity(config.minutes * config.bins_per_minute);
+/// The generator of one trace, resumable between minutes: the RNG, the
+/// minute-mean walk, the burst σ and the AR(1) state, plus storage for the
+/// minutes it has yet to write. Each [`Iterator::next`] writes the next
+/// minute, until `config.minutes` of them are out.
+#[derive(Debug)]
+pub struct TraceGenerator {
+    config: TraceGenConfig,
+    rng: StdRng,
+    /// The minute the next call writes.
+    minute: usize,
+    minute_mean: f64,
+    sigma_rel: f64,
+    /// AR(1) state. It carries across minute boundaries: bursts don't reset
+    /// on the minute, only our bookkeeping does.
+    z: f64,
+    /// One buffer per minute still to write, allocated by [`Self::start`].
+    blank: Vec<Vec<f64>>,
+}
 
-    let mut minute_mean = config.mean_mbps;
-    let mut sigma_rel = config.cv;
-    // AR(1) state carries across minute boundaries: bursts don't reset on
-    // the minute, only our bookkeeping does.
-    let mut z = 0.0f64;
-    let innov = (1.0 - AR1 * AR1).sqrt();
-    for minute in 0..config.minutes {
+impl TraceGenerator {
+    /// Starts `config`'s run: the generator at minute 0 and the empty trace
+    /// its minutes are appended to. The storage of all `config.minutes`
+    /// minutes (samples and summaries) is allocated here, on the calling
+    /// thread; generating a minute allocates nothing.
+    ///
+    /// # Panics
+    /// Panics with [`TraceGenConfig::validate`]'s message on a field outside
+    /// its range.
+    pub fn start(config: &TraceGenConfig) -> (TraceGenerator, AggregateTrace) {
+        if let Err(e) = config.validate() {
+            panic!("invalid trace config: {e}");
+        }
+        let bins = config.bins_per_minute;
+        let generator = TraceGenerator {
+            config: config.clone(),
+            rng: StdRng::seed_from_u64(config.seed ^ 0x7472_6163),
+            minute: 0,
+            minute_mean: config.mean_mbps,
+            sigma_rel: config.cv,
+            z: 0.0,
+            blank: (0..config.minutes).map(|_| vec![0.0; bins]).collect(),
+        };
+        (generator, AggregateTrace::empty(bins, config.minutes))
+    }
+}
+
+impl Iterator for TraceGenerator {
+    type Item = TraceMinute;
+
+    /// Writes the next minute; `None` once `config.minutes` are out.
+    fn next(&mut self) -> Option<TraceMinute> {
+        let mut samples = self.blank.pop()?;
+        let config = &self.config;
         // The long-horizon load shape: a deterministic multiplicative swing
         // on top of the stationary walk, so hundreds-of-minutes runs see
         // the peak/trough asymmetry real WANs replan around. Amplitude 0
         // skips the factor entirely (bit-identical to the old generator).
         let diurnal = if config.diurnal_amplitude > 0.0 {
             1.0 + config.diurnal_amplitude
-                * (2.0 * std::f64::consts::PI * minute as f64
+                * (2.0 * std::f64::consts::PI * self.minute as f64
                     / config.diurnal_period_minutes as f64)
                     .sin()
         } else {
             1.0
         };
         // Mean-reverting random walk for the minute mean.
-        let drift = rng.gen_range(-MINUTE_DRIFT..=MINUTE_DRIFT);
-        let reversion = 0.05 * (config.mean_mbps - minute_mean) / config.mean_mbps;
-        minute_mean = (minute_mean * (1.0 + drift + reversion))
+        let drift = self.rng.gen_range(-MINUTE_DRIFT..=MINUTE_DRIFT);
+        let reversion = 0.05 * (config.mean_mbps - self.minute_mean) / config.mean_mbps;
+        self.minute_mean = (self.minute_mean * (1.0 + drift + reversion))
             .clamp(0.2 * config.mean_mbps, 3.0 * config.mean_mbps);
         // σ drifts slowly (Figure 10's x≈y clustering).
-        let sdrift = rng.gen_range(-SIGMA_DRIFT..=SIGMA_DRIFT);
-        sigma_rel = (sigma_rel * (1.0 + sdrift)).clamp(0.25 * config.cv, 4.0 * config.cv);
+        let sdrift = self.rng.gen_range(-SIGMA_DRIFT..=SIGMA_DRIFT);
+        self.sigma_rel = (self.sigma_rel * (1.0 + sdrift)).clamp(0.25 * config.cv, 4.0 * config.cv);
 
-        for _ in 0..config.bins_per_minute {
-            z = AR1 * z + innov * std_normal(&mut rng);
+        let innov = (1.0 - AR1 * AR1).sqrt();
+        for sample in &mut samples {
+            self.z = AR1 * self.z + innov * std_normal(&mut self.rng);
             // Lognormal-style positive noise with unit mean.
-            let s = sigma_rel;
-            let factor = (s * z - s * s / 2.0).exp();
-            samples.push(minute_mean * diurnal * factor);
+            let s = self.sigma_rel;
+            let factor = (s * self.z - s * s / 2.0).exp();
+            *sample = self.minute_mean * diurnal * factor;
         }
+        self.minute += 1;
+        Some(TraceMinute::summarize(samples))
     }
-    AggregateTrace::from_samples(samples, config.bins_per_minute)
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.blank.len(), Some(self.blank.len()))
+    }
+}
+
+impl ExactSizeIterator for TraceGenerator {}
+
+/// Generates a synthetic trace per [`TraceGenConfig`] (deterministic): a
+/// [`TraceGenerator`] run to the end.
+///
+/// # Panics
+/// Panics with [`TraceGenConfig::validate`]'s message on a field outside
+/// its range.
+pub fn synthesize(config: &TraceGenConfig) -> AggregateTrace {
+    let (generator, mut trace) = TraceGenerator::start(config);
+    for minute in generator {
+        trace.push_minute(minute);
+    }
+    trace
 }
 
 /// Decorrelates indexed streams sharing one base seed (golden-ratio
@@ -287,6 +441,66 @@ pub fn caida_like_traces(links: usize, traces_per_link: usize, seed: u64) -> Vec
 mod tests {
     use super::*;
 
+    /// The generator as it was before it could resume: one loop over the
+    /// whole run, every sample pushed onto one buffer. Kept as the
+    /// reference the streamed generator is held to.
+    fn whole_run(config: &TraceGenConfig) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x7472_6163);
+        let mut samples = Vec::with_capacity(config.minutes * config.bins_per_minute);
+        let mut minute_mean = config.mean_mbps;
+        let mut sigma_rel = config.cv;
+        let mut z = 0.0f64;
+        let innov = (1.0 - AR1 * AR1).sqrt();
+        for minute in 0..config.minutes {
+            let diurnal = if config.diurnal_amplitude > 0.0 {
+                1.0 + config.diurnal_amplitude
+                    * (2.0 * std::f64::consts::PI * minute as f64
+                        / config.diurnal_period_minutes as f64)
+                        .sin()
+            } else {
+                1.0
+            };
+            let drift = rng.gen_range(-MINUTE_DRIFT..=MINUTE_DRIFT);
+            let reversion = 0.05 * (config.mean_mbps - minute_mean) / config.mean_mbps;
+            minute_mean = (minute_mean * (1.0 + drift + reversion))
+                .clamp(0.2 * config.mean_mbps, 3.0 * config.mean_mbps);
+            let sdrift = rng.gen_range(-SIGMA_DRIFT..=SIGMA_DRIFT);
+            sigma_rel = (sigma_rel * (1.0 + sdrift)).clamp(0.25 * config.cv, 4.0 * config.cv);
+            for _ in 0..config.bins_per_minute {
+                z = AR1 * z + innov * std_normal(&mut rng);
+                let s = sigma_rel;
+                let factor = (s * z - s * s / 2.0).exp();
+                samples.push(minute_mean * diurnal * factor);
+            }
+        }
+        samples
+    }
+
+    #[test]
+    fn the_streamed_generator_is_the_whole_run_loop_to_the_bit() {
+        for (seed, minutes, bins, cv, amplitude) in [
+            (1, 8, 600, 0.3, 0.0),
+            (7, 5, 7, 0.0, 0.0),
+            (99, 6, 1, 1.2, 0.4),
+            (u64::MAX, 3, 64, 0.05, 0.9),
+        ] {
+            let cfg = TraceGenConfig {
+                mean_mbps: 1234.5,
+                cv,
+                minutes,
+                bins_per_minute: bins,
+                seed,
+                diurnal_amplitude: amplitude,
+                diurnal_period_minutes: 4,
+            };
+            let want: Vec<u64> = whole_run(&cfg).into_iter().map(f64::to_bits).collect();
+            let got = synthesize(&cfg);
+            let got: Vec<u64> =
+                (0..minutes).flat_map(|m| got.samples(m).to_vec()).map(f64::to_bits).collect();
+            assert!(got == want, "seed {seed}");
+        }
+    }
+
     #[test]
     fn shape_and_determinism() {
         let cfg = TraceGenConfig { minutes: 5, bins_per_minute: 100, ..Default::default() };
@@ -294,7 +508,7 @@ mod tests {
         let b = synthesize(&cfg);
         assert_eq!(a.minutes(), 5);
         assert_eq!(a.samples(0).len(), 100);
-        assert_eq!(a.samples_mbps, b.samples_mbps);
+        assert_eq!(a.store, b.store);
     }
 
     #[test]
@@ -350,7 +564,7 @@ mod tests {
         let trough: f64 = means[28..33].iter().sum::<f64>() / 5.0;
         assert!(peak > 1.5 * trough, "diurnal swing too weak: {peak} vs {trough}");
         let again = synthesize(&TraceGenConfig { diurnal_amplitude: 0.0, ..base });
-        assert_eq!(flat.samples_mbps, again.samples_mbps, "amplitude 0 is the old generator");
+        assert_eq!(flat.store, again.store, "amplitude 0 is the old generator");
     }
 
     #[test]
@@ -383,10 +597,8 @@ mod tests {
         let tr =
             synthesize(&TraceGenConfig { minutes: 6, bins_per_minute: 50, ..Default::default() });
         let view = tr.truncated(4);
-        assert!(Arc::ptr_eq(&view.samples_mbps, &tr.samples_mbps), "no allocation");
-        assert!(Arc::ptr_eq(&view.means, &tr.means), "the summaries are shared too");
-        assert!(Arc::ptr_eq(&view.peaks, &tr.peaks));
-        let copy = AggregateTrace::from_samples(tr.samples_mbps[..4 * 50].to_vec(), 50);
+        assert!(Arc::ptr_eq(&view.store, &tr.store), "no allocation, summaries shared too");
+        let copy = AggregateTrace::from_samples(tr.store.samples[..4].concat(), 50);
         assert_eq!(view.minutes(), 4);
         assert_eq!(view.minute_means(), copy.minute_means());
         for m in 0..4 {
@@ -398,6 +610,86 @@ mod tests {
         assert!(std::panic::catch_unwind(|| view.minute_mean(4)).is_err());
         assert!(std::panic::catch_unwind(|| view.peak(4)).is_err());
         assert!(std::panic::catch_unwind(|| view.truncated(5)).is_err());
+    }
+
+    #[test]
+    fn validate_names_the_field_outside_its_range() {
+        let ok = TraceGenConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let mean = |mean_mbps| TraceGenConfig { mean_mbps, ..ok.clone() };
+        let cv = |cv| TraceGenConfig { cv, ..ok.clone() };
+        let cases = [
+            (mean(f64::INFINITY), "mean_mbps = inf, expected a finite value in (0, 1e12]"),
+            (mean(2e12), "mean_mbps = 2000000000000, expected a finite value in (0, 1e12]"),
+            (mean(0.0), "mean_mbps = 0, expected a finite value in (0, 1e12]"),
+            (cv(f64::INFINITY), "cv = inf, expected a finite value in [0, 1e300]"),
+            (cv(-0.1), "cv = -0.1, expected a finite value in [0, 1e300]"),
+            (
+                TraceGenConfig { bins_per_minute: 0, ..ok.clone() },
+                "bins_per_minute = 0, expected at least 1",
+            ),
+            (
+                TraceGenConfig { diurnal_amplitude: 1.0, ..ok.clone() },
+                "diurnal_amplitude = 1, expected a value in [0, 1)",
+            ),
+            (
+                TraceGenConfig { diurnal_amplitude: 0.3, diurnal_period_minutes: 1, ..ok.clone() },
+                "diurnal_period_minutes = 1, expected at least 2 minutes while the amplitude is not 0",
+            ),
+        ];
+        for (cfg, want) in cases {
+            assert_eq!(cfg.validate().unwrap_err().to_string(), want);
+            // The generator panics with the same message, before it writes.
+            let panic = std::panic::catch_unwind(|| synthesize(&cfg)).expect_err(want);
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert_eq!(*message, format!("invalid trace config: {want}"));
+        }
+        // What used to get past the door and fail later, naming no field.
+        let escaped = [
+            (mean(1e308), "mean_mbps"),
+            (mean(f64::NAN), "mean_mbps"),
+            (cv(f64::NAN), "cv"),
+            (cv(1e308), "cv"),
+        ];
+        for (cfg, field) in escaped {
+            assert_eq!(cfg.validate().unwrap_err().param, field);
+        }
+        // The largest accepted values synthesize finite samples.
+        let edge = TraceGenConfig { mean_mbps: 1e12, minutes: 3, ..ok.clone() };
+        assert!(synthesize(&edge).minute_means().iter().all(|m| m.is_finite()));
+        assert!(synthesize(&TraceGenConfig { cv: 1e300, ..edge }).minutes() == 3);
+        // A period nothing reads is not an error.
+        assert_eq!(TraceGenConfig { diurnal_period_minutes: 0, ..ok }.validate(), Ok(()));
+    }
+
+    #[test]
+    fn a_grown_view_copies_and_leaves_the_trace_it_shared_with_as_it_was() {
+        let cfg = TraceGenConfig { minutes: 4, bins_per_minute: 20, ..Default::default() };
+        let whole = synthesize(&cfg);
+        let (generator, mut grown) = TraceGenerator::start(&cfg);
+        let mut minutes = generator;
+        grown.push_minute(minutes.next().expect("minute 0"));
+        grown.push_minute(minutes.next().expect("minute 1"));
+        let view = grown.truncated(2);
+        // The store is shared: growing copies it, and the view keeps its two.
+        grown.push_minute(minutes.next().expect("minute 2"));
+        assert!(!Arc::ptr_eq(&view.store, &grown.store));
+        assert_eq!(view.minutes(), 2);
+        assert_eq!(format!("{view:?}"), format!("{:?}", whole.truncated(2)));
+        // Alone again, the trace grows in place.
+        drop(view);
+        let store = Arc::as_ptr(&grown.store);
+        grown.push_minute(minutes.next().expect("minute 3"));
+        assert_eq!(Arc::as_ptr(&grown.store), store);
+        assert!(minutes.next().is_none(), "four minutes configured");
+        assert_eq!(grown.store, whole.store);
+        // A view that grows drops what it did not see.
+        let mut short = whole.truncated(1);
+        let (mut again, _) = TraceGenerator::start(&cfg);
+        short.push_minute(again.next().expect("minute 0"));
+        assert_eq!(short.minutes(), 2);
+        assert_eq!(short.samples(1), whole.samples(0));
+        assert_eq!(whole.minutes(), 4, "the trace it shared with is as it was");
     }
 
     #[test]

@@ -6,7 +6,17 @@ use lowlat_traffic::fft::convolve;
 use lowlat_traffic::multiplex::{MultiplexCheck, MultiplexConfig, Verdict};
 use lowlat_traffic::pmf::{convolve_group, Member, Pmf};
 use lowlat_traffic::predictor::{prediction_ratios, Predictor};
-use lowlat_traffic::trace::{synthesize, AggregateTrace, TraceGenConfig};
+use lowlat_traffic::trace::{synthesize, AggregateTrace, TraceGenConfig, TraceGenerator};
+
+/// Every sample, then every minute's mean and peak, as bit patterns.
+fn trace_bits(tr: &AggregateTrace) -> Vec<u64> {
+    let summaries = (0..tr.minutes()).flat_map(|m| [tr.minute_mean(m), tr.peak(m)]);
+    (0..tr.minutes())
+        .flat_map(|m| tr.samples(m).iter().copied())
+        .chain(summaries)
+        .map(f64::to_bits)
+        .collect()
+}
 
 /// The pairwise chain `convolve_group` used to be: every member quantized
 /// onto the common grid, folded in one linear convolution at a time over
@@ -310,6 +320,45 @@ proptest! {
                 prop_assert_eq!(view.peak(m).to_bits(), peak.to_bits());
             }
         }
+    }
+
+    /// A trace grown a minute at a time, as the timeline grows its ground
+    /// truth — each minute written on another thread while a view of the
+    /// minutes before it is alive — is `synthesize`'s, bit for bit, at
+    /// every prefix, with the diurnal cycle on and off.
+    #[test]
+    fn a_trace_grown_minute_by_minute_is_the_synthesized_one(
+        mean_mbps in 1.0f64..1e5,
+        cv in 0.0f64..1.5,
+        minutes in 1usize..=8,
+        bins_per_minute in 1usize..64,
+        diurnal_amplitude in (any::<bool>(), 0.01f64..0.99).prop_map(|(on, a)| if on { a } else { 0.0 }),
+        diurnal_period_minutes in 2usize..50,
+        seed in any::<u64>(),
+    ) {
+        let cfg = TraceGenConfig {
+            mean_mbps,
+            cv,
+            minutes,
+            bins_per_minute,
+            seed,
+            diurnal_amplitude,
+            diurnal_period_minutes,
+        };
+        let whole = synthesize(&cfg);
+        let (mut generator, mut grown) = TraceGenerator::start(&cfg);
+        for m in 0..minutes {
+            let seen = (m > 0).then(|| grown.truncated(m));
+            let minute = std::thread::scope(|scope| {
+                scope.spawn(|| generator.next()).join().expect("the generator does not panic")
+            });
+            grown.push_minute(minute.expect("a configured minute"));
+            if let Some(seen) = seen {
+                prop_assert_eq!(trace_bits(&seen), trace_bits(&whole.truncated(m)));
+            }
+        }
+        prop_assert!(generator.next().is_none(), "{} minutes configured", minutes);
+        prop_assert_eq!(trace_bits(&grown), trace_bits(&whole));
     }
 
     /// Synthetic traces are shaped as configured and non-negative.

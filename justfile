@@ -13,6 +13,7 @@ verify:
     cargo test -q --no-fail-fast
     RUST_TEST_THREADS=1 cargo test -q --no-fail-fast
     taskset -c 0 cargo test -q -p lowlat_sim --test sweep_golden
+    taskset -c 0 cargo test -q -p lowlat_sim --test timeline_golden
     taskset -c 0 cargo test -q -p lowlat_core --test tree_bits_at_scale
     cargo test --release -q -p lowlat_linprog --test solve_bits
     cargo test --release -q -p lowlat_traffic
