@@ -88,12 +88,11 @@ struct Stream {
 /// synthesizes. Each aggregate draws from its own stream, so which thread
 /// writes it does not change a bit. The span opens with the first claim.
 fn synthesize(streams: &[Mutex<Stream>], next: &AtomicUsize, minutes: usize) {
+    let mut span = None;
     // Relaxed: the counter publishes nothing but the index itself; the
     // minutes travel through the stream's lock and the threads' join.
-    let claim = || streams.get(next.fetch_add(1, Ordering::Relaxed));
-    let Some(first) = claim() else { return };
-    let _synthesize = telemetry::span("timeline.synthesize", "timeline");
-    for stream in std::iter::once(first).chain(std::iter::from_fn(claim)) {
+    while let Some(stream) = streams.get(next.fetch_add(1, Ordering::Relaxed)) {
+        span.get_or_insert_with(|| telemetry::span("timeline.synthesize", "timeline"));
         let stream = &mut *stream.lock().expect("a synthesizing thread panicked");
         let minutes = stream.generator.by_ref().take(minutes);
         stream.ready.extend(minutes);

@@ -384,13 +384,7 @@ impl Iterator for TraceGenerator {
         self.minute += 1;
         Some(TraceMinute::summarize(samples))
     }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.blank.len(), Some(self.blank.len()))
-    }
 }
-
-impl ExactSizeIterator for TraceGenerator {}
 
 /// Generates a synthetic trace per [`TraceGenConfig`] (deterministic): a
 /// [`TraceGenerator`] run to the end.
