@@ -19,12 +19,30 @@
 //! typically needs a handful of pivots to price the new columns in. Only
 //! the first LP of a chain is ever solved from scratch, and not even that
 //! when a previous call left its basis in the [`SolveContext`].
+//!
+//! Within a chain the basis does not travel through the slots at all. The
+//! chain keeps one live LP ([`lowlat_linprog::LiveLp`], in the context's
+//! `Chain`): the standard form its last LP was solved in and the basis
+//! that solve left. A round splices what growth added into that form
+//! (`splice` module docs) and renumbers the basis in place — the one
+//! renumbering `relabel` applies, the one restart a stored basis gets —
+//! so no LP is posed, converted, handed over or exported between the
+//! chain's ends. The slots see only those ends, with the entries and
+//! stamps handing the basis over round by round would have left: the
+//! chain's first LP is solved from its slot and keeps its basis there; a
+//! later round files its key with an empty placeholder carrying the stamp
+//! (so eviction sees what it always saw); and [`SolveContext::end_chain`]
+//! writes the basis into the last round's slot, with the columns its
+//! inverse inverts, before anything reads the slots again — the next LP
+//! that is not the chain's, in any call. Phase 2 after a phase 1 whose
+//! last round was solved re-costs the chain's standard form instead of
+//! posing its LP (`LpData::solve_again`).
 
 use std::collections::HashMap;
 
-use lowlat_linprog::{Basis, Problem};
+use lowlat_linprog::{Basis, LiveLp, Problem};
 
-use super::lp::LpLayout;
+use super::splice::LpLayout;
 
 /// Warm-start state carried across LP solves — one per scheme instance in a
 /// long-running controller (the §5 deployment cycle re-solves nearly
@@ -48,13 +66,33 @@ pub struct SolveContext {
     pub(super) bases: HashMap<(u8, usize, usize), StoredBasis>,
     pub(super) warm_hits: usize,
     pub(super) solves: usize,
+    /// The live LP of the chain the last LP solved belongs to.
+    pub(super) chain: Option<Chain>,
+}
+
+/// One live LP per chain: the standard form the chain's last LP was
+/// solved in, grown in place by the next round (`LpData::solve`), and —
+/// from the chain's second LP on — the basis that LP left. The chain's
+/// first LP is solved from, and stores its basis in, its slot as any LP
+/// is; a later round files only its key, with an empty placeholder and the
+/// stamp a stored basis would have, so [`SolveContext::slot`]'s eviction
+/// sees the entries it always saw. [`SolveContext::end_chain`] writes the
+/// basis, before anything reads the bases again.
+#[derive(Debug)]
+pub(super) struct Chain {
+    pub(super) live: LiveLp,
+    /// The key of the LP `live` holds.
+    pub(super) key: (u8, usize, usize),
+    /// Whether `live` holds the chain's basis; before the chain's second
+    /// LP it is the one stored at `key`.
+    pub(super) held: bool,
 }
 
 /// A stored basis plus the solve count at its last use, for eviction.
 #[derive(Clone, Debug, Default)]
 pub(super) struct StoredBasis {
-    basis: Basis,
-    last_used: usize,
+    pub(super) basis: Basis,
+    pub(super) last_used: usize,
 }
 
 /// Stored bases beyond this trigger eviction of stale entries — a
@@ -71,6 +109,20 @@ impl SolveContext {
     /// A fresh (all-cold) context.
     pub fn new() -> Self {
         SolveContext::default()
+    }
+
+    /// Ends the live chain: its basis, with the columns it inverts, goes
+    /// to the slot of the chain's last LP, which from then on holds what
+    /// handing it over round by round through the slots would have left
+    /// there. Returns the chain, whose live LP still holds its standard
+    /// form.
+    pub(super) fn end_chain(&mut self) -> Option<Chain> {
+        let mut chain = self.chain.take()?;
+        if chain.held {
+            self.bases.entry(chain.key).or_default().basis = chain.live.release();
+            chain.held = false;
+        }
+        Some(chain)
     }
 
     /// The basis slot for an LP of the given mode and dimensions.
@@ -124,6 +176,44 @@ impl SolveContext {
         true
     }
 
+    /// The live chain, taken out to grow from `from`, holding the basis
+    /// [`SolveContext::hand_over`] would carry: the chain's own, whose slot
+    /// holds only a placeholder, or the one at `from`'s slot — moved out
+    /// when it was handed over to `from`, copied when `from` began the
+    /// chain and its slot keeps it. `None`, and nothing touched, when the
+    /// chain does not end at `from` or holds no warm basis there.
+    pub(super) fn continue_chain(&mut self, from: &LpLayout) -> Option<Chain> {
+        let key = (from.tag, from.rows, from.vars());
+        let chain = self.chain.as_ref().filter(|c| c.key == key)?;
+        let warm = if chain.held {
+            chain.live.held().is_warm()
+        } else {
+            self.bases.get(&key).is_some_and(|s| s.basis.is_warm())
+        };
+        if !warm {
+            return None;
+        }
+        let mut chain = self.chain.take()?;
+        match (chain.held, from.handed_over) {
+            (true, _) => drop(self.bases.remove(&key)),
+            (false, true) => chain.live.hold(self.bases.remove(&key)?.basis),
+            (false, false) => chain.live.hold_copy(&self.bases.get(&key)?.basis),
+        }
+        chain.held = true;
+        Some(chain)
+    }
+
+    /// Files the chain after a round grew it into the LP laid out as `to`:
+    /// `to`'s slot gets a placeholder with the stamp the basis handed over
+    /// to it would carry, and counts as used, as that basis would.
+    pub(super) fn file_round(&mut self, mut chain: Chain, to: &LpLayout) {
+        chain.key = (to.tag, to.rows, to.vars());
+        let placeholder = StoredBasis { basis: Basis::new(), last_used: self.solves };
+        self.bases.insert(chain.key, placeholder);
+        self.slot(to.tag, to.rows, to.vars());
+        self.chain = Some(chain);
+    }
+
     /// LP solves that actually restarted from a stored basis.
     pub fn warm_hits(&self) -> usize {
         self.warm_hits
@@ -134,8 +224,10 @@ impl SolveContext {
         self.solves
     }
 
-    /// Heap bytes of every stored basis — the `pathgrow.basis_bytes` gauge.
+    /// Heap bytes of every stored basis and the live chain's — the
+    /// `pathgrow.basis_bytes` gauge.
     pub(super) fn basis_bytes(&self) -> usize {
-        self.bases.values().map(|s| s.basis.heap_bytes()).sum()
+        let live = self.chain.as_ref().map_or(0, |c| c.live.held().heap_bytes());
+        live + self.bases.values().map(|s| s.basis.heap_bytes()).sum::<usize>()
     }
 }

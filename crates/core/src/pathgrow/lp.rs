@@ -42,13 +42,13 @@
 //! optimum of the grown LP — the one a restart would be handed and return
 //! without a pivot — and the round keeps it: same level, critical links,
 //! overload prices and basis, fractions zero-padded to the grown sets, no LP
-//! assembled, handed over, restarted or exported. The round still counts,
-//! the stopping test still runs on it, and the next LP that is posed takes
-//! its basis from the last LP *solved* (the layouts' maps span several
-//! growth steps: old sets are prefixes of new ones); when phase 1 ends on a
-//! kept round, phase 2 takes that basis over to the final column set
-//! itself. On a 10k-node placement 15 of 23 rounds keep their outcome, on a
-//! GTS-like decision 10 of 75.
+//! spliced, restarted or exported. The round still counts, the stopping
+//! test still runs on it, and the next LP that is solved grows out of the
+//! last LP *solved* (the layouts' maps span several growth steps: old sets
+//! are prefixes of new ones); when phase 1 ends on a kept round, phase 2
+//! takes that basis over to the final column set itself. On a 10k-node
+//! placement 15 of 23 rounds keep their outcome, on a GTS-like decision 10
+//! of 75.
 //!
 //! Why `−tol` and not 0: the solver enters a column only below minus
 //! [`PRICING_TOL`] (`1e-9`), and phase 1's `1e-6·Σ o_l` spread term
@@ -71,23 +71,27 @@
 //!
 //! ## What a round allocates
 //!
-//! A round allocates per LP, not per row, path or aggregate. `pose` builds
-//! the capacity rows as compressed per-link lists in scratch the solve
-//! keeps ([`LpData`]'s `pose`): it counts the variables crossing each used
-//! link, places the rows by a prefix sum with one slot at each row's end
-//! for its `o_l` or `U` column, and fills them in path order, one entry per
-//! (path, link): each row reaches [`Problem::add_row`] with its variables
-//! strictly increasing, and is appended to the problem's own arena. The
-//! solved LP's fractions are one flat array ([`Fractions`]); a kept round
-//! pads it to the grown path sets in one rebuild.
+//! A round allocates per LP, not per row, path or aggregate. Only the
+//! first LP of a chain is posed: `pose` builds the capacity rows as
+//! compressed per-link lists in scratch the solve keeps ([`LpData`]'s
+//! `pose`): it counts the variables crossing each used link, places the
+//! rows by a prefix sum with one slot at each row's end for its `o_l` or
+//! `U` column, and fills them in path order, one entry per (path, link):
+//! each row reaches [`Problem::add_row`] with its variables strictly
+//! increasing, and is appended to the problem's own arena. A later round
+//! writes only what growth added ([`LpData::splice`]) into buffers the
+//! solve and the chain's live LP keep. The solved LP's fractions are one
+//! flat array ([`Fractions`]); a kept round pads it to the grown path sets
+//! in one rebuild.
 
-use lowlat_linprog::{LpError, Problem, Relation, Solution, PRICING_TOL};
+use lowlat_linprog::{Growth, LiveLp, LpError, Problem, Relation, Solution, PRICING_TOL};
 use lowlat_netgraph::{LinkId, Path};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
 
 use super::bound::BoundScratch;
-use super::context::SolveContext;
+use super::context::{Chain, SolveContext};
+use super::splice::{FixedLoads, LpLayout};
 use super::{FITS, M1};
 
 /// Internal: per-aggregate constants for the LP.
@@ -110,7 +114,7 @@ const VOLUME_FLOOR: f64 = 1e-12;
 /// Weight of each link's overload `o_l` in the overload modes' objective,
 /// the spread term beside `omax` (and beside the delay in phase 2).
 /// Absolute, in objective units per unit of overload.
-const SPREAD_WEIGHT: f64 = 1e-6;
+pub(super) const SPREAD_WEIGHT: f64 = 1e-6;
 
 /// A link is loaded to a level when its load is within this of
 /// `level × C_l` (`LpData::links_loaded_to`). Relative to `level × C_l`.
@@ -207,107 +211,12 @@ impl std::ops::Index<usize> for Fractions {
 
 impl LpMode {
     /// Context key tag: LPs of different modes never share a basis.
-    fn tag(&self) -> u8 {
+    pub(super) fn tag(&self) -> u8 {
         match self {
             LpMode::MinOverload => 0,
             LpMode::MinUtilization => 1,
             LpMode::MinLatency { .. } => 2,
         }
-    }
-}
-
-/// Where the variables and rows of one posed LP sit. [`LpData::solve`] is
-/// the only place that decides it; the basis hand-over between two LPs of a
-/// chain derives its column and row maps from their two layouts.
-///
-/// Columns: a block of split variables per aggregate with more than one
-/// path (aggregate order), one `o_l` per used link (link-index order), the
-/// aux variable. Rows: a capacity row per used link, (overload modes) an
-/// `o_l <= omax` row per used link, a `Σ = B_a` row per multi-path
-/// aggregate; MinMax stage 2 appends its utilization caps.
-pub(super) struct LpLayout {
-    /// Links that have a capacity row, ascending.
-    pub(super) used_links: Vec<usize>,
-    /// Aggregate `a`'s split variables are `col_base[a]..col_base[a + 1]`
-    /// (none for a single-path aggregate).
-    col_base: Vec<usize>,
-    /// Whether the `o_l <= omax` rows exist.
-    o_rows: bool,
-    /// Constraint rows of the posed LP.
-    pub(super) rows: usize,
-    /// [`LpMode::tag`] of the posed LP: the context key its basis is under.
-    pub(super) tag: u8,
-    /// Whether this LP's basis arrived from the LP before it in its mode's
-    /// chain.
-    pub(super) handed_over: bool,
-}
-
-/// `(columns, rows, enter)` as [`lowlat_linprog::Basis::relabel`] takes them.
-type BasisMaps = (Vec<usize>, Vec<usize>, Vec<Option<usize>>);
-
-impl LpLayout {
-    fn num_x(&self) -> usize {
-        self.col_base[self.col_base.len() - 1]
-    }
-
-    pub(super) fn vars(&self) -> usize {
-        self.num_x() + self.used_links.len() + 1
-    }
-
-    /// The maps that carry a basis of this LP to `grown`, the LP one growth
-    /// step later: surviving paths, links and aggregates keep their
-    /// variables and rows under new numbers; a newly used link adds a
-    /// capacity row and an `o_l <= omax` row whose slacks enter the basis
-    /// (no old path crosses it, so both are slack at the old vertex); an
-    /// aggregate that went single→multi adds its `Σ = B_a` row, in which
-    /// its old path's variable enters — basic at `B_a`, exactly the load it
-    /// contributed as a fixed term before. `None` when `grown` does not
-    /// extend this layout.
-    pub(super) fn maps_into(&self, grown: &LpLayout) -> Option<BasisMaps> {
-        if self.o_rows != grown.o_rows || self.col_base.len() != grown.col_base.len() {
-            return None;
-        }
-        let rank: Vec<usize> = self
-            .used_links
-            .iter()
-            .map(|l| grown.used_links.binary_search(l).ok())
-            .collect::<Option<_>>()?;
-        let (num_x, num_o) = (grown.num_x(), grown.used_links.len());
-        // Rows per used link (capacity, and `o_l <= omax` in overload modes);
-        // the `Σ = B_a` rows follow them.
-        let link_rows = if grown.o_rows { 2 } else { 1 };
-        let sum_base = link_rows * num_o;
-
-        let mut columns = Vec::with_capacity(self.vars());
-        let mut sum_rows = Vec::new();
-        let mut enter_sums = Vec::new();
-        let mut multi = 0;
-        for (old, new) in self.col_base.windows(2).zip(grown.col_base.windows(2)) {
-            let (old_len, new_len) = (old[1] - old[0], new[1] - new[0]);
-            if old_len > new_len {
-                return None;
-            }
-            columns.extend(new[0]..new[0] + old_len);
-            if new_len > 0 {
-                if old_len > 0 {
-                    sum_rows.push(sum_base + multi);
-                } else {
-                    enter_sums.push(Some(new[0]));
-                }
-                multi += 1;
-            }
-        }
-        columns.extend(rank.iter().map(|r| num_x + r));
-        columns.push(num_x + num_o);
-
-        let mut rows = rank.clone();
-        if grown.o_rows {
-            rows.extend(rank.iter().map(|r| num_o + r));
-        }
-        rows.extend(sum_rows);
-        let mut enter = vec![None; link_rows * (num_o - rank.len())];
-        enter.extend(enter_sums);
-        Some((columns, rows, enter))
     }
 }
 
@@ -326,9 +235,14 @@ pub(super) struct LpData<'a> {
     /// Scratch, one entry per graph link, all [`UNUSED`] between LPs: the
     /// rank of each link among the posed LP's used links. Owned here so an
     /// LP costs what its paths touch, not what the graph holds.
-    link_rank: Vec<u32>,
-    /// Scratch of [`LpData::pose`], reused by every LP of the solve.
-    pose: PoseScratch,
+    pub(super) link_rank: Vec<u32>,
+    /// Scratch of [`LpData::pose`] and [`LpData::splice`], reused by every
+    /// LP of the solve.
+    pub(super) pose: PoseScratch,
+    /// What [`LpData::splice`] adds to the live LP, reused by every round.
+    pub(super) growth: Growth,
+    /// Which aggregates' volumes a splice sums again into a fixed load.
+    pub(super) fixed_loads: FixedLoads,
     /// Scratch of [`LpData::proves_final`], sized on its first use.
     pub(super) bound: BoundScratch,
     /// Rounds of this solve that kept their outcome ([`LpData::next_round`]).
@@ -336,9 +250,10 @@ pub(super) struct LpData<'a> {
 }
 
 /// What [`LpData::pose`] builds its rows in: the capacity rows as
-/// compressed per-link lists, the fixed loads and one `Σ = B_a` row.
+/// compressed per-link lists, the fixed loads and one `Σ = B_a` row; and
+/// what [`LpData::splice`] builds its columns in.
 #[derive(Default)]
-struct PoseScratch {
+pub(super) struct PoseScratch {
     /// Used link `oi`'s coefficients are `entries[starts[oi]..fill[oi]]`,
     /// with one slot left at `fill[oi]` for its `o_l` or `U` column.
     starts: Vec<usize>,
@@ -346,15 +261,22 @@ struct PoseScratch {
     entries: Vec<(usize, f64)>,
     /// Load the single-path aggregates put on each used link.
     fixed_load: Vec<f64>,
-    sum_row: Vec<(usize, f64)>,
+    pub(super) sum_row: Vec<(usize, f64)>,
+    /// Per used link, whether a splice recomputed its fixed load.
+    pub(super) refixed: Vec<bool>,
+    /// The aggregates a splice grew: `(aggregate, its first new path, its
+    /// `Σ = B_a` row among the multi-path aggregates)`.
+    pub(super) grown: Vec<(usize, usize, usize)>,
+    /// The links a splice's new paths give rows, ascending.
+    pub(super) fresh: Vec<usize>,
 }
 
 /// [`LpData::link_rank`] of a link no posed path crosses.
-const UNUSED: u32 = u32::MAX;
+pub(super) const UNUSED: u32 = u32::MAX;
 
-/// [`LpData::link_rank`], while growth is priced, of a link that has no row
-/// in the held LP and that a new column crosses.
-const FRESH: u32 = u32::MAX - 1;
+/// [`LpData::link_rank`], while growth is priced or spliced, of a link that
+/// has no row in the held LP and that a new column crosses.
+pub(super) const FRESH: u32 = u32::MAX - 1;
 
 impl<'a> LpData<'a> {
     pub(super) fn new(
@@ -371,6 +293,8 @@ impl<'a> LpData<'a> {
             delay_norm: aggs.iter().map(|a| a.flows * a.sp_delay).sum::<f64>().max(DELAY_FLOOR),
             link_rank: vec![UNUSED; caps.len()],
             pose: PoseScratch::default(),
+            growth: Growth::new(),
+            fixed_loads: FixedLoads::default(),
             bound: BoundScratch::default(),
             lps_skipped: 0,
         }
@@ -379,7 +303,7 @@ impl<'a> LpData<'a> {
     /// Figure 12's delay weight of one unit of aggregate `a`'s traffic on
     /// `path`, `n_a d_p (1 + M1/S_a) / (norm · B_a)`: the `MinLatency`
     /// objective coefficient of the path's variable `z_ap = B_a x_ap`.
-    fn delay_cost(&self, a: usize, path: &Path) -> f64 {
+    pub(super) fn delay_cost(&self, a: usize, path: &Path) -> f64 {
         let agg = &self.aggs[a];
         let w = agg.flows * path.delay_ms() * (1.0 + M1 / agg.sp_delay.max(DELAY_FLOOR));
         w / (self.delay_norm * self.volumes[a].max(VOLUME_FLOOR))
@@ -475,7 +399,7 @@ impl<'a> LpData<'a> {
         // column, and a second pass fills the rows with the 1/cap-scaled
         // coefficients, in path order.
         let mut scratch = std::mem::take(&mut self.pose);
-        let PoseScratch { starts, fill, entries, fixed_load, sum_row } = &mut scratch;
+        let PoseScratch { starts, fill, entries, fixed_load, sum_row, .. } = &mut scratch;
         fixed_load.clear();
         fixed_load.resize(num_o, 0.0);
         starts.clear();
@@ -602,7 +526,11 @@ impl<'a> LpData<'a> {
     /// from (and refreshing) the context's basis for this mode and problem
     /// size. `grown_from` is the layout of the LP this one grew out of, when
     /// the caller holds that one's optimum: its basis is handed over first,
-    /// so this LP restarts from there.
+    /// so this LP restarts from there. When that LP is the live chain's last
+    /// (the context's `Chain`) and this one is in its mode, this one is not
+    /// posed: it is spliced into the chain's standard form and restarts
+    /// from the basis the chain holds — the same LP and the same restart, to
+    /// the bit.
     pub(super) fn solve(
         &mut self,
         path_sets: &[Vec<Path>],
@@ -610,24 +538,143 @@ impl<'a> LpData<'a> {
         grown_from: Option<&LpLayout>,
         ctx: &mut SolveContext,
     ) -> Result<LpOutcome, LpError> {
+        let capped = matches!(mode, LpMode::MinLatency { util_cap, .. } if util_cap.is_finite());
+        #[cfg(test)]
+        let capped = capped || tests::SPLICING_OFF.get();
+        if let Some(from) = grown_from {
+            let key = (from.tag, from.rows, from.vars());
+            if from.tag == mode.tag() && !capped && ctx.chain.as_ref().is_some_and(|c| c.key == key)
+            {
+                let span = telemetry::span("pathgrow.splice", "pathgrow");
+                if let Some(layout) = self.splice(path_sets, mode, from) {
+                    if let Some(mut chain) = ctx.continue_chain(from) {
+                        let grown = chain.live.grow(&self.growth);
+                        drop(span);
+                        if grown {
+                            return self.solve_spliced(path_sets, mode, layout, chain, ctx);
+                        }
+                        // Nothing to restart from: handing the basis over
+                        // would have dropped it and filed nothing.
+                        let (p, layout) = self.pose(path_sets, mode);
+                        return self.solve_posed(path_sets, mode, p, layout, ctx);
+                    }
+                }
+            }
+        }
+        ctx.end_chain();
         let (p, mut layout) = self.pose(path_sets, mode);
-        let volumes = self.volumes;
-        let traffic_units = layout.o_rows;
-        let (o_var_base, num_o) = (layout.num_x(), layout.used_links.len());
-        let aux = o_var_base + num_o;
         // The basis travels under the mode of the LP it came from: phase 2
         // takes over the vertex of a phase 1 that ended on a kept round
         // (`next_round`) this way, and starts its own chain with it.
         if let Some(from) = grown_from {
             layout.handed_over = ctx.hand_over(from, &layout, &p) && from.tag == layout.tag;
         }
+        self.solve_posed(path_sets, mode, p, layout, ctx)
+    }
+
+    /// The LP `held` solved, posed in `mode` — the same rows and columns
+    /// under another objective and bounds: phase 2 after a phase 1 whose
+    /// last round solved its LP. The chain's standard form takes the new
+    /// costs and bounds instead of the LP being posed again, and the LP is
+    /// solved from its slot as a posed one is, beginning a chain of its own.
+    pub(super) fn solve_again(
+        &mut self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        held: &LpOutcome,
+        ctx: &mut SolveContext,
+    ) -> Result<LpOutcome, LpError> {
+        let from = &held.layout;
+        let key = (from.tag, from.rows, from.vars());
+        let ends_at_held = ctx.chain.as_ref().is_some_and(|c| c.key == key) && !held.kept;
+        #[cfg(test)]
+        let ends_at_held = ends_at_held && !tests::SPLICING_OFF.get();
+        let omax_cap = match mode {
+            LpMode::MinLatency { omax_cap, util_cap } if ends_at_held && util_cap.is_infinite() => {
+                *omax_cap
+            }
+            _ => return self.solve(path_sets, mode, None, ctx),
+        };
+        let mut live = ctx.end_chain().expect("the chain ends at `held`").live;
+        let (x_end, num_o) = (from.num_x(), from.used_links.len());
+        let (mut costs, mut uppers) = (vec![0.0; from.vars()], vec![f64::INFINITY; from.vars()]);
+        for (a, (paths, cols)) in path_sets.iter().zip(from.col_base.windows(2)).enumerate() {
+            for (j, path) in (cols[0]..cols[1]).zip(paths) {
+                costs[j] = self.delay_cost(a, path);
+            }
+        }
+        costs[x_end..x_end + num_o].fill(SPREAD_WEIGHT);
+        uppers[x_end..].fill(omax_cap);
+        live.set_costs(&costs, &uppers);
+        let layout = LpLayout { tag: mode.tag(), handed_over: false, ..from.clone() };
+        let (rows, vars) = (layout.rows, layout.vars());
+        ctx.seed_cross_mode(LpMode::MinOverload.tag(), mode.tag(), rows, vars);
+        let sol = live.solve_warm(ctx.slot(mode.tag(), rows, vars))?;
+        #[cfg(test)]
+        let p = tests::posed_as_spliced(self, path_sets, mode, &layout, &live);
+        ctx.chain = Some(Chain { live, key: (mode.tag(), rows, vars), held: false });
+        #[cfg(test)]
+        tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
+        Ok(self.outcome(path_sets, mode, layout, sol, ctx))
+    }
+
+    /// Solves the posed `p` from its slot, and begins a chain with it.
+    fn solve_posed(
+        &mut self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        p: Problem,
+        layout: LpLayout,
+        ctx: &mut SolveContext,
+    ) -> Result<LpOutcome, LpError> {
         // Phase 2 shares phase 1's rows and columns; restart it from phase
         // 1's vertex when no previous phase-2 basis fits.
         if matches!(mode, LpMode::MinLatency { .. }) {
             ctx.seed_cross_mode(LpMode::MinOverload.tag(), mode.tag(), p.num_rows(), p.num_vars());
         }
-        let basis = ctx.slot(mode.tag(), p.num_rows(), p.num_vars());
-        let sol = p.solve_warm(basis)?;
+        let live = LiveLp::new(&p);
+        let key = (mode.tag(), p.num_rows(), p.num_vars());
+        let sol = live.solve_warm(ctx.slot(key.0, key.1, key.2))?;
+        ctx.chain = Some(Chain { live, key, held: false });
+        #[cfg(test)]
+        tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
+        Ok(self.outcome(path_sets, mode, layout, sol, ctx))
+    }
+
+    /// Restarts `chain`, grown into the LP laid out as `layout`, from the
+    /// basis it holds — filing the round as handing the basis over would.
+    fn solve_spliced(
+        &mut self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        mut layout: LpLayout,
+        chain: Chain,
+        ctx: &mut SolveContext,
+    ) -> Result<LpOutcome, LpError> {
+        layout.handed_over = true;
+        #[cfg(test)]
+        let p = tests::posed_as_spliced(self, path_sets, mode, &layout, &chain.live);
+        ctx.file_round(chain, &layout);
+        let chain = ctx.chain.as_mut().expect("the round was filed");
+        let sol = chain.live.solve()?;
+        #[cfg(test)]
+        tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
+        Ok(self.outcome(path_sets, mode, layout, sol, ctx))
+    }
+
+    /// The outcome of the LP laid out as `layout`, solved to `sol`.
+    fn outcome(
+        &self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        layout: LpLayout,
+        sol: Solution,
+        ctx: &mut SolveContext,
+    ) -> LpOutcome {
+        let volumes = self.volumes;
+        let traffic_units = layout.o_rows;
+        let (o_var_base, num_o) = (layout.num_x(), layout.used_links.len());
+        let aux = o_var_base + num_o;
         ctx.solves += 1;
         if sol.warm_started() {
             ctx.warm_hits += 1;
@@ -638,15 +685,9 @@ impl<'a> LpData<'a> {
             if layout.handed_over && sol.warm_started() {
                 telemetry::counter_add("pathgrow.lp_handed_over", 1);
             }
-            telemetry::observe("pathgrow.lp_rows", p.num_rows() as f64);
+            telemetry::observe("pathgrow.lp_rows", layout.rows as f64);
             telemetry::gauge_set("pathgrow.basis_bytes", ctx.basis_bytes() as f64);
         }
-        #[cfg(test)]
-        tests::audit_against_cold(
-            &p,
-            &sol,
-            (!matches!(mode, LpMode::MinLatency { .. })).then_some(aux),
-        );
 
         // Extract fractions (z_ap / B_a in traffic units) and the critical
         // link set.
@@ -685,7 +726,7 @@ impl<'a> LpData<'a> {
                 }
             }
         }
-        Ok(LpOutcome {
+        LpOutcome {
             fractions,
             level,
             pivots: sol.iterations(),
@@ -695,7 +736,7 @@ impl<'a> LpData<'a> {
             kept: false,
             layout,
             sol,
-        })
+        }
     }
 
     /// The LP of the round after a growth step, priced before it is posed
@@ -848,6 +889,7 @@ pub(super) fn agg_infos(tm: &TrafficMatrix, path_sets: &[Vec<Path>]) -> Vec<AggI
 
 #[cfg(test)]
 pub(super) mod tests {
+    use super::super::context::StoredBasis;
     use super::*;
 
     thread_local! {
@@ -863,6 +905,55 @@ pub(super) mod tests {
         pub(super) static PRICING_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
         /// Rounds that kept their outcome on this thread.
         static KEPT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Rounds spliced into a live LP on this thread.
+        static SPLICED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Switches the live LP off on this thread: every LP is posed and
+        /// its basis handed over through the slots, as before it was kept.
+        pub(super) static SPLICING_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Runs `f` with every LP posed from scratch.
+    pub(crate) fn without_splicing<T>(f: impl FnOnce() -> T) -> T {
+        SPLICING_OFF.set(true);
+        let out = f();
+        SPLICING_OFF.set(false);
+        out
+    }
+
+    /// Rounds spliced into a live LP on this thread so far, each held to
+    /// the LP posed from scratch by [`posed_as_spliced`].
+    pub(crate) fn spliced_rounds() -> usize {
+        SPLICED.get()
+    }
+
+    /// The variable the cold audit holds to its level: `omax` / `U` where
+    /// the level is what is minimized.
+    pub(super) fn level_var(mode: &LpMode, layout: &LpLayout) -> Option<usize> {
+        (!matches!(mode, LpMode::MinLatency { .. }))
+            .then_some(layout.num_x() + layout.used_links.len())
+    }
+
+    /// Every spliced round is held to the LP [`LpData::pose`] poses from
+    /// scratch — the reference the splice replaced: the same layout, and,
+    /// to the bit, the same standard form (columns and their coefficients,
+    /// right-hand sides, costs, bounds, slack order). Returns that LP, for
+    /// the audits that read a posed problem.
+    pub(super) fn posed_as_spliced(
+        lp: &mut LpData,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        layout: &LpLayout,
+        live: &LiveLp,
+    ) -> Problem {
+        SPLICED.set(SPLICED.get() + 1);
+        let (p, posed) = lp.pose(path_sets, mode);
+        let shape =
+            |l: &LpLayout| (l.used_links.clone(), l.col_base.clone(), l.o_rows, l.rows, l.tag);
+        assert_eq!(shape(layout), shape(&posed), "the spliced layout is the posed one");
+        if let Some(difference) = live.differs_from(&p) {
+            panic!("spliced LP ({} rows) is not the posed one: {difference}", p.num_rows());
+        }
+        p
     }
 
     /// Rounds that kept their outcome on this thread so far, each audited
@@ -894,14 +985,21 @@ pub(super) mod tests {
         mode: &LpMode,
         held: &LpOutcome,
         links: usize,
-        ctx: &SolveContext,
+        ctx: &mut SolveContext,
     ) {
         KEPT.set(KEPT.get() + 1);
         let from = &held.layout;
         let key = (from.tag, from.rows, from.vars());
         let mut scratch = SolveContext::new();
-        let basis = ctx.bases.get(&key).expect("the held LP left its basis");
-        scratch.bases.insert(key, basis.clone());
+        let basis = match &mut ctx.chain {
+            Some(chain) if chain.held && chain.key == key => {
+                let basis = chain.live.release();
+                chain.live.hold_copy(&basis);
+                basis
+            }
+            _ => ctx.bases.get(&key).expect("the held LP left its basis").basis.clone(),
+        };
+        scratch.bases.insert(key, StoredBasis { basis, last_used: 0 });
         let posed = lp.solve(path_sets, mode, Some(from), &mut scratch).expect("the skipped LP");
         let rows = posed.layout.rows;
         assert!(posed.sol.warm_started(), "the skipped LP ({rows} rows) restarts warm");

@@ -17,8 +17,10 @@
 //!
 //! - `lp`: the Figure-12 LP of one round — its layout, how it is posed and
 //!   solved, and the pricing step that decides whether it is posed at all;
+//! - `splice`: where a round's LP puts its variables and rows, and what a
+//!   growth step splices into the LP the round before solved;
 //! - `context`: the warm-start state ([`SolveContext`]) that carries a
-//!   basis along a chain of LPs and across calls;
+//!   basis along a chain of LPs and across calls, and the chain's live LP;
 //! - `bound`: the stopping rule that ends phase 1 once no column of the
 //!   live graph can lower the overload;
 //! - `pricing`: the pricing oracle's side of a solve — which pairs grow,
@@ -43,6 +45,7 @@ mod bound;
 mod context;
 mod lp;
 mod pricing;
+mod splice;
 
 use lowlat_linprog::LpError;
 use lowlat_netgraph::Path;
@@ -54,8 +57,9 @@ use crate::source::PathSource;
 
 use bound::{bound_armed, BoundVerdict, BOUND_TOL};
 pub use context::SolveContext;
-use lp::{agg_infos, Fractions, LpData, LpLayout, LpMode};
+use lp::{agg_infos, Fractions, LpData, LpMode};
 use pricing::{grow_crossing, PricingState};
+use splice::LpLayout;
 
 /// The one dial of the LP + growth loop; the rest are the constants below.
 #[derive(Clone, Debug, Default)]
@@ -342,7 +346,11 @@ fn run_latency_optimal(
     let phase2 = telemetry::span("pathgrow.phase2", "pathgrow");
     let mode =
         LpMode::MinLatency { omax_cap: cap_above(omax, OVERLOAD_CAP_REL), util_cap: f64::INFINITY };
-    let mut out = lp.solve(&path_sets, &mode, out.kept.then_some(&out.layout), ctx)?;
+    let mut out = if out.kept {
+        lp.solve(&path_sets, &mode, Some(&out.layout), ctx)?
+    } else {
+        lp.solve_again(&path_sets, &mode, &out, ctx)?
+    };
     pivots += out.pivots;
     drop(phase2);
 
@@ -475,8 +483,8 @@ pub(crate) mod tests {
     use rand::{Rng, SeedableRng};
 
     use super::bound::tests::{verdicts, without_bound};
-    pub(crate) use super::lp::tests::kept_rounds;
-    use super::lp::tests::{audited, without_pricing};
+    use super::lp::tests::{audited, without_pricing, without_splicing};
+    pub(crate) use super::lp::tests::{kept_rounds, spliced_rounds};
     use super::lp::AggInfo;
     use super::pricing::tests::SURPLUS_OFF;
 
@@ -1097,6 +1105,60 @@ pub(crate) mod tests {
         let volumes: Vec<f64> = tm.aggregates().iter().map(|a| 2.0 * a.volume_mbps).collect();
         let (on, off) = surplus_only_removes_asks(&PathCache::new(topo.graph()), &tm, &volumes);
         assert_eq!(on, off);
+    }
+
+    // ---- The live LP (`splice` module docs) ----
+
+    /// Every number of `placement`, floats by their bits.
+    fn placement_bits(placement: &Placement) -> Vec<(Vec<LinkId>, u64)> {
+        let splits = placement.per_aggregate().iter().flat_map(|a| &a.splits);
+        splits.map(|(path, x)| (path.links().to_vec(), x.to_bits())).collect()
+    }
+
+    #[test]
+    fn a_spliced_chain_is_the_posed_chain_to_the_bit() {
+        // LDR's loop on GTS-like in miniature — five warm calls, a third of
+        // the demands inflated a little more each time — then MinMax on the
+        // same context: every phase grows a chain. Spliced or posed, every
+        // placement, pivot, round and solve is the same, and the context
+        // ends with the same slots under the same stamps.
+        let topo = named::gts_like();
+        let tm =
+            GravityTmGen::new(TmGenConfig::default()).generate(&topo, 0).scaled_to_load(&topo, 0.7);
+        let cache = PathCache::new(topo.graph());
+        let run = || {
+            let mut ctx = SolveContext::new();
+            let mut outcomes = Vec::new();
+            for call in 0..5 {
+                let volumes: Vec<f64> = (tm.aggregates().iter().enumerate())
+                    .map(|(a, agg)| {
+                        agg.volume_mbps * if a % 3 == 0 { 1.0 + 0.05 * call as f64 } else { 1.0 }
+                    })
+                    .collect();
+                let out = GrowRequest::new(&cache, &tm).volumes(&volumes).solve_with(&mut ctx);
+                outcomes.push(out.unwrap());
+            }
+            outcomes.push(GrowRequest::new(&cache, &tm).minmax(None).solve_with(&mut ctx).unwrap());
+            ctx.end_chain();
+            let mut slots: Vec<_> = ctx
+                .bases
+                .iter()
+                .map(|(&key, s)| (key, s.last_used, format!("{:?}", s.basis), s.basis.heap_bytes()))
+                .collect();
+            slots.sort_by_key(|s| s.0);
+            let numbers: Vec<_> = outcomes
+                .iter()
+                .map(|o| (placement_bits(&o.placement), o.omax.to_bits(), o.lp_pivots, o.rounds))
+                .collect();
+            (numbers, slots, ctx.solves(), ctx.warm_hits())
+        };
+        let spliced_before = spliced_rounds();
+        let spliced = run();
+        let rounds = spliced_rounds() - spliced_before;
+        let posed = without_splicing(run);
+        assert_eq!(spliced_rounds() - spliced_before, rounds, "nothing is spliced with it off");
+        assert!(rounds >= 10, "{rounds} rounds spliced");
+        assert!(spliced == posed, "the spliced chain is not the posed one");
     }
 
     // ---- Pricing before posing (`lp` module docs, "The pricing step") ----

@@ -50,7 +50,13 @@
 //!   a pricing round restarts from the optimum of the round before it; and
 //!   [`Solution::prices_in`] says, from that optimum's duals, whether a new
 //!   column would enter the basis at all — a round none of whose columns
-//!   would need not be posed.
+//!   would need not be posed. A chain of such rounds need not pose its
+//!   problems at all: a [`LiveLp`] holds the standard form and the basis
+//!   of the last round solved, and a round splices its new columns and
+//!   rows in ([`Growth`]) and restarts there — the same renumbering as
+//!   `relabel`, the same restart as `solve_warm`, the same standard form as
+//!   posing the grown problem, to the bit — instead of building the grown
+//!   problem row by row, converting it and handing the basis over.
 //!
 //! Not implemented (not needed by this workspace): general variable bounds
 //! (shift/negate at the call site), sparse LU factorization or an eta file
@@ -84,4 +90,4 @@ mod simplex;
 
 pub use certify::{certify, Violation};
 pub use problem::{Problem, Relation, RowId};
-pub use simplex::{Basis, LpError, Solution, PRICING_TOL};
+pub use simplex::{Basis, Growth, LiveLp, LpError, Solution, PRICING_TOL};

@@ -11,6 +11,9 @@
 //!   how the engine takes it up and hands it back;
 //! - `engine`: the pivoting itself — both phases, the ratio test, the dual
 //!   repair of a warm restart — and the cold and warm entry points;
+//! - `live`: a problem held in standard form along a column-generation
+//!   chain ([`LiveLp`]), grown by splicing ([`Growth`]) instead of posed
+//!   again;
 //! - `pricing`: the duals and reduced costs the entering choice reads,
 //!   kept across pivots — a pivot reprices only the columns it changed —
 //!   and the row index that finds them;
@@ -20,6 +23,7 @@
 mod basis;
 mod engine;
 mod inverse;
+mod live;
 mod pricing;
 mod standard_form;
 mod tol;
@@ -27,6 +31,7 @@ mod tol;
 pub use basis::Basis;
 pub(crate) use engine::{solve_standard_form_cold, solve_standard_form_warm, SolverOptions};
 pub use engine::{LpError, Solution};
+pub use live::{Growth, LiveLp};
 pub(crate) use standard_form::{SparseCols, StandardForm};
 pub use tol::PRICING_TOL;
 
@@ -42,7 +47,7 @@ mod tests {
     use super::pricing::tests::PRICE_AUDITS;
     use super::standard_form::StandardForm;
     use super::tol::snap_round_off;
-    use crate::{Basis, LpError, Problem, Relation};
+    use crate::{Basis, Growth, LiveLp, LpError, Problem, Relation};
 
     /// Runs `f`; returns its result and the restart work it caused.
     fn restart_work<T>(f: impl FnOnce() -> T) -> (T, (u64, u64, u64)) {
@@ -179,7 +184,7 @@ mod tests {
         let sf = grown.to_standard_form();
         let carried_age = basis.carried.age;
         let (eng, (replaced, _, refactorizations)) = restart_work(|| {
-            Engine::with_basis(&sf, SolverOptions::default(), &mut basis.clone()).unwrap()
+            Engine::with_basis(&sf, SolverOptions::default(), &mut basis.clone(), None).unwrap()
         });
         // t gained an entry in a new row and z is no bare +1: two columns
         // completed by eta updates, and no refactorization (which would
@@ -268,7 +273,7 @@ mod tests {
         opts: &SolverOptions,
         handle: &Basis,
     ) -> Option<(usize, bool, (u64, u64))> {
-        let mut eng = Engine::with_basis(sf, opts.clone(), &mut handle.clone())?;
+        let mut eng = Engine::with_basis(sf, opts.clone(), &mut handle.clone(), None)?;
         eng.binv.clone_from(&handle.carried.inverse);
         eng.age = handle.carried.age;
         let stale = (0..eng.m)
@@ -277,8 +282,10 @@ mod tests {
                 !eng.w_is_unit(i)
             })
             .count();
-        let (complete, (replaced, audits, _)) =
-            restart_work(|| eng.bring_binv_current(&handle.carried.cols));
+        let (complete, (replaced, audits, _)) = restart_work(|| {
+            let inverts = &handle.carried.cols;
+            eng.bring_binv_current(|col, i| col != inverts.col(i))
+        });
         Some((stale, complete, (replaced, audits)))
     }
 
@@ -686,7 +693,7 @@ mod tests {
             }
             Some((mut handle, mut dense)) => {
                 let inverts = handle.carried.cols.clone();
-                let eng = Engine::with_basis(&sf, opts, &mut handle).expect("labels fit");
+                let eng = Engine::with_basis(&sf, opts, &mut handle, None).expect("labels fit");
                 if !dense.complete(&eng, &inverts) {
                     dense.refactorize(&eng);
                 }
@@ -720,7 +727,7 @@ mod tests {
                 }
                 Step::Restart(_) | Step::Grow { .. } => {
                     let mut handle = Basis::new();
-                    eng.export_basis(&mut handle);
+                    eng.export_basis(&mut handle, true);
                     if !handle.is_warm() {
                         continue; // an artificial is still basic: nothing to restart from
                     }
@@ -770,6 +777,126 @@ mod tests {
         #[test]
         fn sparse_inverse_is_the_dense_one_to_the_bit(lp in arb_bounded_lp(), steps in arb_steps()) {
             drive(&lp, None, &steps)?;
+        }
+    }
+
+    /// The [`Growth`] that turns `old` into `grown` under the maps of
+    /// [`grown`]: its new rows and columns, the entries old columns gain in
+    /// new rows, and the right-hand sides of old rows that moved.
+    fn growth_between(old: &DenseLp, grown: &DenseLp, columns: &[usize], rows: &[usize]) -> Growth {
+        let is_old_row = |r: usize| rows.contains(&r);
+        let mut growth = Growth::new();
+        growth.begin(columns.to_vec(), rows.to_vec(), vec![None; grown.rows.len() - rows.len()]);
+        for (r, (_, rel, rhs)) in grown.rows.iter().enumerate() {
+            match rows.iter().position(|&k| k == r) {
+                None => growth.add_row(*rel, *rhs),
+                Some(k) if rhs.to_bits() != old.rows[k].2.to_bits() => growth.set_rhs(r, *rhs),
+                Some(_) => {}
+            }
+        }
+        for j in 0..grown.c.len() {
+            let entries = grown.rows.iter().enumerate().map(|(r, (a, _, _))| (r, a[j]));
+            if columns.contains(&j) {
+                for (r, v) in entries.filter(|&(r, _)| !is_old_row(r)) {
+                    growth.add_entry(j, r, v);
+                }
+            } else {
+                growth.add_column(grown.c[j], grown.upper[j], entries);
+            }
+        }
+        growth
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A live LP grown by splicing is, to the bit, the standard form the
+        /// grown problem poses, and its restart is [`Basis::relabel`] +
+        /// [`Engine::with_basis`]'s: the same labels, inverse, basic values
+        /// and age, the same solve, and on release the same handle —
+        /// columns, coefficients, right-hand sides (some of which move),
+        /// costs, bounds and slack order alike.
+        #[test]
+        fn a_spliced_restart_is_the_relabelled_one_to_the_bit(
+            lp in arb_bounded_lp(),
+            cols in proptest::collection::vec(
+                (-5i32..=5, proptest::collection::vec(-3i32..=3, DRIVEN), 0usize..DRIVEN),
+                0..=2,
+            ),
+            rows in proptest::collection::vec(
+                (proptest::collection::vec(-3i32..=3, DRIVEN), any::<bool>(), -4i32..=6, 0usize..DRIVEN),
+                0..=2,
+            ),
+            flips in proptest::collection::vec(any::<bool>(), DRIVEN),
+        ) {
+            let problem = lp.problem();
+            let mut handle = Basis::new();
+            let Ok(first) = problem.solve_warm(&mut handle) else { return Ok(()) };
+            if !handle.is_warm() {
+                return Ok(());
+            }
+            // New rows pass through the old optimum (new columns at zero)
+            // with the slack they were drawn with; flagged old rows relax.
+            let (mut next, columns, row_map) = grown(&lp, &cols, &rows, None);
+            let mut at = vec![0.0; next.c.len()];
+            for (&j, &x) in columns.iter().zip(first.values()) {
+                at[j] = x;
+            }
+            let mut slacks = rows.iter().map(|r| r.2.abs());
+            for (r, row) in next.rows.iter_mut().enumerate() {
+                if !row_map.contains(&r) {
+                    let ge = row.1 == Relation::Ge;
+                    *row = row_through(row.0.clone(), &at, ge, slacks.next().unwrap());
+                }
+            }
+            for (&r, _) in row_map.iter().zip(&flips).filter(|(_, &f)| f) {
+                next.rows[r].2 += if next.rows[r].1 == Relation::Ge { -1.0 } else { 1.0 };
+            }
+            let posed = next.problem();
+            let enter = vec![None; rows.len()];
+
+            let mut relabelled = handle.clone();
+            prop_assert!(relabelled.relabel(&posed, &columns, &row_map, &enter));
+            let mut live = LiveLp::new(&problem);
+            live.hold_copy(&handle);
+            prop_assert!(live.grow(&growth_between(&lp, &next, &columns, &row_map)));
+            prop_assert_eq!(live.differs_from(&posed), None);
+
+            let sf = posed.to_standard_form();
+            let opts = SolverOptions::default();
+            let head = Engine::with_basis(&sf, opts.clone(), &mut relabelled.clone(), None);
+            let spliced = live.spliced.clone();
+            let restart = Engine::with_basis(&live.sf, opts, &mut live.held.clone(), Some(&spliced));
+            match (head, restart) {
+                (Some(a), Some(b)) => {
+                    prop_assert_eq!(&a.basis, &b.basis);
+                    prop_assert!(a.rest == b.rest && a.age == b.age);
+                    let bits = |e: &Engine| -> Vec<Vec<(usize, u64)>> {
+                        e.binv.cols.iter().map(|c| c.iter().map(|&(i, v)| (i, v.to_bits())).collect()).collect()
+                    };
+                    prop_assert_eq!(bits(&a), bits(&b));
+                    let xb = |e: &Engine| e.xb.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(xb(&a), xb(&b));
+                }
+                (a, b) => prop_assert_eq!(a.is_some(), b.is_some()),
+            }
+
+            match (posed.solve_warm(&mut relabelled), live.solve()) {
+                (Ok(a), Ok(b)) => {
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(a.values()), bits(b.values()));
+                    prop_assert_eq!(bits(a.duals()), bits(b.duals()));
+                    prop_assert_eq!((a.iterations(), a.warm_started()), (b.iterations(), b.warm_started()));
+                }
+                (a, b) => prop_assert_eq!(a.err(), b.err()),
+            }
+            let released = live.release();
+            prop_assert_eq!(format!("{released:?}"), format!("{relabelled:?}"));
+            let entries = |b: &Basis| b.carried.cols.entries.iter().map(|&(r, v)| (r, v.to_bits())).collect::<Vec<_>>();
+            prop_assert_eq!(entries(&released), entries(&relabelled));
+            prop_assert_eq!(&released.carried.cols.ptr, &relabelled.carried.cols.ptr);
+            let inverse = |b: &Basis| DenseInverse::of(&b.carried.inverse).binv.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(inverse(&released), inverse(&relabelled));
         }
     }
 
@@ -856,12 +983,12 @@ mod tests {
             p
         };
         let mut handle = Basis::new();
-        solve_standard_form_warm(&lp(0).to_standard_form(), &opts, &mut handle).unwrap();
+        solve_standard_form_warm(&lp(0).to_standard_form(), &opts, &mut handle, None).unwrap();
         assert_eq!(handle.carried.age, 1);
         let (_, (replaced, audits, _)) = restart_work(|| {
             for minute in 1..=opts.refactor_every + 1 {
                 let sf = lp(minute).to_standard_form();
-                let sol = solve_standard_form_warm(&sf, &opts, &mut handle).unwrap();
+                let sol = solve_standard_form_warm(&sf, &opts, &mut handle, None).unwrap();
                 assert!(sol.warm_started() && sol.iterations() == 1);
                 assert!((sol.objective() + 4.0).abs() < 1e-12);
             }
@@ -892,7 +1019,7 @@ mod tests {
         let mut handle = Basis::new();
         p.solve_warm(&mut handle).unwrap();
         let sf = p.to_standard_form();
-        let mut eng = Engine::with_basis(&sf, SolverOptions::default(), &mut handle).unwrap();
+        let mut eng = Engine::with_basis(&sf, SolverOptions::default(), &mut handle, None).unwrap();
         assert!(
             eng.basis.iter().any(|&j| sf.c[j] == 0.0) && eng.basis.iter().any(|&j| sf.c[j] != 0.0)
         );

@@ -39,7 +39,9 @@ impl SparseCols {
 
 /// Equality standard form `min c·x  s.t.  A x = b,  0 <= x <= u` with
 /// sparse columns, every row in its sign as posed (`b` may be negative).
-/// Produced by [`crate::Problem::to_standard_form`].
+/// Produced by [`crate::Problem::to_standard_form`], and grown in place by
+/// [`crate::LiveLp::grow`].
+#[derive(Default)]
 pub(crate) struct StandardForm {
     /// Number of structural (caller-visible) variables; the rest are slacks.
     pub num_structural: usize,

@@ -23,7 +23,8 @@
 //! synthetic zoo). One TSV row per (network, controller). New columns are
 //! appended after the original twelve so existing column indices stay
 //! valid. A value `TimelineConfig::validate` rejects (`--minutes 0`,
-//! `--warmup 1`, a negative or NaN `--cv`, `--diurnal` outside `[0, 1)`,
+//! `--warmup 1`, a `--minutes` and `--warmup` whose sum overflows — named
+//! `--minutes` —, a negative or NaN `--cv`, `--diurnal` outside `[0, 1)`,
 //! `--period` below 2 with a diurnal swing) exits 2 naming the flag.
 //!
 //! `--metrics-out` / `--trace-out` enable the telemetry layer and write a

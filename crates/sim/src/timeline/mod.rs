@@ -110,6 +110,13 @@ impl TimelineConfig {
         RangeError::check(self.minutes >= 1, "minutes", self.minutes, "at least 1")?;
         let warmup = self.warmup_minutes;
         RangeError::check(warmup >= 2, "warmup_minutes", warmup, "at least 2")?;
+        // The run synthesizes `warmup_minutes + minutes` of traffic.
+        RangeError::check(
+            warmup.checked_add(self.minutes).is_some(),
+            "minutes",
+            self.minutes,
+            "a count whose sum with warmup_minutes fits a usize",
+        )?;
         let cv_in_range = self.cv.is_finite() && self.cv >= 0.0;
         RangeError::check(cv_in_range, "cv", self.cv, "a finite value >= 0")?;
         let amplitude = self.diurnal_amplitude;
@@ -957,6 +964,15 @@ mod tests {
             (trip(f64::NAN), "trip_overload = NaN, expected a finite value > -1"),
             (trip(f64::INFINITY), "trip_overload = inf, expected a finite value > -1"),
             (trip(-1.0), "trip_overload = -1, expected a finite value > -1"),
+            (
+                TimelineConfig { minutes: usize::MAX, ..ok.clone() },
+                "minutes = 18446744073709551615, expected a count whose sum with \
+                 warmup_minutes fits a usize",
+            ),
+            (
+                TimelineConfig { warmup_minutes: usize::MAX, ..ok.clone() },
+                "minutes = 10, expected a count whose sum with warmup_minutes fits a usize",
+            ),
         ];
         for (cfg, want) in cases {
             assert_eq!(cfg.validate().unwrap_err().to_string(), want);

@@ -59,6 +59,8 @@ fn out_of_range_parameters_exit_2_naming_the_flag() {
         (TIMELINE, &["--period", "1", "--diurnal", "0.3"], "--period"),
         (TIMELINE, &["--warmup", "1"], "--warmup"),
         (TIMELINE, &["--minutes", "0"], "--minutes"),
+        (TIMELINE, &["--minutes", "18446744073709551615"], "--minutes"),
+        (TIMELINE, &["--warmup", "18446744073709551615"], "--minutes"),
         (FAILURE, &["--loads", "0"], "--loads"),
         (FAILURE, &["--loads", "-1"], "--loads"),
         (FAILURE, &["--loads", "nan"], "--loads"),
