@@ -176,31 +176,37 @@ impl SolveContext {
         true
     }
 
+    /// Whether the live chain ends at the LP laid out as `from` and holds
+    /// a warm basis there: its own, or the one at `from`'s slot.
+    pub(super) fn chain_ends_warm_at(&self, from: &LpLayout) -> bool {
+        let key = (from.tag, from.rows, from.vars());
+        self.chain.as_ref().is_some_and(|c| {
+            c.key == key
+                && if c.held {
+                    c.live.held().is_warm()
+                } else {
+                    self.bases.get(&key).is_some_and(|s| s.basis.is_warm())
+                }
+        })
+    }
+
     /// The live chain, taken out to grow from `from`, holding the basis
     /// [`SolveContext::hand_over`] would carry: the chain's own, whose slot
     /// holds only a placeholder, or the one at `from`'s slot — moved out
     /// when it was handed over to `from`, copied when `from` began the
-    /// chain and its slot keeps it. `None`, and nothing touched, when the
-    /// chain does not end at `from` or holds no warm basis there.
-    pub(super) fn continue_chain(&mut self, from: &LpLayout) -> Option<Chain> {
+    /// chain and its slot keeps it. Only when
+    /// [`SolveContext::chain_ends_warm_at`] `from`.
+    pub(super) fn continue_chain(&mut self, from: &LpLayout) -> Chain {
+        debug_assert!(self.chain_ends_warm_at(from), "the chain ends warm at `from`");
         let key = (from.tag, from.rows, from.vars());
-        let chain = self.chain.as_ref().filter(|c| c.key == key)?;
-        let warm = if chain.held {
-            chain.live.held().is_warm()
-        } else {
-            self.bases.get(&key).is_some_and(|s| s.basis.is_warm())
-        };
-        if !warm {
-            return None;
-        }
-        let mut chain = self.chain.take()?;
+        let mut chain = self.chain.take().expect("the chain ends at `from`");
         match (chain.held, from.handed_over) {
             (true, _) => drop(self.bases.remove(&key)),
-            (false, true) => chain.live.hold(self.bases.remove(&key)?.basis),
-            (false, false) => chain.live.hold_copy(&self.bases.get(&key)?.basis),
+            (false, true) => chain.live.hold(self.bases.remove(&key).expect("warm").basis),
+            (false, false) => chain.live.hold(self.bases[&key].basis.clone()),
         }
         chain.held = true;
-        Some(chain)
+        chain
     }
 
     /// Files the chain after a round grew it into the LP laid out as `to`:

@@ -91,7 +91,7 @@ use lowlat_tmgen::TrafficMatrix;
 
 use super::bound::BoundScratch;
 use super::context::{Chain, SolveContext};
-use super::splice::{FixedLoads, LpLayout};
+use super::splice::LpLayout;
 use super::{FITS, M1};
 
 /// Internal: per-aggregate constants for the LP.
@@ -241,8 +241,6 @@ pub(super) struct LpData<'a> {
     pub(super) pose: PoseScratch,
     /// What [`LpData::splice`] adds to the live LP, reused by every round.
     pub(super) growth: Growth,
-    /// Which aggregates' volumes a splice sums again into a fixed load.
-    pub(super) fixed_loads: FixedLoads,
     /// Scratch of [`LpData::proves_final`], sized on its first use.
     pub(super) bound: BoundScratch,
     /// Rounds of this solve that kept their outcome ([`LpData::next_round`]).
@@ -259,8 +257,9 @@ pub(super) struct PoseScratch {
     starts: Vec<usize>,
     fill: Vec<usize>,
     entries: Vec<(usize, f64)>,
-    /// Load the single-path aggregates put on each used link.
-    fixed_load: Vec<f64>,
+    /// Load the single-path aggregates put on each used link (a splice:
+    /// on each link whose load it sums again).
+    pub(super) fixed_load: Vec<f64>,
     pub(super) sum_row: Vec<(usize, f64)>,
     /// Per used link, whether a splice recomputed its fixed load.
     pub(super) refixed: Vec<bool>,
@@ -294,7 +293,6 @@ impl<'a> LpData<'a> {
             link_rank: vec![UNUSED; caps.len()],
             pose: PoseScratch::default(),
             growth: Growth::new(),
-            fixed_loads: FixedLoads::default(),
             bound: BoundScratch::default(),
             lps_skipped: 0,
         }
@@ -538,26 +536,33 @@ impl<'a> LpData<'a> {
         grown_from: Option<&LpLayout>,
         ctx: &mut SolveContext,
     ) -> Result<LpOutcome, LpError> {
-        let capped = matches!(mode, LpMode::MinLatency { util_cap, .. } if util_cap.is_finite());
-        #[cfg(test)]
-        let capped = capped || tests::SPLICING_OFF.get();
         if let Some(from) = grown_from {
-            let key = (from.tag, from.rows, from.vars());
-            if from.tag == mode.tag() && !capped && ctx.chain.as_ref().is_some_and(|c| c.key == key)
-            {
+            debug_assert!(
+                !matches!(mode, LpMode::MinLatency { util_cap, .. } if util_cap.is_finite()),
+                "an LP with utilization caps grows out of none"
+            );
+            let splice = from.tag == mode.tag() && ctx.chain_ends_warm_at(from);
+            #[cfg(test)]
+            let splice = splice && !tests::SPLICING_OFF.get();
+            if splice {
                 let span = telemetry::span("pathgrow.splice", "pathgrow");
                 if let Some(layout) = self.splice(path_sets, mode, from) {
-                    if let Some(mut chain) = ctx.continue_chain(from) {
-                        let grown = chain.live.grow(&self.growth);
-                        drop(span);
-                        if grown {
-                            return self.solve_spliced(path_sets, mode, layout, chain, ctx);
+                    let mut chain = ctx.continue_chain(from);
+                    let grown = chain.live.grow(&self.growth);
+                    drop(span);
+                    if grown {
+                        if telemetry::enabled() {
+                            let columns = layout.vars() - from.vars();
+                            telemetry::counter_add("pathgrow.columns_spliced", columns as u64);
+                            let rows = layout.rows - from.rows;
+                            telemetry::counter_add("pathgrow.rows_spliced", rows as u64);
                         }
-                        // Nothing to restart from: handing the basis over
-                        // would have dropped it and filed nothing.
-                        let (p, layout) = self.pose(path_sets, mode);
-                        return self.solve_posed(path_sets, mode, p, layout, ctx);
+                        return self.solve_spliced(path_sets, mode, layout, chain, ctx);
                     }
+                    // Nothing to restart from: handing the basis over
+                    // would have dropped it and filed nothing.
+                    let (p, layout) = self.pose(path_sets, mode);
+                    return self.solve_posed(path_sets, mode, p, layout, ctx);
                 }
             }
         }
@@ -584,17 +589,18 @@ impl<'a> LpData<'a> {
         held: &LpOutcome,
         ctx: &mut SolveContext,
     ) -> Result<LpOutcome, LpError> {
+        let LpMode::MinLatency { omax_cap, util_cap } = mode else {
+            unreachable!("phase 2 re-costs phase 1's LP for latency")
+        };
+        debug_assert!(util_cap.is_infinite() && !held.kept, "phase 2 after a solved phase 1");
         let from = &held.layout;
         let key = (from.tag, from.rows, from.vars());
-        let ends_at_held = ctx.chain.as_ref().is_some_and(|c| c.key == key) && !held.kept;
+        let ends_at_held = ctx.chain.as_ref().is_some_and(|c| c.key == key);
         #[cfg(test)]
         let ends_at_held = ends_at_held && !tests::SPLICING_OFF.get();
-        let omax_cap = match mode {
-            LpMode::MinLatency { omax_cap, util_cap } if ends_at_held && util_cap.is_infinite() => {
-                *omax_cap
-            }
-            _ => return self.solve(path_sets, mode, None, ctx),
-        };
+        if !ends_at_held {
+            return self.solve(path_sets, mode, None, ctx);
+        }
         let mut live = ctx.end_chain().expect("the chain ends at `held`").live;
         let (x_end, num_o) = (from.num_x(), from.used_links.len());
         let (mut costs, mut uppers) = (vec![0.0; from.vars()], vec![f64::INFINITY; from.vars()]);
@@ -604,7 +610,7 @@ impl<'a> LpData<'a> {
             }
         }
         costs[x_end..x_end + num_o].fill(SPREAD_WEIGHT);
-        uppers[x_end..].fill(omax_cap);
+        uppers[x_end..].fill(*omax_cap);
         live.set_costs(&costs, &uppers);
         let layout = LpLayout { tag: mode.tag(), handed_over: false, ..from.clone() };
         let (rows, vars) = (layout.rows, layout.vars());
@@ -991,12 +997,8 @@ pub(super) mod tests {
         let from = &held.layout;
         let key = (from.tag, from.rows, from.vars());
         let mut scratch = SolveContext::new();
-        let basis = match &mut ctx.chain {
-            Some(chain) if chain.held && chain.key == key => {
-                let basis = chain.live.release();
-                chain.live.hold_copy(&basis);
-                basis
-            }
+        let basis = match &ctx.chain {
+            Some(chain) if chain.held && chain.key == key => chain.live.held().clone(),
             _ => ctx.bases.get(&key).expect("the held LP left its basis").basis.clone(),
         };
         scratch.bases.insert(key, StoredBasis { basis, last_used: 0 });

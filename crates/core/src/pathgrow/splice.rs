@@ -15,7 +15,6 @@ use std::mem::take;
 
 use lowlat_linprog::Relation;
 use lowlat_netgraph::Path;
-use lowlat_telemetry as telemetry;
 
 use super::lp::{LpData, LpMode, PoseScratch, FRESH, SPREAD_WEIGHT, UNUSED};
 
@@ -148,7 +147,7 @@ impl LpData<'_> {
         // with its first new path (0 when promoted) and its `Σ = B_a` row
         // among the multi-path ones; the links the new paths cross that
         // have no row yet.
-        let PoseScratch { grown, fresh, refixed, sum_row: column, .. } = &mut scratch;
+        let PoseScratch { grown, fresh, refixed, fixed_load, sum_row: column, .. } = &mut scratch;
         let mut col_base = Vec::with_capacity(path_sets.len() + 1);
         col_base.push(0usize);
         grown.clear();
@@ -230,15 +229,33 @@ impl LpData<'_> {
 
         // A promoted aggregate's volume leaves the fixed load of every link
         // of its path: those capacity rows get their fixed load summed again
-        // over the single-path aggregates still crossing them.
+        // over the single-path aggregates still crossing them, in aggregate
+        // order, as `pose` sums it (every link such an aggregate crosses
+        // has a row).
         refixed.clear();
         refixed.resize(num_o, false);
+        let mut moved = false;
         for &(a, _, _) in grown.iter().filter(|&&(a, held, _)| held == 0 && volumes[a] > 0.0) {
-            for l in path_sets[a][0].links().iter().map(|l| l.idx()) {
-                if !std::mem::replace(&mut refixed[rank[l] as usize], true) {
-                    let load = self.fixed_loads.on(path_sets, volumes, caps.len(), l);
-                    growth.set_rhs(rank[l] as usize, rhs(load, l));
+            for l in path_sets[a][0].links() {
+                refixed[rank[l.idx()] as usize] = true;
+                moved = true;
+            }
+        }
+        if moved {
+            fixed_load.clear();
+            fixed_load.resize(num_o, 0.0);
+            for (a, paths) in path_sets.iter().enumerate() {
+                if paths.len() == 1 && volumes[a] > 0.0 {
+                    for l in paths[0].links() {
+                        let oi = rank[l.idx()] as usize;
+                        if refixed[oi] {
+                            fixed_load[oi] += volumes[a];
+                        }
+                    }
                 }
+            }
+            for (oi, &l) in layout.used_links.iter().enumerate().filter(|&(oi, _)| refixed[oi]) {
+                growth.set_rhs(oi, rhs(fixed_load[oi], l));
             }
         }
 
@@ -274,59 +291,8 @@ impl LpData<'_> {
         for &l in fresh.iter() {
             growth.add_entry(aux, o_rows * num_o + rank[l] as usize, -1.0);
         }
-        if telemetry::enabled() {
-            telemetry::counter_add(
-                "pathgrow.columns_spliced",
-                (layout.vars() - from.vars()) as u64,
-            );
-            telemetry::counter_add("pathgrow.rows_spliced", (layout.rows - from.rows) as u64);
-        }
         layout.used_links.iter().for_each(|&l| rank[l] = UNUSED);
         (self.link_rank, self.pose, self.growth) = (rank, scratch, growth);
         Some(layout)
-    }
-}
-
-/// Which single-path aggregates load each link, in aggregate order: one
-/// compressed list per graph link, an entry per time the aggregate's path
-/// crosses it, built by a solve's first splice. Aggregates only ever leave
-/// the single-path ones, so a later splice skips those that have.
-#[derive(Default)]
-pub(super) struct FixedLoads {
-    /// Link `l`'s aggregates are `aggs[start[l]..start[l + 1]]`; empty
-    /// until built.
-    start: Vec<usize>,
-    aggs: Vec<usize>,
-}
-
-impl FixedLoads {
-    /// The load the single-path aggregates put on link `l` (of `links`),
-    /// summed in aggregate order as [`LpData::pose`] sums it.
-    fn on(&mut self, path_sets: &[Vec<Path>], volumes: &[f64], links: usize, l: usize) -> f64 {
-        if self.start.is_empty() {
-            let single = |a: &usize| path_sets[*a].len() == 1 && volumes[*a] > 0.0;
-            self.start.resize(links + 1, 0);
-            for a in (0..path_sets.len()).filter(single) {
-                path_sets[a][0].links().iter().for_each(|l| self.start[l.idx() + 1] += 1);
-            }
-            for l in 0..links {
-                self.start[l + 1] += self.start[l];
-            }
-            let mut fill = self.start.clone();
-            self.aggs.resize(self.start[links], 0);
-            for a in (0..path_sets.len()).filter(single) {
-                for l in path_sets[a][0].links() {
-                    self.aggs[fill[l.idx()]] = a;
-                    fill[l.idx()] += 1;
-                }
-            }
-        }
-        let mut load = 0.0;
-        for &a in &self.aggs[self.start[l]..self.start[l + 1]] {
-            if path_sets[a].len() == 1 {
-                load += volumes[a];
-            }
-        }
-        load
     }
 }

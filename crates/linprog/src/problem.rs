@@ -183,7 +183,7 @@ impl Problem {
     pub fn solve_warm(&self, basis: &mut Basis) -> Result<Solution, LpError> {
         let _span = lowlat_telemetry::span("lp.solve", "lp");
         let sf = self.to_standard_form();
-        solve_standard_form_warm(&sf, &SolverOptions::default(), basis, None)
+        solve_standard_form_warm(&sf, &SolverOptions::default(), basis)
     }
 
     /// Converts to equality standard form: appends one slack (`<=`, coeff

@@ -62,9 +62,7 @@ pub(super) struct Carried {
     /// The matrix `inverse` inverts, one column per basis position. At
     /// export these are the basic columns themselves; [`Basis::relabel`]
     /// maps them along with the inverse and puts unit columns in the new
-    /// rows. Empty while a [`crate::LiveLp`] holds the basis: it knows
-    /// which rows it spliced in, and so which columns differ
-    /// ([`crate::LiveLp::release`] writes them back).
+    /// rows.
     pub(super) cols: SparseCols,
     /// Eta updates `inverse` has taken since it was last factorized or
     /// numerically audited.
@@ -101,19 +99,6 @@ impl Basis {
     /// Forgets the stored basis; the next `solve_warm` will run cold.
     pub fn clear(&mut self) {
         *self = Basis::default();
-    }
-
-    /// A copy of the labels and the carried inverse, without the columns
-    /// it inverts: what a [`crate::LiveLp`] holds.
-    pub(super) fn clone_without_cols(&self) -> Basis {
-        let Carried { inverse, age, .. } = &self.carried;
-        Basis {
-            basic: self.basic.clone(),
-            at_upper: self.at_upper.clone(),
-            shape: self.shape,
-            slack_rows: self.slack_rows.clone(),
-            carried: Carried { inverse: inverse.clone(), cols: SparseCols::default(), age: *age },
-        }
     }
 
     /// Heap bytes this handle holds: the labels, and the nonzeros of the
@@ -261,8 +246,7 @@ impl Carried {
     /// old row and basis position `k` become `rows[k]` (distinct, below
     /// `new_m`), and every other row is new and gets the unit column in
     /// both — the same renumbering of both, costing their nonzeros (the
-    /// inverse's columns move, entries renumbered where they lie). A basis
-    /// carried without its matrix ([`Carried::cols`]) stays without.
+    /// inverse's columns move, entries renumbered where they lie).
     fn extended(self, rows: &[usize], new_m: usize) -> Carried {
         let m = rows.len();
         let mut old_position = vec![usize::MAX; new_m];
@@ -270,34 +254,25 @@ impl Carried {
             old_position[r] = k;
         }
         let monotone = rows.windows(2).all(|w| w[0] < w[1]);
-        let with_cols = self.cols.len() == m;
         let mut inverse = SparseInverse { cols: Vec::with_capacity(new_m) };
         let mut old_inverse = self.inverse.cols;
         let mut cols = SparseCols::default();
-        if with_cols {
-            cols.ptr.reserve(new_m + 1);
-            cols.entries.reserve(self.cols.entries.len() + new_m - m);
-        }
+        cols.ptr.reserve(new_m + 1);
+        cols.entries.reserve(self.cols.entries.len() + new_m - m);
         for (r, &k) in old_position.iter().enumerate() {
             if k == usize::MAX {
                 inverse.cols.push(vec![(r, 1.0)]);
-                if with_cols {
-                    cols.push_col(std::iter::once((r, 1.0)));
-                }
+                cols.push_col(std::iter::once((r, 1.0)));
             } else {
                 let mut moved = std::mem::take(&mut old_inverse[k]);
                 moved.iter_mut().for_each(|(row, _)| *row = rows[*row]);
+                let start = cols.entries.len();
+                cols.push_col(self.cols.col(k).iter().map(|&(row, v)| (rows[row], v)));
                 if !monotone {
                     moved.sort_unstable_by_key(|&(row, _)| row);
+                    cols.entries[start..].sort_unstable_by_key(|&(row, _)| row);
                 }
                 inverse.cols.push(moved);
-                if with_cols {
-                    let start = cols.entries.len();
-                    cols.push_col(self.cols.col(k).iter().map(|&(row, v)| (rows[row], v)));
-                    if !monotone {
-                        cols.entries[start..].sort_unstable_by_key(|&(row, _)| row);
-                    }
-                }
             }
         }
         Carried { inverse, cols, age: self.age }
@@ -325,12 +300,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Makes `binv` the inverse of the current basis matrix, given that it
-    /// inverts a matrix whose column at basis position `i` differs from the
-    /// basic column `col` there exactly when `differs(col, i)` — against
-    /// [`Carried::cols`], or against what a [`crate::LiveLp`] spliced in
-    /// ([`Engine::with_basis`]). A position whose basic column *is* the
-    /// stored column needs nothing, and telling so is an exact slice
-    /// comparison, O(nonzeros); one that is not (the basis was extended by
+    /// inverts the matrix with columns `inverts` (one per basis position —
+    /// [`Carried::cols`]). A position whose basic column *is* the stored
+    /// column needs nothing, and telling so is an exact slice comparison,
+    /// O(nonzeros); one that is not (the basis was extended by
     /// [`Basis::relabel`], or a coefficient changed) takes `w = B^-1 A_j`
     /// and one eta update, which puts the real column there and leaves every
     /// other position intact — O(m) + O(nonzeros of the inverse) per
@@ -338,8 +311,8 @@ impl<'a> Engine<'a> {
     /// change, and far below the O(m³) refactorization it lets a warm
     /// restart skip.
     ///
-    /// The comparison trusts that `binv` still inverts that matrix to
-    /// working accuracy. What checks that is the numerical test [`Engine::w_is_unit`]
+    /// The comparison trusts that `binv` still inverts `inverts` to working
+    /// accuracy. What checks that is the numerical test [`Engine::w_is_unit`]
     /// on *every* position, replacing what fails it: run once the inverse
     /// has taken `refactor_every` eta updates since it was last factorized
     /// or so audited, and — asserting it agrees with the comparison — on
@@ -348,10 +321,7 @@ impl<'a> Engine<'a> {
     /// `false` when so many columns differ that refactorizing is no dearer
     /// (and cleaner), or a replacement would be singular: the caller
     /// refactorizes.
-    pub(super) fn bring_binv_current(
-        &mut self,
-        differs: impl Fn(&[(usize, f64)], usize) -> bool,
-    ) -> bool {
+    pub(super) fn bring_binv_current(&mut self, inverts: &SparseCols) -> bool {
         let m = self.m;
         let audit = self.age >= self.opts.refactor_every;
         if audit {
@@ -361,7 +331,7 @@ impl<'a> Engine<'a> {
         let mut replaced = 0u64;
         let complete = 'positions: {
             for i in 0..m {
-                let differs = differs(self.sf.col(self.basis[i]), i);
+                let differs = self.sf.col(self.basis[i]) != inverts.col(i);
                 if !(differs || audit || cfg!(debug_assertions)) {
                     continue;
                 }
@@ -409,17 +379,10 @@ impl<'a> Engine<'a> {
     /// repairs it with [`Engine::dual_repair`]. `None` means the basis is
     /// unusable (wrong shape, corrupt, or singular) and the caller should
     /// solve cold.
-    ///
-    /// `spliced` is `None` for a handle that carries its columns, and a
-    /// [`crate::LiveLp`]'s rows spliced in since its export otherwise: a
-    /// position stands on a spliced row's unit column, and elsewhere on its
-    /// basic column as exported, which the splice left as it was but for
-    /// entries in spliced rows.
     pub(super) fn with_basis(
         sf: &'a StandardForm,
         opts: SolverOptions,
         warm: &mut Basis,
-        spliced: Option<&[bool]>,
     ) -> Option<Self> {
         let m = sf.b.len();
         let n = sf.num_cols();
@@ -443,19 +406,7 @@ impl<'a> Engine<'a> {
         }
         let Carried { inverse, cols: inverts, age } = std::mem::take(&mut warm.carried);
         let mut eng = Engine::over(sf, opts, inverse, warm.basic.clone(), rest, age);
-        let carried = eng.binv.len() == m
-            && match spliced {
-                None => {
-                    inverts.len() == m && eng.bring_binv_current(|col, i| col != inverts.col(i))
-                }
-                Some(new) => eng.bring_binv_current(|col, i| {
-                    if new[i] {
-                        col != [(i, 1.0)]
-                    } else {
-                        col.iter().any(|&(r, _)| new[r])
-                    }
-                }),
-            };
+        let carried = eng.binv.len() == m && inverts.len() == m && eng.bring_binv_current(&inverts);
         if carried {
             eng.recompute_xb();
         } else {
@@ -466,11 +417,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Moves the current basis and its inverse into `out` for reuse by a
-    /// later solve, with the basic columns the inverse inverts unless
-    /// `out` is held by a [`crate::LiveLp`] (`with_cols` false). A basis
+    /// later solve, with the basic columns the inverse inverts. A basis
     /// still holding an artificial (a degenerate, linearly dependent row)
     /// is not representable for restart; `out` is cleared instead.
-    pub(super) fn export_basis(&mut self, out: &mut Basis, with_cols: bool) {
+    pub(super) fn export_basis(&mut self, out: &mut Basis) {
         if self.basis.iter().any(|&j| j >= self.art_start) {
             out.clear();
             return;
@@ -489,10 +439,8 @@ impl<'a> Engine<'a> {
             telemetry::observe("lp.inverse_fill", nnz / (self.m * self.m) as f64);
         }
         let mut cols = SparseCols::default();
-        if with_cols {
-            for &j in &self.basis {
-                cols.push_col(sf.col(j).iter().copied());
-            }
+        for &j in &self.basis {
+            cols.push_col(sf.col(j).iter().copied());
         }
         out.carried = Carried { inverse, cols, age: self.age }.within_budget();
     }

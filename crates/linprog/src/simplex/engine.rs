@@ -739,19 +739,17 @@ impl Drop for Engine<'_> {
 }
 
 /// Warm entry point used by [`crate::Problem::solve_warm`] and
-/// [`crate::LiveLp`] (`spliced`: [`Engine::with_basis`]): restart phase 2
-/// from `basis` when it still fits the problem, fall back to the two-phase
-/// cold solve otherwise, and leave the new optimal basis in `basis` either
-/// way.
+/// [`crate::LiveLp`]: restart phase 2 from `basis` when it still fits the
+/// problem, fall back to the two-phase cold solve otherwise, and leave the
+/// new optimal basis in `basis` either way.
 pub(crate) fn solve_standard_form_warm(
     sf: &StandardForm,
     opts: &SolverOptions,
     basis: &mut Basis,
-    spliced: Option<&[bool]>,
 ) -> Result<Solution, LpError> {
     let attempted_warm = basis.is_warm();
     if attempted_warm {
-        if let Some(mut eng) = Engine::with_basis(sf, opts.clone(), basis, spliced) {
+        if let Some(mut eng) = Engine::with_basis(sf, opts.clone(), basis) {
             let m = sf.b.len();
             let n = sf.num_cols();
             let max_iter = opts.pivot_cap(m, n);
@@ -763,7 +761,7 @@ pub(crate) fn solve_standard_form_warm(
                 match eng.run_phase(&sf.c, n, max_iter) {
                     Ok(()) => {
                         let mut sol = eng.extract();
-                        eng.export_basis(basis, spliced.is_none());
+                        eng.export_basis(basis);
                         sol.warm_started = true;
                         if telemetry::enabled() {
                             telemetry::counter_add("lp.solves", 1);
@@ -863,7 +861,7 @@ pub(crate) fn solve_standard_form_cold(
     // Artificials may never re-enter.
     eng.run_phase(&phase2_cost, eng.art_start, max_iter)?;
     if let Some(basis) = export {
-        eng.export_basis(basis, true);
+        eng.export_basis(basis);
     }
     let sol = eng.extract();
     telemetry::observe("lp.pivots", sol.iterations() as f64);

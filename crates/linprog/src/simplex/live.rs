@@ -117,23 +117,16 @@ impl Growth {
 /// ([`LiveLp::differs_from`] checks it) — and [`LiveLp::solve`] restarts
 /// from the held basis, renumbered by the one renumbering
 /// [`Basis::relabel`] applies and restored by the one restart
-/// [`Problem::solve_warm`] runs. What the live form saves is knowing
-/// which rows it spliced in: a basic column differs from the one its
-/// inverse was exported with exactly when it has an entry there, so the
-/// handle needs no copy of the basic columns to compare. The held basis
-/// leaves with [`LiveLp::release`], columns restored, for a handle to
-/// store.
+/// [`Problem::solve_warm`] runs. The held basis is an ordinary handle,
+/// with the basic columns its inverse inverts; it leaves with
+/// [`LiveLp::release`] for a slot to store.
 #[derive(Default)]
 pub struct LiveLp {
     pub(super) sf: StandardForm,
-    /// The held basis; its carried inverse holds no columns.
+    /// The held basis.
     pub(super) held: Basis,
-    /// Per row, whether it was spliced in since the held basis was
-    /// exported: its inverse position holds the unit column.
-    pub(super) spliced: Vec<bool>,
-    /// Buffers the next splice writes the grown form and `spliced` into.
+    /// The buffers the next splice writes the grown form into.
     spare: StandardForm,
-    spare_spliced: Vec<bool>,
     /// Per row of the grown form, its slack's coefficient (0 for none).
     slack: Vec<f64>,
 }
@@ -151,8 +144,7 @@ impl std::fmt::Debug for LiveLp {
 impl LiveLp {
     /// Holds `problem` in standard form, with no basis.
     pub fn new(problem: &Problem) -> Self {
-        let sf = problem.to_standard_form();
-        LiveLp { spliced: vec![false; sf.b.len()], sf, ..LiveLp::default() }
+        LiveLp { sf: problem.to_standard_form(), ..LiveLp::default() }
     }
 
     /// Constraint rows.
@@ -170,21 +162,13 @@ impl LiveLp {
     /// held basis is not touched.
     pub fn solve_warm(&self, basis: &mut Basis) -> Result<Solution, LpError> {
         let _span = telemetry::span("lp.solve", "lp");
-        solve_standard_form_warm(&self.sf, &SolverOptions::default(), basis, None)
+        solve_standard_form_warm(&self.sf, &SolverOptions::default(), basis)
     }
 
     /// Takes `basis` — exported by a solve of this problem — as the one the
     /// next [`LiveLp::grow`] renumbers and [`LiveLp::solve`] restarts from.
     pub fn hold(&mut self, basis: Basis) {
         self.held = basis;
-        self.held.carried.cols = SparseCols::default();
-        self.spliced.clear();
-        self.spliced.resize(self.num_rows(), false);
-    }
-
-    /// [`LiveLp::hold`] on a copy of `basis`: its labels and inverse.
-    pub fn hold_copy(&mut self, basis: &Basis) {
-        self.hold(basis.clone_without_cols());
     }
 
     /// The held basis.
@@ -213,16 +197,13 @@ impl LiveLp {
 
         // Rows: old ones where `rows` sends them, new ones in the gaps.
         let sf = &mut self.spare;
-        let (slack, spliced) = (&mut self.slack, &mut self.spare_spliced);
+        let slack = &mut self.slack;
         sf.b.clear();
         sf.b.resize(m1, 0.0);
         slack.clear();
         slack.resize(m1, 0.0);
-        spliced.clear();
-        spliced.resize(m1, true);
         for (i, &r) in rows.iter().enumerate() {
             sf.b[r] = old.b[i];
-            spliced[r] = self.spliced[i];
         }
         for j in n0..old.num_cols() {
             let (i, v) = old.col(j)[0];
@@ -295,7 +276,6 @@ impl LiveLp {
             sf.upper.push(f64::INFINITY);
         }
         std::mem::swap(&mut self.sf, &mut self.spare);
-        std::mem::swap(&mut self.spliced, &mut self.spare_spliced);
         let slack = &self.slack;
         self.held.renumber((m1, n1), |r| slack[r] != 0.0, columns, rows, enter)
     }
@@ -324,29 +304,14 @@ impl LiveLp {
     pub fn solve(&mut self) -> Result<Solution, LpError> {
         let _span = telemetry::span("lp.solve", "lp");
         let opts = SolverOptions::default();
-        let sol = solve_standard_form_warm(&self.sf, &opts, &mut self.held, Some(&self.spliced))?;
-        self.spliced.fill(false);
-        Ok(sol)
+        solve_standard_form_warm(&self.sf, &opts, &mut self.held)
     }
 
-    /// Moves the held basis out, with the columns its inverse inverts —
-    /// what [`Basis::relabel`] and a solve's export would have left in a
-    /// handle — so a later [`Problem::solve_warm`] can restart from it.
+    /// Moves the held basis out — what [`Basis::relabel`] and a solve's
+    /// export would have left in a handle — so a later
+    /// [`Problem::solve_warm`] can restart from it.
     pub fn release(&mut self) -> Basis {
-        let mut basis = std::mem::take(&mut self.held);
-        if basis.carried.inverse.len() == self.num_rows() {
-            let spliced = &self.spliced;
-            let mut cols = SparseCols::default();
-            for (i, &j) in basis.basic.iter().enumerate() {
-                if spliced[i] {
-                    cols.push_col(std::iter::once((i, 1.0)));
-                } else {
-                    cols.push_col(self.sf.col(j).iter().copied().filter(|&(r, _)| !spliced[r]));
-                }
-            }
-            basis.carried.cols = cols;
-        }
-        basis
+        std::mem::take(&mut self.held)
     }
 
     /// `None` when this holds, to the bit, the standard form `posed`

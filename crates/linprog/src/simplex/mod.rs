@@ -184,7 +184,7 @@ mod tests {
         let sf = grown.to_standard_form();
         let carried_age = basis.carried.age;
         let (eng, (replaced, _, refactorizations)) = restart_work(|| {
-            Engine::with_basis(&sf, SolverOptions::default(), &mut basis.clone(), None).unwrap()
+            Engine::with_basis(&sf, SolverOptions::default(), &mut basis.clone()).unwrap()
         });
         // t gained an entry in a new row and z is no bare +1: two columns
         // completed by eta updates, and no refactorization (which would
@@ -273,7 +273,7 @@ mod tests {
         opts: &SolverOptions,
         handle: &Basis,
     ) -> Option<(usize, bool, (u64, u64))> {
-        let mut eng = Engine::with_basis(sf, opts.clone(), &mut handle.clone(), None)?;
+        let mut eng = Engine::with_basis(sf, opts.clone(), &mut handle.clone())?;
         eng.binv.clone_from(&handle.carried.inverse);
         eng.age = handle.carried.age;
         let stale = (0..eng.m)
@@ -282,10 +282,8 @@ mod tests {
                 !eng.w_is_unit(i)
             })
             .count();
-        let (complete, (replaced, audits, _)) = restart_work(|| {
-            let inverts = &handle.carried.cols;
-            eng.bring_binv_current(|col, i| col != inverts.col(i))
-        });
+        let (complete, (replaced, audits, _)) =
+            restart_work(|| eng.bring_binv_current(&handle.carried.cols));
         Some((stale, complete, (replaced, audits)))
     }
 
@@ -693,7 +691,7 @@ mod tests {
             }
             Some((mut handle, mut dense)) => {
                 let inverts = handle.carried.cols.clone();
-                let eng = Engine::with_basis(&sf, opts, &mut handle, None).expect("labels fit");
+                let eng = Engine::with_basis(&sf, opts, &mut handle).expect("labels fit");
                 if !dense.complete(&eng, &inverts) {
                     dense.refactorize(&eng);
                 }
@@ -727,7 +725,7 @@ mod tests {
                 }
                 Step::Restart(_) | Step::Grow { .. } => {
                     let mut handle = Basis::new();
-                    eng.export_basis(&mut handle, true);
+                    eng.export_basis(&mut handle);
                     if !handle.is_warm() {
                         continue; // an artificial is still basic: nothing to restart from
                     }
@@ -858,15 +856,14 @@ mod tests {
             let mut relabelled = handle.clone();
             prop_assert!(relabelled.relabel(&posed, &columns, &row_map, &enter));
             let mut live = LiveLp::new(&problem);
-            live.hold_copy(&handle);
+            live.hold(handle.clone());
             prop_assert!(live.grow(&growth_between(&lp, &next, &columns, &row_map)));
             prop_assert_eq!(live.differs_from(&posed), None);
 
             let sf = posed.to_standard_form();
             let opts = SolverOptions::default();
-            let head = Engine::with_basis(&sf, opts.clone(), &mut relabelled.clone(), None);
-            let spliced = live.spliced.clone();
-            let restart = Engine::with_basis(&live.sf, opts, &mut live.held.clone(), Some(&spliced));
+            let head = Engine::with_basis(&sf, opts.clone(), &mut relabelled.clone());
+            let restart = Engine::with_basis(&live.sf, opts, &mut live.held.clone());
             match (head, restart) {
                 (Some(a), Some(b)) => {
                     prop_assert_eq!(&a.basis, &b.basis);
@@ -983,12 +980,12 @@ mod tests {
             p
         };
         let mut handle = Basis::new();
-        solve_standard_form_warm(&lp(0).to_standard_form(), &opts, &mut handle, None).unwrap();
+        solve_standard_form_warm(&lp(0).to_standard_form(), &opts, &mut handle).unwrap();
         assert_eq!(handle.carried.age, 1);
         let (_, (replaced, audits, _)) = restart_work(|| {
             for minute in 1..=opts.refactor_every + 1 {
                 let sf = lp(minute).to_standard_form();
-                let sol = solve_standard_form_warm(&sf, &opts, &mut handle, None).unwrap();
+                let sol = solve_standard_form_warm(&sf, &opts, &mut handle).unwrap();
                 assert!(sol.warm_started() && sol.iterations() == 1);
                 assert!((sol.objective() + 4.0).abs() < 1e-12);
             }
@@ -1019,7 +1016,7 @@ mod tests {
         let mut handle = Basis::new();
         p.solve_warm(&mut handle).unwrap();
         let sf = p.to_standard_form();
-        let mut eng = Engine::with_basis(&sf, SolverOptions::default(), &mut handle, None).unwrap();
+        let mut eng = Engine::with_basis(&sf, SolverOptions::default(), &mut handle).unwrap();
         assert!(
             eng.basis.iter().any(|&j| sf.c[j] == 0.0) && eng.basis.iter().any(|&j| sf.c[j] != 0.0)
         );
