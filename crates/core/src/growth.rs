@@ -21,18 +21,11 @@ pub struct GrowthPlanConfig {
     pub candidate_limit: usize,
     /// Capacity assigned to new cables (Mbps).
     pub new_cable_capacity: f64,
-    /// LLPD evaluation parameters.
-    pub llpd: LlpdConfig,
 }
 
 impl Default for GrowthPlanConfig {
     fn default() -> Self {
-        GrowthPlanConfig {
-            link_increase: 0.05,
-            candidate_limit: 24,
-            new_cable_capacity: 40_000.0,
-            llpd: LlpdConfig::default(),
-        }
+        GrowthPlanConfig { link_increase: 0.05, candidate_limit: 24, new_cable_capacity: 40_000.0 }
     }
 }
 
@@ -48,16 +41,18 @@ pub struct GrowthPlan {
 }
 
 /// Greedily adds the cables that increase LLPD the most until the cable
-/// count grew by `config.link_increase` (at least one cable).
+/// count grew by `config.link_increase` (at least one cable). LLPD is
+/// evaluated at [`LlpdConfig::default`].
 pub fn grow_by_llpd(topology: &Topology, config: &GrowthPlanConfig) -> GrowthPlan {
-    let initial_llpd = LlpdAnalysis::compute(topology, &config.llpd).llpd();
+    let llpd_config = LlpdConfig::default();
+    let initial_llpd = LlpdAnalysis::compute(topology, &llpd_config).llpd();
     let target_new =
         ((topology.cables().len() as f64 * config.link_increase).ceil() as usize).max(1);
 
     let mut current = topology.clone();
     let mut added = Vec::new();
     for _ in 0..target_new {
-        let Some((pair, llpd)) = best_addition(&current, config) else {
+        let Some((pair, llpd)) = best_addition(&current, config, &llpd_config) else {
             break; // graph is complete
         };
         current = current.with_added_cable(pair.0, pair.1, config.new_cable_capacity);
@@ -67,7 +62,11 @@ pub fn grow_by_llpd(topology: &Topology, config: &GrowthPlanConfig) -> GrowthPla
 }
 
 /// Evaluates the most promising absent cables and returns the best by LLPD.
-fn best_addition(topology: &Topology, config: &GrowthPlanConfig) -> Option<((PopId, PopId), f64)> {
+fn best_addition(
+    topology: &Topology,
+    config: &GrowthPlanConfig,
+    llpd_config: &LlpdConfig,
+) -> Option<((PopId, PopId), f64)> {
     let graph = topology.graph();
     let delays = topology.intact_delays();
     // Score absent pairs by detour ratio: current shortest delay over the
@@ -90,7 +89,7 @@ fn best_addition(topology: &Topology, config: &GrowthPlanConfig) -> Option<((Pop
     let mut best: Option<((PopId, PopId), f64)> = None;
     for (_, pair) in candidates {
         let grown = topology.with_added_cable(pair.0, pair.1, config.new_cable_capacity);
-        let llpd = LlpdAnalysis::compute(&grown, &config.llpd).llpd();
+        let llpd = LlpdAnalysis::compute(&grown, llpd_config).llpd();
         if best.as_ref().is_none_or(|&(_, b)| llpd > b) {
             best = Some((pair, llpd));
         }

@@ -8,39 +8,45 @@
 //! used link brings a capacity row and an `o_l <= omax` row that are slack
 //! there, an aggregate that goes from one path to several brings its
 //! `Σ = B_a` row with the old path's variable basic at `B_a`.
-//! [`lowlat_linprog::Basis::relabel`] carries the basis *and its inverse*
-//! across (the re-labelling maps come from the two LPs' layouts, which
-//! only the LP builder decides; the inverse is held by its nonzeros — most
-//! rows are slack and contribute a unit column — so renumbering it costs
-//! those, not the square of the row count), the restart is primal feasible by
-//! construction and pays for the columns that changed — an eta update for
+//!
+//! The chain keeps one live LP ([`lowlat_linprog::LiveLp`], in the context's
+//! `Chain`) — the standard form its last LP was solved in — and, from its
+//! second LP on, the basis that LP left. A round splices what growth added
+//! into that form (`splice` module docs) and [`lowlat_linprog::LiveLp::grow`]
+//! renumbers the basis *and its inverse* with it (the maps come from the two
+//! LPs' layouts, which only the LP builder decides; the inverse is held by
+//! its nonzeros — most rows are slack and contribute a unit column — so
+//! renumbering it costs those, not the square of the row count), exactly as
+//! [`lowlat_linprog::Basis::relabel`] would. The restart is primal feasible
+//! by construction and pays for the columns that changed — an eta update for
 //! each old path that crosses a newly used link and each promoted
 //! aggregate's `z_a0`, nothing for the rest of the inverse — and a round
-//! typically needs a handful of pivots to price the new columns in. Only
-//! the first LP of a chain is ever solved from scratch, and not even that
-//! when a previous call left its basis in the [`SolveContext`].
+//! typically needs a handful of pivots to price the new columns in. Only the
+//! first LP of a chain is posed and converted, and it is solved from scratch
+//! only when no previous call left a basis of its shape in the
+//! [`SolveContext`]. Phase 2 re-costs the chain's standard form instead of
+//! posing its LP (`LpData::solve_again`); after a phase 1 that ended on a
+//! kept round it first splices the kept rounds' columns in, in phase 1's
+//! mode, as the next round of phase 1 would have.
 //!
-//! Within a chain the basis does not travel through the slots at all. The
-//! chain keeps one live LP ([`lowlat_linprog::LiveLp`], in the context's
-//! `Chain`): the standard form its last LP was solved in and the basis
-//! that solve left. A round splices what growth added into that form
-//! (`splice` module docs) and renumbers the basis in place — the one
-//! renumbering `relabel` applies, the one restart a stored basis gets —
-//! so no LP is posed, converted, handed over or exported between the
-//! chain's ends. The slots see only those ends, with the entries and
-//! stamps handing the basis over round by round would have left: the
-//! chain's first LP is solved from its slot and keeps its basis there; a
-//! later round files its key with an empty placeholder carrying the stamp
-//! (so eviction sees what it always saw); and [`SolveContext::end_chain`]
-//! writes the basis into the last round's slot, with the columns its
-//! inverse inverts, before anything reads the slots again — the next LP
-//! that is not the chain's, in any call. Phase 2 after a phase 1 whose
-//! last round was solved re-costs the chain's standard form instead of
-//! posing its LP (`LpData::solve_again`).
+//! ## The slot policy
+//!
+//! Within a chain the basis does not travel through the slots; the slots
+//! hold the chain's ends. The chain's first LP is solved from its slot and
+//! leaves its basis there, and the second round takes a copy along. Each
+//! later round files its key with an empty placeholder stamped with the
+//! solve count, so [`SolveContext::slot`]'s eviction counts it, and drops
+//! the placeholder of the round before. [`SolveContext::end_chain`] writes
+//! the basis, with the columns its inverse inverts, into the last round's
+//! slot before anything reads the slots again — at the next LP that is not
+//! the chain's, in any call. Phase 2 after a kept phase-1 end files the
+//! grown phase-1 basis at the grown LP's phase-1 slot, stamped, before it
+//! seeds its own slot from there and before the eviction that fetching
+//! its slot runs.
 
 use std::collections::HashMap;
 
-use lowlat_linprog::{Basis, LiveLp, Problem};
+use lowlat_linprog::{Basis, LiveLp};
 
 use super::splice::LpLayout;
 
@@ -48,19 +54,17 @@ use super::splice::LpLayout;
 /// long-running controller (the §5 deployment cycle re-solves nearly
 /// identical LPs every minute).
 ///
-/// Stored bases are keyed by `(objective mode, rows, vars)`, but an entry
-/// does not stay where a solve left it. The growth loop poses a *chain* of
-/// LPs per call, each extending the one before, and every round carries the
-/// basis it just wrote to the key of the LP it grew into
-/// ([`lowlat_linprog::Basis::relabel`]): the chain's first LP keeps a copy,
-/// after that the basis moves. When a call returns the context therefore
-/// holds, per mode, the two ends of the trajectory — not one basis per
-/// shape ever seen — and the next call starts its own chain warm from the
-/// first, and restarts from the last wherever one of its LPs has that shape
-/// (phase 2 of a call that needed no growth, say).
-/// [`lowlat_linprog::Problem::solve_warm`] degrades stale bases to cold
-/// solves on its own, so a context can never change *what* is computed, only
-/// how fast.
+/// Stored bases are keyed by `(objective mode, rows, vars)`, and each
+/// holds the basis an LP of that key last left, stamped with the solve
+/// count at its last use. The growth loop runs a *chain* of LPs per call,
+/// each extending the one before; the chain carries its basis from round
+/// to round itself, so when a call returns the context holds, per mode, the
+/// two ends of the trajectory — not one basis per shape ever seen — and the
+/// next call starts its own chain warm from the first, and restarts from
+/// the last wherever one of its LPs has that shape (phase 2 of a call that
+/// needed no growth, say). [`lowlat_linprog::Problem::solve_warm`] degrades
+/// stale bases to cold solves on its own, so a context can never change
+/// *what* is computed, only how fast.
 #[derive(Debug, Default)]
 pub struct SolveContext {
     pub(super) bases: HashMap<(u8, usize, usize), StoredBasis>,
@@ -71,21 +75,15 @@ pub struct SolveContext {
 }
 
 /// One live LP per chain: the standard form the chain's last LP was
-/// solved in, grown in place by the next round (`LpData::solve`), and —
-/// from the chain's second LP on — the basis that LP left. The chain's
-/// first LP is solved from, and stores its basis in, its slot as any LP
-/// is; a later round files only its key, with an empty placeholder and the
-/// stamp a stored basis would have, so [`SolveContext::slot`]'s eviction
-/// sees the entries it always saw. [`SolveContext::end_chain`] writes the
-/// basis, before anything reads the bases again.
+/// solved in, grown in place by the next round (`LpData::solve_spliced`).
 #[derive(Debug)]
 pub(super) struct Chain {
     pub(super) live: LiveLp,
     /// The key of the LP `live` holds.
     pub(super) key: (u8, usize, usize),
-    /// Whether `live` holds the chain's basis; before the chain's second
-    /// LP it is the one stored at `key`.
-    pub(super) held: bool,
+    /// The basis that LP left, from the chain's second LP on; `None` while
+    /// it is the chain's first, whose basis stays in its slot at `key`.
+    pub(super) basis: Option<Basis>,
 }
 
 /// A stored basis plus the solve count at its last use, for eviction.
@@ -111,16 +109,13 @@ impl SolveContext {
         SolveContext::default()
     }
 
-    /// Ends the live chain: its basis, with the columns it inverts, goes
-    /// to the slot of the chain's last LP, which from then on holds what
-    /// handing it over round by round through the slots would have left
-    /// there. Returns the chain, whose live LP still holds its standard
-    /// form.
+    /// Ends the live chain: the basis it holds, with the columns it
+    /// inverts, goes to the slot of the chain's last LP. Returns the chain,
+    /// whose live LP still holds its standard form.
     pub(super) fn end_chain(&mut self) -> Option<Chain> {
         let mut chain = self.chain.take()?;
-        if chain.held {
-            self.bases.entry(chain.key).or_default().basis = chain.live.release();
-            chain.held = false;
+        if let Some(basis) = chain.basis.take() {
+            self.bases.entry(chain.key).or_default().basis = basis;
         }
         Some(chain)
     }
@@ -129,7 +124,11 @@ impl SolveContext {
     pub(super) fn slot(&mut self, tag: u8, rows: usize, vars: usize) -> &mut Basis {
         if self.bases.len() > MAX_STORED_BASES {
             let now = self.solves;
+            #[cfg(test)]
+            let before = self.bases.len();
             self.bases.retain(|_, s| now - s.last_used < STALE_AFTER_SOLVES);
+            #[cfg(test)]
+            tests::EVICTED.set(tests::EVICTED.get() + before - self.bases.len());
         }
         let entry = self.bases.entry((tag, rows, vars)).or_default();
         entry.last_used = self.solves;
@@ -152,72 +151,44 @@ impl SolveContext {
         }
     }
 
-    /// Carries the basis stored for the LP laid out as `from` to the key of
-    /// `grown`, the LP (laid out as `to`) that growth turned it into — in
-    /// `from`'s mode, whatever `grown` optimizes: the two modes of a
-    /// latency-optimal call share rows and columns — re-labelled so it
-    /// describes the same vertex there. The first LP of a chain keeps a
-    /// copy, so the next call's chain starts warm; from then on the basis
-    /// moves. Returns whether that slot now holds that vertex.
-    pub(super) fn hand_over(&mut self, from: &LpLayout, to: &LpLayout, grown: &Problem) -> bool {
-        let tag = from.tag;
-        let key = (tag, from.rows, from.vars());
-        let carried =
-            if from.handed_over { self.bases.remove(&key) } else { self.bases.get(&key).cloned() };
-        let (Some(mut carried), Some((columns, rows, enter))) = (carried, from.maps_into(to))
-        else {
-            return false;
+    /// The live chain, taken out to grow from `from`, holding its basis:
+    /// its own, when the slot at `from`'s key holds only a placeholder
+    /// (which goes), or a copy of the one in that slot when `from` began
+    /// the chain. `None`, and the chain stays, unless the chain ends at
+    /// `from` with a warm basis.
+    pub(super) fn continue_chain(&mut self, from: &LpLayout) -> Option<Chain> {
+        let key = (from.tag, from.rows, from.vars());
+        let chain = self.chain.as_ref().filter(|c| c.key == key)?;
+        let warm = match &chain.basis {
+            Some(basis) => basis.is_warm(),
+            None => self.bases.get(&key).is_some_and(|s| s.basis.is_warm()),
         };
-        if !carried.basis.relabel(grown, &columns, &rows, &enter) {
-            return false;
+        if !warm {
+            return None;
         }
-        carried.last_used = self.solves;
-        self.bases.insert((tag, grown.num_rows(), grown.num_vars()), carried);
-        true
-    }
-
-    /// Whether the live chain ends at the LP laid out as `from` and holds
-    /// a warm basis there: its own, or the one at `from`'s slot.
-    pub(super) fn chain_ends_warm_at(&self, from: &LpLayout) -> bool {
-        let key = (from.tag, from.rows, from.vars());
-        self.chain.as_ref().is_some_and(|c| {
-            c.key == key
-                && if c.held {
-                    c.live.held().is_warm()
-                } else {
-                    self.bases.get(&key).is_some_and(|s| s.basis.is_warm())
-                }
-        })
-    }
-
-    /// The live chain, taken out to grow from `from`, holding the basis
-    /// [`SolveContext::hand_over`] would carry: the chain's own, whose slot
-    /// holds only a placeholder, or the one at `from`'s slot — moved out
-    /// when it was handed over to `from`, copied when `from` began the
-    /// chain and its slot keeps it. Only when
-    /// [`SolveContext::chain_ends_warm_at`] `from`.
-    pub(super) fn continue_chain(&mut self, from: &LpLayout) -> Chain {
-        debug_assert!(self.chain_ends_warm_at(from), "the chain ends warm at `from`");
-        let key = (from.tag, from.rows, from.vars());
-        let mut chain = self.chain.take().expect("the chain ends at `from`");
-        match (chain.held, from.handed_over) {
-            (true, _) => drop(self.bases.remove(&key)),
-            (false, true) => chain.live.hold(self.bases.remove(&key).expect("warm").basis),
-            (false, false) => chain.live.hold(self.bases[&key].basis.clone()),
+        let mut chain = self.chain.take()?;
+        match chain.basis {
+            Some(_) => drop(self.bases.remove(&key)),
+            None => chain.basis = Some(self.bases[&key].basis.clone()),
         }
-        chain.held = true;
-        chain
+        Some(chain)
     }
 
     /// Files the chain after a round grew it into the LP laid out as `to`:
-    /// `to`'s slot gets a placeholder with the stamp the basis handed over
-    /// to it would carry, and counts as used, as that basis would.
+    /// `to`'s slot gets a placeholder stamped with the solve count, and
+    /// counts as used.
     pub(super) fn file_round(&mut self, mut chain: Chain, to: &LpLayout) {
         chain.key = (to.tag, to.rows, to.vars());
-        let placeholder = StoredBasis { basis: Basis::new(), last_used: self.solves };
-        self.bases.insert(chain.key, placeholder);
+        self.file(to, Basis::new());
         self.slot(to.tag, to.rows, to.vars());
         self.chain = Some(chain);
+    }
+
+    /// Files `basis` at the slot of the LP laid out as `at`, stamped with
+    /// the solve count, without the eviction [`SolveContext::slot`] runs.
+    pub(super) fn file(&mut self, at: &LpLayout, basis: Basis) {
+        let stored = StoredBasis { basis, last_used: self.solves };
+        self.bases.insert((at.tag, at.rows, at.vars()), stored);
     }
 
     /// LP solves that actually restarted from a stored basis.
@@ -233,7 +204,16 @@ impl SolveContext {
     /// Heap bytes of every stored basis and the live chain's — the
     /// `pathgrow.basis_bytes` gauge.
     pub(super) fn basis_bytes(&self) -> usize {
-        let live = self.chain.as_ref().map_or(0, |c| c.live.held().heap_bytes());
+        let live = self.chain.as_ref().and_then(|c| c.basis.as_ref()).map_or(0, Basis::heap_bytes);
         live + self.bases.values().map(|s| s.basis.heap_bytes()).sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+pub(super) mod tests {
+    thread_local! {
+        /// Slots eviction dropped on this thread.
+        pub(in super::super) static EVICTED: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
     }
 }

@@ -46,7 +46,8 @@
 //! test still runs on it, and the next LP that is solved grows out of the
 //! last LP *solved* (the layouts' maps span several growth steps: old sets
 //! are prefixes of new ones); when phase 1 ends on a kept round, phase 2
-//! takes that basis over to the final column set itself. On a 10k-node
+//! first splices the kept rounds' columns into the chain, as that next LP
+//! would have ([`LpData::solve_again`]). On a 10k-node
 //! placement 15 of 23 rounds keep their outcome, on a GTS-like decision 10
 //! of 75.
 //!
@@ -61,7 +62,8 @@
 //! about 1.4 LPs of a 10k-node placement) is posed, not guessed: the solver
 //! sums in another order and decides for itself. In unit tests every kept
 //! round is audited by something that did not decide it — the skipped LP is
-//! posed anyway on a copy of the basis and must take no pivot and return
+//! posed anyway and restarted from a copy of the basis, relabelled by
+//! [`lowlat_linprog::Basis::relabel`], and must take no pivot and return
 //! the kept vertex, and [`lowlat_linprog::certify`] must accept the kept
 //! values and duals on the grown problem.
 //!
@@ -80,7 +82,8 @@
 //! each row reaches [`Problem::add_row`] with its variables strictly
 //! increasing, and is appended to the problem's own arena. A later round
 //! writes only what growth added ([`LpData::splice`]) into buffers the
-//! solve and the chain's live LP keep. The solved LP's fractions are one
+//! solve and the chain's live LP keep, and phase 2 re-costs the chain's
+//! last LP in place. The solved LP's fractions are one
 //! flat array ([`Fractions`]); a kept round pads it to the grown path sets
 //! in one rebuild.
 
@@ -150,7 +153,7 @@ pub(super) struct LpOutcome {
     /// the link weights of the stopping test, [`LpData::proves_final`].
     pub(super) overload_prices: Vec<(LinkId, f64)>,
     /// Where the solved LP's variables and rows sit — what the next LP of
-    /// the chain needs to take this one's basis over.
+    /// the chain is spliced from.
     pub(super) layout: LpLayout,
     /// The solved LP's optimum; its duals price the columns growth adds
     /// ([`LpData::next_round`]).
@@ -515,73 +518,105 @@ impl<'a> LpData<'a> {
             o_rows: traffic_units,
             rows: p.num_rows(),
             tag: mode.tag(),
-            handed_over: false,
         };
         (p, layout)
     }
 
-    /// Builds and solves one LP over the given path sets, warm-starting
-    /// from (and refreshing) the context's basis for this mode and problem
-    /// size. `grown_from` is the layout of the LP this one grew out of, when
-    /// the caller holds that one's optimum: its basis is handed over first,
-    /// so this LP restarts from there. When that LP is the live chain's last
-    /// (the context's `Chain`) and this one is in its mode, this one is not
-    /// posed: it is spliced into the chain's standard form and restarts
-    /// from the basis the chain holds — the same LP and the same restart, to
-    /// the bit.
+    /// Poses the LP of `mode` over the given path sets and solves it from
+    /// the context's slot for its mode and shape, which the solve refreshes:
+    /// the first LP of a chain, which it begins.
     pub(super) fn solve(
         &mut self,
         path_sets: &[Vec<Path>],
         mode: &LpMode,
-        grown_from: Option<&LpLayout>,
         ctx: &mut SolveContext,
     ) -> Result<LpOutcome, LpError> {
-        if let Some(from) = grown_from {
-            debug_assert!(
-                !matches!(mode, LpMode::MinLatency { util_cap, .. } if util_cap.is_finite()),
-                "an LP with utilization caps grows out of none"
-            );
-            let splice = from.tag == mode.tag() && ctx.chain_ends_warm_at(from);
-            #[cfg(test)]
-            let splice = splice && !tests::SPLICING_OFF.get();
-            if splice {
-                let span = telemetry::span("pathgrow.splice", "pathgrow");
-                if let Some(layout) = self.splice(path_sets, mode, from) {
-                    let mut chain = ctx.continue_chain(from);
-                    let grown = chain.live.grow(&self.growth);
-                    drop(span);
-                    if grown {
-                        if telemetry::enabled() {
-                            let columns = layout.vars() - from.vars();
-                            telemetry::counter_add("pathgrow.columns_spliced", columns as u64);
-                            let rows = layout.rows - from.rows;
-                            telemetry::counter_add("pathgrow.rows_spliced", rows as u64);
-                        }
-                        return self.solve_spliced(path_sets, mode, layout, chain, ctx);
-                    }
-                    // Nothing to restart from: handing the basis over
-                    // would have dropped it and filed nothing.
-                    let (p, layout) = self.pose(path_sets, mode);
-                    return self.solve_posed(path_sets, mode, p, layout, ctx);
-                }
-            }
-        }
         ctx.end_chain();
-        let (p, mut layout) = self.pose(path_sets, mode);
-        // The basis travels under the mode of the LP it came from: phase 2
-        // takes over the vertex of a phase 1 that ended on a kept round
-        // (`next_round`) this way, and starts its own chain with it.
-        if let Some(from) = grown_from {
-            layout.handed_over = ctx.hand_over(from, &layout, &p) && from.tag == layout.tag;
+        let (p, layout) = self.pose(path_sets, mode);
+        let key = (mode.tag(), p.num_rows(), p.num_vars());
+        // Phase 2 shares phase 1's rows and columns; restart it from phase
+        // 1's vertex when no previous phase-2 basis fits.
+        if matches!(mode, LpMode::MinLatency { .. }) {
+            ctx.seed_cross_mode(LpMode::MinOverload.tag(), key.0, key.1, key.2);
         }
-        self.solve_posed(path_sets, mode, p, layout, ctx)
+        let live = LiveLp::new(&p);
+        let sol = live.solve(ctx.slot(key.0, key.1, key.2))?;
+        ctx.chain = Some(Chain { live, key, basis: None });
+        #[cfg(test)]
+        tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
+        Ok(self.outcome(path_sets, mode, layout, sol, ctx))
     }
 
-    /// The LP `held` solved, posed in `mode` — the same rows and columns
-    /// under another objective and bounds: phase 2 after a phase 1 whose
-    /// last round solved its LP. The chain's standard form takes the new
-    /// costs and bounds instead of the LP being posed again, and the LP is
-    /// solved from its slot as a posed one is, beginning a chain of its own.
+    /// The LP of `mode` over the given path sets, grown out of the one
+    /// laid out as `from` — the live chain's last — by a growth step:
+    /// spliced into the chain's standard form and restarted from the basis
+    /// the chain holds, renumbered with it. Posed as the first LP of a new
+    /// chain instead when the chain has no warm basis to restart from.
+    pub(super) fn solve_spliced(
+        &mut self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        from: &LpLayout,
+        ctx: &mut SolveContext,
+    ) -> Result<LpOutcome, LpError> {
+        let Some((chain, layout)) = self.grow_chain(path_sets, mode, from, ctx) else {
+            return self.solve(path_sets, mode, ctx);
+        };
+        #[cfg(test)]
+        let p = tests::posed_as_spliced(self, path_sets, mode, &layout, &chain.live);
+        ctx.file_round(chain, &layout);
+        let Some(Chain { live, basis: Some(basis), .. }) = &mut ctx.chain else {
+            unreachable!("the round was filed with its basis")
+        };
+        let sol = live.solve(basis)?;
+        if sol.warm_started() && telemetry::enabled() {
+            telemetry::counter_add("pathgrow.lp_handed_over", 1);
+        }
+        #[cfg(test)]
+        tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
+        Ok(self.outcome(path_sets, mode, layout, sol, ctx))
+    }
+
+    /// Splices what growth added since `from`, the live chain's last LP,
+    /// into the chain's standard form in `mode`, renumbering the chain's
+    /// basis with it: the grown chain, holding that basis, and its layout.
+    /// `None` when the chain holds no warm basis at `from`, or it could not
+    /// be renumbered; the chain is then gone from `ctx` or was never taken.
+    fn grow_chain(
+        &mut self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        from: &LpLayout,
+        ctx: &mut SolveContext,
+    ) -> Option<(Chain, LpLayout)> {
+        debug_assert!(
+            !matches!(mode, LpMode::MinLatency { util_cap, .. } if util_cap.is_finite()),
+            "a splice writes no utilization caps"
+        );
+        let _span = telemetry::span("pathgrow.splice", "pathgrow");
+        let mut chain = ctx.continue_chain(from)?;
+        let layout = self.splice(path_sets, mode, from);
+        let basis = chain.basis.as_mut().expect("a continued chain holds its basis");
+        if !chain.live.grow(&self.growth, basis) {
+            return None;
+        }
+        if telemetry::enabled() {
+            let columns = layout.vars() - from.vars();
+            telemetry::counter_add("pathgrow.columns_spliced", columns as u64);
+            telemetry::counter_add("pathgrow.rows_spliced", (layout.rows - from.rows) as u64);
+        }
+        Some((chain, layout))
+    }
+
+    /// Phase 2: the LP phase 1 ended on, posed in `mode` — the same rows and
+    /// columns under another objective and bounds. The chain's standard
+    /// form takes the new costs and bounds instead of the LP being posed
+    /// again, and the LP is solved from its slot as a posed one is,
+    /// beginning a chain of its own. When phase 1 ended on a kept round,
+    /// `held` is the last LP solved, and the columns of the rounds kept
+    /// since are first spliced into the chain in phase 1's mode — the splice
+    /// the next round of phase 1 would have made — and the grown phase-1
+    /// basis is filed at its slot, from which phase 2 may be seeded.
     pub(super) fn solve_again(
         &mut self,
         path_sets: &[Vec<Path>],
@@ -592,16 +627,21 @@ impl<'a> LpData<'a> {
         let LpMode::MinLatency { omax_cap, util_cap } = mode else {
             unreachable!("phase 2 re-costs phase 1's LP for latency")
         };
-        debug_assert!(util_cap.is_infinite() && !held.kept, "phase 2 after a solved phase 1");
-        let from = &held.layout;
-        let key = (from.tag, from.rows, from.vars());
-        let ends_at_held = ctx.chain.as_ref().is_some_and(|c| c.key == key);
-        #[cfg(test)]
-        let ends_at_held = ends_at_held && !tests::SPLICING_OFF.get();
-        if !ends_at_held {
-            return self.solve(path_sets, mode, None, ctx);
-        }
-        let mut live = ctx.end_chain().expect("the chain ends at `held`").live;
+        debug_assert!(util_cap.is_infinite(), "phase 2 has no utilization caps");
+        let (mut live, from) = if held.kept {
+            #[cfg(test)]
+            tests::KEPT_ENDS.set(tests::KEPT_ENDS.get() + 1);
+            let phase1 = &LpMode::MinOverload;
+            let Some((chain, grown)) = self.grow_chain(path_sets, phase1, &held.layout, ctx) else {
+                return self.solve(path_sets, mode, ctx);
+            };
+            ctx.file(&grown, chain.basis.expect("a grown chain holds its basis"));
+            (chain.live, grown)
+        } else {
+            let chain = ctx.end_chain().expect("phase 1's last LP solved is the chain's");
+            debug_assert_eq!(chain.key, (held.layout.tag, held.layout.rows, held.layout.vars()));
+            (chain.live, held.layout.clone())
+        };
         let (x_end, num_o) = (from.num_x(), from.used_links.len());
         let (mut costs, mut uppers) = (vec![0.0; from.vars()], vec![f64::INFINITY; from.vars()]);
         for (a, (paths, cols)) in path_sets.iter().zip(from.col_base.windows(2)).enumerate() {
@@ -612,57 +652,13 @@ impl<'a> LpData<'a> {
         costs[x_end..x_end + num_o].fill(SPREAD_WEIGHT);
         uppers[x_end..].fill(*omax_cap);
         live.set_costs(&costs, &uppers);
-        let layout = LpLayout { tag: mode.tag(), handed_over: false, ..from.clone() };
+        let layout = LpLayout { tag: mode.tag(), ..from };
         let (rows, vars) = (layout.rows, layout.vars());
         ctx.seed_cross_mode(LpMode::MinOverload.tag(), mode.tag(), rows, vars);
-        let sol = live.solve_warm(ctx.slot(mode.tag(), rows, vars))?;
+        let sol = live.solve(ctx.slot(mode.tag(), rows, vars))?;
         #[cfg(test)]
         let p = tests::posed_as_spliced(self, path_sets, mode, &layout, &live);
-        ctx.chain = Some(Chain { live, key: (mode.tag(), rows, vars), held: false });
-        #[cfg(test)]
-        tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
-        Ok(self.outcome(path_sets, mode, layout, sol, ctx))
-    }
-
-    /// Solves the posed `p` from its slot, and begins a chain with it.
-    fn solve_posed(
-        &mut self,
-        path_sets: &[Vec<Path>],
-        mode: &LpMode,
-        p: Problem,
-        layout: LpLayout,
-        ctx: &mut SolveContext,
-    ) -> Result<LpOutcome, LpError> {
-        // Phase 2 shares phase 1's rows and columns; restart it from phase
-        // 1's vertex when no previous phase-2 basis fits.
-        if matches!(mode, LpMode::MinLatency { .. }) {
-            ctx.seed_cross_mode(LpMode::MinOverload.tag(), mode.tag(), p.num_rows(), p.num_vars());
-        }
-        let live = LiveLp::new(&p);
-        let key = (mode.tag(), p.num_rows(), p.num_vars());
-        let sol = live.solve_warm(ctx.slot(key.0, key.1, key.2))?;
-        ctx.chain = Some(Chain { live, key, held: false });
-        #[cfg(test)]
-        tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
-        Ok(self.outcome(path_sets, mode, layout, sol, ctx))
-    }
-
-    /// Restarts `chain`, grown into the LP laid out as `layout`, from the
-    /// basis it holds — filing the round as handing the basis over would.
-    fn solve_spliced(
-        &mut self,
-        path_sets: &[Vec<Path>],
-        mode: &LpMode,
-        mut layout: LpLayout,
-        chain: Chain,
-        ctx: &mut SolveContext,
-    ) -> Result<LpOutcome, LpError> {
-        layout.handed_over = true;
-        #[cfg(test)]
-        let p = tests::posed_as_spliced(self, path_sets, mode, &layout, &chain.live);
-        ctx.file_round(chain, &layout);
-        let chain = ctx.chain.as_mut().expect("the round was filed");
-        let sol = chain.live.solve()?;
+        ctx.chain = Some(Chain { live, key: (mode.tag(), rows, vars), basis: None });
         #[cfg(test)]
         tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
         Ok(self.outcome(path_sets, mode, layout, sol, ctx))
@@ -688,9 +684,6 @@ impl<'a> LpData<'a> {
         // Solves, warm hits, cold solves and pivots are `lp.*`'s to report
         // (`lowlat_linprog`); only what the simplex cannot see is recorded here.
         if telemetry::enabled() {
-            if layout.handed_over && sol.warm_started() {
-                telemetry::counter_add("pathgrow.lp_handed_over", 1);
-            }
             telemetry::observe("pathgrow.lp_rows", layout.rows as f64);
             telemetry::gauge_set("pathgrow.basis_bytes", ctx.basis_bytes() as f64);
         }
@@ -751,9 +744,9 @@ impl<'a> LpData<'a> {
     /// sets since. When no path beyond that LP's columns prices into its
     /// basis, `held` with the new paths at zero is an optimum of the grown LP
     /// — the vertex a restart would be handed and return without a pivot —
-    /// and the round keeps it; otherwise the grown LP is posed, restarting
-    /// from the basis `held` left. The only place that decides not to pose
-    /// an LP.
+    /// and the round keeps it; otherwise the grown LP is spliced into the
+    /// chain, restarting from the basis `held` left. The only place that
+    /// decides not to solve an LP.
     pub(super) fn next_round(
         &mut self,
         path_sets: &[Vec<Path>],
@@ -762,7 +755,7 @@ impl<'a> LpData<'a> {
         ctx: &mut SolveContext,
     ) -> Result<LpOutcome, LpError> {
         let Some(links) = self.links_when_priced_out(path_sets, mode, &held) else {
-            return self.solve(path_sets, mode, Some(&held.layout), ctx);
+            return self.solve_spliced(path_sets, mode, &held.layout, ctx);
         };
         #[cfg(test)]
         tests::audit_kept_round(self, path_sets, mode, &held, links, ctx);
@@ -895,7 +888,6 @@ pub(super) fn agg_infos(tm: &TrafficMatrix, path_sets: &[Vec<Path>]) -> Vec<AggI
 
 #[cfg(test)]
 pub(super) mod tests {
-    use super::super::context::StoredBasis;
     use super::*;
 
     thread_local! {
@@ -913,17 +905,13 @@ pub(super) mod tests {
         static KEPT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
         /// Rounds spliced into a live LP on this thread.
         static SPLICED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-        /// Switches the live LP off on this thread: every LP is posed and
-        /// its basis handed over through the slots, as before it was kept.
-        pub(super) static SPLICING_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        /// Phase 2s on this thread after a phase 1 that ended on a kept round.
+        pub(super) static KEPT_ENDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
-    /// Runs `f` with every LP posed from scratch.
-    pub(crate) fn without_splicing<T>(f: impl FnOnce() -> T) -> T {
-        SPLICING_OFF.set(true);
-        let out = f();
-        SPLICING_OFF.set(false);
-        out
+    /// Phase 2s on this thread so far whose phase 1 ended on a kept round.
+    pub(crate) fn kept_phase1_ends() -> usize {
+        KEPT_ENDS.get()
     }
 
     /// Rounds spliced into a live LP on this thread so far, each held to
@@ -977,13 +965,15 @@ pub(super) mod tests {
     }
 
     /// Every kept round is checked by something that did not decide it. The
-    /// LP the round skips is posed anyway — on a scratch context holding a
-    /// copy of the basis, so the run under test goes on as if it had not
-    /// been — and must restart warm, take no pivot and return the kept level
-    /// and fractions. And the kept vertex with the kept duals — 0 on the rows
-    /// of newly used links, the derived dual on a promoted aggregate's
-    /// `Σ = B_a` row, worked out here from the grown LP's own layout — must
-    /// pass [`lowlat_linprog::certify`] on the grown problem: the proof,
+    /// LP the round skips is posed anyway and solved from a copy of the
+    /// held basis carried over by linprog's own reference,
+    /// [`lowlat_linprog::Basis::relabel`] and [`Problem::solve_warm`] — so
+    /// the run under test goes on as if it had not been — and must restart
+    /// warm, take no pivot and return the kept level and fractions. And the
+    /// kept vertex with the kept duals — 0 on the rows of newly used links,
+    /// the derived dual on a promoted aggregate's `Σ = B_a` row, worked out
+    /// here from the grown LP's own layout — must pass
+    /// [`lowlat_linprog::certify`] on the grown problem: the proof,
     /// independent of the solver, that it is optimal over the grown columns.
     pub(super) fn audit_kept_round(
         lp: &mut LpData,
@@ -991,21 +981,24 @@ pub(super) mod tests {
         mode: &LpMode,
         held: &LpOutcome,
         links: usize,
-        ctx: &mut SolveContext,
+        ctx: &SolveContext,
     ) {
         KEPT.set(KEPT.get() + 1);
         let from = &held.layout;
         let key = (from.tag, from.rows, from.vars());
-        let mut scratch = SolveContext::new();
-        let basis = match &ctx.chain {
-            Some(chain) if chain.held && chain.key == key => chain.live.held().clone(),
+        let mut basis = match &ctx.chain {
+            Some(Chain { key: k, basis: Some(basis), .. }) if *k == key => basis.clone(),
             _ => ctx.bases.get(&key).expect("the held LP left its basis").basis.clone(),
         };
-        scratch.bases.insert(key, StoredBasis { basis, last_used: 0 });
-        let posed = lp.solve(path_sets, mode, Some(from), &mut scratch).expect("the skipped LP");
-        let rows = posed.layout.rows;
-        assert!(posed.sol.warm_started(), "the skipped LP ({rows} rows) restarts warm");
-        assert_eq!(posed.pivots, 0, "the skipped LP ({rows} rows) was not a no-op");
+        let (p, grown) = lp.pose(path_sets, mode);
+        let (columns, rows, enter) = from.maps_into(&grown).expect("growth extends the held LP");
+        assert!(basis.relabel(&p, &columns, &rows, &enter), "the held basis carries over");
+        let sol = p.solve_warm(&mut basis).expect("the skipped LP");
+        audit_against_cold(&p, &sol, level_var(mode, &grown));
+        let posed = lp.outcome(path_sets, mode, grown.clone(), sol, &mut SolveContext::new());
+        let m = posed.layout.rows;
+        assert!(posed.sol.warm_started(), "the skipped LP ({m} rows) restarts warm");
+        assert_eq!(posed.pivots, 0, "the skipped LP ({m} rows) was not a no-op");
         assert!((posed.level - held.level).abs() <= 1e-12, "{} vs {}", posed.level, held.level);
         assert_eq!(posed.links, links, "links with rows in the grown LP");
         for (a, (kept, got)) in held.fractions.iter().zip(posed.fractions.iter()).enumerate() {
@@ -1017,8 +1010,6 @@ pub(super) mod tests {
             }
         }
 
-        let (p, grown) = lp.pose(path_sets, mode);
-        let (columns, rows, _) = from.maps_into(&grown).expect("growth extends the held LP");
         let mut x = vec![0.0; p.num_vars()];
         for (old, &new) in columns.iter().enumerate() {
             x[new] = held.sol.value(old);
@@ -1058,7 +1049,7 @@ pub(super) mod tests {
     }
 
     /// While a test has the audit on, every LP the growth loop solves —
-    /// warm, handed over or cold — is solved again from scratch and must
+    /// spliced, re-costed, warm from a slot or cold — is solved again from scratch and must
     /// have reached the same optimum: same objective, and the same level
     /// (`level_var`: `omax` / `U`) where the level is what is minimized. The
     /// guard against a restart that stops at a vertex it should not have

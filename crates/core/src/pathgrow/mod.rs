@@ -285,7 +285,7 @@ fn run_latency_optimal(
     // Every round's LP restarts from the optimum of the round before — or
     // is not posed, when its new columns cannot change that optimum.
     let phase1 = telemetry::span("pathgrow.phase1", "pathgrow");
-    let mut out = lp.solve(&path_sets, &LpMode::MinOverload, None, ctx)?;
+    let mut out = lp.solve(&path_sets, &LpMode::MinOverload, ctx)?;
     // The overload of the round before, and the overload at which the
     // stopping test last ran: it runs after a round that did not lower
     // `omax`, once per level.
@@ -340,17 +340,15 @@ fn run_latency_optimal(
     drop(phase1);
 
     // Phase 2: minimize delay subject to the achieved overload level (with
-    // slack covering LP tolerance so phase 1's solution stays feasible). It
-    // restarts from phase 1's vertex: the basis of an LP of its shape, or,
-    // when phase 1 ended on a kept round, the last one solved, handed over.
+    // slack covering LP tolerance so phase 1's solution stays feasible),
+    // over phase 1's last LP re-costed in the chain's live LP — grown first
+    // by the columns of the rounds phase 1 kept since it last solved. It
+    // restarts from a previous phase 2's basis of its shape, or from phase
+    // 1's vertex.
     let phase2 = telemetry::span("pathgrow.phase2", "pathgrow");
     let mode =
         LpMode::MinLatency { omax_cap: cap_above(omax, OVERLOAD_CAP_REL), util_cap: f64::INFINITY };
-    let mut out = if out.kept {
-        lp.solve(&path_sets, &mode, Some(&out.layout), ctx)?
-    } else {
-        lp.solve_again(&path_sets, &mode, &out, ctx)?
-    };
+    let mut out = lp.solve_again(&path_sets, &mode, &out, ctx)?;
     pivots += out.pivots;
     drop(phase2);
 
@@ -420,7 +418,10 @@ fn run_minmax(
     let mut grown_from: Option<LpLayout> = None;
     loop {
         rounds += 1;
-        let out = lp.solve(&path_sets, &LpMode::MinUtilization, grown_from.as_ref(), ctx)?;
+        let out = match &grown_from {
+            None => lp.solve(&path_sets, &LpMode::MinUtilization, ctx)?,
+            Some(from) => lp.solve_spliced(&path_sets, &LpMode::MinUtilization, from, ctx)?,
+        };
         pivots += out.pivots;
         let improved = out.level < best_u * (1.0 - MINMAX_IMPROVEMENT);
         best_u = best_u.min(out.level);
@@ -455,7 +456,7 @@ fn run_minmax(
         omax_cap: cap_above((best_u - 1.0).max(0.0), OVERLOAD_CAP_REL),
         util_cap: cap_above(best_u, UTIL_CAP_REL),
     };
-    let out = lp.solve(&path_sets, &mode, None, ctx)?;
+    let out = lp.solve(&path_sets, &mode, ctx)?;
     pivots += out.pivots;
     pricing.report();
     let omax = (best_u - 1.0).max(0.0);
@@ -483,7 +484,8 @@ pub(crate) mod tests {
     use rand::{Rng, SeedableRng};
 
     use super::bound::tests::{verdicts, without_bound};
-    use super::lp::tests::{audited, without_pricing, without_splicing};
+    use super::context::tests::EVICTED;
+    use super::lp::tests::{audited, kept_phase1_ends, without_pricing};
     pub(crate) use super::lp::tests::{kept_rounds, spliced_rounds};
     use super::lp::AggInfo;
     use super::pricing::tests::SURPLUS_OFF;
@@ -834,8 +836,7 @@ pub(crate) mod tests {
         let aggs = agg_infos(tm, &path_sets);
         let caps = source.effective_capacities();
         let mut lp = LpData::new(&aggs, volumes, &caps, 1.0);
-        let phase1 =
-            lp.solve(&path_sets, &LpMode::MinOverload, None, &mut SolveContext::new()).unwrap();
+        let phase1 = lp.solve(&path_sets, &LpMode::MinOverload, &mut SolveContext::new()).unwrap();
         assert!(
             (phase1.level - out.omax).abs() <= 1e-9,
             "omax {} vs cold {} over the same columns",
@@ -846,7 +847,7 @@ pub(crate) mod tests {
             omax_cap: out.omax * (1.0 + 1e-6) + 1e-7,
             util_cap: f64::INFINITY,
         };
-        let phase2 = lp.solve(&path_sets, &mode, None, &mut SolveContext::new()).unwrap();
+        let phase2 = lp.solve(&path_sets, &mode, &mut SolveContext::new()).unwrap();
         let (got, want) = (
             delay_term(&aggs, &path_sets, chained.iter().map(Vec::as_slice)),
             delay_term(&aggs, &path_sets, phase2.fractions.iter()),
@@ -902,8 +903,9 @@ pub(crate) mod tests {
     fn growth_rounds_restart_from_the_round_before() {
         // The work count the chain exists for: nearly every LP of a growth
         // sequence restarts warm, for a fraction of the pivots the same LPs
-        // take cold. (Keyed by shape alone, without the hand-over, the share
-        // reads 0.48 here: every round whose shape is new runs cold.)
+        // take cold. (Keyed by shape alone, without the chain carrying its
+        // basis from round to round, the share reads 0.48 here: every round
+        // whose shape is new runs cold.)
         let mut ctx = SolveContext::new();
         let (mut pivots, mut cold_pivots) = (0, 0);
         gts_like_inflated_calls(|cache, tm, volumes| {
@@ -1107,58 +1109,89 @@ pub(crate) mod tests {
         assert_eq!(on, off);
     }
 
-    // ---- The live LP (`splice` module docs) ----
+    // ---- The live chain (`context` module docs) ----
 
-    /// Every number of `placement`, floats by their bits.
-    fn placement_bits(placement: &Placement) -> Vec<(Vec<LinkId>, u64)> {
-        let splits = placement.per_aggregate().iter().flat_map(|a| &a.splits);
-        splits.map(|(path, x)| (path.links().to_vec(), x.to_bits())).collect()
+    /// The digest of [`growth_calls_through_one_context_keep_their_fingerprint`],
+    /// recorded while phase 2 after a kept phase-1 end still posed its LP
+    /// and took its basis over through the slots, and every other growth
+    /// round was already spliced into its chain's live LP.
+    const CHAIN_FINGERPRINT: u64 = 0x8f4a_1242_3baa_4b63;
+
+    /// FNV-1a over 64-bit words.
+    struct Digest(u64);
+
+    impl Digest {
+        fn word(&mut self, x: u64) {
+            self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+
+        /// Every number of `out`, floats by their bits; what the context
+        /// counted; and every slot it holds, sorted by key, with its stamp.
+        fn call(&mut self, out: &GrowOutcome, ctx: &mut SolveContext) {
+            for (path, x) in out.placement.per_aggregate().iter().flat_map(|a| &a.splits) {
+                path.links().iter().for_each(|l| self.word(u64::from(l.0)));
+                self.word(x.to_bits());
+            }
+            for n in [out.omax.to_bits(), out.lp_pivots as u64, out.rounds as u64] {
+                self.word(n);
+            }
+            self.word(ctx.solves() as u64);
+            self.word(ctx.warm_hits() as u64);
+            ctx.end_chain();
+            let mut slots: Vec<_> = ctx.bases.iter().collect();
+            slots.sort_by_key(|&(&key, _)| key);
+            for (&(tag, rows, vars), s) in slots {
+                for n in [u64::from(tag), rows as u64, vars as u64, s.last_used as u64] {
+                    self.word(n);
+                }
+                format!("{:?}", s.basis).bytes().for_each(|b| self.word(u64::from(b)));
+                self.word(s.basis.heap_bytes() as u64);
+            }
+        }
     }
 
     #[test]
-    fn a_spliced_chain_is_the_posed_chain_to_the_bit() {
-        // LDR's loop on GTS-like in miniature — five warm calls, a third of
-        // the demands inflated a little more each time — then MinMax on the
-        // same context: every phase grows a chain. Spliced or posed, every
-        // placement, pivot, round and solve is the same, and the context
-        // ends with the same slots under the same stamps.
+    fn growth_calls_through_one_context_keep_their_fingerprint() {
+        // LDR's Figure-14 loop on GTS-like, stretched: sixty warm calls
+        // through one context, a random 30% of the aggregates inflated by up
+        // to half each call and the whole matrix scaled by 1.0 to 2.0 in
+        // turn, so the chains end at new shapes until eviction drops slots;
+        // every 2x call's phase 1 ends on a kept round. Then MinMax on the
+        // same context. Placements, counts, and every slot with its stamp
+        // after every call are folded into one digest.
         let topo = named::gts_like();
-        let tm =
-            GravityTmGen::new(TmGenConfig::default()).generate(&topo, 0).scaled_to_load(&topo, 0.7);
+        let tm = GravityTmGen::new(TmGenConfig::default())
+            .generate(&topo, 0)
+            .scaled_to_load(&topo, 0.55);
         let cache = PathCache::new(topo.graph());
-        let run = || {
-            let mut ctx = SolveContext::new();
-            let mut outcomes = Vec::new();
-            for call in 0..5 {
-                let volumes: Vec<f64> = (tm.aggregates().iter().enumerate())
-                    .map(|(a, agg)| {
-                        agg.volume_mbps * if a % 3 == 0 { 1.0 + 0.05 * call as f64 } else { 1.0 }
-                    })
-                    .collect();
-                let out = GrowRequest::new(&cache, &tm).volumes(&volumes).solve_with(&mut ctx);
-                outcomes.push(out.unwrap());
+        let mut ctx = SolveContext::new();
+        let mut h = Digest(0xcbf2_9ce4_8422_2325);
+        let mut rng = StdRng::seed_from_u64(7);
+        let (evicted_before, spliced_before) = (EVICTED.get(), spliced_rounds());
+        let mut kept_ends_at_2x = 0;
+        for call in 0..60 {
+            let scale = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0][call % 6];
+            let volumes: Vec<f64> = (tm.aggregates().iter())
+                .map(|agg| {
+                    let inflation = if rng.gen_bool(0.3) { rng.gen_range(1.0..1.5) } else { 1.0 };
+                    agg.volume_mbps * scale * inflation
+                })
+                .collect();
+            let kept_ends = kept_phase1_ends();
+            let out = GrowRequest::new(&cache, &tm).volumes(&volumes).solve_with(&mut ctx).unwrap();
+            if scale == 2.0 {
+                assert_eq!(kept_phase1_ends(), kept_ends + 1, "call {call}: phase 1 ends kept");
+                kept_ends_at_2x += 1;
             }
-            outcomes.push(GrowRequest::new(&cache, &tm).minmax(None).solve_with(&mut ctx).unwrap());
-            ctx.end_chain();
-            let mut slots: Vec<_> = ctx
-                .bases
-                .iter()
-                .map(|(&key, s)| (key, s.last_used, format!("{:?}", s.basis), s.basis.heap_bytes()))
-                .collect();
-            slots.sort_by_key(|s| s.0);
-            let numbers: Vec<_> = outcomes
-                .iter()
-                .map(|o| (placement_bits(&o.placement), o.omax.to_bits(), o.lp_pivots, o.rounds))
-                .collect();
-            (numbers, slots, ctx.solves(), ctx.warm_hits())
-        };
-        let spliced_before = spliced_rounds();
-        let spliced = run();
-        let rounds = spliced_rounds() - spliced_before;
-        let posed = without_splicing(run);
-        assert_eq!(spliced_rounds() - spliced_before, rounds, "nothing is spliced with it off");
-        assert!(rounds >= 10, "{rounds} rounds spliced");
-        assert!(spliced == posed, "the spliced chain is not the posed one");
+            h.call(&out, &mut ctx);
+        }
+        let out = GrowRequest::new(&cache, &tm).minmax(None).solve_with(&mut ctx).unwrap();
+        h.call(&out, &mut ctx);
+        assert_eq!(kept_ends_at_2x, 10);
+        assert!(EVICTED.get() > evicted_before, "no slot was evicted");
+        let spliced = spliced_rounds() - spliced_before;
+        assert!(spliced >= 300, "{spliced} rounds spliced, each held to its posed LP");
+        assert_eq!(h.0, CHAIN_FINGERPRINT, "digest {:#018x}", h.0);
     }
 
     // ---- Pricing before posing (`lp` module docs, "The pricing step") ----
@@ -1334,8 +1367,7 @@ pub(crate) mod tests {
             cache.apply_failure(mask);
             let caps = cache.effective_capacities();
             let mut lp = LpData::new(&aggs, &[150.0], &caps, 1.0);
-            let out =
-                lp.solve(&held, &LpMode::MinOverload, None, &mut SolveContext::new()).unwrap();
+            let out = lp.solve(&held, &LpMode::MinOverload, &mut SolveContext::new()).unwrap();
             assert_eq!(out.overload_prices.len(), 1);
             let verdict = lp.proves_final(g, &tm, &held, &out);
             let bound = lp
@@ -1420,7 +1452,7 @@ pub(crate) mod tests {
             let cap_scale = 1.0 - 0.1 * headroom as f64;
             let mut lp = LpData::new(&aggs, &volumes, &caps, cap_scale);
             let optimum = lp
-                .solve(&every_path, &LpMode::MinOverload, None, &mut SolveContext::new())
+                .solve(&every_path, &LpMode::MinOverload, &mut SolveContext::new())
                 .unwrap()
                 .level;
             let bound = lp

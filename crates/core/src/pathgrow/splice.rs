@@ -20,9 +20,9 @@ use super::lp::{LpData, LpMode, PoseScratch, FRESH, SPREAD_WEIGHT, UNUSED};
 
 /// Where the variables and rows of one posed LP sit. [`LpData::pose`]
 /// decides it, and [`LpData::splice`] gives a grown LP the layout `pose`
-/// would (the unit tests hold every spliced round to it); the basis
-/// hand-over between two LPs of a chain derives its column and row maps
-/// from their two layouts.
+/// would (the unit tests hold every spliced round to it), with the column
+/// and row maps that renumber the chain's basis derived from the two
+/// layouts.
 ///
 /// Columns: a block of split variables per aggregate with more than one
 /// path (aggregate order), one `o_l` per used link (link-index order), the
@@ -42,9 +42,6 @@ pub(super) struct LpLayout {
     pub(super) rows: usize,
     /// [`LpMode::tag`] of the posed LP: the context key its basis is under.
     pub(super) tag: u8,
-    /// Whether this LP's basis arrived from the LP before it in its mode's
-    /// chain.
-    pub(super) handed_over: bool,
 }
 
 /// `(columns, rows, enter)` as [`lowlat_linprog::Basis::relabel`] takes them.
@@ -126,7 +123,7 @@ impl LpData<'_> {
     /// What the LP of `mode` over `path_sets` adds to the one laid out as
     /// `from`, in which every old path set is a prefix of the new one, into
     /// [`LpData::growth`] — and the grown LP's layout, which is the one
-    /// [`LpData::pose`] gives it (`None` when it does not extend `from`).
+    /// [`LpData::pose`] gives it.
     /// Grown paths and promoted aggregates' `z_a0` are new columns; newly
     /// used links bring their capacity and `o_l <= omax` rows and columns,
     /// promoted aggregates their `Σ = B_a` rows, each in the place `pose`
@@ -138,7 +135,7 @@ impl LpData<'_> {
         path_sets: &[Vec<Path>],
         mode: &LpMode,
         from: &LpLayout,
-    ) -> Option<LpLayout> {
+    ) -> LpLayout {
         let (volumes, caps, cap_scale) = (self.volumes, self.caps, self.cap_scale);
         let (mut rank, mut scratch) = (take(&mut self.link_rank), take(&mut self.pose));
         let traffic_units = from.o_rows;
@@ -192,14 +189,8 @@ impl LpData<'_> {
             o_rows: traffic_units,
             rows: link_rows * num_o + multi,
             tag: mode.tag(),
-            handed_over: false,
         };
-        let maps = from.maps_into(&layout);
-        let Some((columns, rows, enter)) = maps else {
-            layout.used_links.iter().for_each(|&l| rank[l] = UNUSED);
-            (self.link_rank, self.pose) = (rank, scratch);
-            return None;
-        };
+        let (columns, rows, enter) = from.maps_into(&layout).expect("growth only appends");
 
         // New rows in the order `pose` puts them: the new links' capacity
         // rows (no fixed load crosses a link that had no row) and their
@@ -293,6 +284,6 @@ impl LpData<'_> {
         }
         layout.used_links.iter().for_each(|&l| rank[l] = UNUSED);
         (self.link_rank, self.pose, self.growth) = (rank, scratch, growth);
-        Some(layout)
+        layout
     }
 }

@@ -7,7 +7,9 @@
 //! aggregate or per path copied. A counting global
 //! allocator holds the GTS-like chain the benchmark's LDR decision runs to
 //! that: a second call on a warm cache and context, counted on this thread
-//! only, so nothing another test thread does is charged to it. The same
+//! only, so nothing another test thread does is charged to it; and a call
+//! at twice that demand, whose phase 1 ends on a kept round, to a phase 2
+//! that grows the chain instead of posing its LP again. The same
 //! allocator holds a recovery's routable partition to a count that does
 //! not grow with the aggregates (no error text is built for a check that
 //! passes), and a point query on a warm thread to its one path.
@@ -119,6 +121,47 @@ fn a_warm_growth_call_allocates_per_lp_not_per_row_path_or_aggregate() {
         per_lp <= MAX_ALLOCATIONS_PER_LP,
         "{allocations} allocations over {lps} posed LPs: {per_lp:.1} an LP, \
          bound {MAX_ALLOCATIONS_PER_LP}"
+    );
+}
+
+/// Allocations the counted call of
+/// [`phase_2_after_a_kept_phase_1_end_grows_the_chain_instead_of_posing`]
+/// may make. Its phase 1 ends on a kept round; it solves 9 LPs over 10
+/// rounds. When phase 2 after such an end posed its LP and took the
+/// phase-1 basis over through the slots, the call made 3 140 allocations;
+/// since phase 2 splices the kept rounds' columns into the chain's live LP
+/// and re-costs it, 3 111 — debug and release alike, the same count every
+/// run. The bound, 3 120, sits between: posing phase 2's LP again costs 29
+/// and fails it by 20.
+const MAX_KEPT_END_CALL_ALLOCATIONS: usize = 3_120;
+
+#[test]
+fn phase_2_after_a_kept_phase_1_end_grows_the_chain_instead_of_posing() {
+    let topo = named::gts_like();
+    let tm =
+        GravityTmGen::new(TmGenConfig::default()).generate(&topo, 0).scaled_to_load(&topo, 0.55);
+    let cache = PathCache::new(topo.graph());
+    let mut ctx = SolveContext::new();
+    // Twice the benchmark's demand: both calls end phase 1 on an overload
+    // proven final, on a round that kept its outcome. The first fills the
+    // path cache and the context; the second inflates a third of the
+    // demands by 1.1, as LDR's Figure-14 loop does, and re-solves warm.
+    let doubled: Vec<f64> = tm.aggregates().iter().map(|a| 2.0 * a.volume_mbps).collect();
+    GrowRequest::new(&cache, &tm).volumes(&doubled).solve_with(&mut ctx).unwrap();
+    let volumes: Vec<f64> = (doubled.iter().enumerate())
+        .map(|(a, &v)| v * if a % 3 == 0 { 1.1 } else { 1.0 })
+        .collect();
+    let solves = ctx.solves();
+
+    let (out, allocations) =
+        counted(|| GrowRequest::new(&cache, &tm).volumes(&volumes).solve_with(&mut ctx));
+
+    let out = out.unwrap();
+    let lps = ctx.solves() - solves;
+    assert!(out.omax > 0.0 && lps == 9, "{lps} LPs: twice the demand overloads GTS-like");
+    assert!(
+        allocations <= MAX_KEPT_END_CALL_ALLOCATIONS,
+        "{allocations} allocations, bound {MAX_KEPT_END_CALL_ALLOCATIONS}"
     );
 }
 

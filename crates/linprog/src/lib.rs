@@ -51,12 +51,13 @@
 //!   [`Solution::prices_in`] says, from that optimum's duals, whether a new
 //!   column would enter the basis at all — a round none of whose columns
 //!   would need not be posed. A chain of such rounds need not pose its
-//!   problems at all: a [`LiveLp`] holds the standard form and the basis
-//!   of the last round solved, and a round splices its new columns and
-//!   rows in ([`Growth`]) and restarts there — the same renumbering as
-//!   `relabel`, the same restart as `solve_warm`, the same standard form as
-//!   posing the grown problem, to the bit — instead of building the grown
-//!   problem row by row, converting it and handing the basis over.
+//!   problems at all: a [`LiveLp`] holds the standard form of the last
+//!   round solved, a round splices its new columns and rows in
+//!   ([`Growth`]) and renumbers the caller's [`Basis`] with them, and the
+//!   restart takes that handle as `solve_warm` does — the same renumbering
+//!   as `relabel`, the same restart, the same standard form as posing the
+//!   grown problem, to the bit. `relabel` stays the reference a spliced
+//!   chain is tested against.
 //!
 //! Not implemented (not needed by this workspace): general variable bounds
 //! (shift/negate at the call site), sparse LU factorization or an eta file

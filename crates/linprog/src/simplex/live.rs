@@ -1,7 +1,8 @@
 //! A problem kept in standard form along a column-generation chain: each
 //! round splices what it adds into the form the round before solved and
-//! restarts from the basis that solve left, instead of posing the grown
-//! problem row by row, converting it again and handing the basis over.
+//! restarts from the basis that solve left, renumbered alongside, instead
+//! of posing the grown problem row by row, converting it again and
+//! relabelling the basis.
 
 use lowlat_telemetry as telemetry;
 
@@ -108,23 +109,19 @@ impl Growth {
 }
 
 /// A problem held in standard form between the solves of a
-/// column-generation chain, with the basis its last solve left.
+/// column-generation chain.
 ///
 /// [`LiveLp::new`] converts a posed [`Problem`] once; after that each
 /// round [`LiveLp::grow`]s it by a [`Growth`] — an O(nonzeros) merge that
 /// renumbers what moved and writes what is new, the same standard form
 /// the grown problem, posed as a [`Problem`], would be solved in, to the bit
-/// ([`LiveLp::differs_from`] checks it) — and [`LiveLp::solve`] restarts
-/// from the held basis, renumbered by the one renumbering
-/// [`Basis::relabel`] applies and restored by the one restart
-/// [`Problem::solve_warm`] runs. The held basis is an ordinary handle,
-/// with the basic columns its inverse inverts; it leaves with
-/// [`LiveLp::release`] for a slot to store.
+/// ([`LiveLp::differs_from`] checks it) — and renumbers the caller's basis
+/// with it, by the one renumbering [`Basis::relabel`] applies. It holds no
+/// basis: [`LiveLp::solve`] takes one as [`Problem::solve_warm`] does and
+/// runs the one restart that runs.
 #[derive(Default)]
 pub struct LiveLp {
     pub(super) sf: StandardForm,
-    /// The held basis.
-    pub(super) held: Basis,
     /// The buffers the next splice writes the grown form into.
     spare: StandardForm,
     /// Per row of the grown form, its slack's coefficient (0 for none).
@@ -136,7 +133,6 @@ impl std::fmt::Debug for LiveLp {
         f.debug_struct("LiveLp")
             .field("rows", &self.num_rows())
             .field("vars", &self.num_vars())
-            .field("held", &self.held)
             .finish()
     }
 }
@@ -158,32 +154,21 @@ impl LiveLp {
     }
 
     /// Solves warm from `basis` as [`Problem::solve_warm`] does the problem
-    /// this holds, storing the new optimal basis back into `basis`. The
-    /// held basis is not touched.
-    pub fn solve_warm(&self, basis: &mut Basis) -> Result<Solution, LpError> {
+    /// this holds, storing the new optimal basis back into `basis`; a cold
+    /// handle, or one that does not fit, makes the solve cold.
+    pub fn solve(&self, basis: &mut Basis) -> Result<Solution, LpError> {
         let _span = telemetry::span("lp.solve", "lp");
         solve_standard_form_warm(&self.sf, &SolverOptions::default(), basis)
     }
 
-    /// Takes `basis` — exported by a solve of this problem — as the one the
-    /// next [`LiveLp::grow`] renumbers and [`LiveLp::solve`] restarts from.
-    pub fn hold(&mut self, basis: Basis) {
-        self.held = basis;
-    }
-
-    /// The held basis.
-    pub fn held(&self) -> &Basis {
-        &self.held
-    }
-
-    /// Splices `growth` in and renumbers the held basis for the grown
-    /// problem as [`Basis::relabel`] does. `false` when the held basis
-    /// could not be renumbered (none held, or maps it does not fit): it is
-    /// cleared, and the next solve runs cold.
+    /// Splices `growth` in and renumbers `basis` — exported by a solve of
+    /// the problem this held — for the grown problem as [`Basis::relabel`]
+    /// does. `false` when `basis` could not be renumbered (cold, or maps it
+    /// does not fit): it is cleared, and a solve from it runs cold.
     ///
     /// # Panics
     /// On maps that are not strictly increasing or leave the grown problem.
-    pub fn grow(&mut self, growth: &Growth) -> bool {
+    pub fn grow(&mut self, growth: &Growth, basis: &mut Basis) -> bool {
         let Growth { columns, rows, enter, new_rows, rhs, cols, costs, uppers, extra } = growth;
         let old = &self.sf;
         let (m0, n0) = (old.b.len(), old.num_structural);
@@ -277,7 +262,7 @@ impl LiveLp {
         }
         std::mem::swap(&mut self.sf, &mut self.spare);
         let slack = &self.slack;
-        self.held.renumber((m1, n1), |r| slack[r] != 0.0, columns, rows, enter)
+        basis.renumber((m1, n1), |r| slack[r] != 0.0, columns, rows, enter)
     }
 
     /// Gives every structural column `j` the objective coefficient
@@ -295,23 +280,6 @@ impl LiveLp {
         assert!(uppers.iter().all(|&u| !u.is_nan() && u >= 0.0), "bad upper bound");
         self.sf.c[..n].copy_from_slice(costs);
         self.sf.upper[..n].copy_from_slice(uppers);
-    }
-
-    /// Re-optimizes from the held basis — the vertex the last solve ended
-    /// at, carried into what [`LiveLp::grow`] added since — and holds the
-    /// new optimal basis. Falls back to a cold solve as
-    /// [`Problem::solve_warm`] does.
-    pub fn solve(&mut self) -> Result<Solution, LpError> {
-        let _span = telemetry::span("lp.solve", "lp");
-        let opts = SolverOptions::default();
-        solve_standard_form_warm(&self.sf, &opts, &mut self.held)
-    }
-
-    /// Moves the held basis out — what [`Basis::relabel`] and a solve's
-    /// export would have left in a handle — so a later
-    /// [`Problem::solve_warm`] can restart from it.
-    pub fn release(&mut self) -> Basis {
-        std::mem::take(&mut self.held)
     }
 
     /// `None` when this holds, to the bit, the standard form `posed`

@@ -811,7 +811,7 @@ mod tests {
         /// A live LP grown by splicing is, to the bit, the standard form the
         /// grown problem poses, and its restart is [`Basis::relabel`] +
         /// [`Engine::with_basis`]'s: the same labels, inverse, basic values
-        /// and age, the same solve, and on release the same handle —
+        /// and age, the same solve, and after it the same handle —
         /// columns, coefficients, right-hand sides (some of which move),
         /// costs, bounds and slack order alike.
         #[test]
@@ -856,14 +856,14 @@ mod tests {
             let mut relabelled = handle.clone();
             prop_assert!(relabelled.relabel(&posed, &columns, &row_map, &enter));
             let mut live = LiveLp::new(&problem);
-            live.hold(handle.clone());
-            prop_assert!(live.grow(&growth_between(&lp, &next, &columns, &row_map)));
+            let mut spliced = handle.clone();
+            prop_assert!(live.grow(&growth_between(&lp, &next, &columns, &row_map), &mut spliced));
             prop_assert_eq!(live.differs_from(&posed), None);
 
             let sf = posed.to_standard_form();
             let opts = SolverOptions::default();
             let head = Engine::with_basis(&sf, opts.clone(), &mut relabelled.clone());
-            let restart = Engine::with_basis(&live.sf, opts, &mut live.held.clone());
+            let restart = Engine::with_basis(&live.sf, opts, &mut spliced.clone());
             match (head, restart) {
                 (Some(a), Some(b)) => {
                     prop_assert_eq!(&a.basis, &b.basis);
@@ -878,7 +878,7 @@ mod tests {
                 (a, b) => prop_assert_eq!(a.is_some(), b.is_some()),
             }
 
-            match (posed.solve_warm(&mut relabelled), live.solve()) {
+            match (posed.solve_warm(&mut relabelled), live.solve(&mut spliced)) {
                 (Ok(a), Ok(b)) => {
                     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     prop_assert_eq!(bits(a.values()), bits(b.values()));
@@ -887,13 +887,12 @@ mod tests {
                 }
                 (a, b) => prop_assert_eq!(a.err(), b.err()),
             }
-            let released = live.release();
-            prop_assert_eq!(format!("{released:?}"), format!("{relabelled:?}"));
+            prop_assert_eq!(format!("{spliced:?}"), format!("{relabelled:?}"));
             let entries = |b: &Basis| b.carried.cols.entries.iter().map(|&(r, v)| (r, v.to_bits())).collect::<Vec<_>>();
-            prop_assert_eq!(entries(&released), entries(&relabelled));
-            prop_assert_eq!(&released.carried.cols.ptr, &relabelled.carried.cols.ptr);
+            prop_assert_eq!(entries(&spliced), entries(&relabelled));
+            prop_assert_eq!(&spliced.carried.cols.ptr, &relabelled.carried.cols.ptr);
             let inverse = |b: &Basis| DenseInverse::of(&b.carried.inverse).binv.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(inverse(&released), inverse(&relabelled));
+            prop_assert_eq!(inverse(&spliced), inverse(&relabelled));
         }
     }
 

@@ -57,6 +57,10 @@ const GONE: &[&str] = &[
     "posed_col",
     "UNIT_SLACK_TOL",
     "art_row",
+    "hand_over",
+    "handed_over",
+    "SPLICING_OFF",
+    "without_splicing",
 ];
 
 /// Deleted doors named by an English word, matched in code only: in a `//`
