@@ -203,6 +203,22 @@ impl<'g> PathCache<'g> {
     }
 }
 
+/// Grows `gen` to `k` paths (fewer when it runs out) and adds the paths it
+/// produced to `cache.yen_expansions` and the spur searches it ran — those
+/// of an expansion that found nothing included — to `cache.yen_spurs`.
+fn grow_counted<'a>(gen: &'a mut KspGenerator<'_>, k: usize) -> &'a [Path] {
+    let (paths, spurs) = (gen.produced().len(), gen.spur_searches());
+    let expanded = gen.take_up_to(k).len() - paths;
+    if expanded > 0 {
+        telemetry::counter_add("cache.yen_expansions", expanded as u64);
+    }
+    let spurs = gen.spur_searches() - spurs;
+    if spurs > 0 {
+        telemetry::counter_add("cache.yen_spurs", spurs);
+    }
+    gen.produced()
+}
+
 /// The flat backend of the pricing-oracle API: fully materialized incremental
 /// Yen generators, one per requested pair.
 impl PathSource for PathCache<'_> {
@@ -250,12 +266,7 @@ impl PathSource for PathCache<'_> {
         {
             *entry = self.make_gen(src, dst, mask.as_deref());
         }
-        let before = entry.gen.produced().len();
-        let produced = entry.gen.take_up_to(k);
-        let expanded = produced.len().saturating_sub(before);
-        if expanded > 0 {
-            telemetry::counter_add("cache.yen_expansions", expanded as u64);
-        }
+        let produced = grow_counted(&mut entry.gen, k);
         produced[..produced.len().min(k)].to_vec()
     }
 
@@ -297,7 +308,7 @@ impl PathSource for PathCache<'_> {
                 }
                 let want = cg.gen.produced().len();
                 let mut fresh = self.make_gen(src, dst, active.as_deref());
-                let got = fresh.gen.take_up_to(want).len();
+                let got = grow_counted(&mut fresh.gen, want).len();
                 *cg = fresh;
                 stats.repaired_pairs += 1;
                 stats.paths_regrown += got;

@@ -12,7 +12,8 @@
 //! that grows the chain instead of posing its LP again. The same
 //! allocator holds a recovery's routable partition to a count that does
 //! not grow with the aggregates (no error text is built for a check that
-//! passes), and a point query on a warm thread to its one path.
+//! passes), a point query on a warm thread to its one path, and a warm
+//! Yen generator's expansion to the candidates it keeps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,7 +22,7 @@ use lowlat_core::failure::{partition_routable, single_link_failures};
 use lowlat_core::pathgrow::{GrowRequest, SolveContext};
 use lowlat_core::pathset::PathCache;
 use lowlat_core::scale::ScaleToLoad;
-use lowlat_netgraph::{shortest_path, Graph, NodeId};
+use lowlat_netgraph::{shortest_path, Graph, KspGenerator, NodeId};
 use lowlat_tmgen::{GravityTmGen, TmGenConfig, TrafficMatrix};
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
 use lowlat_topology::zoo::named;
@@ -85,11 +86,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// — debug and release alike, the same count every run. The call's first
 /// LP is posed; the other four grow out of it in place (spliced, or
 /// re-costed for phase 2), and posing any one of them again adds 21 to 27
-/// allocations: at least 2 445 over 5 LPs, 489.0 an LP. The bound, 487
-/// an LP (2 435 over 5), sits between: a single round that poses its LP
-/// again fails it. The rest of an LP's allocations are its pivots' and its
-/// growth step's.
-const MAX_ALLOCATIONS_PER_LP: f64 = 487.0;
+/// allocations: at least 2 445 over 5 LPs, 489.0 an LP, when the bound
+/// was 487. Since Yen's expansions keep their spur buffers, the call's
+/// path growth makes 197 fewer allocations: 445.4 an LP (2 227), and a
+/// round posed again would read at least 449.6 (2 227 + 21 over 5). The
+/// bound, 447 an LP (2 235 over 5), sits between: a single round that
+/// poses its LP again fails it. The rest of an LP's allocations are its
+/// pivots' and its growth step's.
+const MAX_ALLOCATIONS_PER_LP: f64 = 447.0;
 
 #[test]
 fn a_warm_growth_call_allocates_per_lp_not_per_row_path_or_aggregate() {
@@ -131,9 +135,10 @@ fn a_warm_growth_call_allocates_per_lp_not_per_row_path_or_aggregate() {
 /// phase-1 basis over through the slots, the call made 3 140 allocations;
 /// since phase 2 splices the kept rounds' columns into the chain's live LP
 /// and re-costs it, 3 111 — debug and release alike, the same count every
-/// run. The bound, 3 120, sits between: posing phase 2's LP again costs 29
-/// and fails it by 20.
-const MAX_KEPT_END_CALL_ALLOCATIONS: usize = 3_120;
+/// run — and 3 086 since Yen's expansions keep their spur buffers. The
+/// bound, 3 095, sits between: posing phase 2's LP again costs 29 and
+/// fails it by 20.
+const MAX_KEPT_END_CALL_ALLOCATIONS: usize = 3_095;
 
 #[test]
 fn phase_2_after_a_kept_phase_1_end_grows_the_chain_instead_of_posing() {
@@ -213,4 +218,33 @@ fn a_point_query_on_a_warm_thread_allocates_its_path_and_nothing_else() {
             assert_eq!(allocations, 1, "{s:?} to {t:?} on {} nodes", g.node_count());
         }
     }
+}
+
+/// Allocations the eight expansions of
+/// [`a_warm_generators_expansion_allocates_the_candidates_it_keeps`] may
+/// make. They keep 20 candidates, one allocation each (its links, shared
+/// by `seen`, the heap and the accepted path), and 9 more as the
+/// generator's arrays and buffers grow (accepted paths, the heap, `seen`):
+/// 29, debug and release alike. While every expansion allocated its node
+/// list, both masks and its link buffer, the same growth made 73. The
+/// bound is the count, so an expansion that allocates one of its buffers
+/// again fails it.
+const MAX_EXPANSION_ALLOCATIONS: usize = 29;
+
+#[test]
+fn a_warm_generators_expansion_allocates_the_candidates_it_keeps() {
+    let topo = named::gts_like();
+    let g = topo.graph();
+    let (src, dst) = (NodeId(0), NodeId(g.node_count() as u32 - 1));
+    let mut gen = KspGenerator::new(g, src, dst);
+    // Four paths: three expansions, which size the spur buffers and this
+    // thread's point-query workspace.
+    assert_eq!(gen.take_up_to(4).len(), 4);
+    let (grown, allocations) = counted(|| gen.take_up_to(12).len());
+    assert_eq!(grown, 12);
+    assert!(
+        allocations <= MAX_EXPANSION_ALLOCATIONS,
+        "{allocations} allocations growing {src:?} to {dst:?} from 4 to 12 paths, \
+         bound {MAX_EXPANSION_ALLOCATIONS}"
+    );
 }

@@ -738,6 +738,32 @@ impl Drop for Engine<'_> {
     }
 }
 
+/// Why a warm restart fell back to a cold solve. Each cause has a counter
+/// beside `lp.degrade_to_cold`, which is their sum.
+#[derive(Clone, Copy)]
+enum Degrade {
+    /// [`Engine::with_basis`] could not restore the basis: the wrong
+    /// shape, corrupt labels or a singular refactorization.
+    BasisUnusable,
+    /// The dual repair found no pivot for a violated row, or ran out of
+    /// its pivot budget.
+    RepairGaveUp,
+    /// Phase 2 from the repaired vertex failed other than by proving the
+    /// problem unbounded (its pivot cap or numerical trouble).
+    RestartFailed,
+}
+
+impl Degrade {
+    /// The telemetry counter of this cause.
+    fn counter(self) -> &'static str {
+        match self {
+            Degrade::BasisUnusable => "lp.degrade.basis_unusable",
+            Degrade::RepairGaveUp => "lp.degrade.repair_gave_up",
+            Degrade::RestartFailed => "lp.degrade.restart_failed",
+        }
+    }
+}
+
 /// Warm entry point used by [`crate::Problem::solve_warm`] and
 /// [`crate::LiveLp`]: restart phase 2 from `basis` when it still fits the
 /// problem, fall back to the two-phase cold solve otherwise, and leave the
@@ -747,9 +773,12 @@ pub(crate) fn solve_standard_form_warm(
     opts: &SolverOptions,
     basis: &mut Basis,
 ) -> Result<Solution, LpError> {
-    let attempted_warm = basis.is_warm();
-    if attempted_warm {
-        if let Some(mut eng) = Engine::with_basis(sf, opts.clone(), basis) {
+    if !basis.is_warm() {
+        return solve_standard_form_cold(sf, opts, Some(basis));
+    }
+    let cause = match Engine::with_basis(sf, opts.clone(), basis) {
+        None => Degrade::BasisUnusable,
+        Some(mut eng) => {
             let m = sf.b.len();
             let n = sf.num_cols();
             let max_iter = opts.pivot_cap(m, n);
@@ -757,7 +786,9 @@ pub(crate) fn solve_standard_form_warm(
             // new data; a few dual pivots repair it. Budget is generous —
             // repair beyond it means the problems diverged too far for a
             // restart to pay off anyway.
-            if eng.dual_repair(&sf.c, 64 + m / 2) {
+            if !eng.dual_repair(&sf.c, 64 + m / 2) {
+                Degrade::RepairGaveUp
+            } else {
                 match eng.run_phase(&sf.c, n, max_iter) {
                     Ok(()) => {
                         let mut sol = eng.extract();
@@ -770,23 +801,23 @@ pub(crate) fn solve_standard_form_warm(
                         }
                         return Ok(sol);
                     }
-                    Err(LpError::Unbounded) => {
-                        // Reachable from a feasible vertex => genuinely
-                        // unbounded.
-                        return Err(LpError::Unbounded);
-                    }
+                    // Reachable from a feasible vertex => genuinely
+                    // unbounded.
+                    Err(LpError::Unbounded) => return Err(LpError::Unbounded),
                     // Iteration-limit or numerical trouble along the warm
                     // path: retry cold rather than propagate a restart
                     // artifact.
-                    Err(_) => {}
+                    Err(_) => Degrade::RestartFailed,
                 }
             }
         }
-    }
+    };
     // A stored basis that did not carry the solve to optimality costs a
-    // cold restart — the "degrade" the telemetry layer makes visible.
-    if attempted_warm {
+    // cold restart — the "degrade" the telemetry layer makes visible, and
+    // why.
+    if telemetry::enabled() {
         telemetry::counter_add("lp.degrade_to_cold", 1);
+        telemetry::counter_add(cause.counter(), 1);
     }
     solve_standard_form_cold(sf, opts, Some(basis))
 }

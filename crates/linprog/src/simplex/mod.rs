@@ -1160,6 +1160,56 @@ mod tests {
         assert_eq!(p.solve().unwrap_err(), LpError::Unbounded);
     }
 
+    /// Each way a warm restart can fall back to a cold solve, forced, and
+    /// read back from its `lp.degrade.*` counter. Other tests solving while
+    /// telemetry is on can only add, so each forced cause must move its
+    /// counter by at least one.
+    #[test]
+    fn each_cause_of_a_cold_fallback_has_its_counter() {
+        use lowlat_telemetry as telemetry;
+        let read = |name: &str| telemetry::snapshot().counter(name);
+        let fall_back = |cause: &str, opts: &SolverOptions, basis: &mut Basis, p: &Problem| {
+            let (cold, before) = (read("lp.degrade_to_cold"), read(cause));
+            let out = solve_standard_form_warm(&p.to_standard_form(), opts, basis);
+            assert!(read("lp.degrade_to_cold") > cold, "{cause}: no cold fallback");
+            assert!(read(cause) > before, "{cause}: not counted");
+            out
+        };
+        // min c·x over x_j <= 1, one row per variable.
+        let boxed = |n: usize, c: f64, lower: f64| {
+            let mut p = Problem::minimize(n);
+            for j in 0..n {
+                p.set_objective(j, c);
+                p.add_row(Relation::Le, 1.0, &[(j, 1.0)]);
+            }
+            p.add_row(Relation::Ge, lower, &[(0, 1.0)]);
+            p
+        };
+        let opts = SolverOptions::default();
+        telemetry::set_enabled(true);
+
+        // A basis of two rows cannot restart an LP of four.
+        let mut basis = Basis::new();
+        solve_standard_form_warm(&boxed(1, 1.0, 0.0).to_standard_form(), &opts, &mut basis)
+            .unwrap();
+        let out = fall_back("lp.degrade.basis_unusable", &opts, &mut basis, &boxed(3, 1.0, 0.0));
+        assert!(out.is_ok());
+
+        // x_0 >= 2 under x_0 <= 1: the violated row has no column to
+        // repair it with, and the cold solve proves the LP infeasible.
+        let out = fall_back("lp.degrade.repair_gave_up", &opts, &mut basis, &boxed(3, 1.0, 2.0));
+        assert_eq!(out.unwrap_err(), LpError::Infeasible);
+
+        // Reversing the costs takes three pivots from the vertex the basis
+        // holds, and the pivot cap allows one.
+        solve_standard_form_warm(&boxed(3, 1.0, 0.0).to_standard_form(), &opts, &mut basis)
+            .unwrap();
+        let capped = SolverOptions { max_iterations: 1, ..Default::default() };
+        let out = fall_back("lp.degrade.restart_failed", &capped, &mut basis, &boxed(3, -1.0, 0.0));
+        assert_eq!(out.unwrap_err(), LpError::IterationLimit);
+        telemetry::set_enabled(false);
+    }
+
     #[test]
     fn iteration_limit_is_reported() {
         // A feasible LP with a 1-pivot budget must fail with IterationLimit,
