@@ -21,13 +21,14 @@
 //! by construction and pays for the columns that changed — an eta update for
 //! each old path that crosses a newly used link and each promoted
 //! aggregate's `z_a0`, nothing for the rest of the inverse — and a round
-//! typically needs a handful of pivots to price the new columns in. Only the
-//! first LP of a chain is posed and converted, and it is solved from scratch
-//! only when no previous call left a basis of its shape in the
-//! [`SolveContext`]. Phase 2 re-costs the chain's standard form instead of
-//! posing its LP (`LpData::solve_again`); after a phase 1 that ended on a
-//! kept round it first splices the kept rounds' columns in, in phase 1's
-//! mode, as the next round of phase 1 would have.
+//! typically needs a handful of pivots to price the new columns in. The
+//! first LP of a chain is the same splice, from the LP with no rows into a
+//! live LP that holds only the aux column (`LpData::begin_chain`), and it is
+//! solved from scratch only when no previous call left a basis of its shape
+//! in the [`SolveContext`]. Phase 2 re-costs the chain's standard form
+//! instead of writing its LP again (`LpData::solve_again`); after a phase 1
+//! that ended on a kept round it first splices the kept rounds' columns in,
+//! in phase 1's mode, as the next round of phase 1 would have.
 //!
 //! ## The slot policy
 //!
@@ -62,9 +63,9 @@ use super::splice::LpLayout;
 /// two ends of the trajectory — not one basis per shape ever seen — and the
 /// next call starts its own chain warm from the first, and restarts from
 /// the last wherever one of its LPs has that shape (phase 2 of a call that
-/// needed no growth, say). [`lowlat_linprog::Problem::solve_warm`] degrades
-/// stale bases to cold solves on its own, so a context can never change
-/// *what* is computed, only how fast.
+/// needed no growth, say). [`lowlat_linprog::LiveLp::solve`] degrades stale
+/// bases to cold solves on its own, so a context can never change *what*
+/// is computed, only how fast.
 #[derive(Debug, Default)]
 pub struct SolveContext {
     pub(super) bases: HashMap<(u8, usize, usize), StoredBasis>,
@@ -75,7 +76,7 @@ pub struct SolveContext {
 }
 
 /// One live LP per chain: the standard form the chain's last LP was
-/// solved in, grown in place by the next round (`LpData::solve_spliced`).
+/// solved in, grown in place by the next round (`LpData::solve`).
 #[derive(Debug)]
 pub(super) struct Chain {
     pub(super) live: LiveLp,

@@ -1,5 +1,5 @@
-//! The LP of one growth round: its layout, how it is posed and solved,
-//! and the pricing step that decides whether to pose it.
+//! The LP of one growth round: what it is, how it is solved, and the
+//! pricing step that decides whether to solve it.
 //!
 //! ## The LP (Figure 12)
 //!
@@ -57,15 +57,12 @@
 //! dual on every link whose `o_l` is positive, so a new
 //! path that avoids a few of the pinned links its aggregate's held paths
 //! cross reads `−1e-10 … −1.0e-9`: negative, inside the tolerance, never
-//! entered. Pricing against 0 would pose exactly the LPs this step exists
+//! entered. Pricing against 0 would solve exactly the LPs this step exists
 //! to skip. A column that sits *on* `−1.0e-9` (ten pinned links fewer;
-//! about 1.4 LPs of a 10k-node placement) is posed, not guessed: the solver
-//! sums in another order and decides for itself. In unit tests every kept
-//! round is audited by something that did not decide it — the skipped LP is
-//! posed anyway and restarted from a copy of the basis, relabelled by
-//! [`lowlat_linprog::Basis::relabel`], and must take no pivot and return
-//! the kept vertex, and [`lowlat_linprog::certify`] must accept the kept
-//! values and duals on the grown problem.
+//! about 1.4 LPs of a 10k-node placement) is solved, not guessed: the
+//! solver sums in another order and decides for itself. In unit tests every
+//! kept round is audited by something that did not decide it: the skipped
+//! LP is solved anyway, and a certificate checks the kept vertex on it.
 //!
 //! MinMax's stage 1 is left out on purpose: it breaks at the first LP that
 //! does not improve `U`, so it has at most one such LP a call, and its
@@ -73,21 +70,15 @@
 //!
 //! ## What a round allocates
 //!
-//! A round allocates per LP, not per row, path or aggregate. Only the
-//! first LP of a chain is posed: `pose` builds the capacity rows as
-//! compressed per-link lists in scratch the solve keeps ([`LpData`]'s
-//! `pose`): it counts the variables crossing each used link, places the
-//! rows by a prefix sum with one slot at each row's end for its `o_l` or
-//! `U` column, and fills them in path order, one entry per (path, link):
-//! each row reaches [`Problem::add_row`] with its variables strictly
-//! increasing, and is appended to the problem's own arena. A later round
-//! writes only what growth added ([`LpData::splice`]) into buffers the
-//! solve and the chain's live LP keep, and phase 2 re-costs the chain's
-//! last LP in place. The solved LP's fractions are one
-//! flat array ([`Fractions`]); a kept round pads it to the grown path sets
-//! in one rebuild.
+//! A round allocates per LP, not per row, path or aggregate. Every LP is
+//! written by one splice ([`LpData::splice`]) into buffers the solve and
+//! the chain's live LP keep: a chain's first LP from the LP with no rows,
+//! each later round only what growth added, a column at a time in one
+//! reused buffer. Phase 2 re-costs the chain's last LP in place. The
+//! solved LP's fractions are one flat array ([`Fractions`]); a kept round
+//! pads it to the grown path sets in one rebuild.
 
-use lowlat_linprog::{Growth, LiveLp, LpError, Problem, Relation, Solution, PRICING_TOL};
+use lowlat_linprog::{Basis, Growth, LiveLp, LpError, Solution, PRICING_TOL};
 use lowlat_netgraph::{LinkId, Path};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
@@ -236,12 +227,11 @@ pub(super) struct LpData<'a> {
     /// stable meaning across instances.
     delay_norm: f64,
     /// Scratch, one entry per graph link, all [`UNUSED`] between LPs: the
-    /// rank of each link among the posed LP's used links. Owned here so an
-    /// LP costs what its paths touch, not what the graph holds.
+    /// rank of each link among an LP's used links. Owned here so an LP
+    /// costs what its paths touch, not what the graph holds.
     pub(super) link_rank: Vec<u32>,
-    /// Scratch of [`LpData::pose`] and [`LpData::splice`], reused by every
-    /// LP of the solve.
-    pub(super) pose: PoseScratch,
+    /// Scratch of [`LpData::splice`], reused by every LP of the solve.
+    pub(super) scratch: SpliceScratch,
     /// What [`LpData::splice`] adds to the live LP, reused by every round.
     pub(super) growth: Growth,
     /// Scratch of [`LpData::proves_final`], sized on its first use.
@@ -250,30 +240,24 @@ pub(super) struct LpData<'a> {
     pub(super) lps_skipped: u64,
 }
 
-/// What [`LpData::pose`] builds its rows in: the capacity rows as
-/// compressed per-link lists, the fixed loads and one `Σ = B_a` row; and
-/// what [`LpData::splice`] builds its columns in.
+/// What [`LpData::splice`] builds an LP's rows and columns in.
 #[derive(Default)]
-pub(super) struct PoseScratch {
-    /// Used link `oi`'s coefficients are `entries[starts[oi]..fill[oi]]`,
-    /// with one slot left at `fill[oi]` for its `o_l` or `U` column.
-    starts: Vec<usize>,
-    fill: Vec<usize>,
-    entries: Vec<(usize, f64)>,
-    /// Load the single-path aggregates put on each used link (a splice:
-    /// on each link whose load it sums again).
+pub(super) struct SpliceScratch {
+    /// Load the single-path aggregates put on each used link whose load
+    /// the splice sums.
     pub(super) fixed_load: Vec<f64>,
-    pub(super) sum_row: Vec<(usize, f64)>,
-    /// Per used link, whether a splice recomputed its fixed load.
+    /// The column being written.
+    pub(super) column: Vec<(usize, f64)>,
+    /// Per used link, whether the splice sums its fixed load.
     pub(super) refixed: Vec<bool>,
     /// The aggregates a splice grew: `(aggregate, its first new path, its
     /// `Σ = B_a` row among the multi-path aggregates)`.
     pub(super) grown: Vec<(usize, usize, usize)>,
-    /// The links a splice's new paths give rows, ascending.
+    /// The links that get rows in the splice, ascending.
     pub(super) fresh: Vec<usize>,
 }
 
-/// [`LpData::link_rank`] of a link no posed path crosses.
+/// [`LpData::link_rank`] of a link that has no row in the LP at hand.
 pub(super) const UNUSED: u32 = u32::MAX;
 
 /// [`LpData::link_rank`], while growth is priced or spliced, of a link that
@@ -294,7 +278,7 @@ impl<'a> LpData<'a> {
             cap_scale,
             delay_norm: aggs.iter().map(|a| a.flows * a.sp_delay).sum::<f64>().max(DELAY_FLOOR),
             link_rank: vec![UNUSED; caps.len()],
-            pose: PoseScratch::default(),
+            scratch: SpliceScratch::default(),
             growth: Growth::new(),
             bound: BoundScratch::default(),
             lps_skipped: 0,
@@ -310,8 +294,8 @@ impl<'a> LpData<'a> {
         w / (self.delay_norm * self.volumes[a].max(VOLUME_FLOOR))
     }
 
-    /// Growth targets by load: those of `links` (ascending, a posed LP's
-    /// used links — every link a path with traffic crosses is among them)
+    /// Growth targets by load: those of `links` (ascending, an LP's used
+    /// links — every link a path with traffic crosses is among them)
     /// that the fractional path sets load to `level` times their effective
     /// capacity. The saturated links of a refinement round (`level` the
     /// capacity scale) and the links pinning `U` in MinMax's stage 1 (`level`
@@ -349,232 +333,69 @@ impl<'a> LpData<'a> {
             .collect()
     }
 
-    /// The LP of `mode` over the given path sets, and where its variables
-    /// and rows sit.
-    fn pose(&mut self, path_sets: &[Vec<Path>], mode: &LpMode) -> (Problem, LpLayout) {
-        let LpData { volumes, caps, cap_scale, link_rank: ref mut rank, .. } = *self;
-        // Variable block per multi-path aggregate; a link needs rows when a
-        // variable path crosses it or a single-path aggregate loads it.
-        let mut used_links = Vec::new();
-        let mut col_base = Vec::with_capacity(path_sets.len() + 1);
-        col_base.push(0usize);
-        for (a, paths) in path_sets.iter().enumerate() {
-            assert!(!paths.is_empty(), "aggregate {a} has no candidate path");
-            let multi = paths.len() > 1;
-            col_base.push(col_base[a] + if multi { paths.len() } else { 0 });
-            if multi || volumes[a] > 0.0 {
-                for l in paths.iter().flat_map(|p| p.links()) {
-                    if std::mem::replace(&mut rank[l.idx()], 0) == UNUSED {
-                        used_links.push(l.idx());
-                    }
-                }
-            }
-        }
-        used_links.sort_unstable();
-        for (oi, &l) in used_links.iter().enumerate() {
-            rank[l] = oi as u32;
-        }
-        let num_x = col_base[path_sets.len()];
-        let o_var_base = num_x;
-        let num_o = used_links.len();
-        // Aux variable: omax (MinOverload) or U (MinUtilization); MinLatency
-        // keeps an omax variable only to report the level.
-        let aux = o_var_base + num_o;
-
-        // The deployment-cycle modes (MinOverload, MinLatency) pose their
-        // split variables as *absolute traffic* `z_ap = B_a x_ap`, not
-        // fractions: that keeps every constraint coefficient independent of
-        // the demands, so the minute-to-minute LPs differ only in right-hand
-        // sides and objective — exactly the change a warm restart absorbs
-        // with a few dual pivots and a carried basis inverse (a coefficient
-        // change would force an O(m³) refactorization instead).
-        // MinUtilization keeps the fraction form: its `B_a/C_l` coefficients
-        // are O(1)-conditioned, it is not on the per-minute hot path, and
-        // the two forms never share a basis (different mode tags).
-        let traffic_units = !matches!(mode, LpMode::MinUtilization);
-
-        // The capacity rows as compressed per-link lists: one pass over every
-        // path's links counts the variables crossing each used link (and sums
-        // the fixed load single-path aggregates put on it), a prefix sum
-        // places each row with one slot at its end for the `o_l` or `U`
-        // column, and a second pass fills the rows with the 1/cap-scaled
-        // coefficients, in path order.
-        let mut scratch = std::mem::take(&mut self.pose);
-        let PoseScratch { starts, fill, entries, fixed_load, sum_row, .. } = &mut scratch;
-        fixed_load.clear();
-        fixed_load.resize(num_o, 0.0);
-        starts.clear();
-        starts.resize(num_o + 1, 0);
-        for (a, paths) in path_sets.iter().enumerate() {
-            if paths.len() > 1 {
-                for l in paths.iter().flat_map(|p| p.links()) {
-                    starts[rank[l.idx()] as usize + 1] += 1;
-                }
-            } else if volumes[a] > 0.0 {
-                for &l in paths[0].links() {
-                    fixed_load[rank[l.idx()] as usize] += volumes[a];
-                }
-            }
-        }
-        for oi in 0..num_o {
-            starts[oi + 1] += starts[oi] + 1;
-        }
-        entries.clear();
-        entries.resize(starts[num_o], (0, 0.0));
-        fill.clear();
-        fill.extend_from_slice(&starts[..num_o]);
-        for (a, paths) in path_sets.iter().enumerate() {
-            if paths.len() > 1 {
-                let unit = if traffic_units { 1.0 } else { volumes[a] };
-                for (pi, path) in paths.iter().enumerate() {
-                    let var = col_base[a] + pi;
-                    for &l in path.links() {
-                        // One coefficient per (path, link), however often
-                        // the path crosses it.
-                        let oi = rank[l.idx()] as usize;
-                        if fill[oi] == starts[oi] || entries[fill[oi] - 1].0 != var {
-                            entries[fill[oi]] = (var, unit / caps[l.idx()]);
-                            fill[oi] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        for &l in &used_links {
-            rank[l] = UNUSED;
-        }
-
-        let mut p = Problem::minimize(aux + 1);
-        // Capacity rows, scaled by 1/cap for conditioning:
-        //   Σ (z_ap / C_l) - o_l <= cap_scale - fixed_l / C_l      (overload modes)
-        //   Σ (B_a x_ap / C_l) - U <= -fixed_l / C_l               (MinUtilization)
-        for (oi, &l) in used_links.iter().enumerate() {
-            let cap = caps[l];
-            assert!(
-                cap > 0.0,
-                "used link {l} has zero effective capacity (path crosses a downed link)"
-            );
-            let (column, rhs) = if traffic_units {
-                (o_var_base + oi, cap_scale - fixed_load[oi] / cap)
-            } else {
-                (aux, -fixed_load[oi] / cap)
-            };
-            entries[fill[oi]] = (column, -1.0);
-            p.add_row(Relation::Le, rhs, &entries[starts[oi]..=fill[oi]]);
-        }
-        // o_l <= omax rows (overload modes only).
-        if traffic_units {
-            for oi in 0..num_o {
-                p.add_row(Relation::Le, 0.0, &[(o_var_base + oi, 1.0), (aux, -1.0)]);
-            }
-        }
-        // Σ_p z_ap = B_a (traffic units) or Σ_p x_ap = 1 per multi-path
-        // aggregate.
-        for (a, cols) in col_base.windows(2).enumerate() {
-            if cols[1] > cols[0] {
-                sum_row.clear();
-                sum_row.extend((cols[0]..cols[1]).map(|v| (v, 1.0)));
-                p.add_row(Relation::Eq, if traffic_units { volumes[a] } else { 1.0 }, sum_row);
-            }
-        }
-
-        // Objective per mode.
-        match mode {
-            LpMode::MinOverload | LpMode::MinUtilization => {
-                p.set_objective(aux, 1.0);
-                if matches!(mode, LpMode::MinOverload) {
-                    for oi in 0..num_o {
-                        p.set_objective(o_var_base + oi, SPREAD_WEIGHT);
-                    }
-                }
-            }
-            LpMode::MinLatency { omax_cap, util_cap } => {
-                for (a, paths) in path_sets.iter().enumerate() {
-                    if paths.len() > 1 {
-                        for (pi, path) in paths.iter().enumerate() {
-                            p.set_objective(col_base[a] + pi, self.delay_cost(a, path));
-                        }
-                    }
-                }
-                for oi in 0..num_o {
-                    p.set_objective(o_var_base + oi, SPREAD_WEIGHT);
-                    p.set_upper_bound(o_var_base + oi, *omax_cap);
-                }
-                p.set_upper_bound(aux, *omax_cap);
-                if util_cap.is_finite() {
-                    // Utilization cap rows: Σ z / C_l + fixed / C_l <= util_cap.
-                    for (oi, &l) in used_links.iter().enumerate() {
-                        let row = &entries[starts[oi]..fill[oi]];
-                        p.add_row(Relation::Le, util_cap - fixed_load[oi] / caps[l], row);
-                    }
-                }
-            }
-        }
-        self.pose = scratch;
-
-        let layout = LpLayout {
-            used_links,
-            col_base,
-            o_rows: traffic_units,
-            rows: p.num_rows(),
-            tag: mode.tag(),
-        };
-        (p, layout)
-    }
-
-    /// Poses the LP of `mode` over the given path sets and solves it from
-    /// the context's slot for its mode and shape, which the solve refreshes:
-    /// the first LP of a chain, which it begins.
+    /// Solves the LP of `mode` over the given path sets. With `from`, the
+    /// live chain's last LP, from which a growth step grew it, the LP is
+    /// spliced into the chain's standard form and restarted from the basis
+    /// the chain holds, renumbered with it. Without `from`, or when the
+    /// chain holds no warm basis there, the LP begins a chain of its own
+    /// ([`LpData::begin_chain`]).
     pub(super) fn solve(
         &mut self,
         path_sets: &[Vec<Path>],
         mode: &LpMode,
+        from: Option<&LpLayout>,
         ctx: &mut SolveContext,
     ) -> Result<LpOutcome, LpError> {
+        let grown = from.and_then(|from| self.grow_chain(path_sets, mode, from, ctx));
+        let (layout, sol) = match grown {
+            Some((chain, layout)) => {
+                ctx.file_round(chain, &layout);
+                let Some(Chain { live, basis: Some(basis), .. }) = &mut ctx.chain else {
+                    unreachable!("the round was filed with its basis")
+                };
+                let sol = live.solve(basis)?;
+                if sol.warm_started() && telemetry::enabled() {
+                    telemetry::counter_add("pathgrow.lp_handed_over", 1);
+                }
+                (layout, sol)
+            }
+            None => self.begin_chain(path_sets, mode, ctx)?,
+        };
+        #[cfg(test)]
+        tests::audit_solved(self, path_sets, mode, &layout, &sol, ctx);
+        Ok(self.outcome(path_sets, mode, layout, sol, ctx))
+    }
+
+    /// The LP of `mode` over the given path sets as the first LP of a new
+    /// chain: spliced from the [`LpLayout::empty`] LP into a live LP that
+    /// holds only the aux column, and solved from the context's slot for
+    /// its mode and shape, which the solve refreshes. Returns its layout
+    /// and optimum.
+    fn begin_chain(
+        &mut self,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        ctx: &mut SolveContext,
+    ) -> Result<(LpLayout, Solution), LpError> {
         ctx.end_chain();
-        let (p, layout) = self.pose(path_sets, mode);
-        let key = (mode.tag(), p.num_rows(), p.num_vars());
+        // The aux column, `omax` or `U`: MinLatency only reports and caps it.
+        let (cost, upper) = match mode {
+            LpMode::MinLatency { omax_cap, .. } => (0.0, *omax_cap),
+            LpMode::MinOverload | LpMode::MinUtilization => (1.0, f64::INFINITY),
+        };
+        let mut live = LiveLp::with_columns(&[cost], &[upper]);
+        let layout = self.splice(path_sets, mode, &LpLayout::empty(path_sets.len(), mode));
+        // A cold basis: there is nothing to renumber.
+        live.grow(&self.growth, &mut Basis::new());
+        let key = (mode.tag(), layout.rows, layout.vars());
         // Phase 2 shares phase 1's rows and columns; restart it from phase
         // 1's vertex when no previous phase-2 basis fits.
         if matches!(mode, LpMode::MinLatency { .. }) {
             ctx.seed_cross_mode(LpMode::MinOverload.tag(), key.0, key.1, key.2);
         }
-        let live = LiveLp::new(&p);
         let sol = live.solve(ctx.slot(key.0, key.1, key.2))?;
         ctx.chain = Some(Chain { live, key, basis: None });
-        #[cfg(test)]
-        tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
-        Ok(self.outcome(path_sets, mode, layout, sol, ctx))
-    }
-
-    /// The LP of `mode` over the given path sets, grown out of the one
-    /// laid out as `from` — the live chain's last — by a growth step:
-    /// spliced into the chain's standard form and restarted from the basis
-    /// the chain holds, renumbered with it. Posed as the first LP of a new
-    /// chain instead when the chain has no warm basis to restart from.
-    pub(super) fn solve_spliced(
-        &mut self,
-        path_sets: &[Vec<Path>],
-        mode: &LpMode,
-        from: &LpLayout,
-        ctx: &mut SolveContext,
-    ) -> Result<LpOutcome, LpError> {
-        let Some((chain, layout)) = self.grow_chain(path_sets, mode, from, ctx) else {
-            return self.solve(path_sets, mode, ctx);
-        };
-        #[cfg(test)]
-        let p = tests::posed_as_spliced(self, path_sets, mode, &layout, &chain.live);
-        ctx.file_round(chain, &layout);
-        let Some(Chain { live, basis: Some(basis), .. }) = &mut ctx.chain else {
-            unreachable!("the round was filed with its basis")
-        };
-        let sol = live.solve(basis)?;
-        if sol.warm_started() && telemetry::enabled() {
-            telemetry::counter_add("pathgrow.lp_handed_over", 1);
-        }
-        #[cfg(test)]
-        tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
-        Ok(self.outcome(path_sets, mode, layout, sol, ctx))
+        Ok((layout, sol))
     }
 
     /// Splices what growth added since `from`, the live chain's last LP,
@@ -589,10 +410,6 @@ impl<'a> LpData<'a> {
         from: &LpLayout,
         ctx: &mut SolveContext,
     ) -> Option<(Chain, LpLayout)> {
-        debug_assert!(
-            !matches!(mode, LpMode::MinLatency { util_cap, .. } if util_cap.is_finite()),
-            "a splice writes no utilization caps"
-        );
         let _span = telemetry::span("pathgrow.splice", "pathgrow");
         let mut chain = ctx.continue_chain(from)?;
         let layout = self.splice(path_sets, mode, from);
@@ -608,10 +425,10 @@ impl<'a> LpData<'a> {
         Some((chain, layout))
     }
 
-    /// Phase 2: the LP phase 1 ended on, posed in `mode` — the same rows and
+    /// Phase 2: the LP phase 1 ended on, in `mode` — the same rows and
     /// columns under another objective and bounds. The chain's standard
-    /// form takes the new costs and bounds instead of the LP being posed
-    /// again, and the LP is solved from its slot as a posed one is,
+    /// form takes the new costs and bounds instead of the LP being written
+    /// again, and the LP is solved from its slot as a chain's first LP is,
     /// beginning a chain of its own. When phase 1 ended on a kept round,
     /// `held` is the last LP solved, and the columns of the rounds kept
     /// since are first spliced into the chain in phase 1's mode — the splice
@@ -633,7 +450,7 @@ impl<'a> LpData<'a> {
             tests::KEPT_ENDS.set(tests::KEPT_ENDS.get() + 1);
             let phase1 = &LpMode::MinOverload;
             let Some((chain, grown)) = self.grow_chain(path_sets, phase1, &held.layout, ctx) else {
-                return self.solve(path_sets, mode, ctx);
+                return self.solve(path_sets, mode, None, ctx);
             };
             ctx.file(&grown, chain.basis.expect("a grown chain holds its basis"));
             (chain.live, grown)
@@ -656,11 +473,9 @@ impl<'a> LpData<'a> {
         let (rows, vars) = (layout.rows, layout.vars());
         ctx.seed_cross_mode(LpMode::MinOverload.tag(), mode.tag(), rows, vars);
         let sol = live.solve(ctx.slot(mode.tag(), rows, vars))?;
-        #[cfg(test)]
-        let p = tests::posed_as_spliced(self, path_sets, mode, &layout, &live);
         ctx.chain = Some(Chain { live, key: (mode.tag(), rows, vars), basis: None });
         #[cfg(test)]
-        tests::audit_against_cold(&p, &sol, tests::level_var(mode, &layout));
+        tests::audit_solved(self, path_sets, mode, &layout, &sol, ctx);
         Ok(self.outcome(path_sets, mode, layout, sol, ctx))
     }
 
@@ -755,7 +570,7 @@ impl<'a> LpData<'a> {
         ctx: &mut SolveContext,
     ) -> Result<LpOutcome, LpError> {
         let Some(links) = self.links_when_priced_out(path_sets, mode, &held) else {
-            return self.solve_spliced(path_sets, mode, &held.layout, ctx);
+            return self.solve(path_sets, mode, Some(&held.layout), ctx);
         };
         #[cfg(test)]
         tests::audit_kept_round(self, path_sets, mode, &held, links, ctx);
@@ -889,6 +704,204 @@ pub(super) fn agg_infos(tm: &TrafficMatrix, path_sets: &[Vec<Path>]) -> Vec<AggI
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
+    use lowlat_linprog::{Problem, Relation};
+
+    /// What [`LpData::pose`] builds its rows in: the capacity rows as
+    /// compressed per-link lists, the fixed loads and one `Σ = B_a` row.
+    #[derive(Default)]
+    struct PoseScratch {
+        /// Used link `oi`'s coefficients are `entries[starts[oi]..fill[oi]]`,
+        /// with one slot left at `fill[oi]` for its `o_l` or `U` column.
+        starts: Vec<usize>,
+        fill: Vec<usize>,
+        entries: Vec<(usize, f64)>,
+        /// Load the single-path aggregates put on each used link.
+        fixed_load: Vec<f64>,
+        sum_row: Vec<(usize, f64)>,
+    }
+
+    // `pose` stays as the reference every LP the splice writes is held to
+    // (`posed_as_spliced`), and as the problem `audit_kept_round` and
+    // `audit_against_cold` certify and re-solve: until a certificate reads
+    // the standard form that was solved, and an oracle checks a placement
+    // on its own, nothing else checks the splice against the Figure-12 LP.
+    impl LpData<'_> {
+        /// The LP of `mode` over the given path sets, posed row by row as a
+        /// [`Problem`], and where its variables and rows sit.
+        pub(super) fn pose(
+            &mut self,
+            path_sets: &[Vec<Path>],
+            mode: &LpMode,
+        ) -> (Problem, LpLayout) {
+            let LpData { volumes, caps, cap_scale, link_rank: ref mut rank, .. } = *self;
+            // Variable block per multi-path aggregate; a link needs rows when a
+            // variable path crosses it or a single-path aggregate loads it.
+            let mut used_links = Vec::new();
+            let mut col_base = Vec::with_capacity(path_sets.len() + 1);
+            col_base.push(0usize);
+            for (a, paths) in path_sets.iter().enumerate() {
+                assert!(!paths.is_empty(), "aggregate {a} has no candidate path");
+                let multi = paths.len() > 1;
+                col_base.push(col_base[a] + if multi { paths.len() } else { 0 });
+                if multi || volumes[a] > 0.0 {
+                    for l in paths.iter().flat_map(|p| p.links()) {
+                        if std::mem::replace(&mut rank[l.idx()], 0) == UNUSED {
+                            used_links.push(l.idx());
+                        }
+                    }
+                }
+            }
+            used_links.sort_unstable();
+            for (oi, &l) in used_links.iter().enumerate() {
+                rank[l] = oi as u32;
+            }
+            let num_x = col_base[path_sets.len()];
+            let o_var_base = num_x;
+            let num_o = used_links.len();
+            // Aux variable: omax (MinOverload) or U (MinUtilization); MinLatency
+            // keeps an omax variable only to report the level.
+            let aux = o_var_base + num_o;
+
+            // The deployment-cycle modes (MinOverload, MinLatency) pose their
+            // split variables as *absolute traffic* `z_ap = B_a x_ap`, not
+            // fractions: that keeps every constraint coefficient independent of
+            // the demands, so the minute-to-minute LPs differ only in right-hand
+            // sides and objective — exactly the change a warm restart absorbs
+            // with a few dual pivots and a carried basis inverse (a coefficient
+            // change would force an O(m³) refactorization instead).
+            // MinUtilization keeps the fraction form: its `B_a/C_l` coefficients
+            // are O(1)-conditioned, it is not on the per-minute hot path, and
+            // the two forms never share a basis (different mode tags).
+            let traffic_units = !matches!(mode, LpMode::MinUtilization);
+
+            // The capacity rows as compressed per-link lists: one pass over every
+            // path's links counts the variables crossing each used link (and sums
+            // the fixed load single-path aggregates put on it), a prefix sum
+            // places each row with one slot at its end for the `o_l` or `U`
+            // column, and a second pass fills the rows with the 1/cap-scaled
+            // coefficients, in path order.
+            let mut scratch = PoseScratch::default();
+            let PoseScratch { starts, fill, entries, fixed_load, sum_row, .. } = &mut scratch;
+            fixed_load.clear();
+            fixed_load.resize(num_o, 0.0);
+            starts.clear();
+            starts.resize(num_o + 1, 0);
+            for (a, paths) in path_sets.iter().enumerate() {
+                if paths.len() > 1 {
+                    for l in paths.iter().flat_map(|p| p.links()) {
+                        starts[rank[l.idx()] as usize + 1] += 1;
+                    }
+                } else if volumes[a] > 0.0 {
+                    for &l in paths[0].links() {
+                        fixed_load[rank[l.idx()] as usize] += volumes[a];
+                    }
+                }
+            }
+            for oi in 0..num_o {
+                starts[oi + 1] += starts[oi] + 1;
+            }
+            entries.clear();
+            entries.resize(starts[num_o], (0, 0.0));
+            fill.clear();
+            fill.extend_from_slice(&starts[..num_o]);
+            for (a, paths) in path_sets.iter().enumerate() {
+                if paths.len() > 1 {
+                    let unit = if traffic_units { 1.0 } else { volumes[a] };
+                    for (pi, path) in paths.iter().enumerate() {
+                        let var = col_base[a] + pi;
+                        for &l in path.links() {
+                            // One coefficient per (path, link), however often
+                            // the path crosses it.
+                            let oi = rank[l.idx()] as usize;
+                            if fill[oi] == starts[oi] || entries[fill[oi] - 1].0 != var {
+                                entries[fill[oi]] = (var, unit / caps[l.idx()]);
+                                fill[oi] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            for &l in &used_links {
+                rank[l] = UNUSED;
+            }
+
+            let mut p = Problem::minimize(aux + 1);
+            // Capacity rows, scaled by 1/cap for conditioning:
+            //   Σ (z_ap / C_l) - o_l <= cap_scale - fixed_l / C_l      (overload modes)
+            //   Σ (B_a x_ap / C_l) - U <= -fixed_l / C_l               (MinUtilization)
+            for (oi, &l) in used_links.iter().enumerate() {
+                let cap = caps[l];
+                assert!(
+                    cap > 0.0,
+                    "used link {l} has zero effective capacity (path crosses a downed link)"
+                );
+                let (column, rhs) = if traffic_units {
+                    (o_var_base + oi, cap_scale - fixed_load[oi] / cap)
+                } else {
+                    (aux, -fixed_load[oi] / cap)
+                };
+                entries[fill[oi]] = (column, -1.0);
+                p.add_row(Relation::Le, rhs, &entries[starts[oi]..=fill[oi]]);
+            }
+            // o_l <= omax rows (overload modes only).
+            if traffic_units {
+                for oi in 0..num_o {
+                    p.add_row(Relation::Le, 0.0, &[(o_var_base + oi, 1.0), (aux, -1.0)]);
+                }
+            }
+            // Σ_p z_ap = B_a (traffic units) or Σ_p x_ap = 1 per multi-path
+            // aggregate.
+            for (a, cols) in col_base.windows(2).enumerate() {
+                if cols[1] > cols[0] {
+                    sum_row.clear();
+                    sum_row.extend((cols[0]..cols[1]).map(|v| (v, 1.0)));
+                    p.add_row(Relation::Eq, if traffic_units { volumes[a] } else { 1.0 }, sum_row);
+                }
+            }
+
+            // Objective per mode.
+            match mode {
+                LpMode::MinOverload | LpMode::MinUtilization => {
+                    p.set_objective(aux, 1.0);
+                    if matches!(mode, LpMode::MinOverload) {
+                        for oi in 0..num_o {
+                            p.set_objective(o_var_base + oi, SPREAD_WEIGHT);
+                        }
+                    }
+                }
+                LpMode::MinLatency { omax_cap, util_cap } => {
+                    for (a, paths) in path_sets.iter().enumerate() {
+                        if paths.len() > 1 {
+                            for (pi, path) in paths.iter().enumerate() {
+                                p.set_objective(col_base[a] + pi, self.delay_cost(a, path));
+                            }
+                        }
+                    }
+                    for oi in 0..num_o {
+                        p.set_objective(o_var_base + oi, SPREAD_WEIGHT);
+                        p.set_upper_bound(o_var_base + oi, *omax_cap);
+                    }
+                    p.set_upper_bound(aux, *omax_cap);
+                    if util_cap.is_finite() {
+                        // Utilization cap rows: Σ z / C_l + fixed / C_l <= util_cap.
+                        for (oi, &l) in used_links.iter().enumerate() {
+                            let row = &entries[starts[oi]..fill[oi]];
+                            p.add_row(Relation::Le, util_cap - fixed_load[oi] / caps[l], row);
+                        }
+                    }
+                }
+            }
+
+            let layout = LpLayout {
+                used_links,
+                col_base,
+                o_rows: traffic_units,
+                rows: p.num_rows(),
+                tag: mode.tag(),
+            };
+            (p, layout)
+        }
+    }
 
     thread_local! {
         /// `(LPs, pivots their cold solves took)` audited on this thread;
@@ -903,7 +916,7 @@ pub(super) mod tests {
         pub(super) static PRICING_OFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
         /// Rounds that kept their outcome on this thread.
         static KEPT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-        /// Rounds spliced into a live LP on this thread.
+        /// LPs solved on this thread, each held to its posed LP.
         static SPLICED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
         /// Phase 2s on this thread after a phase 1 that ended on a kept round.
         pub(super) static KEPT_ENDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -914,8 +927,8 @@ pub(super) mod tests {
         KEPT_ENDS.get()
     }
 
-    /// Rounds spliced into a live LP on this thread so far, each held to
-    /// the LP posed from scratch by [`posed_as_spliced`].
+    /// LPs solved on this thread so far, each held to the LP posed from
+    /// scratch by [`posed_as_spliced`].
     pub(crate) fn spliced_rounds() -> usize {
         SPLICED.get()
     }
@@ -927,11 +940,11 @@ pub(super) mod tests {
             .then_some(layout.num_x() + layout.used_links.len())
     }
 
-    /// Every spliced round is held to the LP [`LpData::pose`] poses from
-    /// scratch — the reference the splice replaced: the same layout, and,
-    /// to the bit, the same standard form (columns and their coefficients,
-    /// right-hand sides, costs, bounds, slack order). Returns that LP, for
-    /// the audits that read a posed problem.
+    /// Every LP solved — a chain's first, a spliced round or a re-costed
+    /// phase 2 — is held to the LP [`LpData::pose`] poses from scratch: the
+    /// same layout, and, to the bit, the same standard form (columns and
+    /// their coefficients, right-hand sides, costs, bounds, slack order).
+    /// Returns that LP, for the audits that read a posed problem.
     pub(super) fn posed_as_spliced(
         lp: &mut LpData,
         path_sets: &[Vec<Path>],
@@ -948,6 +961,22 @@ pub(super) mod tests {
             panic!("spliced LP ({} rows) is not the posed one: {difference}", p.num_rows());
         }
         p
+    }
+
+    /// The audits of every LP solved, laid out as `layout` and solved to
+    /// `sol` in the live LP the chain in `ctx` now holds:
+    /// [`posed_as_spliced`], then [`audit_against_cold`] on the posed LP.
+    pub(super) fn audit_solved(
+        lp: &mut LpData,
+        path_sets: &[Vec<Path>],
+        mode: &LpMode,
+        layout: &LpLayout,
+        sol: &Solution,
+        ctx: &SolveContext,
+    ) {
+        let live = &ctx.chain.as_ref().expect("the LP solved is the chain's").live;
+        let p = posed_as_spliced(lp, path_sets, mode, layout, live);
+        audit_against_cold(&p, sol, level_var(mode, layout));
     }
 
     /// Rounds that kept their outcome on this thread so far, each audited

@@ -15,10 +15,11 @@
 //!
 //! One decision a file:
 //!
-//! - `lp`: the Figure-12 LP of one round — its layout, how it is posed and
-//!   solved, and the pricing step that decides whether it is posed at all;
-//! - `splice`: where a round's LP puts its variables and rows, and what a
-//!   growth step splices into the LP the round before solved;
+//! - `lp`: the Figure-12 LP of one round — what it is, how it is solved,
+//!   and the pricing step that decides whether it is solved at all;
+//! - `splice`: where a round's LP puts its variables and rows, and the one
+//!   writer of every LP: a chain's first spliced from the LP with no rows,
+//!   each later one from the LP the round before solved;
 //! - `context`: the warm-start state ([`SolveContext`]) that carries a
 //!   basis along a chain of LPs and across calls, and the chain's live LP;
 //! - `bound`: the stopping rule that ends phase 1 once no column of the
@@ -34,7 +35,7 @@
 //! not the raw `capacity_mbps`. A degraded-but-up link — a brown-out — thus
 //! constrains the LP at `factor * capacity`, so every scheme built on this
 //! module (LatOpt, LDR, MinMax) re-places against the capacity that actually
-//! survives, with warm bases intact ([`lowlat_linprog::Problem::solve_warm`]
+//! survives, with warm bases intact ([`lowlat_linprog::LiveLp::solve`]
 //! re-verifies the basis against the changed coefficients, so a stale basis
 //! degrades to a cold solve, never to a wrong answer). Downed links never
 //! appear: masked cache repair keeps them off every candidate path, and
@@ -59,7 +60,6 @@ use bound::{bound_armed, BoundVerdict, BOUND_TOL};
 pub use context::SolveContext;
 use lp::{agg_infos, Fractions, LpData, LpMode};
 use pricing::{grow_crossing, PricingState};
-use splice::LpLayout;
 
 /// The one dial of the LP + growth loop; the rest are the constants below.
 #[derive(Clone, Debug, Default)]
@@ -173,11 +173,22 @@ enum GrowObjective {
 
 /// Builder for one grow-and-solve run — the module's single entry point.
 ///
-/// ```ignore
+/// ```
+/// use lowlat_core::pathgrow::{GrowRequest, GrowthConfig, SolveContext};
+/// use lowlat_core::{pathset::PathCache, ScaleToLoad};
+/// use lowlat_tmgen::GravityTmGen;
+///
+/// let topo = lowlat_topology::zoo::named::abilene();
+/// let tm = GravityTmGen::new(Default::default()).generate(&topo, 0).scaled_to_load(&topo, 0.6);
+/// let cache = PathCache::new(topo.graph());
+/// let inflated: Vec<f64> = tm.aggregates().iter().map(|a| 1.1 * a.volume_mbps).collect();
+/// let mut ctx = SolveContext::new();
 /// let out = GrowRequest::new(&cache, &tm)     // any &dyn PathSource
 ///     .volumes(&inflated)                      // optional (LDR headroom)
-///     .config(&growth_config)                  // optional
+///     .config(&GrowthConfig { headroom: 0.1 }) // optional
 ///     .solve_with(&mut ctx)?;                  // or .solve() for cold
+/// assert_eq!(out.placement.per_aggregate().len(), tm.aggregates().len());
+/// # Ok::<(), lowlat_linprog::LpError>(())
 /// ```
 ///
 /// Defaults: latency-optimal objective, volumes from the traffic matrix,
@@ -285,7 +296,7 @@ fn run_latency_optimal(
     // Every round's LP restarts from the optimum of the round before — or
     // is not posed, when its new columns cannot change that optimum.
     let phase1 = telemetry::span("pathgrow.phase1", "pathgrow");
-    let mut out = lp.solve(&path_sets, &LpMode::MinOverload, ctx)?;
+    let mut out = lp.solve(&path_sets, &LpMode::MinOverload, None, ctx)?;
     // The overload of the round before, and the overload at which the
     // stopping test last ran: it runs after a round that did not lower
     // `omax`, once per level.
@@ -415,13 +426,10 @@ fn run_minmax(
     // U until U stops improving.
     let mut best_u = f64::INFINITY;
     let stage1 = telemetry::span("pathgrow.minmax_stage1", "pathgrow");
-    let mut grown_from: Option<LpLayout> = None;
+    let mut grown_from = None;
     loop {
         rounds += 1;
-        let out = match &grown_from {
-            None => lp.solve(&path_sets, &LpMode::MinUtilization, ctx)?,
-            Some(from) => lp.solve_spliced(&path_sets, &LpMode::MinUtilization, from, ctx)?,
-        };
+        let out = lp.solve(&path_sets, &LpMode::MinUtilization, grown_from.as_ref(), ctx)?;
         pivots += out.pivots;
         let improved = out.level < best_u * (1.0 - MINMAX_IMPROVEMENT);
         best_u = best_u.min(out.level);
@@ -456,7 +464,7 @@ fn run_minmax(
         omax_cap: cap_above((best_u - 1.0).max(0.0), OVERLOAD_CAP_REL),
         util_cap: cap_above(best_u, UTIL_CAP_REL),
     };
-    let out = lp.solve(&path_sets, &mode, ctx)?;
+    let out = lp.solve(&path_sets, &mode, None, ctx)?;
     pivots += out.pivots;
     pricing.report();
     let omax = (best_u - 1.0).max(0.0);
@@ -836,7 +844,8 @@ pub(crate) mod tests {
         let aggs = agg_infos(tm, &path_sets);
         let caps = source.effective_capacities();
         let mut lp = LpData::new(&aggs, volumes, &caps, 1.0);
-        let phase1 = lp.solve(&path_sets, &LpMode::MinOverload, &mut SolveContext::new()).unwrap();
+        let phase1 =
+            lp.solve(&path_sets, &LpMode::MinOverload, None, &mut SolveContext::new()).unwrap();
         assert!(
             (phase1.level - out.omax).abs() <= 1e-9,
             "omax {} vs cold {} over the same columns",
@@ -847,7 +856,7 @@ pub(crate) mod tests {
             omax_cap: out.omax * (1.0 + 1e-6) + 1e-7,
             util_cap: f64::INFINITY,
         };
-        let phase2 = lp.solve(&path_sets, &mode, &mut SolveContext::new()).unwrap();
+        let phase2 = lp.solve(&path_sets, &mode, None, &mut SolveContext::new()).unwrap();
         let (got, want) = (
             delay_term(&aggs, &path_sets, chained.iter().map(Vec::as_slice)),
             delay_term(&aggs, &path_sets, phase2.fractions.iter()),
@@ -1168,6 +1177,7 @@ pub(crate) mod tests {
         let mut h = Digest(0xcbf2_9ce4_8422_2325);
         let mut rng = StdRng::seed_from_u64(7);
         let (evicted_before, spliced_before) = (EVICTED.get(), spliced_rounds());
+        let solves_before = ctx.solves();
         let mut kept_ends_at_2x = 0;
         for call in 0..60 {
             let scale = [1.0, 1.2, 1.4, 1.6, 1.8, 2.0][call % 6];
@@ -1189,8 +1199,8 @@ pub(crate) mod tests {
         h.call(&out, &mut ctx);
         assert_eq!(kept_ends_at_2x, 10);
         assert!(EVICTED.get() > evicted_before, "no slot was evicted");
-        let spliced = spliced_rounds() - spliced_before;
-        assert!(spliced >= 300, "{spliced} rounds spliced, each held to its posed LP");
+        let (spliced, solves) = (spliced_rounds() - spliced_before, ctx.solves() - solves_before);
+        assert_eq!(spliced, solves, "every LP solved is held to its posed LP");
         assert_eq!(h.0, CHAIN_FINGERPRINT, "digest {:#018x}", h.0);
     }
 
@@ -1367,7 +1377,8 @@ pub(crate) mod tests {
             cache.apply_failure(mask);
             let caps = cache.effective_capacities();
             let mut lp = LpData::new(&aggs, &[150.0], &caps, 1.0);
-            let out = lp.solve(&held, &LpMode::MinOverload, &mut SolveContext::new()).unwrap();
+            let out =
+                lp.solve(&held, &LpMode::MinOverload, None, &mut SolveContext::new()).unwrap();
             assert_eq!(out.overload_prices.len(), 1);
             let verdict = lp.proves_final(g, &tm, &held, &out);
             let bound = lp
@@ -1452,7 +1463,7 @@ pub(crate) mod tests {
             let cap_scale = 1.0 - 0.1 * headroom as f64;
             let mut lp = LpData::new(&aggs, &volumes, &caps, cap_scale);
             let optimum = lp
-                .solve(&every_path, &LpMode::MinOverload, &mut SolveContext::new())
+                .solve(&every_path, &LpMode::MinOverload, None, &mut SolveContext::new())
                 .unwrap()
                 .level;
             let bound = lp

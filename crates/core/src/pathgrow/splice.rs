@@ -1,5 +1,6 @@
-//! Where a round's LP puts its variables and rows, and what growth
-//! splices into the LP the round before solved.
+//! Where a round's LP puts its variables and rows, and the one writer of
+//! every LP of a chain: what growth splices into the LP the round before
+//! solved.
 //!
 //! A growth step only adds: paths at the ends of their aggregates' sets,
 //! and with them the rows of links no path used before and the `Σ = B_a`
@@ -8,27 +9,31 @@
 //! sides of the links a promotion unloads recomputed, and nothing else
 //! changed; [`LpData::splice`] writes that difference as a
 //! [`lowlat_linprog::Growth`], and the chain's [`lowlat_linprog::LiveLp`]
-//! merges it into the standard form it holds — what [`LpData::pose`] and
-//! the conversion to standard form would build from scratch, to the bit.
+//! merges it into the standard form it holds. A chain's first LP is the
+//! same splice from the LP with no rows ([`LpLayout::empty`]), so one
+//! writer decides where every row and column goes and what it holds. The
+//! unit tests hold every LP it writes, to the bit, to the standard form of
+//! the same LP posed row by row from scratch.
 
 use std::mem::take;
 
 use lowlat_linprog::Relation;
 use lowlat_netgraph::Path;
 
-use super::lp::{LpData, LpMode, PoseScratch, FRESH, SPREAD_WEIGHT, UNUSED};
+use super::lp::{LpData, LpMode, SpliceScratch, FRESH, SPREAD_WEIGHT, UNUSED};
 
-/// Where the variables and rows of one posed LP sit. [`LpData::pose`]
-/// decides it, and [`LpData::splice`] gives a grown LP the layout `pose`
-/// would (the unit tests hold every spliced round to it), with the column
-/// and row maps that renumber the chain's basis derived from the two
-/// layouts.
+/// Where the variables and rows of one LP sit. [`LpData::splice`] decides
+/// it, and the column and row maps that renumber the chain's basis are
+/// derived from the layouts of two LPs of a chain.
 ///
 /// Columns: a block of split variables per aggregate with more than one
 /// path (aggregate order), one `o_l` per used link (link-index order), the
-/// aux variable. Rows: a capacity row per used link, (overload modes) an
-/// `o_l <= omax` row per used link, a `Σ = B_a` row per multi-path
-/// aggregate; MinMax stage 2 appends its utilization caps.
+/// aux variable (`omax`, or MinUtilization's `U`). Rows, scaled by `1/C_l`
+/// for conditioning: a capacity row per used link, `Σ z_ap / C_l − o_l <=
+/// cap_scale − fixed_l / C_l` (MinUtilization: `Σ B_a x_ap / C_l − U <=
+/// −fixed_l / C_l`); in the overload modes an `o_l <= omax` row per used
+/// link; a `Σ = B_a` row per multi-path aggregate; MinMax stage 2 appends
+/// its utilization caps, `Σ z_ap / C_l <= util_cap − fixed_l / C_l`.
 #[derive(Clone, Debug)]
 pub(super) struct LpLayout {
     /// Links that have a capacity row, ascending.
@@ -36,11 +41,16 @@ pub(super) struct LpLayout {
     /// Aggregate `a`'s split variables are `col_base[a]..col_base[a + 1]`
     /// (none for a single-path aggregate).
     pub(super) col_base: Vec<usize>,
-    /// Whether the `o_l <= omax` rows exist.
+    /// Whether the split variables are traffic, `z_ap = B_a x_ap`, and the
+    /// `o_l <= omax` rows exist: in the overload modes, whose coefficients
+    /// are then independent of the demands, so a minute's LP differs from
+    /// the last only in right-hand sides and costs, which a warm restart
+    /// absorbs. MinUtilization's fractions (`B_a / C_l`, O(1)-conditioned)
+    /// are off the per-minute path and never share a basis.
     pub(super) o_rows: bool,
-    /// Constraint rows of the posed LP.
+    /// Constraint rows of the LP.
     pub(super) rows: usize,
-    /// [`LpMode::tag`] of the posed LP: the context key its basis is under.
+    /// [`LpMode::tag`] of the LP: the context key its basis is under.
     pub(super) tag: u8,
 }
 
@@ -48,6 +58,19 @@ pub(super) struct LpLayout {
 type BasisMaps = (Vec<usize>, Vec<usize>, Vec<Option<usize>>);
 
 impl LpLayout {
+    /// The LP of `mode` over `aggregates` aggregates that has no rows and
+    /// no columns but its aux variable: what a chain's first LP is spliced
+    /// from.
+    pub(super) fn empty(aggregates: usize, mode: &LpMode) -> LpLayout {
+        LpLayout {
+            used_links: Vec::new(),
+            col_base: vec![0; aggregates + 1],
+            o_rows: !matches!(mode, LpMode::MinUtilization),
+            rows: 0,
+            tag: mode.tag(),
+        }
+    }
+
     pub(super) fn num_x(&self) -> usize {
         self.col_base[self.col_base.len() - 1]
     }
@@ -63,8 +86,9 @@ impl LpLayout {
     /// (no old path crosses it, so both are slack at the old vertex); an
     /// aggregate that went single→multi adds its `Σ = B_a` row, in which
     /// its old path's variable enters — basic at `B_a`, exactly the load it
-    /// contributed as a fixed term before. `None` when `grown` does not
-    /// extend this layout.
+    /// contributed as a fixed term before; utilization caps, which only the
+    /// first LP of a chain has, enter with their slacks. `None` when
+    /// `grown` does not extend this layout.
     pub(super) fn maps_into(&self, grown: &LpLayout) -> Option<BasisMaps> {
         if self.o_rows != grown.o_rows || self.col_base.len() != grown.col_base.len() {
             return None;
@@ -115,6 +139,7 @@ impl LpLayout {
         rows.extend(sum_rows);
         let mut enter = vec![None; link_rows * (num_o - rank.len())];
         enter.extend(enter_sums);
+        enter.resize(grown.rows - self.rows, None);
         Some((columns, rows, enter))
     }
 }
@@ -122,14 +147,13 @@ impl LpLayout {
 impl LpData<'_> {
     /// What the LP of `mode` over `path_sets` adds to the one laid out as
     /// `from`, in which every old path set is a prefix of the new one, into
-    /// [`LpData::growth`] — and the grown LP's layout, which is the one
-    /// [`LpData::pose`] gives it.
-    /// Grown paths and promoted aggregates' `z_a0` are new columns; newly
-    /// used links bring their capacity and `o_l <= omax` rows and columns,
-    /// promoted aggregates their `Σ = B_a` rows, each in the place `pose`
-    /// puts it. Only the capacity rows whose fixed load a promotion moved
-    /// get a new right-hand side, the fixed load summed again in aggregate
-    /// order, as `pose` sums it.
+    /// [`LpData::growth`] — and the grown LP's layout. Grown paths and
+    /// promoted aggregates' `z_a0` are new columns; newly used links bring
+    /// their rows and `o_l`, promoted aggregates their `Σ = B_a` rows. Only
+    /// the capacity rows whose fixed load a promotion moved get a new
+    /// right-hand side. From the [`LpLayout::empty`] LP, the first of a
+    /// chain, the loaded single-path aggregates' links get rows too, and
+    /// MinMax's stage 2 its utilization caps, which no other LP has.
     pub(super) fn splice(
         &mut self,
         path_sets: &[Vec<Path>],
@@ -137,14 +161,21 @@ impl LpData<'_> {
         from: &LpLayout,
     ) -> LpLayout {
         let (volumes, caps, cap_scale) = (self.volumes, self.caps, self.cap_scale);
-        let (mut rank, mut scratch) = (take(&mut self.link_rank), take(&mut self.pose));
+        let (mut rank, mut scratch) = (take(&mut self.link_rank), take(&mut self.scratch));
         let traffic_units = from.o_rows;
         let link_rows = if traffic_units { 2 } else { 1 };
+        // Every LP but the empty one has a row for each link a loaded
+        // single-path aggregate crosses.
+        let first = from.used_links.is_empty();
+        let util_cap = match mode {
+            LpMode::MinLatency { util_cap, .. } if util_cap.is_finite() => Some(*util_cap),
+            _ => None,
+        };
+        debug_assert!(util_cap.is_none() || first, "only a chain's first LP has utilization caps");
         // The grown layout's column blocks; the aggregates that grew, each
         // with its first new path (0 when promoted) and its `Σ = B_a` row
-        // among the multi-path ones; the links the new paths cross that
-        // have no row yet.
-        let PoseScratch { grown, fresh, refixed, fixed_load, sum_row: column, .. } = &mut scratch;
+        // among the multi-path ones; the links that have no row yet.
+        let SpliceScratch { grown, fresh, refixed, fixed_load, column } = &mut scratch;
         let mut col_base = Vec::with_capacity(path_sets.len() + 1);
         col_base.push(0usize);
         grown.clear();
@@ -152,22 +183,29 @@ impl LpData<'_> {
         for &l in &from.used_links {
             rank[l] = 0;
         }
+        let mut mark_fresh = |path: &Path| {
+            for l in path.links().iter().map(|l| l.idx()) {
+                if rank[l] == UNUSED {
+                    rank[l] = FRESH;
+                    fresh.push(l);
+                }
+            }
+        };
         let mut multi = 0;
         for (a, (paths, old)) in path_sets.iter().zip(from.col_base.windows(2)).enumerate() {
+            assert!(!paths.is_empty(), "aggregate {a} has no candidate path");
             let held = old[1] - old[0];
             if paths.len() == 1 {
                 col_base.push(col_base[a]);
+                if first && volumes[a] > 0.0 {
+                    mark_fresh(&paths[0]);
+                }
                 continue;
             }
             col_base.push(col_base[a] + paths.len());
             if paths.len() > held {
                 grown.push((a, held, multi));
-                for l in paths[held..].iter().flat_map(|p| p.links()) {
-                    if rank[l.idx()] == UNUSED {
-                        rank[l.idx()] = FRESH;
-                        fresh.push(l.idx());
-                    }
-                }
+                paths[held..].iter().for_each(&mut mark_fresh);
             }
             multi += 1;
         }
@@ -183,49 +221,25 @@ impl LpData<'_> {
             used_links.push(l);
         }
         let num_o = used_links.len();
+        let sum_base = link_rows * num_o;
+        let util_base = util_cap.map(|_| sum_base + multi);
         let layout = LpLayout {
             used_links,
             col_base,
             o_rows: traffic_units,
-            rows: link_rows * num_o + multi,
+            rows: sum_base + multi + util_base.map_or(0, |_| num_o),
             tag: mode.tag(),
         };
         let (columns, rows, enter) = from.maps_into(&layout).expect("growth only appends");
 
-        // New rows in the order `pose` puts them: the new links' capacity
-        // rows (no fixed load crosses a link that had no row) and their
-        // `o_l <= omax` rows, then the promoted aggregates' sums.
-        let rhs = |load: f64, l: usize| {
-            if traffic_units {
-                cap_scale - load / caps[l]
-            } else {
-                -load / caps[l]
-            }
-        };
-        let mut growth = take(&mut self.growth);
-        growth.begin(columns, rows, enter);
-        for &l in fresh.iter() {
-            assert!(
-                caps[l] > 0.0,
-                "used link {l} has zero effective capacity (path crosses a downed link)"
-            );
-            growth.add_row(Relation::Le, rhs(0.0, l));
-        }
-        if traffic_units {
-            fresh.iter().for_each(|_| growth.add_row(Relation::Le, 0.0));
-        }
-        for &(a, _, _) in grown.iter().filter(|&&(_, held, _)| held == 0) {
-            growth.add_row(Relation::Eq, if traffic_units { volumes[a] } else { 1.0 });
-        }
-
-        // A promoted aggregate's volume leaves the fixed load of every link
-        // of its path: those capacity rows get their fixed load summed again
-        // over the single-path aggregates still crossing them, in aggregate
-        // order, as `pose` sums it (every link such an aggregate crosses
-        // has a row).
+        // The fixed load of the capacity rows that need it: every row of
+        // the first LP, and the rows of the links a promoted aggregate's
+        // path crosses, whose volume leaves that load. Summed over the
+        // single-path aggregates in aggregate order (every link such an
+        // aggregate crosses has a row).
         refixed.clear();
-        refixed.resize(num_o, false);
-        let mut moved = false;
+        refixed.resize(num_o, first);
+        let mut moved = first;
         for &(a, _, _) in grown.iter().filter(|&&(a, held, _)| held == 0 && volumes[a] > 0.0) {
             for l in path_sets[a][0].links() {
                 refixed[rank[l.idx()] as usize] = true;
@@ -245,14 +259,50 @@ impl LpData<'_> {
                     }
                 }
             }
+        }
+
+        // New rows in layout order: the new links' capacity rows and their
+        // `o_l <= omax` rows, the promoted aggregates' sums, then the
+        // utilization caps. A link that had no row carries a fixed load
+        // only in the first LP.
+        let load_of = |oi: usize| if first { fixed_load[oi] } else { 0.0 };
+        let rhs = |load: f64, l: usize| {
+            if traffic_units {
+                cap_scale - load / caps[l]
+            } else {
+                -load / caps[l]
+            }
+        };
+        let mut growth = take(&mut self.growth);
+        growth.begin(columns, rows, enter);
+        for &l in fresh.iter() {
+            assert!(
+                caps[l] > 0.0,
+                "used link {l} has zero effective capacity (path crosses a downed link)"
+            );
+            growth.add_row(Relation::Le, rhs(load_of(rank[l] as usize), l));
+        }
+        if traffic_units {
+            fresh.iter().for_each(|_| growth.add_row(Relation::Le, 0.0));
+        }
+        for &(a, _, _) in grown.iter().filter(|&&(_, held, _)| held == 0) {
+            growth.add_row(Relation::Eq, if traffic_units { volumes[a] } else { 1.0 });
+        }
+        if let Some(util_cap) = util_cap {
+            for (oi, &l) in layout.used_links.iter().enumerate() {
+                growth.add_row(Relation::Le, util_cap - fixed_load[oi] / caps[l]);
+            }
+        }
+        if !first {
             for (oi, &l) in layout.used_links.iter().enumerate().filter(|&(oi, _)| refixed[oi]) {
                 growth.set_rhs(oi, rhs(fixed_load[oi], l));
             }
         }
 
         // New columns in index order: grown paths (capacity rows by link
-        // rank, then the `Σ = B_a` row), then the new links' `o_l`; the aux
-        // column gains an entry in each new row that names it.
+        // rank, the `Σ = B_a` row, the utilization caps by link rank), then
+        // the new links' `o_l`; the aux column gains an entry in each new
+        // row that names it.
         let latency = matches!(mode, LpMode::MinLatency { .. });
         for &(a, held, sum) in grown.iter() {
             let unit = if traffic_units { 1.0 } else { volumes[a] };
@@ -262,7 +312,12 @@ impl LpData<'_> {
                 column.extend(links.map(|l| (rank[l] as usize, unit / caps[l])));
                 column.sort_unstable_by_key(|&(row, _)| row);
                 column.dedup_by_key(|&mut (row, _)| row);
-                column.push((link_rows * num_o + sum, 1.0));
+                let on_links = column.len();
+                column.push((sum_base + sum, 1.0));
+                if let Some(base) = util_base {
+                    column.extend_from_within(..on_links);
+                    column[on_links + 1..].iter_mut().for_each(|(row, _)| *row += base);
+                }
                 let cost = if latency { self.delay_cost(a, path) } else { 0.0 };
                 growth.add_column(cost, f64::INFINITY, column.iter().copied());
             }
@@ -283,7 +338,7 @@ impl LpData<'_> {
             growth.add_entry(aux, o_rows * num_o + rank[l] as usize, -1.0);
         }
         layout.used_links.iter().for_each(|&l| rank[l] = UNUSED);
-        (self.link_rank, self.pose, self.growth) = (rank, scratch, growth);
+        (self.link_rank, self.scratch, self.growth) = (rank, scratch, growth);
         layout
     }
 }

@@ -236,7 +236,6 @@ impl PathSource for PathCache<'_> {
     /// this returns its prefix. The experiment engine's
     /// worker-count-independent output rests on this.
     fn paths(&self, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-        let mask = self.mask.read().clone();
         let shard = self.shard(src, dst);
         // With telemetry on, probe the shard lock first so contended
         // acquisitions are visible (`cache.shard_contention`); otherwise take
@@ -253,18 +252,22 @@ impl PathSource for PathCache<'_> {
         } else {
             shard.lock()
         };
-        let entry =
-            map.entry((src, dst)).or_insert_with(|| self.make_gen(src, dst, mask.as_deref()));
+        // The mask is read only where a generator is built, under the shard
+        // lock. That orders no pair of locks against `apply_failure`, which
+        // holds the mask's write lock for its one assignment alone and never
+        // together with a shard lock.
+        let entry = (map.entry((src, dst)))
+            .or_insert_with(|| self.make_gen(src, dst, self.mask.read().as_deref()));
         // A pure (unmasked) generator that survived `apply_failure` holds a
         // verified-clean prefix, but growing it would enumerate unmasked
         // paths: rebuild it masked on the first post-failure growth. (The
         // clean prefix *is* the masked prefix, so results are unchanged.
         // Degradation-only masks change no paths and skip the rebuild.)
-        if k > entry.gen.produced().len()
-            && mask.as_deref().is_some_and(FailureMask::affects_routing)
-            && !entry.masked
-        {
-            *entry = self.make_gen(src, dst, mask.as_deref());
+        if k > entry.gen.produced().len() && !entry.masked {
+            let mask = self.mask.read();
+            if mask.as_deref().is_some_and(FailureMask::affects_routing) {
+                *entry = self.make_gen(src, dst, mask.as_deref());
+            }
         }
         let produced = grow_counted(&mut entry.gen, k);
         produced[..produced.len().min(k)].to_vec()

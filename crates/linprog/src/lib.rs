@@ -51,12 +51,14 @@
 //!   [`Solution::prices_in`] says, from that optimum's duals, whether a new
 //!   column would enter the basis at all — a round none of whose columns
 //!   would need not be posed. A chain of such rounds need not pose its
-//!   problems at all: a [`LiveLp`] holds the standard form of the last
-//!   round solved, a round splices its new columns and rows in
-//!   ([`Growth`]) and renumbers the caller's [`Basis`] with them, and the
-//!   restart takes that handle as `solve_warm` does — the same renumbering
-//!   as `relabel`, the same restart, the same standard form as posing the
-//!   grown problem, to the bit. `relabel` stays the reference a spliced
+//!   problems at all: a [`LiveLp`] begins as columns alone
+//!   ([`LiveLp::with_columns`]) and takes the first round's rows from a
+//!   splice, then holds the standard form of the last round solved; each
+//!   later round splices its new columns and rows in ([`Growth`]) and
+//!   renumbers the caller's [`Basis`] with them, and the restart takes that
+//!   handle as `solve_warm` does — the same renumbering as `relabel`, the
+//!   same restart, the same standard form as posing the problem, to the
+//!   bit. `relabel` and a posed [`Problem`] stay the references a spliced
 //!   chain is tested against.
 //!
 //! Not implemented (not needed by this workspace): general variable bounds

@@ -1,8 +1,9 @@
-//! A problem kept in standard form along a column-generation chain: each
-//! round splices what it adds into the form the round before solved and
-//! restarts from the basis that solve left, renumbered alongside, instead
-//! of posing the grown problem row by row, converting it again and
-//! relabelling the basis.
+//! A problem kept in standard form along a column-generation chain: the
+//! chain's first round splices its rows into a form that holds only
+//! columns, and each later round splices what it adds into the form the
+//! round before solved and restarts from the basis that solve left,
+//! renumbered alongside, instead of posing the grown problem row by row,
+//! converting it again and relabelling the basis.
 
 use lowlat_telemetry as telemetry;
 
@@ -111,14 +112,15 @@ impl Growth {
 /// A problem held in standard form between the solves of a
 /// column-generation chain.
 ///
-/// [`LiveLp::new`] converts a posed [`Problem`] once; after that each
-/// round [`LiveLp::grow`]s it by a [`Growth`] — an O(nonzeros) merge that
-/// renumbers what moved and writes what is new, the same standard form
-/// the grown problem, posed as a [`Problem`], would be solved in, to the bit
-/// ([`LiveLp::differs_from`] checks it) — and renumbers the caller's basis
-/// with it, by the one renumbering [`Basis::relabel`] applies. It holds no
-/// basis: [`LiveLp::solve`] takes one as [`Problem::solve_warm`] does and
-/// runs the one restart that runs.
+/// [`LiveLp::with_columns`] holds a problem of columns and no rows; each
+/// round, the first included, [`LiveLp::grow`]s it by a [`Growth`] — an
+/// O(nonzeros) merge that renumbers what moved and writes what is new, the
+/// same standard form the grown problem, posed as a [`Problem`],
+/// would be solved in, to the bit ([`LiveLp::differs_from`] checks it) — and
+/// renumbers the caller's basis with it, by the one renumbering
+/// [`Basis::relabel`] applies. It holds no basis: [`LiveLp::solve`] takes
+/// one as [`Problem::solve_warm`] does and runs the one restart that
+/// runs.
 #[derive(Default)]
 pub struct LiveLp {
     pub(super) sf: StandardForm,
@@ -138,9 +140,22 @@ impl std::fmt::Debug for LiveLp {
 }
 
 impl LiveLp {
-    /// Holds `problem` in standard form, with no basis.
-    pub fn new(problem: &Problem) -> Self {
-        LiveLp { sf: problem.to_standard_form(), ..LiveLp::default() }
+    /// Holds the problem of one structural column per entry of `costs`,
+    /// with that objective coefficient and the upper bound at the same
+    /// index of `uppers` (`f64::INFINITY` for none), and no rows: what a
+    /// chain's first [`LiveLp::grow`] adds its rows to.
+    ///
+    /// # Panics
+    /// As [`LiveLp::set_costs`] does.
+    pub fn with_columns(costs: &[f64], uppers: &[f64]) -> Self {
+        let n = costs.len();
+        let mut live = LiveLp::default();
+        live.sf.num_structural = n;
+        live.sf.cols.ptr.resize(n + 1, 0);
+        live.sf.c.resize(n, 0.0);
+        live.sf.upper.resize(n, 0.0);
+        live.set_costs(costs, uppers);
+        live
     }
 
     /// Constraint rows.

@@ -808,8 +808,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// A live LP grown by splicing is, to the bit, the standard form the
-        /// grown problem poses, and its restart is [`Basis::relabel`] +
+        /// A live LP grown by splicing — every row of the first problem
+        /// spliced into its columns alone, then the rows and columns of a
+        /// grown one — is, to the bit, the standard form each problem poses,
+        /// and its restart is [`Basis::relabel`] +
         /// [`Engine::with_basis`]'s: the same labels, inverse, basic values
         /// and age, the same solve, and after it the same handle —
         /// columns, coefficients, right-hand sides (some of which move),
@@ -828,6 +830,13 @@ mod tests {
             flips in proptest::collection::vec(any::<bool>(), DRIVEN),
         ) {
             let problem = lp.problem();
+            // The live LP begins as the columns alone and takes every row
+            // of `lp` from one splice, as a chain's first LP does.
+            let mut live = LiveLp::with_columns(&lp.c, &lp.upper);
+            let empty = DenseLp { rows: Vec::new(), ..lp.clone() };
+            let every: Vec<usize> = (0..lp.c.len()).collect();
+            prop_assert!(!live.grow(&growth_between(&empty, &lp, &every, &[]), &mut Basis::new()));
+            prop_assert_eq!(live.differs_from(&problem), None);
             let mut handle = Basis::new();
             let Ok(first) = problem.solve_warm(&mut handle) else { return Ok(()) };
             if !handle.is_warm() {
@@ -855,7 +864,6 @@ mod tests {
 
             let mut relabelled = handle.clone();
             prop_assert!(relabelled.relabel(&posed, &columns, &row_map, &enter));
-            let mut live = LiveLp::new(&problem);
             let mut spliced = handle.clone();
             prop_assert!(live.grow(&growth_between(&lp, &next, &columns, &row_map), &mut spliced));
             prop_assert_eq!(live.differs_from(&posed), None);

@@ -8,7 +8,9 @@
 //! placement readers name every tolerance they read, the binaries have
 //! one way out for a bad input, no `RangeError::check` formats its value
 //! before it fails, and only a topology (or the timeline, which holds a
-//! path source) computes a network's all-pairs shortest delays.
+//! path source) computes a network's all-pairs shortest delays. And the
+//! growth loop writes its LPs one way: no production line under
+//! `crates/core/src/pathgrow` names a `Problem`.
 
 use std::path::{Path, PathBuf};
 
@@ -61,6 +63,7 @@ const GONE: &[&str] = &[
     "handed_over",
     "SPLICING_OFF",
     "without_splicing",
+    "solve_spliced",
 ];
 
 /// Deleted doors named by an English word, matched in code only: in a `//`
@@ -396,6 +399,40 @@ fn only_a_topology_computes_its_shortest_delays() {
         "{} all-pairs runs outside a topology; read `Topology::intact_delays` instead:\n{}",
         calls.len(),
         calls.join("\n")
+    );
+}
+
+/// Where the growth loop writes its LPs: every LP of a chain, its first
+/// included, is spliced into the chain's live standard form. A `Problem`
+/// is posed there only in the test module, as the reference the splice is
+/// held to.
+const ONE_LP_WRITER: &str = "crates/core/src/pathgrow";
+
+#[test]
+fn one_lp_writer_in_pathgrow() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join(ONE_LP_WRITER), &mut files);
+    files.sort();
+    assert!(!files.is_empty(), "{ONE_LP_WRITER} is gone");
+    let mut posed = Vec::new();
+    for path in files {
+        let rel = path.strip_prefix(root).unwrap().display();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (n, line) in (1..).zip(text.lines().take(lines_before_tests(&text))) {
+            if line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .any(|w| w == "Problem")
+            {
+                posed.push(format!("{rel}:{n}: {}", line.trim()));
+            }
+        }
+    }
+    assert!(
+        posed.is_empty(),
+        "{} lines name a `Problem` outside the tests; write the LP with `LpData::splice`:\n{}",
+        posed.len(),
+        posed.join("\n")
     );
 }
 
