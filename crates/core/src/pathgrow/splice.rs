@@ -275,6 +275,17 @@ impl LpData<'_> {
         };
         let mut growth = take(&mut self.growth);
         growth.begin(columns, rows, enter);
+        if first {
+            // Every row and column of the LP is new: room for them at once.
+            // A path's column has an entry per link and its sum row, twice
+            // its links' under utilization caps; an `o_l`, two at most.
+            let caps_too = usize::from(util_base.is_some());
+            let new_paths = grown.iter().flat_map(|&(a, held, _)| &path_sets[a][held..]);
+            let path_entries: usize =
+                new_paths.map(|path| 1 + (1 + caps_too) * path.links().len()).sum();
+            let columns = layout.num_x() + fresh.len();
+            growth.reserve(layout.rows, columns, path_entries + 2 * fresh.len());
+        }
         for &l in fresh.iter() {
             assert!(
                 caps[l] > 0.0,

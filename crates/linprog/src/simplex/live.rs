@@ -61,6 +61,18 @@ impl Growth {
         self.extra.clear();
     }
 
+    /// Makes room for `rows` new rows and `columns` new structural columns
+    /// holding `entries` entries between them, after [`Growth::begin`]: a
+    /// round that writes a whole LP, as a chain's first does, then fills
+    /// its buffers without growing them step by step.
+    pub fn reserve(&mut self, rows: usize, columns: usize, entries: usize) {
+        self.new_rows.reserve(rows);
+        self.cols.ptr.reserve(columns + 1);
+        self.cols.entries.reserve(entries);
+        self.costs.reserve(columns);
+        self.uppers.reserve(columns);
+    }
+
     /// Adds the next new row, `rel rhs`.
     pub fn add_row(&mut self, rel: Relation, rhs: f64) {
         assert!(rhs.is_finite(), "non-finite rhs");

@@ -875,9 +875,10 @@ mod tests {
     fn synthesis_is_the_same_bits_at_any_worker_count() {
         // A diurnal Abilene run: with no helper (the calling thread writes
         // each minute after the decision window), one, and more than there
-        // are CPUs, every trace is `synthesize` of its aggregate and the
-        // outcome is the same bits, for a controller that decides and one
-        // that does not.
+        // are CPUs, every trace is `synthesize` of its aggregate — the
+        // samples of each minute while the trace keeps them, every minute's
+        // mean and peak after the run — and the outcome is the same bits,
+        // for a controller that decides and one that does not.
         let (topo, tm) = setup();
         let cfg = TimelineConfig {
             minutes: 3,
@@ -886,20 +887,12 @@ mod tests {
             diurnal_period: 4,
             ..Default::default()
         };
-        let bits = |tr: &AggregateTrace| -> Vec<u64> {
-            let summaries = (0..tr.minutes()).flat_map(|m| [tr.minute_mean(m), tr.peak(m)]);
-            (0..tr.minutes())
-                .flat_map(|m| tr.samples(m).iter().copied())
-                .chain(summaries)
-                .map(f64::to_bits)
-                .collect()
-        };
-        let serial: Vec<Vec<u64>> = tm
+        let serial: Vec<AggregateTrace> = tm
             .aggregates()
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                bits(&synthesize(&TraceGenConfig {
+                synthesize(&TraceGenConfig {
                     mean_mbps: a.volume_mbps,
                     cv: cfg.cv,
                     minutes: 5,
@@ -907,9 +900,22 @@ mod tests {
                     diurnal_amplitude: 0.3,
                     diurnal_period_minutes: 4,
                     ..Default::default()
-                }))
+                })
             })
             .collect();
+        let sample_bits = |tr: &AggregateTrace, m| -> Vec<u64> {
+            tr.samples(m).iter().map(|s| s.to_bits()).collect()
+        };
+        let summary_bits = |tr: &AggregateTrace| -> Vec<u64> {
+            let summaries = (0..tr.minutes()).flat_map(|m| [tr.minute_mean(m), tr.peak(m)]);
+            summaries.map(f64::to_bits).collect()
+        };
+        // Every trace ends at minute `m` and holds its samples.
+        let last_is_serial = |traces: &[AggregateTrace], m: usize| {
+            traces.iter().zip(&serial).all(|(tr, want)| {
+                tr.minutes() == m + 1 && sample_bits(tr, m) == sample_bits(want, m)
+            })
+        };
         let outcome_bits = |out: &TimelineOutcome| -> Vec<u64> {
             let counters = [out.lp_solves, out.lp_warm_hits, out.repair_events, out.cascade_trips];
             let minutes = out.minutes.iter().flat_map(|m| {
@@ -924,14 +930,27 @@ mod tests {
             });
             counters.iter().map(|&c| c as u64).chain(minutes).collect()
         };
+        let serial_summaries: Vec<Vec<u64>> = serial.iter().map(summary_bits).collect();
         for controller in [Controller::ldr(), Controller::static_sp()] {
             let mut outcomes = Vec::new();
             for workers in [1, 2, 8] {
                 let cache = PathCache::new(topo.graph());
                 let mut state = ControllerState::new(&cache, &tm, &controller, &cfg, &[], workers);
-                let reports = (0..cfg.minutes).map(|minute| state.step(minute)).collect();
-                let traces: Vec<Vec<u64>> = state.traces.iter().map(bits).collect();
-                assert!(traces == serial, "{workers} workers");
+                let warmed = cfg.warmup_minutes - 1;
+                assert!(last_is_serial(&state.traces, warmed), "{workers} workers, warm-up");
+                let reports = (0..cfg.minutes)
+                    .map(|minute| {
+                        let report = state.step(minute);
+                        let appended = cfg.warmup_minutes + minute;
+                        assert!(
+                            last_is_serial(&state.traces, appended),
+                            "{workers} workers, minute {minute}"
+                        );
+                        report
+                    })
+                    .collect();
+                let summaries: Vec<Vec<u64>> = state.traces.iter().map(summary_bits).collect();
+                assert!(summaries == serial_summaries, "{workers} workers");
                 outcomes.push(outcome_bits(&state.finish(reports)));
             }
             assert!(outcomes.iter().all(|o| *o == outcomes[0]), "{controller:?}");

@@ -11,13 +11,16 @@
 //! - `fire_events` reads the caller's [`TimelineEvent`]s and `pending_trip`;
 //!   writes `mask`, `partition`, `unroutable_fraction`, the source's failure
 //!   state and the repair counters.
-//! - `decide` reads `traces` up to the minute, `partition`, `installed`,
-//!   `queued_links` and `mask`; writes `placement`, `draining` and `ctx`.
+//! - `decide` reads `traces` up to the minute — every minute's mean and
+//!   peak, and the samples of only the last minute before it — with
+//!   `partition`, `installed`, `queued_links` and `mask`; writes
+//!   `placement`, `draining` and `ctx`.
 //! - `install` reads `placement` and `partition`; writes `installed` and
 //!   returns the minute's [`PlacementDelta`].
-//! - `replay` reads the minute's `traces`, `placement`, `draining` and
-//!   `mask`; writes `queued_links`, `pending_trip` and `cascade_trips`, and
-//!   returns the realized queueing.
+//! - `replay` reads the minute's samples in `traces`, `placement`,
+//!   `draining` and `mask`; writes `queued_links`, `pending_trip`,
+//!   `cascade_trips` and its own `replay` buffers, and returns the realized
+//!   queueing.
 //!
 //! One [`PathSource`] and one warm-start [`SolveContext`] persist across
 //! the whole run, so successive minutes restart from each other's LP bases
@@ -30,10 +33,10 @@
 //! ## Who synthesizes which minute when
 //!
 //! The ground truth is streamed, not made up front. `ControllerState::new`
-//! starts one `TraceGenerator` per aggregate, allocates the storage of every
-//! minute of the run on the calling thread, and synthesizes only the
-//! warm-up minutes, on every worker (`lowlat_core::default_workers()`: the
-//! calling thread and `workers − 1` helpers). `step(t)` then overlaps minute
+//! starts one `TraceGenerator` per aggregate, which allocates two minutes'
+//! sample buffers on the calling thread, and synthesizes only the warm-up
+//! minutes, on every worker (`lowlat_core::default_workers()`: the calling
+//! thread and `workers − 1` helpers). `step(t)` then overlaps minute
 //! `warmup + t` with the decision that precedes it: the helpers start on it
 //! as the decision window opens, the calling thread runs `fire_events`,
 //! `decide` and `install` — which read the history *before* that minute —
@@ -43,10 +46,23 @@
 //! worker writes the minute after the window); a static controller, whose
 //! window is empty, writes the minute on every worker as the warm-up does.
 //! Each aggregate draws from its own stream, so no bit depends on which
-//! thread wrote which minute. In a trace, `timeline.synthesize` spans mark
-//! each thread's share of a minute and `timeline.await_synthesis` the
-//! calling thread's time after the window: when it holds no
-//! `timeline.synthesize` child and is short, the decision hid the minute.
+//! thread wrote which minute.
+//!
+//! A trace keeps the samples of one minute, the last it appended
+//! (`lowlat_traffic::trace::SAMPLE_WINDOW`): the replay reads that minute
+//! and the next decision reads it as the last minute of its history, and
+//! nothing reads an earlier minute's samples. So `append_ready` retires the
+//! minute before it and hands its buffer back to the aggregate's generator,
+//! which writes the next minute into it. The run holds two sample buffers
+//! per aggregate — the window and the minute being written — whatever its
+//! length, no helper thread allocates one, and a minute after the warm-up
+//! allocates none. The warm-up is one synthesis call per aggregate that
+//! keeps the samples of its last minute only.
+//!
+//! In a trace, `timeline.synthesize` spans mark each thread's share of a
+//! minute and `timeline.await_synthesis` the calling thread's time after
+//! the window: when it holds no `timeline.synthesize` child and is short,
+//! the decision hid the minute.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -78,9 +94,36 @@ pub(super) fn safe_fraction(numer: f64, denom: f64) -> f64 {
 /// One aggregate's ground truth in the making: the generator that writes
 /// its minutes and the minutes it wrote that its trace has yet to append.
 struct Stream {
+    /// Holds the buffer the next minute is written into.
     generator: TraceGenerator,
     /// Room for the warm-up's minutes, reserved on the run's thread.
     ready: Vec<TraceMinute>,
+}
+
+/// What `replay` sums a minute's link loads into, kept for the run: a
+/// `bins`-long load row per link, zeroed each minute, and the
+/// make-before-break weights per bin.
+#[derive(Default)]
+struct ReplayBuffers {
+    per_link_load: Vec<Vec<f64>>,
+    /// Weight 1 in every bin: an aggregate not in transition.
+    steady: Vec<f64>,
+    /// The share of a draining aggregate on its new splits, bin by bin.
+    ramp_up: Vec<f64>,
+    /// The share left on the splits it retires.
+    ramp_down: Vec<f64>,
+}
+
+impl ReplayBuffers {
+    fn new(links: usize, bins: usize) -> Self {
+        let ramp_up: Vec<f64> = (0..bins).map(|bin| (bin + 1) as f64 / bins as f64).collect();
+        ReplayBuffers {
+            per_link_load: vec![vec![0.0; bins]; links],
+            steady: vec![1.0; bins],
+            ramp_down: ramp_up.iter().map(|up| 1.0 - up).collect(),
+            ramp_up,
+        }
+    }
 }
 
 /// Writes the next `minutes` minutes of aggregates claimed off `next`, one
@@ -93,9 +136,9 @@ fn synthesize(streams: &[Mutex<Stream>], next: &AtomicUsize, minutes: usize) {
     // minutes travel through the stream's lock and the threads' join.
     while let Some(stream) = streams.get(next.fetch_add(1, Ordering::Relaxed)) {
         span.get_or_insert_with(|| telemetry::span("timeline.synthesize", "timeline"));
-        let stream = &mut *stream.lock().expect("a synthesizing thread panicked");
-        let minutes = stream.generator.by_ref().take(minutes);
-        stream.ready.extend(minutes);
+        let mut stream = stream.lock().expect("a synthesizing thread panicked");
+        let Stream { generator, ready } = &mut *stream;
+        generator.write(minutes, ready);
     }
 }
 
@@ -140,11 +183,13 @@ pub(super) struct ControllerState<'a> {
     workers: usize,
     /// Ground-truth traffic: one evolving trace per aggregate of `tm`, mean
     /// anchored at its matrix volume (modulated by the diurnal cycle). It
-    /// holds the minutes up to the one being decided; `step` appends that
-    /// minute before its replay.
+    /// holds the minutes up to the one being decided, with the samples of
+    /// the last one only; `step` appends that minute before its replay.
     pub(super) traces: Vec<AggregateTrace>,
     /// What writes `traces`' next minutes, one stream per aggregate.
     streams: Vec<Mutex<Stream>>,
+    /// What `replay` writes, kept across minutes.
+    replay: ReplayBuffers,
     /// One warm-start context for the whole run: the §5 cycle's speed comes
     /// from successive minutes reusing paths and LP bases.
     ctx: SolveContext,
@@ -209,13 +254,14 @@ impl<'a> ControllerState<'a> {
             config.minutes
         );
         // A root span of its own: against millisecond decisions the warm-up
-        // is a visible share of a short run. Every minute of the run gets its
-        // storage here, on the calling thread, whichever thread writes it:
-        // buffers a helper allocated and this thread freed would spread the
-        // run over the allocator's per-thread arenas, and peak RSS would
-        // climb with the pass count. Aggregate `i` draws from its own stream
-        // (`spread_seed(seed, i)`), so the traces are the same bits whatever
-        // the worker count.
+        // is a visible share of a short run. The run's sample buffers, two
+        // per aggregate, are allocated here, on the calling thread, whichever
+        // thread writes into them, and are handed from trace to generator
+        // for the rest of the run: buffers a helper allocated and this thread
+        // freed would spread the run over the allocator's per-thread arenas,
+        // and peak RSS would climb with the pass count. Aggregate `i` draws
+        // from its own stream (`spread_seed(seed, i)`), so the traces are the
+        // same bits whatever the worker count.
         let synthesis = telemetry::span("timeline.synthesize", "timeline");
         let (streams, traces): (Vec<_>, Vec<_>) = tm
             .aggregates()
@@ -236,6 +282,7 @@ impl<'a> ControllerState<'a> {
             })
             .unzip();
         let workers = workers.clamp(1, streams.len());
+        let bins = traces[0].bins_per_minute();
         synthesize_beside(&streams, workers - 1, config.warmup_minutes, || ());
         drop(synthesis);
         let placement = controller
@@ -250,6 +297,7 @@ impl<'a> ControllerState<'a> {
             workers,
             traces,
             streams,
+            replay: ReplayBuffers::new(source.graph().link_count(), bins),
             ctx: SolveContext::new(),
             intact_delays: all_pairs_delays(source.graph()),
             mask: FailureMask::new(),
@@ -311,8 +359,9 @@ impl<'a> ControllerState<'a> {
         }
     }
 
-    /// Appends every minute the streams wrote to its aggregate's trace and
-    /// counts the samples.
+    /// Appends every minute the streams wrote to its aggregate's trace,
+    /// retires the samples of the minute before the last and hands its
+    /// buffer back to the stream, and counts the samples written.
     fn append_ready(&mut self) {
         let mut samples = 0;
         for (trace, stream) in self.traces.iter_mut().zip(&mut self.streams) {
@@ -321,6 +370,7 @@ impl<'a> ControllerState<'a> {
                 trace.push_minute(minute);
                 samples += trace.bins_per_minute();
             }
+            trace.retire_samples(&mut stream.generator);
         }
         telemetry::counter_add("timeline.samples_synthesized", samples as u64);
     }
@@ -470,16 +520,17 @@ impl<'a> ControllerState<'a> {
         let graph = self.source.graph();
         let t = self.config.warmup_minutes + minute;
         let bins = self.traces[0].bins_per_minute();
-        let mut per_link_load = vec![vec![0.0f64; bins]; graph.link_count()];
+        // Taken for the minute so that `charge` can write it while `self`
+        // is read, and put back at the end.
+        let mut buffers = std::mem::take(&mut self.replay);
+        let ReplayBuffers { per_link_load, steady, ramp_up, ramp_down } = &mut buffers;
+        per_link_load.iter_mut().for_each(|row| row.fill(0.0));
         // Make-before-break drain: an aggregate in transition carries
         // ramp_up[bin] of its traffic on the new splits and the rest on the
         // retiring ones — the old paths' capacity stays claimed until the
         // drain completes, no bin is double-charged. Everything else rides
         // its splits at weight 1, and `(s * x) * 1.0` is exact, so runs
         // without transitions replay bit-for-bit as if unweighted.
-        let steady = vec![1.0f64; bins];
-        let ramp_up: Vec<f64> = (0..bins).map(|bin| (bin + 1) as f64 / bins as f64).collect();
-        let ramp_down: Vec<f64> = ramp_up.iter().map(|up| 1.0 - up).collect();
         let mut charge = |placement: &AggregatePlacement, samples: &[f64], weights: &[f64]| {
             for (path, x) in placement.live_splits() {
                 if self.mask.hits_path(graph, path) {
@@ -504,10 +555,10 @@ impl<'a> ControllerState<'a> {
         for (j, new) in self.placement.iter().flat_map(|p| p.per_aggregate()).enumerate() {
             let samples = self.traces[self.orig(j)].samples(t);
             match draining.next_if(|(dj, _)| *dj == j) {
-                None => charge(new, samples, &steady),
+                None => charge(new, samples, steady),
                 Some((_, old)) => {
-                    charge(new, samples, &ramp_up);
-                    charge(old, samples, &ramp_down);
+                    charge(new, samples, ramp_up);
+                    charge(old, samples, ramp_down);
                 }
             }
         }
@@ -554,6 +605,7 @@ impl<'a> ControllerState<'a> {
             self.pending_trip = trip;
             self.cascade_trips += 1;
         }
+        self.replay = buffers;
         (worst_queue_ms, overloaded_links)
     }
 }

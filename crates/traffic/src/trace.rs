@@ -27,12 +27,28 @@
 //! walk, σ and AR(1) state from minute to minute and yields one
 //! [`TraceMinute`] per call, and [`AggregateTrace::push_minute`] appends it.
 //! [`synthesize`] is that loop run to the end, so a trace grown a minute at
-//! a time is the same bits as one synthesized whole. [`TraceGenerator::start`]
-//! allocates the storage of every minute the run will write on the calling
-//! thread, so a minute can be generated on another thread (the timeline
-//! synthesizes minute `t` while its controller decides minute `t`) and
-//! handed back without that thread allocating.
+//! a time is the same bits as one synthesized whole; it keeps every minute's
+//! samples, which the figures read (Figure 10's σ among them).
+//!
+//! A controller that grows its traces as it runs keeps only a window of
+//! samples: [`SAMPLE_WINDOW`] minutes, the last one written. A decision
+//! reads every minute's mean (Algorithm 1) but the samples of only the last
+//! minute before it (the Figure-14 appraisal), and the replay of a minute
+//! reads that minute's samples, which become the last minute the next
+//! decision reads. [`AggregateTrace::retire_samples`] drops the samples of
+//! the minutes before the window, keeping their means and peaks, and hands
+//! their buffers back to the generator, which writes later minutes into
+//! them. [`TraceGenerator::start`] allocates [`SAMPLE_WINDOW`] + 1 buffers
+//! on the calling thread — the window the trace holds and the minute being
+//! written beside it — and nothing for the minutes after them, so a minute
+//! can be generated on another thread (the timeline synthesizes minute `t`
+//! while its controller decides minute `t`) and handed back without that
+//! thread allocating, and a trace's memory does not grow with its run
+//! beyond a mean and a peak a minute. [`TraceGenerator::write`] writes
+//! several minutes in one call (a timeline's warm-up) into one buffer,
+//! since only the last of them keeps its samples.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -129,6 +145,12 @@ const AR1: f64 = 0.5;
 /// Figure 10.
 const SIGMA_DRIFT: f64 = 0.05;
 
+/// Minutes of samples a trace keeps once [`AggregateTrace::retire_samples`]
+/// runs: the last minute written. The next decision reads it (LDR's
+/// appraisal of the last minute) and the replay of that minute has just
+/// read it; every earlier minute is read only through its mean and peak.
+pub const SAMPLE_WINDOW: usize = 1;
+
 /// A traffic time series: consecutive minutes of 100 ms rate samples, and
 /// each minute's mean and peak, computed once from them.
 /// The minutes live in a shared store of which a trace sees a prefix, so
@@ -137,6 +159,11 @@ const SIGMA_DRIFT: f64 = 0.05;
 /// [`AggregateTrace::peak`] read a stored value instead of scanning the
 /// minute's samples. [`AggregateTrace::push_minute`] grows a trace in place
 /// while no other trace shares its store.
+///
+/// A trace keeps every minute's samples until
+/// [`AggregateTrace::retire_samples`] drops those before its
+/// [`SAMPLE_WINDOW`]: a retired minute keeps its mean and peak, and
+/// [`AggregateTrace::samples`] and [`AggregateTrace::sigma`] of it panic.
 #[derive(Clone)]
 pub struct AggregateTrace {
     bins_per_minute: usize,
@@ -146,33 +173,50 @@ pub struct AggregateTrace {
     store: Arc<Store>,
 }
 
-/// The minutes of a trace and their summaries, minute-major.
+/// The minutes of a trace: the mean and peak of every one, the samples of
+/// those not retired.
 #[derive(Clone, Debug, PartialEq)]
 struct Store {
-    /// Minute `m`'s 100 ms samples (Mbps), `bins_per_minute` of them.
-    samples: Vec<Vec<f64>>,
-    /// Mean of every minute of `samples` (Mbps).
+    /// The 100 ms samples (Mbps) of minutes `first_sampled..`, oldest first,
+    /// `bins_per_minute` each.
+    samples: VecDeque<Vec<f64>>,
+    /// The first minute whose samples are kept; the minutes before it are
+    /// retired.
+    first_sampled: usize,
+    /// Mean of every minute written (Mbps).
     means: Vec<f64>,
-    /// Peak of every minute of `samples` (Mbps).
+    /// Peak of every minute written (Mbps).
     peaks: Vec<f64>,
 }
 
 impl Store {
     fn with_capacity(minutes: usize) -> Self {
         Store {
-            samples: Vec::with_capacity(minutes),
+            samples: VecDeque::with_capacity(minutes),
+            first_sampled: 0,
             means: Vec::with_capacity(minutes),
             peaks: Vec::with_capacity(minutes),
         }
+    }
+
+    /// Drops every minute from `minutes` on.
+    fn truncate(&mut self, minutes: usize) {
+        self.samples.truncate(minutes.saturating_sub(self.first_sampled));
+        self.first_sampled = self.first_sampled.min(minutes);
+        self.means.truncate(minutes);
+        self.peaks.truncate(minutes);
     }
 }
 
 /// One minute of a trace, ready to append with
 /// [`AggregateTrace::push_minute`]: its samples and their mean and peak,
-/// summarized where the minute was made.
+/// summarized where the minute was made. Of the minutes one
+/// [`TraceGenerator::write`] call writes, all but the last come without
+/// their samples (retired), with their mean and peak.
 #[derive(Debug)]
 pub struct TraceMinute {
-    samples: Vec<f64>,
+    /// `None` once retired.
+    samples: Option<Vec<f64>>,
     mean: f64,
     peak: f64,
 }
@@ -182,15 +226,20 @@ impl TraceMinute {
     fn summarize(samples: Vec<f64>) -> Self {
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let peak = samples.iter().cloned().fold(0.0, f64::max);
-        TraceMinute { samples, mean, peak }
+        TraceMinute { samples: Some(samples), mean, peak }
     }
 }
 
+/// Prints the samples of the minutes the trace sees and keeps, after the
+/// count of those it sees retired (only their means and peaks are kept).
 impl fmt::Debug for AggregateTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let retired = self.store.first_sampled.min(self.minutes);
+        let kept = self.store.samples.iter().take(self.minutes - retired);
         f.debug_struct("AggregateTrace")
             .field("bins_per_minute", &self.bins_per_minute)
-            .field("samples_mbps", &self.store.samples[..self.minutes].concat())
+            .field("retired_minutes", &retired)
+            .field("samples_mbps", &kept.flatten().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -225,20 +274,55 @@ impl AggregateTrace {
     /// Appends `minute` after the minutes this trace sees. In place while
     /// no other trace shares the store (a [`Self::truncated`] view or a
     /// clone still alive); otherwise the store is copied first, and the
-    /// other traces keep what they saw.
+    /// other traces keep what they saw. A minute whose samples
+    /// [`TraceGenerator::write`] retired retires every minute before it.
     ///
     /// # Panics
     /// Panics if the minute does not hold [`Self::bins_per_minute`] samples.
     pub fn push_minute(&mut self, minute: TraceMinute) {
-        assert_eq!(minute.samples.len(), self.bins_per_minute, "minute of another bin count");
         let store = Arc::make_mut(&mut self.store);
-        store.samples.truncate(self.minutes);
-        store.means.truncate(self.minutes);
-        store.peaks.truncate(self.minutes);
-        store.samples.push(minute.samples);
+        store.truncate(self.minutes);
+        match minute.samples {
+            Some(samples) => {
+                assert_eq!(samples.len(), self.bins_per_minute, "minute of another bin count");
+                store.samples.push_back(samples);
+            }
+            None => {
+                store.samples.clear();
+                store.first_sampled = self.minutes + 1;
+            }
+        }
         store.means.push(minute.mean);
         store.peaks.push(minute.peak);
         self.minutes += 1;
+    }
+
+    /// Retires the samples of every minute before the last
+    /// [`SAMPLE_WINDOW`] this trace sees and hands their buffers to
+    /// `generator`, which writes its next minutes into them: the trace
+    /// keeps those minutes' means and peaks, and [`Self::samples`] of them
+    /// panics from now on. A trace grown a minute at a time this way holds
+    /// [`SAMPLE_WINDOW`] minutes of samples however long it runs, and its
+    /// generator needs no buffer beyond those [`TraceGenerator::start`]
+    /// allocated. In place while no other trace shares the store; otherwise
+    /// the store is copied first, as [`Self::push_minute`] copies it.
+    ///
+    /// # Panics
+    /// Panics if `generator` writes minutes of another bin count.
+    pub fn retire_samples(&mut self, generator: &mut TraceGenerator) {
+        assert_eq!(
+            generator.config.bins_per_minute, self.bins_per_minute,
+            "a generator of another bin count"
+        );
+        let keep_from = self.minutes.saturating_sub(SAMPLE_WINDOW);
+        if self.store.first_sampled >= keep_from {
+            return;
+        }
+        let store = Arc::make_mut(&mut self.store);
+        store.truncate(self.minutes);
+        let retired = keep_from - store.first_sampled;
+        generator.spare.extend(store.samples.drain(..retired));
+        store.first_sampled = keep_from;
     }
 
     /// Number of whole minutes.
@@ -252,8 +336,22 @@ impl AggregateTrace {
     }
 
     /// The 100 ms samples of minute `m`.
+    ///
+    /// # Panics
+    /// Panics if the trace does not see minute `m`, or if
+    /// [`Self::retire_samples`] retired it: the message names the minutes
+    /// whose samples the trace keeps.
     pub fn samples(&self, m: usize) -> &[f64] {
-        &self.store.samples[..self.minutes][m]
+        assert!(m < self.minutes, "minute {m} of a trace of {} minutes", self.minutes);
+        let first = self.store.first_sampled;
+        assert!(
+            m >= first,
+            "the samples of minute {m} are retired: this trace keeps those of minutes \
+             {}..{}, a window of the last {SAMPLE_WINDOW} minute(s) once retired",
+            first.min(self.minutes),
+            self.minutes
+        );
+        &self.store.samples[m - first]
     }
 
     /// Mean rate over minute `m` (Mbps).
@@ -272,7 +370,7 @@ impl AggregateTrace {
     }
 
     /// Standard deviation of the 100 ms rates within minute `m` — the σ of
-    /// Figure 10.
+    /// Figure 10. Panics as [`Self::samples`] does on a retired minute.
     pub fn sigma(&self, m: usize) -> f64 {
         let s = self.samples(m);
         let mean = self.minute_mean(m);
@@ -282,7 +380,8 @@ impl AggregateTrace {
 
     /// The first `minutes` of the trace — what a controller has *seen* at
     /// decision time (used by the timeline simulator to avoid peeking). A
-    /// view of the same samples and summaries, not a copy.
+    /// view of the same samples and summaries, not a copy: it sees the
+    /// samples of the minutes the trace kept, and every mean and peak.
     ///
     /// # Panics
     /// Panics if `minutes` is 0 or exceeds the trace length.
@@ -300,9 +399,9 @@ fn std_normal(rng: &mut StdRng) -> f64 {
 }
 
 /// The generator of one trace, resumable between minutes: the RNG, the
-/// minute-mean walk, the burst σ and the AR(1) state, plus storage for the
-/// minutes it has yet to write. Each [`Iterator::next`] writes the next
-/// minute, until `config.minutes` of them are out.
+/// minute-mean walk, the burst σ and the AR(1) state, plus the buffers it
+/// writes minutes into. Each [`Iterator::next`] writes the next minute,
+/// until `config.minutes` of them are out.
 #[derive(Debug)]
 pub struct TraceGenerator {
     config: TraceGenConfig,
@@ -314,44 +413,76 @@ pub struct TraceGenerator {
     /// AR(1) state. It carries across minute boundaries: bursts don't reset
     /// on the minute, only our bookkeeping does.
     z: f64,
-    /// One buffer per minute still to write, allocated by [`Self::start`].
-    blank: Vec<Vec<f64>>,
+    /// Buffers to write minutes into: those allocated up front and those
+    /// [`AggregateTrace::retire_samples`] and [`Self::write`] handed back.
+    spare: Vec<Vec<f64>>,
 }
 
 impl TraceGenerator {
     /// Starts `config`'s run: the generator at minute 0 and the empty trace
-    /// its minutes are appended to. The storage of all `config.minutes`
-    /// minutes (samples and summaries) is allocated here, on the calling
-    /// thread; generating a minute allocates nothing.
+    /// its minutes are appended to. The buffers of [`SAMPLE_WINDOW`] + 1
+    /// minutes are allocated here, on the calling thread: the window the
+    /// trace keeps and the minute written beside it. A trace that
+    /// [`AggregateTrace::retire_samples`] after each minute it appends hands
+    /// the generator back a buffer for each minute it writes, so generating
+    /// a minute allocates nothing; one that keeps every minute's samples
+    /// costs the generator a new buffer a minute past those.
     ///
     /// # Panics
     /// Panics with [`TraceGenConfig::validate`]'s message on a field outside
     /// its range.
     pub fn start(config: &TraceGenConfig) -> (TraceGenerator, AggregateTrace) {
+        let generator = TraceGenerator::new(config, SAMPLE_WINDOW + 1);
+        (generator, AggregateTrace::empty(config.bins_per_minute, 0))
+    }
+
+    /// The generator of `config`'s run at minute 0, with the buffers of
+    /// `buffers` minutes (at most the run's).
+    fn new(config: &TraceGenConfig, buffers: usize) -> TraceGenerator {
         if let Err(e) = config.validate() {
             panic!("invalid trace config: {e}");
         }
         let bins = config.bins_per_minute;
-        let generator = TraceGenerator {
+        TraceGenerator {
             config: config.clone(),
             rng: StdRng::seed_from_u64(config.seed ^ 0x7472_6163),
             minute: 0,
             minute_mean: config.mean_mbps,
             sigma_rel: config.cv,
             z: 0.0,
-            blank: (0..config.minutes).map(|_| vec![0.0; bins]).collect(),
-        };
-        (generator, AggregateTrace::empty(bins, config.minutes))
+            spare: (0..buffers.min(config.minutes)).map(|_| vec![0.0; bins]).collect(),
+        }
+    }
+
+    /// Writes the next `minutes` minutes onto `out` (fewer once the run is
+    /// out), retiring the samples of every one but the last as the next is
+    /// written: its buffer is written again, and the minute keeps its mean
+    /// and peak. So a call needs one buffer however many minutes it writes,
+    /// and appending what it wrote leaves a trace holding the last minute's
+    /// samples — what a run's first minutes before its decisions need.
+    pub fn write(&mut self, minutes: usize, out: &mut Vec<TraceMinute>) {
+        for k in 0..minutes.min(self.config.minutes - self.minute) {
+            if k > 0 {
+                let last = out.last_mut().expect("the minute this call wrote before");
+                self.spare.extend(last.samples.take());
+            }
+            out.extend(self.next());
+        }
     }
 }
 
 impl Iterator for TraceGenerator {
     type Item = TraceMinute;
 
-    /// Writes the next minute; `None` once `config.minutes` are out.
+    /// Writes the next minute into a spare buffer, or a new one when none
+    /// is left; `None` once `config.minutes` are out.
     fn next(&mut self) -> Option<TraceMinute> {
-        let mut samples = self.blank.pop()?;
         let config = &self.config;
+        if self.minute == config.minutes {
+            return None;
+        }
+        let bins = config.bins_per_minute;
+        let mut samples = self.spare.pop().unwrap_or_else(|| vec![0.0; bins]);
         // The long-horizon load shape: a deterministic multiplicative swing
         // on top of the stationary walk, so hundreds-of-minutes runs see
         // the peak/trough asymmetry real WANs replan around. Amplitude 0
@@ -387,13 +518,15 @@ impl Iterator for TraceGenerator {
 }
 
 /// Generates a synthetic trace per [`TraceGenConfig`] (deterministic): a
-/// [`TraceGenerator`] run to the end.
+/// [`TraceGenerator`] run to the end, every minute's samples kept, their
+/// storage allocated up front.
 ///
 /// # Panics
 /// Panics with [`TraceGenConfig::validate`]'s message on a field outside
 /// its range.
 pub fn synthesize(config: &TraceGenConfig) -> AggregateTrace {
-    let (generator, mut trace) = TraceGenerator::start(config);
+    let generator = TraceGenerator::new(config, config.minutes);
+    let mut trace = AggregateTrace::empty(config.bins_per_minute, config.minutes);
     for minute in generator {
         trace.push_minute(minute);
     }
@@ -592,7 +725,8 @@ mod tests {
             synthesize(&TraceGenConfig { minutes: 6, bins_per_minute: 50, ..Default::default() });
         let view = tr.truncated(4);
         assert!(Arc::ptr_eq(&view.store, &tr.store), "no allocation, summaries shared too");
-        let copy = AggregateTrace::from_samples(tr.store.samples[..4].concat(), 50);
+        let copy =
+            AggregateTrace::from_samples((0..4).flat_map(|m| tr.samples(m)).copied().collect(), 50);
         assert_eq!(view.minutes(), 4);
         assert_eq!(view.minute_means(), copy.minute_means());
         for m in 0..4 {
@@ -684,6 +818,53 @@ mod tests {
         assert_eq!(short.minutes(), 2);
         assert_eq!(short.samples(1), whole.samples(0));
         assert_eq!(whole.minutes(), 4, "the trace it shared with is as it was");
+    }
+
+    #[test]
+    fn a_windowed_trace_keeps_every_summary_and_the_samples_of_its_window() {
+        let cfg = TraceGenConfig {
+            minutes: 9,
+            bins_per_minute: 30,
+            diurnal_amplitude: 0.3,
+            diurnal_period_minutes: 5,
+            ..Default::default()
+        };
+        let whole = synthesize(&cfg);
+        let bits = |samples: &[f64]| samples.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let (mut generator, mut trace) = TraceGenerator::start(&cfg);
+        let mut ready = Vec::new();
+        // Three minutes in one call, as a timeline writes its warm-up: only
+        // the last keeps its samples.
+        generator.write(3, &mut ready);
+        assert!(ready[..2].iter().all(|minute| minute.samples.is_none()));
+        for _ in 0..7 {
+            for written in ready.drain(..) {
+                trace.push_minute(written);
+            }
+            trace.retire_samples(&mut generator);
+            let last = trace.minutes() - 1;
+            assert_eq!(trace.store.first_sampled, last, "{SAMPLE_WINDOW} minute kept");
+            assert_eq!(bits(trace.samples(last)), bits(whole.samples(last)));
+            // The window and the minute written beside it: no more buffers.
+            assert_eq!(trace.store.samples.len() + generator.spare.len(), SAMPLE_WINDOW + 1);
+            generator.write(1, &mut ready);
+        }
+        assert!(ready.is_empty() && generator.next().is_none(), "nine minutes configured");
+        assert_eq!(bits(trace.minute_means()), bits(whole.minute_means()));
+        let peaks = |tr: &AggregateTrace| (0..tr.minutes()).map(|m| tr.peak(m)).collect::<Vec<_>>();
+        assert_eq!(bits(&peaks(&trace)), bits(&peaks(&whole)));
+        // A retired minute's samples are gone, and the panic names the window.
+        for retired in [0, 7] {
+            let panic = std::panic::catch_unwind(|| trace.samples(retired)).expect_err("retired");
+            let message = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(message.contains("keeps those of minutes 8..9"), "{message}");
+            assert!(message.contains("a window of the last 1 minute(s)"), "{message}");
+        }
+        assert!(format!("{trace:?}").contains("retired_minutes: 8"));
+        // A view keeps what it saw when the trace retires again.
+        let view = trace.truncated(9);
+        trace.retire_samples(&mut generator);
+        assert_eq!(bits(view.samples(8)), bits(whole.samples(8)));
     }
 
     #[test]
