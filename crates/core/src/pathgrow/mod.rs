@@ -478,6 +478,13 @@ fn run_minmax(
 }
 
 #[cfg(test)]
+#[path = "../../../../tests/support/digest.rs"]
+mod digest;
+#[cfg(test)]
+#[path = "../../../../tests/support/pinned.rs"]
+mod pinned;
+
+#[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::hier::{EngineConfig, PartitionedPathEngine};
@@ -493,6 +500,7 @@ pub(crate) mod tests {
 
     use super::bound::tests::{verdicts, without_bound};
     use super::context::tests::EVICTED;
+    use super::digest::Digest;
     use super::lp::tests::{audited, kept_phase1_ends, without_pricing};
     pub(crate) use super::lp::tests::{kept_rounds, spliced_rounds};
     use super::lp::AggInfo;
@@ -1120,20 +1128,7 @@ pub(crate) mod tests {
 
     // ---- The live chain (`context` module docs) ----
 
-    /// The digest of [`growth_calls_through_one_context_keep_their_fingerprint`],
-    /// recorded while phase 2 after a kept phase-1 end still posed its LP
-    /// and took its basis over through the slots, and every other growth
-    /// round was already spliced into its chain's live LP.
-    const CHAIN_FINGERPRINT: u64 = 0x8f4a_1242_3baa_4b63;
-
-    /// FNV-1a over 64-bit words.
-    struct Digest(u64);
-
     impl Digest {
-        fn word(&mut self, x: u64) {
-            self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-
         /// Every number of `out`, floats by their bits; what the context
         /// counted; and every slot it holds, sorted by key, with its stamp.
         fn call(&mut self, out: &GrowOutcome, ctx: &mut SolveContext) {
@@ -1167,14 +1162,15 @@ pub(crate) mod tests {
         // turn, so the chains end at new shapes until eviction drops slots;
         // every 2x call's phase 1 ends on a kept round. Then MinMax on the
         // same context. Placements, counts, and every slot with its stamp
-        // after every call are folded into one digest.
+        // after every call are folded into one digest, the ledger's
+        // `pathgrow_chain` row (`tests/pinned.tsv`).
         let topo = named::gts_like();
         let tm = GravityTmGen::new(TmGenConfig::default())
             .generate(&topo, 0)
             .scaled_to_load(&topo, 0.55);
         let cache = PathCache::new(topo.graph());
         let mut ctx = SolveContext::new();
-        let mut h = Digest(0xcbf2_9ce4_8422_2325);
+        let mut h = Digest::new();
         let mut rng = StdRng::seed_from_u64(7);
         let (evicted_before, spliced_before) = (EVICTED.get(), spliced_rounds());
         let solves_before = ctx.solves();
@@ -1201,7 +1197,7 @@ pub(crate) mod tests {
         assert!(EVICTED.get() > evicted_before, "no slot was evicted");
         let (spliced, solves) = (spliced_rounds() - spliced_before, ctx.solves() - solves_before);
         assert_eq!(spliced, solves, "every LP solved is held to its posed LP");
-        assert_eq!(h.0, CHAIN_FINGERPRINT, "digest {:#018x}", h.0);
+        pinned::assert_pinned("pathgrow_chain", &[h.0]);
     }
 
     // ---- Pricing before posing (`lp` module docs, "The pricing step") ----

@@ -7,8 +7,14 @@
 //! each transition folds into one `u64` the repair's counts and the links
 //! and delay bits of `paths(s, d, 8)` for every ordered pair. A change to
 //! Yen's generator, the point query under it or the cache's repair that
-//! moves one path of one pair in one state fails here; the constant is
-//! never re-recorded by a change that claims the same bits.
+//! moves one path of one pair in one state fails here; its ledger row
+//! (`failure_drill_paths` in `tests/pinned.tsv`) is never re-recorded by a
+//! change that claims the same bits.
+
+#[path = "../../../tests/support/digest.rs"]
+mod digest;
+#[path = "../../../tests/support/pinned.rs"]
+mod pinned;
 
 use lowlat_core::failure::{node_failures, single_link_failures};
 use lowlat_core::pathset::{PathCache, RepairStats};
@@ -16,30 +22,17 @@ use lowlat_core::PathSource;
 use lowlat_netgraph::FailureMask;
 use lowlat_topology::zoo::named;
 
-/// The digest, recorded before Yen's spur loop started at each path's
-/// deviation index.
-const DIGEST: u64 = 0xff74_c5c7_1be4_ba80;
-
 /// Paths asked of every pair in every state.
 const K: usize = 8;
-
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
-impl Digest {
-    fn word(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 #[test]
 fn a_failure_drill_hands_out_the_same_paths() {
     let topo = named::gts_like();
     let g = topo.graph();
     let cache = PathCache::new(g);
-    let mut h = Digest(0xcbf2_9ce4_8422_2325);
+    let mut h = digest::Digest::new();
 
-    let fold = |h: &mut Digest| {
+    let fold = |h: &mut digest::Digest| {
         for s in g.nodes() {
             for d in g.nodes().filter(|&d| d != s) {
                 let paths = cache.paths(s, d, K);
@@ -69,5 +62,5 @@ fn a_failure_drill_hands_out_the_same_paths() {
         fold(&mut h);
     }
 
-    assert_eq!(h.0, DIGEST, "digest {:#018x}", h.0);
+    pinned::assert_pinned("failure_drill_paths", &[h.0]);
 }

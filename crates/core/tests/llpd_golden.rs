@@ -1,85 +1,50 @@
 //! Golden regression values for the paper's headline metric.
 //!
 //! `LlpdAnalysis::compute` on the named topologies is fully deterministic,
-//! so its output is pinned here exactly: LLPD is the fraction of PoP pairs
-//! whose APA clears the default 0.7 threshold, making `llpd * pairs` an
-//! integer count we can assert without tolerance games. If a refactor moves
-//! any of these numbers, it changed the metric, not just the code — update
-//! the constants only with an explanation of why the new values are more
-//! faithful to the paper.
+//! so its output is pinned here exactly, one ledger row per topology
+//! (`llpd_golden.<topology>` in `tests/pinned.tsv`): the unordered PoP
+//! pairs, the pairs whose APA clears the default 0.7 threshold (LLPD is
+//! their fraction, so `llpd * pairs` is an integer count) and the bits of
+//! the mean APA. If a refactor moves any of these numbers, it changed the
+//! metric, not just the code — re-record them only with an explanation of
+//! why the new values are more faithful to the paper.
+
+#[path = "../../../tests/support/pinned.rs"]
+mod pinned;
 
 use lowlat_core::llpd::{LlpdAnalysis, LlpdConfig};
 use lowlat_topology::zoo::named;
 use lowlat_topology::Topology;
 
-struct Golden {
-    name: &'static str,
-    build: fn() -> Topology,
-    /// Unordered PoP pairs (n choose 2).
-    pairs: usize,
-    /// Pairs with APA >= 0.7, i.e. `llpd * pairs`.
-    pairs_above_threshold: usize,
-    /// Mean APA across all pairs.
-    mean_apa: f64,
+/// `[pairs, pairs with APA >= 0.7, mean APA bits]` of `topo`.
+fn llpd_row(topo: &Topology) -> [u64; 3] {
+    let analysis = LlpdAnalysis::compute(topo, &LlpdConfig::default());
+    let apa = analysis.apa_values();
+    let above = apa.iter().filter(|&&a| a >= 0.7).count();
+    assert_eq!(analysis.llpd(), above as f64 / apa.len() as f64, "llpd is the share above");
+    let mean: f64 = apa.iter().sum::<f64>() / apa.len() as f64;
+    [apa.len() as u64, above as u64, mean.to_bits()]
 }
 
-const GOLDEN: [Golden; 4] = [
-    Golden {
-        name: "abilene",
-        build: named::abilene,
-        pairs: 55,
-        pairs_above_threshold: 21,
-        mean_apa: 0.447_878_787_878_788,
-    },
-    Golden {
-        name: "gts_like",
-        build: named::gts_like,
-        pairs: 325,
-        pairs_above_threshold: 142,
-        mean_apa: 0.543_025_641_025_641,
-    },
-    Golden {
-        name: "cogent_like",
-        build: named::cogent_like,
-        pairs: 325,
-        pairs_above_threshold: 224,
-        mean_apa: 0.739_692_307_692_308,
-    },
-    Golden {
-        name: "google_like",
-        build: named::google_like,
-        pairs: 153,
-        pairs_above_threshold: 118,
-        mean_apa: 0.810_457_516_339_869,
-    },
-];
+// One test per row, so that every row that moves is written and named.
+#[test]
+fn abilene_llpd_matches_its_golden_values() {
+    pinned::assert_pinned("llpd_golden.abilene", &llpd_row(&named::abilene()));
+}
 
 #[test]
-fn named_topology_llpd_matches_golden_values() {
-    for g in &GOLDEN {
-        let topo = (g.build)();
-        let analysis = LlpdAnalysis::compute(&topo, &LlpdConfig::default());
-        let apa = analysis.apa_values();
-        assert_eq!(apa.len(), g.pairs, "{}: pair count drifted", g.name);
-        let above = apa.iter().filter(|&&a| a >= 0.7).count();
-        assert_eq!(above, g.pairs_above_threshold, "{}: APA threshold count drifted", g.name);
-        let expect_llpd = g.pairs_above_threshold as f64 / g.pairs as f64;
-        assert!(
-            (analysis.llpd() - expect_llpd).abs() < 1e-12,
-            "{}: llpd {} != {}/{}",
-            g.name,
-            analysis.llpd(),
-            g.pairs_above_threshold,
-            g.pairs
-        );
-        let mean: f64 = apa.iter().sum::<f64>() / apa.len() as f64;
-        assert!(
-            (mean - g.mean_apa).abs() < 1e-12,
-            "{}: mean APA {mean:.15} != {:.15}",
-            g.name,
-            g.mean_apa
-        );
-    }
+fn gts_like_llpd_matches_its_golden_values() {
+    pinned::assert_pinned("llpd_golden.gts_like", &llpd_row(&named::gts_like()));
+}
+
+#[test]
+fn cogent_like_llpd_matches_its_golden_values() {
+    pinned::assert_pinned("llpd_golden.cogent_like", &llpd_row(&named::cogent_like()));
+}
+
+#[test]
+fn google_like_llpd_matches_its_golden_values() {
+    pinned::assert_pinned("llpd_golden.google_like", &llpd_row(&named::google_like()));
 }
 
 #[test]

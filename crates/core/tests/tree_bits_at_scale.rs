@@ -8,14 +8,21 @@
 //! and delay bits of the partitioned engine's `grow(src, dst, 4)` answers
 //! for 200 seeded pairs, half of them inside one leaf (landmark stitching
 //! and per-leaf Yen). A change to the shortest-path kernel, the adjacency or the
-//! engine that moves one bit of one of them fails here; the constant is
-//! never re-recorded by a change that claims the same bits.
+//! engine that moves one bit of one of them fails here; its ledger row
+//! (`tree_bits_at_scale` in `tests/pinned.tsv`) is never re-recorded by a
+//! change that claims the same bits.
 //!
 //! Point queries run on a workspace each thread keeps from one query to
 //! the next. A second test alternates them between the 10k-node graph and
 //! GTS-like, under masks and without, and holds every answer to the full
 //! tree's path, which a search on a fresh workspace builds.
 
+#[path = "../../../tests/support/digest.rs"]
+mod digest;
+#[path = "../../../tests/support/pinned.rs"]
+mod pinned;
+
+use digest::Digest;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,18 +34,7 @@ use lowlat_netgraph::{
 use lowlat_topology::synth::{generate, SynthConfig, SynthModel};
 use lowlat_topology::zoo::named;
 
-/// The digest, recorded before the packed-arc kernel replaced the
-/// id/far-endpoint rows.
-const DIGEST: u64 = 0x961b_16d3_28b4_b588;
-
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
 impl Digest {
-    fn word(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
     fn link(&mut self, l: Option<LinkId>) {
         self.word(l.map_or(u64::MAX, |l| u64::from(l.0)));
     }
@@ -49,7 +45,7 @@ fn ten_thousand_node_trees_and_answers_keep_their_bits() {
     let ingested = generate(SynthModel::BarabasiAlbert, &SynthConfig { nodes: 10_000, seed: 42 });
     let g = ingested.graph();
     let n = g.node_count() as u32;
-    let mut h = Digest(0xcbf2_9ce4_8422_2325);
+    let mut h = Digest::new();
 
     for i in 0..16u32 {
         let root = NodeId(i * (n / 16) + 7);
@@ -91,7 +87,7 @@ fn ten_thousand_node_trees_and_answers_keep_their_bits() {
         }
     }
 
-    assert_eq!(h.0, DIGEST, "digest {:#018x}", h.0);
+    pinned::assert_pinned("tree_bits_at_scale", &[h.0]);
 }
 
 #[test]

@@ -8,27 +8,19 @@
 //! infeasible or unbounded, and warm `solve_warm` chains that drift the
 //! right-hand sides and grow the problem through [`Basis::relabel`] (the
 //! Figure 13 growth loop's shape). A change to the engine that moves one
-//! pivot or one bit of one answer fails here; the constant is never
-//! re-recorded by a change that claims the same bits.
+//! pivot or one bit of one answer fails here; its ledger row
+//! (`solve_bits` in `tests/pinned.tsv`) is never re-recorded by a change
+//! that claims the same bits.
 
+#[path = "../../../tests/support/digest.rs"]
+mod digest;
+#[path = "../../../tests/support/pinned.rs"]
+mod pinned;
+
+use digest::Digest;
 use lowlat_linprog::{Basis, LpError, Problem, Relation, Solution};
 
-/// The digest, recorded before the simplex kept its prices across pivots and
-/// re-recorded once the standard form stopped negating rows with a negative
-/// right-hand side. That moved only the sign of some zero duals (169 of the
-/// 8 534 words folded); FNV-1a's multiply never carries a difference out of
-/// bit 63, so sign-bit changes cancel in pairs and only their odd count
-/// shows, as bit 63.
-const DIGEST: u64 = 0xb453_0286_fb75_0748;
-
-/// FNV-1a over 64-bit words.
-struct Digest(u64);
-
 impl Digest {
-    fn word(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
     fn solve(&mut self, solved: &Result<Solution, LpError>) {
         match solved {
             Ok(sol) => {
@@ -236,7 +228,7 @@ fn growth_chain(rng: &mut Rng, h: &mut Digest, aggregates: usize, steps: usize) 
 #[test]
 fn a_seeded_family_of_lps_keeps_its_bits() {
     let mut rng = Rng(0x5e_ed0f_1a7e_5c11);
-    let mut h = Digest(0xcbf2_9ce4_8422_2325);
+    let mut h = Digest::new();
     for &(ns, nd) in &[(4, 5), (8, 10), (12, 15), (20, 24)] {
         for balanced in [false, true] {
             h.solve(&transport(&mut rng, ns, nd, balanced).solve());
@@ -249,5 +241,5 @@ fn a_seeded_family_of_lps_keeps_its_bits() {
     for (aggregates, steps) in [(4, 6), (10, 8), (24, 10)] {
         growth_chain(&mut rng, &mut h, aggregates, steps);
     }
-    assert_eq!(h.0, DIGEST, "digest {:#018x}", h.0);
+    pinned::assert_pinned("solve_bits", &[h.0]);
 }

@@ -75,7 +75,9 @@ use lowlat_core::{PathSource, Placement};
 use lowlat_netgraph::{all_pairs_delays, FailureMask, LinkId};
 use lowlat_telemetry as telemetry;
 use lowlat_tmgen::TrafficMatrix;
-use lowlat_traffic::{spread_seed, AggregateTrace, TraceGenConfig, TraceGenerator, TraceMinute};
+use lowlat_traffic::{
+    multiplex, spread_seed, AggregateTrace, TraceGenConfig, TraceGenerator, TraceMinute,
+};
 
 use super::bounded::QUEUE_TRIGGER_MS;
 use super::controller::{Controller, Mode};
@@ -513,13 +515,15 @@ impl<'a> ControllerState<'a> {
     }
 
     /// Replays the minute's actual 100 ms samples over the placement in
-    /// force, runs every surviving link's queue, and lets the cascade model
-    /// pick the cable to trip. Returns the worst realized queueing delay
-    /// (ms) and the number of links that ever exceeded capacity.
+    /// force, runs every surviving link's queue (test B's fluid queue), and
+    /// lets the cascade model pick the cable to trip. Returns the worst
+    /// realized queueing delay (ms) and the number of links that ever
+    /// exceeded capacity.
     fn replay(&mut self, minute: usize) -> (f64, usize) {
         let graph = self.source.graph();
         let t = self.config.warmup_minutes + minute;
         let bins = self.traces[0].bins_per_minute();
+        let bin_s = 60.0 / bins as f64;
         // Taken for the minute so that `charge` can write it while `self`
         // is read, and put back at the end.
         let mut buffers = std::mem::take(&mut self.replay);
@@ -579,16 +583,10 @@ impl<'a> ControllerState<'a> {
             if cap <= 0.0 {
                 continue; // downed link: carries nothing (filtered above)
             }
-            let mut backlog_mb = 0.0f64;
-            let mut link_queue_ms = 0.0f64;
-            let mut overloaded = false;
-            let mut sum = 0.0f64;
-            for &load in &per_link_load[l.idx()] {
-                backlog_mb = (backlog_mb + (load - cap) * 0.1).max(0.0);
-                link_queue_ms = link_queue_ms.max(backlog_mb / cap * 1000.0);
-                overloaded |= load > cap;
-                sum += load;
-            }
+            let loads = &per_link_load[l.idx()];
+            let link_queue_ms = multiplex::worst_queue_ms(loads, cap, bin_s);
+            let overloaded = loads.iter().any(|&load| load > cap);
+            let sum = loads.iter().fold(0.0f64, |sum, &load| sum + load);
             worst_queue_ms = worst_queue_ms.max(link_queue_ms);
             self.queued_links[l.idx()] = link_queue_ms > queue_trigger_ms;
             overloaded_links += usize::from(overloaded);

@@ -257,13 +257,7 @@ impl MultiplexCheck {
                 *load += s * x;
             }
         }
-        let bin_s = self.config.bin_ms / 1000.0;
-        let mut backlog_mb = 0.0f64;
-        let mut worst_queue_ms = 0.0f64;
-        for &load in loads.iter() {
-            backlog_mb = (backlog_mb + (load - capacity_mbps) * bin_s).max(0.0);
-            worst_queue_ms = worst_queue_ms.max(backlog_mb / capacity_mbps * 1000.0);
-        }
+        let worst_queue_ms = worst_queue_ms(&loads, capacity_mbps, self.config.bin_ms / 1000.0);
         if worst_queue_ms > self.config.max_queue_ms {
             return Verdict::FailTemporal { max_queue_ms: worst_queue_ms };
         }
@@ -283,12 +277,35 @@ impl MultiplexCheck {
     }
 }
 
+/// The fluid queue test B runs, and the timeline's replay of a minute: a
+/// link of `capacity_mbps` fed `loads` (Mbps, one per bin of `bin_s`
+/// seconds) carries its backlog from bin to bin. Returns the worst
+/// queueing delay the backlog implies, in ms.
+#[inline]
+pub fn worst_queue_ms(loads: &[f64], capacity_mbps: f64, bin_s: f64) -> f64 {
+    let mut backlog_mb = 0.0f64;
+    let mut worst_ms = 0.0f64;
+    for &load in loads {
+        backlog_mb = (backlog_mb + (load - capacity_mbps) * bin_s).max(0.0);
+        worst_ms = worst_ms.max(backlog_mb / capacity_mbps * 1000.0);
+    }
+    worst_ms
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn check() -> MultiplexCheck {
         MultiplexCheck::new(MultiplexConfig::default())
+    }
+
+    #[test]
+    fn test_b_and_the_replay_queue_at_one_bin_length() {
+        // A minute over a trace's 600 bins, test B's 100 ms: both 0.1 s.
+        let bins = crate::trace::TraceGenConfig::default().bins_per_minute as f64;
+        assert_eq!((60.0 / bins).to_bits(), 0.1f64.to_bits());
+        assert_eq!((MultiplexConfig::default().bin_ms / 1000.0).to_bits(), 0.1f64.to_bits());
     }
 
     #[test]

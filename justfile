@@ -21,12 +21,16 @@ verify:
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# Re-record the sweep goldens after a change that moves them on purpose:
-# the test writes every cell's output, the copy makes it the golden, and
-# `git diff` names each number that moved.
+# Re-record every pinned value after a change that moves bits on purpose.
+# The suite writes each sweep cell's output to target/tmp/sweep_golden/ and
+# each ledger producer's row to target/tmp/pinned/; the copy makes those the
+# goldens and tests/pinned.tsv (sorted by name). The test failures and
+# `git diff` then name each moved entry and each moved cell by column.
 regolden:
-    -cargo test -q -p lowlat_sim --test sweep_golden
+    rm -rf target/tmp/pinned
+    -cargo test -q --no-fail-fast
     cp target/tmp/sweep_golden/*.tsv crates/sim/tests/golden/
+    cat target/tmp/pinned/*.tsv | LC_ALL=C sort > tests/pinned.tsv
 
 # The four micro-bench targets (criterion stand-in: wall-clock medians on
 # stdout) — one kernel at a time; performance claims go through `just perf`.

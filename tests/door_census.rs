@@ -10,7 +10,9 @@
 //! before it fails, and only a topology (or the timeline, which holds a
 //! path source) computes a network's all-pairs shortest delays. And the
 //! growth loop writes its LPs one way: no production line under
-//! `crates/core/src/pathgrow` names a `Problem`.
+//! `crates/core/src/pathgrow` names a `Problem`. And a value held to the
+//! bit is pinned one way: one ledger row per `assert_pinned` producer, and
+//! one FNV-1a fold in test code.
 
 use std::path::{Path, PathBuf};
 
@@ -81,33 +83,31 @@ fn is_gone(ident: &str) -> bool {
         })
 }
 
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let path = entry.unwrap().path();
+/// Every `.rs` file under `entries` (repo-relative directories or files)
+/// but this one, as its repo-relative path and its text, by path.
+fn sources(entries: &[&str]) -> Vec<(PathBuf, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut todo: Vec<PathBuf> = entries.iter().map(|entry| root.join(entry)).collect();
+    assert!(todo.iter().all(|path| path.exists()), "one of {entries:?} is gone");
+    let mut files = Vec::new();
+    while let Some(path) = todo.pop() {
         if path.is_dir() {
-            rust_files(&path, out);
+            todo.extend(std::fs::read_dir(&path).unwrap().map(|entry| entry.unwrap().path()));
         } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
+            files.push(path.strip_prefix(root).unwrap().to_path_buf());
         }
     }
+    files.sort();
+    files.retain(|rel| rel != Path::new(file!()));
+    let text = |rel: &PathBuf| std::fs::read_to_string(root.join(rel)).unwrap();
+    files.iter().map(|rel| (rel.clone(), text(rel))).collect()
 }
 
 #[test]
 fn no_deleted_door_comes_back() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        rust_files(&root.join(dir), &mut files);
-    }
-    files.sort();
     let mut hits = Vec::new();
-    for path in files {
-        let rel = path.strip_prefix(root).unwrap();
-        if rel == Path::new(file!()) {
-            continue;
-        }
+    for (rel, text) in sources(&["crates", "src", "tests", "examples"]) {
         let linprog = rel.starts_with("crates/linprog/src");
-        let text = std::fs::read_to_string(&path).unwrap();
         for (n, line) in (1..).zip(text.lines()) {
             let idents = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
             for ident in idents.filter(|ident| is_gone(ident)) {
@@ -132,14 +132,8 @@ const THE_PRINTER: &str = "crates/sim/src/runner.rs";
 
 #[test]
 fn only_the_runners_printer_exits() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    rust_files(&root.join("crates/sim/src"), &mut files);
-    files.sort();
     let mut exits = Vec::new();
-    for path in files {
-        let rel = path.strip_prefix(root).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+    for (rel, text) in sources(&["crates/sim/src"]) {
         for (n, line) in (1..).zip(text.lines()) {
             if line.contains("process::exit") {
                 exits.push(format!("{}:{n}: {}", rel.display(), line.trim()));
@@ -194,17 +188,11 @@ fn lines_with_tab_in_a_string(text: &str) -> Vec<usize> {
 
 #[test]
 fn only_the_table_writer_lays_out_tabs() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    rust_files(&root.join("crates/sim/src"), &mut files);
-    files.sort();
     let mut tabs = Vec::new();
-    for path in files {
-        let rel = path.strip_prefix(root).unwrap();
+    for (rel, text) in sources(&["crates/sim/src"]) {
         if rel == Path::new(THE_TABLE_WRITER) {
             continue;
         }
-        let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         for n in lines_with_tab_in_a_string(&text) {
             tabs.push(format!("{}:{n}: {}", rel.display(), lines[n - 1].trim()));
@@ -246,21 +234,13 @@ fn lines_before_tests(text: &str) -> usize {
 
 #[test]
 fn no_source_file_is_over_900_lines_before_its_tests() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
-        let src = krate.unwrap().path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
-        }
-    }
-    files.sort();
-    let over: Vec<String> = files
-        .iter()
-        .filter_map(|path| {
-            let lines = lines_before_tests(&std::fs::read_to_string(path).unwrap());
-            let rel = path.strip_prefix(root).unwrap().display();
-            (lines > MAX_LINES_BEFORE_TESTS).then(|| format!("{rel}: {lines}"))
+    // `crates/<crate>/src/...`
+    let under_src = |rel: &Path| rel.iter().nth(2).is_some_and(|dir| dir == "src");
+    let over: Vec<String> = (sources(&["crates"]).into_iter())
+        .filter(|(rel, _)| under_src(rel))
+        .filter_map(|(rel, text)| {
+            let lines = lines_before_tests(&text);
+            (lines > MAX_LINES_BEFORE_TESTS).then(|| format!("{}: {lines}", rel.display()))
         })
         .collect();
     assert!(
@@ -322,21 +302,9 @@ fn is_const_item(line: &str) -> bool {
 
 #[test]
 fn every_tolerance_of_the_lp_chain_is_a_named_const() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for entry in NAMED_TOLERANCES.iter().map(|entry| root.join(entry)) {
-        if entry.is_dir() {
-            rust_files(&entry, &mut files);
-        } else {
-            assert!(entry.is_file(), "{} is gone", entry.display());
-            files.push(entry);
-        }
-    }
-    files.sort();
     let mut bare = Vec::new();
-    for path in &files {
-        let text = std::fs::read_to_string(path).unwrap();
-        let rel = path.strip_prefix(root).unwrap().display();
+    for (rel, text) in sources(NAMED_TOLERANCES) {
+        let rel = rel.display();
         let code = text.lines().take(lines_before_tests(&text));
         for (n, line) in (1..).zip(code).filter(|(_, line)| !is_const_item(line)) {
             for literal in negative_exponent_literals(line) {
@@ -374,19 +342,13 @@ const ALL_PAIRS_CALLERS: &[&str] =
 
 #[test]
 fn only_a_topology_computes_its_shortest_delays() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    rust_files(&root.join("crates"), &mut files);
-    files.sort();
     let mut calls = Vec::new();
-    for path in files {
-        let rel = path.strip_prefix(root).unwrap();
+    for (rel, text) in sources(&["crates"]) {
         let shown = rel.display().to_string();
         let a_test_target = rel.components().any(|c| c.as_os_str() == "tests");
         if a_test_target || ALL_PAIRS_CALLERS.iter().any(|allowed| shown.starts_with(allowed)) {
             continue;
         }
-        let text = std::fs::read_to_string(&path).unwrap();
         for (n, line) in (1..).zip(text.lines().take(lines_before_tests(&text))) {
             let code = line.split("//").next().unwrap_or_default();
             if code.contains("all_pairs_delays(") {
@@ -410,15 +372,11 @@ const ONE_LP_WRITER: &str = "crates/core/src/pathgrow";
 
 #[test]
 fn one_lp_writer_in_pathgrow() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    rust_files(&root.join(ONE_LP_WRITER), &mut files);
-    files.sort();
+    let files = sources(&[ONE_LP_WRITER]);
     assert!(!files.is_empty(), "{ONE_LP_WRITER} is gone");
     let mut posed = Vec::new();
-    for path in files {
-        let rel = path.strip_prefix(root).unwrap().display();
-        let text = std::fs::read_to_string(&path).unwrap();
+    for (rel, text) in files {
+        let rel = rel.display();
         for (n, line) in (1..).zip(text.lines().take(lines_before_tests(&text))) {
             if line
                 .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
@@ -473,19 +431,8 @@ fn check_arguments(text: &str) -> Vec<(usize, &str)> {
 
 #[test]
 fn no_range_check_builds_its_text_before_it_fails() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "tests", "examples"] {
-        rust_files(&root.join(dir), &mut files);
-    }
-    files.sort();
     let mut eager = Vec::new();
-    for path in files {
-        let rel = path.strip_prefix(root).unwrap();
-        if rel == Path::new(file!()) {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
+    for (rel, text) in sources(&["crates", "src", "tests", "examples"]) {
         for (n, args) in check_arguments(&text) {
             if EAGER_TEXT.iter().any(|build| args.contains(build)) {
                 let args = args.split_whitespace().collect::<Vec<_>>().join(" ");
@@ -515,4 +462,84 @@ fn the_census_reads_whole_check_calls() {
     assert_eq!(calls[2].1, "f(g(x)), \"v\", v.to_string(), \")(\"");
     let eager = |args: &str| EAGER_TEXT.iter().any(|build| args.contains(build));
     assert_eq!(calls.iter().map(|&(_, args)| eager(args)).collect::<Vec<_>>(), [false, true, true]);
+}
+
+/// The ledger of pinned bits (`tests/support/pinned.rs`).
+const LEDGER: &str = "tests/pinned.tsv";
+
+/// The one FNV-1a fold test code pins a large output with.
+const THE_DIGEST: &str = "tests/support/digest.rs";
+
+/// Each `assert_pinned(` call in `text` but its definition: the ledger row
+/// it pins, or `None` when its first argument is not a string literal.
+fn pinned_names(text: &str) -> Vec<Option<&str>> {
+    text.match_indices("assert_pinned(")
+        .filter(|&(at, _)| !text[..at].ends_with("fn "))
+        .map(|(at, call)| {
+            let name = text[at + call.len()..].trim_start().strip_prefix('"')?;
+            name.split('"').next()
+        })
+        .collect()
+}
+
+#[test]
+fn every_ledger_row_has_one_producer_and_every_producer_one_row() {
+    let rows: Vec<&str> =
+        include_str!("pinned.tsv").lines().map(|row| row.split('\t').next().unwrap()).collect();
+    let mut problems: Vec<String> = (rows.windows(2).filter(|pair| pair[0] >= pair[1]))
+        .map(|pair| format!("`{}` before `{}`: sort by name, one row each", pair[0], pair[1]))
+        .collect();
+    let mut producers = Vec::new();
+    for (rel, text) in sources(&["crates", "src", "tests", "examples"]) {
+        for name in pinned_names(&text) {
+            if !name.is_some_and(|name| rows.contains(&name)) {
+                let name = name.unwrap_or("<not a literal>");
+                problems.push(format!("{}: `{name}` has no row", rel.display()));
+            }
+            producers.extend(name.map(str::to_string));
+        }
+    }
+    for row in &rows {
+        let n = producers.iter().filter(|name| name == row).count();
+        if n != 1 {
+            problems.push(format!("`{row}` has {n} producers"));
+        }
+    }
+    assert!(problems.is_empty(), "{LEDGER} and its producers disagree:\n{}", problems.join("\n"));
+}
+
+#[test]
+fn one_digest_in_test_code() {
+    // FNV-1a's 64-bit prime, as its digits read with `_` and case dropped.
+    let prime = format!("{:x}", 1u64 << 40 | 0x1b3);
+    let mut copies = Vec::new();
+    for (rel, text) in sources(&["crates", "src", "tests"]) {
+        if rel == Path::new(THE_DIGEST) {
+            continue;
+        }
+        // A file under a `tests` directory is test code throughout; a
+        // source file from its test module on.
+        let is_test = rel.components().any(|c| c.as_os_str() == "tests");
+        let production = if is_test { 0 } else { lines_before_tests(&text) };
+        for (n, line) in (1..).zip(text.lines()).skip(production) {
+            let digits = line.replace('_', "").to_ascii_lowercase();
+            if line.contains("struct Digest") || digits.contains(&prime) {
+                copies.push(format!("{}:{n}: {}", rel.display(), line.trim()));
+            }
+        }
+    }
+    assert!(
+        copies.is_empty(),
+        "test code folds its own digest; use {THE_DIGEST} and pin the word in {LEDGER}:\n{}",
+        copies.join("\n")
+    );
+}
+
+#[test]
+fn the_census_reads_pinned_names() {
+    let text = "pub fn assert_pinned(name: &str, words: &[u64]) {}\n\
+                assert_pinned(\"a.b\", &[1]);\n\
+                pinned::assert_pinned(\n    \"c\",\n    &[2],\n);\n\
+                assert_pinned(spec, &words);\n";
+    assert_eq!(pinned_names(text), [Some("a.b"), Some("c"), None]);
 }
