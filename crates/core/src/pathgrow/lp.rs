@@ -355,7 +355,7 @@ impl<'a> LpData<'a> {
                 };
                 let sol = live.solve(basis)?;
                 if sol.warm_started() && telemetry::enabled() {
-                    telemetry::counter_add("pathgrow.lp_handed_over", 1);
+                    telemetry::counter_add("pathgrow.spliced_warm", 1);
                 }
                 (layout, sol)
             }

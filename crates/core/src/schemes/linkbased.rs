@@ -60,29 +60,6 @@ impl LinkBasedOptimal {
         LinkBasedOptimal { headroom, form: CommodityForm::PerAggregate }
     }
 
-    fn solve(
-        &self,
-        graph: &Graph,
-        tm: &TrafficMatrix,
-        mask: Option<&FailureMask>,
-    ) -> Result<Placement, SchemeError> {
-        match self.form {
-            CommodityForm::PerDestination => self.solve_per_destination(graph, tm, mask),
-            CommodityForm::PerAggregate => self.solve_per_aggregate(graph, tm, mask),
-        }
-    }
-
-    /// Per-link capacity under the failure overlay: 0 for downed links
-    /// (forcing their flow to zero — the MCF sees the failed topology),
-    /// the degraded value otherwise.
-    fn effective_cap(graph: &Graph, mask: Option<&FailureMask>, l: usize) -> f64 {
-        let id = LinkId(l as u32);
-        match mask {
-            Some(m) => m.effective_capacity(graph, id),
-            None => graph.link(id).capacity_mbps,
-        }
-    }
-
     /// One commodity per aggregate: variables f[a][l], conservation at
     /// every node per aggregate. O(aggregates × links) variables — the
     /// scaling the paper warns about.
@@ -90,6 +67,7 @@ impl LinkBasedOptimal {
         &self,
         graph: &Graph,
         tm: &TrafficMatrix,
+        caps: &[f64],
         mask: Option<&FailureMask>,
     ) -> Result<Placement, SchemeError> {
         let nl = graph.link_count();
@@ -121,7 +99,7 @@ impl LinkBasedOptimal {
         let cap_scale = 1.0 - self.headroom;
         for l in 0..nl {
             let coeffs: Vec<(usize, f64)> = (0..na).map(|a| (var(a, l), 1.0)).collect();
-            p.add_row(Relation::Le, Self::effective_cap(graph, mask, l) * cap_scale, &coeffs);
+            p.add_row(Relation::Le, caps[l] * cap_scale, &coeffs);
         }
         let sol = match p.solve() {
             Ok(s) => s,
@@ -141,6 +119,7 @@ impl LinkBasedOptimal {
         &self,
         graph: &Graph,
         tm: &TrafficMatrix,
+        caps: &[f64],
         mask: Option<&FailureMask>,
     ) -> Result<Placement, SchemeError> {
         let nl = graph.link_count();
@@ -181,12 +160,11 @@ impl LinkBasedOptimal {
                 p.add_row(Relation::Eq, supply, &coeffs);
             }
         }
-        // Capacity per link across commodities (0 for failed links: the
-        // MCF routes on the failed topology).
+        // Capacity per link across commodities.
         let cap_scale = 1.0 - self.headroom;
         for l in 0..nl {
             let coeffs: Vec<(usize, f64)> = (0..dests.len()).map(|t| (var(t, l), 1.0)).collect();
-            p.add_row(Relation::Le, Self::effective_cap(graph, mask, l) * cap_scale, &coeffs);
+            p.add_row(Relation::Le, caps[l] * cap_scale, &coeffs);
         }
 
         let sol = match p.solve() {
@@ -278,8 +256,19 @@ impl RoutingScheme for LinkBasedOptimal {
         _ctx: &mut SolveContext,
     ) -> Result<Placement, SchemeError> {
         // The link-based MCF works on raw link flows; it only borrows the
-        // source's graph (and failure overlay), never its path sets.
-        self.solve(source.graph(), tm, source.failure_mask().as_deref())
+        // source's graph, capacity view and failure overlay, never its path
+        // sets. A downed link's capacity is 0, so the MCF routes on the
+        // failed topology.
+        let (graph, caps) = (source.graph(), source.effective_capacities());
+        let mask = source.failure_mask();
+        match self.form {
+            CommodityForm::PerDestination => {
+                self.solve_per_destination(graph, tm, &caps, mask.as_deref())
+            }
+            CommodityForm::PerAggregate => {
+                self.solve_per_aggregate(graph, tm, &caps, mask.as_deref())
+            }
+        }
     }
 }
 

@@ -22,6 +22,8 @@
 use std::fmt::Display;
 use std::io::Write;
 
+use lowlat_telemetry::jstr;
+
 /// One row of a table: its columns in order, each a name and the text
 /// printed for it.
 #[derive(Clone, Debug, Default)]
@@ -75,23 +77,6 @@ impl Row {
             .collect();
         format!("{{{}}}", fields.join(", "))
     }
-}
-
-/// `s` as a JSON string literal.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Writes `rows` as TSV: a header of the first row's names, then one line

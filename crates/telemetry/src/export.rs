@@ -5,8 +5,9 @@
 
 use crate::registry::MetricsSnapshot;
 
-/// Escapes a string for a JSON literal.
-fn jstr(s: &str) -> String {
+/// `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped.
+pub fn jstr(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

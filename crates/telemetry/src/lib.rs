@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-pub use export::{metrics_json, metrics_tsv, trace_json, write_metrics, write_trace};
+pub use export::{jstr, metrics_json, metrics_tsv, trace_json, write_metrics, write_trace};
 pub use registry::{
     counter_add, gauge_set, observe, reset, snapshot, HistogramSummary, MetricsSnapshot,
 };

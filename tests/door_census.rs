@@ -543,3 +543,285 @@ fn the_census_reads_pinned_names() {
                 assert_pinned(spec, &words);\n";
     assert_eq!(pinned_names(text), [Some("a.b"), Some("c"), None]);
 }
+
+/// The README describes HEAD: it is at most this long, cites no PR (the
+/// history of a change is its CHANGES.md entry), names no deleted door and
+/// no code item that is not declared, and every command it or the verify
+/// skill names exists.
+const README: &str = "README.md";
+const VERIFY_SKILL: &str = ".claude/skills/verify/SKILL.md";
+const MAX_README_LINES: usize = 900;
+
+/// First path segments that name the standard library, which the census
+/// does not resolve (a workspace crate of the same short name wins: `core`
+/// is `lowlat_core`).
+const STD_ROOTS: &[&str] = &["std", "alloc", "process", "io", "fs", "thread", "mem", "sync"];
+
+/// Item keywords whose next identifier the census takes as declared.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "type", "mod"];
+
+fn is_ident(s: &str) -> bool {
+    s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// Every item `text` declares: the identifier after an item keyword, and
+/// each variant of an `enum` (the leading identifier of a line one level
+/// inside its body, as rustfmt lays it out).
+fn declared_items(text: &str, items: &mut std::collections::BTreeSet<String>) {
+    let lines: Vec<&str> = text.lines().collect();
+    for (at, line) in lines.iter().enumerate() {
+        let code = line.split("//").next().unwrap_or_default();
+        let tokens: Vec<&str> =
+            code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).collect();
+        let tokens: Vec<&str> = tokens.into_iter().filter(|t| !t.is_empty()).collect();
+        for pair in tokens.windows(2) {
+            if ITEM_KEYWORDS.contains(&pair[0]) && is_ident(pair[1]) {
+                items.insert(pair[1].to_string());
+            }
+        }
+        if tokens.contains(&"enum") && code.trim_end().ends_with('{') {
+            let indent = line.len() - line.trim_start().len();
+            let close = format!("{}}}", " ".repeat(indent));
+            let body = lines[at + 1..].iter().take_while(|l| l.trim_end() != close);
+            for variant in body.filter(|l| l.len() - l.trim_start().len() == indent + 4) {
+                let name =
+                    variant.trim_start().split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+                items.extend(name.take(1).filter(|n| is_ident(n)).map(str::to_string));
+            }
+        }
+    }
+}
+
+/// The code spans of a markdown text, fenced blocks left out, each with
+/// its whitespace runs (line breaks included) folded to one space.
+fn code_spans(text: &str) -> Vec<String> {
+    let mut prose = String::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced {
+            prose.push_str(line);
+            prose.push('\n');
+        }
+    }
+    let spans = prose.split('`').skip(1).step_by(2);
+    spans.map(|span| span.split_whitespace().collect::<Vec<_>>().join(" ")).collect()
+}
+
+/// The lines of a markdown text's fenced blocks.
+fn fenced_lines(text: &str) -> Vec<&str> {
+    let mut fenced = false;
+    let mut out = Vec::new();
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if fenced {
+            out.push(line);
+        }
+    }
+    out
+}
+
+/// The Rust paths a code span names: `a::b`, `a::b()` or `a::b(args)`,
+/// with `a::{b, c}` read as `a::b` and `a::c`. Anything else is not a path.
+fn rust_paths(span: &str) -> Vec<Vec<String>> {
+    let head = span.split('(').next().unwrap_or_default();
+    if head != span && !span.ends_with(')') {
+        return Vec::new();
+    }
+    let (stem, leaves) = match head.split_once("::{") {
+        Some((stem, rest)) => match rest.strip_suffix('}') {
+            Some(list) => (stem, list.split(',').map(str::trim).collect::<Vec<_>>()),
+            None => return Vec::new(),
+        },
+        None => (head, vec![""]),
+    };
+    let mut paths = Vec::new();
+    for leaf in leaves {
+        let full = if leaf.is_empty() { stem.to_string() } else { format!("{stem}::{leaf}") };
+        let segments: Vec<String> = full.split("::").map(str::to_string).collect();
+        if segments.len() < 2 || !segments.iter().all(|s| is_ident(s)) {
+            return Vec::new();
+        }
+        paths.push(segments);
+    }
+    paths
+}
+
+/// The crates a path may start with: the workspace's (`lowlat`, each
+/// `crates/<dir>` as `<dir>` and `lowlat_<dir>`) and the vendored ones.
+fn crate_names(root: &Path) -> Vec<String> {
+    let mut names = vec!["lowlat".to_string()];
+    for dir in ["crates", "vendor"] {
+        for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+            if dir == "crates" {
+                names.push(format!("lowlat_{name}"));
+            }
+            names.push(name);
+        }
+    }
+    names
+}
+
+/// The recipes of a justfile: each unindented `name ...:` line that is
+/// not an assignment (`:=`), a setting or a comment.
+fn just_recipes(text: &str) -> Vec<&str> {
+    let recipe = |line: &&str| {
+        !line.starts_with([' ', '\t', '#']) && line.contains(':') && !line.contains(":=")
+    };
+    let names = text.lines().filter(recipe).filter_map(|line| line.split([' ', ':']).next());
+    names.filter(|name| is_ident(name) && *name != "set").collect()
+}
+
+/// The `[[bin]]` names of a Cargo manifest.
+fn manifest_bins(text: &str) -> Vec<&str> {
+    let mut bins = Vec::new();
+    let mut in_bin = false;
+    for line in text.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_bin = line == "[[bin]]";
+        } else if let Some(name) = line.strip_prefix("name").filter(|_| in_bin) {
+            bins.extend(name.trim_start().strip_prefix('=').map(|n| n.trim().trim_matches('"')));
+        }
+    }
+    bins
+}
+
+/// The word after each `flag` in `text` (`--bin perf` gives `perf`).
+fn flag_values<'a>(text: &'a str, flag: &str) -> Vec<&'a str> {
+    let words: Vec<&str> = text.split_whitespace().collect();
+    let values = words.windows(2).filter(|pair| pair[0] == flag);
+    values.map(|pair| pair[1].trim_end_matches(['`', ',', ';', ')', '.'])).collect()
+}
+
+/// Why the README is not a description of HEAD, one line a fault.
+fn readme_faults(
+    readme: &str,
+    items: &std::collections::BTreeSet<String>,
+    crates: &[String],
+) -> Vec<String> {
+    let mut faults = Vec::new();
+    let lines = readme.lines().count();
+    if lines > MAX_README_LINES {
+        faults.push(format!("{README} has {lines} lines, over {MAX_README_LINES}"));
+    }
+    for (n, line) in (1..).zip(readme.lines()) {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let cites = words.windows(2).any(|pair| {
+            matches!(pair[0].trim_start_matches(['(', '*', '[']), "PR" | "PRs")
+                && pair[1].starts_with(|c: char| c.is_ascii_digit())
+        });
+        if cites {
+            faults.push(format!("{README}:{n}: cites a PR; the history goes in CHANGES.md"));
+        }
+    }
+    for span in code_spans(readme) {
+        let idents = span.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+        for ident in idents.filter(|ident| is_gone(ident)) {
+            faults.push(format!("`{span}`: `{ident}` is a deleted door"));
+        }
+        for path in rust_paths(&span) {
+            let first = path[0].as_str();
+            if STD_ROOTS.contains(&first) && !crates.iter().any(|c| c == first) {
+                continue;
+            }
+            let root_ok = crates.iter().any(|c| c == first) || items.contains(first);
+            let missing: Vec<&str> = (path.iter().enumerate())
+                .filter(|&(i, segment)| if i == 0 { !root_ok } else { !items.contains(segment) })
+                .map(|(_, segment)| segment.as_str())
+                .collect();
+            if !missing.is_empty() {
+                faults.push(format!("`{span}`: no item `{}` is declared", missing.join("`, `")));
+            }
+        }
+    }
+    faults
+}
+
+#[test]
+fn the_readme_describes_head() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut items = std::collections::BTreeSet::new();
+    for (_, text) in sources(&["crates", "src", "tests", "examples", "vendor"]) {
+        declared_items(&text, &mut items);
+    }
+    let readme = std::fs::read_to_string(root.join(README)).unwrap();
+    let faults = readme_faults(&readme, &items, &crate_names(root));
+    assert!(faults.is_empty(), "{README} drifted from the code:\n{}", faults.join("\n"));
+}
+
+#[test]
+fn every_command_the_docs_name_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap();
+    let justfile = read("justfile");
+    let recipes = just_recipes(&justfile);
+    let perfbench = read("perfbench/Cargo.toml");
+    let perf_bins = manifest_bins(&perfbench);
+    let mut faults = Vec::new();
+    for doc in [README, VERIFY_SKILL] {
+        let text = read(doc);
+        let code = code_spans(&text)
+            .into_iter()
+            .chain(fenced_lines(&text).into_iter().map(str::to_string));
+        for line in code {
+            let mut words = line.split_whitespace();
+            if let (Some("just"), Some(recipe)) = (words.next(), words.next()) {
+                if !recipes.contains(&recipe) {
+                    faults.push(format!("{doc}: `just {recipe}` is no recipe of the justfile"));
+                }
+            }
+        }
+        for bin in flag_values(&text, "--bin") {
+            let exists = root.join("crates/sim/src/bin").join(format!("{bin}.rs")).exists();
+            if !exists && !perf_bins.contains(&bin) {
+                faults.push(format!("{doc}: `--bin {bin}` is no binary"));
+            }
+        }
+        for example in flag_values(&text, "--example") {
+            if !root.join("examples").join(format!("{example}.rs")).exists() {
+                faults.push(format!("{doc}: `--example {example}` is no example"));
+            }
+        }
+    }
+    assert!(faults.is_empty(), "the docs name commands that do not exist:\n{}", faults.join("\n"));
+}
+
+#[test]
+fn the_census_reads_markdown_items_and_commands() {
+    let code = "pub enum Mode {\n    Cold,\n    Warm { at: usize },\n}\nimpl X { pub(crate) fn grow() {} }\nconst K: f64 = 1.0; // fn not_this\n";
+    let mut items = std::collections::BTreeSet::new();
+    declared_items(code, &mut items);
+    assert_eq!(
+        items.iter().map(String::as_str).collect::<Vec<_>>(),
+        ["Cold", "K", "Mode", "Warm", "grow"]
+    );
+
+    let md = "A `Mode::Cold` and `a::{b, c}`, `x::y(1, 2)` but not `a b` or\n`just\n  verify`.\n```sh\njust perf\n```\n";
+    assert_eq!(code_spans(md), ["Mode::Cold", "a::{b, c}", "x::y(1, 2)", "a b", "just verify"]);
+    assert_eq!(fenced_lines(md), ["just perf"]);
+    let paths: Vec<Vec<Vec<String>>> = code_spans(md).iter().map(|s| rust_paths(s)).collect();
+    assert_eq!(paths[0], [["Mode", "Cold"]]);
+    assert_eq!(paths[1], [["a", "b"], ["a", "c"]]);
+    assert_eq!(paths[2], [["x", "y"]]);
+    assert!(paths[3].is_empty() && paths[4].is_empty());
+
+    let crates = ["lowlat_core".to_string(), "core".to_string()];
+    let readme =
+        "`Mode::Cold`, `core::Mode`, `process::exit`.\nSince PR 4 `Mode::Hot`.\n| `hand_over` |\n";
+    let faults = readme_faults(readme, &items, &crates);
+    assert_eq!(faults.len(), 3, "{faults:?}");
+    assert!(faults[0].contains(":2: cites a PR"));
+    assert!(faults[1].contains("`Hot`") && faults[2].contains("`hand_over` is a deleted door"));
+
+    let justfile = "set shell := [\"bash\"]\n# verify: no\nverify:\n    cargo test\nperf dir=\"x\":\n    run\n";
+    assert_eq!(just_recipes(justfile), ["verify", "perf"]);
+    assert_eq!(manifest_bins("[package]\nname = \"p\"\n[[bin]]\nname = \"perf\"\n"), ["perf"]);
+    assert_eq!(
+        flag_values("cargo run --bin perf -- run; `--example quickstart`.", "--bin"),
+        ["perf"]
+    );
+}
